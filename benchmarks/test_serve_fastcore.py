@@ -5,15 +5,23 @@ engine="array")``, :mod:`repro.serve.fast_core`): at 10^6 requests on a
 64-replica fleet it must produce *bit-identical* :class:`LatencyStats`
 to the object event loop while running >= 10x faster wall-clock on the
 plain class, and >= 5x on the cached (Zipf, cache_size=128) and
-multi-model (the real HEP+climate pool) classes. The per-class floors
-differ for a structural reason, not a tuning one: the event loop spends
-~10us of Python per *arrival* regardless of class, so the flat array
-loop (~0.8us) clears 10x, but cache hits and load sheds short-circuit
-most of that ~10us on the event path too, while the array path's cache
-decision loop and per-model lane bookkeeping are inherently sequential
-dict/list work it cannot vectorize away — measured per-class ratios
-plateau at ~6.5-7.5x across hit-heavy, miss-heavy, and drop-heavy
-regimes. The floors sit below the measured means by a CI-noise margin.
+multi-model (the real HEP+climate pool) classes. All three are the same
+``fast_core._drive`` loop — ``M`` per-model lanes per replica, an
+optional cache in front — at different parameters (plain: ``M == 1``, no
+cache; cached: ``M == 1`` with one; multi-model: ``M == 2``), so the
+per-class floors differ for a structural reason in the *workload*, not
+because a different loop runs: the event loop spends ~10us of Python per
+*arrival* regardless of class, so the array loop's ~0.6-0.7us admit path
+clears 10x on plain traffic, but cache hits and load sheds short-circuit
+most of that ~10us on the event path too, while the array loop's cache
+decision (a dict pop/insert per lookup and per fill) and its ``M``-lane
+scan per batch commit are inherently sequential dict/list work it cannot
+vectorize away — measured per-class ratios plateau at ~6.5-7.5x across
+hit-heavy, miss-heavy, and drop-heavy regimes. The floors sit below the
+measured means by a CI-noise margin. (The three hand-specialized loops
+this one replaced ran the plain class ~8-12% and the cached class ~5-8%
+faster drive-only, the multi-model class the same; that bought one
+statement of the scheduler, and the floors were not lowered for it.)
 The PR 4 frozen oracle (:class:`repro.serve.reference.
 LinearServingSimulator`) is additionally timed on a 100k slice of the
 plain configuration, pinning the full chain — O(R)-scan oracle -> heap

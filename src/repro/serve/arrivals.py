@@ -190,8 +190,11 @@ def make_arrivals(process: ProcessLike, rate: float, n_requests: int,
     instance (custom burst shape). Stochastic processes default to seed 0
     so unseeded runs stay reproducible.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    # not (0 < rate < inf): NaN fails every comparison, so it lands here
+    # too instead of yielding NaN arrival times (and rate=inf a stream
+    # with every arrival at t0)
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     if n_requests <= 0:
         raise ValueError(f"n_requests must be positive, got {n_requests}")
     if isinstance(process, MMPP):

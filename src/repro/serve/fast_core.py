@@ -6,8 +6,8 @@ The object event loop (:class:`~repro.serve.slo_sim.ServingSimulator` +
 definition of the simulator, but at 10^6-10^7 requests its per-arrival
 costs — method dispatch through ``submit``/``_sync``/``advance``, tuple
 churn on three heaps, a dict lookup per counter — dominate wall clock.
-This module is the same discrete-event computation restructured as fused
-loops over preallocated arrays and compact C-typed buffers:
+This module is the same discrete-event computation restructured as one
+fused loop over preallocated arrays and compact C-typed buffers:
 
 - per-request state is two preallocated arrays (completion time, shed
   flag) plus append-only per-lane ``array('q')``/``array('d')`` member
@@ -33,30 +33,36 @@ launch instants as two-way ``max`` of the same operands, completions as
 ``launch + service[take]`` from the same memoized service tables,
 latencies as ``(completion - arrival) + rtt``. The engine differential
 suite (``tests/test_serve_fastcore.py``) pins bit-identical
-:class:`~repro.serve.metrics.LatencyStats` against both the event engine
-and the PR 4 frozen oracle (:mod:`repro.serve.reference`), and
+:class:`~repro.serve.metrics.LatencyStats` against the event engine — on
+hand-picked families and on generated configurations — and against the
+PR 4 frozen oracle (:mod:`repro.serve.reference`), and
 ``benchmarks/test_serve_fastcore.py`` re-pins it at the full million
 requests while asserting the per-class speedup floors.
 
-**Scope.** The array core natively covers every *fixed-fleet, fifo,
-count-admission, least-loaded* configuration, including:
+**Scope.** One loop, :func:`_drive`, covers every *fixed-fleet, fifo,
+count-admission, least-loaded* configuration. Each replica holds ``M``
+per-model lanes — segmented arrays sharing one ``free_at`` timeline,
+advanced by the same globally-earliest ``(launch, partial, model)`` key
+rule as :meth:`~repro.serve.batching.ReplicaBatchQueue.advance` — with
+per-model batching policies, service tables and weighted count
+admission, and SLO/stats attribution in :func:`collect`. What the
+simulator calls a configuration *class* is a parameter of that loop, not
+a second solver (the way fully synchronous training is the one-group case
+of the paper's hybrid scheme):
 
+- the **multi-model** class (``models=[...]``) is ``M = len(models)``;
 - the **plain** single-model class (windowed or continuous batching,
-  ``max_queue`` or ``None``);
-- the **cached** class (``cache_size > 0``, LRU or LFU, any popularity
-  law): content keys are precomputed vectors, the cache decision loop
+  ``max_queue`` or ``None``) is ``M == 1`` — :func:`drive` builds the
+  one-entry tables from ``sim.policy``/``sim.service`` instead of the
+  profiles;
+- the **cached** classes (``cache_size > 0``, LRU or LFU, any popularity
+  law, on one model or many) add the optional cache in front: keys are a
+  precomputed int vector (``content * M + model``), the decision loop
   runs inline over plain dicts — decision-identical to
   :class:`~repro.serve.cache.ResultCache` — fed from batch completions
   through the same ``(completion, request_ids)`` fill-heap ordering the
   event loop's commit hook uses, and hits complete at ``request_rtt()``
-  without ever touching the load heap;
-- the **multi-model** class (``models=[...]``, per-model batching
-  policies, weighted count admission): per-model lanes are segmented
-  arrays sharing one replica ``free_at`` timeline, advanced by the same
-  globally-earliest ``(launch, partial, model)`` key rule as
-  :meth:`~repro.serve.batching.ReplicaBatchQueue.advance`, with
-  per-model service tables and SLO/stats attribution in
-  :func:`collect` — with or without the cache on top.
+  without ever touching the load heap.
 
 Genuinely event-only features keep the object loop: tracing/profiling
 hooks, request coalescing, model->replica affinity, cost-aware
@@ -145,50 +151,41 @@ class FastRun:
 def drive(sim, arrivals: np.ndarray) -> FastRun:
     """Run one supported-class arrival stream through the array core.
 
-    Dispatches on the configuration: multi-model runs (with or without a
-    cache) take :func:`_drive_multi`, cached single-model runs
-    :func:`_drive_cached`, and the plain class the chunked
-    :func:`_drive_flat`. All three build their service tables through
-    the same memoized ``batch_time`` calls the replica queues use, so
-    every float matches the event loop's.
+    Builds the per-model tables :func:`_drive` reads — batch sizes,
+    launch waits, service times, admission limits — the same way for
+    every class: a single-model run is the one-lane case (``M == 1``,
+    ``sim.policy``, ``sim.service``), not a different code path. Service
+    tables come from the same memoized ``batch_time`` calls the replica
+    queues use, so every float matches the event loop's.
     """
-    n = int(arrivals.size)
-    arr64 = arrivals.astype(np.float64)
-    Q = _INF if sim.max_queue is None else sim.max_queue
+    models = sim.models
+    M = 1 if models is None else len(models)
+    fns = ([sim.service.batch_time] if models is None
+           else sim.services.batch_time_fns())
+    Bs, waits, svcs = [], [], []
+    for m in range(M):
+        pol = sim._policy_of(m)
+        Bs.append(pol.max_batch)
+        waits.append(pol.launch_wait)
+        svcs.append([0.0] + [fns[m](b)
+                             for b in range(1, pol.max_batch + 1)])
+    # Per-model admission limits, exactly Router._admission_limits: with
+    # weights the weighted share of max_queue, floored at one request;
+    # without (single-model), max_queue itself.
+    if sim.max_queue is None:
+        limits: List[float] = [_INF] * M
+    elif models is None:
+        limits = [sim.max_queue]
+    else:
+        w_max = max(p.weight for p in models)
+        limits = [max(1, int(math.ceil(sim.max_queue * p.weight / w_max)))
+                  for p in models]
     cstate = sim._cstate
-    if sim.models is not None:
-        M = len(sim.models)
-        fns = sim.services.batch_time_fns()
-        Bs, waits, svcs = [], [], []
-        for m in range(M):
-            pol = sim._policy_of(m)
-            Bs.append(pol.max_batch)
-            waits.append(pol.launch_wait)
-            svcs.append([0.0] + [fns[m](b)
-                                 for b in range(1, pol.max_batch + 1)])
-        # Per-model admission limits, exactly Router._admission_limits:
-        # the weighted share of max_queue, floored at one request.
-        weights = [p.weight for p in sim.models]
-        if sim.max_queue is None:
-            limits: List[float] = [_INF] * M
-        else:
-            w_max = max(weights)
-            limits = [max(1, int(math.ceil(sim.max_queue * w / w_max)))
-                      for w in weights]
-        return _drive_multi(
-            arr64.tolist(), sim.n_replicas, M, Bs, waits, svcs, limits,
-            sim._mids, n,
-            None if cstate is None else cstate.contents,
-            sim.cache_size, sim.cache_policy)
-    policy = sim.policy
-    B = policy.max_batch
-    svc = [0.0] + [sim.service.batch_time(b) for b in range(1, B + 1)]
-    if cstate is not None:
-        return _drive_cached(arr64, sim.n_replicas, B, policy.launch_wait,
-                             svc, Q, n, cstate.contents, sim.cache_size,
-                             sim.cache_policy)
-    return _drive_flat(arr64, sim.n_replicas, B, policy.launch_wait,
-                       svc, Q, n)
+    return _drive(np.asarray(arrivals, dtype=np.float64), sim.n_replicas,
+                  M, Bs, waits, svcs, limits, sim._mids,
+                  int(arrivals.size),
+                  None if cstate is None else cstate.contents,
+                  sim.cache_size, sim.cache_policy)
 
 
 def _np_of(buf: array, dtype) -> np.ndarray:
@@ -258,31 +255,15 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
     return stats
 
 
-def _make_cache(cap: int, policy: str):
-    """Inline ``(get, put)`` pair replicating :class:`~repro.serve.cache.
-    ResultCache`'s *decisions* — same hit answers, same touch ordering,
-    same eviction victims — with the counters, values, and method
-    dispatch stripped (the drive loop tracks hits itself and the stored
-    values are never read). LRU is one insertion-ordered dict with
-    pop-reinsert as move-to-end and first-key eviction; LFU is the same
-    O(1) freq/recency-bucket structure, plain dicts for the buckets."""
+def _lfu_cache(cap: int):
+    """Inline ``(get, put)`` pair replicating an LFU :class:`~repro.serve.
+    cache.ResultCache`'s *decisions* — same hit answers, same touch
+    ordering, same eviction victims — with the counters, values, and
+    method dispatch stripped (the drive loop tracks hits itself and the
+    stored values are never read): the same O(1) freq/recency-bucket
+    structure, plain insertion-ordered dicts for the buckets. (LRU needs
+    no closures; the drive loop runs it inline on one dict.)"""
     data: dict = {}
-    if policy == "lru":
-        def get(key):
-            if key not in data:
-                return False
-            data[key] = data.pop(key)
-            return True
-
-        def put(key):
-            if key in data:
-                data[key] = data.pop(key)
-                return
-            if len(data) >= cap:
-                del data[next(iter(data))]
-            data[key] = None
-        return get, put
-
     freq: dict = {}
     buckets: dict = {}
     min_freq = [0]
@@ -334,33 +315,76 @@ def _writeback(complete_np: np.ndarray, m_rid: array, m_comp: array,
             np.frombuffer(m_take, dtype=np.int64))
 
 
-def _drive_flat(arrivals: np.ndarray, R: int, B: int, wait: float,
-                svc: List[float], Q: float, n: int) -> FastRun:
-    """The fused plain-class drive/drain loop. One iteration per arrival:
+def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
+           waits: List[float], svcs: List[List[float]],
+           limits: List[float], mids: Optional[List[int]], n: int,
+           contents: Optional[List[int]], cap: int,
+           cache_policy: str) -> FastRun:
+    """The drive/drain loop: ``M`` per-model lanes per replica on one
+    shared ``free_at`` timeline, an optional result cache in front. The
+    plain class is ``M == 1`` without ``contents``, the cached class
+    ``M == 1`` with them. One iteration per arrival, in the event loop's
+    exact order (``ServingSimulator._offer``):
 
-    1. play launch events due by ``t`` (commit every batch whose launch
-       instant is determined and before ``t``; full batches commit on any
-       touch, even past ``t`` — their membership cannot change);
-    2. play completion events due by ``t`` (backlog decrements);
-    3. read the least-loaded replica off the lazy int-keyed heap;
-    4. admit (append to the replica's lane, maybe commit a displaced full
-       batch inline) or shed at the ``Q`` backlog limit.
+    1. with a cache, drain due fills — every batch committed with
+       completion ``<= t`` writes its members' keys in member order,
+       popped off the same ``(completion, request_ids)`` heap ordering
+       the commit hook feeds — then look the arrival up. A hit completes
+       at its arrival time (latency = one transport rtt) and *returns
+       before the router syncs*, like the event loop's early return: no
+       launch or completion events are played for a hit;
+    2. play launch events due by ``t``: advance every due replica, then
+       reschedule them (the event loop's two-phase order);
+    3. play completion events due by ``t`` (backlog decrements);
+    4. read the least-loaded replica off the lazy int-keyed heap and shed
+       at the model's admission limit — the router's weighted count
+       rule: model ``m`` sheds when that replica's *total* backlog has
+       reached ``limits[m]``, checked in int-key space;
+    5. admit: ``queue.push`` advances first (a determined full lane
+       commits on any touch), then appends to lane ``m``.
 
-    The launch/completion rules are the event loop's, verbatim: a full
-    batch launches at ``max(free_at, arrival of its B-th member)``, a
-    partial one at ``max(free_at, head arrival + launch_wait)`` and only
-    once that instant is strictly before the current sync horizon; the
-    end-of-stream drain flushes full batches first and the final partial
-    at its head-deadline launch instant.
+    Advancing a replica repeats the event queue's rule verbatim: commit
+    the lane holding the globally earliest ``(launch instant, partial?,
+    model)`` key — a full lane's launch is ``max(free_at, B_m-th member
+    arrival)`` and commits on any touch, even past the horizon (its
+    membership cannot change); a partial lane's is ``max(free_at, head +
+    launch_wait_m)`` and defers once it reaches the horizon (the next
+    arrival may still join it). The end-of-stream drain advances to
+    infinity, then fires whatever is still held (a non-finite
+    ``launch_wait``) at ``max(free_at, last member arrival)``.
 
     Memory: arrivals stream through in ``_CHUNK``-sized boxed-float
     slices, each lane stores ``(rid, arrival)`` as C ints/doubles with
     consumed prefixes reclaimed, and the deferred completion record is
     three ``array`` buffers — the 10M-request/64-replica point runs in a
-    few hundred MB instead of multiple GB of boxed floats.
+    few hundred MB instead of multiple GB of boxed floats. Hits and sheds
+    accumulate in C-typed buffers too and write back vectorized at the
+    end — per-request numpy scalar stores were a measurable slice of the
+    loop.
     """
     complete_np = np.full(n, np.nan)
     shed_np = np.zeros(n, dtype=bool)
+    cached = contents is not None
+    # LRU — the production policy — runs inline on one insertion-ordered
+    # dict (pop-with-sentinel is the combined lookup/touch, first key the
+    # eviction victim); LFU goes through _lfu_cache's closures. Keys are
+    # plain ints: the event path's (model, content) scoping, flattened.
+    lru = cache_policy == "lru"
+    cdata: dict = {}
+    _MISS = cdata                 # sentinel no key can map to
+    if cached:
+        keys = contents if M == 1 else [
+            c * M + m for m, c in zip(mids, contents)]
+        if not lru:
+            cget, cput = _lfu_cache(cap)
+    # Fill events carry the member-array slice itself: heap tie-breaks
+    # compare arrays lexicographically, the same ordering as the event
+    # loop's request-id tuples, without boxing every member id at commit.
+    fills: List = []              # (completion, member-rid array slice)
+    nfe = _INF                    # cached next fill event time
+    h_rid = array("q")            # hit request ids, in arrival order
+    h_t = array("d")              # matching hit (arrival) times
+    s_rid = array("q")            # shed request ids
     # Deferred completion writes: member ids, one completion + size per
     # batch; expanded into complete_np once, at the end, via np.repeat.
     m_rid = array("q")
@@ -369,555 +393,36 @@ def _drive_flat(arrivals: np.ndarray, R: int, B: int, wait: float,
     m_take = array("q")
 
     # Load-heap keys are ints: backlog << shift | replica. A key is live
-    # iff it equals cur[r]; Q*stride is the shed threshold in key space.
-    shift = max(1, (R - 1).bit_length())
-    mask = (1 << shift) - 1
-    stride = 1 << shift
-    Qtop = _INF if Q == _INF else int(Q) * stride
-
-    free_at = [0.0] * R
-    aq = [array("q") for _ in range(R)]   # member rids, append-only
-    aw = [array("d") for _ in range(R)]   # member arrival times, parallel
-    head = [0] * R                # first un-launched index into aq[r]
-    qn = [0] * R                  # queued (un-launched) count per replica
-    cur = list(range(R))          # live load key per replica
-    load = list(range(R))
-    heapify(load)
-    launch_ev: List = []          # (launch time, replica)
-    sched = [_INF] * R            # scheduled launch event per replica
-    comp_ev: List = []            # (completion, replica, size)
-    nle = _INF                    # cached next launch event time
-    nce = _INF                    # cached next completion event time
-    n_dropped = 0
-    bstart = [array("d") for _ in range(R)]
-    bcomp = [array("d") for _ in range(R)]
-    bsize = [array("q") for _ in range(R)]
-    svcB = svc[B]
-
-    push = heappush
-    pop = heappop
-
-    for base in range(0, n, _CHUNK):
-        chunk = arrivals[base:base + _CHUNK].tolist()
-        for off, t in enumerate(chunk):
-            # -- sync: launch events due by t ----------------------------
-            if nle <= t:
-                while True:
-                    r = pop(launch_ev)[1]
-                    sched[r] = _INF
-                    q = aq[r]
-                    w = aw[r]
-                    h = head[r]
-                    nq = qn[r]
-                    while nq:
-                        fa = free_at[r]
-                        if nq >= B:
-                            tb = w[h + B - 1]
-                            launch = fa if fa > tb else tb
-                            take = B
-                        else:
-                            hd = w[h] + wait
-                            launch = fa if fa > hd else hd
-                            if launch >= t:
-                                break   # partial: the next arrival may join
-                            take = nq
-                        comp = launch + svc[take]
-                        free_at[r] = comp
-                        m_ext(q[h:h + take])
-                        m_comp.append(comp)
-                        m_take.append(take)
-                        h += take
-                        nq -= take
-                        bstart[r].append(launch)
-                        bcomp[r].append(comp)
-                        bsize[r].append(take)
-                        push(comp_ev, (comp, r, take))
-                        if comp < nce:
-                            nce = comp
-                    if h >= _COMPACT:
-                        del q[:h]
-                        del w[:h]
-                        h = 0
-                    head[r] = h
-                    qn[r] = nq
-                    if nq:
-                        fa = free_at[r]
-                        if nq >= B:
-                            tb = w[h + B - 1]
-                            nl = fa if fa > tb else tb
-                        else:
-                            hd = w[h] + wait
-                            nl = fa if fa > hd else hd
-                        if nl < sched[r]:
-                            push(launch_ev, (nl, r))
-                            sched[r] = nl
-                    if launch_ev:
-                        nle = launch_ev[0][0]
-                        if nle <= t:
-                            continue
-                    else:
-                        nle = _INF
-                    break
-            # -- sync: completion events due by t ------------------------
-            if nce <= t:
-                while True:
-                    ev = pop(comp_ev)
-                    r = ev[1]
-                    nk = cur[r] - ev[2] * stride
-                    cur[r] = nk
-                    push(load, nk)
-                    if comp_ev:
-                        nce = comp_ev[0][0]
-                        if nce <= t:
-                            continue
-                    else:
-                        nce = _INF
-                    break
-            # -- pick least-loaded (lazy heap: skim stale keys) ----------
-            k = load[0]
-            r = k & mask
-            while cur[r] != k:
-                pop(load)
-                k = load[0]
-                r = k & mask
-            if k >= Qtop:
-                n_dropped += 1
-                shed_np[base + off] = True
-                continue
-            # -- admit ---------------------------------------------------
-            q = aq[r]
-            w = aw[r]
-            nq = qn[r]
-            if nq >= B:
-                # The lane already holds a determined full batch (exactly
-                # B by invariant): it commits on touch, like queue.push ->
-                # advance.
-                h = head[r]
-                fa = free_at[r]
-                tb = w[h + B - 1]
-                launch = fa if fa > tb else tb
-                comp = launch + svcB
-                free_at[r] = comp
-                m_ext(q[h:])
-                m_comp.append(comp)
-                m_take.append(B)
-                h += B
-                if h >= _COMPACT:
-                    del q[:h]
-                    del w[:h]
-                    h = 0
-                head[r] = h
-                nq = 0
-                bstart[r].append(launch)
-                bcomp[r].append(comp)
-                bsize[r].append(B)
-                push(comp_ev, (comp, r, B))
-                if comp < nce:
-                    nce = comp
-            q.append(base + off)
-            w.append(t)
-            nq += 1
-            qn[r] = nq
-            nk = k + stride
-            cur[r] = nk
-            push(load, nk)
-            # The lane's launch instant only changes when it gains a head
-            # (nq == 1) or fills (nq == B); anything between is shadowed
-            # by the already-scheduled earlier event.
-            if nq == 1 or nq == B:
-                fa = free_at[r]
-                if nq == B:
-                    nl = fa if fa > t else t
-                else:
-                    hd = t + wait
-                    nl = fa if fa > hd else hd
-                if nl < sched[r]:
-                    push(launch_ev, (nl, r))
-                    sched[r] = nl
-                    if nl < nle:
-                        nle = nl
-    # -- drain: flush every lane, full batches then the final partial ----
-    for r in range(R):
-        q = aq[r]
-        w = aw[r]
-        h = head[r]
-        nq = qn[r]
-        while nq:
-            fa = free_at[r]
-            if nq >= B:
-                take = B
-                tb = w[h + B - 1]
-                launch = fa if fa > tb else tb
-            else:
-                take = nq
-                hd = w[h] + wait
-                launch = fa if fa > hd else hd
-            comp = launch + svc[take]
-            free_at[r] = comp
-            m_ext(q[h:h + take])
-            m_comp.append(comp)
-            m_take.append(take)
-            h += take
-            nq -= take
-            bstart[r].append(launch)
-            bcomp[r].append(comp)
-            bsize[r].append(take)
-        head[r] = h
-        qn[r] = 0
-    _writeback(complete_np, m_rid, m_comp, m_take)
-    return FastRun(complete_t=complete_np, shed=shed_np, bstart=bstart,
-                   bcomp=bcomp, bsize=bsize, n_dropped=n_dropped)
-
-
-def _drive_cached(arrivals: np.ndarray, R: int, B: int, wait: float,
-                  svc: List[float], Q: float, n: int, contents: List[int],
-                  cap: int, cache_policy: str) -> FastRun:
-    """The cached single-model drive loop: :func:`_drive_flat` with the
-    result cache run inline, in the event loop's exact per-arrival order
-    (``ServingSimulator._offer``):
-
-    1. drain due cache fills — every batch committed with completion
-       ``<= t`` writes its members' content keys through ``put`` in
-       member order, popped off the same ``(completion, request_ids)``
-       heap ordering the commit hook feeds;
-    2. look the arrival's key up — a hit completes at its arrival time
-       (latency = one transport rtt) and *returns before the router
-       syncs*, exactly like the event loop's early return: no launch or
-       completion events are played for a hit;
-    3. a miss runs the plain admit path; every commit additionally
-       pushes its fill event (end-of-stream drain commits don't — their
-       fills can never be consumed, matching the event loop where they
-       land in the heap after the last arrival was served).
-
-    LRU — the production policy — is specialized inline (one dict,
-    ``pop``-with-sentinel as the combined lookup/touch); LFU goes through
-    :func:`_make_cache`'s closures. Hits and sheds accumulate in C-typed
-    buffers and write back vectorized at the end — per-request numpy
-    scalar stores were a measurable slice of the loop. Fill events carry
-    the member-``array`` slice itself: heap tie-breaks compare arrays
-    lexicographically, the same ordering as the event loop's request-id
-    tuples, without boxing every member id at commit time.
-    """
-    complete_np = np.full(n, np.nan)
-    shed_np = np.zeros(n, dtype=bool)
-    hit_np = np.zeros(n, dtype=bool)
-    lru = cache_policy == "lru"
-    cdata: dict = {}              # the inline-LRU store
-    _MISS = cdata                 # sentinel no key can map to
-    if not lru:
-        cget, cput = _make_cache(cap, cache_policy)
-    fills: List = []              # (completion, member-rid array slice)
-    nfe = _INF                    # cached next fill event time
-    h_rid = array("q")            # hit request ids, in arrival order
-    h_t = array("d")              # matching hit (arrival) times
-    s_rid = array("q")            # shed request ids
-
-    m_rid = array("q")
-    m_ext = m_rid.extend
-    m_comp = array("d")
-    m_take = array("q")
-
-    shift = max(1, (R - 1).bit_length())
-    mask = (1 << shift) - 1
-    stride = 1 << shift
-    Qtop = _INF if Q == _INF else int(Q) * stride
-
-    free_at = [0.0] * R
-    aq = [array("q") for _ in range(R)]
-    aw = [array("d") for _ in range(R)]
-    head = [0] * R
-    qn = [0] * R
-    cur = list(range(R))
-    load = list(range(R))
-    heapify(load)
-    launch_ev: List = []
-    sched = [_INF] * R
-    comp_ev: List = []
-    nle = _INF
-    nce = _INF
-    bstart = [array("d") for _ in range(R)]
-    bcomp = [array("d") for _ in range(R)]
-    bsize = [array("q") for _ in range(R)]
-    svcB = svc[B]
-
-    push = heappush
-    pop = heappop
-
-    for base in range(0, n, _CHUNK):
-        chunk = arrivals[base:base + _CHUNK].tolist()
-        for off, t in enumerate(chunk):
-            # -- cache: drain due fills, then look this arrival up -------
-            if nfe <= t:
-                if lru:
-                    while fills and fills[0][0] <= t:
-                        for rid2 in pop(fills)[1]:
-                            k2 = contents[rid2]
-                            v2 = cdata.pop(k2, _MISS)
-                            if v2 is not _MISS:       # refresh = touch
-                                cdata[k2] = v2
-                            else:
-                                if len(cdata) >= cap:
-                                    del cdata[next(iter(cdata))]
-                                cdata[k2] = None
-                else:
-                    while fills and fills[0][0] <= t:
-                        for rid2 in pop(fills)[1]:
-                            cput(contents[rid2])
-                nfe = fills[0][0] if fills else _INF
-            rid = base + off
-            if lru:
-                key = contents[rid]
-                v = cdata.pop(key, _MISS)
-                if v is not _MISS:
-                    cdata[key] = v       # move-to-end
-                    h_rid.append(rid)    # latency = (t - t) + rtt = rtt
-                    h_t.append(t)
-                    continue             # hits never sync the router
-            elif cget(contents[rid]):
-                h_rid.append(rid)
-                h_t.append(t)
-                continue
-            # -- sync: launch events due by t ----------------------------
-            if nle <= t:
-                while True:
-                    r = pop(launch_ev)[1]
-                    sched[r] = _INF
-                    q = aq[r]
-                    w = aw[r]
-                    h = head[r]
-                    nq = qn[r]
-                    while nq:
-                        fa = free_at[r]
-                        if nq >= B:
-                            tb = w[h + B - 1]
-                            launch = fa if fa > tb else tb
-                            take = B
-                        else:
-                            hd = w[h] + wait
-                            launch = fa if fa > hd else hd
-                            if launch >= t:
-                                break
-                            take = nq
-                        comp = launch + svc[take]
-                        free_at[r] = comp
-                        seg = q[h:h + take]
-                        m_ext(seg)
-                        push(fills, (comp, seg))
-                        if comp < nfe:
-                            nfe = comp
-                        m_comp.append(comp)
-                        m_take.append(take)
-                        h += take
-                        nq -= take
-                        bstart[r].append(launch)
-                        bcomp[r].append(comp)
-                        bsize[r].append(take)
-                        push(comp_ev, (comp, r, take))
-                        if comp < nce:
-                            nce = comp
-                    if h >= _COMPACT:
-                        del q[:h]
-                        del w[:h]
-                        h = 0
-                    head[r] = h
-                    qn[r] = nq
-                    if nq:
-                        fa = free_at[r]
-                        if nq >= B:
-                            tb = w[h + B - 1]
-                            nl = fa if fa > tb else tb
-                        else:
-                            hd = w[h] + wait
-                            nl = fa if fa > hd else hd
-                        if nl < sched[r]:
-                            push(launch_ev, (nl, r))
-                            sched[r] = nl
-                    if launch_ev:
-                        nle = launch_ev[0][0]
-                        if nle <= t:
-                            continue
-                    else:
-                        nle = _INF
-                    break
-            # -- sync: completion events due by t ------------------------
-            if nce <= t:
-                while True:
-                    ev = pop(comp_ev)
-                    r = ev[1]
-                    nk = cur[r] - ev[2] * stride
-                    cur[r] = nk
-                    push(load, nk)
-                    if comp_ev:
-                        nce = comp_ev[0][0]
-                        if nce <= t:
-                            continue
-                    else:
-                        nce = _INF
-                    break
-            # -- pick least-loaded ---------------------------------------
-            k = load[0]
-            r = k & mask
-            while cur[r] != k:
-                pop(load)
-                k = load[0]
-                r = k & mask
-            if k >= Qtop:
-                s_rid.append(rid)
-                continue
-            # -- admit ---------------------------------------------------
-            q = aq[r]
-            w = aw[r]
-            nq = qn[r]
-            if nq >= B:
-                h = head[r]
-                fa = free_at[r]
-                tb = w[h + B - 1]
-                launch = fa if fa > tb else tb
-                comp = launch + svcB
-                free_at[r] = comp
-                seg = q[h:]
-                m_ext(seg)
-                push(fills, (comp, seg))
-                if comp < nfe:
-                    nfe = comp
-                m_comp.append(comp)
-                m_take.append(B)
-                h += B
-                if h >= _COMPACT:
-                    del q[:h]
-                    del w[:h]
-                    h = 0
-                head[r] = h
-                nq = 0
-                bstart[r].append(launch)
-                bcomp[r].append(comp)
-                bsize[r].append(B)
-                push(comp_ev, (comp, r, B))
-                if comp < nce:
-                    nce = comp
-            q.append(rid)
-            w.append(t)
-            nq += 1
-            qn[r] = nq
-            nk = k + stride
-            cur[r] = nk
-            push(load, nk)
-            if nq == 1 or nq == B:
-                fa = free_at[r]
-                if nq == B:
-                    nl = fa if fa > t else t
-                else:
-                    hd = t + wait
-                    nl = fa if fa > hd else hd
-                if nl < sched[r]:
-                    push(launch_ev, (nl, r))
-                    sched[r] = nl
-                    if nl < nle:
-                        nle = nl
-    for r in range(R):
-        q = aq[r]
-        w = aw[r]
-        h = head[r]
-        nq = qn[r]
-        while nq:
-            fa = free_at[r]
-            if nq >= B:
-                take = B
-                tb = w[h + B - 1]
-                launch = fa if fa > tb else tb
-            else:
-                take = nq
-                hd = w[h] + wait
-                launch = fa if fa > hd else hd
-            comp = launch + svc[take]
-            free_at[r] = comp
-            m_ext(q[h:h + take])
-            m_comp.append(comp)
-            m_take.append(take)
-            h += take
-            nq -= take
-            bstart[r].append(launch)
-            bcomp[r].append(comp)
-            bsize[r].append(take)
-        head[r] = h
-        qn[r] = 0
-    _writeback(complete_np, m_rid, m_comp, m_take)
-    n_hits = len(h_rid)
-    last_hit = h_t[-1] if n_hits else -_INF
-    if n_hits:
-        hidx = np.frombuffer(h_rid, dtype=np.int64)
-        complete_np[hidx] = np.frombuffer(h_t, dtype=np.float64)
-        hit_np[hidx] = True
-    if s_rid:
-        shed_np[np.frombuffer(s_rid, dtype=np.int64)] = True
-    return FastRun(complete_t=complete_np, shed=shed_np, bstart=bstart,
-                   bcomp=bcomp, bsize=bsize, n_dropped=len(s_rid),
-                   hit=hit_np, n_hits=n_hits, last_hit_t=last_hit)
-
-
-def _drive_multi(arrivals: List[float], R: int, M: int, Bs: List[int],
-                 waits: List[float], svcs: List[List[float]],
-                 limits: List[float], mids: List[int], n: int,
-                 contents: Optional[List[int]], cap: int,
-                 cache_policy: str) -> FastRun:
-    """The multi-model drive loop: per-model lanes as segmented arrays on
-    one shared per-replica ``free_at`` timeline.
-
-    Each replica holds M lanes (append-only ``(rid, arrival)`` buffers
-    with head pointers). Advancing a replica repeats the event queue's
-    rule verbatim: commit the lane holding the globally earliest
-    ``(launch instant, partial?, model)`` key — a full lane's launch is
-    ``max(free_at, B_m-th member arrival)`` and commits on any touch,
-    even past the horizon; a partial lane's is ``max(free_at, head +
-    launch_wait_m)`` and defers once it reaches the horizon (the next
-    arrival may still join it). Admission is the router's weighted count
-    rule: model ``m`` sheds when the least-loaded replica's *total*
-    backlog has reached ``max(1, ceil(max_queue * w_m / max(w)))``,
-    checked in int-key space. With ``contents`` the result cache runs
-    inline on ``(model, content)`` keys, same order as
-    :func:`_drive_cached`.
-    """
-    complete_np = np.full(n, np.nan)
-    shed_np = np.zeros(n, dtype=bool)
-    cached = contents is not None
-    hit_np = np.zeros(n, dtype=bool) if cached else None
-    fills: List = []
-    h_rid = array("q")            # hit request ids, in arrival order
-    h_t = array("d")              # matching hit (arrival) times
-    s_rid = array("q")            # shed request ids
-    if cached:
-        cget, cput = _make_cache(cap, cache_policy)
-        # (model, content) keys, precomputed once — what _content_key
-        # builds per lookup on the event path.
-        keys = [(m, c) for m, c in zip(mids, contents)]
-
-    m_rid = array("q")
-    m_ext = m_rid.extend
-    m_comp = array("d")
-    m_take = array("q")
-
+    # iff it equals cur[r]; limit << shift is the shed threshold in key
+    # space.
     shift = max(1, (R - 1).bit_length())
     kmask = (1 << shift) - 1
     stride = 1 << shift
-    qtop = [_INF if L == _INF else int(L) * stride for L in limits]
+    qtop = [_INF if L == _INF else int(L) << shift for L in limits]
 
     free_at = [0.0] * R
-    lq = [array("q") for _ in range(R * M)]   # per-(replica, model) lanes
-    lw = [array("d") for _ in range(R * M)]
-    lhead = [0] * (R * M)
-    lqn = [0] * (R * M)
+    lq = [array("q") for _ in range(R * M)]   # lane member rids
+    lw = [array("d") for _ in range(R * M)]   # their arrival times
+    lhead = [0] * (R * M)         # first un-launched index into the lane
+    lqn = [0] * (R * M)           # queued (un-launched) count per lane
     # Lanes currently holding a full batch (lqn == B_m; appends advance
     # first, so a lane never exceeds B_m). Admission only needs "is any
     # lane full?" — a counter beats an M-lane scan per arrival.
     nfull = [0] * R
-    cur = list(range(R))
+    cur = list(range(R))          # live load key per replica
     load = list(range(R))
     heapify(load)
-    launch_ev: List = []
+    launch_ev: List = []          # (launch time, replica)
+    # Last launch instant pushed per replica. The event loop pushes one
+    # event per admit; only a *changed* instant is a new event (repeats
+    # pop back to back and advance once), but a changed one is pushed
+    # even when an earlier event is pending: when it fires it touches
+    # the replica, and a touch commits a determined full batch — which
+    # the cache observes through the fill heap.
     sched = [_INF] * R
-    comp_ev: List = []
-    nle = _INF
-    nce = _INF
+    comp_ev: List = []            # (completion, replica, size)
+    nle = _INF                    # cached next launch event time
+    nce = _INF                    # cached next completion event time
     bstart = [array("d") for _ in range(R)]
     bcomp = [array("d") for _ in range(R)]
     bsize = [array("q") for _ in range(R)]
@@ -925,10 +430,36 @@ def _drive_multi(arrivals: List[float], R: int, M: int, Bs: List[int],
     push = heappush
     pop = heappop
 
-    def _advance(r: int, until: float) -> None:
+    def _commit(r: int, li: int, take: int, launch: float,
+                svc: List[float]) -> float:
+        """Launch lane ``li``'s first ``take`` members at ``launch``."""
+        comp = launch + svc[take]
+        free_at[r] = comp
+        h = lhead[li]
+        seg = lq[li][h:h + take]
+        m_ext(seg)
+        m_comp.append(comp)
+        m_take.append(take)
+        h += take
+        if h >= _COMPACT:
+            del lq[li][:h]
+            del lw[li][:h]
+            h = 0
+        lhead[li] = h
+        lqn[li] -= take
+        bstart[r].append(launch)
+        bcomp[r].append(comp)
+        bsize[r].append(take)
+        if cached:
+            push(fills, (comp, seg))
+        return comp
+
+    def _advance(r: int, until: float) -> float:
         """ReplicaBatchQueue.advance, fifo order: commit the globally
-        earliest lane key until it belongs to a deferred partial."""
-        nonlocal nce
+        earliest lane key until it belongs to a deferred partial. Returns
+        that partial's launch instant — the replica's next launch event
+        (inf when every lane is empty or held indefinitely)."""
+        nonlocal nce, nfe
         bl = r * M
         while True:
             best_launch = _INF
@@ -964,205 +495,149 @@ def _drive_multi(arrivals: List[float], R: int, M: int, Bs: List[int],
                     best_partial = partial2
                     best_m = m2
             if best_m < 0:
-                return
-            if best_partial and best_launch >= until:
-                return
-            li = bl + best_m
-            nq2 = lqn[li]
-            B2 = Bs[best_m]
-            if nq2 >= B2:
-                take = B2
-                nfull[r] -= 1
+                return _INF
+            if best_partial:
+                if best_launch >= until:
+                    return best_launch
+                take = lqn[bl + best_m]
             else:
-                take = nq2
-            h2 = lhead[li]
-            comp = best_launch + svcs[best_m][take]
-            free_at[r] = comp
-            seg = lq[li][h2:h2 + take]
-            m_ext(seg)
-            if cached:
-                push(fills, (comp, seg))
-            m_comp.append(comp)
-            m_take.append(take)
-            h2 += take
-            if h2 >= _COMPACT:
-                del lq[li][:h2]
-                del lw[li][:h2]
-                h2 = 0
-            lhead[li] = h2
-            lqn[li] = nq2 - take
-            bstart[r].append(best_launch)
-            bcomp[r].append(comp)
-            bsize[r].append(take)
+                take = Bs[best_m]
+                nfull[r] -= 1
+            comp = _commit(r, bl + best_m, take, best_launch,
+                           svcs[best_m])
             push(comp_ev, (comp, r, take))
             if comp < nce:
                 nce = comp
+            if comp < nfe:
+                nfe = comp
 
-    def _next_launch(r: int) -> float:
-        """Earliest lane launch instant on replica r (inf when idle)."""
-        bl = r * M
-        best = _INF
-        fa = free_at[r]
-        for m2 in range(M):
-            li = bl + m2
-            nq2 = lqn[li]
-            if not nq2:
-                continue
-            B2 = Bs[m2]
-            h2 = lhead[li]
-            if nq2 >= B2:
-                tb = lw[li][h2 + B2 - 1]
-                l2 = fa if fa > tb else tb
-            else:
-                hd = lw[li][h2] + waits[m2]
-                l2 = fa if fa > hd else hd
-            if l2 < best:
-                best = l2
-        return best
-
-    for rid, t in enumerate(arrivals):
-        if cached:
-            if fills and fills[0][0] <= t:
-                while fills and fills[0][0] <= t:
-                    for rid2 in pop(fills)[1]:
-                        cput(keys[rid2])
-            if cget(keys[rid]):
-                h_rid.append(rid)    # latency = (t - t) + rtt = rtt
-                h_t.append(t)
-                continue             # hits never sync the router
-        m = mids[rid]
-        # -- sync: launch events due by t (advance all due replicas,
-        #    then reschedule — the event loop's two-phase order) ---------
-        if nle <= t:
-            adv: List[int] = []
-            while True:
-                r = pop(launch_ev)[1]
-                if not adv or adv[-1] != r:
-                    _advance(r, t)
-                    adv.append(r)
-                if launch_ev and launch_ev[0][0] <= t:
-                    continue
-                break
-            for r in adv:
-                sched[r] = _INF
-                nl = _next_launch(r)
-                if nl < _INF:
-                    push(launch_ev, (nl, r))
-                    sched[r] = nl
-            nle = launch_ev[0][0] if launch_ev else _INF
-        # -- sync: completion events due by t ----------------------------
-        if nce <= t:
-            while True:
-                ev = pop(comp_ev)
-                r = ev[1]
-                nk = cur[r] - ev[2] * stride
-                cur[r] = nk
-                push(load, nk)
-                if comp_ev:
-                    nce = comp_ev[0][0]
-                    if nce <= t:
-                        continue
+    m = 0                         # single-model runs carry no mids
+    for base in range(0, n, _CHUNK):
+        chunk = arrivals[base:base + _CHUNK].tolist()
+        for rid, t in enumerate(chunk, base):
+            # -- cache: drain due fills, then look this arrival up -------
+            if cached:
+                if nfe <= t:
+                    while fills and fills[0][0] <= t:
+                        for rid2 in pop(fills)[1]:
+                            k2 = keys[rid2]
+                            if lru:       # refresh = touch
+                                if cdata.pop(k2, _MISS) is _MISS \
+                                        and len(cdata) >= cap:
+                                    del cdata[next(iter(cdata))]
+                                cdata[k2] = None
+                            else:
+                                cput(k2)
+                    nfe = fills[0][0] if fills else _INF
+                key = keys[rid]
+                if lru:
+                    hit = cdata.pop(key, _MISS) is not _MISS
+                    if hit:
+                        cdata[key] = None    # move-to-end
                 else:
-                    nce = _INF
-                break
-        # -- pick least-loaded, weighted admission -----------------------
-        k = load[0]
-        r = k & kmask
-        while cur[r] != k:
-            pop(load)
+                    hit = cget(key)
+                if hit:
+                    h_rid.append(rid)    # latency = (t - t) + rtt = rtt
+                    h_t.append(t)
+                    continue             # hits never sync the router
+            if mids is not None:
+                m = mids[rid]
+            # -- sync: launch events due by t (advance all due replicas,
+            #    then reschedule — the event loop's two-phase order) -----
+            if nle <= t:
+                adv: List[int] = []
+                while launch_ev and launch_ev[0][0] <= t:
+                    r = pop(launch_ev)[1]
+                    if not adv or adv[-1] != r:
+                        sched[r] = _advance(r, t)
+                        adv.append(r)
+                for r in adv:
+                    if sched[r] < _INF:
+                        push(launch_ev, (sched[r], r))
+                nle = launch_ev[0][0] if launch_ev else _INF
+            # -- sync: completion events due by t ------------------------
+            if nce <= t:
+                while comp_ev and comp_ev[0][0] <= t:
+                    ev = pop(comp_ev)
+                    r = ev[1]
+                    nk = cur[r] - ev[2] * stride
+                    cur[r] = nk
+                    push(load, nk)
+                nce = comp_ev[0][0] if comp_ev else _INF
+            # -- pick least-loaded (lazy heap: skim stale keys) ----------
             k = load[0]
             r = k & kmask
-        if k >= qtop[m]:
-            s_rid.append(rid)
-            continue
-        # -- admit: queue.push advances first (commit-on-touch for any
-        #    determined full lane), then appends --------------------------
-        advanced = nfull[r]
-        if advanced:
-            _advance(r, t)
-        li = r * M + m
-        lq[li].append(rid)
-        lw[li].append(t)
-        nql = lqn[li] + 1
-        lqn[li] = nql
-        nk = k + stride
-        cur[r] = nk
-        push(load, nk)
-        # Reschedule the replica's launch event. When no lane committed,
-        # only lane m's candidate can have changed, and only on the
-        # empty->head and (B_m-1)->full transitions — every other append
-        # leaves the head element, free_at, and the other lanes' keys
-        # untouched, so the scheduled event is already at (or before) the
-        # true minimum and a full M-lane rescan would find nothing new.
-        if advanced:
+            while cur[r] != k:
+                pop(load)
+                k = load[0]
+                r = k & kmask
+            if k >= qtop[m]:
+                s_rid.append(rid)
+                continue
+            # -- admit: queue.push advances first (commit-on-touch for
+            #    any determined full lane), then appends ------------------
+            advanced = nfull[r]
+            if advanced:
+                left = _advance(r, t)
+            li = r * M + m
+            lq[li].append(rid)
+            lw[li].append(t)
+            nql = lqn[li] + 1
+            lqn[li] = nql
+            nk = k + stride
+            cur[r] = nk
+            push(load, nk)
+            # Reschedule the replica's launch event: the earlier of what
+            # the advance left behind and lane m's own candidate. That
+            # one only moves on the empty->head and (B_m-1)->full
+            # transitions (a filling lane's launch can only move earlier:
+            # its deferred partial key was already >= max(free_at, t)) —
+            # every other append leaves the head element, free_at, and
+            # the other lanes' keys untouched, so the scheduled event is
+            # already at (or before) the true minimum.
             if nql == Bs[m]:
                 nfull[r] += 1
-            nl = _next_launch(r)
-            if nl < sched[r]:
+                fa = free_at[r]
+                nl = fa if fa > t else t
+            elif nql == 1:
+                fa = free_at[r]
+                hd = t + waits[m]
+                nl = fa if fa > hd else hd
+            elif advanced:
+                nl = left
+            else:
+                continue
+            if advanced and left < nl:
+                nl = left
+            if nl != sched[r] and nl != _INF:
                 push(launch_ev, (nl, r))
                 sched[r] = nl
                 if nl < nle:
                     nle = nl
-        elif nql == Bs[m]:
-            nfull[r] += 1
-            fa = free_at[r]
-            nl = fa if fa > t else t
-            if nl < sched[r]:
-                push(launch_ev, (nl, r))
-                sched[r] = nl
-                if nl < nle:
-                    nle = nl
-        elif nql == 1:
-            fa = free_at[r]
-            hd = t + waits[m]
-            nl = fa if fa > hd else hd
-            if nl < sched[r]:
-                push(launch_ev, (nl, r))
-                sched[r] = nl
-                if nl < nle:
-                    nle = nl
-    # -- drain: advance to infinity, then fire held lanes in
-    #    head-arrival order (ties to the lowest model index) -------------
+    # -- drain: advance to infinity; what is still held then is partial
+    #    lanes with a non-finite launch_wait, fired whole in head-arrival
+    #    order (ties to the lowest model index) at max(free_at, last
+    #    member arrival) ------------------------------------------------
     for r in range(R):
         _advance(r, _INF)
         bl = r * M
-        while True:
-            best_t = _INF
-            best_m = -1
-            for m2 in range(M):
-                li = bl + m2
-                if lqn[li] and (best_m < 0 or lw[li][lhead[li]] < best_t):
-                    best_t = lw[li][lhead[li]]
-                    best_m = m2
-            if best_m < 0:
-                break
-            li = bl + best_m
-            nq2 = lqn[li]
-            B2 = Bs[best_m]
-            take = B2 if nq2 >= B2 else nq2
-            h2 = lhead[li]
+        for _, li in sorted((lw[li][lhead[li]], li)
+                            for li in range(bl, bl + M) if lqn[li]):
             fa = free_at[r]
-            tb = lw[li][h2 + take - 1]
-            launch = fa if fa > tb else tb
-            comp = launch + svcs[best_m][take]
-            free_at[r] = comp
-            m_ext(lq[li][h2:h2 + take])
-            m_comp.append(comp)
-            m_take.append(take)
-            lhead[li] = h2 + take
-            lqn[li] = nq2 - take
-            bstart[r].append(launch)
-            bcomp[r].append(comp)
-            bsize[r].append(take)
+            tb = lw[li][-1]
+            _commit(r, li, lqn[li], fa if fa > tb else tb, svcs[li - bl])
     _writeback(complete_np, m_rid, m_comp, m_take)
     n_hits = len(h_rid)
-    last_hit = h_t[-1] if n_hits else -_INF
-    if n_hits:
-        hidx = np.frombuffer(h_rid, dtype=np.int64)
-        complete_np[hidx] = np.frombuffer(h_t, dtype=np.float64)
-        hit_np[hidx] = True
+    hit_np = None
+    if cached:
+        hit_np = np.zeros(n, dtype=bool)
+        if n_hits:
+            hidx = np.frombuffer(h_rid, dtype=np.int64)
+            complete_np[hidx] = np.frombuffer(h_t, dtype=np.float64)
+            hit_np[hidx] = True
     if s_rid:
         shed_np[np.frombuffer(s_rid, dtype=np.int64)] = True
     return FastRun(complete_t=complete_np, shed=shed_np, bstart=bstart,
                    bcomp=bcomp, bsize=bsize, n_dropped=len(s_rid),
-                   hit=hit_np, n_hits=n_hits, last_hit_t=last_hit)
+                   hit=hit_np, n_hits=n_hits,
+                   last_hit_t=h_t[-1] if n_hits else -_INF)

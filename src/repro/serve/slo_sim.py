@@ -160,13 +160,16 @@ class ServingSimulator:
     object event loop above; ``"array"`` swaps in the flat
     struct-of-arrays core (:mod:`repro.serve.fast_core`) when the config
     is in its supported class — fixed fleet, least-loaded routing, count
-    admission, fifo launch order, single- or multi-model (per-model
-    policies included), with or without a result cache — and
-    transparently falls back to the event loop for the genuinely
-    event-only features (tracing/profiling, coalescing, affinity,
-    cost-aware, edf/slack, round-robin). ``last_run_engine`` records
-    which one ran. The two engines are bit-identical, pinned by the
-    engine differential suite and the full-lattice support test.
+    admission, fifo launch order. That class is *one* loop over ``M``
+    per-model lanes per replica with an optional result cache in front:
+    a single-model run is its ``M == 1`` case, per-model policies and
+    LRU/LFU caches are parameters of it. The genuinely event-only
+    features (tracing/profiling, coalescing, affinity, cost-aware,
+    edf/slack, round-robin) transparently fall back to the event loop.
+    ``last_run_engine`` records which one ran. The two engines are
+    bit-identical, pinned by the engine differential suite (hand-picked
+    families and generated configurations) and the full-lattice support
+    test.
 
     A profile's ``policy`` gives that model its own per-model
     ``max_batch``/``max_wait`` on the shared replicas (capacity,

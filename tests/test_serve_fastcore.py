@@ -1,10 +1,11 @@
 """Engine differential suite: the flat array core vs the event loop.
 
 ``ServingSimulator(engine="array")`` must be a pure implementation swap —
-never a behavior change. Four layers pin that:
+never a behavior change. Five layers pin that:
 
 1. **Differential families** — the config families of the fast-core
-   issues (plain; cached Zipf/LRU; cached hot-key/LFU; cached+coalesce;
+   issues (plain; plain and cached under an indefinite ``max_wait``;
+   cached Zipf/LRU; cached hot-key/LFU; cached+coalesce;
    multi-model; multi-model+cache; autoscaled+failures+degrades;
    edf+cost_aware) each run under ``engine="event"`` and
    ``engine="array"`` across 3 seeds and must produce *bit-identical*
@@ -28,8 +29,18 @@ never a behavior change. Four layers pin that:
    against both engines via one parametrized fixture over randomized
    configurations; plus a subprocess RSS smoke test bounding the
    10M-request drive's memory.
+5. **Generated cross-engine differential** — the same randomized
+   configurations (single-model or 1-3 profiles with per-model policies,
+   ``max_wait`` in {0, 2ms, 10ms, inf}, LRU/LFU cache or none) run on
+   *both* engines and compared bit for bit. Layers 1-4 never compared
+   engines on a drawn config, which is how two drifts between the (then
+   three) array loops and the event loop survived; what this layer found
+   is pinned as a named regression test.
+
+A non-finite arrival rate is rejected before either engine runs.
 """
 
+import math
 import subprocess
 import sys
 
@@ -42,6 +53,7 @@ from repro.serve import (
     AutoscalingSimulator,
     BatchingPolicy,
     HotKeyPopularity,
+    MMPP,
     ModelMix,
     ModelProfile,
     ServingSimulator,
@@ -56,6 +68,8 @@ from repro.utils.rng import as_rng
 #: every differential must hold under each of these seeds
 SEEDS = [11, 2024, 20260808]
 N_CASES = 12
+#: drawn configurations per seed in the generated cross-engine differential
+N_DIFF_CASES = 100
 
 
 class FakeService:
@@ -88,6 +102,16 @@ def _assert_same(a, b):
     assert a.horizon == b.horizon
 
 
+def _assert_same_models(a, b):
+    assert (a.models is None) == (b.models is None)
+    for x, y in zip(a.models or (), b.models or ()):
+        assert np.array_equal(x.latencies, y.latencies)
+        assert (x.n_offered, x.n_dropped, x.n_failed,
+                x.n_cache_hits, x.n_coalesced) \
+            == (y.n_offered, y.n_dropped, y.n_failed,
+                y.n_cache_hits, y.n_coalesced)
+
+
 # -- the differential families --------------------------------------------------
 
 def _plain(engine):
@@ -111,6 +135,25 @@ def _cached_hot_lfu(engine):
                             policy=BatchingPolicy(max_batch=8),
                             cache_size=32, cache_policy="lfu",
                             max_queue=16, engine=engine)
+
+
+def _plain_inf_wait(engine):
+    # A non-finite max_wait holds every partial batch for a B-th member;
+    # the end-of-stream drain must fire what is left at max(free_at, last
+    # member arrival), not at head + inf (the PR 2 drain bug, which two of
+    # the three pre-merge array loops had re-introduced).
+    return ServingSimulator(hep_workload(), n_replicas=3,
+                            policy=BatchingPolicy(max_batch=8,
+                                                  max_wait=math.inf),
+                            max_queue=None, engine=engine)
+
+
+def _cached_inf_wait(engine):
+    # The same indefinite hold with the result cache in front.
+    return ServingSimulator(hep_workload(), n_replicas=3,
+                            policy=BatchingPolicy(max_batch=8,
+                                                  max_wait=math.inf),
+                            max_queue=None, cache_size=64, engine=engine)
 
 
 def _coalesced(engine):
@@ -172,6 +215,8 @@ def _edf_cost_aware(engine):
 #: family -> (builder, the engine the array request must actually run on)
 FAMILIES = {
     "plain": (_plain, "array"),
+    "plain-inf-wait": (_plain_inf_wait, "array"),
+    "cached-inf-wait": (_cached_inf_wait, "array"),
     "cached-zipf": (_cached_zipf, "array"),
     "cached-hot-lfu": (_cached_hot_lfu, "array"),
     "cached-coalesce": (_coalesced, "event"),
@@ -183,7 +228,7 @@ FAMILIES = {
 
 #: families whose run holds a live result cache
 CACHED_FAMILIES = ("cached-zipf", "cached-hot-lfu", "cached-coalesce",
-                   "multi-model-cached")
+                   "cached-inf-wait", "multi-model-cached")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -207,14 +252,8 @@ class TestEngineDifferential:
         _, ev = self._run(family, "event", seed)
         _, ar = self._run(family, "array", seed)
         _assert_same(ev, ar)
-        if ev.models is not None:
-            assert ar.models is not None
-            for a, b in zip(ev.models, ar.models):
-                assert np.array_equal(a.latencies, b.latencies)
-                assert (a.n_offered, a.n_dropped, a.n_failed,
-                        a.n_cache_hits, a.n_coalesced) \
-                    == (b.n_offered, b.n_dropped, b.n_failed,
-                        b.n_cache_hits, b.n_coalesced)
+        _assert_same_models(ev, ar)
+        assert np.isfinite(ar.latencies).all() and np.isfinite(ar.horizon)
 
     def test_runs_on_the_expected_path(self, family, seed):
         sim, _ = self._run(family, "array", seed)
@@ -241,6 +280,33 @@ class TestEngineDifferential:
         assert len(ar.latencies) + ar.n_dropped == ar.n_offered
         assert int(ar.batch_sizes.sum()) \
             == len(ar.latencies) - ar.n_cache_hits
+
+
+@pytest.mark.parametrize("seed", [4, 7, 21])
+def test_superseded_launch_events_still_fire(seed):
+    """Found by the generated differential below. The event loop pushes a
+    launch event on every admit, so an instant that was superseded by an
+    earlier one is still in its heap; when it fires it *touches* the
+    replica, and a touch commits a determined full batch even if its
+    launch lies in the future. The commit feeds the cache-fill heap, and
+    a hit never syncs the router, so *when* a batch commits decides
+    whether a later arrival of the same key finds it. An array loop that
+    pushes only events earlier than the replica's earliest pending one
+    loses hits on these seeds (one-request batches, a busy two-replica
+    fleet: ~3% of seeds)."""
+    kw = dict(n_replicas=2, policy=BatchingPolicy(max_batch=1,
+                                                  max_wait=2e-3),
+              max_queue=4, cache_size=16)
+    event = ServingSimulator(None, service_model=FakeService(),
+                             engine="event", **kw)
+    fast = ServingSimulator(None, service_model=FakeService(),
+                            engine="array", **kw)
+    rate = 1.5 * event.saturation_rate()
+    pop = ZipfPopularity(alpha=1.1, n_keys=64)
+    ev = event.run(rate, 700, "mmpp", seed=seed, popularity=pop)
+    ar = fast.run(rate, 700, "mmpp", seed=seed, popularity=pop)
+    assert fast.last_run_engine == "array"
+    _assert_same(ev, ar)
 
 
 # -- the support lattice: dispatch can never drift from the predicate ----------
@@ -348,6 +414,29 @@ class TestSweepEngineRouting:
             assert len(sweep.hit_rate_curve) == 3
 
 
+# -- loud boundary: a non-finite rate never reaches either engine ---------------
+
+class TestNonFiniteRateIsRejected:
+    """A ``rate <= 0`` check alone lets NaN and inf through (both compare
+    False): NaN yields stats with ``p99 = nan``, inf a run with every
+    arrival at t0. ``make_arrivals`` is the one place every entry point,
+    engine and process goes through."""
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0])
+    def test_run_rejects_on_both_engines(self, engine, rate):
+        sim = ServingSimulator(None, service_model=FakeService(),
+                               n_replicas=2, engine=engine)
+        for process in ("uniform", "poisson", "mmpp", MMPP(burst=4.0)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sim.run(rate=rate, n_requests=16, process=process)
+
+    def test_sweep_rejects(self, engine):
+        sim = ServingSimulator(None, service_model=FakeService(),
+                               n_replicas=2, engine=engine)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sim.sweep(rates=[math.nan], n_requests=16)
+
+
 # -- oracle differential: array core vs the PR 4 frozen reference --------------
 
 class TestOracleDifferential:
@@ -405,22 +494,54 @@ class TestOracleDifferential:
 
 # -- engine-parametrized scheduler properties ----------------------------------
 
-def _random_sim(rng, engine):
-    policy = BatchingPolicy(
+def _random_policy(rng):
+    return BatchingPolicy(
         max_batch=int(rng.integers(1, 17)),
-        max_wait=float(rng.choice([0.0, 2e-3, 1e-2])),
+        max_wait=float(rng.choice([0.0, 2e-3, 1e-2, math.inf])),
         mode=str(rng.choice(["windowed", "continuous"])))
-    svc = FakeService(base=float(rng.uniform(1e-3, 8e-3)),
-                      per=float(rng.uniform(2e-4, 2e-3)))
-    sim = ServingSimulator(
-        None, service_model=svc,
-        n_replicas=int(rng.integers(1, 9)), policy=policy,
-        max_queue=[None, 4, 64][int(rng.integers(0, 3))],
-        engine=engine)
-    rate = float(rng.uniform(0.3, 1.6)) * sim.saturation_rate()
-    n = int(rng.integers(50, 800))
-    process = str(rng.choice(["uniform", "poisson", "mmpp"]))
-    return sim, rate, n, process
+
+
+class _RandomCase:
+    """One drawn array-supported configuration, buildable on either
+    engine: the single-model form or 1-3 model profiles (random weights,
+    mix, optional per-model policies), any ``max_wait`` including the
+    indefinite hold, with or without a 16-entry LRU/LFU cache under Zipf
+    traffic."""
+
+    def __init__(self, rng):
+        n_models = int(rng.integers(0, 4))    # 0: the workload= form
+        self.services = [
+            FakeService(base=float(rng.uniform(1e-3, 8e-3)),
+                        per=float(rng.uniform(2e-4, 2e-3)),
+                        rtt=float(rng.uniform(5e-5, 2e-4)))
+            for _ in range(max(1, n_models))]
+        self.kw = dict(
+            n_replicas=int(rng.integers(1, 9)), policy=_random_policy(rng),
+            max_queue=[None, 4, 64][int(rng.integers(0, 3))],
+            cache_size=int(rng.choice([0, 16])),
+            cache_policy=str(rng.choice(["lru", "lfu"])))
+        if n_models:
+            self.kw.update(
+                models=[ModelProfile(
+                    f"m{m}", None, weight=float(rng.uniform(0.5, 4.0)),
+                    policy=_random_policy(rng) if rng.random() < 0.5
+                    else None) for m in range(n_models)],
+                service_models=self.services,
+                model_mix=ModelMix(tuple(
+                    rng.uniform(0.1, 1.0, n_models).tolist())))
+        else:
+            self.kw.update(workload=None, service_model=self.services[0])
+        self.load = float(rng.uniform(0.3, 1.6))
+        self.n = int(rng.integers(50, 800))
+        self.process = str(rng.choice(["uniform", "poisson", "mmpp"]))
+
+    def build(self, engine):
+        return ServingSimulator(engine=engine, **self.kw)
+
+    def run(self, sim, seed):
+        return sim.run(self.load * sim.saturation_rate(), self.n,
+                       self.process, seed=seed,
+                       popularity=ZipfPopularity(alpha=1.1, n_keys=64))
 
 
 @pytest.fixture(params=["event", "array"])
@@ -433,28 +554,52 @@ class TestEngineProperties:
     def test_conservation_and_bounds(self, engine, seed):
         rng = as_rng(seed)
         for case in range(N_CASES):
-            sim, rate, n, process = _random_sim(rng, engine)
-            stats = sim.run(rate, n, process, seed=case)
+            drawn = _RandomCase(rng)
+            sim = drawn.build(engine)
+            stats = drawn.run(sim, case)
+            n = drawn.n
             # every offer completes or is shed up front
             assert len(stats.latencies) + stats.n_dropped == n
             assert stats.n_offered == n
-            # completions partition into batches within policy bounds
-            assert int(stats.batch_sizes.sum()) == len(stats.latencies)
+            # completions not served from cache partition into batches
+            # within policy bounds
+            assert int(stats.batch_sizes.sum()) \
+                == len(stats.latencies) - stats.n_cache_hits
             if len(stats.batch_sizes):
                 assert stats.batch_sizes.min() >= 1
-                assert stats.batch_sizes.max() <= sim.policy.max_batch
-            # transport floor: no latency below one rtt + one min batch
+                assert stats.batch_sizes.max() <= max(
+                    sim._policy_of(m).max_batch
+                    for m in range(len(drawn.services)))
+            # transport floor: no latency below one rtt (a cache hit),
+            # plus one min batch when nothing hit
             if len(stats.latencies):
-                floor = sim.service.batch_time(1) + sim.service.request_rtt()
+                floor = min(
+                    svc.request_rtt()
+                    + (0.0 if stats.n_cache_hits else svc.batch_time(1))
+                    for svc in drawn.services)
                 assert stats.latencies.min() >= floor - 1e-12
             assert sim.last_run_engine == engine
 
     def test_deterministic_rerun(self, engine, seed):
-        rng = as_rng(seed)
-        sim, rate, n, process = _random_sim(rng, engine)
-        a = sim.run(rate, n, process, seed=seed)
-        b = sim.run(rate, n, process, seed=seed)
-        _assert_same(a, b)
+        drawn = _RandomCase(as_rng(seed))
+        sim = drawn.build(engine)
+        _assert_same(drawn.run(sim, seed), drawn.run(sim, seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generated_configs_agree_across_engines(seed):
+    """The cross-engine differential over *drawn* configurations, not
+    hand-picked families: every case must be bit-identical on both
+    engines and must actually run on the array core."""
+    rng = as_rng(seed)
+    for case in range(N_DIFF_CASES):
+        drawn = _RandomCase(rng)
+        event, fast = drawn.build("event"), drawn.build("array")
+        ev, ar = drawn.run(event, case), drawn.run(fast, case)
+        assert fast.last_run_engine == "array", drawn.kw
+        _assert_same(ev, ar)
+        _assert_same_models(ev, ar)
+        assert np.isfinite(ar.latencies).all(), drawn.kw
 
 
 # -- memory bound: the 10M-request drive must stay compact ---------------------

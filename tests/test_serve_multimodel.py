@@ -269,20 +269,28 @@ class TestAffinity:
 
 # -- the pinned single-model differential --------------------------------------
 
-@pytest.mark.parametrize("seed", SEEDS)
+# The event-engine cases keep the ids they had before the engine axis
+# existed ("[11]"); the array-engine ones are "[array-11]".
+@pytest.mark.parametrize("engine, seed", [
+    pytest.param(engine, seed,
+                 id=str(seed) if engine == "event" else f"{engine}-{seed}")
+    for engine in ("event", "array") for seed in SEEDS])
 class TestSingleModelDifferential:
     """One registered model through the multi-model machinery must be
-    bit-identical to the classic single-model simulator."""
+    bit-identical to the classic single-model simulator — on the event
+    loop, and on the array core, where the two forms are literally the
+    same drive loop with ``M == 1`` (autoscaled runs never leave the
+    event loop, whichever engine is asked for)."""
 
-    def _pair(self, policy, n_replicas, cache_size=0):
+    def _pair(self, engine, policy, n_replicas, cache_size=0):
         classic = ServingSimulator(
             None, service_model=FakeService(), n_replicas=n_replicas,
-            policy=policy, cache_size=cache_size)
+            policy=policy, cache_size=cache_size, engine=engine)
         multi = ServingSimulator(
             models=[ModelProfile("only", None)],
             service_models=[FakeService()],
             model_mix=ModelMix((1.0,)), n_replicas=n_replicas,
-            policy=policy, cache_size=cache_size)
+            policy=policy, cache_size=cache_size, engine=engine)
         return classic, multi
 
     @staticmethod
@@ -295,23 +303,26 @@ class TestSingleModelDifferential:
         assert a.horizon == b.horizon
         assert np.array_equal(a.batch_sizes, b.batch_sizes)
 
-    def test_runs_identical(self, seed):
+    def test_runs_identical(self, engine, seed):
         rng = as_rng(seed)
         for process in ("uniform", "poisson", "mmpp"):
             policy = BatchingPolicy(max_batch=int(rng.integers(2, 9)),
                                     max_wait=1e-3)
-            classic, multi = self._pair(policy, int(rng.integers(1, 5)))
+            classic, multi = self._pair(engine, policy,
+                                        int(rng.integers(1, 5)))
             rate = float(rng.uniform(0.4, 1.6)) * classic.saturation_rate()
             a = classic.run(rate, n_requests=700, process=process, seed=seed)
             b = multi.run(rate, n_requests=700, process=process, seed=seed)
             self._assert_same(a, b)
+            assert classic.last_run_engine == multi.last_run_engine \
+                == engine
             # ...and the multi path carried its one per-model slice.
             assert b.models is not None and len(b.models) == 1
             assert b.models[0].n_offered == a.n_offered
 
-    def test_cached_runs_identical(self, seed):
+    def test_cached_runs_identical(self, engine, seed):
         policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
-        classic, multi = self._pair(policy, 2, cache_size=16)
+        classic, multi = self._pair(engine, policy, 2, cache_size=16)
         rate = 1.2 * classic.saturation_rate()
         a = classic.run(rate, n_requests=900, process="poisson", seed=seed,
                         popularity="zipf")
@@ -320,9 +331,9 @@ class TestSingleModelDifferential:
         self._assert_same(a, b)
         assert a.n_cache_hits > 0      # the comparison had teeth
 
-    def test_sweeps_identical(self, seed):
+    def test_sweeps_identical(self, engine, seed):
         policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
-        classic, multi = self._pair(policy, 2)
+        classic, multi = self._pair(engine, policy, 2)
         rates = [f * classic.saturation_rate() for f in (0.25, 1.0, 1.5)]
         ra = classic.sweep(rates=rates, n_requests=400, seed=seed,
                            process="mmpp")
@@ -332,12 +343,13 @@ class TestSingleModelDifferential:
         assert np.array_equal(ra.p99_curve, rb.p99_curve)
         assert np.array_equal(ra.attainment_curve, rb.attainment_curve)
 
-    def test_autoscaled_identical(self, seed):
+    def test_autoscaled_identical(self, engine, seed):
         policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
         cfg = AutoscalePolicy(min_replicas=1, max_replicas=4,
                               target_attainment=0.95, epoch=0.15)
         events = [FailureEvent(time=0.4, node_id=0, kind="fail")]
-        kw = dict(autoscale=cfg, policy=policy, failure_events=events)
+        kw = dict(autoscale=cfg, policy=policy, failure_events=events,
+                  engine=engine)
         classic = AutoscalingSimulator(None, service_model=FakeService(),
                                        **kw)
         multi = AutoscalingSimulator(models=[ModelProfile("only", None)],
