@@ -1,18 +1,21 @@
 """Fast replica variants: measured kernel speedup and overload rescue.
 
-The acceptance bar for the kernel-selected variant (paper SVIII-A's
-deferred "Winograd [43] and FFT based algorithms" study): on the paper
-ClimateNet at a serving batch shape, the compiled variant must clear
-**>= 1.5x** real :class:`~repro.serve.batching.BatchExecutor` wall-clock
-throughput over the base net — measured, not modeled. (Dev-box runs
-measure ~1.9x: the encoder's 3x3/stride-1 convs go Winograd F(4,3)/F(2,3)
-and all five decoder deconvs go to the tap scatter-free form.)
+The headline number is the **base** batch time of the paper ClimateNet at
+a serving batch shape on the real
+:class:`~repro.serve.batching.BatchExecutor`: the transposed-GEMM deconv
+that used to be this variant's biggest swap is now the one ``Deconv2D``,
+so every replica gets it. What is left for the kernel-selected variant
+(paper SVIII-A's deferred "Winograd [43] ..." study) is the encoder's
+3x3/stride-1 convs going Winograd F(4,3)/F(2,3) — ~1.1-1.2x on the dev
+box — and the bar is that the variant **never loses** (>= 1.0x):
+``compile_kernel_selected`` keeps its swaps only when the whole swapped
+net beat the unswapped one.
 
-The serving side then closes the loop: a fleet pinned ~1.35x past
-saturation — baseline attainment well under 0.95 — must be rescued to
-**>= 0.95** by an overload policy downgrading onto the variant at its
-measured time scale, with the variant's accuracy delta recorded next to
-the rescue in the artifact.
+The serving side then closes the loop: a fleet pinned halfway into the
+variant's *measured* headroom past saturation — baseline attainment well
+under 0.95 — must be rescued to **>= 0.95** by an overload policy
+downgrading onto the variant at its measured time scale, with the
+variant's accuracy delta recorded next to the rescue in the artifact.
 
 Non-blocking in CI like every tier-2 benchmark; numbers merge into
 ``BENCH_serve.json`` under ``variants`` — per-variant speedup and
@@ -20,6 +23,7 @@ accuracy delta, the race's measured crossover table, and the rescue.
 """
 
 import numpy as np
+import pytest
 
 from bench_report import bench_json, report
 from repro.models import build_climate_net
@@ -36,8 +40,7 @@ from repro.serve.latency import ServiceTimeModel
 
 #: serving batch shape on the paper ClimateNet (16 input channels)
 BATCH_SHAPE = (8, 16, 64, 64)
-SPEEDUP_FLOOR = 1.5
-OVERLOAD = 1.35          # x saturation: baseline misses SLO badly
+SPEEDUP_FLOOR = 1.0      # the variant never loses
 RESCUE_FLOOR = 0.95
 SEED = 7
 N_REQUESTS = 4000
@@ -69,17 +72,17 @@ class TestKernelVariantSpeedup:
         """The tentpole number: real executor wall-clock, paper net,
         serving batch shape."""
         prof = _kernel_profile()
-        report("kernel-selected variant, paper ClimateNet "
-               f"{BATCH_SHAPE}", [
-                   ("batch executor speedup (x)", ">= 1.5",
-                    f"{prof.speedup:.2f}"),
+        swapped = sum(c != "base" for _, c in prof.choices)
+        report("paper ClimateNet "
+               f"{BATCH_SHAPE}, base and kernel-selected variant", [
                    ("base batch seconds", "-", f"{prof.base_batch_s:.3f}"),
                    ("variant batch seconds", "-",
                     f"{prof.variant_batch_s:.3f}"),
+                   ("batch executor speedup (x)", f">= {SPEEDUP_FLOOR}",
+                    f"{prof.speedup:.2f}"),
                    ("output drift (rel L2)", "~0",
                     f"{prof.accuracy_delta:.2e}"),
-                   ("layers swapped", "-",
-                    str(sum(c != "base" for _, c in prof.choices))),
+                   ("layers swapped", "-", str(swapped)),
                ])
         bench_json("variants", {
             "kernel": {
@@ -92,8 +95,11 @@ class TestKernelVariantSpeedup:
             },
             "crossovers": _cache.crossovers(),
         })
-        assert prof.speedup >= SPEEDUP_FLOOR
-        # Winograd/FFT reorder fp32 sums; the swap must stay faithful.
+        # Kept swaps won the compiler's whole-net confirmation; with none
+        # kept the variant *is* the base and the ratio is timing noise.
+        if swapped:
+            assert prof.speedup >= SPEEDUP_FLOOR
+        # Winograd reorders fp32 sums; the swap must stay faithful.
         assert prof.accuracy_delta < 1e-2
 
     def test_quantized_variant_profile(self):
@@ -123,6 +129,12 @@ class TestOverloadDowngradeRescue:
         """A fleet pinned past saturation, rescued by serving the kernel
         variant at its *measured* time scale."""
         prof = _kernel_profile()
+        if prof.speedup <= 1.0:
+            pytest.skip("kernel variant has no measured headroom on this "
+                        "host; nothing to downgrade onto")
+        # Halfway into the variant's measured headroom: past what the
+        # base fleet sustains, inside what the variant does.
+        overload = 1.0 + (prof.speedup - 1.0) / 2.0
 
         def sim(policy):
             svc = ServiceTimeModel(climate_wl)
@@ -134,7 +146,7 @@ class TestOverloadDowngradeRescue:
                 max_queue=128, variant_policy=policy)
 
         base_sim = sim(None)
-        rate = OVERLOAD * base_sim.saturation_rate()
+        rate = overload * base_sim.saturation_rate()
         slo = base_sim.default_slo()
         r0 = base_sim.run(rate, N_REQUESTS, "poisson", seed=SEED)
 
@@ -145,7 +157,7 @@ class TestOverloadDowngradeRescue:
         r1 = sim(pol).run(rate, N_REQUESTS, "poisson", seed=SEED)
 
         att0, att1 = r0.attainment(slo), r1.attainment(slo)
-        report(f"overload rescue at {OVERLOAD:.2f}x saturation "
+        report(f"overload rescue at {overload:.3f}x saturation "
                f"(climate, 4 replicas)", [
                    ("baseline attainment", "< 0.95", f"{att0:.3f}"),
                    ("downgraded attainment", ">= 0.95", f"{att1:.3f}"),
@@ -157,7 +169,7 @@ class TestOverloadDowngradeRescue:
                     f"{prof.accuracy_delta:.2e}"),
                ])
         bench_json("variants", {"overload_rescue": {
-            "overload": OVERLOAD,
+            "overload": round(overload, 4),
             "slo_s": round(slo, 4),
             "baseline_attainment": round(att0, 4),
             "variant_attainment": round(att1, 4),

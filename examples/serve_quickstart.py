@@ -356,8 +356,9 @@ def main() -> None:
           "tests/test_serve_deadline.py pin the scheduler, controller, "
           "cache, multi-model, trace-conservation, and deadline-"
           "scheduling invariants; benchmarks/test_serve_variants.py "
-          "holds the >=1.5x kernel-variant speedup on the paper "
-          "ClimateNet and the >=0.95 overload-downgrade rescue, and "
+          "holds the paper ClimateNet's base batch time, the "
+          "never-slower kernel variant and the >=0.95 overload-downgrade "
+          "rescue, and "
           "tests/test_serve_variants.py pins compilation parity, "
           "variant cache scopes, and the downgrade/repair paths.")
 

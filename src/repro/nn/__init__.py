@@ -9,7 +9,7 @@ extension operators the paper names as future work / portability targets
 
 from repro.nn.im2col import col2im, conv_output_size, deconv_output_size, im2col
 from repro.nn.conv import Conv2D
-from repro.nn.deconv import Deconv2D, GatherDeconv2D, TapDeconv2D
+from repro.nn.deconv import Deconv2D
 from repro.nn.fft_conv import FFTConv2D
 from repro.nn.winograd import (
     WinogradConv2D,
@@ -38,8 +38,6 @@ __all__ = [
     "Conv2D",
     "Deconv2D",
     "FFTConv2D",
-    "GatherDeconv2D",
-    "TapDeconv2D",
     "WinogradConv2D",
     "direct_multiplies",
     "winograd_multiplies",

@@ -6,12 +6,20 @@ in order to develop optimized deconvolution implementations."*
 
 Concretely, with weights ``(in_channels, out_channels, kh, kw)``:
 
-- deconv **forward**  == conv **backward-data** (a GEMM followed by col2im);
+- deconv **forward**  == conv **backward-data** (a GEMM, then overlap-add);
 - deconv **backward-data** == conv **forward** (im2col followed by a GEMM);
 - deconv **weight gradient** uses the same im2col columns as conv's.
 
 This makes the deconv layers "perform very similarly to the corresponding
 convolution layers", which is the property Fig 5b relies on.
+
+The forward GEMM is computed *transposed*, ``(F*k*k, C_in) x (C_in, N*h*w)``:
+each kernel tap's contribution is then ``F`` contiguous ``(N, h, w)`` blocks
+and the ``k^2`` accumulation passes stream wide rows. The row-major product
+followed by ``im2col.col2im`` sums the same terms in the same order but reads
+``F``-float chunks at an ``F*k*k`` stride — cache-hostile at decoder
+resolutions; it lost on all 15 ClimateNet (layer, batch shape) points raced.
+One implementation serves training and inference.
 """
 
 from __future__ import annotations
@@ -23,8 +31,7 @@ import numpy as np
 from repro.core.initializers import he_normal, zeros
 from repro.core.module import Module
 from repro.core.parameter import Parameter
-from repro.nn.im2col import col2im, deconv_output_size, im2col
-from repro.nn.kernel_cache import PackedWeightCache
+from repro.nn.im2col import deconv_output_size, im2col
 from repro.utils.rng import SeedLike
 
 
@@ -70,35 +77,44 @@ class Deconv2D(Module):
                 f"{self.name}: expected {self.in_channels} input channels, "
                 f"got {c}")
         k, s, p = self.kernel_size, self.stride, self.pad
+        f = self.out_channels
         oh = deconv_output_size(h, k, s, p)
         ow = deconv_output_size(w, k, s, p)
-        # x as the "gradient" matrix: (N*h*w, C_in)
-        x_mat = x.transpose(0, 2, 3, 1).reshape(-1, self.in_channels)
-        w_mat = self.weight.data.reshape(self.in_channels, -1)
-        cols = x_mat @ w_mat                      # (N*h*w, C_out*k*k)
-        out = col2im(cols, (n, self.out_channels, oh, ow), k, k, s, p)
+        # x as the transposed "gradient" matrix: (C_in, N*h*w)
+        x_mat = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(c, -1)
+        # The free .T view of the stored weights, not a packed copy:
+        # nothing to cache or to go stale under in-place weight edits.
+        w_mat = self.weight.data.reshape(c, -1)   # (C_in, F*k*k)
+        cols = (w_mat.T @ x_mat).reshape(f, k, k, n, h, w)
+        # Tap (ki, kj) of input pixel (i, j) lands on output pixel
+        # (i*s + ki - p, j*s + kj - p): accumulate over the uncropped span.
+        acc = np.zeros((f, n, (h - 1) * s + k, (w - 1) * s + k),
+                       dtype=cols.dtype)
+        for ki in range(k):
+            for kj in range(k):
+                acc[:, :, ki:ki + s * h:s, kj:kj + s * w:s] += cols[:, ki, kj]
+        out = np.ascontiguousarray(
+            acc[:, :, p:p + oh, p:p + ow].transpose(1, 0, 2, 3))
         out += self.bias.data[None, :, None, None]
         # As in Conv2D: eval-mode forwards never run backward, so don't pin
-        # the reshaped input matrix in memory.
-        self._cache = (x.shape, x_mat, (n, oh, ow)) if self.training else None
+        # the transposed input matrix in memory.
+        self._cache = (x.shape, x_mat) if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Conv forward applied as a backward op, plus the weight gradient."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        x_shape, x_mat, (n, oh, ow) = self._cache
+        (n, c, h, w), x_mat = self._cache
         k, s, p = self.kernel_size, self.stride, self.pad
         g_cols = im2col(grad_out, k, k, s, p)     # (N*h*w, C_out*k*k)
-        w_mat = self.weight.data.reshape(self.in_channels, -1)
+        w_mat = self.weight.data.reshape(c, -1)
         # Weight gradient couples the input activations with gathered grads.
-        self.weight.grad += (x_mat.T @ g_cols).reshape(self.weight.data.shape)
+        self.weight.grad += (x_mat @ g_cols).reshape(self.weight.data.shape)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
         grad_in = g_cols @ w_mat.T                # (N*h*w, C_in)
-        h_in, w_in = x_shape[2], x_shape[3]
         return np.ascontiguousarray(
-            grad_in.reshape(n, h_in, w_in, self.in_channels)
-            .transpose(0, 3, 1, 2))
+            grad_in.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:
@@ -127,143 +143,3 @@ class Deconv2D(Module):
         macs = batch * self.in_channels * h * w * self.out_channels * k * k
         bias_adds = batch * self.out_channels * oh * ow
         return 2 * macs + bias_adds
-
-
-class GatherDeconv2D(Deconv2D):
-    """Transposed convolution computed by gathering instead of scattering.
-
-    The base :class:`Deconv2D` forward is GEMM + ``col2im``: overlapping
-    patch rows are *scattered* back into the output with ``k^2`` strided
-    accumulation passes — memory traffic that dominates the layer at large
-    spatial sizes. This variant inverts the data flow: output pixels of each
-    parity class ``(oy % s, ox % s)`` are produced by an ordinary *gather*
-    convolution (``im2col`` + GEMM) of the input against the flipped weight
-    taps that land on that class — the sub-pixel decomposition of a
-    transposed conv. Same FLOPs, no scatter, and each parity GEMM is
-    BLAS-shaped. For ``stride=1`` there is a single class and this is
-    exactly "deconv = conv with the kernel flipped".
-
-    Eval-mode forwards use the gather path (same values as the base layer to
-    fp32 tolerance — the summation order differs). Training-mode forwards
-    and backward fall through to the base scatter/im2col implementation, so
-    gradients stay bit-identical to :class:`Deconv2D`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._wpack = PackedWeightCache()
-
-    def _parity_taps(self):
-        """Per output parity class (a, b): the flipped-tap GEMM weights.
-
-        Taps landing on parity ``a`` satisfy ``(ki - pad) % s == a`` — an
-        arithmetic progression, so the flipped sub-kernel is a pure view of
-        the weights; only the final GEMM layout copies it. Cached while the
-        weights are frozen (the serving case).
-        """
-        k, s, p = self.kernel_size, self.stride, self.pad
-
-        def build(wd: np.ndarray):
-            packed = []
-            for a in range(s):
-                for b in range(s):
-                    kis = [ki for ki in range(k) if (ki - p) % s == a]
-                    kjs = [kj for kj in range(k) if (kj - p) % s == b]
-                    if not kis or not kjs:
-                        packed.append((a, b, kis, kjs, None))
-                        continue
-                    sub = wd[:, :, kis[0]::s, kjs[0]::s][:, :, ::-1, ::-1]
-                    w_mat = np.ascontiguousarray(
-                        sub.transpose(0, 2, 3, 1)).reshape(
-                        -1, self.out_channels)
-                    packed.append((a, b, kis, kjs, w_mat))
-            return packed
-
-        return self._wpack.get(self.weight.data, build)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            return super().forward(x)
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {c}")
-        k, s, p = self.kernel_size, self.stride, self.pad
-        oh = deconv_output_size(h, k, s, p)
-        ow = deconv_output_size(w, k, s, p)
-        out = np.empty((n, self.out_channels, oh, ow), dtype=x.dtype)
-        # Generous halo: every tap offset is within k of the input window.
-        xp = np.pad(x, ((0, 0), (0, 0), (k, k), (k, k)))
-        for a, b, kis, kjs, w_mat in self._parity_taps():
-            toh = (oh - 1 - a) // s + 1
-            tow = (ow - 1 - b) // s + 1
-            if w_mat is None:
-                out[:, :, a::s, b::s] = 0.0
-                continue
-            # Input offsets (ki - p - a) / s are consecutive integers, so
-            # the gather is a contiguous im2col window; ascending window
-            # rows correspond to descending taps — the kernel flip.
-            i0 = k - (kis[-1] - p - a) // s
-            j0 = k - (kjs[-1] - p - b) // s
-            cols = im2col(
-                xp[:, :, i0:i0 + toh + len(kis) - 1,
-                   j0:j0 + tow + len(kjs) - 1],
-                len(kis), len(kjs), 1, 0)
-            out[:, :, a::s, b::s] = (
-                (cols @ w_mat).reshape(n, toh, tow, self.out_channels)
-                .transpose(0, 3, 1, 2))
-        out += self.bias.data[None, :, None, None]
-        self._cache = None
-        return out
-
-
-class TapDeconv2D(Deconv2D):
-    """Transposed convolution with a transposed-layout scatter.
-
-    The base :class:`Deconv2D` scatters a ``(M, C_out*k*k)`` GEMM result
-    with ``col2im``, whose accumulation passes read ``C_out``-float chunks
-    at a ``C_out*k*k`` stride — cache-hostile when the spatial extent is
-    large. This variant computes the *transposed* GEMM
-    ``(k*k*C_out, C_in) x (C_in, M)`` so each kernel tap's contribution is a
-    contiguous ``(C_out, N, h, w)`` block, then accumulates the ``k^2`` taps
-    with wide contiguous rows. Identical arithmetic (the GEMM reduction
-    order is unchanged, only the output layout moves), so it matches the
-    base layer to fp32 tolerance; eval-only like
-    :class:`GatherDeconv2D` — training-mode forwards and backward use the
-    base implementation.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._wpack = PackedWeightCache()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            return super().forward(x)
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {c}")
-        k, s, p = self.kernel_size, self.stride, self.pad
-        f = self.out_channels
-        oh = deconv_output_size(h, k, s, p)
-        ow = deconv_output_size(w, k, s, p)
-        x_mat = np.ascontiguousarray(
-            x.transpose(1, 0, 2, 3)).reshape(c, -1)      # (C_in, N*h*w)
-        w_mat = self._wpack.get(
-            self.weight.data,
-            lambda wd: np.ascontiguousarray(
-                wd.transpose(2, 3, 1, 0)).reshape(-1, c))  # (k*k*F, C_in)
-        cols = (w_mat @ x_mat).reshape(k, k, f, n, h, w)
-        span_h, span_w = (h - 1) * s + k, (w - 1) * s + k
-        acc = np.zeros((f, n, span_h, span_w), dtype=x.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                acc[:, :, ki:ki + s * h:s, kj:kj + s * w:s] += cols[ki, kj]
-        out = acc[:, :, p:p + oh, p:p + ow].transpose(1, 0, 2, 3)
-        out = np.ascontiguousarray(out)
-        out += self.bias.data[None, :, None, None]
-        self._cache = None
-        return out

@@ -1,7 +1,7 @@
 """Per-layer cache for precomputed weight packings of fast kernels.
 
-The GEMM-restructured fast kernels (:class:`~repro.nn.winograd.WinogradConv2D`,
-:class:`~repro.nn.deconv.GatherDeconv2D`) repack or transform their weights
+The GEMM-restructured fast kernel
+(:class:`~repro.nn.winograd.WinogradConv2D`) transforms its weights
 into a BLAS-friendly layout every forward. For serving replicas the weights
 are frozen, so the packing is pure overhead after the first batch. This
 module provides a tiny cache that memoizes the packed form and revalidates

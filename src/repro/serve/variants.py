@@ -15,14 +15,14 @@ registry can load and the simulator can downgrade to under overload:
 - :func:`compile_kernel_selected` swaps each eligible layer for its
   fastest algorithmic equivalent **by measurement, not by rule**: 3x3 /
   stride-1 :class:`~repro.nn.conv.Conv2D` races the F(2,3) and F(4,3)
-  :class:`~repro.nn.winograd.WinogradConv2D` forms, large-kernel convs
-  race :class:`~repro.nn.fft_conv.FFTConv2D`, and every
-  :class:`~repro.nn.deconv.Deconv2D` races its gather/tap scatter-free
-  forms — each on the layer's *real* input at the serving batch shape.
-  Winners are memoized in a shape-keyed :class:`KernelChoiceCache` so a
-  fleet of replicas pays the timing race once per (layer signature,
-  input shape), and the recorded timings double as the measured
-  crossover table the benchmarks report.
+  :class:`~repro.nn.winograd.WinogradConv2D` forms on the layer's *real*
+  input at the serving batch shape — the one choice that is genuinely
+  shape-dependent. Winners are memoized in a shape-keyed
+  :class:`KernelChoiceCache` so a fleet of replicas pays the timing race
+  once per (layer signature, input shape), and the recorded timings
+  double as the measured crossover table the benchmarks report. The
+  swapped net is kept only if its whole forward then beats the
+  unswapped one's: per-layer wins do not always add up.
 
 :func:`measure_profile` then prices a variant against its base on real
 :class:`~repro.serve.batching.BatchExecutor` timings — the
@@ -38,23 +38,19 @@ from __future__ import annotations
 import copy
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.conv import Conv2D
-from repro.nn.deconv import Deconv2D, GatherDeconv2D, TapDeconv2D
-from repro.nn.fft_conv import FFTConv2D
 from repro.nn.winograd import WinogradConv2D
 from repro.optim.quantize import quantize_nearest
 
 #: registered variant kinds
 VARIANT_KINDS = ("quantized", "kernel")
-
-#: smallest square kernel that races the FFT path (below this the
-#: transform overhead can never win on the shapes we serve)
-FFT_MIN_KERNEL = 5
 
 #: timing repeats per candidate in the kernel race (best-of; one extra
 #: untimed warmup forward packs the weight transforms first)
@@ -93,35 +89,45 @@ def _replace_layer(root, old, new) -> bool:
     return False
 
 
-def _record_inputs(net, x, targets) -> Dict[int, np.ndarray]:
-    """One forward of ``x`` capturing each target layer's actual input.
-
-    The race must time candidates on the tensor the layer really sees at
-    the serving batch shape — not a guess reconstructed from layer
-    hyperparameters — so the capture wraps ``forward`` per instance
-    (instance attributes shadow the class method for both ``layer(x)``
-    and the ``layer.forward(x)`` call Sequential makes).
+@contextmanager
+def _wrapped_forwards(layers, make_wrapper):
+    """Shadow each layer's ``forward`` with ``make_wrapper(layer, orig)``
+    inside the block. The wrap is per instance (instance attributes
+    shadow the class method for both ``layer(x)`` and the
+    ``layer.forward(x)`` call Sequential makes); exit restores what was
+    there, including an earlier instance-level wrap.
     """
-    recorded: Dict[int, np.ndarray] = {}
     saved = []
-    for layer in targets:
-        prev = vars(layer).get("forward")
-        orig = layer.forward
-
-        def capture(inp, _layer=layer, _orig=orig):
-            recorded[id(_layer)] = inp
-            return _orig(inp)
-
-        layer.forward = capture
-        saved.append((layer, prev))
     try:
-        net.forward(x)
+        for layer in layers:
+            saved.append((layer, vars(layer).get("forward")))
+            layer.forward = make_wrapper(layer, layer.forward)
+        yield
     finally:
         for layer, prev in saved:
             if prev is None:
                 del layer.forward
             else:
                 layer.forward = prev
+
+
+def _record_inputs(net, x, targets) -> Dict[int, np.ndarray]:
+    """One forward of ``x`` capturing each target layer's actual input.
+
+    The race must time candidates on the tensor the layer really sees at
+    the serving batch shape — not a guess reconstructed from layer
+    hyperparameters.
+    """
+    recorded: Dict[int, np.ndarray] = {}
+
+    def capture(layer, orig):
+        def forward(inp):
+            recorded[id(layer)] = inp
+            return orig(inp)
+        return forward
+
+    with _wrapped_forwards(targets, capture):
+        net.forward(x)
     return recorded
 
 
@@ -209,27 +215,13 @@ def _candidate_builders(layer) -> Dict[str, Callable[[], object]]:
     Exact-type checks, not isinstance: an already-swapped fast layer (or
     a user subclass with different semantics) must not be re-raced.
     """
-    out: Dict[str, Callable[[], object]] = {}
-    if type(layer) is Conv2D:
-        if layer.kernel_size == 3 and layer.stride == 1:
-            out["wino4"] = lambda: WinogradConv2D(
-                layer.in_channels, layer.out_channels, pad=layer.pad,
-                name=layer.name, tile_size=4)
-            out["wino2"] = lambda: WinogradConv2D(
-                layer.in_channels, layer.out_channels, pad=layer.pad,
-                name=layer.name, tile_size=2)
-        elif layer.kernel_size >= FFT_MIN_KERNEL:
-            out["fft"] = lambda: FFTConv2D(
-                layer.in_channels, layer.out_channels, layer.kernel_size,
-                stride=layer.stride, pad=layer.pad, name=layer.name)
-    elif type(layer) is Deconv2D:
-        out["tap"] = lambda: TapDeconv2D(
-            layer.in_channels, layer.out_channels, layer.kernel_size,
-            stride=layer.stride, pad=layer.pad, name=layer.name)
-        out["gather"] = lambda: GatherDeconv2D(
-            layer.in_channels, layer.out_channels, layer.kernel_size,
-            stride=layer.stride, pad=layer.pad, name=layer.name)
-    return out
+    if type(layer) is not Conv2D \
+            or (layer.kernel_size, layer.stride) != (3, 1):
+        return {}
+    return {f"wino{tile}": partial(
+                WinogradConv2D, layer.in_channels, layer.out_channels,
+                pad=layer.pad, name=layer.name, tile_size=tile)
+            for tile in (4, 2)}
 
 
 def _build_candidate(layer, build: Callable[[], object]):
@@ -257,11 +249,16 @@ def compile_kernel_selected(net, batch_shape: Tuple[int, ...],
     (default: the process-wide :func:`default_kernel_cache`), keyed by
     layer signature and input shape.
 
+    A per-layer win is necessary, not sufficient: the swapped net's
+    whole forward is then timed interleaved with the unswapped copy's,
+    and when it does not win the unswapped copy is returned with every
+    choice recorded as ``"base"`` (the per-layer timings are kept).
+
     The result is the "kernel" variant: same parameters (shared
     ``Parameter`` objects), same state-dict spec, forward equal to the
-    base to fp32 tolerance (Winograd/FFT change summation order only;
-    the tap deconv is bit-identical). The chosen swaps are recorded on
-    the returned net as ``kernel_choices`` for profiling and reporting.
+    base to fp32 tolerance (Winograd changes summation order only). The
+    chosen swaps are recorded on the returned net as ``kernel_choices``
+    for profiling and reporting.
     """
     if len(batch_shape) != 4:
         raise ValueError(
@@ -299,6 +296,15 @@ def compile_kernel_selected(net, batch_shape: Tuple[int, ...],
                         "input_shape": list(xin.shape),
                         "timings_ms": {n: round(t * 1e3, 3)
                                        for n, t in timings.items()}})
+    if any(c["choice"] != "base" for c in choices):
+        base = copy.deepcopy(net).eval()
+        base_s = fast_s = math.inf
+        for _ in range(max(1, repeats)):
+            base_s = min(base_s, _time_forward(base.forward, x, 1))
+            fast_s = min(fast_s, _time_forward(fast.forward, x, 1))
+        if fast_s >= base_s:
+            fast = base
+            choices = [dict(c, choice="base") for c in choices]
     fast.kernel_choices = choices
     return fast
 
@@ -342,36 +348,26 @@ def compile_quantized(net, bits: int = 8, calibration=None):
     if calibration is not None:
         leaves = list(_leaves(qnet))
         observed: Dict[int, float] = {}
-        saved = []
-        for leaf in leaves:
-            prev = vars(leaf).get("forward")
-            orig = leaf.forward
 
-            def observe(x, _leaf=leaf, _orig=orig):
-                out = _orig(x)
+        def observe(leaf, orig):
+            def forward(x):
+                out = orig(x)
                 if isinstance(out, np.ndarray):
                     peak = float(np.max(np.abs(out))) if out.size else 0.0
-                    prior = observed.get(id(_leaf), 0.0)
-                    observed[id(_leaf)] = max(prior, peak)
+                    observed[id(leaf)] = max(observed.get(id(leaf), 0.0),
+                                             peak)
                 return out
+            return forward
 
-            leaf.forward = observe
-            saved.append((leaf, prev, orig))
-        try:
+        with _wrapped_forwards(leaves, observe):
             for batch in _calibration_batches(calibration):
                 qnet.forward(batch)
-        finally:
-            for leaf, prev, _ in saved:
-                if prev is None:
-                    del leaf.forward
-                else:
-                    leaf.forward = prev
-        for leaf, _, orig in saved:
+        for leaf in leaves:
             scale = observed.get(id(leaf), 0.0)
             if scale <= 0.0:
                 continue
 
-            def fake_quant(x, _orig=orig, _scale=scale):
+            def fake_quant(x, _orig=leaf.forward, _scale=scale):
                 out = _orig(x)
                 if isinstance(out, np.ndarray):
                     out = quantize_nearest(out, bits, _scale)

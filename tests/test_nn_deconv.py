@@ -6,6 +6,7 @@ import pytest
 from grad_check import numeric_grad
 from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
+from repro.nn.im2col import col2im
 
 
 class TestSwapTrick:
@@ -39,6 +40,60 @@ class TestSwapTrick:
         grad_in = deconv.backward(g)
         np.testing.assert_allclose(grad_in, conv.forward(g), rtol=1e-4,
                                    atol=1e-5)
+
+
+def scatter_reference(d, x):
+    """The deconv forward written out as GEMM + ``col2im`` scatter — the
+    conv backward-data routine itself, independent of Deconv2D's layout."""
+    n, c = x.shape[:2]
+    k, s, p = d.kernel_size, d.stride, d.pad
+    out_shape = (n,) + d.output_shape(x.shape[1:])
+    x_mat = x.transpose(0, 2, 3, 1).reshape(-1, c)
+    w_mat = d.weight.data.reshape(c, -1)
+    return (col2im(x_mat @ w_mat, out_shape, k, k, s, p)
+            + d.bias.data[None, :, None, None])
+
+
+def _geometries():
+    for k in (2, 3, 4, 5):
+        for s in (1, 2, 3):
+            yield k, s, 0
+            # The default pad (k - s) // 2: rejected by the constructor
+            # when negative (k < s), the case above when zero.
+            if (k - s) // 2 > 0:
+                yield k, s, None
+
+
+class TestAgainstScatterReference:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k,s,pad", list(_geometries()))
+    def test_forward_matches_col2im_scatter(self, rng, k, s, pad, batch,
+                                            training):
+        """Includes k < stride, where some output parities get no tap and
+        must hold the bias alone, and non-square inputs."""
+        d = Deconv2D(3, 2, k, stride=s, pad=pad, rng=5)
+        d.bias.data[...] = rng.normal(size=2).astype(np.float32)
+        d.train() if training else d.eval()
+        x = rng.normal(size=(batch, 3, 5, 7)).astype(np.float32)
+        out = d.forward(x)
+        ref = scatter_reference(d, x)
+        assert out.shape == ref.shape and out.flags.c_contiguous
+        # Same terms summed in the same order per element; only the
+        # GEMM's operand layout differs.
+        np.testing.assert_array_equal(out, ref)
+
+    def test_in_place_weight_edit_changes_next_forward(self, rng):
+        """No packed copy of the weights may outlive an in-place edit of a
+        single element (what an optimizer step or a numeric gradient
+        check does)."""
+        d = Deconv2D(2, 2, 3, stride=1, rng=4).train()
+        x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
+        before = d.forward(x)
+        d.weight.data[1, 0, 2, 1] += 0.5
+        after = d.forward(x)
+        np.testing.assert_array_equal(after, scatter_reference(d, x))
+        assert np.abs(after - before).max() > 0.1
 
 
 class TestShapes:
