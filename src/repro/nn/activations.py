@@ -37,11 +37,11 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
         # Eval-mode forwards (inference serving) never run backward: don't
-        # hold the activation-sized mask alive between requests.
-        self._mask = mask if self.training else None
-        return np.where(mask, x, 0.0).astype(x.dtype)
+        # build the activation-sized mask, let alone hold it between requests.
+        self._mask = (x > 0) if self.training else None
+        # One pass. fmax, not maximum: NaN -> 0, as the mask routes it.
+        return np.fmax(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

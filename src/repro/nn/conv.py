@@ -1,4 +1,11 @@
-"""2-D convolution layer (im2col + GEMM), with full backward pass."""
+"""2-D convolution layer (im2col + GEMM), with full backward pass.
+
+The GEMM is ``W (F, C*k*k) @ cols (N, C*k*k, oh*ow)``: its ``(N, F, oh*ow)``
+result is the NCHW output after a free reshape, and the output gradient is
+consumed through the same free reshape, so neither pass transposes or
+re-packs an activation (``im2col._batch_matmul`` folds the batch into one
+GEMM only where an image has too few output positions to carry one).
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,8 @@ import numpy as np
 from repro.core.initializers import he_normal, zeros
 from repro.core.module import Module
 from repro.core.parameter import Parameter
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import (
+    _batch_matmul, _batch_outer, col2im, conv_output_size, im2col)
 from repro.utils.rng import SeedLike
 
 
@@ -57,28 +65,26 @@ class Conv2D(Module):
         k, s, p = self.kernel_size, self.stride, self.pad
         oh = conv_output_size(h, k, s, p)
         ow = conv_output_size(w, k, s, p)
-        cols = im2col(x, k, k, s, p)                     # (N*oh*ow, C*k*k)
+        cols = im2col(x, k, k, s, p)                     # (N, C*k*k, oh*ow)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T                             # (N*oh*ow, F)
-        out += self.bias.data
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        out = _batch_matmul(w_mat, cols)                 # (N, F, oh*ow)
+        out += self.bias.data[:, None]
         # The im2col matrix is the layer's largest buffer; eval-mode forwards
         # (inference serving) never run backward, so don't hold it alive.
         self._cache = (x.shape, cols) if self.training else None
-        return np.ascontiguousarray(out)
+        return out.reshape(n, self.out_channels, oh, ow)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x_shape, cols = self._cache
-        n = x_shape[0]
         k, s, p = self.kernel_size, self.stride, self.pad
-        # (N, F, oh, ow) -> (N*oh*ow, F)
-        g = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        g = grad_out.reshape(x_shape[0], self.out_channels, -1)  # (N, F, oh*ow)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (g.T @ cols).reshape(self.weight.data.shape)
-        self.bias.grad += g.sum(axis=0)
-        grad_cols = g @ w_mat                            # (N*oh*ow, C*k*k)
+        self.weight.grad += _batch_outer(g, cols) \
+            .reshape(self.weight.data.shape)
+        self.bias.grad += g.sum(axis=(0, 2))
+        grad_cols = _batch_matmul(w_mat.T, g)            # (N, C*k*k, oh*ow)
         return col2im(grad_cols, x_shape, k, k, s, p)
 
     # -- parameters / accounting -------------------------------------------

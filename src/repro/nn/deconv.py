@@ -13,25 +13,26 @@ Concretely, with weights ``(in_channels, out_channels, kh, kw)``:
 This makes the deconv layers "perform very similarly to the corresponding
 convolution layers", which is the property Fig 5b relies on.
 
-The forward GEMM is computed *transposed*, ``(F*k*k, C_in) x (C_in, N*h*w)``:
-each kernel tap's contribution is then ``F`` contiguous ``(N, h, w)`` blocks
-and the ``k^2`` accumulation passes stream wide rows. The row-major product
-followed by ``im2col.col2im`` sums the same terms in the same order but reads
-``F``-float chunks at an ``F*k*k`` stride — cache-hostile at decoder
-resolutions; it lost on all 15 ClimateNet (layer, batch shape) points raced.
-One implementation serves training and inference.
+Both passes use ``nn.im2col``'s per-image channel-major layout, so the swap is
+literal: forward is ``col2im(W^T @ x)`` on ``x`` viewed ``(N, C_in, h*w)`` —
+each kernel tap's contribution is ``N*F`` contiguous ``(h, w)`` blocks
+accumulated straight into the NCHW output — and backward-data is
+``W @ im2col(grad_out)``, already ``(N, C_in, h*w)``. No transposed copy of
+the input, the output or the input gradient is made. One implementation
+serves training and inference.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.initializers import he_normal, zeros
 from repro.core.module import Module
 from repro.core.parameter import Parameter
-from repro.nn.im2col import deconv_output_size, im2col
+from repro.nn.im2col import (
+    _batch_matmul, _batch_outer, col2im, deconv_output_size, im2col)
 from repro.utils.rng import SeedLike
 
 
@@ -66,7 +67,7 @@ class Deconv2D(Module):
             he_normal((in_channels, out_channels, kernel_size, kernel_size),
                       fan_in, rng), name="weight")
         self.bias = Parameter(zeros(out_channels), name="bias")
-        self._cache: Optional[Tuple] = None
+        self._cache: Optional[np.ndarray] = None
 
     # -- computation -------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -77,44 +78,37 @@ class Deconv2D(Module):
                 f"{self.name}: expected {self.in_channels} input channels, "
                 f"got {c}")
         k, s, p = self.kernel_size, self.stride, self.pad
-        f = self.out_channels
-        oh = deconv_output_size(h, k, s, p)
-        ow = deconv_output_size(w, k, s, p)
-        # x as the transposed "gradient" matrix: (C_in, N*h*w)
-        x_mat = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(c, -1)
+        out_shape = (n, self.out_channels,
+                     deconv_output_size(h, k, s, p),
+                     deconv_output_size(w, k, s, p))
         # The free .T view of the stored weights, not a packed copy:
         # nothing to cache or to go stale under in-place weight edits.
         w_mat = self.weight.data.reshape(c, -1)   # (C_in, F*k*k)
-        cols = (w_mat.T @ x_mat).reshape(f, k, k, n, h, w)
+        cols = _batch_matmul(w_mat.T, x.reshape(n, c, h * w))  # (N, F*k*k, h*w)
         # Tap (ki, kj) of input pixel (i, j) lands on output pixel
-        # (i*s + ki - p, j*s + kj - p): accumulate over the uncropped span.
-        acc = np.zeros((f, n, (h - 1) * s + k, (w - 1) * s + k),
-                       dtype=cols.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                acc[:, :, ki:ki + s * h:s, kj:kj + s * w:s] += cols[:, ki, kj]
-        out = np.ascontiguousarray(
-            acc[:, :, p:p + oh, p:p + ow].transpose(1, 0, 2, 3))
-        out += self.bias.data[None, :, None, None]
+        # (i*s + ki - p, j*s + kj - p): exactly the conv's col2im scatter.
+        # Adding the bias copies the cropped view into a contiguous output.
+        out = col2im(cols, out_shape, k, k, s, p) \
+            + self.bias.data[:, None, None]
         # As in Conv2D: eval-mode forwards never run backward, so don't pin
-        # the transposed input matrix in memory.
-        self._cache = (x.shape, x_mat) if self.training else None
+        # the input in memory.
+        self._cache = x if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Conv forward applied as a backward op, plus the weight gradient."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        (n, c, h, w), x_mat = self._cache
+        x = self._cache
+        n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.pad
-        g_cols = im2col(grad_out, k, k, s, p)     # (N*h*w, C_out*k*k)
+        g_cols = im2col(grad_out, k, k, s, p)     # (N, C_out*k*k, h*w)
         w_mat = self.weight.data.reshape(c, -1)
         # Weight gradient couples the input activations with gathered grads.
-        self.weight.grad += (x_mat @ g_cols).reshape(self.weight.data.shape)
+        self.weight.grad += _batch_outer(x.reshape(n, c, h * w), g_cols) \
+            .reshape(self.weight.data.shape)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        grad_in = g_cols @ w_mat.T                # (N*h*w, C_in)
-        return np.ascontiguousarray(
-            grad_in.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+        return _batch_matmul(w_mat, g_cols).reshape(n, c, h, w)
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:

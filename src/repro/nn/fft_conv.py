@@ -9,14 +9,14 @@ research."
 :class:`FFTConv2D` is a drop-in replacement for :class:`repro.nn.Conv2D`
 whose forward pass evaluates the cross-correlation in the frequency domain
 (O(HW log HW) per channel pair instead of O(HW k^2)); the backward pass
-reuses the exact im2col adjoint so gradients stay bit-compatible with the
-GEMM path. The ablation benchmark measures where the FFT path's crossover
-sits in kernel size — the study the paper defers.
+is ``Conv2D``'s own on the lazily lowered input, so gradients stay
+bit-compatible with the GEMM path. The ablation benchmark measures where
+the FFT path's crossover sits in kernel size — the study the paper defers.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -29,6 +29,7 @@ class FFTConv2D(Conv2D):
     """Convolution layer with an FFT forward path."""
 
     kind = "conv"
+    _x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -54,22 +55,14 @@ class FFTConv2D(Conv2D):
         valid = full[:, :, k - 1:k - 1 + hp - k + 1, k - 1:k - 1 + wp - k + 1]
         out = valid[:, :, ::s, ::s][:, :, :oh, :ow].astype(np.float32)
         out += self.bias.data[None, :, None, None]
-        # Cache the input; the adjoint (backward) lazily builds the im2col
-        # matrix so gradients are identical to the GEMM implementation.
-        if self.training:
-            self._cache = (x.shape, None)
-            self._x = x
-        else:
-            self._cache = None
-            self._x = None
+        # Cache the input only: backward lowers it on demand, then is
+        # Conv2D's, so gradients are identical to the GEMM implementation.
+        self._x = x if self.training else None
+        self._cache = None
         return np.ascontiguousarray(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        x_shape, cols = self._cache
-        if cols is None:
+        if self._x is not None:
             k, s, p = self.kernel_size, self.stride, self.pad
-            cols = im2col(self._x, k, k, s, p)
-            self._cache = (x_shape, cols)
+            self._cache = (self._x.shape, im2col(self._x, k, k, s, p))
         return super().backward(grad_out)

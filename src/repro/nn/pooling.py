@@ -8,6 +8,7 @@ the all-reduce payload (one of the paper's stated contributions).
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,25 +34,30 @@ class MaxPool2D(Module):
         self._cache: Optional[Tuple] = None
 
     def _is_fast_path(self, h: int, w: int) -> bool:
+        # k == 1 is the identity: the general path returns it as a copy.
         k = self.kernel_size
-        return self.stride == k and h % k == 0 and w % k == 0
+        return 1 < k == self.stride and h % k == 0 and w % k == 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         if self._is_fast_path(h, w):
-            # Non-overlapping: reshape into (N, C, oh, k, ow, k) blocks.
+            # Non-overlapping: reshape into (N, C, oh, k, ow, k) blocks and
+            # take the max over block rows (contiguous runs of w floats),
+            # then block columns: 2(k-1) elementwise passes, not a 6-D
+            # strided reduce.
             blocks = x.reshape(n, c, h // k, k, w // k, k)
-            out = blocks.max(axis=(3, 5))
+            rows = reduce(np.maximum, [blocks[:, :, :, i] for i in range(k)])
+            out = reduce(np.maximum, [rows[..., j] for j in range(k)])
             if self.training:
                 # Mask of winners for backward (ties split gradient evenly
                 # is NOT what Caffe does; Caffe routes to the first max. We
                 # route to all maxima scaled by multiplicity for a correct
                 # adjoint). Eval forwards skip the construction entirely —
                 # it is an input-sized allocation serving never uses.
-                expanded = out[:, :, :, None, :, None]
-                mask = (blocks == expanded)
-                counts = mask.sum(axis=(3, 5), keepdims=True)
+                mask = (blocks == out[:, :, :, None, :, None])
+                counts = sum(mask[:, :, :, i, :, j]
+                             for i in range(k) for j in range(k))
                 self._cache = ("fast", x.shape, mask, counts)
             else:
                 self._cache = None
@@ -77,9 +83,10 @@ class MaxPool2D(Module):
         if self._cache[0] == "fast":
             _, x_shape, mask, counts = self._cache
             n, c, h, w = x_shape
-            g = grad_out[:, :, :, None, :, None] / counts
-            grad_in = (mask * g).reshape(n, c, h, w)
-            return grad_in
+            # In grad_out's dtype: an integer divisor would promote float32
+            # gradients, and every layer below, to float64.
+            g = grad_out / counts.astype(grad_out.dtype)
+            return (mask * g[:, :, :, None, :, None]).reshape(n, c, h, w)
         _, x_shape, arg, (oh, ow) = self._cache
         n, c, h, w = x_shape
         grad_in = np.zeros(x_shape, dtype=grad_out.dtype)

@@ -19,22 +19,21 @@ both small tile transforms are applied as one (tiles, alpha^2) x
 becomes alpha^2 batched (F, C) x (C, tiles) GEMMs — one per transform-domain
 position.
 
-The layer is a drop-in replacement for a 3x3/stride-1 :class:`Conv2D`:
-identical parameters, identical gradients (backward uses the standard
-im2col path — gradient math does not depend on the forward algorithm), and
-a forward pass that agrees with the direct computation to fp32 tolerance.
+The layer is a 3x3/stride-1 :class:`Conv2D` with another forward: identical
+parameters and accounting, identical gradients (backward is ``Conv2D``'s own
+on the lazily lowered input — gradient math does not depend on the forward
+algorithm), and a forward pass that agrees with the direct computation to
+fp32 tolerance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.initializers import he_normal, zeros
-from repro.core.module import Module
-from repro.core.parameter import Parameter
-from repro.nn.im2col import col2im, im2col
+from repro.nn.conv import Conv2D
+from repro.nn.im2col import im2col
 from repro.nn.kernel_cache import PackedWeightCache
 
 # Winograd F(2x2, 3x3) transform matrices (Lavin & Gray 2015, sec. 4.1).
@@ -130,7 +129,7 @@ def winograd_multiplies(batch: int, out_channels: int, in_channels: int,
     return batch * out_channels * in_channels * th * tw * (tile + 2) ** 2
 
 
-class WinogradConv2D(Module):
+class WinogradConv2D(Conv2D):
     """3x3/stride-1 convolution computed with Winograd F(m x m, 3x3).
 
     Same weight layout and gradients as :class:`~repro.nn.conv.Conv2D`
@@ -149,27 +148,14 @@ class WinogradConv2D(Module):
     def __init__(self, in_channels: int, out_channels: int,
                  pad: Optional[int] = None, name: Optional[str] = None,
                  rng=None, tile_size: int = 2) -> None:
-        super().__init__(name=name or "wconv")
-        if in_channels <= 0 or out_channels <= 0:
-            raise ValueError("channels must be positive")
         if tile_size not in _TRANSFORMS:
             raise ValueError(
                 f"tile_size must be one of {sorted(_TRANSFORMS)}, "
                 f"got {tile_size}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = 3
-        self.stride = 1
+        super().__init__(in_channels, out_channels, 3, stride=1, pad=pad,
+                         name=name or "wconv", rng=rng)
         self.tile_size = tile_size
-        self.pad = 1 if pad is None else pad
-        if self.pad < 0:
-            raise ValueError(f"pad must be non-negative, got {self.pad}")
-        fan_in = in_channels * 9
-        self.weight = Parameter(
-            he_normal((out_channels, in_channels, 3, 3), fan_in, rng),
-            name="weight")
-        self.bias = Parameter(zeros(out_channels), name="bias")
-        self._cache: Optional[Tuple] = None
+        self._x: Optional[np.ndarray] = None
         self._upack = PackedWeightCache()
 
     def _transformed_filters(self) -> np.ndarray:
@@ -222,43 +208,16 @@ class WinogradConv2D(Module):
             .transpose(3, 2, 4, 0, 5, 1) \
             .reshape(n, self.out_channels, m * th, m * tw)
         out = y[:, :, :oh, :ow] + self.bias.data[None, :, None, None]
-        self._cache = (x,) if self.training else None
+        # Cache the input only: backward lowers it on demand, then is
+        # Conv2D's.
+        self._x = x if self.training else None
+        self._cache = None
         return np.ascontiguousarray(out.astype(np.float32))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Standard conv backward on the cached input (im2col path)."""
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        (x,) = self._cache
-        cols = im2col(x, 3, 3, 1, self.pad)
-        g = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (g.T @ cols).reshape(self.weight.data.shape)
-        self.bias.grad += g.sum(axis=0)
-        grad_cols = g @ w_mat
-        return col2im(grad_cols, x.shape, 3, 3, 1, self.pad)
-
-    # -- parameters / accounting -------------------------------------------
-    def params(self) -> List[Parameter]:
-        return [self.weight, self.bias]
-
-    def output_shape(self, input_shape):
-        c, h, w = input_shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} channels, got {c}")
-        return (self.out_channels, h + 2 * self.pad - 2, w + 2 * self.pad - 2)
-
-    def flops(self, batch: int, input_shape=None) -> int:
-        """Mathematical conv FLOPs (same attribution as a direct Conv2D)."""
-        if input_shape is None:
-            raise ValueError(
-                f"{self.name}: conv FLOPs depend on spatial size; pass "
-                "input_shape or use repro.flops.count_net")
-        _c, h, w = input_shape
-        oh, ow = h + 2 * self.pad - 2, w + 2 * self.pad - 2
-        macs = batch * self.out_channels * oh * ow * self.in_channels * 9
-        return 2 * macs + batch * self.out_channels * oh * ow
+        if self._x is not None:
+            self._cache = (self._x.shape, im2col(self._x, 3, 3, 1, self.pad))
+        return super().backward(grad_out)
 
     def multiply_reduction(self, batch: int, input_shape) -> float:
         """Direct-conv multiplies / Winograd multiplies for this layer."""

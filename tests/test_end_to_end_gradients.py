@@ -51,6 +51,24 @@ class TestHEPNetGradients:
             assert np.abs(p.grad).max() > 0
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_keeps_the_gradient_dtype_at_every_layer(self, rng,
+                                                              dtype):
+        """A float32 loss gradient walked back through the net is float32
+        at every layer (a pool dividing by integer counts once promoted
+        everything below pool4 to float64); float64 in stays float64."""
+        net = build_hep_net(in_channels=2, filters=4, rng=0)
+        x = rng.normal(size=(2, 2, 32, 32)).astype(dtype)
+        logits = net.forward(x)
+        assert logits.dtype == dtype
+        grad = rng.normal(size=logits.shape).astype(dtype)
+        net.zero_grad()
+        for layer in reversed(net.layers):
+            grad = layer.backward(grad)
+            assert grad.dtype == dtype, f"{layer.name} returned {grad.dtype}"
+        assert grad.shape == x.shape
+
+
 class TestClimateNetGradients:
     def test_composite_loss_input_gradient(self, rng):
         """Numeric vs analytic dL/dx through encoder + heads + decoder with

@@ -44,13 +44,14 @@ class TestSwapTrick:
 
 def scatter_reference(d, x):
     """The deconv forward written out as GEMM + ``col2im`` scatter — the
-    conv backward-data routine itself, independent of Deconv2D's layout."""
+    conv backward-data routine itself, in the lowering's per-image
+    ``(N, C*k*k, h*w)`` layout."""
     n, c = x.shape[:2]
     k, s, p = d.kernel_size, d.stride, d.pad
     out_shape = (n,) + d.output_shape(x.shape[1:])
-    x_mat = x.transpose(0, 2, 3, 1).reshape(-1, c)
+    x_mat = x.reshape(n, c, -1)
     w_mat = d.weight.data.reshape(c, -1)
-    return (col2im(x_mat @ w_mat, out_shape, k, k, s, p)
+    return (col2im(np.matmul(w_mat.T, x_mat), out_shape, k, k, s, p)
             + d.bias.data[None, :, None, None])
 
 
@@ -79,9 +80,28 @@ class TestAgainstScatterReference:
         out = d.forward(x)
         ref = scatter_reference(d, x)
         assert out.shape == ref.shape and out.flags.c_contiguous
-        # Same terms summed in the same order per element; only the
-        # GEMM's operand layout differs.
+        # Same terms summed in the same order per element.
         np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("k,s,pad", [(3, 1, 1), (4, 2, 1), (2, 3, 0),
+                                         (5, 2, 0)])
+    def test_forward_matches_direct_loops(self, rng, k, s, pad):
+        """Every (input pixel, tap) pair placed by hand: independent of
+        ``col2im`` and of the GEMM."""
+        d = Deconv2D(3, 2, k, stride=s, pad=pad, rng=5)
+        d.bias.data[...] = rng.normal(size=2).astype(np.float32)
+        x = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        out = d.forward(x)
+        full = np.zeros((2, 2, 3 * s + k, 4 * s + k))
+        for i in range(4):
+            for j in range(5):
+                # (N, C) x (C, F, k, k) -> (N, F, k, k)
+                full[:, :, i * s:i * s + k, j * s:j * s + k] += np.einsum(
+                    "nc,cfab->nfab", x[:, :, i, j], d.weight.data)
+        ref = (full[:, :, pad:pad + out.shape[2], pad:pad + out.shape[3]]
+               + d.bias.data[None, :, None, None])
+        assert out.dtype == np.float32 and not np.shares_memory(out, x)
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
     def test_in_place_weight_edit_changes_next_forward(self, rng):
         """No packed copy of the weights may outlive an in-place edit of a

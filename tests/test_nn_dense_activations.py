@@ -71,6 +71,31 @@ class TestReLU:
     def test_shape_preserved(self):
         assert ReLU().output_shape((128, 10, 10)) == (128, 10, 10)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_one_pass_equals_the_where_form(self, rng, dtype, training):
+        """Same function as ``np.where(x > 0, x, 0)`` on ties with zero,
+        signed zeros, infinities and NaN (which it maps to 0, as the
+        backward mask does); the input is neither written nor aliased."""
+        x = rng.normal(size=(4, 50)).astype(dtype)
+        x[0, :10] = [0.0, -0.0, np.inf, -np.inf, np.nan,
+                     np.nan, -0.0, 0.0, 1.0, -1.0]
+        before = x.copy()
+        r = ReLU()
+        r.train() if training else r.eval()
+        out = r.forward(x)
+        ref = np.where(x > 0, x, 0)
+        assert not np.isnan(ref).any()
+        np.testing.assert_array_equal(out, ref)
+        assert out.dtype == dtype and not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+        if training:
+            np.testing.assert_array_equal(r._mask, x > 0)
+            g = np.ones_like(x)
+            np.testing.assert_array_equal(r.backward(g), (x > 0).astype(dtype))
+        else:
+            assert r._mask is None
+
 
 class TestSigmoidTanh:
     def test_sigmoid_range_and_symmetry(self, rng):

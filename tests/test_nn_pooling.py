@@ -76,6 +76,99 @@ class TestMaxPoolBackward:
             MaxPool2D().backward(np.zeros((1, 1, 2, 2), dtype=np.float32))
 
 
+def _special_values(rng, shape, dtype=np.float32):
+    """Normals salted with ties, signed zeros, infinities and NaN."""
+    x = rng.normal(size=shape).astype(dtype).round(1)    # many exact ties
+    flat = x.reshape(-1)
+    picks = rng.choice(flat.size, size=flat.size // 5, replace=False)
+    flat[picks] = rng.choice(
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype),
+        size=picks.size)
+    return x
+
+
+def _blocks(x, k):
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // k, k, w // k, k)
+
+
+class TestFastPathIsTheStridedReduce:
+    """The row-then-column ``np.maximum`` passes are the same function as
+    ``blocks.max(axis=(3, 5))``, NaN propagation and tie-splitting
+    included."""
+
+    @pytest.mark.parametrize("k,shape", [(2, (2, 3, 8, 6)), (2, (3, 1, 2, 12)),
+                                         (3, (2, 2, 6, 9)), (4, (1, 2, 8, 4))])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_equals_reduce_on_special_values(self, rng, k, shape,
+                                                     training):
+        x = _special_values(rng, shape)
+        before = x.copy()
+        pool = MaxPool2D(k)
+        pool.train() if training else pool.eval()
+        assert pool._is_fast_path(*shape[2:])
+        with np.errstate(invalid="ignore"):
+            out = pool.forward(x)
+            ref = _blocks(x, k).max(axis=(3, 5))
+        assert np.isnan(ref).any() and np.isinf(ref).any()
+        np.testing.assert_array_equal(out, ref)      # NaN == NaN here
+        assert out.dtype == x.dtype and out.flags.c_contiguous
+        assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_train_mode_mask_and_counts_equal_the_sum_form(self, rng, k):
+        x = rng.integers(0, 3, size=(2, 3, 6 * k, 2 * k)).astype(np.float32)
+        pool = MaxPool2D(k).train()
+        out = pool.forward(x)
+        _, _, mask, counts = pool._cache
+        ref_mask = _blocks(x, k) == out[:, :, :, None, :, None]
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_array_equal(counts, ref_mask.sum(axis=(3, 5)))
+        assert counts.max() > 1                      # ties present
+        # ... so backward splits a tied window's gradient exactly as before.
+        g = rng.normal(size=out.shape).astype(np.float32)
+        ref = (ref_mask * (g[:, :, :, None, :, None]
+                           / ref_mask.sum(axis=(3, 5), keepdims=True))
+               ).reshape(x.shape)
+        np.testing.assert_allclose(pool.backward(g), ref, rtol=1e-6)
+
+    def test_kernel_one_is_a_copy(self, rng):
+        x = rng.normal(size=(1, 2, 3, 3)).astype(np.float32)
+        pool = MaxPool2D(1)
+        out = pool.forward(x)
+        np.testing.assert_array_equal(out, x)
+        assert not np.shares_memory(out, x)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        np.testing.assert_array_equal(pool.backward(g), g)
+
+    def test_general_path_still_takes_overlapping_and_ragged(self, rng):
+        """Kernel 3 / stride 2 and a 7x7 input under 2x2: windows compared
+        one by one."""
+        for k, s, hw in ((3, 2, 9), (2, 2, 7)):
+            x = rng.normal(size=(2, 2, hw, hw)).astype(np.float32)
+            pool = MaxPool2D(k, s)
+            assert not pool._is_fast_path(hw, hw)
+            out = pool.forward(x)
+            for i in range(out.shape[2]):
+                for j in range(out.shape[3]):
+                    window = x[:, :, i * s:i * s + k, j * s:j * s + k]
+                    np.testing.assert_array_equal(
+                        out[:, :, i, j], window.max(axis=(2, 3)))
+
+
+class TestBackwardDtype:
+    @pytest.mark.parametrize("k,stride,hw", [(2, 2, 8), (3, 3, 9), (3, 2, 9)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_keeps_its_dtype(self, rng, k, stride, hw, dtype):
+        """The winner counts are integers; dividing a float32 gradient by
+        them must not promote it (and everything below) to float64."""
+        pool = MaxPool2D(k, stride)
+        out = pool.forward(rng.normal(size=(2, 3, hw, hw)).astype(dtype))
+        gx = pool.backward(rng.normal(size=out.shape).astype(dtype))
+        assert gx.dtype == dtype
+
+
 class TestGlobalAvgPool:
     def test_value(self):
         x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
