@@ -32,16 +32,24 @@ def test_fft_conv_crossover(benchmark):
         return time.perf_counter() - t0
 
     def sweep():
-        rows = []
+        layers = []
         for k in (3, 7, 11, 15):
             pad = (k - 1) // 2
             gemm = Conv2D(8, 8, k, pad=pad, rng=1)
             fft = FFTConv2D(8, 8, k, pad=pad, rng=1)
             fft.weight.data[...] = gemm.weight.data
-            t_gemm = min(time_once(gemm) for _ in range(3))
-            t_fft = min(time_once(fft) for _ in range(3))
-            rows.append((k, t_gemm, t_fft))
-        return rows
+            layers.append((k, gemm, fft))
+        # Best of three rounds over the whole sweep, not of three calls per
+        # kernel: the host has slow phases of a few hundred ms (small GEMMs
+        # read 10x), and a phase then costs every kernel one sample instead
+        # of costing one kernel all of its samples.
+        best = {}
+        for _ in range(3):
+            for k, gemm, fft in layers:
+                t = best.get(k, (np.inf, np.inf))
+                best[k] = (min(t[0], time_once(gemm)),
+                           min(t[1], time_once(fft)))
+        return [(k, *best[k]) for k, _gemm, _fft in layers]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [(f"k={k}: GEMM vs FFT forward", "FFT wins at large k",

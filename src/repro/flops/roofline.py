@@ -40,6 +40,10 @@ def layer_bytes_moved(layer: LayerFlops, batch: int) -> int:
 
     Activations are read once and written once; weights are read once (they
     fit in cache across the spatial loop, but must come in at least once).
+    ``repro.nn``'s conv and deconv layers meet this on main memory since they
+    lower band by band (``nn.im2col``): the ``k*k``-fold column matrix lives
+    only in a reused cache-sized band buffer, never as a full array that is
+    written once and read back.
     """
     n_in = 1
     for d in layer.input_shape:

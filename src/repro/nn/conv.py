@@ -3,8 +3,13 @@
 The GEMM is ``W (F, C*k*k) @ cols (N, C*k*k, oh*ow)``: its ``(N, F, oh*ow)``
 result is the NCHW output after a free reshape, and the output gradient is
 consumed through the same free reshape, so neither pass transposes or
-re-packs an activation (``im2col._batch_matmul`` folds the batch into one
-GEMM only where an image has too few output positions to carry one).
+re-packs an activation. Lowering and GEMM are one call into ``nn.im2col``'s
+fused forms, which run them band by band over the output rows: forward is
+``lowered_matmul``, the data gradient ``matmul_col2im``, the weight gradient
+``lowered_outer``. A layer too big for one band therefore never holds its
+column matrix, in training or in eval: ``backward`` lowers the cached input
+again, a band at a time. Only a small layer goes in one shot, and its
+training forward keeps the columns it built.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from repro.core.initializers import he_normal, zeros
 from repro.core.module import Module
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
-    _batch_matmul, _batch_outer, col2im, conv_output_size, im2col)
+    conv_output_size, lowered_matmul, lowered_outer, matmul_col2im)
 from repro.utils.rng import SeedLike
 
 
@@ -57,35 +62,32 @@ class Conv2D(Module):
 
     # -- computation -------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        _n, c, _h, _w = x.shape
         if c != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected {self.in_channels} input channels, "
                 f"got {c}")
         k, s, p = self.kernel_size, self.stride, self.pad
-        oh = conv_output_size(h, k, s, p)
-        ow = conv_output_size(w, k, s, p)
-        cols = im2col(x, k, k, s, p)                     # (N, C*k*k, oh*ow)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = _batch_matmul(w_mat, cols)                 # (N, F, oh*ow)
-        out += self.bias.data[:, None]
-        # The im2col matrix is the layer's largest buffer; eval-mode forwards
-        # (inference serving) never run backward, so don't hold it alive.
-        self._cache = (x.shape, cols) if self.training else None
-        return out.reshape(n, self.out_channels, oh, ow)
+        out, cols = lowered_matmul(w_mat, x, k, k, s, p)  # (N, F, oh, ow)
+        out += self.bias.data[:, None, None]
+        # The one cache slot: the input, and the columns where the forward
+        # built them in one shot. Eval-mode forwards (inference serving)
+        # never run backward, so they pin nothing.
+        self._cache = (x, cols) if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        x_shape, cols = self._cache
+        x, cols = self._cache
         k, s, p = self.kernel_size, self.stride, self.pad
-        g = grad_out.reshape(x_shape[0], self.out_channels, -1)  # (N, F, oh*ow)
+        g = grad_out.reshape(x.shape[0], self.out_channels, -1)  # (N, F, oh*ow)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += _batch_outer(g, cols) \
+        self.weight.grad += lowered_outer(g, x, k, k, s, p, cols) \
             .reshape(self.weight.data.shape)
         self.bias.grad += g.sum(axis=(0, 2))
-        grad_cols = _batch_matmul(w_mat.T, g)            # (N, C*k*k, oh*ow)
-        return col2im(grad_cols, x_shape, k, k, s, p)
+        return matmul_col2im(w_mat.T, grad_out, x.shape, k, k, s, p)
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:

@@ -13,13 +13,15 @@ Concretely, with weights ``(in_channels, out_channels, kh, kw)``:
 This makes the deconv layers "perform very similarly to the corresponding
 convolution layers", which is the property Fig 5b relies on.
 
-Both passes use ``nn.im2col``'s per-image channel-major layout, so the swap is
-literal: forward is ``col2im(W^T @ x)`` on ``x`` viewed ``(N, C_in, h*w)`` —
-each kernel tap's contribution is ``N*F`` contiguous ``(h, w)`` blocks
-accumulated straight into the NCHW output — and backward-data is
-``W @ im2col(grad_out)``, already ``(N, C_in, h*w)``. No transposed copy of
-the input, the output or the input gradient is made. One implementation
-serves training and inference.
+Both passes use ``nn.im2col``'s per-image channel-major layout and its fused,
+banded forms, so the swap is literal: forward is ``matmul_col2im``,
+``col2im(W^T @ x)`` on ``x`` viewed ``(N, C_in, h*w)`` — the GEMM runs on a
+band of input rows and the band's ``k*k`` tap images are accumulated into the
+NCHW output while they are still in cache, so the ``(N, F*k*k, h*w)`` column
+matrix (``k*k`` times the output) is never built — and backward-data is
+``lowered_matmul``, ``W @ im2col(grad_out)``, already ``(N, C_in, h, w)``. No
+transposed copy of the input, the output or the input gradient is made. One
+implementation serves training and inference.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.core.initializers import he_normal, zeros
 from repro.core.module import Module
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
-    _batch_matmul, _batch_outer, col2im, deconv_output_size, im2col)
+    deconv_output_size, lowered_matmul, lowered_outer, matmul_col2im)
 from repro.utils.rng import SeedLike
 
 
@@ -84,11 +86,10 @@ class Deconv2D(Module):
         # The free .T view of the stored weights, not a packed copy:
         # nothing to cache or to go stale under in-place weight edits.
         w_mat = self.weight.data.reshape(c, -1)   # (C_in, F*k*k)
-        cols = _batch_matmul(w_mat.T, x.reshape(n, c, h * w))  # (N, F*k*k, h*w)
         # Tap (ki, kj) of input pixel (i, j) lands on output pixel
         # (i*s + ki - p, j*s + kj - p): exactly the conv's col2im scatter.
         # Adding the bias copies the cropped view into a contiguous output.
-        out = col2im(cols, out_shape, k, k, s, p) \
+        out = matmul_col2im(w_mat.T, x, out_shape, k, k, s, p) \
             + self.bias.data[:, None, None]
         # As in Conv2D: eval-mode forwards never run backward, so don't pin
         # the input in memory.
@@ -100,15 +101,15 @@ class Deconv2D(Module):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x = self._cache
-        n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.pad
-        g_cols = im2col(grad_out, k, k, s, p)     # (N, C_out*k*k, h*w)
-        w_mat = self.weight.data.reshape(c, -1)
+        w_mat = self.weight.data.reshape(self.in_channels, -1)
+        # (N, C_in, h, w), and grad_out's columns if one shot built them
+        grad_in, g_cols = lowered_matmul(w_mat, grad_out, k, k, s, p)
         # Weight gradient couples the input activations with gathered grads.
-        self.weight.grad += _batch_outer(x.reshape(n, c, h * w), g_cols) \
+        self.weight.grad += lowered_outer(x, grad_out, k, k, s, p, g_cols) \
             .reshape(self.weight.data.shape)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        return _batch_matmul(w_mat, g_cols).reshape(n, c, h, w)
+        return grad_in
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:

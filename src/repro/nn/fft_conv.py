@@ -9,27 +9,24 @@ research."
 :class:`FFTConv2D` is a drop-in replacement for :class:`repro.nn.Conv2D`
 whose forward pass evaluates the cross-correlation in the frequency domain
 (O(HW log HW) per channel pair instead of O(HW k^2)); the backward pass
-is ``Conv2D``'s own on the lazily lowered input, so gradients stay
+is ``Conv2D``'s own, inherited, on the cached input, so gradients stay
 bit-compatible with the GEMM path. The ablation benchmark measures where
 the FFT path's crossover sits in kernel size — the study the paper defers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from scipy import fft as sp_fft
 
 from repro.nn.conv import Conv2D
-from repro.nn.im2col import conv_output_size, im2col
+from repro.nn.im2col import conv_output_size
 
 
 class FFTConv2D(Conv2D):
     """Convolution layer with an FFT forward path."""
 
     kind = "conv"
-    _x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -55,14 +52,7 @@ class FFTConv2D(Conv2D):
         valid = full[:, :, k - 1:k - 1 + hp - k + 1, k - 1:k - 1 + wp - k + 1]
         out = valid[:, :, ::s, ::s][:, :, :oh, :ow].astype(np.float32)
         out += self.bias.data[None, :, None, None]
-        # Cache the input only: backward lowers it on demand, then is
-        # Conv2D's, so gradients are identical to the GEMM implementation.
-        self._x = x if self.training else None
-        self._cache = None
+        # Conv2D's cache slot with no columns: its backward lowers the input,
+        # so gradients are identical to the GEMM implementation.
+        self._cache = (x, None) if self.training else None
         return np.ascontiguousarray(out)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is not None:
-            k, s, p = self.kernel_size, self.stride, self.pad
-            self._cache = (self._x.shape, im2col(self._x, k, k, s, p))
-        return super().backward(grad_out)

@@ -11,14 +11,33 @@ channel-major, ``(N, C * kh * kw, out_h * out_w)``, so a conv is
 ``W @ cols``: a batched ``(F, C*kh*kw) x (C*kh*kw, out_h*out_w)`` GEMM whose
 ``(N, F, out_h*out_w)`` result already is NCHW. The gather and the scatter
 move runs of ``out_w`` floats, not ``kw``, and no transpose is needed on
-either side of the GEMM. This is the only layout in the tree: ``Conv2D``,
-``Deconv2D`` and the backward passes of the Winograd and FFT layers share it,
-and issue their GEMMs through ``_batch_matmul`` / ``_batch_outer`` below.
+either side of the GEMM. This is the only layout in the tree.
+
+The layers do not call ``im2col`` / ``col2im`` themselves. They call the
+three *fused* forms below, each a lowering and its GEMM in one function:
+
+- :func:`lowered_matmul`, ``W @ im2col(x)``: conv forward, deconv
+  backward-data;
+- :func:`matmul_col2im`, ``col2im(W^T @ g)``: deconv forward, conv
+  backward-data;
+- :func:`lowered_outer`, ``sum_n g[n] @ im2col(x)[n]^T``: the weight gradient
+  of both.
+
+A fused form runs over **bands** of output rows: the columns of a band are
+gathered into one reused buffer of about ``_BAND_BYTES``, multiplied, and
+(for ``matmul_col2im``) scattered while still in cache, so the full column
+matrix, ``k*k`` times the activation it lowers, is never built and an
+activation is read once and written once. Only a layer whose whole-batch
+columns are that small anyway, or whose images have too few columns to carry a
+GEMM of their own (``_FOLD_BELOW``), goes in one shot through ``im2col`` /
+``col2im`` and ``_batch_matmul`` / ``_batch_outer``. Which of the two happens
+is read from the operand shapes alone; training and inference run the same
+code.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +46,14 @@ import numpy as np
 #: weight operand (the paper ClimateNet's 4x4 and 8x8 layers hold up to 95 MB
 #: of weights against 16-64 columns), so the batch shares one GEMM instead.
 _FOLD_BELOW = 128
+
+#: Column bytes a band of a fused lowering gathers at a time. 1-16 MiB
+#: measure alike on the large layers (the ClimateNet decoder, HEP ``conv2``);
+#: 128-512 KiB lose 10-100 % on mid-size ones to per-band call overhead.
+_BAND_BYTES = 4 << 20
+
+#: ``(first image, end image, first output row, end output row)`` of one band
+_Band = Tuple[int, int, int, int]
 
 
 def _batch_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,23 +95,44 @@ def deconv_output_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-           pad: int) -> np.ndarray:
-    """Lower ``(N, C, H, W)`` into ``(N, C*kh*kw, oh*ow)`` patch columns."""
+# -- the lowering and its adjoint --------------------------------------------
+
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int,
+             pad: int) -> np.ndarray:
+    """Zero-copy ``(N, C, kh, kw, oh, ow)`` view of the zero-padded ``x``:
+    tap ``(i, j)`` of every patch is one strided ``(oh, ow)`` image."""
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     sn, sc, sh, sw = x.strides
-    # Tap (i, j) of every patch is one strided (oh, ow) image; the reshape is
-    # the only copy (none at all for a 1x1/stride-1 kernel).
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
         shape=(n, c, kh, kw, oh, ow),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
+
+
+def _scatter_add(out: np.ndarray, cols6: np.ndarray, stride: int) -> None:
+    """``out[:, :, y*stride + i, x*stride + j] += cols6[:, :, i, j, y, x]``."""
+    _, _, kh, kw, oh, ow = cols6.shape
+    # Loop only over the (small) kernel footprint; each iteration is a fully
+    # vectorized strided add over all patch positions.
+    for i in range(kh):
+        i_end = i + stride * oh
+        for j in range(kw):
+            j_end = j + stride * ow
+            out[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j]
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
+           pad: int) -> np.ndarray:
+    """Lower ``(N, C, H, W)`` into ``(N, C*kh*kw, oh*ow)`` patch columns."""
+    view = _patches(x, kh, kw, stride, pad)
+    n, c, _, _, oh, ow = view.shape
+    # The reshape is the only copy (none at all for a 1x1/stride-1 kernel).
     return view.reshape(n, c * kh * kw, oh * ow)
 
 
@@ -102,15 +150,149 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
     expected = (n, c * kh * kw, oh * ow)
     if cols.shape != expected:
         raise ValueError(f"cols shape {cols.shape} != expected {expected}")
-    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
     out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    # Loop only over the (small) kernel footprint; each iteration is a fully
-    # vectorized strided add over all patch positions.
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            out[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j]
+    _scatter_add(out, cols.reshape(n, c, kh, kw, oh, ow), stride)
     if pad:
         out = out[:, :, pad:-pad, pad:-pad]
     return out
+
+
+# -- the fused, banded forms the layers call ---------------------------------
+
+def _bands(n: int, rows: int, oh: int, ow: int,
+           itemsize: int) -> Optional[List[_Band]]:
+    """Cut the ``(n, rows, oh*ow)`` columns of a layer into bands of about
+    ``_BAND_BYTES``; ``None`` when the layer goes in one shot."""
+    row_bytes = rows * ow * itemsize
+    if n * oh * row_bytes <= _BAND_BYTES or oh * ow < _FOLD_BELOW:
+        return None
+    # A band, like an image, needs _FOLD_BELOW columns to pay for streaming
+    # the weights, however many bytes that takes.
+    height = max(_BAND_BYTES // row_bytes, -(-_FOLD_BELOW // ow))
+    if height >= oh:
+        step = height // oh                       # whole images per band
+        return [(i, min(i + step, n), 0, oh) for i in range(0, n, step)]
+    height = -(-oh // -(-oh // height))           # even out a ragged tail
+    return [(i, i + 1, r, min(r + height, oh))
+            for i in range(n) for r in range(0, oh, height)]
+
+
+def _lowering_bands(x: np.ndarray, kh: int, kw: int, stride: int,
+                    pad: int) -> Optional[List[_Band]]:
+    """The bands ``x`` is lowered in (``None``: one shot)."""
+    if kh == kw == stride == 1 and not pad:
+        return None                 # the columns are a view of x: no bytes
+    n, c, h, w = x.shape
+    return _bands(n, c * kh * kw, conv_output_size(h, kh, stride, pad),
+                  conv_output_size(w, kw, stride, pad), x.itemsize)
+
+
+def _band_buffer(bands: List[_Band], rows: int, ow: int,
+                 dtype) -> np.ndarray:
+    """Flat scratch that holds the columns of any one of ``bands`` (the
+    first is the largest); every band reuses it."""
+    i0, i1, r0, r1 = bands[0]
+    return np.empty((i1 - i0) * rows * (r1 - r0) * ow, dtype)
+
+
+def _band_cols(buf: np.ndarray, band: _Band, rows: int,
+               ow: int) -> np.ndarray:
+    """The front of ``buf`` as the ``(nb, rows, P)`` columns of ``band``."""
+    i0, i1, r0, r1 = band
+    shape = (i1 - i0, rows, (r1 - r0) * ow)
+    return buf[:shape[0] * shape[1] * shape[2]].reshape(shape)
+
+
+def _gather(buf: np.ndarray, patches: np.ndarray, band: _Band) -> np.ndarray:
+    """im2col of one band of ``patches`` into ``buf``: ``(nb, C*kh*kw, P)``."""
+    i0, i1, r0, r1 = band
+    src = patches[i0:i1, :, :, :, r0:r1]
+    _, c, kh, kw, _, ow = src.shape
+    cols = _band_cols(buf, band, c * kh * kw, ow)
+    np.copyto(cols.reshape(src.shape), src)
+    return cols
+
+
+def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
+                   stride: int, pad: int
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``a (M, C*kh*kw) @ im2col(x)`` as an ``(N, M, oh, ow)`` image.
+
+    Also returns the columns when the layer went in one shot and so built
+    them (a training forward keeps them for :func:`lowered_outer`), else
+    ``None``.
+    """
+    n, c, h, w = x.shape
+    bands = _lowering_bands(x, kh, kw, stride, pad)
+    if bands is None:
+        oh = conv_output_size(h, kh, stride, pad)
+        cols = im2col(x, kh, kw, stride, pad)
+        return _batch_matmul(a, cols).reshape(n, a.shape[0], oh, -1), cols
+    patches = _patches(x, kh, kw, stride, pad)
+    oh, ow = patches.shape[4:]
+    out = np.empty((n, a.shape[0], oh * ow), dtype=np.result_type(a, x))
+    buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
+    for band in bands:
+        i0, i1, r0, r1 = band
+        # Each band's product lands in its slice of the NCHW output.
+        np.matmul(a, _gather(buf, patches, band),
+                  out=out[i0:i1, :, r0 * ow:r1 * ow])
+    return out.reshape(n, a.shape[0], oh, ow), None
+
+
+def matmul_col2im(a: np.ndarray, g: np.ndarray,
+                  x_shape: Tuple[int, int, int, int], kh: int, kw: int,
+                  stride: int, pad: int) -> np.ndarray:
+    """``col2im(a (C*kh*kw, M) @ g)`` for ``g (N, M, oh, ow)``: an image of
+    ``x_shape``, each band of columns scattered while it is still in cache."""
+    n, c, h, w = x_shape
+    oh = conv_output_size(h, kh, stride, pad)
+    ow = conv_output_size(w, kw, stride, pad)
+    if g.shape[0] != n or g.shape[2:] != (oh, ow):
+        raise ValueError(
+            f"g shape {g.shape} does not lower an image of {x_shape}")
+    g = g.reshape(n, -1, oh * ow)
+    dtype = np.result_type(a, g)
+    rows = c * kh * kw
+    bands = _bands(n, rows, oh, ow, dtype.itemsize)
+    if bands is None:
+        return col2im(_batch_matmul(a, g), x_shape, kh, kw, stride, pad)
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
+    buf = _band_buffer(bands, rows, ow, dtype)
+    for band in bands:
+        i0, i1, r0, r1 = band
+        cols = _band_cols(buf, band, rows, ow)
+        np.matmul(a, g[i0:i1, :, r0 * ow:r1 * ow], out=cols)
+        _scatter_add(out[i0:i1, :, r0 * stride:],
+                     cols.reshape(-1, c, kh, kw, r1 - r0, ow), stride)
+    if pad:
+        out = out[:, :, pad:-pad, pad:-pad]
+    return out
+
+
+def lowered_outer(g: np.ndarray, x: np.ndarray, kh: int, kw: int,
+                  stride: int, pad: int,
+                  cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """``sum_n g[n] @ im2col(x)[n].T`` for ``g (N, M, oh, ow)``: the
+    ``(M, C*kh*kw)`` weight gradient. ``cols`` are ``x``'s columns where a
+    one-shot :func:`lowered_matmul` already built them."""
+    n, c, _, _ = x.shape
+    g = g.reshape(n, g.shape[1], -1)
+    bands = _lowering_bands(x, kh, kw, stride, pad) \
+        if cols is None else None
+    if bands is None:
+        if cols is None:
+            cols = im2col(x, kh, kw, stride, pad)
+        return _batch_outer(g, cols)
+    patches = _patches(x, kh, kw, stride, pad)
+    oh, ow = patches.shape[4:]
+    if g.shape[2] != oh * ow:
+        raise ValueError(f"g has {g.shape[2]} positions per image, the "
+                         f"lowering of {x.shape} has {oh * ow}")
+    acc = np.zeros((g.shape[1], c * kh * kw), dtype=np.result_type(g, x))
+    buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
+    for band in bands:
+        i0, i1, r0, r1 = band
+        acc += _batch_outer(g[i0:i1, :, r0 * ow:r1 * ow],
+                            _gather(buf, patches, band))
+    return acc

@@ -20,8 +20,8 @@ becomes alpha^2 batched (F, C) x (C, tiles) GEMMs — one per transform-domain
 position.
 
 The layer is a 3x3/stride-1 :class:`Conv2D` with another forward: identical
-parameters and accounting, identical gradients (backward is ``Conv2D``'s own
-on the lazily lowered input — gradient math does not depend on the forward
+parameters and accounting, identical gradients (backward is ``Conv2D``'s own,
+inherited, on the cached input — gradient math does not depend on the forward
 algorithm), and a forward pass that agrees with the direct computation to
 fp32 tolerance.
 """
@@ -33,7 +33,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.nn.conv import Conv2D
-from repro.nn.im2col import im2col
 from repro.nn.kernel_cache import PackedWeightCache
 
 # Winograd F(2x2, 3x3) transform matrices (Lavin & Gray 2015, sec. 4.1).
@@ -155,7 +154,6 @@ class WinogradConv2D(Conv2D):
         super().__init__(in_channels, out_channels, 3, stride=1, pad=pad,
                          name=name or "wconv", rng=rng)
         self.tile_size = tile_size
-        self._x: Optional[np.ndarray] = None
         self._upack = PackedWeightCache()
 
     def _transformed_filters(self) -> np.ndarray:
@@ -208,16 +206,9 @@ class WinogradConv2D(Conv2D):
             .transpose(3, 2, 4, 0, 5, 1) \
             .reshape(n, self.out_channels, m * th, m * tw)
         out = y[:, :, :oh, :ow] + self.bias.data[None, :, None, None]
-        # Cache the input only: backward lowers it on demand, then is
-        # Conv2D's.
-        self._x = x if self.training else None
-        self._cache = None
+        # Conv2D's cache slot with no columns: its backward lowers the input.
+        self._cache = (x, None) if self.training else None
         return np.ascontiguousarray(out.astype(np.float32))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is not None:
-            self._cache = (self._x.shape, im2col(self._x, 3, 3, 1, self.pad))
-        return super().backward(grad_out)
 
     def multiply_reduction(self, batch: int, input_shape) -> float:
         """Direct-conv multiplies / Winograd multiplies for this layer."""

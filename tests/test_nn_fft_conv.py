@@ -103,7 +103,7 @@ class TestBackwardBitCompatibility:
         fft, _ = _paired(2, 2, 3)
         fft.eval()
         fft.forward(rng.normal(size=(1, 2, 8, 8)).astype(np.float32))
-        assert fft._cache is None and fft._x is None
+        assert fft._cache is None
 
     def test_grad_accumulates(self, rng):
         """Two backward passes accumulate like Conv2D (+=, not =)."""

@@ -1,8 +1,13 @@
-"""im2col/col2im: shapes, values, the adjoint property, and Conv2D on top of
-the lowering against a convolution written out as nested loops.
+"""im2col/col2im: shapes, values, the adjoint property, Conv2D on top of
+the lowering against a convolution written out as nested loops, and the
+banded fused forms against the same layers run in one shot.
 
 Columns are per-image and channel-major: ``cols[n, (c, i, j), (y, x)]`` is
 tap ``(i, j)`` of channel ``c`` in the patch at output position ``(y, x)``."""
+
+import contextlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.conv import Conv2D
+from repro.nn.deconv import Deconv2D
 from repro.nn.im2col import (
-    _FOLD_BELOW, _batch_matmul, _batch_outer, col2im, conv_output_size,
-    deconv_output_size, im2col)
+    _BAND_BYTES, _FOLD_BELOW, _bands, _batch_matmul, _batch_outer, col2im,
+    conv_output_size, deconv_output_size, im2col)
+
+#: the module itself (``repro.nn.im2col`` the attribute is the function)
+lowering = sys.modules["repro.nn.im2col"]
 
 
 class TestOutputSizes:
@@ -267,3 +276,192 @@ class TestConvOnTheLowering:
         assert abs(w_dot - lhs) < 1e-3 * max(1.0, abs(lhs))
         np.testing.assert_allclose(conv.bias.grad, g.sum(axis=(0, 2, 3)),
                                    rtol=1e-4, atol=1e-4)
+
+
+@contextlib.contextmanager
+def budget(band_bytes, fold_below=_FOLD_BELOW):
+    """Run with the band budget (and the fold threshold) turned down, so
+    test-sized layers band the way 100 MB ones do."""
+    saved = lowering._BAND_BYTES, lowering._FOLD_BELOW
+    lowering._BAND_BYTES, lowering._FOLD_BELOW = band_bytes, fold_below
+    try:
+        yield
+    finally:
+        lowering._BAND_BYTES, lowering._FOLD_BELOW = saved
+
+
+def train_step(layer_cls, shape, f, k, stride, pad, dtype, seed):
+    """One training forward + backward of a freshly seeded layer:
+    ``(output, grad_in, weight.grad, bias.grad, kept columns)``."""
+    rng = np.random.default_rng(seed)
+    layer = layer_cls(shape[1], f, k, stride=stride, pad=pad, rng=seed)
+    layer.bias.data[...] = rng.normal(size=f).astype(np.float32)
+    x = rng.normal(size=shape).astype(dtype)
+    out = layer.forward(x)
+    kept = layer._cache[1] if layer_cls is Conv2D else None
+    grad_in = layer.backward(rng.normal(size=out.shape).astype(dtype))
+    return out, grad_in, layer.weight.grad, layer.bias.grad, kept
+
+
+class TestBands:
+    """``_bands`` cuts ``(n, rows, oh*ow)`` columns by the byte budget."""
+
+    ROW = 10 * 8 * 4            # bytes of one output row: rows=10, ow=8, f32
+
+    def bands(self, n, oh, band_bytes, fold_below=1):
+        with budget(band_bytes, fold_below):
+            return _bands(n, 10, oh, 8, 4)
+
+    def test_whole_batch_that_fits_goes_in_one_shot(self):
+        assert self.bands(3, 7, 3 * 7 * self.ROW) is None
+        assert self.bands(3, 7, 3 * 7 * self.ROW - 1) is not None
+
+    def test_an_image_below_the_fold_is_never_banded(self):
+        # 7 rows of 8 columns = 56 < 57: one shot at any budget, so the
+        # weights are streamed once for the whole batch (_batch_matmul).
+        assert self.bands(3, 7, 1, fold_below=57) is None
+        assert self.bands(3, 7, 1, fold_below=56) is not None
+        with budget(1):
+            assert _bands(8, 10**4, 11, 11, 4) is None      # 121 columns
+            assert _bands(8, 10**4, 12, 12, 4) is not None  # 144
+
+    def test_one_row_bands(self):
+        assert self.bands(2, 3, 1) == [
+            (0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3),
+            (1, 2, 0, 1), (1, 2, 1, 2), (1, 2, 2, 3)]
+
+    def test_ragged_last_band_is_evened_out(self):
+        # Room for 5 rows, 7 to cut: 4 + 3, not 5 + 2.
+        assert self.bands(1, 7, 5 * self.ROW) == [(0, 1, 0, 4), (0, 1, 4, 7)]
+        assert self.bands(1, 7, 3 * self.ROW) == [
+            (0, 1, 0, 3), (0, 1, 3, 6), (0, 1, 6, 7)]
+
+    def test_small_images_band_in_groups(self):
+        # Room for two whole 4-row images and a bit: 3 images go 2 + 1.
+        assert self.bands(3, 4, 9 * self.ROW) == [(0, 2, 0, 4), (2, 3, 0, 4)]
+
+    def test_a_band_has_fold_below_columns_whatever_the_budget(self):
+        # 20 columns at 8 a row: 3-row bands although the budget says 1.
+        assert self.bands(1, 6, 1, fold_below=20) == [
+            (0, 1, 0, 3), (0, 1, 3, 6)]
+
+
+class TestBandedEqualsOneShot:
+    """A layer cut into bands computes what the same layer computes in one
+    shot: forward, ``grad_in``, ``weight.grad``, ``bias.grad``, to
+    summation-order tolerance and in the same dtypes."""
+
+    @staticmethod
+    def check(layer_cls, shape, f, k, stride, pad, dtype, seed, band_bytes):
+        args = (layer_cls, shape, f, k, stride, pad, dtype, seed)
+        with budget(1 << 40):
+            ref = train_step(*args)
+        with budget(band_bytes, fold_below=1):
+            got = train_step(*args)
+        if layer_cls is Conv2D:
+            assert ref[4] is not None       # one shot keeps its columns
+        tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 \
+            else dict(rtol=1e-10, atol=1e-10)
+        for a, b in zip(got[:4], ref[:4]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_allclose(a, b, **tol)
+        return got
+
+    @settings(max_examples=80, deadline=None)
+    @given(layer_cls=st.sampled_from([Conv2D, Deconv2D]),
+           f=st.integers(1, 4),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           band_bytes=st.sampled_from([1, 300, 1000, 3000, 10000, 40000]),
+           **_geometry)
+    def test_generated_geometries(self, layer_cls, n, c, h, w, k, stride,
+                                  pad, seed, f, dtype, band_bytes):
+        if layer_cls is Conv2D:
+            if min(h, w) + 2 * pad < k:
+                return
+        elif (min(h, w) - 1) * stride - 2 * pad + k <= 0:
+            return
+        self.check(layer_cls, (n, c, h, w), f, k, stride, pad, dtype, seed,
+                   band_bytes)
+
+    @pytest.mark.parametrize("layer_cls", [Conv2D, Deconv2D])
+    @pytest.mark.parametrize("band_bytes", [
+        1,          # one-row bands
+        1100,       # one or two rows (conv: 2+2+2+2+1 of 9)
+        12000,      # whole images (conv: 2+1 of 3)
+    ])
+    def test_band_shapes_each_exercised(self, layer_cls, band_bytes):
+        got = self.check(layer_cls, (3, 2, 9, 7), 3, 3, 1, 1, np.float32, 5,
+                         band_bytes)
+        assert got[4] is None               # banded: only x is cached
+
+    def test_stride_that_does_not_divide(self):
+        """(H + 2p - k) % stride != 0: the last input rows feed no output
+        row, and no band may read or write them."""
+        for h, k, s, p in [(8, 3, 2, 0), (10, 4, 3, 1), (9, 2, 3, 0)]:
+            assert (h + 2 * p - k) % s != 0
+            for band_bytes in (1, 700):
+                self.check(Conv2D, (2, 2, h, h + 1), 3, k, s, p, np.float64,
+                           h, band_bytes)
+
+    @pytest.mark.parametrize("layer_cls", [Conv2D, Deconv2D])
+    def test_image_below_the_fold_is_bit_equal_at_any_budget(self, layer_cls):
+        """11x11 = 121 columns < _FOLD_BELOW: never banded, so a one-byte
+        budget changes nothing, and a conv keeps the columns it built."""
+        args = (layer_cls, (3, 2, 11, 11), 4, 3, 1, 1, np.float32, 9)
+        ref = train_step(*args)
+        with budget(1):
+            got = train_step(*args)
+        for a, b in zip(got[:4], ref[:4]):
+            np.testing.assert_array_equal(a, b)
+        if layer_cls is Conv2D:
+            assert got[4] is not None
+            with budget(1):
+                banded = train_step(layer_cls, (3, 2, 12, 12), 4, 3, 1, 1,
+                                    np.float32, 9)
+            assert banded[4] is None        # 144 columns: banded
+
+    def test_one_by_one_conv_columns_are_the_input(self):
+        """A 1x1/stride-1 lowering is a view of ``x``: nothing to band."""
+        with budget(1, fold_below=1):
+            *_, kept = train_step(Conv2D, (2, 3, 12, 12), 4, 1, 1, 0,
+                                  np.float32, 2)
+        assert kept is not None
+
+
+class TestBandedMemory:
+    """A layer whose column matrix would be 72 MiB peaks at its activations
+    plus a few bands, in eval and in training: no column-matrix term."""
+
+    SHAPE = (2, 16, 256, 256)
+    COLS = 2 * 16 * 9 * 256 * 256 * 4
+
+    @staticmethod
+    def peak_of(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] - before, result
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("layer_cls", [Conv2D, Deconv2D])
+    def test_peak_has_no_column_term(self, layer_cls):
+        assert self.COLS >= 64 << 20
+        rng = np.random.default_rng(0)
+        layer = layer_cls(16, 16, 3, stride=1, pad=1, rng=0)
+        x = rng.normal(size=self.SHAPE).astype(np.float32)
+        g = rng.normal(size=self.SHAPE).astype(np.float32)
+        padded = 2 * 16 * 258 * 258 * 4
+        # input + output + one padded image + a few bands
+        bound = x.nbytes + g.nbytes + padded + 3 * _BAND_BYTES
+        assert bound < self.COLS / 1.5
+
+        layer.eval()
+        peak, _ = self.peak_of(lambda: layer.forward(x))
+        assert peak < bound, f"eval forward peaked at {peak >> 20} MiB"
+
+        layer.train()
+        peak, _ = self.peak_of(
+            lambda: (layer.forward(x), layer.backward(g)))
+        assert peak < bound, f"train step peaked at {peak >> 20} MiB"

@@ -7,6 +7,10 @@ import pytest
 
 from repro.models import build_hep_net
 from repro.models.climate import build_climate_net
+from repro.nn.conv import Conv2D
+from repro.nn.deconv import Deconv2D
+from repro.nn.fft_conv import FFTConv2D
+from repro.nn.winograd import WinogradConv2D
 from repro.serve import (
     MMPP,
     BatchExecutor,
@@ -241,6 +245,32 @@ class TestBatchExecutor:
         assert block.conv1._cache is None and block.relu1._mask is None
         net.train()
         assert block.conv1.training and block.relu1.training
+
+    @pytest.mark.parametrize("build, shape", [
+        (lambda: Conv2D(3, 4, 3, rng=0), (2, 3, 12, 12)),
+        (lambda: Deconv2D(3, 4, 4, stride=2, rng=0), (2, 3, 8, 8)),
+        (lambda: WinogradConv2D(3, 4, rng=0), (2, 3, 12, 12)),
+        (lambda: FFTConv2D(3, 4, 3, rng=0), (2, 3, 12, 12)),
+        # more than one band of columns: training caches the input alone
+        (lambda: Conv2D(8, 8, 3, rng=0), (1, 8, 128, 128)),
+        (lambda: Deconv2D(8, 8, 4, stride=2, rng=0), (1, 8, 96, 96)),
+    ], ids=["conv", "deconv", "winograd", "fft", "banded-conv",
+            "banded-deconv"])
+    def test_frozen_after_training_drops_the_training_batch(self, build,
+                                                            shape, rng):
+        """A replica that was trained and then frozen must not keep its last
+        training batch alive: a conv-family layer has one cache slot, and
+        every eval forward clears it."""
+        layer = build()
+        x = rng.normal(size=shape).astype(np.float32)
+        layer.train()
+        layer.forward(x)
+        assert layer._cache is not None
+        layer.eval()
+        layer.forward(x)
+        assert layer._cache is None
+        assert not any(isinstance(v, (np.ndarray, tuple))
+                       for v in vars(layer).values())
 
 
 class TestModelRegistry:
