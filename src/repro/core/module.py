@@ -24,6 +24,12 @@ class Module:
 
     #: human-readable layer-type tag, overridden by subclasses
     kind: str = "module"
+    #: input rows per output row when a layer is *band-local* (any band of
+    #: whole output rows of its NCHW result depends only on the matching
+    #: input rows, and an eval forward keeps no state), else 0
+    band_rows: int = 0
+    #: whether ``forward(x, then)`` also runs a run of band-local followers
+    takes_followers: bool = False
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or self.__class__.__name__.lower()
@@ -152,6 +158,13 @@ class Module:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}(name={self.name!r})"
+
+
+def run_layers(layers, x: np.ndarray) -> np.ndarray:
+    """``x`` through ``layers``, one whole tensor at a time."""
+    for layer in layers:
+        x = layer.forward(x)
+    return x
 
 
 from repro.core.parameter import Parameter  # noqa: E402  (cycle-free re-export)

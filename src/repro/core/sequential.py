@@ -16,6 +16,14 @@ class Sequential(Module):
     Both paper networks are (per-branch) pure feed-forward stacks, so a
     sequential container plus the small multi-head wrapper in
     :mod:`repro.models.climate` covers everything in Table II.
+
+    An eval forward runs in **fused groups**: a layer that takes followers
+    (a ``Conv2D``) is handed the run of band-local layers behind it
+    (``Module.band_rows``: ``ReLU``, a non-overlapping ``MaxPool2D``) and
+    applies their own ``forward`` to each band of its output while that is
+    in cache, so only the group's last activation is ever written. The
+    result is the layer-by-layer one. A training forward is never grouped:
+    its followers keep whole-tensor masks for ``backward``.
     """
 
     kind = "sequential"
@@ -41,8 +49,17 @@ class Sequential(Module):
 
     # -- computation -------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
+        layers, i = self.layers, 0
+        while i < len(layers):
+            layer, j = layers[i], i + 1
+            if layer.takes_followers and not self.training:
+                while j < len(layers) and layers[j].band_rows:
+                    j += 1
+            # ``then`` only where there is one: a one-argument ``forward``
+            # shadowing a layer's own stays callable everywhere else.
+            x = layer.forward(x, layers[i + 1:j]) if j > i + 1 \
+                else layer.forward(x)
+            i = j
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

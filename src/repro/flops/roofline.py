@@ -44,6 +44,12 @@ def layer_bytes_moved(layer: LayerFlops, batch: int) -> int:
     lower band by band (``nn.im2col``): the ``k*k``-fold column matrix lives
     only in a reused cache-sized band buffer, never as a full array that is
     written once and read back.
+
+    Inside a fused eval group (``core.Sequential``: a conv, then ``ReLU`` /
+    non-overlapping max-pool applied to each band of its output) the
+    intermediate activations never reach main memory at all: only the conv's
+    input and the group's last output do. The per-layer sum is an upper
+    bound on the group's traffic there, and exact in training.
     """
     n_in = 1
     for d in layer.input_shape:

@@ -31,6 +31,7 @@ class ReLU(Module):
     """Rectified linear unit [33, 34] — the paper's activation throughout."""
 
     kind = "activation"
+    band_rows = 1  # elementwise
 
     def __init__(self, name: Optional[str] = None) -> None:
         super().__init__(name=name or "relu")

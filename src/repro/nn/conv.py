@@ -10,16 +10,23 @@ fused forms, which run them band by band over the output rows: forward is
 column matrix, in training or in eval: ``backward`` lowers the cached input
 again, a band at a time. Only a small layer goes in one shot, and its
 training forward keeps the columns it built.
+
+In eval, ``forward(x, then)`` is the head of a **fused group**: bias and the
+band-local layers ``then`` (``core.Sequential`` collects them) are applied
+to each band of GEMM output by their own ``forward``, and only what the last
+of them returns is stored. The first-touch page faults of a fresh 51 MB
+output cost HEP ``conv1`` twice its GEMM; its group now writes 12.8 MB.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.initializers import he_normal, zeros
-from repro.core.module import Module
+from repro.core.module import Module, run_layers
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
     conv_output_size, lowered_matmul, lowered_outer, matmul_col2im)
@@ -35,6 +42,7 @@ class Conv2D(Module):
     """
 
     kind = "conv"
+    takes_followers = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, pad: Optional[int] = None,
@@ -61,21 +69,37 @@ class Conv2D(Module):
         self._cache: Optional[Tuple] = None
 
     # -- computation -------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        _n, c, _h, _w = x.shape
+    def forward(self, x: np.ndarray, then: Sequence[Module] = ()
+                ) -> np.ndarray:
+        """The convolution of ``x``; with ``then`` (band-local layers, see
+        ``Module.band_rows``) what those make of it, layer by layer."""
+        _n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected {self.in_channels} input channels, "
                 f"got {c}")
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.out_channels, -1)
+        bias = self.bias.data[:, None, None]
+        f = math.prod(layer.band_rows for layer in then)
+        # Fuse only an eval forward (training followers keep whole-tensor
+        # masks) whose pools stay off their ragged path.
+        if then and f and not (self.training
+                               or conv_output_size(h, k, s, p) % f
+                               or conv_output_size(w, k, s, p) % f):
+            def epilogue(band: np.ndarray) -> np.ndarray:
+                band += bias
+                return run_layers(then, band)
+
+            self._cache = None
+            return lowered_matmul(w_mat, x, k, k, s, p, epilogue, f)[0]
         out, cols = lowered_matmul(w_mat, x, k, k, s, p)  # (N, F, oh, ow)
-        out += self.bias.data[:, None, None]
+        out += bias
         # The one cache slot: the input, and the columns where the forward
         # built them in one shot. Eval-mode forwards (inference serving)
         # never run backward, so they pin nothing.
         self._cache = (x, cols) if self.training else None
-        return out
+        return run_layers(then, out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:

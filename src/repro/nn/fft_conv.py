@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as sp_fft
 
+from repro.core.module import run_layers
 from repro.nn.conv import Conv2D
 from repro.nn.im2col import conv_output_size
 
@@ -28,7 +29,7 @@ class FFTConv2D(Conv2D):
 
     kind = "conv"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, then=()) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(
@@ -55,4 +56,4 @@ class FFTConv2D(Conv2D):
         # Conv2D's cache slot with no columns: its backward lowers the input,
         # so gradients are identical to the GEMM implementation.
         self._cache = (x, None) if self.training else None
-        return np.ascontiguousarray(out)
+        return run_layers(then, np.ascontiguousarray(out))

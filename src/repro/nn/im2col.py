@@ -33,11 +33,18 @@ GEMM of their own (``_FOLD_BELOW``), goes in one shot through ``im2col`` /
 ``col2im`` and ``_batch_matmul`` / ``_batch_outer``. Which of the two happens
 is read from the operand shapes alone; training and inference run the same
 code.
+
+``lowered_matmul`` also takes an ``epilogue``: an eval ``Conv2D`` passes its
+bias add and the band-local layers behind it (ReLU, a non-overlapping
+max-pool), and each band of GEMM output goes through them while it is in
+cache, so the conv's own output is never an array. Such a band is budgeted
+for the output rows it holds next to its columns and is a whole number of
+pool windows high; without an epilogue nothing differs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -159,10 +166,11 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
 
 # -- the fused, banded forms the layers call ---------------------------------
 
-def _bands(n: int, rows: int, oh: int, ow: int,
-           itemsize: int) -> Optional[List[_Band]]:
+def _bands(n: int, rows: int, oh: int, ow: int, itemsize: int,
+           multiple: int = 1) -> Optional[List[_Band]]:
     """Cut the ``(n, rows, oh*ow)`` columns of a layer into bands of about
-    ``_BAND_BYTES``; ``None`` when the layer goes in one shot."""
+    ``_BAND_BYTES``, a ``multiple`` of output rows high (``oh`` is one);
+    ``None`` when the layer goes in one shot."""
     row_bytes = rows * ow * itemsize
     if n * oh * row_bytes <= _BAND_BYTES or oh * ow < _FOLD_BELOW:
         return None
@@ -173,18 +181,22 @@ def _bands(n: int, rows: int, oh: int, ow: int,
         step = height // oh                       # whole images per band
         return [(i, min(i + step, n), 0, oh) for i in range(0, n, step)]
     height = -(-oh // -(-oh // height))           # even out a ragged tail
+    height = -(-height // multiple) * multiple
     return [(i, i + 1, r, min(r + height, oh))
             for i in range(n) for r in range(0, oh, height)]
 
 
-def _lowering_bands(x: np.ndarray, kh: int, kw: int, stride: int,
-                    pad: int) -> Optional[List[_Band]]:
-    """The bands ``x`` is lowered in (``None``: one shot)."""
+def _lowering_bands(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+                    held: int = 0, multiple: int = 1
+                    ) -> Optional[List[_Band]]:
+    """The bands ``x`` is lowered in (``None``: one shot). A band's budget
+    also covers ``held`` rows of GEMM output kept next to its columns."""
     if kh == kw == stride == 1 and not pad:
         return None                 # the columns are a view of x: no bytes
     n, c, h, w = x.shape
-    return _bands(n, c * kh * kw, conv_output_size(h, kh, stride, pad),
-                  conv_output_size(w, kw, stride, pad), x.itemsize)
+    return _bands(n, c * kh * kw + held,
+                  conv_output_size(h, kh, stride, pad),
+                  conv_output_size(w, kw, stride, pad), x.itemsize, multiple)
 
 
 def _band_buffer(bands: List[_Band], rows: int, ow: int,
@@ -214,30 +226,55 @@ def _gather(buf: np.ndarray, patches: np.ndarray, band: _Band) -> np.ndarray:
 
 
 def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
-                   stride: int, pad: int
+                   stride: int, pad: int,
+                   epilogue: Optional[Callable[[np.ndarray], np.ndarray]]
+                   = None, multiple: int = 1
                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """``a (M, C*kh*kw) @ im2col(x)`` as an ``(N, M, oh, ow)`` image.
 
     Also returns the columns when the layer went in one shot and so built
     them (a training forward keeps them for :func:`lowered_outer`), else
     ``None``.
+
+    With an ``epilogue`` the result is ``epilogue(product)`` instead, and
+    the product itself is never stored: each ``(nb, M, rows, ow)`` band of it
+    goes from a second reused scratch through ``epilogue`` (which may write
+    to its argument) into the output. ``epilogue`` must be band-local: every
+    ``multiple`` rows of the product (``oh`` is a multiple) make one row of
+    its result, from those rows alone.
     """
     n, c, h, w = x.shape
-    bands = _lowering_bands(x, kh, kw, stride, pad)
+    m = a.shape[0]
+    bands = _lowering_bands(x, kh, kw, stride, pad,
+                            m if epilogue else 0, multiple)
     if bands is None:
         oh = conv_output_size(h, kh, stride, pad)
         cols = im2col(x, kh, kw, stride, pad)
-        return _batch_matmul(a, cols).reshape(n, a.shape[0], oh, -1), cols
+        out = _batch_matmul(a, cols).reshape(n, m, oh, -1)
+        return (epilogue(out) if epilogue else out), cols
     patches = _patches(x, kh, kw, stride, pad)
     oh, ow = patches.shape[4:]
-    out = np.empty((n, a.shape[0], oh * ow), dtype=np.result_type(a, x))
+    dtype = np.result_type(a, x)
     buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
+    if epilogue is None:
+        out = np.empty((n, m, oh * ow), dtype=dtype)
+        for band in bands:
+            i0, i1, r0, r1 = band
+            # Each band's product lands in its slice of the NCHW output.
+            np.matmul(a, _gather(buf, patches, band),
+                      out=out[i0:i1, :, r0 * ow:r1 * ow])
+        return out.reshape(n, m, oh, ow), None
+    prod, out = _band_buffer(bands, m, ow, dtype), None
     for band in bands:
         i0, i1, r0, r1 = band
-        # Each band's product lands in its slice of the NCHW output.
-        np.matmul(a, _gather(buf, patches, band),
-                  out=out[i0:i1, :, r0 * ow:r1 * ow])
-    return out.reshape(n, a.shape[0], oh, ow), None
+        y = _band_cols(prod, band, m, ow)
+        np.matmul(a, _gather(buf, patches, band), out=y)
+        y = epilogue(y.reshape(i1 - i0, m, r1 - r0, ow))
+        if out is None:         # the epilogue decides channels and width
+            out = np.empty((n, y.shape[1], oh // multiple, y.shape[3]),
+                           y.dtype)
+        out[i0:i1, :, r0 // multiple:r1 // multiple] = y
+    return out, None
 
 
 def matmul_col2im(a: np.ndarray, g: np.ndarray,

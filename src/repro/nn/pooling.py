@@ -33,10 +33,16 @@ class MaxPool2D(Module):
             raise ValueError(f"stride must be positive, got {self.stride}")
         self._cache: Optional[Tuple] = None
 
-    def _is_fast_path(self, h: int, w: int) -> bool:
+    @property
+    def band_rows(self) -> int:
+        """``k`` input rows per output row when windows do not overlap."""
         # k == 1 is the identity: the general path returns it as a copy.
         k = self.kernel_size
-        return 1 < k == self.stride and h % k == 0 and w % k == 0
+        return k if 1 < k == self.stride else 0
+
+    def _is_fast_path(self, h: int, w: int) -> bool:
+        k = self.band_rows
+        return k > 0 and h % k == 0 and w % k == 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape

@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.module import run_layers
 from repro.nn.conv import Conv2D
 from repro.nn.kernel_cache import PackedWeightCache
 
@@ -169,7 +170,7 @@ class WinogradConv2D(Conv2D):
         return self._upack.get(self.weight.data, build)
 
     # -- computation -------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, then=()) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(
@@ -208,7 +209,7 @@ class WinogradConv2D(Conv2D):
         out = y[:, :, :oh, :ow] + self.bias.data[None, :, None, None]
         # Conv2D's cache slot with no columns: its backward lowers the input.
         self._cache = (x, None) if self.training else None
-        return np.ascontiguousarray(out.astype(np.float32))
+        return run_layers(then, np.ascontiguousarray(out.astype(np.float32)))
 
     def multiply_reduction(self, batch: int, input_shape) -> float:
         """Direct-conv multiplies / Winograd multiplies for this layer."""

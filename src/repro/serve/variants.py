@@ -45,6 +45,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.module import run_layers
 from repro.nn.conv import Conv2D
 from repro.nn.winograd import WinogradConv2D
 from repro.optim.quantize import quantize_nearest
@@ -89,19 +90,34 @@ def _replace_layer(root, old, new) -> bool:
     return False
 
 
+def _own_output(forward):
+    """``forward(x)`` as ``forward(x, then=())``, keeping the layer boundary.
+
+    An eval ``Sequential`` hands a conv the band-local layers behind it
+    (``forward(x, then)``) so that the conv's own output is never stored. A
+    hook that exists to see that output (capture, calibration, fake-quant)
+    must not pass ``then`` down: it runs the one-argument ``forward`` and
+    then the followers on the whole tensor, exactly the unfused net.
+    """
+    def bounded(x, then=()):
+        return run_layers(then, forward(x))
+    return bounded
+
+
 @contextmanager
 def _wrapped_forwards(layers, make_wrapper):
     """Shadow each layer's ``forward`` with ``make_wrapper(layer, orig)``
-    inside the block. The wrap is per instance (instance attributes
-    shadow the class method for both ``layer(x)`` and the
-    ``layer.forward(x)`` call Sequential makes); exit restores what was
-    there, including an earlier instance-level wrap.
+    (a one-argument callable) inside the block. The wrap is per instance
+    (instance attributes shadow the class method for both ``layer(x)`` and
+    the ``layer.forward(x)`` call Sequential makes); exit restores what was
+    there, including an earlier instance-level wrap. A wrapped layer is
+    never fused with its followers (:func:`_own_output`).
     """
     saved = []
     try:
         for layer in layers:
             saved.append((layer, vars(layer).get("forward")))
-            layer.forward = make_wrapper(layer, layer.forward)
+            layer.forward = _own_output(make_wrapper(layer, layer.forward))
         yield
     finally:
         for layer, prev in saved:
@@ -373,7 +389,7 @@ def compile_quantized(net, bits: int = 8, calibration=None):
                     out = quantize_nearest(out, bits, _scale)
                 return out
 
-            leaf.forward = fake_quant
+            leaf.forward = _own_output(fake_quant)
             act_scales[leaf.name] = scale
     qnet.quant_bits = bits
     qnet.activation_scales = act_scales

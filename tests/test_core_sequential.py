@@ -1,0 +1,258 @@
+"""Fused eval groups: ``Sequential`` hands a conv its band-local followers.
+
+Pinned here: an eval forward equals the layer-by-layer loop on every topology
+and band budget; fusion is invisible to training and to instance-level
+``forward`` hooks; and the HEP ``conv1`` group never holds its 51 MB
+intermediate activations.
+"""
+
+import contextlib
+import copy
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core import Sequential
+from repro.nn.activations import ReLU
+from repro.nn.conv import Conv2D
+from repro.nn.fft_conv import FFTConv2D
+from repro.nn.im2col import _BAND_BYTES, _bands
+from repro.nn.pooling import MaxPool2D
+from repro.nn.winograd import WinogradConv2D
+from test_nn_im2col import budget
+
+
+def layer_by_layer(net, x):
+    """The unfused forward: every layer on a whole tensor."""
+    for layer in net.layers:
+        x = layer.forward(x)
+    return x
+
+
+def build(layout, c, f, k, stride, pad, pool_k, seed=0):
+    """An eval net from a layout string: ``c`` conv (``C -> F``, then
+    ``F -> F``), ``r`` ReLU, ``p`` ``pool_k`` max-pool, ``o`` an overlapping
+    3x3/stride-2 max-pool. Biases are random: zero would hide their order."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i, code in enumerate(layout):
+        if code == "c":
+            conv = Conv2D(c, f, k, stride=stride, pad=pad, rng=seed + i,
+                          name=f"conv{i}")
+            conv.bias.data[...] = rng.normal(size=f)
+            layers.append(conv)
+            c = f
+        else:
+            layers.append({"r": lambda: ReLU(name=f"relu{i}"),
+                           "p": lambda: MaxPool2D(pool_k, name=f"pool{i}"),
+                           "o": lambda: MaxPool2D(3, stride=2,
+                                                  name=f"over{i}")}[code]())
+    return Sequential(layers).eval()
+
+
+@contextlib.contextmanager
+def recording(net):
+    """Shadow every layer's ``forward`` with a ``(*args, **kwargs)`` recorder
+    (what ``bench/tracing.py`` does); yields ``{name: [input shapes]}``."""
+    seen = {layer.name: [] for layer in net.layers}
+
+    def shadow(layer, orig):
+        def forward(*args, **kwargs):
+            seen[layer.name].append(args[0].shape)
+            return orig(*args, **kwargs)
+        layer.forward = forward
+
+    for layer in net.layers:
+        shadow(layer, layer.forward)
+    try:
+        yield seen
+    finally:
+        for layer in net.layers:
+            del layer.forward
+
+
+#: image sides: any, but often ones a 2x2 or 3x3 pool divides
+SIZES = st.one_of(st.sampled_from([12, 18, 24]), st.integers(6, 26))
+LAYOUTS = ["cr", "cp", "crp", "cpr", "crpp", "cc", "ccrp", "crpcr", "rcrp",
+           "pcp", "co", "cro", "crpo"]
+
+
+class TestFusedEqualsLayerByLayer:
+    @settings(max_examples=150, deadline=None)
+    @given(layout=st.sampled_from(LAYOUTS),
+           n=st.integers(1, 3), c=st.integers(1, 3), f=st.integers(1, 5),
+           h=SIZES, w=SIZES,
+           k=st.sampled_from([1, 2, 3, 5]), stride=st.integers(1, 2),
+           pad=st.integers(0, 2), pool_k=st.sampled_from([2, 3]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           band_bytes=st.sampled_from([1, 256, 2048, 16384, 1 << 40]),
+           seed=st.integers(0, 2**16))
+    def test_any_net_any_budget(self, layout, n, c, f, h, w, k, stride, pad,
+                                pool_k, dtype, band_bytes, seed):
+        net = build(layout, c, f, k, stride, pad, pool_k, seed)
+        x = np.random.default_rng(seed).normal(size=(n, c, h, w)) \
+            .astype(dtype)
+        with budget(band_bytes, fold_below=1):
+            try:
+                want = layer_by_layer(net, x)
+            except ValueError:          # the image shrank to nothing
+                assume(False)
+            got = net.forward(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        if band_bytes == 1 << 40:       # one shot: the same operations
+            np.testing.assert_array_equal(got, want)
+        else:                           # other cuts, other summation order
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("conv_cls", [Conv2D, WinogradConv2D, FFTConv2D])
+    def test_conv_kinds_accept_followers(self, conv_cls, rng):
+        conv = conv_cls(2, 4, 3, rng=0) if conv_cls is not WinogradConv2D \
+            else conv_cls(2, 4, rng=0)
+        net = Sequential([conv, ReLU(), MaxPool2D(2)]).eval()
+        x = rng.normal(size=(2, 2, 12, 12)).astype(np.float32)
+        np.testing.assert_array_equal(net.forward(x), layer_by_layer(net, x))
+
+    def test_followers_see_bands_and_only_the_last_output_is_whole(self, rng):
+        net = build("crpcr", 2, 4, 3, 1, 1, 2)
+        x = rng.normal(size=(1, 2, 16, 16)).astype(np.float32)
+        want = net.forward(x)
+        with budget(2048, fold_below=1), recording(net) as seen:
+            got = net.forward(x)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        # Every layer is still called; the followers get bands of whole
+        # rows (an even number before the pool), the convs whole tensors.
+        assert seen["conv0"] == [(1, 2, 16, 16)]
+        assert seen["conv3"] == [(1, 4, 8, 8)]
+        assert len(seen["relu1"]) > 1 and seen["relu1"] == seen["pool2"]
+        assert all(s[:2] == (1, 4) and s[3] == 16 and s[2] % 2 == 0
+                   for s in seen["relu1"])
+        assert sum(s[2] for s in seen["relu1"]) == 16
+        assert sum(s[2] for s in seen["relu4"]) == 8
+
+    def test_ragged_pool_falls_back_to_whole_tensors(self, rng):
+        # 15 rows under a 2x2 pool: the pool's general path, never on bands.
+        net = build("crp", 2, 4, 3, 1, 1, 2)
+        x = rng.normal(size=(2, 2, 15, 16)).astype(np.float32)
+        with budget(2048, fold_below=1), recording(net) as seen:
+            got = net.forward(x)
+            want = layer_by_layer(net, x)
+        np.testing.assert_array_equal(got, want)
+        assert seen["relu1"][0] == seen["pool2"][0] == (2, 4, 15, 16)
+
+    def test_overlapping_pool_is_never_fused(self, rng):
+        assert MaxPool2D(3, stride=2).band_rows == 0
+        assert MaxPool2D(1).band_rows == 0          # the identity copies
+        assert MaxPool2D(3).band_rows == 3 and ReLU().band_rows == 1
+        net = build("cro", 2, 4, 3, 1, 1, 2)
+        x = rng.normal(size=(1, 2, 16, 16)).astype(np.float32)
+        with budget(2048, fold_below=1), recording(net) as seen:
+            net.forward(x)
+        assert len(seen["relu1"]) > 1               # conv -> ReLU is a group
+        assert seen["over2"] == [(1, 4, 16, 16)]
+
+    def test_training_forward_is_never_grouped(self, rng):
+        net = build("crp", 2, 4, 3, 1, 1, 2).train()
+        x = rng.normal(size=(1, 2, 16, 16)).astype(np.float32)
+        with budget(2048, fold_below=1), recording(net) as seen:
+            net.forward(x)
+        assert seen == {"conv0": [(1, 2, 16, 16)], "relu1": [(1, 4, 16, 16)],
+                        "pool2": [(1, 4, 16, 16)]}
+        # ... and a conv handed followers while training runs them whole.
+        with budget(2048, fold_below=1), recording(net) as seen:
+            net.layers[0].forward(x, net.layers[1:])
+        assert seen["relu1"] == [(1, 4, 16, 16)]
+
+    @given(n=st.integers(1, 4), rows=st.integers(1, 40),
+           blocks=st.integers(1, 30), ow=st.integers(1, 20),
+           multiple=st.sampled_from([1, 2, 3, 4, 6]),
+           band_bytes=st.sampled_from([1, 100, 1000, 10000, 10**6]))
+    def test_band_heights_are_multiples_of_the_row_factor(
+            self, n, rows, blocks, ow, multiple, band_bytes):
+        oh = blocks * multiple
+        with budget(band_bytes, fold_below=1):
+            bands = _bands(n, rows, oh, ow, 4, multiple)
+            if multiple == 1:           # training: the cuts of the parent
+                assert bands == _bands(n, rows, oh, ow, 4)
+        if bands is None:
+            return
+        covered = np.zeros((n, oh), dtype=int)
+        for i0, i1, r0, r1 in bands:
+            assert r0 % multiple == 0 and r1 % multiple == 0
+            covered[i0:i1, r0:r1] += 1
+        assert (covered == 1).all()
+
+
+class TestFusionIsInvisible:
+    def test_to_training(self, rng):
+        """An eval forward leaves nothing behind: the next training step
+        equals that of a net that never ran in eval."""
+        fresh = build("crpcr", 2, 4, 3, 1, 1, 2)
+        used = copy.deepcopy(fresh)
+        x = rng.normal(size=(2, 2, 16, 16)).astype(np.float32)
+        g = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
+        with budget(2048, fold_below=1):
+            used.forward(x)
+            relu, pool = used.layers[1:3]
+            assert relu._mask is None and pool._cache is None
+            outs = [net.train().forward(x) for net in (used, fresh)]
+            grads = [net.backward(g) for net in (used, fresh)]
+        np.testing.assert_array_equal(*outs)
+        np.testing.assert_array_equal(*grads)
+        for p, q in zip(used.params(), fresh.params()):
+            np.testing.assert_array_equal(p.grad, q.grad)
+        # A training forward fills the followers' whole-tensor state.
+        assert relu._mask.shape == (2, 4, 16, 16)
+        assert pool._cache[1] == (2, 4, 16, 16)
+
+    def test_to_forward_hooks(self, rng):
+        """With every leaf's ``forward`` shadowed by a ``(*args, **kwargs)``
+        wrapper, each layer is still called and the output is unchanged."""
+        net = build("crp", 2, 4, 3, 1, 1, 2)
+        x = rng.normal(size=(2, 2, 16, 16)).astype(np.float32)
+        for band_bytes in (2048, 1 << 40):
+            with budget(band_bytes, fold_below=1):
+                want = net.forward(x)
+                with recording(net) as seen:
+                    got = net.forward(x)
+            np.testing.assert_array_equal(got, want)
+            assert all(seen[name] for name in ("conv0", "relu1", "pool2"))
+        assert "forward" not in vars(net.layers[0])
+
+    def test_a_one_argument_shadow_survives_where_nothing_follows(self, rng):
+        # ``then`` is passed only to a conv that has followers.
+        net = build("ccr", 2, 4, 3, 1, 1, 2)
+        x = rng.normal(size=(1, 2, 8, 8)).astype(np.float32)
+        want = net.forward(x)
+        first = net.layers[0]
+        first.forward = lambda inp, _orig=first.forward: _orig(inp)
+        np.testing.assert_array_equal(net.forward(x), want)
+
+
+class TestFusedMemory:
+    """The HEP ``conv1`` group (3 -> 128 @ 224^2, ReLU, 2x2 pool) at the
+    benchmark's batch of 2 stores its pooled output and a few bands, not the
+    51 MB conv output or the 51 MB ReLU output."""
+
+    def test_hep_conv1_group_never_holds_the_conv_output(self):
+        net = Sequential([Conv2D(3, 128, 3, rng=0), ReLU(),
+                          MaxPool2D(2)]).eval()
+        x = np.random.default_rng(0).normal(size=(2, 3, 224, 224)) \
+            .astype(np.float32)
+        conv_out = 2 * 128 * 224 * 224 * 4
+        padded = 2 * 3 * 226 * 226 * 4
+        pooled = conv_out // 4
+        bound = x.nbytes + padded + pooled + 3 * _BAND_BYTES
+        assert conv_out > 48 << 20 and bound < conv_out * 0.6
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == pooled
+        assert peak < bound, f"fused group peaked at {peak >> 20} MiB"

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import Sequential
 from repro.models import build_hep_net
 from repro.models.climate import build_climate_net
+from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
 from repro.nn.fft_conv import FFTConv2D
+from repro.nn.pooling import MaxPool2D
 from repro.nn.winograd import WinogradConv2D
 from repro.serve import (
     MMPP,
@@ -271,6 +274,14 @@ class TestBatchExecutor:
         assert layer._cache is None
         assert not any(isinstance(v, (np.ndarray, tuple))
                        for v in vars(layer).values())
+        # ... nor do the followers an eval Sequential fuses behind it.
+        relu, pool = ReLU(), MaxPool2D(2)
+        net = Sequential([layer, relu, pool])
+        net.train().forward(x)
+        assert relu._mask is not None and pool._cache is not None
+        net.eval().forward(x)
+        assert layer._cache is None
+        assert relu._mask is None and pool._cache is None
 
 
 class TestModelRegistry:

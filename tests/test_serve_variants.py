@@ -23,6 +23,7 @@ from repro.nn import (
     Conv2D,
     Deconv2D,
     FFTConv2D,
+    MaxPool2D,
     ReLU,
     WinogradConv2D,
 )
@@ -45,7 +46,12 @@ from repro.serve import (
 )
 from repro.serve.fast_core import unsupported_reason
 from repro.serve.latency import ServiceTimeModel
-from repro.serve.variants import output_drift
+from repro.optim.quantize import quantize_nearest
+from repro.serve.variants import (
+    _record_inputs,
+    _wrapped_forwards,
+    output_drift,
+)
 
 
 def tiny_net(rng=0):
@@ -222,6 +228,89 @@ class TestQuantized:
     def test_rejects_tiny_bits(self):
         with pytest.raises(ValueError, match="bits"):
             compile_quantized(tiny_net(), bits=1)
+
+
+def pooled_net(rng=0):
+    """conv -> ReLU -> pool, twice: the groups an eval ``Sequential`` fuses."""
+    return Sequential([
+        Conv2D(2, 4, 3, name="c1", rng=rng), ReLU(name="r1"),
+        MaxPool2D(2, name="p1"),
+        Conv2D(4, 4, 3, name="c2", rng=rng + 1), ReLU(name="r2"),
+        MaxPool2D(2, name="p2"),
+    ], name="pooled").eval()
+
+
+class TestHooksKeepTheLayerBoundary:
+    """A hook that needs a layer's own output never lets that layer fuse
+    with its followers: it sees the tensors of the layer-by-layer net."""
+
+    X_SHAPE = (2, 2, 16, 16)
+
+    @staticmethod
+    def by_hand(net, x, after=lambda layer, out: out):
+        """``{name: (input, output)}`` of a hand-written layer loop."""
+        seen = {}
+        for layer in net.layers:
+            out = after(layer, layer.forward(x))
+            seen[layer.name] = (x, out)
+            x = out
+        return seen
+
+    def test_wrapped_forwards_see_whole_tensors(self, rng):
+        net, x = pooled_net(), _x(rng, self.X_SHAPE)
+        want = self.by_hand(net, x)
+        seen = {}
+
+        def capture(layer, orig):
+            def forward(inp):
+                seen[layer.name] = (inp, orig(inp))
+                return seen[layer.name][1]
+            return forward
+
+        with _wrapped_forwards(net.layers, capture):
+            out = net.forward(x)
+        assert "forward" not in vars(net.layers[0])
+        np.testing.assert_array_equal(out, want["p2"][1])
+        assert list(seen) == list(want)
+        for name in want:
+            for got, ref in zip(seen[name], want[name]):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_record_inputs_of_convs_behind_a_fused_group(self, rng):
+        net, x = pooled_net(), _x(rng, self.X_SHAPE)
+        want = self.by_hand(net, x)
+        convs = [net.layers[0], net.layers[3]]
+        recorded = _record_inputs(net, x, convs)
+        for conv in convs:
+            np.testing.assert_array_equal(recorded[id(conv)],
+                                          want[conv.name][0])
+
+    def test_quantized_calibrates_and_quantizes_each_layers_own_output(
+            self, rng):
+        net, calib = pooled_net(), _x(rng, self.X_SHAPE)
+        bits = 6
+        qnet = compile_quantized(net, bits=bits, calibration=calib)
+        # By hand: the weight-quantized net run layer by layer gives each
+        # leaf's calibration peak; fake-quant then applies leaf by leaf.
+        ref = compile_quantized(net, bits=bits)
+        peaks = {name: float(np.abs(out).max())
+                 for name, (_, out) in self.by_hand(ref, calib).items()}
+        assert qnet.activation_scales == peaks
+        x = _x(rng, self.X_SHAPE)
+        want = self.by_hand(
+            ref, x, lambda layer, out: quantize_nearest(out, bits,
+                                                        peaks[layer.name]))
+        np.testing.assert_array_equal(qnet.forward(x), want["p2"][1])
+
+    def test_kernel_selected_parity_on_a_pooled_net(self, rng):
+        net, x = pooled_net(), _x(rng, self.X_SHAPE)
+        fast = compile_kernel_selected(net, self.X_SHAPE, repeats=1,
+                                       cache=KernelChoiceCache())
+        assert [c["layer"] for c in fast.kernel_choices] == ["c1", "c2"]
+        assert [c["input_shape"] for c in fast.kernel_choices] == [
+            [2, 2, 16, 16], [2, 4, 8, 8]]
+        np.testing.assert_allclose(fast.forward(x), net.forward(x),
+                                   rtol=1e-3, atol=1e-4)
 
 
 class TestProfile:
