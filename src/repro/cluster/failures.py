@@ -16,6 +16,7 @@ Two models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -38,8 +39,15 @@ class FailureEvent:
     def __post_init__(self) -> None:
         if self.kind not in ("fail", "degrade", "repair"):
             raise ValueError(f"unknown failure kind {self.kind!r}")
-        if self.time < 0:
-            raise ValueError(f"time must be non-negative, got {self.time}")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(
+                f"time must be finite and non-negative, got {self.time}")
+        if self.node_id < 0:
+            raise ValueError(
+                f"node_id must be non-negative, got {self.node_id}")
+        if not math.isfinite(self.slow_factor):
+            raise ValueError(
+                f"slow_factor must be finite, got {self.slow_factor}")
         if self.kind == "degrade" and self.slow_factor < 1.0:
             raise ValueError("degrade events must slow the node down")
         if self.kind == "repair" and self.slow_factor != 1.0:

@@ -357,8 +357,8 @@ class AutoscalingSimulator(ServingSimulator):
                         self.autoscale.max_replicas, t_end - t0)]
         return []
 
-    def _observe(self, router: Router, admitted: dict, t_start: float,
-                 t_end: float, index: int, slos: List[float],
+    def _observe(self, router: Router, open_reqs: dict, cursors: dict,
+                 t_start: float, t_end: float, index: int, slos: List[float],
                  rtts: List[float], floors: List[float], n_shed: int,
                  shed_by_model: Optional[List[int]] = None,
                  n_repaired: int = 0) -> EpochRecord:
@@ -407,12 +407,19 @@ class AutoscalingSimulator(ServingSimulator):
         one model the sums degenerate to exactly the single-model
         arithmetic (the pinned differential).
 
-        Each observation scans the run's accumulated state (admitted map,
-        per-replica batch lists) rather than tracking per-epoch deltas;
-        that is quadratic in principle, but at simulator scale (thousands
-        of requests, hundreds of epochs, runs measured in fractions of a
-        second) the delta bookkeeping — which the failure path would have
-        to invalidate — is not worth its complexity yet.
+        An epoch costs what is outstanding, not what the run has seen.
+        ``open_reqs`` (request id -> arrival) holds every admission not yet
+        seen answered or lost: a request leaves it in the epoch that finds
+        its completion at or before ``t_end`` or its id among the failed,
+        and no later epoch could count it (a completion never moves; a
+        node death strikes only completions after its own time, which no
+        closed epoch has seen). Those admitted since the last epoch are
+        the only ones arriving at or after ``t_start``. ``cursors``
+        (replica index -> position) resumes each replica's batch list
+        where the last epoch stopped: a replica launches in ``start``
+        order, so all before the first batch starting after ``t_end`` is
+        judged for good (a dead replica's list shrinks to a prefix and
+        stays there, leaving its cursor past the end: nothing to scan).
         """
         on_start = t_start if index == 0 else math.inf
         n_degraded = 0
@@ -435,50 +442,61 @@ class AutoscalingSimulator(ServingSimulator):
         n_completed = [0] * M
         n_ok = [0] * M
         n_doomed = [0] * M
-        for rid, a in admitted.items():
+        n_arrived = 0
+        closed = []
+        for rid, a in open_reqs.items():
+            if t_start < a <= t_end or a == on_start:
+                n_arrived += 1
             m = 0 if mids is None else mids[rid]
             c = completions.get(rid)
             if c is None:
                 # Queued. Requests lost to a failure are excluded: they
                 # took their attainment hit while queued (doomed) or not at
                 # all, and must not depress the signal forever after.
-                if rid not in router.failed_ids and a <= t_end \
-                        and t_end - a + floors[m] > slos[m]:
+                if rid in router.failed_ids:
+                    closed.append(rid)
+                elif a <= t_end and t_end - a + floors[m] > slos[m]:
                     n_doomed[m] += 1
-            elif t_start < c <= t_end:
-                n_completed[m] += 1
-                if c - a + rtts[m] <= slos[m]:
-                    n_ok[m] += 1
-            elif c > t_end >= a and c - a + rtts[m] > slos[m]:
+            elif c <= t_end:
+                closed.append(rid)
+                if t_start < c:
+                    n_completed[m] += 1
+                    if c - a + rtts[m] <= slos[m]:
+                        n_ok[m] += 1
+            elif t_end >= a and c - a + rtts[m] > slos[m]:
                 n_doomed[m] += 1    # launched; completion known and late
-        n_arrived = sum(1 for a in admitted.values()
-                        if t_start < a <= t_end or a == on_start)
+        for rid in closed:
+            del open_reqs[rid]
         queue_depth = sum(r.queue.outstanding(t_end)
                           for r in router.replicas)
-        # Launch order doesn't matter for the occupancy mean, so iterate
-        # the per-replica lists directly — no need for router.batches()'s
-        # merge-and-sort here.
+        # This epoch's batches, replica by replica in launch order (the
+        # per-model occupancy below is a float mean: keep the order). A
+        # batch at or before ``t_start`` can still turn up here — a full
+        # one commits the moment it fills, whenever it starts — and was
+        # never counted, so the window test stays on every batch.
+        epoch_batches = []
+        for r in router.replicas + router.retired:
+            batches = r.queue.batches
+            i = cursors.get(r.index, 0)
+            while i < len(batches) and batches[i].start <= t_end:
+                b = batches[i]
+                if t_start < b.start or b.start == on_start:
+                    epoch_batches.append(b)
+                i += 1
+            cursors[r.index] = i
+        sizes = [b.size for b in epoch_batches]
+        mean_batch = float(np.mean(sizes)) if sizes else float("nan")
         pols = self.model_policies()
-        if pols is None:
-            sizes = [b.size for r in router.replicas + router.retired
-                     for b in r.queue.batches
-                     if t_start < b.start <= t_end or b.start == on_start]
-            mean_batch = float(np.mean(sizes)) if sizes else float("nan")
-            occupancy = (mean_batch / self.policy.max_batch if sizes
-                         else float("nan"))
+        if not sizes:
+            occupancy = float("nan")
+        elif pols is None:
+            occupancy = mean_batch / self.policy.max_batch
         else:
             # Per-model policies: a full batch of a small-max_batch model
             # must read as full, so occupancy is the mean of each batch's
             # fill fraction against *its own* model's max_batch.
-            epoch_batches = [
-                b for r in router.replicas + router.retired
-                for b in r.queue.batches
-                if t_start < b.start <= t_end or b.start == on_start]
-            sizes = [b.size for b in epoch_batches]
-            mean_batch = float(np.mean(sizes)) if sizes else float("nan")
-            occupancy = (float(np.mean(
+            occupancy = float(np.mean(
                 [b.size / pols[b.model].max_batch for b in epoch_batches]))
-                if epoch_batches else float("nan"))
         # Cost-aware routers expose fleet backlog in estimated service
         # seconds — the leading queue-pressure signal for heterogeneous
         # traffic, where a short queue of scans outweighs a long one of
@@ -557,6 +575,9 @@ class AutoscalingSimulator(ServingSimulator):
         dropped_marks = [router.dropped_by_model.get(m, 0)
                          for m in range(n_models)]
         repaired_in_epoch = 0
+        # what _observe carries from one epoch to the next (see there)
+        open_reqs: dict = {}
+        cursors: dict = {}
 
         def close_epoch(t: float) -> None:
             nonlocal epoch_idx, prev_epoch_t, dropped_mark, \
@@ -573,8 +594,8 @@ class AutoscalingSimulator(ServingSimulator):
                     now = router.dropped_by_model.get(m, 0)
                     shed_by_model.append(now - dropped_marks[m])
                     dropped_marks[m] = now
-            rec = self._observe(router, admitted, prev_epoch_t, t,
-                                epoch_idx, slos, rtts, floors, n_shed,
+            rec = self._observe(router, open_reqs, cursors, prev_epoch_t,
+                                t, epoch_idx, slos, rtts, floors, n_shed,
                                 shed_by_model,
                                 n_repaired=repaired_in_epoch)
             repaired_in_epoch = 0
@@ -706,6 +727,8 @@ class AutoscalingSimulator(ServingSimulator):
                     close_epoch(next_epoch)
                     next_epoch += epoch_s
             self._offer(router, admitted, t, i)
+            if i in admitted:
+                open_reqs[i] = t
         advance_area(t_end)
         span = t_end - t0
         # run()/collect handoff: ServingSimulator.run calls _drive then

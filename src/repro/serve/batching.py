@@ -189,8 +189,13 @@ class ReplicaBatchQueue:
         self.on_commit = on_commit
         #: model index -> FIFO lane of (arrival, request_id)
         self.lanes: Dict[int, List[Tuple[float, int]]] = {}
+        #: model index -> its lane's current launch key (:meth:`_key`): a
+        #: push drops that lane's, a launch (``free_at`` moves) drops all
+        self._keys: Dict[int, Tuple[float, float, int, int]] = {}
         self.batches: List[Batch] = []
-        self.completions: Dict[int, float] = {}    # request_id -> completion
+        #: request_id -> completion; a :class:`~repro.serve.router.Router`
+        #: swaps in the one ledger its whole fleet writes to
+        self.completions: Dict[int, float] = {}
         #: launched but not yet completed batches: (completion, size), FIFO
         self._in_flight: Deque[Tuple[float, int]] = deque()
         # Tracks the last push time only — arrivals may well precede
@@ -288,6 +293,17 @@ class ReplicaBatchQueue:
         return (launch, deadline - launch - self._svc(model, take),
                 partial, model)
 
+    def _key(self, model: int, lane: List[Tuple[float, int]]
+             ) -> Tuple[float, float, int, int]:
+        """:meth:`_lane_key` on a ``_keys`` miss, so a key is computed
+        once per queue state. ``"slack"`` keys are never kept: they price
+        the batch through the service-time callables, which a variant
+        switch rescales unseen by the queue."""
+        key = self._lane_key(model, lane)
+        if self.order != "slack":
+            self._keys[model] = key
+        return key
+
     def next_launch(self) -> float:
         """Launch instant of the next uncommitted batch (+inf if none).
 
@@ -302,10 +318,10 @@ class ReplicaBatchQueue:
         fired event); a stale early event is then a harmless no-op and a
         stale late one is shadowed by the fresher entry.
         """
-        t = math.inf
+        t, keys = math.inf, self._keys
         for model, lane in self.lanes.items():
             if lane:
-                t = min(t, self._lane_key(model, lane)[0])
+                t = min(t, (keys.get(model) or self._key(model, lane))[0])
         return t
 
     # -- event loop -----------------------------------------------------------
@@ -326,6 +342,7 @@ class ReplicaBatchQueue:
         # "enqueue" from the lane slice handed over at batch commit, so
         # admission costs the traced hot path nothing
         self.lanes.setdefault(model, []).append((t, request_id))
+        self._keys.pop(model, None)
 
     def advance(self, until: float) -> None:
         """Launch every batch whose launch instant falls before ``until``.
@@ -340,11 +357,12 @@ class ReplicaBatchQueue:
         launches later anyway, so nothing determined is being held back
         out of order).
         """
+        keys = self._keys
         while True:
             best: Optional[Tuple[float, float, int, int]] = None
             for model, lane in self.lanes.items():
                 if lane:
-                    key = self._lane_key(model, lane)
+                    key = keys.get(model) or self._key(model, lane)
                     if best is None or key < best:
                         best = key
             if best is None:
@@ -365,6 +383,7 @@ class ReplicaBatchQueue:
         del lane[:take]
         completion = launch + self._svc(model, take)
         self.free_at = completion
+        self._keys.clear()
         self._in_flight.append((completion, take))
         batch = Batch(start=launch, completion=completion,
                       request_ids=tuple(rid for _, rid in members),
@@ -411,6 +430,7 @@ class ReplicaBatchQueue:
         self.advance(t)
         evicted = self._queued()
         self.lanes.clear()
+        self._keys.clear()
         return evicted
 
     def abort_after(self, t: float) -> List[int]:
@@ -426,6 +446,7 @@ class ReplicaBatchQueue:
         self.advance(t)
         lost = [rid for _, rid, _ in self._queued()]
         self.lanes.clear()
+        self._keys.clear()
         survived = []
         for b in self.batches:
             if b.completion > t:

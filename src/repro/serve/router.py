@@ -13,13 +13,19 @@ maintained *incrementally* from the batch commit stream instead of being
 rescanned. Three lazy heaps carry the whole discrete-event state —
 
 - a **load heap** of ``(backlog, replica index)`` entries, one pushed per
-  backlog change, validated against the live counter on pop (stale entries
-  and retired replicas are discarded lazily);
+  backlog change, validated on pop against the replica's last published
+  value — computed once, when the backlog changes, and read from there by
+  routing and admission (stale entries and retired replicas are discarded
+  lazily);
 - a **completion heap**: every committed batch schedules one backlog
   decrement at its completion time;
 - a **launch heap**: every queue with a pending batch has an event at its
   state-determined launch instant (queue evolution can only *delay* a
   launch, so firing an event early is a no-op that reschedules itself).
+
+Completions land in one ``request_id -> completion`` ledger per fleet: the
+router hands it to every replica queue it creates and :meth:`Router.
+completions` returns it as is, so reading it costs nothing per replica.
 
 ``pick``/``submit`` first sync the heaps to the arrival time, then read the
 heap top — the same decision the pre-PR linear scan made (the differential
@@ -233,6 +239,10 @@ class Router:
         #: on every publish (dot with model_costs) — floats are never
         #: accumulated, so equal states always produce equal load values.
         self._counts: Dict[int, List[int]] = {}
+        #: replica index -> its last published load value (`_push_load`)
+        self._load: Dict[int, float] = {}
+        #: request_id -> completion time: the fleet's one ledger
+        self._completions: Dict[int, float] = {}
         self._live: Dict[int, ReplicaHandle] = {}
         self._load_heap: List[Tuple[float, int]] = []
         self._model_heaps: Dict[int, List[Tuple[float, int]]] = {
@@ -326,6 +336,7 @@ class Router:
             tracer=self.tracer, replica=index,
             policies=self.policies, order=self.order,
             slos=self.model_slos)
+        queue.completions = self._completions
         handle = ReplicaHandle(index, node_id, queue)
         self._live[index] = handle
         self._backlog[index] = 0
@@ -349,6 +360,7 @@ class Router:
         """Publish a replica's new backlog to the load heap(s): the global
         heap always, plus each affinity model's heap that may route to it.
         With no affinity this is exactly the pre-multi-model single push."""
+        self._load[index] = backlog
         heapq.heappush(self._load_heap, (backlog, index))
         for m, members in self.affinity.items():
             if index in members:
@@ -413,7 +425,7 @@ class Router:
         while heap:
             backlog, idx = heap[0]
             handle = self._live.get(idx)
-            if handle is None or self._value(idx) != backlog:
+            if handle is None or self._load[idx] != backlog:
                 heapq.heappop(heap)      # stale entry: retired or restated
                 continue
             return handle
@@ -449,7 +461,7 @@ class Router:
         if self.max_queue_seconds is not None:
             # seconds-based admission: cost-weighted backlog vs a seconds
             # limit — an empty replica (0.0) always clears a positive one
-            return self._value(handle.index) >= limit
+            return self._load[handle.index] >= limit
         return self._backlog[handle.index] >= limit
 
     def total_backlog(self, t: float) -> float:
@@ -457,7 +469,7 @@ class Router:
         in cost-aware mode, a plain request count otherwise — the queue
         pressure signal the autoscaler records per epoch."""
         self._sync(t)
-        return float(sum(self._value(r.index) for r in self.replicas))
+        return float(sum(self._load[r.index] for r in self.replicas))
 
     def _shed(self, t: float, request_id: int, model: int) -> bool:
         self.n_dropped += 1
@@ -641,11 +653,9 @@ class Router:
             r.queue.drain()
 
     def completions(self) -> dict:
-        """request_id -> completion time, merged across live and retired."""
-        out: dict = {}
-        for r in self.replicas + self.retired:
-            out.update(r.queue.completions)
-        return out
+        """request_id -> completion time across live and retired replicas:
+        the fleet's live ledger, not a copy — read it, do not mutate it."""
+        return self._completions
 
     def batches(self) -> List[Batch]:
         """Every launched micro-batch across replicas, in launch order.

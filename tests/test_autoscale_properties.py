@@ -20,10 +20,13 @@ Regression and failure-injection cases cover the remove/fail primitives
 directly (PR 2's drain() fix under replica removal, node-death recovery).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.failures import FailureEvent
 from repro.serve import (
@@ -33,9 +36,12 @@ from repro.serve import (
     AutoscalingSimulator,
     BatchingPolicy,
     EpochRecord,
+    ModelMix,
+    ModelProfile,
     Router,
     ScaleEvent,
     ServingSimulator,
+    make_arrivals,
 )
 from repro.utils.rng import as_rng
 
@@ -537,3 +543,260 @@ class TestControlDirection:
         # once it is there, shedding stops.
         assert stats.epochs[-1].n_replicas == 3
         assert stats.epochs[-1].n_shed == 0
+
+
+# -- incremental observation == full rescan ------------------------------------
+
+def _full_rescan(sim, router, admitted, t_start, t_end, index, slos, rtts,
+                 floors, n_shed, shed_by_model=None, n_repaired=0):
+    """``AutoscalingSimulator._observe`` as it was before the open set and
+    the batch cursors: every admitted request and every launched batch,
+    rescanned at every epoch. Quadratic and obviously right — the oracle
+    the incremental form is held to, field for field."""
+    on_start = t_start if index == 0 else math.inf
+    n_degraded = 0
+    slow_min = math.inf
+    for r in router.replicas:
+        f = r.queue.slow_factor
+        if f != 1.0:
+            n_degraded += 1
+        if f < slow_min:
+            slow_min = f
+    if n_degraded and slow_min != 1.0:
+        floors = [(fl - rtt) * slow_min + rtt
+                  for fl, rtt in zip(floors, rtts)]
+    completions = {}
+    for r in router.replicas + router.retired:
+        completions.update(r.queue.completions)
+    mids = sim._mids
+    M = len(slos)
+    n_completed = [0] * M
+    n_ok = [0] * M
+    n_doomed = [0] * M
+    for rid, a in admitted.items():
+        m = 0 if mids is None else mids[rid]
+        c = completions.get(rid)
+        if c is None:
+            if rid not in router.failed_ids and a <= t_end \
+                    and t_end - a + floors[m] > slos[m]:
+                n_doomed[m] += 1
+        elif t_start < c <= t_end:
+            n_completed[m] += 1
+            if c - a + rtts[m] <= slos[m]:
+                n_ok[m] += 1
+        elif c > t_end >= a and c - a + rtts[m] > slos[m]:
+            n_doomed[m] += 1
+    n_arrived = sum(1 for a in admitted.values()
+                    if t_start < a <= t_end or a == on_start)
+    queue_depth = sum(r.queue.outstanding(t_end) for r in router.replicas)
+    epoch_batches = [b for r in router.replicas + router.retired
+                     for b in r.queue.batches
+                     if t_start < b.start <= t_end or b.start == on_start]
+    sizes = [b.size for b in epoch_batches]
+    mean_batch = float(np.mean(sizes)) if sizes else float("nan")
+    pols = sim.model_policies()
+    if not sizes:
+        occupancy = float("nan")
+    elif pols is None:
+        occupancy = mean_batch / sim.policy.max_batch
+    else:
+        occupancy = float(np.mean(
+            [b.size / pols[b.model].max_batch for b in epoch_batches]))
+    queue_seconds = (router.total_backlog(t_end)
+                     if router.model_costs is not None else float("nan"))
+    tot_completed, tot_ok = sum(n_completed), sum(n_ok)
+    tot_doomed = sum(n_doomed)
+    if tot_completed or tot_doomed or n_shed:
+        attainment = tot_ok / (tot_completed + tot_doomed + n_shed)
+    elif queue_depth > 0:
+        attainment = 0.0
+    else:
+        attainment = float("nan")
+    model_attainment = None
+    if mids is not None:
+        shed_m = shed_by_model or [0] * M
+        per = []
+        for m in range(M):
+            judged = n_completed[m] + n_doomed[m] + shed_m[m]
+            per.append(n_ok[m] / judged if judged else float("nan"))
+        model_attainment = tuple(per)
+    return EpochRecord(index=index, t_start=t_start, t_end=t_end,
+                       n_replicas=router.n_replicas, n_arrived=n_arrived,
+                       n_completed=tot_completed, n_ok=tot_ok,
+                       n_doomed=tot_doomed, n_shed=n_shed,
+                       attainment=attainment, mean_batch_size=mean_batch,
+                       occupancy=occupancy, queue_depth=queue_depth,
+                       queue_seconds=queue_seconds,
+                       model_attainment=model_attainment,
+                       n_degraded=n_degraded, n_repaired=n_repaired)
+
+
+def _same(a, b):
+    """``==``, except that NaN equals NaN (also inside tuples)."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (isinstance(a, float) and math.isnan(a)
+                      and isinstance(b, float) and math.isnan(b))
+
+
+class _RescanChecked(AutoscalingSimulator):
+    """Runs the oracle next to every incremental observation, on the same
+    live router state, and fails the run at the first differing field."""
+
+    def _drive(self, arrivals, router, admitted):
+        self._all_admitted = admitted
+        self.n_checked = 0
+        super()._drive(arrivals, router, admitted)
+
+    def _observe(self, router, open_reqs, cursors, *window, **kw):
+        rec = super()._observe(router, open_reqs, cursors, *window, **kw)
+        ref = _full_rescan(self, router, self._all_admitted, *window, **kw)
+        for f in dataclasses.fields(EpochRecord):
+            got, want = getattr(rec, f.name), getattr(ref, f.name)
+            assert _same(got, want), \
+                f"epoch {rec.index}: {f.name} {got!r} != rescan {want!r}"
+        self.n_checked += 1
+        return rec
+
+
+@st.composite
+def _observed_runs(draw):
+    """A small autoscaled run with everything that touches the observation
+    state: shedding, bursts, node deaths / slowdowns / repairs (one tied
+    with an epoch boundary, one on the first arrival), immediate scale-ins
+    (re-routes), two models with their own policies, cache + coalescing."""
+    two = draw(st.booleans())
+    max_batch = draw(st.integers(1, 8))
+    policy = BatchingPolicy(
+        max_batch=max_batch,
+        max_wait=draw(st.sampled_from([0.0, 2e-3, 1e-2])),
+        mode=draw(st.sampled_from(["windowed", "continuous"])))
+    kw = dict(policy=policy,
+              max_queue=draw(st.sampled_from([None, 3, 12, 256])))
+    if two:
+        kw.update(
+            models=[ModelProfile("a", None, slo=draw(st.sampled_from(
+                        [None, 0.02, 0.08]))),
+                    ModelProfile("b", None, weight=draw(st.sampled_from(
+                        [1.0, 0.3])), policy=draw(st.sampled_from(
+                            [None, BatchingPolicy(max_batch=2,
+                                                  max_wait=1e-3)])))],
+            service_models=[FakeService(0.004, 0.001),
+                            FakeService(0.009, 0.002)],
+            model_mix=ModelMix((0.6, 0.4),
+                               mean_run=draw(st.sampled_from([1.0, 6.0]))),
+            order=draw(st.sampled_from(["fifo", "edf", "slack"])),
+            cost_aware=draw(st.booleans()))
+        svc = kw["service_models"][1]
+    else:
+        svc = FakeService(base=draw(st.sampled_from([0.0, 2e-3, 6e-3])),
+                          per=draw(st.sampled_from([2e-4, 1e-3])))
+        kw.update(workload=None, service_model=svc)
+    if draw(st.booleans()):
+        kw.update(cache_size=draw(st.sampled_from([0, 8])), coalesce=True)
+    epoch = draw(st.sampled_from([0.4, 1.0, 2.5])) * svc.batch_time(max_batch)
+    lo = draw(st.integers(1, 3))
+    kw["autoscale"] = AutoscalePolicy(
+        min_replicas=lo, max_replicas=lo + draw(st.integers(0, 4)),
+        target_attainment=draw(st.sampled_from([0.8, 0.95, 0.99])),
+        scale_in_occupancy=draw(st.sampled_from([0.2, 0.6, 0.95])),
+        epoch=epoch, cooldown_epochs=draw(st.sampled_from([0, 0, 1])),
+        idle_epochs=draw(st.integers(1, 2)),
+        step_out=draw(st.integers(1, 3)), step_in=draw(st.integers(1, 2)))
+    process = draw(st.sampled_from(
+        ["uniform", "poisson", MMPP(burst=8.0, burst_fraction=0.3,
+                                    cycle_requests=48.0)]))
+    rate = draw(st.sampled_from([0.3, 0.9, 1.6, 4.0])) \
+        * svc.peak_throughput(max_batch)
+    n = draw(st.integers(40, 260))
+    seed = draw(st.integers(0, 2**20))
+    arrivals = make_arrivals(process, rate, n, seed=seed)
+    t0, t_last = float(arrivals[0]), float(arrivals[-1])
+    boundary = t0
+    for _ in range(draw(st.integers(1, 6))):
+        boundary += epoch      # the drive loop's own accumulation
+    times = st.one_of(
+        st.sampled_from([t0, math.nextafter(t0, math.inf), boundary]),
+        st.floats(t0, max(t_last, t0)))
+    kw["failure_events"] = [
+        FailureEvent(draw(times), draw(st.integers(0, 5)), kind,
+                     draw(st.sampled_from([1.5, 4.0]))
+                     if kind == "degrade" else 1.0)
+        for kind in draw(st.lists(
+            st.sampled_from(["fail", "degrade", "repair"]), max_size=4))]
+    return kw, dict(rate=rate, n_requests=n, process=process, seed=seed,
+                    popularity="zipf" if "coalesce" in kw else None)
+
+
+class TestIncrementalObservation:
+    @settings(max_examples=120, deadline=None)
+    @given(run=_observed_runs())
+    def test_every_epoch_equals_the_full_rescan(self, run):
+        kw, run_kw = run
+        sim = _RescanChecked(**kw)
+        stats = sim.run(**run_kw)
+        assert sim.n_checked == len(stats.epochs)
+
+    def test_completion_on_an_epoch_boundary_is_dropped_uncounted(self):
+        """Zero service time on an exact 0.25 s grid with 0.5 s epochs:
+        every other request arrives, launches and completes *on* a
+        boundary, just after that epoch closed. No window of the rescan
+        holds such a completion; the open set must let it go uncounted."""
+        sim = _RescanChecked(
+            None, service_model=FakeService(base=0.0, per=0.0),
+            policy=BatchingPolicy(max_batch=1, max_wait=0.0),
+            autoscale=AutoscalePolicy(min_replicas=1, max_replicas=1,
+                                      epoch=0.5))
+        stats = sim.run(4.0, n_requests=12, process="uniform", seed=0,
+                        slo=1.0)
+        assert sim.n_checked == len(stats.epochs) == 5
+        assert [(e.n_arrived, e.n_completed) for e in stats.epochs[1:]] \
+            == [(1, 1)] * 4
+
+
+class _CountingLedger(dict):
+    """A completion ledger that counts how often it is asked for an id."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+class _LedgerCounted(AutoscalingSimulator):
+    def _make_router(self, on_commit=None):
+        router = super()._make_router(on_commit)
+        self.ledger = router._completions = _CountingLedger()
+        for r in router.replicas:
+            r.queue.completions = self.ledger
+        return router
+
+
+def test_observation_work_per_request_does_not_grow_with_the_run():
+    """Pins the work, not the wall clock: on the ``autoscale`` configuration
+    of ``bench/workloads.py`` (quarter-SLO epochs, MMPP bursts at 3x one
+    replica's saturation, a node death) the completion-ledger lookups per
+    request stay flat from ``n`` to ``4n`` requests. Rescanning every
+    admitted request at every epoch made them grow ~4x."""
+    from repro.sim import hep_workload
+    hep = hep_workload()
+    policy = BatchingPolicy(max_batch=32, max_wait=0.010)
+    one = ServingSimulator(hep, n_replicas=1, policy=policy)
+    slo = one.default_slo()
+    per_request = []
+    for n in (3000, 12000):
+        sim = _LedgerCounted(
+            hep, policy=policy,
+            autoscale=AutoscalePolicy(max_replicas=8, epoch=0.25 * slo,
+                                      cooldown_epochs=0, step_out=2),
+            failure_events=[FailureEvent(1.0, 0, "fail")])
+        stats = sim.run(3.0 * one.saturation_rate(), n_requests=n,
+                        process=MMPP(burst=8.0), seed=11, slo=slo)
+        assert len(stats.epochs) > n / 100 and stats.n_failed > 0
+        per_request.append(sim.ledger.lookups / n)
+    assert per_request[1] <= 1.3 * per_request[0], per_request

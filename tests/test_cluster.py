@@ -8,6 +8,7 @@ from repro.cluster import (
     CoriMachine,
     DragonflyTopology,
     EventQueue,
+    FailureEvent,
     FailureModel,
     IOModel,
     KNLNodeModel,
@@ -194,6 +195,30 @@ class TestFailures:
         f = FailureModel(mtbf_node_hours=1.0, degrade_fraction=1.0, seed=0)
         events = f.sample_events(100, 3600.0)
         assert all(e.kind == "degrade" for e in events)
+
+    @pytest.mark.parametrize("args, what", [
+        ((float("nan"), 0, "fail"), "time"),
+        ((float("inf"), 0, "fail"), "time"),
+        ((-1.0, 0, "fail"), "time"),
+        ((1.0, -3, "fail"), "node_id"),
+        ((1.0, 0, "degrade", float("nan")), "slow_factor"),
+        ((1.0, 0, "degrade", float("inf")), "slow_factor"),
+        ((1.0, 0, "fail", float("nan")), "slow_factor"),
+    ])
+    def test_failure_event_rejects_nonsense(self, args, what):
+        """A NaN time used to construct and then fall silently through the
+        autoscaler's window filter; a NaN slow factor passed `< 1.0`."""
+        with pytest.raises(ValueError, match=what):
+            FailureEvent(*args)
+
+    def test_autoscaling_simulator_surfaces_a_bad_failure_event(self):
+        from repro.serve import AutoscalingSimulator
+        from repro.sim import hep_workload
+        with pytest.raises(ValueError, match="time"):
+            AutoscalingSimulator(
+                hep_workload(),
+                failure_events=[FailureEvent(1.0, 0, "fail"),
+                                FailureEvent(float("nan"), 1, "fail")])
 
 
 class TestEventQueue:

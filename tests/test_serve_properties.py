@@ -20,6 +20,10 @@ not just the handcrafted cases in ``test_serve.py``:
 The statistical half pins the arrival samplers to their analytic
 inter-arrival moments (Poisson: mean 1/rate, CV 1; MMPP: phase-type
 moments from :meth:`MMPP.interarrival_moments`) under fixed seeds.
+
+The last section (Hypothesis) holds the event engine's *kept* state — a
+queue's lane keys, a router's published load values — to what a fresh
+computation gives after every generated step.
 """
 
 import math
@@ -27,9 +31,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serve import BatchingPolicy, plan_batches
+from repro.serve import BatchingPolicy, Router, plan_batches
 from repro.serve.arrivals import MMPP, poisson_arrivals
+from repro.serve.batching import LAUNCH_ORDERS, ReplicaBatchQueue
 from repro.utils.rng import as_rng
 
 #: every property must hold under each of these seeds (exercised in CI)
@@ -189,3 +196,99 @@ class TestArrivalProcessStatistics:
             MMPP(burst_fraction=1.0)
         with pytest.raises(ValueError, match="cycle_requests"):
             MMPP(cycle_requests=0.0)
+
+
+# -- kept state is never stale --------------------------------------------------
+
+#: time steps of the generated sequences; 0.0 makes simultaneous events
+_DT = st.sampled_from([0.0, 1e-3, 4e-3, 3e-2])
+
+
+@pytest.mark.parametrize("order", LAUNCH_ORDERS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lane_keys_are_never_stale(order, data):
+    """After every push / advance / degrade / repair / evict / abort — and
+    every rescaling of the service-time callables behind the queue's back,
+    which is what a variant switch does — each kept lane key equals a
+    freshly computed one and ``next_launch`` is the fresh minimum."""
+    n_lanes = data.draw(st.integers(1, 3))
+    scale = [1.0]
+    q = ReplicaBatchQueue(
+        BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
+                       max_wait=data.draw(st.sampled_from([0.0, 5e-3]))),
+        None,
+        service_times=[(lambda b, m=m: scale[0] * (2e-3 * (m + 1) + 1e-3 * b))
+                       for m in range(n_lanes)],
+        policies=data.draw(st.sampled_from([None, [
+            BatchingPolicy(max_batch=m + 1, max_wait=2e-3 * m,
+                           mode="continuous" if m == 1 else "windowed")
+            for m in range(n_lanes)]])),
+        order=order, slos=[0.05, 0.02, 0.09][:n_lanes])
+    t = 0.0
+    steps = data.draw(st.lists(st.tuples(
+        st.sampled_from(["push"] * 6 + ["advance", "advance", "degrade",
+                                        "repair", "flip", "evict", "abort"]),
+        _DT, st.integers(0, n_lanes - 1)), max_size=40))
+    for rid, (step, dt, model) in enumerate(steps):
+        t += dt
+        if step == "push":
+            q.push(t, rid, model)
+        elif step == "advance":
+            q.advance(t)
+        elif step == "degrade":
+            q.degrade(1.5)
+        elif step == "repair":
+            q.repair()
+        elif step == "flip":
+            scale[0] = 0.25 if scale[0] == 1.0 else 1.0
+        elif step == "evict":
+            q.evict_queued(t)
+        else:
+            q.abort_after(t)
+        fresh = {m: q._lane_key(m, lane)
+                 for m, lane in q.lanes.items() if lane}
+        assert all(fresh[m] == key for m, key in q._keys.items()), step
+        assert q.next_launch() == min(
+            (key[0] for key in fresh.values()), default=math.inf), step
+        if step == "abort":
+            break       # a dead queue takes no further events
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_published_load_is_never_stale(data):
+    """Cost-aware routing under generated traffic and fleet changes: every
+    live replica's published load equals ``_value`` recomputed from the
+    integer ledger, and the heap pick is what a linear scan picks."""
+    costs = [1e-3, 7e-3]
+    router = Router(
+        None, data.draw(st.integers(1, 3)),
+        BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
+                       max_wait=2e-3),
+        None, max_queue=None,
+        service_times=[(lambda b, c=c: 1e-3 + c * b) for c in costs],
+        model_costs=costs,
+        max_queue_seconds=data.draw(st.sampled_from([None, 0.02])))
+    t = 0.0
+    steps = data.draw(st.lists(st.tuples(
+        st.sampled_from(["submit"] * 8 + ["sync", "add", "remove", "fail"]),
+        _DT, st.integers(0, 1)), max_size=50))
+    for rid, (step, dt, model) in enumerate(steps):
+        t += dt
+        if step == "submit":
+            router.submit(t, rid, model)
+        elif step == "sync":
+            router.sync(t)
+        elif step == "add":
+            router.add_replica(t)
+        elif step == "remove" and router.n_replicas > 1:
+            router.remove_replica(t)
+        elif step == "fail" and router.n_replicas:
+            router.fail_replica(t, rid)
+        for r in router.replicas:
+            assert router._load[r.index] == router._value(r.index), step
+        if router.replicas:
+            scan = min(router.replicas,
+                       key=lambda r: (router._value(r.index), r.index))
+            assert router._least_loaded(model) is scan, step
