@@ -40,7 +40,7 @@ def _train(ds, n_iterations=300, seed=0, batch=12):
         out = net.forward(x)
         _, _, grads = loss_fn(out, targets, x, ds.labeled[idx])
         net.zero_grad()
-        net.backward(grads)
+        net.backward(grads, input_grad=False)
         opt.step()
     return net, n_train
 

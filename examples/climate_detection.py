@@ -79,7 +79,7 @@ def main() -> None:
         out = net.forward(x)
         total, bd, grads = loss_fn(out, targets, x, ds.labeled[idx])
         net.zero_grad()
-        net.backward(grads)
+        net.backward(grads, input_grad=False)
         opt.step()
         if it % 36 == 0:
             print(f"      iter {it:3d}: total {total:.3f} "

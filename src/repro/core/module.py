@@ -30,6 +30,13 @@ class Module:
     band_rows: int = 0
     #: whether ``forward(x, then)`` also runs a run of band-local followers
     takes_followers: bool = False
+    #: elementwise, non-decreasing and flat only where its gradient is 0:
+    #: ``max(f(a), f(b)) == f(max(a, b))``, and so are the gradients
+    commutes_with_max: bool = False
+    #: every output element is the maximum of a window of the input
+    window_max: bool = False
+    #: whether ``backward(grad_out, input_grad=False)`` skips dL/d(input)
+    skips_input_grad: bool = False
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or self.__class__.__name__.lower()
@@ -40,7 +47,10 @@ class Module:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Given dL/d(output), accumulate weight grads and return dL/d(input)."""
+        """Given dL/d(output), accumulate weight grads and return dL/d(input).
+
+        A layer with ``skips_input_grad`` also takes ``input_grad=False``
+        (Caffe's ``propagate_down``): same weight grads, returns ``None``."""
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

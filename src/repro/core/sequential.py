@@ -17,16 +17,26 @@ class Sequential(Module):
     sequential container plus the small multi-head wrapper in
     :mod:`repro.models.climate` covers everything in Table II.
 
+    ``forward`` and ``backward`` walk :meth:`schedule`, not ``self.layers``:
+    a max-pool runs *before* the ReLUs it follows. ``max`` commutes with a
+    non-decreasing map, so ``pool(relu(x)) == relu(pool(x))`` exactly, and so
+    do the gradients (a window whose maximum is <= 0 gets none either way, a
+    positive maximum has the same winners), while ReLU's forward, mask and
+    backward touch a ``k*k``-th of the elements. ``self.layers``, names,
+    parameters, FLOP counts and checkpoints keep list order; code that walks
+    a net by hand next to a ``net.forward`` must walk the schedule.
+
     An eval forward runs in **fused groups**: a layer that takes followers
-    (a ``Conv2D``) is handed the run of band-local layers behind it
-    (``Module.band_rows``: ``ReLU``, a non-overlapping ``MaxPool2D``) and
-    applies their own ``forward`` to each band of its output while that is
-    in cache, so only the group's last activation is ever written. The
-    result is the layer-by-layer one. A training forward is never grouped:
-    its followers keep whole-tensor masks for ``backward``.
+    (a ``Conv2D``) is handed the run of band-local layers behind it in the
+    schedule (``Module.band_rows``: a non-overlapping ``MaxPool2D``,
+    ``ReLU``) and applies their own ``forward`` to each band of its output
+    while that is in cache, so only the group's last activation is ever
+    written. The result is the layer-by-layer one. A training forward is
+    never grouped: its followers keep whole-tensor state for ``backward``.
     """
 
     kind = "sequential"
+    skips_input_grad = True
 
     def __init__(self, layers: Iterable[Module], name: str = "net") -> None:
         super().__init__(name=name)
@@ -48,8 +58,19 @@ class Sequential(Module):
                     p.name = f"{layer.name}.{p.name}"
 
     # -- computation -------------------------------------------------------
+    def schedule(self) -> List[Module]:
+        """``self.layers`` in execution order: each ``window_max`` layer
+        ahead of the run of ``commutes_with_max`` layers in front of it."""
+        order: List[Module] = []
+        for layer in self.layers:
+            i = len(order)
+            while layer.window_max and i and order[i - 1].commutes_with_max:
+                i -= 1
+            order.insert(i, layer)
+        return order
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        layers, i = self.layers, 0
+        layers, i = self.schedule(), 0
         while i < len(layers):
             layer, j = layers[i], i + 1
             if layer.takes_followers and not self.training:
@@ -62,10 +83,19 @@ class Sequential(Module):
             i = j
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """dL/d(input); ``None`` with ``input_grad=False`` if the first
+        layer to run can skip it (``Module.skips_input_grad``) — a training
+        step never reads the gradient with respect to its images."""
+        order = self.schedule()
+        for layer in reversed(order[1:]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        if not order:
+            return grad_out
+        if input_grad or not order[0].skips_input_grad:
+            return order[0].backward(grad_out)
+        return order[0].backward(grad_out, input_grad=False)
 
     # -- parameters --------------------------------------------------------
     def params(self) -> List[Parameter]:

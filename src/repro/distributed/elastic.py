@@ -117,7 +117,7 @@ class ElasticHybridTrainer:
             idx = rng.choice(n, size=group_batch, replace=False)
             net.zero_grad()
             loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-            net.backward(grad_out)
+            net.backward(grad_out, input_grad=False)
             versions[g] = self.registry.push_from(layers[g], versions[g],
                                                   group=g)
             clocks[g] += self.iteration_time_fn(g) * drift[g]
@@ -162,7 +162,7 @@ def sync_run_with_failure(net_factory: Callable[[], Sequential],
         idx = rng.choice(n, size=min(batch, n), replace=False)
         net.zero_grad()
         loss, grad_out = loss_fn(net, x[idx], y[idx])
-        net.backward(grad_out)
+        net.backward(grad_out, input_grad=False)
         opt.step()
         clock += iteration_time
         times.append(clock)

@@ -108,7 +108,7 @@ class HybridTrainer:
             idx = rng.choice(n, size=group_batch, replace=False)
             net.zero_grad()
             loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-            net.backward(grad_out)
+            net.backward(grad_out, input_grad=False)
             versions[g] = self.registry.push_from(layers[g], versions[g],
                                                   group=g)
             clocks[g] += self.iteration_time_fn(g) * drift[g]
@@ -163,7 +163,7 @@ class HybridTrainer:
                     idx = rng.choice(n, size=group_batch, replace=False)
                     net.zero_grad()
                     loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-                    net.backward(grad_out)
+                    net.backward(grad_out, input_grad=False)
                     # Within-group all-reduce is exact (mean over the group
                     # batch already); push to the PSs, pull fresh weights.
                     versions = self.registry.push_from(layers, versions,

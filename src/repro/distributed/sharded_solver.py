@@ -115,7 +115,7 @@ class ShardedSolverDataParallel:
                 y = shards_y[it * p + rank]
                 net.zero_grad()
                 loss, grad_out = self.loss_fn(net, x, y)
-                net.backward(grad_out)
+                net.backward(grad_out, input_grad=False)
                 flat = flatten_grads(net.params())
                 # Reduce-scatter: rank r keeps only its summed-gradient
                 # shard. (Executed as all-reduce + slice over the thread

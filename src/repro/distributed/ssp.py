@@ -99,7 +99,7 @@ class SSPTrainer:
             idx = rng.choice(n, size=group_batch, replace=False)
             net.zero_grad()
             loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-            net.backward(grad_out)
+            net.backward(grad_out, input_grad=False)
             versions[g] = self.registry.push_from(layers[g], versions[g],
                                                   group=g)
             clocks[g] += self.iteration_time_fn(g) * drift[g]

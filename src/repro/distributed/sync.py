@@ -71,7 +71,7 @@ class SyncDataParallel:
                 y = shards_y[it * comm.size + rank]
                 net.zero_grad()
                 loss, grad_out = self.loss_fn(net, x, y)
-                net.backward(grad_out)
+                net.backward(grad_out, input_grad=False)
                 params = net.params()
                 flat = flatten_grads(params)
                 reduced = np.empty_like(flat)

@@ -132,13 +132,16 @@ class ClimateNet(Module):
             "features": feats,
         }
 
-    def backward(self, grads: Dict[str, np.ndarray]) -> np.ndarray:
-        """Backward from per-output gradients; returns dL/d(input)."""
+    def backward(self, grads: Dict[str, np.ndarray],
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Backward from per-output gradients; returns dL/d(input), or
+        ``None`` with ``input_grad=False`` (the encoder's first conv then
+        skips its data gradient, the largest scatter of a training step)."""
         g_feats = self.conf_head.backward(grads["conf"])
         g_feats = g_feats + self.cls_head.backward(grads["cls"])
         g_feats = g_feats + self.box_head.backward(grads["box"])
         g_feats = g_feats + self.decoder.backward(grads["recon"])
-        return self.encoder.backward(g_feats)
+        return self.encoder.backward(g_feats, input_grad)
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:

@@ -32,6 +32,7 @@ class ReLU(Module):
 
     kind = "activation"
     band_rows = 1  # elementwise
+    commutes_with_max = True  # and non-decreasing
 
     def __init__(self, name: Optional[str] = None) -> None:
         super().__init__(name=name or "relu")

@@ -5,10 +5,11 @@ result is the NCHW output after a free reshape, and the output gradient is
 consumed through the same free reshape, so neither pass transposes or
 re-packs an activation. Lowering and GEMM are one call into ``nn.im2col``'s
 fused forms, which run them band by band over the output rows: forward is
-``lowered_matmul``, the data gradient ``matmul_col2im``, the weight gradient
-``lowered_outer``. A layer too big for one band therefore never holds its
-column matrix, in training or in eval: ``backward`` lowers the cached input
-again, a band at a time. Only a small layer goes in one shot, and its
+``lowered_matmul``, the weight gradient ``lowered_outer``, the data gradient
+``matmul_col2im`` or, at stride 1, the convolution it is (``Conv2D.backward``
+picks by operand shapes). A layer too big for one band therefore never holds
+its column matrix, in training or in eval: ``backward`` lowers the cached
+input again, a band at a time. Only a small layer goes in one shot, and its
 training forward keeps the columns it built.
 
 In eval, ``forward(x, then)`` is the head of a **fused group**: bias and the
@@ -43,6 +44,7 @@ class Conv2D(Module):
 
     kind = "conv"
     takes_followers = True
+    skips_input_grad = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, pad: Optional[int] = None,
@@ -101,16 +103,36 @@ class Conv2D(Module):
         self._cache = (x, cols) if self.training else None
         return run_layers(then, out)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Accumulate the parameter gradients; return the data gradient.
+
+        The data gradient has two forms. *Scatter*: ``col2im(W^T @ g)``, an
+        ``F``-deep GEMM and ``k*k`` read-modify-write passes over a padded
+        image; any stride. *Gather*, for ``stride == 1`` and ``pad <= k - 1``:
+        the convolution of ``grad_out`` (padded ``k - 1 - pad``) with the
+        kernels flipped and their channel axes swapped (paper SIII-C, read
+        backwards), one gather and one ``F*k*k``-deep GEMM. The flip copies
+        the weights, so gather runs only where those are no larger than
+        ``grad_out``: at ClimateNet widths (1024 -> 1024 at 16x16) it loses.
+        Same sums in another order: the two agree to rounding.
+        """
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x, cols = self._cache
         k, s, p = self.kernel_size, self.stride, self.pad
+        weight = self.weight.data
         g = grad_out.reshape(x.shape[0], self.out_channels, -1)  # (N, F, oh*ow)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
         self.weight.grad += lowered_outer(g, x, k, k, s, p, cols) \
-            .reshape(self.weight.data.shape)
+            .reshape(weight.shape)
         self.bias.grad += g.sum(axis=(0, 2))
+        if not input_grad:
+            return None
+        if s == 1 and p < k and weight.size <= grad_out.size:
+            flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            return lowered_matmul(flipped.reshape(self.in_channels, -1),
+                                  grad_out, k, k, 1, k - 1 - p)[0]
+        w_mat = weight.reshape(self.out_channels, -1)
         return matmul_col2im(w_mat.T, grad_out, x.shape, k, k, s, p)
 
     # -- parameters / accounting -------------------------------------------

@@ -46,6 +46,7 @@ class Deconv2D(Module):
     """
 
     kind = "deconv"
+    skips_input_grad = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, pad: Optional[int] = None,
@@ -96,7 +97,8 @@ class Deconv2D(Module):
         self._cache = x if self.training else None
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
         """Conv forward applied as a backward op, plus the weight gradient."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
@@ -104,7 +106,8 @@ class Deconv2D(Module):
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.in_channels, -1)
         # (N, C_in, h, w), and grad_out's columns if one shot built them
-        grad_in, g_cols = lowered_matmul(w_mat, grad_out, k, k, s, p)
+        grad_in, g_cols = lowered_matmul(w_mat, grad_out, k, k, s, p) \
+            if input_grad else (None, None)
         # Weight gradient couples the input activations with gathered grads.
         self.weight.grad += lowered_outer(x, grad_out, k, k, s, p, g_cols) \
             .reshape(self.weight.data.shape)

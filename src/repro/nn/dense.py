@@ -22,6 +22,7 @@ class Dense(Module):
     """Affine map ``y = x W^T + b`` with weight shape ``(out, in)``."""
 
     kind = "dense"
+    skips_input_grad = True
 
     def __init__(self, in_features: int, out_features: int,
                  name: Optional[str] = None, rng: SeedLike = None) -> None:
@@ -43,13 +44,14 @@ class Dense(Module):
         self._cache = x if self.training else None
         return x @ self.weight.data.T + self.bias.data
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x = self._cache
         self.weight.grad += grad_out.T @ x
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.data
+        return grad_out @ self.weight.data if input_grad else None
 
     def params(self) -> List[Parameter]:
         return [self.weight, self.bias]

@@ -18,9 +18,17 @@ from repro.nn.im2col import conv_output_size
 
 
 class MaxPool2D(Module):
-    """Max pooling. Fast path for the ubiquitous non-overlapping case."""
+    """Max pooling. Fast path for the ubiquitous non-overlapping case.
+
+    A training forward on the fast path is the eval forward plus a
+    *reference* to its input (not a copy: nothing may write to it before
+    ``backward``); the winners are found at backward, tap by tap. NaN never
+    wins (``np.fmax``, as in ``ReLU``), so pooling before or after a ReLU
+    gives the same output and gradients (``core.Sequential`` runs it first).
+    """
 
     kind = "pool"
+    window_max = True
 
     def __init__(self, kernel_size: int = 2, stride: Optional[int] = None,
                  name: Optional[str] = None) -> None:
@@ -53,20 +61,10 @@ class MaxPool2D(Module):
             # then block columns: 2(k-1) elementwise passes, not a 6-D
             # strided reduce.
             blocks = x.reshape(n, c, h // k, k, w // k, k)
-            rows = reduce(np.maximum, [blocks[:, :, :, i] for i in range(k)])
-            out = reduce(np.maximum, [rows[..., j] for j in range(k)])
-            if self.training:
-                # Mask of winners for backward (ties split gradient evenly
-                # is NOT what Caffe does; Caffe routes to the first max. We
-                # route to all maxima scaled by multiplicity for a correct
-                # adjoint). Eval forwards skip the construction entirely —
-                # it is an input-sized allocation serving never uses.
-                mask = (blocks == out[:, :, :, None, :, None])
-                counts = sum(mask[:, :, :, i, :, j]
-                             for i in range(k) for j in range(k))
-                self._cache = ("fast", x.shape, mask, counts)
-            else:
-                self._cache = None
+            rows = reduce(np.fmax, [blocks[:, :, :, i] for i in range(k)])
+            out = reduce(np.fmax, [rows[..., j] for j in range(k)])
+            # Eval forwards (serving) pin nothing.
+            self._cache = ("fast", x, out) if self.training else None
             return out
         # General (overlapping / ragged) path via explicit windows.
         oh = conv_output_size(h, k, s, 0)
@@ -76,7 +74,7 @@ class MaxPool2D(Module):
             x, shape=(n, c, oh, ow, k, k),
             strides=(sn, sc, sh * s, sw * s, sh, sw), writeable=False)
         flat = view.reshape(n, c, oh, ow, k * k)
-        arg = flat.argmax(axis=-1)
+        arg = np.fmax(flat, -np.inf).argmax(axis=-1)    # NaN never wins
         out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
         self._cache = ("general", x.shape, arg, (oh, ow)) \
             if self.training else None
@@ -87,12 +85,22 @@ class MaxPool2D(Module):
             raise RuntimeError(f"{self.name}: backward called before forward")
         k, s = self.kernel_size, self.stride
         if self._cache[0] == "fast":
-            _, x_shape, mask, counts = self._cache
-            n, c, h, w = x_shape
-            # In grad_out's dtype: an integer divisor would promote float32
-            # gradients, and every layer below, to float64.
-            g = grad_out / counts.astype(grad_out.dtype)
-            return (mask * g[:, :, :, None, :, None]).reshape(n, c, h, w)
+            _, x, out = self._cache
+            # Tap (i, j) of every window is one strided image the size of
+            # the output. All maxima win, scaled by multiplicity (a correct
+            # adjoint; Caffe routes to the first). A window with no winner
+            # (all NaN) gets no gradient, not 0/0. Counting in grad_out's
+            # dtype keeps float32 gradients, and every layer below, float32.
+            taps = [(i, j) for i in range(k) for j in range(k)]
+            wins = [x[:, :, i::k, j::k] == out for i, j in taps]
+            counts = np.zeros(out.shape, dtype=grad_out.dtype)
+            for win in wins:
+                counts += win
+            g = grad_out / np.maximum(counts, 1, out=counts)
+            grad_in = np.empty(x.shape, dtype=grad_out.dtype)
+            for (i, j), win in zip(taps, wins):
+                np.multiply(win, g, out=grad_in[:, :, i::k, j::k])
+            return grad_in
         _, x_shape, arg, (oh, ow) = self._cache
         n, c, h, w = x_shape
         grad_in = np.zeros(x_shape, dtype=grad_out.dtype)

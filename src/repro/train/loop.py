@@ -65,7 +65,7 @@ def fit_classifier(net: Sequential, optimizer: Optimizer, x: np.ndarray,
         idx = rng.choice(n, size=batch, replace=False)
         net.zero_grad()
         loss, grad = loss_fn(net, x[idx], y[idx])
-        net.backward(grad)
+        net.backward(grad, input_grad=False)
         optimizer.step()
         history.losses.append(loss)
     return history

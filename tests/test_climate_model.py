@@ -36,6 +36,20 @@ class TestForwardBackward:
         assert gx.shape == x.shape
         assert all(np.abs(p.grad).sum() > 0 for p in net.params())
 
+    def test_input_grad_false_changes_no_parameter_gradient(self, setup):
+        """A training step never reads dL/d(images): the flag reaches the
+        encoder's first conv, which skips its data gradient only."""
+        net, loss_fn, x, targets = setup
+        _, _, grads = loss_fn(net.forward(x), targets, x)
+        net.zero_grad()
+        assert net.backward(grads).shape == x.shape
+        want = [p.grad.copy() for p in net.params()]
+        net.zero_grad()
+        net.forward(x)
+        assert net.backward(grads, input_grad=False) is None
+        for p, ref in zip(net.params(), want):
+            np.testing.assert_array_equal(p.grad, ref)
+
     def test_unlabeled_images_only_feed_reconstruction(self, setup):
         """Semi-supervision semantics: with everything unlabeled, the
         supervised grads vanish but the autoencoder still learns."""

@@ -1,9 +1,11 @@
-"""Fused eval groups: ``Sequential`` hands a conv its band-local followers.
+"""``Sequential``'s execution order and its fused eval groups.
 
 Pinned here: an eval forward equals the layer-by-layer loop on every topology
 and band budget; fusion is invisible to training and to instance-level
-``forward`` hooks; and the HEP ``conv1`` group never holds its 51 MB
-intermediate activations.
+``forward`` hooks; the HEP ``conv1`` group never holds its 51 MB
+intermediate activations; and the schedule (a max-pool ahead of the ReLUs it
+follows, winners found at backward, no input gradient for the first layer)
+moves no float of a training step.
 """
 
 import contextlib
@@ -18,11 +20,14 @@ from hypothesis import strategies as st
 from repro.core import Sequential
 from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
+from repro.nn.deconv import Deconv2D
+from repro.nn.dense import Dense
 from repro.nn.fft_conv import FFTConv2D
 from repro.nn.im2col import _BAND_BYTES, _bands
 from repro.nn.pooling import MaxPool2D
 from repro.nn.winograd import WinogradConv2D
 from test_nn_im2col import budget
+from test_nn_pooling import parent_pool
 
 
 def layer_by_layer(net, x):
@@ -124,13 +129,16 @@ class TestFusedEqualsLayerByLayer:
             got = net.forward(x)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
         # Every layer is still called; the followers get bands of whole
-        # rows (an even number before the pool), the convs whole tensors.
+        # rows, the convs whole tensors. The pool runs first (an even number
+        # of rows a band), the ReLU it follows on what the pool made of it.
+        assert net.schedule() == [net.layers[i] for i in (0, 2, 1, 3, 4)]
         assert seen["conv0"] == [(1, 2, 16, 16)]
         assert seen["conv3"] == [(1, 4, 8, 8)]
-        assert len(seen["relu1"]) > 1 and seen["relu1"] == seen["pool2"]
+        assert len(seen["pool2"]) > 1
         assert all(s[:2] == (1, 4) and s[3] == 16 and s[2] % 2 == 0
-                   for s in seen["relu1"])
-        assert sum(s[2] for s in seen["relu1"]) == 16
+                   for s in seen["pool2"])
+        assert seen["relu1"] == [(1, 4, s[2] // 2, 8) for s in seen["pool2"]]
+        assert sum(s[2] for s in seen["pool2"]) == 16
         assert sum(s[2] for s in seen["relu4"]) == 8
 
     def test_ragged_pool_falls_back_to_whole_tensors(self, rng):
@@ -141,7 +149,9 @@ class TestFusedEqualsLayerByLayer:
             got = net.forward(x)
             want = layer_by_layer(net, x)
         np.testing.assert_array_equal(got, want)
-        assert seen["relu1"][0] == seen["pool2"][0] == (2, 4, 15, 16)
+        # (layer_by_layer ran second: entry 0 is the net's own forward)
+        assert seen["pool2"][0] == (2, 4, 15, 16)
+        assert seen["relu1"][0] == (2, 4, 7, 8)
 
     def test_overlapping_pool_is_never_fused(self, rng):
         assert MaxPool2D(3, stride=2).band_rows == 0
@@ -151,20 +161,22 @@ class TestFusedEqualsLayerByLayer:
         x = rng.normal(size=(1, 2, 16, 16)).astype(np.float32)
         with budget(2048, fold_below=1), recording(net) as seen:
             net.forward(x)
-        assert len(seen["relu1"]) > 1               # conv -> ReLU is a group
+        # It still runs before its ReLU, which ends the conv's group there.
         assert seen["over2"] == [(1, 4, 16, 16)]
+        assert seen["relu1"] == [(1, 4, 7, 7)]
 
     def test_training_forward_is_never_grouped(self, rng):
         net = build("crp", 2, 4, 3, 1, 1, 2).train()
         x = rng.normal(size=(1, 2, 16, 16)).astype(np.float32)
         with budget(2048, fold_below=1), recording(net) as seen:
             net.forward(x)
-        assert seen == {"conv0": [(1, 2, 16, 16)], "relu1": [(1, 4, 16, 16)],
-                        "pool2": [(1, 4, 16, 16)]}
-        # ... and a conv handed followers while training runs them whole.
+        assert seen == {"conv0": [(1, 2, 16, 16)], "pool2": [(1, 4, 16, 16)],
+                        "relu1": [(1, 4, 8, 8)]}
+        # ... and a conv handed followers while training runs them whole,
+        # in the order it was handed them.
         with budget(2048, fold_below=1), recording(net) as seen:
             net.layers[0].forward(x, net.layers[1:])
-        assert seen["relu1"] == [(1, 4, 16, 16)]
+        assert seen["relu1"] == seen["pool2"] == [(1, 4, 16, 16)]
 
     @given(n=st.integers(1, 4), rows=st.integers(1, 40),
            blocks=st.integers(1, 30), ow=st.integers(1, 20),
@@ -204,9 +216,10 @@ class TestFusionIsInvisible:
         np.testing.assert_array_equal(*grads)
         for p, q in zip(used.params(), fresh.params()):
             np.testing.assert_array_equal(p.grad, q.grad)
-        # A training forward fills the followers' whole-tensor state.
-        assert relu._mask.shape == (2, 4, 16, 16)
-        assert pool._cache[1] == (2, 4, 16, 16)
+        # A training forward fills the followers' whole-tensor state: the
+        # pool holds its input, the ReLU behind it a mask of the pooled size.
+        assert pool._cache[1].shape == (2, 4, 16, 16)
+        assert relu._mask.shape == (2, 4, 8, 8)
 
     def test_to_forward_hooks(self, rng):
         """With every leaf's ``forward`` shadowed by a ``(*args, **kwargs)``
@@ -230,6 +243,126 @@ class TestFusionIsInvisible:
         first = net.layers[0]
         first.forward = lambda inp, _orig=first.forward: _orig(inp)
         np.testing.assert_array_equal(net.forward(x), want)
+
+
+def list_order_step(net, x, g):
+    """Forward and backward through ``net.layers`` in *list* order, the
+    parent's pooling standing in for every fast-path ``MaxPool2D``."""
+    backs = []
+    for layer in net.layers:
+        if isinstance(layer, MaxPool2D) and layer._is_fast_path(*x.shape[2:]):
+            x, back = parent_pool(x, layer.kernel_size)
+        else:
+            x, back = layer.forward(x), layer.backward
+        backs.append(back)
+    for back in reversed(backs):
+        g = back(g)
+    return x, g
+
+
+def param_grads(net):
+    return [p.grad.copy() for p in net.params()]
+
+
+class TestScheduleIsInvisible:
+    @settings(max_examples=150, deadline=None)
+    @given(layout=st.sampled_from(LAYOUTS + ["crpcrp", "rp", "crrp"]),
+           n=st.integers(1, 3), c=st.integers(1, 3), f=st.integers(1, 5),
+           h=SIZES, w=SIZES,
+           k=st.sampled_from([1, 2, 3, 5]), stride=st.integers(1, 2),
+           pad=st.integers(0, 2), pool_k=st.sampled_from([2, 3]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           integral=st.booleans(),
+           band_bytes=st.sampled_from([2048, 1 << 40]),
+           seed=st.integers(0, 2**16))
+    def test_a_training_step_equals_the_list_order_one(
+            self, layout, n, c, f, h, w, k, stride, pad, pool_k, dtype,
+            integral, band_bytes, seed):
+        net = build(layout, c, f, k, stride, pad, pool_k, seed).train()
+        rng = np.random.default_rng(seed)
+        # Ties, exact zeros and windows with nothing positive, at the input
+        # (one decimal) and, with whole-number weights, behind every conv.
+        x = rng.normal(size=(n, c, h, w)).round(0 if integral else 1)
+        x[:, :, :h // 2, :w // 3] = -np.abs(x[:, :, :h // 2, :w // 3])
+        x[:, :, h // 2:, :w // 3] = 0.0
+        x = x.astype(dtype)
+        if integral:
+            for p in net.params():
+                p.data[...] = rng.integers(-2, 3, size=p.data.shape)
+        with budget(band_bytes, fold_below=1):
+            try:
+                shape = net.output_shape(x.shape[1:])
+            except ValueError:          # the image shrank to nothing
+                assume(False)
+            g = rng.normal(size=(n,) + shape).astype(dtype)
+            net.zero_grad()
+            want_out, want_gx = list_order_step(net, x, g)
+            want = param_grads(net)
+            net.zero_grad()
+            got_out, got_gx = net.forward(x), net.backward(g)
+            got = param_grads(net)
+            net.zero_grad()
+            net.forward(x)
+            skipped = net.backward(g, input_grad=False)
+        assert got_out.dtype == want_out.dtype and got_gx.dtype == dtype
+        np.testing.assert_array_equal(got_out, want_out)
+        np.testing.assert_array_equal(got_gx, want_gx)
+        for a, b, c_ in zip(got, want, param_grads(net)):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(c_, b)
+        # Only a first layer that can skip its data gradient does.
+        if net.schedule()[0].skips_input_grad:
+            assert skipped is None
+        else:
+            np.testing.assert_array_equal(skipped, want_gx)
+
+    def test_the_schedule_moves_pools_ahead_of_their_relus_only(self):
+        def names(layers):
+            return [layer.name for layer in layers]
+
+        net = build("crrppcro", 1, 2, 3, 1, 1, 2)
+        assert names(net.schedule()) == [
+            "conv0", "pool3", "pool4", "relu1", "relu2", "conv5", "over7",
+            "relu6"]
+        assert names(net.layers) == [
+            "conv0", "relu1", "relu2", "pool3", "pool4", "conv5", "relu6",
+            "over7"]
+        assert names(build("rcpr", 1, 2, 3, 1, 1, 2).schedule()) == [
+            "relu0", "conv1", "pool2", "relu3"]
+        assert Sequential([]).schedule() == []
+
+    @pytest.mark.parametrize("layer,shape", [
+        (lambda: Conv2D(2, 3, 3, stride=2, rng=0), (2, 2, 9, 8)),
+        (lambda: Deconv2D(2, 3, 4, stride=2, rng=0), (2, 2, 5, 4)),
+        (lambda: Dense(6, 3, rng=0), (4, 6)),
+    ], ids=["conv", "deconv", "dense"])
+    def test_layers_that_can_skip_their_input_gradient(self, rng, layer,
+                                                       shape):
+        layer = layer()
+        assert layer.skips_input_grad and not ReLU().skips_input_grad
+        x = rng.normal(size=shape).astype(np.float32)
+        g = rng.normal(size=layer.forward(x).shape).astype(np.float32)
+        assert layer.backward(g).shape == x.shape
+        want = param_grads(layer)
+        layer.zero_grad()
+        assert layer.backward(g, input_grad=False) is None
+        for a, b in zip(param_grads(layer), want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_input_grad_false_reaches_a_nested_first_layer(self, rng):
+        inner = build("cr", 2, 3, 3, 1, 1, 2).train()
+        net = Sequential([inner, MaxPool2D(2)])
+        x = rng.normal(size=(1, 2, 8, 8)).astype(np.float32)
+        g = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
+        net.forward(x)
+        assert net.backward(g).shape == x.shape
+        want = param_grads(net)
+        net.zero_grad()
+        net.forward(x)
+        assert net.backward(g, input_grad=False) is None
+        for a, b in zip(param_grads(net), want):
+            np.testing.assert_array_equal(a, b)
+        assert Sequential([]).backward(g, input_grad=False) is g
 
 
 class TestFusedMemory:

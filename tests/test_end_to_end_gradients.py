@@ -63,7 +63,10 @@ class TestHEPNetGradients:
         assert logits.dtype == dtype
         grad = rng.normal(size=logits.shape).astype(dtype)
         net.zero_grad()
-        for layer in reversed(net.layers):
+        # The order net.forward ran in: a pool ahead of the ReLU it follows.
+        order = net.schedule()
+        assert [l.name for l in order[:3]] == ["conv1", "pool1", "relu1"]
+        for layer in reversed(order):
             grad = layer.backward(grad)
             assert grad.dtype == dtype, f"{layer.name} returned {grad.dtype}"
         assert grad.shape == x.shape

@@ -1,10 +1,14 @@
 """Conv2D: forward values, gradients, shapes, error handling."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from grad_check import numeric_grad
 from repro.nn.conv import Conv2D
+from repro.nn.im2col import matmul_col2im
+from test_nn_im2col import budget
 
 
 def _loss_through(layer, x, g):
@@ -102,6 +106,87 @@ class TestBackward:
         conv = Conv2D(1, 1, 3, rng=0)
         with pytest.raises(RuntimeError):
             conv.backward(np.zeros((1, 1, 4, 4), dtype=np.float32))
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(name)`` wraps ``conv.py``'s ``name`` and returns the list of
+    argument tuples it is then called with."""
+    module = sys.modules["repro.nn.conv"]
+
+    def install(name):
+        calls, orig = [], getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install
+
+
+class TestDataGradientForms:
+    """At stride 1 the data gradient runs as the convolution it is (flipped
+    kernels, swapped channel axes, pad ``k - 1 - pad``) where the weights are
+    no larger than ``grad_out``; everywhere else it stays ``matmul_col2im``."""
+
+    @pytest.mark.parametrize("band_bytes", [2048, 1 << 40],
+                             ids=["banded", "one-shot"])
+    @pytest.mark.parametrize("channels", [(3, 4), (4, 4)])
+    @pytest.mark.parametrize("pad_of", [lambda k: 0, lambda k: (k - 1) // 2,
+                                        lambda k: k - 1],
+                             ids=["valid", "same", "full"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_gather_form_equals_scatter_form(self, rng, spy, k, pad_of,
+                                             channels, band_bytes):
+        scatter_calls = spy("matmul_col2im")
+        c, f = channels
+        pad = pad_of(k)
+        conv = Conv2D(c, f, k, pad=pad, rng=1)
+        x = rng.normal(size=(2, c, 10, 13)).astype(np.float32)
+        with budget(band_bytes, fold_below=1):
+            g = rng.normal(size=conv.forward(x).shape).astype(np.float32)
+            got = conv.backward(g)
+            assert not scatter_calls
+            want = matmul_col2im(conv.weight.data.reshape(f, -1).T, g,
+                                 x.shape, k, k, 1, pad)
+        assert got.shape == x.shape and got.dtype == np.float32
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=1e-5,
+                                   atol=1e-5 * np.abs(want).max())
+
+    @pytest.mark.parametrize("conv,shape", [
+        (dict(kernel_size=3, pad=3), (2, 4, 8, 8)),         # pad > k - 1
+        (dict(kernel_size=3, stride=2), (2, 4, 9, 8)),      # strided
+        (dict(kernel_size=3), (1, 4, 3, 3)),                # weight-heavy
+    ], ids=["overpadded", "strided", "weight-heavy"])
+    def test_the_rule_keeps_the_scatter_form(self, rng, spy, conv, shape):
+        scatter_calls = spy("matmul_col2im")
+        conv = Conv2D(4, 4, rng=1, **conv)
+        x = rng.normal(size=shape).astype(np.float32)
+        g = rng.normal(size=conv.forward(x).shape).astype(np.float32)
+        if conv.stride == 1 and conv.pad < conv.kernel_size:
+            assert conv.weight.size > g.size
+        gx = conv.backward(g)
+        assert len(scatter_calls) == 1 and gx.shape == x.shape
+        num = numeric_grad(lambda: _loss_through(conv, x, g), x)
+        np.testing.assert_allclose(gx, num, rtol=2e-2, atol=2e-2)
+
+    def test_input_grad_false_skips_both_forms(self, rng, spy):
+        for stride in (1, 2):
+            conv = Conv2D(2, 3, 3, stride=stride, rng=1)
+            x = rng.normal(size=(2, 2, 8, 8)).astype(np.float32)
+            g = rng.normal(size=conv.forward(x).shape).astype(np.float32)
+            conv.backward(g)
+            want = conv.weight.grad.copy(), conv.bias.grad.copy()
+            conv.zero_grad()
+            calls = spy("matmul_col2im"), spy("lowered_matmul")
+            assert conv.backward(g, input_grad=False) is None
+            assert calls == ([], [])
+            np.testing.assert_array_equal(conv.weight.grad, want[0])
+            np.testing.assert_array_equal(conv.bias.grad, want[1])
 
 
 class TestAccounting:

@@ -1,9 +1,12 @@
 """Pooling layers: values, gradients (fast + general paths)."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from grad_check import numeric_grad
+from repro.nn.activations import ReLU
 from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
 
 
@@ -92,10 +95,30 @@ def _blocks(x, k):
     return x.reshape(n, c, h // k, k, w // k, k)
 
 
+def parent_pool(x, k):
+    """``MaxPool2D``'s fast path as it was before the winners moved to
+    backward, kept as the oracle: two ``np.maximum`` passes, one broadcast
+    compare of the blocks with the output for the mask, a Python ``sum`` of
+    its ``k*k`` bool views for the counts, one broadcast product. Returns
+    the output and the backward closure."""
+    blocks = _blocks(x, k)
+    rows = reduce(np.maximum, [blocks[:, :, :, i] for i in range(k)])
+    out = reduce(np.maximum, [rows[..., j] for j in range(k)])
+    mask = blocks == out[:, :, :, None, :, None]
+    counts = sum(mask[:, :, :, i, :, j] for i in range(k) for j in range(k))
+
+    def backward(g):
+        g = g / counts.astype(g.dtype)
+        return (mask * g[:, :, :, None, :, None]).reshape(x.shape)
+
+    return out, backward
+
+
 class TestFastPathIsTheStridedReduce:
-    """The row-then-column ``np.maximum`` passes are the same function as
-    ``blocks.max(axis=(3, 5))``, NaN propagation and tie-splitting
-    included."""
+    """The row-then-column ``np.fmax`` passes are the same function as
+    ``np.fmax.reduce(blocks, axis=(3, 5))``: ties, signed zeros and
+    infinities as ``max`` has them, and NaN never wins (a window is NaN only
+    when all of it is), which is what lets a ReLU run on either side."""
 
     @pytest.mark.parametrize("k,shape", [(2, (2, 3, 8, 6)), (2, (3, 1, 2, 12)),
                                          (3, (2, 2, 6, 9)), (4, (1, 2, 8, 4))])
@@ -103,14 +126,17 @@ class TestFastPathIsTheStridedReduce:
     def test_forward_equals_reduce_on_special_values(self, rng, k, shape,
                                                      training):
         x = _special_values(rng, shape)
+        x[0, 0, :k, :k] = np.nan                     # one all-NaN window
         before = x.copy()
         pool = MaxPool2D(k)
         pool.train() if training else pool.eval()
         assert pool._is_fast_path(*shape[2:])
-        with np.errstate(invalid="ignore"):
+        with np.errstate(all="raise"):
             out = pool.forward(x)
-            ref = _blocks(x, k).max(axis=(3, 5))
-        assert np.isnan(ref).any() and np.isinf(ref).any()
+        ref = np.fmax.reduce(_blocks(x, k), axis=(3, 5))
+        holds_nan = np.isnan(_blocks(x, k)).any(axis=(3, 5))
+        assert np.isnan(ref[0, 0, 0, 0]) and np.isinf(ref).any()
+        assert np.isnan(ref).sum() < holds_nan.sum()    # NaN lost somewhere
         np.testing.assert_array_equal(out, ref)      # NaN == NaN here
         assert out.dtype == x.dtype and out.flags.c_contiguous
         assert not np.shares_memory(out, x)
@@ -118,20 +144,64 @@ class TestFastPathIsTheStridedReduce:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_train_mode_mask_and_counts_equal_the_sum_form(self, rng, k):
+        """``backward`` finds the winners itself, tap by tap; its result is
+        bit for bit the broadcast-mask / summed-counts form's."""
         x = rng.integers(0, 3, size=(2, 3, 6 * k, 2 * k)).astype(np.float32)
         pool = MaxPool2D(k).train()
         out = pool.forward(x)
-        _, _, mask, counts = pool._cache
-        ref_mask = _blocks(x, k) == out[:, :, :, None, :, None]
-        np.testing.assert_array_equal(mask, ref_mask)
-        np.testing.assert_array_equal(counts, ref_mask.sum(axis=(3, 5)))
-        assert counts.max() > 1                      # ties present
-        # ... so backward splits a tied window's gradient exactly as before.
+        # The forward kept its operands, not a mask: the input itself.
+        assert pool._cache[1] is x and pool._cache[2] is out
         g = rng.normal(size=out.shape).astype(np.float32)
-        ref = (ref_mask * (g[:, :, :, None, :, None]
-                           / ref_mask.sum(axis=(3, 5), keepdims=True))
-               ).reshape(x.shape)
-        np.testing.assert_allclose(pool.backward(g), ref, rtol=1e-6)
+        ref_out, ref_backward = parent_pool(x, k)
+        np.testing.assert_array_equal(out, ref_out)
+        assert (_blocks(x, k) == out[:, :, :, None, :, None]) \
+            .sum(axis=(3, 5)).max() > 1              # ties present
+        got = pool.backward(g)
+        np.testing.assert_array_equal(got, ref_backward(g))
+        assert got.dtype == g.dtype and got.flags.c_contiguous
+        # ... and a tied window's gradient still sums to what came in.
+        np.testing.assert_allclose(_blocks(got, k).sum(axis=(3, 5)), g,
+                                   rtol=1e-6)
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("window", [
+        [np.nan, -1.0, -2.0, -3.0],                  # NaN alone
+        [np.nan, 2.0, -1.0, 0.5],                    # NaN beside a positive
+        [np.nan] * 4,                                # all NaN
+        [np.inf, 1.0, np.nan, -np.inf],              # +inf wins
+    ], ids=["nan", "nan+pos", "all-nan", "inf"])
+    def test_non_finite_windows_pool_and_relu_in_either_order(
+            self, rng, window, k, stride):
+        """No NaN gradient and no warning (an all-false window used to
+        divide by a zero count), and ``relu(pool(x))`` is ``pool(relu(x))``
+        with the same input gradient, on the fast and the general path."""
+        hw = 2 * k if k == stride else 2 * stride + 1
+        x = rng.normal(size=(2, 2, hw, hw)).astype(np.float32)
+        x[:, :, :k, :k] = np.resize(np.array(window, np.float32), (k, k))
+        g = rng.normal(size=(2, 2, 2, 2)).astype(np.float32)
+
+        def run(layers):
+            out, grad = x, g
+            for layer in layers:
+                out = layer.forward(out)
+            for layer in reversed(layers):
+                grad = layer.backward(grad)
+            return out, grad
+
+        with np.errstate(all="raise"):
+            out, grad = run([MaxPool2D(k, stride), ReLU()])
+            out_relu_first, grad_relu_first = run([ReLU(),
+                                                   MaxPool2D(k, stride)])
+        assert np.isfinite(grad).all() and not np.isnan(out).any()
+        np.testing.assert_array_equal(out, out_relu_first)
+        np.testing.assert_array_equal(grad, grad_relu_first)
+        if k == stride:     # all positive maxima win, NaN and <= 0 never
+            corner = x[0, 0, :k, :k]
+            top = np.fmax.reduce(corner, axis=None)
+            wins = (corner == top) & (top > 0)
+            np.testing.assert_array_equal(
+                grad[:, :, :k, :k],
+                wins * (g[:, :, :1, :1] / np.float32(max(wins.sum(), 1))))
 
     def test_kernel_one_is_a_copy(self, rng):
         x = rng.normal(size=(1, 2, 3, 3)).astype(np.float32)

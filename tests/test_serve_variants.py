@@ -248,9 +248,10 @@ class TestHooksKeepTheLayerBoundary:
 
     @staticmethod
     def by_hand(net, x, after=lambda layer, out: out):
-        """``{name: (input, output)}`` of a hand-written layer loop."""
+        """``{name: (input, output)}`` of a hand-written layer loop, in
+        the order ``net.forward`` runs (``p1`` before ``r1``)."""
         seen = {}
-        for layer in net.layers:
+        for layer in net.schedule():
             out = after(layer, layer.forward(x))
             seen[layer.name] = (x, out)
             x = out
@@ -270,8 +271,8 @@ class TestHooksKeepTheLayerBoundary:
         with _wrapped_forwards(net.layers, capture):
             out = net.forward(x)
         assert "forward" not in vars(net.layers[0])
-        np.testing.assert_array_equal(out, want["p2"][1])
-        assert list(seen) == list(want)
+        np.testing.assert_array_equal(out, want["r2"][1])
+        assert list(seen) == list(want) == ["c1", "p1", "r1", "c2", "p2", "r2"]
         for name in want:
             for got, ref in zip(seen[name], want[name]):
                 np.testing.assert_array_equal(got, ref)
@@ -300,7 +301,7 @@ class TestHooksKeepTheLayerBoundary:
         want = self.by_hand(
             ref, x, lambda layer, out: quantize_nearest(out, bits,
                                                         peaks[layer.name]))
-        np.testing.assert_array_equal(qnet.forward(x), want["p2"][1])
+        np.testing.assert_array_equal(qnet.forward(x), want["r2"][1])
 
     def test_kernel_selected_parity_on_a_pooled_net(self, rng):
         net, x = pooled_net(), _x(rng, self.X_SHAPE)
