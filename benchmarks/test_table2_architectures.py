@@ -12,6 +12,7 @@ from repro.models import (
     build_climate_net,
     build_hep_net,
 )
+from repro.sim.workload import climate_records, climate_workload
 from repro.utils.units import MIB
 
 
@@ -40,3 +41,16 @@ def test_table2_architectures(benchmark):
     ])
     assert abs(hep_mib - 2.3) < 0.15
     assert abs(cli_mib - 302.1) / 302.1 < 0.03
+
+
+def test_undrawn_workload_equals_the_drawn_net():
+    """``sim.workload.climate_workload()`` never draws the 75 M weights it
+    only reads shapes off: every record and byte count must be the drawn
+    ``build_climate_net(rng=0)``'s."""
+    drawn = build_climate_net(rng=0)
+    wl = climate_workload()
+    assert wl._base_records == climate_records(drawn, CLIMATE_PAPER_INPUT)
+    assert wl.trainable_layer_bytes == tuple(
+        sum(p.nbytes for p in layer.params())
+        for layer in drawn.trainable_layers())
+    assert wl.model_bytes == drawn.param_bytes()

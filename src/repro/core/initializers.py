@@ -7,15 +7,33 @@ implements). Xavier/Glorot is provided for the linear heads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_rng
+
+_UNDRAWN = ContextVar("undrawn", default=False)
+
+
+@contextmanager
+def undrawn():
+    """Inside, initializers return untouched zero pages, not draws: for a
+    net built only to read shapes, FLOPs and byte counts (``sim.workload``)."""
+    token = _UNDRAWN.set(True)
+    try:
+        yield
+    finally:
+        _UNDRAWN.reset(token)
 
 
 def he_normal(shape, fan_in: int, rng: SeedLike = None) -> np.ndarray:
     """He et al. (2015) normal init: std = sqrt(2 / fan_in)."""
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
+    if _UNDRAWN.get():
+        return zeros(shape)
     rng = as_rng(rng)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(np.float32)
@@ -26,6 +44,8 @@ def xavier_uniform(shape, fan_in: int, fan_out: int,
     """Glorot & Bengio uniform init on [-limit, limit]."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fans must be positive, got {fan_in}, {fan_out}")
+    if _UNDRAWN.get():
+        return zeros(shape)
     rng = as_rng(rng)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)

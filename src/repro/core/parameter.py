@@ -24,7 +24,9 @@ class Parameter:
         if data.dtype != np.float32:
             data = data.astype(np.float32)
         self.data: np.ndarray = data
-        self.grad: np.ndarray = np.zeros_like(data)
+        # zeros, not zeros_like (empty + fill): calloc'd pages stay untouched
+        # until a backward writes them, and an inference replica never does.
+        self.grad: np.ndarray = np.zeros(data.shape, data.dtype)
         self.name: str = name
 
     @property

@@ -27,12 +27,13 @@ class Sequential(Module):
     a net by hand next to a ``net.forward`` must walk the schedule.
 
     An eval forward runs in **fused groups**: a layer that takes followers
-    (a ``Conv2D``) is handed the run of band-local layers behind it in the
-    schedule (``Module.band_rows``: a non-overlapping ``MaxPool2D``,
-    ``ReLU``) and applies their own ``forward`` to each band of its output
-    while that is in cache, so only the group's last activation is ever
-    written. The result is the layer-by-layer one. A training forward is
-    never grouped: its followers keep whole-tensor state for ``backward``.
+    (a ``Conv2D``, a ``Deconv2D``) is handed the run of band-local layers
+    behind it in the schedule (``Module.band_rows``: a non-overlapping
+    ``MaxPool2D``, ``ReLU``) and applies their own ``forward`` to each band
+    of its output while that is in cache (a deconv: the elementwise ones),
+    so only the group's last activation is ever written. The result is the
+    layer-by-layer one. A training forward is never grouped: its followers
+    keep whole-tensor state for ``backward``.
     """
 
     kind = "sequential"

@@ -46,10 +46,11 @@ def layer_bytes_moved(layer: LayerFlops, batch: int) -> int:
     written once and read back.
 
     Inside a fused eval group (``core.Sequential``: a conv, then ``ReLU`` /
-    non-overlapping max-pool applied to each band of its output) the
-    intermediate activations never reach main memory at all: only the conv's
-    input and the group's last output do. The per-layer sum is an upper
-    bound on the group's traffic there, and exact in training.
+    non-overlapping max-pool applied to each band of its output; a deconv,
+    then its ``ReLU`` on each finished band) the intermediate activations
+    never reach main memory at all: only the head's input and the group's
+    last output do. The per-layer sum is an upper bound on the group's
+    traffic there, and exact in training.
     """
     n_in = 1
     for d in layer.input_shape:

@@ -10,7 +10,8 @@ fused forms, which run them band by band over the output rows: forward is
 picks by operand shapes). A layer too big for one band therefore never holds
 its column matrix, in training or in eval: ``backward`` lowers the cached
 input again, a band at a time. Only a small layer goes in one shot, and its
-training forward keeps the columns it built.
+training forward keeps the columns it built. A banded layer with few
+filters (``enc_conv1``: 16 -> 16, 5x5/2) takes ``nn.im2col``'s separable form.
 
 In eval, ``forward(x, then)`` is the head of a **fused group**: bias and the
 band-local layers ``then`` (``core.Sequential`` collects them) are applied
@@ -30,7 +31,8 @@ from repro.core.initializers import he_normal, zeros
 from repro.core.module import Module, run_layers
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
-    conv_output_size, lowered_matmul, lowered_outer, matmul_col2im)
+    check_input, conv_output_size, lowered_matmul, lowered_outer,
+    matmul_col2im)
 from repro.utils.rng import SeedLike
 
 
@@ -75,11 +77,8 @@ class Conv2D(Module):
                 ) -> np.ndarray:
         """The convolution of ``x``; with ``then`` (band-local layers, see
         ``Module.band_rows``) what those make of it, layer by layer."""
+        check_input(self.name, x, self.in_channels)
         _n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {c}")
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         bias = self.bias.data[:, None, None]

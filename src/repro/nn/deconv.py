@@ -15,26 +15,31 @@ convolution layers", which is the property Fig 5b relies on.
 
 Both passes use ``nn.im2col``'s per-image channel-major layout and its fused,
 banded forms, so the swap is literal: forward is ``matmul_col2im``,
-``col2im(W^T @ x)`` on ``x`` viewed ``(N, C_in, h*w)`` — the GEMM runs on a
-band of input rows and the band's ``k*k`` tap images are accumulated into the
-NCHW output while they are still in cache, so the ``(N, F*k*k, h*w)`` column
-matrix (``k*k`` times the output) is never built — and backward-data is
-``lowered_matmul``, ``W @ im2col(grad_out)``, already ``(N, C_in, h, w)``. No
-transposed copy of the input, the output or the input gradient is made. One
-implementation serves training and inference.
+``col2im(W^T @ x)`` on ``x`` viewed ``(N, C_in, h*w)``, and backward-data is
+``lowered_matmul``, ``W @ im2col(grad_out)``, already ``(N, C_in, h, w)``. The
+``(N, F*k*k, h*w)`` column matrix (``k*k`` times the output) is never built
+and no transposed copy of an activation is made. A wide layer scatters each
+band's ``k*k`` tap images into a padded output; a thin one (``C_in < 128``
+and no more rows moved: ``dec_deconv3-5``) takes the separable form. Either
+way the output rows no later band adds to are *finished*: in eval ``forward(x,
+then)`` heads a fused group like ``Conv2D``'s, and bias and the *elementwise*
+followers (``band_rows == 1``) are applied by their own ``forward`` to each
+finished band (a one-shot layer: to the whole image). One implementation
+serves training and inference.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.initializers import he_normal, zeros
-from repro.core.module import Module
+from repro.core.module import Module, run_layers
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
-    deconv_output_size, lowered_matmul, lowered_outer, matmul_col2im)
+    check_input, deconv_output_size, lowered_matmul, lowered_outer,
+    matmul_col2im)
 from repro.utils.rng import SeedLike
 
 
@@ -46,6 +51,7 @@ class Deconv2D(Module):
     """
 
     kind = "deconv"
+    takes_followers = True
     skips_input_grad = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -73,13 +79,12 @@ class Deconv2D(Module):
         self._cache: Optional[np.ndarray] = None
 
     # -- computation -------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Conv backward-data applied as a forward op (the swap trick)."""
+    def forward(self, x: np.ndarray, then: Sequence[Module] = ()
+                ) -> np.ndarray:
+        """Conv backward-data applied as a forward op (the swap trick);
+        with ``then`` what those layers make of it, layer by layer."""
+        check_input(self.name, x, self.in_channels)
         n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {c}")
         k, s, p = self.kernel_size, self.stride, self.pad
         out_shape = (n, self.out_channels,
                      deconv_output_size(h, k, s, p),
@@ -87,15 +92,20 @@ class Deconv2D(Module):
         # The free .T view of the stored weights, not a packed copy:
         # nothing to cache or to go stale under in-place weight edits.
         w_mat = self.weight.data.reshape(c, -1)   # (C_in, F*k*k)
+        bias = self.bias.data[:, None, None]
+        # The elementwise followers of an eval forward ride each finished
+        # band (training ones keep whole-tensor masks); the rest run after.
+        fused = next((i for i, layer in enumerate(then) if self.training
+                      or layer.band_rows != 1), len(then))
         # Tap (ki, kj) of input pixel (i, j) lands on output pixel
         # (i*s + ki - p, j*s + kj - p): exactly the conv's col2im scatter.
-        # Adding the bias copies the cropped view into a contiguous output.
-        out = matmul_col2im(w_mat.T, x, out_shape, k, k, s, p) \
-            + self.bias.data[:, None, None]
+        out = matmul_col2im(
+            w_mat.T, x, out_shape, k, k, s, p,
+            lambda band: run_layers(then[:fused], band + bias))
         # As in Conv2D: eval-mode forwards never run backward, so don't pin
         # the input in memory.
         self._cache = x if self.training else None
-        return out
+        return run_layers(then[fused:], out)
 
     def backward(self, grad_out: np.ndarray,
                  input_grad: bool = True) -> Optional[np.ndarray]:

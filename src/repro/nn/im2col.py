@@ -39,7 +39,21 @@ bias add and the band-local layers behind it (ReLU, a non-overlapping
 max-pool), and each band of GEMM output goes through them while it is in
 cache, so the conv's own output is never an array. Such a band is budgeted
 for the output rows it holds next to its columns and is a whole number of
-pool windows high; without an epilogue nothing differs.
+pool windows high. ``matmul_col2im`` takes one too (a ``Deconv2D``'s bias and
+elementwise followers), applied to each band of the image as it is finished.
+
+A banded ``k x k`` layer with a *thin* side (``_separable``) runs the
+**separable** form of the first two: only the row taps are lowered and the
+GEMM's other dimension carries the column taps, so ``k``-fold fewer rows are
+gathered or scattered and the GEMM is squarer. ``matmul_col2im`` copies, per
+row phase ``r < stride``, the ``T`` row-shifted slabs of ``g`` (zero past the
+image edge: no padded copy of anything), multiplies by that phase's taps
+``(C*kw, T*M)`` and adds column tap ``j`` of the product, dense and shifted
+``j // stride``, into the plane of column phase ``j % stride``; weaving the
+planes finishes the band, which goes through the epilogue into the result.
+``lowered_matmul`` is the adjoint: per column phase it gathers the ``kh`` row
+taps of every ``stride``-th column, multiplies by ``(M*U, C*kh)`` and sums
+the ``U`` shifted slices of the product into the band.
 """
 
 from __future__ import annotations
@@ -59,8 +73,25 @@ _FOLD_BELOW = 128
 #: 128-512 KiB lose 10-100 % on mid-size ones to per-band call overhead.
 _BAND_BYTES = 4 << 20
 
+#: Below this thin side (the GEMM dimension ``k*k`` does not multiply: a
+#: deconv's ``C_in``, a conv's ``F``) a banded layer may take the separable
+#: form. From here on the direct GEMM is deep enough, and re-packing weights
+#: by phase costs what the rows save (``dec_deconv1``, 432 -> 216: 0.8-0.9x).
+_THIN_BELOW = 128
+
 #: ``(first image, end image, first output row, end output row)`` of one band
 _Band = Tuple[int, int, int, int]
+
+
+def _separable(thin: int, wide: int, k: int, stride: int,
+               gathers: bool) -> bool:
+    """The rows-moved rule: whether a banded ``k x k`` layer lowers only its
+    row taps. Per GEMM column a scatter moves ``wide*k*k`` rows, separably
+    ``thin*k + wide*k*stride``; a gather ``wide*k*k``, separably ``(wide +
+    thin)*k``, and must halve them to pay: its direct form only copies."""
+    fewer = 2 * (wide + thin) <= wide * k if gathers \
+        else thin <= wide * (k - stride)
+    return fewer and thin < _THIN_BELOW
 
 
 def _batch_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,6 +111,16 @@ def _batch_outer(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     if n == 1 or p >= _FOLD_BELOW:
         return np.matmul(g, b.transpose(0, 2, 1)).sum(axis=0)
     return np.tensordot(g, b, axes=([0, 2], [0, 2]))
+
+
+def check_input(name: str, x: np.ndarray, channels: int) -> None:
+    """Reject, by layer name, all but a non-empty ``(N, channels, H, W)``."""
+    if x.ndim != 4 or not x.shape[0]:
+        raise ValueError(f"{name}: expected (N, {channels}, H, W) with "
+                         f"N >= 1, got {x.shape}")
+    if x.shape[1] != channels:
+        raise ValueError(f"{name}: expected {channels} input channels, "
+                         f"got {x.shape[1]}")
 
 
 def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -247,28 +288,34 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
     m = a.shape[0]
     bands = _lowering_bands(x, kh, kw, stride, pad,
                             m if epilogue else 0, multiple)
+    oh = conv_output_size(h, kh, stride, pad)
+    ow = conv_output_size(w, kw, stride, pad)
     if bands is None:
-        oh = conv_output_size(h, kh, stride, pad)
         cols = im2col(x, kh, kw, stride, pad)
-        out = _batch_matmul(a, cols).reshape(n, m, oh, -1)
+        out = _batch_matmul(a, cols).reshape(n, m, oh, ow)
         return (epilogue(out) if epilogue else out), cols
-    patches = _patches(x, kh, kw, stride, pad)
-    oh, ow = patches.shape[4:]
     dtype = np.result_type(a, x)
-    buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
+    if kh == kw and _separable(m, c, kh, stride, True):
+        product = _row_lowering(a, x, kh, kw, stride, pad, bands, ow, dtype)
+    else:
+        patches = _patches(x, kh, kw, stride, pad)
+        buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
+
+        def product(band: _Band, y: np.ndarray) -> None:
+            np.matmul(a, _gather(buf, patches, band), out=y)
+
     if epilogue is None:
         out = np.empty((n, m, oh * ow), dtype=dtype)
         for band in bands:
             i0, i1, r0, r1 = band
             # Each band's product lands in its slice of the NCHW output.
-            np.matmul(a, _gather(buf, patches, band),
-                      out=out[i0:i1, :, r0 * ow:r1 * ow])
+            product(band, out[i0:i1, :, r0 * ow:r1 * ow])
         return out.reshape(n, m, oh, ow), None
     prod, out = _band_buffer(bands, m, ow, dtype), None
     for band in bands:
         i0, i1, r0, r1 = band
         y = _band_cols(prod, band, m, ow)
-        np.matmul(a, _gather(buf, patches, band), out=y)
+        product(band, y)
         y = epilogue(y.reshape(i1 - i0, m, r1 - r0, ow))
         if out is None:         # the epilogue decides channels and width
             out = np.empty((n, y.shape[1], oh // multiple, y.shape[3]),
@@ -277,24 +324,122 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
     return out, None
 
 
+def _row_lowering(a, x, kh, kw, s, pad, bands, ow, dtype):
+    """The separable product of :func:`lowered_matmul` (module docstring):
+    ``product(band, y)`` fills ``y (nb, M, rows*ow)``. Column phase ``b``
+    holds taps ``b + s*u``; ``xw`` columns of it feed ``ow`` outputs."""
+    n, c, h, w = x.shape
+    m = a.shape[0]
+    a = a.reshape(m, c, kh, kw)
+    phases = [np.ascontiguousarray(a[..., b::s].transpose(0, 3, 1, 2), dtype)
+              .reshape(-1, c * kh) for b in range(min(s, kw))]
+    xw = ow + phases[0].shape[0] // m - 1
+    buf = _band_buffer(bands, c * kh, xw, x.dtype)
+    prod = _band_buffer(bands, phases[0].shape[0], xw, dtype)
+
+    def product(band: _Band, y: np.ndarray) -> None:
+        i0, i1, r0, r1 = band
+        y = y.reshape(i1 - i0, m, r1 - r0, ow)
+        for b, a_b in enumerate(phases):
+            cols = _band_cols(buf, band, c * kh, xw)
+            cols.fill(0)
+            x_lo, x_hi = max(0, -((b - pad) // s)), \
+                min(xw, (w - 1 + pad - b) // s + 1)
+            taps = cols.reshape(i1 - i0, c, kh, r1 - r0, xw)
+            for i in range(kh):
+                lo = max(r0, -((i - pad) // s))
+                hi = max(min(r1, (h - 1 + pad - i) // s + 1), lo)
+                taps[:, :, i, lo - r0:hi - r0, x_lo:x_hi] = x[
+                    i0:i1, :, lo * s + i - pad:hi * s + i - pad:s,
+                    x_lo * s + b - pad:x_hi * s + b - pad:s]
+            z = _band_cols(prod, band, a_b.shape[0], xw)
+            np.matmul(a_b, cols, out=z)
+            z = z.reshape(i1 - i0, m, -1, r1 - r0, xw)
+            for u in range(z.shape[2]):     # the first slice starts the sum
+                np.add(y if b + u else 0, z[:, :, u, :, u:u + ow], out=y)
+    return product
+
+
+def _separable_col2im(a, g, x_shape, kh, kw, s, pad, epilogue):
+    """The separable form of :func:`matmul_col2im` (module docstring). Row
+    phase ``r`` holds taps ``r + s*t`` and output rows ``s*q + r``; bands
+    are cut over ``q``, so a band is final when its planes are woven."""
+    n, c, h, w = x_shape
+    m, oh, ow = g.shape[1:]
+    dtype = np.result_type(a, g)
+    a = a.reshape(c, kh, kw, m)
+    phases = [np.ascontiguousarray(a[:, r::s].transpose(0, 2, 1, 3), dtype)
+              .reshape(c * kw, -1) for r in range(min(s, kh))]
+    depth = phases[0].shape[1]                      # T*M of row phase 0
+    q0 = pad // s                   # rows s*q .. s*q + s - 1 meet the image
+    rows = -(-(pad + h) // s) - q0
+    xw = max(ow + (kw - 1) // s, -(-(pad + w) // s))        # plane width
+    bands = _bands(n, depth + c * kw, rows, ow, dtype.itemsize) \
+        or [(0, n, 0, rows)]
+    slabs = _band_buffer(bands, depth, ow, dtype)
+    prod = _band_buffer(bands, c * kw, ow, dtype)
+    planes, woven = (_band_buffer(bands, c, s * s * xw, dtype)
+                     for _ in range(2))
+    out = np.empty(x_shape, dtype)
+    for band in bands:
+        i0, i1, r0, r1 = band
+        nb, nq, qa = i1 - i0, r1 - r0, r0 + q0
+        acc = _band_cols(planes, band, c, s * s * xw) \
+            .reshape(nb, c, nq, s, s, xw)
+        acc.fill(0)
+        for r, a_r in enumerate(phases):
+            cols = _band_cols(slabs, band, a_r.shape[1], ow)
+            slab = cols.reshape(nb, -1, m, nq, ow)
+            for t in range(slab.shape[1]):
+                lo = max(qa, t)
+                hi = max(min(qa + nq, oh + t), lo)
+                slab[:, t, :, :lo - qa] = 0
+                slab[:, t, :, hi - qa:] = 0
+                slab[:, t, :, lo - qa:hi - qa] = g[i0:i1, :, lo - t:hi - t]
+            y = _band_cols(prod, band, c * kw, ow)
+            np.matmul(a_r, cols, out=y)
+            y = y.reshape(nb, c, kw, nq, ow)
+            for j in range(kw):
+                acc[:, :, :, r, j % s, j // s:j // s + ow] += y[:, :, j]
+        full = acc.reshape(nb, c, nq, s, xw, s)     # s == 1: nothing to do
+        if s > 1:
+            full = _band_cols(woven, band, c, s * s * xw).reshape(full.shape)
+            for b in range(s):
+                full[..., b] = acc[:, :, :, :, b]
+        lo, hi = max(qa * s, pad), min((qa + nq) * s, pad + h)
+        y = full.reshape(nb, c, nq * s, xw * s)[
+            :, :, lo - qa * s:hi - qa * s, pad:pad + w]
+        out[i0:i1, :, lo - pad:hi - pad] = epilogue(y) if epilogue else y
+    return out
+
+
 def matmul_col2im(a: np.ndarray, g: np.ndarray,
                   x_shape: Tuple[int, int, int, int], kh: int, kw: int,
-                  stride: int, pad: int) -> np.ndarray:
+                  stride: int, pad: int,
+                  epilogue: Optional[Callable[[np.ndarray], np.ndarray]]
+                  = None) -> np.ndarray:
     """``col2im(a (C*kh*kw, M) @ g)`` for ``g (N, M, oh, ow)``: an image of
-    ``x_shape``, each band of columns scattered while it is still in cache."""
+    ``x_shape``, each band of columns scattered while it is still in cache;
+    with an elementwise ``epilogue``, what that makes of the image, applied
+    to each whole-row band of it no later band adds to (one shot: to all)."""
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if g.shape[0] != n or g.shape[2:] != (oh, ow):
         raise ValueError(
             f"g shape {g.shape} does not lower an image of {x_shape}")
-    g = g.reshape(n, -1, oh * ow)
     dtype = np.result_type(a, g)
     rows = c * kh * kw
     bands = _bands(n, rows, oh, ow, dtype.itemsize)
+    if bands and kh == kw and _separable(g.shape[1], c, kh, stride, False):
+        return _separable_col2im(a, g, x_shape, kh, kw, stride, pad, epilogue)
+    g = g.reshape(n, -1, oh * ow)
     if bands is None:
-        return col2im(_batch_matmul(a, g), x_shape, kh, kw, stride, pad)
+        out = col2im(_batch_matmul(a, g), x_shape, kh, kw, stride, pad)
+        return epilogue(out) if epilogue else out
     out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
+    done = np.empty(x_shape, dtype) if epilogue else out[
+        :, :, pad:pad + h, pad:pad + w]
     buf = _band_buffer(bands, rows, ow, dtype)
     for band in bands:
         i0, i1, r0, r1 = band
@@ -302,9 +447,12 @@ def matmul_col2im(a: np.ndarray, g: np.ndarray,
         np.matmul(a, g[i0:i1, :, r0 * ow:r1 * ow], out=cols)
         _scatter_add(out[i0:i1, :, r0 * stride:],
                      cols.reshape(-1, c, kh, kw, r1 - r0, ow), stride)
-    if pad:
-        out = out[:, :, pad:-pad, pad:-pad]
-    return out
+        if epilogue:    # no later band reaches the rows above r1 * stride
+            lo, hi = np.clip((r0 * stride, r1 * stride if r1 < oh else h + pad),
+                             pad, h + pad)
+            done[i0:i1, :, lo - pad:hi - pad] = epilogue(
+                out[i0:i1, :, lo:hi, pad:pad + w])
+    return done
 
 
 def lowered_outer(g: np.ndarray, x: np.ndarray, kh: int, kw: int,

@@ -26,7 +26,7 @@ from repro.nn.fft_conv import FFTConv2D
 from repro.nn.im2col import _BAND_BYTES, _bands
 from repro.nn.pooling import MaxPool2D
 from repro.nn.winograd import WinogradConv2D
-from test_nn_im2col import budget
+from test_nn_im2col import budget, lowering, separable_everywhere
 from test_nn_pooling import parent_pool
 
 
@@ -38,15 +38,17 @@ def layer_by_layer(net, x):
 
 
 def build(layout, c, f, k, stride, pad, pool_k, seed=0):
-    """An eval net from a layout string: ``c`` conv (``C -> F``, then
-    ``F -> F``), ``r`` ReLU, ``p`` ``pool_k`` max-pool, ``o`` an overlapping
-    3x3/stride-2 max-pool. Biases are random: zero would hide their order."""
+    """An eval net from a layout string: ``c`` conv / ``d`` deconv (``C ->
+    F``, then ``F -> F``), ``r`` ReLU, ``p`` ``pool_k`` max-pool, ``o`` an
+    overlapping 3x3/stride-2 max-pool. Biases are random: zero would hide
+    their order."""
     rng = np.random.default_rng(seed)
     layers = []
     for i, code in enumerate(layout):
-        if code == "c":
-            conv = Conv2D(c, f, k, stride=stride, pad=pad, rng=seed + i,
-                          name=f"conv{i}")
+        if code in "cd":
+            conv = (Conv2D if code == "c" else Deconv2D)(
+                c, f, k, stride=stride, pad=pad, rng=seed + i,
+                name=f"{'conv' if code == 'c' else 'deconv'}{i}")
             conv.bias.data[...] = rng.normal(size=f)
             layers.append(conv)
             c = f
@@ -82,7 +84,8 @@ def recording(net):
 #: image sides: any, but often ones a 2x2 or 3x3 pool divides
 SIZES = st.one_of(st.sampled_from([12, 18, 24]), st.integers(6, 26))
 LAYOUTS = ["cr", "cp", "crp", "cpr", "crpp", "cc", "ccrp", "crpcr", "rcrp",
-           "pcp", "co", "cro", "crpo"]
+           "pcp", "co", "cro", "crpo", "dr", "drr", "drp", "dpr", "crdr",
+           "drcp"]
 
 
 class TestFusedEqualsLayerByLayer:
@@ -100,7 +103,9 @@ class TestFusedEqualsLayerByLayer:
         net = build(layout, c, f, k, stride, pad, pool_k, seed)
         x = np.random.default_rng(seed).normal(size=(n, c, h, w)) \
             .astype(dtype)
-        with budget(band_bytes, fold_below=1):
+        # the separable forms on every other draw, whatever the rule says
+        forms = separable_everywhere() if seed % 2 else contextlib.nullcontext()
+        with budget(band_bytes, fold_below=1), forms:
             try:
                 want = layer_by_layer(net, x)
             except ValueError:          # the image shrank to nothing
@@ -196,6 +201,70 @@ class TestFusedEqualsLayerByLayer:
             assert r0 % multiple == 0 and r1 % multiple == 0
             covered[i0:i1, r0:r1] += 1
         assert (covered == 1).all()
+
+
+class TestDeconvGroups:
+    """A ``Deconv2D`` heads a group too: bias and its *elementwise*
+    followers ride each finished band of the separable form."""
+
+    @staticmethod
+    def net(layout, rng, c=2, f=4):
+        # 2 -> 4 channels, 4x4/2: thin enough for the rule as it stands
+        net = build(layout, c, f, 4, 2, 1, 2)
+        return net, rng.normal(size=(2, c, 12, 10)).astype(np.float32)
+
+    @pytest.mark.parametrize("c, f, separable", [(2, 4, True),
+                                                 (12, 2, False)])
+    def test_followers_see_bands_that_tile_the_output(self, rng, c, f,
+                                                      separable):
+        """Both forms finish bands: the separable one when a band's planes
+        are woven, the scatter one once no later band reaches the rows."""
+        assert lowering._separable(c, f, 4, 2, False) == separable
+        net, x = self.net("drr", rng, c, f)
+        want = layer_by_layer(net, x)
+        with budget(2048, fold_below=1), recording(net) as seen:
+            got = net.forward(x)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        assert got.flags.c_contiguous and got.shape == (2, f, 24, 20)
+        assert seen["deconv0"] == [(2, c, 12, 10)]
+        assert len(seen["relu1"]) > 2 and seen["relu2"] == seen["relu1"]
+        # whole-width bands of one image each, every output row once
+        assert all(s[:2] == (1, f) and s[3] == 20 for s in seen["relu1"])
+        assert sum(s[2] for s in seen["relu1"]) == 2 * 24
+
+    def test_a_pool_behind_a_deconv_is_never_fused(self, rng):
+        net, x = self.net("drp", rng)
+        with budget(2048, fold_below=1), recording(net) as seen:
+            got = net.forward(x)
+            want = layer_by_layer(net, x)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        # The pool runs first, so nothing elementwise leads the group: it
+        # and the ReLU behind it see whole tensors.
+        assert seen["pool2"][0] == (2, 4, 24, 20)
+        assert seen["relu1"][0] == (2, 4, 12, 10)
+
+    def test_a_training_forward_is_never_grouped(self, rng):
+        net, x = self.net("dr", rng)
+        net.train()
+        with budget(2048, fold_below=1), recording(net) as seen:
+            net.forward(x)
+            assert seen["relu1"] == [(2, 4, 24, 20)]
+            # ... and a deconv handed followers while training runs them
+            # whole: the ReLU's mask must cover the tensor for backward.
+            net.layers[0].forward(x, net.layers[1:])
+        assert seen["relu1"] == [(2, 4, 24, 20)] * 2
+        assert net.layers[1]._mask.shape == (2, 4, 24, 20)
+
+    def test_one_shot_groups_are_bit_equal(self, rng):
+        net, x = self.net("drr", rng)
+        np.testing.assert_array_equal(net.forward(x), layer_by_layer(net, x))
+
+    def test_a_one_argument_shadow_survives_where_nothing_follows(self, rng):
+        net, x = self.net("ddr", rng)
+        want = net.forward(x)
+        first = net.layers[0]
+        first.forward = lambda inp, _orig=first.forward: _orig(inp)
+        np.testing.assert_array_equal(net.forward(x), want)
 
 
 class TestFusionIsInvisible:

@@ -1,5 +1,6 @@
 """Conv2D: forward values, gradients, shapes, error handling."""
 
+import re
 import sys
 
 import numpy as np
@@ -44,6 +45,14 @@ class TestForward:
         x = np.zeros((4, 3, 16, 16), dtype=np.float32)
         assert conv.forward(x).shape == (4, 8, 8, 8)
         assert conv.output_shape((3, 16, 16)) == (8, 8, 8)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 6, 6), (4, 6, 6), (6, 6),
+                                       (1, 1, 4, 6, 6)])
+    def test_malformed_input_fails_at_the_layer_with_its_name(self, shape):
+        conv = Conv2D(4, 2, 3, name="enc_conv7", rng=0)
+        with pytest.raises(ValueError, match=r"enc_conv7: expected \(N, 4, "
+                           r"H, W\) with N >= 1, got " + re.escape(str(shape))):
+            conv.forward(np.zeros(shape, dtype=np.float32))
 
     def test_wrong_channels_raises(self):
         conv = Conv2D(3, 8, 3, rng=0)

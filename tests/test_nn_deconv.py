@@ -1,5 +1,7 @@
 """Deconv2D: the conv-swap trick, gradients, upsampling shapes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,14 @@ class TestShapes:
         d = Deconv2D(4, 4, 5, stride=1, rng=0)
         x = np.zeros((1, 4, 10, 10), dtype=np.float32)
         assert d.forward(x).shape == (1, 4, 10, 10)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 6, 6), (4, 6, 6), (6, 6),
+                                       (1, 1, 4, 6, 6)])
+    def test_malformed_input_fails_at_the_layer_with_its_name(self, shape):
+        deconv = Deconv2D(4, 2, 4, stride=2, name="dec_deconv2", rng=0)
+        with pytest.raises(ValueError, match=r"dec_deconv2: expected \(N, 4, "
+                           r"H, W\) with N >= 1, got " + re.escape(str(shape))):
+            deconv.forward(np.zeros(shape, dtype=np.float32))
 
     def test_wrong_channels_raises(self):
         d = Deconv2D(4, 2, 4, stride=2, rng=0)

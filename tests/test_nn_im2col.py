@@ -11,14 +11,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import Sequential
+from repro.core.initializers import undrawn
+from repro.models import build_hep_net
+from repro.models.climate import PAPER_DECODER, PAPER_ENCODER, ClimateNet
 from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
 from repro.nn.im2col import (
-    _BAND_BYTES, _FOLD_BELOW, _bands, _batch_matmul, _batch_outer, col2im,
-    conv_output_size, deconv_output_size, im2col)
+    _BAND_BYTES, _FOLD_BELOW, _THIN_BELOW, _bands, _batch_matmul,
+    _batch_outer, col2im, conv_output_size, deconv_output_size, im2col)
 
 #: the module itself (``repro.nn.im2col`` the attribute is the function)
 lowering = sys.modules["repro.nn.im2col"]
@@ -279,15 +283,42 @@ class TestConvOnTheLowering:
 
 
 @contextlib.contextmanager
-def budget(band_bytes, fold_below=_FOLD_BELOW):
-    """Run with the band budget (and the fold threshold) turned down, so
-    test-sized layers band the way 100 MB ones do."""
-    saved = lowering._BAND_BYTES, lowering._FOLD_BELOW
-    lowering._BAND_BYTES, lowering._FOLD_BELOW = band_bytes, fold_below
+def budget(band_bytes, fold_below=_FOLD_BELOW, thin_below=_THIN_BELOW):
+    """Run with the band budget (and the fold threshold, and the separable
+    form's thin-side cap) turned, so test-sized layers band the way 100 MB
+    ones do."""
+    saved = lowering._BAND_BYTES, lowering._FOLD_BELOW, lowering._THIN_BELOW
+    lowering._BAND_BYTES, lowering._FOLD_BELOW, lowering._THIN_BELOW = \
+        band_bytes, fold_below, thin_below
     try:
         yield
     finally:
-        lowering._BAND_BYTES, lowering._FOLD_BELOW = saved
+        (lowering._BAND_BYTES, lowering._FOLD_BELOW,
+         lowering._THIN_BELOW) = saved
+
+
+@contextlib.contextmanager
+def separable_everywhere():
+    """Every banded layer takes the separable form, whatever the rows-moved
+    rule says. The rule never picks ``k <= stride`` or a wide thin side,
+    but the form may not lean on the rule to be right. Yields the calls."""
+    calls = []
+    saved = (lowering._separable, lowering._separable_col2im,
+             lowering._row_lowering)
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    lowering._separable = lambda *args: True
+    lowering._separable_col2im, lowering._row_lowering = map(spy, saved[1:])
+    try:
+        yield calls
+    finally:
+        (lowering._separable, lowering._separable_col2im,
+         lowering._row_lowering) = saved
 
 
 def train_step(layer_cls, shape, f, k, stride, pad, dtype, seed):
@@ -428,6 +459,151 @@ class TestBandedEqualsOneShot:
         assert kept is not None
 
 
+class TestSeparableEqualsOneShot:
+    """The separable form (row taps gathered, column taps carried by the
+    GEMM) computes what the one-shot path computes: forward, ``grad_in``,
+    ``weight.grad``, ``bias.grad``, within 1e-5 relative, in the same dtype,
+    C-contiguous. Forced on everywhere: ``k < stride`` (parities no tap
+    reaches), ``k % stride != 0`` (tap counts differ by phase), non-square
+    images and one-row bands included."""
+
+    @staticmethod
+    def check(layer_cls, shape, f, k, stride, pad, dtype, seed, band_bytes):
+        args = (layer_cls, shape, f, k, stride, pad, dtype, seed)
+        with budget(1 << 40):
+            ref = train_step(*args)
+        with budget(band_bytes, fold_below=1), separable_everywhere() as calls:
+            got = train_step(*args)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert got[0].flags.c_contiguous
+        for a, b in zip(got[:4], ref[:4]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+        return calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer_cls=st.sampled_from([Conv2D, Deconv2D]),
+           n=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+           h=st.integers(3, 10), w=st.integers(3, 10), k=st.integers(1, 5),
+           stride=st.integers(1, 3), pad=st.integers(0, 2),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           band_bytes=st.sampled_from([1, 300, 1000, 3000, 10000]),
+           seed=st.integers(0, 10**6))
+    def test_generated_geometries(self, layer_cls, n, c, h, w, f, k, stride,
+                                  pad, dtype, band_bytes, seed):
+        if layer_cls is Conv2D:
+            assume(min(h, w) + 2 * pad >= k)
+        else:
+            assume((min(h, w) - 1) * stride - 2 * pad + k > 0)
+        self.check(layer_cls, (n, c, h, w), f, k, stride, pad, dtype, seed,
+                   band_bytes)
+
+    @pytest.mark.parametrize("layer_cls, k, stride, pad", [
+        (Deconv2D, 5, 1, 2), (Deconv2D, 4, 2, 1),       # the decoder's
+        (Deconv2D, 2, 3, 0), (Deconv2D, 1, 2, 0),       # k < stride
+        (Deconv2D, 5, 2, 1), (Deconv2D, 4, 3, 2),       # k % stride != 0
+        (Conv2D, 5, 2, 2), (Conv2D, 3, 1, 1), (Conv2D, 2, 3, 1),
+        (Conv2D, 5, 3, 0), (Conv2D, 4, 2, 3),
+    ])
+    def test_both_passes_take_the_form(self, layer_cls, k, stride, pad):
+        for band_bytes in (1, 2000):
+            calls = self.check(layer_cls, (2, 3, 9, 7), 4, k, stride, pad,
+                               np.float32, 3, band_bytes)
+            # Forward one way, the data gradient the other; a stride-1
+            # conv's data gradient is the conv it is.
+            both = layer_cls is Deconv2D or stride > 1
+            assert band_bytes > 1 and not calls or set(calls) == (
+                {"_row_lowering", "_separable_col2im"} if both
+                else {"_row_lowering"})
+
+    @pytest.mark.parametrize("layer_cls", [Conv2D, Deconv2D])
+    def test_a_one_shot_layer_never_asks_the_rule(self, layer_cls):
+        """Small layers keep the parent's path bit for bit: whatever the
+        rule would say, it is not consulted."""
+        args = (layer_cls, (3, 2, 12, 12), 4, 5, 1, 2, np.float32, 9)
+        ref = train_step(*args)
+        with separable_everywhere() as calls:
+            got = train_step(*args)
+        assert not calls
+        for a, b in zip(got[:4], ref[:4]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_the_cap_is_the_constant(self):
+        """``dec_deconv3`` (108 -> 54, 4x4/2) sits under the cap and
+        ``dec_deconv2`` (216 -> 108) over it; turning it moves both."""
+        rule = lowering._separable
+        assert rule(108, 54, 4, 2, False) and not rule(216, 108, 4, 2, False)
+        with budget(_BAND_BYTES, thin_below=217):
+            assert lowering._separable(216, 108, 4, 2, False)
+        with budget(_BAND_BYTES, thin_below=108):
+            assert not lowering._separable(108, 54, 4, 2, False)
+        # ... but never past the rows: nothing to separate at k <= stride
+        with budget(_BAND_BYTES, thin_below=10**9):
+            assert not lowering._separable(1, 64, 2, 2, False)
+            assert not lowering._separable(64, 8, 3, 1, True)
+
+
+def separable_layers(net, input_shape, n):
+    """Names of the conv / deconv layers of ``net`` (a ``Sequential``) that
+    take the separable form on ``(n,) + input_shape`` float32 inputs, in
+    training or in a fused eval group. Shapes only: nothing is computed."""
+    names, shape = [], tuple(input_shape)
+    for layer in net.layers:
+        if layer.kind in ("conv", "deconv"):
+            c, f = layer.in_channels, layer.out_channels
+            k, s, p = layer.kernel_size, layer.stride, layer.pad
+            if layer.kind == "conv":
+                x = np.broadcast_to(np.float32(0), (n,) + shape)
+                banded = any(lowering._lowering_bands(x, k, k, s, p, held)
+                             for held in (0, f))
+                form = lowering._separable(f, c, k, s, True)
+            else:
+                banded = _bands(n, f * k * k, *shape[1:], 4)
+                form = lowering._separable(c, f, k, s, False)
+            if banded and form:
+                names.append(layer.name)
+        shape = layer.output_shape(shape)
+    return names
+
+
+class TestTheRuleIsATable:
+    """Which layers of the nets this repo runs take the separable form: the
+    four thin ones of the benchmark ClimateNet, and nothing at paper width,
+    in the HEP net or in the hybrid trainer's."""
+
+    @staticmethod
+    def climate(width):
+        enc = [(int(c * width), k, s) for c, k, s in PAPER_ENCODER]
+        dec = [(int(c * width), k, s) for c, k, s in PAPER_DECODER]
+        dec[-1] = (16,) + PAPER_DECODER[-1][1:]
+        with undrawn():
+            return ClimateNet(16, 3, enc, dec)
+
+    def forms(self, net, size, n):
+        enc = separable_layers(net.encoder, (16, size, size), n)
+        feats = net.encoder.output_shape((16, size, size))
+        return enc + separable_layers(net.decoder, feats, n)
+
+    def test_benchmark_climate_net(self):
+        assert self.forms(self.climate(1 / 4), 256, 2) == [
+            "enc_conv1", "dec_deconv3", "dec_deconv4", "dec_deconv5"]
+
+    @pytest.mark.parametrize("size, n", [(64, 8), (768, 1), (768, 2)])
+    def test_paper_width_climate_net_stays(self, size, n):
+        assert self.forms(self.climate(1), size, n) == []
+
+    @pytest.mark.parametrize("filters, size, n", [
+        (128, 224, 2), (128, 64, 8),        # hep_infer, hep_train
+        (16, 32, 32)])                      # hybrid_train
+    def test_hep_nets_stay(self, filters, size, n):
+        net = build_hep_net(filters=filters, rng=0)
+        assert separable_layers(net, (3, size, size), n) == []
+        # ... nor does a data gradient, a conv with flipped kernels or,
+        # where 128 x 128 weights outgrow grad_out, a scatter at the cap.
+        assert not lowering._separable(filters, filters, 3, 1, True)
+        assert not lowering._separable(128, 128, 3, 1, False)
+
+
 class TestBandedMemory:
     """A layer whose column matrix would be 72 MiB peaks at its activations
     plus a few bands, in eval and in training: no column-matrix term."""
@@ -465,3 +641,23 @@ class TestBandedMemory:
         peak, _ = self.peak_of(
             lambda: (layer.forward(x), layer.backward(g)))
         assert peak < bound, f"train step peaked at {peak >> 20} MiB"
+
+    @pytest.mark.parametrize("layer_cls, c, k, stride", [
+        (Deconv2D, 27, 5, 1),       # dec_deconv5 of the benchmark ClimateNet
+        (Conv2D, 16, 5, 2),         # its enc_conv1
+    ])
+    def test_separable_forward_holds_no_padded_image(self, layer_cls, c, k,
+                                                     stride):
+        """The separable form gathers from ``x`` itself and finishes each
+        band into the result: an eval forward peaks at its output and a few
+        bands, with no room left for the padded copy the direct form makes."""
+        layer = layer_cls(c, 16, k, stride=stride, rng=0).eval()
+        shape = (2, c, 256, 256)
+        assert separable_layers(Sequential([layer]), shape[1:], 2)
+        x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+        peak, out = self.peak_of(lambda: layer.forward(x))
+        # what the direct form pads: a conv its input, a deconv its output
+        padded = (x if layer_cls is Conv2D else out).nbytes
+        bound = out.nbytes + 3 * _BAND_BYTES // 2
+        assert bound < out.nbytes + padded
+        assert peak < bound, f"eval forward peaked at {peak / 2**20:.1f} MiB"

@@ -38,6 +38,27 @@ class TestWorkloadInvariants:
     def test_workloads_cached(self):
         assert hep_workload() is hep_workload()
 
+    def test_climate_records_come_from_undrawn_weights(self):
+        """``climate_workload()`` reads shapes, FLOPs and bytes off a net
+        whose 75 M weights were never drawn; the numbers are the drawn
+        net's (``benchmarks/test_table2_architectures.py`` compares every
+        record)."""
+        wl = climate_workload()
+        assert len(wl.report(1).layers) == 30
+        assert wl.n_trainable_layers == 17
+        assert wl.model_bytes == 314_977_712
+        assert wl.report(1).forward_flops == 891_645_511_680
+
+    def test_undrawn_weights_are_zero_and_scoped(self):
+        from repro.core.initializers import he_normal, undrawn, xavier_uniform
+        with undrawn():
+            assert not he_normal((3, 4), 4, 0).any()
+            assert not xavier_uniform((3, 4), 4, 3, 0).any()
+            with pytest.raises(ValueError):
+                he_normal((3, 4), 0)        # still validated
+        assert he_normal((3, 4), 4, 0).any()
+        assert he_normal((3, 4), 4, 0).dtype == np.float32
+
     def test_climate_model_larger_than_hep(self):
         assert climate_workload().model_bytes > \
             100 * hep_workload().model_bytes
