@@ -30,9 +30,12 @@ matrix, ``k*k`` times the activation it lowers, is never built and an
 activation is read once and written once. Only a layer whose whole-batch
 columns are that small anyway, or whose images have too few columns to carry a
 GEMM of their own (``_FOLD_BELOW``), goes in one shot through ``im2col`` /
-``col2im`` and ``_batch_matmul`` / ``_batch_outer``. Which of the two happens
-is read from the operand shapes alone; training and inference run the same
-code.
+``col2im`` and ``_batch_matmul`` / ``_batch_outer``. Those two *fold* the
+batch into one GEMM where the weight operand outweighs an image's columns
+(``_folds``: under ``_FOLD_BELOW`` columns and more weight rows than columns)
+and run one GEMM per image otherwise: re-packing a batch to share 2 KB of
+weights costs three times the GEMMs. Every such choice is read from the
+operand shapes alone; training and inference run the same code.
 
 ``lowered_matmul`` also takes an ``epilogue``: an eval ``Conv2D`` passes its
 bias add and the band-local layers behind it (ReLU, a non-overlapping
@@ -65,7 +68,9 @@ import numpy as np
 
 #: Below this many columns per image a GEMM no longer amortises streaming its
 #: weight operand (the paper ClimateNet's 4x4 and 8x8 layers hold up to 95 MB
-#: of weights against 16-64 columns), so the batch shares one GEMM instead.
+#: of weights against 16-64 columns), so the batch shares one GEMM instead,
+#: where the weights have more rows than the image has columns (``_folds``:
+#: a 16-filter layer's weights are smaller than the batch it would re-pack).
 _FOLD_BELOW = 128
 
 #: Column bytes a band of a fused lowering gathers at a time. 1-16 MiB
@@ -94,10 +99,16 @@ def _separable(thin: int, wide: int, k: int, stride: int,
     return fewer and thin < _THIN_BELOW
 
 
+def _folds(n: int, rows: int, p: int) -> bool:
+    """Whether ``n`` images of ``p`` columns share one GEMM: where a weight
+    operand of ``rows`` rows outweighs the columns it is streamed for."""
+    return n > 1 and p < _FOLD_BELOW and rows > p
+
+
 def _batch_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a (M, K)`` applied to every image of ``b (N, K, P)``: ``(N, M, P)``."""
     n, k, p = b.shape
-    if n == 1 or p >= _FOLD_BELOW:
+    if not _folds(n, a.shape[0], p):
         return np.matmul(a, b)
     # One GEMM on (K, N*P): the re-packed operands are the small ones here.
     out = a @ b.transpose(1, 0, 2).reshape(k, n * p)
@@ -108,7 +119,7 @@ def _batch_outer(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``sum_n g[n] @ b[n].T`` for ``g (N, M, P)``, ``b (N, K, P)``: ``(M, K)``,
     the weight-gradient contraction over images and positions."""
     n, _, p = b.shape
-    if n == 1 or p >= _FOLD_BELOW:
+    if not _folds(n, g.shape[1], p):
         return np.matmul(g, b.transpose(0, 2, 1)).sum(axis=0)
     return np.tensordot(g, b, axes=([0, 2], [0, 2]))
 
@@ -153,7 +164,9 @@ def _patches(x: np.ndarray, kh: int, kw: int, stride: int,
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
     sn, sc, sh, sw = x.strides
     return np.lib.stride_tricks.as_strided(
         x,
@@ -219,8 +232,10 @@ def _bands(n: int, rows: int, oh: int, ow: int, itemsize: int,
     # the weights, however many bytes that takes.
     height = max(_BAND_BYTES // row_bytes, -(-_FOLD_BELOW // ow))
     if height >= oh:
-        step = height // oh                       # whole images per band
-        return [(i, min(i + step, n), 0, oh) for i in range(0, n, step)]
+        # Bands of whole images, evened out to within one (first largest).
+        count = -(-n // (height // oh))
+        cuts = [-(-n * j // count) for j in range(count + 1)]
+        return [(i0, i1, 0, oh) for i0, i1 in zip(cuts, cuts[1:])]
     height = -(-oh // -(-oh // height))           # even out a ragged tail
     height = -(-height // multiple) * multiple
     return [(i, i + 1, r, min(r + height, oh))

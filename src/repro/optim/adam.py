@@ -32,17 +32,29 @@ class Adam(Optimizer):
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
         self._t: Dict[str, int] = {}
+        #: two work arrays per parameter, so a step allocates nothing
+        self._scratch: Dict[str, np.ndarray] = {}
 
     def _update(self, p: Parameter) -> None:
-        m = self._m.setdefault(p.name, np.zeros_like(p.data))
-        v = self._v.setdefault(p.name, np.zeros_like(p.data))
+        if p.name not in self._m:
+            self._m[p.name] = np.zeros_like(p.data)
+            self._v[p.name] = np.zeros_like(p.data)
+            self._scratch[p.name] = np.empty((2,) + p.data.shape, p.data.dtype)
+        m, v = self._m[p.name], self._v[p.name]
+        a, b = self._scratch[p.name]
         t = self._t.get(p.name, 0) + 1
         self._t[p.name] = t
         g = p.grad
+        # The textbook expressions, operation for operation, into a and b:
+        # p -= lr * m_hat / (sqrt(v_hat) + eps).
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(1.0 - self.beta1, g, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(g, g, out=a)
+        v += np.multiply(1.0 - self.beta2, a, out=a)
+        np.divide(m, 1.0 - self.beta1 ** t, out=a)              # m_hat
+        np.multiply(self.lr, a, out=a)
+        np.divide(v, 1.0 - self.beta2 ** t, out=b)              # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        p.data -= np.divide(a, b, out=a)

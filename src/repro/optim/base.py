@@ -7,6 +7,7 @@ so the same optimizer state can be applied on a parameter server that owns a
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -16,13 +17,11 @@ from repro.core.parameter import Parameter
 
 class Optimizer:
     def __init__(self, params: Iterable[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.set_lr(lr)
         self.params: List[Parameter] = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names: {names}")
-        self.lr = lr
         self.iteration = 0
 
     def step(self) -> None:
@@ -39,6 +38,6 @@ class Optimizer:
             p.zero_grad()
 
     def set_lr(self, lr: float) -> None:
-        if lr <= 0:
+        if not 0 < lr < math.inf:       # NaN fails every comparison
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr

@@ -249,7 +249,7 @@ class ZipfPopularity:
     n_keys: int = 1024
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
+        if not 0 <= self.alpha < math.inf:      # NaN lands here too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.n_keys < 1:
             raise ValueError(f"n_keys must be >= 1, got {self.n_keys}")

@@ -22,7 +22,8 @@ from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
 from repro.nn.im2col import (
     _BAND_BYTES, _FOLD_BELOW, _THIN_BELOW, _bands, _batch_matmul,
-    _batch_outer, col2im, conv_output_size, deconv_output_size, im2col)
+    _batch_outer, _patches, col2im, conv_output_size, deconv_output_size,
+    im2col)
 
 #: the module itself (``repro.nn.im2col`` the attribute is the function)
 lowering = sys.modules["repro.nn.im2col"]
@@ -118,6 +119,36 @@ _geometry = dict(
 )
 
 
+def np_pad_patches(x, kh, kw, stride, pad):
+    """``_patches`` as it was: the zero border by ``np.pad``."""
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    return _patches(x, kh, kw, stride, 0)
+
+
+class TestPatches:
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+           **{**_geometry, "pad": st.integers(0, 3)})
+    def test_the_zero_border_is_np_pads(self, n, c, h, w, k, stride, pad,
+                                        seed, dtype, layout):
+        """``np.zeros`` plus one slice assignment write the bytes ``np.pad``
+        writes (in 50-100 us more a call), whatever the input's strides."""
+        assume(min(h, w) + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        if layout == "transposed":
+            x = rng.normal(size=(n, c, w, h)).astype(dtype).transpose(0, 1, 3, 2)
+        else:
+            x = rng.normal(size=(n, c, h, 2 * w)).astype(dtype)
+            x = x[..., ::2] if layout == "strided" else x[..., :w].copy()
+        assert x.flags.c_contiguous == (layout == "contiguous")
+        got, ref = (f(x, k, k, stride, pad)
+                    for f in (_patches, np_pad_patches))
+        assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
+
+
 class TestCol2Im:
     def test_roundtrip_non_overlapping(self):
         # kernel == stride: col2im(im2col(x)) == x exactly
@@ -165,8 +196,9 @@ class TestCol2Im:
 
 
 class TestBatchGemm:
-    """Per-image GEMMs and the one folded GEMM (few columns per image) are
-    the same contraction; both sides of the threshold, and batch 1."""
+    """Per-image GEMMs and the one folded GEMM (few columns per image, and
+    more weight rows than columns) are the same contraction; both sides of
+    both thresholds, and batch 1."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("p", [5, _FOLD_BELOW - 1, _FOLD_BELOW, 200])
@@ -188,14 +220,43 @@ class TestBatchGemm:
             outer, np.einsum("nmp,nkp->mk", g.astype(np.float64), b),
             rtol=1e-4, atol=1e-3)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("p", [5, _FOLD_BELOW - 1, _FOLD_BELOW])
+    @pytest.mark.parametrize("more", [-1, 0, 1])
+    def test_folds_where_the_weights_outweigh_the_columns(self, rng,
+                                                          monkeypatch,
+                                                          n, p, more):
+        """``m`` rows of weights against ``p`` columns an image: folded for
+        ``m > p`` under ``_FOLD_BELOW`` columns, batched from ``m == p`` on
+        (hybrid ``conv4``: 16 filters, 4x4 images). The batched forms are the
+        only calls of ``np.matmul`` by name; the forms agree to rounding."""
+        m = p + more
+        folds = n > 1 and p < _FOLD_BELOW and m > p
+        assert lowering._folds(n, m, p) == folds
+        a = rng.normal(size=(m, 7)).astype(np.float32)
+        b = rng.normal(size=(n, 7, p)).astype(np.float32)
+        g = rng.normal(size=(n, m, p)).astype(np.float32)
+        batched, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: (
+            batched.append(args[0].shape), matmul(*args, **kwargs))[1])
+        out, outer = _batch_matmul(a, b), _batch_outer(g, b)
+        assert batched == ([] if folds else [a.shape, g.shape])
+        monkeypatch.setattr(lowering, "_folds", lambda *args: not folds)
+        other, other_outer = _batch_matmul(a, b), _batch_outer(g, b)
+        assert len(batched) == 2        # ... and now the other two ran
+        np.testing.assert_allclose(other, out, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(other_outer, outer, rtol=1e-5,
+                                   atol=1e-5 * np.abs(outer).max())
+
     def test_batch_equals_stacked_single_images_across_the_threshold(self):
-        """An 11x11 output (121 columns) folds, 12x12 (144) does not; either
-        way image i of a batch is what image i alone gives."""
+        """A 3x3 output (9 columns against 16 filters) folds, 11x11 (121) and
+        12x12 (144) do not; either way image i of a batch is what image i
+        alone gives."""
         rng = np.random.default_rng(5)
-        for hw in (11, 12):
-            conv = Conv2D(3, 4, 3, rng=1)
+        for hw in (3, 11, 12):
+            conv = Conv2D(3, 16, 3, rng=1)
             x = rng.normal(size=(3, 3, hw, hw)).astype(np.float32)
-            g = rng.normal(size=(3, 4, hw, hw)).astype(np.float32)
+            g = rng.normal(size=(3, 16, hw, hw)).astype(np.float32)
             out = conv.forward(x)
             conv.zero_grad()
             gin = conv.backward(g)
@@ -321,6 +382,28 @@ def separable_everywhere():
          lowering._row_lowering) = saved
 
 
+@contextlib.contextmanager
+def rules_fitted_on_the_big_nets():
+    """The three shape rules before they read small shapes: fold on the
+    column count alone, pad by ``np.pad``, cut whole-image bands greedily."""
+    saved = lowering._folds, lowering._patches, lowering._bands
+
+    def greedy(n, rows, oh, ow, itemsize, multiple=1):
+        bands = saved[2](n, rows, oh, ow, itemsize, multiple)
+        if bands and bands[0][2:] == (0, oh):
+            step = max(lowering._BAND_BYTES // (rows * ow * itemsize),
+                       -(-lowering._FOLD_BELOW // ow)) // oh
+            bands = [(i, min(i + step, n), 0, oh) for i in range(0, n, step)]
+        return bands
+
+    lowering._folds = lambda n, rows, p: n > 1 and p < lowering._FOLD_BELOW
+    lowering._patches, lowering._bands = np_pad_patches, greedy
+    try:
+        yield
+    finally:
+        lowering._folds, lowering._patches, lowering._bands = saved
+
+
 def train_step(layer_cls, shape, f, k, stride, pad, dtype, seed):
     """One training forward + backward of a freshly seeded layer:
     ``(output, grad_in, weight.grad, bias.grad, kept columns)``."""
@@ -370,6 +453,26 @@ class TestBands:
     def test_small_images_band_in_groups(self):
         # Room for two whole 4-row images and a bit: 3 images go 2 + 1.
         assert self.bands(3, 4, 9 * self.ROW) == [(0, 2, 0, 4), (2, 3, 0, 4)]
+
+    def test_groups_of_images_are_evened_out(self):
+        # Room for 28 of the hybrid net's 32 conv2 images: 16 + 16, not
+        # 28 + 4; the first band stays the largest (_band_buffer sizes by it).
+        assert _bands(32, 144, 16, 16, 4) == [(0, 16, 0, 16), (16, 32, 0, 16)]
+        assert self.bands(10, 4, 17 * self.ROW) == [
+            (0, 4, 0, 4), (4, 7, 0, 4), (7, 10, 0, 4)]
+
+    @given(n=st.integers(1, 70), oh=st.integers(1, 5), room=st.integers(1, 30))
+    def test_whole_image_bands_tile_the_batch_within_one_image(self, n, oh,
+                                                               room):
+        bands = self.bands(n, oh, room * oh * self.ROW)
+        if n <= room:
+            assert bands is None
+            return
+        assert [b[2:] for b in bands] == [(0, oh)] * len(bands)
+        assert [b[0] for b in bands] + [n] == [0] + [b[1] for b in bands]
+        sizes = [i1 - i0 for i0, i1, _, _ in bands]
+        assert len(sizes) == -(-n // room)      # no more bands than greedy
+        assert min(sizes) >= sizes[0] - 1 and max(sizes) == sizes[0] <= room
 
     def test_a_band_has_fold_below_columns_whatever_the_budget(self):
         # 20 columns at 8 a row: 3-row bands although the budget says 1.
@@ -543,33 +646,64 @@ class TestSeparableEqualsOneShot:
             assert not lowering._separable(64, 8, 3, 1, True)
 
 
-def separable_layers(net, input_shape, n):
-    """Names of the conv / deconv layers of ``net`` (a ``Sequential``) that
-    take the separable form on ``(n,) + input_shape`` float32 inputs, in
-    training or in a fused eval group. Shapes only: nothing is computed."""
-    names, shape = [], tuple(input_shape)
+def lowered_layers(net, input_shape):
+    """``(layer, its input shape, its output shape)`` for each conv / deconv
+    of ``net`` (a ``Sequential``). Shapes only: nothing is computed."""
+    shape = tuple(input_shape)
     for layer in net.layers:
+        out = layer.output_shape(shape)
         if layer.kind in ("conv", "deconv"):
-            c, f = layer.in_channels, layer.out_channels
-            k, s, p = layer.kernel_size, layer.stride, layer.pad
-            if layer.kind == "conv":
-                x = np.broadcast_to(np.float32(0), (n,) + shape)
-                banded = any(lowering._lowering_bands(x, k, k, s, p, held)
-                             for held in (0, f))
-                form = lowering._separable(f, c, k, s, True)
-            else:
-                banded = _bands(n, f * k * k, *shape[1:], 4)
-                form = lowering._separable(c, f, k, s, False)
-            if banded and form:
-                names.append(layer.name)
-        shape = layer.output_shape(shape)
+            yield layer, shape, out
+        shape = out
+
+
+def separable_layers(net, input_shape, n):
+    """Names of the conv / deconv layers of ``net`` that take the separable
+    form on ``(n,) + input_shape`` float32 inputs, in training or in a fused
+    eval group."""
+    names = []
+    for layer, shape, _ in lowered_layers(net, input_shape):
+        c, f = layer.in_channels, layer.out_channels
+        k, s, p = layer.kernel_size, layer.stride, layer.pad
+        if layer.kind == "conv":
+            x = np.broadcast_to(np.float32(0), (n,) + shape)
+            banded = any(lowering._lowering_bands(x, k, k, s, p, held)
+                         for held in (0, f))
+            form = lowering._separable(f, c, k, s, True)
+        else:
+            banded = _bands(n, f * k * k, *shape[1:], 4)
+            form = lowering._separable(c, f, k, s, False)
+        if banded and form:
+            names.append(layer.name)
     return names
+
+
+def gemm_forms(net, input_shape, n):
+    """``name -> "banded" | "folded" | "batched"``: how the forward GEMM of
+    each conv / deconv of ``net`` runs on ``(n,) + input_shape`` float32
+    inputs; a conv's weight gradient has the same shapes."""
+    forms = {}
+    for layer, shape, out in lowered_layers(net, input_shape):
+        f, k = layer.out_channels, layer.kernel_size
+        if layer.kind == "conv":
+            x = np.broadcast_to(np.float32(0), (n,) + shape)
+            banded = lowering._lowering_bands(x, k, k, layer.stride, layer.pad)
+            rows, columns = f, out[1] * out[2]
+        else:
+            banded = _bands(n, f * k * k, *shape[1:], 4)
+            rows, columns = f * k * k, shape[1] * shape[2]
+        forms[layer.name] = "banded" if banded else \
+            "folded" if lowering._folds(n, rows, columns) else "batched"
+    return forms
 
 
 class TestTheRuleIsATable:
     """Which layers of the nets this repo runs take the separable form: the
     four thin ones of the benchmark ClimateNet, and nothing at paper width,
-    in the HEP net or in the hybrid trainer's."""
+    in the HEP net or in the hybrid trainer's. And which one-shot layers
+    fold their batch into one GEMM: those whose weights outweigh an image's
+    columns, so every deep layer of the wide nets and, of the 16-filter
+    hybrid net, only the 2x2 one."""
 
     @staticmethod
     def climate(width):
@@ -602,6 +736,93 @@ class TestTheRuleIsATable:
         # where 128 x 128 weights outgrow grad_out, a scatter at the cap.
         assert not lowering._separable(filters, filters, 3, 1, True)
         assert not lowering._separable(128, 128, 3, 1, False)
+
+    def test_folds_of_the_hep_nets(self):
+        forms = dict(zip(("conv1", "conv2", "conv3", "conv4", "conv5"),
+                         "batched banded batched batched folded".split()))
+        hybrid = build_hep_net(filters=16, rng=0)
+        assert gemm_forms(hybrid, (3, 32, 32), 32) == forms
+        # conv3 (8x8) and conv4 (4x4) folded before the rule read the
+        # weights: 16 rows of them do not outweigh 64 or 16 columns.
+        assert not lowering._folds(32, 16, 64) and lowering._folds(32, 16, 4)
+        with undrawn():
+            hep = build_hep_net(filters=128)
+        forms = "batched banded banded folded folded".split()
+        assert list(gemm_forms(hep, (3, 64, 64), 8).values()) == forms
+        forms = "banded banded banded banded batched".split()     # n == 2
+        assert list(gemm_forms(hep, (3, 224, 224), 2).values()) == forms
+
+    def test_folds_of_the_paper_width_climate_net(self):
+        """``(8, 16, 64, 64)``: the 8x8 and 4x4 layers, up to 95 MB of
+        weights against 64 or 16 columns, are what folding is for."""
+        net = self.climate(1)
+        assert gemm_forms(net.encoder, (16, 64, 64), 8) == dict(
+            {f"enc_conv{i}": "banded" for i in (1, 2, 3, 4)},
+            **{f"enc_conv{i}": "folded" for i in (5, 6, 7, 8, 9)})
+        feats = net.encoder.output_shape((16, 64, 64))
+        assert feats[1:] == (4, 4)
+        assert gemm_forms(net.decoder, feats, 8) == {
+            "dec_deconv1": "folded", "dec_deconv2": "folded",
+            "dec_deconv3": "banded", "dec_deconv4": "banded",
+            "dec_deconv5": "banded"}
+
+    def test_no_big_net_layer_asks_the_weights(self, monkeypatch):
+        """Every one-shot conv / deconv of the 128-filter HEP nets and of both
+        ClimateNets decides as it did on columns alone. (The paper-width
+        ClimateNet's three heads, 1 / 3 / 4 filters on a 4x4 grid, are the
+        one exception in the tree: batched now, to the same bits.)"""
+        decided, folds = [], lowering._folds
+
+        def spy(n, rows, p):
+            decided.append((folds(n, rows, p), n > 1 and p < _FOLD_BELOW))
+            return decided[-1][0]
+
+        monkeypatch.setattr(lowering, "_folds", spy)
+        with undrawn():
+            hep = build_hep_net(filters=128)
+        gemm_forms(hep, (3, 64, 64), 8)
+        gemm_forms(hep, (3, 224, 224), 2)
+        for width, size, n in [(1, 64, 8), (1, 768, 1), (1 / 4, 256, 2)]:
+            net = self.climate(width)
+            gemm_forms(net.encoder, (16, size, size), n)
+            gemm_forms(net.decoder,
+                       net.encoder.output_shape((16, size, size)), n)
+        assert len(decided) >= 12 and all(new == old for new, old in decided)
+
+
+class TestSmallShapeRulesLeaveTheBigNets:
+    """The fold, pad and band rules read small shapes differently and the
+    128-filter HEP nets not at all: outputs and gradients keep their bits."""
+
+    @staticmethod
+    def run(filters, size, n, train):
+        rng = np.random.default_rng(11)
+        net = build_hep_net(filters=filters, rng=0)
+        x = rng.normal(size=(n, 3, size, size)).astype(np.float32)
+        if not train:
+            return [net.eval().forward(x)]
+        out = net.forward(x)
+        net.backward(rng.normal(size=out.shape).astype(np.float32),
+                     input_grad=False)
+        return [out] + [p.grad for p in net.params()]
+
+    @pytest.mark.parametrize("size, n, train", [
+        (64, 8, True), (64, 8, False),      # hep_train, and its eval groups
+        (224, 2, False)])                   # hep_infer
+    def test_hep_shapes_are_bit_equal(self, size, n, train):
+        with rules_fitted_on_the_big_nets():
+            ref = self.run(128, size, n, train)
+        for got, was in zip(self.run(128, size, n, train), ref):
+            assert np.array_equal(got, was)
+
+    def test_the_hybrid_net_changes_form_not_values(self):
+        with rules_fitted_on_the_big_nets():
+            ref = self.run(16, 32, 32, True)
+        got = self.run(16, 32, 32, True)
+        assert not all(np.array_equal(a, b) for a, b in zip(got, ref))
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a, b, rtol=1e-4,
+                                       atol=1e-5 * np.abs(b).max())
 
 
 class TestBandedMemory:

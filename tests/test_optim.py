@@ -76,6 +76,17 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD(ps, lr=0.1)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("optimizer", [SGD, Adam])
+    def test_learning_rate_must_be_positive_and_finite(self, optimizer, lr):
+        # NaN used to pass: ``lr <= 0`` is false for it.
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            optimizer(quad_params(), lr=lr)
+        opt = optimizer(quad_params(), lr=0.1)
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            opt.set_lr(lr)
+        assert opt.lr == 0.1
+
 
 class TestAdam:
     def test_first_step_size_is_lr(self):
@@ -110,6 +121,33 @@ class TestAdam:
             Adam(quad_params(), lr=0.1, beta1=1.0)
         with pytest.raises(ValueError):
             Adam(quad_params(), lr=0.1, eps=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scratch_arrays_do_not_move_a_bit(self, dtype):
+        """The update runs through two reused work arrays; five steps equal
+        the expression with a fresh temporary per operation, bit for bit."""
+        rng = np.random.default_rng(3)
+        p, q = Parameter(np.zeros(1), name="w"), Parameter(np.zeros(1), name="w")
+        for param in (p, q):        # a Parameter is float32 by construction
+            param.data = np.linspace(-2, 2, 35, dtype=dtype).reshape(5, 7)
+            param.grad = np.zeros_like(param.data)
+        opt = Adam([p], lr=0.01)
+        m, v = np.zeros_like(q.data), np.zeros_like(q.data)
+        for t in range(1, 6):
+            p.grad[...] = q.grad[...] = rng.normal(size=q.shape) * 10.0 ** -t
+            opt.step()
+            g = q.grad
+            m *= opt.beta1
+            m += (1.0 - opt.beta1) * g
+            v *= opt.beta2
+            v += (1.0 - opt.beta2) * (g * g)
+            m_hat = m / (1.0 - opt.beta1 ** t)
+            v_hat = v / (1.0 - opt.beta2 ** t)
+            q.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+            assert np.array_equal(p.data, q.data) and p.data.dtype == dtype
+        work = opt._scratch["w"]
+        opt.step()
+        assert opt._scratch["w"] is work
 
 
 class TestSchedules:

@@ -25,6 +25,7 @@ from repro.serve import (
     ServiceTimeModel,
     ServingSimulator,
     SweepReport,
+    ZipfPopularity,
     compare_batching_modes,
     plan_batches,
 )
@@ -67,6 +68,18 @@ class TestBatchingPolicy:
         assert c.launch_wait == 0.0 and c.max_wait == 0.25
         assert c.max_batch == p.max_batch
         assert c.with_mode("windowed") == p
+
+
+class TestZipfPopularity:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.5])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        # NaN used to pass (``alpha < 0`` is false for it) and made every
+        # weight NaN at the first draw.
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            ZipfPopularity(alpha=alpha)
+
+    def test_zero_alpha_is_uniform(self):
+        assert ZipfPopularity(alpha=0.0, n_keys=4).head_mass(1) == 0.25
 
 
 class TestPlanBatches:
