@@ -20,7 +20,10 @@ _UNDRAWN = ContextVar("undrawn", default=False)
 @contextmanager
 def undrawn():
     """Inside, initializers return untouched zero pages, not draws: for a
-    net built only to read shapes, FLOPs and byte counts (``sim.workload``)."""
+    net whose initial weights are never read — built only for its shapes,
+    FLOPs and byte counts (``sim.workload``, the registry's publish spec),
+    or about to be overwritten whole by a strict checkpoint load
+    (``ModelRegistry.load``)."""
     token = _UNDRAWN.set(True)
     try:
         yield

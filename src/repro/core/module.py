@@ -8,7 +8,7 @@ accounting (Fig 5) and the per-layer parameter-server mapping straightforward.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -96,22 +96,29 @@ class Module:
                     key = f"{child.name}.{key}"
                 yield key, arr
 
+    def _state_items(self):
+        """(key, live array) of every parameter, then every buffer: the keys
+        and order of :meth:`state_dict`, without its copies."""
+        for p in self.params():
+            yield p.name, p.data
+        yield from self._buffer_items()
+
     def state_dict(self) -> dict:
         """Full serializable state: parameters plus non-trainable buffers
         (e.g. BatchNorm running statistics) — an eval-mode restore silently
         misbehaves without the latter."""
-        state = {p.name: p.data.copy() for p in self.params()}
-        for name, arr in self._buffer_items():
-            state[name] = arr.copy()
-        return state
+        return {name: arr.copy() for name, arr in self._state_items()}
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(self, state: Mapping) -> None:
         """Strict restore of :meth:`state_dict` output (in-place).
 
         Strict both ways: missing entries raise, and so do surplus ones — a
         state dict with unknown keys almost always means the checkpoint came
         from a different architecture, and dropping weights silently is how
-        serving ends up with a half-restored model."""
+        serving ends up with a half-restored model.
+
+        Each value is read once, copied in and dropped, so a lazy mapping
+        (an open ``NpzFile``) holds one array at a time."""
         params = {p.name: p for p in self.params()}
         missing = set(params) - set(state)
         if missing:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import SeedLike, as_rng
 
@@ -74,6 +73,7 @@ class FieldGenerator:
     def _smooth_noise(self, corr_frac: float,
                       rng: np.random.Generator) -> np.ndarray:
         """Unit-variance smooth noise with correlation length corr_frac*H."""
+        from scipy import ndimage   # at first use: see nn/fft_conv.py
         raw = rng.normal(size=(self.height, self.width))
         sigma = max(1.0, corr_frac * self.height)
         smooth = ndimage.gaussian_filter(raw, sigma, mode="wrap")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.climate.fields import channel_index
 from repro.models.bbox import Box
@@ -40,6 +39,7 @@ class HeuristicTCDetector:
 
     def detect(self, fields: np.ndarray) -> List[Tuple[float, Box]]:
         """Detect TCs in one (C, H, W) raw-unit field."""
+        from scipy import ndimage   # at first use: see nn/fft_conv.py
         if fields.ndim != 3:
             raise ValueError(f"expected (C, H, W), got {fields.shape}")
         _c, h, w = fields.shape
@@ -90,6 +90,7 @@ class HeuristicARDetector:
     max_aspect: float = 0.5         # region height/width must be elongated
 
     def detect(self, fields: np.ndarray) -> List[Tuple[float, Box]]:
+        from scipy import ndimage   # at first use: see nn/fft_conv.py
         if fields.ndim != 3:
             raise ValueError(f"expected (C, H, W), got {fields.shape}")
         _c, h, w = fields.shape

@@ -17,7 +17,6 @@ the FFT path's crossover sits in kernel size — the study the paper defers.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from repro.core.module import run_layers
 from repro.nn.conv import Conv2D
@@ -30,6 +29,9 @@ class FFTConv2D(Conv2D):
     kind = "conv"
 
     def forward(self, x: np.ndarray, then=()) -> np.ndarray:
+        # here, not at module level: `import repro` reaches this module, and
+        # no serving or training process should pay for scipy.fft
+        from scipy import fft as sp_fft
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(

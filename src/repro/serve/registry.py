@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.initializers import undrawn
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 
 _VERSION_RE = re.compile(r"^v(\d+)\.npz$")
@@ -70,10 +71,7 @@ class ModelProfile:
 def _state_spec(net) -> Dict[str, Tuple[int, ...]]:
     """{state-dict key: shape} without copying any array — same keys as
     ``net.state_dict()`` (parameters plus buffers)."""
-    spec = {p.name: tuple(p.data.shape) for p in net.params()}
-    for key, arr in net._buffer_items():
-        spec[key] = tuple(arr.shape)
-    return spec
+    return {key: tuple(arr.shape) for key, arr in net._state_items()}
 
 
 def _freeze(net) -> None:
@@ -167,9 +165,8 @@ class ModelRegistry:
         #: called with (name, new_version) after every successful publish —
         #: rollout machinery (e.g. result-cache invalidation) hangs off it
         self._publish_hooks: List[Callable[[str, int], None]] = []
-        #: name -> expected state-dict spec {key: shape}, built lazily from
-        #: one builder() call (publishing a 300 MiB net should not construct
-        #: a second one per snapshot just to validate it)
+        #: name -> expected state-dict spec {key: shape}, read once off an
+        #: undrawn builder() net (shapes only: no weight is drawn or touched)
         self._specs: Dict[str, Dict[str, Tuple[int, ...]]] = {}
         #: name -> {kind: compiler(net) -> net} — fast-variant builders
         #: (see repro.serve.variants); applied post-checkpoint by load()
@@ -354,7 +351,8 @@ class ModelRegistry:
     # -- publish / load ------------------------------------------------------
     def _spec(self, name: str) -> Dict[str, Tuple[int, ...]]:
         if name not in self._specs:
-            self._specs[name] = _state_spec(self._builders[name]())
+            with undrawn():
+                self._specs[name] = _state_spec(self._builders[name]())
         return self._specs[name]
 
     def publish(self, name: str, net) -> int:
@@ -364,12 +362,13 @@ class ModelRegistry:
         state-dict spec first (same keys, same shapes — the checks the
         strict loader applies at load time) — publishing an incompatible
         net would otherwise poison the model's latest version and break
-        every subsequent ``load``.
+        every subsequent ``load``. So would a diverged one: a non-finite
+        parameter or buffer is refused by key, before any file is written.
         """
         self._require(name)
         spec = self._spec(name)
-        # Shape-only view of the net: no array copies during validation
-        # (save_checkpoint materializes the one state dict actually written).
+        # Shape-only view of the net: no array is copied, here or in
+        # save_checkpoint, which writes the live ones.
         state = _state_spec(net)
         problems = []
         missing = set(spec) - set(state)
@@ -386,6 +385,12 @@ class ModelRegistry:
             raise ValueError(
                 f"net does not fit the builder registered for {name!r}: "
                 + "; ".join(problems))
+        diverged = [key for key, arr in net._state_items()
+                    if not np.isfinite(arr).all()]
+        if diverged:
+            raise ValueError(
+                f"net for {name!r} has non-finite values in {diverged}; "
+                f"not published")
         versions = self.versions(name)
         version = (versions[-1] + 1) if versions else 1
         save_checkpoint(net, self._path(name, version))
@@ -442,7 +447,10 @@ class ModelRegistry:
             raise FileNotFoundError(
                 f"model {name!r} has no version {version} "
                 f"(have {sorted(files)})")
-        net = self._builders[name]()
+        # The strict loader overwrites every parameter and buffer (or
+        # raises), so nothing an initializer would have drawn is ever read.
+        with undrawn():
+            net = self._builders[name]()
         load_checkpoint(net, files[version])
         if variant is not None:
             net = self._variants[name][variant](net)
