@@ -25,11 +25,7 @@ The pipeline every future serving PR builds on:
    EDF launch ordering, per-model batch policies — and watch it rescue
    the HEP tail from climate head-of-line blocking at the same fleet
    size, where re-weighting could only trade one model's SLO for the
-   other's;
-10. compile the fast kernel-selected variant (per-layer Winograd/FFT/
-    deconv races at the serving batch shape), price it with a measured
-    profile, and let an overloaded fleet downgrade onto it — SLO
-    attainment bought with summation order, not shed requests.
+   other's.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -60,7 +56,7 @@ from repro.train import fit_classifier
 def main() -> None:
     print("=== repro quickstart: serving the HEP classifier ===\n")
 
-    print("[1/12] training a snapshot (scaled-down net, 32px events)...")
+    print("[1/11] training a snapshot (scaled-down net, 32px events)...")
     ds = make_hep_dataset(n_events=1200, image_size=32,
                           signal_fraction=0.5, seed=0)
     net = build_hep_net(filters=16, rng=0)
@@ -68,7 +64,7 @@ def main() -> None:
                    batch=32, n_iterations=60, seed=0)
 
     with tempfile.TemporaryDirectory() as root:
-        print("[2/12] publishing to the model registry and loading a "
+        print("[2/11] publishing to the model registry and loading a "
               "frozen replica...")
         registry = ModelRegistry(root)
         registry.register("hep", lambda: build_hep_net(filters=16, rng=0),
@@ -78,7 +74,7 @@ def main() -> None:
         print(f"      published v{version}; loaded {replica!r} "
               f"(eval-mode, weights read-only)")
 
-        print("[3/12] serving real requests through the micro-batching "
+        print("[3/11] serving real requests through the micro-batching "
               "executor...")
         requests = [ds.images[i] for i in range(64)]
         policy = BatchingPolicy(max_batch=32, max_wait=0.01)
@@ -91,7 +87,7 @@ def main() -> None:
               f"<= {policy.max_batch}; max deviation from unbatched "
               f"forward: {worst:.2e}")
 
-        print("[4/12] result cache: repeated requests skip the forward "
+        print("[4/11] result cache: repeated requests skip the forward "
               "entirely...")
         # A hot request list: 64 requests over only 8 distinct events.
         hot = [ds.images[i % 8] for i in range(64)]
@@ -106,7 +102,7 @@ def main() -> None:
               f"pass 2: {hits2}/{len(hot)} hits, zero forwards — "
               f"bitwise identical: {identical}")
 
-    print("[5/12] SLO simulation: request-rate sweep on the Cori model "
+    print("[5/11] SLO simulation: request-rate sweep on the Cori model "
           "(4 replicas)...")
     workload = custom_workload("hep_32px", net, ds.images.shape[1:])
     # The 32px model serves a full batch in well under a millisecond, so the
@@ -119,7 +115,7 @@ def main() -> None:
           f"SLO = {sweep.slo * 1e3:.1f} ms\n")
     print(sweep.table())
 
-    print("\n[6/12] continuous batching: launch the instant a replica "
+    print("\n[6/11] continuous batching: launch the instant a replica "
           "frees instead of\n      holding partial batches for max_wait "
           "(the low-load p50 win)...")
     sat = sim.saturation_rate()
@@ -136,14 +132,14 @@ def main() -> None:
           f"{cmp.continuous.mean_batch_curve[0]:.1f}: latency bought with "
           f"idle capacity")
 
-    print("\n[7/12] bursty traffic: MMPP arrivals (8x bursts, 12.5% of the "
+    print("\n[7/11] bursty traffic: MMPP arrivals (8x bursts, 12.5% of the "
           "time) at the\n      same mean rates — the tail the autoscaler "
           "has to plan for...")
     bursty = sim.sweep(n_requests=2048, process=MMPP(burst=8.0),
                        seed=0, slo=sweep.slo)
     print(bursty.table())
 
-    print("\n[8/12] autoscaling: scale out when burst attainment breaks, "
+    print("\n[8/11] autoscaling: scale out when burst attainment breaks, "
           "back in on idle\n      occupancy — never keying on the "
           "saturation rate...")
     sat1 = ServingSimulator(workload, n_replicas=1,
@@ -187,7 +183,7 @@ def main() -> None:
           f"{uncached.attainment(sweep.slo):.3f} -> "
           f"{cached.attainment(sweep.slo):.3f}")
 
-    print("\n[9/12] multi-model serving: the HEP classifier and the "
+    print("\n[9/11] multi-model serving: the HEP classifier and the "
           "climate segmenter share\n      one replica pool — per-model "
           "SLOs, weighted admission, one fleet...")
     from repro.serve import ModelMix, ModelProfile
@@ -234,7 +230,7 @@ def main() -> None:
           f"the same trace — at climate's explicit, operator-chosen "
           f"expense")
 
-    print("\n[10/12] observability: trace the same kind of burst on a "
+    print("\n[10/11] observability: trace the same kind of burst on a "
           "tight queue, reconcile\n      the trace against the stats, "
           "and ask why one request was shed...")
     import textwrap
@@ -257,7 +253,7 @@ def main() -> None:
                     if ev.kind == "shed")
     print(textwrap.indent(tracer.explain(shed_rid), "      "))
 
-    print("\n[11/12] deadline-aware scheduling: the HEP trickle vs the "
+    print("\n[11/11] deadline-aware scheduling: the HEP trickle vs the "
           "climate scan stream\n      — EDF ordering, cost-aware "
           "routing, and a per-model climate batch cap\n      rescue the "
           "tight tail that FIFO lanes starve, at the same fleet size...")
@@ -295,45 +291,6 @@ def main() -> None:
           "capping climate at batch 8 (its batch-time curve\n      is "
           "flat to 8) bounds each block at 3.9 s instead of 6.1 s")
 
-    print("\n[12/12] fast variant under overload: race kernels per "
-          "layer, price the\n      winner, and downgrade onto it when "
-          "the queue backs up...")
-    from repro.serve import (
-        KernelChoiceCache,
-        VariantPolicy,
-        compile_kernel_selected,
-        measure_profile,
-    )
-
-    serve_shape = (policy.max_batch,) + ds.images.shape[1:]
-    fast = compile_kernel_selected(net, serve_shape,
-                                   cache=KernelChoiceCache())
-    prof = measure_profile(net, fast, "kernel", serve_shape)
-    swaps = ", ".join(f"{layer}->{choice}"
-                      for layer, choice in prof.choices
-                      if choice != "base") or "none"
-    print(f"      race winners at batch {policy.max_batch}: {swaps}")
-    print(f"      measured: {prof.speedup:.2f}x executor speedup, "
-          f"output drift {prof.accuracy_delta:.1e}")
-    # Overload the step-5 fleet past what full precision can serve; the
-    # policy downgrades when fleet backlog crosses ~one SLO of queued
-    # service seconds and reverts at half that (hysteresis).
-    over = 1.2 * sim.saturation_rate()
-    base_run = ServingSimulator(workload, n_replicas=4, policy=policy)\
-        .run(over, n_requests=4096, seed=0)
-    var_pol = VariantPolicy(kind="kernel",
-                            time_scale=min(1.0, prof.time_scale),
-                            queue_threshold=sweep.slo, hysteresis=0.5)
-    var_run = ServingSimulator(workload, n_replicas=4, policy=policy,
-                               variant_policy=var_pol)\
-        .run(over, n_requests=4096, seed=0)
-    print(f"      1.2x saturation: attainment "
-          f"{base_run.attainment(sweep.slo):.3f} -> "
-          f"{var_run.attainment(sweep.slo):.3f} with "
-          f"{var_run.n_downgraded}/{var_run.n_offered} requests served "
-          f"on the variant\n      ({var_run.n_variant_switches} "
-          f"switches) — the accuracy delta above is the price paid")
-
     print("\nDone. benchmarks/test_serve_throughput.py, "
           "benchmarks/test_serve_continuous.py, "
           "benchmarks/test_serve_autoscale.py, "
@@ -356,11 +313,10 @@ def main() -> None:
           "tests/test_serve_deadline.py pin the scheduler, controller, "
           "cache, multi-model, trace-conservation, and deadline-"
           "scheduling invariants; benchmarks/test_serve_variants.py "
-          "holds the paper ClimateNet's base batch time, the "
-          "never-slower kernel variant and the >=0.95 overload-downgrade "
-          "rescue, and "
-          "tests/test_serve_variants.py pins compilation parity, "
-          "variant cache scopes, and the downgrade/repair paths.")
+          "holds the paper ClimateNet's base batch time and the int8 "
+          "variant's price, and tests/test_serve_variants.py pins "
+          "variant cache scopes and the overload downgrade / repair "
+          "paths.")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Where a step goes: median self time of every layer's forward / backward at
-the shapes of ``hep_train``, ``hybrid`` (a group step of ``hybrid_train``) or
-``hep_infer``, as tabled in the README's "Where a ... goes" sections. Run
+the shapes of ``hep_train``, ``hybrid`` (a group step of ``hybrid_train``),
+``hep_infer`` or ``climate_infer`` (the quarter-width ClimateNet), and the
+lowering form each conv / deconv took, as tabled in the README's "Where a ...
+goes" sections. Run
 ``PYTHONPATH=src python examples/where_a_step_goes.py --net hybrid``."""
 import argparse
+import sys
 import time
 
 import numpy as np
 
+from repro.models.climate import PAPER_DECODER, PAPER_ENCODER, ClimateNet
 from repro.models.hep import build_hep_net
 from repro.optim import SGD, Adam
 from repro.train.loop import hep_loss_fn
@@ -14,17 +18,42 @@ from repro.train.loop import hep_loss_fn
 #: net -> (batch, image side, filters, optimizer; None: an eval forward)
 SHAPES = {"hep_train": (8, 64, 128, lambda p: Adam(p, lr=1e-3)),
           "hybrid": (32, 32, 16, lambda p: SGD(p, lr=0.01, momentum=0.9)),
-          "hep_infer": (2, 224, 128, None)}
+          "hep_infer": (2, 224, 128, None),
+          "climate_infer": (2, 256, None, None)}
+
+#: ``nn.im2col`` function -> the form of a pass that calls it (none: direct)
+FORMS = {"_tile_lowering": "winograd", "_row_lowering": "separable",
+         "_separable_col2im": "separable", "im2col": "one-shot",
+         "col2im": "one-shot"}
 
 
-def timed(fn, key, spent):
-    """``fn``, booking its time, less what its callees book, in ``spent``."""
+def climate_net(width=1 / 4):
+    """``bench/workloads.py::ClimateInfer``'s net."""
+    enc = [(int(c * width), k, s) for c, k, s in PAPER_ENCODER]
+    dec = [(int(c * width), k, s) for c, k, s in PAPER_DECODER]
+    dec[-1] = (16,) + PAPER_DECODER[-1][1:]
+    return ClimateNet(16, 3, enc, dec, rng=0)
+
+
+def timed(fn, key, spent, forms=None):
+    """``fn``, booking its time, less what its callees book, in ``spent``,
+    and under ``key`` the entries it adds to ``forms[None]``."""
     def call(*args, **kwargs):
         booked, start = sum(spent.values()), time.perf_counter()
+        mark = forms and len(forms[None])
         out = fn(*args, **kwargs)
         took = time.perf_counter() - start - (sum(spent.values()) - booked)
         spent[key] = spent.get(key, 0.0) + took
+        if forms:
+            forms[key] = "/".join(forms[None][mark:]) or "direct"
         return out
+    return call
+
+
+def noting(fn, form, forms):
+    def call(*args, **kwargs):
+        forms[None].append(form)
+        return fn(*args, **kwargs)
     return call
 
 
@@ -35,13 +64,26 @@ if __name__ == "__main__":
     ap.add_argument("--steps", type=int, default=11)
     args = ap.parse_args()
     batch, side, filters, make_optimizer = SHAPES[args.net]
-    net = build_hep_net(filters=args.filters or filters, rng=0)
-    x = np.random.default_rng(0).random((batch, 3, side, side), np.float32)
+    if args.net == "climate_infer":
+        net = climate_net()
+        layers = net.encoder.schedule() + net.children()[1:4] \
+            + net.decoder.schedule()
+    else:
+        net = build_hep_net(filters=args.filters or filters, rng=0)
+        layers = net.schedule()
+    x = np.random.default_rng(0).random(
+        (batch, layers[0].in_channels, side, side), np.float32)
     optimizer = make_optimizer(net.params()) if make_optimizer else net.eval()
-    spent, steps = {}, []
-    for mod in net.schedule():  # a fused eval follower runs inside its conv
+    spent, steps, forms = {}, [], {None: []}
+    lowering = sys.modules["repro.nn.im2col"]   # the attribute is a function
+    for name in FORMS.keys() & vars(lowering).keys():
+        setattr(lowering, name,
+                noting(getattr(lowering, name), FORMS[name], forms))
+    for mod in layers:          # a fused eval follower runs inside its conv
         for a in ("forward", "backward"):
-            setattr(mod, a, timed(getattr(mod, a), f"{mod.name}.{a}", spent))
+            setattr(mod, a, timed(
+                getattr(mod, a), f"{mod.name}.{a}", spent,
+                forms if mod.kind in ("conv", "deconv") else None))
 
     def step():
         if not make_optimizer:
@@ -57,4 +99,5 @@ if __name__ == "__main__":
         steps.append(dict(spent, total=sum(spent.values())))
     print(f"{args.net} {x.shape}: median ms over {args.steps} steps")
     for key in steps[-1]:                       # in the order calls returned
-        print(f"{key:22s} {1e3 * np.median([s[key] for s in steps[1:]]):8.3f}")
+        print(f"{key:22s} {1e3 * np.median([s[key] for s in steps[1:]]):8.3f}"
+              f"  {forms.get(key, '')}")

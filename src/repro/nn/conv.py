@@ -11,7 +11,10 @@ picks by operand shapes). A layer too big for one band therefore never holds
 its column matrix, in training or in eval: ``backward`` lowers the cached
 input again, a band at a time. Only a small layer goes in one shot, and its
 training forward keeps the columns it built. A banded layer with few
-filters (``enc_conv1``: 16 -> 16, 5x5/2) takes ``nn.im2col``'s separable form.
+filters (``enc_conv1``: 16 -> 16, 5x5/2) takes ``nn.im2col``'s separable form,
+a banded 3x3 / stride-1 one with channels and tiles enough (HEP ``conv2``,
+128 -> 128 at 112x112) its Winograd F(4x4, 3x3) form, forward and data
+gradient alike.
 
 In eval, ``forward(x, then)`` is the head of a **fused group**: bias and the
 band-local layers ``then`` (``core.Sequential`` collects them) are applied

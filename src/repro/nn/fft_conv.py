@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.module import run_layers
 from repro.nn.conv import Conv2D
-from repro.nn.im2col import conv_output_size
+from repro.nn.im2col import check_input, conv_output_size
 
 
 class FFTConv2D(Conv2D):
@@ -32,11 +32,8 @@ class FFTConv2D(Conv2D):
         # here, not at module level: `import repro` reaches this module, and
         # no serving or training process should pay for scipy.fft
         from scipy import fft as sp_fft
+        check_input(self.name, x, self.in_channels)
         n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {c}")
         k, s, p = self.kernel_size, self.stride, self.pad
         oh = conv_output_size(h, k, s, p)
         ow = conv_output_size(w, k, s, p)

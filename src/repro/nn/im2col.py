@@ -57,10 +57,24 @@ planes finishes the band, which goes through the epilogue into the result.
 ``lowered_matmul`` is the adjoint: per column phase it gathers the ``kh`` row
 taps of every ``stride``-th column, multiplies by ``(M*U, C*kh)`` and sums
 the ``U`` shifted slices of the product into the band.
+
+A banded 3x3 / stride-1 layer with channels on both sides and tiles enough
+for them (``_winograd``) runs ``lowered_matmul`` as **Winograd F(4x4, 3x3)**
+(Lavin & Gray 2015; the paper's SVIII-A defers it): 36 multiplies per 16
+outputs and channel pair, not 144. Per band of whole tile rows the input
+rows are copied between zero edges, viewed as 6x6 tiles at stride 4 and
+gathered tap-major, ``kron(B^T, B^T)`` is one GEMM, the 36 transform-domain
+products are one batched ``(M, C) @ (C, tiles)``, ``kron(A^T, A^T)`` is one
+GEMM, and the woven 4x4 blocks go to the epilogue like any band. Whole-image
+Winograd (``nn.winograd.WinogradConv2D``, the reference) streams ~100 MB of
+tiles through first-touch page faults and loses to the direct form; a band's
+two scratches stay in cache. The kernels are transformed per call (a
+``(36, 9) @ (9, M*C)`` GEMM): nothing is packed, cached or kept.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -84,6 +98,10 @@ _BAND_BYTES = 4 << 20
 #: by phase costs what the rows save (``dec_deconv1``, 432 -> 216: 0.8-0.9x).
 _THIN_BELOW = 128
 
+#: From this thin side on the F(4x4, 3x3) form pays for its transforms:
+#: 32 -> 32 runs 1.3-1.4x the direct form, 16 -> 32 ties it.
+_WINOGRAD_FROM = 32
+
 #: ``(first image, end image, first output row, end output row)`` of one band
 _Band = Tuple[int, int, int, int]
 
@@ -97,6 +115,17 @@ def _separable(thin: int, wide: int, k: int, stride: int,
     fewer = 2 * (wide + thin) <= wide * k if gathers \
         else thin <= wide * (k - stride)
     return fewer and thin < _THIN_BELOW
+
+
+def _winograd(n: int, c: int, m: int, oh: int, ow: int) -> bool:
+    """The multiplies rule: whether a banded 3x3 / stride-1 layer of ``c``
+    channels and ``m`` filters runs as F(4x4, 3x3). A tile of 16 outputs
+    costs ``36*c*m`` multiplies for ``144*c*m`` and ``1296*c + 576*m`` in
+    transforms, which a thin side does not pay back; the 36 transformed
+    kernels, four times the weights, must not outweigh the tiles they are
+    streamed for."""
+    tiles = n * -(-oh // 4) * -(-ow // 4)
+    return min(c, m) >= _WINOGRAD_FROM and tiles >= max(c, m)
 
 
 def _folds(n: int, rows: int, p: int) -> bool:
@@ -230,7 +259,12 @@ def _bands(n: int, rows: int, oh: int, ow: int, itemsize: int,
         return None
     # A band, like an image, needs _FOLD_BELOW columns to pay for streaming
     # the weights, however many bytes that takes.
-    height = max(_BAND_BYTES // row_bytes, -(-_FOLD_BELOW // ow))
+    return _cut(n, oh, max(_BAND_BYTES // row_bytes, -(-_FOLD_BELOW // ow)),
+                multiple)
+
+
+def _cut(n: int, oh: int, height: int, multiple: int = 1) -> List[_Band]:
+    """Bands of about ``height`` rows of ``n`` images of ``oh`` rows."""
     if height >= oh:
         # Bands of whole images, evened out to within one (first largest).
         count = -(-n // (height // oh))
@@ -310,7 +344,9 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
         out = _batch_matmul(a, cols).reshape(n, m, oh, ow)
         return (epilogue(out) if epilogue else out), cols
     dtype = np.result_type(a, x)
-    if kh == kw and _separable(m, c, kh, stride, True):
+    if (kh, kw, stride) == (3, 3, 1) and _winograd(n, c, m, oh, ow):
+        bands, product = _tile_lowering(a, x, pad, multiple, dtype)
+    elif kh == kw and _separable(m, c, kh, stride, True):
         product = _row_lowering(a, x, kh, kw, stride, pad, bands, ow, dtype)
     else:
         patches = _patches(x, kh, kw, stride, pad)
@@ -337,6 +373,55 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
                            y.dtype)
         out[i0:i1, :, r0 // multiple:r1 // multiple] = y
     return out, None
+
+
+def _tile_lowering(a, x, pad, multiple, dtype):
+    """The F(4x4, 3x3) product of :func:`lowered_matmul` (module docstring):
+    its own bands, whole tile rows of about ``_BAND_BYTES`` of scratch, and
+    ``product(band, y)`` filling ``y (nb, M, rows*ow)``."""
+    # at call time: that module's layer subclasses Conv2D, which imports this
+    from repro.nn.winograd import _kron_transforms
+    n, c, h, w = x.shape
+    m = a.shape[0]
+    oh, ow = h + 2 * pad - 2, w + 2 * pad - 2
+    th, tw = -(-oh // 4), -(-ow // 4)
+    kb, kg, ka = _kron_transforms(4, dtype)
+    u = (kg @ a.reshape(m * c, 9).T).reshape(36, m, c)
+    deep = 36 * max(c, m)       # two scratches this deep share _BAND_BYTES
+    bands = [(i0, i1, 4 * t0, min(4 * t1, oh)) for i0, i1, t0, t1 in _cut(
+        n, th, max(_BAND_BYTES // (2 * deep * tw * dtype.itemsize), 1),
+        multiple // math.gcd(4, multiple))]
+    i0, i1, r0, r1 = bands[0]
+    most = (i1 - i0) * -(-(r1 - r0) // 4)       # tile rows of a band
+    edged = np.empty((most * 4 + 2 * (i1 - i0)) * c * (4 * tw + 2), dtype)
+    ping, pong = (np.empty(most * tw * deep, dtype) for _ in range(2))
+
+    def product(band: _Band, y: np.ndarray) -> None:
+        i0, i1, r0, r1 = band
+        nb, nt = i1 - i0, -(-(r1 - r0) // 4)
+        tiles = nb * nt * tw
+        # the band's input rows between zero edges: (nb, C, 4*nt+2, 4*tw+2)
+        d = edged[:nb * c * (4 * nt + 2) * (4 * tw + 2)] \
+            .reshape(nb, c, 4 * nt + 2, 4 * tw + 2)
+        d.fill(0)
+        lo, hi = max(r0 - pad, 0), min(r0 + 4 * nt + 2 - pad, h)
+        d[:, :, lo - r0 + pad:hi - r0 + pad, pad:pad + w] = x[i0:i1, :, lo:hi]
+        sn, sc, sh, sw = d.strides
+        taps = np.lib.stride_tricks.as_strided(     # 6x6 tiles at stride 4
+            d, (6, 6, c, nb, nt, tw), (sh, sw, sc, sn, 4 * sh, 4 * sw))
+        v = ping[:36 * c * tiles].reshape(36, c * tiles)
+        np.copyto(v.reshape(taps.shape), taps)
+        v = np.matmul(kb, v, out=pong[:v.size].reshape(v.shape))
+        z = np.matmul(u, v.reshape(36, c, tiles),
+                      out=ping[:36 * m * tiles].reshape(36, m, tiles))
+        z = np.matmul(ka, z.reshape(36, -1),
+                      out=pong[:16 * m * tiles].reshape(16, -1))
+        # weave the 4x4 blocks; a ragged edge is cropped on the way into y
+        full = ping[:z.size].reshape(nb, m, nt, 4, tw, 4)
+        full.transpose(3, 5, 1, 0, 2, 4)[...] = z.reshape(4, 4, m, nb, nt, tw)
+        y.reshape(nb, m, r1 - r0, ow)[...] = full.reshape(
+            nb, m, 4 * nt, 4 * tw)[:, :, :r1 - r0, :ow]
+    return bands, product
 
 
 def _row_lowering(a, x, kh, kw, s, pad, bands, ow, dtype):

@@ -24,6 +24,14 @@ parameters and accounting, identical gradients (backward is ``Conv2D``'s own,
 inherited, on the cached input — gradient math does not depend on the forward
 algorithm), and a forward pass that agrees with the direct computation to
 fp32 tolerance.
+
+It is the *whole-image* form: every tile of the batch is gathered,
+transformed and multiplied at once, through fresh arrays four to nine times
+the activation, which is why it loses to the direct conv on the large layers
+it should win. What serving and training run is the same algorithm band by
+band, ``nn.im2col``'s F(4x4, 3x3) lowering form, picked from shapes; this
+layer is the reference that form is tested against and the SVIII-A ablation
+(``benchmarks/test_ablation_extensions.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import numpy as np
 
 from repro.core.module import run_layers
 from repro.nn.conv import Conv2D
-from repro.nn.kernel_cache import PackedWeightCache
+from repro.nn.im2col import check_input
 
 # Winograd F(2x2, 3x3) transform matrices (Lavin & Gray 2015, sec. 4.1).
 _BT = np.array([[1, 0, -1, 0],
@@ -49,7 +57,8 @@ _AT = np.array([[1, 1, 1, 0],
                 [0, 1, -1, -1]], dtype=np.float32)
 
 # Winograd F(4x4, 3x3) transform matrices (interpolation points
-# {0, +-1, +-2}; the standard choice used by e.g. cuDNN and NNPACK).
+# {0, +-1, +-2}; the standard choice used by e.g. cuDNN and NNPACK). G's
+# sixths are not float32 numbers: they round once, in ``_kron_transforms``.
 _BT4 = np.array([[4, 0, -5, 0, 1, 0],
                  [0, -4, -4, 1, 1, 0],
                  [0, 4, -4, -1, 1, 0],
@@ -61,7 +70,7 @@ _G4 = np.array([[1 / 4, 0, 0],
                 [-1 / 6, 1 / 6, -1 / 6],
                 [1 / 24, 1 / 12, 1 / 6],
                 [1 / 24, -1 / 12, 1 / 6],
-                [0, 0, 1]], dtype=np.float32)
+                [0, 0, 1]], dtype=np.float64)
 _AT4 = np.array([[1, 1, 1, 1, 1, 0],
                  [0, 1, -1, 2, -2, 0],
                  [0, 1, 1, 4, 4, 0],
@@ -73,16 +82,19 @@ _TRANSFORMS: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {
 }
 
 # Kronecker-lifted transforms: applying S y S^T to every trailing 2-D tile
-# equals one GEMM with kron(S, S) on the flattened tiles. Built lazily and
-# cached per tile size.
-_KRON: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# equals one GEMM with kron(S, S) on the flattened tiles. Built lazily, cast
+# once and cached per (tile size, dtype); ``nn.im2col``'s banded F(4x4, 3x3)
+# form takes its matrices from here too.
+_KRON: Dict[Tuple[int, np.dtype], Tuple[np.ndarray, ...]] = {}
 
 
-def _kron_transforms(tile: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if tile not in _KRON:
-        bt, g, at = _TRANSFORMS[tile]
-        _KRON[tile] = (np.kron(bt, bt), np.kron(g, g), np.kron(at, at))
-    return _KRON[tile]
+def _kron_transforms(tile: int, dtype) -> Tuple[np.ndarray, ...]:
+    """``(kron(B^T, B^T), kron(G, G), kron(A^T, A^T))`` in ``dtype``."""
+    key = tile, np.dtype(dtype)
+    if key not in _KRON:
+        _KRON[key] = tuple(np.kron(s, s).astype(dtype)
+                           for s in _TRANSFORMS[tile])
+    return _KRON[key]
 
 
 def transform_filters(weight: np.ndarray) -> np.ndarray:
@@ -155,27 +167,11 @@ class WinogradConv2D(Conv2D):
         super().__init__(in_channels, out_channels, 3, stride=1, pad=pad,
                          name=name or "wconv", rng=rng)
         self.tile_size = tile_size
-        self._upack = PackedWeightCache()
-
-    def _transformed_filters(self) -> np.ndarray:
-        """``(a^2, F, C)`` transform-domain filters, cached while frozen."""
-        _bt, kg, _ka = _kron_transforms(self.tile_size)
-        a2 = (self.tile_size + 2) ** 2
-
-        def build(wd: np.ndarray) -> np.ndarray:
-            u = (wd.reshape(-1, 9) @ kg.T) \
-                .reshape(self.out_channels, self.in_channels, a2)
-            return np.ascontiguousarray(u.transpose(2, 0, 1))
-
-        return self._upack.get(self.weight.data, build)
 
     # -- computation -------------------------------------------------------
     def forward(self, x: np.ndarray, then=()) -> np.ndarray:
+        check_input(self.name, x, self.in_channels)
         n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {c}")
         p, m = self.pad, self.tile_size
         a = m + 2                                     # input tile edge
         oh, ow = h + 2 * p - 2, w + 2 * p - 2
@@ -183,7 +179,8 @@ class WinogradConv2D(Conv2D):
             raise ValueError(
                 f"{self.name}: input {h}x{w} with pad {p} yields empty output")
         th, tw = (oh + m - 1) // m, (ow + m - 1) // m
-        kb, kg, ka = _kron_transforms(m)
+        kb, kg, ka = _kron_transforms(
+            m, np.result_type(self.weight.data, x))
         # Pad for "same"-style borders plus whatever extra rows/columns the
         # tile grid needs to cover the output exactly. Channel goes first so
         # the flattened tile axis factors as (C, N*th*tw) with no transpose.
@@ -197,10 +194,11 @@ class WinogradConv2D(Conv2D):
         tiles = np.ascontiguousarray(tiles).reshape(-1, a * a)
         # Both tile transforms are single GEMMs against the Kronecker-lifted
         # matrices; the Winograd-domain product is a^2 batched (F, C) x
-        # (C, N*th*tw) GEMMs — one per transform-domain position.
+        # (C, N*th*tw) GEMMs, one per transform-domain position. The filter
+        # transform is a GEMM too, recomputed per call: (a^2, F, C).
         nt = n * th * tw
         v = (kb @ tiles.T).reshape(a * a, c, nt)
-        u = self._transformed_filters()
+        u = (kg @ self.weight.data.reshape(-1, 9).T).reshape(a * a, -1, c)
         prod = np.matmul(u, v)                        # (a^2, F, N*th*tw)
         y = ka @ prod.reshape(a * a, -1)              # (m^2, F*N*th*tw)
         y = y.reshape(m, m, self.out_channels, n, th, tw) \
@@ -209,7 +207,7 @@ class WinogradConv2D(Conv2D):
         out = y[:, :, :oh, :ow] + self.bias.data[None, :, None, None]
         # Conv2D's cache slot with no columns: its backward lowers the input.
         self._cache = (x, None) if self.training else None
-        return run_layers(then, np.ascontiguousarray(out.astype(np.float32)))
+        return run_layers(then, np.ascontiguousarray(out))
 
     def multiply_reduction(self, batch: int, input_shape) -> float:
         """Direct-conv multiplies / Winograd multiplies for this layer."""

@@ -143,12 +143,9 @@ from repro.serve.slo_sim import (  # noqa: F401
     sweep_cache_sizes,
 )
 from repro.serve.variants import (  # noqa: F401
-    KernelChoiceCache,
     VariantPolicy,
     VariantProfile,
-    compile_kernel_selected,
     compile_quantized,
-    default_kernel_cache,
     measure_profile,
 )
 
@@ -167,7 +164,6 @@ __all__ = [
     "CacheSizeSweep",
     "EpochRecord",
     "HotKeyPopularity",
-    "KernelChoiceCache",
     "LatencyStats",
     "MMPP",
     "MetricsRegistry",
@@ -198,10 +194,8 @@ __all__ = [
     "VariantProfile",
     "ZipfPopularity",
     "compare_batching_modes",
-    "compile_kernel_selected",
     "compile_quantized",
     "content_key",
-    "default_kernel_cache",
     "explain",
     "make_arrivals",
     "make_contents",

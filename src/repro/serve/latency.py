@@ -51,7 +51,7 @@ class ServiceTimeModel:
         self._running_max = 0.0                 # max raw compute <= _max_size
         #: variant kind -> measured batch-time multiplier (1/speedup),
         #: from the variant's VariantProfile — how the simulator sees
-        #: the same fast-kernel trade the real executor measured
+        #: the same speed-for-accuracy trade the real executor measured
         self.variant_scales: Dict[str, float] = {}
 
     def _raw_compute(self, batch: int) -> float:

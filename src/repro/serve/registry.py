@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -129,9 +130,9 @@ class ServableModel:
         same input bytes.
 
         Variant replicas get a scope *distinct from their base version*:
-        a quantized (or kernel-selected) prediction must never satisfy a
-        full-precision cache key for the same input — pinned by the
-        variant cache-scope regression test.
+        a quantized prediction must never satisfy a full-precision cache
+        key for the same input — pinned by the variant cache-scope
+        regression test.
         """
         if self.variant is None:
             return (self.name, self.version)
@@ -217,21 +218,14 @@ class ModelRegistry:
     def register_variant(self, name: str, kind: str,
                          compiler: Optional[Callable] = None,
                          *, bits: int = 8, calibration=None,
-                         batch_shape: Optional[Tuple[int, ...]] = None,
-                         kernel_cache=None,
                          profile=None) -> None:
         """Publish a fast variant of ``name`` as a sibling of every version.
 
-        ``kind`` is one of :data:`~repro.serve.variants.VARIANT_KINDS`
-        (``"quantized"`` / ``"kernel"``); ``compiler`` is a
-        ``net -> net`` transform applied by :meth:`load` *after* the
-        checkpoint restores the base weights. Left ``None``, the default
-        compiler for the kind is built from the keyword knobs:
-        ``bits``/``calibration`` for quantized
-        (:func:`~repro.serve.variants.compile_quantized`),
-        ``batch_shape`` (default: serving batch 8 at the registered
-        per-sample shape) and ``kernel_cache`` for kernel-selected
-        (:func:`~repro.serve.variants.compile_kernel_selected`).
+        ``kind`` is any non-empty name; ``compiler`` is the ``net -> net``
+        transform :meth:`load` applies *after* the checkpoint restores the
+        base weights. Only ``"quantized"`` has a built-in one
+        (:func:`~repro.serve.variants.compile_quantized` with
+        ``bits``/``calibration``); any other kind must bring its own.
 
         Variants are load-time transforms, not stored checkpoints — the
         base version's ``.npz`` stays the single source of weights, so a
@@ -242,24 +236,18 @@ class ModelRegistry:
         """
         from repro.serve import variants as _v
         self._require(name)
-        if kind not in _v.VARIANT_KINDS:
-            raise ValueError(f"unknown variant kind {kind!r}; "
-                             f"have {_v.VARIANT_KINDS}")
+        _v.check_kind(kind)
         kinds = self._variants.setdefault(name, {})
         if kind in kinds:
             raise ValueError(
                 f"variant {kind!r} of model {name!r} already registered")
         if compiler is None:
-            if kind == "quantized":
-                def compiler(net, _bits=bits, _cal=calibration):
-                    return _v.compile_quantized(net, bits=_bits,
-                                                calibration=_cal)
-            else:
-                shape = (tuple(batch_shape) if batch_shape is not None
-                         else (8,) + self._input_shapes[name])
-                def compiler(net, _shape=shape, _cache=kernel_cache):
-                    return _v.compile_kernel_selected(net, _shape,
-                                                      cache=_cache)
+            if kind != "quantized":
+                raise ValueError(
+                    f"variant kind {kind!r} has no built-in compiler "
+                    f"(only 'quantized' does): pass compiler=")
+            compiler = partial(_v.compile_quantized, bits=bits,
+                               calibration=calibration)
         kinds[kind] = compiler
         if profile is not None:
             self.set_variant_profile(name, kind, profile)
@@ -430,8 +418,8 @@ class ModelRegistry:
 
         ``variant`` loads a registered fast variant instead of the base
         net: the checkpoint restores the base weights first, then the
-        variant's compiler transforms the net (quantize / kernel-swap),
-        and the returned replica carries a variant-distinct
+        variant's compiler transforms the net, and the returned replica
+        carries a variant-distinct
         :attr:`~ServableModel.cache_scope`.
         """
         self._require(name)

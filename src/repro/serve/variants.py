@@ -1,36 +1,31 @@
-"""Model variants: quantized and kernel-selected fast replicas.
+"""Model variants: fast replicas a fleet can downgrade to.
 
-Paper SVIII-A defers the per-node-performance study of "new algorithms
-like Winograd [43] and FFT based algorithms" and low-precision inference.
-This module runs that study per registered model and packages the result
-as first-class serving *variants* — siblings of the base version the
-registry can load and the simulator can downgrade to under overload:
+Paper SVIII-A defers low-precision inference and the per-node study of
+"new algorithms like Winograd [43]". The second is no longer a variant:
+the banded F(4x4, 3x3) form is what a 3x3 / stride-1
+:class:`~repro.nn.conv.Conv2D` runs where its shapes pay
+(``nn.im2col._winograd``), so there is nothing left to race. What remains
+here is packaging: a *variant* is a ``net -> net`` transform the registry
+applies at load time, a sibling of the base version the simulator can
+downgrade to under overload.
 
-- :func:`compile_quantized` builds an intN post-training-quantized net:
-  every parameter tensor is snapped onto its own symmetric fixed-point
-  grid (:func:`repro.optim.quantize.quantize_nearest`, per-tensor scale =
+- :func:`compile_quantized`, the built-in ``"quantized"`` kind, builds an
+  intN post-training-quantized net: every parameter tensor is snapped onto
+  its own symmetric fixed-point grid
+  (:func:`repro.optim.quantize.quantize_nearest`, per-tensor scale =
   max |w|), and, given a calibration set, every leaf layer's activations
-  are fake-quantized onto a grid scaled by the calibration maximum — the
+  are fake-quantized onto a grid scaled by the calibration maximum: the
   standard PTQ recipe, simulated in float32.
-- :func:`compile_kernel_selected` swaps each eligible layer for its
-  fastest algorithmic equivalent **by measurement, not by rule**: 3x3 /
-  stride-1 :class:`~repro.nn.conv.Conv2D` races the F(2,3) and F(4,3)
-  :class:`~repro.nn.winograd.WinogradConv2D` forms on the layer's *real*
-  input at the serving batch shape — the one choice that is genuinely
-  shape-dependent. Winners are memoized in a shape-keyed
-  :class:`KernelChoiceCache` so a fleet of replicas pays the timing race
-  once per (layer signature, input shape), and the recorded timings
-  double as the measured crossover table the benchmarks report. The
-  swapped net is kept only if its whole forward then beats the
-  unswapped one's: per-layer wins do not always add up.
+- Any other kind is a name registered with its own compiler
+  (:meth:`~repro.serve.registry.ModelRegistry.register_variant`).
 
-:func:`measure_profile` then prices a variant against its base on real
-:class:`~repro.serve.batching.BatchExecutor` timings — the
+:func:`measure_profile` prices a variant against its base on real
+:class:`~repro.serve.batching.BatchExecutor` timings: the
 :class:`VariantProfile` (speedup, accuracy delta) the registry publishes
 and the :class:`~repro.serve.latency.ServiceTimeModel` mirrors as a
 per-variant batch-time scale. :class:`VariantPolicy` is the serving-side
 knob: when a model's queue-seconds or attainment crosses the threshold,
-the simulator serves the fast variant and reverts with hysteresis.
+the simulator serves the named variant and reverts with hysteresis.
 """
 
 from __future__ import annotations
@@ -40,22 +35,18 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.module import run_layers
-from repro.nn.conv import Conv2D
-from repro.nn.winograd import WinogradConv2D
 from repro.optim.quantize import quantize_nearest
 
-#: registered variant kinds
-VARIANT_KINDS = ("quantized", "kernel")
 
-#: timing repeats per candidate in the kernel race (best-of; one extra
-#: untimed warmup forward packs the weight transforms first)
-DEFAULT_RACE_REPEATS = 2
+def check_kind(kind: str) -> None:
+    """A variant kind is any non-empty name."""
+    if not isinstance(kind, str) or not kind:
+        raise ValueError(f"a variant kind is a non-empty name, got {kind!r}")
 
 
 # -- module-tree helpers ----------------------------------------------------
@@ -72,22 +63,6 @@ def _leaves(module) -> Iterator:
     for mod in _walk(module):
         if not mod.children():
             yield mod
-
-
-def _replace_layer(root, old, new) -> bool:
-    """Swap ``old`` for ``new`` wherever the tree holds it (attribute or
-    container list); returns whether a site was found."""
-    for mod in _walk(root):
-        for attr, val in list(vars(mod).items()):
-            if val is old:
-                setattr(mod, attr, new)
-                return True
-            if isinstance(val, list):
-                for i, item in enumerate(val):
-                    if item is old:
-                        val[i] = new
-                        return True
-    return False
 
 
 def _own_output(forward):
@@ -125,204 +100,6 @@ def _wrapped_forwards(layers, make_wrapper):
                 del layer.forward
             else:
                 layer.forward = prev
-
-
-def _record_inputs(net, x, targets) -> Dict[int, np.ndarray]:
-    """One forward of ``x`` capturing each target layer's actual input.
-
-    The race must time candidates on the tensor the layer really sees at
-    the serving batch shape — not a guess reconstructed from layer
-    hyperparameters.
-    """
-    recorded: Dict[int, np.ndarray] = {}
-
-    def capture(layer, orig):
-        def forward(inp):
-            recorded[id(layer)] = inp
-            return orig(inp)
-        return forward
-
-    with _wrapped_forwards(targets, capture):
-        net.forward(x)
-    return recorded
-
-
-def _time_forward(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                  repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds of ``fn(x)`` after one warmup
-    (the warmup also populates any packed-weight cache, which is the
-    steady serving state being priced)."""
-    fn(x)
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn(x)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-# -- kernel-choice cache ----------------------------------------------------
-
-class KernelChoiceCache:
-    """Shape-keyed memo of kernel-race winners.
-
-    Keys are ``(layer kind, in_ch, out_ch, kernel, stride, pad, input
-    shape)`` — everything the race outcome depends on and nothing it
-    doesn't (weights don't matter; GEMM time is value-independent) — so
-    compiling a second replica, or a second model sharing layer shapes,
-    reuses the measured winner instead of re-racing. Entries carry the
-    full timing table; :meth:`crossovers` exports it for the benchmark's
-    crossover report.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple, Dict] = {}
-
-    @staticmethod
-    def key_of(layer, input_shape: Tuple[int, ...]) -> Tuple:
-        return (layer.kind, layer.in_channels, layer.out_channels,
-                layer.kernel_size, layer.stride, layer.pad,
-                tuple(int(d) for d in input_shape))
-
-    def get(self, key: Tuple) -> Optional[Dict]:
-        return self._entries.get(key)
-
-    def put(self, key: Tuple, choice: str,
-            timings: Dict[str, float]) -> None:
-        self._entries[key] = {"choice": choice,
-                              "timings": dict(timings)}
-
-    def crossovers(self) -> List[Dict]:
-        """JSON-friendly dump: one record per raced (signature, shape)."""
-        out = []
-        for key, entry in sorted(self._entries.items(), key=repr):
-            kind, cin, cout, k, s, p, shape = key
-            out.append({"kind": kind, "in_channels": cin,
-                        "out_channels": cout, "kernel_size": k,
-                        "stride": s, "pad": p,
-                        "input_shape": list(shape),
-                        "choice": entry["choice"],
-                        "timings_ms": {n: round(t * 1e3, 3)
-                                       for n, t in
-                                       entry["timings"].items()}})
-        return out
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: process-wide default — replicas compiled anywhere in one process share
-#: the measured winners
-_DEFAULT_CACHE = KernelChoiceCache()
-
-
-def default_kernel_cache() -> KernelChoiceCache:
-    return _DEFAULT_CACHE
-
-
-# -- kernel-selected compilation --------------------------------------------
-
-def _candidate_builders(layer) -> Dict[str, Callable[[], object]]:
-    """The algorithmic equivalents ``layer`` races, by candidate name.
-
-    Exact-type checks, not isinstance: an already-swapped fast layer (or
-    a user subclass with different semantics) must not be re-raced.
-    """
-    if type(layer) is not Conv2D \
-            or (layer.kernel_size, layer.stride) != (3, 1):
-        return {}
-    return {f"wino{tile}": partial(
-                WinogradConv2D, layer.in_channels, layer.out_channels,
-                pad=layer.pad, name=layer.name, tile_size=tile)
-            for tile in (4, 2)}
-
-
-def _build_candidate(layer, build: Callable[[], object]):
-    """Construct a candidate sharing the base layer's parameters (same
-    Parameter objects — identical weights, identical checkpoint keys)."""
-    cand = build()
-    cand.weight = layer.weight
-    cand.bias = layer.bias
-    cand.eval()
-    return cand
-
-
-def compile_kernel_selected(net, batch_shape: Tuple[int, ...],
-                            repeats: int = DEFAULT_RACE_REPEATS,
-                            cache: Optional[KernelChoiceCache] = None,
-                            seed: int = 0):
-    """Deep-copy ``net`` with each eligible layer swapped for its
-    measured-fastest algorithmic equivalent at ``batch_shape``.
-
-    One capture forward (a seeded standard-normal batch) records every
-    eligible layer's real input; each layer then races its candidates on
-    that input (:data:`DEFAULT_RACE_REPEATS` best-of timing after a
-    packing warmup) and the winner — possibly the base layer itself —
-    replaces it in the copied tree. Winners come from / go to ``cache``
-    (default: the process-wide :func:`default_kernel_cache`), keyed by
-    layer signature and input shape.
-
-    A per-layer win is necessary, not sufficient: the swapped net's
-    whole forward is then timed interleaved with the unswapped copy's,
-    and when it does not win the unswapped copy is returned with every
-    choice recorded as ``"base"`` (the per-layer timings are kept).
-
-    The result is the "kernel" variant: same parameters (shared
-    ``Parameter`` objects), same state-dict spec, forward equal to the
-    base to fp32 tolerance (Winograd changes summation order only). The
-    chosen swaps are recorded on the returned net as ``kernel_choices``
-    for profiling and reporting.
-    """
-    if len(batch_shape) != 4:
-        raise ValueError(
-            f"batch_shape must be (N, C, H, W), got {batch_shape}")
-    if cache is None:
-        cache = default_kernel_cache()
-    fast = copy.deepcopy(net)
-    fast.eval()
-    targets = [m for m in _walk(fast) if _candidate_builders(m)]
-    x = np.asarray(
-        np.random.default_rng(seed).standard_normal(batch_shape),
-        dtype=np.float32)
-    recorded = _record_inputs(fast, x, targets)
-    choices: List[Dict] = []
-    for layer in targets:
-        xin = recorded.get(id(layer))
-        if xin is None:
-            continue        # layer never ran at this shape
-        builders = _candidate_builders(layer)
-        key = KernelChoiceCache.key_of(layer, xin.shape)
-        entry = cache.get(key)
-        if entry is None:
-            timings = {"base": _time_forward(layer.forward, xin, repeats)}
-            for cname, build in builders.items():
-                cand = _build_candidate(layer, build)
-                timings[cname] = _time_forward(cand.forward, xin, repeats)
-            choice = min(timings, key=timings.get)
-            cache.put(key, choice, timings)
-            entry = cache.get(key)
-        choice, timings = entry["choice"], entry["timings"]
-        if choice != "base":
-            _replace_layer(fast, layer,
-                           _build_candidate(layer, builders[choice]))
-        choices.append({"layer": layer.name, "choice": choice,
-                        "input_shape": list(xin.shape),
-                        "timings_ms": {n: round(t * 1e3, 3)
-                                       for n, t in timings.items()}})
-    if any(c["choice"] != "base" for c in choices):
-        base = copy.deepcopy(net).eval()
-        base_s = fast_s = math.inf
-        for _ in range(max(1, repeats)):
-            base_s = min(base_s, _time_forward(base.forward, x, 1))
-            fast_s = min(fast_s, _time_forward(fast.forward, x, 1))
-        if fast_s >= base_s:
-            fast = base
-            choices = [dict(c, choice="base") for c in choices]
-    fast.kernel_choices = choices
-    return fast
 
 
 # -- quantized compilation --------------------------------------------------
@@ -407,8 +184,7 @@ class VariantProfile:
     ``accuracy_delta`` is ``eval_fn(variant) - eval_fn(base)`` when an
     eval metric is supplied, otherwise the label-free mean relative
     output drift (L2, per flattened head) — an upper-bound proxy that is
-    exactly 0.0 for bit-identical variants. ``choices`` carries the
-    kernel variant's per-layer race results; ``bits`` the quantized
+    exactly 0.0 for bit-identical variants. ``bits`` is the quantized
     variant's grid width.
     """
 
@@ -419,12 +195,9 @@ class VariantProfile:
     variant_batch_s: float
     batch_shape: Tuple[int, ...]
     bits: Optional[int] = None
-    choices: Tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant kind {self.kind!r}; "
-                             f"have {VARIANT_KINDS}")
+        check_kind(self.kind)
         if not self.speedup > 0:
             raise ValueError(f"speedup must be > 0, got {self.speedup}")
 
@@ -462,7 +235,7 @@ def measure_profile(base_net, variant_net, kind: str,
     """Price ``variant_net`` against ``base_net`` on real executor runs.
 
     Times one full :meth:`BatchExecutor.run_batch` per net (best of
-    ``repeats`` after a warmup that also packs weight transforms) on a
+    ``repeats`` after a warmup) on a
     seeded batch of ``batch_shape``, and measures the accuracy delta —
     ``eval_fn(net) -> float`` when given (held-out metric), label-free
     output drift otherwise.
@@ -483,7 +256,7 @@ def measure_profile(base_net, variant_net, kind: str,
         ex.run_batch(samples)
         return time.perf_counter() - t0
 
-    # Warm both (packs weight transforms, faults in buffers), then time
+    # Warm both (faults in buffers), then time
     # the two nets *interleaved* best-of-``repeats``: a background load
     # spike lands on both sides instead of skewing whichever net was
     # timed during it.
@@ -499,15 +272,11 @@ def measure_profile(base_net, variant_net, kind: str,
         batch = np.stack(samples)
         delta = output_drift(base_net.forward(batch),
                              variant_net.forward(batch))
-    choices = tuple(
-        (c["layer"], c["choice"]) for c in
-        getattr(variant_net, "kernel_choices", []))
     return VariantProfile(
         kind=kind, speedup=base_s / var_s, accuracy_delta=delta,
         base_batch_s=base_s, variant_batch_s=var_s,
         batch_shape=tuple(int(d) for d in batch_shape),
-        bits=getattr(variant_net, "quant_bits", None),
-        choices=choices)
+        bits=getattr(variant_net, "quant_bits", None))
 
 
 # -- serving policy ---------------------------------------------------------
@@ -534,7 +303,7 @@ class VariantPolicy:
       ``recover_attainment`` (default: the threshold itself).
     """
 
-    kind: str = "kernel"
+    kind: str
     time_scale: Optional[float] = None
     queue_threshold: Optional[float] = None
     attainment_threshold: Optional[float] = None
@@ -542,9 +311,7 @@ class VariantPolicy:
     recover_attainment: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant kind {self.kind!r}; "
-                             f"have {VARIANT_KINDS}")
+        check_kind(self.kind)
         if self.time_scale is not None and not 0 < self.time_scale <= 1:
             raise ValueError(
                 f"time_scale must be in (0, 1], got {self.time_scale}")

@@ -8,7 +8,9 @@ import pytest
 
 from grad_check import numeric_grad
 from repro.nn.conv import Conv2D
+from repro.nn.fft_conv import FFTConv2D
 from repro.nn.im2col import matmul_col2im
+from repro.nn.winograd import WinogradConv2D
 from test_nn_im2col import budget
 
 
@@ -48,8 +50,14 @@ class TestForward:
 
     @pytest.mark.parametrize("shape", [(0, 4, 6, 6), (4, 6, 6), (6, 6),
                                        (1, 1, 4, 6, 6)])
-    def test_malformed_input_fails_at_the_layer_with_its_name(self, shape):
-        conv = Conv2D(4, 2, 3, name="enc_conv7", rng=0)
+    @pytest.mark.parametrize("layer_cls", [Conv2D, WinogradConv2D,
+                                           FFTConv2D])
+    def test_malformed_input_fails_at_the_layer_with_its_name(self, shape,
+                                                              layer_cls):
+        """The ablation forwards too: a 3-D batch died in a tuple unpack
+        there, and an empty one ran on nothing."""
+        args = (4, 2) if layer_cls is WinogradConv2D else (4, 2, 3)
+        conv = layer_cls(*args, name="enc_conv7", rng=0)
         with pytest.raises(ValueError, match=r"enc_conv7: expected \(N, 4, "
                            r"H, W\) with N >= 1, got " + re.escape(str(shape))):
             conv.forward(np.zeros(shape, dtype=np.float32))

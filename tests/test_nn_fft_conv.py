@@ -4,7 +4,7 @@ The forward pass evaluates the cross-correlation via rfft2/irfft2 and must
 agree with the direct im2col+GEMM :class:`~repro.nn.conv.Conv2D` up to FFT
 rounding; the backward pass rebuilds the im2col matrix and reuses the GEMM
 adjoint, so gradients are *bit-compatible* with Conv2D — the contract the
-module docstring promises and serving's kernel-swap correctness rests on.
+module docstring promises.
 """
 
 import numpy as np

@@ -16,14 +16,18 @@ from hypothesis import strategies as st
 
 from repro.core import Sequential
 from repro.core.initializers import undrawn
+from repro.core.module import run_layers
 from repro.models import build_hep_net
 from repro.models.climate import PAPER_DECODER, PAPER_ENCODER, ClimateNet
+from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
 from repro.nn.im2col import (
     _BAND_BYTES, _FOLD_BELOW, _THIN_BELOW, _bands, _batch_matmul,
     _batch_outer, _patches, col2im, conv_output_size, deconv_output_size,
     im2col)
+from repro.nn.pooling import MaxPool2D
+from repro.nn.winograd import WinogradConv2D
 
 #: the module itself (``repro.nn.im2col`` the attribute is the function)
 lowering = sys.modules["repro.nn.im2col"]
@@ -383,6 +387,28 @@ def separable_everywhere():
 
 
 @contextlib.contextmanager
+def winograd_everywhere(on=True):
+    """Every banded 3x3 / stride-1 layer takes the F(4x4, 3x3) form
+    whatever the multiplies rule says, or (``on=False``: the lowering as it
+    was before the form) none does, or (``on=None``) the rule decides.
+    Yields the input shapes of the calls that took it."""
+    calls = []
+    saved = lowering._winograd, lowering._tile_lowering
+
+    def spy(*args):
+        calls.append(args[1].shape)
+        return saved[1](*args)
+
+    lowering._tile_lowering = spy
+    if on is not None:
+        lowering._winograd = lambda *shape: on
+    try:
+        yield calls
+    finally:
+        lowering._winograd, lowering._tile_lowering = saved
+
+
+@contextlib.contextmanager
 def rules_fitted_on_the_big_nets():
     """The three shape rules before they read small shapes: fold on the
     column count alone, pad by ``np.pad``, cut whole-image bands greedily."""
@@ -646,6 +672,109 @@ class TestSeparableEqualsOneShot:
             assert not lowering._separable(64, 8, 3, 1, True)
 
 
+class TestWinogradFormEqualsTheLayers:
+    """The banded F(4x4, 3x3) form of ``lowered_matmul`` computes what the
+    whole-image ``WinogradConv2D(tile_size=4)`` computes (same transforms,
+    other GEMM shapes: 1e-5 relative in float32, 1e-12 in float64) and what
+    the direct form computes (1e-4, 1e-12), in the input's dtype,
+    C-contiguous, with and without an epilogue, and its data gradient is the
+    adjoint of its forward. Forced on everywhere: outputs that are no
+    multiple of 4 (the last tile row and column are cropped), pads 0-2
+    (what a data gradient's flipped-kernel conv uses) and one-tile-row
+    bands included."""
+
+    @staticmethod
+    def layers(c, f, pad, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv2D(c, f, 3, pad=pad, rng=seed)
+        conv.bias.data[...] = rng.normal(size=f)
+        whole = WinogradConv2D(c, f, pad=pad, tile_size=4)
+        whole.weight, whole.bias = conv.weight, conv.bias
+        return conv, whole
+
+    @staticmethod
+    def close(got, ref, tol):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.flags.c_contiguous
+        assert np.abs(got - ref).max() <= tol * max(1.0, np.abs(ref).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 5), f=st.integers(1, 5),
+           h=st.integers(1, 14), w=st.integers(1, 14), pad=st.integers(0, 2),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           band_bytes=st.sampled_from([1, 3000, 20000, _BAND_BYTES]),
+           seed=st.integers(0, 10**6))
+    def test_generated_geometries(self, n, c, f, h, w, pad, dtype,
+                                  band_bytes, seed):
+        assume(min(h, w) + 2 * pad >= 3)
+        conv, whole = self.layers(c, f, pad, seed)
+        x = np.random.default_rng(seed).normal(size=(n, c, h, w)) \
+            .astype(dtype)
+        with budget(1 << 40):
+            direct = conv.forward(x)
+        with budget(band_bytes, fold_below=1), winograd_everywhere() as calls:
+            assume(lowering._lowering_bands(x, 3, 3, 1, pad))
+            got = conv.forward(x)
+            assert calls == [x.shape]
+            loose, tight = (1e-4, 1e-5) if dtype == np.float32 \
+                else (1e-12, 1e-12)
+            self.close(got, direct, loose)
+            self.close(got, whole.forward(x), tight)
+            if got.shape[2] % 2 or got.shape[3] % 2:
+                return
+            # the head of a fused eval group: each band through bias,
+            # pool and ReLU while it is in cache
+            then = [MaxPool2D(2).eval(), ReLU().eval()]
+            fused = conv.eval().forward(x, then)
+            assert calls == [x.shape] * 2
+            np.testing.assert_array_equal(fused, run_layers(then, got))
+
+    @pytest.mark.parametrize("size, band_bytes", [(24, 1), (36, 20000)])
+    def test_bands_are_whole_pool_windows(self, size, band_bytes, rng):
+        """A 3x3 pool behind the conv: bands of 3 tile rows (12 output
+        rows), the least that is whole tiles and whole windows."""
+        conv, _ = self.layers(3, 4, 1, 2)
+        x = rng.normal(size=(2, 3, size, size)).astype(np.float32)
+        then = [MaxPool2D(3).eval()]
+        with budget(band_bytes, fold_below=1), winograd_everywhere() as calls:
+            fused = conv.eval().forward(x, then)
+            whole = run_layers(then, conv.forward(x))
+        assert len(calls) == 2
+        np.testing.assert_allclose(fused, whole, rtol=1e-5, atol=1e-5)
+
+    def test_a_training_step_in_the_form_is_its_own_adjoint(self):
+        """A 64 -> 64 layer the rule itself picks (64 tiles for 64
+        channels), banded by a turned budget, in float64: the forward in the
+        form, ``Conv2D.backward``'s data gradient in the form (the conv of
+        ``grad_out`` with the flipped kernels) and its weight gradient,
+        against central differences along random directions."""
+        rng = np.random.default_rng(3)
+        conv = Conv2D(64, 64, 3, rng=3)
+        conv.weight.data = conv.weight.data.astype(np.float64)
+        x = rng.normal(size=(4, 64, 16, 16))
+        g = rng.normal(size=x.shape)
+
+        def loss():
+            return float((conv.forward(x) * g).sum())
+
+        with budget(1 << 20), winograd_everywhere(on=None) as calls:
+            conv.forward(x)
+            grad_in = conv.backward(g)
+            assert calls == [x.shape, g.shape]
+            for array, grad in [(x, grad_in),
+                                (conv.weight.data, conv.weight.grad),
+                                (conv.bias.data, conv.bias.grad)]:
+                step = rng.normal(size=array.shape)
+                array += 1e-4 * step
+                up = loss()
+                array -= 2e-4 * step
+                down = loss()
+                array += 1e-4 * step
+                slope = (up - down) / 2e-4
+                assert abs(slope - (grad * step).sum()) \
+                    <= 1e-7 * max(1.0, abs(slope))
+
+
 def lowered_layers(net, input_shape):
     """``(layer, its input shape, its output shape)`` for each conv / deconv
     of ``net`` (a ``Sequential``). Shapes only: nothing is computed."""
@@ -657,25 +786,35 @@ def lowered_layers(net, input_shape):
         shape = out
 
 
-def separable_layers(net, input_shape, n):
-    """Names of the conv / deconv layers of ``net`` that take the separable
-    form on ``(n,) + input_shape`` float32 inputs, in training or in a fused
-    eval group."""
-    names = []
-    for layer, shape, _ in lowered_layers(net, input_shape):
+def lowering_forms(net, input_shape, n):
+    """``name -> "one-shot" | "direct" | "separable" | "winograd"``: the
+    form the forward of each conv / deconv of ``net`` takes on ``(n,) +
+    input_shape`` float32 inputs, in training or in a fused eval group."""
+    forms = {}
+    for layer, shape, out in lowered_layers(net, input_shape):
         c, f = layer.in_channels, layer.out_channels
         k, s, p = layer.kernel_size, layer.stride, layer.pad
         if layer.kind == "conv":
             x = np.broadcast_to(np.float32(0), (n,) + shape)
             banded = any(lowering._lowering_bands(x, k, k, s, p, held)
                          for held in (0, f))
-            form = lowering._separable(f, c, k, s, True)
+            form = "winograd" if (k, s) == (3, 1) and lowering._winograd(
+                n, c, f, *out[1:]) else "separable" \
+                if lowering._separable(f, c, k, s, True) else "direct"
         else:
             banded = _bands(n, f * k * k, *shape[1:], 4)
-            form = lowering._separable(c, f, k, s, False)
-        if banded and form:
-            names.append(layer.name)
-    return names
+            form = "separable" if lowering._separable(c, f, k, s, False) \
+                else "direct"
+        forms[layer.name] = form if banded else "one-shot"
+    return forms
+
+
+def separable_layers(net, input_shape, n):
+    """Names of the conv / deconv layers of ``net`` that take the separable
+    form."""
+    return [name for name, form
+            in lowering_forms(net, input_shape, n).items()
+            if form == "separable"]
 
 
 def gemm_forms(net, input_shape, n):
@@ -700,10 +839,14 @@ def gemm_forms(net, input_shape, n):
 class TestTheRuleIsATable:
     """Which layers of the nets this repo runs take the separable form: the
     four thin ones of the benchmark ClimateNet, and nothing at paper width,
-    in the HEP net or in the hybrid trainer's. And which one-shot layers
-    fold their batch into one GEMM: those whose weights outweigh an image's
-    columns, so every deep layer of the wide nets and, of the 16-filter
-    hybrid net, only the 2x2 one."""
+    in the HEP net or in the hybrid trainer's. Which take the F(4x4, 3x3)
+    form: the banded 3x3 / stride-1 ones with 32 channels on either side and
+    a tile per channel, so HEP-128 ``conv2`` / ``conv3`` and the ClimateNets'
+    ``enc_conv2`` / ``enc_conv4`` / ``enc_conv6`` where the images are large
+    enough, and nothing in the hybrid trainer's net. And which one-shot
+    layers fold their batch into one GEMM: those whose weights outweigh an
+    image's columns, so every deep layer of the wide nets and, of the
+    16-filter hybrid net, only the 2x2 one."""
 
     @staticmethod
     def climate(width):
@@ -736,6 +879,46 @@ class TestTheRuleIsATable:
         # where 128 x 128 weights outgrow grad_out, a scatter at the cap.
         assert not lowering._separable(filters, filters, 3, 1, True)
         assert not lowering._separable(128, 128, 3, 1, False)
+
+    @pytest.mark.parametrize("filters, size, n, forms", [
+        (128, 224, 2, "direct winograd winograd direct one-shot"),
+        (128, 64, 8, "direct winograd winograd one-shot one-shot"),
+        (16, 32, 32, "direct direct one-shot one-shot one-shot")])
+    def test_forms_of_the_hep_nets(self, filters, size, n, forms):
+        """``hep_infer``, ``hep_train``, ``hybrid_train``: ``conv1`` has 3
+        channels, ``conv4`` at 28x28 has 98 tiles for 128 channels."""
+        with undrawn():
+            net = build_hep_net(filters=filters)
+        assert list(lowering_forms(net, (3, size, size), n).values()) \
+            == forms.split()
+        if filters == 128 and n == 8:
+            # ... and the data gradients of conv2 (32x32) and conv3 (16x16),
+            # flipped-kernel convs of the same shapes, take it too.
+            assert lowering._winograd(8, 128, 128, 32, 32)
+            assert lowering._winograd(8, 128, 128, 16, 16)
+
+    @pytest.mark.parametrize("width, size, n, winograd", [
+        (1 / 4, 256, 2, [4]),           # climate_infer: 64 -> 96 at 64x64
+        (1, 64, 8, [2]),                # 64 -> 128 at 32x32
+        (1, 768, 1, [2, 4]), (1, 768, 2, [2, 4, 6])])
+    def test_forms_of_the_climate_nets(self, width, size, n, winograd):
+        """``enc_conv6`` (512 -> 768 at 96x96) has 576 tiles an image, and
+        at quarter width (128 -> 192 at 32x32) 64: with the batch, fewer
+        than channels."""
+        net = self.climate(width)
+        forms = lowering_forms(net.encoder, (16, size, size), n)
+        assert [name for name, form in forms.items() if form == "winograd"] \
+            == [f"enc_conv{i}" for i in winograd]
+        feats = net.encoder.output_shape((16, size, size))
+        assert "winograd" not in lowering_forms(net.decoder, feats, n).values()
+
+    def test_the_rule_reads_shapes_only(self):
+        rule = lowering._winograd
+        assert rule(2, 128, 128, 112, 112) and rule(2, 64, 96, 64, 64)
+        assert not rule(2, 16, 32, 128, 128)    # enc_conv2: a thin side
+        assert rule(1, 32, 32, 24, 24) and not rule(1, 32, 31, 24, 24)
+        assert rule(2, 128, 128, 32, 32) and not rule(2, 128, 128, 28, 28)
+        assert rule(1, 128, 192, 55, 53)        # 14 x 14 tiles, cropped
 
     def test_folds_of_the_hep_nets(self):
         forms = dict(zip(("conv1", "conv2", "conv3", "conv4", "conv5"),
@@ -823,6 +1006,39 @@ class TestSmallShapeRulesLeaveTheBigNets:
         for a, b in zip(got, ref):
             np.testing.assert_allclose(a, b, rtol=1e-4,
                                        atol=1e-5 * np.abs(b).max())
+
+
+class TestTheFormLeavesTheOtherLayers:
+    """Only the layers ``TestTheRuleIsATable`` lists call the F(4x4, 3x3)
+    form; every other layer runs the lowering it ran before the form
+    existed, so the 16-filter hybrid net keeps its bits."""
+
+    run = staticmethod(TestSmallShapeRulesLeaveTheBigNets.run)
+
+    def test_hep_infer_and_hep_train(self):
+        with winograd_everywhere(on=None) as calls:
+            self.run(128, 224, 2, False)
+            assert calls == [(2, 128, 112, 112), (2, 128, 56, 56)]
+            del calls[:]
+            self.run(128, 64, 8, True)
+        # conv2 and conv3 forward, then their data gradients
+        assert calls == [(8, 128, 32, 32), (8, 128, 16, 16),
+                         (8, 128, 16, 16), (8, 128, 32, 32)]
+
+    def test_climate_infer(self):
+        net = TestTheRuleIsATable.climate(1 / 4).eval()
+        with winograd_everywhere(on=None) as calls:
+            net.forward(np.zeros((2, 16, 256, 256), np.float32))
+        assert calls == [(2, 64, 64, 64)]            # enc_conv4
+
+    def test_the_hybrid_net_keeps_its_bits(self):
+        with winograd_everywhere(False):
+            ref = self.run(16, 32, 32, True)
+        with winograd_everywhere(on=None) as calls:
+            got = self.run(16, 32, 32, True)
+        assert not calls
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestBandedMemory:

@@ -77,6 +77,18 @@ class TestForwardEquivalence:
         np.testing.assert_allclose(wino.forward(x), conv.forward(x),
                                    rtol=2e-3, atol=2e-4)
 
+    @pytest.mark.parametrize("tile", [2, 4])
+    def test_a_float64_batch_stays_float64(self, tile, rng):
+        """The transforms are cast to the batch's precision once; the
+        forward used to round its result to float32."""
+        wino, conv = _paired_layers(3, 4, pad=1, seed=5)
+        wino.tile_size = tile
+        x = rng.normal(size=(2, 3, 9, 7))
+        out = wino.forward(x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, conv.forward(x), rtol=1e-6, atol=1e-7)
+        assert wino.forward(x.astype(np.float32)).dtype == np.float32
+
     def test_output_shape_contract(self):
         wino = WinogradConv2D(2, 5, pad=1, rng=0)
         x = np.zeros((3, 2, 9, 11), dtype=np.float32)

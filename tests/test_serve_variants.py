@@ -2,9 +2,9 @@
 
 Covers the three layers of the variant path:
 
-- compilation (:mod:`repro.serve.variants`): kernel-selected nets stay
-  numerically faithful and share parameters with the base; quantized nets
-  land on symmetric grids; the shape-keyed race cache memoizes winners;
+- compilation (:mod:`repro.serve.variants`): quantized nets land on
+  symmetric grids, and a hook that needs a layer's own output keeps the
+  layer boundary of a fused eval group;
 - registry: variants load as siblings with a variant-distinct cache scope
   — a quantized prediction can never satisfy a full-precision cache key —
   and rollouts evict variant scopes too;
@@ -19,27 +19,18 @@ import pytest
 
 from repro.cluster.failures import FailureEvent
 from repro.core import Sequential
-from repro.nn import (
-    Conv2D,
-    Deconv2D,
-    FFTConv2D,
-    MaxPool2D,
-    ReLU,
-    WinogradConv2D,
-)
+from repro.nn import Conv2D, Deconv2D, MaxPool2D, ReLU
 from repro.serve import (
     AutoscalePolicy,
     AutoscalingSimulator,
     BatchExecutor,
     BatchingPolicy,
-    KernelChoiceCache,
     ModelRegistry,
     ResultCache,
     ServingSimulator,
     Tracer,
     VariantPolicy,
     VariantProfile,
-    compile_kernel_selected,
     compile_quantized,
     content_key,
     measure_profile,
@@ -47,21 +38,23 @@ from repro.serve import (
 from repro.serve.fast_core import unsupported_reason
 from repro.serve.latency import ServiceTimeModel
 from repro.optim.quantize import quantize_nearest
-from repro.serve.variants import (
-    _record_inputs,
-    _wrapped_forwards,
-    output_drift,
-)
+from repro.serve.variants import _wrapped_forwards, output_drift
 
 
 def tiny_net(rng=0):
-    """A minimal net: one raced layer (c3) among layers that are not."""
+    """A minimal net: two convs and a deconv."""
     return Sequential([
-        Conv2D(2, 4, 3, stride=1, name="c3", rng=rng),       # wino race
+        Conv2D(2, 4, 3, stride=1, name="c3", rng=rng),
         ReLU(),
-        Conv2D(4, 4, 5, stride=1, pad=2, name="c5", rng=rng),  # not raced
-        Deconv2D(4, 2, 4, stride=2, pad=1, name="up", rng=rng),  # not raced
+        Conv2D(4, 4, 5, stride=1, pad=2, name="c5", rng=rng),
+        Deconv2D(4, 2, 4, stride=2, pad=1, name="up", rng=rng),
     ], name="tiny")
+
+
+def relabelled(net):
+    """The compiler of a variant that changes nothing but its name: what
+    the policy tests below call ``"kernel"``."""
+    return net.eval()
 
 
 SHAPE = (2, 2, 8, 8)
@@ -92,101 +85,6 @@ class FakeService:
 
 
 # -- compilation -------------------------------------------------------------
-
-class TestKernelSelected:
-    def test_forward_parity_and_choices(self, rng):
-        net = tiny_net().eval()
-        fast = compile_kernel_selected(net, SHAPE, repeats=1,
-                                       cache=KernelChoiceCache())
-        x = _x(rng)
-        np.testing.assert_allclose(fast.forward(x), net.forward(x),
-                                   rtol=1e-3, atol=1e-4)
-        # Only the 3x3/stride-1 conv is shape-dependent enough to race;
-        # the 5x5 conv and the deconv each have one implementation.
-        assert [c["layer"] for c in fast.kernel_choices] == ["c3"]
-        for c in fast.kernel_choices:
-            assert "base" in c["timings_ms"]
-            assert c["choice"] in c["timings_ms"]
-
-    def test_base_net_untouched(self, rng):
-        net = tiny_net().eval()
-        before = [type(m) for m in net.layers]
-        compile_kernel_selected(net, SHAPE, repeats=1,
-                                cache=KernelChoiceCache())
-        assert [type(m) for m in net.layers] == before
-        assert not hasattr(net, "kernel_choices")
-
-    def test_shares_parameters_and_state_dict(self):
-        """Swapped layers reuse the base copy's Parameter objects, so the
-        variant checkpoints exactly like the base architecture."""
-        net = tiny_net().eval()
-        fast = compile_kernel_selected(net, SHAPE, repeats=1,
-                                       cache=KernelChoiceCache())
-        sd, fsd = net.state_dict(), fast.state_dict()
-        assert set(sd) == set(fsd)
-        for k in sd:
-            np.testing.assert_array_equal(sd[k], fsd[k])
-        fast.load_state_dict(sd)    # strict round-trip
-
-    def test_cache_memoizes_race(self):
-        cache = KernelChoiceCache()
-        net = tiny_net().eval()
-        compile_kernel_selected(net, SHAPE, repeats=1, cache=cache)
-        assert len(cache) == 1
-        # Poison every cached winner; a recompile must obey the cache
-        # (no re-race) and therefore swap nothing.
-        for key, entry in list(cache._entries.items()):
-            cache.put(key, "base", entry["timings"])
-        fast2 = compile_kernel_selected(net, SHAPE, repeats=1, cache=cache)
-        assert all(c["choice"] == "base" for c in fast2.kernel_choices)
-        assert len(cache) == 1
-
-    def test_crossovers_export(self):
-        cache = KernelChoiceCache()
-        compile_kernel_selected(tiny_net().eval(), SHAPE, repeats=1,
-                                cache=cache)
-        rows = cache.crossovers()
-        assert len(rows) == 1
-        for row in rows:
-            assert row["choice"] in row["timings_ms"]
-            assert row["input_shape"][0] == SHAPE[0]
-
-    def test_already_fast_layers_not_reraced(self):
-        net = Sequential([WinogradConv2D(2, 3, name="w", rng=0),
-                          FFTConv2D(3, 2, 5, name="f", rng=0),
-                          Deconv2D(2, 2, 4, stride=2, name="t", rng=0)],
-                         name="fastnet").eval()
-        cache = KernelChoiceCache()
-        fast = compile_kernel_selected(net, SHAPE, repeats=1, cache=cache)
-        assert fast.kernel_choices == [] and len(cache) == 0
-
-    def test_rejects_bad_batch_shape(self):
-        with pytest.raises(ValueError, match="N, C, H, W"):
-            compile_kernel_selected(tiny_net(), (2, 8, 8))
-
-    @pytest.mark.parametrize("net_wins", [True, False])
-    def test_swaps_kept_only_if_whole_net_wins(self, monkeypatch, net_wins):
-        """A candidate that wins its layer race in isolation can still
-        lose in the net: the swaps are confirmed on whole-net forwards
-        and dropped when they lose."""
-        def fake_time(fn, x, repeats):
-            owner = fn.__self__
-            if isinstance(owner, Sequential):       # whole-net forward
-                swapped = any(isinstance(m, WinogradConv2D)
-                              for m in owner.layers)
-                return 1.0 if swapped == net_wins else 2.0
-            return 1.0 if isinstance(owner, WinogradConv2D) else 2.0
-
-        monkeypatch.setattr("repro.serve.variants._time_forward", fake_time)
-        net = tiny_net().eval()
-        fast = compile_kernel_selected(net, SHAPE, cache=KernelChoiceCache())
-        c3 = next(c for c in fast.kernel_choices if c["layer"] == "c3")
-        assert c3["choice"] == ("wino4" if net_wins else "base")
-        assert set(c3["timings_ms"]) == {"base", "wino4", "wino2"}
-        assert type(fast.layers[0]) is (WinogradConv2D if net_wins
-                                        else Conv2D)
-        assert fast is not net and not hasattr(net, "kernel_choices")
-
 
 class TestQuantized:
     def test_weights_on_symmetric_grid(self):
@@ -277,15 +175,6 @@ class TestHooksKeepTheLayerBoundary:
             for got, ref in zip(seen[name], want[name]):
                 np.testing.assert_array_equal(got, ref)
 
-    def test_record_inputs_of_convs_behind_a_fused_group(self, rng):
-        net, x = pooled_net(), _x(rng, self.X_SHAPE)
-        want = self.by_hand(net, x)
-        convs = [net.layers[0], net.layers[3]]
-        recorded = _record_inputs(net, x, convs)
-        for conv in convs:
-            np.testing.assert_array_equal(recorded[id(conv)],
-                                          want[conv.name][0])
-
     def test_quantized_calibrates_and_quantizes_each_layers_own_output(
             self, rng):
         net, calib = pooled_net(), _x(rng, self.X_SHAPE)
@@ -303,27 +192,16 @@ class TestHooksKeepTheLayerBoundary:
                                                         peaks[layer.name]))
         np.testing.assert_array_equal(qnet.forward(x), want["r2"][1])
 
-    def test_kernel_selected_parity_on_a_pooled_net(self, rng):
-        net, x = pooled_net(), _x(rng, self.X_SHAPE)
-        fast = compile_kernel_selected(net, self.X_SHAPE, repeats=1,
-                                       cache=KernelChoiceCache())
-        assert [c["layer"] for c in fast.kernel_choices] == ["c1", "c2"]
-        assert [c["input_shape"] for c in fast.kernel_choices] == [
-            [2, 2, 16, 16], [2, 4, 8, 8]]
-        np.testing.assert_allclose(fast.forward(x), net.forward(x),
-                                   rtol=1e-3, atol=1e-4)
-
 
 class TestProfile:
     def test_measure_profile_fields(self):
         net = tiny_net().eval()
-        fast = compile_kernel_selected(net, SHAPE, repeats=1,
-                                       cache=KernelChoiceCache())
-        prof = measure_profile(net, fast, "kernel", SHAPE, repeats=1)
+        prof = measure_profile(net, relabelled(tiny_net()), "kernel", SHAPE,
+                               repeats=1)
         assert prof.kind == "kernel" and prof.speedup > 0
-        assert prof.accuracy_delta < 1e-2      # fp32-faithful swap
+        assert prof.accuracy_delta == 0.0      # the same bits
         assert prof.time_scale == pytest.approx(1.0 / prof.speedup)
-        assert len(prof.choices) == 1
+        assert prof.bits is None
         assert prof.batch_shape == SHAPE
 
     def test_quantized_profile_carries_bits(self):
@@ -334,7 +212,7 @@ class TestProfile:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="kind"):
-            VariantProfile("turbo", 2.0, 0.0, 1.0, 0.5, SHAPE)
+            VariantProfile("", 2.0, 0.0, 1.0, 0.5, SHAPE)
         with pytest.raises(ValueError, match="speedup"):
             VariantProfile("kernel", 0.0, 0.0, 1.0, 0.5, SHAPE)
 
@@ -351,8 +229,7 @@ def _registry(tmp_path):
 class TestRegistryVariants:
     def test_load_variant_scope_and_kind(self, tmp_path):
         reg = _registry(tmp_path)
-        reg.register_variant("tiny", "kernel", batch_shape=SHAPE,
-                             kernel_cache=KernelChoiceCache())
+        reg.register_variant("tiny", "kernel", relabelled)
         reg.register_variant("tiny", "quantized", bits=8)
         assert reg.variant_kinds("tiny") == ["kernel", "quantized"]
         base = reg.load("tiny")
@@ -363,21 +240,24 @@ class TestRegistryVariants:
         assert quant.cache_scope == ("tiny", 1, "quantized")
 
     def test_variant_loads_checkpoint_weights(self, tmp_path, rng):
-        """The compiler runs *after* the checkpoint restore: the kernel
-        variant must produce the published weights' outputs, not the
-        builder's fresh-init outputs."""
+        """The compiler runs *after* the checkpoint restore: a variant
+        must produce the published weights' outputs, not the builder's
+        fresh-init outputs."""
         reg = _registry(tmp_path)
-        reg.register_variant("tiny", "kernel", batch_shape=SHAPE,
-                             kernel_cache=KernelChoiceCache())
+        reg.register_variant("tiny", "kernel", relabelled)
         x = _x(rng)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             reg.load("tiny", variant="kernel").forward(x),
-            reg.load("tiny").forward(x), rtol=1e-3, atol=1e-4)
+            reg.load("tiny").forward(x))
 
     def test_register_variant_validation(self, tmp_path):
         reg = _registry(tmp_path)
         with pytest.raises(ValueError, match="kind"):
-            reg.register_variant("tiny", "turbo")
+            reg.register_variant("tiny", "turbo")       # no compiler
+        with pytest.raises(ValueError, match="kind"):
+            reg.register_variant("tiny", "", relabelled)
+        reg.register_variant("tiny", "turbo", relabelled)
+        assert reg.load("tiny", variant="turbo").variant == "turbo"
         with pytest.raises(KeyError):
             reg.register_variant("nope", "kernel")
         reg.register_variant("tiny", "quantized")
@@ -437,6 +317,11 @@ class TestRegistryVariants:
 
 # -- serving -----------------------------------------------------------------
 
+def kernel(**kw):
+    """A policy that downgrades onto the variant ``FakeService`` prices."""
+    return VariantPolicy(kind="kernel", **kw)
+
+
 class TestVariantPolicy:
     def test_requires_a_trigger(self):
         with pytest.raises(ValueError, match="trigger"):
@@ -444,28 +329,28 @@ class TestVariantPolicy:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
-            VariantPolicy(kind="turbo", queue_threshold=1.0)
+            VariantPolicy(kind="", queue_threshold=1.0)
+        with pytest.raises(TypeError, match="kind"):
+            VariantPolicy(queue_threshold=1.0)      # no default variant
         with pytest.raises(ValueError, match="time_scale"):
-            VariantPolicy(queue_threshold=1.0, time_scale=1.5)
+            kernel(queue_threshold=1.0, time_scale=1.5)
         with pytest.raises(ValueError, match="queue_threshold"):
-            VariantPolicy(queue_threshold=0.0)
+            kernel(queue_threshold=0.0)
         with pytest.raises(ValueError, match="attainment_threshold"):
-            VariantPolicy(attainment_threshold=1.5)
+            kernel(attainment_threshold=1.5)
         with pytest.raises(ValueError, match="hysteresis"):
-            VariantPolicy(queue_threshold=1.0, hysteresis=2.0)
+            kernel(queue_threshold=1.0, hysteresis=2.0)
         with pytest.raises(ValueError, match="recover_attainment"):
-            VariantPolicy(queue_threshold=1.0, recover_attainment=0.9)
+            kernel(queue_threshold=1.0, recover_attainment=0.9)
         with pytest.raises(ValueError, match="recover_attainment"):
-            VariantPolicy(attainment_threshold=0.9,
-                          recover_attainment=0.5)
+            kernel(attainment_threshold=0.9, recover_attainment=0.5)
 
     def test_recover_at_defaults_to_threshold(self):
-        pol = VariantPolicy(attainment_threshold=0.9)
+        pol = kernel(attainment_threshold=0.9)
         assert pol.recover_at == 0.9
-        pol = VariantPolicy(attainment_threshold=0.9,
-                            recover_attainment=0.97)
+        pol = kernel(attainment_threshold=0.9, recover_attainment=0.97)
         assert pol.recover_at == 0.97
-        assert VariantPolicy(queue_threshold=1.0).recover_at is None
+        assert kernel(queue_threshold=1.0).recover_at is None
 
 
 def _sim(policy, **kw):
@@ -490,7 +375,7 @@ class TestOverloadServing:
         """A simulator with a policy that never triggers executes the
         exact instruction stream of the pre-variant simulator."""
         r0 = _sim(None).run(rate=OVERLOAD, n_requests=1200, seed=3)
-        r1 = _sim(VariantPolicy(queue_threshold=1e9)).run(
+        r1 = _sim(kernel(queue_threshold=1e9)).run(
             rate=OVERLOAD, n_requests=1200, seed=3)
         _same_run(r0, r1)
         assert r1.n_variant_switches == 0 and r1.n_downgraded == 0
@@ -499,7 +384,7 @@ class TestOverloadServing:
     def test_queue_trigger_rescues_overload(self):
         slo = 0.05
         r0 = _sim(None).run(rate=OVERLOAD, n_requests=1500, seed=3)
-        r1 = _sim(VariantPolicy(queue_threshold=0.05, hysteresis=0.4)).run(
+        r1 = _sim(kernel(queue_threshold=0.05, hysteresis=0.4)).run(
             rate=OVERLOAD, n_requests=1500, seed=3)
         assert r0.attainment(slo) < 0.5            # baseline is drowning
         assert r1.attainment(slo) > 0.95           # fast variant rescues
@@ -509,7 +394,7 @@ class TestOverloadServing:
 
     def test_hysteresis_reverts_and_traces(self):
         tr = Tracer()
-        r = _sim(VariantPolicy(queue_threshold=0.05, hysteresis=0.4)).run(
+        r = _sim(kernel(queue_threshold=0.05, hysteresis=0.4)).run(
             rate=OVERLOAD, n_requests=1500, seed=3, tracer=tr)
         switches = [e for e in tr.events if e.kind == "variant_switch"]
         assert len(switches) == r.n_variant_switches
@@ -521,7 +406,7 @@ class TestOverloadServing:
     def test_explicit_time_scale_overrides_service(self):
         """policy.time_scale wins over the service model's registered
         scale — scale 1.0 means the 'fast' variant changes nothing."""
-        pol = VariantPolicy(queue_threshold=0.05, time_scale=1.0)
+        pol = kernel(queue_threshold=0.05, time_scale=1.0)
         r0 = _sim(None).run(rate=OVERLOAD, n_requests=800, seed=5)
         r1 = _sim(pol).run(rate=OVERLOAD, n_requests=800, seed=5)
         assert np.allclose(r0.latencies, r1.latencies)
@@ -541,7 +426,7 @@ class TestOverloadServing:
             svc.set_variant_scale("kernel", 1.5)
 
     def test_fast_core_guard(self):
-        sim = _sim(VariantPolicy(queue_threshold=0.05))
+        sim = _sim(kernel(queue_threshold=0.05))
         assert "variant" in unsupported_reason(sim)
         assert unsupported_reason(_sim(None)) is None
 
@@ -561,8 +446,7 @@ class TestAttainmentTrigger:
     def test_downgrade_rescues_pinned_fleet(self):
         slo = 0.05
         r0 = _auto()
-        r1 = _auto(VariantPolicy(attainment_threshold=0.95,
-                                 hysteresis=0.5))
+        r1 = _auto(kernel(attainment_threshold=0.95, hysteresis=0.5))
         assert r0.attainment(slo) < 0.5
         assert r1.attainment(slo) > 0.9
         assert r1.n_variant_switches > 0 and r1.n_downgraded > 0
