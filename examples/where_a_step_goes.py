@@ -22,9 +22,9 @@ SHAPES = {"hep_train": (8, 64, 128, lambda p: Adam(p, lr=1e-3)),
           "climate_infer": (2, 256, None, None)}
 
 #: ``nn.im2col`` function -> the form of a pass that calls it (none: direct)
-FORMS = {"_tile_lowering": "winograd", "_row_lowering": "separable",
-         "_separable_col2im": "separable", "im2col": "one-shot",
-         "col2im": "one-shot"}
+FORMS = {"_tile_lowering": "winograd", "_tile_outer": "winograd",
+         "_row_lowering": "separable", "_separable_col2im": "separable",
+         "im2col": "one-shot", "col2im": "one-shot"}
 
 
 def climate_net(width=1 / 4):
@@ -37,7 +37,8 @@ def climate_net(width=1 / 4):
 
 def timed(fn, key, spent, forms=None):
     """``fn``, booking its time, less what its callees book, in ``spent``,
-    and under ``key`` the entries it adds to ``forms[None]``."""
+    and under ``key`` the entries it adds to ``forms[None]``: a backward's
+    by pass, ``w`` the weight gradient and ``d`` the data gradient."""
     def call(*args, **kwargs):
         booked, start = sum(spent.values()), time.perf_counter()
         mark = forms and len(forms[None])
@@ -45,14 +46,21 @@ def timed(fn, key, spent, forms=None):
         took = time.perf_counter() - start - (sum(spent.values()) - booked)
         spent[key] = spent.get(key, 0.0) + took
         if forms:
-            forms[key] = "/".join(forms[None][mark:]) or "direct"
+            def form(passes):
+                return "/".join(form for by, form in forms[None][mark:]
+                                if by in passes) or "direct"
+            # a backward(..., input_grad=False) returns no data gradient
+            forms[key] = form("wd") if key.endswith(".forward") else \
+                f"w: {form('w')}  d: {'none' if out is None else form('d')}"
         return out
     return call
 
 
 def noting(fn, form, forms):
     def call(*args, **kwargs):
-        forms[None].append(form)
+        # the weight gradient's lowering is the one lowered_outer calls
+        by = sys._getframe(1).f_code.co_name
+        forms[None].append(("w" if by == "lowered_outer" else "d", form))
         return fn(*args, **kwargs)
     return call
 

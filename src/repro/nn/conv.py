@@ -13,8 +13,8 @@ input again, a band at a time. Only a small layer goes in one shot, and its
 training forward keeps the columns it built. A banded layer with few
 filters (``enc_conv1``: 16 -> 16, 5x5/2) takes ``nn.im2col``'s separable form,
 a banded 3x3 / stride-1 one with channels and tiles enough (HEP ``conv2``,
-128 -> 128 at 112x112) its Winograd F(4x4, 3x3) form, forward and data
-gradient alike.
+128 -> 128 at 112x112) its Winograd F(4x4, 3x3) form in all three passes:
+forward, data gradient and weight gradient.
 
 In eval, ``forward(x, then)`` is the head of a **fused group**: bias and the
 band-local layers ``then`` (``core.Sequential`` collects them) are applied
@@ -122,6 +122,10 @@ class Conv2D(Module):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x, cols = self._cache
+        expected = (x.shape[0],) + self.output_shape(x.shape[1:])
+        if grad_out.shape != expected:
+            raise ValueError(f"{self.name}: expected grad_out of shape "
+                             f"{expected}, got {grad_out.shape}")
         k, s, p = self.kernel_size, self.stride, self.pad
         weight = self.weight.data
         g = grad_out.reshape(x.shape[0], self.out_channels, -1)  # (N, F, oh*ow)

@@ -113,6 +113,10 @@ class Deconv2D(Module):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x = self._cache
+        expected = (x.shape[0],) + self.output_shape(x.shape[1:])
+        if grad_out.shape != expected:
+            raise ValueError(f"{self.name}: expected grad_out of shape "
+                             f"{expected}, got {grad_out.shape}")
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.in_channels, -1)
         # (N, C_in, h, w), and grad_out's columns if one shot built them

@@ -21,7 +21,7 @@ three *fused* forms below, each a lowering and its GEMM in one function:
 - :func:`matmul_col2im`, ``col2im(W^T @ g)``: deconv forward, conv
   backward-data;
 - :func:`lowered_outer`, ``sum_n g[n] @ im2col(x)[n]^T``: the weight gradient
-  of both.
+  of both, summed over bands (or, in the tile domain, below: Winograd).
 
 A fused form runs over **bands** of output rows: the columns of a band are
 gathered into one reused buffer of about ``_BAND_BYTES``, multiplied, and
@@ -59,17 +59,21 @@ taps of every ``stride``-th column, multiplies by ``(M*U, C*kh)`` and sums
 the ``U`` shifted slices of the product into the band.
 
 A banded 3x3 / stride-1 layer with channels on both sides and tiles enough
-for them (``_winograd``) runs ``lowered_matmul`` as **Winograd F(4x4, 3x3)**
-(Lavin & Gray 2015; the paper's SVIII-A defers it): 36 multiplies per 16
-outputs and channel pair, not 144. Per band of whole tile rows the input
-rows are copied between zero edges, viewed as 6x6 tiles at stride 4 and
-gathered tap-major, ``kron(B^T, B^T)`` is one GEMM, the 36 transform-domain
-products are one batched ``(M, C) @ (C, tiles)``, ``kron(A^T, A^T)`` is one
-GEMM, and the woven 4x4 blocks go to the epilogue like any band. Whole-image
-Winograd (``nn.winograd.WinogradConv2D``, the reference) streams ~100 MB of
-tiles through first-touch page faults and loses to the direct form; a band's
-two scratches stay in cache. The kernels are transformed per call (a
-``(36, 9) @ (9, M*C)`` GEMM): nothing is packed, cached or kept.
+for them (``_winograd``) runs ``lowered_matmul`` and ``lowered_outer`` as
+**Winograd F(4x4, 3x3)** (Lavin & Gray 2015; the paper's SVIII-A defers it):
+36 multiplies per 16 outputs and channel pair, not 144. Per band of whole
+tile rows the input rows are copied between zero edges, viewed as 6x6 tiles
+at stride 4 and gathered tap-major, and ``kron(B^T, B^T)`` is one GEMM
+(``_tiles``, shared). Forward, the 36 transform-domain products are one
+batched ``(M, C) @ (C, tiles)``, ``kron(A^T, A^T)`` is one GEMM, and the
+woven 4x4 blocks go to the epilogue like any band. The weight gradient is
+the adjoint: the band's 4x4 blocks of ``g`` (zero past a ragged edge) times
+``kron(A^T, A^T)^T``, one batched ``(M, tiles) @ (tiles, C)`` summed over
+bands, and ``kron(G, G)^T`` once at the end. Whole-image Winograd
+(``nn.winograd.WinogradConv2D``, the reference) streams ~100 MB of tiles
+through first-touch page faults and loses to the direct form; a band's two
+scratches stay in cache. The kernels are transformed per call (a ``(36, 9) @
+(9, M*C)`` GEMM): nothing is packed, cached or kept, between bands or passes.
 """
 
 from __future__ import annotations
@@ -375,18 +379,17 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
     return out, None
 
 
-def _tile_lowering(a, x, pad, multiple, dtype):
-    """The F(4x4, 3x3) product of :func:`lowered_matmul` (module docstring):
-    its own bands, whole tile rows of about ``_BAND_BYTES`` of scratch, and
-    ``product(band, y)`` filling ``y (nb, M, rows*ow)``."""
+def _tiles(x, pad, m, multiple, dtype):
+    """What both F(4x4, 3x3) forms share (module docstring): their bands,
+    whole tile rows of about ``_BAND_BYTES`` of scratch; the two scratches;
+    ``taps(band)``, the band's transformed tiles ``(36, C, tiles)`` in the
+    second; and the kernel and output transforms."""
     # at call time: that module's layer subclasses Conv2D, which imports this
     from repro.nn.winograd import _kron_transforms
     n, c, h, w = x.shape
-    m = a.shape[0]
     oh, ow = h + 2 * pad - 2, w + 2 * pad - 2
     th, tw = -(-oh // 4), -(-ow // 4)
     kb, kg, ka = _kron_transforms(4, dtype)
-    u = (kg @ a.reshape(m * c, 9).T).reshape(36, m, c)
     deep = 36 * max(c, m)       # two scratches this deep share _BAND_BYTES
     bands = [(i0, i1, 4 * t0, min(4 * t1, oh)) for i0, i1, t0, t1 in _cut(
         n, th, max(_BAND_BYTES // (2 * deep * tw * dtype.itemsize), 1),
@@ -396,10 +399,9 @@ def _tile_lowering(a, x, pad, multiple, dtype):
     edged = np.empty((most * 4 + 2 * (i1 - i0)) * c * (4 * tw + 2), dtype)
     ping, pong = (np.empty(most * tw * deep, dtype) for _ in range(2))
 
-    def product(band: _Band, y: np.ndarray) -> None:
+    def taps(band: _Band) -> np.ndarray:
         i0, i1, r0, r1 = band
         nb, nt = i1 - i0, -(-(r1 - r0) // 4)
-        tiles = nb * nt * tw
         # the band's input rows between zero edges: (nb, C, 4*nt+2, 4*tw+2)
         d = edged[:nb * c * (4 * nt + 2) * (4 * tw + 2)] \
             .reshape(nb, c, 4 * nt + 2, 4 * tw + 2)
@@ -409,19 +411,58 @@ def _tile_lowering(a, x, pad, multiple, dtype):
         sn, sc, sh, sw = d.strides
         taps = np.lib.stride_tricks.as_strided(     # 6x6 tiles at stride 4
             d, (6, 6, c, nb, nt, tw), (sh, sw, sc, sn, 4 * sh, 4 * sw))
-        v = ping[:36 * c * tiles].reshape(36, c * tiles)
+        v = ping[:taps.size].reshape(36, -1)
         np.copyto(v.reshape(taps.shape), taps)
-        v = np.matmul(kb, v, out=pong[:v.size].reshape(v.shape))
-        z = np.matmul(u, v.reshape(36, c, tiles),
-                      out=ping[:36 * m * tiles].reshape(36, m, tiles))
+        return np.matmul(kb, v, out=pong[:v.size].reshape(v.shape)) \
+            .reshape(36, c, -1)
+    return bands, ping, pong, taps, kg, ka
+
+
+def _tile_lowering(a, x, pad, multiple, dtype):
+    """The F(4x4, 3x3) product of :func:`lowered_matmul` (module docstring):
+    its own bands and ``product(band, y)`` filling ``y (nb, M, rows*ow)``."""
+    m, ow = a.shape[0], x.shape[3] + 2 * pad - 2
+    bands, ping, pong, taps, kg, ka = _tiles(x, pad, m, multiple, dtype)
+    u = (kg @ a.reshape(-1, 9).T).reshape(36, m, -1)
+
+    def product(band: _Band, y: np.ndarray) -> None:
+        i0, i1, r0, r1 = band
+        nb, nt, tw = i1 - i0, -(-(r1 - r0) // 4), -(-ow // 4)
+        z = np.matmul(u, taps(band),
+                      out=ping[:36 * m * nb * nt * tw].reshape(36, m, -1))
         z = np.matmul(ka, z.reshape(36, -1),
-                      out=pong[:16 * m * tiles].reshape(16, -1))
+                      out=pong[:16 * z[0].size].reshape(16, -1))
         # weave the 4x4 blocks; a ragged edge is cropped on the way into y
         full = ping[:z.size].reshape(nb, m, nt, 4, tw, 4)
         full.transpose(3, 5, 1, 0, 2, 4)[...] = z.reshape(4, 4, m, nb, nt, tw)
         y.reshape(nb, m, r1 - r0, ow)[...] = full.reshape(
             nb, m, 4 * nt, 4 * tw)[:, :, :r1 - r0, :ow]
     return bands, product
+
+
+def _tile_outer(g, x, pad, dtype):
+    """The F(4x4, 3x3) form of :func:`lowered_outer` (module docstring) for
+    ``g (N, M, oh, ow)``: the forward's tiles against ``g``'s 4x4 blocks."""
+    (_, m, _, ow), c = g.shape, x.shape[1]
+    bands, ping, _, taps, kg, ka = _tiles(x, pad, m, 1, dtype)
+    most = ping.size // (36 * max(c, m))            # tiles of a band
+    blocks = np.empty(16 * m * most, dtype)
+    du, part = np.zeros((36, m, c), dtype), np.empty((36, m, c), dtype)
+    for band in bands:
+        i0, i1, r0, r1 = band
+        nb, nt, tw = i1 - i0, -(-(r1 - r0) // 4), -(-ow // 4)
+        v, rows = taps(band), g[i0:i1, :, r0:r1]
+        if rows.shape[2:] != (4 * nt, 4 * tw):      # zero past a ragged edge
+            full = ping[:16 * m * nb * nt * tw].reshape(nb, m, 4 * nt, 4 * tw)
+            full.fill(0)
+            full[:, :, :r1 - r0, :ow] = rows
+            rows = full
+        dy = blocks[:rows.size].reshape(16, -1)
+        dy.reshape(4, 4, m, nb, nt, tw)[...] = rows.reshape(
+            nb, m, nt, 4, tw, 4).transpose(3, 5, 1, 0, 2, 4)
+        dz = np.matmul(ka.T, dy, out=ping[:36 * dy[0].size].reshape(36, -1))
+        du += np.matmul(dz.reshape(36, m, -1), v.transpose(0, 2, 1), out=part)
+    return (du.reshape(36, -1).T @ kg).reshape(m, c * 9)
 
 
 def _row_lowering(a, x, kh, kw, s, pad, bands, ow, dtype):
@@ -561,20 +602,24 @@ def lowered_outer(g: np.ndarray, x: np.ndarray, kh: int, kw: int,
     """``sum_n g[n] @ im2col(x)[n].T`` for ``g (N, M, oh, ow)``: the
     ``(M, C*kh*kw)`` weight gradient. ``cols`` are ``x``'s columns where a
     one-shot :func:`lowered_matmul` already built them."""
-    n, c, _, _ = x.shape
-    g = g.reshape(n, g.shape[1], -1)
+    n, c, h, w = x.shape
+    oh = conv_output_size(h, kh, stride, pad)
+    ow = conv_output_size(w, kw, stride, pad)
+    if g.shape[0] != n or g[0, 0].size != oh * ow:
+        raise ValueError(
+            f"g shape {g.shape} does not lower an image of {x.shape}")
+    g = g.reshape(n, -1, oh * ow)
     bands = _lowering_bands(x, kh, kw, stride, pad) \
         if cols is None else None
     if bands is None:
         if cols is None:
             cols = im2col(x, kh, kw, stride, pad)
         return _batch_outer(g, cols)
+    m, dtype = g.shape[1], np.result_type(g, x)
+    if (kh, kw, stride) == (3, 3, 1) and _winograd(n, c, m, oh, ow):
+        return _tile_outer(g.reshape(n, m, oh, ow), x, pad, dtype)
     patches = _patches(x, kh, kw, stride, pad)
-    oh, ow = patches.shape[4:]
-    if g.shape[2] != oh * ow:
-        raise ValueError(f"g has {g.shape[2]} positions per image, the "
-                         f"lowering of {x.shape} has {oh * ow}")
-    acc = np.zeros((g.shape[1], c * kh * kw), dtype=np.result_type(g, x))
+    acc = np.zeros((m, c * kh * kw), dtype)
     buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
     for band in bands:
         i0, i1, r0, r1 = band

@@ -347,6 +347,46 @@ class TestConvOnTheLowering:
                                    rtol=1e-4, atol=1e-4)
 
 
+class TestGradOutIsCheckedAtTheBoundary:
+    """``backward`` rejects, by layer name, a ``grad_out`` that is not the
+    forward's output shape: one of another size used to die inside
+    ``matmul``, one of equal size (twice the batch of half-height maps) was
+    silently reshaped and used. ``lowered_outer`` checks ``g``'s batch and
+    positions itself, before it picks a form."""
+
+    LAYERS = {Conv2D: lambda: Conv2D(3, 4, 3, rng=0),
+              Deconv2D: lambda: Deconv2D(3, 4, 3, stride=1, rng=0),
+              WinogradConv2D: lambda: WinogradConv2D(3, 4, rng=0)}
+
+    @pytest.mark.parametrize("layer_cls", LAYERS)
+    @pytest.mark.parametrize("shape", [
+        (2, 4, 7, 7), (8, 4, 4, 8), (4, 4, 64), (4, 8, 8, 4)])
+    def test_backward_names_the_layer(self, layer_cls, shape):
+        layer = self.LAYERS[layer_cls]()
+        layer.forward(np.ones((4, 3, 8, 8), np.float32))
+        with pytest.raises(ValueError, match=rf"{layer.name}: expected "
+                           r"grad_out of shape \(4, 4, 8, 8\), got"):
+            layer.backward(np.ones(shape, np.float32))
+        assert not layer.weight.grad.any() and not layer.bias.grad.any()
+        layer.backward(np.ones((4, 4, 8, 8), np.float32))
+        assert layer.weight.grad.any()
+
+    @pytest.mark.parametrize("band_bytes", [1, _BAND_BYTES])
+    @pytest.mark.parametrize("shape", [(8, 4, 4, 8), (4, 4, 7, 8), (4, 4, 63)])
+    def test_lowered_outer_checks_before_it_picks_a_form(self, band_bytes,
+                                                         shape):
+        x = np.zeros((4, 3, 8, 8), np.float32)
+        with budget(band_bytes, fold_below=1), winograd_everywhere() as calls:
+            with pytest.raises(ValueError, match="does not lower an image"):
+                lowering.lowered_outer(np.ones(shape, np.float32), x,
+                                       3, 3, 1, 1)
+            assert not calls
+            for flat in (False, True):      # (N, M, oh, ow) or (N, M, oh*ow)
+                g = np.ones((4, 4, 64) if flat else (4, 4, 8, 8), np.float32)
+                assert lowering.lowered_outer(g, x, 3, 3, 1, 1).shape \
+                    == (4, 27)
+
+
 @contextlib.contextmanager
 def budget(band_bytes, fold_below=_FOLD_BELOW, thin_below=_THIN_BELOW):
     """Run with the band budget (and the fold threshold, and the separable
@@ -391,21 +431,26 @@ def winograd_everywhere(on=True):
     """Every banded 3x3 / stride-1 layer takes the F(4x4, 3x3) form
     whatever the multiplies rule says, or (``on=False``: the lowering as it
     was before the form) none does, or (``on=None``) the rule decides.
-    Yields the input shapes of the calls that took it."""
+    Yields the input shapes of the calls that took it, a weight gradient's
+    as ``("outer", shape)``."""
     calls = []
-    saved = lowering._winograd, lowering._tile_lowering
+    saved = lowering._winograd, lowering._tile_lowering, lowering._tile_outer
 
-    def spy(*args):
-        calls.append(args[1].shape)
-        return saved[1](*args)
+    def spy(fn, outer):
+        def wrapped(*args):
+            calls.append(("outer", args[1].shape) if outer else args[1].shape)
+            return fn(*args)
+        return wrapped
 
-    lowering._tile_lowering = spy
+    lowering._tile_lowering = spy(saved[1], False)
+    lowering._tile_outer = spy(saved[2], True)
     if on is not None:
         lowering._winograd = lambda *shape: on
     try:
         yield calls
     finally:
-        lowering._winograd, lowering._tile_lowering = saved
+        (lowering._winograd, lowering._tile_lowering,
+         lowering._tile_outer) = saved
 
 
 @contextlib.contextmanager
@@ -678,10 +723,11 @@ class TestWinogradFormEqualsTheLayers:
     other GEMM shapes: 1e-5 relative in float32, 1e-12 in float64) and what
     the direct form computes (1e-4, 1e-12), in the input's dtype,
     C-contiguous, with and without an epilogue, and its data gradient is the
-    adjoint of its forward. Forced on everywhere: outputs that are no
-    multiple of 4 (the last tile row and column are cropped), pads 0-2
-    (what a data gradient's flipped-kernel conv uses) and one-tile-row
-    bands included."""
+    adjoint of its forward. The form of ``lowered_outer`` computes what its
+    direct form computes (1e-5, 1e-12). Forced on everywhere: outputs that
+    are no multiple of 4 (the last tile row and column are cropped, a
+    gradient's zero-filled), pads 0-2 (what a data gradient's flipped-kernel
+    conv uses) and one-tile-row bands included."""
 
     @staticmethod
     def layers(c, f, pad, seed):
@@ -729,6 +775,39 @@ class TestWinogradFormEqualsTheLayers:
             assert calls == [x.shape] * 2
             np.testing.assert_array_equal(fused, run_layers(then, got))
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 5), f=st.integers(1, 5),
+           h=st.integers(1, 14), w=st.integers(1, 14), pad=st.integers(0, 2),
+           dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2),
+           band_bytes=st.sampled_from([1, 3000, 20000, _BAND_BYTES]),
+           seed=st.integers(0, 10**6))
+    def test_generated_weight_gradients(self, n, c, f, h, w, pad, dtypes,
+                                        band_bytes, seed):
+        """``lowered_outer`` as ``Conv2D.backward`` calls it and, through a
+        stride-1 ``Deconv2D`` whose input is ``g`` and whose output
+        gradient is ``x``, the other way round."""
+        assume(min(h, w) + 2 * pad >= 3)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w)).astype(dtypes[0])
+        g = rng.normal(size=(n, f, h + 2 * pad - 2, w + 2 * pad - 2)) \
+            .astype(dtypes[1])
+        deconv = Deconv2D(f, c, 3, stride=1, pad=pad, rng=seed)
+        with budget(band_bytes, fold_below=1):
+            assume(lowering._lowering_bands(x, 3, 3, 1, pad))
+            with winograd_everywhere(False):
+                direct = lowering.lowered_outer(g, x, 3, 3, 1, pad)
+            with winograd_everywhere() as calls:
+                got = lowering.lowered_outer(g, x, 3, 3, 1, pad)
+                assert calls == [("outer", x.shape)]
+                deconv.forward(g)
+                deconv.backward(x)
+                assert ("outer", x.shape) in calls[1:]
+        assert got.dtype == np.result_type(g, x)
+        tol = 1e-5 if got.dtype == np.float32 else 1e-12
+        self.close(got, direct, tol)
+        self.close(deconv.weight.grad.reshape(f, -1),     # float32, as stored
+                   direct.astype(np.float32), max(tol, 1e-6))
+
     @pytest.mark.parametrize("size, band_bytes", [(24, 1), (36, 20000)])
     def test_bands_are_whole_pool_windows(self, size, band_bytes, rng):
         """A 3x3 pool behind the conv: bands of 3 tile rows (12 output
@@ -746,8 +825,8 @@ class TestWinogradFormEqualsTheLayers:
         """A 64 -> 64 layer the rule itself picks (64 tiles for 64
         channels), banded by a turned budget, in float64: the forward in the
         form, ``Conv2D.backward``'s data gradient in the form (the conv of
-        ``grad_out`` with the flipped kernels) and its weight gradient,
-        against central differences along random directions."""
+        ``grad_out`` with the flipped kernels) and its weight gradient in
+        the form, against central differences along random directions."""
         rng = np.random.default_rng(3)
         conv = Conv2D(64, 64, 3, rng=3)
         conv.weight.data = conv.weight.data.astype(np.float64)
@@ -760,7 +839,7 @@ class TestWinogradFormEqualsTheLayers:
         with budget(1 << 20), winograd_everywhere(on=None) as calls:
             conv.forward(x)
             grad_in = conv.backward(g)
-            assert calls == [x.shape, g.shape]
+            assert calls == [x.shape, ("outer", x.shape), g.shape]
             for array, grad in [(x, grad_in),
                                 (conv.weight.data, conv.weight.grad),
                                 (conv.bias.data, conv.bias.grad)]:
@@ -817,6 +896,22 @@ def separable_layers(net, input_shape, n):
             if form == "separable"]
 
 
+def winograd_weight_gradients(net, input_shape, n):
+    """Names of the conv / deconv layers of ``net`` whose weight gradient
+    (``lowered_outer``: banded without an epilogue's rows) takes the
+    F(4x4, 3x3) form on ``(n,) + input_shape`` float32 inputs."""
+    names = []
+    for layer, shape, out in lowered_layers(net, input_shape):
+        # a deconv lowers its output gradient onto its input
+        x, g = (shape, out) if layer.kind == "conv" else (out, shape)
+        k, s, p = layer.kernel_size, layer.stride, layer.pad
+        if (k, s) == (3, 1) and lowering._winograd(n, x[0], *g) \
+                and lowering._lowering_bands(
+                    np.broadcast_to(np.float32(0), (n,) + x), k, k, s, p):
+            names.append(layer.name)
+    return names
+
+
 def gemm_forms(net, input_shape, n):
     """``name -> "banded" | "folded" | "batched"``: how the forward GEMM of
     each conv / deconv of ``net`` runs on ``(n,) + input_shape`` float32
@@ -843,7 +938,8 @@ class TestTheRuleIsATable:
     form: the banded 3x3 / stride-1 ones with 32 channels on either side and
     a tile per channel, so HEP-128 ``conv2`` / ``conv3`` and the ClimateNets'
     ``enc_conv2`` / ``enc_conv4`` / ``enc_conv6`` where the images are large
-    enough, and nothing in the hybrid trainer's net. And which one-shot
+    enough, and nothing in the hybrid trainer's net, the weight gradients
+    of the same layers included. And which one-shot
     layers fold their batch into one GEMM: those whose weights outweigh an
     image's columns, so every deep layer of the wide nets and, of the
     16-filter hybrid net, only the 2x2 one."""
@@ -896,6 +992,10 @@ class TestTheRuleIsATable:
             # flipped-kernel convs of the same shapes, take it too.
             assert lowering._winograd(8, 128, 128, 32, 32)
             assert lowering._winograd(8, 128, 128, 16, 16)
+        # ... and so do the weight gradients of the same layers, no others
+        assert winograd_weight_gradients(net, (3, size, size), n) == [
+            f"conv{i}" for i, form in enumerate(forms.split(), 1)
+            if form == "winograd"]
 
     @pytest.mark.parametrize("width, size, n, winograd", [
         (1 / 4, 256, 2, [4]),           # climate_infer: 64 -> 96 at 64x64
@@ -909,8 +1009,11 @@ class TestTheRuleIsATable:
         forms = lowering_forms(net.encoder, (16, size, size), n)
         assert [name for name, form in forms.items() if form == "winograd"] \
             == [f"enc_conv{i}" for i in winograd]
+        assert winograd_weight_gradients(net.encoder, (16, size, size), n) \
+            == [f"enc_conv{i}" for i in winograd]
         feats = net.encoder.output_shape((16, size, size))
         assert "winograd" not in lowering_forms(net.decoder, feats, n).values()
+        assert not winograd_weight_gradients(net.decoder, feats, n)
 
     def test_the_rule_reads_shapes_only(self):
         rule = lowering._winograd
@@ -1021,9 +1124,10 @@ class TestTheFormLeavesTheOtherLayers:
             assert calls == [(2, 128, 112, 112), (2, 128, 56, 56)]
             del calls[:]
             self.run(128, 64, 8, True)
-        # conv2 and conv3 forward, then their data gradients
+        # conv2 and conv3 forward, then the weight and data gradient of each
         assert calls == [(8, 128, 32, 32), (8, 128, 16, 16),
-                         (8, 128, 16, 16), (8, 128, 32, 32)]
+                         ("outer", (8, 128, 16, 16)), (8, 128, 16, 16),
+                         ("outer", (8, 128, 32, 32)), (8, 128, 32, 32)]
 
     def test_climate_infer(self):
         net = TestTheRuleIsATable.climate(1 / 4).eval()
@@ -1078,6 +1182,24 @@ class TestBandedMemory:
         peak, _ = self.peak_of(
             lambda: (layer.forward(x), layer.backward(g)))
         assert peak < bound, f"train step peaked at {peak >> 20} MiB"
+
+    def test_tile_weight_gradient_has_no_column_term(self):
+        """``lowered_outer`` in the F(4x4, 3x3) form holds the two scratches
+        that share ``_BAND_BYTES``, the band's edged rows and its 4x4 blocks
+        of ``g`` (together less than one scratch: 16 floats a tile and
+        channel against 36) and the transform-domain gradient and a band's
+        share of it, ``(36, M, C)`` each; the third is the result's."""
+        shape = (2, 32, 128, 128)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=shape).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        bound = 3 * _BAND_BYTES // 2 + 3 * 36 * 32 * 32 * 4
+        assert bound < x.nbytes * 9 / 4
+        with winograd_everywhere(on=None) as calls:
+            peak, _ = self.peak_of(
+                lambda: lowering.lowered_outer(g, x, 3, 3, 1, 1))
+        assert calls == [("outer", shape)]
+        assert peak < bound, f"weight gradient peaked at {peak >> 20} MiB"
 
     @pytest.mark.parametrize("layer_cls, c, k, stride", [
         (Deconv2D, 27, 5, 1),       # dec_deconv5 of the benchmark ClimateNet
