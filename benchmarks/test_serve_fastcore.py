@@ -3,22 +3,26 @@
 The acceptance bar for the array engine (``ServingSimulator(
 engine="array")``, :mod:`repro.serve.fast_core`): at 10^6 requests on a
 64-replica fleet it must produce *bit-identical* :class:`LatencyStats`
-to the object event loop while running >= 10x faster wall-clock on the
-plain class, and >= 5x on the cached (Zipf, cache_size=128) and
-multi-model (the real HEP+climate pool) classes. All three are the same
-``fast_core._drive`` loop — ``M`` per-model lanes per replica, an
-optional cache in front — at different parameters (plain: ``M == 1``, no
-cache; cached: ``M == 1`` with one; multi-model: ``M == 2``), so the
-per-class floors differ for a structural reason in the *workload*, not
-because a different loop runs: the event loop spends ~10us of Python per
-*arrival* regardless of class, so the array loop's ~0.6-0.7us admit path
-clears 10x on plain traffic, but cache hits and load sheds short-circuit
-most of that ~10us on the event path too, while the array loop's cache
+to the object event loop while running at least a floor's multiple
+faster wall-clock: >= 4x on the plain class, >= 3x on the cached (Zipf,
+cache_size=128) and the multi-model (the real HEP+climate pool) classes.
+All three are the same ``fast_core._drive`` loop — ``M`` per-model lanes
+per replica, an optional cache in front — at different parameters
+(plain: ``M == 1``, no cache; cached: ``M == 1`` with one; multi-model:
+``M == 2``), so the per-class floors differ for a structural reason in
+the *workload*, not because a different loop runs: cache hits and load sheds short-circuit
+most of the event loop's per-arrival cost, while the array loop's cache
 decision (a dict pop/insert per lookup and per fill) and its ``M``-lane
 scan per batch commit are inherently sequential dict/list work it cannot
-vectorize away — measured per-class ratios plateau at ~6.5-7.5x across
-hit-heavy, miss-heavy, and drop-heavy regimes. The floors sit below the
-measured means by a CI-noise margin. (The three hand-specialized loops
+vectorize away. The ratios are against the event loop, so they shrink
+whenever it gets faster: since it runs the array core's per-arrival rule
+(one lane scan per admit, a launch event only when a replica's instant
+changes) it spends ~3.5-8.5us of Python per arrival — recorded per class
+as ``event_us_per_request`` next to each ratio — and six runs per class
+on a two-core Xeon measured 5.1-6.3x plain, 3.9-5.4x cached and 4.5-6.0x
+multi-model (8.1-8.6x, 6.0-6.6x and 6.0-6.4x against the loop that
+pushed a launch event per admit). The floors sit about a third below the
+medians, a CI-noise margin. (The three hand-specialized loops
 this one replaced ran the plain class ~8-12% and the cached class ~5-8%
 faster drive-only, the multi-model class the same; that bought one
 statement of the scheduler, and the floors were not lowered for it.)
@@ -57,13 +61,13 @@ TEN_MILLION = 10_000_000
 ORACLE_N = 100_000
 SEED = 7
 LOAD = 1.05        # just past saturation: shedding + full-batch pressure
-SPEEDUP_FLOOR = 10.0
 # Cached and multi-model runs keep the event loop's cheap short-circuits
 # (hits and sheds skip the router there too) while adding sequential
 # cache/lane work to the array loop — see the module docstring for the
-# measured ~6.5-7.5x plateau these floors sit safely under.
-CACHED_SPEEDUP_FLOOR = 5.0
-MULTI_SPEEDUP_FLOOR = 5.0
+# measured ratios these floors sit under.
+SPEEDUP_FLOOR = 4.0
+CACHED_SPEEDUP_FLOOR = 3.0
+MULTI_SPEEDUP_FLOOR = 3.0
 
 
 class TestFastCoreMillionRequests:
@@ -117,7 +121,7 @@ class TestFastCoreMillionRequests:
                f"{N_REPLICAS} replicas at {LOAD:.2f}x saturation", [
                    ("event engine (s)", "--", f"{t_event:.2f}"),
                    ("array engine (s)", "--", f"{t_array:.2f}"),
-                   ("speedup vs event loop", f">= {SPEEDUP_FLOOR:.0f}x",
+                   ("speedup vs event loop", f">= {SPEEDUP_FLOOR:g}x",
                     f"{speedup:.1f}x"),
                    (f"PR 4 oracle, {ORACLE_N:,} reqs (s)", "--",
                     f"{t_oracle:.2f}"),
@@ -130,6 +134,7 @@ class TestFastCoreMillionRequests:
             "n_requests": N_REQUESTS, "n_replicas": N_REPLICAS,
             "load_fraction": LOAD, "process": "poisson", "seed": SEED,
             "event_seconds": t_event, "array_seconds": t_array,
+            "event_us_per_request": 1e6 * t_event / N_REQUESTS,
             "speedup_vs_event": speedup,
             "oracle_n_requests": ORACLE_N,
             "oracle_seconds": t_oracle,
@@ -154,7 +159,9 @@ class TestFastCoreCachedMillion:
     a hit costs both engines almost nothing (neither touches the router),
     so the cache *narrows* the engines' per-request gap, and no regime —
     miss-heavy (Zipf-0.8/65536), hit-heavy (catalog fits in cache), or
-    drop-heavy (4x saturation) — moves the ratio past ~7x.
+    drop-heavy (4x saturation) — moved the ratio past ~7x when they were
+    measured, against an event loop that still pushed a launch event per
+    admit (a faster event loop lowers every ratio).
     """
 
     def _sim(self, wl, engine):
@@ -193,7 +200,7 @@ class TestFastCoreCachedMillion:
                    ("event engine (s)", "--", f"{t_event:.2f}"),
                    ("array engine (s)", "--", f"{t_array:.2f}"),
                    ("speedup vs event loop",
-                    f">= {CACHED_SPEEDUP_FLOOR:.0f}x", f"{speedup:.1f}x"),
+                    f">= {CACHED_SPEEDUP_FLOOR:g}x", f"{speedup:.1f}x"),
                    ("hit rate", "--", f"{ev.hit_rate:.3f}"),
                    ("requests shed", "--", f"{ev.n_dropped:,}"),
                    ("bit-identical stats", "yes", "yes"),
@@ -203,6 +210,7 @@ class TestFastCoreCachedMillion:
             "load_fraction": 2.0, "popularity": "zipf-1.1/4096",
             "cache_size": 128, "cache_policy": "lru", "seed": SEED,
             "event_seconds": t_event, "array_seconds": t_array,
+            "event_us_per_request": 1e6 * t_event / N_REQUESTS,
             "speedup_vs_event": speedup, "hit_rate": ev.hit_rate,
             "speedup_floor": CACHED_SPEEDUP_FLOOR, "bit_identical": True,
         }})
@@ -256,7 +264,7 @@ class TestFastCoreMultiModelMillion:
                    ("event engine (s)", "--", f"{t_event:.2f}"),
                    ("array engine (s)", "--", f"{t_array:.2f}"),
                    ("speedup vs event loop",
-                    f">= {MULTI_SPEEDUP_FLOOR:.0f}x", f"{speedup:.1f}x"),
+                    f">= {MULTI_SPEEDUP_FLOOR:g}x", f"{speedup:.1f}x"),
                    ("per-model slices identical", "yes", "yes"),
                    ("requests shed", "--", f"{ev.n_dropped:,}"),
                ])
@@ -265,6 +273,7 @@ class TestFastCoreMultiModelMillion:
             "mix": [0.9, 0.1], "weights": [4.0, 1.0],
             "load_fraction": LOAD, "seed": SEED,
             "event_seconds": t_event, "array_seconds": t_array,
+            "event_us_per_request": 1e6 * t_event / N_REQUESTS,
             "speedup_vs_event": speedup,
             "speedup_floor": MULTI_SPEEDUP_FLOOR, "bit_identical": True,
         }})

@@ -393,10 +393,10 @@ class ModelMix:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("ModelMix needs at least one model weight")
-        if any(not w > 0 for w in self.weights):
-            raise ValueError(
-                f"model weights must be positive, got {self.weights}")
-        if self.mean_run < 1.0:
+        if any(not 0 < w < math.inf for w in self.weights):
+            raise ValueError(f"model weights must be positive and finite, "
+                             f"got {self.weights}")
+        if not self.mean_run >= 1.0:
             raise ValueError(
                 f"mean_run must be >= 1, got {self.mean_run}")
 

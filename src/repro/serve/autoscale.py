@@ -309,7 +309,7 @@ class AutoscalingSimulator(ServingSimulator):
         explicit = slo is not None
         if slo is None:
             slo = self.default_slo()
-        elif slo <= 0:
+        elif not slo > 0:
             raise ValueError(f"slo must be positive, got {slo}")
         self._run_slo = float(slo)
         self._run_slos = (None if self.models is None

@@ -33,6 +33,8 @@ Two consumers share the policy:
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -56,6 +58,20 @@ BATCHING_MODES = ("windowed", "continuous")
 LAUNCH_ORDERS = ("fifo", "edf", "slack")
 
 
+def require_count(name: str, value, none_ok: bool = False):
+    """``value`` as a Python ``int``, rejected unless it is an integer
+    >= 1 (or ``None`` with ``none_ok``). A fractional or NaN count is not
+    a count: the event engine compares with it as a float while the array
+    engine truncates or indexes with it, so the two would disagree or one
+    would crash (as it would on a NumPy integer's missing int methods)."""
+    if value is None and none_ok:
+        return None
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1"
+                         f"{' or None' if none_ok else ''}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BatchingPolicy:
     """Launch a batch at ``max_batch`` queued requests or ``max_wait`` s.
@@ -71,9 +87,8 @@ class BatchingPolicy:
     mode: str = "windowed"
 
     def __post_init__(self) -> None:
-        if self.max_batch <= 0:
-            raise ValueError(
-                f"max_batch must be positive, got {self.max_batch}")
+        object.__setattr__(self, "max_batch",
+                           require_count("max_batch", self.max_batch))
         if math.isnan(self.max_wait) or self.max_wait < 0:
             raise ValueError(
                 f"max_wait must be non-negative, got {self.max_wait}")
@@ -190,7 +205,8 @@ class ReplicaBatchQueue:
         #: model index -> FIFO lane of (arrival, request_id)
         self.lanes: Dict[int, List[Tuple[float, int]]] = {}
         #: model index -> its lane's current launch key (:meth:`_key`): a
-        #: push drops that lane's, a launch (``free_at`` moves) drops all
+        #: push recomputes that lane's, a launch (``free_at`` moves) drops
+        #: all
         self._keys: Dict[int, Tuple[float, float, int, int]] = {}
         self.batches: List[Batch] = []
         #: request_id -> completion; a :class:`~repro.serve.router.Router`
@@ -200,7 +216,9 @@ class ReplicaBatchQueue:
         self._in_flight: Deque[Tuple[float, int]] = deque()
         # Tracks the last push time only — arrivals may well precede
         # free_at (requests queuing while the replica is still busy).
-        self._clock = -math.inf
+        # The lowest finite float, so push's one range check also rejects
+        # a first arrival at -inf.
+        self._clock = -sys.float_info.max
         #: batch-time multiplier of a degraded node (1.0 = healthy). The
         #: ``!= 1.0`` guard keeps the healthy path's float ops untouched,
         #: so undegraded runs stay bit-identical to the pre-degrade code.
@@ -307,16 +325,12 @@ class ReplicaBatchQueue:
     def next_launch(self) -> float:
         """Launch instant of the next uncommitted batch (+inf if none).
 
-        State-determined, so the router can schedule launch events instead
-        of polling every queue at every arrival: a full batch launches at
-        ``max(free_at, B-th arrival)``, a partial one at its head's hold
-        deadline — and a multi-lane replica's next launch is the earliest
-        over its lanes. A scheduled event can go stale in either
-        direction — a commit pushes the next launch later, while a push
-        that fills a partial batch can pull it *earlier* — so the router
-        re-derives this after every state change it makes (each push, each
-        fired event); a stale early event is then a harmless no-op and a
-        stale late one is shadowed by the fresher entry.
+        State-determined: a full batch launches at ``max(free_at, B-th
+        arrival)``, a partial one at its head's hold deadline — and a
+        multi-lane replica's next launch is the earliest over its lanes.
+        :meth:`push` and :meth:`advance` return this value as a by-product
+        of their own lane scan, which is what the router schedules launch
+        events from; this full scan is the definition they are held to.
         """
         t, keys = math.inf, self._keys
         for model, lane in self.lanes.items():
@@ -325,27 +339,35 @@ class ReplicaBatchQueue:
         return t
 
     # -- event loop -----------------------------------------------------------
-    def push(self, t: float, request_id: int, model: int = 0) -> None:
-        """Admit a ``model`` request arriving at time ``t`` (nondecreasing
-        across all models — one replica sees one arrival clock)."""
-        if t < self._clock:
-            raise ValueError(
-                f"arrivals must be nondecreasing: {t} < {self._clock}")
+    def push(self, t: float, request_id: int, model: int = 0) -> float:
+        """Admit a ``model`` request arriving at time ``t`` (finite and
+        nondecreasing across all models — one replica sees one arrival
+        clock); return the replica's new :meth:`next_launch`: the earlier
+        of what the advance to ``t`` left and the pushed lane's own key,
+        as an append never moves a lane's launch later (a partial lane the
+        advance deferred launches at or after ``t``; a lane the append
+        fills, at ``max(free_at, t)``)."""
+        if not self._clock <= t < math.inf:
+            raise ValueError(f"arrivals must be finite and nondecreasing: "
+                             f"{t} after {self._clock}")
         if self.service_times is not None and \
                 not 0 <= model < len(self.service_times):
             raise ValueError(
                 f"model index {model} outside the {len(self.service_times)} "
                 f"registered service models")
-        self.advance(t)
+        left = self.advance(t)
         self._clock = t
         # no trace emission here: the tracer synthesizes each member's
         # "enqueue" from the lane slice handed over at batch commit, so
         # admission costs the traced hot path nothing
-        self.lanes.setdefault(model, []).append((t, request_id))
-        self._keys.pop(model, None)
+        lane = self.lanes.setdefault(model, [])
+        lane.append((t, request_id))
+        launch = self._key(model, lane)[0]      # replaces the lane's key
+        return launch if launch < left else left
 
-    def advance(self, until: float) -> None:
-        """Launch every batch whose launch instant falls before ``until``.
+    def advance(self, until: float) -> float:
+        """Launch every batch whose launch instant falls before ``until``;
+        return the replica's :meth:`next_launch` (+inf with no work left).
 
         Partial-batch launches at or after ``until`` are deferred: the next
         arrival (which is what ``until`` represents) may still join them.
@@ -366,10 +388,10 @@ class ReplicaBatchQueue:
                     if best is None or key < best:
                         best = key
             if best is None:
-                return
+                return math.inf
             launch, _, partial, model = best
             if partial and launch >= until:
-                return
+                return launch
             self._launch(model,
                          min(self._policy(model).max_batch,
                              len(self.lanes[model])),
@@ -385,12 +407,11 @@ class ReplicaBatchQueue:
         self.free_at = completion
         self._keys.clear()
         self._in_flight.append((completion, take))
-        batch = Batch(start=launch, completion=completion,
-                      request_ids=tuple(rid for _, rid in members),
+        ids = tuple([rid for _, rid in members])
+        batch = Batch(start=launch, completion=completion, request_ids=ids,
                       model=model)
         self.batches.append(batch)
-        for _, rid in members:
-            self.completions[rid] = completion
+        self.completions.update(dict.fromkeys(ids, completion))
         if self.tracer is not None:
             # Emitted at commit, timestamped per the batch's (future)
             # completion; a later node death strikes these with "fail".

@@ -413,12 +413,12 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     load = list(range(R))
     heapify(load)
     launch_ev: List = []          # (launch time, replica)
-    # Last launch instant pushed per replica. The event loop pushes one
-    # event per admit; only a *changed* instant is a new event (repeats
-    # pop back to back and advance once), but a changed one is pushed
-    # even when an earlier event is pending: when it fires it touches
-    # the replica, and a touch commits a determined full batch — which
-    # the cache observes through the fill heap.
+    # Last launch instant pushed per replica, the event loop's rule too
+    # (Router._assign): only a *changed* instant is a new event (a repeat
+    # would pop back to back with the pending one and advance once), but
+    # a changed one is pushed even when an earlier event is pending: when
+    # it fires it touches the replica, and a touch commits a determined
+    # full batch — which the cache observes through the fill heap.
     sched = [_INF] * R
     comp_ev: List = []            # (completion, replica, size)
     nle = _INF                    # cached next launch event time

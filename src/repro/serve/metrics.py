@@ -411,7 +411,7 @@ class LatencyStats(_LatencySample):
         cares about the requests users sent, not the ones the system
         deigned (or survived) to serve.
         """
-        if slo <= 0:
+        if not slo > 0:
             raise ValueError(f"slo must be positive, got {slo}")
         if self.n_offered == 0:
             return 1.0

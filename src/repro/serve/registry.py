@@ -13,6 +13,7 @@ raises instead of silently skewing production traffic.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -45,10 +46,11 @@ class ModelProfile:
     the shared replica, while a fast model fills deep batches. ``None``
     inherits the simulator-wide policy.
 
-    ``weight`` must be strictly positive: a zero weight would give the
-    model an admission limit of zero — every request shed even at an
-    empty queue — which is a misconfiguration, not a policy, so it is
-    rejected here (and again at :class:`~repro.serve.router.Router`).
+    ``weight`` must be strictly positive and finite: a zero weight would
+    give the model an admission limit of zero — every request shed even
+    at an empty queue — and an infinite one makes every weight ratio
+    NaN, both misconfigurations, not policies, so they are rejected here
+    (and again at :class:`~repro.serve.router.Router`).
     """
 
     name: str
@@ -62,8 +64,9 @@ class ModelProfile:
             raise ValueError("a model profile needs a name")
         if self.slo is not None and not self.slo > 0:
             raise ValueError(f"slo must be positive, got {self.slo}")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(
+                f"weight must be positive and finite, got {self.weight}")
         if self.policy is not None and not hasattr(self.policy, "max_batch"):
             raise ValueError(
                 f"policy must be a BatchingPolicy, got {self.policy!r}")

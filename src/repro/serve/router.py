@@ -20,8 +20,9 @@ rescanned. Three lazy heaps carry the whole discrete-event state —
 - a **completion heap**: every committed batch schedules one backlog
   decrement at its completion time;
 - a **launch heap**: every queue with a pending batch has an event at its
-  state-determined launch instant (queue evolution can only *delay* a
-  launch, so firing an event early is a no-op that reschedules itself).
+  state-determined launch instant, pushed when an admit changes it and
+  after every fired event (firing an event early is a no-op that
+  reschedules itself) — the rule of :mod:`repro.serve.fast_core`.
 
 Completions land in one ``request_id -> completion`` ledger per fleet: the
 router hands it to every replica queue it creates and :meth:`Router.
@@ -52,7 +53,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.machine import CoriMachine, cori
-from repro.serve.batching import Batch, BatchingPolicy, ReplicaBatchQueue
+from repro.serve.batching import (
+    Batch,
+    BatchingPolicy,
+    ReplicaBatchQueue,
+    require_count,
+)
 
 ROUTING_STRATEGIES = ("least_loaded", "round_robin")
 
@@ -126,12 +132,8 @@ class Router:
                  max_queue_seconds: Optional[float] = None,
                  admission_floor_seconds: Optional[List[float]] = None
                  ) -> None:
-        if n_replicas <= 0:
-            raise ValueError(
-                f"n_replicas must be positive, got {n_replicas}")
-        if max_queue is not None and max_queue <= 0:
-            raise ValueError(
-                f"max_queue must be positive or None, got {max_queue}")
+        n_replicas = require_count("n_replicas", n_replicas)
+        max_queue = require_count("max_queue", max_queue, none_ok=True)
         if strategy not in ROUTING_STRATEGIES:
             raise ValueError(f"unknown routing strategy {strategy!r}; "
                              f"have {ROUTING_STRATEGIES}")
@@ -151,9 +153,9 @@ class Router:
                 raise ValueError(
                     f"{len(model_weights)} model weights for {n_models} "
                     f"model(s)")
-            if any(not w > 0 for w in model_weights):
-                raise ValueError(
-                    f"model weights must be positive, got {model_weights}")
+            if any(not 0 < w < math.inf for w in model_weights):
+                raise ValueError(f"model weights must be positive and "
+                                 f"finite, got {model_weights}")
         self.model_weights = (None if model_weights is None
                               else [float(w) for w in model_weights])
         self.max_queue = max_queue
@@ -250,6 +252,8 @@ class Router:
         #: (completion, replica, model, size) — one decrement per batch
         self._completion_events: List[Tuple[float, int, int, int]] = []
         self._launch_events: List[Tuple[float, int]] = []
+        #: replica index -> launch instant last pushed (see :meth:`_assign`)
+        self._sched: Dict[int, float] = {}
         # One contiguous allocation, one node per replica (Fig 3 ideal).
         placement = self.machine.topology.place(n_replicas, 1)
         self.replicas: List[ReplicaHandle] = [
@@ -340,6 +344,7 @@ class Router:
         handle = ReplicaHandle(index, node_id, queue)
         self._live[index] = handle
         self._backlog[index] = 0
+        self._sched[index] = math.inf
         if self.model_costs is not None:
             self._counts[index] = [0] * self._n_models
         self._push_load(index, self._value(index))
@@ -349,12 +354,14 @@ class Router:
         """The load value published for one replica: its request count, or
         — cost-aware mode — its backlog in estimated service seconds,
         recomputed as the dot product of the integer per-model counts and
-        ``model_costs`` (fixed summation order, so the same counts always
-        yield the identical float)."""
+        ``model_costs`` (a plain loop — ``sum()`` compensates from Python
+        3.12 — so the same counts always yield the identical float)."""
         if self.model_costs is None:
             return self._backlog[index]
-        return sum(c * w for c, w in
-                   zip(self._counts[index], self.model_costs))
+        value = 0
+        for c, w in zip(self._counts[index], self.model_costs):
+            value += c * w
+        return value
 
     def _push_load(self, index: int, backlog: int) -> None:
         """Publish a replica's new backlog to the load heap(s): the global
@@ -374,27 +381,22 @@ class Router:
         if self.on_commit is not None:
             self.on_commit(index, batch)
 
-    def _schedule_launch(self, handle: ReplicaHandle) -> None:
-        t_launch = handle.queue.next_launch()
-        if t_launch != math.inf:
-            heapq.heappush(self._launch_events, (t_launch, handle.index))
-
     def _sync(self, t: float) -> None:
         """Play every event due by ``t``: commit due launches (which feeds
         the completion heap), then apply due backlog decrements. Amortized
         O(log R) per event; each arrival generates O(1) events."""
         le = self._launch_events
+        sched = self._sched
         advanced: List[int] = []
         while le and le[0][0] <= t:
             _, idx = heapq.heappop(le)
             handle = self._live.get(idx)
             if handle is not None and (not advanced or advanced[-1] != idx):
-                handle.queue.advance(t)
+                sched[idx] = handle.queue.advance(t)
                 advanced.append(idx)
         for idx in advanced:
-            handle = self._live.get(idx)
-            if handle is not None:
-                self._schedule_launch(handle)
+            if sched[idx] != math.inf:
+                heapq.heappush(le, (sched[idx], idx))
         ce = self._completion_events
         while ce and ce[0][0] <= t:
             _, idx, model, size = heapq.heappop(ce)
@@ -406,13 +408,18 @@ class Router:
 
     def _assign(self, handle: ReplicaHandle, t: float, request_id: int,
                 model: int = 0) -> None:
-        """Push one request and keep counters and launch events current."""
-        handle.queue.push(t, request_id, model)
-        self._backlog[handle.index] += 1
+        """Push one request and keep counters and launch events current.
+        An unchanged launch instant pushes no event: one is still pending,
+        since every fired event re-pushes its replica's in :meth:`_sync`."""
+        idx = handle.index
+        t_launch = handle.queue.push(t, request_id, model)
+        self._backlog[idx] += 1
         if self.model_costs is not None:
-            self._counts[handle.index][model] += 1
-        self._push_load(handle.index, self._value(handle.index))
-        self._schedule_launch(handle)
+            self._counts[idx][model] += 1
+        self._push_load(idx, self._value(idx))
+        if t_launch != self._sched[idx] and t_launch != math.inf:
+            heapq.heappush(self._launch_events, (t_launch, idx))
+            self._sched[idx] = t_launch
 
     def _least_loaded(self, model: int = 0) -> Optional[ReplicaHandle]:
         """Live replica with the minimum (backlog, index) — ties broken by
@@ -435,7 +442,7 @@ class Router:
 
     def sync(self, t: float) -> None:
         """Play every scheduled event due by ``t`` (public form of the
-        per-arrival catch-up that :meth:`pick` performs). The coalescing
+        per-arrival catch-up that :meth:`submit` performs). The coalescing
         serving path calls this for arrivals that never reach
         :meth:`submit` — batch commits must still fire on time or the
         in-flight ledger and cache fills would stall until the next
@@ -499,11 +506,15 @@ class Router:
         if not self.replicas:
             # Every replica has failed and no repair has landed yet: shed.
             return self._shed(t, request_id, model)
-        replica = self.pick(t, model)
-        if replica is None or self._full(replica, model):
+        if self.strategy == "least_loaded":
+            self._sync(t)
             replica = self._least_loaded(model)
-            if replica is None or self._full(replica, model):
-                return self._shed(t, request_id, model)
+        else:
+            replica = self.pick(t, model)
+            if self._full(replica, model):
+                replica = self._least_loaded(model)
+        if replica is None or self._full(replica, model):
+            return self._shed(t, request_id, model)
         self._assign(replica, t, request_id, model)
         return True
 

@@ -55,7 +55,12 @@ from repro.serve.arrivals import (
     make_contents,
     make_model_ids,
 )
-from repro.serve.batching import LAUNCH_ORDERS, Batch, BatchingPolicy
+from repro.serve.batching import (
+    LAUNCH_ORDERS,
+    Batch,
+    BatchingPolicy,
+    require_count,
+)
 from repro.serve.cache import CACHE_POLICIES, ResultCache
 from repro.serve.latency import PerModelServiceTime, ServiceTimeModel
 from repro.serve.metrics import (
@@ -205,6 +210,8 @@ class ServingSimulator:
                              f"have {LAUNCH_ORDERS}")
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
+        n_replicas = require_count("n_replicas", n_replicas)
+        max_queue = require_count("max_queue", max_queue, none_ok=True)
         if max_queue_seconds is not None:
             if not cost_aware:
                 raise ValueError(

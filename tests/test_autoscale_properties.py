@@ -451,8 +451,9 @@ class TestValidation:
     def test_simulator_rejects_bad_slo(self):
         sim = AutoscalingSimulator(None, policy=BatchingPolicy(),
                                    service_model=FakeService())
-        with pytest.raises(ValueError, match="slo"):
-            sim.run(10.0, n_requests=10, slo=-1.0)
+        for slo in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="slo"):
+                sim.run(10.0, n_requests=10, slo=slo)
 
     def test_scale_event_validation(self):
         with pytest.raises(ValueError, match="scale action"):

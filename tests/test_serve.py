@@ -157,6 +157,27 @@ class TestReplicaBatchQueue:
         with pytest.raises(ValueError, match="nondecreasing"):
             q.push(0.5, 1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_push_must_be_finite(self, t):
+        # NaN compares False against the clock, so a bare ``t < clock``
+        # admitted it; a later finite push then had to follow it
+        q = ReplicaBatchQueue(BatchingPolicy(), const_service())
+        with pytest.raises(ValueError, match="finite"):
+            q.push(t, 0)
+        q.push(1.0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            q.push(t, 1)
+        assert q.queue_depth == 1
+
+    def test_push_and_advance_return_the_next_launch(self):
+        q = ReplicaBatchQueue(BatchingPolicy(max_batch=2, max_wait=0.5),
+                              const_service(1.0))
+        assert q.advance(0.0) == math.inf        # nothing queued
+        assert q.push(0.0, 0) == 0.5             # head's hold deadline
+        assert q.push(0.2, 1) == 0.2             # now full: launch at once
+        assert q.advance(0.3) == math.inf        # launched, lane empty
+        assert q.push(0.4, 2) == 1.2             # behind the busy replica
+
     def test_queue_depth_and_completions(self):
         q = ReplicaBatchQueue(BatchingPolicy(max_batch=2, max_wait=10.0),
                               const_service(1.0))
@@ -506,6 +527,12 @@ class TestLatencyStats:
                          n_dropped=2, horizon=1.0)
         assert s.attainment(0.15) == pytest.approx(0.25)
         assert s.drop_rate == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("slo", [0.0, -1.0, math.nan])
+    def test_attainment_rejects_a_slo_that_is_not_positive(self, slo):
+        s = LatencyStats(latencies=np.array([0.1]), n_offered=1, horizon=1.0)
+        with pytest.raises(ValueError, match="slo"):
+            s.attainment(slo)
 
     def test_empty_run(self):
         s = LatencyStats(latencies=np.array([]), n_offered=0)

@@ -37,10 +37,13 @@ never a behavior change. Five layers pin that:
    three) array loops and the event loop survived; what this layer found
    is pinned as a named regression test.
 
-A non-finite arrival rate is rejected before either engine runs.
+A non-finite arrival rate is rejected before either engine runs, and a
+configuration the engines would disagree on is refused when it is
+constructed.
 """
 
 import math
+import re
 import subprocess
 import sys
 
@@ -285,10 +288,11 @@ class TestEngineDifferential:
 @pytest.mark.parametrize("seed", [4, 7, 21])
 def test_superseded_launch_events_still_fire(seed):
     """Found by the generated differential below. The event loop pushes a
-    launch event on every admit, so an instant that was superseded by an
-    earlier one is still in its heap; when it fires it *touches* the
-    replica, and a touch commits a determined full batch even if its
-    launch lies in the future. The commit feeds the cache-fill heap, and
+    launch event whenever an admit changes a replica's instant, so an
+    instant that was superseded by an earlier one is still in its heap;
+    when it fires it *touches* the replica, and a touch commits a
+    determined full batch even if its launch lies in the future. The
+    commit feeds the cache-fill heap, and
     a hit never syncs the router, so *when* a batch commits decides
     whether a later arrival of the same key finds it. An array loop that
     pushes only events earlier than the replica's earliest pending one
@@ -435,6 +439,59 @@ class TestNonFiniteRateIsRejected:
                                n_replicas=2, engine=engine)
         with pytest.raises(ValueError, match="positive and finite"):
             sim.sweep(rates=[math.nan], n_requests=16)
+
+
+class TestConstructionRejectsWhatTheEnginesDisagreeOn:
+    """A fractional or NaN count and an infinite weight used to be
+    accepted, then split the engines or crash one deep inside a run:
+    ``max_queue=2.5`` shed more requests on the array core (``int(L) <<
+    shift`` truncates it to 2) than on the event loop, NaN ran on one and
+    died on the other, ``max_batch=2.5`` indexed a lane with a float, and
+    an infinite weight made a weight ratio NaN. Construction now refuses
+    them, naming the field and the value."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_replicas", 0), ("n_replicas", 1.5), ("max_queue", 0),
+        ("max_queue", 2.5), ("max_queue", math.nan), ("max_queue", 8.0)])
+    def test_counts(self, engine, field, value):
+        for cls in (ServingSimulator, AutoscalingSimulator):
+            if cls is AutoscalingSimulator and field == "n_replicas":
+                continue        # bounded by the autoscale policy instead
+            with pytest.raises(ValueError,
+                               match=f"{field} .*{re.escape(repr(value))}"):
+                cls(None, service_model=FakeService(), engine=engine,
+                    **{field: value})
+
+    @pytest.mark.parametrize("max_batch", [0, 2.5, math.nan])
+    def test_max_batch(self, engine, max_batch):
+        with pytest.raises(ValueError, match="max_batch"):
+            ServingSimulator(None, service_model=FakeService(),
+                             policy=BatchingPolicy(max_batch=max_batch),
+                             engine=engine)
+
+    @pytest.mark.parametrize("weight", [0.0, math.inf, math.nan])
+    def test_weights(self, engine, weight):
+        with pytest.raises(ValueError, match="weight"):
+            ServingSimulator(models=[ModelProfile("a", None, weight=weight),
+                                     ModelProfile("b", None)],
+                             service_models=[FakeService(), FakeService()],
+                             engine=engine)
+        with pytest.raises(ValueError, match="weights"):
+            ServingSimulator(models=[ModelProfile("a", None),
+                                     ModelProfile("b", None)],
+                             service_models=[FakeService(), FakeService()],
+                             model_mix=ModelMix((1.0, weight)),
+                             engine=engine)
+
+    def test_numpy_integer_counts_are_counts(self):
+        kw = dict(n_replicas=np.int64(2), max_queue=np.int64(3),
+                  policy=BatchingPolicy(max_batch=np.int64(4)))
+        ev, ar = (ServingSimulator(None, service_model=FakeService(),
+                                   engine=e, **kw).run(
+                      900.0, n_requests=200, process="poisson", seed=1)
+                  for e in ("event", "array"))
+        assert ev.n_dropped > 0
+        _assert_same(ev, ar)
 
 
 # -- oracle differential: array core vs the PR 4 frozen reference --------------

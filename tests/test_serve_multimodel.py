@@ -78,8 +78,9 @@ class TestModelMix:
             ModelMix(())
         with pytest.raises(ValueError, match="positive"):
             ModelMix((1.0, 0.0))
-        with pytest.raises(ValueError, match="mean_run"):
-            ModelMix((1.0, 1.0), mean_run=0.5)
+        for mean_run in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="mean_run"):
+                ModelMix((1.0, 1.0), mean_run=mean_run)
 
     def test_shares_normalize(self):
         mix = ModelMix((3.0, 1.0))

@@ -21,20 +21,37 @@ The statistical half pins the arrival samplers to their analytic
 inter-arrival moments (Poisson: mean 1/rate, CV 1; MMPP: phase-type
 moments from :meth:`MMPP.interarrival_moments`) under fixed seeds.
 
-The last section (Hypothesis) holds the event engine's *kept* state — a
-queue's lane keys, a router's published load values — to what a fresh
-computation gives after every generated step.
+The Hypothesis section holds the event engine's *kept* state — a queue's
+lane keys and the launch instants it returns, a router's published load
+values and pending launch events — to what a fresh computation gives
+after every generated step. The last one runs generated whole simulations
+under the router's launch-event rule and under the every-admit rule it
+replaced, and requires bit-identical results.
 """
 
+import heapq
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.serve import BatchingPolicy, Router, plan_batches
+from repro.cluster.failures import FailureEvent
+from repro.serve import (
+    AutoscalePolicy,
+    AutoscalingSimulator,
+    BatchingPolicy,
+    ModelMix,
+    ModelProfile,
+    Router,
+    ServingSimulator,
+    ZipfPopularity,
+    plan_batches,
+    slo_sim,
+)
 from repro.serve.arrivals import MMPP, poisson_arrivals
 from repro.serve.batching import LAUNCH_ORDERS, ReplicaBatchQueue
 from repro.utils.rng import as_rng
@@ -211,12 +228,15 @@ def test_lane_keys_are_never_stale(order, data):
     """After every push / advance / degrade / repair / evict / abort — and
     every rescaling of the service-time callables behind the queue's back,
     which is what a variant switch does — each kept lane key equals a
-    freshly computed one and ``next_launch`` is the fresh minimum."""
+    freshly computed one and ``next_launch`` is the fresh minimum, and so
+    is the instant a push or an advance returns (the router schedules
+    launch events from it, never from a ``next_launch`` scan)."""
     n_lanes = data.draw(st.integers(1, 3))
     scale = [1.0]
     q = ReplicaBatchQueue(
         BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
-                       max_wait=data.draw(st.sampled_from([0.0, 5e-3]))),
+                       max_wait=data.draw(st.sampled_from(
+                           [0.0, 5e-3, math.inf]))),
         None,
         service_times=[(lambda b, m=m: scale[0] * (2e-3 * (m + 1) + 1e-3 * b))
                        for m in range(n_lanes)],
@@ -232,10 +252,11 @@ def test_lane_keys_are_never_stale(order, data):
         _DT, st.integers(0, n_lanes - 1)), max_size=40))
     for rid, (step, dt, model) in enumerate(steps):
         t += dt
+        returned = None
         if step == "push":
-            q.push(t, rid, model)
+            returned = q.push(t, rid, model)
         elif step == "advance":
-            q.advance(t)
+            returned = q.advance(t)
         elif step == "degrade":
             q.degrade(1.5)
         elif step == "repair":
@@ -249,8 +270,10 @@ def test_lane_keys_are_never_stale(order, data):
         fresh = {m: q._lane_key(m, lane)
                  for m, lane in q.lanes.items() if lane}
         assert all(fresh[m] == key for m, key in q._keys.items()), step
-        assert q.next_launch() == min(
-            (key[0] for key in fresh.values()), default=math.inf), step
+        want = min((key[0] for key in fresh.values()), default=math.inf)
+        assert q.next_launch() == want, step
+        if returned is not None:
+            assert returned == want, step
         if step == "abort":
             break       # a dead queue takes no further events
 
@@ -260,19 +283,26 @@ def test_lane_keys_are_never_stale(order, data):
 def test_published_load_is_never_stale(data):
     """Cost-aware routing under generated traffic and fleet changes: every
     live replica's published load equals ``_value`` recomputed from the
-    integer ledger, and the heap pick is what a linear scan picks."""
+    integer ledger, and the heap pick is what a linear scan picks. Every
+    live replica with a finite :meth:`next_launch` has a launch event
+    pending at exactly that instant — what lets an admit that leaves the
+    instant unchanged push no event."""
     costs = [1e-3, 7e-3]
     router = Router(
         None, data.draw(st.integers(1, 3)),
         BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
-                       max_wait=2e-3),
+                       max_wait=data.draw(st.sampled_from(
+                           [0.0, 2e-3, math.inf]))),
         None, max_queue=None,
         service_times=[(lambda b, c=c: 1e-3 + c * b) for c in costs],
         model_costs=costs,
-        max_queue_seconds=data.draw(st.sampled_from([None, 0.02])))
+        max_queue_seconds=data.draw(st.sampled_from([None, 0.02])),
+        order=data.draw(st.sampled_from(LAUNCH_ORDERS)),
+        model_slos=[0.01, 0.05])
     t = 0.0
     steps = data.draw(st.lists(st.tuples(
-        st.sampled_from(["submit"] * 8 + ["sync", "add", "remove", "fail"]),
+        st.sampled_from(["submit"] * 8 + ["sync", "add", "remove", "fail",
+                                          "degrade", "repair"]),
         _DT, st.integers(0, 1)), max_size=50))
     for rid, (step, dt, model) in enumerate(steps):
         t += dt
@@ -286,9 +316,186 @@ def test_published_load_is_never_stale(data):
             router.remove_replica(t)
         elif step == "fail" and router.n_replicas:
             router.fail_replica(t, rid)
+        elif step == "degrade" and router.n_replicas:
+            router.degrade_replica(t, rid, 2.0)
+        elif step == "repair" and router.n_replicas:
+            router.repair_replica(t, rid)
         for r in router.replicas:
             assert router._load[r.index] == router._value(r.index), step
+            launch = r.queue.next_launch()
+            if launch != math.inf:
+                assert (launch, r.index) in router._launch_events, step
         if router.replicas:
             scan = min(router.replicas,
                        key=lambda r: (router._value(r.index), r.index))
             assert router._least_loaded(model) is scan, step
+
+
+# -- the launch-event rule: whole runs against the every-admit rule -------------
+
+class _EveryAdmitRouter(Router):
+    """The earlier launch-event rule, kept as the reference: every admit
+    pushes the replica's fresh :meth:`next_launch` scan (one event per
+    admitted request), and every fired event re-pushes one."""
+
+    def _schedule(self, handle):
+        launch = handle.queue.next_launch()
+        if launch != math.inf:
+            heapq.heappush(self._launch_events, (launch, handle.index))
+
+    def _assign(self, handle, t, request_id, model=0):
+        handle.queue.push(t, request_id, model)
+        self._backlog[handle.index] += 1
+        if self.model_costs is not None:
+            self._counts[handle.index][model] += 1
+        self._push_load(handle.index, self._value(handle.index))
+        self._schedule(handle)
+
+    def _sync(self, t):
+        le = self._launch_events
+        advanced = []
+        while le and le[0][0] <= t:
+            _, idx = heapq.heappop(le)
+            handle = self._live.get(idx)
+            if handle is not None and (not advanced or advanced[-1] != idx):
+                handle.queue.advance(t)
+                advanced.append(idx)
+        for idx in advanced:
+            if idx in self._live:
+                self._schedule(self._live[idx])
+        ce = self._completion_events
+        while ce and ce[0][0] <= t:
+            _, idx, model, size = heapq.heappop(ce)
+            if idx in self._live:
+                self._backlog[idx] -= size
+                if self.model_costs is not None:
+                    self._counts[idx][model] -= size
+                self._push_load(idx, self._value(idx))
+
+
+class _Service:
+    """Affine batch time, duck-typed like ServiceTimeModel."""
+
+    def __init__(self, base, per):
+        self.base, self.per = base, per
+
+    def batch_time(self, b):
+        return self.base + self.per * b
+
+    def request_rtt(self):
+        return 1e-4
+
+    def peak_throughput(self, max_batch):
+        return max_batch / self.batch_time(max_batch)
+
+    def est_request_cost(self, max_batch):
+        return self.batch_time(max_batch) / max_batch
+
+
+_SVC = _Service(0.004, 0.001)
+
+
+@st.composite
+def _whole_runs(draw):
+    """One small run: launch order x cost-aware x affinity (fixed fleets)
+    or autoscaling with fail / degrade / repair events x cache +
+    coalescing, over one or two models."""
+    # one-request batches make every admit a determined full batch, whose
+    # commit instant a degrade or a cache fill then observes
+    max_batch = draw(st.sampled_from([1, 1, 2, 5]))
+    kw = dict(policy=BatchingPolicy(
+        max_batch=max_batch,
+        max_wait=draw(st.sampled_from([0.0, 2e-3, math.inf])),
+        mode=draw(st.sampled_from(["windowed", "continuous"]))),
+        max_queue=draw(st.sampled_from([None, 3, 16])))
+    autoscaled = draw(st.booleans())
+    if draw(st.booleans()):
+        kw.update(
+            models=[ModelProfile("a", None, weight=2.0),
+                    ModelProfile("b", None, policy=draw(st.sampled_from(
+                        [None, BatchingPolicy(max_batch=2, max_wait=1e-3)])))],
+            service_models=[_SVC, _Service(0.02, 0.004)],
+            model_mix=ModelMix((0.7, 0.3), mean_run=draw(
+                st.sampled_from([1.0, 5.0]))),
+            order=draw(st.sampled_from(LAUNCH_ORDERS)),
+            cost_aware=draw(st.booleans()))
+        if not autoscaled and draw(st.booleans()):
+            kw["affinity"] = {1: (0,)}
+    else:
+        kw.update(workload=None, service_model=_SVC)
+    if "affinity" not in kw and not autoscaled:
+        kw["strategy"] = draw(st.sampled_from(["least_loaded",
+                                               "round_robin"]))
+    if draw(st.booleans()):
+        kw.update(cache_size=draw(st.sampled_from([0, 8])),
+                  coalesce=draw(st.booleans()))
+    peak = _SVC.peak_throughput(max_batch)
+    rate = draw(st.sampled_from([0.5, 1.5, 4.0])) * peak
+    n = draw(st.integers(20, 300))
+    if autoscaled:
+        kw["autoscale"] = AutoscalePolicy(
+            min_replicas=1, max_replicas=draw(st.integers(1, 4)),
+            epoch=draw(st.sampled_from([0.01, 0.05])), cooldown_epochs=0)
+        kw["failure_events"] = [
+            FailureEvent(draw(st.floats(0.0, 1.0)) * n / rate,
+                         draw(st.integers(0, 3)), kind,
+                         2.0 if kind == "degrade" else 1.0)
+            for kind in draw(st.lists(st.sampled_from(
+                ["fail", "degrade", "repair"]), min_size=1, max_size=4))]
+    else:
+        kw["n_replicas"] = draw(st.integers(1, 3))
+    run = dict(rate=rate, n_requests=n, seed=draw(st.integers(0, 2**16)),
+               process=draw(st.sampled_from(["poisson", "mmpp"])),
+               popularity="zipf" if "cache_size" in kw else None)
+    return (AutoscalingSimulator if autoscaled else ServingSimulator), kw, run
+
+
+#: two runs that a rule pushing only *earlier* instants gets wrong: it
+#: drops an event whose firing commits a determined one-request batch,
+#: which a degrade must then not slow, and whose cache fill must land
+#: before a later arrival of the same key
+_LATE_COMMITS = [
+    (AutoscalingSimulator,
+     dict(policy=BatchingPolicy(max_batch=1, max_wait=0.0), max_queue=None,
+          workload=None, service_model=_SVC,
+          autoscale=AutoscalePolicy(min_replicas=1, max_replicas=1,
+                                    epoch=0.05, cooldown_epochs=0),
+          failure_events=[FailureEvent(0.11, 0, "degrade", 2.0)]),
+     dict(rate=300.0, n_requests=33, seed=0, process="poisson",
+          popularity=None)),
+    (ServingSimulator,
+     dict(policy=BatchingPolicy(max_batch=1, max_wait=2e-3), max_queue=4,
+          workload=None, service_model=_SVC, n_replicas=2, cache_size=16),
+     dict(rate=600.0, n_requests=700, seed=4, process="mmpp",
+          popularity=ZipfPopularity(alpha=1.1, n_keys=64))),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_whole_runs())
+@example(case=_LATE_COMMITS[0])
+@example(case=_LATE_COMMITS[1])
+def test_pushing_only_changed_launches_changes_nothing(case):
+    """The router pushes a launch event only when an admit changes the
+    replica's instant; the every-admit rule pushes one per admit. The
+    extra events repeat pending ones, so both rules fire the same
+    advances in the same order: every latency, batch, counter, epoch
+    record and scale event comes out bit-identical."""
+    cls, kw, run = case
+    ref_sim = cls(**kw)
+    with mock.patch.object(slo_sim, "Router", _EveryAdmitRouter):
+        ref = ref_sim.run(**run)
+    got = cls(**kw).run(**run)
+    assert np.array_equal(got.latencies, ref.latencies)
+    assert np.array_equal(got.batch_sizes, ref.batch_sizes)
+    assert (got.n_offered, got.n_dropped, got.n_failed, got.n_cache_hits,
+            got.n_coalesced, got.horizon) \
+        == (ref.n_offered, ref.n_dropped, ref.n_failed, ref.n_cache_hits,
+            ref.n_coalesced, ref.horizon)
+    for a, b in zip(got.models or (), ref.models or ()):
+        assert np.array_equal(a.latencies, b.latencies)
+        assert (a.n_offered, a.n_dropped, a.n_failed) \
+            == (b.n_offered, b.n_dropped, b.n_failed)
+    # repr: exact float text, and NaN fields compare equal
+    assert repr(got.epochs) == repr(ref.epochs)
+    assert repr(got.scale_events) == repr(ref.scale_events)
