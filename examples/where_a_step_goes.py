@@ -3,7 +3,12 @@ the shapes of ``hep_train``, ``hybrid`` (a group step of ``hybrid_train``),
 ``hep_infer`` or ``climate_infer`` (the quarter-width ClimateNet), and the
 lowering form each conv / deconv took, as tabled in the README's "Where a ...
 goes" sections. Run
-``PYTHONPATH=src python examples/where_a_step_goes.py --net hybrid``."""
+``PYTHONPATH=src python examples/where_a_step_goes.py --net hybrid``.
+
+In an eval forward a conv's followers run inside its row, on bands. A
+max-pool the Winograd form took in place (its 4x4 blocks pooled before they
+are woven) never has its ``forward`` called, so it has no row: its conv reads
+``winograd, pooled``."""
 import argparse
 import sys
 import time
@@ -52,6 +57,11 @@ def timed(fn, key, spent, forms=None):
             # a backward(..., input_grad=False) returns no data gradient
             forms[key] = form("wd") if key.endswith(".forward") else \
                 f"w: {form('w')}  d: {'none' if out is None else form('d')}"
+            # a pool handed to the conv that booked no time ran in its form
+            then = args[1] if key.endswith(".forward") and args[1:] else ()
+            if any(f"{layer.name}.forward" not in spent
+                   for layer in then if layer.window_max):
+                forms[key] += ", pooled"
         return out
     return call
 

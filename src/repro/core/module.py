@@ -184,4 +184,13 @@ def run_layers(layers, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def check_grad_out(name: str, grad_out: np.ndarray, expected) -> None:
+    """Reject, by layer name, a ``grad_out`` that is not the shape of the
+    forward's output: NumPy would broadcast it, or reshape an equal-size
+    one, into a gradient of the wrong images."""
+    if grad_out.shape != tuple(expected):
+        raise ValueError(f"{name}: expected grad_out of shape "
+                         f"{tuple(expected)}, got {grad_out.shape}")
+
+
 from repro.core.parameter import Parameter  # noqa: E402  (cycle-free re-export)

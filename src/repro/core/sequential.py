@@ -30,8 +30,9 @@ class Sequential(Module):
     (a ``Conv2D``, a ``Deconv2D``) is handed the run of band-local layers
     behind it in the schedule (``Module.band_rows``: a non-overlapping
     ``MaxPool2D``, ``ReLU``) and applies their own ``forward`` to each band
-    of its output while that is in cache (a deconv: the elementwise ones),
-    so only the group's last activation is ever written. The result is the
+    of its output while that is in cache (a deconv: the elementwise ones;
+    a conv's Winograd form runs a leading max-pool's ``fmax`` itself), so
+    only the group's last activation is ever written. The result is the
     layer-by-layer one. A training forward is never grouped: its followers
     keep whole-tensor state for ``backward``.
     """

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.module import Module
+from repro.core.module import Module, check_grad_out
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -48,6 +48,7 @@ class ReLU(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
+        check_grad_out(self.name, grad_out, self._mask.shape)
         return grad_out * self._mask
 
     def output_shape(self, input_shape):
@@ -73,6 +74,7 @@ class Sigmoid(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
+        check_grad_out(self.name, grad_out, self._out.shape)
         return grad_out * self._out * (1.0 - self._out)
 
     def output_shape(self, input_shape):
@@ -94,6 +96,7 @@ class Tanh(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
+        check_grad_out(self.name, grad_out, self._out.shape)
         return grad_out * (1.0 - self._out * self._out)
 
     def output_shape(self, input_shape):

@@ -20,7 +20,8 @@ In eval, ``forward(x, then)`` is the head of a **fused group**: bias and the
 band-local layers ``then`` (``core.Sequential`` collects them) are applied
 to each band of GEMM output by their own ``forward``, and only what the last
 of them returns is stored. The first-touch page faults of a fresh 51 MB
-output cost HEP ``conv1`` twice its GEMM; its group now writes 12.8 MB.
+output cost HEP ``conv1`` twice its GEMM; its group now writes 12.8 MB. A
+leading max-pool runs before the bias, in the Winograd form before the weave.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.initializers import he_normal, zeros
-from repro.core.module import Module, run_layers
+from repro.core.module import Module, check_grad_out, run_layers
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
     check_input, conv_output_size, lowered_matmul, lowered_outer,
@@ -91,12 +92,19 @@ class Conv2D(Module):
         if then and f and not (self.training
                                or conv_output_size(h, k, s, p) % f
                                or conv_output_size(w, k, s, p) % f):
+            # A leading max-pool runs first and the bias after it: max
+            # commutes with a per-channel add, rounding included.
+            pool, rest = (then[0], then[1:]) if then[0].window_max \
+                else (None, then)
+
             def epilogue(band: np.ndarray) -> np.ndarray:
                 band += bias
-                return run_layers(then, band)
+                return run_layers(rest, band)
 
             self._cache = None
-            return lowered_matmul(w_mat, x, k, k, s, p, epilogue, f)[0]
+            if pool:        # its eval state, whether or not its forward runs
+                pool._cache = None
+            return lowered_matmul(w_mat, x, k, k, s, p, epilogue, f, pool)[0]
         out, cols = lowered_matmul(w_mat, x, k, k, s, p)  # (N, F, oh, ow)
         out += bias
         # The one cache slot: the input, and the columns where the forward
@@ -122,10 +130,8 @@ class Conv2D(Module):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x, cols = self._cache
-        expected = (x.shape[0],) + self.output_shape(x.shape[1:])
-        if grad_out.shape != expected:
-            raise ValueError(f"{self.name}: expected grad_out of shape "
-                             f"{expected}, got {grad_out.shape}")
+        check_grad_out(self.name, grad_out,
+                       (x.shape[0],) + self.output_shape(x.shape[1:]))
         k, s, p = self.kernel_size, self.stride, self.pad
         weight = self.weight.data
         g = grad_out.reshape(x.shape[0], self.out_channels, -1)  # (N, F, oh*ow)

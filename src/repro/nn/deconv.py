@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.initializers import he_normal, zeros
-from repro.core.module import Module, run_layers
+from repro.core.module import Module, check_grad_out, run_layers
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
     check_input, deconv_output_size, lowered_matmul, lowered_outer,
@@ -113,10 +113,8 @@ class Deconv2D(Module):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x = self._cache
-        expected = (x.shape[0],) + self.output_shape(x.shape[1:])
-        if grad_out.shape != expected:
-            raise ValueError(f"{self.name}: expected grad_out of shape "
-                             f"{expected}, got {grad_out.shape}")
+        check_grad_out(self.name, grad_out,
+                       (x.shape[0],) + self.output_shape(x.shape[1:]))
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.in_channels, -1)
         # (N, C_in, h, w), and grad_out's columns if one shot built them

@@ -37,10 +37,10 @@ and run one GEMM per image otherwise: re-packing a batch to share 2 KB of
 weights costs three times the GEMMs. Every such choice is read from the
 operand shapes alone; training and inference run the same code.
 
-``lowered_matmul`` also takes an ``epilogue``: an eval ``Conv2D`` passes its
-bias add and the band-local layers behind it (ReLU, a non-overlapping
-max-pool), and each band of GEMM output goes through them while it is in
-cache, so the conv's own output is never an array. Such a band is budgeted
+``lowered_matmul`` also takes an ``epilogue``: an eval ``Conv2D`` passes the
+band-local layers behind it (a leading non-overlapping max-pool as ``pool``,
+then bias, ReLU), and each band of GEMM output goes through them while it is
+in cache, so the conv's own output is never an array. Such a band is budgeted
 for the output rows it holds next to its columns and is a whole number of
 pool windows high. ``matmul_col2im`` takes one too (a ``Deconv2D``'s bias and
 elementwise followers), applied to each band of the image as it is finished.
@@ -66,19 +66,22 @@ tile rows the input rows are copied between zero edges, viewed as 6x6 tiles
 at stride 4 and gathered tap-major, and ``kron(B^T, B^T)`` is one GEMM
 (``_tiles``, shared). Forward, the 36 transform-domain products are one
 batched ``(M, C) @ (C, tiles)``, ``kron(A^T, A^T)`` is one GEMM, and the
-woven 4x4 blocks go to the epilogue like any band. The weight gradient is
-the adjoint: the band's 4x4 blocks of ``g`` (zero past a ragged edge) times
-``kron(A^T, A^T)^T``, one batched ``(M, tiles) @ (tiles, C)`` summed over
-bands, and ``kron(G, G)^T`` once at the end. Whole-image Winograd
-(``nn.winograd.WinogradConv2D``, the reference) streams ~100 MB of tiles
-through first-touch page faults and loses to the direct form; a band's two
-scratches stay in cache. The kernels are transformed per call (a ``(36, 9) @
-(9, M*C)`` GEMM): nothing is packed, cached or kept, between bands or passes.
+woven 4x4 blocks go to the epilogue like any band (a ``pool`` of a side
+dividing 4 is the ``fmax`` of whole 4x4-block slabs, before the weave). The
+weight gradient is the adjoint: the band's 4x4 blocks of ``g`` (zero past a
+ragged edge) times ``kron(A^T, A^T)^T``, one batched ``(M, tiles) @ (tiles,
+C)`` summed over bands, and ``kron(G, G)^T`` once at the end. Whole-image
+Winograd (``nn.winograd.WinogradConv2D``, the reference) streams ~100 MB of
+tiles through first-touch page faults and loses to the direct form; a band's
+two scratches stay in cache. The kernels are transformed per call (a ``(36,
+9) @ (9, M*C)`` GEMM): nothing is packed, cached or kept, between bands or
+passes.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -322,7 +325,7 @@ def _gather(buf: np.ndarray, patches: np.ndarray, band: _Band) -> np.ndarray:
 def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
                    stride: int, pad: int,
                    epilogue: Optional[Callable[[np.ndarray], np.ndarray]]
-                   = None, multiple: int = 1
+                   = None, multiple: int = 1, pool=None
                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """``a (M, C*kh*kw) @ im2col(x)`` as an ``(N, M, oh, ow)`` image.
 
@@ -335,7 +338,9 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
     goes from a second reused scratch through ``epilogue`` (which may write
     to its argument) into the output. ``epilogue`` must be band-local: every
     ``multiple`` rows of the product (``oh`` is a multiple) make one row of
-    its result, from those rows alone.
+    its result, from those rows alone. A ``pool`` (a non-overlapping max-pool
+    layer) runs ahead of it, ``epilogue(pool.forward(band))``, or in the tile
+    form on the 4x4 blocks of the product, if its side divides 4.
     """
     n, c, h, w = x.shape
     m = a.shape[0]
@@ -343,13 +348,19 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
                             m if epilogue else 0, multiple)
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
+    k, then = 1, epilogue
+    if pool is not None:
+        def epilogue(y: np.ndarray) -> np.ndarray:
+            return then(pool.forward(y))
     if bands is None:
         cols = im2col(x, kh, kw, stride, pad)
         out = _batch_matmul(a, cols).reshape(n, m, oh, ow)
         return (epilogue(out) if epilogue else out), cols
     dtype = np.result_type(a, x)
     if (kh, kw, stride) == (3, 3, 1) and _winograd(n, c, m, oh, ow):
-        bands, product = _tile_lowering(a, x, pad, multiple, dtype)
+        if pool is not None and 4 % pool.band_rows == 0:
+            k, epilogue = pool.band_rows, then
+        bands, product = _tile_lowering(a, x, pad, multiple, dtype, k)
     elif kh == kw and _separable(m, c, kh, stride, True):
         product = _row_lowering(a, x, kh, kw, stride, pad, bands, ow, dtype)
     else:
@@ -369,9 +380,9 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
     prod, out = _band_buffer(bands, m, ow, dtype), None
     for band in bands:
         i0, i1, r0, r1 = band
-        y = _band_cols(prod, band, m, ow)
+        y = _band_cols(prod, (i0, i1, r0 // k, r1 // k), m, ow // k)
         product(band, y)
-        y = epilogue(y.reshape(i1 - i0, m, r1 - r0, ow))
+        y = epilogue(y.reshape(i1 - i0, m, (r1 - r0) // k, ow // k))
         if out is None:         # the epilogue decides channels and width
             out = np.empty((n, y.shape[1], oh // multiple, y.shape[3]),
                            y.dtype)
@@ -418,12 +429,15 @@ def _tiles(x, pad, m, multiple, dtype):
     return bands, ping, pong, taps, kg, ka
 
 
-def _tile_lowering(a, x, pad, multiple, dtype):
+def _tile_lowering(a, x, pad, multiple, dtype, k):
     """The F(4x4, 3x3) product of :func:`lowered_matmul` (module docstring):
-    its own bands and ``product(band, y)`` filling ``y (nb, M, rows*ow)``."""
+    its own bands and ``product(band, y)`` filling ``y (nb, M, rows/k *
+    ow/k)`` with the maxima of the product's ``k x k`` windows (``k``
+    divides 4; 1: the product itself)."""
     m, ow = a.shape[0], x.shape[3] + 2 * pad - 2
     bands, ping, pong, taps, kg, ka = _tiles(x, pad, m, multiple, dtype)
     u = (kg @ a.reshape(-1, 9).T).reshape(36, m, -1)
+    q = 4 // k                          # pooled outputs a block side
 
     def product(band: _Band, y: np.ndarray) -> None:
         i0, i1, r0, r1 = band
@@ -432,11 +446,15 @@ def _tile_lowering(a, x, pad, multiple, dtype):
                       out=ping[:36 * m * nb * nt * tw].reshape(36, m, -1))
         z = np.matmul(ka, z.reshape(36, -1),
                       out=pong[:16 * z[0].size].reshape(16, -1))
-        # weave the 4x4 blocks; a ragged edge is cropped on the way into y
-        full = ping[:z.size].reshape(nb, m, nt, 4, tw, 4)
-        full.transpose(3, 5, 1, 0, 2, 4)[...] = z.reshape(4, 4, m, nb, nt, tw)
-        y.reshape(nb, m, r1 - r0, ow)[...] = full.reshape(
-            nb, m, 4 * nt, 4 * tw)[:, :, :r1 - r0, :ow]
+        if k > 1:   # MaxPool2D.forward's fmax passes: rows, then columns
+            z = z.reshape(q, k, q, k, -1)
+            rows = reduce(np.fmax, [z[:, i] for i in range(k)])
+            z = reduce(np.fmax, [rows[:, :, j] for j in range(k)])
+        # weave the blocks; a ragged edge is cropped on the way into y
+        full = ping[:z.size].reshape(nb, m, nt, q, tw, q)
+        full.transpose(3, 5, 1, 0, 2, 4)[...] = z.reshape(q, q, m, nb, nt, tw)
+        y.reshape(nb, m, (r1 - r0) // k, ow // k)[...] = full.reshape(
+            nb, m, q * nt, q * tw)[:, :, :(r1 - r0) // k, :ow // k]
     return bands, product
 
 

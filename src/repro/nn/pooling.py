@@ -9,22 +9,25 @@ the all-reduce payload (one of the paper's stated contributions).
 from __future__ import annotations
 
 from functools import reduce
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.module import Module
+from repro.core.module import Module, check_grad_out
 from repro.nn.im2col import conv_output_size
 
 
 class MaxPool2D(Module):
     """Max pooling. Fast path for the ubiquitous non-overlapping case.
 
-    A training forward on the fast path is the eval forward plus a
-    *reference* to its input (not a copy: nothing may write to it before
-    ``backward``); the winners are found at backward, tap by tap. NaN never
-    wins (``np.fmax``, as in ``ReLU``), so pooling before or after a ReLU
-    gives the same output and gradients (``core.Sequential`` runs it first).
+    A training forward is the eval forward plus a *reference* to its input
+    (not a copy: nothing may write to it before ``backward``); the winners
+    are found at backward, tap by tap. NaN never wins (``np.fmax``, as in
+    ``ReLU``), so pooling before or after a ReLU gives the same output and
+    gradients (``core.Sequential`` runs it first). Every window's maxima
+    share its gradient, on the fast path and on overlapping or ragged
+    windows alike, so a window's gradient is the same whatever the image's
+    size.
     """
 
     kind = "pool"
@@ -52,6 +55,13 @@ class MaxPool2D(Module):
         k = self.band_rows
         return k > 0 and h % k == 0 and w % k == 0
 
+    def _taps(self, x: np.ndarray, oh: int, ow: int) -> List[np.ndarray]:
+        """Tap ``(i, j)`` of every window, one strided ``(oh, ow)`` image
+        each, at index ``i*k + j``."""
+        k, s = self.kernel_size, self.stride
+        return [x[:, :, i:i + s * oh:s, j:j + s * ow:s]
+                for i in range(k) for j in range(k)]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
@@ -63,56 +73,44 @@ class MaxPool2D(Module):
             blocks = x.reshape(n, c, h // k, k, w // k, k)
             rows = reduce(np.fmax, [blocks[:, :, :, i] for i in range(k)])
             out = reduce(np.fmax, [rows[..., j] for j in range(k)])
-            # Eval forwards (serving) pin nothing.
-            self._cache = ("fast", x, out) if self.training else None
-            return out
-        # General (overlapping / ragged) path via explicit windows.
-        oh = conv_output_size(h, k, s, 0)
-        ow = conv_output_size(w, k, s, 0)
-        sn, sc, sh, sw = x.strides
-        view = np.lib.stride_tricks.as_strided(
-            x, shape=(n, c, oh, ow, k, k),
-            strides=(sn, sc, sh * s, sw * s, sh, sw), writeable=False)
-        flat = view.reshape(n, c, oh, ow, k * k)
-        arg = np.fmax(flat, -np.inf).argmax(axis=-1)    # NaN never wins
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        self._cache = ("general", x.shape, arg, (oh, ow)) \
-            if self.training else None
-        return np.ascontiguousarray(out)
+        else:
+            # Overlapping or ragged windows: the same fmax passes, rows of a
+            # window first, then its columns, tap image by tap image.
+            taps = self._taps(x, conv_output_size(h, k, s, 0),
+                              conv_output_size(w, k, s, 0))
+            out = reduce(np.fmax, [reduce(np.fmax, taps[j::k])
+                                   for j in range(k)])
+            if k == 1:                  # the identity: a copy, not a view
+                out = out.copy()
+        # Eval forwards (serving) pin nothing.
+        self._cache = (x, out) if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
+        x, out = self._cache
+        check_grad_out(self.name, grad_out, out.shape)
+        # Tap (i, j) of every window is one strided image the size of the
+        # output. All maxima win, scaled by multiplicity (a correct adjoint;
+        # Caffe routes to the first). A window with no winner (all NaN) gets
+        # no gradient, not 0/0. Counting in grad_out's dtype keeps float32
+        # gradients, and every layer below, float32.
+        taps = self._taps(x, *out.shape[2:])
+        wins = [tap == out for tap in taps]
+        counts = np.zeros(out.shape, dtype=grad_out.dtype)
+        for win in wins:
+            counts += win
+        g = grad_out / np.maximum(counts, 1, out=counts)
+        # A tap's cells are distinct: overlapping windows add up tap by tap.
         k, s = self.kernel_size, self.stride
-        if self._cache[0] == "fast":
-            _, x, out = self._cache
-            # Tap (i, j) of every window is one strided image the size of
-            # the output. All maxima win, scaled by multiplicity (a correct
-            # adjoint; Caffe routes to the first). A window with no winner
-            # (all NaN) gets no gradient, not 0/0. Counting in grad_out's
-            # dtype keeps float32 gradients, and every layer below, float32.
-            taps = [(i, j) for i in range(k) for j in range(k)]
-            wins = [x[:, :, i::k, j::k] == out for i, j in taps]
-            counts = np.zeros(out.shape, dtype=grad_out.dtype)
-            for win in wins:
-                counts += win
-            g = grad_out / np.maximum(counts, 1, out=counts)
-            grad_in = np.empty(x.shape, dtype=grad_out.dtype)
-            for (i, j), win in zip(taps, wins):
-                np.multiply(win, g, out=grad_in[:, :, i::k, j::k])
-            return grad_in
-        _, x_shape, arg, (oh, ow) = self._cache
-        n, c, h, w = x_shape
-        grad_in = np.zeros(x_shape, dtype=grad_out.dtype)
-        # Scatter each window's gradient to its argmax cell.
-        ki, kj = np.unravel_index(arg, (k, k))       # (N, C, oh, ow)
-        oi = np.arange(oh)[None, None, :, None] * s
-        oj = np.arange(ow)[None, None, None, :] * s
-        rows = (oi + ki).ravel()
-        cols = (oj + kj).ravel()
-        ns = np.repeat(np.arange(n), c * oh * ow)
-        cs = np.tile(np.repeat(np.arange(c), oh * ow), n)
-        np.add.at(grad_in, (ns, cs, rows, cols), grad_out.ravel())
+        tiled = self._is_fast_path(*x.shape[2:])    # every cell in a window
+        grad_in = (np.empty if tiled else np.zeros)(x.shape, grad_out.dtype)
+        for tap, win in zip(self._taps(grad_in, *out.shape[2:]), wins):
+            if s < k:
+                tap += win * g
+            else:
+                np.multiply(win, g, out=tap)
         return grad_in
 
     def output_shape(self, input_shape):
@@ -148,6 +146,7 @@ class GlobalAvgPool2D(Module):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         n, c, h, w = self._cache
+        check_grad_out(self.name, grad_out, (n, c))
         scale = 1.0 / (h * w)
         return np.broadcast_to(
             grad_out[:, :, None, None] * scale, (n, c, h, w)).copy()

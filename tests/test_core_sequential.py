@@ -26,7 +26,8 @@ from repro.nn.fft_conv import FFTConv2D
 from repro.nn.im2col import _BAND_BYTES, _bands
 from repro.nn.pooling import MaxPool2D
 from repro.nn.winograd import WinogradConv2D
-from test_nn_im2col import budget, lowering, separable_everywhere
+from test_nn_im2col import (budget, lowering, separable_everywhere,
+                            winograd_everywhere)
 from test_nn_pooling import parent_pool
 
 
@@ -203,6 +204,78 @@ class TestFusedEqualsLayerByLayer:
         assert (covered == 1).all()
 
 
+class TestThePoolRunsBeforeTheBias:
+    """A conv group led by a non-overlapping max-pool pools the GEMM
+    product, then adds the bias (``k*k`` times fewer adds, the same bits);
+    the Winograd form pools its 4x4 blocks itself, where ``k`` divides 4,
+    and never calls the pool's ``forward``."""
+
+    @staticmethod
+    def net(pool_k, c=32, bias=1e4):
+        conv = Conv2D(c, 32, 3, rng=0, name="conv0")
+        conv.bias.data[...] = np.random.default_rng(0).normal(scale=bias,
+                                                              size=32)
+        return Sequential([conv, ReLU(name="relu1"),
+                           MaxPool2D(pool_k, name="pool2")]).eval()
+
+    @pytest.mark.parametrize("pool_k, in_place", [(2, True), (4, True),
+                                                  (3, False)])
+    def test_the_tile_form_pools_without_the_pools_forward(
+            self, rng, pool_k, in_place):
+        net = self.net(pool_k)
+        x = rng.normal(size=(2, 32, 24, 24)).astype(np.float32)
+        with budget(1, fold_below=1), winograd_everywhere(None) as calls, \
+                recording(net) as seen:
+            got = net.forward(x)
+            want = layer_by_layer(net, x)
+        assert calls == [x.shape] * 2           # the rule took both convs
+        if in_place:        # the same bands: the same GEMMs
+            np.testing.assert_array_equal(got, want)
+        else:               # bands of 3 tile rows against 1: other GEMMs
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+        # (layer_by_layer ran second: its calls are the last entries)
+        assert seen["conv0"] == [x.shape] * 2
+        assert seen["relu1"][-1] == (2, 32, 24, 24)
+        assert seen["pool2"][-1] == (2, 32, 24, 24)
+        group = seen["pool2"][:-1]
+        if in_place:        # the pool's forward ran on no tile band
+            assert group == []
+            assert all(s[2:] == (4 // pool_k, 24 // pool_k)
+                       for s in seen["relu1"][:-1])
+        else:               # bands of 3 tile rows, whole 3x3 windows
+            assert group == [(1, 32, 12, 24)] * 4
+
+    def test_the_one_shot_form_pools(self, rng):
+        """A group small enough for one shot pools the whole product with
+        the pool's own ``forward``, bias not yet added."""
+        net = self.net(2, c=3)
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        pooled = []
+        pool = net.layers[2]
+        pool.forward = lambda band, _orig=pool.forward: \
+            pooled.append(band.copy()) or _orig(band)
+        with budget(1 << 40):
+            got = net.forward(x)
+            del pool.forward
+            want = layer_by_layer(net, x)
+        np.testing.assert_array_equal(got, want)
+        assert [p.shape for p in pooled] == [(2, 32, 8, 8)]
+        assert np.abs(pooled[0]).max() < 1e2       # the bias is 1e4-sized
+
+    @pytest.mark.parametrize("band_bytes", [1, 1 << 40])
+    def test_an_eval_group_after_training_holds_no_cache(self, rng,
+                                                         band_bytes):
+        net = self.net(2)
+        conv, relu, pool = net.layers
+        x = rng.normal(size=(2, 32, 24, 24)).astype(np.float32)
+        with budget(band_bytes, fold_below=1):
+            net.train().forward(x)
+            assert conv._cache and relu._mask is not None and pool._cache
+            net.eval().forward(x)
+        assert conv._cache is None and relu._mask is None \
+            and pool._cache is None
+
+
 class TestDeconvGroups:
     """A ``Deconv2D`` heads a group too: bias and its *elementwise*
     followers ride each finished band of the separable form."""
@@ -287,7 +360,7 @@ class TestFusionIsInvisible:
             np.testing.assert_array_equal(p.grad, q.grad)
         # A training forward fills the followers' whole-tensor state: the
         # pool holds its input, the ReLU behind it a mask of the pooled size.
-        assert pool._cache[1].shape == (2, 4, 16, 16)
+        assert pool._cache[0].shape == (2, 4, 16, 16)
         assert relu._mask.shape == (2, 4, 8, 8)
 
     def test_to_forward_hooks(self, rng):

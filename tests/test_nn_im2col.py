@@ -854,6 +854,56 @@ class TestWinogradFormEqualsTheLayers:
                     <= 1e-7 * max(1.0, abs(slope))
 
 
+class TestTheTileFormPools:
+    """A fused eval ``Conv2D`` -> ``MaxPool2D(k)`` -> ``ReLU`` group whose
+    conv takes the F(4x4, 3x3) form pools the 4x4 blocks of its product
+    before it weaves them (``k`` dividing 4) and adds the bias after the
+    pool, and is bit for bit the layer-by-layer net: ``fmax`` commutes with
+    a per-channel add under round-to-nearest, NaN included, and the slabs
+    are paired rows first, then columns, as ``MaxPool2D.forward`` pairs
+    them."""
+
+    @staticmethod
+    def group(c, f, pad, k, bias_scale, seed):
+        conv = Conv2D(c, f, 3, pad=pad, rng=seed)
+        conv.bias.data[...] = np.random.default_rng(seed).normal(
+            scale=bias_scale, size=f)
+        return Sequential([conv, ReLU(), MaxPool2D(k)]).eval()
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([2, 4]), c=st.integers(32, 40),
+           f=st.integers(32, 40), pad=st.integers(0, 2),
+           tile_rows=st.tuples(st.integers(5, 7), st.integers(5, 7)),
+           ragged=st.tuples(st.booleans(), st.booleans()),
+           bias_scale=st.sampled_from([1.0, 1e3, 1e6]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           band_bytes=st.sampled_from([1, 40000]),
+           seed=st.integers(0, 2**16))
+    def test_bit_equal_to_layer_by_layer(self, k, c, f, pad, tile_rows,
+                                         ragged, bias_scale, dtype,
+                                         band_bytes, seed):
+        # oh % 4 is 0 or 2 (a ragged last tile row, cropped after the pool)
+        oh, ow = (4 * t - 2 * (r and k == 2)
+                  for t, r in zip(tile_rows, ragged))
+        assert lowering._winograd(2, c, f, oh, ow)
+        net = self.group(c, f, pad, k, bias_scale, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, c, oh - 2 * pad + 2, ow - 2 * pad + 2)) \
+            .astype(dtype)
+        x[1, :, :6] = 0.0           # whole tiles of exact zeros: tied windows
+        flat = x.reshape(-1)        # NaN and inf spread over whole tiles
+        picks = rng.choice(flat.size, size=12, replace=False)
+        flat[picks] = np.resize(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0],
+                                         dtype), picks.size)
+        with budget(band_bytes, fold_below=1), np.errstate(invalid="ignore"), \
+                winograd_everywhere(None) as calls:
+            want = run_layers(net.layers, x)
+            got = net.forward(x)
+        assert calls == [x.shape] * 2
+        assert got.dtype == want.dtype == dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def lowered_layers(net, input_shape):
     """``(layer, its input shape, its output shape)`` for each conv / deconv
     of ``net`` (a ``Sequential``). Shapes only: nothing is computed."""

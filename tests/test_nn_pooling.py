@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grad_check import numeric_grad
-from repro.nn.activations import ReLU
+from repro.nn.activations import ReLU, Sigmoid, Tanh
 from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
 
 
@@ -150,7 +150,7 @@ class TestFastPathIsTheStridedReduce:
         pool = MaxPool2D(k).train()
         out = pool.forward(x)
         # The forward kept its operands, not a mask: the input itself.
-        assert pool._cache[1] is x and pool._cache[2] is out
+        assert pool._cache[0] is x and pool._cache[1] is out
         g = rng.normal(size=out.shape).astype(np.float32)
         ref_out, ref_backward = parent_pool(x, k)
         np.testing.assert_array_equal(out, ref_out)
@@ -225,6 +225,74 @@ class TestFastPathIsTheStridedReduce:
                     window = x[:, :, i * s:i * s + k, j * s:j * s + k]
                     np.testing.assert_array_equal(
                         out[:, :, i, j], window.max(axis=(2, 3)))
+
+
+class TestOneGradientRuleForEveryWindow:
+    """The general path (ragged or overlapping windows) routes a window's
+    gradient as the fast path does: every maximum gets an equal share, an
+    all-NaN window nothing. It used to route it all to the first argmax,
+    into a NaN cell too: a 5x5 image's gradient differed from the 4x4
+    image's its windows cover."""
+
+    @pytest.mark.parametrize("fill", ["ones", "nan", "special"])
+    def test_ragged_windows_match_the_tiled_ones(self, rng, fill):
+        x = {"ones": np.ones((2, 3, 5, 5), np.float32),
+             "nan": np.full((2, 3, 5, 5), np.nan, np.float32),
+             "special": _special_values(rng, (2, 3, 5, 5))}[fill]
+        x[1, 0, :2, :2] = np.nan                    # an all-NaN window
+        x[1, 1, 2:4, :2] = 3.0                      # a four-way tie
+        g = rng.normal(size=(2, 3, 2, 2)).astype(np.float32)
+        tiled, ragged = MaxPool2D(2), MaxPool2D(2)
+        assert tiled._is_fast_path(4, 4) and not ragged._is_fast_path(5, 5)
+        out = tiled.forward(x[:, :, :4, :4].copy())
+        np.testing.assert_array_equal(ragged.forward(x), out)
+        grad = ragged.backward(g)
+        np.testing.assert_array_equal(grad[:, :, :4, :4], tiled.backward(g))
+        assert not grad[:, :, 4].any() and not grad[:, :, :, 4].any()
+        assert not grad[1, 0, :2, :2].any()
+        np.testing.assert_array_equal(grad[1, 1, 2:4, :2], g[1, 1, 1, 0] / 4)
+        if fill == "ones":      # every cell of image 0 ties: a quarter each
+            np.testing.assert_array_equal(
+                grad[0, :, :4, :4], np.repeat(np.repeat(g[0], 2, 1), 2, 2) / 4)
+
+    def test_overlapping_windows_add_up(self):
+        """A cell that wins several windows gets every share."""
+        x = np.zeros((1, 1, 3, 3), np.float32)
+        x[0, 0, 1, 1] = 1.0                         # a max of all four
+        x[0, 0, 0, 0] = x[0, 0, 0, 1] = 1.0         # ties in the top two
+        pool = MaxPool2D(2, stride=1)
+        pool.forward(x)
+        grad = pool.backward(np.ones((1, 1, 2, 2), np.float32))
+        np.testing.assert_allclose(grad[0, 0], [[1 / 3, 1 / 3 + 1 / 2, 0],
+                                                [0, 1 / 3 + 1 / 2 + 2, 0],
+                                                [0, 0, 0]], rtol=1e-6)
+
+
+class TestGradOutIsChecked:
+    """``backward`` refuses, by layer name, a ``grad_out`` that is not the
+    shape its forward returned, before it touches anything; a batch-1
+    gradient used to broadcast into a batch-2 one."""
+
+    LAYERS = {"pool": lambda: MaxPool2D(2, name="pool"),
+              "ragged": lambda: MaxPool2D(3, stride=2, name="ragged"),
+              "relu": lambda: ReLU(name="relu"),
+              "sigmoid": lambda: Sigmoid(name="sigmoid"),
+              "tanh": lambda: Tanh(name="tanh"),
+              "gap": lambda: GlobalAvgPool2D(name="gap")}
+
+    @pytest.mark.parametrize("name", LAYERS)
+    def test_a_wrong_batch_is_refused(self, rng, name):
+        layer = self.LAYERS[name]()
+        x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
+        out = layer.forward(x)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        for bad in (g[:1], g[..., :1], g.reshape((4, 2) + g.shape[2:])):
+            with pytest.raises(ValueError, match=rf"^{name}: expected "
+                               rf"grad_out of shape \(2, 4"):
+                layer.backward(bad)
+        want = self.LAYERS[name]()
+        want.forward(x)
+        np.testing.assert_array_equal(layer.backward(g), want.backward(g))
 
 
 class TestBackwardDtype:
