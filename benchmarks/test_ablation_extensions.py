@@ -31,6 +31,7 @@ from repro.comm.model_parallel import (
     model_parallel_activation_bytes,
 )
 from repro.data.hep import make_hep_dataset
+from repro.distributed.flatten import flatten_grads, unflatten_into
 from repro.flops.counter import count_net
 from repro.models import build_hep_net
 from repro.nn import BatchNorm2D, WinogradConv2D
@@ -41,7 +42,7 @@ from repro.optim import (
     compressed_allreduce,
     tune_momentum_for_groups,
 )
-from repro.train.loop import hep_loss_fn
+from repro.train.loop import hep_loss_fn, step
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +227,7 @@ def test_gradient_compression_tradeoff(benchmark):
             loss_acc = 0.0
             for r in range(p):
                 idx = rng.choice(len(ds.images), size=16, replace=False)
-                net.zero_grad()
-                loss, grad_out = hep_loss_fn(net, ds.images[idx],
-                                             ds.labels[idx])
-                net.backward(grad_out)
-                from repro.distributed.flatten import flatten_grads
+                loss = step(net, hep_loss_fn, ds.images[idx], ds.labels[idx])
                 grads.append(flatten_grads(net.params()).copy())
                 loss_acc += loss / p
             if comps is None:
@@ -238,7 +235,6 @@ def test_gradient_compression_tradeoff(benchmark):
                 wire = None
             else:
                 mean, wire = compressed_allreduce(grads, comps)
-            from repro.distributed.flatten import unflatten_into
             unflatten_into(mean, net.params(), target="grad")
             opt.step()
             losses.append(loss_acc)
@@ -283,11 +279,9 @@ def test_yellowfin_vs_momentum_grid(benchmark):
         losses = []
         for _ in range(n_iterations):
             idx = rng.choice(len(ds.images), size=32, replace=False)
-            net.zero_grad()
-            loss, grad_out = hep_loss_fn(net, ds.images[idx], ds.labels[idx])
-            net.backward(grad_out)
+            losses.append(step(net, hep_loss_fn, ds.images[idx],
+                               ds.labels[idx]))
             opt.step()
-            losses.append(loss)
         return float(np.mean(losses[-10:]))
 
     def sweep():
@@ -427,9 +421,7 @@ def test_phi_augmentation_helps_small_samples(benchmark):
                 idx = rng.choice(len(train_ds.images), size=32,
                                  replace=False)
                 xb, yb = train_ds.images[idx], train_ds.labels[idx]
-            net.zero_grad()
-            _loss, grad_out = hep_loss_fn(net, xb, yb)
-            net.backward(grad_out)
+            step(net, hep_loss_fn, xb, yb)
             opt.step()
         scores = predict_proba(net, test_ds.images)[:, 1]
         return auc(scores, test_ds.labels)

@@ -19,7 +19,7 @@ from repro.data.hep import make_hep_dataset
 from repro.distributed.flatten import flatten_grads, unflatten_into
 from repro.models import build_hep_net
 from repro.optim import SGD, ErrorFeedbackCompressor, compressed_allreduce
-from repro.train.loop import hep_loss_fn
+from repro.train.loop import hep_loss_fn, step
 from repro.utils.viz import ascii_plot
 
 N_RANKS = 4
@@ -42,9 +42,7 @@ def train(ds, scheme=None, k_fraction=0.1, seed=0):
         for _r in range(N_RANKS):
             idx = rng.choice(len(ds.images), size=BATCH_PER_RANK,
                              replace=False)
-            net.zero_grad()
-            loss, grad_out = hep_loss_fn(net, ds.images[idx], ds.labels[idx])
-            net.backward(grad_out)
+            loss = step(net, hep_loss_fn, ds.images[idx], ds.labels[idx])
             grads.append(flatten_grads(net.params()).copy())
             loss_acc += loss / N_RANKS
         if comps is None:

@@ -26,7 +26,7 @@ from repro.optim import (
     tune_momentum_for_groups,
 )
 from repro.train import bayes_search
-from repro.train.loop import hep_loss_fn
+from repro.train.loop import hep_loss_fn, step
 
 
 def train_small(ds, opt_factory, n_iterations=50, seed=1):
@@ -37,11 +37,8 @@ def train_small(ds, opt_factory, n_iterations=50, seed=1):
     losses = []
     for _ in range(n_iterations):
         idx = rng.choice(len(ds.images), size=32, replace=False)
-        net.zero_grad()
-        loss, grad_out = hep_loss_fn(net, ds.images[idx], ds.labels[idx])
-        net.backward(grad_out)
+        losses.append(step(net, hep_loss_fn, ds.images[idx], ds.labels[idx]))
         opt.step()
-        losses.append(loss)
     return float(np.mean(losses[-10:]))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.models.climate import PAPER_DECODER, PAPER_ENCODER, ClimateNet
 from repro.models.hep import build_hep_net
 from repro.optim import SGD, Adam
-from repro.train.loop import hep_loss_fn
+from repro.train.loop import hep_loss_fn, step
 
 #: net -> (batch, image side, filters, optimizer; None: an eval forward)
 SHAPES = {"hep_train": (8, 64, 128, lambda p: Adam(p, lr=1e-3)),
@@ -103,17 +103,15 @@ if __name__ == "__main__":
                 getattr(mod, a), f"{mod.name}.{a}", spent,
                 forms if mod.kind in ("conv", "deconv") else None))
 
-    def step():
+    def one_step():
         if not make_optimizer:
             return net.forward(x)
-        net.zero_grad()
-        _, grad = hep_loss_fn(net, x, np.arange(batch) % 2)
-        net.backward(grad, input_grad=False)
+        step(net, hep_loss_fn, x, np.arange(batch) % 2)
         optimizer.step()
-    step = timed(step, "rest of the step", spent)
+    one_step = timed(one_step, "rest of the step", spent)
     for _ in range(args.steps + 1):             # the first one warms up
         spent.clear()
-        step()
+        one_step()
         steps.append(dict(spent, total=sum(spent.values())))
     print(f"{args.net} {x.shape}: median ms over {args.steps} steps")
     for key in steps[-1]:                       # in the order calls returned

@@ -83,6 +83,13 @@ class Communicator:
     def Barrier(self) -> None:
         self._group.barrier.wait()
 
+    def Abort(self) -> None:
+        """Break the group: every rank waiting in, or later entering, one
+        of its collectives raises ``threading.BrokenBarrierError`` instead
+        of waiting for a rank that will never arrive. As with MPI's, the
+        group is not usable afterwards."""
+        self._group.barrier.abort()
+
     # -- collectives --------------------------------------------------------
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                   op: str = SUM) -> None:

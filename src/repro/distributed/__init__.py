@@ -1,12 +1,17 @@
-"""Real (thread-backed) distributed training — the execution half of the
-hybrid architecture (paper SIII-D/E).
+"""Real distributed training — the execution half of the hybrid
+architecture (paper SIII-D/E). Every trainer computes its gradients with
+:func:`repro.train.step` and differs only in what it does with them.
 
-- :class:`SyncDataParallel` — MLSL-style synchronous data parallelism over a
-  :class:`repro.comm.ThreadWorld` (all-reduced gradients, lock-step updates);
+- :class:`SyncDataParallel` — MLSL-style synchronous data parallelism, one
+  thread per rank of a :class:`repro.comm.ThreadWorld` (all-reduced
+  gradients, lock-step updates); :class:`ShardedSolverDataParallel` swaps
+  the all-reduce for reduce-scatter, a solver shard and all-gather;
 - :class:`ParameterServer` / :class:`PSRegistry` — one PS per trainable
   layer, applying solver updates in arrival order with staleness tracking;
-- :class:`HybridTrainer` — compute groups as threads: synchronous within a
-  group, asynchronous across groups through the per-layer PSs;
+- :class:`HybridTrainer` — compute groups co-simulated on a virtual clock:
+  synchronous within a group, asynchronous across groups through the
+  per-layer PSs; :class:`SSPTrainer` and :class:`ElasticHybridTrainer` run
+  the same schedule under a staleness bound or a failure schedule;
 - :mod:`repro.distributed.staleness` — staleness statistics and their
   momentum interpretation.
 

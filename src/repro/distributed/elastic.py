@@ -23,14 +23,14 @@ costed via :mod:`repro.train.checkpoint`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.sequential import Sequential
-from repro.distributed.hybrid import GroupTrace, HybridTrainResult
-from repro.distributed.param_server import PSRegistry
-from repro.utils.rng import SeedLike, spawn_rngs
+from repro.distributed.hybrid import HybridTrainer, HybridTrainResult, _Run
+from repro.train.loop import step
+from repro.utils.rng import SeedLike, as_rng
 
 
 @dataclass
@@ -47,7 +47,7 @@ class ElasticTrainResult(HybridTrainResult):
                 if g not in self.failed_groups]
 
 
-class ElasticHybridTrainer:
+class ElasticHybridTrainer(HybridTrainer):
     """Hybrid trainer with per-group failure injection.
 
     ``failures`` maps group id -> virtual failure time. A failed group
@@ -61,75 +61,28 @@ class ElasticHybridTrainer:
                  failures: Optional[Dict[int, float]] = None,
                  iteration_time_fn: Optional[Callable[[int], float]] = None,
                  seed: SeedLike = 0) -> None:
-        if n_groups <= 0:
-            raise ValueError(f"n_groups must be positive, got {n_groups}")
         failures = dict(failures or {})
         for g, t in failures.items():
             if not 0 <= g < n_groups:
                 raise ValueError(f"failure group {g} out of range")
             if t < 0:
                 raise ValueError(f"failure time must be >= 0, got {t}")
-        self.n_groups = n_groups
+        super().__init__(net_factory, opt_factory, loss_fn, n_groups,
+                         iteration_time_fn, seed)
         self.failures = failures
-        self.loss_fn = loss_fn
-        self.iteration_time_fn = iteration_time_fn or (lambda g: 1.0)
-        self.nets = [net_factory() for _ in range(n_groups)]
-        self.registry = PSRegistry(self.nets[0].trainable_layers(),
-                                   opt_factory)
-        self._rngs = spawn_rngs(seed, n_groups)
 
-    def run(self, x: np.ndarray, y: np.ndarray, group_batch: int,
-            n_iterations: int, drift: Optional[Sequence[float]] = None
-            ) -> ElasticTrainResult:
-        n = x.shape[0]
-        if group_batch <= 0 or group_batch > n:
-            raise ValueError(
-                f"group_batch must be in [1, {n}], got {group_batch}")
-        if n_iterations <= 0:
-            raise ValueError("n_iterations must be positive")
-        if drift is None:
-            drift = [1.0] * self.n_groups
-        if len(drift) != self.n_groups:
-            raise ValueError("drift needs one factor per group")
+    def _next(self, run: _Run) -> Optional[int]:
+        # The failure takes effect before the group can *start* another
+        # iteration past its failure time.
+        g = super()._next(run)
+        while g in self.failures and run.clocks[g] >= self.failures[g]:
+            run.dead[g] = self.failures[g]
+            g = super()._next(run)
+        return g
 
-        g_count = self.n_groups
-        traces = [GroupTrace(group=g) for g in range(g_count)]
-        layers = [net.trainable_layers() for net in self.nets]
-        versions = [self.registry.pull_into(layers[g])
-                    for g in range(g_count)]
-        clocks = [0.0] * g_count
-        done = [0] * g_count
-        dead: Dict[int, float] = {}
-
-        import heapq
-        heap = [(0.0, g) for g in range(g_count)]
-        heapq.heapify(heap)
-        while heap:
-            _t, g = heapq.heappop(heap)
-            # The failure takes effect before the group can *start* another
-            # iteration past its failure time.
-            fail_t = self.failures.get(g)
-            if fail_t is not None and clocks[g] >= fail_t:
-                dead[g] = fail_t
-                continue
-            rng = self._rngs[g]
-            net = self.nets[g]
-            idx = rng.choice(n, size=group_batch, replace=False)
-            net.zero_grad()
-            loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-            net.backward(grad_out, input_grad=False)
-            versions[g] = self.registry.push_from(layers[g], versions[g],
-                                                  group=g)
-            clocks[g] += self.iteration_time_fn(g) * drift[g]
-            traces[g].times.append(clocks[g])
-            traces[g].losses.append(loss)
-            done[g] += 1
-            if done[g] < n_iterations:
-                heapq.heappush(heap, (clocks[g], g))
-
-        return ElasticTrainResult(
-            traces=traces, staleness=self.registry.all_staleness(),
-            n_groups=g_count, failed_groups=dead, completed=list(done))
+    def _result(self, run: _Run) -> ElasticTrainResult:
+        return ElasticTrainResult(**vars(super()._result(run)),
+                                  failed_groups=run.dead, completed=run.done)
 
 
 def sync_run_with_failure(net_factory: Callable[[], Sequential],
@@ -150,8 +103,7 @@ def sync_run_with_failure(net_factory: Callable[[], Sequential],
                          "positive")
     net = net_factory()
     opt = opt_factory(net.params())
-    rng = np.random.default_rng(seed if not isinstance(
-        seed, np.random.Generator) else None)
+    rng = as_rng(seed)
     n = x.shape[0]
     times: List[float] = []
     losses: List[float] = []
@@ -160,11 +112,8 @@ def sync_run_with_failure(net_factory: Callable[[], Sequential],
         if clock + iteration_time > failure_time:
             return times, losses, False  # the barrier never completes
         idx = rng.choice(n, size=min(batch, n), replace=False)
-        net.zero_grad()
-        loss, grad_out = loss_fn(net, x[idx], y[idx])
-        net.backward(grad_out, input_grad=False)
+        losses.append(step(net, loss_fn, x[idx], y[idx]))
         opt.step()
         clock += iteration_time
         times.append(clock)
-        losses.append(loss)
     return times, losses, True

@@ -1,6 +1,6 @@
 """The hybrid trainer: synchronous groups, asynchronous PS updates.
 
-Each compute group runs in its own thread with its own model replica. One
+Each compute group has its own model replica and its own virtual clock. One
 "group iteration" = compute the gradient of the group's minibatch (the
 within-group all-reduce is an exact mean, so we evaluate it directly),
 then push per-layer gradients to the PS registry and pull fresh weights —
@@ -10,12 +10,15 @@ to fully synchronous training, which is the knob the paper turns (SIII-E).
 Wall-clock semantics: real thread timing on a laptop says nothing about
 Cori, so the trainer records *virtual* time — per-group iteration durations
 drawn from the machine model (:mod:`repro.sim`) — alongside every loss
-sample. Fig 8 plots loss against that virtual clock.
+sample. Fig 8 plots loss against that virtual clock, and the groups are
+co-simulated on it one iteration at a time: the group furthest behind runs
+next, so a lagging group interleaves less often and its PS updates are
+staler (the Fig 8 loss "jumps"), and a run is reproducible from its seed.
+The SSP and elastic trainers add a gate to this schedule.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -23,6 +26,7 @@ import numpy as np
 
 from repro.core.sequential import Sequential
 from repro.distributed.param_server import PSRegistry
+from repro.train.loop import step
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -73,6 +77,21 @@ class HybridTrainResult:
         return float(times[hits[0]]) if hits.size else None
 
 
+class _Run:
+    """One ``run()``'s schedule state: per-group virtual clocks, completed
+    iterations and traces, plus what the subclasses' gates record."""
+
+    def __init__(self, n_groups: int, n_iterations: int) -> None:
+        self.n_iterations = n_iterations
+        self.traces = [GroupTrace(group=g) for g in range(n_groups)]
+        self.clocks = [0.0] * n_groups
+        self.done = [0] * n_groups
+        self.waits = [0.0] * n_groups  # SSP: virtual time blocked
+        self.blocked: List[int] = []   # SSP: held back at the last pick
+        self.last = 0                  # SSP: the group picked last
+        self.dead: Dict[int, float] = {}  # elastic: group -> failure time
+
+
 class HybridTrainer:
     """Compute groups over a shared per-layer PS registry."""
 
@@ -94,108 +113,48 @@ class HybridTrainer:
                                    opt_factory)
         self._rngs = spawn_rngs(seed, n_groups)
 
-    def _make_step(self, traces, x, y, group_batch, drift):
-        """Build the one-iteration closure used by the virtual scheduler."""
-        n = x.shape[0]
-        layers = [net.trainable_layers() for net in self.nets]
-        versions = [self.registry.pull_into(layers[g])
-                    for g in range(self.n_groups)]
-        clocks = [0.0] * self.n_groups
-
-        def step(g: int) -> float:
-            rng = self._rngs[g]
-            net = self.nets[g]
-            idx = rng.choice(n, size=group_batch, replace=False)
-            net.zero_grad()
-            loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-            net.backward(grad_out, input_grad=False)
-            versions[g] = self.registry.push_from(layers[g], versions[g],
-                                                  group=g)
-            clocks[g] += self.iteration_time_fn(g) * drift[g]
-            traces[g].times.append(clocks[g])
-            traces[g].losses.append(loss)
-            return clocks[g]
-
-        return step
-
-    def _run_virtual(self, group_worker_step, n_iterations: int) -> None:
-        """Advance groups in virtual-time order, one iteration at a time."""
-        import heapq
-
-        done = [0] * self.n_groups
-        heap = [(0.0, g) for g in range(self.n_groups)]
-        heapq.heapify(heap)
-        while heap:
-            _t, g = heapq.heappop(heap)
-            new_t = group_worker_step(g)
-            done[g] += 1
-            if done[g] < n_iterations:
-                heapq.heappush(heap, (new_t, g))
-
     def run(self, x: np.ndarray, y: np.ndarray, group_batch: int,
             n_iterations: int, drift: Optional[Sequence[float]] = None
             ) -> HybridTrainResult:
         """Train: each group runs ``n_iterations`` over random minibatches of
         ``group_batch`` samples. ``drift`` optionally scales each group's
-        iteration duration (a lagging group, paper SVIII-A)."""
+        iteration duration (a lagging group, paper SVIII-A); ``None`` is
+        uniform."""
         n = x.shape[0]
         if group_batch <= 0 or group_batch > n:
             raise ValueError(
                 f"group_batch must be in [1, {n}], got {group_batch}")
         if n_iterations <= 0:
             raise ValueError("n_iterations must be positive")
-        use_virtual_schedule = drift is not None
         if drift is None:
             drift = [1.0] * self.n_groups
         if len(drift) != self.n_groups:
             raise ValueError("drift needs one factor per group")
-        traces = [GroupTrace(group=g) for g in range(self.n_groups)]
-        errors: List = []
+        run = _Run(self.n_groups, n_iterations)
+        layers = [net.trainable_layers() for net in self.nets]
+        versions = [self.registry.pull_into(lay) for lay in layers]
+        while (g := self._next(run)) is not None:
+            idx = self._rngs[g].choice(n, size=group_batch, replace=False)
+            loss = step(self.nets[g], self.loss_fn, x[idx], y[idx])
+            # Within-group all-reduce is exact (mean over the group batch
+            # already); push to the PSs, pull fresh weights.
+            versions[g] = self.registry.push_from(layers[g], versions[g],
+                                                  group=g)
+            run.clocks[g] += self.iteration_time_fn(g) * drift[g]
+            run.done[g] += 1
+            run.traces[g].times.append(run.clocks[g])
+            run.traces[g].losses.append(loss)
+        return self._result(run)
 
-        def group_worker(g: int) -> None:
-            try:
-                net = self.nets[g]
-                rng = self._rngs[g]
-                layers = net.trainable_layers()
-                versions = self.registry.pull_into(layers)
-                clock = 0.0
-                for _ in range(n_iterations):
-                    idx = rng.choice(n, size=group_batch, replace=False)
-                    net.zero_grad()
-                    loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-                    net.backward(grad_out, input_grad=False)
-                    # Within-group all-reduce is exact (mean over the group
-                    # batch already); push to the PSs, pull fresh weights.
-                    versions = self.registry.push_from(layers, versions,
-                                                       group=g)
-                    clock += self.iteration_time_fn(g) * drift[g]
-                    traces[g].times.append(clock)
-                    traces[g].losses.append(loss)
-            except Exception as exc:
-                errors.append((g, exc))
-                raise
+    def _next(self, run: _Run) -> Optional[int]:
+        """The group that runs the next iteration (``None``: the run is
+        over): of the groups still running, the one furthest behind in
+        virtual time, ties to the lower index. Subclasses gate it."""
+        ready = [g for g in range(self.n_groups)
+                 if run.done[g] < run.n_iterations and g not in run.dead]
+        return min(ready, key=lambda g: (run.clocks[g], g), default=None)
 
-        if use_virtual_schedule:
-            # Deterministic virtual-time co-simulation: always advance the
-            # group whose clock is furthest behind. This is how drift gets
-            # real semantics — a lagging group genuinely interleaves less
-            # often, so its PS updates really are staler (the Fig 8 loss
-            # "jumps" mechanism).
-            self._run_virtual(group_worker_step=self._make_step(
-                traces, x, y, group_batch, drift), n_iterations=n_iterations)
-        elif self.n_groups == 1:
-            group_worker(0)
-        else:
-            threads = [threading.Thread(target=group_worker, args=(g,),
-                                        daemon=True)
-                       for g in range(self.n_groups)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        if errors:
-            g, exc = errors[0]
-            raise RuntimeError(f"group {g} failed: {exc!r}") from exc
-        return HybridTrainResult(traces=traces,
+    def _result(self, run: _Run) -> HybridTrainResult:
+        return HybridTrainResult(traces=run.traces,
                                  staleness=self.registry.all_staleness(),
                                  n_groups=self.n_groups)

@@ -17,7 +17,6 @@ communicator and is step-for-step equivalent to
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.distributed.flatten import (
     flatten_params,
     unflatten_into,
 )
-from repro.distributed.sync import SyncTrainResult
+from repro.distributed.sync import SyncDataParallel
 from repro.optim.base import Optimizer
 
 
@@ -44,7 +43,7 @@ def shard_bounds(total: int, p: int, rank: int) -> Tuple[int, int]:
     return lo, hi
 
 
-class ShardedSolverDataParallel:
+class ShardedSolverDataParallel(SyncDataParallel):
     """Data parallelism with the solver state sharded across ranks.
 
     Same factory interface as :class:`SyncDataParallel`, except
@@ -57,12 +56,8 @@ class ShardedSolverDataParallel:
                  net_factory: Callable[[], Sequential],
                  opt_factory: Callable[[List[Parameter]], Optimizer],
                  loss_fn) -> None:
-        self.world = world
-        self.loss_fn = loss_fn
-        self.nets = [net_factory() for _ in range(world.size)]
-        ref = self.nets[0].state_dict()
-        for net in self.nets[1:]:
-            net.load_state_dict(ref)
+        # The solvers step the flat shards built below, not a replica.
+        super().__init__(world, net_factory, lambda net: None, loss_fn)
         self._total = sum(p.size for p in self.nets[0].params())
         flat0 = flatten_params(self.nets[0].params())
         self._shards: List[Parameter] = []
@@ -73,16 +68,10 @@ class ShardedSolverDataParallel:
             self._shards.append(shard)
             self.opts.append(opt_factory([shard]))
 
-    @property
-    def net(self) -> Sequential:
-        """Rank-0 replica (replicas stay identical after every step)."""
-        return self.nets[0]
-
     def solver_state_fraction(self) -> float:
         """Per-rank solver-state size relative to the unsharded solver."""
         return 1.0 / self.world.size
 
-    # -- internals -----------------------------------------------------------
     def _allgather_shards(self, comm: Communicator, rank: int,
                           out: np.ndarray) -> None:
         """Fill ``out`` with every rank's updated shard.
@@ -101,76 +90,23 @@ class ShardedSolverDataParallel:
             comm.Bcast(buf, root=root)
             out[lo:hi] = buf
 
-    def _worker(self, rank: int, shards_x, shards_y, n_iterations: int,
-                losses, errors) -> None:
-        comm = self.world.comm(rank)
-        net = self.nets[rank]
-        shard = self._shards[rank]
-        opt = self.opts[rank]
-        p = comm.size
-        lo, hi = shard_bounds(self._total, p, rank)
-        try:
-            for it in range(n_iterations):
-                x = shards_x[it * p + rank]
-                y = shards_y[it * p + rank]
-                net.zero_grad()
-                loss, grad_out = self.loss_fn(net, x, y)
-                net.backward(grad_out, input_grad=False)
-                flat = flatten_grads(net.params())
-                # Reduce-scatter: rank r keeps only its summed-gradient
-                # shard. (Executed as all-reduce + slice over the thread
-                # communicator — same result, and the cost models charge
-                # the true reduce-scatter schedule.)
-                reduced = np.empty_like(flat)
-                comm.Allreduce(flat, reduced)
-                shard.grad[...] = reduced[lo:hi] / p
-                opt.step()
-                # All-gather the updated shards into the full weights.
-                updated = np.empty(self._total, dtype=np.float32)
-                self._allgather_shards(comm, rank, updated)
-                unflatten_into(updated, net.params(), target="data")
-                losses[rank].append(loss)
-        except Exception as exc:  # propagate to the caller
-            errors.append((rank, exc))
-
-    # -- API -----------------------------------------------------------------
-    def run(self, x: np.ndarray, y: np.ndarray,
-            n_iterations: int) -> SyncTrainResult:
-        """Train for ``n_iterations``; the global batch splits evenly across
-        ranks each iteration (samples cycle through ``x``)."""
-        p = self.world.size
-        n = x.shape[0]
-        if n < p:
-            raise ValueError(f"batch of {n} cannot be split over {p} ranks")
-        if n_iterations <= 0:
-            raise ValueError("n_iterations must be positive")
-        shard = n // p
-        shards_x, shards_y = [], []
-        for it in range(n_iterations):
-            roll = (it * shard) % n
-            xr = np.roll(x, -roll, axis=0)
-            yr = np.roll(y, -roll, axis=0)
-            for r in range(p):
-                shards_x.append(xr[r * shard:(r + 1) * shard])
-                shards_y.append(yr[r * shard:(r + 1) * shard])
-        losses: List[List[float]] = [[] for _ in range(p)]
-        errors: List = []
-        threads = [
-            threading.Thread(target=self._worker,
-                             args=(r, shards_x, shards_y, n_iterations,
-                                   losses, errors), daemon=True)
-            for r in range(p)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            rank, exc = errors[0]
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-        mean_losses = [float(np.mean([losses[r][i] for r in range(p)]))
-                       for i in range(n_iterations)]
-        return SyncTrainResult(losses=mean_losses, iterations=n_iterations)
+    def _update(self, comm: Communicator, rank: int) -> None:
+        """Reduce-scatter the gradient, step this rank's shard of the
+        solver, then all-gather the updated weights into the replica."""
+        net, shard = self.nets[rank], self._shards[rank]
+        lo, hi = shard_bounds(self._total, comm.size, rank)
+        flat = flatten_grads(net.params())
+        # Reduce-scatter: rank r keeps only its summed-gradient shard.
+        # (Executed as all-reduce + slice over the thread communicator —
+        # same result, and the cost models charge the true reduce-scatter
+        # schedule.)
+        reduced = np.empty_like(flat)
+        comm.Allreduce(flat, reduced)
+        shard.grad[...] = reduced[lo:hi] / comm.size
+        self.opts[rank].step()
+        updated = np.empty(self._total, dtype=np.float32)
+        self._allgather_shards(comm, rank, updated)
+        unflatten_into(updated, net.params(), target="data")
 
 
 def solver_time_saving(solver_time: float, p: int) -> float:

@@ -7,25 +7,22 @@ group may run ahead of the slowest group by at most ``bound`` iterations,
 otherwise it *blocks*. ``bound=0`` is iteration-level lock-step across
 groups; ``bound=inf`` recovers the paper's hybrid.
 
-This trainer reuses the per-layer PS registry and deterministic
-virtual-time co-simulation of :class:`~repro.distributed.hybrid
-.HybridTrainer`, and additionally records the time each group spends
-blocked — the quantity the staleness bound is traded against. The ablation
-benchmark sweeps ``bound`` to show the trade-off the paper resolves by
-momentum tuning instead.
+:class:`SSPTrainer` is the :class:`~repro.distributed.hybrid.HybridTrainer`
+— same per-layer PS registry, same virtual-time group schedule — with the
+bound as the gate on which groups may start an iteration. It also records
+the time each group spends blocked, the quantity the staleness bound is
+traded against. The ablation benchmark sweeps ``bound`` to show the
+trade-off the paper resolves by momentum tuning instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from repro.core.sequential import Sequential
-from repro.distributed.hybrid import GroupTrace, HybridTrainResult
-from repro.distributed.param_server import PSRegistry
-from repro.utils.rng import SeedLike, spawn_rngs
+from repro.distributed.hybrid import HybridTrainer, HybridTrainResult, _Run
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -39,100 +36,48 @@ class SSPTrainResult(HybridTrainResult):
         return float(sum(self.wait_times))
 
 
-class SSPTrainer:
+class SSPTrainer(HybridTrainer):
     """Compute groups under a stale-synchronous staleness bound.
 
     Interface mirrors :class:`HybridTrainer`: ``net_factory``/
     ``opt_factory`` build per-group replicas and the per-layer PS solvers;
     ``loss_fn(net, x, y) -> (loss, grad_out)``. ``bound`` is the maximum
     number of iterations any group may lead the slowest group by.
+    ``run(..., drift=...)`` scales per-group iteration durations: a
+    straggling group forces the others to block once they hit the bound —
+    the mechanism the protocol is about.
     """
 
     def __init__(self, net_factory: Callable[[], Sequential],
                  opt_factory, loss_fn, n_groups: int, bound: int,
                  iteration_time_fn: Optional[Callable[[int], float]] = None,
                  seed: SeedLike = 0) -> None:
-        if n_groups <= 0:
-            raise ValueError(f"n_groups must be positive, got {n_groups}")
         if bound < 0:
             raise ValueError(f"staleness bound must be >= 0, got {bound}")
-        self.n_groups = n_groups
+        super().__init__(net_factory, opt_factory, loss_fn, n_groups,
+                         iteration_time_fn, seed)
         self.bound = bound
-        self.loss_fn = loss_fn
-        self.iteration_time_fn = iteration_time_fn or (lambda g: 1.0)
-        self.nets = [net_factory() for _ in range(n_groups)]
-        self.registry = PSRegistry(self.nets[0].trainable_layers(),
-                                   opt_factory)
-        self._rngs = spawn_rngs(seed, n_groups)
 
-    def run(self, x: np.ndarray, y: np.ndarray, group_batch: int,
-            n_iterations: int, drift: Optional[Sequence[float]] = None
-            ) -> SSPTrainResult:
-        """Train each group for ``n_iterations`` under the staleness bound.
+    def _next(self, run: _Run) -> Optional[int]:
+        active = [g for g in range(self.n_groups)
+                  if run.done[g] < run.n_iterations]
+        if not active:
+            return None
+        # The bound is enforced against the slowest *running* group;
+        # groups that already finished do not gate anyone.
+        floor = min(run.done[g] for g in active)
+        ready = [g for g in active if run.done[g] - floor <= self.bound]
+        # Groups the last iteration brought inside the bound resume at its
+        # end, the unblocking instant, not at their own (earlier) ready time.
+        t = run.clocks[run.last]
+        for g in run.blocked:
+            if g in ready and t > run.clocks[g]:
+                run.waits[g] += t - run.clocks[g]
+                run.clocks[g] = t
+        run.blocked = [g for g in active if g not in ready]
+        run.last = min(ready, key=lambda g: (run.clocks[g], g))
+        return run.last
 
-        ``drift`` scales per-group iteration durations (a straggling group
-        forces the others to block once they hit the bound — the mechanism
-        the protocol is about).
-        """
-        n = x.shape[0]
-        if group_batch <= 0 or group_batch > n:
-            raise ValueError(
-                f"group_batch must be in [1, {n}], got {group_batch}")
-        if n_iterations <= 0:
-            raise ValueError("n_iterations must be positive")
-        if drift is None:
-            drift = [1.0] * self.n_groups
-        if len(drift) != self.n_groups:
-            raise ValueError("drift needs one factor per group")
-
-        g_count = self.n_groups
-        traces = [GroupTrace(group=g) for g in range(g_count)]
-        layers = [net.trainable_layers() for net in self.nets]
-        versions = [self.registry.pull_into(layers[g]) for g in range(g_count)]
-        clocks = [0.0] * g_count
-        done = [0] * g_count
-        waits = [0.0] * g_count
-
-        def step(g: int) -> None:
-            rng = self._rngs[g]
-            net = self.nets[g]
-            idx = rng.choice(n, size=group_batch, replace=False)
-            net.zero_grad()
-            loss, grad_out = self.loss_fn(net, x[idx], y[idx])
-            net.backward(grad_out, input_grad=False)
-            versions[g] = self.registry.push_from(layers[g], versions[g],
-                                                  group=g)
-            clocks[g] += self.iteration_time_fn(g) * drift[g]
-            traces[g].times.append(clocks[g])
-            traces[g].losses.append(loss)
-            done[g] += 1
-
-        while any(done[g] < n_iterations for g in range(g_count)):
-            active = [g for g in range(g_count) if done[g] < n_iterations]
-            # The bound is enforced against the slowest *running* group;
-            # groups that already finished do not gate anyone.
-            floor = min(done[g] for g in active)
-            eligible = [g for g in active if done[g] - floor <= self.bound]
-            gated = [g for g in active if g not in eligible]
-            # The eligible group furthest behind in virtual time acts next
-            # (deterministic co-simulation, as in HybridTrainer).
-            nxt = min(eligible, key=lambda g: (clocks[g], g))
-            step(nxt)
-            t = clocks[nxt]
-            # Groups that were gated and are now inside the bound resume at
-            # the unblocking instant, not at their own (earlier) ready time.
-            still_active = [g for g in range(g_count)
-                            if done[g] < n_iterations]
-            if still_active:
-                new_floor = min(done[g] for g in still_active)
-                for g in gated:
-                    if done[g] < n_iterations and \
-                            done[g] - new_floor <= self.bound:
-                        if t > clocks[g]:
-                            waits[g] += t - clocks[g]
-                            clocks[g] = t
-
-        return SSPTrainResult(traces=traces,
-                              staleness=self.registry.all_staleness(),
-                              n_groups=g_count,
-                              wait_times=waits)
+    def _result(self, run: _Run) -> SSPTrainResult:
+        return SSPTrainResult(**vars(super()._result(run)),
+                              wait_times=run.waits)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.comm.communicator import Communicator, ThreadWorld
 from repro.core.sequential import Sequential
 from repro.distributed.flatten import flatten_grads, unflatten_into
 from repro.optim.base import Optimizer
+from repro.train.loop import step
 
 
 @dataclass
@@ -60,29 +61,35 @@ class SyncDataParallel:
         """Rank-0 replica (all replicas are identical after each step)."""
         return self.nets[0]
 
-    def _worker(self, rank: int, shards_x: Sequence[np.ndarray],
-                shards_y: Sequence[np.ndarray], n_iterations: int,
-                losses: List[List[float]], errors: List) -> None:
+    def _update(self, comm: Communicator, rank: int) -> None:
+        """Exchange this rank's gradient with the others and update its
+        replica: all-reduce, then the solver step."""
+        params = self.nets[rank].params()
+        flat = flatten_grads(params)
+        reduced = np.empty_like(flat)
+        comm.Allreduce(flat, reduced)
+        reduced /= comm.size  # average of shard-mean gradients
+        unflatten_into(reduced, params, target="grad")
+        self.opts[rank].step()
+
+    def _worker(self, rank: int, x: np.ndarray, y: np.ndarray,
+                n_iterations: int, losses: List[List[float]],
+                errors: List) -> None:
         comm = self.world.comm(rank)
-        net, opt = self.nets[rank], self.opts[rank]
+        n = x.shape[0]
+        shard = n // comm.size
         try:
             for it in range(n_iterations):
-                x = shards_x[it * comm.size + rank]
-                y = shards_y[it * comm.size + rank]
-                net.zero_grad()
-                loss, grad_out = self.loss_fn(net, x, y)
-                net.backward(grad_out, input_grad=False)
-                params = net.params()
-                flat = flatten_grads(params)
-                reduced = np.empty_like(flat)
-                comm.Allreduce(flat, reduced)
-                reduced /= comm.size  # average of shard-mean gradients
-                unflatten_into(reduced, params, target="grad")
-                opt.step()
-                losses[rank].append(loss)
+                # Iterations cycle through the data, shifted one shard per
+                # iteration so ranks see different samples.
+                idx = (np.arange(shard) + (it + rank) * shard) % n
+                losses[rank].append(
+                    step(self.nets[rank], self.loss_fn, x[idx], y[idx]))
+                self._update(comm, rank)
         except Exception as exc:  # propagate to the caller
             errors.append((rank, exc))
-            raise
+            # The other ranks would wait forever on this one's contribution.
+            comm.Abort()
 
     def run(self, x: np.ndarray, y: np.ndarray,
             n_iterations: int) -> SyncTrainResult:
@@ -94,23 +101,12 @@ class SyncDataParallel:
             raise ValueError(f"batch of {n} cannot be split over {p} ranks")
         if n_iterations <= 0:
             raise ValueError("n_iterations must be positive")
-        shard = n // p
-        # Pre-slice shards for each (iteration, rank); iterations reuse the
-        # same data cyclically shifted so ranks see different samples.
-        shards_x, shards_y = [], []
-        for it in range(n_iterations):
-            roll = (it * shard) % n
-            xr = np.roll(x, -roll, axis=0)
-            yr = np.roll(y, -roll, axis=0)
-            for r in range(p):
-                shards_x.append(xr[r * shard:(r + 1) * shard])
-                shards_y.append(yr[r * shard:(r + 1) * shard])
         losses: List[List[float]] = [[] for _ in range(p)]
         errors: List = []
         threads = [
             threading.Thread(target=self._worker,
-                             args=(r, shards_x, shards_y, n_iterations,
-                                   losses, errors), daemon=True)
+                             args=(r, x, y, n_iterations, losses, errors),
+                             daemon=True)
             for r in range(p)
         ]
         for t in threads:
@@ -118,6 +114,8 @@ class SyncDataParallel:
         for t in threads:
             t.join()
         if errors:
+            # The failing rank records its error before it aborts, so the
+            # first entry is the cause, not a peer's broken barrier.
             rank, exc = errors[0]
             raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
         mean_losses = [float(np.mean([losses[r][i] for r in range(p)]))

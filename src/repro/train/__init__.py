@@ -1,6 +1,6 @@
 """Training loops, metrics, and checkpointing."""
 
-from repro.train.loop import TrainHistory, fit_classifier, hep_loss_fn
+from repro.train.loop import TrainHistory, fit_classifier, hep_loss_fn, step
 from repro.train.metrics import (
     accuracy,
     auc,
@@ -20,6 +20,7 @@ __all__ = [
     "SearchResult",
     "fit_classifier",
     "hep_loss_fn",
+    "step",
     "TrainHistory",
     "roc_curve",
     "tpr_at_fpr",

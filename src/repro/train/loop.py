@@ -27,6 +27,16 @@ def hep_loss_fn(net: Sequential, x: np.ndarray,
     return _xent(logits, y)
 
 
+def step(net: Sequential, loss_fn, x: np.ndarray, y: np.ndarray) -> float:
+    """``zero_grad``, ``loss_fn(net, x, y)`` and a backward pass that skips
+    dL/d(input); returns the loss. The gradients stay on the parameters,
+    where ``optimizer.step``, ``flatten_grads`` and ``push_from`` read them."""
+    net.zero_grad()
+    loss, grad = loss_fn(net, x, y)
+    net.backward(grad, input_grad=False)
+    return loss
+
+
 @dataclass
 class TrainHistory:
     losses: List[float] = field(default_factory=list)
@@ -63,11 +73,8 @@ def fit_classifier(net: Sequential, optimizer: Optimizer, x: np.ndarray,
         if lr_schedule is not None:
             optimizer.set_lr(lr_schedule(it))
         idx = rng.choice(n, size=batch, replace=False)
-        net.zero_grad()
-        loss, grad = loss_fn(net, x[idx], y[idx])
-        net.backward(grad, input_grad=False)
+        history.losses.append(step(net, loss_fn, x[idx], y[idx]))
         optimizer.step()
-        history.losses.append(loss)
     return history
 
 

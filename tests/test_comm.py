@@ -160,6 +160,24 @@ class TestThreadWorld:
         run_ranks(world, fn)
         assert all(v == (2, 2.0) for v in results.values())
 
+    def test_abort_releases_a_rank_waiting_in_a_collective(self):
+        world = ThreadWorld(2)
+        raised = []
+
+        def waiting_rank():
+            try:
+                world.comm(1).Allreduce(np.zeros(1), np.zeros(1))
+            except threading.BrokenBarrierError:
+                raised.append(1)
+
+        t = threading.Thread(target=waiting_rank, daemon=True)
+        t.start()
+        world.comm(0).Abort()
+        t.join(timeout=10)
+        assert not t.is_alive() and raised == [1]
+        with pytest.raises(threading.BrokenBarrierError):
+            world.comm(0).Barrier()
+
     def test_allreduce_shape_mismatch(self):
         world = ThreadWorld(1)
         comm = world.comm(0)

@@ -1,6 +1,8 @@
 """Distributed training: flatten utils, sync equivalence, PS semantics,
 hybrid trainer."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.distributed import (
     HybridTrainer,
     ParameterServer,
     PSRegistry,
+    ShardedSolverDataParallel,
     SyncDataParallel,
     flatten_grads,
     flatten_params,
@@ -121,6 +124,51 @@ class TestSyncEquivalence:
             sdp.run(x[:4], y[:4], n_iterations=1)
 
 
+def returns_within(fn, timeout=30.0):
+    """Run ``fn()`` on a daemon thread and return what it raised (``None``
+    if nothing); fail if it is still blocked after ``timeout`` seconds."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001
+            raised.append(exc)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"still blocked after {timeout} s"
+    return raised[0] if raised else None
+
+
+class TestRankFailure:
+    """A rank that raises must not leave the others waiting in a
+    collective for a contribution that never comes."""
+
+    @pytest.mark.parametrize("cls, opt_factory", [
+        (SyncDataParallel, lambda net: SGD(net.params(), lr=0.05)),
+        (ShardedSolverDataParallel, lambda params: SGD(params, lr=0.05)),
+    ], ids=["sync", "sharded"])
+    def test_failing_rank_fails_the_run(self, cls, opt_factory, tiny_data):
+        x, y = tiny_data
+        trainer = cls(ThreadWorld(2), tiny_factory(), opt_factory,
+                      hep_loss_fn)
+        bad = trainer.nets[1]
+
+        def loss_fn(net, xb, yb):
+            if net is bad:
+                raise ArithmeticError("diverged")
+            return hep_loss_fn(net, xb, yb)
+
+        trainer.loss_fn = loss_fn
+        exc = returns_within(lambda: trainer.run(x[:16], y[:16],
+                                                 n_iterations=3))
+        assert isinstance(exc, RuntimeError)
+        assert "rank 1" in str(exc) and "diverged" in str(exc)
+        assert isinstance(exc.__cause__, ArithmeticError)
+
+
 def layer_like(name="fc", shape=(4, 3)):
     """A minimal trainable-layer stand-in for PS tests."""
     from repro.nn.dense import Dense
@@ -199,6 +247,20 @@ class TestHybridTrainer:
         res = tr.run(hep_ds.images[:64], hep_ds.labels[:64],
                      group_batch=8, n_iterations=6)
         assert res.staleness.mean() > 0.5
+
+    def test_no_drift_is_uniform_drift_and_reproducible(self, hep_ds):
+        def run(drift):
+            tr = HybridTrainer(tiny_factory(),
+                               lambda params: Adam(params, lr=1e-3),
+                               hep_loss_fn, n_groups=4, seed=0)
+            res = tr.run(hep_ds.images[:64], hep_ds.labels[:64],
+                         group_batch=8, n_iterations=4, drift=drift)
+            return ([t.times for t in res.traces],
+                    [t.losses for t in res.traces], res.staleness.tolist())
+
+        first = run(None)
+        assert run(None) == first
+        assert run([1.0] * 4) == first
 
     def test_learning_happens(self, hep_ds):
         tr = HybridTrainer(tiny_factory(),

@@ -114,6 +114,19 @@ class TestSyncCounterfactual:
         assert len(losses) == 8
         assert times[-1] == pytest.approx(8.0)
 
+    def test_generator_seed_is_used(self, tiny_ds):
+        def losses(seed):
+            return sync_run_with_failure(
+                lambda: build_hep_net(filters=4, rng=3),
+                lambda params: Adam(params, lr=1e-3),
+                hep_loss_fn, tiny_ds.images, tiny_ds.labels,
+                batch=16, n_iterations=4, iteration_time=1.0,
+                failure_time=1e9, seed=seed)[1]
+
+        first = losses(np.random.default_rng(0))
+        assert losses(np.random.default_rng(0)) == first
+        assert losses(0) == first  # default_rng(0) draws what seed 0 does
+
     def test_hybrid_outlives_sync_under_same_failure(self, tiny_ds):
         """SVIII-A head to head: same failure time, hybrid finishes (minus
         one group), sync does not."""
