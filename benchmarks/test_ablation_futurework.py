@@ -4,11 +4,17 @@
   domain path cross over the im2col GEMM in kernel size?
 - Low-precision training [44-47]: stochastic vs nearest rounding at
   decreasing bit widths ("various forms of stochastic rounding being of
-  critical importance in convergence");
+  critical importance in convergence"), and the output drift of the paper
+  ClimateNet post-training-quantized to int8;
+- Winograd [43] on the paper ClimateNet at a serving batch shape: the
+  real executor's batch time with the banded F(4x4, 3x3) form on and off,
+  the one shape regime ``bench/`` does not cover (few output positions,
+  huge weights);
 - ResNet portability (SIX): the hybrid machinery must accept residual
   models unchanged.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -16,9 +22,24 @@ import pytest
 
 from bench_report import report
 from repro.core.parameter import Parameter
+from repro.models import build_climate_net
 from repro.nn import Conv2D, FFTConv2D, build_resnet
-from repro.optim import Adam, QuantizedGradSGD, SGD
+from repro.optim import (
+    Adam,
+    QuantizedGradSGD,
+    SGD,
+    compile_quantized,
+    output_drift,
+)
+from repro.serve import BatchExecutor
 from repro.train.loop import hep_loss_fn
+
+#: the module (``repro.nn.im2col`` the attribute is the function)
+lowering = sys.modules["repro.nn.im2col"]
+
+#: serving batch shape on the paper ClimateNet (16 input channels)
+BATCH_SHAPE = (8, 16, 64, 64)
+REPEATS = 3
 
 
 def test_fft_conv_crossover(benchmark):
@@ -94,6 +115,64 @@ def test_low_precision_convergence(benchmark):
     s2, n2 = results[2]
     assert s2 <= n2 + 0.25
 
+
+
+@pytest.fixture(scope="module")
+def paper_climate():
+    return build_climate_net(BATCH_SHAPE[1], 3, preset="paper", rng=0).eval()
+
+
+def test_paper_climate_batch_seconds(paper_climate, monkeypatch):
+    """Real executor wall-clock, paper net, serving batch shape, with the
+    layers that took the F(4x4, 3x3) form; the same batch with the form
+    switched off is timed next to it, interleaved. Nothing is asserted on
+    the ratio."""
+    rng = np.random.default_rng(7)
+    samples = [rng.standard_normal(BATCH_SHAPE[1:]).astype(np.float32)
+               for _ in range(BATCH_SHAPE[0])]
+    executor = BatchExecutor(paper_climate)
+    rule, form, took = lowering._winograd, lowering._tile_lowering, []
+
+    def spy(a, x, *rest):
+        took.append(list(x.shape))
+        return form(a, x, *rest)
+
+    monkeypatch.setattr(lowering, "_tile_lowering", spy)
+    out = executor.run_batch(samples)             # warm-up, form on
+    shapes, best = list(took), {True: np.inf, False: np.inf}
+    for _ in range(REPEATS):
+        for on in (True, False):
+            monkeypatch.setattr(lowering, "_winograd",
+                                rule if on else lambda *shape: False)
+            t0 = time.perf_counter()
+            got = executor.run_batch(samples)
+            best[on] = min(best[on], time.perf_counter() - t0)
+    drift = max(float(np.abs(a[key] - b[key]).max())
+                for a, b in zip(out, got) for key in a)
+    report(f"Future work: Winograd on the paper ClimateNet {BATCH_SHAPE}", [
+        ("batch seconds", "-", f"{best[True]:.3f}"),
+        ("... with every conv in the direct form", "-", f"{best[False]:.3f}"),
+        ("inputs that took F(4x4, 3x3)", "enc_conv2", str(shapes)),
+        ("max output difference between the forms", "~1e-6", f"{drift:.1e}"),
+    ])
+    assert shapes == [[8, 64, 32, 32]]
+    assert drift < 1e-3
+
+
+def test_int8_post_training_quantization(paper_climate):
+    """Weights snapped onto int8 grids: bounded output drift on a seeded
+    batch of the serving shape."""
+    rng = np.random.default_rng(0)
+    batch = np.stack([rng.standard_normal(BATCH_SHAPE[1:]).astype(np.float32)
+                      for _ in range(BATCH_SHAPE[0])])
+    qnet = compile_quantized(paper_climate, bits=8)
+    drift = output_drift(paper_climate.forward(batch), qnet.forward(batch))
+    report("Future work: int8 post-training quantization (SVIII-A)", [
+        ("output drift (rel L2)", "< 0.1", f"{drift:.3f}"),
+        ("weight bits", "8", str(qnet.quant_bits)),
+    ])
+    assert qnet.quant_bits == 8
+    assert drift < 0.1
 
 def test_resnet_in_hybrid_machinery(benchmark):
     """SIX: 'our results ... extend to other kinds of models such as

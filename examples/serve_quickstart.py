@@ -310,13 +310,9 @@ def main() -> None:
           "tests/test_autoscale_properties.py, "
           "tests/test_serve_cache_properties.py, "
           "tests/test_serve_multimodel.py, tests/test_serve_obs.py, and "
-          "tests/test_serve_deadline.py pin the scheduler, controller, "
-          "cache, multi-model, trace-conservation, and deadline-"
-          "scheduling invariants; benchmarks/test_serve_variants.py "
-          "holds the paper ClimateNet's base batch time and the int8 "
-          "variant's price, and tests/test_serve_variants.py pins "
-          "variant cache scopes and the overload downgrade / repair "
-          "paths.")
+          "tests/test_serve_deadline.py pin the scheduler, controller "
+          "(node degrade and repair included), cache, multi-model, "
+          "trace-conservation, and deadline-scheduling invariants.")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from repro.optim.async_momentum import (
 )
 from repro.optim.quantize import (
     QuantizedGradSGD,
+    compile_quantized,
+    output_drift,
     quantize_nearest,
     quantize_stochastic,
 )
@@ -38,6 +40,8 @@ __all__ = [
     "implicit_async_momentum",
     "tune_momentum_for_groups",
     "QuantizedGradSGD",
+    "compile_quantized",
+    "output_drift",
     "quantize_nearest",
     "quantize_stochastic",
     "YellowFin",

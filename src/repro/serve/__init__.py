@@ -35,7 +35,7 @@ accounting:
   admission, optional replica affinity, and in-flight request coalescing;
 - :mod:`repro.serve.fast_core` — the flat struct-of-arrays drive loop
   behind ``ServingSimulator(engine="array")``: bit-identical to the event
-  loop on its supported class, ~10x faster at 10^6 requests;
+  loop on its supported class, 5.1-6.3x faster at 10^6 plain requests;
 - :mod:`repro.serve.autoscale` — burst-aware replica autoscaling: a
   discrete-time controller that scales out on broken SLO attainment and in
   on sustained idle occupancy, contending with node failures from
@@ -142,12 +142,6 @@ from repro.serve.slo_sim import (  # noqa: F401
     compare_batching_modes,
     sweep_cache_sizes,
 )
-from repro.serve.variants import (  # noqa: F401
-    VariantPolicy,
-    VariantProfile,
-    compile_quantized,
-    measure_profile,
-)
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -190,17 +184,13 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "UniformPopularity",
-    "VariantPolicy",
-    "VariantProfile",
     "ZipfPopularity",
     "compare_batching_modes",
-    "compile_quantized",
     "content_key",
     "explain",
     "make_arrivals",
     "make_contents",
     "make_model_ids",
-    "measure_profile",
     "plan_batches",
     "poisson_arrivals",
     "reconcile",

@@ -256,8 +256,7 @@ class AutoscalingSimulator(ServingSimulator):
                  order: str = "fifo",
                  cost_aware: bool = False,
                  max_queue_seconds: Optional[float] = None,
-                 engine: str = "event",
-                 variant_policy=None) -> None:
+                 engine: str = "event") -> None:
         self.autoscale = autoscale or AutoscalePolicy()
         initial = (self.autoscale.min_replicas if n_replicas is None
                    else n_replicas)
@@ -278,7 +277,7 @@ class AutoscalingSimulator(ServingSimulator):
                          service_models=service_models, coalesce=coalesce,
                          order=order, cost_aware=cost_aware,
                          max_queue_seconds=max_queue_seconds,
-                         engine=engine, variant_policy=variant_policy)
+                         engine=engine)
         if failures is not None and failure_events is not None:
             raise ValueError(
                 "pass either a FailureModel or explicit failure_events, "
@@ -613,7 +612,6 @@ class AutoscalingSimulator(ServingSimulator):
                           "queue_depth": rec.queue_depth,
                           "n_degraded": rec.n_degraded,
                           "n_repaired": rec.n_repaired})
-            self._variant_attainment_tick(t, rec)
             decision = controller.decide(rec)
             if decision.delta > 0:
                 for _ in range(decision.delta):

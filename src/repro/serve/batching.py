@@ -315,8 +315,8 @@ class ReplicaBatchQueue:
              ) -> Tuple[float, float, int, int]:
         """:meth:`_lane_key` on a ``_keys`` miss, so a key is computed
         once per queue state. ``"slack"`` keys are never kept: they price
-        the batch through the service-time callables, which a variant
-        switch rescales unseen by the queue."""
+        the batch through the service-time callables, which can change
+        their answer unseen by the queue."""
         key = self._lane_key(model, lane)
         if self.order != "slack":
             self._keys[model] = key

@@ -119,8 +119,6 @@ def unsupported_reason(sim) -> Optional[str]:
         return "request coalescing is event-loop only"
     if sim.affinity:
         return "model->replica affinity is event-loop only"
-    if getattr(sim, "variant_policy", None) is not None:
-        return "overload-aware variant serving is event-loop only"
     if sim._tracer is not None or sim._prof is not None:
         return "tracing/profiling hooks instrument the event loop"
     return None

@@ -49,10 +49,6 @@ class ServiceTimeModel:
         self._clamped: Dict[int, float] = {}    # monotone batch_time memo
         self._max_size = 0                      # largest size folded in
         self._running_max = 0.0                 # max raw compute <= _max_size
-        #: variant kind -> measured batch-time multiplier (1/speedup),
-        #: from the variant's VariantProfile — how the simulator sees
-        #: the same speed-for-accuracy trade the real executor measured
-        self.variant_scales: Dict[str, float] = {}
 
     def _raw_compute(self, batch: int) -> float:
         if batch not in self._cache:
@@ -88,23 +84,6 @@ class ServiceTimeModel:
                                                  + self._running_max)
             t = self._clamped[batch]
         return t
-
-    def set_variant_scale(self, kind: str, scale: float) -> None:
-        """Register variant ``kind``'s batch-time multiplier.
-
-        ``scale`` is the measured ``1/speedup`` of the variant's
-        :class:`~repro.serve.variants.VariantProfile` — a fast variant
-        has ``scale < 1``. Capped at 1: a "fast" variant measured slower
-        than base is a configuration error, not a serving mode.
-        """
-        if not 0 < scale <= 1:
-            raise ValueError(
-                f"variant scale must be in (0, 1], got {scale}")
-        self.variant_scales[kind] = float(scale)
-
-    def variant_batch_time(self, kind: str, batch: int) -> float:
-        """Batch service time when serving variant ``kind``."""
-        return self.batch_time(batch) * self.variant_scales[kind]
 
     def request_rtt(self) -> float:
         """Per-request transport: input to the node, prediction back."""

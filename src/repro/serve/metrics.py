@@ -265,17 +265,13 @@ class PerModelStats(_LatencySample):
     n_failed: int = 0
     n_cache_hits: int = 0
     n_coalesced: int = 0
-    #: requests this model admitted while downgraded onto its fast
-    #: variant (``variant_policy`` runs only; 0 otherwise)
-    n_downgraded: int = 0
 
     def __post_init__(self) -> None:
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
         if self.slo <= 0:
             raise ValueError(f"slo must be positive, got {self.slo}")
         if min(self.n_offered, self.n_dropped, self.n_failed,
-               self.n_cache_hits, self.n_coalesced,
-               self.n_downgraded) < 0:
+               self.n_cache_hits, self.n_coalesced) < 0:
             raise ValueError("counts must be non-negative")
         if self.n_completed + self.n_dropped + self.n_failed \
                 > self.n_offered:
@@ -323,17 +319,11 @@ class LatencyStats(_LatencySample):
     scale_events: Optional[List[ScaleEvent]] = None
     #: per-model slices, profile order (None: single-model run)
     models: Optional[List[PerModelStats]] = None
-    #: requests admitted while their model was downgraded onto its fast
-    #: variant (``variant_policy`` runs only; 0 otherwise)
-    n_downgraded: int = 0
-    #: variant up/down switches the run made (``variant_policy`` only)
-    n_variant_switches: int = 0
 
     def __post_init__(self) -> None:
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
         if min(self.n_offered, self.n_dropped, self.n_failed,
-               self.n_cache_hits, self.n_coalesced, self.n_downgraded,
-               self.n_variant_switches) < 0:
+               self.n_cache_hits, self.n_coalesced) < 0:
             raise ValueError("counts must be non-negative")
         if self.n_cache_hits + self.n_coalesced > self.n_completed:
             raise ValueError(

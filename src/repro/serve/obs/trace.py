@@ -66,7 +66,6 @@ FLEET_EVENT_KINDS = (
     "replica_degrade",  # a node slowdown (slow_factor batch multiplier)
     "replica_repair",  # a degraded node restored to full speed
     "drain",        # a graceful replica removal (queued work re-routed)
-    "variant_switch",  # overload (un)downgraded serving onto a variant
 )
 #: run bracketing and cache internals
 RUN_EVENT_KINDS = (

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -96,11 +95,9 @@ class ServableModel:
     """
 
     def __init__(self, name: str, version: int, net,
-                 input_shape: Tuple[int, ...],
-                 variant: Optional[str] = None) -> None:
+                 input_shape: Tuple[int, ...]) -> None:
         self.name = name
         self.version = version
-        self.variant = variant
         self.input_shape = tuple(input_shape)
         net.eval()
         _freeze(net)
@@ -131,22 +128,14 @@ class ServableModel:
         across models (or across versions during a rollout) can never
         return a prediction computed by a *different* frozen net for the
         same input bytes.
-
-        Variant replicas get a scope *distinct from their base version*:
-        a quantized prediction must never satisfy a full-precision cache
-        key for the same input — pinned by the variant cache-scope
-        regression test.
         """
-        if self.variant is None:
-            return (self.name, self.version)
-        return (self.name, self.version, self.variant)
+        return (self.name, self.version)
 
     def param_bytes(self) -> int:
         return self.net.param_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = "" if self.variant is None else f"+{self.variant}"
-        return (f"ServableModel({self.name}:v{self.version}{tag}, "
+        return (f"ServableModel({self.name}:v{self.version}, "
                 f"input={self.input_shape})")
 
 
@@ -172,11 +161,6 @@ class ModelRegistry:
         #: name -> expected state-dict spec {key: shape}, read once off an
         #: undrawn builder() net (shapes only: no weight is drawn or touched)
         self._specs: Dict[str, Dict[str, Tuple[int, ...]]] = {}
-        #: name -> {kind: compiler(net) -> net} — fast-variant builders
-        #: (see repro.serve.variants); applied post-checkpoint by load()
-        self._variants: Dict[str, Dict[str, Callable]] = {}
-        #: (name, kind) -> measured VariantProfile
-        self._variant_profiles: Dict[Tuple[str, str], object] = {}
 
     # -- registration --------------------------------------------------------
     def register(self, name: str, builder: Callable[[], object],
@@ -216,64 +200,6 @@ class ModelRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._builders)
-
-    # -- variants -------------------------------------------------------------
-    def register_variant(self, name: str, kind: str,
-                         compiler: Optional[Callable] = None,
-                         *, bits: int = 8, calibration=None,
-                         profile=None) -> None:
-        """Publish a fast variant of ``name`` as a sibling of every version.
-
-        ``kind`` is any non-empty name; ``compiler`` is the ``net -> net``
-        transform :meth:`load` applies *after* the checkpoint restores the
-        base weights. Only ``"quantized"`` has a built-in one
-        (:func:`~repro.serve.variants.compile_quantized` with
-        ``bits``/``calibration``); any other kind must bring its own.
-
-        Variants are load-time transforms, not stored checkpoints — the
-        base version's ``.npz`` stays the single source of weights, so a
-        republish rolls every variant forward automatically. ``profile``
-        optionally attaches the measured
-        :class:`~repro.serve.variants.VariantProfile` up front
-        (:meth:`set_variant_profile` records one later).
-        """
-        from repro.serve import variants as _v
-        self._require(name)
-        _v.check_kind(kind)
-        kinds = self._variants.setdefault(name, {})
-        if kind in kinds:
-            raise ValueError(
-                f"variant {kind!r} of model {name!r} already registered")
-        if compiler is None:
-            if kind != "quantized":
-                raise ValueError(
-                    f"variant kind {kind!r} has no built-in compiler "
-                    f"(only 'quantized' does): pass compiler=")
-            compiler = partial(_v.compile_quantized, bits=bits,
-                               calibration=calibration)
-        kinds[kind] = compiler
-        if profile is not None:
-            self.set_variant_profile(name, kind, profile)
-
-    def variant_kinds(self, name: str) -> List[str]:
-        """Registered variant kinds of ``name`` (sorted; may be empty)."""
-        self._require(name)
-        return sorted(self._variants.get(name, {}))
-
-    def set_variant_profile(self, name: str, kind: str, profile) -> None:
-        """Record the measured price tag of a registered variant."""
-        if kind not in self._variants.get(name, {}):
-            raise ValueError(
-                f"model {name!r} has no registered variant {kind!r}")
-        self._variant_profiles[(name, kind)] = profile
-
-    def variant_profile(self, name: str, kind: str):
-        """The recorded :class:`~repro.serve.variants.VariantProfile`,
-        or ``None`` when the variant exists but was never measured."""
-        if kind not in self._variants.get(name, {}):
-            raise ValueError(
-                f"model {name!r} has no registered variant {kind!r}")
-        return self._variant_profiles.get((name, kind))
 
     # -- the simulator-facing model set ---------------------------------------
     def profile(self, name: str) -> ModelProfile:
@@ -408,29 +334,12 @@ class ModelRegistry:
             for v in self.versions(name):
                 if v != version:
                     cache.invalidate_scope((name, v))
-                    # Variant replicas of the superseded version are just
-                    # as dead — their scopes are distinct tuples, so each
-                    # needs its own eviction call.
-                    for kind in self._variants.get(name, {}):
-                        cache.invalidate_scope((name, v, kind))
         self.on_publish(_invalidate)
 
-    def load(self, name: str, version: Optional[int] = None,
-             variant: Optional[str] = None) -> ServableModel:
-        """Rebuild ``name`` at ``version`` (default: latest) for serving.
-
-        ``variant`` loads a registered fast variant instead of the base
-        net: the checkpoint restores the base weights first, then the
-        variant's compiler transforms the net, and the returned replica
-        carries a variant-distinct
-        :attr:`~ServableModel.cache_scope`.
-        """
+    def load(self, name: str,
+             version: Optional[int] = None) -> ServableModel:
+        """Rebuild ``name`` at ``version`` (default: latest) for serving."""
         self._require(name)
-        if variant is not None \
-                and variant not in self._variants.get(name, {}):
-            raise ValueError(
-                f"model {name!r} has no registered variant {variant!r} "
-                f"(have {self.variant_kinds(name)})")
         if version is None:
             version = self.latest(name)
         files = self._version_files(name)
@@ -443,7 +352,4 @@ class ModelRegistry:
         with undrawn():
             net = self._builders[name]()
         load_checkpoint(net, files[version])
-        if variant is not None:
-            net = self._variants[name][variant](net)
-        return ServableModel(name, version, net, self._input_shapes[name],
-                             variant=variant)
+        return ServableModel(name, version, net, self._input_shapes[name])

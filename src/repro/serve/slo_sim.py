@@ -72,7 +72,6 @@ from repro.serve.metrics import (
 )
 from repro.serve.registry import ModelProfile
 from repro.serve.router import Router
-from repro.serve.variants import VariantPolicy
 from repro.serve import fast_core
 from repro.sim.workload import Workload
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -198,8 +197,7 @@ class ServingSimulator:
                  order: str = "fifo",
                  cost_aware: bool = False,
                  max_queue_seconds: Optional[float] = None,
-                 engine: str = "event",
-                 variant_policy: Optional[VariantPolicy] = None) -> None:
+                 engine: str = "event") -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if cache_policy not in CACHE_POLICIES:
@@ -286,36 +284,6 @@ class ServingSimulator:
                 workload, node=self.machine.node,
                 cost=self.machine.network.cost)
             self.services = None
-        # -- overload-aware variant serving ------------------------------
-        # Default off; a ``variant_policy=None`` simulator executes the
-        # exact pre-variant instruction stream (the service-time wrapper
-        # is only even constructed when a policy is set), pinned by the
-        # variant differential tests.
-        self.variant_policy = variant_policy
-        self._variant_scales: Optional[List[float]] = None
-        self._mean_request_cost = 0.0
-        if variant_policy is not None:
-            n_m = 1 if self.models is None else len(self.models)
-            self._variant_scales = [self._resolve_variant_scale(m)
-                                    for m in range(n_m)]
-            if variant_policy.queue_threshold is not None \
-                    and not self.cost_aware:
-                # Count-based runs estimate queue *seconds* as backlog
-                # requests x the mix-weighted amortized request cost —
-                # the same unit the cost-aware router tracks natively.
-                costs = self.model_costs()
-                if self.models is None:
-                    self._mean_request_cost = costs[0]
-                else:
-                    self._mean_request_cost = sum(
-                        float(s) * c for s, c in
-                        zip(self.model_mix.shares, costs))
-        self._vt_queue = (variant_policy is not None
-                          and variant_policy.queue_threshold is not None)
-        self._variant_on: List[bool] = []
-        self._variant_any = False
-        self._n_downgraded: List[int] = []
-        self._n_variant_switches = 0
         self.cache_size = cache_size
         self.cache_policy = cache_policy
         self._cstate: Optional[_CacheRun] = None
@@ -450,113 +418,11 @@ class ServingSimulator:
                 kw["max_queue_seconds"] = self.max_queue * mean_cost
         return kw
 
-    # -- overload-aware variant serving --------------------------------------
-    def _resolve_variant_scale(self, m: int) -> float:
-        """Model ``m``'s variant batch-time multiplier: the policy's
-        explicit ``time_scale``, else the scale its service model
-        registered for the policy's kind (the measured ``1/speedup`` of
-        the variant's profile)."""
-        pol = self.variant_policy
-        if pol.time_scale is not None:
-            return float(pol.time_scale)
-        svc = self.service if self.models is None else self.services[m]
-        scales = getattr(svc, "variant_scales", None) or {}
-        if pol.kind not in scales:
-            raise ValueError(
-                f"variant_policy has no time_scale and the service model "
-                f"for model {m} has no registered scale for kind "
-                f"{pol.kind!r} — set VariantPolicy.time_scale or call "
-                f"ServiceTimeModel.set_variant_scale")
-        return float(scales[pol.kind])
-
-    def _variant_svc(self, m: int, base):
-        """Service-time wrapper: the variant scale applies to batches
-        committed while model ``m`` is downgraded. Only constructed when
-        a policy is set — the disabled path never touches it."""
-        scale = self._variant_scales[m]
-
-        def svc(b: int) -> float:
-            t = base(b)
-            if self._variant_on and self._variant_on[m]:
-                return t * scale
-            return t
-        return svc
-
-    def _queue_seconds(self, router: Router, t: float) -> float:
-        """Fleet backlog in estimated service seconds at ``t`` — the
-        cost-aware router's native unit, or backlog requests times the
-        mix-weighted amortized cost on count-based runs."""
-        backlog = router.total_backlog(t)
-        if self.cost_aware:
-            return backlog
-        return backlog * self._mean_request_cost
-
-    def _variant_queue_tick(self, router: Router, t: float) -> None:
-        """Flip the fleet onto (or back off) the fast variant on the
-        queue-seconds trigger, with hysteresis: downgrade at the
-        threshold, revert only once backlog has drained to ``hysteresis
-        x threshold`` — a band, not an edge, so borderline load doesn't
-        flap every arrival."""
-        pol = self.variant_policy
-        q = self._queue_seconds(router, t)
-        if not self._variant_any:
-            if q >= pol.queue_threshold:
-                self._set_variant(t, True, {"queue_seconds": q})
-        elif q <= pol.hysteresis * pol.queue_threshold:
-            self._set_variant(t, False, {"queue_seconds": q})
-
-    def _set_variant(self, t: float, on: bool, signals: dict) -> None:
-        """Switch every model's serving variant (the queue trigger is a
-        fleet-wide signal); traces carry the direction and the signal."""
-        for m in range(len(self._variant_on)):
-            self._variant_on[m] = on
-        self._variant_any = on
-        self._n_variant_switches += 1
-        if self._tracer is not None:
-            self._tracer.emit(
-                "variant_switch", t,
-                data={"to": self.variant_policy.kind if on else "base",
-                      **signals})
-
-    def _variant_attainment_tick(self, t: float, rec) -> None:
-        """Per-model attainment trigger, checked at autoscale epoch
-        closes: a model downgrades when its observed attainment drops
-        below the threshold, reverts once it recovers to
-        ``recover_attainment``. NaN attainment (nothing judged) holds
-        the current state."""
-        pol = self.variant_policy
-        if pol is None or pol.attainment_threshold is None \
-                or not self._variant_on:
-            return
-        atts = (rec.model_attainment if rec.model_attainment is not None
-                else (rec.attainment,))
-        for m, att in enumerate(atts):
-            if math.isnan(att):
-                continue
-            if not self._variant_on[m] and att < pol.attainment_threshold:
-                self._variant_on[m] = True
-                self._n_variant_switches += 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "variant_switch", t, model=m,
-                        data={"to": pol.kind, "attainment": att})
-            elif self._variant_on[m] and att >= pol.recover_at:
-                self._variant_on[m] = False
-                self._n_variant_switches += 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "variant_switch", t, model=m,
-                        data={"to": "base", "attainment": att})
-        self._variant_any = any(self._variant_on)
-
     def _make_router(self, on_commit=None) -> Router:
         """Router factory — the reference (pre-PR) simulator overrides this
         to route with the O(R) linear scans for the differential tests."""
         if self.models is not None:
             fns = self.services.batch_time_fns()
-            if self.variant_policy is not None:
-                fns = [self._variant_svc(m, fn)
-                       for m, fn in enumerate(fns)]
             return Router(self.machine, self.n_replicas, self.policy,
                           fns[0],
                           max_queue=self.max_queue,
@@ -565,11 +431,8 @@ class ServingSimulator:
                           model_weights=[p.weight for p in self.models],
                           affinity=self.affinity, tracer=self._tracer,
                           **self._scheduling_kwargs())
-        svc = self.service.batch_time
-        if self.variant_policy is not None:
-            svc = self._variant_svc(0, svc)
         return Router(self.machine, self.n_replicas, self.policy,
-                      svc, max_queue=self.max_queue,
+                      self.service.batch_time, max_queue=self.max_queue,
                       strategy=self.strategy, on_commit=on_commit,
                       tracer=self._tracer, **self._scheduling_kwargs())
 
@@ -665,14 +528,6 @@ class ServingSimulator:
         """
         self._tracer = tracer
         self._prof = prof = profiler
-        if self.variant_policy is not None:
-            # Fresh per run: a sweep's high-rate point must not inherit
-            # the previous point's downgraded state or its counters.
-            n_m = 1 if self.models is None else len(self.models)
-            self._variant_on = [False] * n_m
-            self._variant_any = False
-            self._n_downgraded = [0] * n_m
-            self._n_variant_switches = 0
         span = (prof.span if prof is not None
                 else (lambda name: _NULL_SPAN))
         try:
@@ -793,16 +648,8 @@ class ServingSimulator:
                              {"leader": leader}))
                     return
         model = 0 if mids is None else mids[request_id]
-        if self._vt_queue:
-            # Checked here — after cache handling, immediately before
-            # admission — so the router sync it implies happens exactly
-            # where submit would sync anyway: the disabled-policy and
-            # never-triggering runs stay bit-identical.
-            self._variant_queue_tick(router, t)
         if router.submit(t, request_id, model):
             admitted[request_id] = t
-            if self._variant_on and self._variant_on[model]:
-                self._n_downgraded[model] += 1
             if cstate is not None and self.coalesce:
                 cstate.inflight[key] = request_id
 
@@ -932,12 +779,6 @@ FastRun`), falling back to this loop — bit-identically — otherwise.
         if self.models is not None:
             stats.models = self._per_model_stats(
                 router, admitted, hits, coalesced, latencies, which, rtts)
-        if self.variant_policy is not None:
-            stats.n_downgraded = sum(self._n_downgraded)
-            stats.n_variant_switches = self._n_variant_switches
-            if stats.models is not None:
-                for m, pm in enumerate(stats.models):
-                    pm.n_downgraded = self._n_downgraded[m]
         return stats
 
     def _per_model_stats(self, router: Router, admitted: dict, hits: dict,

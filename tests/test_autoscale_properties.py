@@ -41,6 +41,7 @@ from repro.serve import (
     Router,
     ScaleEvent,
     ServingSimulator,
+    Tracer,
     make_arrivals,
 )
 from repro.utils.rng import as_rng
@@ -414,6 +415,81 @@ class TestFailureRecovery:
         # grows the fleet — the whole point of not dropping the event.
         assert actions[0] == "degrade"
         assert "scale_out" in actions
+
+
+def _auto(events=None, max_replicas=2, n_requests=1600, rate=1600.0,
+          seed=5):
+    sim = AutoscalingSimulator(
+        service_model=FakeService(),
+        autoscale=AutoscalePolicy(min_replicas=2, max_replicas=max_replicas,
+                                  target_attainment=0.95, epoch=0.1),
+        policy=BatchingPolicy(max_batch=8, max_wait=1e-3),
+        max_queue=64, failure_events=events)
+    return sim.run(rate=rate, n_requests=n_requests, seed=seed)
+
+
+def _same_run(a, b):
+    assert np.array_equal(a.latencies, b.latencies)
+    assert np.array_equal(a.batch_sizes, b.batch_sizes)
+    assert (a.n_offered, a.n_dropped, a.n_failed) == \
+               (b.n_offered, b.n_dropped, b.n_failed)
+
+
+class TestRepair:
+    def test_failure_event_validation(self):
+        ev = FailureEvent(time=1.0, node_id=0, kind="repair")
+        assert ev.slow_factor == 1.0
+        with pytest.raises(ValueError):
+            FailureEvent(time=1.0, node_id=0, kind="repair",
+                         slow_factor=2.0)
+        with pytest.raises(ValueError):
+            FailureEvent(time=1.0, node_id=0, kind="reboot")
+
+    def test_repaired_fleet_scales_back_in(self):
+        """Regression: degrade doubles the fleet; after the repair undoes
+        the slowdown the autoscaler must scale back toward min."""
+        events = [FailureEvent(time=0.15, node_id=0, kind="degrade",
+                               slow_factor=4.0),
+                  FailureEvent(time=0.6, node_id=0, kind="repair")]
+        r = _auto(events=events, max_replicas=6, rate=1000.0,
+                  n_requests=3000)
+        repairs = [e for e in r.scale_events if e.action == "repair"]
+        assert len(repairs) == 1
+        assert repairs[0].delta == 0
+        assert repairs[0].reason.cause == "node_repair"
+        assert sum(e.n_repaired for e in r.epochs) == 1
+        # n_degraded is a gauge: one slow replica while degraded, none
+        # after the repair lands.
+        assert max(e.n_degraded for e in r.epochs) == 1
+        assert r.epochs[-1].n_degraded == 0
+        # The fleet grew to absorb the slow replica, then came back down.
+        sizes = [e.n_replicas for e in r.epochs]
+        assert max(sizes) > 2
+        assert sizes[-1] < max(sizes)
+
+    def test_repair_without_degrade_is_noop(self):
+        """Repairing a healthy replica neither counts nor changes the
+        run; the event is recorded but n_repaired stays zero."""
+        events = [FailureEvent(time=0.3, node_id=0, kind="repair")]
+        r0 = _auto(rate=800.0, n_requests=1200)
+        r1 = _auto(events=events, rate=800.0, n_requests=1200)
+        assert sum(e.n_repaired for e in r1.epochs) == 0
+        _same_run(r0, r1)
+
+    def test_repair_traced(self):
+        from repro.serve.router import Router
+        from repro.cluster.machine import cori
+        tr = Tracer()
+        router = Router(cori(seed=0, jitter=False), 2, BatchingPolicy(),
+                        lambda b: 0.01, tracer=tr)
+        router.degrade_replica(0.0, 0, 3.0)
+        rep = router.repair_replica(1.0, 0)
+        assert rep.queue.slow_factor == 1.0
+        evs = [e for e in tr.events if e.kind == "replica_repair"]
+        assert len(evs) == 1
+        assert evs[0].data["undone_slow_factor"] == 3.0
+        # idempotent: repairing again undoes nothing
+        assert router.repair_replica(2.0, 0).queue.slow_factor == 1.0
 
 
 class TestValidation:

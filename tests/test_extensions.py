@@ -6,14 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Sequential
 from repro.core.parameter import Parameter
-from repro.nn import Conv2D, FFTConv2D, ResidualBlock, build_resnet
+from repro.nn import (
+    Conv2D,
+    Deconv2D,
+    FFTConv2D,
+    MaxPool2D,
+    ReLU,
+    ResidualBlock,
+    build_resnet,
+)
 from repro.optim import (
     QuantizedGradSGD,
     SGD,
+    compile_quantized,
+    output_drift,
     quantize_nearest,
     quantize_stochastic,
 )
+from repro.optim.quantize import _wrapped_forwards, quantization_step
 from repro.train import grid_search, random_search
 
 
@@ -130,6 +142,262 @@ class TestQuantization:
         with pytest.raises(ValueError):
             QuantizedGradSGD([Parameter(np.zeros(1), "w")], lr=0.1,
                              mode="nope")
+
+
+def tiny_net(rng=0):
+    """A minimal net: two convs and a deconv."""
+    return Sequential([
+        Conv2D(2, 4, 3, stride=1, name="c3", rng=rng),
+        ReLU(),
+        Conv2D(4, 4, 5, stride=1, pad=2, name="c5", rng=rng),
+        Deconv2D(4, 2, 4, stride=2, pad=1, name="up", rng=rng),
+    ], name="tiny")
+
+
+SHAPE = (2, 2, 8, 8)
+
+
+def _x(rng, shape=SHAPE):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+class TestQuantized:
+    def test_weights_on_symmetric_grid(self):
+        bits = 4
+        qnet = compile_quantized(tiny_net().eval(), bits=bits)
+        assert qnet.quant_bits == bits
+        for p in qnet.params():
+            if not p.data.size or not np.abs(p.data).max():
+                continue
+            scale = np.abs(p.data).max()
+            levels = 2 ** (bits - 1) - 1
+            steps = p.data / (scale / levels)
+            np.testing.assert_allclose(steps, np.round(steps), atol=1e-4)
+            assert len(np.unique(p.data)) <= 2 ** bits - 1
+
+    def test_base_net_untouched(self):
+        net = tiny_net().eval()
+        before = {k: v.copy() for k, v in net.state_dict().items()}
+        compile_quantized(net, bits=3)
+        for k, v in net.state_dict().items():
+            np.testing.assert_array_equal(v, before[k])
+
+    def test_drift_shrinks_with_bits(self, rng):
+        net = tiny_net().eval()
+        x = _x(rng)
+        ref = net.forward(x)
+        drift = [output_drift(ref, compile_quantized(net, bits=b).forward(x))
+                 for b in (3, 8)]
+        assert drift[1] < drift[0]
+        assert drift[1] < 0.05
+
+    def test_calibration_records_activation_scales(self, rng):
+        net = tiny_net().eval()
+        qnet = compile_quantized(net, bits=8, calibration=_x(rng))
+        assert qnet.activation_scales          # every leaf saw the batch
+        assert all(s > 0 for s in qnet.activation_scales.values())
+        qnet.forward(_x(rng))                  # wrapped forwards still run
+
+    def test_rejects_tiny_bits(self):
+        with pytest.raises(ValueError, match="bits"):
+            compile_quantized(tiny_net(), bits=1)
+
+
+class TestQuantizerBoundary:
+    """A grid needs an integer bit width, a finite scale and finite
+    weights; anything else is refused by name instead of quantizing onto
+    a lattice that is not one."""
+
+    @pytest.mark.parametrize("bits", [2.5, 8.0, "8"])
+    def test_non_integer_bits_refused(self, bits):
+        with pytest.raises(ValueError, match="integer"):
+            quantization_step(1.0, bits)
+        with pytest.raises(ValueError, match="integer"):
+            compile_quantized(tiny_net(), bits=bits)
+        with pytest.raises(ValueError, match="integer"):
+            QuantizedGradSGD([Parameter(np.zeros(1), "w")], lr=0.1,
+                             bits=bits)
+
+    def test_numpy_integer_bits_accepted(self):
+        assert quantization_step(1.0, np.int64(8)) == \
+            quantization_step(1.0, 8)
+        net = tiny_net().eval()
+        a = compile_quantized(net, bits=np.int32(4))
+        b = compile_quantized(net, bits=4)
+        assert a.quant_bits == 4 and type(a.quant_bits) is int
+        for pa, pb in zip(a.params(), b.params()):
+            np.testing.assert_array_equal(pa.data, pb.data)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale_refused(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            quantization_step(scale, 8)
+        with pytest.raises(ValueError, match="scale"):
+            quantize_nearest(np.ones(3, dtype=np.float32), 8, scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_named(self, bad):
+        net = tiny_net().eval()
+        weight = net.layers[2].weight
+        weight.data[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match=weight.name):
+            compile_quantized(net, bits=8)
+
+
+class TestPostTrainingQuantization:
+    """What a PTQ copy is: a separate eval net whose every tensor sits on
+    its own grid, with the base net and its forwards left as they were."""
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_each_tensor_keeps_its_extremes_on_the_grid(self, bits):
+        net = tiny_net().eval()
+        qnet = compile_quantized(net, bits=bits)
+        for p, q in zip(net.params(), qnet.params()):
+            peak = float(np.abs(p.data).max())
+            if not peak:
+                continue
+            assert float(np.abs(q.data).max()) == pytest.approx(peak,
+                                                                rel=1e-6)
+            assert len(np.unique(q.data)) <= 2 ** bits - 1
+
+    def test_requantizing_moves_nothing(self):
+        once = compile_quantized(tiny_net().eval(), bits=4)
+        twice = compile_quantized(once, bits=4)
+        for a, b in zip(once.params(), twice.params()):
+            np.testing.assert_allclose(b.data, a.data, rtol=0, atol=1e-6)
+
+    def test_all_zero_tensors_stay_zero(self):
+        net = tiny_net().eval()
+        biases = [p for p in net.params() if p.name.endswith(".bias")]
+        assert biases and not any(np.abs(b.data).max() for b in biases)
+        qnet = compile_quantized(net, bits=8)
+        for p in qnet.params():
+            if p.name.endswith(".bias"):
+                np.testing.assert_array_equal(p.data, 0.0)
+            assert p.data.dtype == np.float32
+
+    def test_train_mode_net_compiles_to_an_eval_copy(self):
+        net = tiny_net().train()
+        qnet = compile_quantized(net, bits=8)
+        assert net.training and not qnet.training
+
+    def test_calibration_batches_take_the_peak(self, rng):
+        net = tiny_net().eval()
+        a, b = _x(rng), 3.0 * _x(rng)
+        both = compile_quantized(net, bits=8, calibration=[a, b])
+        each = [compile_quantized(net, bits=8, calibration=x).activation_scales
+                for x in (a, b)]
+        assert both.activation_scales == {
+            name: max(each[0][name], each[1][name]) for name in each[0]}
+
+    def test_calibration_leaves_the_base_forwards_alone(self, rng):
+        net = tiny_net().eval()
+        x = _x(rng)
+        ref = net.forward(x)
+        compile_quantized(net, bits=4, calibration=_x(rng))
+        assert not any("forward" in vars(layer) for layer in net.layers)
+        np.testing.assert_array_equal(net.forward(x), ref)
+
+    def test_a_frozen_serving_replica_quantizes_as_a_copy(self, tmp_path,
+                                                           rng):
+        """PTQ of a loaded replica is a separate net; the replica keeps
+        serving its published weights and stays read-only."""
+        from repro.serve import ModelRegistry
+        reg = ModelRegistry(tmp_path)
+        reg.register("tiny", tiny_net, (2, 8, 8))
+        reg.publish("tiny", tiny_net(rng=7))
+        replica = reg.load("tiny")
+        x = _x(rng)
+        ref = replica.forward(x)
+        qnet = compile_quantized(replica.net, bits=3, calibration=x)
+        assert output_drift(ref, qnet.forward(x)) > 0
+        np.testing.assert_array_equal(replica.forward(x), ref)
+        assert not replica.net.layers[0].weight.data.flags.writeable
+
+
+class TestOutputDrift:
+    def test_identical_outputs_do_not_drift(self, rng):
+        out = _x(rng)
+        assert output_drift(out, out.copy()) == 0.0
+
+    def test_relative_l2_of_one_head(self):
+        base = np.array([3.0, 4.0], dtype=np.float32)
+        assert output_drift(base, base + [0.0, 1.0]) == pytest.approx(0.2)
+
+    def test_heads_are_averaged_and_a_zero_head_counts_zero(self):
+        base = {"cls": np.array([1.0, 0.0]), "box": np.zeros(3)}
+        quant = {"cls": np.array([1.0, 1.0]), "box": np.ones(3)}
+        assert output_drift(base, quant) == pytest.approx(0.5)
+
+    def test_head_structure_mismatch_refused(self):
+        base = {"cls": np.ones(2), "box": np.ones(3)}
+        with pytest.raises(ValueError, match="head"):
+            output_drift(base, {"cls": np.ones(2)})
+
+
+def pooled_net(rng=0):
+    """conv -> ReLU -> pool, twice: the groups an eval ``Sequential`` fuses."""
+    return Sequential([
+        Conv2D(2, 4, 3, name="c1", rng=rng), ReLU(name="r1"),
+        MaxPool2D(2, name="p1"),
+        Conv2D(4, 4, 3, name="c2", rng=rng + 1), ReLU(name="r2"),
+        MaxPool2D(2, name="p2"),
+    ], name="pooled").eval()
+
+
+class TestHooksKeepTheLayerBoundary:
+    """A hook that needs a layer's own output never lets that layer fuse
+    with its followers: it sees the tensors of the layer-by-layer net."""
+
+    X_SHAPE = (2, 2, 16, 16)
+
+    @staticmethod
+    def by_hand(net, x, after=lambda layer, out: out):
+        """``{name: (input, output)}`` of a hand-written layer loop, in
+        the order ``net.forward`` runs (``p1`` before ``r1``)."""
+        seen = {}
+        for layer in net.schedule():
+            out = after(layer, layer.forward(x))
+            seen[layer.name] = (x, out)
+            x = out
+        return seen
+
+    def test_wrapped_forwards_see_whole_tensors(self, rng):
+        net, x = pooled_net(), _x(rng, self.X_SHAPE)
+        want = self.by_hand(net, x)
+        seen = {}
+
+        def capture(layer, orig):
+            def forward(inp):
+                seen[layer.name] = (inp, orig(inp))
+                return seen[layer.name][1]
+            return forward
+
+        with _wrapped_forwards(net.layers, capture):
+            out = net.forward(x)
+        assert "forward" not in vars(net.layers[0])
+        np.testing.assert_array_equal(out, want["r2"][1])
+        assert list(seen) == list(want) == ["c1", "p1", "r1", "c2", "p2", "r2"]
+        for name in want:
+            for got, ref in zip(seen[name], want[name]):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_quantized_calibrates_and_quantizes_each_layers_own_output(
+            self, rng):
+        net, calib = pooled_net(), _x(rng, self.X_SHAPE)
+        bits = 6
+        qnet = compile_quantized(net, bits=bits, calibration=calib)
+        # By hand: the weight-quantized net run layer by layer gives each
+        # leaf's calibration peak; fake-quant then applies leaf by leaf.
+        ref = compile_quantized(net, bits=bits)
+        peaks = {name: float(np.abs(out).max())
+                 for name, (_, out) in self.by_hand(ref, calib).items()}
+        assert qnet.activation_scales == peaks
+        x = _x(rng, self.X_SHAPE)
+        want = self.by_hand(
+            ref, x, lambda layer, out: quantize_nearest(out, bits,
+                                                        peaks[layer.name]))
+        np.testing.assert_array_equal(qnet.forward(x), want["r2"][1])
 
 
 class TestResidual:

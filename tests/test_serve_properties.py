@@ -226,8 +226,8 @@ _DT = st.sampled_from([0.0, 1e-3, 4e-3, 3e-2])
 @given(data=st.data())
 def test_lane_keys_are_never_stale(order, data):
     """After every push / advance / degrade / repair / evict / abort — and
-    every rescaling of the service-time callables behind the queue's back,
-    which is what a variant switch does — each kept lane key equals a
+    every rescaling of the service-time callables behind the queue's back
+    (any callable may change its answer) — each kept lane key equals a
     freshly computed one and ``next_launch`` is the fresh minimum, and so
     is the instant a push or an advance returns (the router schedules
     launch events from it, never from a ``next_launch`` scan)."""
