@@ -16,6 +16,7 @@
 
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,19 +132,24 @@ def test_paper_climate_batch_seconds(paper_climate, monkeypatch):
     samples = [rng.standard_normal(BATCH_SHAPE[1:]).astype(np.float32)
                for _ in range(BATCH_SHAPE[0])]
     executor = BatchExecutor(paper_climate)
-    rule, form, took = lowering._winograd, lowering._tile_lowering, []
+    plan, took = lowering.plan, []
 
-    def spy(a, x, *rest):
-        took.append(list(x.shape))
-        return form(a, x, *rest)
+    def spy(op, x_shape, *rest):
+        made = plan(op, x_shape, *rest)
+        if made.form == "winograd":
+            took.append(list(x_shape))
+        return made
 
-    monkeypatch.setattr(lowering, "_tile_lowering", spy)
+    def direct(*args):          # the plan where the multiplies rule says no
+        with mock.patch.object(lowering, "_winograd", lambda *shape: False):
+            return plan(*args)
+
+    monkeypatch.setattr(lowering, "plan", spy)
     out = executor.run_batch(samples)             # warm-up, form on
     shapes, best = list(took), {True: np.inf, False: np.inf}
     for _ in range(REPEATS):
         for on in (True, False):
-            monkeypatch.setattr(lowering, "_winograd",
-                                rule if on else lambda *shape: False)
+            monkeypatch.setattr(lowering, "plan", plan if on else direct)
             t0 = time.perf_counter()
             got = executor.run_batch(samples)
             best[on] = min(best[on], time.perf_counter() - t0)

@@ -5,9 +5,10 @@ lowering form each conv / deconv took, as tabled in the README's "Where a ...
 goes" sections. Run
 ``PYTHONPATH=src python examples/where_a_step_goes.py --net hybrid``.
 
-In an eval forward a conv's followers run inside its row, on bands. A
-max-pool the Winograd form took in place (its 4x4 blocks pooled before they
-are woven) never has its ``forward`` called, so it has no row: its conv reads
+The forms are the plans ``repro.nn.im2col.plan`` made, a pass each. In an
+eval forward a conv's followers run inside its row, on bands. A max-pool the
+Winograd form took in place (its 4x4 blocks pooled before they are woven)
+never has its ``forward`` called, so it has no row: its conv reads
 ``winograd, pooled``."""
 import argparse
 import sys
@@ -26,11 +27,6 @@ SHAPES = {"hep_train": (8, 64, 128, lambda p: Adam(p, lr=1e-3)),
           "hep_infer": (2, 224, 128, None),
           "climate_infer": (2, 256, None, None)}
 
-#: ``nn.im2col`` function -> the form of a pass that calls it (none: direct)
-FORMS = {"_tile_lowering": "winograd", "_tile_outer": "winograd",
-         "_row_lowering": "separable", "_separable_col2im": "separable",
-         "im2col": "one-shot", "col2im": "one-shot"}
-
 
 def climate_net(width=1 / 4):
     """``bench/workloads.py::ClimateInfer``'s net."""
@@ -42,8 +38,10 @@ def climate_net(width=1 / 4):
 
 def timed(fn, key, spent, forms=None):
     """``fn``, booking its time, less what its callees book, in ``spent``,
-    and under ``key`` the entries it adds to ``forms[None]``: a backward's
-    by pass, ``w`` the weight gradient and ``d`` the data gradient."""
+    and under ``key`` the forms of the plans it made (``forms[None]``): a
+    backward's by pass, ``w`` the weight gradient and ``d`` the data
+    gradient. A weight gradient on the columns a one-shot forward kept
+    plans nothing: it is the GEMM alone, ``direct``."""
     def call(*args, **kwargs):
         booked, start = sum(spent.values()), time.perf_counter()
         mark = forms and len(forms[None])
@@ -66,12 +64,14 @@ def timed(fn, key, spent, forms=None):
     return call
 
 
-def noting(fn, form, forms):
-    def call(*args, **kwargs):
-        # the weight gradient's lowering is the one lowered_outer calls
-        by = sys._getframe(1).f_code.co_name
-        forms[None].append(("w" if by == "lowered_outer" else "d", form))
-        return fn(*args, **kwargs)
+def noting(plan, made):
+    """``plan``, noting the form of each plan in ``made`` by the pass its
+    ``op`` serves: ``w`` the weight gradient's ``lowered_outer``, else ``d``."""
+    def call(op, *args):
+        planned = plan(op, *args)
+        made.append(("w" if op.__name__ == "lowered_outer" else "d",
+                     planned.form))
+        return planned
     return call
 
 
@@ -94,9 +94,7 @@ if __name__ == "__main__":
     optimizer = make_optimizer(net.params()) if make_optimizer else net.eval()
     spent, steps, forms = {}, [], {None: []}
     lowering = sys.modules["repro.nn.im2col"]   # the attribute is a function
-    for name in FORMS.keys() & vars(lowering).keys():
-        setattr(lowering, name,
-                noting(getattr(lowering, name), FORMS[name], forms))
+    lowering.plan = noting(lowering.plan, forms[None])
     for mod in layers:          # a fused eval follower runs inside its conv
         for a in ("forward", "backward"):
             setattr(mod, a, timed(

@@ -7,14 +7,12 @@ re-packs an activation. Lowering and GEMM are one call into ``nn.im2col``'s
 fused forms, which run them band by band over the output rows: forward is
 ``lowered_matmul``, the weight gradient ``lowered_outer``, the data gradient
 ``matmul_col2im`` or, at stride 1, the convolution it is (``Conv2D.backward``
-picks by operand shapes). A layer too big for one band therefore never holds
-its column matrix, in training or in eval: ``backward`` lowers the cached
-input again, a band at a time. Only a small layer goes in one shot, and its
-training forward keeps the columns it built. A banded layer with few
-filters (``enc_conv1``: 16 -> 16, 5x5/2) takes ``nn.im2col``'s separable form,
-a banded 3x3 / stride-1 one with channels and tiles enough (HEP ``conv2``,
-128 -> 128 at 112x112) its Winograd F(4x4, 3x3) form in all three passes:
-forward, data gradient and weight gradient.
+picks by operand shapes). A layer too big for one band never holds its
+column matrix: ``backward`` lowers the cached input again, a band at a time;
+a small one goes in one shot, and its training forward keeps the columns.
+``nn.im2col.plan`` picks each pass's form: separable for few filters
+(``enc_conv1``: 16 -> 16, 5x5/2), Winograd F(4x4, 3x3) for a 3x3 / stride-1
+layer with channels and tiles enough (HEP ``conv2``, 128 -> 128 at 112x112).
 
 In eval, ``forward(x, then)`` is the head of a **fused group**: bias and the
 band-local layers ``then`` (``core.Sequential`` collects them) are applied
@@ -32,7 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.initializers import he_normal, zeros
-from repro.core.module import Module, check_grad_out, run_layers
+from repro.core.module import (
+    Module, check_grad_out, check_sizes, run_layers)
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
     check_input, conv_output_size, lowered_matmul, lowered_outer,
@@ -56,18 +55,13 @@ class Conv2D(Module):
                  stride: int = 1, pad: Optional[int] = None,
                  name: Optional[str] = None, rng: SeedLike = None) -> None:
         super().__init__(name=name or "conv")
-        if in_channels <= 0 or out_channels <= 0 or kernel_size <= 0:
-            raise ValueError("channels and kernel_size must be positive")
-        if stride <= 0:
-            raise ValueError(f"stride must be positive, got {stride}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
+        (self.in_channels, self.out_channels, self.kernel_size,
+         self.stride) = check_sizes(
+            self.name, in_channels=in_channels, out_channels=out_channels,
+            kernel_size=kernel_size, stride=stride)
         # Default padding preserves spatial size for stride 1 ("same").
-        self.pad = (kernel_size - 1) // 2 if pad is None else pad
-        if self.pad < 0:
-            raise ValueError(f"pad must be non-negative, got {self.pad}")
+        self.pad, = check_sizes(
+            self.name, pad=(kernel_size - 1) // 2 if pad is None else pad)
 
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(
@@ -104,8 +98,8 @@ class Conv2D(Module):
             self._cache = None
             if pool:        # its eval state, whether or not its forward runs
                 pool._cache = None
-            return lowered_matmul(w_mat, x, k, k, s, p, epilogue, f, pool)[0]
-        out, cols = lowered_matmul(w_mat, x, k, k, s, p)  # (N, F, oh, ow)
+            return lowered_matmul(w_mat, x, k, s, p, epilogue, f, pool)[0]
+        out, cols = lowered_matmul(w_mat, x, k, s, p)  # (N, F, oh, ow)
         out += bias
         # The one cache slot: the input, and the columns where the forward
         # built them in one shot. Eval-mode forwards (inference serving)
@@ -135,7 +129,7 @@ class Conv2D(Module):
         k, s, p = self.kernel_size, self.stride, self.pad
         weight = self.weight.data
         g = grad_out.reshape(x.shape[0], self.out_channels, -1)  # (N, F, oh*ow)
-        self.weight.grad += lowered_outer(g, x, k, k, s, p, cols) \
+        self.weight.grad += lowered_outer(g, x, k, s, p, cols) \
             .reshape(weight.shape)
         self.bias.grad += g.sum(axis=(0, 2))
         if not input_grad:
@@ -143,9 +137,9 @@ class Conv2D(Module):
         if s == 1 and p < k and weight.size <= grad_out.size:
             flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             return lowered_matmul(flipped.reshape(self.in_channels, -1),
-                                  grad_out, k, k, 1, k - 1 - p)[0]
+                                  grad_out, k, 1, k - 1 - p)[0]
         w_mat = weight.reshape(self.out_channels, -1)
-        return matmul_col2im(w_mat.T, grad_out, x.shape, k, k, s, p)
+        return matmul_col2im(w_mat.T, grad_out, x.shape, k, s, p)
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:

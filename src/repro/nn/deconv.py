@@ -19,14 +19,12 @@ banded forms, so the swap is literal: forward is ``matmul_col2im``,
 ``lowered_matmul``, ``W @ im2col(grad_out)``, already ``(N, C_in, h, w)``. The
 ``(N, F*k*k, h*w)`` column matrix (``k*k`` times the output) is never built
 and no transposed copy of an activation is made. A wide layer scatters each
-band's ``k*k`` tap images into a padded output; a thin one (``C_in < 128``
-and no more rows moved: ``dec_deconv3-5``) takes the separable form. Either
-way the output rows no later band adds to are *finished*: in eval ``forward(x,
-then)`` heads a fused group like ``Conv2D``'s, and bias and the *elementwise*
-followers (``band_rows == 1``) are applied by their own ``forward`` to each
-finished band (a one-shot layer: to the whole image). One implementation
-serves training and inference.
-"""
+band's ``k*k`` tap images into a padded output; ``nn.im2col.plan`` gives a
+thin one (``dec_deconv3-5``) the separable form. Either way the output rows
+no later band adds to are *finished*: an eval ``forward(x, then)`` heads a
+fused group like ``Conv2D``'s, bias and *elementwise* followers (``band_rows
+== 1``) run by their own ``forward`` on each finished band (one shot: on the
+whole image). One implementation serves training and inference."""
 
 from __future__ import annotations
 
@@ -35,7 +33,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.initializers import he_normal, zeros
-from repro.core.module import Module, check_grad_out, run_layers
+from repro.core.module import (
+    Module, check_grad_out, check_sizes, run_layers)
 from repro.core.parameter import Parameter
 from repro.nn.im2col import (
     check_input, deconv_output_size, lowered_matmul, lowered_outer,
@@ -58,17 +57,12 @@ class Deconv2D(Module):
                  stride: int = 1, pad: Optional[int] = None,
                  name: Optional[str] = None, rng: SeedLike = None) -> None:
         super().__init__(name=name or "deconv")
-        if in_channels <= 0 or out_channels <= 0 or kernel_size <= 0:
-            raise ValueError("channels and kernel_size must be positive")
-        if stride <= 0:
-            raise ValueError(f"stride must be positive, got {stride}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.pad = (kernel_size - stride) // 2 if pad is None else pad
-        if self.pad < 0:
-            raise ValueError(f"pad must be non-negative, got {self.pad}")
+        (self.in_channels, self.out_channels, self.kernel_size,
+         self.stride) = check_sizes(
+            self.name, in_channels=in_channels, out_channels=out_channels,
+            kernel_size=kernel_size, stride=stride)
+        self.pad, = check_sizes(
+            self.name, pad=(kernel_size - stride) // 2 if pad is None else pad)
 
         # Same fan-in convention as the matching conv direction.
         fan_in = in_channels * kernel_size * kernel_size
@@ -100,7 +94,7 @@ class Deconv2D(Module):
         # Tap (ki, kj) of input pixel (i, j) lands on output pixel
         # (i*s + ki - p, j*s + kj - p): exactly the conv's col2im scatter.
         out = matmul_col2im(
-            w_mat.T, x, out_shape, k, k, s, p,
+            w_mat.T, x, out_shape, k, s, p,
             lambda band: run_layers(then[:fused], band + bias))
         # As in Conv2D: eval-mode forwards never run backward, so don't pin
         # the input in memory.
@@ -118,10 +112,10 @@ class Deconv2D(Module):
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.in_channels, -1)
         # (N, C_in, h, w), and grad_out's columns if one shot built them
-        grad_in, g_cols = lowered_matmul(w_mat, grad_out, k, k, s, p) \
+        grad_in, g_cols = lowered_matmul(w_mat, grad_out, k, s, p) \
             if input_grad else (None, None)
         # Weight gradient couples the input activations with gathered grads.
-        self.weight.grad += lowered_outer(x, grad_out, k, k, s, p, g_cols) \
+        self.weight.grad += lowered_outer(x, grad_out, k, s, p, g_cols) \
             .reshape(self.weight.data.shape)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
         return grad_in

@@ -7,11 +7,10 @@ the zero-padded image, and ``col2im`` scatters back with a small loop over
 the kernel footprint.
 
 Layout convention: images are ``(N, C, H, W)``; columns are per-image and
-channel-major, ``(N, C * kh * kw, out_h * out_w)``, so a conv is
-``W @ cols``: a batched ``(F, C*kh*kw) x (C*kh*kw, out_h*out_w)`` GEMM whose
-``(N, F, out_h*out_w)`` result already is NCHW. The gather and the scatter
-move runs of ``out_w`` floats, not ``kw``, and no transpose is needed on
-either side of the GEMM. This is the only layout in the tree.
+channel-major, ``(N, C*kh*kw, oh*ow)``, so a conv is a batched ``W (F,
+C*kh*kw) @ cols`` GEMM whose ``(N, F, oh*ow)`` result already is NCHW. The
+gather and the scatter move runs of ``ow`` floats, not ``kw``, and no
+transpose is needed on either side of the GEMM (the only layout in the tree).
 
 The layers do not call ``im2col`` / ``col2im`` themselves. They call the
 three *fused* forms below, each a lowering and its GEMM in one function:
@@ -34,8 +33,14 @@ GEMM of their own (``_FOLD_BELOW``), goes in one shot through ``im2col`` /
 batch into one GEMM where the weight operand outweighs an image's columns
 (``_folds``: under ``_FOLD_BELOW`` columns and more weight rows than columns)
 and run one GEMM per image otherwise: re-packing a batch to share 2 KB of
-weights costs three times the GEMMs. Every such choice is read from the
-operand shapes alone; training and inference run the same code.
+weights costs three times the GEMMs.
+
+Which form a pass runs, over which bands, is one decision, :func:`plan`,
+from operand shapes alone: each fused function asks it once, and the form
+bodies below run the bands it gives them. A banded pass is *separable* where
+the rows-moved rule (``_separable``) says so, *Winograd* where the multiplies
+rule (``_winograd``) does, else *direct*. Wrap ``plan`` to see what a pass
+runs (its ``op`` names the pass); patch it to force a form.
 
 ``lowered_matmul`` also takes an ``epilogue``: an eval ``Conv2D`` passes the
 band-local layers behind it (a leading non-overlapping max-pool as ``pool``,
@@ -45,44 +50,44 @@ for the output rows it holds next to its columns and is a whole number of
 pool windows high. ``matmul_col2im`` takes one too (a ``Deconv2D``'s bias and
 elementwise followers), applied to each band of the image as it is finished.
 
-A banded ``k x k`` layer with a *thin* side (``_separable``) runs the
-**separable** form of the first two: only the row taps are lowered and the
-GEMM's other dimension carries the column taps, so ``k``-fold fewer rows are
-gathered or scattered and the GEMM is squarer. ``matmul_col2im`` copies, per
-row phase ``r < stride``, the ``T`` row-shifted slabs of ``g`` (zero past the
-image edge: no padded copy of anything), multiplies by that phase's taps
-``(C*kw, T*M)`` and adds column tap ``j`` of the product, dense and shifted
-``j // stride``, into the plane of column phase ``j % stride``; weaving the
-planes finishes the band, which goes through the epilogue into the result.
-``lowered_matmul`` is the adjoint: per column phase it gathers the ``kh`` row
-taps of every ``stride``-th column, multiplies by ``(M*U, C*kh)`` and sums
-the ``U`` shifted slices of the product into the band.
+A banded ``k x k`` layer with a *thin* side runs the **separable** form of
+the first two: only the row taps are lowered and the GEMM's other dimension
+carries the column taps, so ``k``-fold fewer rows are gathered or scattered
+and the GEMM is squarer. ``matmul_col2im`` copies, per row phase ``r <
+stride``, the ``T`` row-shifted slabs of ``g`` (zero past the image edge: no
+padded copy of anything), multiplies by that phase's taps ``(C*k, T*M)`` and
+adds column tap ``j`` of the product, dense and shifted ``j // stride``, into
+the plane of column phase ``j % stride``; weaving the planes finishes the
+band (of the image's ``stride``-row groups), which goes through the epilogue
+into the result. ``lowered_matmul`` is the adjoint: per column phase it
+gathers the ``k`` row taps of every ``stride``-th column, multiplies by
+``(M*U, C*k)`` and sums the ``U`` shifted slices of the product into the band.
 
 A banded 3x3 / stride-1 layer with channels on both sides and tiles enough
-for them (``_winograd``) runs ``lowered_matmul`` and ``lowered_outer`` as
-**Winograd F(4x4, 3x3)** (Lavin & Gray 2015; the paper's SVIII-A defers it):
-36 multiplies per 16 outputs and channel pair, not 144. Per band of whole
-tile rows the input rows are copied between zero edges, viewed as 6x6 tiles
-at stride 4 and gathered tap-major, and ``kron(B^T, B^T)`` is one GEMM
-(``_tiles``, shared). Forward, the 36 transform-domain products are one
-batched ``(M, C) @ (C, tiles)``, ``kron(A^T, A^T)`` is one GEMM, and the
-woven 4x4 blocks go to the epilogue like any band (a ``pool`` of a side
-dividing 4 is the ``fmax`` of whole 4x4-block slabs, before the weave). The
-weight gradient is the adjoint: the band's 4x4 blocks of ``g`` (zero past a
-ragged edge) times ``kron(A^T, A^T)^T``, one batched ``(M, tiles) @ (tiles,
-C)`` summed over bands, and ``kron(G, G)^T`` once at the end. Whole-image
-Winograd (``nn.winograd.WinogradConv2D``, the reference) streams ~100 MB of
-tiles through first-touch page faults and loses to the direct form; a band's
-two scratches stay in cache. The kernels are transformed per call (a ``(36,
-9) @ (9, M*C)`` GEMM): nothing is packed, cached or kept, between bands or
-passes.
+for them runs ``lowered_matmul`` and ``lowered_outer`` as **Winograd F(4x4,
+3x3)** (Lavin & Gray 2015; the paper's SVIII-A defers it): 36 multiplies per
+16 outputs and channel pair, not 144. Per band of whole tile rows the input
+rows are copied between zero edges, viewed as 6x6 tiles at stride 4 and
+gathered tap-major, and ``kron(B^T, B^T)`` is one GEMM (``_tiles``, shared;
+two scratches share ``_BAND_BYTES``). Forward, the 36 transform-domain
+products are one batched ``(M, C) @ (C, tiles)``, ``kron(A^T, A^T)`` is one
+GEMM, and the woven 4x4 blocks go to the epilogue like any band (a ``pool``
+of a side dividing 4 is the ``fmax`` of whole 4x4-block slabs, before the
+weave). The weight gradient is the adjoint: the band's 4x4 blocks of ``g``
+(zero past a ragged edge) times ``kron(A^T, A^T)^T``, one batched ``(M,
+tiles) @ (tiles, C)`` summed over bands, and ``kron(G, G)^T`` once at the
+end. Whole-image Winograd (``nn.winograd.WinogradConv2D``, the reference)
+streams ~100 MB of tiles through first-touch page faults and loses to the
+direct form; a band's two scratches stay in cache. The kernels are
+transformed per call (a ``(36, 9) @ (9, M*C)`` GEMM): nothing is packed,
+cached or kept, between bands or passes.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -205,11 +210,8 @@ def _patches(x: np.ndarray, kh: int, kw: int, stride: int,
         x = padded
     sn, sc, sh, sw = x.strides
     return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
+        x, (n, c, kh, kw, oh, ow),
+        (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
 
 
 def _scatter_add(out: np.ndarray, cols6: np.ndarray, stride: int) -> None:
@@ -283,29 +285,57 @@ def _cut(n: int, oh: int, height: int, multiple: int = 1) -> List[_Band]:
             for i in range(n) for r in range(0, oh, height)]
 
 
-def _lowering_bands(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-                    held: int = 0, multiple: int = 1
-                    ) -> Optional[List[_Band]]:
-    """The bands ``x`` is lowered in (``None``: one shot). A band's budget
-    also covers ``held`` rows of GEMM output kept next to its columns."""
-    if kh == kw == stride == 1 and not pad:
-        return None                 # the columns are a view of x: no bytes
-    n, c, h, w = x.shape
-    return _bands(n, c * kh * kw + held,
-                  conv_output_size(h, kh, stride, pad),
-                  conv_output_size(w, kw, stride, pad), x.itemsize, multiple)
+class Plan(NamedTuple):
+    """What one pass runs: ``form``, ``one-shot`` (no ``bands``), ``direct``,
+    ``separable`` or ``winograd``, over ``bands`` of output rows, the first
+    the largest (a separable ``matmul_col2im``'s: ``stride``-row groups)."""
+    form: str
+    bands: Optional[Tuple[_Band, ...]] = None
 
 
-def _band_buffer(bands: List[_Band], rows: int, ow: int,
-                 dtype) -> np.ndarray:
+def plan(op: Callable, x_shape: Tuple[int, int, int, int], w_rows: int,
+         k: int, stride: int, pad: int, dtype, held: int = 0,
+         multiple: int = 1) -> Plan:
+    """The lowering decision: what ``op`` (a fused function below) runs to
+    lower images of ``x_shape`` by a ``k x k`` / ``stride`` / ``pad`` kernel
+    against ``w_rows`` channels (``lowered_matmul``'s weight rows, ``g``'s
+    channels), its columns in ``dtype``; a band also budgets ``held``
+    output rows next to them and is a ``multiple`` of rows high."""
+    n, c, h, w = x_shape
+    oh, ow = (conv_output_size(d, k, stride, pad) for d in (h, w))
+    size, form = np.dtype(dtype).itemsize, "direct"
+    if op is matmul_col2im:
+        bands = _bands(n, c * k * k, oh, ow, size)
+        if bands and _separable(w_rows, c, k, stride, False):
+            # the image's stride-row groups; row phase 0 holds the most taps
+            rows = -(-(pad + h) // stride) - pad // stride
+            form, bands = "separable", _bands(
+                n, -(-k // stride) * w_rows + c * k, rows, ow, size) \
+                or [(0, n, 0, rows)]
+    else:           # a 1x1 / stride-1 lowering is a view of x: no bytes
+        bands = None if k == stride == 1 and not pad else _bands(
+            n, c * k * k + held, oh, ow, size, multiple)
+        if bands and (k, stride) == (3, 1) and _winograd(n, c, w_rows, oh, ow):
+            # whole tile rows: two scratches 36*max(c, w_rows) deep a tile
+            tiles = _BAND_BYTES // (72 * max(c, w_rows) * -(-ow // 4) * size)
+            form, bands = "winograd", [
+                (i0, i1, 4 * t0, min(4 * t1, oh)) for i0, i1, t0, t1 in _cut(
+                    n, -(-oh // 4), max(tiles, 1),
+                    multiple // math.gcd(4, multiple))]
+        elif bands and op is lowered_matmul \
+                and _separable(w_rows, c, k, stride, True):
+            form = "separable"
+    return Plan(form, tuple(bands)) if bands else Plan("one-shot")
+
+
+def _band_buffer(bands: List[_Band], rows: int, ow: int, dtype) -> np.ndarray:
     """Flat scratch that holds the columns of any one of ``bands`` (the
     first is the largest); every band reuses it."""
     i0, i1, r0, r1 = bands[0]
     return np.empty((i1 - i0) * rows * (r1 - r0) * ow, dtype)
 
 
-def _band_cols(buf: np.ndarray, band: _Band, rows: int,
-               ow: int) -> np.ndarray:
+def _band_cols(buf: np.ndarray, band: _Band, rows: int, ow: int) -> np.ndarray:
     """The front of ``buf`` as the ``(nb, rows, P)`` columns of ``band``."""
     i0, i1, r0, r1 = band
     shape = (i1 - i0, rows, (r1 - r0) * ow)
@@ -322,50 +352,45 @@ def _gather(buf: np.ndarray, patches: np.ndarray, band: _Band) -> np.ndarray:
     return cols
 
 
-def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
-                   stride: int, pad: int,
+def lowered_matmul(a: np.ndarray, x: np.ndarray, k: int, stride: int,
+                   pad: int,
                    epilogue: Optional[Callable[[np.ndarray], np.ndarray]]
                    = None, multiple: int = 1, pool=None
                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``a (M, C*kh*kw) @ im2col(x)`` as an ``(N, M, oh, ow)`` image.
+    """``a (M, C*k*k) @ im2col(x)`` as an ``(N, M, oh, ow)`` image, and the
+    columns where it went in one shot and so built them (a training forward
+    keeps them for :func:`lowered_outer`), else ``None``.
 
-    Also returns the columns when the layer went in one shot and so built
-    them (a training forward keeps them for :func:`lowered_outer`), else
-    ``None``.
-
-    With an ``epilogue`` the result is ``epilogue(product)`` instead, and
-    the product itself is never stored: each ``(nb, M, rows, ow)`` band of it
-    goes from a second reused scratch through ``epilogue`` (which may write
-    to its argument) into the output. ``epilogue`` must be band-local: every
-    ``multiple`` rows of the product (``oh`` is a multiple) make one row of
-    its result, from those rows alone. A ``pool`` (a non-overlapping max-pool
-    layer) runs ahead of it, ``epilogue(pool.forward(band))``, or in the tile
-    form on the 4x4 blocks of the product, if its side divides 4.
-    """
+    With an ``epilogue`` the result is ``epilogue(product)``, and the
+    product is never stored: each ``(nb, M, rows, ow)`` band of it goes from
+    a reused scratch through ``epilogue`` (which may write to its argument)
+    into the output. ``epilogue`` must be band-local: every ``multiple`` rows
+    of the product (``oh`` is a multiple) make one row of its result, from
+    those rows alone. A ``pool`` (a non-overlapping max-pool) runs ahead of
+    it, or in the tile form on the product's 4x4 blocks, if its side
+    divides 4."""
     n, c, h, w = x.shape
-    m = a.shape[0]
-    bands = _lowering_bands(x, kh, kw, stride, pad,
-                            m if epilogue else 0, multiple)
-    oh = conv_output_size(h, kh, stride, pad)
-    ow = conv_output_size(w, kw, stride, pad)
-    k, then = 1, epilogue
+    m, dtype = a.shape[0], np.result_type(a, x)
+    oh, ow = (conv_output_size(d, k, stride, pad) for d in (h, w))
+    form, bands = plan(lowered_matmul, x.shape, m, k, stride, pad, x.dtype,
+                       m if epilogue else 0, multiple)
+    side, then = 1, epilogue        # of the windows the tile form pools
     if pool is not None:
         def epilogue(y: np.ndarray) -> np.ndarray:
             return then(pool.forward(y))
-    if bands is None:
-        cols = im2col(x, kh, kw, stride, pad)
+    if form == "one-shot":
+        cols = im2col(x, k, k, stride, pad)
         out = _batch_matmul(a, cols).reshape(n, m, oh, ow)
         return (epilogue(out) if epilogue else out), cols
-    dtype = np.result_type(a, x)
-    if (kh, kw, stride) == (3, 3, 1) and _winograd(n, c, m, oh, ow):
+    if form == "winograd":
         if pool is not None and 4 % pool.band_rows == 0:
-            k, epilogue = pool.band_rows, then
-        bands, product = _tile_lowering(a, x, pad, multiple, dtype, k)
-    elif kh == kw and _separable(m, c, kh, stride, True):
-        product = _row_lowering(a, x, kh, kw, stride, pad, bands, ow, dtype)
+            side, epilogue = pool.band_rows, then
+        product = _tile_lowering(a, x, pad, bands, dtype, side)
+    elif form == "separable":
+        product = _row_lowering(a, x, k, stride, pad, bands, ow, dtype)
     else:
-        patches = _patches(x, kh, kw, stride, pad)
-        buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
+        patches = _patches(x, k, k, stride, pad)
+        buf = _band_buffer(bands, c * k * k, ow, x.dtype)
 
         def product(band: _Band, y: np.ndarray) -> None:
             np.matmul(a, _gather(buf, patches, band), out=y)
@@ -380,9 +405,9 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
     prod, out = _band_buffer(bands, m, ow, dtype), None
     for band in bands:
         i0, i1, r0, r1 = band
-        y = _band_cols(prod, (i0, i1, r0 // k, r1 // k), m, ow // k)
+        y = _band_cols(prod, (i0, i1, r0 // side, r1 // side), m, ow // side)
         product(band, y)
-        y = epilogue(y.reshape(i1 - i0, m, (r1 - r0) // k, ow // k))
+        y = epilogue(y.reshape(i1 - i0, m, (r1 - r0) // side, ow // side))
         if out is None:         # the epilogue decides channels and width
             out = np.empty((n, y.shape[1], oh // multiple, y.shape[3]),
                            y.dtype)
@@ -390,25 +415,20 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, kh: int, kw: int,
     return out, None
 
 
-def _tiles(x, pad, m, multiple, dtype):
-    """What both F(4x4, 3x3) forms share (module docstring): their bands,
-    whole tile rows of about ``_BAND_BYTES`` of scratch; the two scratches;
-    ``taps(band)``, the band's transformed tiles ``(36, C, tiles)`` in the
-    second; and the kernel and output transforms."""
+def _tiles(x, pad, m, bands, dtype):
+    """What both F(4x4, 3x3) forms share (module docstring): the two
+    scratches, each deep enough for any of ``bands``; ``taps(band)``, the
+    band's transformed tiles ``(36, C, tiles)`` in the second; and the
+    kernel and output transforms."""
     # at call time: that module's layer subclasses Conv2D, which imports this
     from repro.nn.winograd import _kron_transforms
     n, c, h, w = x.shape
-    oh, ow = h + 2 * pad - 2, w + 2 * pad - 2
-    th, tw = -(-oh // 4), -(-ow // 4)
+    tw = -(-(w + 2 * pad - 2) // 4)
     kb, kg, ka = _kron_transforms(4, dtype)
-    deep = 36 * max(c, m)       # two scratches this deep share _BAND_BYTES
-    bands = [(i0, i1, 4 * t0, min(4 * t1, oh)) for i0, i1, t0, t1 in _cut(
-        n, th, max(_BAND_BYTES // (2 * deep * tw * dtype.itemsize), 1),
-        multiple // math.gcd(4, multiple))]
     i0, i1, r0, r1 = bands[0]
     most = (i1 - i0) * -(-(r1 - r0) // 4)       # tile rows of a band
     edged = np.empty((most * 4 + 2 * (i1 - i0)) * c * (4 * tw + 2), dtype)
-    ping, pong = (np.empty(most * tw * deep, dtype) for _ in range(2))
+    ping, pong = np.empty((2, most * tw * 36 * max(c, m)), dtype)
 
     def taps(band: _Band) -> np.ndarray:
         i0, i1, r0, r1 = band
@@ -426,16 +446,16 @@ def _tiles(x, pad, m, multiple, dtype):
         np.copyto(v.reshape(taps.shape), taps)
         return np.matmul(kb, v, out=pong[:v.size].reshape(v.shape)) \
             .reshape(36, c, -1)
-    return bands, ping, pong, taps, kg, ka
+    return ping, pong, taps, kg, ka
 
 
-def _tile_lowering(a, x, pad, multiple, dtype, k):
+def _tile_lowering(a, x, pad, bands, dtype, k):
     """The F(4x4, 3x3) product of :func:`lowered_matmul` (module docstring):
-    its own bands and ``product(band, y)`` filling ``y (nb, M, rows/k *
-    ow/k)`` with the maxima of the product's ``k x k`` windows (``k``
-    divides 4; 1: the product itself)."""
+    ``product(band, y)`` filling ``y (nb, M, rows/k * ow/k)`` with the
+    maxima of the product's ``k x k`` windows (``k`` divides 4; 1: the
+    product itself)."""
     m, ow = a.shape[0], x.shape[3] + 2 * pad - 2
-    bands, ping, pong, taps, kg, ka = _tiles(x, pad, m, multiple, dtype)
+    ping, pong, taps, kg, ka = _tiles(x, pad, m, bands, dtype)
     u = (kg @ a.reshape(-1, 9).T).reshape(36, m, -1)
     q = 4 // k                          # pooled outputs a block side
 
@@ -455,14 +475,14 @@ def _tile_lowering(a, x, pad, multiple, dtype, k):
         full.transpose(3, 5, 1, 0, 2, 4)[...] = z.reshape(q, q, m, nb, nt, tw)
         y.reshape(nb, m, (r1 - r0) // k, ow // k)[...] = full.reshape(
             nb, m, q * nt, q * tw)[:, :, :(r1 - r0) // k, :ow // k]
-    return bands, product
+    return product
 
 
-def _tile_outer(g, x, pad, dtype):
+def _tile_outer(g, x, pad, bands, dtype):
     """The F(4x4, 3x3) form of :func:`lowered_outer` (module docstring) for
     ``g (N, M, oh, ow)``: the forward's tiles against ``g``'s 4x4 blocks."""
     (_, m, _, ow), c = g.shape, x.shape[1]
-    bands, ping, _, taps, kg, ka = _tiles(x, pad, m, 1, dtype)
+    ping, _, taps, kg, ka = _tiles(x, pad, m, bands, dtype)
     most = ping.size // (36 * max(c, m))            # tiles of a band
     blocks = np.empty(16 * m * most, dtype)
     du, part = np.zeros((36, m, c), dtype), np.empty((36, m, c), dtype)
@@ -483,29 +503,29 @@ def _tile_outer(g, x, pad, dtype):
     return (du.reshape(36, -1).T @ kg).reshape(m, c * 9)
 
 
-def _row_lowering(a, x, kh, kw, s, pad, bands, ow, dtype):
+def _row_lowering(a, x, k, s, pad, bands, ow, dtype):
     """The separable product of :func:`lowered_matmul` (module docstring):
     ``product(band, y)`` fills ``y (nb, M, rows*ow)``. Column phase ``b``
     holds taps ``b + s*u``; ``xw`` columns of it feed ``ow`` outputs."""
     n, c, h, w = x.shape
     m = a.shape[0]
-    a = a.reshape(m, c, kh, kw)
+    a = a.reshape(m, c, k, k)
     phases = [np.ascontiguousarray(a[..., b::s].transpose(0, 3, 1, 2), dtype)
-              .reshape(-1, c * kh) for b in range(min(s, kw))]
+              .reshape(-1, c * k) for b in range(min(s, k))]
     xw = ow + phases[0].shape[0] // m - 1
-    buf = _band_buffer(bands, c * kh, xw, x.dtype)
+    buf = _band_buffer(bands, c * k, xw, x.dtype)
     prod = _band_buffer(bands, phases[0].shape[0], xw, dtype)
 
     def product(band: _Band, y: np.ndarray) -> None:
         i0, i1, r0, r1 = band
         y = y.reshape(i1 - i0, m, r1 - r0, ow)
         for b, a_b in enumerate(phases):
-            cols = _band_cols(buf, band, c * kh, xw)
+            cols = _band_cols(buf, band, c * k, xw)
             cols.fill(0)
             x_lo, x_hi = max(0, -((b - pad) // s)), \
                 min(xw, (w - 1 + pad - b) // s + 1)
-            taps = cols.reshape(i1 - i0, c, kh, r1 - r0, xw)
-            for i in range(kh):
+            taps = cols.reshape(i1 - i0, c, k, r1 - r0, xw)
+            for i in range(k):
                 lo = max(r0, -((i - pad) // s))
                 hi = max(min(r1, (h - 1 + pad - i) // s + 1), lo)
                 taps[:, :, i, lo - r0:hi - r0, x_lo:x_hi] = x[
@@ -519,24 +539,19 @@ def _row_lowering(a, x, kh, kw, s, pad, bands, ow, dtype):
     return product
 
 
-def _separable_col2im(a, g, x_shape, kh, kw, s, pad, epilogue):
+def _separable_col2im(a, g, x_shape, k, s, pad, bands, dtype, epilogue):
     """The separable form of :func:`matmul_col2im` (module docstring). Row
     phase ``r`` holds taps ``r + s*t`` and output rows ``s*q + r``; bands
     are cut over ``q``, so a band is final when its planes are woven."""
     n, c, h, w = x_shape
     m, oh, ow = g.shape[1:]
-    dtype = np.result_type(a, g)
-    a = a.reshape(c, kh, kw, m)
+    a = a.reshape(c, k, k, m)
     phases = [np.ascontiguousarray(a[:, r::s].transpose(0, 2, 1, 3), dtype)
-              .reshape(c * kw, -1) for r in range(min(s, kh))]
-    depth = phases[0].shape[1]                      # T*M of row phase 0
+              .reshape(c * k, -1) for r in range(min(s, k))]
     q0 = pad // s                   # rows s*q .. s*q + s - 1 meet the image
-    rows = -(-(pad + h) // s) - q0
-    xw = max(ow + (kw - 1) // s, -(-(pad + w) // s))        # plane width
-    bands = _bands(n, depth + c * kw, rows, ow, dtype.itemsize) \
-        or [(0, n, 0, rows)]
-    slabs = _band_buffer(bands, depth, ow, dtype)
-    prod = _band_buffer(bands, c * kw, ow, dtype)
+    xw = max(ow + (k - 1) // s, -(-(pad + w) // s))         # plane width
+    slabs = _band_buffer(bands, phases[0].shape[1], ow, dtype)  # the deepest
+    prod = _band_buffer(bands, c * k, ow, dtype)
     planes, woven = (_band_buffer(bands, c, s * s * xw, dtype)
                      for _ in range(2))
     out = np.empty(x_shape, dtype)
@@ -555,10 +570,10 @@ def _separable_col2im(a, g, x_shape, kh, kw, s, pad, epilogue):
                 slab[:, t, :, :lo - qa] = 0
                 slab[:, t, :, hi - qa:] = 0
                 slab[:, t, :, lo - qa:hi - qa] = g[i0:i1, :, lo - t:hi - t]
-            y = _band_cols(prod, band, c * kw, ow)
+            y = _band_cols(prod, band, c * k, ow)
             np.matmul(a_r, cols, out=y)
-            y = y.reshape(nb, c, kw, nq, ow)
-            for j in range(kw):
+            y = y.reshape(nb, c, k, nq, ow)
+            for j in range(k):
                 acc[:, :, :, r, j % s, j // s:j // s + ow] += y[:, :, j]
         full = acc.reshape(nb, c, nq, s, xw, s)     # s == 1: nothing to do
         if s > 1:
@@ -573,28 +588,28 @@ def _separable_col2im(a, g, x_shape, kh, kw, s, pad, epilogue):
 
 
 def matmul_col2im(a: np.ndarray, g: np.ndarray,
-                  x_shape: Tuple[int, int, int, int], kh: int, kw: int,
-                  stride: int, pad: int,
+                  x_shape: Tuple[int, int, int, int], k: int, stride: int,
+                  pad: int,
                   epilogue: Optional[Callable[[np.ndarray], np.ndarray]]
                   = None) -> np.ndarray:
-    """``col2im(a (C*kh*kw, M) @ g)`` for ``g (N, M, oh, ow)``: an image of
+    """``col2im(a (C*k*k, M) @ g)`` for ``g (N, M, oh, ow)``: an image of
     ``x_shape``, each band of columns scattered while it is still in cache;
     with an elementwise ``epilogue``, what that makes of the image, applied
     to each whole-row band of it no later band adds to (one shot: to all)."""
     n, c, h, w = x_shape
-    oh = conv_output_size(h, kh, stride, pad)
-    ow = conv_output_size(w, kw, stride, pad)
+    oh, ow = (conv_output_size(d, k, stride, pad) for d in (h, w))
     if g.shape[0] != n or g.shape[2:] != (oh, ow):
         raise ValueError(
             f"g shape {g.shape} does not lower an image of {x_shape}")
-    dtype = np.result_type(a, g)
-    rows = c * kh * kw
-    bands = _bands(n, rows, oh, ow, dtype.itemsize)
-    if bands and kh == kw and _separable(g.shape[1], c, kh, stride, False):
-        return _separable_col2im(a, g, x_shape, kh, kw, stride, pad, epilogue)
+    dtype, rows = np.result_type(a, g), c * k * k
+    form, bands = plan(matmul_col2im, x_shape, g.shape[1], k, stride, pad,
+                       dtype)
+    if form == "separable":
+        return _separable_col2im(a, g, x_shape, k, stride, pad, bands, dtype,
+                                 epilogue)
     g = g.reshape(n, -1, oh * ow)
-    if bands is None:
-        out = col2im(_batch_matmul(a, g), x_shape, kh, kw, stride, pad)
+    if form == "one-shot":
+        out = col2im(_batch_matmul(a, g), x_shape, k, k, stride, pad)
         return epilogue(out) if epilogue else out
     out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
     done = np.empty(x_shape, dtype) if epilogue else out[
@@ -605,7 +620,7 @@ def matmul_col2im(a: np.ndarray, g: np.ndarray,
         cols = _band_cols(buf, band, rows, ow)
         np.matmul(a, g[i0:i1, :, r0 * ow:r1 * ow], out=cols)
         _scatter_add(out[i0:i1, :, r0 * stride:],
-                     cols.reshape(-1, c, kh, kw, r1 - r0, ow), stride)
+                     cols.reshape(-1, c, k, k, r1 - r0, ow), stride)
         if epilogue:    # no later band reaches the rows above r1 * stride
             lo, hi = np.clip((r0 * stride, r1 * stride if r1 < oh else h + pad),
                              pad, h + pad)
@@ -614,31 +629,28 @@ def matmul_col2im(a: np.ndarray, g: np.ndarray,
     return done
 
 
-def lowered_outer(g: np.ndarray, x: np.ndarray, kh: int, kw: int,
-                  stride: int, pad: int,
-                  cols: Optional[np.ndarray] = None) -> np.ndarray:
+def lowered_outer(g: np.ndarray, x: np.ndarray, k: int, stride: int,
+                  pad: int, cols: Optional[np.ndarray] = None) -> np.ndarray:
     """``sum_n g[n] @ im2col(x)[n].T`` for ``g (N, M, oh, ow)``: the
-    ``(M, C*kh*kw)`` weight gradient. ``cols`` are ``x``'s columns where a
-    one-shot :func:`lowered_matmul` already built them."""
+    ``(M, C*k*k)`` weight gradient. ``cols`` are ``x``'s columns where a
+    one-shot :func:`lowered_matmul` already built them: nothing to plan."""
     n, c, h, w = x.shape
-    oh = conv_output_size(h, kh, stride, pad)
-    ow = conv_output_size(w, kw, stride, pad)
+    oh, ow = (conv_output_size(d, k, stride, pad) for d in (h, w))
     if g.shape[0] != n or g[0, 0].size != oh * ow:
         raise ValueError(
             f"g shape {g.shape} does not lower an image of {x.shape}")
     g = g.reshape(n, -1, oh * ow)
-    bands = _lowering_bands(x, kh, kw, stride, pad) \
-        if cols is None else None
-    if bands is None:
-        if cols is None:
-            cols = im2col(x, kh, kw, stride, pad)
+    if cols is not None:
         return _batch_outer(g, cols)
     m, dtype = g.shape[1], np.result_type(g, x)
-    if (kh, kw, stride) == (3, 3, 1) and _winograd(n, c, m, oh, ow):
-        return _tile_outer(g.reshape(n, m, oh, ow), x, pad, dtype)
-    patches = _patches(x, kh, kw, stride, pad)
-    acc = np.zeros((m, c * kh * kw), dtype)
-    buf = _band_buffer(bands, c * kh * kw, ow, x.dtype)
+    form, bands = plan(lowered_outer, x.shape, m, k, stride, pad, x.dtype)
+    if form == "one-shot":
+        return _batch_outer(g, im2col(x, k, k, stride, pad))
+    if form == "winograd":
+        return _tile_outer(g.reshape(n, m, oh, ow), x, pad, bands, dtype)
+    patches = _patches(x, k, k, stride, pad)
+    acc = np.zeros((m, c * k * k), dtype)
+    buf = _band_buffer(bands, c * k * k, ow, x.dtype)
     for band in bands:
         i0, i1, r0, r1 = band
         acc += _batch_outer(g[i0:i1, :, r0 * ow:r1 * ow],

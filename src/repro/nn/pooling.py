@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.module import Module, check_grad_out
+from repro.core.module import Module, check_grad_out, check_sizes
 from repro.nn.im2col import conv_output_size
 
 
@@ -36,12 +36,9 @@ class MaxPool2D(Module):
     def __init__(self, kernel_size: int = 2, stride: Optional[int] = None,
                  name: Optional[str] = None) -> None:
         super().__init__(name=name or "pool")
-        if kernel_size <= 0:
-            raise ValueError(f"kernel_size must be positive, got {kernel_size}")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        if self.stride <= 0:
-            raise ValueError(f"stride must be positive, got {self.stride}")
+        self.kernel_size, self.stride = check_sizes(
+            self.name, kernel_size=kernel_size,
+            stride=kernel_size if stride is None else stride)
         self._cache: Optional[Tuple] = None
 
     @property

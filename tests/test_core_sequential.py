@@ -292,11 +292,13 @@ class TestDeconvGroups:
                                                       separable):
         """Both forms finish bands: the separable one when a band's planes
         are woven, the scatter one once no later band reaches the rows."""
-        assert lowering._separable(c, f, 4, 2, False) == separable
         net, x = self.net("drr", rng, c, f)
         want = layer_by_layer(net, x)
         with budget(2048, fold_below=1), recording(net) as seen:
+            made = lowering.plan(lowering.matmul_col2im, (2, f, 24, 20), c,
+                                 4, 2, 1, np.float32)
             got = net.forward(x)
+        assert made.form == ("separable" if separable else "direct")
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
         assert got.flags.c_contiguous and got.shape == (2, f, 24, 20)
         assert seen["deconv0"] == [(2, c, 12, 10)]

@@ -1,17 +1,18 @@
 """Conv2D: forward values, gradients, shapes, error handling."""
 
 import re
-import sys
 
 import numpy as np
 import pytest
 
 from grad_check import numeric_grad
 from repro.nn.conv import Conv2D
+from repro.nn.deconv import Deconv2D
 from repro.nn.fft_conv import FFTConv2D
 from repro.nn.im2col import matmul_col2im
+from repro.nn.pooling import MaxPool2D
 from repro.nn.winograd import WinogradConv2D
-from test_nn_im2col import budget
+from test_nn_im2col import budget, planned
 
 
 def _loss_through(layer, x, g):
@@ -126,22 +127,11 @@ class TestBackward:
 
 
 @pytest.fixture
-def spy(monkeypatch):
-    """``spy(name)`` wraps ``conv.py``'s ``name`` and returns the list of
-    argument tuples it is then called with."""
-    module = sys.modules["repro.nn.conv"]
-
-    def install(name):
-        calls, orig = [], getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(args)
-            return orig(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-        return calls
-
-    return install
+def ops():
+    """The fused functions the test's passes plan, by name, as they do."""
+    names = []
+    with planned(lambda op, *_: names.append(op.__name__)):
+        yield names
 
 
 class TestDataGradientForms:
@@ -156,9 +146,8 @@ class TestDataGradientForms:
                                         lambda k: k - 1],
                              ids=["valid", "same", "full"])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_gather_form_equals_scatter_form(self, rng, spy, k, pad_of,
+    def test_gather_form_equals_scatter_form(self, rng, ops, k, pad_of,
                                              channels, band_bytes):
-        scatter_calls = spy("matmul_col2im")
         c, f = channels
         pad = pad_of(k)
         conv = Conv2D(c, f, k, pad=pad, rng=1)
@@ -166,9 +155,9 @@ class TestDataGradientForms:
         with budget(band_bytes, fold_below=1):
             g = rng.normal(size=conv.forward(x).shape).astype(np.float32)
             got = conv.backward(g)
-            assert not scatter_calls
+            assert "matmul_col2im" not in ops
             want = matmul_col2im(conv.weight.data.reshape(f, -1).T, g,
-                                 x.shape, k, k, 1, pad)
+                                 x.shape, k, 1, pad)
         assert got.shape == x.shape and got.dtype == np.float32
         assert got.flags.c_contiguous
         np.testing.assert_allclose(got, want, rtol=1e-5,
@@ -179,19 +168,18 @@ class TestDataGradientForms:
         (dict(kernel_size=3, stride=2), (2, 4, 9, 8)),      # strided
         (dict(kernel_size=3), (1, 4, 3, 3)),                # weight-heavy
     ], ids=["overpadded", "strided", "weight-heavy"])
-    def test_the_rule_keeps_the_scatter_form(self, rng, spy, conv, shape):
-        scatter_calls = spy("matmul_col2im")
+    def test_the_rule_keeps_the_scatter_form(self, rng, ops, conv, shape):
         conv = Conv2D(4, 4, rng=1, **conv)
         x = rng.normal(size=shape).astype(np.float32)
         g = rng.normal(size=conv.forward(x).shape).astype(np.float32)
         if conv.stride == 1 and conv.pad < conv.kernel_size:
             assert conv.weight.size > g.size
         gx = conv.backward(g)
-        assert len(scatter_calls) == 1 and gx.shape == x.shape
+        assert ops.count("matmul_col2im") == 1 and gx.shape == x.shape
         num = numeric_grad(lambda: _loss_through(conv, x, g), x)
         np.testing.assert_allclose(gx, num, rtol=2e-2, atol=2e-2)
 
-    def test_input_grad_false_skips_both_forms(self, rng, spy):
+    def test_input_grad_false_skips_both_forms(self, rng, ops):
         for stride in (1, 2):
             conv = Conv2D(2, 3, 3, stride=stride, rng=1)
             x = rng.normal(size=(2, 2, 8, 8)).astype(np.float32)
@@ -199,9 +187,9 @@ class TestDataGradientForms:
             conv.backward(g)
             want = conv.weight.grad.copy(), conv.bias.grad.copy()
             conv.zero_grad()
-            calls = spy("matmul_col2im"), spy("lowered_matmul")
+            del ops[:]
             assert conv.backward(g, input_grad=False) is None
-            assert calls == ([], [])
+            assert set(ops) <= {"lowered_outer"}      # the weight gradient
             np.testing.assert_array_equal(conv.weight.grad, want[0])
             np.testing.assert_array_equal(conv.bias.grad, want[1])
 
@@ -223,10 +211,36 @@ class TestAccounting:
         conv = Conv2D(3, 128, 3, rng=0)
         assert conv.num_params() == 128 * 3 * 9 + 128
 
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            Conv2D(0, 1, 3)
-        with pytest.raises(ValueError):
-            Conv2D(1, 1, 3, stride=0)
-        with pytest.raises(ValueError):
-            Conv2D(1, 1, 3, pad=-1)
+    @pytest.mark.parametrize("make, field, least, value", [
+        (lambda: Conv2D(0, 1, 3, name="c"), "in_channels", 1, "0"),
+        (lambda: Conv2D(1, 1, 3, stride=0, name="c"), "stride", 1, "0"),
+        (lambda: Conv2D(1, 1, 3, pad=-1, name="c"), "pad", 0, "-1"),
+        (lambda: Conv2D(3, 4, 3, stride=1.5, name="c"), "stride", 1, "1.5"),
+        (lambda: Conv2D(3, 4, 3, pad=0.5, name="c"), "pad", 0, "0.5"),
+        (lambda: Conv2D(3, 4.0, 3, name="c"), "out_channels", 1, "4.0"),
+        (lambda: Deconv2D(3, 4, 4, stride=2.0, name="c"), "stride", 1, "2.0"),
+        (lambda: Deconv2D(3, 4, 2, stride=4, name="c"), "pad", 0, "-1"),
+        (lambda: MaxPool2D(2.0, name="c"), "kernel_size", 1, "2.0"),
+        (lambda: MaxPool2D(2, stride=float("nan"), name="c"), "stride", 1,
+         "nan")])
+    def test_invalid_construction(self, make, field, least, value):
+        """Refused when built, by layer, field and value: a fractional
+        stride or pad used to construct and then fail at the first
+        ``forward``, deep inside NumPy."""
+        with pytest.raises(ValueError, match=rf"^c: {field} must be an "
+                           rf"integer >= {least}, got {value}$"):
+            make()
+
+    def test_numpy_integers_are_kept_as_int(self):
+        conv = Conv2D(*np.array([3, 4, 3]), stride=np.int8(2), pad=np.int64(1))
+        deconv = Deconv2D(*np.array([4, 3, 4]), stride=np.int32(2))
+        pool = MaxPool2D(np.int64(2))
+        sizes = [conv.in_channels, conv.out_channels, conv.kernel_size,
+                 conv.stride, conv.pad, deconv.in_channels,
+                 deconv.out_channels, deconv.kernel_size, deconv.stride,
+                 deconv.pad, pool.kernel_size, pool.stride]
+        assert sizes == [3, 4, 3, 2, 1, 4, 3, 4, 2, 1, 2, 2]
+        assert {type(size) for size in sizes} == {int}
+        x = np.ones((1, 3, 8, 8), np.float32)
+        assert pool.forward(deconv.forward(conv.forward(x))).shape \
+            == (1, 3, 4, 4)

@@ -6,12 +6,14 @@ Columns are per-image and channel-major: ``cols[n, (c, i, j), (y, x)]`` is
 tap ``(i, j)`` of channel ``c`` in the patch at output position ``(y, x)``."""
 
 import contextlib
+import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Sequential
@@ -352,7 +354,7 @@ class TestGradOutIsCheckedAtTheBoundary:
     forward's output shape: one of another size used to die inside
     ``matmul``, one of equal size (twice the batch of half-height maps) was
     silently reshaped and used. ``lowered_outer`` checks ``g``'s batch and
-    positions itself, before it picks a form."""
+    positions itself, before it plans a form."""
 
     LAYERS = {Conv2D: lambda: Conv2D(3, 4, 3, rng=0),
               Deconv2D: lambda: Deconv2D(3, 4, 3, stride=1, rng=0),
@@ -379,11 +381,11 @@ class TestGradOutIsCheckedAtTheBoundary:
         with budget(band_bytes, fold_below=1), winograd_everywhere() as calls:
             with pytest.raises(ValueError, match="does not lower an image"):
                 lowering.lowered_outer(np.ones(shape, np.float32), x,
-                                       3, 3, 1, 1)
+                                       3, 1, 1)
             assert not calls
             for flat in (False, True):      # (N, M, oh, ow) or (N, M, oh*ow)
                 g = np.ones((4, 4, 64) if flat else (4, 4, 8, 8), np.float32)
-                assert lowering.lowered_outer(g, x, 3, 3, 1, 1).shape \
+                assert lowering.lowered_outer(g, x, 3, 1, 1).shape \
                     == (4, 27)
 
 
@@ -403,27 +405,35 @@ def budget(band_bytes, fold_below=_FOLD_BELOW, thin_below=_THIN_BELOW):
 
 
 @contextlib.contextmanager
+def planned(note, **rules):
+    """Run with ``plan()`` handing each plan it makes to ``note(op, x_shape,
+    plan)``, and planning as if a rule named (``winograd``, ``separable``)
+    answered True or False for every pass (None: the rule decides)."""
+    real = lowering.plan
+    forced = {f"_{name}": lambda *shape, on=on: on
+              for name, on in rules.items() if on is not None}
+
+    def plan(op, x_shape, *args):
+        with mock.patch.multiple(lowering, **forced) if forced \
+                else contextlib.nullcontext():
+            made = real(op, x_shape, *args)
+        note(op, tuple(x_shape), made)
+        return made
+
+    with mock.patch.object(lowering, "plan", plan):
+        yield
+
+
+@contextlib.contextmanager
 def separable_everywhere():
-    """Every banded layer takes the separable form, whatever the rows-moved
-    rule says. The rule never picks ``k <= stride`` or a wide thin side,
-    but the form may not lean on the rule to be right. Yields the calls."""
+    """Every banded pass not in the F(4x4, 3x3) form takes the separable
+    form, whatever the rows-moved rule says. The rule never picks ``k <=
+    stride`` or a wide thin side, but the form may not lean on the rule to
+    be right. Yields the fused functions whose passes took it, by name."""
     calls = []
-    saved = (lowering._separable, lowering._separable_col2im,
-             lowering._row_lowering)
-
-    def spy(fn):
-        def wrapped(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapped
-
-    lowering._separable = lambda *args: True
-    lowering._separable_col2im, lowering._row_lowering = map(spy, saved[1:])
-    try:
+    with planned(lambda op, shape, made: made.form == "separable"
+                 and calls.append(op.__name__), separable=True):
         yield calls
-    finally:
-        (lowering._separable, lowering._separable_col2im,
-         lowering._row_lowering) = saved
 
 
 @contextlib.contextmanager
@@ -431,26 +441,17 @@ def winograd_everywhere(on=True):
     """Every banded 3x3 / stride-1 layer takes the F(4x4, 3x3) form
     whatever the multiplies rule says, or (``on=False``: the lowering as it
     was before the form) none does, or (``on=None``) the rule decides.
-    Yields the input shapes of the calls that took it, a weight gradient's
+    Yields the input shapes of the passes that took it, a weight gradient's
     as ``("outer", shape)``."""
     calls = []
-    saved = lowering._winograd, lowering._tile_lowering, lowering._tile_outer
 
-    def spy(fn, outer):
-        def wrapped(*args):
-            calls.append(("outer", args[1].shape) if outer else args[1].shape)
-            return fn(*args)
-        return wrapped
+    def note(op, shape, made):
+        if made.form == "winograd":
+            calls.append(("outer", shape) if op is lowering.lowered_outer
+                         else shape)
 
-    lowering._tile_lowering = spy(saved[1], False)
-    lowering._tile_outer = spy(saved[2], True)
-    if on is not None:
-        lowering._winograd = lambda *shape: on
-    try:
+    with planned(note, winograd=on):
         yield calls
-    finally:
-        (lowering._winograd, lowering._tile_lowering,
-         lowering._tile_outer) = saved
 
 
 @contextlib.contextmanager
@@ -687,8 +688,8 @@ class TestSeparableEqualsOneShot:
             # conv's data gradient is the conv it is.
             both = layer_cls is Deconv2D or stride > 1
             assert band_bytes > 1 and not calls or set(calls) == (
-                {"_row_lowering", "_separable_col2im"} if both
-                else {"_row_lowering"})
+                {"lowered_matmul", "matmul_col2im"} if both
+                else {"lowered_matmul"})
 
     @pytest.mark.parametrize("layer_cls", [Conv2D, Deconv2D])
     def test_a_one_shot_layer_never_asks_the_rule(self, layer_cls):
@@ -759,8 +760,8 @@ class TestWinogradFormEqualsTheLayers:
         with budget(1 << 40):
             direct = conv.forward(x)
         with budget(band_bytes, fold_below=1), winograd_everywhere() as calls:
-            assume(lowering._lowering_bands(x, 3, 3, 1, pad))
             got = conv.forward(x)
+            assume(calls)           # banded: one shot has no form to take
             assert calls == [x.shape]
             loose, tight = (1e-4, 1e-5) if dtype == np.float32 \
                 else (1e-12, 1e-12)
@@ -793,11 +794,12 @@ class TestWinogradFormEqualsTheLayers:
             .astype(dtypes[1])
         deconv = Deconv2D(f, c, 3, stride=1, pad=pad, rng=seed)
         with budget(band_bytes, fold_below=1):
-            assume(lowering._lowering_bands(x, 3, 3, 1, pad))
+            assume(lowering.plan(lowering.lowered_outer, x.shape, f, 3, 1,
+                                 pad, x.dtype).bands)
             with winograd_everywhere(False):
-                direct = lowering.lowered_outer(g, x, 3, 3, 1, pad)
+                direct = lowering.lowered_outer(g, x, 3, 1, pad)
             with winograd_everywhere() as calls:
-                got = lowering.lowered_outer(g, x, 3, 3, 1, pad)
+                got = lowering.lowered_outer(g, x, 3, 1, pad)
                 assert calls == [("outer", x.shape)]
                 deconv.forward(g)
                 deconv.backward(x)
@@ -807,19 +809,6 @@ class TestWinogradFormEqualsTheLayers:
         self.close(got, direct, tol)
         self.close(deconv.weight.grad.reshape(f, -1),     # float32, as stored
                    direct.astype(np.float32), max(tol, 1e-6))
-
-    @pytest.mark.parametrize("size, band_bytes", [(24, 1), (36, 20000)])
-    def test_bands_are_whole_pool_windows(self, size, band_bytes, rng):
-        """A 3x3 pool behind the conv: bands of 3 tile rows (12 output
-        rows), the least that is whole tiles and whole windows."""
-        conv, _ = self.layers(3, 4, 1, 2)
-        x = rng.normal(size=(2, 3, size, size)).astype(np.float32)
-        then = [MaxPool2D(3).eval()]
-        with budget(band_bytes, fold_below=1), winograd_everywhere() as calls:
-            fused = conv.eval().forward(x, then)
-            whole = run_layers(then, conv.forward(x))
-        assert len(calls) == 2
-        np.testing.assert_allclose(fused, whole, rtol=1e-5, atol=1e-5)
 
     def test_a_training_step_in_the_form_is_its_own_adjoint(self):
         """A 64 -> 64 layer the rule itself picks (64 tiles for 64
@@ -904,226 +893,214 @@ class TestTheTileFormPools:
         assert got.tobytes() == want.tobytes()
 
 
-def lowered_layers(net, input_shape):
-    """``(layer, its input shape, its output shape)`` for each conv / deconv
-    of ``net`` (a ``Sequential``). Shapes only: nothing is computed."""
+def lowered(net, input_shape):
+    """``(layer, its input shape)`` for each conv / deconv of ``net``: a
+    ``Sequential``, or a ``ClimateNet`` (encoder, the heads on its
+    features, decoder). Shapes only: nothing is computed."""
+    if isinstance(net, ClimateNet):
+        feats = net.encoder.output_shape(input_shape)
+        yield from lowered(net.encoder, input_shape)
+        yield from ((head, feats) for head in net.children()[1:4])
+        yield from lowered(net.decoder, feats)
+        return
     shape = tuple(input_shape)
     for layer in net.layers:
-        out = layer.output_shape(shape)
         if layer.kind in ("conv", "deconv"):
-            yield layer, shape, out
-        shape = out
+            yield layer, shape
+        shape = layer.output_shape(shape)
 
 
-def lowering_forms(net, input_shape, n):
-    """``name -> "one-shot" | "direct" | "separable" | "winograd"``: the
-    form the forward of each conv / deconv of ``net`` takes on ``(n,) +
-    input_shape`` float32 inputs, in training or in a fused eval group."""
-    forms = {}
-    for layer, shape, out in lowered_layers(net, input_shape):
-        c, f = layer.in_channels, layer.out_channels
-        k, s, p = layer.kernel_size, layer.stride, layer.pad
-        if layer.kind == "conv":
-            x = np.broadcast_to(np.float32(0), (n,) + shape)
-            banded = any(lowering._lowering_bands(x, k, k, s, p, held)
-                         for held in (0, f))
-            form = "winograd" if (k, s) == (3, 1) and lowering._winograd(
-                n, c, f, *out[1:]) else "separable" \
-                if lowering._separable(f, c, k, s, True) else "direct"
-        else:
-            banded = _bands(n, f * k * k, *shape[1:], 4)
-            form = "separable" if lowering._separable(c, f, k, s, False) \
-                else "direct"
-        forms[layer.name] = form if banded else "one-shot"
-    return forms
+def passes(layer, shape, n):
+    """The ``plan()`` arguments of the passes of ``layer`` (a conv or
+    deconv) on ``(n,) + shape`` float32 inputs: the training forward, an
+    eval group's forward (its output rows held next to its columns), the
+    weight gradient and the data gradient."""
+    k, s, p = layer.kernel_size, layer.stride, layer.pad
+    x, y = (n,) + shape, (n,) + layer.output_shape(shape)
+    c, f, f32 = layer.in_channels, layer.out_channels, np.float32
+    if layer.kind == "deconv":      # the conv's passes, swapped (SIII-C)
+        forward = (lowering.matmul_col2im, y, c, k, s, p, f32)
+        return [forward, forward, (lowering.lowered_outer, y, c, k, s, p, f32),
+                (lowering.lowered_matmul, y, c, k, s, p, f32)]
+    forward = (lowering.lowered_matmul, x, f, k, s, p, f32)
+    # Conv2D.backward gathers where the weights are no larger than grad_out
+    gather = s == 1 and p < k and f * c * k * k <= math.prod(y)
+    return [forward, forward + (f,), (lowering.lowered_outer,) + forward[1:],
+            (lowering.lowered_matmul, y, c, k, 1, k - 1 - p, f32) if gather
+            else (lowering.matmul_col2im, x, f, k, s, p, f32)]
 
 
-def separable_layers(net, input_shape, n):
-    """Names of the conv / deconv layers of ``net`` that take the separable
-    form."""
-    return [name for name, form
-            in lowering_forms(net, input_shape, n).items()
-            if form == "separable"]
+def form(op, x_shape, rows, k, stride, pad, *rest):
+    """The letter of the form ``plan()`` gives a pass: ``o`` one-shot,
+    ``d`` direct, ``s`` separable, ``w`` Winograd, or ``f``: one shot with
+    the batch folded into one GEMM (``_folds``, of the weight rows of the
+    GEMM and the columns of an image)."""
+    made = lowering.plan(op, x_shape, rows, k, stride, pad, *rest)
+    if made.form != "one-shot":
+        return made.form[0]
+    if op is lowering.matmul_col2im:            # weights (C*k*k, rows)
+        rows = x_shape[1] * k * k
+    columns = math.prod(conv_output_size(d, k, stride, pad)
+                        for d in x_shape[2:])
+    return "f" if lowering._folds(x_shape[0], rows, columns) else "o"
 
 
-def winograd_weight_gradients(net, input_shape, n):
-    """Names of the conv / deconv layers of ``net`` whose weight gradient
-    (``lowered_outer``: banded without an epilogue's rows) takes the
-    F(4x4, 3x3) form on ``(n,) + input_shape`` float32 inputs."""
-    names = []
-    for layer, shape, out in lowered_layers(net, input_shape):
-        # a deconv lowers its output gradient onto its input
-        x, g = (shape, out) if layer.kind == "conv" else (out, shape)
-        k, s, p = layer.kernel_size, layer.stride, layer.pad
-        if (k, s) == (3, 1) and lowering._winograd(n, x[0], *g) \
-                and lowering._lowering_bands(
-                    np.broadcast_to(np.float32(0), (n,) + x), k, k, s, p):
-            names.append(layer.name)
-    return names
+def forms(net, input_shape, n):
+    """``name -> `` the four letters of :func:`form` for the passes of
+    each conv / deconv of ``net`` on ``(n,) + input_shape`` inputs."""
+    return {layer.name: "".join(form(*pass_) for pass_ in passes(layer, x, n))
+            for layer, x in lowered(net, input_shape)}
 
 
-def gemm_forms(net, input_shape, n):
-    """``name -> "banded" | "folded" | "batched"``: how the forward GEMM of
-    each conv / deconv of ``net`` runs on ``(n,) + input_shape`` float32
-    inputs; a conv's weight gradient has the same shapes."""
-    forms = {}
-    for layer, shape, out in lowered_layers(net, input_shape):
-        f, k = layer.out_channels, layer.kernel_size
-        if layer.kind == "conv":
-            x = np.broadcast_to(np.float32(0), (n,) + shape)
-            banded = lowering._lowering_bands(x, k, k, layer.stride, layer.pad)
-            rows, columns = f, out[1] * out[2]
-        else:
-            banded = _bands(n, f * k * k, *shape[1:], 4)
-            rows, columns = f * k * k, shape[1] * shape[2]
-        forms[layer.name] = "banded" if banded else \
-            "folded" if lowering._folds(n, rows, columns) else "batched"
-    return forms
+#: ``forms`` of the nets this repo runs: the forward in training and in an
+#: eval group (a deconv's is the same), the weight and the data gradient.
+#: A first layer's data gradient is planned but never run. Outside the
+#: hybrid net every fold is the one the columns alone made before
+#: ``_folds`` read the weights, but for the paper-width heads' forwards and
+#: weight gradients (1 / 3 / 4 filters on a 4x4 grid: batched now).
+TABLE = """
+layer        hep_infer  hep_train  hybrid
+conv1        ddds       odos       odos
+conv2        wwww       wwww       dddd
+conv3        wwww       wwww       oooo
+conv4        dddd       ffff       oooo
+conv5        oooo       ffff       ffff
+
+layer        climate_infer  paper_64  paper_768  paper_768x2
+enc_conv1    ssds           dddd      dddd       dddd
+enc_conv2    ddds           wwww      wwww       wwww
+enc_conv3    dddd           dddd      dddd       dddd
+enc_conv4    wwww           dddd      wwww       wwww
+enc_conv5    dddd           ffff      dddd       dddd
+enc_conv6    dddd           ffff      dddd       wwww
+enc_conv7    oooo           ffff      dddd       dddd
+enc_conv8    dddd           ffff      dddd       dddd
+enc_conv9    dddd           ffff      dddd       dddd
+head_conf    oooo           ooof      oooo       oooo
+head_cls     oooo           ooof      oooo       oooo
+head_box     oooo           ooof      oooo       oooo
+dec_deconv1  dddd           ffff      dddd       dddd
+dec_deconv2  dddd           ffff      dddd       dddd
+dec_deconv3  ssdd           dddd      dddd       dddd
+dec_deconv4  ssdd           dddd      dddd       dddd
+dec_deconv5  ssdd           dddd      dddd       dddd
+"""
+
+
+def hep(filters):
+    with undrawn():
+        return build_hep_net(filters=filters)
+
+
+def climate(width):
+    """``bench/workloads.py::ClimateInfer``'s net at ``width``."""
+    enc = [(int(c * width), k, s) for c, k, s in PAPER_ENCODER]
+    dec = [(int(c * width), k, s) for c, k, s in PAPER_DECODER]
+    dec[-1] = (16,) + PAPER_DECODER[-1][1:]
+    with undrawn():
+        return ClimateNet(16, 3, enc, dec)
+
+
+#: ``TABLE``'s columns: net, per-image input shape, batch
+NETS = {"hep_infer": (lambda: hep(128), (3, 224, 224), 2),
+        "hep_train": (lambda: hep(128), (3, 64, 64), 8),
+        "hybrid": (lambda: hep(16), (3, 32, 32), 32),
+        "climate_infer": (lambda: climate(1 / 4), (16, 256, 256), 2),
+        "paper_64": (lambda: climate(1), (16, 64, 64), 8),
+        "paper_768": (lambda: climate(1), (16, 768, 768), 1),
+        "paper_768x2": (lambda: climate(1), (16, 768, 768), 2)}
+
+
+def table(net):
+    """``TABLE``'s column of ``net``: ``name -> letters``."""
+    for block in TABLE.strip().split("\n\n"):
+        header, *rows = (line.split() for line in block.splitlines())
+        if net in header:
+            return {row[0]: row[header.index(net)] for row in rows}
 
 
 class TestTheRuleIsATable:
-    """Which layers of the nets this repo runs take the separable form: the
-    four thin ones of the benchmark ClimateNet, and nothing at paper width,
-    in the HEP net or in the hybrid trainer's. Which take the F(4x4, 3x3)
-    form: the banded 3x3 / stride-1 ones with 32 channels on either side and
-    a tile per channel, so HEP-128 ``conv2`` / ``conv3`` and the ClimateNets'
-    ``enc_conv2`` / ``enc_conv4`` / ``enc_conv6`` where the images are large
-    enough, and nothing in the hybrid trainer's net, the weight gradients
-    of the same layers included. And which one-shot
-    layers fold their batch into one GEMM: those whose weights outweigh an
+    """How ``plan()`` runs each pass of the nets this repo runs (``TABLE``).
+    Separable: the benchmark ClimateNet's thin ``enc_conv1`` and
+    ``dec_deconv3-5``. F(4x4, 3x3), in all three passes: the banded 3x3 /
+    stride-1 layers with 32 channels on either side and a tile per channel,
+    none in the hybrid trainer's net. Folded: where the weights outweigh an
     image's columns, so every deep layer of the wide nets and, of the
-    16-filter hybrid net, only the 2x2 one."""
+    16-filter hybrid net, only the 2x2 ``conv5``."""
 
-    @staticmethod
-    def climate(width):
-        enc = [(int(c * width), k, s) for c, k, s in PAPER_ENCODER]
-        dec = [(int(c * width), k, s) for c, k, s in PAPER_DECODER]
-        dec[-1] = (16,) + PAPER_DECODER[-1][1:]
-        with undrawn():
-            return ClimateNet(16, 3, enc, dec)
+    @pytest.mark.parametrize("net", NETS)
+    def test_forms(self, net):
+        build, shape, n = NETS[net]
+        assert forms(build(), shape, n) == table(net)
 
-    def forms(self, net, size, n):
-        enc = separable_layers(net.encoder, (16, size, size), n)
-        feats = net.encoder.output_shape((16, size, size))
-        return enc + separable_layers(net.decoder, feats, n)
-
-    def test_benchmark_climate_net(self):
-        assert self.forms(self.climate(1 / 4), 256, 2) == [
-            "enc_conv1", "dec_deconv3", "dec_deconv4", "dec_deconv5"]
-
-    @pytest.mark.parametrize("size, n", [(64, 8), (768, 1), (768, 2)])
-    def test_paper_width_climate_net_stays(self, size, n):
-        assert self.forms(self.climate(1), size, n) == []
-
-    @pytest.mark.parametrize("filters, size, n", [
-        (128, 224, 2), (128, 64, 8),        # hep_infer, hep_train
-        (16, 32, 32)])                      # hybrid_train
-    def test_hep_nets_stay(self, filters, size, n):
-        net = build_hep_net(filters=filters, rng=0)
-        assert separable_layers(net, (3, size, size), n) == []
-        # ... nor does a data gradient, a conv with flipped kernels or,
-        # where 128 x 128 weights outgrow grad_out, a scatter at the cap.
-        assert not lowering._separable(filters, filters, 3, 1, True)
-        assert not lowering._separable(128, 128, 3, 1, False)
-
-    @pytest.mark.parametrize("filters, size, n, forms", [
-        (128, 224, 2, "direct winograd winograd direct one-shot"),
-        (128, 64, 8, "direct winograd winograd one-shot one-shot"),
-        (16, 32, 32, "direct direct one-shot one-shot one-shot")])
-    def test_forms_of_the_hep_nets(self, filters, size, n, forms):
-        """``hep_infer``, ``hep_train``, ``hybrid_train``: ``conv1`` has 3
-        channels, ``conv4`` at 28x28 has 98 tiles for 128 channels."""
-        with undrawn():
-            net = build_hep_net(filters=filters)
-        assert list(lowering_forms(net, (3, size, size), n).values()) \
-            == forms.split()
-        if filters == 128 and n == 8:
-            # ... and the data gradients of conv2 (32x32) and conv3 (16x16),
-            # flipped-kernel convs of the same shapes, take it too.
-            assert lowering._winograd(8, 128, 128, 32, 32)
-            assert lowering._winograd(8, 128, 128, 16, 16)
-        # ... and so do the weight gradients of the same layers, no others
-        assert winograd_weight_gradients(net, (3, size, size), n) == [
-            f"conv{i}" for i, form in enumerate(forms.split(), 1)
-            if form == "winograd"]
-
-    @pytest.mark.parametrize("width, size, n, winograd", [
-        (1 / 4, 256, 2, [4]),           # climate_infer: 64 -> 96 at 64x64
-        (1, 64, 8, [2]),                # 64 -> 128 at 32x32
-        (1, 768, 1, [2, 4]), (1, 768, 2, [2, 4, 6])])
-    def test_forms_of_the_climate_nets(self, width, size, n, winograd):
-        """``enc_conv6`` (512 -> 768 at 96x96) has 576 tiles an image, and
-        at quarter width (128 -> 192 at 32x32) 64: with the batch, fewer
-        than channels."""
-        net = self.climate(width)
-        forms = lowering_forms(net.encoder, (16, size, size), n)
-        assert [name for name, form in forms.items() if form == "winograd"] \
-            == [f"enc_conv{i}" for i in winograd]
-        assert winograd_weight_gradients(net.encoder, (16, size, size), n) \
-            == [f"enc_conv{i}" for i in winograd]
-        feats = net.encoder.output_shape((16, size, size))
-        assert "winograd" not in lowering_forms(net.decoder, feats, n).values()
-        assert not winograd_weight_gradients(net.decoder, feats, n)
-
-    def test_the_rule_reads_shapes_only(self):
+    def test_the_rules_read_shapes_only(self):
         rule = lowering._winograd
         assert rule(2, 128, 128, 112, 112) and rule(2, 64, 96, 64, 64)
         assert not rule(2, 16, 32, 128, 128)    # enc_conv2: a thin side
         assert rule(1, 32, 32, 24, 24) and not rule(1, 32, 31, 24, 24)
         assert rule(2, 128, 128, 32, 32) and not rule(2, 128, 128, 28, 28)
         assert rule(1, 128, 192, 55, 53)        # 14 x 14 tiles, cropped
-
-    def test_folds_of_the_hep_nets(self):
-        forms = dict(zip(("conv1", "conv2", "conv3", "conv4", "conv5"),
-                         "batched banded batched batched folded".split()))
-        hybrid = build_hep_net(filters=16, rng=0)
-        assert gemm_forms(hybrid, (3, 32, 32), 32) == forms
-        # conv3 (8x8) and conv4 (4x4) folded before the rule read the
-        # weights: 16 rows of them do not outweigh 64 or 16 columns.
+        # a 3x3 conv of 16 or 128 filters, its flipped-kernel data gradient
+        # and, at the cap, its scatter move no fewer rows separably
+        for filters in (16, 128):
+            assert not lowering._separable(filters, filters, 3, 1, True)
+        assert not lowering._separable(128, 128, 3, 1, False)
+        # 8x8 and 4x4 images of 16 filters: the weights outweigh only 4x4
         assert not lowering._folds(32, 16, 64) and lowering._folds(32, 16, 4)
-        with undrawn():
-            hep = build_hep_net(filters=128)
-        forms = "batched banded banded folded folded".split()
-        assert list(gemm_forms(hep, (3, 64, 64), 8).values()) == forms
-        forms = "banded banded banded banded batched".split()     # n == 2
-        assert list(gemm_forms(hep, (3, 224, 224), 2).values()) == forms
 
-    def test_folds_of_the_paper_width_climate_net(self):
-        """``(8, 16, 64, 64)``: the 8x8 and 4x4 layers, up to 95 MB of
-        weights against 64 or 16 columns, are what folding is for."""
-        net = self.climate(1)
-        assert gemm_forms(net.encoder, (16, 64, 64), 8) == dict(
-            {f"enc_conv{i}": "banded" for i in (1, 2, 3, 4)},
-            **{f"enc_conv{i}": "folded" for i in (5, 6, 7, 8, 9)})
-        feats = net.encoder.output_shape((16, 64, 64))
-        assert feats[1:] == (4, 4)
-        assert gemm_forms(net.decoder, feats, 8) == {
-            "dec_deconv1": "folded", "dec_deconv2": "folded",
-            "dec_deconv3": "banded", "dec_deconv4": "banded",
-            "dec_deconv5": "banded"}
 
-    def test_no_big_net_layer_asks_the_weights(self, monkeypatch):
-        """Every one-shot conv / deconv of the 128-filter HEP nets and of both
-        ClimateNets decides as it did on columns alone. (The paper-width
-        ClimateNet's three heads, 1 / 3 / 4 filters on a 4x4 grid, are the
-        one exception in the tree: batched now, to the same bits.)"""
-        decided, folds = [], lowering._folds
+class TestPlanBands:
+    """Every form's bands hold each (image, output row) once, the first the
+    largest, each a ``multiple`` of rows high, Winograd's whole tile rows;
+    a separable ``matmul_col2im``'s hold each row of the image once."""
 
-        def spy(n, rows, p):
-            decided.append((folds(n, rows, p), n > 1 and p < _FOLD_BELOW))
-            return decided[-1][0]
-
-        monkeypatch.setattr(lowering, "_folds", spy)
-        with undrawn():
-            hep = build_hep_net(filters=128)
-        gemm_forms(hep, (3, 64, 64), 8)
-        gemm_forms(hep, (3, 224, 224), 2)
-        for width, size, n in [(1, 64, 8), (1, 768, 1), (1 / 4, 256, 2)]:
-            net = self.climate(width)
-            gemm_forms(net.encoder, (16, size, size), n)
-            gemm_forms(net.decoder,
-                       net.encoder.output_shape((16, size, size)), n)
-        assert len(decided) >= 12 and all(new == old for new, old in decided)
+    @settings(max_examples=1000, deadline=None)
+    @given(op=st.sampled_from(["lowered_matmul", "matmul_col2im",
+                               "lowered_outer"]),
+           rule=st.sampled_from([{}, {"winograd": True},
+                                 {"separable": True}]),
+           n=st.integers(1, 3), c=st.integers(1, 48),
+           w_rows=st.integers(1, 48), h=st.integers(1, 40),
+           w=st.integers(1, 40), k=st.sampled_from([1, 2, 3, 3, 3, 4, 5]),
+           stride=st.sampled_from([1, 1, 1, 2, 3]), pad=st.integers(0, 2),
+           multiple=st.sampled_from([0, 1, 2, 3, 4, 6]),
+           band_bytes=st.sampled_from([1, 300, 3000, 30000, _BAND_BYTES]))
+    # a Winograd forward under a 3x3 pool: bands of 3 tile rows, 12 rows
+    @example(op="lowered_matmul", rule={"winograd": True}, n=1, c=4,
+             w_rows=4, h=24, w=24, k=3, stride=1, pad=1, multiple=3,
+             band_bytes=1)
+    def test_bands_cover_every_row_once(self, op, rule, n, c, w_rows, h, w,
+                                        k, stride, pad, multiple, band_bytes):
+        assume(min(h, w) + 2 * pad >= k)
+        oh = conv_output_size(h, k, stride, pad)
+        # an eval group's forward (multiple > 0) holds its rows, in windows
+        fused = op == "lowered_matmul" and multiple
+        multiple, made = math.gcd(multiple, oh) if fused else 1, []
+        with budget(band_bytes, fold_below=1), \
+                planned(lambda *args: made.append(args[2]), **rule):
+            lowering.plan(getattr(lowering, op), (n, c, h, w), w_rows, k,
+                          stride, pad, np.float32, w_rows if fused else 0,
+                          multiple)
+        (made,) = made
+        if made.form == "one-shot":
+            assert made.bands is None
+            return
+        groups = made.form == "separable" and op == "matmul_col2im"
+        covered = np.zeros((n, h if groups else oh), int)
+        first = made.bands[0]
+        for i0, i1, r0, r1 in made.bands:
+            assert 0 <= i0 < i1 <= n and 0 <= r0 < r1
+            assert (i1 - i0) * (r1 - r0) <= (first[1] - first[0]) \
+                * (first[3] - first[2])
+            assert r0 % multiple == 0 and (r1 - r0) % multiple == 0
+            if made.form == "winograd":     # whole tile rows
+                assert r0 % 4 == 0 and (r1 % 4 == 0 or r1 == oh)
+            if groups:      # row groups from the first that meets the image
+                q0 = pad // stride
+                r0, r1 = (min(max(stride * (r + q0) - pad, 0), h)
+                          for r in (r0, r1))
+            covered[i0:i1, r0:r1] += 1
+        assert (covered == 1).all()
 
 
 class TestSmallShapeRulesLeaveTheBigNets:
@@ -1162,37 +1139,28 @@ class TestSmallShapeRulesLeaveTheBigNets:
 
 
 class TestTheFormLeavesTheOtherLayers:
-    """Only the layers ``TestTheRuleIsATable`` lists call the F(4x4, 3x3)
-    form; every other layer runs the lowering it ran before the form
-    existed, so the 16-filter hybrid net keeps its bits."""
+    """A run plans once a pass, in order, what ``passes`` and ``TABLE`` say
+    (a step plans no weight gradient on kept columns and no ``conv1`` data
+    gradient): only ``TABLE``'s passes take the F(4x4, 3x3) form."""
 
-    run = staticmethod(TestSmallShapeRulesLeaveTheBigNets.run)
-
-    def test_hep_infer_and_hep_train(self):
-        with winograd_everywhere(on=None) as calls:
-            self.run(128, 224, 2, False)
-            assert calls == [(2, 128, 112, 112), (2, 128, 56, 56)]
-            del calls[:]
-            self.run(128, 64, 8, True)
-        # conv2 and conv3 forward, then the weight and data gradient of each
-        assert calls == [(8, 128, 32, 32), (8, 128, 16, 16),
-                         ("outer", (8, 128, 16, 16)), (8, 128, 16, 16),
-                         ("outer", (8, 128, 32, 32)), (8, 128, 32, 32)]
-
-    def test_climate_infer(self):
-        net = TestTheRuleIsATable.climate(1 / 4).eval()
-        with winograd_everywhere(on=None) as calls:
-            net.forward(np.zeros((2, 16, 256, 256), np.float32))
-        assert calls == [(2, 64, 64, 64)]            # enc_conv4
-
-    def test_the_hybrid_net_keeps_its_bits(self):
-        with winograd_everywhere(False):
-            ref = self.run(16, 32, 32, True)
-        with winograd_everywhere(on=None) as calls:
-            got = self.run(16, 32, 32, True)
-        assert not calls
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("name", ["hep_infer", "hep_train", "hybrid",
+                                      "climate_infer"])
+    def test_a_run_plans_each_pass_once(self, name):
+        (build, shape, n), infer = NETS[name], name.endswith("infer")
+        net, x, made = build(), np.zeros((n,) + shape, np.float32), []
+        with planned(lambda op, x, plan: made.append((op, x, plan.form))):
+            if infer:
+                net.eval().forward(x)
+            else:
+                net.backward(np.zeros_like(net.forward(x)), input_grad=False)
+        steps = [passes(layer, x, n) for layer, x in lowered(net, shape)]
+        want = [step[infer] for step in steps]  # in eval: an eval group's
+        for i, (forward, _, weights, data) in reversed(list(enumerate(steps))):
+            if not infer:
+                kept = lowering.plan(*forward).bands is None
+                want += [weights] * (not kept) + [data] * (i > 0)
+        assert made == [(op, x, lowering.plan(op, x, *rest).form)
+                        for op, x, *rest in want]
 
 
 class TestBandedMemory:
@@ -1247,7 +1215,7 @@ class TestBandedMemory:
         assert bound < x.nbytes * 9 / 4
         with winograd_everywhere(on=None) as calls:
             peak, _ = self.peak_of(
-                lambda: lowering.lowered_outer(g, x, 3, 3, 1, 1))
+                lambda: lowering.lowered_outer(g, x, 3, 1, 1))
         assert calls == [("outer", shape)]
         assert peak < bound, f"weight gradient peaked at {peak >> 20} MiB"
 
@@ -1262,7 +1230,7 @@ class TestBandedMemory:
         bands, with no room left for the padded copy the direct form makes."""
         layer = layer_cls(c, 16, k, stride=stride, rng=0).eval()
         shape = (2, c, 256, 256)
-        assert separable_layers(Sequential([layer]), shape[1:], 2)
+        assert forms(Sequential([layer]), shape[1:], 2)[layer.name][0] == "s"
         x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
         peak, out = self.peak_of(lambda: layer.forward(x))
         # what the direct form pads: a conv its input, a deconv its output
