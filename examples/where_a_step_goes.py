@@ -9,7 +9,9 @@ The forms are the plans ``repro.nn.im2col.plan`` made, a pass each. In an
 eval forward a conv's followers run inside its row, on bands. A max-pool the
 Winograd form took in place (its 4x4 blocks pooled before they are woven)
 never has its ``forward`` called, so it has no row: its conv reads
-``winograd, pooled``."""
+``winograd, pooled``. In a training step the first conv makes the gradient
+of the max-pool behind it band by band inside its weight gradient, so that
+pool has no backward row: the conv's reads ``w: direct, pooled  d: none``."""
 import argparse
 import sys
 import time
@@ -52,14 +54,17 @@ def timed(fn, key, spent, forms=None):
             def form(passes):
                 return "/".join(form for by, form in forms[None][mark:]
                                 if by in passes) or "direct"
+            # a pool handed to the conv that booked no time ran in its pass
+            # (its forward in the tile form, its gradient inside the weight
+            # gradient's band loop)
+            fwd, phase = key.endswith(".forward"), key.rsplit(".", 1)[1]
+            pools = args[1] if fwd and args[1:] else [kwargs.get("pool")]
+            pooled = ", pooled" if any(
+                f"{pool.name}.{phase}" not in spent for pool in pools
+                if pool is not None and pool.window_max) else ""
             # a backward(..., input_grad=False) returns no data gradient
-            forms[key] = form("wd") if key.endswith(".forward") else \
-                f"w: {form('w')}  d: {'none' if out is None else form('d')}"
-            # a pool handed to the conv that booked no time ran in its form
-            then = args[1] if key.endswith(".forward") and args[1:] else ()
-            if any(f"{layer.name}.forward" not in spent
-                   for layer in then if layer.window_max):
-                forms[key] += ", pooled"
+            forms[key] = form("wd") + pooled if fwd else f"w: {form('w')}" \
+                f"{pooled}  d: {'none' if out is None else form('d')}"
         return out
     return call
 

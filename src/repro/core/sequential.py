@@ -88,16 +88,17 @@ class Sequential(Module):
     def backward(self, grad_out: np.ndarray,
                  input_grad: bool = True) -> Optional[np.ndarray]:
         """dL/d(input); ``None`` with ``input_grad=False`` if the first
-        layer to run can skip it (``Module.skips_input_grad``) — a training
-        step never reads the gradient with respect to its images."""
-        order = self.schedule()
+        layer to run can skip it (``Module.skips_input_grad``; one that takes
+        followers then also takes the max-pool behind it, ``pool=``)."""
+        order, skip = self.schedule(), {}
+        if order and not input_grad and order[0].skips_input_grad:
+            skip["input_grad"] = False
+            if order[0].takes_followers and order[1:] \
+                    and order[1].window_max and order[1].band_rows:
+                skip["pool"] = order.pop(1)
         for layer in reversed(order[1:]):
             grad_out = layer.backward(grad_out)
-        if not order:
-            return grad_out
-        if input_grad or not order[0].skips_input_grad:
-            return order[0].backward(grad_out)
-        return order[0].backward(grad_out, input_grad=False)
+        return order[0].backward(grad_out, **skip) if order else grad_out
 
     # -- parameters --------------------------------------------------------
     def params(self) -> List[Parameter]:

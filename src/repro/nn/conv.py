@@ -36,6 +36,7 @@ from repro.core.parameter import Parameter
 from repro.nn.im2col import (
     check_input, conv_output_size, lowered_matmul, lowered_outer,
     matmul_col2im)
+from repro.nn.pooling import max_pool_grad
 from repro.utils.rng import SeedLike
 
 
@@ -107,8 +108,8 @@ class Conv2D(Module):
         self._cache = (x, cols) if self.training else None
         return run_layers(then, out)
 
-    def backward(self, grad_out: np.ndarray,
-                 input_grad: bool = True) -> Optional[np.ndarray]:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True,
+                 pool: Optional[Module] = None) -> Optional[np.ndarray]:
         """Accumulate the parameter gradients; return the data gradient.
 
         The data gradient has two forms. *Scatter*: ``col2im(W^T @ g)``, an
@@ -120,18 +121,25 @@ class Conv2D(Module):
         the weights, so gather runs only where those are no larger than
         ``grad_out``: at ClimateNet widths (1024 -> 1024 at 16x16) it loses.
         Same sums in another order: the two agree to rounding.
+
+        With a ``pool`` (the max-pool behind a first conv), ``grad_out`` is
+        its output gradient; with ``input_grad=False`` on the pool's fast
+        path the pool's gradient is made a band at a time, never whole.
         """
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x, cols = self._cache
-        check_grad_out(self.name, grad_out,
-                       (x.shape[0],) + self.output_shape(x.shape[1:]))
+        shape = (x.shape[0],) + self.output_shape(x.shape[1:])
+        if pool is not None and (input_grad or pool._cache is None
+                                 or not pool._is_fast_path(*shape[2:])):
+            grad_out, pool = pool.backward(grad_out), None
+        g = _Bands(grad_out, pool, self.name, shape)
         k, s, p = self.kernel_size, self.stride, self.pad
         weight = self.weight.data
-        g = grad_out.reshape(x.shape[0], self.out_channels, -1)  # (N, F, oh*ow)
         self.weight.grad += lowered_outer(g, x, k, s, p, cols) \
             .reshape(weight.shape)
-        self.bias.grad += g.sum(axis=(0, 2))
+        # per image as its bands were read, then over images in image order
+        self.bias.grad += np.add.accumulate(g.sums)[-1]
         if not input_grad:
             return None
         if s == 1 and p < k and weight.size <= grad_out.size:
@@ -168,3 +176,37 @@ class Conv2D(Module):
         macs = batch * self.out_channels * oh * ow * self.in_channels * k * k
         bias_adds = batch * self.out_channels * oh * ow
         return 2 * macs + bias_adds
+
+
+class _Bands:
+    """``Conv2D.backward``'s output gradient as ``lowered_outer`` reads it,
+    a band ``[i0:i1, :, r0:r1]`` at a time, its sums per image and channel
+    added to ``sums``. Given a fast-path ``pool``, ``g`` is the pool's output
+    gradient and a band is made from it (whole windows) in one scratch."""
+
+    def __init__(self, g: np.ndarray, pool: Optional[Module], name: str,
+                 shape: Tuple[int, ...]) -> None:
+        self.g, self.pool, self.shape, self.dtype = g, pool, shape, g.dtype
+        if pool is not None:
+            (self.x, self.out), pool._cache = pool._cache, None
+            name, shape, self.buf = pool.name, self.out.shape, np.empty(0)
+        check_grad_out(name, g, shape)      # by the layer whose output it is
+        self.sums = np.zeros(self.shape[:2], g.dtype)
+
+    def __getitem__(self, index) -> np.ndarray:
+        images, _, rows = index
+        band = self.g[index] if self.pool is None else self.made(images, rows)
+        self.sums[images] += band.reshape(*band.shape[:2], -1).sum(axis=2)
+        return band
+
+    def made(self, images: slice, rows: slice) -> np.ndarray:
+        k, (_, m, _, ow) = self.pool.kernel_size, self.shape
+        a, b = rows.start // k, -(-rows.stop // k)      # the windows' rows
+        size = (images.stop - images.start) * m * (b - a) * k * ow
+        if self.buf.size < size:
+            self.buf = np.empty(size, self.dtype)
+        band = self.buf[:size].reshape(-1, m, (b - a) * k, ow)
+        max_pool_grad(self.x[images, :, a * k:b * k],
+                      self.out[images, :, a:b], self.g[images, :, a:b], k,
+                      band)
+        return band[:, :, rows.start - a * k:rows.stop - a * k]

@@ -101,12 +101,14 @@ class Deconv2D(Module):
         self._cache = x if self.training else None
         return run_layers(then[fused:], out)
 
-    def backward(self, grad_out: np.ndarray,
-                 input_grad: bool = True) -> Optional[np.ndarray]:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True,
+                 pool: Optional[Module] = None) -> Optional[np.ndarray]:
         """Conv forward applied as a backward op, plus the weight gradient."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x = self._cache
+        if pool is not None:
+            grad_out = pool.backward(grad_out)
         check_grad_out(self.name, grad_out,
                        (x.shape[0],) + self.output_shape(x.shape[1:]))
         k, s, p = self.kernel_size, self.stride, self.pad

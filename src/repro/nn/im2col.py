@@ -629,30 +629,42 @@ def matmul_col2im(a: np.ndarray, g: np.ndarray,
     return done
 
 
-def lowered_outer(g: np.ndarray, x: np.ndarray, k: int, stride: int,
-                  pad: int, cols: Optional[np.ndarray] = None) -> np.ndarray:
+def lowered_outer(g, x: np.ndarray, k: int, stride: int, pad: int,
+                  cols: Optional[np.ndarray] = None) -> np.ndarray:
     """``sum_n g[n] @ im2col(x)[n].T`` for ``g (N, M, oh, ow)``: the
     ``(M, C*k*k)`` weight gradient. ``cols`` are ``x``'s columns where a
-    one-shot :func:`lowered_matmul` already built them: nothing to plan."""
+    one-shot :func:`lowered_matmul` already built them: nothing to plan.
+    Each row of ``g`` is read once, in bands ``g[i0:i1, :, r0:r1]`` (one
+    shot: ``_BAND_BYTES`` of whole images), each used up before the next:
+    ``g`` may be anything with ``shape``, ``dtype`` and such slices."""
     n, c, h, w = x.shape
     oh, ow = (conv_output_size(d, k, stride, pad) for d in (h, w))
-    if g.shape[0] != n or g[0, 0].size != oh * ow:
+    if g.shape[0] != n or math.prod(g.shape[2:]) != oh * ow:
         raise ValueError(
             f"g shape {g.shape} does not lower an image of {x.shape}")
-    g = g.reshape(n, -1, oh * ow)
-    if cols is not None:
-        return _batch_outer(g, cols)
-    m, dtype = g.shape[1], np.result_type(g, x)
-    form, bands = plan(lowered_outer, x.shape, m, k, stride, pad, x.dtype)
+    m, dtype = g.shape[1], np.result_type(g.dtype, x.dtype)
+    if isinstance(g, np.ndarray):
+        g = g.reshape(n, m, oh, ow)
+    form, bands = plan(lowered_outer, x.shape, m, k, stride, pad, x.dtype) \
+        if cols is None else Plan("one-shot")
     if form == "one-shot":
-        return _batch_outer(g, im2col(x, k, k, stride, pad))
+        cols = im2col(x, k, k, stride, pad) if cols is None else cols
+        if _folds(n, m, oh * ow):
+            return _batch_outer(g[0:n, :, 0:oh].reshape(n, m, -1), cols)
+        # _batch_outer's per-image products, summed in image order
+        prods = np.empty((n, m, cols.shape[1]), dtype)
+        for i0, i1, _, _ in _cut(n, oh, max(
+                _BAND_BYTES // (g.dtype.itemsize * m * ow), oh)):
+            np.matmul(g[i0:i1, :, 0:oh].reshape(i1 - i0, m, -1),
+                      cols[i0:i1].transpose(0, 2, 1), out=prods[i0:i1])
+        return prods.sum(axis=0)
     if form == "winograd":
-        return _tile_outer(g.reshape(n, m, oh, ow), x, pad, bands, dtype)
+        return _tile_outer(g, x, pad, bands, dtype)
     patches = _patches(x, k, k, stride, pad)
     acc = np.zeros((m, c * k * k), dtype)
     buf = _band_buffer(bands, c * k * k, ow, x.dtype)
     for band in bands:
         i0, i1, r0, r1 = band
-        acc += _batch_outer(g[i0:i1, :, r0 * ow:r1 * ow],
+        acc += _batch_outer(g[i0:i1, :, r0:r1].reshape(i1 - i0, m, -1),
                             _gather(buf, patches, band))
     return acc

@@ -22,12 +22,12 @@ class MaxPool2D(Module):
 
     A training forward is the eval forward plus a *reference* to its input
     (not a copy: nothing may write to it before ``backward``); the winners
-    are found at backward, tap by tap. NaN never wins (``np.fmax``, as in
-    ``ReLU``), so pooling before or after a ReLU gives the same output and
-    gradients (``core.Sequential`` runs it first). Every window's maxima
-    share its gradient, on the fast path and on overlapping or ragged
-    windows alike, so a window's gradient is the same whatever the image's
-    size.
+    are found at backward (on the fast path by :func:`max_pool_grad`). NaN
+    never wins (``np.fmax``, as in ``ReLU``), so pooling before or after a
+    ReLU gives the same output and gradients (``core.Sequential`` runs it
+    first). Every window's maxima share its gradient, on the fast path and
+    on overlapping or ragged windows alike, so a window's gradient is the
+    same whatever the image's size.
     """
 
     kind = "pool"
@@ -88,6 +88,9 @@ class MaxPool2D(Module):
             raise RuntimeError(f"{self.name}: backward called before forward")
         x, out = self._cache
         check_grad_out(self.name, grad_out, out.shape)
+        if self._is_fast_path(*x.shape[2:]):
+            return max_pool_grad(x, out, grad_out, self.kernel_size,
+                                 np.empty(x.shape, grad_out.dtype))
         # Tap (i, j) of every window is one strided image the size of the
         # output. All maxima win, scaled by multiplicity (a correct adjoint;
         # Caffe routes to the first). A window with no winner (all NaN) gets
@@ -101,8 +104,7 @@ class MaxPool2D(Module):
         g = grad_out / np.maximum(counts, 1, out=counts)
         # A tap's cells are distinct: overlapping windows add up tap by tap.
         k, s = self.kernel_size, self.stride
-        tiled = self._is_fast_path(*x.shape[2:])    # every cell in a window
-        grad_in = (np.empty if tiled else np.zeros)(x.shape, grad_out.dtype)
+        grad_in = np.zeros(x.shape, grad_out.dtype)
         for tap, win in zip(self._taps(grad_in, *out.shape[2:]), wins):
             if s < k:
                 tap += win * g
@@ -124,6 +126,27 @@ class MaxPool2D(Module):
         oh = conv_output_size(h, k, s, 0)
         ow = conv_output_size(w, k, s, 0)
         return batch * c * oh * ow * (k * k - 1)
+
+
+def max_pool_grad(x: np.ndarray, out: np.ndarray, grad_out: np.ndarray,
+                  k: int, grad_in: np.ndarray) -> np.ndarray:
+    """``grad_in`` (``x``'s shape) := dL/dx of the non-overlapping ``k x k``
+    max-pool ``out`` of ``x``: ``MaxPool2D``'s rule, along whole rows. ``x``
+    is compared with ``out`` repeated ``k`` times along the width, winners
+    are counted in ``uint8`` (below 16x16), one division, one multiply."""
+    n, c, oh, ow = out.shape
+
+    def wide(a: np.ndarray) -> np.ndarray:      # each column k times over
+        return np.stack([a] * k, axis=-1).reshape(n, c, oh, 1, ow * k)
+
+    wins = x.reshape(n, c, oh, k, ow * k) == wide(out)
+    rows = np.zeros((n, c, oh, ow * k), np.min_scalar_type(k * k))
+    for i in range(k):
+        rows += wins[:, :, :, i]
+    counts = reduce(np.add, [rows[..., j::k] for j in range(k)])
+    np.multiply(wins, wide(grad_out / np.maximum(counts, 1)),
+                out=grad_in.reshape(n, c, oh, k, ow * k))
+    return grad_in
 
 
 class GlobalAvgPool2D(Module):

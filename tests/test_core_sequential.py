@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Sequential
+from repro.models.hep import build_hep_net
 from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
@@ -507,6 +508,117 @@ class TestScheduleIsInvisible:
         for a, b in zip(param_grads(net), want):
             np.testing.assert_array_equal(a, b)
         assert Sequential([]).backward(g, input_grad=False) is g
+
+
+class TestTheFirstPoolGradientIsNeverWhole:
+    """A training step's ``net.backward(g, input_grad=False)`` hands the
+    first conv the max-pool behind it: the pool's gradient is made band by
+    band inside the conv's weight gradient, with the bits of the pool's own
+    ``backward``, and its ``backward`` never runs."""
+
+    @pytest.mark.parametrize("band_bytes", [1 << 16, _BAND_BYTES])
+    def test_pool1_backward_never_runs(self, rng, band_bytes):
+        net = build_hep_net(filters=8, rng=0)
+        pools = {layer.name: layer for layer in net.layers
+                 if isinstance(layer, MaxPool2D)}
+        calls = []
+        for pool in pools.values():
+            pool.backward = lambda g, _orig=pool.backward, _name=pool.name: \
+                calls.append(_name) or _orig(g)
+        x = rng.normal(size=(8, 3, 64, 64)).astype(np.float32)
+        g = rng.normal(size=(8, 2)).astype(np.float32)
+        with budget(band_bytes):
+            net.forward(x)
+            net.backward(g)
+            want = param_grads(net)
+            assert calls == ["pool4", "pool3", "pool2", "pool1"]
+            net.zero_grad()
+            calls.clear()
+            net.forward(x)
+            assert net.backward(g, input_grad=False) is None
+        assert calls == ["pool4", "pool3", "pool2"]
+        assert pools["pool1"]._cache is None
+        assert pools["pool2"]._cache is not None
+        for a, b in zip(param_grads(net), want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("band_bytes", [1 << 10, 1 << 40])
+    def test_a_bias_gradient_sums_each_image_then_the_images(self, rng,
+                                                             band_bytes):
+        """With one filter, ``g.sum(axis=(0, 2))`` was one pairwise sum over
+        the whole batch, which a gradient made a band of images at a time
+        cannot reproduce; each image's sum, then the images in order, can."""
+        conv = Conv2D(2, 1, 3, rng=0)
+        x = rng.normal(size=(32, 2, 8, 8)).astype(np.float32)
+        g = rng.normal(size=(32, 1, 8, 8)).astype(np.float32)
+        conv.forward(x)
+        with budget(band_bytes):            # 1 KiB: bands of 4 images
+            conv.backward(g, input_grad=False)
+        want = np.zeros(1, np.float32)
+        for image in g:
+            want += image.reshape(1, -1).sum(axis=1)
+        assert conv.bias.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pool_k", [2, 3])
+    @pytest.mark.parametrize("form", ["winograd", "uncached"])
+    def test_every_weight_gradient_form_reads_made_bands(self, rng, form,
+                                                         pool_k):
+        """Tile bands (4 rows, rounded out to 3-row windows), and a one-shot
+        weight gradient with no columns kept (``WinogradConv2D``'s cache)."""
+        conv = WinogradConv2D(4, 4, rng=0) if form == "uncached" \
+            else Conv2D(4, 4, 3, rng=0)
+        net = Sequential([conv, ReLU(), MaxPool2D(pool_k)])
+        x = rng.normal(size=(2, 4, 24, 24)).astype(np.float32)
+        g = rng.normal(size=(2, 4) + (24 // pool_k,) * 2).astype(np.float32)
+        forms = winograd_everywhere() if form == "winograd" \
+            else contextlib.nullcontext([])
+        grads = []
+        with budget(1 if form == "winograd" else 1 << 40, fold_below=1), \
+                forms as calls:
+            for input_grad in (True, False):
+                net.zero_grad()
+                net.forward(x)
+                net.backward(g, input_grad=input_grad)
+                grads.append(param_grads(net))
+        assert (form == "winograd") == (("outer", x.shape) in calls)
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
+
+    def test_a_ragged_pool_runs_its_own_backward(self, rng):
+        net = build("crp", 2, 4, 3, 1, 1, 2).train()
+        x = rng.normal(size=(2, 2, 9, 8)).astype(np.float32)
+        g = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
+        net.forward(x)
+        net.backward(g)
+        want = param_grads(net)
+        net.zero_grad()
+        net.forward(x)
+        assert net.backward(g, input_grad=False) is None
+        assert net.layers[2]._cache is not None
+        for a, b in zip(param_grads(net), want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_the_hep_conv1_gradient_peaks_under_one_conv1_output(self):
+        """At ``hep_train``'s ``(8, 128, 64, 64)`` the 16.8 MB gradient of
+        the conv's output, which the pool's ``backward`` would allocate, is
+        never whole: one band scratch and its temporaries are."""
+        net = Sequential([Conv2D(3, 128, 3, rng=0), ReLU(), MaxPool2D(2)])
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 3, 64, 64)).astype(np.float32)
+        g = rng.normal(size=(8, 128, 32, 32)).astype(np.float32)
+        conv_out = 8 * 128 * 64 * 64 * 4
+        peaks = []
+        for input_grad in (False, True):
+            net.forward(x)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                net.backward(g, input_grad=input_grad)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < conv_out < peaks[1], \
+            f"peaked at {peaks[0] >> 20} / {peaks[1] >> 20} MiB"
 
 
 class TestFusedMemory:

@@ -4,10 +4,12 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grad_check import numeric_grad
 from repro.nn.activations import ReLU, Sigmoid, Tanh
-from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
+from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D, max_pool_grad
 
 
 class TestMaxPoolForward:
@@ -144,7 +146,7 @@ class TestFastPathIsTheStridedReduce:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_train_mode_mask_and_counts_equal_the_sum_form(self, rng, k):
-        """``backward`` finds the winners itself, tap by tap; its result is
+        """``backward`` finds the winners itself, row by row; its result is
         bit for bit the broadcast-mask / summed-counts form's."""
         x = rng.integers(0, 3, size=(2, 3, 6 * k, 2 * k)).astype(np.float32)
         pool = MaxPool2D(k).train()
@@ -225,6 +227,64 @@ class TestFastPathIsTheStridedReduce:
                     window = x[:, :, i * s:i * s + k, j * s:j * s + k]
                     np.testing.assert_array_equal(
                         out[:, :, i, j], window.max(axis=(2, 3)))
+
+
+def tap_loop_grad(x, out, g, k):
+    """The fast path's input gradient as it was computed tap by tap, kept
+    as the oracle: ``k*k`` strided compares of ``x[:, :, i::k, j::k]`` with
+    ``out``, counts in ``g``'s dtype, one division, one strided multiply a
+    tap."""
+    taps = [(i, j) for i in range(k) for j in range(k)]
+    wins = [x[:, :, i::k, j::k] == out for i, j in taps]
+    counts = np.zeros(out.shape, g.dtype)
+    for win in wins:
+        counts += win
+    q = g / np.maximum(counts, 1)
+    grad = np.empty(x.shape, g.dtype)
+    for (i, j), win in zip(taps, wins):
+        np.multiply(win, q, out=grad[:, :, i::k, j::k])
+    return grad
+
+
+class TestMaxPoolGrad:
+    """``max_pool_grad`` runs along whole rows and counts winners in
+    ``uint8``; its gradient is the tap loop's bit for bit: ties share, an
+    all-NaN window gets nothing, and a losing cell under a negative
+    gradient keeps its ``-0.0``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), n=st.integers(1, 3),
+           c=st.integers(1, 3), oh=st.integers(1, 5), ow=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           levels=st.integers(0, 3), nan_share=st.sampled_from([0, 0.3, 1]),
+           seed=st.integers(0, 2**16))
+    def test_equals_the_tap_loop_bit_for_bit(self, k, n, c, oh, ow, dtype,
+                                              levels, nan_share, seed):
+        rng = np.random.default_rng(seed)
+        # few levels: many ties; levels == 0: every window one tie
+        x = rng.integers(-levels, levels + 1,
+                         size=(n, c, oh * k, ow * k)).astype(dtype)
+        x[rng.random(x.shape) < nan_share] = np.nan
+        x[0, 0, :k, :k] = np.nan                    # an all-NaN window
+        pool = MaxPool2D(k)
+        out = pool.forward(x)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g[0, 0, 0, 0] = -1.0                        # -0.0 in that window
+        got = np.full(x.shape, 7.0, dtype)          # nothing of it may show
+        max_pool_grad(x, out, g, k, got)
+        want = tap_loop_grad(x, out, g, k)
+        assert got.tobytes() == want.tobytes()
+        corner = got[0, 0, :k, :k]
+        assert np.signbit(corner).all() and not corner.any()
+        assert pool.backward(g).tobytes() == want.tobytes()
+
+    def test_more_winners_than_a_byte_counts(self):
+        """A 16x16 window of one value has 256 winners: counted wider."""
+        x = np.ones((1, 1, 16, 16), np.float32)
+        got = np.empty_like(x)
+        max_pool_grad(x, np.ones((1, 1, 1, 1), np.float32),
+                      np.full((1, 1, 1, 1), 256.0, np.float32), 16, got)
+        np.testing.assert_array_equal(got, np.ones_like(x))
 
 
 class TestOneGradientRuleForEveryWindow:
