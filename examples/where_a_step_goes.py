@@ -43,7 +43,8 @@ def timed(fn, key, spent, forms=None):
     and under ``key`` the forms of the plans it made (``forms[None]``): a
     backward's by pass, ``w`` the weight gradient and ``d`` the data
     gradient. A weight gradient on the columns a one-shot forward kept
-    plans nothing: it is the GEMM alone, ``direct``."""
+    plans nothing: it is the GEMM alone, ``direct``; one on the tiles a
+    Winograd forward kept plans nothing either: ``winograd, kept``."""
     def call(*args, **kwargs):
         booked, start = sum(spent.values()), time.perf_counter()
         mark = forms and len(forms[None])
@@ -62,9 +63,12 @@ def timed(fn, key, spent, forms=None):
             pooled = ", pooled" if any(
                 f"{pool.name}.{phase}" not in spent for pool in pools
                 if pool is not None and pool.window_max) else ""
+            kept = getattr(getattr(fn.__self__, "_cache", None), "plan", None)
+            w = "winograd, kept" if kept and kept.form == "winograd" \
+                else form("w")
             # a backward(..., input_grad=False) returns no data gradient
-            forms[key] = form("wd") + pooled if fwd else f"w: {form('w')}" \
-                f"{pooled}  d: {'none' if out is None else form('d')}"
+            forms[key] = form("wd") + pooled if fwd else f"w: {w}{pooled}" \
+                f"  d: {'none' if out is None else form('d')}"
         return out
     return call
 

@@ -77,6 +77,7 @@ class Conv2D(Module):
         """The convolution of ``x``; with ``then`` (band-local layers, see
         ``Module.band_rows``) what those make of it, layer by layer."""
         check_input(self.name, x, self.in_channels)
+        self._cache = None      # last step's, gone before this one's is made
         _n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.out_channels, -1)
@@ -96,17 +97,22 @@ class Conv2D(Module):
                 band += bias
                 return run_layers(rest, band)
 
-            self._cache = None
             if pool:        # its eval state, whether or not its forward runs
                 pool._cache = None
             return lowered_matmul(w_mat, x, k, s, p, epilogue, f, pool)[0]
-        out, cols = lowered_matmul(w_mat, x, k, s, p)  # (N, F, oh, ow)
+        out, kept = lowered_matmul(w_mat, x, k, s, p,  # (N, F, oh, ow)
+                                   keep=self.training)
         out += bias
-        # The one cache slot: the input, and the columns where the forward
-        # built them in one shot. Eval-mode forwards (inference serving)
-        # never run backward, so they pin nothing.
-        self._cache = (x, cols) if self.training else None
+        self._keep(x, kept)
         return run_layers(then, out)
+
+    def _keep(self, x: np.ndarray, kept=None) -> None:
+        """Fill the one cache slot with what the weight gradient reads: what
+        the forward made of ``x`` (one-shot columns, Winograd tiles: a
+        ``Kept`` of ``lowered_matmul``) in its place, else ``x`` to lower
+        again. Eval forwards (inference serving) never run backward: they
+        pin nothing."""
+        self._cache = (kept or x) if self.training else None
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True,
                  pool: Optional[Module] = None) -> Optional[np.ndarray]:
@@ -128,7 +134,7 @@ class Conv2D(Module):
         """
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        x, cols = self._cache
+        x = self._cache                 # the input, or its Kept
         shape = (x.shape[0],) + self.output_shape(x.shape[1:])
         if pool is not None and (input_grad or pool._cache is None
                                  or not pool._is_fast_path(*shape[2:])):
@@ -136,8 +142,7 @@ class Conv2D(Module):
         g = _Bands(grad_out, pool, self.name, shape)
         k, s, p = self.kernel_size, self.stride, self.pad
         weight = self.weight.data
-        self.weight.grad += lowered_outer(g, x, k, s, p, cols) \
-            .reshape(weight.shape)
+        self.weight.grad += lowered_outer(g, x, k, s, p).reshape(weight.shape)
         # per image as its bands were read, then over images in image order
         self.bias.grad += np.add.accumulate(g.sums)[-1]
         if not input_grad:

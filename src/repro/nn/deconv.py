@@ -78,6 +78,7 @@ class Deconv2D(Module):
         """Conv backward-data applied as a forward op (the swap trick);
         with ``then`` what those layers make of it, layer by layer."""
         check_input(self.name, x, self.in_channels)
+        self._cache = None      # last step's, gone before this one's is made
         n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.pad
         out_shape = (n, self.out_channels,
@@ -113,11 +114,11 @@ class Deconv2D(Module):
                        (x.shape[0],) + self.output_shape(x.shape[1:]))
         k, s, p = self.kernel_size, self.stride, self.pad
         w_mat = self.weight.data.reshape(self.in_channels, -1)
-        # (N, C_in, h, w), and grad_out's columns if one shot built them
-        grad_in, g_cols = lowered_matmul(w_mat, grad_out, k, s, p) \
+        # (N, C_in, h, w), and grad_out's Kept columns if one shot built them
+        grad_in, g_kept = lowered_matmul(w_mat, grad_out, k, s, p) \
             if input_grad else (None, None)
         # Weight gradient couples the input activations with gathered grads.
-        self.weight.grad += lowered_outer(x, grad_out, k, s, p, g_cols) \
+        self.weight.grad += lowered_outer(x, g_kept or grad_out, k, s, p) \
             .reshape(self.weight.data.shape)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
         return grad_in

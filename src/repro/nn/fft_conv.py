@@ -33,6 +33,7 @@ class FFTConv2D(Conv2D):
         # no serving or training process should pay for scipy.fft
         from scipy import fft as sp_fft
         check_input(self.name, x, self.in_channels)
+        self._cache = None      # last step's, gone before this one's is made
         n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.pad
         oh = conv_output_size(h, k, s, p)
@@ -52,7 +53,5 @@ class FFTConv2D(Conv2D):
         valid = full[:, :, k - 1:k - 1 + hp - k + 1, k - 1:k - 1 + wp - k + 1]
         out = valid[:, :, ::s, ::s][:, :, :oh, :ow].astype(np.float32)
         out += self.bias.data[None, :, None, None]
-        # Conv2D's cache slot with no columns: its backward lowers the input,
-        # so gradients are identical to the GEMM implementation.
-        self._cache = (x, None) if self.training else None
+        self._keep(x)   # Conv2D's backward lowers it again: GEMM gradients
         return run_layers(then, np.ascontiguousarray(out))

@@ -79,8 +79,11 @@ tiles) @ (tiles, C)`` summed over bands, and ``kron(G, G)^T`` once at the
 end. Whole-image Winograd (``nn.winograd.WinogradConv2D``, the reference)
 streams ~100 MB of tiles through first-touch page faults and loses to the
 direct form; a band's two scratches stay in cache. The kernels are
-transformed per call (a ``(36, 9) @ (9, M*C)`` GEMM): nothing is packed,
-cached or kept, between bands or passes.
+transformed per call (a ``(36, 9) @ (9, M*C)`` GEMM); nothing is packed
+between bands. A training forward (``keep``) makes all bands' tiles in one
+array, 2.25 times its input, which its layer holds in place of the input
+(a :class:`Kept`) until its next forward: the weight gradient reads them,
+band by band (one plan, the same bands), and does not make them again.
 """
 
 from __future__ import annotations
@@ -293,6 +296,17 @@ class Plan(NamedTuple):
     bands: Optional[Tuple[_Band, ...]] = None
 
 
+class Kept(NamedTuple):
+    """What :func:`lowered_matmul` made of an input of ``shape`` by
+    ``plan``, in ``dtype``, for :func:`lowered_outer` to take in its place:
+    one-shot columns, or the Winograd form's tiles, ``band -> (36, C,
+    tiles)`` slices of one array."""
+    shape: Tuple[int, int, int, int]
+    dtype: np.dtype
+    plan: Plan
+    data: object
+
+
 def plan(op: Callable, x_shape: Tuple[int, int, int, int], w_rows: int,
          k: int, stride: int, pad: int, dtype, held: int = 0,
          multiple: int = 1) -> Plan:
@@ -355,11 +369,12 @@ def _gather(buf: np.ndarray, patches: np.ndarray, band: _Band) -> np.ndarray:
 def lowered_matmul(a: np.ndarray, x: np.ndarray, k: int, stride: int,
                    pad: int,
                    epilogue: Optional[Callable[[np.ndarray], np.ndarray]]
-                   = None, multiple: int = 1, pool=None
-                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+                   = None, multiple: int = 1, pool=None, keep: bool = False
+                   ) -> Tuple[np.ndarray, Optional[Kept]]:
     """``a (M, C*k*k) @ im2col(x)`` as an ``(N, M, oh, ow)`` image, and the
-    columns where it went in one shot and so built them (a training forward
-    keeps them for :func:`lowered_outer`), else ``None``.
+    :class:`Kept` columns where it went in one shot and so built them or,
+    with ``keep``, the Winograd form's tiles, all bands' in one array (a
+    training forward keeps either for :func:`lowered_outer`), else ``None``.
 
     With an ``epilogue`` the result is ``epilogue(product)``, and the
     product is never stored: each ``(nb, M, rows, ow)`` band of it goes from
@@ -372,8 +387,9 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, k: int, stride: int,
     n, c, h, w = x.shape
     m, dtype = a.shape[0], np.result_type(a, x)
     oh, ow = (conv_output_size(d, k, stride, pad) for d in (h, w))
-    form, bands = plan(lowered_matmul, x.shape, m, k, stride, pad, x.dtype,
-                       m if epilogue else 0, multiple)
+    made = plan(lowered_matmul, x.shape, m, k, stride, pad, x.dtype,
+                m if epilogue else 0, multiple)
+    (form, bands), tiles = made, {} if keep else None
     side, then = 1, epilogue        # of the windows the tile form pools
     if pool is not None:
         def epilogue(y: np.ndarray) -> np.ndarray:
@@ -381,11 +397,12 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, k: int, stride: int,
     if form == "one-shot":
         cols = im2col(x, k, k, stride, pad)
         out = _batch_matmul(a, cols).reshape(n, m, oh, ow)
-        return (epilogue(out) if epilogue else out), cols
+        return (epilogue(out) if epilogue else out), \
+            Kept(x.shape, x.dtype, made, cols)
     if form == "winograd":
         if pool is not None and 4 % pool.band_rows == 0:
             side, epilogue = pool.band_rows, then
-        product = _tile_lowering(a, x, pad, bands, dtype, side)
+        product = _tile_lowering(a, x, pad, bands, dtype, side, tiles)
     elif form == "separable":
         product = _row_lowering(a, x, k, stride, pad, bands, ow, dtype)
     else:
@@ -401,7 +418,8 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, k: int, stride: int,
             i0, i1, r0, r1 = band
             # Each band's product lands in its slice of the NCHW output.
             product(band, out[i0:i1, :, r0 * ow:r1 * ow])
-        return out.reshape(n, m, oh, ow), None
+        return out.reshape(n, m, oh, ow), \
+            Kept(x.shape, dtype, made, tiles) if tiles else None
     prod, out = _band_buffer(bands, m, ow, dtype), None
     for band in bands:
         i0, i1, r0, r1 = band
@@ -415,10 +433,12 @@ def lowered_matmul(a: np.ndarray, x: np.ndarray, k: int, stride: int,
     return out, None
 
 
-def _tiles(x, pad, m, bands, dtype):
-    """What both F(4x4, 3x3) forms share (module docstring): the two
-    scratches, each deep enough for any of ``bands``; ``taps(band)``, the
-    band's transformed tiles ``(36, C, tiles)`` in the second; and the
+def _tiles(x, pad, m, bands, dtype, kept=None):
+    """What both F(4x4, 3x3) forms share (module docstring): a scratch deep
+    enough for any of ``bands``; ``taps(band)``, the band's transformed
+    tiles ``(36, C, tiles)``, read from ``x`` where it is their
+    :class:`Kept`, else made in a second scratch or, given a ``kept`` dict
+    to fill, in the band's slice of one array of all bands' tiles; and the
     kernel and output transforms."""
     # at call time: that module's layer subclasses Conv2D, which imports this
     from repro.nn.winograd import _kron_transforms
@@ -427,8 +447,16 @@ def _tiles(x, pad, m, bands, dtype):
     kb, kg, ka = _kron_transforms(4, dtype)
     i0, i1, r0, r1 = bands[0]
     most = (i1 - i0) * -(-(r1 - r0) // 4)       # tile rows of a band
+    ping = np.empty(most * tw * 36 * max(c, m), dtype)
+    if isinstance(x, Kept):
+        return ping, None, x.data.__getitem__, kg, ka
     edged = np.empty((most * 4 + 2 * (i1 - i0)) * c * (4 * tw + 2), dtype)
-    ping, pong = np.empty((2, most * tw * 36 * max(c, m)), dtype)
+    pong = np.empty(ping.size, dtype)
+    if kept is not None:
+        sizes = [36 * c * (i1 - i0) * -(-(r1 - r0) // 4) * tw
+                 for i0, i1, r0, r1 in bands]
+        kept.update(zip(bands, (t.reshape(36, c, -1) for t in np.split(
+            np.empty(sum(sizes), dtype), np.cumsum(sizes[:-1])))))
 
     def taps(band: _Band) -> np.ndarray:
         i0, i1, r0, r1 = band
@@ -444,18 +472,18 @@ def _tiles(x, pad, m, bands, dtype):
             d, (6, 6, c, nb, nt, tw), (sh, sw, sc, sn, 4 * sh, 4 * sw))
         v = ping[:taps.size].reshape(36, -1)
         np.copyto(v.reshape(taps.shape), taps)
-        return np.matmul(kb, v, out=pong[:v.size].reshape(v.shape)) \
-            .reshape(36, c, -1)
+        out = pong[:v.size] if kept is None else kept[band]
+        return np.matmul(kb, v, out=out.reshape(v.shape)).reshape(36, c, -1)
     return ping, pong, taps, kg, ka
 
 
-def _tile_lowering(a, x, pad, bands, dtype, k):
+def _tile_lowering(a, x, pad, bands, dtype, k, kept=None):
     """The F(4x4, 3x3) product of :func:`lowered_matmul` (module docstring):
     ``product(band, y)`` filling ``y (nb, M, rows/k * ow/k)`` with the
     maxima of the product's ``k x k`` windows (``k`` divides 4; 1: the
-    product itself)."""
+    product itself), the band's tiles made in ``kept`` if given."""
     m, ow = a.shape[0], x.shape[3] + 2 * pad - 2
-    ping, pong, taps, kg, ka = _tiles(x, pad, m, bands, dtype)
+    ping, pong, taps, kg, ka = _tiles(x, pad, m, bands, dtype, kept)
     u = (kg @ a.reshape(-1, 9).T).reshape(36, m, -1)
     q = 4 // k                          # pooled outputs a block side
 
@@ -480,7 +508,8 @@ def _tile_lowering(a, x, pad, bands, dtype, k):
 
 def _tile_outer(g, x, pad, bands, dtype):
     """The F(4x4, 3x3) form of :func:`lowered_outer` (module docstring) for
-    ``g (N, M, oh, ow)``: the forward's tiles against ``g``'s 4x4 blocks."""
+    ``g (N, M, oh, ow)``: the forward's tiles, made again from ``x`` or
+    kept (``x`` their :class:`Kept`), against ``g``'s 4x4 blocks."""
     (_, m, _, ow), c = g.shape, x.shape[1]
     ping, _, taps, kg, ka = _tiles(x, pad, m, bands, dtype)
     most = ping.size // (36 * max(c, m))            # tiles of a band
@@ -629,14 +658,16 @@ def matmul_col2im(a: np.ndarray, g: np.ndarray,
     return done
 
 
-def lowered_outer(g, x: np.ndarray, k: int, stride: int, pad: int,
-                  cols: Optional[np.ndarray] = None) -> np.ndarray:
+def lowered_outer(g, x, k: int, stride: int, pad: int) -> np.ndarray:
     """``sum_n g[n] @ im2col(x)[n].T`` for ``g (N, M, oh, ow)``: the
-    ``(M, C*k*k)`` weight gradient. ``cols`` are ``x``'s columns where a
-    one-shot :func:`lowered_matmul` already built them: nothing to plan.
-    Each row of ``g`` is read once, in bands ``g[i0:i1, :, r0:r1]`` (one
-    shot: ``_BAND_BYTES`` of whole images), each used up before the next:
-    ``g`` may be anything with ``shape``, ``dtype`` and such slices."""
+    ``(M, C*k*k)`` weight gradient. ``x`` is the input or, in its place,
+    what :func:`lowered_matmul` made of it (:class:`Kept`): nothing to plan
+    or lower. The sum is in ``result_type(g, x)``, a ``Kept``'s dtype its
+    data's: columns in ``x``'s, tiles in the forward's ``result_type(a,
+    x)`` (a wider ``g`` promotes them). Each row of ``g`` is read once, in
+    bands ``g[i0:i1, :, r0:r1]`` (one shot: ``_BAND_BYTES`` of whole
+    images), each used up before the next: ``g`` may be anything with
+    ``shape``, ``dtype`` and such slices."""
     n, c, h, w = x.shape
     oh, ow = (conv_output_size(d, k, stride, pad) for d in (h, w))
     if g.shape[0] != n or math.prod(g.shape[2:]) != oh * ow:
@@ -645,10 +676,11 @@ def lowered_outer(g, x: np.ndarray, k: int, stride: int, pad: int,
     m, dtype = g.shape[1], np.result_type(g.dtype, x.dtype)
     if isinstance(g, np.ndarray):
         g = g.reshape(n, m, oh, ow)
-    form, bands = plan(lowered_outer, x.shape, m, k, stride, pad, x.dtype) \
-        if cols is None else Plan("one-shot")
+    kept = isinstance(x, Kept)
+    form, bands = x.plan if kept else plan(
+        lowered_outer, x.shape, m, k, stride, pad, x.dtype)
     if form == "one-shot":
-        cols = im2col(x, k, k, stride, pad) if cols is None else cols
+        cols = x.data if kept else im2col(x, k, k, stride, pad)
         if _folds(n, m, oh * ow):
             return _batch_outer(g[0:n, :, 0:oh].reshape(n, m, -1), cols)
         # _batch_outer's per-image products, summed in image order

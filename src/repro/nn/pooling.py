@@ -60,6 +60,7 @@ class MaxPool2D(Module):
                 for i in range(k) for j in range(k)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = None      # last step's, gone before this one's is made
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         if self._is_fast_path(h, w):

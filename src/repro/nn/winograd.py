@@ -171,6 +171,7 @@ class WinogradConv2D(Conv2D):
     # -- computation -------------------------------------------------------
     def forward(self, x: np.ndarray, then=()) -> np.ndarray:
         check_input(self.name, x, self.in_channels)
+        self._cache = None      # last step's, gone before this one's is made
         n, c, h, w = x.shape
         p, m = self.pad, self.tile_size
         a = m + 2                                     # input tile edge
@@ -205,8 +206,7 @@ class WinogradConv2D(Conv2D):
             .transpose(3, 2, 4, 0, 5, 1) \
             .reshape(n, self.out_channels, m * th, m * tw)
         out = y[:, :, :oh, :ow] + self.bias.data[None, :, None, None]
-        # Conv2D's cache slot with no columns: its backward lowers the input.
-        self._cache = (x, None) if self.training else None
+        self._keep(x)       # Conv2D's backward lowers the input again
         return run_layers(then, np.ascontiguousarray(out))
 
     def multiply_reduction(self, batch: int, input_shape) -> float:

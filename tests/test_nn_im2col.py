@@ -6,9 +6,11 @@ Columns are per-image and channel-major: ``cols[n, (c, i, j), (y, x)]`` is
 tap ``(i, j)`` of channel ``c`` in the patch at output position ``(y, x)``."""
 
 import contextlib
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -484,7 +486,8 @@ def train_step(layer_cls, shape, f, k, stride, pad, dtype, seed):
     layer.bias.data[...] = rng.normal(size=f).astype(np.float32)
     x = rng.normal(size=shape).astype(dtype)
     out = layer.forward(x)
-    kept = layer._cache[1] if layer_cls is Conv2D else None
+    kept = layer._cache.data if layer_cls is Conv2D \
+        and getattr(layer._cache, "plan", None) == ("one-shot", None) else None
     grad_in = layer.backward(rng.normal(size=out.shape).astype(dtype))
     return out, grad_in, layer.weight.grad, layer.bias.grad, kept
 
@@ -815,7 +818,8 @@ class TestWinogradFormEqualsTheLayers:
         channels), banded by a turned budget, in float64: the forward in the
         form, ``Conv2D.backward``'s data gradient in the form (the conv of
         ``grad_out`` with the flipped kernels) and its weight gradient in
-        the form, against central differences along random directions."""
+        the form, on the tiles the forward kept (so it plans nothing),
+        against central differences along random directions."""
         rng = np.random.default_rng(3)
         conv = Conv2D(64, 64, 3, rng=3)
         conv.weight.data = conv.weight.data.astype(np.float64)
@@ -828,7 +832,8 @@ class TestWinogradFormEqualsTheLayers:
         with budget(1 << 20), winograd_everywhere(on=None) as calls:
             conv.forward(x)
             grad_in = conv.backward(g)
-            assert calls == [x.shape, ("outer", x.shape), g.shape]
+            assert calls == [x.shape, g.shape]
+            assert conv._cache.plan.form == "winograd"
             for array, grad in [(x, grad_in),
                                 (conv.weight.data, conv.weight.grad),
                                 (conv.bias.data, conv.bias.grad)]:
@@ -891,6 +896,99 @@ class TestTheTileFormPools:
         assert calls == [x.shape] * 2
         assert got.dtype == want.dtype == dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+class TestTheWeightGradientReadsKeptTiles:
+    """A training ``Conv2D.forward`` in the F(4x4, 3x3) form keeps its
+    transformed tiles in place of its input (a ``Kept``), and the weight
+    gradient reads them band by band instead of making them again from the
+    input: the same bands (one plan), the same floats."""
+
+    @staticmethod
+    def grads(conv, x, g, again):
+        """``conv``'s weight and bias gradient bytes after a training step
+        on ``x``; ``again``: with the input cached in place of its tiles,
+        to be lowered again, as before tiles were kept."""
+        conv.zero_grad()
+        conv.forward(x)
+        kept = conv._cache
+        if again:
+            conv._cache = x
+        conv.backward(g, input_grad=False)
+        return kept, conv.weight.grad.tobytes(), conv.bias.grad.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 5), f=st.integers(1, 5),
+           oh=st.sampled_from([9, 10, 11, 13, 14]),
+           ow=st.sampled_from([5, 6, 7, 9, 10, 11, 13, 14]),
+           pad=st.integers(0, 2),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           # (images, tile rows) a band: whole images, or tile rows of one
+           band=st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2)]),
+           seed=st.integers(0, 10**6))
+    def test_bit_equal_to_lowering_the_input_again(self, n, c, f, oh, ow,
+                                                   pad, dtype, band, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, oh - 2 * pad + 2, ow - 2 * pad + 2)) \
+            .astype(dtype)
+        g = rng.normal(size=(n, f, oh, ow)).astype(dtype)
+        conv = Conv2D(c, f, 3, pad=pad, rng=seed)
+        (images, rows), th = band, -(-oh // 4)
+        # the two scratches of a tile row, as ``plan`` sizes a band
+        row_bytes = 72 * max(c, f) * -(-ow // 4) * x.itemsize
+        with budget(row_bytes * (images * th or rows), fold_below=1), \
+                winograd_everywhere() as calls:
+            kept, *got = self.grads(conv, x, g, again=False)
+            assume(calls)           # banded: one shot has no form to take
+            assert calls == [x.shape]           # the weight gradient: none
+            assert kept.plan.form == "winograd" and kept.shape == x.shape
+            i0, i1, r0, r1 = kept.plan.bands[0]
+            assert (i1 - i0, r1 - r0) == ((min(images, n), oh) if images
+                                          else (1, 4 * rows))
+            _, *want = self.grads(conv, x, g, again=True)
+            assert calls[1:] == [x.shape, ("outer", x.shape)]
+        assert got == want
+
+    @pytest.mark.parametrize("wide", ["grad_out", "weights"])
+    def test_mixed_dtypes(self, wide):
+        """Float32 input, float64 ``grad_out`` or weights: the input is gone
+        by backward time, so the sum is in ``result_type(g, tiles)``, the
+        kept tiles in the forward's ``result_type(w, x)`` (float32 ones
+        promoted), against a float64 direct weight gradient at the
+        tolerances of the other F(4x4, 3x3) tests."""
+        rng = np.random.default_rng(5)
+        conv = Conv2D(4, 6, 3, rng=5)
+        x = rng.normal(size=(2, 4, 13, 11)).astype(np.float32)
+        g = rng.normal(size=(2, 6, 13, 11))
+        if wide == "weights":
+            conv.weight.data = conv.weight.data.astype(np.float64)
+        else:
+            g = g.astype(np.float64)
+        with budget(3000, fold_below=1), winograd_everywhere():
+            conv.forward(x)
+            kept = conv._cache
+            got = lowering.lowered_outer(g, kept, 3, 1, 1)
+        with winograd_everywhere(False):
+            want = lowering.lowered_outer(g.astype(np.float64),
+                                          x.astype(np.float64), 3, 1, 1)
+        assert kept.plan.form == "winograd"
+        assert kept.dtype == np.result_type(conv.weight.data, x)
+        assert got.dtype == np.float64
+        tol = 1e-5 if kept.dtype == np.float32 else 1e-12
+        TestWinogradFormEqualsTheLayers.close(got, want, tol)
+
+    def test_the_input_is_not_held(self):
+        """A training forward in the form pins no reference to its input:
+        once the caller drops it, it is gone."""
+        conv = Conv2D(4, 4, 3, rng=0)
+        x = np.random.default_rng(0).normal(size=(2, 4, 12, 12))
+        ref = weakref.ref(x)
+        with budget(1, fold_below=1), winograd_everywhere():
+            conv.forward(x)
+        assert conv._cache.plan.form == "winograd"
+        del x
+        gc.collect()
+        assert ref() is None
 
 
 def lowered(net, input_shape):
@@ -1140,8 +1238,9 @@ class TestSmallShapeRulesLeaveTheBigNets:
 
 class TestTheFormLeavesTheOtherLayers:
     """A run plans once a pass, in order, what ``passes`` and ``TABLE`` say
-    (a step plans no weight gradient on kept columns and no ``conv1`` data
-    gradient): only ``TABLE``'s passes take the F(4x4, 3x3) form."""
+    (a step plans no weight gradient on kept columns or tiles and no
+    ``conv1`` data gradient): only ``TABLE``'s passes take the F(4x4, 3x3)
+    form."""
 
     @pytest.mark.parametrize("name", ["hep_infer", "hep_train", "hybrid",
                                       "climate_infer"])
@@ -1157,7 +1256,8 @@ class TestTheFormLeavesTheOtherLayers:
         want = [step[infer] for step in steps]  # in eval: an eval group's
         for i, (forward, _, weights, data) in reversed(list(enumerate(steps))):
             if not infer:
-                kept = lowering.plan(*forward).bands is None
+                kept = lowering.plan(*forward).form in ("one-shot",
+                                                        "winograd")
                 want += [weights] * (not kept) + [data] * (i > 0)
         assert made == [(op, x, lowering.plan(op, x, *rest).form)
                         for op, x, *rest in want]
@@ -1218,6 +1318,49 @@ class TestBandedMemory:
                 lambda: lowering.lowered_outer(g, x, 3, 1, 1))
         assert calls == [("outer", shape)]
         assert peak < bound, f"weight gradient peaked at {peak >> 20} MiB"
+
+    def test_only_a_training_forward_keeps_tiles(self):
+        """A training forward in the F(4x4, 3x3) form keeps its tiles, 2.25
+        times its input here; an eval one peaks below them and leaves the
+        cache slot empty."""
+        conv = Conv2D(32, 32, 3, rng=0)
+        x = np.random.default_rng(0).normal(size=(2, 32, 64, 64)) \
+            .astype(np.float32)
+        with budget(1 << 18), winograd_everywhere(on=None) as calls:
+            train_peak, out = self.peak_of(lambda: conv.forward(x))
+            kept = conv._cache
+            peak, _ = self.peak_of(lambda: conv.eval().forward(x))
+        assert calls == [x.shape] * 2 and kept.plan.form == "winograd"
+        tiles = sum(t.nbytes for t in kept.data.values())
+        assert tiles == x.nbytes * 9 // 4
+        assert train_peak >= out.nbytes + tiles
+        assert conv._cache is None
+        assert peak < out.nbytes + tiles / 2, \
+            f"eval forward peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("make", [
+        lambda: Conv2D(128, 128, 3, rng=0),     # conv2: 9 MB of tiles kept
+        lambda: MaxPool2D(2),                   # pool2: keeps its output
+    ], ids=["conv2", "pool2"])
+    def test_a_second_step_peaks_no_higher_than_the_first(self, make):
+        """A training forward lets go of its layer's last cache before it
+        makes the next: held until then, last step's sits beside this
+        step's. ``hep_train``'s ``(8, 128, 32, 32)`` activations; the test
+        holds the input, so only what the layer made is traced."""
+        layer = make()
+        x = np.random.default_rng(0).normal(size=(8, 128, 32, 32)) \
+            .astype(np.float32)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                layer.forward(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (64 << 10), \
+            f"{peaks[0] / 2**20:.1f} MiB, then {peaks[1] / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("layer_cls, c, k, stride", [
         (Deconv2D, 27, 5, 1),       # dec_deconv5 of the benchmark ClimateNet
