@@ -19,7 +19,7 @@ accounting:
   that make cache hit rates meaningful, and :class:`ModelMix` — which
   registered model each arrival asks for (weighted shares, optionally in
   correlated streaks);
-- :mod:`repro.serve.cache` — request-level result cache (LRU/LFU, content
+- :mod:`repro.serve.cache` — request-level LRU result cache (content
   hashed): hot requests skip the replica fleet entirely, in simulation and
   in real batched inference;
 - :mod:`repro.serve.router` — replica placement on
@@ -32,7 +32,7 @@ accounting:
 - :mod:`repro.serve.slo_sim` — request-rate sweeps producing p50/p99 and
   SLO-attainment curves for capacity planning; multi-model shared pools
   (``models=[ModelProfile(...), ...]``) with per-model SLOs, weighted
-  admission, optional replica affinity, and in-flight request coalescing;
+  admission, and in-flight request coalescing;
 - :mod:`repro.serve.fast_core` — the flat struct-of-arrays drive loop
   behind ``ServingSimulator(engine="array")``: bit-identical to the event
   loop on its supported class, 5.1-6.3x faster at 10^6 plain requests;
@@ -88,11 +88,7 @@ from repro.serve.arrivals import (  # noqa: F401
     poisson_arrivals,
     uniform_arrivals,
 )
-from repro.serve.cache import (  # noqa: F401
-    CACHE_POLICIES,
-    ResultCache,
-    content_key,
-)
+from repro.serve.cache import ResultCache, content_key  # noqa: F401
 from repro.serve.batching import (  # noqa: F401
     BATCHING_MODES,
     LAUNCH_ORDERS,
@@ -146,7 +142,6 @@ from repro.serve.slo_sim import (  # noqa: F401
 __all__ = [
     "ARRIVAL_PROCESSES",
     "BATCHING_MODES",
-    "CACHE_POLICIES",
     "LAUNCH_ORDERS",
     "POPULARITY_KINDS",
     "Autoscaler",

@@ -244,18 +244,15 @@ class AutoscalingSimulator(ServingSimulator):
                  n_replicas: Optional[int] = None,
                  policy: Optional[BatchingPolicy] = None,
                  max_queue: Optional[int] = 256,
-                 strategy: str = "least_loaded",
                  service_model: Optional[ServiceTimeModel] = None,
                  failures: Optional[FailureModel] = None,
                  failure_events: Optional[Sequence[FailureEvent]] = None,
                  cache_size: int = 0,
-                 cache_policy: str = "lru",
                  models=None, model_mix=None,
                  service_models: Optional[Sequence] = None,
                  coalesce: bool = False,
                  order: str = "fifo",
                  cost_aware: bool = False,
-                 max_queue_seconds: Optional[float] = None,
                  engine: str = "event") -> None:
         self.autoscale = autoscale or AutoscalePolicy()
         initial = (self.autoscale.min_replicas if n_replicas is None
@@ -266,18 +263,12 @@ class AutoscalingSimulator(ServingSimulator):
                 f"initial fleet {initial} outside "
                 f"[{self.autoscale.min_replicas}, "
                 f"{self.autoscale.max_replicas}]")
-        # (No ``affinity`` here: affinity pins models to fixed replica
-        # indices, which contradicts a controller whose whole job is to
-        # add and remove replicas — the router would refuse anyway.)
         super().__init__(workload, machine=machine, n_replicas=initial,
                          policy=policy, max_queue=max_queue,
-                         strategy=strategy, service_model=service_model,
-                         cache_size=cache_size, cache_policy=cache_policy,
+                         service_model=service_model, cache_size=cache_size,
                          models=models, model_mix=model_mix,
                          service_models=service_models, coalesce=coalesce,
-                         order=order, cost_aware=cost_aware,
-                         max_queue_seconds=max_queue_seconds,
-                         engine=engine)
+                         order=order, cost_aware=cost_aware, engine=engine)
         if failures is not None and failure_events is not None:
             raise ValueError(
                 "pass either a FailureModel or explicit failure_events, "

@@ -33,7 +33,6 @@ Two consumers share the policy:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
@@ -41,7 +40,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serve.cache import ResultCache, content_key
+from repro.serve.cache import ResultCache, content_key, require_count
 
 BATCHING_MODES = ("windowed", "continuous")
 
@@ -51,25 +50,8 @@ BATCHING_MODES = ("windowed", "continuous")
 #:   first then lowest model index (the pre-deadline scheduler);
 #: - ``"edf"`` — earliest deadline first: ties at one launch instant go
 #:   to the lane whose *oldest queued request* has the earliest deadline
-#:   (its arrival plus its model's SLO);
-#: - ``"slack"`` — minimum slack first: like EDF but the tie-break is
-#:   ``deadline - estimated completion``, so of two equally urgent lanes
-#:   the one whose batch costs more service time launches first.
-LAUNCH_ORDERS = ("fifo", "edf", "slack")
-
-
-def require_count(name: str, value, none_ok: bool = False):
-    """``value`` as a Python ``int``, rejected unless it is an integer
-    >= 1 (or ``None`` with ``none_ok``). A fractional or NaN count is not
-    a count: the event engine compares with it as a float while the array
-    engine truncates or indexes with it, so the two would disagree or one
-    would crash (as it would on a NumPy integer's missing int methods)."""
-    if value is None and none_ok:
-        return None
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1"
-                         f"{' or None' if none_ok else ''}, got {value!r}")
-    return int(value)
+#:   (its arrival plus its model's SLO).
+LAUNCH_ORDERS = ("fifo", "edf")
 
 
 @dataclass(frozen=True)
@@ -141,8 +123,8 @@ class ReplicaBatchQueue:
     with the globally earliest launch key. How ties (and near-ties) break
     is the ``order`` knob (:data:`LAUNCH_ORDERS`): ``"fifo"`` (default)
     breaks full batch first then lowest model index — the pre-deadline
-    scheduler, bit for bit; ``"edf"``/``"slack"`` break by each lane
-    head's *deadline* (its arrival plus its model's SLO, from ``slos``),
+    scheduler, bit for bit; ``"edf"`` breaks by each lane head's
+    *deadline* (its arrival plus its model's SLO, from ``slos``),
     so a tight-SLO model's batch launches ahead of a loose-SLO one that
     became ready at the same instant. With a single lane every order
     reduces exactly to the classic max-batch/max-wait schedule — the
@@ -184,7 +166,7 @@ class ReplicaBatchQueue:
                 f"deadline is its arrival + its model's SLO)")
         #: cross-lane launch ordering (see :data:`LAUNCH_ORDERS`)
         self.order = order
-        #: per-model SLOs — the deadline source for edf/slack ordering
+        #: per-model SLOs — the deadline source for edf ordering
         self.slos = None if slos is None else [float(s) for s in slos]
         if self.slos is not None and any(
                 not s > 0 for s in self.slos):
@@ -289,37 +271,25 @@ class ReplicaBatchQueue:
         ``urgency`` is the deadline-scheduling axis: ``0.0`` under
         ``"fifo"`` (a constant — ordering falls through to the classic
         full-before-partial, then model-index tie-breaks, exactly the
-        pre-deadline key), the lane head's deadline under ``"edf"``
-        (arrival of the oldest queued request plus its model's SLO), and
-        the head's *slack* — deadline minus the batch's estimated
-        completion — under ``"slack"`` (of two equally urgent lanes, the
-        costlier batch goes first; a full batch's bigger service time
-        automatically outranks a partial's at the same deadline)."""
+        pre-deadline key) and the lane head's deadline under ``"edf"``
+        (arrival of the oldest queued request plus its model's SLO)."""
         pol = self.policies[model] if self.policies is not None \
             else self.policy
         B = pol.max_batch
         if len(lane) >= B:
-            launch, partial, take = max(self.free_at, lane[B - 1][0]), 0, B
+            launch, partial = max(self.free_at, lane[B - 1][0]), 0
         else:
-            launch = max(self.free_at, lane[0][0] + pol.launch_wait)
-            partial, take = 1, len(lane)
+            launch, partial = max(self.free_at,
+                                  lane[0][0] + pol.launch_wait), 1
         if self.order == "fifo":
             return (launch, 0.0, partial, model)
-        deadline = lane[0][0] + self.slos[model]
-        if self.order == "edf":
-            return (launch, deadline, partial, model)
-        return (launch, deadline - launch - self._svc(model, take),
-                partial, model)
+        return (launch, lane[0][0] + self.slos[model], partial, model)
 
     def _key(self, model: int, lane: List[Tuple[float, int]]
              ) -> Tuple[float, float, int, int]:
         """:meth:`_lane_key` on a ``_keys`` miss, so a key is computed
-        once per queue state. ``"slack"`` keys are never kept: they price
-        the batch through the service-time callables, which can change
-        their answer unseen by the queue."""
-        key = self._lane_key(model, lane)
-        if self.order != "slack":
-            self._keys[model] = key
+        once per queue state."""
+        key = self._keys[model] = self._lane_key(model, lane)
         return key
 
     def next_launch(self) -> float:
@@ -496,8 +466,8 @@ class ReplicaBatchQueue:
         silently vanish from :attr:`completions`. Once the stream has ended
         no future arrival can top the batch up, so fire the remainder as
         soon as the replica frees — held lanes in head-arrival order (ties
-        to the lowest model index), or by head deadline under ``"edf"``/
-        ``"slack"`` ordering.
+        to the lowest model index), or by head deadline under ``"edf"``
+        ordering.
         """
         self.advance(math.inf)
         while True:

@@ -15,13 +15,8 @@ of the request input:
   :func:`content_key` of the input array — hits return the memoized
   prediction bitwise-identically.
 
-Two eviction policies, both O(1) per operation:
-
-- ``"lru"`` — evict the least recently used entry: right when popularity
-  drifts over time (yesterday's hot key should age out);
-- ``"lfu"`` — evict the least frequently used entry (ties to least
-  recent): right when popularity is stable and heavy-tailed (one burst of
-  one-off keys must not flush the perennials).
+Eviction is least recently used, O(1) per operation: right when
+popularity drifts over time (yesterday's hot key should age out).
 
 A ``capacity=0`` cache is inert: every lookup misses, nothing is stored,
 and the serving paths behave bit-identically to having no cache at all —
@@ -32,13 +27,26 @@ exactly that.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Tuple
+from typing import Any, Hashable, Tuple
 
 import numpy as np
 
-#: string-selectable eviction policies for :class:`ResultCache`
-CACHE_POLICIES = ("lru", "lfu")
+
+def require_count(name: str, value, none_ok: bool = False, least: int = 1):
+    """``value`` as a Python ``int``, rejected unless it is an integer
+    >= ``least`` (or ``None`` with ``none_ok``). A fractional or NaN count
+    is not a count: the event engine compares with it as a float while the
+    array engine truncates or indexes with it, so the two would disagree or
+    one would crash (as it would on a NumPy integer's missing int
+    methods)."""
+    if value is None and none_ok:
+        return None
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}"
+                         f"{' or None' if none_ok else ''}, got {value!r}")
+    return int(value)
 
 
 def content_key(x) -> str:
@@ -60,32 +68,25 @@ def content_key(x) -> str:
 
 
 class ResultCache:
-    """Bounded LRU/LFU map from request-content keys to memoized results.
+    """Bounded LRU map from request-content keys to memoized results.
 
     ``get`` returns ``(hit, value)`` and counts the lookup; ``put`` inserts
-    or refreshes an entry, evicting per policy once ``capacity`` distinct
-    keys are held. Keys are anything hashable (integer content ids in the
-    simulator, :func:`content_key` digests on the real path).
+    or refreshes an entry, evicting the least recently touched one once
+    ``capacity`` distinct keys are held. Keys are anything hashable
+    (integer content ids in the simulator, :func:`content_key` digests on
+    the real path).
 
     The *decision* semantics here — hit answers, touch ordering (a ``put``
-    refresh counts as a use), eviction victims (LRU: least recently
-    touched; LFU: least frequent, ties to least recent) — are a contract:
-    ``repro.serve.fast_core._make_cache`` replicates them inline (plain
-    dicts, no counters, no tracer) so cached runs on the array engine make
+    refresh counts as a use), eviction victims — are a contract:
+    ``repro.serve.fast_core._drive`` replicates them inline (one plain
+    dict, no counters, no tracer) so cached runs on the array engine make
     bit-identical hit/miss choices, and the engine differential suite
     pins the two against each other. Behavior changes here must land
     there too.
     """
 
-    def __init__(self, capacity: int, policy: str = "lru",
-                 tracer=None) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if policy not in CACHE_POLICIES:
-            raise ValueError(f"unknown cache policy {policy!r}; "
-                             f"have {CACHE_POLICIES}")
-        self.capacity = int(capacity)
-        self.policy = policy
+    def __init__(self, capacity: int, tracer=None) -> None:
+        self.capacity = require_count("capacity", capacity, least=0)
         #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed; ``None``
         #: keeps every operation on the exact pre-trace path)
         self.tracer = tracer
@@ -100,44 +101,8 @@ class ResultCache:
         #: entries removed by :meth:`invalidate_scope` (not capacity
         #: pressure — a versioned rollout, not the eviction policy)
         self.invalidations = 0
-        # LRU: one OrderedDict, least recent first.
+        #: least recently used first
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        # LFU: key -> use count, plus per-count recency buckets and the
-        # current minimum count — the standard O(1) LFU structure.
-        self._freq: Dict[Hashable, int] = {}
-        self._buckets: Dict[int, "OrderedDict[Hashable, None]"] = {}
-        self._min_freq = 0
-
-    # -- internals ------------------------------------------------------------
-    def _touch_lfu(self, key: Hashable) -> None:
-        """Move ``key`` up one frequency class, preserving recency order."""
-        f = self._freq[key]
-        bucket = self._buckets[f]
-        del bucket[key]
-        if not bucket:
-            del self._buckets[f]
-            if self._min_freq == f:
-                self._min_freq = f + 1
-        self._freq[key] = f + 1
-        self._buckets.setdefault(f + 1, OrderedDict())[key] = None
-
-    def _evict_one(self) -> None:
-        if self.policy == "lru":
-            victim, _ = self._data.popitem(last=False)
-        else:
-            bucket = self._buckets[self._min_freq]
-            victim, _ = bucket.popitem(last=False)
-            if not bucket:
-                del self._buckets[self._min_freq]
-            del self._freq[victim]
-            del self._data[victim]
-        self.evictions += 1
-        tracer = self.tracer
-        if tracer is not None and tracer.detail:
-            # raw key, not repr(): exporters stringify off the hot path
-            tracer.emit_raw(
-                (self.now, "cache_evict", None, None, None,
-                 {"key": victim}))
 
     # -- the cache API --------------------------------------------------------
     def get(self, key: Hashable) -> Tuple[bool, Any]:
@@ -146,10 +111,7 @@ class ResultCache:
             self.misses += 1
             return False, None
         self.hits += 1
-        if self.policy == "lru":
-            self._data.move_to_end(key)
-        else:
-            self._touch_lfu(key)
+        self._data.move_to_end(key)
         return True, self._data[key]
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -158,24 +120,23 @@ class ResultCache:
             return
         if key in self._data:
             self._data[key] = value
-            if self.policy == "lru":
-                self._data.move_to_end(key)
-            else:
-                self._touch_lfu(key)
+            self._data.move_to_end(key)
             return
+        tracer = self.tracer
         if len(self._data) >= self.capacity:
-            self._evict_one()
+            victim, _ = self._data.popitem(last=False)
+            self.evictions += 1
+            if tracer is not None and tracer.detail:
+                # raw key, not repr(): exporters stringify off the hot path
+                tracer.emit_raw(
+                    (self.now, "cache_evict", None, None, None,
+                     {"key": victim}))
         self._data[key] = value
         self.insertions += 1
-        tracer = self.tracer
         if tracer is not None and tracer.detail:
             tracer.emit_raw(
                 (self.now, "cache_insert", None, None, None,
                  {"key": key}))
-        if self.policy == "lfu":
-            self._freq[key] = 1
-            self._buckets.setdefault(1, OrderedDict())[key] = None
-            self._min_freq = 1
 
     def invalidate_scope(self, scope) -> int:
         """Evict every entry whose key is prefixed with ``scope``.
@@ -194,14 +155,6 @@ class ResultCache:
                    if isinstance(k, tuple) and k and k[0] == scope]
         for k in victims:
             del self._data[k]
-            if self.policy == "lfu":
-                f = self._freq.pop(k)
-                bucket = self._buckets[f]
-                del bucket[k]
-                if not bucket:
-                    del self._buckets[f]
-        if self.policy == "lfu":
-            self._min_freq = min(self._buckets) if self._buckets else 0
         self.invalidations += len(victims)
         if victims and self.tracer is not None:
             self.tracer.emit("cache_invalidate", self.now,
@@ -213,9 +166,6 @@ class ResultCache:
         """Drop every entry; lookup counters are kept (they describe the
         workload, not the contents)."""
         self._data.clear()
-        self._freq.clear()
-        self._buckets.clear()
-        self._min_freq = 0
 
     # -- introspection --------------------------------------------------------
     def __len__(self) -> int:
@@ -236,5 +186,5 @@ class ResultCache:
         return self.hits / n if n else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ResultCache({self.policy}, {len(self)}/{self.capacity} "
+        return (f"ResultCache({len(self)}/{self.capacity} "
                 f"entries, hit_rate={self.hit_rate:.3f})")

@@ -40,7 +40,7 @@ PR 4 frozen oracle (:mod:`repro.serve.reference`), and
 requests while asserting the per-class speedup floors.
 
 **Scope.** One loop, :func:`_drive`, covers every *fixed-fleet, fifo,
-count-admission, least-loaded* configuration. Each replica holds ``M``
+count-admission* configuration. Each replica holds ``M``
 per-model lanes — segmented arrays sharing one ``free_at`` timeline,
 advanced by the same globally-earliest ``(launch, partial, model)`` key
 rule as :meth:`~repro.serve.batching.ReplicaBatchQueue.advance` — with
@@ -55,19 +55,18 @@ of the paper's hybrid scheme):
   ``max_queue`` or ``None``) is ``M == 1`` — :func:`drive` builds the
   one-entry tables from ``sim.policy``/``sim.service`` instead of the
   profiles;
-- the **cached** classes (``cache_size > 0``, LRU or LFU, any popularity
-  law, on one model or many) add the optional cache in front: keys are a
+- the **cached** classes (``cache_size > 0``, any popularity law, on one
+  model or many) add the optional LRU cache in front: keys are a
   precomputed int vector (``content * M + model``), the decision loop
-  runs inline over plain dicts — decision-identical to
+  runs inline over one plain dict — decision-identical to
   :class:`~repro.serve.cache.ResultCache` — fed from batch completions
   through the same ``(completion, request_ids)`` fill-heap ordering the
   event loop's commit hook uses, and hits complete at ``request_rtt()``
   without ever touching the load heap.
 
 Genuinely event-only features keep the object loop: tracing/profiling
-hooks, request coalescing, model->replica affinity, cost-aware
-routing/admission, and edf/slack launch ordering (plus round-robin
-routing). Those paths are control-heavy, not arrival-heavy, and their
+hooks, request coalescing, cost-aware routing/admission, and edf launch
+ordering. Those paths are control-heavy, not arrival-heavy, and their
 semantics live in the router/queue objects.
 ``ServingSimulator(engine="array")`` consults :func:`unsupported_reason`
 and falls back transparently, so callers opt into the fast core per
@@ -104,21 +103,17 @@ def unsupported_reason(sim) -> Optional[str]:
     fails loudly there.
 
     Supported natively: fixed-fleet single- or multi-model serving with
-    least-loaded routing, count-based (optionally weighted) admission,
-    fifo launch order, windowed or continuous batching, per-model
-    batching policies, and a result cache (LRU/LFU) in front. Event-loop
-    only: everything that instruments or reorders the control path.
+    count-based (optionally weighted) admission, fifo launch order,
+    windowed or continuous batching, per-model batching policies, and a
+    result cache in front. Event-loop only: everything that instruments
+    or reorders the control path.
     """
-    if sim.strategy != "least_loaded":
-        return f"strategy {sim.strategy!r} is event-loop only"
     if sim.cost_aware:
         return "cost-aware routing/admission is event-loop only"
     if sim.order != "fifo":
         return f"launch order {sim.order!r} is event-loop only"
     if sim.coalesce:
         return "request coalescing is event-loop only"
-    if sim.affinity:
-        return "model->replica affinity is event-loop only"
     if sim._tracer is not None or sim._prof is not None:
         return "tracing/profiling hooks instrument the event loop"
     return None
@@ -183,7 +178,7 @@ def drive(sim, arrivals: np.ndarray) -> FastRun:
                   M, Bs, waits, svcs, limits, sim._mids,
                   int(arrivals.size),
                   None if cstate is None else cstate.contents,
-                  sim.cache_size, sim.cache_policy)
+                  sim.cache_size)
 
 
 def _np_of(buf: array, dtype) -> np.ndarray:
@@ -253,55 +248,6 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
     return stats
 
 
-def _lfu_cache(cap: int):
-    """Inline ``(get, put)`` pair replicating an LFU :class:`~repro.serve.
-    cache.ResultCache`'s *decisions* — same hit answers, same touch
-    ordering, same eviction victims — with the counters, values, and
-    method dispatch stripped (the drive loop tracks hits itself and the
-    stored values are never read): the same O(1) freq/recency-bucket
-    structure, plain insertion-ordered dicts for the buckets. (LRU needs
-    no closures; the drive loop runs it inline on one dict.)"""
-    data: dict = {}
-    freq: dict = {}
-    buckets: dict = {}
-    min_freq = [0]
-
-    def _touch(key):
-        f = freq[key]
-        bucket = buckets[f]
-        del bucket[key]
-        if not bucket:
-            del buckets[f]
-            if min_freq[0] == f:
-                min_freq[0] = f + 1
-        freq[key] = f + 1
-        buckets.setdefault(f + 1, {})[key] = None
-
-    def get(key):
-        if key not in data:
-            return False
-        _touch(key)
-        return True
-
-    def put(key):
-        if key in data:
-            _touch(key)
-            return
-        if len(data) >= cap:
-            bucket = buckets[min_freq[0]]
-            victim = next(iter(bucket))
-            del bucket[victim]
-            if not bucket:
-                del buckets[min_freq[0]]
-            del freq[victim]
-            del data[victim]
-        data[key] = None
-        freq[key] = 1
-        buckets.setdefault(1, {})[key] = None
-        min_freq[0] = 1
-    return get, put
-
-
 def _writeback(complete_np: np.ndarray, m_rid: array, m_comp: array,
                m_take: array) -> None:
     """Expand the per-batch record into per-request completion times with
@@ -316,8 +262,7 @@ def _writeback(complete_np: np.ndarray, m_rid: array, m_comp: array,
 def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
            waits: List[float], svcs: List[List[float]],
            limits: List[float], mids: Optional[List[int]], n: int,
-           contents: Optional[List[int]], cap: int,
-           cache_policy: str) -> FastRun:
+           contents: Optional[List[int]], cap: int) -> FastRun:
     """The drive/drain loop: ``M`` per-model lanes per replica on one
     shared ``free_at`` timeline, an optional result cache in front. The
     plain class is ``M == 1`` without ``contents``, the cached class
@@ -363,18 +308,15 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     complete_np = np.full(n, np.nan)
     shed_np = np.zeros(n, dtype=bool)
     cached = contents is not None
-    # LRU — the production policy — runs inline on one insertion-ordered
-    # dict (pop-with-sentinel is the combined lookup/touch, first key the
-    # eviction victim); LFU goes through _lfu_cache's closures. Keys are
-    # plain ints: the event path's (model, content) scoping, flattened.
-    lru = cache_policy == "lru"
+    # The LRU cache runs inline on one insertion-ordered dict
+    # (pop-with-sentinel is the combined lookup/touch, first key the
+    # eviction victim). Keys are plain ints: the event path's (model,
+    # content) scoping, flattened.
     cdata: dict = {}
     _MISS = cdata                 # sentinel no key can map to
     if cached:
         keys = contents if M == 1 else [
             c * M + m for m, c in zip(mids, contents)]
-        if not lru:
-            cget, cput = _lfu_cache(cap)
     # Fill events carry the member-array slice itself: heap tie-breaks
     # compare arrays lexicographically, the same ordering as the event
     # loop's request-id tuples, without boxing every member id at commit.
@@ -518,23 +460,15 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
                 if nfe <= t:
                     while fills and fills[0][0] <= t:
                         for rid2 in pop(fills)[1]:
-                            k2 = keys[rid2]
-                            if lru:       # refresh = touch
-                                if cdata.pop(k2, _MISS) is _MISS \
-                                        and len(cdata) >= cap:
-                                    del cdata[next(iter(cdata))]
-                                cdata[k2] = None
-                            else:
-                                cput(k2)
+                            k2 = keys[rid2]   # refresh = touch
+                            if cdata.pop(k2, _MISS) is _MISS \
+                                    and len(cdata) >= cap:
+                                del cdata[next(iter(cdata))]
+                            cdata[k2] = None
                     nfe = fills[0][0] if fills else _INF
                 key = keys[rid]
-                if lru:
-                    hit = cdata.pop(key, _MISS) is not _MISS
-                    if hit:
-                        cdata[key] = None    # move-to-end
-                else:
-                    hit = cget(key)
-                if hit:
+                if cdata.pop(key, _MISS) is not _MISS:
+                    cdata[key] = None    # move-to-end
                     h_rid.append(rid)    # latency = (t - t) + rtt = rtt
                     h_t.append(t)
                     continue             # hits never sync the router

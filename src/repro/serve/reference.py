@@ -7,8 +7,8 @@ a claim worth enforcing, not assuming. This module preserves the original
 implementations verbatim in semantics:
 
 - :class:`LinearRouter` — routing by advancing every replica queue at
-  every arrival and linearly scanning backlogs (the pre-PR ``pick`` /
-  ``submit`` / ``remove_replica``);
+  every arrival and linearly scanning backlogs (the pre-PR ``submit`` /
+  ``remove_replica``);
 - :class:`LinearServiceTimeModel` — the monotone batch-time clamp that
   rescans every smaller batch size on each new size;
 - :class:`LinearServingSimulator` / :class:`LinearAutoscalingSimulator` —
@@ -42,7 +42,7 @@ class LinearRouter(Router):
 
     Inherits placement, fleet bookkeeping, failure handling, and the
     commit hook from :class:`Router` (none of which changed); overrides
-    exactly the three methods the heap rewrite touched. The incremental
+    exactly the two methods the heap rewrite touched. The incremental
     counters the base class maintains are left to go stale — nothing here
     reads them.
     """
@@ -52,15 +52,6 @@ class LinearRouter(Router):
                            t: float) -> ReplicaHandle:
         # Ties broken by replica index for determinism.
         return min(replicas, key=lambda r: (r.queue.backlog(t), r.index))
-
-    def pick(self, t: float) -> ReplicaHandle:
-        for r in self.replicas:
-            r.queue.advance(t)
-        if self.strategy == "round_robin":
-            r = self.replicas[self._rr_next % self.n_replicas]
-            self._rr_next += 1
-            return r
-        return self._least_loaded_scan(self.replicas, t)
 
     def _full_scan(self, replica: ReplicaHandle, t: float) -> bool:
         return (self.max_queue is not None
@@ -73,7 +64,9 @@ class LinearRouter(Router):
         if not self.replicas:
             self.n_dropped += 1
             return False
-        replica = self.pick(t)
+        for r in self.replicas:
+            r.queue.advance(t)
+        replica = self._least_loaded_scan(self.replicas, t)
         if self._full_scan(replica, t):
             open_replicas = [r for r in self.replicas
                              if not self._full_scan(r, t)]
@@ -142,8 +135,7 @@ class LinearServingSimulator(ServingSimulator):
     def _make_router(self, on_commit=None) -> Router:
         return LinearRouter(self.machine, self.n_replicas, self.policy,
                             self.service.batch_time,
-                            max_queue=self.max_queue,
-                            strategy=self.strategy, on_commit=on_commit)
+                            max_queue=self.max_queue, on_commit=on_commit)
 
     def _drive(self, arrivals: np.ndarray, router: Router,
                admitted: dict) -> None:
@@ -167,5 +159,4 @@ class LinearAutoscalingSimulator(AutoscalingSimulator):
     def _make_router(self, on_commit=None) -> Router:
         return LinearRouter(self.machine, self.n_replicas, self.policy,
                             self.service.batch_time,
-                            max_queue=self.max_queue,
-                            strategy=self.strategy, on_commit=on_commit)
+                            max_queue=self.max_queue, on_commit=on_commit)

@@ -28,7 +28,7 @@ Completions land in one ``request_id -> completion`` ledger per fleet: the
 router hands it to every replica queue it creates and :meth:`Router.
 completions` returns it as is, so reading it costs nothing per replica.
 
-``pick``/``submit`` first sync the heaps to the arrival time, then read the
+``submit`` first syncs the heaps to the arrival time, then reads the
 heap top — the same decision the pre-PR linear scan made (the differential
 tests pin bit-identical completions against
 :class:`repro.serve.reference.LinearRouter`, the O(R) original kept as the
@@ -53,14 +53,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.machine import CoriMachine, cori
-from repro.serve.batching import (
-    Batch,
-    BatchingPolicy,
-    ReplicaBatchQueue,
-    require_count,
-)
-
-ROUTING_STRATEGIES = ("least_loaded", "round_robin")
+from repro.serve.batching import Batch, BatchingPolicy, ReplicaBatchQueue
+from repro.serve.cache import require_count
 
 
 @dataclass
@@ -83,19 +77,11 @@ class Router:
     (one batched-forward latency callable per model index) and route with
     ``submit(t, rid, model)``. Each replica keeps per-model batch lanes
     (batches never mix models); replica selection still reads the O(log R)
-    load heap, now the best (replica, model) pair under two optional
-    per-model constraints:
-
-    - **weighted admission** (``model_weights``): model ``m``'s effective
-      admission limit is ``ceil(max_queue * w_m / max(w))`` — under
-      overload the backlog keeps growing only for the highest-weight
-      models while low-weight traffic is shed early, which is what keeps
-      the high-weight SLO intact through a burst;
-    - **affinity** (``affinity={model: replica indices}``): hard placement
-      of a model onto a replica subset (PS-style shard placement) — those
-      models route and fail over only within their set, via a dedicated
-      per-model load heap. Affinity pins replicas, so it is only valid on
-      a fixed fleet (``add_replica``/``remove_replica`` refuse).
+    load heap. With **weighted admission** (``model_weights``), model
+    ``m``'s effective admission limit is ``ceil(max_queue * w_m /
+    max(w))`` — under overload the backlog keeps growing only for the
+    highest-weight models while low-weight traffic is shed early, which is
+    what keeps the high-weight SLO intact through a burst.
 
     **Cost-aware mode** (``model_costs``, per-model estimated seconds per
     request): the load value routed and admitted on becomes *estimated
@@ -109,7 +95,7 @@ class Router:
     ``max_queue_seconds * w_m / max(w)`` — any positive limit admits at
     an empty queue, so no model can be starved by its weight.
     ``policies`` / ``order`` / ``model_slos`` are handed down to every
-    replica queue for per-model batching and EDF/slack launch ordering
+    replica queue for per-model batching and EDF launch ordering
     (:class:`~repro.serve.batching.ReplicaBatchQueue`). All of these
     default off, preserving the count-based scheduler bit for bit.
     """
@@ -118,12 +104,10 @@ class Router:
                  policy: BatchingPolicy,
                  service_time: Callable[[int], float],
                  max_queue: Optional[int] = 64,
-                 strategy: str = "least_loaded",
                  on_commit: Optional[Callable[[int, Batch], None]] = None,
                  service_times: Optional[
                      List[Callable[[int], float]]] = None,
                  model_weights: Optional[List[float]] = None,
-                 affinity: Optional[Dict[int, Tuple[int, ...]]] = None,
                  tracer=None,
                  policies: Optional[List[BatchingPolicy]] = None,
                  order: str = "fifo",
@@ -134,9 +118,6 @@ class Router:
                  ) -> None:
         n_replicas = require_count("n_replicas", n_replicas)
         max_queue = require_count("max_queue", max_queue, none_ok=True)
-        if strategy not in ROUTING_STRATEGIES:
-            raise ValueError(f"unknown routing strategy {strategy!r}; "
-                             f"have {ROUTING_STRATEGIES}")
         self.machine = machine or cori(seed=0, jitter=False)
         if n_replicas > self.machine.n_nodes:
             raise ValueError(
@@ -170,7 +151,7 @@ class Router:
         self.policies = None if policies is None else list(policies)
         #: cross-lane launch ordering on every replica queue
         self.order = order
-        #: per-model SLOs — deadline source for edf/slack queue ordering
+        #: per-model SLOs — deadline source for edf queue ordering
         self.model_slos = (None if model_slos is None
                            else [float(s) for s in model_slos])
         if model_costs is not None and any(not c > 0 for c in model_costs):
@@ -211,26 +192,10 @@ class Router:
         #: highest-weight model gets the full queue — see class docstring)
         self._limits: List[Optional[float]] = self._admission_limits(
             n_models)
-        self.strategy = strategy
         self.on_commit = on_commit
         #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed), handed down
         #: to every replica queue; ``None`` is the exact pre-trace path
         self.tracer = tracer
-        if affinity:
-            if strategy != "least_loaded":
-                raise ValueError(
-                    "model affinity requires the least_loaded strategy")
-            for m, members in affinity.items():
-                if not 0 <= m < n_models:
-                    raise ValueError(
-                        f"affinity for unknown model index {m}")
-                if not members or not all(
-                        0 <= i < n_replicas for i in members):
-                    raise ValueError(
-                        f"affinity for model {m} must name replica indices "
-                        f"in [0, {n_replicas}), got {tuple(members)}")
-        self.affinity: Dict[int, frozenset] = {
-            m: frozenset(members) for m, members in (affinity or {}).items()}
         #: per-request-model offer/drop tallies (key: model index)
         self.offered_by_model: Dict[int, int] = {}
         self.dropped_by_model: Dict[int, int] = {}
@@ -247,8 +212,6 @@ class Router:
         self._completions: Dict[int, float] = {}
         self._live: Dict[int, ReplicaHandle] = {}
         self._load_heap: List[Tuple[float, int]] = []
-        self._model_heaps: Dict[int, List[Tuple[float, int]]] = {
-            m: [] for m in self.affinity}
         #: (completion, replica, model, size) — one decrement per batch
         self._completion_events: List[Tuple[float, int, int, int]] = []
         self._launch_events: List[Tuple[float, int]] = []
@@ -271,7 +234,6 @@ class Router:
         self.n_failed = 0
         #: their ids — so observers can tell dead from still-pending
         self.failed_ids: set = set()
-        self._rr_next = 0
 
     @property
     def n_replicas(self) -> int:
@@ -335,7 +297,7 @@ class Router:
                     free_at: float) -> ReplicaHandle:
         queue = ReplicaBatchQueue(
             self.policy, self.service_time, free_at=free_at,
-            on_commit=lambda batch, i=index: self._commit(i, batch),
+            on_commit=self._commit_feed(index),
             service_times=self.service_times,
             tracer=self.tracer, replica=index,
             policies=self.policies, order=self.order,
@@ -364,22 +326,27 @@ class Router:
         return value
 
     def _push_load(self, index: int, backlog: int) -> None:
-        """Publish a replica's new backlog to the load heap(s): the global
-        heap always, plus each affinity model's heap that may route to it.
-        With no affinity this is exactly the pre-multi-model single push."""
+        """Publish a replica's new backlog to the load heap."""
         self._load[index] = backlog
         heapq.heappush(self._load_heap, (backlog, index))
-        for m, members in self.affinity.items():
-            if index in members:
-                heapq.heappush(self._model_heaps[m], (backlog, index))
 
-    def _commit(self, index: int, batch: Batch) -> None:
-        """A batch was committed on replica ``index``: its backlog drops by
-        the batch size once the completion time passes."""
-        heapq.heappush(self._completion_events,
-                       (batch.completion, index, batch.model, batch.size))
-        if self.on_commit is not None:
-            self.on_commit(index, batch)
+    def _commit_feed(self, index: int) -> Callable[[Batch], None]:
+        """Replica ``index``'s commit callback: a committed batch's backlog
+        drops by the batch size once the completion time passes.
+
+        It closes over the completion heap and ``on_commit``, not the
+        router: a queue that pointed back at its router would make every
+        router a reference cycle, whose batches and heaps outlive the run
+        until the next full garbage collection — so a process's peak memory
+        would depend on how many runs came before, not on the run."""
+        events, on_commit = self._completion_events, self.on_commit
+
+        def commit(batch: Batch) -> None:
+            heapq.heappush(events,
+                           (batch.completion, index, batch.model, batch.size))
+            if on_commit is not None:
+                on_commit(index, batch)
+        return commit
 
     def _sync(self, t: float) -> None:
         """Play every event due by ``t``: commit due launches (which feeds
@@ -421,14 +388,10 @@ class Router:
             heapq.heappush(self._launch_events, (t_launch, idx))
             self._sched[idx] = t_launch
 
-    def _least_loaded(self, model: int = 0) -> Optional[ReplicaHandle]:
+    def _least_loaded(self) -> ReplicaHandle:
         """Live replica with the minimum (backlog, index) — ties broken by
-        replica index for determinism, exactly like the linear scan. A
-        model with affinity reads its own heap (only its replicas) and gets
-        ``None`` when every one of them is gone (dead affinity set)."""
-        heap = (self._model_heaps[model] if model in self.affinity
-                else self._load_heap)
-        members = self.affinity.get(model)
+        replica index for determinism, exactly like the linear scan."""
+        heap = self._load_heap
         while heap:
             backlog, idx = heap[0]
             handle = self._live.get(idx)
@@ -436,8 +399,6 @@ class Router:
                 heapq.heappop(heap)      # stale entry: retired or restated
                 continue
             return handle
-        if members is not None:
-            return None
         raise RuntimeError("no live replicas in the load heap")
 
     def sync(self, t: float) -> None:
@@ -450,17 +411,6 @@ class Router:
         self._sync(t)
 
     # -- routing -------------------------------------------------------------
-    def pick(self, t: float, model: int = 0) -> Optional[ReplicaHandle]:
-        """Choose the target replica for a ``model`` request arriving at
-        ``t`` (``None`` only when the model's affinity set has no live
-        replica left)."""
-        self._sync(t)
-        if self.strategy == "round_robin":
-            r = self.replicas[self._rr_next % self.n_replicas]
-            self._rr_next += 1
-            return r
-        return self._least_loaded(model)
-
     def _full(self, handle: ReplicaHandle, model: int = 0) -> bool:
         limit = self._limits[model]
         if limit is None:
@@ -492,13 +442,10 @@ class Router:
         ``max_queue`` bounds each replica's *outstanding* requests (queued
         plus launched-but-unfinished), so per-request latency is bounded by
         roughly ``max_queue / replica_throughput`` even under sustained
-        overload. A request is shed only when every replica (that its
-        model may use) is at the model's admission limit — if the
-        strategy's first pick is full (round_robin doesn't look at load),
-        the request fails over to the least-loaded replica with headroom
-        rather than being dropped; and if the *least-loaded* replica is
-        full, every replica is. With ``model_weights``, low-weight models
-        hit their (smaller) limit first — weighted admission.
+        overload. The request goes to the least-loaded replica and is
+        shed only when that one is at the model's admission limit — then
+        every replica is. With ``model_weights``, low-weight models hit
+        their (smaller) limit first — weighted admission.
         """
         self.n_offered += 1
         self.offered_by_model[model] = \
@@ -506,14 +453,9 @@ class Router:
         if not self.replicas:
             # Every replica has failed and no repair has landed yet: shed.
             return self._shed(t, request_id, model)
-        if self.strategy == "least_loaded":
-            self._sync(t)
-            replica = self._least_loaded(model)
-        else:
-            replica = self.pick(t, model)
-            if self._full(replica, model):
-                replica = self._least_loaded(model)
-        if replica is None or self._full(replica, model):
+        self._sync(t)
+        replica = self._least_loaded()
+        if self._full(replica, model):
             return self._shed(t, request_id, model)
         self._assign(replica, t, request_id, model)
         return True
@@ -534,10 +476,6 @@ class Router:
         allocation and starts empty but *busy until* ``t`` — it cannot serve
         work from before it existed.
         """
-        if self.affinity:
-            raise ValueError(
-                "model affinity pins replicas: live fleet changes are not "
-                "supported (use a fixed fleet)")
         handle = self._new_handle(self._placed, self._next_node(), free_at=t)
         self._placed += 1
         self.replicas.append(handle)
@@ -560,10 +498,6 @@ class Router:
         """
         if len(self.replicas) <= 1:
             raise ValueError("cannot remove the last replica")
-        if self.affinity:
-            raise ValueError(
-                "model affinity pins replicas: live fleet changes are not "
-                "supported (use a fixed fleet)")
         self._sync(t)
         if pos is None:
             pos = min(range(len(self.replicas)),
@@ -574,7 +508,7 @@ class Router:
         if self.tracer is not None:
             self.tracer.emit("drain", t, replica=replica.index)
         for _, rid, model in replica.queue.evict_queued(t):
-            target = self._least_loaded(model)
+            target = self._least_loaded()
             if self.tracer is not None:
                 self.tracer.emit("reroute", t, request_id=rid,
                                  replica=replica.index, model=model,

@@ -55,13 +55,8 @@ from repro.serve.arrivals import (
     make_contents,
     make_model_ids,
 )
-from repro.serve.batching import (
-    LAUNCH_ORDERS,
-    Batch,
-    BatchingPolicy,
-    require_count,
-)
-from repro.serve.cache import CACHE_POLICIES, ResultCache
+from repro.serve.batching import LAUNCH_ORDERS, Batch, BatchingPolicy
+from repro.serve.cache import ResultCache, require_count
 from repro.serve.latency import PerModelServiceTime, ServiceTimeModel
 from repro.serve.metrics import (
     CacheSizeSweep,
@@ -113,10 +108,10 @@ class _CacheRun:
 class ServingSimulator:
     """Simulate serving one workload with N replicas under a batching policy.
 
-    ``cache_size`` > 0 puts a ``cache_policy`` ("lru"/"lfu") result cache
-    in front of the router; a fresh cache is built per run (a rate sweep
-    must not warm one point with another point's traffic). ``cache_size=0``
-    is bit-identical to the pre-cache simulator.
+    ``cache_size`` > 0 puts an LRU result cache in front of the router; a
+    fresh cache is built per run (a rate sweep must not warm one point
+    with another point's traffic). ``cache_size=0`` is bit-identical to
+    the pre-cache simulator.
 
     **Multi-model serving**: pass ``models`` (a list of
     :class:`~repro.serve.registry.ModelProfile` — e.g. the HEP classifier
@@ -125,8 +120,7 @@ class ServingSimulator:
     replica pool is shared: every replica keeps per-model batch lanes
     (batches never mix models, each model has its own Fig 5 service
     curve), admission is weighted by each profile's ``weight`` (overload
-    sheds low-weight traffic first), ``affinity`` optionally pins a model
-    to a replica subset, and the returned stats carry one
+    sheds low-weight traffic first), and the returned stats carry one
     :class:`~repro.serve.metrics.PerModelStats` per profile judged
     against that model's own SLO. With exactly one profile every code
     path collapses to the classic single-model simulator bit for bit —
@@ -143,7 +137,7 @@ class ServingSimulator:
     - ``order`` (:data:`~repro.serve.batching.LAUNCH_ORDERS`) sets the
       cross-lane launch ordering on every replica: ``"edf"`` launches the
       lane whose oldest request has the earliest deadline (arrival + its
-      model's SLO), ``"slack"`` the least slack to its deadline;
+      model's SLO);
     - ``cost_aware=True`` switches routing and admission from request
       counts to *estimated service seconds* (each model's amortized
       full-batch time per request): least-loaded becomes
@@ -155,21 +149,17 @@ class ServingSimulator:
     is floored at each model's single max-batch cost
     (``cost_m x max_batch_m``): a skewed mix would otherwise hand a
     tiny-share expensive model a budget smaller than one of its own
-    requests, shedding it forever while the replicas idle. Passing
-    ``max_queue_seconds`` explicitly is the escape hatch — it reaches the
-    router verbatim (no mix-derived mean, *no floors*), for operators who
-    want an exact seconds budget even where it can starve a model.
+    requests, shedding it forever while the replicas idle.
 
     ``engine`` selects the drive loop: ``"event"`` (default) is the
     object event loop above; ``"array"`` swaps in the flat
     struct-of-arrays core (:mod:`repro.serve.fast_core`) when the config
-    is in its supported class — fixed fleet, least-loaded routing, count
-    admission, fifo launch order. That class is *one* loop over ``M``
-    per-model lanes per replica with an optional result cache in front:
-    a single-model run is its ``M == 1`` case, per-model policies and
-    LRU/LFU caches are parameters of it. The genuinely event-only
-    features (tracing/profiling, coalescing, affinity, cost-aware,
-    edf/slack, round-robin) transparently fall back to the event loop.
+    is in its supported class — fixed fleet, count admission, fifo launch
+    order. That class is *one* loop over ``M`` per-model lanes per replica
+    with an optional result cache in front: a single-model run is its
+    ``M == 1`` case, per-model policies and the cache are parameters of
+    it. The genuinely event-only features (tracing/profiling, coalescing,
+    cost-aware, edf) transparently fall back to the event loop.
     ``last_run_engine`` records which one ran. The two engines are
     bit-identical, pinned by the engine differential suite (hand-picked
     families and generated configurations) and the full-lattice support
@@ -185,24 +175,16 @@ class ServingSimulator:
                  n_replicas: int = 1,
                  policy: Optional[BatchingPolicy] = None,
                  max_queue: Optional[int] = 256,
-                 strategy: str = "least_loaded",
                  service_model: Optional[ServiceTimeModel] = None,
                  cache_size: int = 0,
-                 cache_policy: str = "lru",
                  models: Optional[Sequence[ModelProfile]] = None,
                  model_mix: MixLike = None,
-                 affinity: Optional[dict] = None,
                  service_models: Optional[Sequence] = None,
                  coalesce: bool = False,
                  order: str = "fifo",
                  cost_aware: bool = False,
-                 max_queue_seconds: Optional[float] = None,
                  engine: str = "event") -> None:
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        if cache_policy not in CACHE_POLICIES:
-            raise ValueError(f"unknown cache policy {cache_policy!r}; "
-                             f"have {CACHE_POLICIES}")
+        cache_size = require_count("cache_size", cache_size, least=0)
         if order not in LAUNCH_ORDERS:
             raise ValueError(f"unknown launch order {order!r}; "
                              f"have {LAUNCH_ORDERS}")
@@ -210,26 +192,15 @@ class ServingSimulator:
             raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
         n_replicas = require_count("n_replicas", n_replicas)
         max_queue = require_count("max_queue", max_queue, none_ok=True)
-        if max_queue_seconds is not None:
-            if not cost_aware:
-                raise ValueError(
-                    "max_queue_seconds is a seconds admission budget; it "
-                    "requires cost_aware=True")
-            if not max_queue_seconds > 0:
-                raise ValueError(f"max_queue_seconds must be > 0, "
-                                 f"got {max_queue_seconds}")
         self.machine = machine or cori(seed=0, jitter=False)
         self.n_replicas = n_replicas
         self.policy = policy or BatchingPolicy()
         self.order = order
         self.cost_aware = bool(cost_aware)
-        self.max_queue_seconds = max_queue_seconds
         self.engine = engine
         self.max_queue = max_queue
-        self.strategy = strategy
         self.models: Optional[List[ModelProfile]] = None
         self.model_mix: Optional[ModelMix] = None
-        self.affinity = affinity
         self.coalesce = coalesce
         if models is not None:
             # -- the multi-model path ------------------------------------
@@ -271,10 +242,9 @@ class ServingSimulator:
             # ``self.service`` stays the single-model attribute only.
             self.service = None
         else:
-            if model_mix is not None or affinity is not None \
-                    or service_models is not None:
+            if model_mix is not None or service_models is not None:
                 raise ValueError(
-                    "model_mix/affinity/service_models require models=...")
+                    "model_mix/service_models require models=...")
             if workload is None and service_model is None:
                 raise ValueError(
                     "pass a workload (single-model), models=[...] "
@@ -285,7 +255,6 @@ class ServingSimulator:
                 cost=self.machine.network.cost)
             self.services = None
         self.cache_size = cache_size
-        self.cache_policy = cache_policy
         self._cstate: Optional[_CacheRun] = None
         self._mids: Optional[list] = None
         # Per-run observability handles (set by run(), cleared after): the
@@ -391,11 +360,7 @@ class ServingSimulator:
         if self.cost_aware:
             costs = self.model_costs()
             kw["model_costs"] = costs
-            if self.max_queue_seconds is not None:
-                # the escape hatch: an operator-pinned budget reaches the
-                # router verbatim — no derived mean, no per-model floors
-                kw["max_queue_seconds"] = float(self.max_queue_seconds)
-            elif self.max_queue is not None:
+            if self.max_queue is not None:
                 # the seconds equivalent of `max_queue` queued requests:
                 # the mix-weighted mean cost of one — same expected queue
                 # bound, now denominated in work
@@ -425,16 +390,15 @@ class ServingSimulator:
             fns = self.services.batch_time_fns()
             return Router(self.machine, self.n_replicas, self.policy,
                           fns[0],
-                          max_queue=self.max_queue,
-                          strategy=self.strategy, on_commit=on_commit,
+                          max_queue=self.max_queue, on_commit=on_commit,
                           service_times=fns,
                           model_weights=[p.weight for p in self.models],
-                          affinity=self.affinity, tracer=self._tracer,
+                          tracer=self._tracer,
                           **self._scheduling_kwargs())
         return Router(self.machine, self.n_replicas, self.policy,
                       self.service.batch_time, max_queue=self.max_queue,
-                      strategy=self.strategy, on_commit=on_commit,
-                      tracer=self._tracer, **self._scheduling_kwargs())
+                      on_commit=on_commit, tracer=self._tracer,
+                      **self._scheduling_kwargs())
 
     def _make_cache_run(self, n_requests: int, popularity: PopularityLike,
                         seed: SeedLike) -> Optional[_CacheRun]:
@@ -449,8 +413,7 @@ class ServingSimulator:
         contents = make_contents(popularity, n_requests, seed=rng)
         # cache_size=0 with coalesce=True: an inert (never-storing) cache
         # still carries the in-flight ledger — pure request deduplication.
-        return _CacheRun(ResultCache(self.cache_size, self.cache_policy,
-                                     tracer=self._tracer),
+        return _CacheRun(ResultCache(self.cache_size, tracer=self._tracer),
                          contents)
 
     def _make_model_ids(self, n_requests: int,
@@ -876,8 +839,8 @@ def compare_batching_modes(workload: Workload,
                            slo: Optional[float] = None,
                            process: ProcessLike = "uniform",
                            seed: SeedLike = None,
-                           max_queue: Optional[int] = 256,
-                           strategy: str = "least_loaded") -> PolicyComparison:
+                           max_queue: Optional[int] = 256
+                           ) -> PolicyComparison:
     """Sweep the same serving setup under windowed and continuous batching.
 
     Both sweeps share the machine, the memoized service-time model, the
@@ -896,8 +859,7 @@ def compare_batching_modes(workload: Workload,
         mode: ServingSimulator(workload, machine=machine,
                                n_replicas=n_replicas,
                                policy=policy.with_mode(mode),
-                               max_queue=max_queue, strategy=strategy,
-                               service_model=service)
+                               max_queue=max_queue, service_model=service)
         for mode in ("windowed", "continuous")}
     if rates is None:
         sat = sims["windowed"].saturation_rate()
@@ -923,8 +885,6 @@ def sweep_cache_sizes(workload: Workload,
                       popularity: PopularityLike = "zipf",
                       seed: SeedLike = None,
                       max_queue: Optional[int] = 256,
-                      strategy: str = "least_loaded",
-                      cache_policy: str = "lru",
                       engine: str = "event") -> CacheSizeSweep:
     """The hit-rate vs p99/attainment trade across cache capacities.
 
@@ -945,13 +905,10 @@ def sweep_cache_sizes(workload: Workload,
     policy = policy or BatchingPolicy()
     service = ServiceTimeModel(workload, node=machine.node,
                                cost=machine.network.cost)
-    sizes = [int(s) for s in sizes]
-    if any(s < 0 for s in sizes):
-        raise ValueError(f"cache sizes must be >= 0, got {sizes}")
+    sizes = [require_count("cache_size", s, least=0) for s in sizes]
     base = ServingSimulator(workload, machine=machine,
                             n_replicas=n_replicas, policy=policy,
-                            max_queue=max_queue, strategy=strategy,
-                            service_model=service)
+                            max_queue=max_queue, service_model=service)
     if rate is None:
         rate = 1.25 * base.saturation_rate()
     if slo is None:
@@ -961,9 +918,8 @@ def sweep_cache_sizes(workload: Workload,
     for size in sizes:
         sim = ServingSimulator(workload, machine=machine,
                                n_replicas=n_replicas, policy=policy,
-                               max_queue=max_queue, strategy=strategy,
-                               service_model=service, cache_size=size,
-                               cache_policy=cache_policy, engine=engine)
+                               max_queue=max_queue, service_model=service,
+                               cache_size=size, engine=engine)
         points.append(sim.run(rate, n_requests=n_requests, process=process,
                               seed=seed, popularity=popularity))
         engines.append(sim.last_run_engine)

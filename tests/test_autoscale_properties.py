@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.failures import FailureEvent
 from repro.serve import (
+    LAUNCH_ORDERS,
     MMPP,
     AutoscalePolicy,
     Autoscaler,
@@ -762,7 +763,7 @@ def _observed_runs(draw):
                             FakeService(0.009, 0.002)],
             model_mix=ModelMix((0.6, 0.4),
                                mean_run=draw(st.sampled_from([1.0, 6.0]))),
-            order=draw(st.sampled_from(["fifo", "edf", "slack"])),
+            order=draw(st.sampled_from(LAUNCH_ORDERS)),
             cost_aware=draw(st.booleans()))
         svc = kw["service_models"][1]
     else:

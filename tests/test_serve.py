@@ -1,10 +1,13 @@
 """repro.serve: batching policy, registry, router, SLO simulator."""
 
+import gc
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from repro import serve
 from repro.core import Sequential
 from repro.models import build_hep_net
 from repro.models.climate import build_climate_net
@@ -15,7 +18,9 @@ from repro.nn.fft_conv import FFTConv2D
 from repro.nn.pooling import MaxPool2D
 from repro.nn.winograd import WinogradConv2D
 from repro.serve import (
+    LAUNCH_ORDERS,
     MMPP,
+    AutoscalingSimulator,
     BatchExecutor,
     BatchingPolicy,
     ModelRegistry,
@@ -423,12 +428,10 @@ class TestServiceTimeModel:
 
 
 class TestRouter:
-    def _router(self, n_replicas=3, max_queue=None, strategy="least_loaded",
-                service=None):
+    def _router(self, n_replicas=3, max_queue=None, service=None):
         return Router(None, n_replicas, BatchingPolicy(max_batch=4,
                                                        max_wait=0.01),
-                      service or const_service(1.0), max_queue=max_queue,
-                      strategy=strategy)
+                      service or const_service(1.0), max_queue=max_queue)
 
     def test_placement_on_machine_nodes(self):
         r = self._router(n_replicas=4)
@@ -442,11 +445,21 @@ class TestRouter:
             assert r.submit(0.0, i)
         assert [rep.queue.queue_depth for rep in r.replicas] == [1, 1, 1]
 
-    def test_round_robin_cycles(self):
-        r = self._router(n_replicas=2, strategy="round_robin")
-        for i in range(4):
-            r.submit(0.0, i)
-        assert [rep.queue.queue_depth for rep in r.replicas] == [2, 2]
+    def test_least_loaded_fills_the_emptier_replica_first(self):
+        """Least-loaded is the only routing: an arrival goes to the
+        replica with the fewest outstanding requests, and a tie goes to
+        the lowest replica index."""
+        r = self._router(n_replicas=2)
+        picks = []
+        for i in range(5):
+            assert r.submit(0.0, i)
+            picks.append([rep.queue.queue_depth for rep in r.replicas])
+        assert picks == [[1, 0], [1, 1], [2, 1], [2, 2], [3, 2]]
+        # Fail replica 0: the survivor takes every arrival.
+        r.fail_replica(0.0, 0)
+        assert r.submit(0.0, 5)
+        assert [rep.index for rep in r.replicas] == [1]
+        assert r.replicas[0].queue.queue_depth == 3
 
     def test_admission_control_sheds(self):
         r = self._router(n_replicas=1, max_queue=2)
@@ -488,29 +501,19 @@ class TestRouter:
         worst = max(completions[i] - i * 0.005 for i in completions)
         assert worst <= (64 / 32 + 1.0) * 1.5
 
-    def test_round_robin_fails_over_before_shedding(self):
-        """A full round-robin pick must spill to a replica with queue space;
-        shedding only happens when every queue is at the limit."""
-        r = self._router(n_replicas=2, max_queue=1, strategy="round_robin")
+    def test_sheds_only_when_every_replica_is_full(self):
+        """A full replica spills to one with queue space; shedding only
+        happens when every queue is at the limit."""
+        r = self._router(n_replicas=2, max_queue=1)
         assert r.submit(0.0, 0)          # -> replica 0 (now full)
         assert r.submit(0.0, 1)          # -> replica 1 (now full)
         assert r.submit(0.0, 2) is False  # everyone full -> shed
-        # Arrivals must enter through submit() — the router's incremental
-        # backlog counters can't see queue pushes that sidestep it. Fill
-        # replica 0 via the router, then rewind the round-robin pointer so
-        # the full replica is the next rr turn.
-        r2 = self._router(n_replicas=2, max_queue=1, strategy="round_robin")
-        assert r2.submit(0.0, 90)        # rr turn -> replica 0 (at limit)
-        r2._rr_next = 0                  # replica 0's turn again
-        assert r2.submit(0.0, 0)         # full rr pick -> fails over
-        assert r2.replicas[1].queue.queue_depth == 1
-        assert r2.n_dropped == 0
+        assert [rep.queue.queue_depth for rep in r.replicas] == [1, 1]
+        assert r.n_dropped == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_replicas"):
             self._router(n_replicas=0)
-        with pytest.raises(ValueError, match="strategy"):
-            self._router(strategy="random")
         with pytest.raises(ValueError, match="max_queue"):
             self._router(max_queue=0)
 
@@ -652,6 +655,25 @@ class TestServingSimulator:
         assert c.p50 < w.p50
         assert w.p50 - c.p50 == pytest.approx(policy.max_wait, rel=0.05)
 
+    def test_a_run_leaves_no_reference_cycles(self, tiny_wl):
+        """An event-loop run's router, queues and batches are freed by
+        reference counting when the run returns. A cycle through them
+        would hold every run's event state until the next full garbage
+        collection, so a process's peak memory would grow with the number
+        of runs before it."""
+        sim = ServingSimulator(tiny_wl, n_replicas=2, cache_size=8)
+        auto = AutoscalingSimulator(tiny_wl)
+        gc.collect()
+        gc.disable()
+        try:
+            sim.run(sim.saturation_rate(), n_requests=200,
+                    process="poisson", seed=1, popularity="zipf")
+            auto.run(2.0 * sim.saturation_rate(), n_requests=200,
+                     process="poisson", seed=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_invalid_inputs(self, tiny_wl):
         sim = ServingSimulator(tiny_wl)
         with pytest.raises(ValueError, match="rate"):
@@ -687,3 +709,42 @@ class TestCompareBatchingModes:
         with pytest.raises(ValueError, match="SLO"):
             PolicyComparison(windowed=swept([1.0], 0.5),
                              continuous=swept([1.0], 0.6))
+
+
+class TestRetiredKnobs:
+    """Round-robin routing, model affinity, LFU eviction, ``"slack"``
+    ordering and the simulators' own ``max_queue_seconds`` are gone, not
+    hidden: no public callable takes them, and a stale call fails at
+    construction instead of running some other configuration."""
+
+    RETIRED = {"strategy", "affinity", "cache_policy"}
+
+    @staticmethod
+    def _params(obj):
+        fn = obj.__init__ if inspect.isclass(obj) else obj
+        return set(inspect.signature(fn).parameters)
+
+    def test_no_public_signature_takes_a_retired_knob(self):
+        checked = 0
+        for name in serve.__all__:
+            obj = getattr(serve, name)
+            if not callable(obj):
+                continue
+            assert not self.RETIRED & self._params(obj), name
+            checked += 1
+        assert checked > 30
+        for sim in (ServingSimulator, AutoscalingSimulator):
+            assert "max_queue_seconds" not in self._params(sim)
+        # The router keeps the seconds budget: cost-aware admission
+        # derives it.
+        assert {"max_queue_seconds", "admission_floor_seconds"} \
+            <= self._params(Router)
+
+    @pytest.mark.parametrize("sim", [ServingSimulator,
+                                     AutoscalingSimulator])
+    def test_slack_order_is_refused(self, sim):
+        assert LAUNCH_ORDERS == ("fifo", "edf")
+        with pytest.raises(ValueError, match="launch order"):
+            sim(None, service_model=lambda b: 0.01, order="slack")
+        with pytest.raises(TypeError, match="strategy"):
+            sim(None, service_model=lambda b: 0.01, strategy="round_robin")

@@ -3,7 +3,7 @@
 Four claims from the cache/perf PR, each pinned here:
 
 1. **Cache correctness** — a hit returns the memoized prediction
-   bitwise-identically to the cold forward that produced it; LRU/LFU
+   bitwise-identically to the cold forward that produced it; LRU
    eviction matches a naive reference model decision-for-decision under
    random traces; a result can be served only after some replica actually
    produced it (and never from an aborted batch).
@@ -71,27 +71,24 @@ class FakeService:
 # -- 1. the cache itself -------------------------------------------------------
 
 class ReferenceCache:
-    """Naive O(n) model of ResultCache semantics, for differential tests.
-
-    LRU: evict the key with the oldest last-touch. LFU: evict the key with
-    the smallest (use count, last-touch) — least recent among least used.
-    A refresh (put of a held key) counts as a use in both.
+    """Naive O(n) model of ResultCache semantics, for differential tests:
+    evict the key with the oldest last-touch; a refresh (put of a held
+    key) counts as a touch.
     """
 
-    def __init__(self, capacity, policy):
-        self.capacity, self.policy = capacity, policy
-        self.data = {}          # key -> (freq, last_touch, value)
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.data = {}          # key -> (last_touch, value)
         self.clock = 0
 
     def _touch(self, key, value):
-        freq, _, _ = self.data.get(key, (0, 0, None))
         self.clock += 1
-        self.data[key] = (freq + 1, self.clock, value)
+        self.data[key] = (self.clock, value)
 
     def get(self, key):
         if key not in self.data:
             return False, None
-        value = self.data[key][2]
+        value = self.data[key][1]
         self._touch(key, value)
         return True, value
 
@@ -99,23 +96,18 @@ class ReferenceCache:
         if self.capacity == 0:
             return
         if key not in self.data and len(self.data) >= self.capacity:
-            if self.policy == "lru":
-                victim = min(self.data, key=lambda k: self.data[k][1])
-            else:
-                victim = min(self.data, key=lambda k: self.data[k][:2])
-            del self.data[victim]
+            del self.data[min(self.data, key=lambda k: self.data[k][0])]
         self._touch(key, value)
 
 
 class TestResultCache:
     def test_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            ResultCache(-1)
-        with pytest.raises(ValueError, match="policy"):
-            ResultCache(4, policy="fifo")
+        for capacity in (-1, 2.5, math.nan):
+            with pytest.raises(ValueError, match="capacity"):
+                ResultCache(capacity)
 
     def test_lru_evicts_least_recently_used(self):
-        c = ResultCache(2, policy="lru")
+        c = ResultCache(2)
         c.put("a", 1)
         c.put("b", 2)
         assert c.get("a") == (True, 1)   # refresh a: b is now the victim
@@ -123,21 +115,28 @@ class TestResultCache:
         assert "b" not in c and "a" in c and "c" in c
         assert c.evictions == 1
 
-    def test_lfu_keeps_frequent_over_recent(self):
-        c = ResultCache(2, policy="lfu")
+    def test_lru_evicts_a_frequent_key_once_it_is_least_recent(self):
+        # Recency alone picks the victim: five hits do not protect a key
+        # that two newer ones have since passed.
+        c = ResultCache(2)
         c.put("hot", 1)
         for _ in range(5):
-            assert c.get("hot")[0]
-        c.put("one", 2)                  # freq 1
-        c.put("two", 3)                  # evicts "one" (lowest freq), not hot
-        assert "hot" in c and "two" in c and "one" not in c
+            assert c.get("hot") == (True, 1)
+        c.put("one", 2)
+        c.put("two", 3)
+        assert "hot" not in c and "one" in c and "two" in c
+        assert c.evictions == 1
 
-    def test_lfu_frequency_ties_break_least_recent(self):
-        c = ResultCache(2, policy="lfu")
+    def test_refresh_replaces_the_value_and_counts_as_a_use(self):
+        c = ResultCache(2)
         c.put("a", 1)
-        c.put("b", 2)                    # both freq 1; a is older
+        c.put("b", 2)
+        c.put("a", 10)                   # refresh: b is now the victim
         c.put("c", 3)
-        assert "a" not in c and "b" in c and "c" in c
+        assert "b" not in c
+        assert c.get("a") == (True, 10)
+        # a refresh is neither an insertion nor an eviction
+        assert (c.insertions, c.evictions) == (3, 1)
 
     def test_capacity_zero_is_inert(self):
         c = ResultCache(0)
@@ -156,13 +155,12 @@ class TestResultCache:
         assert len(c) == 0 and c.hits == 1   # counters describe the trace
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("policy", ["lru", "lfu"])
-    def test_eviction_matches_reference_model(self, policy, seed):
+    def test_eviction_matches_reference_model(self, seed):
         """Decision-for-decision agreement with the naive model on random
         get/put traces, plus the capacity bound at every step."""
         rng = as_rng(seed)
-        cache = ResultCache(int(rng.integers(1, 9)), policy=policy)
-        ref = ReferenceCache(cache.capacity, policy)
+        cache = ResultCache(int(rng.integers(1, 9)))
+        ref = ReferenceCache(cache.capacity)
         keys = [f"k{i}" for i in range(int(rng.integers(4, 24)))]
         for step in range(600):
             key = keys[int(rng.integers(0, len(keys)))]
@@ -272,10 +270,10 @@ class TestIncrementalBatchTime:
 
 # -- the heap router vs the linear oracle --------------------------------------
 
-def _routers(n_replicas, policy, svc, max_queue, strategy):
+def _routers(n_replicas, policy, svc, max_queue):
     args = (None, n_replicas, policy, svc.batch_time)
-    kw = dict(max_queue=max_queue, strategy=strategy)
-    return Router(*args, **kw), LinearRouter(*args, **kw)
+    return (Router(*args, max_queue=max_queue),
+            LinearRouter(*args, max_queue=max_queue))
 
 
 def _assert_same_outcome(fast, slow):
@@ -293,8 +291,8 @@ def _assert_same_outcome(fast, slow):
 @pytest.mark.parametrize("seed", SEEDS)
 class TestRouterHeapDifferential:
     def test_random_traces_identical(self, seed):
-        """Bit-identical routing on random arrival traces across policies,
-        strategies, and admission limits."""
+        """Bit-identical routing on random arrival traces across policies
+        and admission limits."""
         rng = as_rng(seed)
         for _ in range(6):
             policy = BatchingPolicy(
@@ -304,8 +302,7 @@ class TestRouterHeapDifferential:
             svc = FakeService(base=float(rng.uniform(1e-3, 6e-3)))
             fast, slow = _routers(
                 int(rng.integers(1, 9)), policy, svc,
-                max_queue=int(rng.integers(2, 40)),
-                strategy=str(rng.choice(["least_loaded", "round_robin"])))
+                max_queue=int(rng.integers(2, 40)))
             t = 0.0
             for rid in range(400):
                 t += float(rng.exponential(2e-4))
@@ -322,8 +319,7 @@ class TestRouterHeapDifferential:
             policy = BatchingPolicy(max_batch=int(rng.integers(2, 7)),
                                     max_wait=1e-3)
             svc = FakeService()
-            fast, slow = _routers(3, policy, svc, max_queue=16,
-                                  strategy="least_loaded")
+            fast, slow = _routers(3, policy, svc, max_queue=16)
             t = 0.0
             for rid in range(300):
                 t += float(rng.exponential(3e-4))

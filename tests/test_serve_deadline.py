@@ -3,16 +3,16 @@
 Four families of guarantees for the seconds-based scheduler (ISSUE 7):
 
 1. **Homogeneous single-model runs are bit-identical** — with one model
-   (one cost, one SLO, one lane) ``order="edf"``/``"slack"`` and
+   (one cost, one SLO, one lane) ``order="edf"`` and
    ``cost_aware=True`` must reproduce the count-based FIFO scheduler
    exactly: same latencies, same batches, same drops, same horizon —
    across seeds, arrival processes, cached runs, and the autoscaled
    control loop. The refactor is a re-denomination, not a behavior
    change, wherever there is nothing to reorder.
 2. **Deadline ordering semantics** — EDF launches the earliest-deadline
-   lane among launch-ready ones; slack ordering breaks deadline ties
-   toward the costlier batch; no admitted request is ever starved (every
-   one launches in bounded time without waiting for ``drain``).
+   lane among launch-ready ones and breaks deadline ties by model index;
+   no admitted request is ever starved (every one launches in bounded
+   time without waiting for ``drain``).
 3. **Cost-aware routing and admission** — least-loaded becomes
    shortest-expected-work (one queued expensive scan outweighs many
    cheap events) and ``max_queue_seconds`` admission is judged in
@@ -174,7 +174,7 @@ class TestHomogeneousDifferential:
         policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
         kw = dict(cache_size=16, coalesce=True)
         base = self._sim(policy, 2, **kw)
-        aware = self._sim(policy, 2, order="slack", cost_aware=True, **kw)
+        aware = self._sim(policy, 2, order="edf", cost_aware=True, **kw)
         rate = 1.2 * base.saturation_rate()
         a = base.run(rate, n_requests=800, process="poisson", seed=seed,
                      popularity="zipf")
@@ -230,16 +230,14 @@ class TestLaunchOrderSemantics:
             q.drain()
             assert q.batches[0].model == first
 
-    def test_slack_breaks_deadline_ties_toward_costlier_batch(self):
+    def test_edf_breaks_deadline_ties_by_model_index(self):
         # Equal deadlines (1.0 both): EDF falls through to the model
-        # index (model 0 first); slack launches the costlier batch first
-        # — model 1's service time is ~10x model 0's.
-        for order, first in (("edf", 0), ("slack", 1)):
-            q = self._busy_queue(order, slos=[1.0, 0.5])
-            q.push(0.0, 0, model=0)     # deadline 0.0 + 1.0 = 1.0
-            q.push(0.5, 1, model=1)     # deadline 0.5 + 0.5 = 1.0
-            q.drain()
-            assert q.batches[0].model == first
+        # index (model 0 first), though model 1's batch costs ~10x more.
+        q = self._busy_queue("edf", slos=[1.0, 0.5])
+        q.push(0.0, 0, model=0)     # deadline 0.0 + 1.0 = 1.0
+        q.push(0.5, 1, model=1)     # deadline 0.5 + 0.5 = 1.0
+        q.drain()
+        assert q.batches[0].model == 0
 
     def test_per_model_policy_bounds_lane_batches(self):
         s0, s1 = FakeService(), FakeService(0.05, 0.01)
@@ -372,8 +370,7 @@ class TestSkewedMixStarvation:
     sustained cheap traffic kept the backlog above that sliver forever:
     the expensive model shed 100% while replicas had capacity to spare.
     The fix floors each model's derived budget at its single max-batch
-    cost; an explicit ``max_queue_seconds`` is the documented no-floors
-    escape hatch.
+    cost.
 
     The scenario: a 1%-share model whose requests cost ~100x the cheap
     model's, with admission weights 100:1 (the shape that minimizes its
@@ -415,24 +412,6 @@ class TestSkewedMixStarvation:
         # (100% shed, replicas idle or serving cheap traffic only).
         assert dear.n_dropped == 0
 
-    def test_escape_hatch_reproduces_the_tight_budget(self):
-        # An explicit max_queue_seconds equal to the derived value reaches
-        # the router verbatim — no floors — and starves the expensive
-        # model exactly as the unfixed derivation did. Deliberate: the
-        # hatch exists for operators who want the raw budget semantics.
-        probe = self._sim()
-        costs = probe.model_costs()
-        derived = 32 * (0.99 * costs[0] + 0.01 * costs[1])
-        sim = self._sim(max_queue_seconds=derived)
-        kw = sim._scheduling_kwargs()
-        assert kw["max_queue_seconds"] == derived
-        assert kw["admission_floor_seconds"] is None
-        stats = sim.run(0.7 * sim.saturation_rate(), n_requests=4000,
-                        seed=3)
-        dear = stats.models[1]
-        assert dear.n_offered > 0
-        assert dear.n_dropped == dear.n_offered     # starved: 100% shed
-
     def test_router_floors_derived_limits(self):
         cheap, dear = FakeService(0.004, 0.001), FakeService(0.4, 0.1)
         r = Router(None, 1, BatchingPolicy(max_batch=8, max_wait=1e-3),
@@ -462,13 +441,6 @@ class TestSkewedMixStarvation:
         with pytest.raises(ValueError, match="non-negative"):
             router(max_queue_seconds=5.0,
                    admission_floor_seconds=[1.0, -1.0])
-
-    def test_simulator_escape_hatch_validation(self):
-        with pytest.raises(ValueError, match="cost_aware"):
-            ServingSimulator(service_model=FakeService(),
-                             max_queue_seconds=5.0)
-        with pytest.raises(ValueError, match="> 0"):
-            self._sim(max_queue_seconds=0.0)
 
     def test_single_model_derivation_has_no_floor(self):
         # The floor applies only where starvation can: cross-model
@@ -591,11 +563,11 @@ class TestDegenerateStatsContract:
             s.percentile(101.0)
 
 
-# -- per-model conservation under slack + autoscaling + failures ---------------
+# -- per-model conservation under edf + autoscaling + failures ----------------
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestDeadlineConservation:
-    def test_conservation_under_slack_scaling_and_failures(self, seed):
+    def test_conservation_under_edf_scaling_and_failures(self, seed):
         rng = as_rng(seed)
         profiles = [ModelProfile("alpha", None, weight=1.0, slo=0.08),
                     ModelProfile("beta", None, weight=0.5, slo=1.0)]
@@ -605,14 +577,13 @@ class TestDeadlineConservation:
         events = [FailureEvent(time=float(rng.uniform(0.1, 0.5)),
                                node_id=int(rng.integers(0, 4)),
                                kind="fail")]
-        order = str(rng.choice(["edf", "slack"]))
         sim = AutoscalingSimulator(
             models=profiles, service_models=services,
             model_mix=ModelMix((0.7, 0.3),
                                mean_run=float(rng.choice([1.0, 8.0]))),
             autoscale=cfg, max_queue=16,
             policy=BatchingPolicy(max_batch=8, max_wait=1e-3),
-            failure_events=events, order=order, cost_aware=True)
+            failure_events=events, order="edf", cost_aware=True)
         rate = float(rng.uniform(0.8, 1.6)) * sim.saturation_rate()
         stats = sim.run(rate, n_requests=2500, process="mmpp", seed=seed)
         assert stats.models is not None

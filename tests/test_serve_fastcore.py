@@ -5,7 +5,7 @@ never a behavior change. Five layers pin that:
 
 1. **Differential families** — the config families of the fast-core
    issues (plain; plain and cached under an indefinite ``max_wait``;
-   cached Zipf/LRU; cached hot-key/LFU; cached+coalesce;
+   cached Zipf; cached hot-key; cached+coalesce;
    multi-model; multi-model+cache; autoscaled+failures+degrades;
    edf+cost_aware) each run under ``engine="event"`` and
    ``engine="array"`` across 3 seeds and must produce *bit-identical*
@@ -17,7 +17,7 @@ never a behavior change. Five layers pin that:
    path is itself a failure).
 2. **Support lattice** — every combination of the config axes the
    predicate reads (models x cache x coalesce x order x cost_aware x
-   strategy x affinity x tracing) actually *runs*, and each lands on
+   tracing) actually *runs*, and each lands on
    exactly the engine this test's own support matrix claims, so
    ``unsupported_reason()`` can never silently drift from the dispatch.
 3. **Oracle differential** — the array core vs the PR 4 frozen reference
@@ -31,7 +31,7 @@ never a behavior change. Five layers pin that:
    10M-request drive's memory.
 5. **Generated cross-engine differential** — the same randomized
    configurations (single-model or 1-3 profiles with per-model policies,
-   ``max_wait`` in {0, 2ms, 10ms, inf}, LRU/LFU cache or none) run on
+   ``max_wait`` in {0, 2ms, 10ms, inf}, an LRU cache or none) run on
    *both* engines and compared bit for bit. Layers 1-4 never compared
    engines on a drawn config, which is how two drifts between the (then
    three) array loops and the event loop survived; what this layer found
@@ -52,6 +52,7 @@ import pytest
 
 from repro.cluster.failures import FailureEvent
 from repro.serve import (
+    LAUNCH_ORDERS,
     AutoscalePolicy,
     AutoscalingSimulator,
     BatchingPolicy,
@@ -131,13 +132,12 @@ def _cached_zipf(engine):
                             cache_size=64, engine=engine)
 
 
-def _cached_hot_lfu(engine):
-    # The other cache policy under the other popularity law, with a tight
-    # queue so shedding interleaves with hits.
+def _cached_hot(engine):
+    # The other popularity law, with a tight queue so shedding
+    # interleaves with hits.
     return ServingSimulator(hep_workload(), n_replicas=3,
                             policy=BatchingPolicy(max_batch=8),
-                            cache_size=32, cache_policy="lfu",
-                            max_queue=16, engine=engine)
+                            cache_size=32, max_queue=16, engine=engine)
 
 
 def _plain_inf_wait(engine):
@@ -221,7 +221,7 @@ FAMILIES = {
     "plain-inf-wait": (_plain_inf_wait, "array"),
     "cached-inf-wait": (_cached_inf_wait, "array"),
     "cached-zipf": (_cached_zipf, "array"),
-    "cached-hot-lfu": (_cached_hot_lfu, "array"),
+    "cached-hot": (_cached_hot, "array"),
     "cached-coalesce": (_coalesced, "event"),
     "multi-model": (_multi_model, "array"),
     "multi-model-cached": (_multi_model_cached, "array"),
@@ -230,12 +230,14 @@ FAMILIES = {
 }
 
 #: families whose run holds a live result cache
-CACHED_FAMILIES = ("cached-zipf", "cached-hot-lfu", "cached-coalesce",
+CACHED_FAMILIES = ("cached-zipf", "cached-hot", "cached-coalesce",
                    "cached-inf-wait", "multi-model-cached")
+#: the cached families the array core drives itself
+NATIVE_CACHED_FAMILIES = sorted(f for f in CACHED_FAMILIES
+                                if FAMILIES[f][1] == "array")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestEngineDifferential:
     def _run(self, family, engine, seed, **kw):
         build, _ = FAMILIES[family]
@@ -244,13 +246,14 @@ class TestEngineDifferential:
         if family in CACHED_FAMILIES:
             kw["popularity"] = (
                 HotKeyPopularity(n_keys=256, hot_keys=8)
-                if family == "cached-hot-lfu"
+                if family == "cached-hot"
                 else ZipfPopularity(alpha=1.1, n_keys=256))
         process = "mmpp" if family == "plain" else "poisson"
         stats = sim.run(rate, n_requests=2500, process=process, seed=seed,
                         **kw)
         return sim, stats
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_bit_identical_stats(self, family, seed):
         _, ev = self._run(family, "event", seed)
         _, ar = self._run(family, "array", seed)
@@ -258,6 +261,7 @@ class TestEngineDifferential:
         _assert_same_models(ev, ar)
         assert np.isfinite(ar.latencies).all() and np.isfinite(ar.horizon)
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_runs_on_the_expected_path(self, family, seed):
         sim, _ = self._run(family, "array", seed)
         assert sim.last_run_engine == FAMILIES[family][1]
@@ -267,9 +271,8 @@ class TestEngineDifferential:
             # fixed-fleet fallbacks must name their reason
             assert fast_core.unsupported_reason(sim) is not None
 
+    @pytest.mark.parametrize("family", NATIVE_CACHED_FAMILIES)
     def test_conservation_and_hit_identities(self, family, seed):
-        if family not in CACHED_FAMILIES or family == "cached-coalesce":
-            pytest.skip("native cached families only")
         sim, ar = self._run(family, "array", seed)
         assert sim.last_run_engine == "array"
         _, ev = self._run(family, "event", seed)
@@ -319,55 +322,40 @@ class TestSupportLattice:
     """Every combination of the config axes ``unsupported_reason`` reads
     must *run* on exactly the engine this test's own matrix claims."""
 
-    AXES = [(models, cache, coalesce, order, cost_aware, strategy,
-             affinity, traced)
+    AXES = [(models, cache, coalesce, order, cost_aware, traced)
             for models in (False, True)
             for cache in (0, 16)
             for coalesce in (False, True)
-            for order in ("fifo", "edf")
+            for order in LAUNCH_ORDERS
             for cost_aware in (False, True)
-            for strategy in ("least_loaded", "round_robin")
-            for affinity in (False, True)
-            for traced in (False, True)
-            # hard placement needs models to pin, and only exists on the
-            # least-loaded strategy (constructor-enforced)
-            if not (affinity and (not models
-                                  or strategy != "least_loaded"))]
+            for traced in (False, True)]
 
     @staticmethod
-    def _expected(models, cache, coalesce, order, cost_aware, strategy,
-                  affinity, traced):
+    def _expected(models, cache, coalesce, order, cost_aware, traced):
         # The test's independent support matrix: multi-model and cached
         # runs are native; only these features force the event loop.
-        if (coalesce or order != "fifo" or cost_aware
-                or strategy != "least_loaded" or affinity or traced):
+        if coalesce or order != "fifo" or cost_aware or traced:
             return "event"
         return "array"
 
     @staticmethod
-    def _build(models, cache, coalesce, order, cost_aware, strategy,
-               affinity):
+    def _build(models, cache, coalesce, order, cost_aware):
         kw = dict(policy=BatchingPolicy(max_batch=4), n_replicas=2,
                   max_queue=8, cache_size=cache, coalesce=coalesce,
-                  order=order, cost_aware=cost_aware, strategy=strategy,
-                  engine="array")
+                  order=order, cost_aware=cost_aware, engine="array")
         if models:
             return ServingSimulator(
                 models=[ModelProfile("a", None, weight=2.0),
                         ModelProfile("b", None)],
                 service_models=[FakeService(), FakeService(0.02, 0.004)],
-                model_mix=ModelMix((0.7, 0.3)),
-                affinity={1: (0,)} if affinity else None, **kw)
-        assert not affinity
+                model_mix=ModelMix((0.7, 0.3)), **kw)
         return ServingSimulator(None, service_model=FakeService(), **kw)
 
     def test_every_combination_lands_where_claimed(self):
-        assert len(self.AXES) > 100   # the lattice is genuinely full
+        assert len(self.AXES) == 64   # the lattice is genuinely full
         for axes in self.AXES:
-            (models, cache, coalesce, order, cost_aware, strategy,
-             affinity, traced) = axes
-            sim = self._build(models, cache, coalesce, order, cost_aware,
-                              strategy, affinity)
+            models, cache, coalesce, order, cost_aware, traced = axes
+            sim = self._build(models, cache, coalesce, order, cost_aware)
             # Pre-run, the predicate must agree with the matrix for every
             # run-independent axis (tracing is run-scoped, checked below).
             reason = fast_core.unsupported_reason(sim)
@@ -446,13 +434,16 @@ class TestConstructionRejectsWhatTheEnginesDisagreeOn:
     accepted, then split the engines or crash one deep inside a run:
     ``max_queue=2.5`` shed more requests on the array core (``int(L) <<
     shift`` truncates it to 2) than on the event loop, NaN ran on one and
-    died on the other, ``max_batch=2.5`` indexed a lane with a float, and
-    an infinite weight made a weight ratio NaN. Construction now refuses
-    them, naming the field and the value."""
+    died on the other, ``max_batch=2.5`` indexed a lane with a float,
+    ``cache_size=2.5`` held 2 entries on the event loop (``int()``) and 3
+    on the array core (``len(data) >= 2.5``), ``cache_size=nan`` died
+    mid-run, and an infinite weight made a weight ratio NaN. Construction
+    now refuses them, naming the field and the value."""
 
     @pytest.mark.parametrize("field, value", [
         ("n_replicas", 0), ("n_replicas", 1.5), ("max_queue", 0),
-        ("max_queue", 2.5), ("max_queue", math.nan), ("max_queue", 8.0)])
+        ("max_queue", 2.5), ("max_queue", math.nan), ("max_queue", 8.0),
+        ("cache_size", -1), ("cache_size", 2.5), ("cache_size", math.nan)])
     def test_counts(self, engine, field, value):
         for cls in (ServingSimulator, AutoscalingSimulator):
             if cls is AutoscalingSimulator and field == "n_replicas":
@@ -518,24 +509,23 @@ class TestOracleDifferential:
         # The PR 4 oracle predates the result cache (it refuses
         # cache_size != 0), so the cached chain is pinned event-vs-array
         # at a 20k trace instead — an order of magnitude past the family
-        # runs, enough for thousands of evictions under both policies.
-        for policy in ("lru", "lfu"):
-            kw = dict(n_replicas=8, policy=BatchingPolicy(max_batch=16),
-                      max_queue=64, cache_size=32, cache_policy=policy)
-            event = ServingSimulator(hep_workload(), engine="event", **kw)
-            fast = ServingSimulator(hep_workload(), engine="array", **kw)
-            # well past saturation, with a cache much smaller than the
-            # catalog: the head still deflects roughly half the load, so
-            # 4x is what it takes for shedding to coexist with hits (and
-            # the 64:1 key:slot ratio keeps evictions churning)
-            rate = 4.0 * event.saturation_rate()
-            pop = ZipfPopularity(alpha=1.1, n_keys=2048)
-            a = event.run(rate, 20_000, "mmpp", seed, popularity=pop)
-            b = fast.run(rate, 20_000, "mmpp", seed, popularity=pop)
-            _assert_same(a, b)
-            assert b.n_cache_hits > 0
-            assert b.n_dropped > 0
-            assert fast.last_run_engine == "array"
+        # runs, enough for thousands of evictions.
+        kw = dict(n_replicas=8, policy=BatchingPolicy(max_batch=16),
+                  max_queue=64, cache_size=32)
+        event = ServingSimulator(hep_workload(), engine="event", **kw)
+        fast = ServingSimulator(hep_workload(), engine="array", **kw)
+        # well past saturation, with a cache much smaller than the
+        # catalog: the head still deflects roughly half the load, so 4x
+        # is what it takes for shedding to coexist with hits (and the
+        # 64:1 key:slot ratio keeps evictions churning)
+        rate = 4.0 * event.saturation_rate()
+        pop = ZipfPopularity(alpha=1.1, n_keys=2048)
+        a = event.run(rate, 20_000, "mmpp", seed, popularity=pop)
+        b = fast.run(rate, 20_000, "mmpp", seed, popularity=pop)
+        _assert_same(a, b)
+        assert b.n_cache_hits > 0
+        assert b.n_dropped > 0
+        assert fast.last_run_engine == "array"
 
     def test_full_100k_trace(self):
         # The scale point of the issue's acceptance bar that fits in the
@@ -562,7 +552,7 @@ class _RandomCase:
     """One drawn array-supported configuration, buildable on either
     engine: the single-model form or 1-3 model profiles (random weights,
     mix, optional per-model policies), any ``max_wait`` including the
-    indefinite hold, with or without a 16-entry LRU/LFU cache under Zipf
+    indefinite hold, with or without a 16-entry cache under Zipf
     traffic."""
 
     def __init__(self, rng):
@@ -575,8 +565,7 @@ class _RandomCase:
         self.kw = dict(
             n_replicas=int(rng.integers(1, 9)), policy=_random_policy(rng),
             max_queue=[None, 4, 64][int(rng.integers(0, 3))],
-            cache_size=int(rng.choice([0, 16])),
-            cache_policy=str(rng.choice(["lru", "lfu"])))
+            cache_size=int(rng.choice([0, 16])))
         if n_models:
             self.kw.update(
                 models=[ModelProfile(

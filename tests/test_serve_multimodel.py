@@ -13,10 +13,10 @@ Three families of guarantees:
    under live autoscaling and injected node failures, across ≥3 seeds.
 3. **Mechanism semantics** — batches never mix models and use each
    model's own service curve; weighted admission sheds the low-weight
-   model first; affinity confines a model to its replica subset; a
-   registry publish invalidates the superseded version's cache scope (a
-   post-roll lookup can never return the old model's prediction); and
-   duplicate in-flight misses coalesce onto the leader's forward.
+   model first; a registry publish invalidates the superseded version's
+   cache scope (a post-roll lookup can never return the old model's
+   prediction); and duplicate in-flight misses coalesce onto the leader's
+   forward.
 """
 
 import math
@@ -183,7 +183,7 @@ class TestModelLanes:
             q.push(0.0, 0, 1)
 
 
-# -- weighted admission and affinity ------------------------------------------
+# -- weighted admission ------------------------------------------------------
 
 class TestWeightedAdmission:
     def _router(self, weights, max_queue=8):
@@ -220,52 +220,51 @@ class TestWeightedAdmission:
             self._router([1.0, -1.0])
 
 
-class TestAffinity:
-    def _router(self, affinity, n_replicas=3):
-        svc = FakeService()
+class TestMultiModelFleetChanges:
+    """A multi-model fleet scales and fails like a single-model one:
+    every live replica serves every model."""
+
+    def _router(self, n_replicas=2):
+        s0, s1 = FakeService(), FakeService(0.009, 0.002)
         return Router(None, n_replicas,
                       BatchingPolicy(max_batch=4, max_wait=1e-3),
-                      svc.batch_time, max_queue=64,
-                      service_times=[svc.batch_time, svc.batch_time],
-                      affinity=affinity)
+                      s0.batch_time, max_queue=None,
+                      service_times=[s0.batch_time, s1.batch_time])
 
-    def test_affinity_confines_model(self):
-        r = self._router({1: (2,)})
-        for i in range(30):
-            r.submit(i * 1e-4, i, i % 2)
+    @staticmethod
+    def _served(r):
+        """request_id -> model of every launched batch, over live and
+        retired replicas."""
+        return {rid: b.model for b in r.batches() for rid in b.request_ids}
+
+    def test_fleet_grows_and_shrinks_live(self):
+        r = self._router()
+        for i in range(20):
+            assert r.submit(i * 1e-4, i, i % 2)
+        added = r.add_replica(2e-3)
+        for i in range(20, 40):
+            assert r.submit(2e-3 + (i - 20) * 1e-4, i, i % 2)
+        r.remove_replica(5e-3, pos=0)
+        for i in range(40, 60):
+            assert r.submit(6e-3 + (i - 40) * 1e-4, i, i % 2)
         r.drain()
-        for rep in r.replicas:
-            for b in rep.queue.batches:
-                if b.model == 1:
-                    assert rep.index == 2
-        # model 0 load-balances over everyone, including replica 2
-        hosts0 = {rep.index for rep in r.replicas
-                  for b in rep.queue.batches if b.model == 0}
-        assert len(hosts0) >= 2
+        # every admitted request ran once, in a batch of its own model
+        assert self._served(r) == {i: i % 2 for i in range(60)}
+        assert set(r.completions()) == set(range(60))
+        assert {b.model for b in added.queue.batches} == {0, 1}
+        assert r.n_dropped == 0
 
-    def test_affinity_validation(self):
-        with pytest.raises(ValueError, match="replica indices"):
-            self._router({0: (7,)})
-        with pytest.raises(ValueError, match="unknown model"):
-            self._router({5: (0,)})
-        with pytest.raises(ValueError, match="least_loaded"):
-            svc = FakeService()
-            Router(None, 2, BatchingPolicy(), svc.batch_time,
-                   strategy="round_robin",
-                   service_times=[svc.batch_time], affinity={0: (0,)})
-
-    def test_affinity_refuses_live_fleet_changes(self):
-        r = self._router({0: (0,)})
-        with pytest.raises(ValueError, match="fixed fleet"):
-            r.add_replica(1.0)
-        with pytest.raises(ValueError, match="fixed fleet"):
-            r.remove_replica(1.0)
-
-    def test_dead_affinity_set_sheds_instead_of_crashing(self):
-        r = self._router({1: (2,)})
+    def test_a_failed_replica_leaves_every_model_routable(self):
+        r = self._router(n_replicas=3)
         r.fail_replica(0.0, 2)
-        assert r.submit(0.1, 0, 1) is False     # nowhere to go: shed
-        assert r.submit(0.1, 1, 0) is True      # other model unaffected
+        # models in pairs, so each survivor's alternate turns see both
+        for i in range(12):
+            assert r.submit(i * 1e-4, i, i // 2 % 2)
+        r.drain()
+        assert self._served(r) == {i: i // 2 % 2 for i in range(12)}
+        assert [rep.index for rep in r.replicas] == [0, 1]
+        for rep in r.replicas:
+            assert {b.model for b in rep.queue.batches} == {0, 1}
 
 
 # -- the pinned single-model differential --------------------------------------
@@ -605,19 +604,24 @@ class TestPublishInvalidation:
         reg.publish("other", build_hep_net(filters=8, n_units=3, rng=2))
         assert len(cache) == 1                     # hep's entry untouched
 
-    def test_invalidate_scope_lfu_bookkeeping(self):
-        cache = ResultCache(4, policy="lfu")
-        cache.put((("m", 1), "a"), 1)
-        cache.get((("m", 1), "a"))                 # freq 2
+    def test_invalidate_scope_keeps_the_survivors_recency(self):
+        cache = ResultCache(4)
         cache.put((("m", 2), "b"), 2)
-        assert cache.invalidate_scope(("m", 1)) == 1
-        assert len(cache) == 1
-        # LFU structures stay coherent: fills and evictions still work.
+        cache.put((("m", 1), "a"), 1)
         cache.put((("m", 2), "c"), 3)
+        cache.get((("m", 2), "b"))                 # b is now most recent
+        assert cache.invalidate_scope(("m", 1)) == 1
+        assert len(cache) == 2 and cache.evictions == 0
+        # The freed slot fills without an eviction; after that the
+        # victims are the survivors in their old recency order.
         cache.put((("m", 2), "d"), 4)
         cache.put((("m", 2), "e"), 5)
+        assert cache.evictions == 0 and len(cache) == 4
         cache.put((("m", 2), "f"), 6)
-        assert len(cache) == 4
+        assert (("m", 2), "c") not in cache
+        cache.put((("m", 2), "g"), 7)
+        assert (("m", 2), "b") not in cache
+        assert cache.evictions == 2 and len(cache) == 4
 
 
 # -- metrics satellites --------------------------------------------------------

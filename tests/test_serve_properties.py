@@ -328,7 +328,7 @@ def test_published_load_is_never_stale(data):
         if router.replicas:
             scan = min(router.replicas,
                        key=lambda r: (router._value(r.index), r.index))
-            assert router._least_loaded(model) is scan, step
+            assert router._least_loaded() is scan, step
 
 
 # -- the launch-event rule: whole runs against the every-admit rule -------------
@@ -397,9 +397,9 @@ _SVC = _Service(0.004, 0.001)
 
 @st.composite
 def _whole_runs(draw):
-    """One small run: launch order x cost-aware x affinity (fixed fleets)
-    or autoscaling with fail / degrade / repair events x cache +
-    coalescing, over one or two models."""
+    """One small run: launch order x cost-aware (fixed fleets) or
+    autoscaling with fail / degrade / repair events x cache + coalescing,
+    over one or two models."""
     # one-request batches make every admit a determined full batch, whose
     # commit instant a degrade or a cache fill then observes
     max_batch = draw(st.sampled_from([1, 1, 2, 5]))
@@ -419,13 +419,8 @@ def _whole_runs(draw):
                 st.sampled_from([1.0, 5.0]))),
             order=draw(st.sampled_from(LAUNCH_ORDERS)),
             cost_aware=draw(st.booleans()))
-        if not autoscaled and draw(st.booleans()):
-            kw["affinity"] = {1: (0,)}
     else:
         kw.update(workload=None, service_model=_SVC)
-    if "affinity" not in kw and not autoscaled:
-        kw["strategy"] = draw(st.sampled_from(["least_loaded",
-                                               "round_robin"]))
     if draw(st.booleans()):
         kw.update(cache_size=draw(st.sampled_from([0, 8])),
                   coalesce=draw(st.booleans()))
