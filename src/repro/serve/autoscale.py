@@ -302,8 +302,7 @@ class AutoscalingSimulator(ServingSimulator):
         elif not slo > 0:
             raise ValueError(f"slo must be positive, got {slo}")
         self._run_slo = float(slo)
-        self._run_slos = (None if self.models is None
-                          else [float(slo)] * len(self.models) if explicit
+        self._run_slos = ([float(slo)] * len(self.services) if explicit
                           else self.model_slos())
         try:
             return super().run(rate, n_requests=n_requests, process=process,
@@ -350,7 +349,7 @@ class AutoscalingSimulator(ServingSimulator):
     def _observe(self, router: Router, open_reqs: dict, cursors: dict,
                  t_start: float, t_end: float, index: int, slos: List[float],
                  rtts: List[float], floors: List[float], n_shed: int,
-                 shed_by_model: Optional[List[int]] = None,
+                 shed_by_model: List[int],
                  n_repaired: int = 0) -> EpochRecord:
         """One causal epoch observation.
 
@@ -390,12 +389,11 @@ class AutoscalingSimulator(ServingSimulator):
         arrival itself and therefore closed, so that arrival (and a batch
         launched at that exact instant) is not invisible to the controller.
 
-        Multi-model runs judge each admitted request against *its own
-        model's* SLO, transport cost, and doomed floor; the aggregate
-        fields are the per-model sums and ``model_attainment`` carries the
-        per-model signals the controller's worst-case rule consumes. With
-        one model the sums degenerate to exactly the single-model
-        arithmetic (the pinned differential).
+        Each admitted request is judged against *its own model's* SLO,
+        transport cost, and doomed floor; the aggregate fields are the
+        per-model sums, and on ``models=`` runs ``model_attainment``
+        carries the per-model signals the controller's worst-case rule
+        consumes.
 
         An epoch costs what is outstanding, not what the run has seen.
         ``open_reqs`` (request id -> arrival) holds every admission not yet
@@ -503,11 +501,10 @@ class AutoscalingSimulator(ServingSimulator):
         else:
             attainment = float("nan")
         model_attainment = None
-        if mids is not None:
-            shed_m = shed_by_model or [0] * M
+        if self.models is not None:
             per = []
             for m in range(M):
-                judged = n_completed[m] + n_doomed[m] + shed_m[m]
+                judged = n_completed[m] + n_doomed[m] + shed_by_model[m]
                 per.append(n_ok[m] / judged if judged else float("nan"))
             model_attainment = tuple(per)
         return EpochRecord(index=index, t_start=t_start, t_end=t_end,
@@ -528,10 +525,7 @@ class AutoscalingSimulator(ServingSimulator):
         # the flat array core (fixed-fleet by construction) never applies.
         self.last_run_engine = "event"
         slo = getattr(self, "_run_slo", None) or self.default_slo()
-        if self.models is None:
-            slos = [slo]
-        else:
-            slos = (getattr(self, "_run_slos", None) or self.model_slos())
+        slos = getattr(self, "_run_slos", None) or self.model_slos()
         cfg = self.autoscale
         epoch_s = cfg.epoch if cfg.epoch is not None else 2.0 * slo
         tracer = self._tracer
@@ -541,10 +535,7 @@ class AutoscalingSimulator(ServingSimulator):
         # Doomed-request floors come from the service-cost API: no
         # scheduler can answer below a batch-of-one service time plus
         # transport, whatever the launch order or admission unit.
-        if self.models is None:
-            floors = [self.service.batch_time(1) + rtts[0]]
-        else:
-            floors = self.services.min_request_seconds(rtts)
+        floors = self.services.min_request_seconds(rtts)
         n_models = len(slos)
         t0, t_end = float(arrivals[0]), float(arrivals[-1])
         failures = self._failure_schedule(t0, t_end)
@@ -577,13 +568,11 @@ class AutoscalingSimulator(ServingSimulator):
                 r.queue.advance(t)
             n_shed = router.n_dropped - dropped_mark
             dropped_mark = router.n_dropped
-            shed_by_model = None
-            if self.models is not None:
-                shed_by_model = []
-                for m in range(n_models):
-                    now = router.dropped_by_model.get(m, 0)
-                    shed_by_model.append(now - dropped_marks[m])
-                    dropped_marks[m] = now
+            shed_by_model = []
+            for m in range(n_models):
+                now = router.dropped_by_model.get(m, 0)
+                shed_by_model.append(now - dropped_marks[m])
+                dropped_marks[m] = now
             rec = self._observe(router, open_reqs, cursors, prev_epoch_t,
                                 t, epoch_idx, slos, rtts, floors, n_shed,
                                 shed_by_model,

@@ -112,28 +112,23 @@ class ReplicaBatchQueue:
 
     Drive it with nondecreasing ``push(t, request_id, model)`` calls and a
     final :meth:`drain`; it records every launched :class:`Batch` and each
-    request's completion time. ``service_time(batch_size) -> seconds`` is
-    the replica's batched-forward latency model; for a multi-model replica
-    pass ``service_times`` (one callable per model index) instead — each
-    model has its own service curve, and batches never mix models.
+    request's completion time. ``service_times`` (``batch_size ->
+    seconds``) and ``policies`` hold one entry per model index and default
+    to ``[service_time]`` and ``[policy] * M``: a single-model queue is
+    the one-lane case. Each model batches on its own service curve and
+    ``max_batch``/``max_wait`` (a slow scan model can run short batches
+    while a fast one fills deep ones); batches never mix models.
 
     The replica is one shared execution resource: every lane's batches
     serialize on the same ``free_at`` timeline. Launch order across lanes
     is by launch instant — each :meth:`advance` step commits the lane
     with the globally earliest launch key. How ties (and near-ties) break
     is the ``order`` knob (:data:`LAUNCH_ORDERS`): ``"fifo"`` (default)
-    breaks full batch first then lowest model index — the pre-deadline
-    scheduler, bit for bit; ``"edf"`` breaks by each lane head's
-    *deadline* (its arrival plus its model's SLO, from ``slos``),
-    so a tight-SLO model's batch launches ahead of a loose-SLO one that
-    became ready at the same instant. With a single lane every order
-    reduces exactly to the classic max-batch/max-wait schedule — the
-    single-model differential tests pin that bit for bit.
-
-    ``policies`` (one :class:`BatchingPolicy` per model index) overrides
-    ``policy`` per lane: each model batches under its own ``max_batch``/
-    ``max_wait``, so a slow scan model can run short batches (bounding
-    the head-of-line block it inflicts) while a fast one fills deep ones.
+    breaks full batch first then lowest model index; ``"edf"`` breaks by
+    each lane head's *deadline* (its arrival plus its model's SLO, from
+    ``slos``), so a tight-SLO model's batch launches ahead of a loose-SLO
+    one that became ready at the same instant. With a single lane every
+    order reduces exactly to the classic max-batch/max-wait schedule.
     """
 
     def __init__(self, policy: BatchingPolicy,
@@ -152,11 +147,9 @@ class ReplicaBatchQueue:
         self.tracer = tracer
         #: this queue's replica index, stamped on its trace events
         self.replica = replica
-        self.service_time = service_time
-        #: per-model service-time callables (None: every lane uses
-        #: ``service_time`` — the single-model case)
-        self.service_times = (None if service_times is None
-                              else list(service_times))
+        #: per-model service-time callables, one per model index
+        self.service_times = list(service_times or [service_time])
+        n_models = len(self.service_times)
         if order not in LAUNCH_ORDERS:
             raise ValueError(f"unknown launch order {order!r}; "
                              f"have {LAUNCH_ORDERS}")
@@ -171,15 +164,12 @@ class ReplicaBatchQueue:
         if self.slos is not None and any(
                 not s > 0 for s in self.slos):
             raise ValueError(f"slos must be positive, got {self.slos}")
-        #: per-model batching policies (None: every lane uses ``policy``)
-        self.policies = None if policies is None else list(policies)
-        for seq, what in ((self.policies, "policies"),
-                          (self.slos, "slos")):
-            if seq is not None and self.service_times is not None \
-                    and len(seq) != len(self.service_times):
+        #: per-model batching policies, one per model index
+        self.policies = list(policies or [policy] * n_models)
+        for seq, what in ((self.policies, "policies"), (self.slos, "slos")):
+            if seq is not None and len(seq) != n_models:
                 raise ValueError(
-                    f"{len(seq)} {what} for "
-                    f"{len(self.service_times)} service models")
+                    f"{len(seq)} {what} for {n_models} service models")
         self.free_at = free_at
         #: called with each :class:`Batch` the instant it is committed —
         #: the router's event feed (backlog decrements, cache fills)
@@ -227,19 +217,10 @@ class ReplicaBatchQueue:
         return undone
 
     def _svc(self, model: int, size: int) -> float:
-        if self.service_times is not None:
-            base = self.service_times[model](size)
-        else:
-            base = self.service_time(size)
+        base = self.service_times[model](size)
         if self.slow_factor != 1.0:
             return base * self.slow_factor
         return base
-
-    def _policy(self, model: int) -> BatchingPolicy:
-        """Model ``model``'s batching policy (the shared one by default)."""
-        if self.policies is not None:
-            return self.policies[model]
-        return self.policy
 
     # -- state ---------------------------------------------------------------
     @property
@@ -273,8 +254,7 @@ class ReplicaBatchQueue:
         full-before-partial, then model-index tie-breaks, exactly the
         pre-deadline key) and the lane head's deadline under ``"edf"``
         (arrival of the oldest queued request plus its model's SLO)."""
-        pol = self.policies[model] if self.policies is not None \
-            else self.policy
+        pol = self.policies[model]
         B = pol.max_batch
         if len(lane) >= B:
             launch, partial = max(self.free_at, lane[B - 1][0]), 0
@@ -320,8 +300,7 @@ class ReplicaBatchQueue:
         if not self._clock <= t < math.inf:
             raise ValueError(f"arrivals must be finite and nondecreasing: "
                              f"{t} after {self._clock}")
-        if self.service_times is not None and \
-                not 0 <= model < len(self.service_times):
+        if not 0 <= model < len(self.service_times):
             raise ValueError(
                 f"model index {model} outside the {len(self.service_times)} "
                 f"registered service models")
@@ -363,7 +342,7 @@ class ReplicaBatchQueue:
             if partial and launch >= until:
                 return launch
             self._launch(model,
-                         min(self._policy(model).max_batch,
+                         min(self.policies[model].max_batch,
                              len(self.lanes[model])),
                          launch)
 
@@ -481,7 +460,7 @@ class ReplicaBatchQueue:
                 return
             _, model = min(held)
             lane = self.lanes[model]
-            take = min(self._policy(model).max_batch, len(lane))
+            take = min(self.policies[model].max_batch, len(lane))
             self._launch(model, take, max(self.free_at, lane[take - 1][0]))
 
 

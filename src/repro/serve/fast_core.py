@@ -52,9 +52,9 @@ of the paper's hybrid scheme):
 
 - the **multi-model** class (``models=[...]``) is ``M = len(models)``;
 - the **plain** single-model class (windowed or continuous batching,
-  ``max_queue`` or ``None``) is ``M == 1`` — :func:`drive` builds the
-  one-entry tables from ``sim.policy``/``sim.service`` instead of the
-  profiles;
+  ``max_queue`` or ``None``) is one lane per replica: the simulator holds
+  a single model as one-entry per-model lists, and :func:`drive` builds
+  every class's tables from those lists alike;
 - the **cached** classes (``cache_size > 0``, any popularity law, on one
   model or many) add the optional LRU cache in front: keys are a
   precomputed int vector (``content * M + model``), the decision loop
@@ -145,37 +145,29 @@ def drive(sim, arrivals: np.ndarray) -> FastRun:
     """Run one supported-class arrival stream through the array core.
 
     Builds the per-model tables :func:`_drive` reads — batch sizes,
-    launch waits, service times, admission limits — the same way for
-    every class: a single-model run is the one-lane case (``M == 1``,
-    ``sim.policy``, ``sim.service``), not a different code path. Service
-    tables come from the same memoized ``batch_time`` calls the replica
-    queues use, so every float matches the event loop's.
+    launch waits, service times, admission limits — from the simulator's
+    per-model lists, one entry per model (a single-model run is the
+    one-lane case, not a different code path). Service tables come from
+    the same memoized ``batch_time`` calls the replica queues use, so
+    every float matches the event loop's.
     """
-    models = sim.models
-    M = 1 if models is None else len(models)
-    fns = ([sim.service.batch_time] if models is None
-           else sim.services.batch_time_fns())
-    Bs, waits, svcs = [], [], []
-    for m in range(M):
-        pol = sim._policy_of(m)
-        Bs.append(pol.max_batch)
-        waits.append(pol.launch_wait)
-        svcs.append([0.0] + [fns[m](b)
-                             for b in range(1, pol.max_batch + 1)])
-    # Per-model admission limits, exactly Router._admission_limits: with
-    # weights the weighted share of max_queue, floored at one request;
-    # without (single-model), max_queue itself.
+    pols = sim._policies
+    Bs = [p.max_batch for p in pols]
+    waits = [p.launch_wait for p in pols]
+    svcs = [[0.0] + [fn(b) for b in range(1, B + 1)]
+            for fn, B in zip(sim.services.batch_time_fns(), Bs)]
+    # Per-model admission limits, exactly Router._admission_limits: the
+    # weighted share of max_queue, floored at one request.
     if sim.max_queue is None:
-        limits: List[float] = [_INF] * M
-    elif models is None:
-        limits = [sim.max_queue]
+        limits: List[float] = [_INF] * len(pols)
     else:
-        w_max = max(p.weight for p in models)
-        limits = [max(1, int(math.ceil(sim.max_queue * p.weight / w_max)))
-                  for p in models]
+        weights = [p.weight for p in sim._profiles]
+        w_max = max(weights)
+        limits = [max(1, int(math.ceil(sim.max_queue * w / w_max)))
+                  for w in weights]
     cstate = sim._cstate
     return _drive(np.asarray(arrivals, dtype=np.float64), sim.n_replicas,
-                  M, Bs, waits, svcs, limits, sim._mids,
+                  len(pols), Bs, waits, svcs, limits, sim._mids,
                   int(arrivals.size),
                   None if cstate is None else cstate.contents,
                   sim.cache_size)
@@ -200,10 +192,9 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
     each model's own rtt and SLO."""
     mask = ~run.shed
     rtts = sim._request_rtts()
-    rtt = rtts[0]
     mids = sim._mids
-    if mids is None:
-        latencies = (run.complete_t[mask] - arrivals[mask]) + rtt
+    if mids is None:            # one model: no per-request model ids
+        latencies = (run.complete_t[mask] - arrivals[mask]) + rtts[0]
         mids_np = None
     else:
         mids_np = np.asarray(mids, dtype=np.intp)
@@ -225,8 +216,7 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
         last = run.last_hit_t
     horizon = 0.0
     if last > -_INF:
-        horizon = (last + (rtt if mids is None else max(rtts))
-                   - float(arrivals[0]))
+        horizon = last + max(rtts) - float(arrivals[0])
     stats = LatencyStats(latencies=latencies,
                          n_offered=int(arrivals.size),
                          n_dropped=run.n_dropped, horizon=horizon,
@@ -234,6 +224,8 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
                          n_cache_hits=run.n_hits)
     if sim.models is not None:
         slos = sim.model_slos()
+        if mids_np is None:     # models=[one profile]: all model 0
+            mids_np = np.zeros(arrivals.size, dtype=np.intp)
         mm = mids_np[mask]
         out = []
         for m, profile in enumerate(sim.models):
@@ -265,9 +257,9 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
            contents: Optional[List[int]], cap: int) -> FastRun:
     """The drive/drain loop: ``M`` per-model lanes per replica on one
     shared ``free_at`` timeline, an optional result cache in front. The
-    plain class is ``M == 1`` without ``contents``, the cached class
-    ``M == 1`` with them. One iteration per arrival, in the event loop's
-    exact order (``ServingSimulator._offer``):
+    plain class is one lane (``mids`` is ``None``) without ``contents``,
+    the cached class one lane with them. One iteration per arrival, in
+    the event loop's exact order (``ServingSimulator._offer``):
 
     1. with a cache, drain due fills — every batch committed with
        completion ``<= t`` writes its members' keys in member order,
@@ -315,7 +307,7 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     cdata: dict = {}
     _MISS = cdata                 # sentinel no key can map to
     if cached:
-        keys = contents if M == 1 else [
+        keys = contents if mids is None else [
             c * M + m for m, c in zip(mids, contents)]
     # Fill events carry the member-array slice itself: heap tie-breaks
     # compare arrays lexicographically, the same ordering as the event

@@ -146,12 +146,6 @@ class PerModelServiceTime:
         """Per-model ``batch_time`` callables, the router's wiring."""
         return [m.batch_time for m in self.models]
 
-    def batch_time(self, model: int, batch: int) -> float:
-        return self.models[model].batch_time(batch)
-
-    def request_rtt(self, model: int) -> float:
-        return self.models[model].request_rtt()
-
     def peak_throughput(self, model: int, max_batch: int) -> float:
         return self.models[model].peak_throughput(max_batch)
 
@@ -162,10 +156,8 @@ class PerModelServiceTime:
         return [m.batch_time(b) / b
                 for m, b in zip(self.models, max_batches)]
 
-    def min_request_seconds(self, rtts=None) -> list:
+    def min_request_seconds(self, rtts) -> list:
         """Per-model floor on end-to-end latency: a batch-of-one service
-        time plus the request's transport RTT (when given). No scheduler
-        can answer below this — the autoscaler's doomed-request test."""
-        if rtts is None:
-            rtts = [0.0] * len(self.models)
+        time plus the request's transport RTT. No scheduler can answer
+        below this — the autoscaler's doomed-request test."""
         return [m.batch_time(1) + r for m, r in zip(self.models, rtts)]

@@ -126,7 +126,7 @@ class LinearServingSimulator(ServingSimulator):
         # Swap the default service model for the pre-PR rescanning clamp;
         # duck-typed stand-ins (the tests' FakeService) pass through.
         if type(self.service) is ServiceTimeModel:
-            self.service = LinearServiceTimeModel(
+            self.services.models[0] = LinearServiceTimeModel(
                 self.workload, node=self.machine.node,
                 cost=self.machine.network.cost,
                 dispatch_overhead=self.service.dispatch_overhead,

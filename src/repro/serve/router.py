@@ -73,15 +73,14 @@ class Router:
     any replica commits a batch — the serving simulator uses it to schedule
     result-cache fills at batch completion times.
 
-    Multi-model serving shares the one replica pool: pass ``service_times``
-    (one batched-forward latency callable per model index) and route with
-    ``submit(t, rid, model)``. Each replica keeps per-model batch lanes
-    (batches never mix models); replica selection still reads the O(log R)
-    load heap. With **weighted admission** (``model_weights``), model
-    ``m``'s effective admission limit is ``ceil(max_queue * w_m /
-    max(w))`` — under overload the backlog keeps growing only for the
-    highest-weight models while low-weight traffic is shed early, which is
-    what keeps the high-weight SLO intact through a burst.
+    Per-model inputs are lists indexed by model — ``service_times``,
+    ``policies``, ``model_weights`` — which default to the one-entry
+    ``[service_time]``, ``[policy] * M`` and ``[1.0] * M``: one model is
+    the one-entry case, not a second path. Route with ``submit(t, rid,
+    model)``; each replica keeps per-model batch lanes. **Weighted
+    admission**: model ``m``'s limit is ``ceil(max_queue * w_m /
+    max(w))``, so under overload low-weight traffic is shed first and
+    the high-weight SLO holds through a burst.
 
     **Cost-aware mode** (``model_costs``, per-model estimated seconds per
     request): the load value routed and admitted on becomes *estimated
@@ -96,8 +95,8 @@ class Router:
     an empty queue, so no model can be starved by its weight.
     ``policies`` / ``order`` / ``model_slos`` are handed down to every
     replica queue for per-model batching and EDF launch ordering
-    (:class:`~repro.serve.batching.ReplicaBatchQueue`). All of these
-    default off, preserving the count-based scheduler bit for bit.
+    (:class:`~repro.serve.batching.ReplicaBatchQueue`). Cost-aware mode
+    and EDF default off: the count-based, fifo scheduler.
     """
 
     def __init__(self, machine: Optional[CoriMachine], n_replicas: int,
@@ -125,30 +124,29 @@ class Router:
                 f"{self.machine.n_nodes}")
         self.policy = policy
         self.service_time = service_time
-        self.service_times = (None if service_times is None
-                              else list(service_times))
-        n_models = 1 if self.service_times is None else len(
-            self.service_times)
-        if model_weights is not None:
-            if len(model_weights) != n_models:
-                raise ValueError(
-                    f"{len(model_weights)} model weights for {n_models} "
-                    f"model(s)")
-            if any(not 0 < w < math.inf for w in model_weights):
-                raise ValueError(f"model weights must be positive and "
-                                 f"finite, got {model_weights}")
-        self.model_weights = (None if model_weights is None
-                              else [float(w) for w in model_weights])
+        #: per-model service-time callables, one per model index
+        self.service_times = list(service_times or [service_time])
+        n_models = len(self.service_times)
+        if model_weights is not None and len(model_weights) != n_models:
+            raise ValueError(f"{len(model_weights)} model weights for "
+                             f"{n_models} model(s)")
+        #: per-model admission weights (all 1.0 when not given)
+        self.model_weights = [float(w) for w in (
+            model_weights if model_weights is not None
+            else [1.0] * n_models)]
+        if any(not 0 < w < math.inf for w in self.model_weights):
+            raise ValueError(f"model weights must be positive and "
+                             f"finite, got {model_weights}")
         self.max_queue = max_queue
         self._n_models = n_models
-        for seq, what in ((policies, "batching policies"),
+        #: per-model batching policies handed to every replica queue
+        self.policies = list(policies or [policy] * n_models)
+        for seq, what in ((self.policies, "batching policies"),
                           (model_slos, "model SLOs"),
                           (model_costs, "model costs")):
             if seq is not None and len(seq) != n_models:
                 raise ValueError(
                     f"{len(seq)} {what} for {n_models} model(s)")
-        #: per-model batching policies handed to every replica queue
-        self.policies = None if policies is None else list(policies)
         #: cross-lane launch ordering on every replica queue
         self.order = order
         #: per-model SLOs — deadline source for edf queue ordering
@@ -245,12 +243,12 @@ class Router:
     def _admission_limits(self, n_models: int) -> List[Optional[float]]:
         """Per-model admission limit on a replica's outstanding work.
 
-        Without weights every model shares ``max_queue`` — the unweighted
-        (single-model) behavior, unchanged. With weights, model ``m`` is
-        admitted only while the target backlog is under
+        Model ``m`` is admitted only while the target backlog is under
         ``ceil(max_queue * w_m / max(w))``: the highest-weight model keeps
         the whole queue, lower-weight ones are shed progressively earlier
-        as backlog builds, so overload evicts cheap traffic first.
+        as backlog builds, so overload evicts cheap traffic first. Equal
+        weights (the default, and the one-model case) give every model
+        ``max_queue`` itself.
 
         Every limit is floored at one request: weights are validated
         positive (here and at ``register()``), but even an arbitrarily
@@ -271,24 +269,21 @@ class Router:
         traffic that never happens — the model starves even though its own
         lane is empty. ``admission_floor_seconds`` guards that mode: model
         ``m``'s limit is raised to at least ``floor_m`` (the serving
-        simulator derives one max-size batch of the model's own work, so a
-        skewed mix can always get a batch in). Floors are opt-in; an
-        explicit ``max_queue_seconds`` with no floors is taken verbatim.
+        simulator derives one max-size batch of the model's own work for a
+        mix of two or more models, so a skewed mix can always get a batch
+        in). Floors are opt-in; an explicit ``max_queue_seconds`` with no
+        floors is taken verbatim.
         """
+        w_max = max(self.model_weights)
         if self.max_queue_seconds is not None:
-            if self.model_weights is None:
-                base = [self.max_queue_seconds] * n_models
-            else:
-                w_max = max(self.model_weights)
-                base = [self.max_queue_seconds * w / w_max
-                        for w in self.model_weights]
+            base = [self.max_queue_seconds * w / w_max
+                    for w in self.model_weights]
             if self.admission_floor_seconds is None:
                 return base
             return [b if b > f else f
                     for b, f in zip(base, self.admission_floor_seconds)]
-        if self.model_weights is None or self.max_queue is None:
-            return [self.max_queue] * n_models
-        w_max = max(self.model_weights)
+        if self.max_queue is None:
+            return [None] * n_models
         return [max(1, int(math.ceil(self.max_queue * w / w_max)))
                 for w in self.model_weights]
 
@@ -445,8 +440,12 @@ class Router:
         overload. The request goes to the least-loaded replica and is
         shed only when that one is at the model's admission limit — then
         every replica is. With ``model_weights``, low-weight models hit
-        their (smaller) limit first — weighted admission.
+        their (smaller) limit first — weighted admission. A ``model``
+        outside the fleet's models is refused before anything is counted.
         """
+        if not 0 <= model < self._n_models:
+            raise ValueError(f"model index {model} outside the "
+                             f"{self._n_models} served model(s)")
         self.n_offered += 1
         self.offered_by_model[model] = \
             self.offered_by_model.get(model, 0) + 1

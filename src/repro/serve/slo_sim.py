@@ -32,8 +32,8 @@ models (``models=[ModelProfile(...), ...]`` — e.g. the paper's HEP
 classifier and climate segmenter): a :class:`~repro.serve.arrivals.
 ModelMix` assigns each arrival a model, replicas batch per model on one
 timeline, admission is weighted by profile, and the stats carry per-model
-slices judged against per-model SLOs. See the class docstring; with one
-profile everything reduces bit-identically to the classic simulator.
+slices judged against per-model SLOs. See the class docstring: a
+single-model simulator is the one-entry case of the same per-model lists.
 """
 
 from __future__ import annotations
@@ -122,9 +122,15 @@ class ServingSimulator:
     curve), admission is weighted by each profile's ``weight`` (overload
     sheds low-weight traffic first), and the returned stats carry one
     :class:`~repro.serve.metrics.PerModelStats` per profile judged
-    against that model's own SLO. With exactly one profile every code
-    path collapses to the classic single-model simulator bit for bit —
-    pinned by the differential tests.
+    against that model's own SLO.
+
+    **One model is a one-entry model list.** ``workload=`` /
+    ``service_model=`` become the one entry of the per-model lists
+    ``models=`` fills (``services``, profiles, mix shares, policies), and
+    every method reads only those: a single-model simulator runs the code
+    of ``models=[one profile]``, bit for bit. ``models is None`` decides
+    only the output's shape (no per-model slices); ``service`` is a
+    read-only view of the one entry.
 
     ``coalesce=True`` additionally deduplicates in-flight misses: a
     request whose content key is already being forwarded waits for that
@@ -145,11 +151,12 @@ class ServingSimulator:
       equivalent mix-weighted seconds budget, so one queued climate scan
       counts for what it costs (~140x an HEP event) instead of 1.
 
-    On multi-model cost-aware runs the derived per-model seconds budget
-    is floored at each model's single max-batch cost
-    (``cost_m x max_batch_m``): a skewed mix would otherwise hand a
+    On cost-aware runs over a mix of two or more models the derived
+    per-model seconds budget is floored at each model's single max-batch
+    cost (``cost_m x max_batch_m``): a skewed mix would otherwise hand a
     tiny-share expensive model a budget smaller than one of its own
-    requests, shedding it forever while the replicas idle.
+    requests, shedding it forever while the replicas idle. One model has
+    no other traffic to starve it and gets no floor.
 
     ``engine`` selects the drive loop: ``"event"`` (default) is the
     object event loop above; ``"array"`` swaps in the flat
@@ -157,7 +164,7 @@ class ServingSimulator:
     is in its supported class — fixed fleet, count admission, fifo launch
     order. That class is *one* loop over ``M`` per-model lanes per replica
     with an optional result cache in front: a single-model run is its
-    ``M == 1`` case, per-model policies and the cache are parameters of
+    one-lane case, per-model policies and the cache are parameters of
     it. The genuinely event-only features (tracing/profiling, coalescing,
     cost-aware, edf) transparently fall back to the event loop.
     ``last_run_engine`` records which one ran. The two engines are
@@ -199,11 +206,12 @@ class ServingSimulator:
         self.cost_aware = bool(cost_aware)
         self.engine = engine
         self.max_queue = max_queue
+        #: the registered profiles; ``None`` on a single-model simulator,
+        #: which is what keeps its stats free of per-model slices
         self.models: Optional[List[ModelProfile]] = None
         self.model_mix: Optional[ModelMix] = None
         self.coalesce = coalesce
         if models is not None:
-            # -- the multi-model path ------------------------------------
             if workload is not None:
                 raise ValueError(
                     "pass either workload (single-model) or models "
@@ -226,21 +234,14 @@ class ServingSimulator:
                 raise ValueError(
                     f"model_mix has {model_mix.n_models} weights for "
                     f"{len(self.models)} models")
+            if service_models is not None and \
+                    len(service_models) != len(self.models):
+                raise ValueError(
+                    f"{len(service_models)} service models for "
+                    f"{len(self.models)} profiles")
             self.model_mix = model_mix
             self.workload = None
-            if service_models is not None:
-                if len(service_models) != len(self.models):
-                    raise ValueError(
-                        f"{len(service_models)} service models for "
-                        f"{len(self.models)} profiles")
-                self.services = PerModelServiceTime(service_models)
-            else:
-                self.services = PerModelServiceTime.for_workloads(
-                    [p.workload for p in self.models],
-                    node=self.machine.node,
-                    cost=self.machine.network.cost)
-            # ``self.service`` stays the single-model attribute only.
-            self.service = None
+            profiles, shares = self.models, model_mix.shares
         else:
             if model_mix is not None or service_models is not None:
                 raise ValueError(
@@ -250,10 +251,21 @@ class ServingSimulator:
                     "pass a workload (single-model), models=[...] "
                     "(multi-model), or an explicit service_model")
             self.workload = workload
-            self.service = service_model or ServiceTimeModel(
-                workload, node=self.machine.node,
-                cost=self.machine.network.cost)
-            self.services = None
+            profiles = [ModelProfile(
+                getattr(workload, "name", None) or "model0", workload)]
+            shares = (1.0,)
+            if service_model is not None:
+                service_models = [service_model]
+        # Everything below reads these per-model lists: a single-model
+        # simulator is their one-entry case, not a second code path.
+        self._profiles: List[ModelProfile] = profiles
+        self._shares = [float(s) for s in shares]
+        self.services = (
+            PerModelServiceTime(service_models) if service_models
+            else PerModelServiceTime.for_workloads(
+                [p.workload for p in profiles], node=self.machine.node,
+                cost=self.machine.network.cost))
+        self._policies = [p.policy or self.policy for p in profiles]
         self.cache_size = cache_size
         self._cstate: Optional[_CacheRun] = None
         self._mids: Optional[list] = None
@@ -269,78 +281,66 @@ class ServingSimulator:
         self._fast: Optional[fast_core.FastRun] = None
         self.last_run_engine: Optional[str] = None
 
+    @property
+    def service(self) -> Optional[ServiceTimeModel]:
+        """The service-time model of a one-model simulator (read-only; a
+        view of ``services[0]``), ``None`` when several models share the
+        fleet."""
+        return self.services[0] if len(self.services) == 1 else None
+
     # -- capacity ------------------------------------------------------------
     def model_policies(self) -> Optional[List[BatchingPolicy]]:
-        """Per-model batching policies, or ``None`` when every profile
-        inherits the shared one (the pre-refactor wiring, untouched)."""
-        if self.models is None or all(p.policy is None
-                                      for p in self.models):
+        """Per-model batching policies, or ``None`` when every model runs
+        the shared one."""
+        if all(p.policy is None for p in self._profiles):
             return None
-        return [p.policy if p.policy is not None else self.policy
-                for p in self.models]
+        return list(self._policies)
 
     def _policy_of(self, m: int) -> BatchingPolicy:
         """Model ``m``'s effective batching policy."""
-        if self.models is not None and self.models[m].policy is not None:
-            return self.models[m].policy
-        return self.policy
+        return self._policies[m]
 
     def saturation_rate(self) -> float:
         """Offered rate (req/s) at which full-batch replicas are 100% busy.
 
-        Multi-model: the mix-weighted capacity — rate ``r`` lands
-        ``r * share_m`` on model ``m``, each request of which costs
-        ``1 / peak_m`` replica-seconds, so the fleet saturates at
-        ``R / sum_m(share_m / peak_m)`` (one model's reciprocal throughput
-        with one profile). Each model runs at its own policy's
-        ``max_batch`` when per-model policies are set.
+        The mix-weighted capacity: rate ``r`` lands ``r * share_m`` on
+        model ``m``, each request of which costs ``1 / peak_m``
+        replica-seconds, so the fleet saturates at ``R / sum_m(share_m /
+        peak_m)`` (``R`` times one model's peak throughput with one
+        model, up to rounding). Each model runs at its own policy's
+        ``max_batch``.
         """
-        if self.models is None:
-            return self.n_replicas * self.service.peak_throughput(
-                self.policy.max_batch)
-        shares = self.model_mix.shares
         denom = sum(
-            float(s) / self.services.peak_throughput(
-                m, self._policy_of(m).max_batch)
-            for m, s in enumerate(shares))
+            s / self.services.peak_throughput(m, self._policies[m].max_batch)
+            for m, s in enumerate(self._shares))
         return self.n_replicas / denom
 
     def model_costs(self) -> List[float]:
         """Per-model estimated service seconds one queued request
         represents (amortized full-batch time at the model's own
         ``max_batch``) — the cost-aware router's backlog unit."""
-        if self.models is None:
-            return [self.service.est_request_cost(self.policy.max_batch)]
         return self.services.est_request_costs(
-            [self._policy_of(m).max_batch
-             for m in range(len(self.models))])
+            [p.max_batch for p in self._policies])
 
     def model_slos(self) -> List[float]:
         """Each model's latency target: its profile ``slo`` or, by
-        default, the single-model formula on its own service curve (and
-        its own batching policy, when it has one)."""
-        if self.models is None:
-            return [self.default_slo()]
+        default, a few full-batch service times on its own service curve
+        plus its policy's hold budget and transport. (Continuous mode
+        never holds, so its budget term is zero.)"""
         out = []
-        for m, p in enumerate(self.models):
+        for p, svc, pol in zip(self._profiles, self.services,
+                               self._policies):
             if p.slo is not None:
                 out.append(float(p.slo))
             else:
-                svc = self.services[m]
-                pol = self._policy_of(m)
                 out.append(3.0 * svc.batch_time(pol.max_batch)
                            + pol.launch_wait + svc.request_rtt())
         return out
 
     def default_slo(self) -> float:
         """A latency target that healthy, sub-saturation serving meets:
-        a few full-batch service times plus hold budget and transport.
-        (Continuous mode never holds, so its budget term is zero.)
-        Multi-model: the loosest per-model target — the aggregate
+        the loosest per-model target of :meth:`model_slos` — the aggregate
         yardstick; per-model judging always uses :meth:`model_slos`."""
-        if self.models is None:
-            return (3.0 * self.service.batch_time(self.policy.max_batch)
-                    + self.policy.launch_wait + self.service.request_rtt())
         return max(self.model_slos())
 
     # -- one run -------------------------------------------------------------
@@ -349,10 +349,11 @@ class ServingSimulator:
         return make_arrivals(process, rate, n_requests, seed=seed)
 
     def _scheduling_kwargs(self) -> dict:
-        """Deadline/cost scheduling knobs for the router — every value
-        defaults to the router's own default when the knob is off, so a
-        fifo, count-based simulator constructs the exact legacy router."""
-        kw = {"policies": self.model_policies(), "order": self.order,
+        """Per-model batching policies plus the deadline/cost scheduling
+        knobs for the router — each knob left at the router's own default
+        when it is off, so a fifo, count-based simulator constructs the
+        plain router."""
+        kw = {"policies": self._policies, "order": self.order,
               "model_slos": None, "model_costs": None,
               "max_queue_seconds": None, "admission_floor_seconds": None}
         if self.order != "fifo":
@@ -364,41 +365,31 @@ class ServingSimulator:
                 # the seconds equivalent of `max_queue` queued requests:
                 # the mix-weighted mean cost of one — same expected queue
                 # bound, now denominated in work
-                if self.models is None:
-                    mean_cost = costs[0]
-                else:
-                    mean_cost = sum(
-                        float(s) * c
-                        for s, c in zip(self.model_mix.shares, costs))
+                kw["max_queue_seconds"] = self.max_queue * sum(
+                    s * c for s, c in zip(self._shares, costs))
+                if len(costs) > 1:
                     # Floor each model's share of the derived budget at
                     # one of its own max batches: a skewed mix hands a
                     # tiny-share expensive model a weighted budget below
                     # a single request's cost, and because the seconds
                     # limit is judged against a replica's *total*
                     # cost-weighted backlog, cheap traffic keeps it
-                    # pinned above that sliver forever — 100% shed.
+                    # pinned above that sliver forever — 100% shed. One
+                    # model has no other traffic to starve it.
                     kw["admission_floor_seconds"] = [
-                        c * self._policy_of(m).max_batch
-                        for m, c in enumerate(costs)]
-                kw["max_queue_seconds"] = self.max_queue * mean_cost
+                        c * p.max_batch
+                        for p, c in zip(self._policies, costs)]
         return kw
 
     def _make_router(self, on_commit=None) -> Router:
         """Router factory — the reference (pre-PR) simulator overrides this
         to route with the O(R) linear scans for the differential tests."""
-        if self.models is not None:
-            fns = self.services.batch_time_fns()
-            return Router(self.machine, self.n_replicas, self.policy,
-                          fns[0],
-                          max_queue=self.max_queue, on_commit=on_commit,
-                          service_times=fns,
-                          model_weights=[p.weight for p in self.models],
-                          tracer=self._tracer,
-                          **self._scheduling_kwargs())
-        return Router(self.machine, self.n_replicas, self.policy,
-                      self.service.batch_time, max_queue=self.max_queue,
-                      on_commit=on_commit, tracer=self._tracer,
-                      **self._scheduling_kwargs())
+        fns = self.services.batch_time_fns()
+        return Router(self.machine, self.n_replicas, self.policy, fns[0],
+                      max_queue=self.max_queue, on_commit=on_commit,
+                      service_times=fns,
+                      model_weights=[p.weight for p in self._profiles],
+                      tracer=self._tracer, **self._scheduling_kwargs())
 
     def _make_cache_run(self, n_requests: int, popularity: PopularityLike,
                         seed: SeedLike) -> Optional[_CacheRun]:
@@ -418,14 +409,14 @@ class ServingSimulator:
 
     def _make_model_ids(self, n_requests: int,
                         seed: SeedLike) -> Optional[list]:
-        """Which model each request asks for; None on single-model runs.
+        """Which model each request asks for; None when there is one model
+        (every request is model 0, and a list of 10^6 zeros is not free).
 
         Drawn from a third independent child stream (arrivals consume the
         seed itself, content ids child 1) so adding a mix never perturbs
-        *when* requests arrive or *what* content they carry. A one-model
-        mix draws nothing — the single-model differential's guarantee.
+        *when* requests arrive or *what* content they carry.
         """
-        if self.models is None:
+        if len(self._profiles) == 1:
             return None
         rng = spawn_rngs(seed if seed is not None else 0, 3)[2]
         return make_model_ids(self.model_mix, n_requests,
@@ -445,10 +436,6 @@ class ServingSimulator:
         """Run configuration published to the tracer (`run_start` payload
         and ``Tracer.meta``): what exporters need to label tracks and
         judge latencies without a backref to the simulator."""
-        if self.models is None:
-            names = [getattr(self.workload, "name", None) or "model0"]
-        else:
-            names = [p.name for p in self.models]
         return {"rate": float(rate), "n_requests": int(n_requests),
                 "process": (process if isinstance(process, str)
                             else type(process).__name__),
@@ -458,13 +445,10 @@ class ServingSimulator:
                 "batching_mode": self.policy.mode,
                 "order": self.order,
                 "cost_aware": self.cost_aware,
-                "model_max_batch": [self._policy_of(m).max_batch
-                                    for m in range(
-                                        1 if self.models is None
-                                        else len(self.models))],
+                "model_max_batch": [p.max_batch for p in self._policies],
                 "cache_size": self.cache_size,
                 "coalesce": self.coalesce,
-                "models": names,
+                "models": [p.name for p in self._profiles],
                 "slos": self.model_slos(),
                 "rtts": self._request_rtts()}
 
@@ -493,6 +477,7 @@ class ServingSimulator:
         self._prof = prof = profiler
         span = (prof.span if prof is not None
                 else (lambda name: _NULL_SPAN))
+        hooked: list = []   # (object, method name) the profiler wrapped
         try:
             with span("run.arrivals"):
                 arrivals = self._arrivals(rate, n_requests, process, seed)
@@ -515,12 +500,14 @@ class ServingSimulator:
                 # unprofiled run never even pays for the check. Spans are
                 # inclusive — submit contains sync (event catch-up:
                 # batch planning and launch commits) which it calls.
-                router._sync = prof.wrap("router.sync", router._sync)
-                router.submit = prof.wrap("router.submit", router.submit)
+                hooked = [(router, "_sync", "router.sync"),
+                          (router, "submit", "router.submit")]
                 if self._cstate is not None:
                     cache = self._cstate.cache
-                    cache.get = prof.wrap("cache.get", cache.get)
-                    cache.put = prof.wrap("cache.put", cache.put)
+                    hooked += [(cache, "get", "cache.get"),
+                               (cache, "put", "cache.put")]
+                for obj, name, label in hooked:
+                    setattr(obj, name, prof.wrap(label, getattr(obj, name)))
             admitted: dict = {}
             with span("run.drive"):
                 self._drive(arrivals, router, admitted)
@@ -540,6 +527,11 @@ class ServingSimulator:
                             data={"n_events": len(tracer) + 1})
             return stats
         finally:
+            # A wrapper holds its object's own bound method: left on the
+            # instance it would make the router and cache a reference
+            # cycle that outlives the run.
+            for obj, name, _ in hooked:
+                delattr(obj, name)
             self._cstate = None
             self._mids = None
             self._tracer = None
@@ -566,7 +558,7 @@ class ServingSimulator:
         forward instead of following a corpse.
         """
         tracer = self._tracer   # arrivals were bulk-emitted by run()
-        mids = self._mids
+        model = 0 if self._mids is None else self._mids[request_id]
         cstate = self._cstate
         if cstate is not None:
             if self.coalesce:
@@ -605,12 +597,9 @@ class ServingSimulator:
                         leader not in router.failed_ids:
                     cstate.coalesced[request_id] = (t, leader)
                     if tracer is not None:
-                        tracer.emit_raw(
-                            (t, "coalesce", request_id, None,
-                             0 if mids is None else mids[request_id],
-                             {"leader": leader}))
+                        tracer.emit_raw((t, "coalesce", request_id, None,
+                                         model, {"leader": leader}))
                     return
-        model = 0 if mids is None else mids[request_id]
         if router.submit(t, request_id, model):
             admitted[request_id] = t
             if cstate is not None and self.coalesce:
@@ -644,11 +633,8 @@ FastRun`), falling back to this loop — bit-identically — otherwise.
             offer(router, admitted, t, i)
 
     def _request_rtts(self) -> List[float]:
-        """Per-model request transport times (one entry single-model)."""
-        if self.models is None:
-            return [self.service.request_rtt()]
-        return [self.services.request_rtt(m)
-                for m in range(len(self.models))]
+        """Per-model request transport times."""
+        return [svc.request_rtt() for svc in self.services]
 
     def _collect(self, arrivals: np.ndarray, router: Router,
                  admitted: dict) -> LatencyStats:
@@ -726,11 +712,10 @@ FastRun`), falling back to this loop — bit-identically — otherwise.
             last = max(last, max(hits.values()))
         horizon = 0.0
         if last > -math.inf:
-            # Final transport leg: the one rtt single-model; the largest
-            # per-model rtt on a mixed run (conservative by at most the
-            # rtt spread — the last event's own model is not tracked).
-            horizon = (last + (rtt if mids is None else max(rtts))
-                       - float(arrivals[0]))
+            # Final transport leg: the largest per-model rtt (conservative
+            # on a mixed run by at most the rtt spread — the last event's
+            # own model is not tracked).
+            horizon = last + max(rtts) - float(arrivals[0])
         batch_sizes = np.array([b.size for b in router.batches()], dtype=int)
         stats = LatencyStats(
             latencies=latencies,
@@ -748,25 +733,27 @@ FastRun`), falling back to this loop — bit-identically — otherwise.
                          coalesced: dict, latencies: np.ndarray,
                          which: List[int],
                          rtts: List[float]) -> List[PerModelStats]:
-        """Slice one finished run per model (multi-model runs only)."""
-        mids, slos = self._mids, self.model_slos()
+        """Slice one finished run per model (``models=`` runs only)."""
+        slos = self.model_slos()
+        # a one-model run builds no model ids: every request is model 0
+        mid = (lambda i: 0) if self._mids is None else self._mids.__getitem__
         M = len(self.models)
         lat_by_m: List[List[float]] = [[] for _ in range(M)]
         for pos, i in enumerate(which):
-            lat_by_m[mids[i]].append(float(latencies[pos]))
+            lat_by_m[mid(i)].append(float(latencies[pos]))
         hits_by_m = [0] * M
         for i in hits:
-            hits_by_m[mids[i]] += 1
+            hits_by_m[mid(i)] += 1
         coal_by_m = [0] * M
         coal_failed_by_m = [0] * M
         for i, (_, leader) in coalesced.items():
             if leader in router.failed_ids:
-                coal_failed_by_m[mids[i]] += 1
+                coal_failed_by_m[mid(i)] += 1
             else:
-                coal_by_m[mids[i]] += 1
+                coal_by_m[mid(i)] += 1
         failed_by_m = [0] * M
         for i in router.failed_ids:
-            failed_by_m[mids[i]] += 1
+            failed_by_m[mid(i)] += 1
         out = []
         for m, profile in enumerate(self.models):
             offered = (router.offered_by_model.get(m, 0)

@@ -35,6 +35,7 @@ from repro.serve import (
     plan_batches,
 )
 from repro.serve.metrics import LatencyStats
+from repro.serve.obs import Profiler
 from repro.sim.workload import custom_workload
 
 
@@ -660,17 +661,24 @@ class TestServingSimulator:
         reference counting when the run returns. A cycle through them
         would hold every run's event state until the next full garbage
         collection, so a process's peak memory would grow with the number
-        of runs before it."""
+        of runs before it. A profiled run hooks the router's and the
+        cache's methods with wrappers on the instances; those go when the
+        run ends, so it leaves no cycle either."""
         sim = ServingSimulator(tiny_wl, n_replicas=2, cache_size=8)
         auto = AutoscalingSimulator(tiny_wl)
         gc.collect()
         gc.disable()
         try:
-            sim.run(sim.saturation_rate(), n_requests=200,
-                    process="poisson", seed=1, popularity="zipf")
-            auto.run(2.0 * sim.saturation_rate(), n_requests=200,
-                     process="poisson", seed=1)
-            assert gc.collect() == 0
+            for profiler in (None, Profiler()):
+                sim.run(sim.saturation_rate(), n_requests=200,
+                        process="poisson", seed=1, popularity="zipf",
+                        profiler=profiler)
+                auto.run(2.0 * sim.saturation_rate(), n_requests=200,
+                         process="poisson", seed=1, profiler=profiler)
+                assert gc.collect() == 0
+            # unhooked at the end, the spans were still recorded
+            assert {"router.sync", "router.submit", "cache.get",
+                    "cache.put"} <= set(profiler.totals())
         finally:
             gc.enable()
 

@@ -42,6 +42,7 @@ from repro.serve import (
     make_model_ids,
 )
 from repro.serve.metrics import CacheSizeSweep, LatencyStats, PerModelStats
+from repro.serve.obs import Tracer
 from repro.utils.rng import as_rng
 
 SEEDS = [11, 4242, 20260729]
@@ -182,6 +183,24 @@ class TestModelLanes:
         with pytest.raises(ValueError, match="model index"):
             q.push(0.0, 0, 1)
 
+    def test_model_outside_the_fleet_refused_before_counting(self):
+        # a single-model queue has one lane too: "model 3" is not served
+        # on its one service curve
+        q = ReplicaBatchQueue(BatchingPolicy(), lambda b: 0.01)
+        with pytest.raises(ValueError, match="model index"):
+            q.push(0.0, 0, 3)
+        assert not q.lanes
+        one = Router(None, 1, BatchingPolicy(), lambda b: 0.01)
+        two = Router(None, 2, BatchingPolicy(), None,
+                     service_times=[lambda b: 0.01] * 2,
+                     model_weights=[1.0, 4.0])
+        for router, bad in ((one, 1), (one, -1), (two, 2), (two, -1)):
+            with pytest.raises(ValueError, match="model index"):
+                router.submit(0.0, 0, bad)
+            assert router.n_offered == 0
+            assert router.offered_by_model == {}
+        assert two.submit(0.0, 0, 1) and two.offered_by_model == {1: 1}
+
 
 # -- weighted admission ------------------------------------------------------
 
@@ -280,17 +299,20 @@ class TestSingleModelDifferential:
     bit-identical to the classic single-model simulator — on the event
     loop, and on the array core, where the two forms are literally the
     same drive loop with ``M == 1`` (autoscaled runs never leave the
-    event loop, whichever engine is asked for)."""
+    event loop, whichever engine is asked for). The simulator holds a
+    single model as a one-entry model list, so the two spellings run the
+    same code; no scheduling knob, nor a trace, may tell them apart."""
 
-    def _pair(self, engine, policy, n_replicas, cache_size=0):
+    def _pair(self, engine, policy, n_replicas, **kw):
         classic = ServingSimulator(
             None, service_model=FakeService(), n_replicas=n_replicas,
-            policy=policy, cache_size=cache_size, engine=engine)
+            policy=policy, engine=engine, **kw)
         multi = ServingSimulator(
             models=[ModelProfile("only", None)],
             service_models=[FakeService()],
             model_mix=ModelMix((1.0,)), n_replicas=n_replicas,
-            policy=policy, cache_size=cache_size, engine=engine)
+            policy=policy, engine=engine, **kw)
+        assert classic.saturation_rate() == multi.saturation_rate()
         return classic, multi
 
     @staticmethod
@@ -330,6 +352,49 @@ class TestSingleModelDifferential:
                       popularity="zipf")
         self._assert_same(a, b)
         assert a.n_cache_hits > 0      # the comparison had teeth
+
+    @pytest.mark.parametrize("knobs", [
+        dict(order="edf", max_queue=16),
+        dict(cost_aware=True, max_queue=16),
+        # a queue shorter than one batch: the spelling the cross-model
+        # admission floor (one max batch per model) used to widen
+        dict(cost_aware=True, max_queue=3),
+        dict(order="edf", cost_aware=True, max_queue=3),
+        dict(coalesce=True, cache_size=16),
+    ], ids=["edf", "cost", "cost-small-queue", "edf-cost-small-queue",
+            "coalesce-cached"])
+    def test_scheduling_knobs_identical(self, engine, seed, knobs):
+        policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
+        classic, multi = self._pair(engine, policy, 2, **knobs)
+        rate = 1.3 * classic.saturation_rate()
+        a = classic.run(rate, n_requests=900, process="poisson", seed=seed,
+                        popularity="zipf")
+        b = multi.run(rate, n_requests=900, process="poisson", seed=seed,
+                      popularity="zipf")
+        self._assert_same(a, b)
+        assert a.n_dropped or a.n_coalesced    # the comparison had teeth
+        assert classic.last_run_engine == multi.last_run_engine
+
+    def test_traces_identical(self, engine, seed):
+        """A traced run is the same event stream, event for event, under
+        either spelling; only the model's name in the metadata differs."""
+        policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
+        classic, multi = self._pair(engine, policy, 2, max_queue=6,
+                                    cache_size=8, coalesce=True)
+        rate = 1.3 * classic.saturation_rate()
+        runs = []
+        for sim in (classic, multi):
+            tracer = Tracer()
+            stats = sim.run(rate, n_requests=600, process="poisson",
+                            seed=seed, popularity="zipf", tracer=tracer)
+            events = [e for e in tracer.events if e.kind != "run_start"]
+            runs.append((stats, dict(tracer.meta, models=None), events))
+        (a, meta_a, events_a), (b, meta_b, events_b) = runs
+        self._assert_same(a, b)
+        assert meta_a == meta_b
+        kinds = {e.kind for e in events_a}
+        assert {"shed", "coalesce", "cache_hit", "complete"} <= kinds
+        assert events_a == events_b
 
     def test_sweeps_identical(self, engine, seed):
         policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
