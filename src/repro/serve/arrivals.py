@@ -42,6 +42,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.serve.cache import require_count
 from repro.utils.rng import SeedLike, as_rng
 
 #: string-selectable processes for ``ServingSimulator.run(process=...)``
@@ -195,8 +196,7 @@ def make_arrivals(process: ProcessLike, rate: float, n_requests: int,
     # with every arrival at t0)
     if not 0 < rate < math.inf:
         raise ValueError(f"rate must be positive and finite, got {rate}")
-    if n_requests <= 0:
-        raise ValueError(f"n_requests must be positive, got {n_requests}")
+    n_requests = require_count("n_requests", n_requests)
     if isinstance(process, MMPP):
         return process.sample(rate, n_requests,
                               as_rng(seed if seed is not None else 0))

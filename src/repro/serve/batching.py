@@ -177,9 +177,16 @@ class ReplicaBatchQueue:
         #: model index -> FIFO lane of (arrival, request_id)
         self.lanes: Dict[int, List[Tuple[float, int]]] = {}
         #: model index -> its lane's current launch key (:meth:`_key`): a
-        #: push recomputes that lane's, a launch (``free_at`` moves) drops
-        #: all
+        #: push that adds a lane head or fills the batch recomputes that
+        #: lane's, a launch (``free_at`` moves) drops all
         self._keys: Dict[int, Tuple[float, float, int, int]] = {}
+        #: lanes holding a full batch, and the :meth:`next_launch` the last
+        #: push or advance returned (batches commit only inside an advance,
+        #: or a drain, which leaves the +inf its advance returned): a push
+        #: skips an advance that could commit nothing (``fast_core``'s
+        #: ``nfull`` / ``sched``)
+        self._nfull = 0
+        self._next = math.inf
         self.batches: List[Batch] = []
         #: request_id -> completion; a :class:`~repro.serve.router.Router`
         #: swaps in the one ledger its whole fleet writes to
@@ -279,8 +286,9 @@ class ReplicaBatchQueue:
         arrival)``, a partial one at its head's hold deadline — and a
         multi-lane replica's next launch is the earliest over its lanes.
         :meth:`push` and :meth:`advance` return this value as a by-product
-        of their own lane scan, which is what the router schedules launch
-        events from; this full scan is the definition they are held to.
+        of their own lane scan (or the kept one, when a push skips its
+        advance), which is what the router schedules launch events from;
+        this full scan is the definition they are held to.
         """
         t, keys = math.inf, self._keys
         for model, lane in self.lanes.items():
@@ -296,7 +304,12 @@ class ReplicaBatchQueue:
         of what the advance to ``t`` left and the pushed lane's own key,
         as an append never moves a lane's launch later (a partial lane the
         advance deferred launches at or after ``t``; a lane the append
-        fills, at ``max(free_at, t)``)."""
+        fills, at ``max(free_at, t)``).
+
+        A push does only work that can change state: it advances only when
+        a lane holds a full batch or the kept instant is before ``t`` (else
+        the advance commits nothing), and rebuilds the pushed lane's key
+        only for a new lane head or a fill, the only appends that move it."""
         if not self._clock <= t < math.inf:
             raise ValueError(f"arrivals must be finite and nondecreasing: "
                              f"{t} after {self._clock}")
@@ -304,19 +317,28 @@ class ReplicaBatchQueue:
             raise ValueError(
                 f"model index {model} outside the {len(self.service_times)} "
                 f"registered service models")
-        left = self.advance(t)
+        left = (self.advance(t) if self._nfull > 0 or self._next < t
+                else self._next)
         self._clock = t
         # no trace emission here: the tracer synthesizes each member's
         # "enqueue" from the lane slice handed over at batch commit, so
         # admission costs the traced hot path nothing
         lane = self.lanes.setdefault(model, [])
         lane.append((t, request_id))
-        launch = self._key(model, lane)[0]      # replaces the lane's key
-        return launch if launch < left else left
+        n, B = len(lane), self.policies[model].max_batch
+        if n == B:
+            self._nfull += 1
+        if n == 1 or n == B:
+            launch = self._key(model, lane)[0]  # replaces the lane's key
+            if launch < left:
+                left = launch
+        self._next = left
+        return left
 
     def advance(self, until: float) -> float:
         """Launch every batch whose launch instant falls before ``until``;
-        return the replica's :meth:`next_launch` (+inf with no work left).
+        return the replica's :meth:`next_launch` (+inf with no work left),
+        which the queue also keeps for the next :meth:`push`.
 
         Partial-batch launches at or after ``until`` are deferred: the next
         arrival (which is what ``until`` represents) may still join them.
@@ -337,9 +359,11 @@ class ReplicaBatchQueue:
                     if best is None or key < best:
                         best = key
             if best is None:
+                self._next = math.inf
                 return math.inf
             launch, _, partial, model = best
             if partial and launch >= until:
+                self._next = launch
                 return launch
             self._launch(model,
                          min(self.policies[model].max_batch,
@@ -350,6 +374,10 @@ class ReplicaBatchQueue:
         """Commit the first ``take`` requests of ``model``'s lane as one
         batch."""
         lane = self.lanes[model]
+        # a full lane grows past max_batch behind an earlier-deadline
+        # partial lane: it stays full unless fewer than max_batch remain
+        if len(lane) >= self.policies[model].max_batch > len(lane) - take:
+            self._nfull -= 1
         members = lane[:take]
         del lane[:take]
         completion = launch + self._svc(model, take)
@@ -385,6 +413,11 @@ class ReplicaBatchQueue:
              for a, rid in lane),
             key=lambda e: (e[0], e[2]))
 
+    def _clear_lanes(self) -> None:
+        self.lanes.clear()
+        self._keys.clear()
+        self._nfull, self._next = 0, math.inf
+
     # -- live-scaling support -------------------------------------------------
     def evict_queued(self, t: float) -> List[Tuple[float, int, int]]:
         """Hand back every still-unlaunched request at time ``t``.
@@ -399,8 +432,7 @@ class ReplicaBatchQueue:
         """
         self.advance(t)
         evicted = self._queued()
-        self.lanes.clear()
-        self._keys.clear()
+        self._clear_lanes()
         return evicted
 
     def abort_after(self, t: float) -> List[int]:
@@ -415,8 +447,7 @@ class ReplicaBatchQueue:
         """
         self.advance(t)
         lost = [rid for _, rid, _ in self._queued()]
-        self.lanes.clear()
-        self._keys.clear()
+        self._clear_lanes()
         survived = []
         for b in self.batches:
             if b.completion > t:

@@ -4,8 +4,10 @@ The object event loop (:class:`~repro.serve.slo_sim.ServingSimulator` +
 :class:`~repro.serve.router.Router` + per-replica
 :class:`~repro.serve.batching.ReplicaBatchQueue` lanes) is the *semantic*
 definition of the simulator, but at 10^6-10^7 requests its per-arrival
-costs — method dispatch through ``submit``/``_sync``/``advance``, tuple
-churn on three heaps, a dict lookup per counter — dominate wall clock.
+costs — method dispatch through ``submit``/``_assign``/``push``, tuple
+churn on the load heap, a dict lookup per counter — dominate wall clock
+(it calls ``_sync`` and ``advance`` only when an event is due or a lane
+is full: this loop's ``nle`` / ``nce`` and ``nfull`` rules).
 This module is the same discrete-event computation restructured as one
 fused loop over preallocated arrays and compact C-typed buffers:
 

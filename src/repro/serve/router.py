@@ -28,9 +28,10 @@ Completions land in one ``request_id -> completion`` ledger per fleet: the
 router hands it to every replica queue it creates and :meth:`Router.
 completions` returns it as is, so reading it costs nothing per replica.
 
-``submit`` first syncs the heaps to the arrival time, then reads the
-heap top — the same decision the pre-PR linear scan made (the differential
-tests pin bit-identical completions against
+``submit`` first syncs the heaps to the arrival time (when a launch or
+completion event is due by then — otherwise a sync plays nothing), then
+reads the heap top — the same decision a linear scan makes (the
+differential tests pin bit-identical completions against
 :class:`repro.serve.reference.LinearRouter`, the O(R) original kept as the
 behavioral oracle).
 
@@ -346,7 +347,9 @@ class Router:
     def _sync(self, t: float) -> None:
         """Play every event due by ``t``: commit due launches (which feeds
         the completion heap), then apply due backlog decrements. Amortized
-        O(log R) per event; each arrival generates O(1) events."""
+        O(log R) per event; each arrival generates O(1) events. With no
+        event due it changes nothing, so :meth:`submit` calls it only when
+        a heap top is due (the array core's ``nle`` / ``nce`` test)."""
         le = self._launch_events
         sched = self._sched
         advanced: List[int] = []
@@ -452,7 +455,9 @@ class Router:
         if not self.replicas:
             # Every replica has failed and no repair has landed yet: shed.
             return self._shed(t, request_id, model)
-        self._sync(t)
+        le, ce = self._launch_events, self._completion_events
+        if le and le[0][0] <= t or ce and ce[0][0] <= t:
+            self._sync(t)
         replica = self._least_loaded()
         if self._full(replica, model):
             return self._shed(t, request_id, model)

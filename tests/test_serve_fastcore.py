@@ -429,6 +429,31 @@ class TestNonFiniteRateIsRejected:
             sim.sweep(rates=[math.nan], n_requests=16)
 
 
+class TestRequestCountIsChecked:
+    """``n_requests=2.5`` used to offer three requests under ``"uniform"``
+    (``np.arange(2.5)``) while the trace metadata recorded two, and raise
+    a NumPy ``TypeError`` under ``"poisson"`` and ``"mmpp"``, as did
+    ``n_requests="4"`` under every process. ``make_arrivals`` checks the
+    count before either engine sees it."""
+
+    @pytest.mark.parametrize("n_requests", [2.5, "4", 0, -3, math.nan])
+    def test_run_rejects_on_both_engines(self, engine, n_requests):
+        sim = ServingSimulator(None, service_model=FakeService(),
+                               n_replicas=2, engine=engine)
+        for process in ("uniform", "poisson", "mmpp"):
+            with pytest.raises(ValueError, match="n_requests"):
+                sim.run(rate=10.0, n_requests=n_requests, process=process)
+
+    def test_numpy_integer_count_runs(self, engine):
+        sim = ServingSimulator(None, service_model=FakeService(),
+                               n_replicas=2, engine=engine)
+        for process in ("uniform", "poisson", "mmpp"):
+            stats = sim.run(rate=10.0, n_requests=np.int64(3),
+                            process=process)
+            assert stats.n_offered == 3
+            assert sim.last_run_engine == engine
+
+
 class TestConstructionRejectsWhatTheEnginesDisagreeOn:
     """A fractional or NaN count and an infinite weight used to be
     accepted, then split the engines or crash one deep inside a run:

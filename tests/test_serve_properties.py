@@ -22,11 +22,14 @@ inter-arrival moments (Poisson: mean 1/rate, CV 1; MMPP: phase-type
 moments from :meth:`MMPP.interarrival_moments`) under fixed seeds.
 
 The Hypothesis section holds the event engine's *kept* state — a queue's
-lane keys and the launch instants it returns, a router's published load
-values and pending launch events — to what a fresh computation gives
-after every generated step. The last one runs generated whole simulations
-under the router's launch-event rule and under the every-admit rule it
-replaced, and requires bit-identical results.
+lane keys, full-lane count and the launch instants it returns and keeps,
+a router's published load values and pending launch events — to what a
+fresh computation gives after every generated step. A twin queue that
+advances before every push holds the advances a push skips to no-ops,
+step by step. Generated whole simulations run under the router's
+launch-event rule and under the every-admit rule it replaced, and must
+agree bit for bit. The last test pins the work an admit does — calls, not
+seconds — on one fixed-seed run.
 """
 
 import heapq
@@ -221,61 +224,135 @@ class TestArrivalProcessStatistics:
 _DT = st.sampled_from([0.0, 1e-3, 4e-3, 3e-2])
 
 
+_QUEUE_STEPS = ["advance", "advance", "degrade", "repair", "flip", "evict"]
+
+
+@st.composite
+def _queue_runs(draw, min_steps=0, max_steps=40, pushes=6):
+    """One generated replica queue and what happens to it: ``(n_lanes,
+    max_batch, max_wait, per_model, steps)``. ``per_model`` gives each of
+    the 1-3 lanes its own policy; a step is ``(kind, dt, model)``, with
+    ``pushes`` push entries among the kinds drawn from, and an abort (a
+    dead queue takes no further events) may end the list."""
+    n_lanes = draw(st.integers(1, 3))
+    step = st.tuples(st.sampled_from(["push"] * pushes + _QUEUE_STEPS), _DT,
+                     st.integers(0, n_lanes - 1))
+    steps = draw(st.lists(step, min_size=min_steps, max_size=max_steps))
+    if draw(st.booleans()):
+        steps.append(("abort", draw(_DT), 0))
+    return (n_lanes, draw(st.integers(1, 4)),
+            draw(st.sampled_from([0.0, 5e-3, math.inf])), draw(st.booleans()),
+            steps)
+
+
+def _queues(case, order, n):
+    """``n`` identical queues of a generated case, and the multiplier of
+    their service-time callables that a "flip" step rescales behind their
+    backs (any callable may change its answer)."""
+    n_lanes, max_batch, max_wait, per_model, _ = case
+    scale = [1.0]
+    policies = [BatchingPolicy(max_batch=m + 1, max_wait=2e-3 * m,
+                               mode="continuous" if m == 1 else "windowed")
+                for m in range(n_lanes)] if per_model else None
+    return [ReplicaBatchQueue(
+        BatchingPolicy(max_batch=max_batch, max_wait=max_wait), None,
+        service_times=[(lambda b, m=m:
+                        scale[0] * (2e-3 * (m + 1) + 1e-3 * b))
+                       for m in range(n_lanes)],
+        policies=policies, order=order, slos=[0.05, 0.02, 0.09][:n_lanes])
+        for _ in range(n)], scale
+
+
+def _play(q, step, t, rid, model):
+    """Apply one generated queue step ("flip" is the caller's); return the
+    instant a push / advance returned (None for the other steps)."""
+    if step == "push":
+        return q.push(t, rid, model)
+    if step == "advance":
+        return q.advance(t)
+    if step == "degrade":
+        q.degrade(1.5)
+    elif step == "repair":
+        q.repair()
+    elif step == "evict":
+        q.evict_queued(t)
+    elif step == "abort":
+        q.abort_after(t)
+    return None
+
+
+def _flip(scale):
+    scale[0] = 0.25 if scale[0] == 1.0 else 1.0
+
+
 @pytest.mark.parametrize("order", LAUNCH_ORDERS)
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_lane_keys_are_never_stale(order, data):
+@given(case=_queue_runs())
+def test_lane_keys_are_never_stale(order, case):
     """After every push / advance / degrade / repair / evict / abort — and
     every rescaling of the service-time callables behind the queue's back
-    (any callable may change its answer) — each kept lane key equals a
-    freshly computed one and ``next_launch`` is the fresh minimum, and so
-    is the instant a push or an advance returns (the router schedules
-    launch events from it, never from a ``next_launch`` scan)."""
-    n_lanes = data.draw(st.integers(1, 3))
-    scale = [1.0]
-    q = ReplicaBatchQueue(
-        BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
-                       max_wait=data.draw(st.sampled_from(
-                           [0.0, 5e-3, math.inf]))),
-        None,
-        service_times=[(lambda b, m=m: scale[0] * (2e-3 * (m + 1) + 1e-3 * b))
-                       for m in range(n_lanes)],
-        policies=data.draw(st.sampled_from([None, [
-            BatchingPolicy(max_batch=m + 1, max_wait=2e-3 * m,
-                           mode="continuous" if m == 1 else "windowed")
-            for m in range(n_lanes)]])),
-        order=order, slos=[0.05, 0.02, 0.09][:n_lanes])
+    — each kept lane key equals a freshly computed one and ``next_launch``
+    is the fresh minimum, and so are the instant a push or an advance
+    returns (the router schedules launch events from it, never from a
+    ``next_launch`` scan) and the one the queue keeps to skip a push's
+    advance. The kept full-lane count is the number of lanes holding
+    ``max_batch`` requests or more."""
+    (q,), scale = _queues(case, order, 1)
     t = 0.0
-    steps = data.draw(st.lists(st.tuples(
-        st.sampled_from(["push"] * 6 + ["advance", "advance", "degrade",
-                                        "repair", "flip", "evict", "abort"]),
-        _DT, st.integers(0, n_lanes - 1)), max_size=40))
-    for rid, (step, dt, model) in enumerate(steps):
+    for rid, (step, dt, model) in enumerate(case[-1]):
         t += dt
-        returned = None
-        if step == "push":
-            returned = q.push(t, rid, model)
-        elif step == "advance":
-            returned = q.advance(t)
-        elif step == "degrade":
-            q.degrade(1.5)
-        elif step == "repair":
-            q.repair()
-        elif step == "flip":
-            scale[0] = 0.25 if scale[0] == 1.0 else 1.0
-        elif step == "evict":
-            q.evict_queued(t)
-        else:
-            q.abort_after(t)
+        if step == "flip":
+            _flip(scale)
+        returned = _play(q, step, t, rid, model)
         fresh = {m: q._lane_key(m, lane)
                  for m, lane in q.lanes.items() if lane}
         assert all(fresh[m] == key for m, key in q._keys.items()), step
         want = min((key[0] for key in fresh.values()), default=math.inf)
         assert q.next_launch() == want, step
+        assert q._next == want, step
         if returned is not None:
             assert returned == want, step
-        if step == "abort":
-            break       # a dead queue takes no further events
+        assert q._nfull == sum(len(lane) >= q.policies[m].max_batch
+                               for m, lane in q.lanes.items()), step
+
+
+#: edf, two lanes of max_batch 2: lane 0 fills and grows to four requests
+#: while lane 1's earlier-deadline partial holds the busy replica; one
+#: advance then commits lane 1, then lane 0 twice (the first commit leaves a
+#: full batch behind), and a fill of the emptied lane 0 must be committed
+#: by the next push although the replica is busy past it
+_FULL_BEHIND_PARTIAL = (2, 2, 0.0, False, [
+    ("push", 0.0, 0), ("push", 0.0, 0), ("push", 0.0, 1),
+    ("push", 1e-3, 0), ("push", 0.0, 0), ("push", 0.0, 0), ("push", 0.0, 0),
+    ("advance", 4e-3, 0),
+    ("push", 1e-3, 0), ("push", 0.0, 0), ("push", 1e-3, 0)])
+
+
+@pytest.mark.parametrize("order", LAUNCH_ORDERS)
+@settings(max_examples=200, deadline=None)
+@given(case=_queue_runs(min_steps=40, max_steps=120, pushes=12))
+@example(case=_FULL_BEHIND_PARTIAL)
+def test_skipping_a_push_advance_changes_nothing(order, case):
+    """A push advances the queue only when a lane is full or the kept
+    launch instant is before the arrival; its twin advances before every
+    push (the rule that made each admit scan the lanes). Step by step both
+    commit the same batches at the same instants and return the same
+    launch instants — the skipped advances would have committed nothing.
+    Long runs of pushes let a full lane grow past ``max_batch`` while an
+    earlier-deadline partial lane holds the replica under ``"edf"``."""
+    (q, twin), scale = _queues(case, order, 2)
+    t = 0.0
+    for rid, (step, dt, model) in enumerate(case[-1]):
+        t += dt
+        if step == "flip":
+            _flip(scale)
+        elif step == "push":
+            twin.advance(t)
+        returned = _play(q, step, t, rid, model)
+        assert _play(twin, step, t, rid, model) == returned, step
+        assert q.batches == twin.batches, step
+        assert q.completions == twin.completions, step
+        assert q.free_at == twin.free_at, step
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,3 +571,43 @@ def test_pushing_only_changed_launches_changes_nothing(case):
     # repr: exact float text, and NaN fields compare equal
     assert repr(got.epochs) == repr(ref.epochs)
     assert repr(got.scale_events) == repr(ref.scale_events)
+
+
+# -- the work an admit does -----------------------------------------------------
+
+def test_an_admit_does_only_work_that_can_change_state():
+    """A two-model, cost-aware edf run the size of the ``sim_event`` smoke
+    run: a push advances its queue only when a lane is full or a launch is
+    due, rebuilds a lane key only for a new lane head or a fill, and a
+    submit syncs the router only when an event is due. Each of the three
+    is then called a small multiple of the batches committed, not once per
+    request: 346 / 546 / 185 calls for 241 batches, where the every-admit
+    rules made 5,203 / 5,158 / 5,000. A count, not a timing: deterministic
+    per seed."""
+    from repro.sim.workload import climate_workload, hep_workload
+    sim = ServingSimulator(
+        models=[ModelProfile("hep", hep_workload(), weight=4.0),
+                ModelProfile("climate", climate_workload(), weight=1.0)],
+        model_mix=ModelMix((0.9, 0.1)), n_replicas=4,
+        policy=BatchingPolicy(max_batch=32), max_queue=1024, order="edf",
+        cost_aware=True)
+    calls = Counter()
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return mock.patch.object(cls, name, counted)
+
+    with spy(ReplicaBatchQueue, "advance"), \
+            spy(ReplicaBatchQueue, "_lane_key"), spy(Router, "_sync"):
+        stats = sim.run(rate=0.9 * sim.saturation_rate(), n_requests=5_000,
+                        process="poisson", seed=0)
+    assert sim.last_run_engine == "event"
+    n_batches = len(stats.batch_sizes)
+    assert n_batches > 100
+    assert calls["advance"] <= 2 * n_batches, calls
+    assert calls["_lane_key"] <= 3 * n_batches, calls
+    assert calls["_sync"] <= 2 * n_batches, calls
