@@ -178,7 +178,7 @@ class TestHotPathSpeedup:
 
         def drive(router_cls):
             router = router_cls(None, 64, policy, lambda b: 1e-3,
-                                max_queue=64)
+                                limits=[64])
             t0 = time.perf_counter()
             for rid, t in enumerate(times):
                 router.submit(t, rid)

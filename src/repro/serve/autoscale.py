@@ -41,6 +41,7 @@ import numpy as np
 from repro.cluster.failures import FailureEvent, FailureModel
 from repro.cluster.machine import CoriMachine
 from repro.serve.batching import BatchingPolicy
+from repro.serve.cache import require_count
 from repro.serve.latency import ServiceTimeModel
 from repro.serve.metrics import (
     EpochRecord,
@@ -75,9 +76,16 @@ class AutoscalePolicy:
     step_in: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ValueError(
-                f"min_replicas must be >= 1, got {self.min_replicas}")
+        # A count that is not an integer is refused, not compared: a NaN
+        # step or cooldown silently disables its rule, and a fractional
+        # one crashes mid-run when the fleet changes by it.
+        for name, least in (("min_replicas", 1), ("max_replicas", 1),
+                            ("cooldown_epochs", 0), ("idle_epochs", 1),
+                            ("step_out", 1), ("step_in", 1)):
+            label = (f"{name} (scale steps)" if name.startswith("step_")
+                     else name)
+            object.__setattr__(self, name, require_count(
+                label, getattr(self, name), least=least))
         if self.max_replicas < self.min_replicas:
             raise ValueError(
                 f"max_replicas ({self.max_replicas}) < min_replicas "
@@ -92,12 +100,6 @@ class AutoscalePolicy:
                 f"got {self.scale_in_occupancy}")
         if self.epoch is not None and not self.epoch > 0:
             raise ValueError(f"epoch must be positive, got {self.epoch}")
-        if self.cooldown_epochs < 0:
-            raise ValueError("cooldown_epochs must be non-negative")
-        if self.idle_epochs < 1:
-            raise ValueError("idle_epochs must be >= 1")
-        if self.step_out < 1 or self.step_in < 1:
-            raise ValueError("scale steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -560,6 +562,20 @@ class AutoscalingSimulator(ServingSimulator):
         open_reqs: dict = {}
         cursors: dict = {}
 
+        def record(t: float, action: str, delta: int, reason: ScaleReason,
+                   **data) -> None:
+            """One fleet event: a :class:`ScaleEvent` and its ``scale``
+            trace, ``data`` between the fleet size and the signals."""
+            events.append(ScaleEvent(
+                time=t, epoch=epoch_idx, action=action, delta=delta,
+                n_replicas=router.n_replicas, reason=reason))
+            if tracer is not None:
+                tracer.emit(
+                    "scale", t,
+                    data={"epoch": epoch_idx, "action": action,
+                          "delta": delta, "n_replicas": router.n_replicas,
+                          **data, **reason.signals()})
+
         def close_epoch(t: float) -> None:
             nonlocal epoch_idx, prev_epoch_t, dropped_mark, \
                 repaired_in_epoch
@@ -600,18 +616,7 @@ class AutoscalingSimulator(ServingSimulator):
                 for _ in range(-decision.delta):
                     router.remove_replica(t)
             if decision.delta:
-                events.append(ScaleEvent(
-                    time=t, epoch=epoch_idx, action=decision.action,
-                    delta=decision.delta, n_replicas=router.n_replicas,
-                    reason=decision.reason))
-                if tracer is not None:
-                    tracer.emit(
-                        "scale", t,
-                        data={"epoch": epoch_idx,
-                              "action": decision.action,
-                              "delta": decision.delta,
-                              "n_replicas": router.n_replicas,
-                              **decision.reason.signals()})
+                record(t, decision.action, decision.delta, decision.reason)
             epochs.append(rec)
             prev_epoch_t = t
             epoch_idx += 1
@@ -631,58 +636,30 @@ class AutoscalingSimulator(ServingSimulator):
                 fixed = router.repair_replica(ev.time, pos)
                 if was_slow:
                     repaired_in_epoch += 1
-                reason = ScaleReason(
+                record(ev.time, "repair", 0, ScaleReason(
                     "node_repair",
                     detail=f"node {fixed.node_id} repaired, batches back "
-                           f"at full speed")
-                events.append(ScaleEvent(
-                    time=ev.time, epoch=epoch_idx, action="repair",
-                    delta=0, n_replicas=router.n_replicas, reason=reason))
-                if tracer is not None:
-                    tracer.emit(
-                        "scale", ev.time,
-                        data={"epoch": epoch_idx, "action": "repair",
-                              "delta": 0, "n_replicas": router.n_replicas,
-                              "node_id": fixed.node_id,
-                              **reason.signals()})
+                           f"at full speed"), node_id=fixed.node_id)
                 return
             if ev.kind == "degrade":
                 # Capacity loss without a fleet-size change: no area
                 # breakpoint needed, the replica stays in rotation.
                 slowed = router.degrade_replica(
                     ev.time, ev.node_id % router.n_replicas, ev.slow_factor)
-                reason = ScaleReason(
+                record(ev.time, "degrade", 0, ScaleReason(
                     "node_degrade",
                     detail=f"node {slowed.node_id} degraded, batches "
-                           f"{ev.slow_factor:g}x slower")
-                events.append(ScaleEvent(
-                    time=ev.time, epoch=epoch_idx, action="degrade",
-                    delta=0, n_replicas=router.n_replicas, reason=reason))
-                if tracer is not None:
-                    tracer.emit(
-                        "scale", ev.time,
-                        data={"epoch": epoch_idx, "action": "degrade",
-                              "delta": 0, "n_replicas": router.n_replicas,
-                              "node_id": slowed.node_id,
-                              "slow_factor": float(ev.slow_factor),
-                              **reason.signals()})
+                           f"{ev.slow_factor:g}x slower"),
+                    node_id=slowed.node_id,
+                    slow_factor=float(ev.slow_factor))
                 return
             advance_area(ev.time)
             dead, lost = router.fail_replica(
                 ev.time, ev.node_id % router.n_replicas)
-            reason = ScaleReason(
+            record(ev.time, "failure", -1, ScaleReason(
                 "node_death",
-                detail=f"node {dead.node_id} died, {lost} requests lost")
-            events.append(ScaleEvent(
-                time=ev.time, epoch=epoch_idx, action="failure", delta=-1,
-                n_replicas=router.n_replicas, reason=reason))
-            if tracer is not None:
-                tracer.emit(
-                    "scale", ev.time,
-                    data={"epoch": epoch_idx, "action": "failure",
-                          "delta": -1, "n_replicas": router.n_replicas,
-                          "node_id": dead.node_id, "lost": lost,
-                          **reason.signals()})
+                detail=f"node {dead.node_id} died, {lost} requests lost"),
+                node_id=dead.node_id, lost=lost)
 
         if self._prof is not None:
             close_epoch = self._prof.wrap("autoscale.close_epoch",

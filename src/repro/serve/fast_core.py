@@ -46,11 +46,11 @@ count-admission* configuration. Each replica holds ``M``
 per-model lanes — segmented arrays sharing one ``free_at`` timeline,
 advanced by the same globally-earliest ``(launch, partial, model)`` key
 rule as :meth:`~repro.serve.batching.ReplicaBatchQueue.advance` — with
-per-model batching policies, service tables and weighted count
-admission, and SLO/stats attribution in :func:`collect`. What the
-simulator calls a configuration *class* is a parameter of that loop, not
-a second solver (the way fully synchronous training is the one-group case
-of the paper's hybrid scheme):
+per-model batching policies, service tables and the simulator's
+weighted count admission limits, and SLO/stats attribution in
+:func:`collect`. What the simulator calls a configuration *class* is a
+parameter of that loop, not a second solver (the way fully synchronous
+training is the one-group case of the paper's hybrid scheme):
 
 - the **multi-model** class (``models=[...]``) is ``M = len(models)``;
 - the **plain** single-model class (windowed or continuous batching,
@@ -66,10 +66,10 @@ of the paper's hybrid scheme):
   event loop's commit hook uses, and hits complete at ``request_rtt()``
   without ever touching the load heap.
 
-Genuinely event-only features keep the object loop: tracing/profiling
-hooks, request coalescing, cost-aware routing/admission, and edf launch
-ordering. Those paths are control-heavy, not arrival-heavy, and their
-semantics live in the router/queue objects.
+Genuinely event-only features keep the object loop: tracing, request
+coalescing, cost-aware routing/admission, and edf launch ordering. Those
+paths are control-heavy, not arrival-heavy, and their semantics live in
+the router/queue objects.
 ``ServingSimulator(engine="array")`` consults :func:`unsupported_reason`
 and falls back transparently, so callers opt into the fast core per
 simulator, not per config; the support-lattice test asserts every
@@ -107,8 +107,9 @@ def unsupported_reason(sim) -> Optional[str]:
     Supported natively: fixed-fleet single- or multi-model serving with
     count-based (optionally weighted) admission, fifo launch order,
     windowed or continuous batching, per-model batching policies, and a
-    result cache in front. Event-loop only: everything that instruments
-    or reorders the control path.
+    result cache in front. Event-loop only: the trace and everything that
+    reorders the control path. A profiler stays on its engine: it times
+    the run's ``run.*`` phases and never changes a result.
     """
     if sim.cost_aware:
         return "cost-aware routing/admission is event-loop only"
@@ -116,8 +117,8 @@ def unsupported_reason(sim) -> Optional[str]:
         return f"launch order {sim.order!r} is event-loop only"
     if sim.coalesce:
         return "request coalescing is event-loop only"
-    if sim._tracer is not None or sim._prof is not None:
-        return "tracing/profiling hooks instrument the event loop"
+    if sim._tracer is not None:
+        return "tracing instruments the event loop"
     return None
 
 
@@ -147,30 +148,22 @@ def drive(sim, arrivals: np.ndarray) -> FastRun:
     """Run one supported-class arrival stream through the array core.
 
     Builds the per-model tables :func:`_drive` reads — batch sizes,
-    launch waits, service times, admission limits — from the simulator's
-    per-model lists, one entry per model (a single-model run is the
-    one-lane case, not a different code path). Service tables come from
-    the same memoized ``batch_time`` calls the replica queues use, so
-    every float matches the event loop's.
+    launch waits, service times — from the simulator's per-model lists,
+    one entry per model (a single-model run is the one-lane case, not a
+    different code path), and takes the admission limits the router gets,
+    :meth:`~repro.serve.slo_sim.ServingSimulator.admission_limits`.
+    Service tables come from the same memoized ``batch_time`` calls the
+    replica queues use, so every float matches the event loop's.
     """
     pols = sim._policies
     Bs = [p.max_batch for p in pols]
     waits = [p.launch_wait for p in pols]
     svcs = [[0.0] + [fn(b) for b in range(1, B + 1)]
             for fn, B in zip(sim.services.batch_time_fns(), Bs)]
-    # Per-model admission limits, exactly Router._admission_limits: the
-    # weighted share of max_queue, floored at one request.
-    if sim.max_queue is None:
-        limits: List[float] = [_INF] * len(pols)
-    else:
-        weights = [p.weight for p in sim._profiles]
-        w_max = max(weights)
-        limits = [max(1, int(math.ceil(sim.max_queue * w / w_max)))
-                  for w in weights]
     cstate = sim._cstate
     return _drive(np.asarray(arrivals, dtype=np.float64), sim.n_replicas,
-                  len(pols), Bs, waits, svcs, limits, sim._mids,
-                  int(arrivals.size),
+                  len(pols), Bs, waits, svcs, sim.admission_limits(),
+                  sim._mids, int(arrivals.size),
                   None if cstate is None else cstate.contents,
                   sim.cache_size)
 

@@ -54,8 +54,7 @@ class LinearRouter(Router):
         return min(replicas, key=lambda r: (r.queue.backlog(t), r.index))
 
     def _full_scan(self, replica: ReplicaHandle, t: float) -> bool:
-        return (self.max_queue is not None
-                and replica.queue.outstanding(t) >= self.max_queue)
+        return replica.queue.outstanding(t) >= self._limits[0]
 
     def submit(self, t: float, request_id: int, model: int = 0) -> bool:
         # ``model`` passes through to the queue lane (always 0 on the
@@ -135,7 +134,8 @@ class LinearServingSimulator(ServingSimulator):
     def _make_router(self, on_commit=None) -> Router:
         return LinearRouter(self.machine, self.n_replicas, self.policy,
                             self.service.batch_time,
-                            max_queue=self.max_queue, on_commit=on_commit)
+                            limits=self.admission_limits(),
+                            on_commit=on_commit)
 
     def _drive(self, arrivals: np.ndarray, router: Router,
                admitted: dict) -> None:
@@ -159,4 +159,5 @@ class LinearAutoscalingSimulator(AutoscalingSimulator):
     def _make_router(self, on_commit=None) -> Router:
         return LinearRouter(self.machine, self.n_replicas, self.policy,
                             self.service.batch_time,
-                            max_queue=self.max_queue, on_commit=on_commit)
+                            limits=self.admission_limits(),
+                            on_commit=on_commit)

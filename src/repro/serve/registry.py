@@ -36,7 +36,7 @@ class ModelProfile:
     Workload` (which sets its Fig 5 service curve — HEP and climate have
     very different ones), its latency target, and its admission ``weight``
     (higher weight = shed later under overload; see
-    :class:`~repro.serve.router.Router`). ``slo=None`` lets the simulator
+    :meth:`~repro.serve.slo_sim.ServingSimulator.admission_limits`). ``slo=None`` lets the simulator
     derive the model's default target from its own batch service time.
 
     ``policy`` (optional) gives the model its *own*
@@ -48,8 +48,7 @@ class ModelProfile:
     ``weight`` must be strictly positive and finite: a zero weight would
     give the model an admission limit of zero — every request shed even
     at an empty queue — and an infinite one makes every weight ratio
-    NaN, both misconfigurations, not policies, so they are rejected here
-    (and again at :class:`~repro.serve.router.Router`).
+    NaN, both misconfigurations, not policies, so they are rejected here.
     """
 
     name: str

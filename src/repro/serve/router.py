@@ -3,10 +3,12 @@
 Replicas are placed on :class:`repro.cluster.machine.CoriMachine` nodes the
 same way the training simulators place compute groups (one contiguous
 dragonfly allocation, paper Fig 3). The router sends each request to the
-replica with the fewest outstanding requests; when every replica is at the
-admission limit (``max_queue`` outstanding each), the request is rejected
-up front — a shed request costs the client a retry, a queued-forever
-request costs every client behind it.
+replica with the least outstanding load; when that replica's load is at
+the request's model's admission limit (then every replica's is), the
+request is rejected up front — a shed request costs the client a retry, a
+queued-forever request costs every client behind it. The limits are
+given, one per model: the serving simulator computes them
+(:meth:`~repro.serve.slo_sim.ServingSimulator.admission_limits`).
 
 Routing is O(log R) per arrival, not O(R): per-replica backlogs are
 maintained *incrementally* from the batch commit stream instead of being
@@ -75,13 +77,16 @@ class Router:
     result-cache fills at batch completion times.
 
     Per-model inputs are lists indexed by model — ``service_times``,
-    ``policies``, ``model_weights`` — which default to the one-entry
-    ``[service_time]``, ``[policy] * M`` and ``[1.0] * M``: one model is
-    the one-entry case, not a second path. Route with ``submit(t, rid,
-    model)``; each replica keeps per-model batch lanes. **Weighted
-    admission**: model ``m``'s limit is ``ceil(max_queue * w_m /
-    max(w))``, so under overload low-weight traffic is shed first and
-    the high-weight SLO holds through a burst.
+    ``policies``, ``limits`` — which default to the one-entry
+    ``[service_time]``, ``[policy] * M`` and no limit: one model is the
+    one-entry case, not a second path. Route with ``submit(t, rid,
+    model)``; each replica keeps per-model batch lanes.
+
+    **Admission**: model ``m`` is shed when the least-loaded replica's
+    published load has reached ``limits[m]`` (``None``: never shed). The
+    load is a request count, or — cost-aware mode — estimated seconds, and
+    the limits are in the same unit. Every limit must be positive, so any
+    model is admitted at an empty replica.
 
     **Cost-aware mode** (``model_costs``, per-model estimated seconds per
     request): the load value routed and admitted on becomes *estimated
@@ -90,10 +95,7 @@ class Router:
     becomes shortest-expected-work. The ledger stays integer per-model
     counts per replica; every published load value is recomputed as the
     dot product of counts and costs (never accumulated in floats), so
-    load values are exact and replica ordering is deterministic. With
-    ``max_queue_seconds``, admission limits are seconds too:
-    ``max_queue_seconds * w_m / max(w)`` — any positive limit admits at
-    an empty queue, so no model can be starved by its weight.
+    load values are exact and replica ordering is deterministic.
     ``policies`` / ``order`` / ``model_slos`` are handed down to every
     replica queue for per-model batching and EDF launch ordering
     (:class:`~repro.serve.batching.ReplicaBatchQueue`). Cost-aware mode
@@ -103,21 +105,16 @@ class Router:
     def __init__(self, machine: Optional[CoriMachine], n_replicas: int,
                  policy: BatchingPolicy,
                  service_time: Callable[[int], float],
-                 max_queue: Optional[int] = 64,
+                 limits: Optional[List[float]] = None,
                  on_commit: Optional[Callable[[int, Batch], None]] = None,
                  service_times: Optional[
                      List[Callable[[int], float]]] = None,
-                 model_weights: Optional[List[float]] = None,
                  tracer=None,
                  policies: Optional[List[BatchingPolicy]] = None,
                  order: str = "fifo",
                  model_slos: Optional[List[float]] = None,
-                 model_costs: Optional[List[float]] = None,
-                 max_queue_seconds: Optional[float] = None,
-                 admission_floor_seconds: Optional[List[float]] = None
-                 ) -> None:
+                 model_costs: Optional[List[float]] = None) -> None:
         n_replicas = require_count("n_replicas", n_replicas)
-        max_queue = require_count("max_queue", max_queue, none_ok=True)
         self.machine = machine or cori(seed=0, jitter=False)
         if n_replicas > self.machine.n_nodes:
             raise ValueError(
@@ -128,23 +125,13 @@ class Router:
         #: per-model service-time callables, one per model index
         self.service_times = list(service_times or [service_time])
         n_models = len(self.service_times)
-        if model_weights is not None and len(model_weights) != n_models:
-            raise ValueError(f"{len(model_weights)} model weights for "
-                             f"{n_models} model(s)")
-        #: per-model admission weights (all 1.0 when not given)
-        self.model_weights = [float(w) for w in (
-            model_weights if model_weights is not None
-            else [1.0] * n_models)]
-        if any(not 0 < w < math.inf for w in self.model_weights):
-            raise ValueError(f"model weights must be positive and "
-                             f"finite, got {model_weights}")
-        self.max_queue = max_queue
         self._n_models = n_models
         #: per-model batching policies handed to every replica queue
         self.policies = list(policies or [policy] * n_models)
         for seq, what in ((self.policies, "batching policies"),
                           (model_slos, "model SLOs"),
-                          (model_costs, "model costs")):
+                          (model_costs, "model costs"),
+                          (limits, "admission limits")):
             if seq is not None and len(seq) != n_models:
                 raise ValueError(
                     f"{len(seq)} {what} for {n_models} model(s)")
@@ -159,38 +146,13 @@ class Router:
         #: per-model estimated seconds per request; set => cost-aware mode
         self.model_costs = (None if model_costs is None
                             else [float(c) for c in model_costs])
-        if max_queue_seconds is not None:
-            if self.model_costs is None:
-                raise ValueError(
-                    "max_queue_seconds needs model_costs (the seconds "
-                    "ledger admission is judged against)")
-            if not max_queue_seconds > 0:
-                raise ValueError(f"max_queue_seconds must be positive, "
-                                 f"got {max_queue_seconds}")
-        self.max_queue_seconds = max_queue_seconds
-        if admission_floor_seconds is not None:
-            if max_queue_seconds is None:
-                raise ValueError(
-                    "admission_floor_seconds only applies to seconds-based "
-                    "admission (set max_queue_seconds)")
-            if len(admission_floor_seconds) != n_models:
-                raise ValueError(
-                    f"{len(admission_floor_seconds)} admission floors for "
-                    f"{n_models} model(s)")
-            if any(f < 0 for f in admission_floor_seconds):
-                raise ValueError(
-                    "admission floors must be non-negative seconds, got "
-                    f"{admission_floor_seconds}")
-        #: per-model lower bound on the seconds admission limit — see
-        #: :meth:`_admission_limits` for why a weighted share can starve
-        self.admission_floor_seconds = (
-            None if admission_floor_seconds is None
-            else [float(f) for f in admission_floor_seconds])
-        #: per-model admission limit: the weighted share of ``max_queue``
-        #: requests (or ``max_queue_seconds`` seconds of estimated work;
-        #: highest-weight model gets the full queue — see class docstring)
-        self._limits: List[Optional[float]] = self._admission_limits(
-            n_models)
+        if limits is not None and any(not L > 0 for L in limits):
+            raise ValueError(
+                f"admission limits must be positive, got {limits}")
+        #: per-model admission limit on a replica's published load (see
+        #: :meth:`_full`); unbounded when not given
+        self._limits = (list(limits) if limits is not None
+                        else [math.inf] * n_models)
         self.on_commit = on_commit
         #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed), handed down
         #: to every replica queue; ``None`` is the exact pre-trace path
@@ -240,53 +202,6 @@ class Router:
 
     def node_ids(self) -> List[int]:
         return [r.node_id for r in self.replicas]
-
-    def _admission_limits(self, n_models: int) -> List[Optional[float]]:
-        """Per-model admission limit on a replica's outstanding work.
-
-        Model ``m`` is admitted only while the target backlog is under
-        ``ceil(max_queue * w_m / max(w))``: the highest-weight model keeps
-        the whole queue, lower-weight ones are shed progressively earlier
-        as backlog builds, so overload evicts cheap traffic first. Equal
-        weights (the default, and the one-model case) give every model
-        ``max_queue`` itself.
-
-        Every limit is floored at one request: weights are validated
-        positive (here and at ``register()``), but even an arbitrarily
-        tiny weight must admit at an empty queue — a zero limit would
-        shed a model's every request unconditionally, which is a
-        misconfiguration, not a policy. (The floor also makes the
-        weight-0 corner — ``ceil(0) == 0`` — structurally impossible
-        should validation ever be bypassed.)
-
-        With ``max_queue_seconds`` the limits are *seconds of estimated
-        work* (``max_queue_seconds * w_m / max(w)``) judged against the
-        replica's cost-weighted backlog; any positive limit admits at an
-        empty queue, so the floor is inherent — *at an empty replica*.
-        But the seconds limit is judged against the replica's **total**
-        cost-weighted backlog, all models included: a low-weight model
-        whose per-request cost exceeds its seconds share is admitted only
-        while the replica is (nearly) idle, and under sustained cheap
-        traffic that never happens — the model starves even though its own
-        lane is empty. ``admission_floor_seconds`` guards that mode: model
-        ``m``'s limit is raised to at least ``floor_m`` (the serving
-        simulator derives one max-size batch of the model's own work for a
-        mix of two or more models, so a skewed mix can always get a batch
-        in). Floors are opt-in; an explicit ``max_queue_seconds`` with no
-        floors is taken verbatim.
-        """
-        w_max = max(self.model_weights)
-        if self.max_queue_seconds is not None:
-            base = [self.max_queue_seconds * w / w_max
-                    for w in self.model_weights]
-            if self.admission_floor_seconds is None:
-                return base
-            return [b if b > f else f
-                    for b, f in zip(base, self.admission_floor_seconds)]
-        if self.max_queue is None:
-            return [None] * n_models
-        return [max(1, int(math.ceil(self.max_queue * w / w_max)))
-                for w in self.model_weights]
 
     # -- incremental event state ----------------------------------------------
     def _new_handle(self, index: int, node_id: int,
@@ -410,14 +325,8 @@ class Router:
 
     # -- routing -------------------------------------------------------------
     def _full(self, handle: ReplicaHandle, model: int = 0) -> bool:
-        limit = self._limits[model]
-        if limit is None:
-            return False
-        if self.max_queue_seconds is not None:
-            # seconds-based admission: cost-weighted backlog vs a seconds
-            # limit — an empty replica (0.0) always clears a positive one
-            return self._load[handle.index] >= limit
-        return self._backlog[handle.index] >= limit
+        # an empty replica (load 0) always clears a positive limit
+        return self._load[handle.index] >= self._limits[model]
 
     def total_backlog(self, t: float) -> float:
         """Fleet-wide outstanding work at ``t``: estimated service seconds
@@ -437,13 +346,13 @@ class Router:
     def submit(self, t: float, request_id: int, model: int = 0) -> bool:
         """Route one arrival; returns False if admission control shed it.
 
-        ``max_queue`` bounds each replica's *outstanding* requests (queued
+        A count limit bounds each replica's *outstanding* requests (queued
         plus launched-but-unfinished), so per-request latency is bounded by
-        roughly ``max_queue / replica_throughput`` even under sustained
+        roughly ``limit / replica_throughput`` even under sustained
         overload. The request goes to the least-loaded replica and is
         shed only when that one is at the model's admission limit — then
-        every replica is. With ``model_weights``, low-weight models hit
-        their (smaller) limit first — weighted admission. A ``model``
+        every replica is. Low-weight models have the smaller limits, so
+        they are shed first — weighted admission. A ``model``
         outside the fleet's models is refused before anything is counted.
         """
         if not 0 <= model < self._n_models:
@@ -495,10 +404,10 @@ class Router:
         replica; its still-unlaunched requests re-route one at a time to the
         least-loaded survivor (heap pick — each re-route lands on the
         survivor the counters say is emptiest *after* the previous one).
-        Re-routed requests bypass ``max_queue`` — they were admitted once
-        and a voluntary scale-in must not turn into a drop — and keep their
-        original ids, so end-to-end latency still counts the time spent
-        waiting on the drained replica.
+        Re-routed requests bypass the admission limits — they were admitted
+        once and a voluntary scale-in must not turn into a drop — and keep
+        their original ids, so end-to-end latency still counts the time
+        spent waiting on the drained replica.
         """
         if len(self.replicas) <= 1:
             raise ValueError("cannot remove the last replica")

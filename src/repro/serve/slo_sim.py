@@ -151,12 +151,9 @@ class ServingSimulator:
       equivalent mix-weighted seconds budget, so one queued climate scan
       counts for what it costs (~140x an HEP event) instead of 1.
 
-    On cost-aware runs over a mix of two or more models the derived
-    per-model seconds budget is floored at each model's single max-batch
-    cost (``cost_m x max_batch_m``): a skewed mix would otherwise hand a
-    tiny-share expensive model a budget smaller than one of its own
-    requests, shedding it forever while the replicas idle. One model has
-    no other traffic to starve it and gets no floor.
+    :meth:`admission_limits` turns ``max_queue``, the profiles' weights
+    and (cost-aware) the mix into each model's limit in the router's load
+    unit, once; both engines read that value.
 
     ``engine`` selects the drive loop: ``"event"`` (default) is the
     object event loop above; ``"array"`` swaps in the flat
@@ -165,8 +162,9 @@ class ServingSimulator:
     order. That class is *one* loop over ``M`` per-model lanes per replica
     with an optional result cache in front: a single-model run is its
     one-lane case, per-model policies and the cache are parameters of
-    it. The genuinely event-only features (tracing/profiling, coalescing,
-    cost-aware, edf) transparently fall back to the event loop.
+    it. The genuinely event-only features (tracing, coalescing,
+    cost-aware, edf) transparently fall back to the event loop; a
+    profiler's ``run.*`` spans time either engine.
     ``last_run_engine`` records which one ran. The two engines are
     bit-identical, pinned by the engine differential suite (hand-picked
     families and generated configurations) and the full-lattice support
@@ -296,10 +294,6 @@ class ServingSimulator:
             return None
         return list(self._policies)
 
-    def _policy_of(self, m: int) -> BatchingPolicy:
-        """Model ``m``'s effective batching policy."""
-        return self._policies[m]
-
     def saturation_rate(self) -> float:
         """Offered rate (req/s) at which full-batch replicas are 100% busy.
 
@@ -321,6 +315,40 @@ class ServingSimulator:
         ``max_batch``) — the cost-aware router's backlog unit."""
         return self.services.est_request_costs(
             [p.max_batch for p in self._policies])
+
+    def admission_limits(self) -> List[float]:
+        """Each model's admission limit in the router's load unit — the
+        one rule both engines read.
+
+        Count mode: ``ceil(max_queue * w_m / max(w))`` requests, so the
+        highest-weight model keeps the whole queue and lower-weight ones
+        are shed progressively earlier as backlog builds; floored at one,
+        so even a tiny weight admits at an empty replica.
+        Cost-aware: the seconds equivalent, ``max_queue`` times the
+        mix-weighted mean cost of one request, split the same way. That
+        limit is judged against a replica's *total* cost-weighted backlog,
+        so on a mix of two or more models each is raised to one max batch
+        of the model's own work (``cost_m x max_batch_m``): a tiny-share
+        expensive model's weighted slice can be below the cost of one of
+        its requests, and cheap traffic would keep the backlog above it
+        forever. ``max_queue=None``: no limit (``inf``)."""
+        if self.max_queue is None:
+            return [math.inf] * len(self._profiles)
+        weights = [p.weight for p in self._profiles]
+        w_max = max(weights)
+        if not self.cost_aware:
+            return [max(1, int(math.ceil(self.max_queue * w / w_max)))
+                    for w in weights]
+        costs = self.model_costs()
+        # a plain loop: sum() compensates from Python 3.12
+        mean = 0.0
+        for share, c in zip(self._shares, costs):
+            mean += share * c
+        limits = [self.max_queue * mean * w / w_max for w in weights]
+        if len(costs) > 1:
+            floors = [c * p.max_batch for p, c in zip(self._policies, costs)]
+            limits = [b if b > f else f for b, f in zip(limits, floors)]
+        return limits
 
     def model_slos(self) -> List[float]:
         """Each model's latency target: its profile ``slo`` or, by
@@ -348,48 +376,20 @@ class ServingSimulator:
                   seed: SeedLike) -> np.ndarray:
         return make_arrivals(process, rate, n_requests, seed=seed)
 
-    def _scheduling_kwargs(self) -> dict:
-        """Per-model batching policies plus the deadline/cost scheduling
-        knobs for the router — each knob left at the router's own default
-        when it is off, so a fifo, count-based simulator constructs the
-        plain router."""
-        kw = {"policies": self._policies, "order": self.order,
-              "model_slos": None, "model_costs": None,
-              "max_queue_seconds": None, "admission_floor_seconds": None}
-        if self.order != "fifo":
-            kw["model_slos"] = self.model_slos()
-        if self.cost_aware:
-            costs = self.model_costs()
-            kw["model_costs"] = costs
-            if self.max_queue is not None:
-                # the seconds equivalent of `max_queue` queued requests:
-                # the mix-weighted mean cost of one — same expected queue
-                # bound, now denominated in work
-                kw["max_queue_seconds"] = self.max_queue * sum(
-                    s * c for s, c in zip(self._shares, costs))
-                if len(costs) > 1:
-                    # Floor each model's share of the derived budget at
-                    # one of its own max batches: a skewed mix hands a
-                    # tiny-share expensive model a weighted budget below
-                    # a single request's cost, and because the seconds
-                    # limit is judged against a replica's *total*
-                    # cost-weighted backlog, cheap traffic keeps it
-                    # pinned above that sliver forever — 100% shed. One
-                    # model has no other traffic to starve it.
-                    kw["admission_floor_seconds"] = [
-                        c * p.max_batch
-                        for p, c in zip(self._policies, costs)]
-        return kw
-
     def _make_router(self, on_commit=None) -> Router:
         """Router factory — the reference (pre-PR) simulator overrides this
-        to route with the O(R) linear scans for the differential tests."""
+        to route with the O(R) linear scans for the differential tests.
+        Knobs that are off stay at the router's own defaults: a fifo,
+        count-based simulator constructs the plain router."""
         fns = self.services.batch_time_fns()
         return Router(self.machine, self.n_replicas, self.policy, fns[0],
-                      max_queue=self.max_queue, on_commit=on_commit,
-                      service_times=fns,
-                      model_weights=[p.weight for p in self._profiles],
-                      tracer=self._tracer, **self._scheduling_kwargs())
+                      limits=self.admission_limits(), on_commit=on_commit,
+                      service_times=fns, tracer=self._tracer,
+                      policies=self._policies, order=self.order,
+                      model_slos=(None if self.order == "fifo"
+                                  else self.model_slos()),
+                      model_costs=(self.model_costs() if self.cost_aware
+                                   else None))
 
     def _make_cache_run(self, n_requests: int, popularity: PopularityLike,
                         seed: SeedLike) -> Optional[_CacheRun]:

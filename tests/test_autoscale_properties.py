@@ -218,10 +218,10 @@ class TestPinnedDifferential:
         assert all(p.stats.mean_replicas == 2.0 for p in a.points)
 
 
-def _router(policy=None, n_replicas=2, max_queue=None):
+def _router(policy=None, n_replicas=2, limit=None):
     policy = policy or BatchingPolicy(max_batch=4, max_wait=math.inf)
     return Router(None, n_replicas, policy, FakeService().batch_time,
-                  max_queue=max_queue)
+                  limits=None if limit is None else [limit])
 
 
 class TestLiveFleetPrimitives:
@@ -265,9 +265,9 @@ class TestLiveFleetPrimitives:
         """A voluntary scale-in must not turn admitted requests into drops
         even when the survivors are at their admission limit."""
         router = _router(BatchingPolicy(max_batch=2, max_wait=math.inf),
-                         n_replicas=2, max_queue=2)
+                         n_replicas=2, limit=2)
         for i in range(4):
-            router.submit(0.0, i)   # both replicas at max_queue
+            router.submit(0.0, i)   # both replicas at the limit
         router.submit(0.0, 4)
         assert router.n_dropped == 1    # front door genuinely full
         router.remove_replica(1e-3)
@@ -511,6 +511,23 @@ class TestValidation:
             AutoscalePolicy(idle_epochs=0)
         with pytest.raises(ValueError, match="steps"):
             AutoscalePolicy(step_out=0)
+
+    @pytest.mark.parametrize("field", ["min_replicas", "max_replicas",
+                                       "cooldown_epochs", "idle_epochs",
+                                       "step_out", "step_in"])
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, 4.5, "2"])
+    def test_counts_that_are_not_counts_are_refused(self, field, bad):
+        # A NaN step or cooldown used to switch its rule off silently (a
+        # NaN step_out logged scale-outs that added nothing), and a
+        # fractional step or bound crashed mid-run in range().
+        with pytest.raises(ValueError, match=field):
+            AutoscalePolicy(**{field: bad})
+
+    def test_numpy_counts_are_stored_as_int(self):
+        cfg = AutoscalePolicy(max_replicas=np.int64(5),
+                              cooldown_epochs=np.int32(0))
+        assert type(cfg.max_replicas) is int and cfg.max_replicas == 5
+        assert type(cfg.cooldown_epochs) is int
 
     def test_autoscaler_initial_out_of_bounds(self):
         with pytest.raises(ValueError, match="initial fleet"):

@@ -429,10 +429,11 @@ class TestServiceTimeModel:
 
 
 class TestRouter:
-    def _router(self, n_replicas=3, max_queue=None, service=None):
+    def _router(self, n_replicas=3, limit=None, service=None):
         return Router(None, n_replicas, BatchingPolicy(max_batch=4,
                                                        max_wait=0.01),
-                      service or const_service(1.0), max_queue=max_queue)
+                      service or const_service(1.0),
+                      limits=None if limit is None else [limit])
 
     def test_placement_on_machine_nodes(self):
         r = self._router(n_replicas=4)
@@ -463,19 +464,20 @@ class TestRouter:
         assert r.replicas[0].queue.queue_depth == 3
 
     def test_admission_control_sheds(self):
-        r = self._router(n_replicas=1, max_queue=2)
+        r = self._router(n_replicas=1, limit=2)
         assert r.submit(0.0, 0)
         assert r.submit(0.0, 1)
         assert not r.submit(0.0, 2)      # queue full -> shed
         assert r.n_dropped == 1 and r.n_offered == 3
 
     def test_admission_bounds_outstanding_work(self):
-        """max_queue bounds admitted-but-uncompleted requests — committed
-        full batches still count (they are work the replica owes), so a
-        burst cannot push per-request latency past max_queue/throughput,
-        and the outcome is identical however the burst is timestamped."""
+        """A count limit bounds admitted-but-uncompleted requests —
+        committed full batches still count (they are work the replica
+        owes), so a burst cannot push per-request latency past
+        limit/throughput, and the outcome is identical however the burst
+        is timestamped."""
         r = Router(None, 1, BatchingPolicy(max_batch=32, max_wait=0.01),
-                   const_service(1.0), max_queue=64)
+                   const_service(1.0), limits=[64])
         admitted = sum(r.submit(0.0, i) for i in range(100))
         assert admitted == 64 and r.n_dropped == 36
         r.drain()
@@ -483,20 +485,20 @@ class TestRouter:
         assert sizes == [32, 32]
         # Same offered burst, microsecond-spaced: same admission outcome.
         r2 = Router(None, 1, BatchingPolicy(max_batch=32, max_wait=0.01),
-                    const_service(1.0), max_queue=64)
+                    const_service(1.0), limits=[64])
         admitted2 = sum(r2.submit(i * 1e-6, i) for i in range(100))
         assert admitted2 == 64
 
     def test_admission_engages_under_sustained_overload(self):
-        """With max_queue > max_batch (both defaults), sustained overload
-        must still shed — outstanding work, not just the unlaunched queue,
+        """With a limit above max_batch, sustained overload must still
+        shed — outstanding work, not just the unlaunched queue,
         hits the limit."""
         r = Router(None, 1, BatchingPolicy(max_batch=32, max_wait=0.01),
-                   const_service(1.0), max_queue=64)
+                   const_service(1.0), limits=[64])
         # Offered far above the 32 req/s capacity for a long stretch.
         admitted = sum(r.submit(i * 0.005, i) for i in range(2000))
         assert r.n_dropped > 0
-        # Everyone admitted waits at most ~max_queue worth of service.
+        # Everyone admitted waits at most ~limit worth of service.
         r.drain()
         completions = r.completions()
         worst = max(completions[i] - i * 0.005 for i in completions)
@@ -505,7 +507,7 @@ class TestRouter:
     def test_sheds_only_when_every_replica_is_full(self):
         """A full replica spills to one with queue space; shedding only
         happens when every queue is at the limit."""
-        r = self._router(n_replicas=2, max_queue=1)
+        r = self._router(n_replicas=2, limit=1)
         assert r.submit(0.0, 0)          # -> replica 0 (now full)
         assert r.submit(0.0, 1)          # -> replica 1 (now full)
         assert r.submit(0.0, 2) is False  # everyone full -> shed
@@ -515,8 +517,12 @@ class TestRouter:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_replicas"):
             self._router(n_replicas=0)
-        with pytest.raises(ValueError, match="max_queue"):
-            self._router(max_queue=0)
+        for bad in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="admission limits"):
+                self._router(limit=bad)
+        with pytest.raises(ValueError, match="2 admission limits"):
+            Router(None, 1, BatchingPolicy(), const_service(1.0),
+                   limits=[4, 4])
 
 
 class TestLatencyStats:
@@ -721,9 +727,10 @@ class TestCompareBatchingModes:
 
 class TestRetiredKnobs:
     """Round-robin routing, model affinity, LFU eviction, ``"slack"``
-    ordering and the simulators' own ``max_queue_seconds`` are gone, not
-    hidden: no public callable takes them, and a stale call fails at
-    construction instead of running some other configuration."""
+    ordering, the simulators' own ``max_queue_seconds`` and the router's
+    four admission knobs are gone, not hidden: no public callable takes
+    them, and a stale call fails at construction instead of running some
+    other configuration."""
 
     RETIRED = {"strategy", "affinity", "cache_policy"}
 
@@ -743,10 +750,13 @@ class TestRetiredKnobs:
         assert checked > 30
         for sim in (ServingSimulator, AutoscalingSimulator):
             assert "max_queue_seconds" not in self._params(sim)
-        # The router keeps the seconds budget: cost-aware admission
-        # derives it.
-        assert {"max_queue_seconds", "admission_floor_seconds"} \
-            <= self._params(Router)
+        # The router takes each model's limit, computed by the simulator
+        # (admission_limits), in place of the knobs it was derived from.
+        assert not {"max_queue", "model_weights", "max_queue_seconds",
+                    "admission_floor_seconds"} & self._params(Router)
+        assert "limits" in self._params(Router)
+        with pytest.raises(TypeError, match="max_queue"):
+            Router(None, 1, BatchingPolicy(), lambda b: 0.01, max_queue=4)
 
     @pytest.mark.parametrize("sim", [ServingSimulator,
                                      AutoscalingSimulator])

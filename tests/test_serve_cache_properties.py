@@ -270,10 +270,9 @@ class TestIncrementalBatchTime:
 
 # -- the heap router vs the linear oracle --------------------------------------
 
-def _routers(n_replicas, policy, svc, max_queue):
+def _routers(n_replicas, policy, svc, limit):
     args = (None, n_replicas, policy, svc.batch_time)
-    return (Router(*args, max_queue=max_queue),
-            LinearRouter(*args, max_queue=max_queue))
+    return (Router(*args, limits=[limit]), LinearRouter(*args, limits=[limit]))
 
 
 def _assert_same_outcome(fast, slow):
@@ -302,7 +301,7 @@ class TestRouterHeapDifferential:
             svc = FakeService(base=float(rng.uniform(1e-3, 6e-3)))
             fast, slow = _routers(
                 int(rng.integers(1, 9)), policy, svc,
-                max_queue=int(rng.integers(2, 40)))
+                limit=int(rng.integers(2, 40)))
             t = 0.0
             for rid in range(400):
                 t += float(rng.exponential(2e-4))
@@ -319,7 +318,7 @@ class TestRouterHeapDifferential:
             policy = BatchingPolicy(max_batch=int(rng.integers(2, 7)),
                                     max_wait=1e-3)
             svc = FakeService()
-            fast, slow = _routers(3, policy, svc, max_queue=16)
+            fast, slow = _routers(3, policy, svc, limit=16)
             t = 0.0
             for rid in range(300):
                 t += float(rng.exponential(3e-4))

@@ -15,13 +15,13 @@ Four families of guarantees for the seconds-based scheduler (ISSUE 7):
    time without waiting for ``drain``).
 3. **Cost-aware routing and admission** — least-loaded becomes
    shortest-expected-work (one queued expensive scan outweighs many
-   cheap events) and ``max_queue_seconds`` admission is judged in
-   seconds, with any positive limit admitting at an empty queue.
+   cheap events) and seconds limits are judged against the seconds
+   backlog, with any positive limit admitting at an empty queue.
 4. **Admission-limit regressions** (the satellite bugfix) — non-positive
-   model weights are rejected at construction and at ``register()``;
-   count-mode limits are floored at one request even for arbitrarily
-   tiny weights; the all-zero-weights corner raises ``ValueError``, not
-   ``ZeroDivisionError``.
+   model weights are rejected at ``ModelProfile`` and at ``register()``;
+   count-mode limits (``ServingSimulator.admission_limits``) are floored
+   at one request even for arbitrarily tiny weights; the all-zero-weights
+   corner raises ``ValueError``, not ``ZeroDivisionError``.
 
 Plus the documented degenerate-run contract of the stats accessors
 (zero-completion, all-shed, and single-request runs).
@@ -74,6 +74,15 @@ def _svc_fns(*services):
     return [s.batch_time for s in services]
 
 
+def _weighted_sim(weights, max_queue=64, **kw):
+    """A simulator over one FakeService per admission weight."""
+    return ServingSimulator(
+        models=[ModelProfile(f"m{i}", None, weight=w)
+                for i, w in enumerate(weights)],
+        service_models=[FakeService() for _ in weights],
+        max_queue=max_queue, **kw)
+
+
 def _assert_same(a, b):
     assert np.array_equal(a.latencies, b.latencies)
     assert a.n_offered == b.n_offered
@@ -114,14 +123,15 @@ class TestValidation:
             Router(None, 1, BatchingPolicy(), svc.batch_time,
                    model_costs=[0.0])
 
-    def test_max_queue_seconds_needs_costs(self):
+    def test_seconds_limits_must_be_positive(self):
         svc = FakeService()
-        with pytest.raises(ValueError, match="model_costs"):
+        for bad in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                Router(None, 1, BatchingPolicy(), svc.batch_time,
+                       model_costs=[0.1], limits=[bad])
+        with pytest.raises(ValueError, match="2 admission limits"):
             Router(None, 1, BatchingPolicy(), svc.batch_time,
-                   max_queue_seconds=1.0)
-        with pytest.raises(ValueError, match="positive"):
-            Router(None, 1, BatchingPolicy(), svc.batch_time,
-                   model_costs=[0.1], max_queue_seconds=0.0)
+                   model_costs=[0.1], limits=[1.0, 1.0])
 
     def test_per_model_sequence_lengths_checked(self):
         svc = FakeService()
@@ -261,8 +271,7 @@ class TestLaunchOrderSemantics:
         router = Router(None, 1, BatchingPolicy(max_batch=4, max_wait=0.01),
                         svc.batch_time,
                         service_times=_svc_fns(svc, svc),
-                        order="edf", model_slos=[0.05, 100.0],
-                        max_queue=None)
+                        order="edf", model_slos=[0.05, 100.0])
         rids = []
         t = 0.0
         for i in range(200):
@@ -296,7 +305,7 @@ class TestCostAwareRouting:
         # One queued expensive request (cost 10) outweighs many cheap
         # ones (cost 1): the cheap stream piles onto the other replica
         # until its seconds-backlog catches up, instead of alternating.
-        r = self._router([1.0, 10.0], max_queue=None)
+        r = self._router([1.0, 10.0])
         assert r.submit(0.0, 0, 1)          # -> replica 0 (ties to 0)
         for i in range(1, 9):
             assert r.submit(0.0, i, 0)
@@ -306,8 +315,7 @@ class TestCostAwareRouting:
     def test_count_mode_alternates_on_same_stream(self):
         svc = FakeService()
         r = Router(None, 2, BatchingPolicy(max_batch=64, max_wait=10.0),
-                   svc.batch_time, service_times=_svc_fns(svc, svc),
-                   max_queue=None)
+                   svc.batch_time, service_times=_svc_fns(svc, svc))
         assert r.submit(0.0, 0, 1)
         for i in range(1, 9):
             assert r.submit(0.0, i, 0)
@@ -315,8 +323,7 @@ class TestCostAwareRouting:
         assert sorted(r._backlog.values()) == [4, 5]
 
     def test_seconds_admission_limit(self):
-        r = self._router([1.0], n_replicas=1, max_queue=None,
-                         max_queue_seconds=5.0)
+        r = self._router([1.0], n_replicas=1, limits=[5.0])
         for i in range(5):
             assert r.submit(0.0, i)         # backlog 0..4 seconds < 5
         assert not r.submit(0.0, 5)         # 5 >= 5: shed
@@ -326,19 +333,22 @@ class TestCostAwareRouting:
         # One request costs 10x the limit — it is still admitted when
         # the queue is empty (only the *next* one is shed): a positive
         # limit can never starve a model outright.
-        r = self._router([10.0], n_replicas=1, max_queue=None,
-                         max_queue_seconds=5.0)
+        r = self._router([10.0], n_replicas=1, limits=[5.0])
         assert r.submit(0.0, 0)
         assert not r.submit(0.0, 1)
 
     def test_weighted_seconds_limits(self):
-        r = self._router([1.0, 1.0], max_queue=None,
-                         max_queue_seconds=8.0,
-                         model_weights=[4.0, 1.0])
-        assert r._limits == [8.0, 2.0]
+        # Equal costs, so the mix-weighted mean is the one cost; each
+        # weighted share clears the one-max-batch floor (8 costs).
+        sim = _weighted_sim([4.0, 1.0], max_queue=64, cost_aware=True,
+                            policy=BatchingPolicy(max_batch=8))
+        c = sim.model_costs()[0]
+        assert sim.admission_limits() == [64 * c * 4.0 / 4.0,
+                                          64 * c * 1.0 / 4.0]
+        assert sim._make_router()._limits == sim.admission_limits()
 
     def test_total_backlog_in_seconds(self):
-        r = self._router([1.0, 10.0], max_queue=None)
+        r = self._router([1.0, 10.0])
         r.submit(0.0, 0, 1)
         r.submit(0.0, 1, 0)
         assert r.total_backlog(0.0) == 11.0
@@ -353,10 +363,13 @@ class TestCostAwareRouting:
                                max_queue=10, cost_aware=True)
         costs = sim.model_costs()
         assert costs == [s.est_request_cost(8) for s in services]
-        kw = sim._scheduling_kwargs()
-        assert kw["model_costs"] == costs
-        assert kw["max_queue_seconds"] == pytest.approx(
+        assert sim._make_router().model_costs == costs
+        # Equal weights: each limit is the whole seconds budget, and the
+        # dear model's is raised to one max batch of its own work.
+        limits = sim.admission_limits()
+        assert limits[0] == pytest.approx(
             10 * (0.5 * costs[0] + 0.5 * costs[1]))
+        assert limits[1] == costs[1] * 8
 
 
 # -- skewed-mix starvation (the derived-seconds-budget bugfix) -----------------
@@ -391,16 +404,17 @@ class TestSkewedMixStarvation:
     def test_derived_budget_floors_at_one_max_batch(self):
         sim = self._sim()
         costs = sim.model_costs()
-        kw = sim._scheduling_kwargs()
-        # The derived budget itself is unchanged (pinned elsewhere too)…
-        assert kw["max_queue_seconds"] == pytest.approx(
-            32 * (0.99 * costs[0] + 0.01 * costs[1]))
-        # …and each model's floor is one batch of its own work.
-        assert kw["admission_floor_seconds"] == [costs[0] * 8,
-                                                 costs[1] * 8]
+        budget = 32 * (0.99 * costs[0] + 0.01 * costs[1])
+        limits = sim.admission_limits()
+        # The top-weight model gets the whole derived budget, above its
+        # own floor…
+        assert limits[0] == pytest.approx(budget)
+        assert limits[0] > costs[0] * 8
+        # …and the expensive model is raised to one batch of its work.
+        assert limits[1] == costs[1] * 8
         # Pre-floor, the expensive model's weighted share of the budget
         # was below the cost of a single one of its requests.
-        assert kw["max_queue_seconds"] * (1.0 / 100.0) < costs[1]
+        assert budget * (1.0 / 100.0) < costs[1]
 
     def test_expensive_model_admits_instead_of_shedding_100pct(self):
         sim = self._sim()
@@ -412,35 +426,24 @@ class TestSkewedMixStarvation:
         # (100% shed, replicas idle or serving cheap traffic only).
         assert dear.n_dropped == 0
 
-    def test_router_floors_derived_limits(self):
-        cheap, dear = FakeService(0.004, 0.001), FakeService(0.4, 0.1)
-        r = Router(None, 1, BatchingPolicy(max_batch=8, max_wait=1e-3),
-                   cheap.batch_time, service_times=_svc_fns(cheap, dear),
-                   model_costs=[cheap.est_request_cost(8),
-                                dear.est_request_cost(8)],
-                   model_weights=[100.0, 1.0], max_queue=None,
-                   max_queue_seconds=0.0955,
-                   admission_floor_seconds=[0.012, 1.2])
+    def test_router_gets_the_floored_limits(self):
         # Model 0's weighted share already clears its floor and is taken
-        # verbatim; model 1's sliver (0.000955) is raised to its floor.
-        assert r._limits == [0.0955, 1.2]
+        # verbatim; model 1's sliver is raised to its floor. The router
+        # reads exactly what the simulator computed.
+        sim = self._sim()
+        costs = sim.model_costs()
+        r = sim._make_router()
+        assert r._limits == sim.admission_limits()
+        assert r._limits[1] == costs[1] * 8
+        assert r.model_costs == costs
 
-    def test_floor_validation(self):
-        svc = FakeService()
-        fns = _svc_fns(svc, svc)
-
-        def router(**kw):
-            return Router(None, 1, BatchingPolicy(), svc.batch_time,
-                          service_times=fns, model_costs=[1.0, 1.0], **kw)
-
-        with pytest.raises(ValueError, match="max_queue_seconds"):
-            router(admission_floor_seconds=[1.0, 1.0])
-        with pytest.raises(ValueError, match="floors for"):
-            router(max_queue_seconds=5.0,
-                   admission_floor_seconds=[1.0])
-        with pytest.raises(ValueError, match="non-negative"):
-            router(max_queue_seconds=5.0,
-                   admission_floor_seconds=[1.0, -1.0])
+    def test_unbounded_queue_has_no_limit(self):
+        # max_queue=None is no limit in either unit, floors included.
+        for cost_aware in (False, True):
+            sim = _weighted_sim([100.0, 1.0], max_queue=None,
+                                cost_aware=cost_aware)
+            assert sim.admission_limits() == [math.inf, math.inf]
+            assert sim._make_router()._limits == [math.inf, math.inf]
 
     def test_single_model_derivation_has_no_floor(self):
         # The floor applies only where starvation can: cross-model
@@ -449,10 +452,9 @@ class TestSkewedMixStarvation:
         sim = ServingSimulator(service_model=FakeService(),
                                policy=BatchingPolicy(max_batch=8),
                                max_queue=4, cost_aware=True)
-        kw = sim._scheduling_kwargs()
-        assert kw["admission_floor_seconds"] is None
-        assert kw["max_queue_seconds"] == pytest.approx(
-            4 * sim.model_costs()[0])
+        c = sim.model_costs()[0]
+        assert sim.admission_limits() == [4 * c]
+        assert 4 * c < c * 8            # a floor would have raised it
 
 
 # -- admission-limit regressions (the satellite bugfix) ------------------------
@@ -462,8 +464,9 @@ class TestAdmissionLimitRegressions:
         svc = FakeService()
         fns = _svc_fns(*([svc] * len(weights)))
         return Router(None, 1, BatchingPolicy(), svc.batch_time,
-                      service_times=fns, model_weights=weights,
-                      max_queue=max_queue)
+                      service_times=fns,
+                      limits=_weighted_sim(weights,
+                                           max_queue).admission_limits())
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -504,9 +507,10 @@ class TestAdmissionLimitRegressions:
         assert r.submit(0.0, 0, 0)      # empty queue: always admitted
 
     def test_floor_holds_even_if_validation_is_bypassed(self):
-        r = self._router([1.0, 1.0], max_queue=64)
-        r.model_weights = [0.0, 1.0]    # simulate a bypassed guard
-        assert r._admission_limits(2) == [1, 64]
+        sim = _weighted_sim([1.0, 1.0], max_queue=64)
+        # simulate a bypassed guard
+        object.__setattr__(sim._profiles[0], "weight", 0.0)
+        assert sim.admission_limits() == [1, 64]
 
     def test_weighted_count_limits_unchanged(self):
         r = self._router([4.0, 1.0], max_queue=10)

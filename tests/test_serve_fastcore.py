@@ -20,6 +20,7 @@ never a behavior change. Five layers pin that:
    tracing) actually *runs*, and each lands on
    exactly the engine this test's own support matrix claims, so
    ``unsupported_reason()`` can never silently drift from the dispatch.
+   A profiler keeps a supported run on the array core.
 3. **Oracle differential** — the array core vs the PR 4 frozen reference
    (:class:`repro.serve.reference.LinearServingSimulator`), so the chain
    oracle -> event loop -> array core is pinned end to end, including at
@@ -42,6 +43,7 @@ configuration the engines would disagree on is refused when it is
 constructed.
 """
 
+import gc
 import math
 import re
 import subprocess
@@ -65,6 +67,7 @@ from repro.serve import (
     ZipfPopularity,
 )
 from repro.serve import fast_core
+from repro.serve.obs import Profiler
 from repro.serve.reference import LinearServingSimulator
 from repro.sim.workload import hep_workload
 from repro.utils.rng import as_rng
@@ -369,6 +372,34 @@ class TestSupportLattice:
                     tracer=Tracer() if traced else None)
             assert sim.last_run_engine == self._expected(*axes), axes
 
+    def test_a_profiled_run_stays_on_its_engine(self):
+        """A profiler times the run's phases and never changes a result,
+        so it keeps a supported run on the array core: the same stats as
+        the unprofiled run, the ``run.*`` spans recorded, and no
+        reference cycle left behind."""
+        for models in (False, True):
+            for cache in (0, 16):
+                plain, sim = (self._build(models, cache, False, "fifo",
+                                          False) for _ in range(2))
+                run = dict(rate=1.2 * plain.saturation_rate(),
+                           n_requests=400, process="poisson", seed=5,
+                           popularity="zipf" if cache else None)
+                want = plain.run(**run)
+                prof = Profiler()
+                gc.collect()
+                gc.disable()
+                try:
+                    got = sim.run(profiler=prof, **run)
+                    assert gc.collect() == 0
+                finally:
+                    gc.enable()
+                assert sim.last_run_engine == "array"
+                assert plain.last_run_engine == "array"
+                _assert_same(got, want)
+                _assert_same_models(got, want)
+                assert {"run.arrivals", "run.drive",
+                        "run.collect"} <= set(prof.totals())
+
     def test_event_engine_request_is_honored(self):
         # engine="event" never opts in, even for a fully supported config
         sim = ServingSimulator(None, service_model=FakeService(),
@@ -639,7 +670,7 @@ class TestEngineProperties:
             if len(stats.batch_sizes):
                 assert stats.batch_sizes.min() >= 1
                 assert stats.batch_sizes.max() <= max(
-                    sim._policy_of(m).max_batch
+                    sim._policies[m].max_batch
                     for m in range(len(drawn.services)))
             # transport floor: no latency below one rtt (a cache hit),
             # plus one min batch when nothing hit

@@ -192,8 +192,7 @@ class TestModelLanes:
         assert not q.lanes
         one = Router(None, 1, BatchingPolicy(), lambda b: 0.01)
         two = Router(None, 2, BatchingPolicy(), None,
-                     service_times=[lambda b: 0.01] * 2,
-                     model_weights=[1.0, 4.0])
+                     service_times=[lambda b: 0.01] * 2)
         for router, bad in ((one, 1), (one, -1), (two, 2), (two, -1)):
             with pytest.raises(ValueError, match="model index"):
                 router.submit(0.0, 0, bad)
@@ -205,12 +204,18 @@ class TestModelLanes:
 # -- weighted admission ------------------------------------------------------
 
 class TestWeightedAdmission:
+    """The simulator turns profile weights into per-model limits
+    (``admission_limits``); the router sheds on them."""
+
     def _router(self, weights, max_queue=8):
         svc = FakeService()
+        sim = ServingSimulator(
+            models=[ModelProfile(f"m{i}", None, weight=w)
+                    for i, w in enumerate(weights)],
+            service_models=[svc] * len(weights), max_queue=max_queue)
         return Router(None, 1, BatchingPolicy(max_batch=4, max_wait=1e-3),
-                      svc.batch_time, max_queue=max_queue,
-                      service_times=[svc.batch_time, svc.batch_time],
-                      model_weights=weights)
+                      svc.batch_time, limits=sim.admission_limits(),
+                      service_times=[svc.batch_time, svc.batch_time])
 
     def test_low_weight_model_shed_first(self):
         r = self._router([1.0, 0.25], max_queue=8)
@@ -233,8 +238,8 @@ class TestWeightedAdmission:
         assert r.dropped_by_model[0] + r.dropped_by_model[1] == 8
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError, match="weights"):
-            self._router([1.0])        # 1 weight for 2 models
+        with pytest.raises(ValueError, match="admission limits"):
+            self._router([1.0])        # 1 limit for 2 models
         with pytest.raises(ValueError, match="positive"):
             self._router([1.0, -1.0])
 
@@ -247,7 +252,7 @@ class TestMultiModelFleetChanges:
         s0, s1 = FakeService(), FakeService(0.009, 0.002)
         return Router(None, n_replicas,
                       BatchingPolicy(max_batch=4, max_wait=1e-3),
-                      s0.batch_time, max_queue=None,
+                      s0.batch_time,
                       service_times=[s0.batch_time, s1.batch_time])
 
     @staticmethod

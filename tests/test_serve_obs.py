@@ -358,6 +358,38 @@ class TestScaleReason:
         decisions = [e for e in tr.events if e.kind == "decision"]
         assert len(decisions) == len(stats.epochs)
 
+    def test_every_fleet_event_traces_what_it_records(self):
+        """Controller changes, node deaths, degrades and repairs each
+        record one ScaleEvent and one ``scale`` trace event carrying the
+        same fields; a node event also names its node, a death what it
+        lost, a degrade its slow factor."""
+        events = [FailureEvent(0.15, 1, "degrade", 3.0),
+                  FailureEvent(0.3, 0, "fail"),
+                  FailureEvent(0.45, 1, "repair")]
+        sim = _obs_sim(5, failure_events=events)
+        tr = Tracer()
+        stats = sim.run(1.3 * sim.saturation_rate(), n_requests=2000,
+                        process="mmpp", seed=5, popularity="zipf",
+                        tracer=tr)
+        scales = [e for e in tr.events if e.kind == "scale"]
+        assert len(scales) == len(stats.scale_events)
+        # by cause: a controller repair (replace_failed) names no node
+        extra = {"node_death": {"node_id", "lost"},
+                 "node_degrade": {"node_id", "slow_factor"},
+                 "node_repair": {"node_id"}}
+        assert set(extra) <= {ev.reason.cause for ev in stats.scale_events}
+        for ev, te in zip(stats.scale_events, scales):
+            assert te.time == ev.time
+            assert (te.data["epoch"], te.data["action"], te.data["delta"],
+                    te.data["n_replicas"]) \
+                == (ev.epoch, ev.action, ev.delta, ev.n_replicas)
+            assert set(te.data) == ({"epoch", "action", "delta",
+                                     "n_replicas"}
+                                    | extra.get(ev.reason.cause, set())
+                                    | set(ev.reason.signals()))
+            if ev.action == "degrade":
+                assert te.data["slow_factor"] == 3.0
+
     def test_scale_event_accepts_reason_none(self):
         ev = ScaleEvent(0.0, 0, "scale_out", 1, 2)
         assert ev.reason is None

@@ -28,7 +28,9 @@ fresh computation gives after every generated step. A twin queue that
 advances before every push holds the advances a push skips to no-ops,
 step by step. Generated whole simulations run under the router's
 launch-event rule and under the every-admit rule it replaced, and must
-agree bit for bit. The last test pins the work an admit does — calls, not
+agree bit for bit. Generated simulators over 1-3 models hand the router
+and the array core the one list of admission limits the simulator
+computes. The last test pins the work an admit does — calls, not
 seconds — on one fixed-seed run.
 """
 
@@ -370,10 +372,12 @@ def test_published_load_is_never_stale(data):
         BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
                        max_wait=data.draw(st.sampled_from(
                            [0.0, 2e-3, math.inf]))),
-        None, max_queue=None,
+        None,
         service_times=[(lambda b, c=c: 1e-3 + c * b) for c in costs],
         model_costs=costs,
-        max_queue_seconds=data.draw(st.sampled_from([None, 0.02])),
+        limits=data.draw(st.one_of(st.none(), st.lists(
+            st.sampled_from([1e-3, 0.008, 0.02]), min_size=2,
+            max_size=2))),
         order=data.draw(st.sampled_from(LAUNCH_ORDERS)),
         model_slos=[0.01, 0.05])
     t = 0.0
@@ -571,6 +575,62 @@ def test_pushing_only_changed_launches_changes_nothing(case):
     # repr: exact float text, and NaN fields compare equal
     assert repr(got.epochs) == repr(ref.epochs)
     assert repr(got.scale_events) == repr(ref.scale_events)
+
+
+# -- one admission rule ---------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_both_engines_read_one_admission_rule(data):
+    """``admission_limits`` is each model's limit in the router's load
+    unit, and it is what both engines admit on: the router's ``_limits``
+    are that list, count limits are ``ceil(max_queue * w / max(w))``
+    floored at one, and a count-mode run sheds the same requests on the
+    event loop and the array core."""
+    n_models = data.draw(st.integers(1, 3))
+    weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n_models,
+                                 max_size=n_models))
+    policies = data.draw(st.lists(st.sampled_from(
+        [None, BatchingPolicy(max_batch=2, max_wait=1e-3),
+         BatchingPolicy(max_batch=16, max_wait=0.0)]),
+        min_size=n_models, max_size=n_models))
+    mix = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_models,
+                             max_size=n_models))
+    max_queue = data.draw(st.sampled_from([None, 1, 3, 256]))
+    cost_aware = data.draw(st.booleans())
+    services = [_Service(0.004 * (m + 1) ** 3, 0.001 * (m + 1) ** 3)
+                for m in range(n_models)]
+    kw = dict(models=[ModelProfile(f"m{m}", None, weight=w, policy=p)
+                      for m, (w, p) in enumerate(zip(weights, policies))],
+              service_models=services, model_mix=mix, max_queue=max_queue,
+              policy=BatchingPolicy(max_batch=4, max_wait=2e-3),
+              n_replicas=data.draw(st.integers(1, 3)))
+    sim = ServingSimulator(cost_aware=cost_aware, **kw)
+    limits = sim.admission_limits()
+    assert sim._make_router()._limits == limits
+    if max_queue is None:
+        assert limits == [math.inf] * n_models
+    elif not cost_aware:
+        w_max = max(weights)
+        assert limits == [max(1, math.ceil(max_queue * w / w_max))
+                          for w in weights]
+    else:
+        floors = [c * p.max_batch
+                  for c, p in zip(sim.model_costs(), sim._policies)]
+        assert all(L > 0 for L in limits)
+        if n_models > 1:
+            assert all(L >= f for L, f in zip(limits, floors))
+    if cost_aware:
+        return
+    run = dict(rate=4.0 * sim.saturation_rate(), n_requests=120,
+               process="poisson", seed=data.draw(st.integers(0, 2**16)))
+    event = sim.run(**run)
+    array = ServingSimulator(engine="array", **kw)
+    arr = array.run(**run)
+    assert array.last_run_engine == "array"
+    assert np.array_equal(arr.latencies, event.latencies)
+    assert (arr.n_dropped, [m.n_dropped for m in arr.models]) \
+        == (event.n_dropped, [m.n_dropped for m in event.models])
 
 
 # -- the work an admit does -----------------------------------------------------
