@@ -17,6 +17,7 @@ Two models:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -42,9 +43,13 @@ class FailureEvent:
         if not 0 <= self.time < math.inf:
             raise ValueError(
                 f"time must be finite and non-negative, got {self.time}")
-        if self.node_id < 0:
+        # a node index: an integer >= 0 (NumPy ones included), stored as
+        # int — a fractional or NaN one would crash the run that indexes
+        # replicas with it
+        if not isinstance(self.node_id, numbers.Integral) or self.node_id < 0:
             raise ValueError(
-                f"node_id must be non-negative, got {self.node_id}")
+                f"node_id must be an integer >= 0, got {self.node_id!r}")
+        object.__setattr__(self, "node_id", int(self.node_id))
         if not math.isfinite(self.slow_factor):
             raise ValueError(
                 f"slow_factor must be finite, got {self.slow_factor}")

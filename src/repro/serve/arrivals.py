@@ -158,19 +158,23 @@ class MMPP:
         compare against :meth:`interarrival_moments`.
         """
         lam = self.state_rates(rate)
-        switch = self.switch_rates(rate)
-        state = int(rng.random() >= self._arrival_phase_law(rate)[0])
-        gaps = np.empty(n_requests)
-        for i in range(n_requests):
+        totals = [a + q for a, q in zip(lam, self.switch_rates(rate))]
+        # per-state constants, once: the mean gap to the next event and
+        # the chance that event is an arrival (same floats as per draw)
+        means = [1.0 / total for total in totals]
+        p_arrival = [a / total for a, total in zip(lam, totals)]
+        exponential, uniform = rng.exponential, rng.random
+        state = int(uniform() >= self._arrival_phase_law(rate)[0])
+        gaps = []
+        for _ in range(n_requests):
             t = 0.0
             while True:
-                total = lam[state] + switch[state]
-                t += rng.exponential(1.0 / total)
-                if rng.random() < lam[state] / total:
+                t += exponential(means[state])
+                if uniform() < p_arrival[state]:
                     break
                 state = 1 - state
-            gaps[i] = t
-        return gaps
+            gaps.append(t)
+        return np.array(gaps, dtype=np.float64)
 
     def sample(self, rate: float, n_requests: int,
                rng: np.random.Generator) -> np.ndarray:

@@ -521,8 +521,7 @@ class AutoscalingSimulator(ServingSimulator):
                            n_degraded=n_degraded,
                            n_repaired=n_repaired)
 
-    def _drive(self, arrivals: np.ndarray, router: Router,
-               admitted: dict) -> None:
+    def _drive(self, arrivals: np.ndarray, router: Router) -> None:
         # The control loop is object-event only: fleets change size, so
         # the flat array core (fixed-fleet by construction) never applies.
         self.last_run_engine = "event"
@@ -681,8 +680,7 @@ class AutoscalingSimulator(ServingSimulator):
                 else:
                     close_epoch(next_epoch)
                     next_epoch += epoch_s
-            self._offer(router, admitted, t, i)
-            if i in admitted:
+            if self._offer(router, t, i):
                 open_reqs[i] = t
         advance_area(t_end)
         span = t_end - t0
@@ -698,9 +696,9 @@ class AutoscalingSimulator(ServingSimulator):
             epochs, events,
             area / span if span > 0 else float(router.n_replicas))
 
-    def _collect(self, arrivals: np.ndarray, router: Router,
-                 admitted: dict) -> LatencyStats:
-        stats = super()._collect(arrivals, router, admitted)
+    def _collect(self, arrivals: np.ndarray,
+                 router: Router) -> LatencyStats:
+        stats = super()._collect(arrivals, router)
         epochs, events, mean_replicas = self._epoch_accum
         del self._epoch_accum
         stats.epochs = epochs

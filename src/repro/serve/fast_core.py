@@ -29,6 +29,14 @@ fused loop over preallocated arrays and compact C-typed buffers:
 - per-request completion times are written once at the end with a single
   ``np.repeat`` fancy assignment from the per-batch record.
 
+**One record, one collector.** A drive ends in a :class:`FastRun`:
+per-request completion times and outcome masks plus the batch columns.
+The event engine ends in the same record (``ServingSimulator._record``
+fills it after the drain from the router's ledgers), so :func:`collect`
+is the only code that turns a run into
+:class:`~repro.serve.metrics.LatencyStats` — about fifteen vectorized
+calls, no per-request Python loop on either engine.
+
 **Equivalence, not approximation.** Every float produced here is computed
 by the same IEEE-754 operations in the same order as the event loop:
 launch instants as two-way ``max`` of the same operands, completions as
@@ -124,24 +132,29 @@ def unsupported_reason(sim) -> Optional[str]:
 
 @dataclass
 class FastRun:
-    """One finished array-core drive, pre-:class:`LatencyStats`.
+    """One finished run, pre-:class:`LatencyStats` — the record both
+    engines end in (the event engine's is built by
+    ``ServingSimulator._record`` after its drain).
 
-    ``complete_t[i]`` is request ``i``'s completion time (its arrival
-    time for cache hits, NaN when shed — ``shed``/``hit`` are the
-    masks); the ``b*`` buffers are per-replica batch records in launch
-    order (``array('d')``/``array('q')``, the raw form of
-    ``LatencyStats.batch_sizes``).
+    ``complete_t[i]`` is request ``i``'s completion time: its arrival time
+    for a cache hit, its leader's completion for a coalesced follower,
+    NaN when shed or lost. ``shed`` / ``hit`` / ``failed`` /
+    ``coalesced`` are bool masks over request ids; ``None`` means the run
+    had no such requests by construction (no cache; the array core never
+    fails or coalesces). ``failed`` holds the requests lost to a replica
+    death, stranded coalesced followers included. ``bstart`` / ``bcomp``
+    / ``bsize`` hold every launched batch, replica by replica (live, then
+    retired) and each replica's in launch order.
     """
 
     complete_t: np.ndarray
     shed: np.ndarray
-    bstart: List[array]
-    bcomp: List[array]
-    bsize: List[array]
-    n_dropped: int
-    hit: Optional[np.ndarray] = None    # bool mask: served from cache
-    n_hits: int = 0
-    last_hit_t: float = -_INF
+    bstart: np.ndarray
+    bcomp: np.ndarray
+    bsize: np.ndarray
+    hit: Optional[np.ndarray] = None
+    failed: Optional[np.ndarray] = None
+    coalesced: Optional[np.ndarray] = None
 
 
 def drive(sim, arrivals: np.ndarray) -> FastRun:
@@ -175,63 +188,72 @@ def _np_of(buf: array, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype)
 
 
+def _count(mask: Optional[np.ndarray]) -> int:
+    return 0 if mask is None else int(np.count_nonzero(mask))
+
+
 def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
-    """Assemble :class:`LatencyStats` from a :class:`FastRun` — the array
-    form of ``ServingSimulator._collect``, producing bit-identical
-    fields: latencies in request-id order as ``(completion - arrival) +
-    rtt`` (the rtt of each request's own model on multi-model runs; a
-    cache hit's completion is its arrival, so its latency is exactly the
-    transport rtt), horizon from the last completion-or-hit plus the
-    transport leg, batch sizes stable-sorted by ``(start, completion)``
-    exactly like ``Router.batches()``, and per-model slices judged with
-    each model's own rtt and SLO."""
-    mask = ~run.shed
+    """Assemble :class:`LatencyStats` from either engine's
+    :class:`FastRun`: latencies in request-id order as ``(completion -
+    arrival) + rtt`` (the rtt of each request's own model on multi-model
+    runs; a cache hit's completion is its arrival, so its latency is
+    exactly the transport rtt), horizon from the last completion plus the
+    largest rtt, batch sizes stable-sorted by ``(start, completion)`` like
+    ``sorted()`` over the replicas' batch lists, and per-model slices
+    judged with each model's own rtt and SLO.
+
+    A request that was neither answered, shed nor lost to a failure is a
+    scheduler bug: ``KeyError`` names the first such id rather than
+    silently shrinking the sample."""
+    ct = run.complete_t
+    done = ~np.isnan(ct)
+    n_done = int(np.count_nonzero(done))
+    n_dropped, n_failed = _count(run.shed), _count(run.failed)
+    if n_done + n_dropped + n_failed != ct.size:
+        stray = ~(done | run.shed)
+        if run.failed is not None:
+            stray &= ~run.failed
+        raise KeyError(int(np.flatnonzero(stray)[0]))
     rtts = sim._request_rtts()
-    mids = sim._mids
+    mids = sim._mids_np
+    cd = ct[done]
     if mids is None:            # one model: no per-request model ids
-        latencies = (run.complete_t[mask] - arrivals[mask]) + rtts[0]
-        mids_np = None
+        latencies = (cd - arrivals[done]) + rtts[0]
     else:
-        mids_np = np.asarray(mids, dtype=np.intp)
-        rtts_np = np.asarray(rtts, dtype=np.float64)
-        latencies = ((run.complete_t[mask] - arrivals[mask])
-                     + rtts_np[mids_np[mask]])
-    starts = np.concatenate([_np_of(b, np.float64) for b in run.bstart])
-    comps = np.concatenate([_np_of(b, np.float64) for b in run.bcomp])
-    sizes = np.concatenate([_np_of(b, np.int64) for b in run.bsize])
-    # np.lexsort is stable per key, so ties on (start, completion) keep
-    # replica order — the same order sorted() leaves Router.batches() in.
-    order = np.lexsort((comps, starts))
-    batch_sizes = sizes[order]
-    last = -_INF
-    for b in run.bcomp:
-        if len(b) and b[-1] > last:   # per-replica completions ascend
-            last = b[-1]
-    if run.n_hits and run.last_hit_t > last:
-        last = run.last_hit_t
+        latencies = ((cd - arrivals[done])
+                     + np.asarray(rtts, dtype=np.float64)[mids[done]])
     horizon = 0.0
-    if last > -_INF:
-        horizon = last + max(rtts) - float(arrivals[0])
-    stats = LatencyStats(latencies=latencies,
-                         n_offered=int(arrivals.size),
-                         n_dropped=run.n_dropped, horizon=horizon,
-                         batch_sizes=batch_sizes,
-                         n_cache_hits=run.n_hits)
+    if n_done:
+        horizon = float(cd.max()) + max(rtts) - float(arrivals[0])
+    # np.lexsort is stable per key, so ties on (start, completion) keep
+    # replica order — the order sorted() leaves a batch list in.
+    order = np.lexsort((run.bcomp, run.bstart))
+    stats = LatencyStats(latencies=latencies, n_offered=int(ct.size),
+                         n_dropped=n_dropped, horizon=horizon,
+                         batch_sizes=run.bsize[order], n_failed=n_failed,
+                         n_cache_hits=_count(run.hit),
+                         n_coalesced=_count(run.coalesced))
     if sim.models is not None:
+        M = len(sim.models)
+        if mids is None:        # models=[one profile]: all model 0
+            mids = np.zeros(ct.size, dtype=np.intp)
+
+        def per_model(mask):
+            if mask is None:
+                return [0] * M
+            return np.bincount(mids[mask], minlength=M).tolist()
+
+        offered = np.bincount(mids, minlength=M).tolist()
+        dropped, failed, hits, coalesced = map(
+            per_model, (run.shed, run.failed, run.hit, run.coalesced))
+        md = mids[done]
         slos = sim.model_slos()
-        if mids_np is None:     # models=[one profile]: all model 0
-            mids_np = np.zeros(arrivals.size, dtype=np.intp)
-        mm = mids_np[mask]
-        out = []
-        for m, profile in enumerate(sim.models):
-            out.append(PerModelStats(
-                name=profile.name, slo=slos[m], weight=profile.weight,
-                latencies=latencies[mm == m],
-                n_offered=int(np.count_nonzero(mids_np == m)),
-                n_dropped=int(np.count_nonzero(mids_np[run.shed] == m)),
-                n_cache_hits=0 if run.hit is None else int(
-                    np.count_nonzero(mids_np[run.hit] == m))))
-        stats.models = out
+        stats.models = [PerModelStats(
+            name=profile.name, slo=slos[m], weight=profile.weight,
+            latencies=latencies[md == m], n_offered=offered[m],
+            n_dropped=dropped[m], n_failed=failed[m],
+            n_cache_hits=hits[m], n_coalesced=coalesced[m])
+            for m, profile in enumerate(sim.models)]
     return stats
 
 
@@ -546,17 +568,18 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
             tb = lw[li][-1]
             _commit(r, li, lqn[li], fa if fa > tb else tb, svcs[li - bl])
     _writeback(complete_np, m_rid, m_comp, m_take)
-    n_hits = len(h_rid)
     hit_np = None
     if cached:
         hit_np = np.zeros(n, dtype=bool)
-        if n_hits:
+        if h_rid:
             hidx = np.frombuffer(h_rid, dtype=np.int64)
             complete_np[hidx] = np.frombuffer(h_t, dtype=np.float64)
             hit_np[hidx] = True
     if s_rid:
         shed_np[np.frombuffer(s_rid, dtype=np.int64)] = True
-    return FastRun(complete_t=complete_np, shed=shed_np, bstart=bstart,
-                   bcomp=bcomp, bsize=bsize, n_dropped=len(s_rid),
-                   hit=hit_np, n_hits=n_hits,
-                   last_hit_t=h_t[-1] if n_hits else -_INF)
+    return FastRun(
+        complete_t=complete_np, shed=shed_np,
+        bstart=np.concatenate([_np_of(b, np.float64) for b in bstart]),
+        bcomp=np.concatenate([_np_of(b, np.float64) for b in bcomp]),
+        bsize=np.concatenate([_np_of(b, np.int64) for b in bsize]),
+        hit=hit_np)

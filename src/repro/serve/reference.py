@@ -61,8 +61,7 @@ class LinearRouter(Router):
         # pre-multi-model single-model runs this oracle is kept for).
         self.n_offered += 1
         if not self.replicas:
-            self.n_dropped += 1
-            return False
+            return self._shed(t, request_id, model)
         for r in self.replicas:
             r.queue.advance(t)
         replica = self._least_loaded_scan(self.replicas, t)
@@ -70,8 +69,7 @@ class LinearRouter(Router):
             open_replicas = [r for r in self.replicas
                              if not self._full_scan(r, t)]
             if not open_replicas:
-                self.n_dropped += 1
-                return False
+                return self._shed(t, request_id, model)
             replica = self._least_loaded_scan(open_replicas, t)
         replica.queue.push(t, request_id, model)
         return True
@@ -137,11 +135,9 @@ class LinearServingSimulator(ServingSimulator):
                             limits=self.admission_limits(),
                             on_commit=on_commit)
 
-    def _drive(self, arrivals: np.ndarray, router: Router,
-               admitted: dict) -> None:
+    def _drive(self, arrivals: np.ndarray, router: Router) -> None:
         for i, t in enumerate(arrivals):   # pre-PR: np scalars, float() each
-            if router.submit(float(t), i):
-                admitted[i] = float(t)
+            router.submit(float(t), i)
 
 
 class LinearAutoscalingSimulator(AutoscalingSimulator):

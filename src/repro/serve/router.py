@@ -157,8 +157,7 @@ class Router:
         #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed), handed down
         #: to every replica queue; ``None`` is the exact pre-trace path
         self.tracer = tracer
-        #: per-request-model offer/drop tallies (key: model index)
-        self.offered_by_model: Dict[int, int] = {}
+        #: per-model drop tallies (key: model index)
         self.dropped_by_model: Dict[int, int] = {}
         # Incremental event state (see module docstring).
         self._backlog: Dict[int, int] = {}
@@ -190,7 +189,8 @@ class Router:
         #: dead node stays dead and a new replica always gets a fresh one
         self._placed = n_replicas
         self.n_offered = 0
-        self.n_dropped = 0
+        #: ids of the requests admission control shed, in shed order
+        self.shed_ids: List[int] = []
         #: requests lost to replica failures (admitted, never answered)
         self.n_failed = 0
         #: their ids — so observers can tell dead from still-pending
@@ -199,6 +199,10 @@ class Router:
     @property
     def n_replicas(self) -> int:
         return len(self.replicas)
+
+    @property
+    def n_dropped(self) -> int:
+        return len(self.shed_ids)
 
     def node_ids(self) -> List[int]:
         return [r.node_id for r in self.replicas]
@@ -336,7 +340,7 @@ class Router:
         return float(sum(self._load[r.index] for r in self.replicas))
 
     def _shed(self, t: float, request_id: int, model: int) -> bool:
-        self.n_dropped += 1
+        self.shed_ids.append(request_id)
         self.dropped_by_model[model] = \
             self.dropped_by_model.get(model, 0) + 1
         if self.tracer is not None:
@@ -359,8 +363,6 @@ class Router:
             raise ValueError(f"model index {model} outside the "
                              f"{self._n_models} served model(s)")
         self.n_offered += 1
-        self.offered_by_model[model] = \
-            self.offered_by_model.get(model, 0) + 1
         if not self.replicas:
             # Every replica has failed and no repair has landed yet: shed.
             return self._shed(t, request_id, model)

@@ -61,7 +61,6 @@ from repro.serve.latency import PerModelServiceTime, ServiceTimeModel
 from repro.serve.metrics import (
     CacheSizeSweep,
     LatencyStats,
-    PerModelStats,
     PolicyComparison,
     SweepReport,
 )
@@ -266,16 +265,20 @@ class ServingSimulator:
         self._policies = [p.policy or self.policy for p in profiles]
         self.cache_size = cache_size
         self._cstate: Optional[_CacheRun] = None
+        # Per-run model ids: the drive loops read the list, the collector
+        # the array (both None with one model).
         self._mids: Optional[list] = None
+        self._mids_np: Optional[np.ndarray] = None
         # Per-run observability handles (set by run(), cleared after): the
         # structured event tracer and the wall-clock profiler. Both are
         # None by default — the untraced path is the exact pre-obs
         # instruction stream, pinned bit-identical by the obs tests.
         self._tracer = None
         self._prof = None
-        # Array-core handoff: _drive parks the FastRun here for _collect
-        # when the native path ran; which loop actually drove the last
-        # run() is recorded for callers (and the differential tests).
+        # Array-core handoff: _drive parks its FastRun here for _collect
+        # (the event engine builds its own after the drain, _record);
+        # which loop actually drove the last run() is recorded for
+        # callers (and the differential tests).
         self._fast: Optional[fast_core.FastRun] = None
         self.last_run_engine: Optional[str] = None
 
@@ -408,7 +411,7 @@ class ServingSimulator:
                          contents)
 
     def _make_model_ids(self, n_requests: int,
-                        seed: SeedLike) -> Optional[list]:
+                        seed: SeedLike) -> Optional[np.ndarray]:
         """Which model each request asks for; None when there is one model
         (every request is model 0, and a list of 10^6 zeros is not free).
 
@@ -419,8 +422,10 @@ class ServingSimulator:
         if len(self._profiles) == 1:
             return None
         rng = spawn_rngs(seed if seed is not None else 0, 3)[2]
-        return make_model_ids(self.model_mix, n_requests,
-                              seed=rng).tolist()
+        # the smallest integer type that holds every index (one byte up to
+        # 256 models): the run keeps this array beside the drive loops' list
+        return make_model_ids(self.model_mix, n_requests, seed=rng).astype(
+            np.min_scalar_type(len(self._profiles) - 1))
 
     def _content_key(self, request_id: int):
         """Cache key of one request: the content id, scoped by the model
@@ -483,7 +488,8 @@ class ServingSimulator:
                 arrivals = self._arrivals(rate, n_requests, process, seed)
             self._cstate = self._make_cache_run(n_requests, popularity,
                                                 seed)
-            self._mids = self._make_model_ids(n_requests, seed)
+            mids = self._mids_np = self._make_model_ids(n_requests, seed)
+            self._mids = None if mids is None else mids.tolist()
             if tracer is not None:
                 meta = self._run_meta(rate, n_requests, process, seed)
                 tracer.meta.update(meta)
@@ -508,13 +514,12 @@ class ServingSimulator:
                                (cache, "put", "cache.put")]
                 for obj, name, label in hooked:
                     setattr(obj, name, prof.wrap(label, getattr(obj, name)))
-            admitted: dict = {}
             with span("run.drive"):
-                self._drive(arrivals, router, admitted)
+                self._drive(arrivals, router)
             with span("run.drain"):
                 router.drain()
             with span("run.collect"):
-                stats = self._collect(arrivals, router, admitted)
+                stats = self._collect(arrivals, router)
             if tracer is not None:
                 if self._cstate is not None:
                     # hand the run's hit ledger over as one columnar
@@ -533,14 +538,15 @@ class ServingSimulator:
             for obj, name, _ in hooked:
                 delattr(obj, name)
             self._cstate = None
-            self._mids = None
+            self._mids = self._mids_np = None
             self._tracer = None
             self._prof = None
             self._fast = None
 
-    def _offer(self, router: Router, admitted: dict, t: float,
-               request_id: int) -> None:
-        """Serve one arrival: result cache first, then the router.
+    def _offer(self, router: Router, t: float, request_id: int) -> bool:
+        """Serve one arrival: result cache first, then the router. Returns
+        whether the router admitted it (``False`` for a hit, a coalesced
+        follower or a shed request).
 
         The cache fills from batch *completions* (the fill heap the
         router's commit hook feeds): a result exists only once some replica
@@ -590,7 +596,7 @@ class ServingSimulator:
                 # no trace emission here: hits are bulk-emitted by run()
                 # from this ledger after the drive loop
                 cstate.hits[request_id] = t
-                return
+                return False
             if self.coalesce:
                 leader = cstate.inflight.get(key)
                 if leader is not None and \
@@ -599,14 +605,13 @@ class ServingSimulator:
                     if tracer is not None:
                         tracer.emit_raw((t, "coalesce", request_id, None,
                                          model, {"leader": leader}))
-                    return
-        if router.submit(t, request_id, model):
-            admitted[request_id] = t
-            if cstate is not None and self.coalesce:
-                cstate.inflight[key] = request_id
+                    return False
+        admitted = router.submit(t, request_id, model)
+        if admitted and cstate is not None and self.coalesce:
+            cstate.inflight[key] = request_id
+        return admitted
 
-    def _drive(self, arrivals: np.ndarray, router: Router,
-               admitted: dict) -> None:
+    def _drive(self, arrivals: np.ndarray, router: Router) -> None:
         """Feed the arrival stream through the router (overridable).
 
         :class:`~repro.serve.autoscale.AutoscalingSimulator` overrides this
@@ -619,8 +624,10 @@ class ServingSimulator:
 
         ``engine="array"`` hands supported configs to the flat
         struct-of-arrays core instead (the router never sees a request;
-        ``_collect`` reads the parked :class:`~repro.serve.fast_core.\
-FastRun`), falling back to this loop — bit-identically — otherwise.
+        ``_collect`` reads the :class:`~repro.serve.fast_core.FastRun` it
+        parks), falling back to this loop — bit-identically — otherwise.
+        The event loop keeps no per-arrival ledger of its own: after the
+        drain :meth:`_record` reads the router's and the cache run's.
         """
         if self.engine == "array" \
                 and fast_core.unsupported_reason(self) is None:
@@ -630,143 +637,100 @@ FastRun`), falling back to this loop — bit-identically — otherwise.
         self.last_run_engine = "event"
         offer = self._offer
         for i, t in enumerate(arrivals.astype(np.float64).tolist()):
-            offer(router, admitted, t, i)
+            offer(router, t, i)
 
     def _request_rtts(self) -> List[float]:
         """Per-model request transport times."""
         return [svc.request_rtt() for svc in self.services]
 
-    def _collect(self, arrivals: np.ndarray, router: Router,
-                 admitted: dict) -> LatencyStats:
-        """Turn a finished router run into :class:`LatencyStats`.
+    def _collect(self, arrivals: np.ndarray,
+                 router: Router) -> LatencyStats:
+        """Turn a finished run into :class:`LatencyStats`: the array
+        core's parked record or the event engine's (:meth:`_record`),
+        through the one collector, :func:`~repro.serve.fast_core.collect`.
 
-        Requests admitted but lost to a replica failure have no completion
-        and are excluded from the latency sample (they are tallied in
-        ``n_failed`` and count against attainment via ``n_offered``). Only
-        those: any *other* admitted request missing a completion is a
-        scheduler bug and raises KeyError here rather than silently
-        shrinking the sample. Cache hits complete at ``request_rtt()`` —
-        pure transport, no queueing, no service — and coalesced followers
-        at their leader's completion plus transport (a follower whose
-        leader died is a failure: no result was ever produced for it).
-
-        Multi-model runs additionally slice everything per model
-        (:class:`PerModelStats`), each judged with its own transport cost
-        and against its own SLO; conservation holds per model and in
-        aggregate.
-
-        When the array core drove the run, the parked
-        :class:`~repro.serve.fast_core.FastRun` is assembled instead —
-        same fields, same floats (``fast_core.collect`` documents the
-        bit-identity).
+        Requests lost to a replica failure have no completion and are
+        excluded from the latency sample (tallied in ``n_failed``, and
+        counted against attainment via ``n_offered``). Cache hits complete
+        at ``request_rtt()`` — pure transport, no queueing, no service —
+        and coalesced followers at their leader's completion plus
+        transport (a follower whose leader died is a failure: no result
+        was ever produced for it). Multi-model runs additionally slice
+        everything per model (:class:`~repro.serve.metrics.PerModelStats`),
+        each judged with its own transport cost and against its own SLO.
         """
-        if self._fast is not None:
-            run, self._fast = self._fast, None
-            return fast_core.collect(self, run, arrivals)
+        run = self._fast
+        if run is None:
+            run = self._record(router, arrivals.size)
+        return fast_core.collect(self, run, arrivals)
+
+    def _record(self, router: Router, n: int) -> fast_core.FastRun:
+        """The event engine's finished run as the array core's record,
+        read off the state the run already keeps: the router's completion
+        ledger, shed and failed ids, and batch lists (live replicas, then
+        retired), and the cache run's hit and follower ledgers.
+
+        A follower completes with its leader; one whose leader died is
+        stranded, a failure. With a tracer, each follower's terminal event
+        (``complete`` via its leader, or a stranded ``fail``) is emitted
+        here, in request-id order."""
+        complete_t = np.full(n, np.nan)
+        done = router.completions()
+        if done:
+            complete_t[np.fromiter(done, np.intp, len(done))] = np.fromiter(
+                done.values(), np.float64, len(done))
+        shed = np.zeros(n, dtype=bool)
+        shed[router.shed_ids] = True
+        failed = np.zeros(n, dtype=bool)
+        failed[list(router.failed_ids)] = True
+        hit = coalesced = None
         cstate = self._cstate
-        hits = cstate.hits if cstate is not None else {}
-        coalesced = cstate.coalesced if cstate is not None else {}
-        completions = router.completions()
-        mids, rtts = self._mids, self._request_rtts()
-        rtt = rtts[0]
+        if cstate is not None:
+            hit = np.zeros(n, dtype=bool)
+            hits = cstate.hits
+            if hits:
+                ids = np.fromiter(hits, np.intp, len(hits))
+                complete_t[ids] = np.fromiter(hits.values(), np.float64,
+                                              len(hits))
+                hit[ids] = True
+            coalesced = np.zeros(n, dtype=bool)
+            riding = cstate.coalesced
+            if riding:
+                ids = np.fromiter(riding, np.intp, len(riding))
+                leaders = np.fromiter((lead for _, lead in riding.values()),
+                                      np.intp, len(riding))
+                dead = failed[leaders]
+                live = ~dead
+                complete_t[ids[live]] = complete_t[leaders[live]]
+                coalesced[ids[live]] = True
+                failed[ids[dead]] = True
+                if self._tracer is not None:
+                    self._trace_followers(router)
+        batches = [b for r in router.replicas + router.retired
+                   for b in r.queue.batches]
+        nb = len(batches)
+        return fast_core.FastRun(
+            complete_t=complete_t, shed=shed,
+            bstart=np.fromiter((b.start for b in batches), np.float64, nb),
+            bcomp=np.fromiter((b.completion for b in batches), np.float64,
+                              nb),
+            bsize=np.fromiter((b.size for b in batches), np.int64, nb),
+            hit=hit, failed=failed, coalesced=coalesced)
 
-        def rtt_of(i: int) -> float:
-            return rtt if mids is None else rtts[mids[i]]
-
-        tracer = self._tracer
-        lat: List[float] = []
-        which: List[int] = []      # request id per latency entry
-        n_coalesced = coal_failed = 0
-        for i in sorted(admitted.keys() | hits.keys() | coalesced.keys()):
-            if i in router.failed_ids:
-                continue
-            if i in hits:
-                lat.append(rtt_of(i))
-            elif i in coalesced:
-                t_arr, leader = coalesced[i]
-                m = 0 if mids is None else mids[i]
-                if leader in router.failed_ids:
-                    # Stranded follower: its leader's forward died, so no
-                    # result was ever produced for it.
-                    coal_failed += 1
-                    if tracer is not None:
-                        tracer.emit("fail", t_arr, request_id=i, model=m,
-                                    data={"leader": leader,
-                                          "stranded": True})
-                    continue
-                lat.append(completions[leader] - t_arr + rtt_of(i))
-                n_coalesced += 1
-                if tracer is not None:
-                    tracer.emit("complete", completions[leader],
-                                request_id=i, model=m,
-                                data={"via": "coalesced",
-                                      "leader": leader})
-            else:
-                lat.append(completions[i] - admitted[i] + rtt_of(i))
-            which.append(i)
-        latencies = np.array(lat)
-        last = -math.inf
-        if completions:
-            last = max(completions.values())
-        if hits:
-            last = max(last, max(hits.values()))
-        horizon = 0.0
-        if last > -math.inf:
-            # Final transport leg: the largest per-model rtt (conservative
-            # on a mixed run by at most the rtt spread — the last event's
-            # own model is not tracked).
-            horizon = last + max(rtts) - float(arrivals[0])
-        batch_sizes = np.array([b.size for b in router.batches()], dtype=int)
-        stats = LatencyStats(
-            latencies=latencies,
-            n_offered=router.n_offered + len(hits) + len(coalesced),
-            n_dropped=router.n_dropped, horizon=horizon,
-            batch_sizes=batch_sizes,
-            n_failed=router.n_failed + coal_failed,
-            n_cache_hits=len(hits), n_coalesced=n_coalesced)
-        if self.models is not None:
-            stats.models = self._per_model_stats(
-                router, admitted, hits, coalesced, latencies, which, rtts)
-        return stats
-
-    def _per_model_stats(self, router: Router, admitted: dict, hits: dict,
-                         coalesced: dict, latencies: np.ndarray,
-                         which: List[int],
-                         rtts: List[float]) -> List[PerModelStats]:
-        """Slice one finished run per model (``models=`` runs only)."""
-        slos = self.model_slos()
-        # a one-model run builds no model ids: every request is model 0
-        mid = (lambda i: 0) if self._mids is None else self._mids.__getitem__
-        M = len(self.models)
-        lat_by_m: List[List[float]] = [[] for _ in range(M)]
-        for pos, i in enumerate(which):
-            lat_by_m[mid(i)].append(float(latencies[pos]))
-        hits_by_m = [0] * M
-        for i in hits:
-            hits_by_m[mid(i)] += 1
-        coal_by_m = [0] * M
-        coal_failed_by_m = [0] * M
-        for i, (_, leader) in coalesced.items():
+    def _trace_followers(self, router: Router) -> None:
+        """Each coalesced follower's terminal event, in request-id order."""
+        tracer, mids = self._tracer, self._mids
+        done = router.completions()
+        riding = self._cstate.coalesced
+        for i in sorted(riding):
+            t_arr, leader = riding[i]
+            m = 0 if mids is None else mids[i]
             if leader in router.failed_ids:
-                coal_failed_by_m[mid(i)] += 1
+                tracer.emit("fail", t_arr, request_id=i, model=m,
+                            data={"leader": leader, "stranded": True})
             else:
-                coal_by_m[mid(i)] += 1
-        failed_by_m = [0] * M
-        for i in router.failed_ids:
-            failed_by_m[mid(i)] += 1
-        out = []
-        for m, profile in enumerate(self.models):
-            offered = (router.offered_by_model.get(m, 0)
-                       + hits_by_m[m] + coal_by_m[m] + coal_failed_by_m[m])
-            out.append(PerModelStats(
-                name=profile.name, slo=slos[m], weight=profile.weight,
-                latencies=np.array(lat_by_m[m]),
-                n_offered=offered,
-                n_dropped=router.dropped_by_model.get(m, 0),
-                n_failed=failed_by_m[m] + coal_failed_by_m[m],
-                n_cache_hits=hits_by_m[m],
-                n_coalesced=coal_by_m[m]))
-        return out
+                tracer.emit("complete", done[leader], request_id=i, model=m,
+                            data={"via": "coalesced", "leader": leader})
 
     # -- sweeps --------------------------------------------------------------
     def sweep(self, rates: Optional[Sequence[float]] = None,

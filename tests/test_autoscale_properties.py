@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.failures import FailureEvent
+from repro.cluster.failures import FailureEvent, FailureModel
 from repro.serve import (
     LAUNCH_ORDERS,
     MMPP,
@@ -446,6 +446,19 @@ class TestRepair:
         with pytest.raises(ValueError):
             FailureEvent(time=1.0, node_id=0, kind="reboot")
 
+    def test_failure_event_node_id_is_a_node_index(self):
+        """A fractional or NaN node id used to pass construction and crash
+        the autoscaled run that indexed with it; NumPy integers (what a
+        sampler may hand over) are stored as int."""
+        for bad in (0.5, float("nan"), 2.0, -1):
+            with pytest.raises(ValueError, match="node_id"):
+                FailureEvent(0.5, bad, "fail")
+        ev = FailureEvent(0.5, np.int64(3), "degrade", 2.0)
+        assert ev.node_id == 3 and type(ev.node_id) is int
+        sampled = FailureModel(mtbf_node_hours=1e-4, seed=0).sample_events(
+            4, 60.0)
+        assert sampled and all(type(e.node_id) is int for e in sampled)
+
     def test_repaired_fleet_scales_back_in(self):
         """Regression: degrade doubles the fleet; after the repair undoes
         the slowdown the autoscaler must scale back toward min."""
@@ -738,14 +751,27 @@ class _RescanChecked(AutoscalingSimulator):
     """Runs the oracle next to every incremental observation, on the same
     live router state, and fails the run at the first differing field."""
 
-    def _drive(self, arrivals, router, admitted):
-        self._all_admitted = admitted
+    def _drive(self, arrivals, router):
+        self._arrival_times = arrivals.tolist()
         self.n_checked = 0
-        super()._drive(arrivals, router, admitted)
+        super()._drive(arrivals, router)
+
+    def _admitted(self, router):
+        """Every request admitted so far (id -> arrival), read off the
+        run's columns: the offered ids minus the router's shed ones and
+        the cache run's hits and coalesced followers."""
+        offered, skip = router.n_offered, set(router.shed_ids)
+        cstate = self._cstate
+        if cstate is not None:
+            offered += len(cstate.hits) + len(cstate.coalesced)
+            skip.update(cstate.hits, cstate.coalesced)
+        return {i: self._arrival_times[i] for i in range(offered)
+                if i not in skip}
 
     def _observe(self, router, open_reqs, cursors, *window, **kw):
         rec = super()._observe(router, open_reqs, cursors, *window, **kw)
-        ref = _full_rescan(self, router, self._all_admitted, *window, **kw)
+        ref = _full_rescan(self, router, self._admitted(router), *window,
+                           **kw)
         for f in dataclasses.fields(EpochRecord):
             got, want = getattr(rec, f.name), getattr(ref, f.name)
             assert _same(got, want), \

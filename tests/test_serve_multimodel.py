@@ -196,9 +196,9 @@ class TestModelLanes:
         for router, bad in ((one, 1), (one, -1), (two, 2), (two, -1)):
             with pytest.raises(ValueError, match="model index"):
                 router.submit(0.0, 0, bad)
-            assert router.n_offered == 0
-            assert router.offered_by_model == {}
-        assert two.submit(0.0, 0, 1) and two.offered_by_model == {1: 1}
+            assert router.n_offered == 0 and router.shed_ids == []
+        assert two.submit(0.0, 0, 1) and two.n_offered == 1
+        assert [rid for _, rid in two.replicas[0].queue.lanes[1]] == [0]
 
 
 # -- weighted admission ------------------------------------------------------
@@ -229,7 +229,9 @@ class TestWeightedAdmission:
         assert beta_admitted == 1
         assert alpha_admitted == 7
         assert r.dropped_by_model[1] == 7
-        assert r.offered_by_model == {0: 8, 1: 8}
+        # the shed column holds exactly the refused ids, in order
+        assert r.shed_ids == [i for i, (_, ok) in enumerate(outcomes)
+                              if not ok]
 
     def test_equal_weights_shed_together(self):
         r = self._router([1.0, 1.0], max_queue=8)

@@ -1,0 +1,240 @@
+"""The run record and its one collector.
+
+Both engines end a run in the same record (:class:`~repro.serve.fast_core.
+FastRun`) and :func:`~repro.serve.fast_core.collect` turns it into
+:class:`LatencyStats`. The array core's configurations are pinned against
+the event engine by the differential suite; the ones below run on the
+event engine only (coalescing, node deaths that strand coalesced
+followers, autoscaling with fail / degrade / repair events, cost-aware
+edf, a traced run), so their stats are pinned by digest: sha256 over
+every :class:`LatencyStats` and :class:`PerModelStats` field, recorded
+before the event engine wrote the record.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.cluster.failures import FailureEvent
+from repro.serve import (
+    AutoscalePolicy,
+    AutoscalingSimulator,
+    BatchingPolicy,
+    MMPP,
+    ModelMix,
+    ModelProfile,
+    ServingSimulator,
+    Tracer,
+    ZipfPopularity,
+    fast_core,
+)
+from repro.serve.metrics import LatencyStats, PerModelStats
+
+
+class FakeService:
+    """Affine batch-time stand-in (duck-typed like ServiceTimeModel)."""
+
+    def __init__(self, base=0.004, per=0.001, rtt=1e-4):
+        self.base, self.per, self.rtt = base, per, rtt
+
+    def batch_time(self, b):
+        return self.base + self.per * b
+
+    def request_rtt(self):
+        return self.rtt
+
+    def peak_throughput(self, max_batch):
+        return max_batch / self.batch_time(max_batch)
+
+
+def _two_models(weight=0.5):
+    return dict(
+        models=[ModelProfile("alpha", None, slo=0.05),
+                ModelProfile("beta", None, weight=weight,
+                             policy=BatchingPolicy(max_batch=4,
+                                                   max_wait=2e-3))],
+        service_models=[FakeService(0.004, 0.001),
+                        FakeService(0.009, 0.002, rtt=3e-4)],
+        model_mix=ModelMix((0.7, 0.3), mean_run=4.0))
+
+
+def coalesce_strand_traced():
+    """Cache and coalescing on a hot catalog, two leader deaths: the
+    followers riding the dead forwards are stranded."""
+    sim = AutoscalingSimulator(
+        autoscale=AutoscalePolicy(min_replicas=2, max_replicas=5,
+                                  epoch=0.05),
+        policy=BatchingPolicy(max_batch=8, max_wait=4e-3), max_queue=24,
+        failure_events=[FailureEvent(0.21, 0, "fail"),
+                        FailureEvent(0.47, 1, "fail")],
+        cache_size=4, coalesce=True, **_two_models())
+    tracer = Tracer()
+    stats = sim.run(2200.0, n_requests=2000, process="poisson", seed=7,
+                    popularity=ZipfPopularity(alpha=1.2, n_keys=64),
+                    tracer=tracer)
+    return sim, stats, tracer
+
+
+def coalesce_fixed_fleet():
+    """Coalescing and a cache on a fixed two-model fleet."""
+    sim = ServingSimulator(
+        n_replicas=3, policy=BatchingPolicy(max_batch=8, max_wait=3e-3),
+        max_queue=16, cache_size=8, coalesce=True, **_two_models(0.3))
+    stats = sim.run(1800.0, n_requests=3000, process=MMPP(burst=6.0),
+                    seed=3, popularity=ZipfPopularity(alpha=1.0,
+                                                      n_keys=256))
+    return sim, stats, None
+
+
+def autoscale_fail_degrade_repair():
+    """One model, bursty traffic, a death, a slowdown and its repair."""
+    sim = AutoscalingSimulator(
+        None, service_model=FakeService(0.003, 5e-4),
+        autoscale=AutoscalePolicy(min_replicas=1, max_replicas=6,
+                                  epoch=0.04, step_out=2,
+                                  cooldown_epochs=0),
+        policy=BatchingPolicy(max_batch=16, max_wait=2e-3), max_queue=64,
+        failure_events=[FailureEvent(0.3, 0, "fail"),
+                        FailureEvent(0.5, 1, "degrade", 3.0),
+                        FailureEvent(0.9, 1, "repair"),
+                        FailureEvent(1.1, 0, "degrade", 2.0)])
+    stats = sim.run(4000.0, n_requests=6000, process=MMPP(burst=8.0),
+                    seed=11)
+    return sim, stats, None
+
+
+def autoscale_two_models_edf():
+    """Two models, cost-aware edf, deaths and a degrade under control."""
+    sim = AutoscalingSimulator(
+        autoscale=AutoscalePolicy(min_replicas=2, max_replicas=6,
+                                  epoch=0.06),
+        policy=BatchingPolicy(max_batch=8, max_wait=3e-3), max_queue=32,
+        failure_events=[FailureEvent(0.2, 1, "degrade", 2.5),
+                        FailureEvent(0.4, 0, "fail"),
+                        FailureEvent(0.7, 1, "repair")],
+        order="edf", cost_aware=True, **_two_models())
+    stats = sim.run(1500.0, n_requests=2500, process="poisson", seed=5)
+    return sim, stats, None
+
+
+def edf_cost_aware_three_models():
+    """Cost-aware edf on three models sharing a fleet, shedding."""
+    sim = ServingSimulator(
+        models=[ModelProfile("a", None, slo=0.03),
+                ModelProfile("b", None, weight=0.4),
+                ModelProfile("c", None, weight=0.2, slo=0.2,
+                             policy=BatchingPolicy(max_batch=2))],
+        service_models=[FakeService(0.002, 4e-4),
+                        FakeService(0.006, 0.001, rtt=2e-4),
+                        FakeService(0.02, 0.008, rtt=5e-4)],
+        model_mix=ModelMix((0.6, 0.3, 0.1)), n_replicas=4,
+        policy=BatchingPolicy(max_batch=16, max_wait=2e-3), max_queue=48,
+        order="edf", cost_aware=True)
+    stats = sim.run(1.2 * sim.saturation_rate(), n_requests=5000,
+                    process="poisson", seed=9)
+    return sim, stats, None
+
+
+CASES = {f.__name__: f for f in (
+    coalesce_strand_traced, coalesce_fixed_fleet,
+    autoscale_fail_degrade_repair, autoscale_two_models_edf,
+    edf_cost_aware_three_models)}
+
+#: sha256 of :func:`_digest`, recorded on the event engine's own
+#: collector (the per-request loop over its ledgers) before the run
+#: record replaced it
+DIGESTS = {
+    "autoscale_fail_degrade_repair":
+        "a75a4dd63ae8c44467d63897daeb1e26c90274976d64264ef10516262758bf74",
+    "autoscale_two_models_edf":
+        "91abc3906604709e6b7c8a90d0e6001d93c5762235fe53763fed79b6e56296cb",
+    "coalesce_fixed_fleet":
+        "c5b5d126f6746c0eb93561e06df6b94d3bfb8b1fb4969dea0b7fab2867b2dbf1",
+    "coalesce_strand_traced":
+        "0e1791cfc2a944e201a2ab1f44b65fb26b305bcc7ebff29e9e0ab7e6d11c23a4",
+    "edf_cost_aware_three_models":
+        "81f9e79ab9ff0ebdc84c8df123eef06d62fbe032f14fc85be80f8d85adfd0cb7",
+}
+
+
+def _blob(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}{value.tobytes().hex()}"
+    if isinstance(value, PerModelStats):
+        return "|".join(f"{f.name}={_blob(getattr(value, f.name))}"
+                        for f in dataclasses.fields(value))
+    if isinstance(value, list):
+        return "[" + ",".join(_blob(v) for v in value) + "]"
+    return repr(value)
+
+
+def _digest(stats: LatencyStats) -> str:
+    """sha256 over every field, arrays by dtype and bytes, the rest by
+    ``repr`` (a Python float turning into a NumPy scalar changes it)."""
+    text = "|".join(f"{f.name}={_blob(getattr(stats, f.name))}"
+                    for f in dataclasses.fields(stats))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_event_only_stats_are_pinned(name):
+    sim, stats, _ = CASES[name]()
+    assert sim.last_run_engine == "event"
+    assert _digest(stats) == DIGESTS[name]
+
+
+def test_the_cases_exercise_what_they_pin():
+    """Stranded followers, live followers, hits, sheds, failures and every
+    failure kind actually happen (a pinned digest of a run that never
+    strands anyone pins nothing about stranding)."""
+    _, stats, tracer = coalesce_strand_traced()
+    stranded = [e for e in tracer.events
+                if e.kind == "fail" and (e.data or {}).get("stranded")]
+    assert stranded and stats.n_coalesced and stats.n_cache_hits
+    assert stats.n_dropped and stats.n_failed > len(stranded)
+    _, stats, _ = autoscale_fail_degrade_repair()
+    actions = {e.action for e in stats.scale_events}
+    assert {"failure", "degrade", "repair", "scale_out"} <= actions
+    for case in (autoscale_two_models_edf, edf_cost_aware_three_models):
+        _, stats, _ = case()
+        assert stats.n_dropped and len(stats.models) >= 2
+
+
+class _ForgetsAnAnswer(ServingSimulator):
+    """Loses one answered request's completion just before collecting —
+    from the event engine's ledger, or from the array core's record."""
+
+    def _collect(self, arrivals, router):
+        run = self._fast
+        if run is None:
+            done = router.completions()
+            self.lost = sorted(done)[len(done) // 2]
+            del done[self.lost]
+        else:
+            self.lost = int(np.flatnonzero(~run.shed)[-1])
+            run.complete_t[self.lost] = np.nan
+        return super()._collect(arrivals, router)
+
+
+@pytest.mark.parametrize("engine", ["event", "array"])
+def test_a_missing_completion_is_a_scheduler_bug(engine):
+    """An admitted request with no completion that was neither shed nor
+    lost to a failure raises ``KeyError`` naming it (a follower of the
+    lost leader arrived later, so the leader is the first such id)."""
+    sim = _ForgetsAnAnswer(
+        n_replicas=2, policy=BatchingPolicy(max_batch=8, max_wait=3e-3),
+        max_queue=16, cache_size=8, coalesce=engine == "event",
+        engine=engine, **_two_models())
+    with pytest.raises(KeyError) as err:
+        sim.run(1500.0, n_requests=1500, process="poisson", seed=2,
+                popularity=ZipfPopularity(alpha=1.0, n_keys=128))
+    assert sim.last_run_engine == engine
+    assert err.value.args == (sim.lost,)
+
+
+def test_the_array_core_never_runs_them():
+    for name in ("coalesce_fixed_fleet", "edf_cost_aware_three_models"):
+        sim, _, _ = CASES[name]()
+        assert fast_core.unsupported_reason(sim) is not None
