@@ -666,21 +666,24 @@ class AutoscalingSimulator(ServingSimulator):
             apply_failure = self._prof.wrap("autoscale.apply_failure",
                                             apply_failure)
 
-        for i, t in enumerate(arrivals.astype(np.float64).tolist()):
+        stream, serve = self._feed(router, arrivals)
+        t_fail = failures[0].time if failures else math.inf
+        next_control = min(t_fail, next_epoch)
+        for t, i, model in stream:
             # Everything scheduled before this arrival happens first, in
             # time order; a failure tied with an epoch boundary lands
             # first so the controller sees it immediately.
-            while True:
-                t_fail = failures[fi].time if fi < len(failures) else math.inf
-                if min(t_fail, next_epoch) > t:
-                    break
+            while next_control <= t:
                 if t_fail <= next_epoch:
                     apply_failure(failures[fi])
                     fi += 1
+                    t_fail = (failures[fi].time if fi < len(failures)
+                              else math.inf)
                 else:
                     close_epoch(next_epoch)
                     next_epoch += epoch_s
-            if self._offer(router, t, i):
+                next_control = min(t_fail, next_epoch)
+            if serve(t, i, model):
                 open_reqs[i] = t
         advance_area(t_end)
         span = t_end - t0

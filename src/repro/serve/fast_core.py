@@ -4,10 +4,11 @@ The object event loop (:class:`~repro.serve.slo_sim.ServingSimulator` +
 :class:`~repro.serve.router.Router` + per-replica
 :class:`~repro.serve.batching.ReplicaBatchQueue` lanes) is the *semantic*
 definition of the simulator, but at 10^6-10^7 requests its per-arrival
-costs — method dispatch through ``submit``/``_assign``/``push``, tuple
-churn on the load heap, a dict lookup per counter — dominate wall clock
-(it calls ``_sync`` and ``advance`` only when an event is due or a lane
-is full: this loop's ``nle`` / ``nce`` and ``nfull`` rules).
+costs — three method calls (``Router.submit``, its admit body
+``_route``, ``ReplicaBatchQueue.push``), tuple churn on the load heap, a
+dict lookup per counter — dominate wall clock (it calls ``_sync`` and
+``advance`` only when an event is due or a lane is full: this loop's
+``nle`` / ``nce`` and ``nfull`` rules).
 This module is the same discrete-event computation restructured as one
 fused loop over preallocated arrays and compact C-typed buffers:
 
@@ -276,7 +277,8 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     shared ``free_at`` timeline, an optional result cache in front. The
     plain class is one lane (``mids`` is ``None``) without ``contents``,
     the cached class one lane with them. One iteration per arrival, in
-    the event loop's exact order (``ServingSimulator._offer``):
+    the event loop's exact order (``ServingSimulator._offer`` with a
+    cache, ``Router.submit`` without):
 
     1. with a cache, drain due fills — every batch committed with
        completion ``<= t`` writes its members' keys in member order,
@@ -363,7 +365,7 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     heapify(load)
     launch_ev: List = []          # (launch time, replica)
     # Last launch instant pushed per replica, the event loop's rule too
-    # (Router._assign): only a *changed* instant is a new event (a repeat
+    # (Router._route): only a *changed* instant is a new event (a repeat
     # would pop back to back with the pending one and advance once), but
     # a changed one is pushed even when an earlier event is pending: when
     # it fires it touches the replica, and a touch commits a determined

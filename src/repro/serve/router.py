@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -150,9 +151,13 @@ class Router:
             raise ValueError(
                 f"admission limits must be positive, got {limits}")
         #: per-model admission limit on a replica's published load (see
-        #: :meth:`_full`); unbounded when not given
+        #: :meth:`_route`); unbounded when not given
         self._limits = (list(limits) if limits is not None
                         else [math.inf] * n_models)
+        #: what :meth:`submit` accepts as a model index -> that index
+        self._model_ids = {m: m for m in range(n_models)}
+        #: last submitted arrival time (from the lowest finite float)
+        self._clock = -sys.float_info.max
         self.on_commit = on_commit
         #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed), handed down
         #: to every replica queue; ``None`` is the exact pre-trace path
@@ -166,7 +171,7 @@ class Router:
         #: on every publish (dot with model_costs) — floats are never
         #: accumulated, so equal states always produce equal load values.
         self._counts: Dict[int, List[int]] = {}
-        #: replica index -> its last published load value (`_push_load`)
+        #: live replica index -> last published load (a heap entry's check)
         self._load: Dict[int, float] = {}
         #: request_id -> completion time: the fleet's one ledger
         self._completions: Dict[int, float] = {}
@@ -175,7 +180,7 @@ class Router:
         #: (completion, replica, model, size) — one decrement per batch
         self._completion_events: List[Tuple[float, int, int, int]] = []
         self._launch_events: List[Tuple[float, int]] = []
-        #: replica index -> launch instant last pushed (see :meth:`_assign`)
+        #: replica index -> launch instant last pushed (see :meth:`_route`)
         self._sched: Dict[int, float] = {}
         # One contiguous allocation, one node per replica (Fig 3 ideal).
         placement = self.machine.topology.place(n_replicas, 1)
@@ -224,7 +229,8 @@ class Router:
         self._sched[index] = math.inf
         if self.model_costs is not None:
             self._counts[index] = [0] * self._n_models
-        self._push_load(index, self._value(index))
+        self._load[index] = value = self._value(index)
+        heapq.heappush(self._load_heap, (value, index))
         return handle
 
     def _value(self, index: int):
@@ -239,11 +245,6 @@ class Router:
         for c, w in zip(self._counts[index], self.model_costs):
             value += c * w
         return value
-
-    def _push_load(self, index: int, backlog: int) -> None:
-        """Publish a replica's new backlog to the load heap."""
-        self._load[index] = backlog
-        heapq.heappush(self._load_heap, (backlog, index))
 
     def _commit_feed(self, index: int) -> Callable[[Batch], None]:
         """Replica ``index``'s commit callback: a committed batch's backlog
@@ -288,35 +289,8 @@ class Router:
                 self._backlog[idx] -= size
                 if self.model_costs is not None:
                     self._counts[idx][model] -= size
-                self._push_load(idx, self._value(idx))
-
-    def _assign(self, handle: ReplicaHandle, t: float, request_id: int,
-                model: int = 0) -> None:
-        """Push one request and keep counters and launch events current.
-        An unchanged launch instant pushes no event: one is still pending,
-        since every fired event re-pushes its replica's in :meth:`_sync`."""
-        idx = handle.index
-        t_launch = handle.queue.push(t, request_id, model)
-        self._backlog[idx] += 1
-        if self.model_costs is not None:
-            self._counts[idx][model] += 1
-        self._push_load(idx, self._value(idx))
-        if t_launch != self._sched[idx] and t_launch != math.inf:
-            heapq.heappush(self._launch_events, (t_launch, idx))
-            self._sched[idx] = t_launch
-
-    def _least_loaded(self) -> ReplicaHandle:
-        """Live replica with the minimum (backlog, index) — ties broken by
-        replica index for determinism, exactly like the linear scan."""
-        heap = self._load_heap
-        while heap:
-            backlog, idx = heap[0]
-            handle = self._live.get(idx)
-            if handle is None or self._load[idx] != backlog:
-                heapq.heappop(heap)      # stale entry: retired or restated
-                continue
-            return handle
-        raise RuntimeError("no live replicas in the load heap")
+                self._load[idx] = value = self._value(idx)
+                heapq.heappush(self._load_heap, (value, idx))
 
     def sync(self, t: float) -> None:
         """Play every scheduled event due by ``t`` (public form of the
@@ -328,10 +302,6 @@ class Router:
         self._sync(t)
 
     # -- routing -------------------------------------------------------------
-    def _full(self, handle: ReplicaHandle, model: int = 0) -> bool:
-        # an empty replica (load 0) always clears a positive limit
-        return self._load[handle.index] >= self._limits[model]
-
     def total_backlog(self, t: float) -> float:
         """Fleet-wide outstanding work at ``t``: estimated service seconds
         in cost-aware mode, a plain request count otherwise — the queue
@@ -356,23 +326,60 @@ class Router:
         overload. The request goes to the least-loaded replica and is
         shed only when that one is at the model's admission limit — then
         every replica is. Low-weight models have the smaller limits, so
-        they are shed first — weighted admission. A ``model``
-        outside the fleet's models is refused before anything is counted.
+        they are shed first — weighted admission. A ``model`` that is not
+        a fleet model index (``-1``, ``0.5``), or a ``t`` that is not finite
+        or runs before the last submit, is refused before anything counts.
         """
-        if not 0 <= model < self._n_models:
-            raise ValueError(f"model index {model} outside the "
+        m = self._model_ids.get(model)
+        if m is None:
+            raise ValueError(f"model index {model!r} outside the "
                              f"{self._n_models} served model(s)")
+        if not self._clock <= t < math.inf:
+            raise ValueError(f"arrivals must be finite and nondecreasing: "
+                             f"{t} after {self._clock}")
+        self._clock = t
         self.n_offered += 1
         if not self.replicas:
             # Every replica has failed and no repair has landed yet: shed.
-            return self._shed(t, request_id, model)
+            return self._shed(t, request_id, m)
         le, ce = self._launch_events, self._completion_events
         if le and le[0][0] <= t or ce and ce[0][0] <= t:
             self._sync(t)
-        replica = self._least_loaded()
-        if self._full(replica, model):
+        return self._route(t, request_id, m, self._limits[m])
+
+    def _route(self, t: float, request_id: int, model: int, limit: float,
+               source: Optional[int] = None) -> bool:
+        """The one admit body, of :meth:`submit` and of a drain's re-routes
+        (``limit`` inf; ``source`` the drained replica, for the trace): on
+        the least (load, index) — the linear scan's pick — shed at
+        ``limit``, else push, publish the fresh :meth:`_value` and push a
+        *changed* launch instant (an unchanged one is still pending: every
+        fired event re-pushes its replica's in :meth:`_sync`)."""
+        heap, load = self._load_heap, self._load
+        value, idx = heap[0]
+        while load.get(idx) != value:    # stale entry: retired or restated
+            heapq.heappop(heap)
+            value, idx = heap[0]
+        if value >= limit:
             return self._shed(t, request_id, model)
-        self._assign(replica, t, request_id, model)
+        if source is not None and self.tracer is not None:
+            self.tracer.emit("reroute", t, request_id=request_id,
+                             replica=source, model=model, data={"to": idx})
+        t_launch = self._live[idx].queue.push(t, request_id, model)
+        backlog = self._backlog
+        backlog[idx] = value = backlog[idx] + 1
+        costs = self.model_costs
+        if costs is not None:
+            counts = self._counts[idx]
+            counts[model] += 1
+            value = 0                        # :meth:`_value`, inline
+            for c, w in zip(counts, costs):
+                value += c * w
+        load[idx] = value
+        heapq.heapreplace(heap, (value, idx))   # the pick is still on top
+        if t_launch != self._sched[idx] and t_launch != math.inf:
+            heapq.heappush(self._launch_events, (t_launch, idx))
+            self._sched[idx] = t_launch
         return True
 
     # -- live fleet changes ---------------------------------------------------
@@ -419,16 +426,11 @@ class Router:
                       key=lambda p: (self._backlog[self.replicas[p].index],
                                      -self.replicas[p].index))
         replica = self.replicas.pop(pos)
-        del self._live[replica.index]
+        del self._live[replica.index], self._load[replica.index]
         if self.tracer is not None:
             self.tracer.emit("drain", t, replica=replica.index)
         for _, rid, model in replica.queue.evict_queued(t):
-            target = self._least_loaded()
-            if self.tracer is not None:
-                self.tracer.emit("reroute", t, request_id=rid,
-                                 replica=replica.index, model=model,
-                                 data={"to": target.index})
-            self._assign(target, t, rid, model)
+            self._route(t, rid, model, math.inf, replica.index)
         self.retired.append(replica)
         return replica
 
@@ -443,7 +445,7 @@ class Router:
         if not self.replicas:
             raise ValueError("no replicas left to fail")
         replica = self.replicas.pop(pos % len(self.replicas))
-        del self._live[replica.index]
+        del self._live[replica.index], self._load[replica.index]
         lost = replica.queue.abort_after(t)
         self.n_failed += len(lost)
         self.failed_ids.update(lost)

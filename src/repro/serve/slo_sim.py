@@ -41,6 +41,8 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import nullcontext
+from functools import partial
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -543,10 +545,11 @@ class ServingSimulator:
             self._prof = None
             self._fast = None
 
-    def _offer(self, router: Router, t: float, request_id: int) -> bool:
-        """Serve one arrival: result cache first, then the router. Returns
-        whether the router admitted it (``False`` for a hit, a coalesced
-        follower or a shed request).
+    def _offer(self, router: Router, t: float, request_id: int,
+               model: int) -> bool:
+        """Serve one arrival of a run with a result cache: the cache
+        first, then the router. Returns whether the router admitted it
+        (``False`` for a hit, a coalesced follower or a shed request).
 
         The cache fills from batch *completions* (the fill heap the
         router's commit hook feeds): a result exists only once some replica
@@ -564,52 +567,60 @@ class ServingSimulator:
         forward instead of following a corpse.
         """
         tracer = self._tracer   # arrivals were bulk-emitted by run()
-        model = 0 if self._mids is None else self._mids[request_id]
         cstate = self._cstate
-        if cstate is not None:
-            if self.coalesce:
-                # Commits normally fire inside submit's event catch-up,
-                # but a coalesced (or hit) arrival never submits — sync
-                # explicitly, or a run of duplicates would ride a leader
-                # whose batch long since completed (stale ledger, fills
-                # never draining, negative "latencies").
-                router.sync(t)
-            fills, cache = cstate.fills, cstate.cache
-            while fills and fills[0][0] <= t:
-                t_fill, rids = heapq.heappop(fills)
+        if self.coalesce:
+            # Commits normally fire inside submit's event catch-up, but a
+            # coalesced (or hit) arrival never submits — sync explicitly,
+            # or a run of duplicates would ride a leader whose batch long
+            # since completed (stale ledger, fills never draining,
+            # negative "latencies").
+            router.sync(t)
+        fills, cache = cstate.fills, cstate.cache
+        while fills and fills[0][0] <= t:
+            t_fill, rids = heapq.heappop(fills)
+            if tracer is not None:
+                # The cache has no clock; stamp its insert/evict events
+                # at the fill's (batch completion) time.
+                cache.now = t_fill
+            for rid in rids:
+                key = self._content_key(rid)
+                if rid not in router.failed_ids:
+                    cache.put(key, rid)
+                if cstate.inflight.get(key) == rid:
+                    # Only the entry's own leader clears it: a dead
+                    # leader's stale fill must not evict the ledger entry
+                    # of a duplicate that re-led the key.
+                    del cstate.inflight[key]
+        key = self._content_key(request_id)
+        hit, _ = cache.get(key)
+        if hit:
+            # no trace emission here: hits are bulk-emitted by run() from
+            # this ledger after the drive loop
+            cstate.hits[request_id] = t
+            return False
+        if self.coalesce:
+            leader = cstate.inflight.get(key)
+            if leader is not None and leader not in router.failed_ids:
+                cstate.coalesced[request_id] = (t, leader)
                 if tracer is not None:
-                    # The cache has no clock; stamp its insert/evict
-                    # events at the fill's (batch completion) time.
-                    cache.now = t_fill
-                for rid in rids:
-                    key = self._content_key(rid)
-                    if rid not in router.failed_ids:
-                        cache.put(key, rid)
-                    if cstate.inflight.get(key) == rid:
-                        # Only the entry's own leader clears it: a dead
-                        # leader's stale fill must not evict the ledger
-                        # entry of a duplicate that re-led the key.
-                        del cstate.inflight[key]
-            key = self._content_key(request_id)
-            hit, _ = cache.get(key)
-            if hit:
-                # no trace emission here: hits are bulk-emitted by run()
-                # from this ledger after the drive loop
-                cstate.hits[request_id] = t
+                    tracer.emit_raw((t, "coalesce", request_id, None,
+                                     model, {"leader": leader}))
                 return False
-            if self.coalesce:
-                leader = cstate.inflight.get(key)
-                if leader is not None and \
-                        leader not in router.failed_ids:
-                    cstate.coalesced[request_id] = (t, leader)
-                    if tracer is not None:
-                        tracer.emit_raw((t, "coalesce", request_id, None,
-                                         model, {"leader": leader}))
-                    return False
         admitted = router.submit(t, request_id, model)
-        if admitted and cstate is not None and self.coalesce:
+        if admitted and self.coalesce:
             cstate.inflight[key] = request_id
         return admitted
+
+    def _feed(self, router: Router, arrivals: np.ndarray):
+        """The event loops' ``(t, request_id, model)`` stream (native
+        floats and ints) and what serves one: the router's ``submit``, or
+        :meth:`_offer` with a cache — bound after :meth:`run` hooks the
+        profiler, so a profiled run times the ``submit`` it calls."""
+        ts = arrivals.astype(np.float64).tolist()
+        models = self._mids if self._mids is not None else repeat(0)
+        serve = (router.submit if self._cstate is None
+                 else partial(self._offer, router))
+        return zip(ts, range(len(ts)), models), serve
 
     def _drive(self, arrivals: np.ndarray, router: Router) -> None:
         """Feed the arrival stream through the router (overridable).
@@ -618,9 +629,8 @@ class ServingSimulator:
         to interleave control epochs and failure events with the same
         submissions — the control path is a superset of this one, not a
         fork, which is what makes the pinned-fleet differential test
-        meaningful. The one-shot ``tolist`` converts the whole stream to
-        native floats up front — per-arrival ``float(np_scalar)`` was a
-        measurable slice of the pre-PR hot path.
+        meaningful. Each arrival is one call (see :meth:`_feed`): the
+        router's ``submit``, or :meth:`_offer` when a cache sits in front.
 
         ``engine="array"`` hands supported configs to the flat
         struct-of-arrays core instead (the router never sees a request;
@@ -635,9 +645,9 @@ class ServingSimulator:
             self._fast = fast_core.drive(self, arrivals)
             return
         self.last_run_engine = "event"
-        offer = self._offer
-        for i, t in enumerate(arrivals.astype(np.float64).tolist()):
-            offer(router, t, i)
+        stream, serve = self._feed(router, arrivals)
+        for t, i, model in stream:
+            serve(t, i, model)
 
     def _request_rtts(self) -> List[float]:
         """Per-model request transport times."""

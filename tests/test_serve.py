@@ -514,6 +514,24 @@ class TestRouter:
         assert [rep.queue.queue_depth for rep in r.replicas] == [1, 1]
         assert r.n_dropped == 1
 
+    @pytest.mark.parametrize("path", ["no live replica", "full", "admitted"])
+    @pytest.mark.parametrize("t, model", [
+        (float("nan"), 0), (math.inf, 0), (-math.inf, 0), (0.5, 0),
+        (1.0, 0.5)])
+    def test_a_bad_arrival_is_refused_before_counting(self, path, t, model):
+        """A time that is not finite or runs before the last submit, and a
+        non-integral model index, raise on every path — before
+        ``n_offered`` or ``shed_ids`` move — instead of being shed (a full
+        or empty fleet) or counted and then refused by the queue."""
+        r = self._router(n_replicas=1, limit=1 if path == "full" else None)
+        assert r.submit(1.0, 0)
+        if path == "no live replica":
+            r.fail_replica(1.0, 0)
+        with pytest.raises(ValueError):
+            r.submit(t, 1, model)
+        assert (r.n_offered, r.shed_ids) == (1, [])
+        assert r.submit(1.0, 2) is (path == "admitted")
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_replicas"):
             self._router(n_replicas=0)

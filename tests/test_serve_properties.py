@@ -30,11 +30,13 @@ step by step. Generated whole simulations run under the router's
 launch-event rule and under the every-admit rule it replaced, and must
 agree bit for bit. Generated simulators over 1-3 models hand the router
 and the array core the one list of admission limits the simulator
-computes. The last test pins the work an admit does — calls, not
-seconds — on one fixed-seed run.
+computes. The last two tests pin the work an admit does — calls, not
+seconds — on fixed-seed runs: the queue and sync calls, and one router
+call per arrival.
 """
 
 import heapq
+import inspect
 import math
 from collections import Counter
 from unittest import mock
@@ -362,10 +364,11 @@ def test_skipping_a_push_advance_changes_nothing(order, case):
 def test_published_load_is_never_stale(data):
     """Cost-aware routing under generated traffic and fleet changes: every
     live replica's published load equals ``_value`` recomputed from the
-    integer ledger, and the heap pick is what a linear scan picks. Every
-    live replica with a finite :meth:`next_launch` has a launch event
-    pending at exactly that instant — what lets an admit that leaves the
-    instant unchanged push no event."""
+    integer ledger, and the heap pick is what a linear scan picks — both
+    the pick each admit made and the one the heap holds after every step.
+    Every live replica with a finite :meth:`next_launch` has a launch
+    event pending at exactly that instant — what lets an admit that
+    leaves the instant unchanged push no event."""
     costs = [1e-3, 7e-3]
     router = Router(
         None, data.draw(st.integers(1, 3)),
@@ -388,7 +391,20 @@ def test_published_load_is_never_stale(data):
     for rid, (step, dt, model) in enumerate(steps):
         t += dt
         if step == "submit":
-            router.submit(t, rid, model)
+            if router.submit(t, rid, model):
+                # the admit picked the least (load, index), its target's
+                # load one request lighter then than now
+                target = next(r for r in router.replicas
+                              if any(i == rid for lane in r.queue.lanes
+                                     .values() for _, i in lane))
+                counts = list(router._counts[target.index])
+                counts[model] -= 1
+                picked = 0
+                for c, w in zip(counts, costs):
+                    picked += c * w
+                assert all((picked, target.index) < (router._value(r.index),
+                                                     r.index)
+                           for r in router.replicas if r is not target)
         elif step == "sync":
             router.sync(t)
         elif step == "add":
@@ -407,9 +423,14 @@ def test_published_load_is_never_stale(data):
             if launch != math.inf:
                 assert (launch, r.index) in router._launch_events, step
         if router.replicas:
-            scan = min(router.replicas,
-                       key=lambda r: (router._value(r.index), r.index))
-            assert router._least_loaded() is scan, step
+            # the lazy pick pops stale entries off a heap: it lands on the
+            # least current entry, the linear (value, index) scan's pick
+            heap = router._load_heap
+            assert all(heap[(k - 1) // 2] <= heap[k]
+                       for k in range(1, len(heap))), step
+            pick = min(e for e in heap if router._load.get(e[1]) == e[0])
+            assert pick == min((router._value(r.index), r.index)
+                               for r in router.replicas), step
 
 
 # -- the launch-event rule: whole runs against the every-admit rule -------------
@@ -417,20 +438,27 @@ def test_published_load_is_never_stale(data):
 class _EveryAdmitRouter(Router):
     """The earlier launch-event rule, kept as the reference: every admit
     pushes the replica's fresh :meth:`next_launch` scan (one event per
-    admitted request), and every fired event re-pushes one."""
+    admitted request), and every fired event re-pushes one. Its admit
+    body picks by a linear scan of the published loads."""
 
     def _schedule(self, handle):
         launch = handle.queue.next_launch()
         if launch != math.inf:
             heapq.heappush(self._launch_events, (launch, handle.index))
 
-    def _assign(self, handle, t, request_id, model=0):
+    def _route(self, t, request_id, model, limit, source=None):
+        value, idx = min((self._load[r.index], r.index)
+                         for r in self.replicas)
+        if value >= limit:
+            return self._shed(t, request_id, model)
+        handle = self._live[idx]
         handle.queue.push(t, request_id, model)
-        self._backlog[handle.index] += 1
+        self._backlog[idx] += 1
         if self.model_costs is not None:
-            self._counts[handle.index][model] += 1
-        self._push_load(handle.index, self._value(handle.index))
+            self._counts[idx][model] += 1
+        self._load[idx] = self._value(idx)
         self._schedule(handle)
+        return True
 
     def _sync(self, t):
         le = self._launch_events
@@ -451,7 +479,7 @@ class _EveryAdmitRouter(Router):
                 self._backlog[idx] -= size
                 if self.model_costs is not None:
                     self._counts[idx][model] -= size
-                self._push_load(idx, self._value(idx))
+                self._load[idx] = self._value(idx)
 
 
 class _Service:
@@ -671,3 +699,84 @@ def test_an_admit_does_only_work_that_can_change_state():
     assert calls["advance"] <= 2 * n_batches, calls
     assert calls["_lane_key"] <= 3 * n_batches, calls
     assert calls["_sync"] <= 2 * n_batches, calls
+
+
+def _router_calls(sim, **run):
+    """Run ``sim`` with every :class:`Router` method and
+    ``ServingSimulator._offer`` spied. Returns the stats, the ``_offer``
+    count and, per ``submit``, whether it admitted and the router helpers
+    it entered outside event catch-up (``_sync``, which plays due events
+    and is counted against the batches above)."""
+    offers, submits, stack = [], [], []
+
+    def spied(name, method):
+        def counted(*args, **kwargs):
+            if name == "_offer":
+                offers.append(args[2])
+                return method(*args, **kwargs)
+            if name == "submit" and not stack:
+                submits.append([None, []])
+            elif stack[:1] == ["submit"] and "_sync" not in stack + [name]:
+                submits[-1][1].append(name)
+            stack.append(name)
+            try:
+                out = method(*args, **kwargs)
+            finally:
+                stack.pop()
+            if name == "submit" and not stack:
+                submits[-1][0] = out
+            return out
+        return counted
+
+    methods = {name: spied(name, fn) for name, fn in vars(Router).items()
+               if inspect.isfunction(fn) and not name.startswith("__")}
+    with mock.patch.multiple(Router, **methods), \
+            mock.patch.object(ServingSimulator, "_offer", spied(
+                "_offer", ServingSimulator._offer)):
+        stats = sim.run(**run)
+    return stats, len(offers), submits
+
+
+@pytest.mark.parametrize("case", ["edf", "autoscale", "cached"])
+def test_an_arrival_is_one_router_call(case):
+    """Without a result cache both drive loops hand each arrival to the
+    router's bound ``submit``: ``_offer`` is never entered, ``submit`` once
+    per request, and an admitted arrival enters one router helper (the
+    admit body) besides the queue's ``push``. With a cache every arrival
+    still goes through ``_offer`` (the cache is looked up first)."""
+    from repro.sim.workload import climate_workload, hep_workload
+    n = 2_000
+    policy = BatchingPolicy(max_batch=4, max_wait=2e-3)
+    if case == "edf":
+        sim = ServingSimulator(
+            models=[ModelProfile("hep", hep_workload(), weight=4.0),
+                    ModelProfile("climate", climate_workload(), weight=1.0)],
+            model_mix=ModelMix((0.9, 0.1)), n_replicas=4,
+            policy=BatchingPolicy(max_batch=32), max_queue=1024,
+            order="edf", cost_aware=True)
+        run = dict(rate=0.9 * sim.saturation_rate(), process="poisson")
+    elif case == "autoscale":
+        sim = AutoscalingSimulator(
+            workload=None, service_model=_SVC, policy=policy, max_queue=16,
+            autoscale=AutoscalePolicy(min_replicas=1, max_replicas=3,
+                                      epoch=0.01, cooldown_epochs=0),
+            failure_events=[FailureEvent(0.5, 0, "fail")])
+        run = dict(rate=3.0 * _SVC.peak_throughput(4), process="mmpp")
+    else:
+        sim = ServingSimulator(workload=None, service_model=_SVC,
+                               policy=policy, n_replicas=2, cache_size=16)
+        run = dict(rate=_SVC.peak_throughput(4), process="poisson",
+                   popularity=ZipfPopularity(alpha=1.1, n_keys=64))
+    stats, n_offers, submits = _router_calls(sim, n_requests=n, seed=0,
+                                             **run)
+    assert sim.last_run_engine == "event"
+    if case == "cached":
+        assert n_offers == n and 0 < len(submits) < n
+    else:
+        assert n_offers == 0 and len(submits) == n
+    admitted = [helpers for ok, helpers in submits if ok]
+    assert len(admitted) > len(submits) // 2
+    assert all(helpers == ["_route"] for helpers in admitted)
+    if case == "autoscale":
+        assert "failure" in [e.action for e in stats.scale_events]
+        assert stats.n_dropped > 0
