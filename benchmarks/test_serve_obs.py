@@ -6,7 +6,9 @@ Two acceptance claims from the observability PR:
    lifecycle transition, batch launch, cache event) on the 100k-request /
    64-replica acceptance sweep costs <= 15% wall-clock over the untraced
    run, and the traced run's stats are bit-identical — the tracer
-   observes, it never perturbs.
+   observes, it never perturbs. A trace is a view of the run record, so
+   a traced 1M-request run stays on the array core, within 10% of the
+   untraced one.
 2. **The exporters produce a loadable artifact.** A bursty multi-model
    autoscaled run (failures, coalescing, scaling) exports a Chrome
    trace-event file with fleet/replica/request tracks; CI uploads it so
@@ -127,6 +129,80 @@ class TestTracingOverhead:
             "overhead_fraction": overhead,
             "trace_events": len(tracer),
             "events_per_request": events_per_req,
+        })
+
+    def test_1m_array_run_traced_within_10_percent(self, hep_wl):
+        """A plain tracer keeps a supported run on the array core: the
+        1M-request / 64-replica plain run, traced, within 10% of the
+        untraced array run's wall clock, with the same stats, a trace
+        whose counts account for every request, and one request's
+        timeline read off the record without materializing the rest."""
+        n = 1_000_000
+
+        def make():
+            return ServingSimulator(hep_wl, n_replicas=self.N_REPLICAS,
+                                    policy=BatchingPolicy(max_batch=32),
+                                    max_queue=128, engine="array")
+
+        rate = 1.05 * make().saturation_rate()
+        kw = dict(n_requests=n, process="poisson", seed=0)
+        t_plain = t_traced = float("inf")
+        plain = traced = tracer = None
+
+        def sample_plain():
+            nonlocal t_plain, plain
+            sim = make()
+            gc.collect()
+            t0 = time.perf_counter()
+            plain = sim.run(rate, **kw)
+            t_plain = min(t_plain, time.perf_counter() - t0)
+            assert sim.last_run_engine == "array"
+
+        def sample_traced():
+            nonlocal t_traced, traced, tracer
+            sim, tracer = make(), Tracer()
+            gc.collect()
+            t0 = time.perf_counter()
+            traced = sim.run(rate, tracer=tracer, **kw)
+            t_traced = min(t_traced, time.perf_counter() - t0)
+            assert sim.last_run_engine == "array"
+
+        make().run(rate, n_requests=10_000, process="poisson", seed=0)
+        for i in range(5):
+            first, second = ((sample_plain, sample_traced) if i % 2 == 0
+                             else (sample_traced, sample_plain))
+            first()
+            second()
+        assert np.array_equal(traced.latencies, plain.latencies)
+        assert (traced.n_dropped, traced.horizon) \
+            == (plain.n_dropped, plain.horizon)
+        c = tracer.counts()
+        assert (c["offered"], c["shed"], c["completed"], c["failed"]) \
+            == (n, traced.n_dropped, traced.n_completed, 0)
+        t0 = time.perf_counter()
+        text = tracer.explain(n // 2)
+        t_explain = time.perf_counter() - t0
+        assert "outcome:" in text
+        overhead = t_traced / t_plain - 1.0
+        report(f"tracing overhead on the array core: {n // 1000}k "
+               f"requests, {self.N_REPLICAS} replicas (HEP, 1.05x "
+               f"saturation)", [
+                   ("untraced wall-clock (s)", "--", f"{t_plain:.2f}"),
+                   ("traced wall-clock (s)", "--", f"{t_traced:.2f}"),
+                   ("overhead", "<= 10%", f"{overhead * 100:.1f}%"),
+                   ("trace events", "--", f"{len(tracer)}"),
+                   ("explain(one request) (s)", "--", f"{t_explain:.3f}"),
+               ])
+        assert overhead <= 0.10, (
+            f"a traced array run cost {overhead * 100:.1f}% wall-clock, "
+            f"budget is 10%")
+        bench_json("trace_overhead", {
+            "array_n_requests": n,
+            "array_wall_clock_untraced_s": t_plain,
+            "array_wall_clock_traced_s": t_traced,
+            "array_overhead_fraction": overhead,
+            "array_trace_events": len(tracer),
+            "array_explain_s": t_explain,
         })
 
     def test_profiler_spans_cover_the_run(self, hep_wl):

@@ -239,11 +239,14 @@ def main() -> None:
 
     tracer = Tracer()
     # 2 replicas at 1.4x their saturation rate with 3x MMPP bursts on a
-    # 32-deep queue: most requests complete, the burst peaks shed.
-    obs_sim = ServingSimulator(hep_full, n_replicas=2, max_queue=32)
+    # 32-deep queue: most requests complete, the burst peaks shed. The
+    # trace is read off the run record, so the run stays on the array core.
+    obs_sim = ServingSimulator(hep_full, n_replicas=2, max_queue=32,
+                               engine="array")
     obs_stats = obs_sim.run(1.4 * obs_sim.saturation_rate(),
                             n_requests=4000, process=burst, seed=0,
                             tracer=tracer)
+    assert obs_sim.last_run_engine == "array"
     reconcile(tracer, obs_stats)   # event totals == stats, exactly
     c = tracer.counts()
     print(f"      {len(tracer)} events; offered {c['offered']}, "

@@ -254,8 +254,7 @@ class AutoscalingSimulator(ServingSimulator):
                  service_models: Optional[Sequence] = None,
                  coalesce: bool = False,
                  order: str = "fifo",
-                 cost_aware: bool = False,
-                 engine: str = "event") -> None:
+                 cost_aware: bool = False) -> None:
         self.autoscale = autoscale or AutoscalePolicy()
         initial = (self.autoscale.min_replicas if n_replicas is None
                    else n_replicas)
@@ -270,7 +269,7 @@ class AutoscalingSimulator(ServingSimulator):
                          service_model=service_model, cache_size=cache_size,
                          models=models, model_mix=model_mix,
                          service_models=service_models, coalesce=coalesce,
-                         order=order, cost_aware=cost_aware, engine=engine)
+                         order=order, cost_aware=cost_aware)
         if failures is not None and failure_events is not None:
             raise ValueError(
                 "pass either a FailureModel or explicit failure_events, "

@@ -137,16 +137,10 @@ class ReplicaBatchQueue:
                  on_commit: Optional[Callable[[Batch], None]] = None,
                  service_times: Optional[
                      Sequence[Callable[[int], float]]] = None,
-                 tracer=None, replica: Optional[int] = None,
                  policies: Optional[Sequence[BatchingPolicy]] = None,
                  order: str = "fifo",
                  slos: Optional[Sequence[float]] = None) -> None:
         self.policy = policy
-        #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed; ``None``
-        #: keeps every push/launch on the exact pre-trace instruction path)
-        self.tracer = tracer
-        #: this queue's replica index, stamped on its trace events
-        self.replica = replica
         #: per-model service-time callables, one per model index
         self.service_times = list(service_times or [service_time])
         n_models = len(self.service_times)
@@ -188,6 +182,9 @@ class ReplicaBatchQueue:
         self._nfull = 0
         self._next = math.inf
         self.batches: List[Batch] = []
+        #: the batches :meth:`abort_after` struck (in flight or committed
+        #: past the node death): out of :attr:`batches`, kept for the record
+        self.aborted: List[Batch] = []
         #: request_id -> completion; a :class:`~repro.serve.router.Router`
         #: swaps in the one ledger its whole fleet writes to
         self.completions: Dict[int, float] = {}
@@ -320,9 +317,6 @@ class ReplicaBatchQueue:
         left = (self.advance(t) if self._nfull > 0 or self._next < t
                 else self._next)
         self._clock = t
-        # no trace emission here: the tracer synthesizes each member's
-        # "enqueue" from the lane slice handed over at batch commit, so
-        # admission costs the traced hot path nothing
         lane = self.lanes.setdefault(model, [])
         lane.append((t, request_id))
         n, B = len(lane), self.policies[model].max_batch
@@ -389,18 +383,6 @@ class ReplicaBatchQueue:
                       model=model)
         self.batches.append(batch)
         self.completions.update(dict.fromkeys(ids, completion))
-        if self.tracer is not None:
-            # Emitted at commit, timestamped per the batch's (future)
-            # completion; a later node death strikes these with "fail".
-            # The lane slice carries each member's (enqueue_t, rid) —
-            # the tracer synthesizes their enqueue/complete events from
-            # it lazily, so commit stores one tuple, not 3x batch size.
-            info = None
-            if self.slos is not None:
-                deadline = members[0][0] + self.slos[model]
-                info = (deadline, deadline - completion)
-            self.tracer.batch_launch(launch, self.replica, model,
-                                     completion, members, info)
         if self.on_commit is not None:
             self.on_commit(batch)
 
@@ -439,10 +421,11 @@ class ReplicaBatchQueue:
         """Fail-stop the replica at time ``t``; returns the lost request ids.
 
         Models a node death: every batch still in service at ``t`` (or
-        committed to launch after it) is aborted and its requests are
-        struck from :attr:`completions`, along with everything queued but
-        unlaunched. Batches that completed at or before ``t`` stand — those
-        responses already left the node. The queue is unusable afterwards
+        committed to launch after it) is aborted — moved to
+        :attr:`aborted` — and its requests are struck from
+        :attr:`completions`, along with everything queued but unlaunched.
+        Batches that completed at or before ``t`` stand — those responses
+        already left the node. The queue is unusable afterwards
         (``free_at`` pinned to infinity).
         """
         self.advance(t)
@@ -454,12 +437,7 @@ class ReplicaBatchQueue:
                 lost.extend(b.request_ids)
                 for rid in b.request_ids:
                     del self.completions[rid]
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "batch_abort", t, replica=self.replica,
-                        model=b.model,
-                        data={"launch": b.start, "completion": b.completion,
-                              "size": b.size, "request_ids": b.request_ids})
+                self.aborted.append(b)
             else:
                 survived.append(b)
         self.batches = survived

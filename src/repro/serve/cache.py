@@ -87,8 +87,9 @@ class ResultCache:
 
     def __init__(self, capacity: int, tracer=None) -> None:
         self.capacity = require_count("capacity", capacity, least=0)
-        #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed; ``None``
-        #: keeps every operation on the exact pre-trace path)
+        #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed): with
+        #: ``detail=True`` it records every insert and eviction; ``None``
+        #: keeps every operation on the exact pre-trace path
         self.tracer = tracer
         #: virtual time stamped on trace events — the cache has no clock
         #: of its own, so the simulator sets this before traced mutations
@@ -127,16 +128,12 @@ class ResultCache:
             victim, _ = self._data.popitem(last=False)
             self.evictions += 1
             if tracer is not None and tracer.detail:
-                # raw key, not repr(): exporters stringify off the hot path
-                tracer.emit_raw(
-                    (self.now, "cache_evict", None, None, None,
-                     {"key": victim}))
+                # raw key, not repr(): exporters stringify it
+                tracer.emit("cache_evict", self.now, data={"key": victim})
         self._data[key] = value
         self.insertions += 1
         if tracer is not None and tracer.detail:
-            tracer.emit_raw(
-                (self.now, "cache_insert", None, None, None,
-                 {"key": key}))
+            tracer.emit("cache_insert", self.now, data={"key": key})
 
     def invalidate_scope(self, scope) -> int:
         """Evict every entry whose key is prefixed with ``scope``.
@@ -156,10 +153,6 @@ class ResultCache:
         for k in victims:
             del self._data[k]
         self.invalidations += len(victims)
-        if victims and self.tracer is not None:
-            self.tracer.emit("cache_invalidate", self.now,
-                             data={"scope": repr(scope),
-                                   "removed": len(victims)})
         return len(victims)
 
     def clear(self) -> None:

@@ -75,10 +75,12 @@ training is the one-group case of the paper's hybrid scheme):
   event loop's commit hook uses, and hits complete at ``request_rtt()``
   without ever touching the load heap.
 
-Genuinely event-only features keep the object loop: tracing, request
-coalescing, cost-aware routing/admission, and edf launch ordering. Those
-paths are control-heavy, not arrival-heavy, and their semantics live in
-the router/queue objects.
+The control-heavy features keep the object loop: request coalescing,
+cost-aware routing/admission, edf launch ordering, and a ``detail=True``
+trace (it records the event engine's cache mutations). A plain trace
+does not: it is a view of the :class:`FastRun` both engines end in,
+expanded after the run by :mod:`repro.serve.obs`, so a traced run stays
+on this core.
 ``ServingSimulator(engine="array")`` consults :func:`unsupported_reason`
 and falls back transparently, so callers opt into the fast core per
 simulator, not per config; the support-lattice test asserts every
@@ -116,9 +118,10 @@ def unsupported_reason(sim) -> Optional[str]:
     Supported natively: fixed-fleet single- or multi-model serving with
     count-based (optionally weighted) admission, fifo launch order,
     windowed or continuous batching, per-model batching policies, and a
-    result cache in front. Event-loop only: the trace and everything that
-    reorders the control path. A profiler stays on its engine: it times
-    the run's ``run.*`` phases and never changes a result.
+    result cache in front. Event-loop only: everything that reorders the
+    control path, and a ``detail=True`` trace. A plain tracer reads the
+    run record after the run and a profiler times the ``run.*`` phases;
+    neither changes a result, so both stay on their engine.
     """
     if sim.cost_aware:
         return "cost-aware routing/admission is event-loop only"
@@ -126,8 +129,8 @@ def unsupported_reason(sim) -> Optional[str]:
         return f"launch order {sim.order!r} is event-loop only"
     if sim.coalesce:
         return "request coalescing is event-loop only"
-    if sim._tracer is not None:
-        return "tracing instruments the event loop"
+    if sim._tracer is not None and sim._tracer.detail:
+        return "a detail trace records the event engine's cache mutations"
     return None
 
 
@@ -135,17 +138,26 @@ def unsupported_reason(sim) -> Optional[str]:
 class FastRun:
     """One finished run, pre-:class:`LatencyStats` — the record both
     engines end in (the event engine's is built by
-    ``ServingSimulator._record`` after its drain).
+    ``ServingSimulator._record`` after its drain), and what a trace is
+    expanded from (:meth:`repro.serve.obs.Tracer.add_record`).
 
     ``complete_t[i]`` is request ``i``'s completion time: its arrival time
     for a cache hit, its leader's completion for a coalesced follower,
-    NaN when shed or lost. ``shed`` / ``hit`` / ``failed`` /
-    ``coalesced`` are bool masks over request ids; ``None`` means the run
-    had no such requests by construction (no cache; the array core never
-    fails or coalesces). ``failed`` holds the requests lost to a replica
-    death, stranded coalesced followers included. ``bstart`` / ``bcomp``
-    / ``bsize`` hold every launched batch, replica by replica (live, then
-    retired) and each replica's in launch order.
+    NaN when shed or lost. ``shed`` / ``hit`` / ``failed`` are bool masks
+    over request ids; ``None`` means the run had no such requests by
+    construction (no cache; the array core never fails). ``failed`` holds
+    the requests lost to a replica death, stranded coalesced followers
+    included.
+
+    The batch columns ``bstart`` / ``bcomp`` / ``bsize`` / ``brep``
+    (replica index) hold every launched batch, replica by replica (live,
+    then retired) and each replica's in launch order; batch ``b``'s
+    members are ``members[bfirst[b]:bfirst[b] + bsize[b]]``, in lane
+    order. The event engine alone fills the rest: ``aborted`` marks the
+    batches a node death struck (listed after the others, and not in the
+    stats), ``leader`` each coalesced follower's leader (-1 for every
+    other request) and ``enqueue_t`` each request's last enqueue instant
+    (``None``: its arrival, i.e. nothing was re-routed).
     """
 
     complete_t: np.ndarray
@@ -153,9 +165,14 @@ class FastRun:
     bstart: np.ndarray
     bcomp: np.ndarray
     bsize: np.ndarray
+    brep: np.ndarray
+    bfirst: np.ndarray
+    members: np.ndarray
     hit: Optional[np.ndarray] = None
     failed: Optional[np.ndarray] = None
-    coalesced: Optional[np.ndarray] = None
+    leader: Optional[np.ndarray] = None
+    enqueue_t: Optional[np.ndarray] = None
+    aborted: Optional[np.ndarray] = None
 
 
 def drive(sim, arrivals: np.ndarray) -> FastRun:
@@ -210,6 +227,9 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
     done = ~np.isnan(ct)
     n_done = int(np.count_nonzero(done))
     n_dropped, n_failed = _count(run.shed), _count(run.failed)
+    # live followers: a stranded one is in ``failed``
+    coalesced = (None if run.leader is None
+                 else (run.leader >= 0) & ~run.failed)
     if n_done + n_dropped + n_failed != ct.size:
         stray = ~(done | run.shed)
         if run.failed is not None:
@@ -217,23 +237,28 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
         raise KeyError(int(np.flatnonzero(stray)[0]))
     rtts = sim._request_rtts()
     mids = sim._mids_np
-    cd = ct[done]
-    if mids is None:            # one model: no per-request model ids
-        latencies = (cd - arrivals[done]) + rtts[0]
-    else:
-        latencies = ((cd - arrivals[done])
-                     + np.asarray(rtts, dtype=np.float64)[mids[done]])
+    # (completion - arrival) + rtt, in place: the record is still held
+    latencies = ct[done]
     horizon = 0.0
     if n_done:
-        horizon = float(cd.max()) + max(rtts) - float(arrivals[0])
+        horizon = float(latencies.max()) + max(rtts) - float(arrivals[0])
+    latencies -= arrivals[done]
+    if mids is None:            # one model: no per-request model ids
+        latencies += rtts[0]
+    else:
+        latencies += np.asarray(rtts, dtype=np.float64)[mids[done]]
+    bstart, bcomp, bsize = run.bstart, run.bcomp, run.bsize
+    if run.aborted is not None:
+        kept = ~run.aborted
+        bstart, bcomp, bsize = bstart[kept], bcomp[kept], bsize[kept]
     # np.lexsort is stable per key, so ties on (start, completion) keep
     # replica order — the order sorted() leaves a batch list in.
-    order = np.lexsort((run.bcomp, run.bstart))
+    order = np.lexsort((bcomp, bstart))
     stats = LatencyStats(latencies=latencies, n_offered=int(ct.size),
                          n_dropped=n_dropped, horizon=horizon,
-                         batch_sizes=run.bsize[order], n_failed=n_failed,
+                         batch_sizes=bsize[order], n_failed=n_failed,
                          n_cache_hits=_count(run.hit),
-                         n_coalesced=_count(run.coalesced))
+                         n_coalesced=_count(coalesced))
     if sim.models is not None:
         M = len(sim.models)
         if mids is None:        # models=[one profile]: all model 0
@@ -246,7 +271,7 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
 
         offered = np.bincount(mids, minlength=M).tolist()
         dropped, failed, hits, coalesced = map(
-            per_model, (run.shed, run.failed, run.hit, run.coalesced))
+            per_model, (run.shed, run.failed, run.hit, coalesced))
         md = mids[done]
         slos = sim.model_slos()
         stats.models = [PerModelStats(
@@ -256,17 +281,6 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
             n_cache_hits=hits[m], n_coalesced=coalesced[m])
             for m, profile in enumerate(sim.models)]
     return stats
-
-
-def _writeback(complete_np: np.ndarray, m_rid: array, m_comp: array,
-               m_take: array) -> None:
-    """Expand the per-batch record into per-request completion times with
-    one ``np.repeat`` fancy assignment (zero-copy views of the C-typed
-    buffers)."""
-    if len(m_rid):
-        complete_np[np.frombuffer(m_rid, dtype=np.int64)] = np.repeat(
-            np.frombuffer(m_comp, dtype=np.float64),
-            np.frombuffer(m_take, dtype=np.int64))
 
 
 def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
@@ -309,12 +323,15 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
 
     Memory: arrivals stream through in ``_CHUNK``-sized boxed-float
     slices, each lane stores ``(rid, arrival)`` as C ints/doubles with
-    consumed prefixes reclaimed, and the deferred completion record is
-    three ``array`` buffers — the 10M-request/64-replica point runs in a
-    few hundred MB instead of multiple GB of boxed floats. Hits and sheds
-    accumulate in C-typed buffers too and write back vectorized at the
-    end — per-request numpy scalar stores were a measurable slice of the
-    loop.
+    consumed prefixes reclaimed, and the batch record is a set of
+    commit-order ``array`` buffers (members, launch, completion, size,
+    replica) — the 10M-request/64-replica point runs in a few hundred MB
+    instead of multiple GB of boxed floats. Hits and sheds accumulate in
+    C-typed buffers too and write back vectorized at the end —
+    per-request numpy scalar stores were a measurable slice of the loop.
+    The same columns serve the completion write-back (one ``np.repeat``),
+    and, after one stable sort into replica order, the stats and the
+    trace.
     """
     complete_np = np.full(n, np.nan)
     shed_np = np.zeros(n, dtype=bool)
@@ -336,12 +353,15 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     h_rid = array("q")            # hit request ids, in arrival order
     h_t = array("d")              # matching hit (arrival) times
     s_rid = array("q")            # shed request ids
-    # Deferred completion writes: member ids, one completion + size per
-    # batch; expanded into complete_np once, at the end, via np.repeat.
+    # The batch record, in commit order: member ids, then one launch,
+    # completion, size and replica per batch. Completions are expanded
+    # into complete_np once, at the end, via np.repeat.
     m_rid = array("q")
     m_ext = m_rid.extend
-    m_comp = array("d")
-    m_take = array("q")
+    b_start = array("d")
+    b_comp = array("d")
+    b_take = array("q")
+    b_rep = array("q")
 
     # Load-heap keys are ints: backlog << shift | replica. A key is live
     # iff it equals cur[r]; limit << shift is the shed threshold in key
@@ -374,9 +394,6 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     comp_ev: List = []            # (completion, replica, size)
     nle = _INF                    # cached next launch event time
     nce = _INF                    # cached next completion event time
-    bstart = [array("d") for _ in range(R)]
-    bcomp = [array("d") for _ in range(R)]
-    bsize = [array("q") for _ in range(R)]
 
     push = heappush
     pop = heappop
@@ -389,8 +406,10 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
         h = lhead[li]
         seg = lq[li][h:h + take]
         m_ext(seg)
-        m_comp.append(comp)
-        m_take.append(take)
+        b_start.append(launch)
+        b_comp.append(comp)
+        b_take.append(take)
+        b_rep.append(r)
         h += take
         if h >= _COMPACT:
             del lq[li][:h]
@@ -398,9 +417,6 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
             h = 0
         lhead[li] = h
         lqn[li] -= take
-        bstart[r].append(launch)
-        bcomp[r].append(comp)
-        bsize[r].append(take)
         if cached:
             push(fills, (comp, seg))
         return comp
@@ -569,7 +585,11 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
             fa = free_at[r]
             tb = lw[li][-1]
             _commit(r, li, lqn[li], fa if fa > tb else tb, svcs[li - bl])
-    _writeback(complete_np, m_rid, m_comp, m_take)
+    members = _np_of(m_rid, np.int64)
+    bcomp = _np_of(b_comp, np.float64)
+    bsize = _np_of(b_take, np.int64)
+    brep = _np_of(b_rep, np.int64)
+    complete_np[members] = np.repeat(bcomp, bsize)
     hit_np = None
     if cached:
         hit_np = np.zeros(n, dtype=bool)
@@ -579,9 +599,12 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
             hit_np[hidx] = True
     if s_rid:
         shed_np[np.frombuffer(s_rid, dtype=np.int64)] = True
+    # commit order -> replica order, each replica's batches still in
+    # launch order; members stay in commit order, found by offset
+    order = np.argsort(brep, kind="stable")
     return FastRun(
         complete_t=complete_np, shed=shed_np,
-        bstart=np.concatenate([_np_of(b, np.float64) for b in bstart]),
-        bcomp=np.concatenate([_np_of(b, np.float64) for b in bcomp]),
-        bsize=np.concatenate([_np_of(b, np.int64) for b in bsize]),
+        bstart=_np_of(b_start, np.float64)[order], bcomp=bcomp[order],
+        bsize=bsize[order], brep=brep[order],
+        bfirst=(np.cumsum(bsize) - bsize)[order], members=members,
         hit=hit_np)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.serve.obs.trace import _CODE, _outcome_of
+
 #: virtual seconds -> Chrome trace microseconds
 _US = 1e6
 
@@ -102,8 +104,8 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
             aborts[(ev.replica, ev.data["completion"])] = ev.time
 
     replicas_seen = set()
-    # request track state: rid -> (arrival_t, model); terminal picked by
-    # replaying lifecycle events in emission order (fail strikes complete).
+    # request track state: rid -> (arrival_t, model); terminal by
+    # precedence (a node death's fail beats its batch's complete).
     arrival: Dict[int, tuple] = {}
     terminal: Dict[int, tuple] = {}
     order: List[int] = []
@@ -144,12 +146,12 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
             if ev.request_id not in arrival:
                 order.append(ev.request_id)
             arrival[ev.request_id] = (ev.time, ev.model)
-        elif k in ("shed", "cache_hit", "fail"):
-            terminal[ev.request_id] = (ev.time, k)
-        elif k == "complete":
-            via = ev.data.get("via", "replica")
-            terminal[ev.request_id] = (
-                ev.time, "coalesced" if via == "coalesced" else "complete")
+        else:
+            outcome = _outcome_of(k, ev.data)
+            held = terminal.get(ev.request_id, (0.0, None))[1]
+            if outcome is not None and \
+                    _CODE[outcome] >= _CODE.get(held, 0):
+                terminal[ev.request_id] = (ev.time, outcome)
 
     for tid in sorted(replicas_seen):
         events.append({"ph": "M", "pid": _PID_REPLICAS, "tid": tid,
@@ -191,8 +193,8 @@ _OUTCOME_VERDICT = {
 
 def explain(tracer, request_id: int) -> str:
     """Text timeline of one request: every event, time-ordered, with a
-    closing verdict (outcome, end-to-end latency, SLO pass/miss when the
-    run published per-model SLOs in ``tracer.meta``)."""
+    closing verdict (outcome by precedence, end-to-end latency, SLO
+    pass/miss when the run published per-model SLOs in ``tracer.meta``)."""
     tl = tracer.timeline(request_id)
     if not tl:
         return f"request {request_id}: no trace events"
@@ -203,15 +205,16 @@ def explain(tracer, request_id: int) -> str:
     outcome, t_end = "lost", t0
     for ev in tl:
         dt = (ev.time - t0) * 1e3
+        reached = _outcome_of(ev.kind, ev.data)
+        if reached is not None and _CODE[reached] >= _CODE.get(outcome, 0):
+            outcome, t_end = reached, ev.time
         note = ""
         if ev.kind == "arrival":
             note = "offered"
         elif ev.kind == "shed":
             note = "rejected: all admissible replica queues full"
-            outcome, t_end = "shed", ev.time
         elif ev.kind == "cache_hit":
             note = "served from result cache"
-            outcome, t_end = "cache_hit", ev.time
         elif ev.kind == "coalesce":
             note = f"duplicate of in-flight rid={ev.data.get('leader')}"
         elif ev.kind == "enqueue":
@@ -235,11 +238,8 @@ def explain(tracer, request_id: int) -> str:
             via = ev.data.get("via", "replica")
             note = ("completed (coalesced ride)" if via == "coalesced"
                     else f"completed on replica {ev.replica}")
-            outcome, t_end = (
-                "coalesced" if via == "coalesced" else "complete", ev.time)
         elif ev.kind == "fail":
             note = f"lost: replica {ev.replica} died mid-service"
-            outcome, t_end = "fail", ev.time
         lines.append(f"  t={ev.time:.6f}s (+{dt:8.3f} ms)  "
                      f"{ev.kind:<12} {note}")
     latency_ms = (t_end - t0) * 1e3

@@ -1,45 +1,41 @@
 """Structured per-request tracing for the serving stack, in virtual time.
 
-A :class:`Tracer` is threaded (opt-in) through
-:class:`~repro.serve.router.Router`,
-:class:`~repro.serve.batching.ReplicaBatchQueue`,
-:class:`~repro.serve.cache.ResultCache`,
-:class:`~repro.serve.slo_sim.ServingSimulator`, and
-:class:`~repro.serve.autoscale.Autoscaler`. Each emits typed events at the
-request lifecycle transitions — arrival, admission or shed, cache hit or
-coalesce, enqueue onto a replica, batch launch, completion or failure —
-plus fleet events (scale out/in, node death, degrade, repair, drain)
-carrying the controller's observed signals, so a trace answers *why* the
-fleet changed, not just *that* it did.
+A :class:`Tracer` passed to a simulator run records what happened to
+every request — arrival, admission or shed, cache hit or coalesce,
+enqueue onto a replica, batch launch, completion or failure — plus fleet
+events (scale out/in, node death, degrade, repair, drain) carrying the
+controller's observed signals, so a trace answers *why* the fleet
+changed, not just *that* it did. Event times are virtual seconds.
 
-Design constraints, in order:
+Request and batch events are a view of the run record: both engines end a
+run in one :class:`repro.serve.fast_core.FastRun`, ``run()`` hands it over
+once, after the run (:meth:`Tracer.add_record`), and :class:`_Record`
+expands the events from it lazily — nothing else emits them. The drive
+loops never see a tracer, so a traced run costs what an untraced one does
+and stays on the array core when its configuration is supported. Only
+fleet changes are emitted live (:meth:`Tracer.emit`): the router's
+``drain``, ``reroute``, ``replica_fail`` with its per-request ``fail``,
+``batch_abort``, ``replica_degrade`` and ``replica_repair``; the
+autoscaler's ``epoch``, ``decision`` and ``scale``; ``run_start`` /
+``run_end``; and with ``detail=True`` the cache's inserts and evictions.
 
-1. **Zero cost when off.** Every emission site is guarded by
-   ``if tracer is not None``; a ``tracer=None`` run executes the exact
-   pre-trace instruction stream and is bit-identical to the untraced
-   simulator (pinned by ``tests/test_serve_obs.py``).
-2. **Near-zero cost when on.** The hot path appends one plain tuple per
-   event — no dataclass construction, no dict unless the event carries a
-   payload. Typed :class:`TraceEvent` objects are materialized lazily by
-   :attr:`Tracer.events`. The overhead budget (<= 15% wall-clock on the
-   100k-request/64-replica sweep) is asserted in
-   ``benchmarks/test_serve_obs.py``.
-3. **Reconcilable.** :meth:`Tracer.counts` re-derives the serving
-   conservation identity (``hits + completions + shed + failed ==
-   offered``, per model and in aggregate) purely from events; the metrics
-   registry (:func:`repro.serve.obs.metrics.reconcile`) asserts those
-   totals against the run's :class:`~repro.serve.metrics.LatencyStats`.
-
-Event times are *virtual* (simulation) seconds. Events are appended in
-emission order, which is not globally time-sorted — a batch's completion
-event is emitted at commit time, timestamped at its (future) completion —
-so exporters sort where order matters.
+:attr:`Tracer.events` puts both in one canonical order — by run, time,
+kind (:data:`_RANK`), request id and replica, ties in emission order. A
+request's terminal state comes from precedence, not order: a node death's
+``fail`` beats the ``complete`` its aborted batch recorded.
+:meth:`Tracer.counts` re-derives the serving conservation identity
+(``hits + completions + shed + failed == offered``, per model and in
+aggregate) from the events; :func:`repro.serve.obs.metrics.reconcile`
+asserts those totals against the run's stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 #: request lifecycle transitions
 REQUEST_EVENT_KINDS = (
@@ -73,35 +69,38 @@ RUN_EVENT_KINDS = (
     "run_end",      # run bracket close (event count; use counts() for totals)
     "cache_insert",  # a batch completion filled the cache (detail=True only)
     "cache_evict",   # capacity pressure evicted an entry (detail=True only)
-    "cache_invalidate",  # a scope invalidation removed entries
 )
 
 #: every valid :attr:`TraceEvent.kind`
 EVENT_KINDS = (REQUEST_EVENT_KINDS + BATCH_EVENT_KINDS
                + FLEET_EVENT_KINDS + RUN_EVENT_KINDS)
-_KIND_SET = frozenset(EVENT_KINDS)
+
+#: each kind's place among the events of one instant: the run opens, the
+#: fleet changes (a control instant precedes the arrival it ties with),
+#: then a request's lifecycle, then the cache fills of a completion
+_RANK = {kind: i for i, kind in enumerate((
+    "run_start", "epoch", "decision", "drain", "reroute", "replica_fail",
+    "batch_abort", "replica_degrade", "replica_repair", "scale",
+    "arrival", "cache_hit", "coalesce", "shed", "enqueue", "batch_launch",
+    "complete", "fail", "cache_evict", "cache_insert", "run_end"))}
+
+#: terminal outcomes by precedence: a request's is the last of these its
+#: events reach (a node death's ``fail`` beats its batch's ``complete``)
+_OUTCOMES = ("shed", "cache_hit", "coalesced", "complete", "fail")
+_CODE = {o: i + 1 for i, o in enumerate(_OUTCOMES)}
 
 #: shared payload for replica-path completions — one dict for the whole
 #: stream (read-only by convention), not one per completed request
 _VIA_REPLICA: Mapping[str, Any] = {"via": "replica"}
 
-#: internal columnar block kinds (never materialized as TraceEvents —
-#: expanded into "arrival"/"cache_hit" events instead)
-_BLOCK_KINDS = frozenset(("_arrivals", "_cache_hits"))
 
-
-def _block_lists(payload):
-    """Normalize an ``_arrivals`` block payload to parallel plain lists
-    (``times``, ``models``) — numpy arrays converted once, here, off the
-    hot path."""
-    times, models = payload
-    if hasattr(times, "tolist"):
-        times = times.tolist()
-    if models is None:
-        models = [0] * len(times)
-    elif hasattr(models, "tolist"):
-        models = models.tolist()
-    return times, models
+def _outcome_of(kind: str,
+                data: Optional[Mapping[str, Any]]) -> Optional[str]:
+    """The terminal outcome an event reaches (``None``: not terminal)."""
+    if kind == "complete":
+        return ("coalesced" if (data or {}).get("via") == "coalesced"
+                else "complete")
+    return kind if kind in _CODE else None
 
 
 @dataclass(frozen=True)
@@ -122,19 +121,137 @@ class TraceEvent:
     data: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_SET:
+        if self.kind not in _RANK:
             raise ValueError(f"unknown trace event kind {self.kind!r}; "
                              f"have {EVENT_KINDS}")
+
+
+def _with_key(run: int, ev: TraceEvent):
+    """``ev`` with its canonical sort key."""
+    return ((run, ev.time, _RANK[ev.kind],
+             -1 if ev.request_id is None else ev.request_id,
+             -1 if ev.replica is None else ev.replica), ev)
+
+
+class _Record:
+    """One run's record as a tracer keeps it: the engine's
+    :class:`~repro.serve.fast_core.FastRun` (duck-typed), the arrival
+    times, each request's model (``None``: all model 0) and, under a
+    deadline-aware launch order, the per-model SLOs a batch's deadline is
+    read from. The one place request and batch events come from."""
+
+    __slots__ = ("run", "arrivals", "models", "slos", "n_events")
+
+    def __init__(self, run, arrivals, models, slos) -> None:
+        self.run = run
+        self.arrivals = np.asarray(arrivals, dtype=np.float64)
+        n = self.arrivals.size
+        self.models = (np.zeros(n, dtype=np.int8) if models is None
+                       else np.asarray(models))
+        self.slos = slos
+        n_followers = (0 if run.leader is None
+                       else int(np.count_nonzero(run.leader >= 0)))
+        # arrival, shed / hit, a follower's coalesce + terminal, a
+        # batch's launch, a member's enqueue + complete
+        self.n_events = (n + _count(run.shed) + _count(run.hit)
+                         + 2 * n_followers + run.bsize.size
+                         + 2 * run.members.size)
+
+    def events(self, run_ix: int, rid: Optional[int] = None
+               ) -> List[Tuple[tuple, TraceEvent]]:
+        """Every request and batch event, keyed (:func:`_with_key`); with
+        ``rid``, only that request's and the launch of the batch it rode."""
+        rec, arr, models = self.run, self.arrivals, self.models
+        want = np.full(arr.size, rid is None)
+        if rid is not None and 0 <= rid < arr.size:
+            want[rid] = True
+        out: List[Tuple[tuple, TraceEvent]] = []
+
+        def requests(kind: str, mask) -> None:
+            ids = np.flatnonzero(mask & want)
+            for i, t, m in zip(ids.tolist(), arr[ids].tolist(),
+                               models[ids].tolist()):
+                out.append(_with_key(run_ix, TraceEvent(t, kind, i, None, m)))
+
+        requests("arrival", True)
+        requests("shed", rec.shed)
+        if rec.hit is not None:
+            requests("cache_hit", rec.hit)
+        if rec.leader is not None:
+            ids = np.flatnonzero((rec.leader >= 0) & want)
+            leaders = rec.leader[ids]
+            for i, t, m, lead, dead, t_done in zip(
+                    ids.tolist(), arr[ids].tolist(), models[ids].tolist(),
+                    leaders.tolist(), rec.failed[leaders].tolist(),
+                    rec.complete_t[leaders].tolist()):
+                out.append(_with_key(run_ix, TraceEvent(
+                    t, "coalesce", i, None, m, {"leader": lead})))
+                if dead:
+                    out.append(_with_key(run_ix, TraceEvent(
+                        t, "fail", i, None, m,
+                        {"leader": lead, "stranded": True})))
+                else:
+                    out.append(_with_key(run_ix, TraceEvent(
+                        t_done, "complete", i, None, m,
+                        {"via": "coalesced", "leader": lead})))
+        first, size = rec.bfirst, rec.bsize
+        picked = range(size.size) if rid is None else [
+            b for p in np.flatnonzero(rec.members == rid).tolist()
+            for b in np.flatnonzero((first <= p) & (p < first + size))]
+        enq = arr if rec.enqueue_t is None else rec.enqueue_t
+        starts, comps, reps, firsts, sizes = (c.tolist() for c in (
+            rec.bstart, rec.bcomp, rec.brep, first, size))
+        for b in picked:
+            members = rec.members[firsts[b]:firsts[b] + sizes[b]]
+            ids, te = members.tolist(), enq[members].tolist()
+            m, t, comp, rep = int(models[ids[0]]), starts[b], comps[b], reps[b]
+            data = {"completion": comp, "size": len(ids),
+                    "request_ids": tuple(ids), "work": comp - t}
+            if self.slos is not None:
+                # the lane head's: its enqueue plus its model's SLO, and
+                # the margin left at commit — why the batch won the launch
+                deadline = te[0] + self.slos[m]
+                data["deadline"], data["slack"] = deadline, deadline - comp
+            out.append(_with_key(run_ix, TraceEvent(
+                t, "batch_launch", None, rep, m, data)))
+            for i, tq in zip(ids, te):
+                if rid is None or i == rid:
+                    out.append(_with_key(run_ix, TraceEvent(
+                        tq, "enqueue", i, rep, m)))
+                    out.append(_with_key(run_ix, TraceEvent(
+                        comp, "complete", i, rep, m, _VIA_REPLICA)))
+        return out
+
+    def outcomes(self) -> np.ndarray:
+        """Each request's terminal outcome code (:data:`_CODE`) as its
+        events reach it: every batch member ``complete`` (a node death's
+        live ``fail`` then beats it), followers ``coalesced`` or,
+        stranded, ``fail``."""
+        rec = self.run
+        codes = np.zeros(self.arrivals.size, dtype=np.int8)
+        codes[rec.members] = _CODE["complete"]
+        codes[rec.shed] = _CODE["shed"]
+        if rec.hit is not None:
+            codes[rec.hit] = _CODE["cache_hit"]
+        if rec.leader is not None:
+            follows = rec.leader >= 0
+            codes[follows] = _CODE["coalesced"]
+            codes[follows & rec.failed] = _CODE["fail"]
+        return codes
+
+
+def _count(mask: Optional[np.ndarray]) -> int:
+    return 0 if mask is None else int(np.count_nonzero(mask))
 
 
 class Tracer:
     """Collects :class:`TraceEvent` streams from one (or more) serving runs.
 
-    Pass one to ``ServingSimulator.run(..., tracer=Tracer())`` (or
-    construct routers/queues/caches with it directly). Afterwards:
+    Pass one to ``ServingSimulator.run(..., tracer=Tracer())``. Afterwards:
 
-    - :attr:`events` — the typed event stream (materialized lazily);
-    - :meth:`timeline` — one request's events in time order;
+    - :attr:`events` — the typed event stream, in canonical order
+      (materialized lazily);
+    - :meth:`timeline` — one request's events;
     - :meth:`counts` — per-model lifecycle totals, reconciled against the
       run's stats by :func:`repro.serve.obs.metrics.reconcile`;
     - :meth:`explain` — a human-readable one-request timeline;
@@ -144,185 +261,101 @@ class Tracer:
     ``meta`` is filled by the simulator's ``run_start`` event (offered
     rate, model names, per-model SLOs and transport times) so exporters
     can label tracks and judge latencies without a backref to the
-    simulator. Internally events are stored as plain tuples
-    ``(time, kind, request_id, replica, model, data-or-None)`` — the
-    hot-path emission cost is one tuple and one list append. The *bulk*
-    families go further and are stored **columnar**: arrivals and cache
-    hits as one block entry referencing arrays the simulator already
-    built (:meth:`bulk_arrivals`, :meth:`bulk_cache_hits`), and
-    per-member enqueues and batch completions synthesized from each
-    ``batch_launch`` payload (the lane slice the queue launched) — the
-    dominant event volume never touches the per-event path at all.
-    :attr:`events` expands everything back into one flat typed stream,
-    in emission order.
+    simulator. Internally live events are plain tuples ``(time, kind,
+    request_id, replica, model, data-or-None)``, and each run's record is
+    one more entry (:meth:`add_record`): its events are never stored, only
+    expanded on demand — :meth:`counts` and :meth:`timeline` read the
+    record's columns without materializing the rest.
+
+    ``detail=True`` also records the cache's internals (``cache_insert`` /
+    ``cache_evict``, one event per mutation): useful for replacement-policy
+    forensics, but those happen on the event engine only, so such a run
+    does not use the array core.
     """
 
-    __slots__ = ("_raw", "meta", "detail", "emit_raw", "_n_members",
-                 "_events", "_terminal")
+    __slots__ = ("_raw", "meta", "detail", "_n_record", "_events",
+                 "_outcomes")
 
     def __init__(self, detail: bool = False) -> None:
         self._raw: List[tuple] = []
-        #: opt-in second tier: with ``detail=True`` the cache also
-        #: records its internals (``cache_insert``/``cache_evict``, one
-        #: event per mutation) — useful for replacement-policy forensics,
-        #: but a large event family under hot-key traffic, so it is not
-        #: part of the default (overhead-budgeted) lifecycle trace.
         self.detail = detail
         #: run configuration published by the last ``run_start`` event
         self.meta: Dict[str, Any] = {}
-        #: the hottest emission sites (enqueues, sheds, cache traffic)
-        #: call this bound ``list.append`` directly with a raw
-        #: ``(time, kind, request_id, replica, model, data)`` tuple —
-        #: one attribute lookup and a C append, no Python frame. The
-        #: tuple layout is the internal contract between obs and the
-        #: serve hot paths; everything else goes through :meth:`emit`.
-        self.emit_raw = self._raw.append
-        # per-member "complete" events are *synthesized* from
-        # batch_launch payloads at materialization; this counts them so
-        # __len__ stays O(1)
-        self._n_members = 0
+        # events the run records expand into, beyond their one raw entry
+        # each, so __len__ stays O(1)
+        self._n_record = 0
         # materialization caches, keyed by the raw length they were
         # built at (emission is append-only between clears)
         self._events: Optional[Tuple[int, Tuple[TraceEvent, ...]]] = None
-        self._terminal: Optional[Tuple[int, dict]] = None
+        self._outcomes: Optional[Tuple[int, tuple]] = None
 
-    # -- emission (hot path) --------------------------------------------------
+    # -- recording ------------------------------------------------------------
     def emit(self, kind: str, time: float, request_id: Optional[int] = None,
              replica: Optional[int] = None, model: Optional[int] = None,
              data: Optional[Mapping[str, Any]] = None) -> None:
-        """Record one event. ``kind`` is validated lazily (when events are
-        materialized), keeping this a tuple-append on the hot path."""
+        """Record one live event. ``kind`` is validated lazily (when events
+        are materialized)."""
         self._raw.append((time, kind, request_id, replica, model, data))
 
-    def bulk_arrivals(self, times, models=None) -> None:
-        """Record one ``arrival`` per request as a single columnar block
-        — an O(1) reference store, no per-request work. The whole
-        arrival stream is known before the drive loop runs, so the
-        largest event family costs the hot path nothing; :attr:`events`
-        expands the block lazily. ``times`` is a sequence of arrival
-        times; ``models`` a parallel sequence of model indices (``None``:
-        single-model, all 0). Request ids are the positions. The tracer
-        keeps references — callers must not mutate the sequences after
-        handing them over."""
-        n = len(times)
-        if n == 0:
+    def add_record(self, run, arrivals, models=None, slos=None) -> None:
+        """Hand over one finished run's record (a
+        :class:`~repro.serve.fast_core.FastRun`) as a single columnar
+        block — an O(1) reference store. ``arrivals`` are the request
+        times (request ids are the positions), ``models`` each request's
+        model index (``None``: all 0), ``slos`` the per-model SLOs when the
+        run launched by deadline (``None`` under fifo). The tracer keeps
+        references — callers must not mutate them afterwards."""
+        if len(arrivals) == 0:
             return
-        self._raw.append((float(times[0]), "_arrivals", None, None, None,
-                          (times, models)))
-        # n events materialize from this one raw entry: n - 1 extras
-        self._n_members += n - 1
-
-    def bulk_cache_hits(self, hits, models=None) -> None:
-        """Record one ``cache_hit`` per entry of ``hits`` (a
-        ``request_id -> hit time`` mapping) as a single columnar block —
-        an O(1) reference store. ``models`` is indexable by request id
-        (``None``: single-model). Hits are emitted after the drive loop:
-        order relative to the stream is irrelevant because a hit is its
-        request's only lifecycle event past arrival. The tracer keeps
-        references — callers must not mutate ``hits`` afterwards."""
-        if not hits:
-            return
-        self._raw.append((next(iter(hits.values())), "_cache_hits", None,
-                          None, None, (hits, models)))
-        # len(hits) events materialize from this one raw entry
-        self._n_members += len(hits) - 1
-
-    def batch_launch(self, time: float, replica: int, model: int,
-                     completion: float,
-                     members: Tuple[Tuple[float, int], ...],
-                     info: Optional[Tuple[float, float]] = None) -> None:
-        """One committed micro-batch. ``members`` is the lane slice the
-        queue launched — ``(enqueue_time, request_id)`` pairs it built
-        anyway — and the per-member ``enqueue`` and ``complete`` events
-        (the latter timestamped at the batch's completion) are
-        *synthesized* from it when events materialize: the hot path
-        stores one tuple per batch, not three per request. The payload
-        is a plain ``(completion, members)`` tuple rather than a dict so
-        the long-lived store holds only atoms and tuples — CPython's GC
-        untracks those after one pass, keeping collection cost (the
-        dominant tracing overhead at 100k-request scale) off the traced
-        run. Stream position is right here, at commit: emission order
-        is commit order, not time order.
-
-        ``info`` (from a deadline-aware queue) is the ``(deadline,
-        slack)`` pair of the lane head that won the launch: its arrival
-        plus its model's SLO, and how many seconds of margin the batch
-        had left at commit. Materialized events then carry
-        ``data["deadline"]``/``data["slack"]`` alongside the estimated
-        ``data["work"]`` (completion minus launch), so ``explain`` can
-        say *why* the batch launched when it did."""
-        # tuple(): a stored list would stay GC-tracked forever; a tuple
-        # of pair-tuples is untracked after one pass (no-op if already
-        # a tuple)
-        if info is None:
-            payload = (completion, tuple(members))
-        else:
-            payload = (completion, tuple(members), info)
-        self._raw.append((time, "batch_launch", None, replica, model,
-                          payload))
-        # each member materializes an enqueue and a complete; the batch
-        # event itself stands in for the raw slot
-        self._n_members += 2 * len(members)
+        record = _Record(run, arrivals, models, slos)
+        self._raw.append((float(arrivals[0]), "_record", None, None, None,
+                          record))
+        self._n_record += record.n_events - 1
 
     # -- access ---------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._raw) + self._n_members
+        return len(self._raw) + self._n_record
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
+    def _keyed(self, rid: Optional[int] = None
+               ) -> List[Tuple[tuple, TraceEvent]]:
+        """Every event (or every one concerning request ``rid``), keyed
+        for the canonical sort: live events, plus the records' expansions
+        in the runs they belong to."""
+        out: List[Tuple[tuple, TraceEvent]] = []
+        run = -1
+        for t, kind, r, rep, m, d in self._raw:
+            if kind == "run_start":
+                run += 1
+            if kind == "_record":
+                out += d.events(run, rid)
+                continue
+            if rid is not None and r != rid and rid not in (
+                    d or {}).get("request_ids", ()):
+                continue
+            out.append(_with_key(run, TraceEvent(
+                t, kind, r, rep, m, d if d is not None else {})))
+        out.sort(key=itemgetter(0))   # stable: ties keep emission order
+        return out
+
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
-        """The typed event stream, in emission order (columnar blocks and
-        per-member batch completions expanded in place)."""
+        """The typed event stream, in canonical order: by run, time, kind,
+        request id and replica; ties keep emission order."""
         n = len(self._raw)
         if self._events is None or self._events[0] != n:
-            out: List[TraceEvent] = []
-            append = out.append
-            for t, k, rid, rep, m, d in self._raw:
-                if k == "_arrivals":
-                    times, models = _block_lists(d)
-                    for i, (tt, mm) in enumerate(zip(times, models)):
-                        append(TraceEvent(tt, "arrival", i, None, mm))
-                    continue
-                if k == "_cache_hits":
-                    hits, models = d
-                    for i, tt in hits.items():
-                        append(TraceEvent(
-                            tt, "cache_hit", i, None,
-                            0 if models is None else int(models[i])))
-                    continue
-                if k == "batch_launch":
-                    comp, members = d[0], d[1]
-                    for te, member in members:
-                        append(TraceEvent(time=te, kind="enqueue",
-                                          request_id=member, replica=rep,
-                                          model=m))
-                    data = {"completion": comp, "size": len(members),
-                            "request_ids": tuple(r for _, r in members),
-                            "work": comp - t}
-                    if len(d) > 2:
-                        data["deadline"], data["slack"] = d[2]
-                    append(TraceEvent(
-                        time=t, kind=k, replica=rep, model=m, data=data))
-                    for _, member in members:
-                        append(TraceEvent(time=comp, kind="complete",
-                                          request_id=member, replica=rep,
-                                          model=m, data=_VIA_REPLICA))
-                    continue
-                append(TraceEvent(time=t, kind=k, request_id=rid,
-                                  replica=rep, model=m,
-                                  data=d if d is not None else {}))
-            self._events = (n, tuple(out))
+            self._events = (n, tuple(ev for _, ev in self._keyed()))
         return self._events[1]
 
     def clear(self) -> None:
         """Drop all events and metadata (reuse the tracer for a new run)."""
-        self._raw.clear()   # in place: emit_raw stays bound to this list
+        self._raw.clear()
         self.meta.clear()
-        self._n_members = 0
+        self._n_record = 0
         self._events = None
-        self._terminal = None
+        self._outcomes = None
 
     def kind_counts(self) -> Dict[str, int]:
         """How many events of each kind were emitted."""
@@ -332,66 +365,47 @@ class Tracer:
         return out
 
     def timeline(self, request_id: int) -> List[TraceEvent]:
-        """Every event concerning one request, time-ordered (ties keep
-        emission order — arrival before admission at the same instant).
-        Includes the launch event of any batch the request rode."""
-        picked = []
-        for pos, ev in enumerate(self.events):
-            if ev.request_id == request_id or (
-                    ev.kind in ("batch_launch", "batch_abort")
-                    and request_id in ev.data.get("request_ids", ())):
-                picked.append((ev.time, pos, ev))
-        picked.sort(key=lambda e: (e[0], e[1]))
-        return [ev for _, _, ev in picked]
+        """Every event concerning one request, in canonical order,
+        including the launch (and abort) of any batch the request rode.
+        Read off the record's columns: no other request's events are
+        materialized."""
+        return [ev for _, ev in self._keyed(request_id)]
 
     # -- lifecycle accounting -------------------------------------------------
-    def _terminal_state(self) -> dict:
-        """``request_id -> (outcome, model)`` where outcome is one of
-        ``shed``/``cache_hit``/``complete``/``coalesced``/``fail``.
-
-        Later lifecycle events supersede earlier ones in *emission* order,
-        which mirrors causality in the simulator: a ``fail`` emitted at a
-        node death strikes the optimistic ``complete`` its batch emitted
-        at commit, exactly as :meth:`ReplicaBatchQueue.abort_after`
-        strikes the completion record.
-        """
-        if self._terminal is None or self._terminal[0] != len(self._raw):
-            term: dict = {}
-            known: dict = {}
-            for t, kind, rid, rep, model, d in self._raw:
+    def _requests(self) -> tuple:
+        """``(models, codes, arrived)``: every request's model (-1 when no
+        event named one), terminal outcome code and whether it arrived. A
+        record's requests come from its columns — a live event for one can
+        only raise its outcome (a node death's ``fail``) — and any other
+        request's from its events."""
+        if self._outcomes is None or self._outcomes[0] != len(self._raw):
+            records, run = {}, -1
+            for entry in self._raw:
+                run += entry[1] == "run_start"
+                if entry[1] == "_record":
+                    records[run] = (entry[5], entry[5].outcomes())
+            # (run, rid) -> [model, code, arrived]
+            loose: Dict[tuple, list] = {}
+            run = -1
+            for t, kind, rid, rep, m, d in self._raw:
+                run += kind == "run_start"
                 if rid is None:
-                    if kind == "batch_launch":
-                        # members complete optimistically at commit (a
-                        # later fail strikes them, as abort_after does)
-                        st = ("complete", model)
-                        for _, member in d[1]:
-                            term[member] = st
-                            known[member] = model
-                    elif kind == "_arrivals":
-                        times, models = _block_lists(d)
-                        known.update(enumerate(models))
-                    elif kind == "_cache_hits":
-                        hits, models = d
-                        for member in hits:
-                            term[member] = (
-                                "cache_hit",
-                                0 if models is None else int(models[member]))
                     continue
-                if model is None:
-                    # e.g. the router's per-rid "fail" doesn't know the
-                    # model; use the one an earlier event (the arrival,
-                    # at the latest) recorded for this request.
-                    model = known.get(rid)
-                else:
-                    known[rid] = model
-                if kind in ("shed", "cache_hit", "fail"):
-                    term[rid] = (kind, model)
-                elif kind == "complete":
-                    via = (d or {}).get("via", "replica")
-                    term[rid] = ("coalesced" if via == "coalesced"
-                                 else "complete", model)
-            self._terminal = (len(self._raw), term)
-        return self._terminal[1]
+                code = _CODE.get(_outcome_of(kind, d), 0)
+                codes = records[run][1] if run in records else ()
+                if 0 <= rid < len(codes):
+                    codes[rid] = max(codes[rid], code)
+                    continue
+                e = loose.setdefault((run, rid), [-1, 0, False])
+                e[0] = m if e[0] < 0 and m is not None else e[0]
+                e[1], e[2] = max(e[1], code), e[2] or kind == "arrival"
+            cols = [(r.models, c, np.ones(c.size, dtype=bool))
+                    for r, c in records.values()]
+            cols += [tuple(map(np.array, zip(*loose.values())))] if loose \
+                else [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, bool),)]
+            self._outcomes = (len(self._raw), tuple(
+                np.concatenate(c) for c in zip(*cols)))
+        return self._outcomes[1]
 
     def counts(self, model: Optional[int] = None) -> Dict[str, int]:
         """Lifecycle totals derived purely from events.
@@ -405,43 +419,22 @@ class Tracer:
         as the stats assert it; :func:`repro.serve.obs.metrics.reconcile`
         enforces the equality against a run's stats.
         """
-        offered = 0
-        for t, kind, rid, rep, m, d in self._raw:
-            if kind == "arrival" and (model is None or m == model):
-                offered += 1
-            elif kind == "_arrivals":
-                if model is None:
-                    offered += len(d[0])
-                else:
-                    times, models = _block_lists(d)
-                    offered += models.count(model)
-        tally = {"shed": 0, "cache_hit": 0, "complete": 0,
-                 "coalesced": 0, "fail": 0}
-        for rid, (outcome, m) in self._terminal_state().items():
-            if model is None or m == model:
-                tally[outcome] += 1
-        completed = (tally["cache_hit"] + tally["coalesced"]
-                     + tally["complete"])
-        return {"offered": offered, "shed": tally["shed"],
-                "cache_hits": tally["cache_hit"],
+        models, codes, arrived = self._requests()
+        if model is not None:
+            codes, arrived = codes[models == model], arrived[models == model]
+        tally = dict(zip(("none",) + _OUTCOMES, np.bincount(
+            codes, minlength=len(_OUTCOMES) + 1).tolist()))
+        return {"offered": int(np.count_nonzero(arrived)),
+                "shed": tally["shed"], "cache_hits": tally["cache_hit"],
                 "coalesced": tally["coalesced"],
                 "replica_completions": tally["complete"],
-                "completed": completed, "failed": tally["fail"]}
+                "completed": (tally["cache_hit"] + tally["coalesced"]
+                              + tally["complete"]),
+                "failed": tally["fail"]}
 
     def models(self) -> List[int]:
         """Model indices seen in request events, sorted."""
-        out = set()
-        for t, kind, rid, rep, m, d in self._raw:
-            if kind == "_arrivals":
-                out.update(_block_lists(d)[1])
-            elif kind == "_cache_hits":
-                hits, models = d
-                out.update(
-                    {0} if models is None
-                    else {int(models[r]) for r in hits})
-            elif rid is not None and m is not None:
-                out.add(m)
-        return sorted(out)
+        return sorted(set(np.unique(self._requests()[0]).tolist()) - {-1})
 
     # -- convenience delegates ------------------------------------------------
     def explain(self, request_id: int) -> str:
@@ -464,4 +457,4 @@ class Tracer:
         return to_chrome(self, path, max_requests=max_requests)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tracer({len(self._raw)} events)"
+        return f"Tracer({len(self)} events)"

@@ -159,8 +159,9 @@ class Router:
         #: last submitted arrival time (from the lowest finite float)
         self._clock = -sys.float_info.max
         self.on_commit = on_commit
-        #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed), handed down
-        #: to every replica queue; ``None`` is the exact pre-trace path
+        #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed) for the
+        #: fleet changes; request and batch events are read off the run
+        #: record after the run, not emitted here
         self.tracer = tracer
         #: per-model drop tallies (key: model index)
         self.dropped_by_model: Dict[int, int] = {}
@@ -196,6 +197,8 @@ class Router:
         self.n_offered = 0
         #: ids of the requests admission control shed, in shed order
         self.shed_ids: List[int] = []
+        #: re-routed request id -> its last enqueue instant (a drain's)
+        self.requeued: Dict[int, float] = {}
         #: requests lost to replica failures (admitted, never answered)
         self.n_failed = 0
         #: their ids — so observers can tell dead from still-pending
@@ -219,7 +222,6 @@ class Router:
             self.policy, self.service_time, free_at=free_at,
             on_commit=self._commit_feed(index),
             service_times=self.service_times,
-            tracer=self.tracer, replica=index,
             policies=self.policies, order=self.order,
             slos=self.model_slos)
         queue.completions = self._completions
@@ -309,12 +311,10 @@ class Router:
         self._sync(t)
         return float(sum(self._load[r.index] for r in self.replicas))
 
-    def _shed(self, t: float, request_id: int, model: int) -> bool:
+    def _shed(self, request_id: int, model: int) -> bool:
         self.shed_ids.append(request_id)
         self.dropped_by_model[model] = \
             self.dropped_by_model.get(model, 0) + 1
-        if self.tracer is not None:
-            self.tracer.emit_raw((t, "shed", request_id, None, model, None))
         return False
 
     def submit(self, t: float, request_id: int, model: int = 0) -> bool:
@@ -341,7 +341,7 @@ class Router:
         self.n_offered += 1
         if not self.replicas:
             # Every replica has failed and no repair has landed yet: shed.
-            return self._shed(t, request_id, m)
+            return self._shed(request_id, m)
         le, ce = self._launch_events, self._completion_events
         if le and le[0][0] <= t or ce and ce[0][0] <= t:
             self._sync(t)
@@ -350,7 +350,7 @@ class Router:
     def _route(self, t: float, request_id: int, model: int, limit: float,
                source: Optional[int] = None) -> bool:
         """The one admit body, of :meth:`submit` and of a drain's re-routes
-        (``limit`` inf; ``source`` the drained replica, for the trace): on
+        (``limit`` inf; ``source`` the drained replica): on
         the least (load, index) — the linear scan's pick — shed at
         ``limit``, else push, publish the fresh :meth:`_value` and push a
         *changed* launch instant (an unchanged one is still pending: every
@@ -361,10 +361,13 @@ class Router:
             heapq.heappop(heap)
             value, idx = heap[0]
         if value >= limit:
-            return self._shed(t, request_id, model)
-        if source is not None and self.tracer is not None:
-            self.tracer.emit("reroute", t, request_id=request_id,
-                             replica=source, model=model, data={"to": idx})
+            return self._shed(request_id, model)
+        if source is not None:
+            self.requeued[request_id] = t
+            if self.tracer is not None:
+                self.tracer.emit("reroute", t, request_id=request_id,
+                                 replica=source, model=model,
+                                 data={"to": idx})
         t_launch = self._live[idx].queue.push(t, request_id, model)
         backlog = self._backlog
         backlog[idx] = value = backlog[idx] + 1
@@ -450,11 +453,16 @@ class Router:
         self.n_failed += len(lost)
         self.failed_ids.update(lost)
         if self.tracer is not None:
+            for b in replica.queue.aborted:
+                self.tracer.emit(
+                    "batch_abort", t, replica=replica.index, model=b.model,
+                    data={"launch": b.start, "completion": b.completion,
+                          "size": b.size, "request_ids": b.request_ids})
             self.tracer.emit("replica_fail", t, replica=replica.index,
                              data={"lost": len(lost)})
             for rid in lost:
-                # Strikes any optimistic "complete" the request's batch
-                # emitted at commit (terminal state is last-emitted).
+                # beats the "complete" its aborted batch recorded (a
+                # trace's terminal state is by precedence)
                 self.tracer.emit("fail", t, request_id=rid,
                                  replica=replica.index)
         self.retired.append(replica)

@@ -42,7 +42,7 @@ import heapq
 import math
 from contextlib import nullcontext
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -84,12 +84,20 @@ ENGINES = ("event", "array")
 _NULL_SPAN = nullcontext()
 
 
+def _require_slo(slo) -> float:
+    """A sweep's ``slo`` as a float, refused unless positive (NaN is not)
+    before any run."""
+    if not slo > 0:
+        raise ValueError(f"slo must be positive, got {slo}")
+    return float(slo)
+
+
 class _CacheRun:
     """Per-run cache state: the cache itself, each request's content id,
     the fill events (batch completions waiting to become cache entries),
     which requests were served from cache (id -> arrival time), plus the
     request-coalescing ledger — in-flight leaders by key and the
-    followers riding each one (id -> (arrival time, leader id))."""
+    followers riding each one (id -> leader id)."""
 
     __slots__ = ("cache", "contents", "fills", "hits", "inflight",
                  "coalesced")
@@ -100,7 +108,7 @@ class _CacheRun:
         self.fills: list = []               # heap of (completion, ids)
         self.hits: dict = {}                # request_id -> arrival time
         self.inflight: dict = {}            # content key -> leader id
-        self.coalesced: dict = {}           # follower id -> (arrival, leader)
+        self.coalesced: dict = {}           # follower id -> leader id
 
     def on_commit(self, index: int, batch: Batch) -> None:
         heapq.heappush(self.fills, (batch.completion, batch.request_ids))
@@ -163,9 +171,11 @@ class ServingSimulator:
     order. That class is *one* loop over ``M`` per-model lanes per replica
     with an optional result cache in front: a single-model run is its
     one-lane case, per-model policies and the cache are parameters of
-    it. The genuinely event-only features (tracing, coalescing,
-    cost-aware, edf) transparently fall back to the event loop; a
-    profiler's ``run.*`` spans time either engine.
+    it. The genuinely event-only features (coalescing, cost-aware, edf,
+    a ``detail=True`` trace) transparently fall back to the event loop.
+    A plain tracer and a profiler keep a run on its engine: both engines
+    end in the same record, and the trace's request and batch events are
+    expanded from it after the run.
     ``last_run_engine`` records which one ran. The two engines are
     bit-identical, pinned by the engine differential suite (hand-picked
     families and generated configurations) and the full-lattice support
@@ -277,10 +287,11 @@ class ServingSimulator:
         # instruction stream, pinned bit-identical by the obs tests.
         self._tracer = None
         self._prof = None
-        # Array-core handoff: _drive parks its FastRun here for _collect
-        # (the event engine builds its own after the drain, _record);
-        # which loop actually drove the last run() is recorded for
-        # callers (and the differential tests).
+        # The run record: the array core's _drive parks its FastRun here,
+        # the event engine's _collect the one _record builds after the
+        # drain; run() hands it to the tracer. Which loop actually drove
+        # the last run() is recorded for callers (and the differential
+        # tests).
         self._fast: Optional[fast_core.FastRun] = None
         self.last_run_engine: Optional[str] = None
 
@@ -474,11 +485,11 @@ class ServingSimulator:
         never hits); it only matters when ``cache_size > 0``.
 
         ``tracer`` (a :class:`repro.serve.obs.Tracer`) records the typed
-        per-request/fleet event stream; ``profiler`` (a
-        :class:`repro.serve.obs.Profiler`) accumulates wall-clock span
-        times of the hot path. Both are opt-in: left ``None`` (the
-        default) the run executes the exact pre-obs instruction stream,
-        bit for bit; neither ever changes virtual-time results.
+        per-request/fleet event stream: request and batch events as a view
+        of the run record, handed over after the run, and fleet changes as
+        they happen. ``profiler`` (a :class:`repro.serve.obs.Profiler`)
+        accumulates wall-clock span times of the hot path. Both are
+        opt-in, and neither ever changes virtual-time results.
         """
         self._tracer = tracer
         self._prof = prof = profiler
@@ -496,10 +507,6 @@ class ServingSimulator:
                 meta = self._run_meta(rate, n_requests, process, seed)
                 tracer.meta.update(meta)
                 tracer.emit("run_start", float(arrivals[0]), data=meta)
-                # the whole arrival stream is known up front — hand the
-                # arrays over as one columnar block (O(1)); the tracer
-                # expands them lazily at materialization
-                tracer.bulk_arrivals(arrivals, self._mids)
             router = self._make_router(
                 on_commit=None if self._cstate is None
                 else self._cstate.on_commit)
@@ -523,13 +530,10 @@ class ServingSimulator:
             with span("run.collect"):
                 stats = self._collect(arrivals, router)
             if tracer is not None:
-                if self._cstate is not None:
-                    # hand the run's hit ledger over as one columnar
-                    # block — the hottest branch under Zipf traffic
-                    # pays nothing per event
-                    tracer.bulk_cache_hits(self._cstate.hits, self._mids)
-                # no counts() here: tallying is O(events) and would land
-                # inside the overhead budget; readers call counts()
+                # one columnar block; the tracer expands it lazily
+                tracer.add_record(
+                    self._fast, arrivals, mids,
+                    None if self.order == "fifo" else self.model_slos())
                 tracer.emit("run_end", float(arrivals[0]) + stats.horizon,
                             data={"n_events": len(tracer) + 1})
             return stats
@@ -566,7 +570,6 @@ class ServingSimulator:
         death (which is causally known by then) re-leads with a fresh
         forward instead of following a corpse.
         """
-        tracer = self._tracer   # arrivals were bulk-emitted by run()
         cstate = self._cstate
         if self.coalesce:
             # Commits normally fire inside submit's event catch-up, but a
@@ -578,7 +581,7 @@ class ServingSimulator:
         fills, cache = cstate.fills, cstate.cache
         while fills and fills[0][0] <= t:
             t_fill, rids = heapq.heappop(fills)
-            if tracer is not None:
+            if cache.tracer is not None:
                 # The cache has no clock; stamp its insert/evict events
                 # at the fill's (batch completion) time.
                 cache.now = t_fill
@@ -594,17 +597,12 @@ class ServingSimulator:
         key = self._content_key(request_id)
         hit, _ = cache.get(key)
         if hit:
-            # no trace emission here: hits are bulk-emitted by run() from
-            # this ledger after the drive loop
             cstate.hits[request_id] = t
             return False
         if self.coalesce:
             leader = cstate.inflight.get(key)
             if leader is not None and leader not in router.failed_ids:
-                cstate.coalesced[request_id] = (t, leader)
-                if tracer is not None:
-                    tracer.emit_raw((t, "coalesce", request_id, None,
-                                     model, {"leader": leader}))
+                cstate.coalesced[request_id] = leader
                 return False
         admitted = router.submit(t, request_id, model)
         if admitted and self.coalesce:
@@ -669,21 +667,21 @@ class ServingSimulator:
         everything per model (:class:`~repro.serve.metrics.PerModelStats`),
         each judged with its own transport cost and against its own SLO.
         """
-        run = self._fast
-        if run is None:
-            run = self._record(router, arrivals.size)
-        return fast_core.collect(self, run, arrivals)
+        if self._fast is None:
+            self._fast = self._record(router, arrivals)
+        return fast_core.collect(self, self._fast, arrivals)
 
-    def _record(self, router: Router, n: int) -> fast_core.FastRun:
+    def _record(self, router: Router,
+                arrivals: np.ndarray) -> fast_core.FastRun:
         """The event engine's finished run as the array core's record,
         read off the state the run already keeps: the router's completion
-        ledger, shed and failed ids, and batch lists (live replicas, then
-        retired), and the cache run's hit and follower ledgers.
+        ledger, shed, failed and re-routed ids, and batch lists (live
+        replicas, then retired; the aborted ones last), and the cache
+        run's hit and follower ledgers.
 
         A follower completes with its leader; one whose leader died is
-        stranded, a failure. With a tracer, each follower's terminal event
-        (``complete`` via its leader, or a stranded ``fail``) is emitted
-        here, in request-id order."""
+        stranded, a failure."""
+        n = arrivals.size
         complete_t = np.full(n, np.nan)
         done = router.completions()
         if done:
@@ -693,7 +691,7 @@ class ServingSimulator:
         shed[router.shed_ids] = True
         failed = np.zeros(n, dtype=bool)
         failed[list(router.failed_ids)] = True
-        hit = coalesced = None
+        hit = leader = enqueue_t = None
         cstate = self._cstate
         if cstate is not None:
             hit = np.zeros(n, dtype=bool)
@@ -703,44 +701,41 @@ class ServingSimulator:
                 complete_t[ids] = np.fromiter(hits.values(), np.float64,
                                               len(hits))
                 hit[ids] = True
-            coalesced = np.zeros(n, dtype=bool)
             riding = cstate.coalesced
             if riding:
                 ids = np.fromiter(riding, np.intp, len(riding))
-                leaders = np.fromiter((lead for _, lead in riding.values()),
-                                      np.intp, len(riding))
+                leaders = np.fromiter(riding.values(), np.intp, len(riding))
+                leader = np.full(n, -1, dtype=np.intp)
+                leader[ids] = leaders
                 dead = failed[leaders]
                 live = ~dead
                 complete_t[ids[live]] = complete_t[leaders[live]]
-                coalesced[ids[live]] = True
                 failed[ids[dead]] = True
-                if self._tracer is not None:
-                    self._trace_followers(router)
-        batches = [b for r in router.replicas + router.retired
-                   for b in r.queue.batches]
+        if router.requeued:
+            moved = router.requeued
+            enqueue_t = arrivals.astype(np.float64)
+            enqueue_t[np.fromiter(moved, np.intp, len(moved))] = np.fromiter(
+                moved.values(), np.float64, len(moved))
+        handles = router.replicas + router.retired
+        batches = [(h.index, b) for h in handles for b in h.queue.batches]
+        n_kept = len(batches)
+        batches += [(h.index, b) for h in handles for b in h.queue.aborted]
         nb = len(batches)
+        bsize = np.fromiter((b.size for _, b in batches), np.int64, nb)
         return fast_core.FastRun(
             complete_t=complete_t, shed=shed,
-            bstart=np.fromiter((b.start for b in batches), np.float64, nb),
-            bcomp=np.fromiter((b.completion for b in batches), np.float64,
-                              nb),
-            bsize=np.fromiter((b.size for b in batches), np.int64, nb),
-            hit=hit, failed=failed, coalesced=coalesced)
-
-    def _trace_followers(self, router: Router) -> None:
-        """Each coalesced follower's terminal event, in request-id order."""
-        tracer, mids = self._tracer, self._mids
-        done = router.completions()
-        riding = self._cstate.coalesced
-        for i in sorted(riding):
-            t_arr, leader = riding[i]
-            m = 0 if mids is None else mids[i]
-            if leader in router.failed_ids:
-                tracer.emit("fail", t_arr, request_id=i, model=m,
-                            data={"leader": leader, "stranded": True})
-            else:
-                tracer.emit("complete", done[leader], request_id=i, model=m,
-                            data={"via": "coalesced", "leader": leader})
+            bstart=np.fromiter((b.start for _, b in batches), np.float64,
+                               nb),
+            bcomp=np.fromiter((b.completion for _, b in batches),
+                              np.float64, nb),
+            bsize=bsize,
+            brep=np.fromiter((r for r, _ in batches), np.int64, nb),
+            bfirst=np.cumsum(bsize) - bsize,
+            members=np.fromiter(
+                chain.from_iterable(b.request_ids for _, b in batches),
+                np.int64, int(bsize.sum())),
+            hit=hit, failed=failed, leader=leader, enqueue_t=enqueue_t,
+            aborted=np.arange(nb) >= n_kept if nb > n_kept else None)
 
     # -- sweeps --------------------------------------------------------------
     def sweep(self, rates: Optional[Sequence[float]] = None,
@@ -766,14 +761,11 @@ class ServingSimulator:
             sat = self.saturation_rate()
             rates = [f * sat for f in DEFAULT_LOAD_FRACTIONS]
         rates = sorted(float(r) for r in rates)
-        if slo is None:
-            slo = self.default_slo()
-        elif slo <= 0:
-            raise ValueError(f"slo must be positive, got {slo}")
-        report = SweepReport(slo=float(slo))
+        slo = self.default_slo() if slo is None else _require_slo(slo)
+        report = SweepReport(slo=slo)
         for rate in rates:
             stats = self._run_point(rate, n_requests, process, seed,
-                                    float(slo), popularity)
+                                    slo, popularity)
             # Surface which drive loop produced each point: with
             # engine="array" every supported point runs on the array core
             # and benchmarks can assert no silent fallback occurred.
@@ -867,6 +859,8 @@ def sweep_cache_sizes(workload: Workload,
     service = ServiceTimeModel(workload, node=machine.node,
                                cost=machine.network.cost)
     sizes = [require_count("cache_size", s, least=0) for s in sizes]
+    if slo is not None:
+        slo = _require_slo(slo)
     base = ServingSimulator(workload, machine=machine,
                             n_replicas=n_replicas, policy=policy,
                             max_queue=max_queue, service_model=service)

@@ -33,6 +33,7 @@ from repro.serve import (
     ZipfPopularity,
     compare_batching_modes,
     plan_batches,
+    sweep_cache_sizes,
 )
 from repro.serve.metrics import LatencyStats
 from repro.serve.obs import Profiler
@@ -716,6 +717,33 @@ class TestServingSimulator:
             sim.sweep(rates=[1.0], n_requests=4, slo=0.0)
 
 
+@pytest.mark.parametrize("slo", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["sweep", "compare_batching_modes",
+                                   "sweep_cache_sizes"])
+def test_a_sweep_refuses_a_bad_slo_before_any_run(tiny_wl, monkeypatch,
+                                                  entry, slo):
+    """A NaN SLO used to pass (``nan <= 0`` is False): ``sweep`` returned a
+    report whose curves raised, ``compare_batching_modes`` ran both sweeps
+    before a misleading "different SLOs (nan vs nan)", and
+    ``sweep_cache_sizes`` took NaN and -1. Each now refuses it, naming the
+    value, before it runs anything."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the slo was checked")
+
+    monkeypatch.setattr(ServingSimulator, "run", no_run)
+    call = {
+        "sweep": lambda: ServingSimulator(tiny_wl).sweep(
+            rates=[1.0], n_requests=4, slo=slo),
+        "compare_batching_modes": lambda: compare_batching_modes(
+            tiny_wl, rates=[1.0], n_requests=4, slo=slo),
+        "sweep_cache_sizes": lambda: sweep_cache_sizes(
+            tiny_wl, [0, 4], rate=1.0, n_requests=4, slo=slo),
+    }[entry]
+    with pytest.raises(ValueError, match=f"slo must be positive, got {slo}"):
+        call()
+
+
 class TestCompareBatchingModes:
     def test_shared_grid_and_slo(self, tiny_wl):
         cmp = compare_batching_modes(tiny_wl, n_replicas=1, n_requests=48)
@@ -775,6 +803,15 @@ class TestRetiredKnobs:
         assert "limits" in self._params(Router)
         with pytest.raises(TypeError, match="max_queue"):
             Router(None, 1, BatchingPolicy(), lambda b: 0.01, max_queue=4)
+
+    def test_the_autoscaler_takes_no_engine(self):
+        """Its control loop always runs the event loop: ``engine="array"``
+        was forwarded, never read, and silently ran on ``"event"``."""
+        params = self._params(AutoscalingSimulator) - {"self"}
+        assert "engine" not in params and len(params) == 16
+        with pytest.raises(TypeError, match="engine"):
+            AutoscalingSimulator(None, service_model=lambda b: 0.01,
+                                 engine="array")
 
     @pytest.mark.parametrize("sim", [ServingSimulator,
                                      AutoscalingSimulator])

@@ -197,14 +197,15 @@ def _multi_model_cached(engine):
 
 
 def _autoscaled(engine):
+    # No engine keyword: the control loop always runs the event loop, so
+    # both "engines" of this family are the same run.
     return AutoscalingSimulator(
         None, service_model=FakeService(),
         autoscale=AutoscalePolicy(min_replicas=2, max_replicas=4,
                                   epoch=0.05),
         policy=BatchingPolicy(max_batch=8, max_wait=0.004),
         failure_events=[FailureEvent(0.3, 0, "fail"),
-                        FailureEvent(0.5, 1, "degrade", 2.0)],
-        engine=engine)
+                        FailureEvent(0.5, 1, "degrade", 2.0)])
 
 
 def _edf_cost_aware(engine):
@@ -331,21 +332,21 @@ class TestSupportLattice:
             for coalesce in (False, True)
             for order in LAUNCH_ORDERS
             for cost_aware in (False, True)
-            for traced in (False, True)]
+            for traced in (None, "plain", "detail")]
 
     @staticmethod
     def _expected(models, cache, coalesce, order, cost_aware, traced):
-        # The test's independent support matrix: multi-model and cached
-        # runs are native; only these features force the event loop.
-        if coalesce or order != "fifo" or cost_aware or traced:
+        # The test's independent support matrix: multi-model, cached and
+        # plainly traced runs are native; only these force the event loop.
+        if coalesce or order != "fifo" or cost_aware or traced == "detail":
             return "event"
         return "array"
 
     @staticmethod
-    def _build(models, cache, coalesce, order, cost_aware):
+    def _build(models, cache, coalesce, order, cost_aware, engine="array"):
         kw = dict(policy=BatchingPolicy(max_batch=4), n_replicas=2,
                   max_queue=8, cache_size=cache, coalesce=coalesce,
-                  order=order, cost_aware=cost_aware, engine="array")
+                  order=order, cost_aware=cost_aware, engine=engine)
         if models:
             return ServingSimulator(
                 models=[ModelProfile("a", None, weight=2.0),
@@ -355,22 +356,32 @@ class TestSupportLattice:
         return ServingSimulator(None, service_model=FakeService(), **kw)
 
     def test_every_combination_lands_where_claimed(self):
-        assert len(self.AXES) == 64   # the lattice is genuinely full
+        """... and a plainly traced run on the array core records the
+        event engine's trace, event for event."""
+        assert len(self.AXES) == 96   # the lattice is genuinely full
         for axes in self.AXES:
             models, cache, coalesce, order, cost_aware, traced = axes
-            sim = self._build(models, cache, coalesce, order, cost_aware)
+            sim = self._build(*axes[:-1])
             # Pre-run, the predicate must agree with the matrix for every
             # run-independent axis (tracing is run-scoped, checked below).
             reason = fast_core.unsupported_reason(sim)
-            if self._expected(*axes[:-1], traced=False) == "array":
+            if self._expected(*axes[:-1], traced=None) == "array":
                 assert reason is None, axes
             else:
                 assert reason is not None, axes
-            sim.run(0.8 * sim.saturation_rate(), n_requests=60,
-                    process="poisson", seed=3,
-                    popularity="zipf" if cache else None,
-                    tracer=Tracer() if traced else None)
+            run = dict(rate=0.8 * sim.saturation_rate(), n_requests=60,
+                       process="poisson", seed=3,
+                       popularity="zipf" if cache else None)
+            tracer = (None if traced is None
+                      else Tracer(detail=traced == "detail"))
+            sim.run(tracer=tracer, **run)
             assert sim.last_run_engine == self._expected(*axes), axes
+            if traced == "plain" and sim.last_run_engine == "array":
+                oracle = Tracer()
+                self._build(*axes[:-1], engine="event").run(
+                    tracer=oracle, **run)
+                assert tracer.events == oracle.events, axes
+                assert len(tracer) == len(oracle)
 
     def test_a_profiled_run_stays_on_its_engine(self):
         """A profiler times the run's phases and never changes a result,
@@ -504,10 +515,12 @@ class TestConstructionRejectsWhatTheEnginesDisagreeOn:
         for cls in (ServingSimulator, AutoscalingSimulator):
             if cls is AutoscalingSimulator and field == "n_replicas":
                 continue        # bounded by the autoscale policy instead
+            kw = {field: value}
+            if cls is ServingSimulator:   # the autoscaler has no engine
+                kw["engine"] = engine
             with pytest.raises(ValueError,
                                match=f"{field} .*{re.escape(repr(value))}"):
-                cls(None, service_model=FakeService(), engine=engine,
-                    **{field: value})
+                cls(None, service_model=FakeService(), **kw)
 
     @pytest.mark.parametrize("max_batch", [0, 2.5, math.nan])
     def test_max_batch(self, engine, max_batch):

@@ -420,8 +420,8 @@ class TestSingleModelDifferential:
         cfg = AutoscalePolicy(min_replicas=1, max_replicas=4,
                               target_attainment=0.95, epoch=0.15)
         events = [FailureEvent(time=0.4, node_id=0, kind="fail")]
-        kw = dict(autoscale=cfg, policy=policy, failure_events=events,
-                  engine=engine)
+        # the autoscaler has no engine keyword: it runs the event loop
+        kw = dict(autoscale=cfg, policy=policy, failure_events=events)
         classic = AutoscalingSimulator(None, service_model=FakeService(),
                                        **kw)
         multi = AutoscalingSimulator(models=[ModelProfile("only", None)],

@@ -11,8 +11,9 @@ Three families of guarantees:
    shed + failed == offered``) per model and in aggregate, and
    :func:`reconcile` proves them equal to the run's
    :class:`LatencyStats` / :class:`PerModelStats`.
-3. **Mechanism semantics** — terminal-state resolution (a node-death
-   ``fail`` strikes the batch's optimistic ``complete``), structured
+3. **Mechanism semantics** — a run record's expansion into request and
+   batch events, terminal state by precedence (a node-death ``fail``
+   beats the ``complete`` its aborted batch recorded), structured
    :class:`ScaleReason` on every scale event, profiler span accounting,
    and exporter wire formats (JSON-lines header, Chrome trace-event
    document shape).
@@ -45,6 +46,8 @@ from repro.serve import (
     to_chrome,
     to_jsonl,
 )
+from repro.serve.fast_core import FastRun
+from repro.serve.obs import EVENT_KINDS, trace
 from repro.utils.rng import as_rng
 
 SEEDS = [11, 4242, 20260729]
@@ -102,6 +105,28 @@ def _assert_same(a, b):
 
 # -- Tracer unit semantics -----------------------------------------------------
 
+def _record(arrivals, batches, shed=(), leader=None, failed=None,
+            aborted=None):
+    """A hand-built run record: ``batches`` are ``(replica, launch,
+    completion, member ids)`` in record order."""
+    n = len(arrivals)
+    complete_t = np.full(n, np.nan)
+    for _, _, comp, ids in batches:
+        complete_t[list(ids)] = comp
+    shed_mask = np.zeros(n, dtype=bool)
+    shed_mask[list(shed)] = True
+    sizes = np.array([len(ids) for *_, ids in batches], dtype=np.int64)
+    return FastRun(
+        complete_t=complete_t, shed=shed_mask,
+        bstart=np.array([b[1] for b in batches], dtype=np.float64),
+        bcomp=np.array([b[2] for b in batches], dtype=np.float64),
+        bsize=sizes, brep=np.array([b[0] for b in batches], dtype=np.int64),
+        bfirst=np.cumsum(sizes) - sizes,
+        members=np.array([r for *_, ids in batches for r in ids],
+                         dtype=np.int64),
+        leader=leader, failed=failed, aborted=aborted)
+
+
 class TestTracer:
     def test_emit_and_lazy_materialization(self):
         tr = Tracer()
@@ -115,68 +140,109 @@ class TestTracer:
 
     def test_unknown_kind_rejected_on_materialization(self):
         tr = Tracer()
-        tr.emit("not_a_kind", 0.0)  # hot path does not validate
+        tr.emit("not_a_kind", 0.0)  # emission does not validate
         with pytest.raises(ValueError, match="unknown trace event kind"):
             _ = tr.events
 
-    def test_batch_launch_emits_member_events(self):
+    def test_every_kind_has_a_place_in_the_order(self):
+        assert set(trace._RANK) == set(EVENT_KINDS)
+        assert len(EVENT_KINDS) == len(set(EVENT_KINDS))
+
+    def test_a_record_expands_into_member_events(self):
+        """One batch of requests 7 and 8 (model 1, replica 3): each member
+        gets an enqueue at its lane-entry time and a complete at the
+        batch's *future* completion; the launch carries the batch; under
+        a deadline-aware order also the head's deadline and slack."""
+        arrivals = np.arange(9) * 0.1 + 1.0
+        arrivals[7:] = (1.7, 1.9)
+        run = _record(arrivals, [(3, 2.0, 2.5, (7, 8))], shed=range(7))
         tr = Tracer()
-        tr.batch_launch(2.0, replica=3, model=1, completion=2.5,
-                        members=((1.7, 7), (1.9, 8)))
-        kinds = [e.kind for e in tr.events]
-        assert kinds == ["enqueue", "enqueue", "batch_launch",
-                         "complete", "complete"]
-        assert len(tr) == len(tr.events) == 5
-        launch = tr.events[2]
+        tr.add_record(run, arrivals, models=np.ones(9, dtype=np.uint8),
+                      slos=[0.1, 1.0])
+        evs = [e for e in tr.events if e.request_id in (7, 8, None)]
+        assert [e.kind for e in evs] == [
+            "arrival", "enqueue", "arrival", "enqueue", "batch_launch",
+            "complete", "complete"]
+        assert len(tr) == len(tr.events) == 9 + 7 + 1 + 2 * 2
+        launch = evs[4]
+        assert (launch.time, launch.replica, launch.model) == (2.0, 3, 1)
         assert launch.data["size"] == 2
         assert launch.data["completion"] == 2.5
         assert launch.data["request_ids"] == (7, 8)
+        assert launch.data["work"] == 2.5 - 2.0
+        assert launch.data["deadline"] == 1.7 + 1.0
+        assert launch.data["slack"] == 1.7 + 1.0 - 2.5
         # enqueues carry each member's lane-entry time...
-        assert [(e.time, e.request_id) for e in tr.events[:2]] == \
-            [(1.7, 7), (1.9, 8)]
+        assert [(e.time, e.request_id) for e in evs
+                if e.kind == "enqueue"] == [(1.7, 7), (1.9, 8)]
         # ...and member completions are stamped at the *future*
         # completion time
-        assert all(e.time == 2.5 for e in tr.events[3:])
+        assert all(e.time == 2.5 and e.replica == 3 for e in evs[5:])
+        assert tr.counts() == {"offered": 9, "shed": 7, "cache_hits": 0,
+                               "coalesced": 0, "replica_completions": 2,
+                               "completed": 2, "failed": 0}
 
-    def test_fail_strikes_optimistic_complete(self):
+    @pytest.mark.parametrize("fail_first", [False, True])
+    def test_fail_beats_the_complete_of_an_aborted_batch(self, fail_first):
+        """A node dies at t=0.2, mid-service: the batch's member keeps the
+        ``complete`` the record gives it (stamped at 0.4) and the router's
+        live ``fail`` beats it by precedence, whichever was recorded
+        first. The fail names no model: the record's is used."""
+        arrivals = np.array([0.0, 0.0])
+        run = _record(arrivals, [(0, 0.1, 0.4, (1,))], shed=(0,),
+                      failed=np.array([False, True]),
+                      aborted=np.array([True]))
         tr = Tracer()
-        tr.emit("arrival", 0.0, request_id=1, model=0)
-        tr.batch_launch(0.1, replica=0, model=0, completion=0.4,
-                        members=((0.0, 1),))
-        # node dies at t=0.2 < completion: the fail is emitted later in
-        # *emission* order and must win, exactly as abort_after strikes
-        # the completion record.
-        tr.emit("fail", 0.2, request_id=1)
+        if fail_first:
+            tr.emit("fail", 0.2, request_id=1, replica=0)
+        tr.add_record(run, arrivals)
+        if not fail_first:
+            tr.emit("fail", 0.2, request_id=1, replica=0)
         c = tr.counts()
         assert c["failed"] == 1 and c["replica_completions"] == 0
-        # model is recovered from the arrival even though the router's
-        # fail event did not know it
         assert tr.counts(model=0)["failed"] == 1
+        kinds = [e.kind for e in tr.timeline(1)]
+        assert kinds == ["arrival", "enqueue", "batch_launch", "fail",
+                         "complete"]
+        assert "lost to a node death" in tr.explain(1)
 
     def test_coalesced_counts_separately(self):
+        """Request 1 rides request 0's forward: a ``coalesce`` at its
+        arrival and a ``complete`` via the leader at the leader's
+        completion; a follower of a dead leader is stranded, a ``fail``."""
+        arrivals = np.array([0.0, 0.0, 0.05])
+        run = _record(arrivals, [(0, 0.1, 0.2, (0,))],
+                      leader=np.array([-1, 0, -1]),
+                      failed=np.zeros(3, dtype=bool))
+        run.shed[2] = True
         tr = Tracer()
-        for rid in (0, 1):
-            tr.emit("arrival", 0.0, request_id=rid, model=0)
-        tr.batch_launch(0.1, replica=0, model=0, completion=0.2,
-                        members=((0.0, 0),))
-        tr.emit("coalesce", 0.0, request_id=1, model=0, data={"leader": 0})
-        tr.emit("complete", 0.2, request_id=1, model=0,
-                data={"via": "coalesced", "leader": 0})
-        c = tr.counts()
-        assert c == {"offered": 2, "shed": 0, "cache_hits": 0,
-                     "coalesced": 1, "replica_completions": 1,
-                     "completed": 2, "failed": 0}
+        tr.add_record(run, arrivals)
+        assert tr.counts() == {"offered": 3, "shed": 1, "cache_hits": 0,
+                               "coalesced": 1, "replica_completions": 1,
+                               "completed": 2, "failed": 0}
+        ride = [(e.kind, e.time, dict(e.data)) for e in tr.timeline(1)]
+        assert ride == [("arrival", 0.0, {}),
+                        ("coalesce", 0.0, {"leader": 0}),
+                        ("complete", 0.2, {"via": "coalesced", "leader": 0})]
+        run.failed[[0, 1]] = True           # the leader died: stranded
+        tr = Tracer()
+        tr.add_record(run, arrivals)
+        assert tr.counts()["failed"] == 1   # no live fail for request 0
+        assert tr.timeline(1)[-1].data == {"leader": 0, "stranded": True}
 
     def test_timeline_is_time_ordered(self):
+        arrivals = np.array([0.0] * 6)
+        run = _record(arrivals, [(2, 0.3, 0.5, (5,)),
+                                 (0, 0.1, 0.2, (0, 1, 2, 3, 4))])
         tr = Tracer()
-        tr.emit("arrival", 0.0, request_id=5, model=0)
-        # the enqueue is synthesized from the batch's member pair
-        tr.batch_launch(0.3, replica=2, model=0, completion=0.5,
-                        members=((0.0, 5),))
+        tr.add_record(run, arrivals)
         tl = tr.timeline(5)
         assert [e.kind for e in tl] == ["arrival", "enqueue",
                                         "batch_launch", "complete"]
         assert [e.time for e in tl] == sorted(e.time for e in tl)
+        # the timeline is the full stream's events about request 5
+        assert tl == [e for e in tr.events if e.request_id == 5
+                      or 5 in e.data.get("request_ids", ())]
 
     def test_clear_resets(self):
         tr = Tracer()

@@ -30,9 +30,10 @@ step by step. Generated whole simulations run under the router's
 launch-event rule and under the every-admit rule it replaced, and must
 agree bit for bit. Generated simulators over 1-3 models hand the router
 and the array core the one list of admission limits the simulator
-computes. The last two tests pin the work an admit does — calls, not
-seconds — on fixed-seed runs: the queue and sync calls, and one router
-call per arrival.
+computes. Generated traced runs of the array core's configurations
+record the event engine's trace, event for event. The last two tests pin
+the work an admit does — calls, not seconds — on fixed-seed runs: the
+queue and sync calls, and one router call per arrival.
 """
 
 import heapq
@@ -55,12 +56,18 @@ from repro.serve import (
     ModelProfile,
     Router,
     ServingSimulator,
+    Tracer,
     ZipfPopularity,
     plan_batches,
+    reconcile,
     slo_sim,
 )
 from repro.serve.arrivals import MMPP, poisson_arrivals
-from repro.serve.batching import LAUNCH_ORDERS, ReplicaBatchQueue
+from repro.serve.batching import (
+    BATCHING_MODES,
+    LAUNCH_ORDERS,
+    ReplicaBatchQueue,
+)
 from repro.utils.rng import as_rng
 
 #: every property must hold under each of these seeds (exercised in CI)
@@ -450,7 +457,7 @@ class _EveryAdmitRouter(Router):
         value, idx = min((self._load[r.index], r.index)
                          for r in self.replicas)
         if value >= limit:
-            return self._shed(t, request_id, model)
+            return self._shed(request_id, model)
         handle = self._live[idx]
         handle.queue.push(t, request_id, model)
         self._backlog[idx] += 1
@@ -659,6 +666,63 @@ def test_both_engines_read_one_admission_rule(data):
     assert np.array_equal(arr.latencies, event.latencies)
     assert (arr.n_dropped, [m.n_dropped for m in arr.models]) \
         == (event.n_dropped, [m.n_dropped for m in event.models])
+
+
+# -- a trace is a view of the record --------------------------------------------
+
+@st.composite
+def _array_runs(draw):
+    """One small configuration the array core runs: the single-model form
+    or one to three profiles (weights, mix, per-model policies), any
+    batching mode and hold, a queue bound or none, a cache or none."""
+
+    def policy():
+        return BatchingPolicy(
+            max_batch=draw(st.integers(1, 8)),
+            max_wait=draw(st.sampled_from([0.0, 2e-3, math.inf])),
+            mode=draw(st.sampled_from(BATCHING_MODES)))
+
+    n_models = draw(st.integers(0, 3))
+    kw = dict(n_replicas=draw(st.integers(1, 4)), policy=policy(),
+              max_queue=draw(st.sampled_from([None, 2, 8])),
+              cache_size=draw(st.sampled_from([0, 0, 8])))
+    if n_models:
+        kw.update(
+            models=[ModelProfile(
+                f"m{m}", None, weight=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                policy=policy() if draw(st.booleans()) else None)
+                for m in range(n_models)],
+            service_models=[_Service(0.004 * (m + 1), 0.001 * (m + 1))
+                            for m in range(n_models)],
+            model_mix=ModelMix(tuple(draw(st.floats(0.1, 1.0))
+                                     for _ in range(n_models))))
+    else:
+        kw.update(workload=None, service_model=_SVC)
+    run = dict(n_requests=draw(st.integers(1, 120)),
+               seed=draw(st.integers(0, 2**16)),
+               process=draw(st.sampled_from(["uniform", "poisson", "mmpp"])),
+               popularity="zipf" if kw["cache_size"] else None)
+    return kw, draw(st.sampled_from([0.5, 1.0, 2.0])), run
+
+
+@settings(max_examples=2000, deadline=None)
+@given(case=_array_runs())
+def test_a_traced_array_run_records_the_event_engines_trace(case):
+    """A plain tracer keeps a supported run on the array core, and the
+    trace it expands from that run's record is the event engine's, event
+    for event, reconciled with the stats."""
+    kw, load, run = case
+    traces = []
+    for engine in ("event", "array"):
+        sim = ServingSimulator(engine=engine, **kw)
+        tracer = Tracer()
+        stats = sim.run(load * sim.saturation_rate(), tracer=tracer, **run)
+        assert sim.last_run_engine == engine
+        traces.append(tracer)
+    reconcile(tracer, stats)
+    event, array = traces
+    assert array.events == event.events
+    assert len(array) == len(event) == len(array.events)
 
 
 # -- the work an admit does -----------------------------------------------------

@@ -9,6 +9,11 @@ followers, autoscaling with fail / degrade / repair events, cost-aware
 edf, a traced run), so their stats are pinned by digest: sha256 over
 every :class:`LatencyStats` and :class:`PerModelStats` field, recorded
 before the event engine wrote the record.
+
+A trace is a view of the same record: six traced runs (a plain fleet with
+sheds, coalescing, cost-aware edf, stranded followers, an autoscaled run
+with a re-route, a detail trace) are pinned by digests of their events,
+recorded on the tracer that emitted them live from the drive loops.
 """
 
 import dataclasses
@@ -29,7 +34,9 @@ from repro.serve import (
     Tracer,
     ZipfPopularity,
     fast_core,
+    reconcile,
 )
+from repro.serve.obs import trace
 from repro.serve.metrics import LatencyStats, PerModelStats
 
 
@@ -60,7 +67,7 @@ def _two_models(weight=0.5):
         model_mix=ModelMix((0.7, 0.3), mean_run=4.0))
 
 
-def coalesce_strand_traced():
+def coalesce_strand_traced(tracer=None):
     """Cache and coalescing on a hot catalog, two leader deaths: the
     followers riding the dead forwards are stranded."""
     sim = AutoscalingSimulator(
@@ -70,25 +77,25 @@ def coalesce_strand_traced():
         failure_events=[FailureEvent(0.21, 0, "fail"),
                         FailureEvent(0.47, 1, "fail")],
         cache_size=4, coalesce=True, **_two_models())
-    tracer = Tracer()
     stats = sim.run(2200.0, n_requests=2000, process="poisson", seed=7,
                     popularity=ZipfPopularity(alpha=1.2, n_keys=64),
                     tracer=tracer)
-    return sim, stats, tracer
+    return sim, stats
 
 
-def coalesce_fixed_fleet():
+def coalesce_fixed_fleet(tracer=None):
     """Coalescing and a cache on a fixed two-model fleet."""
     sim = ServingSimulator(
         n_replicas=3, policy=BatchingPolicy(max_batch=8, max_wait=3e-3),
         max_queue=16, cache_size=8, coalesce=True, **_two_models(0.3))
     stats = sim.run(1800.0, n_requests=3000, process=MMPP(burst=6.0),
                     seed=3, popularity=ZipfPopularity(alpha=1.0,
-                                                      n_keys=256))
-    return sim, stats, None
+                                                      n_keys=256),
+                    tracer=tracer)
+    return sim, stats
 
 
-def autoscale_fail_degrade_repair():
+def autoscale_fail_degrade_repair(tracer=None):
     """One model, bursty traffic, a death, a slowdown and its repair."""
     sim = AutoscalingSimulator(
         None, service_model=FakeService(0.003, 5e-4),
@@ -101,8 +108,8 @@ def autoscale_fail_degrade_repair():
                         FailureEvent(0.9, 1, "repair"),
                         FailureEvent(1.1, 0, "degrade", 2.0)])
     stats = sim.run(4000.0, n_requests=6000, process=MMPP(burst=8.0),
-                    seed=11)
-    return sim, stats, None
+                    seed=11, tracer=tracer)
+    return sim, stats
 
 
 def autoscale_two_models_edf():
@@ -116,7 +123,7 @@ def autoscale_two_models_edf():
                         FailureEvent(0.7, 1, "repair")],
         order="edf", cost_aware=True, **_two_models())
     stats = sim.run(1500.0, n_requests=2500, process="poisson", seed=5)
-    return sim, stats, None
+    return sim, stats
 
 
 def edf_cost_aware_three_models():
@@ -134,7 +141,7 @@ def edf_cost_aware_three_models():
         order="edf", cost_aware=True)
     stats = sim.run(1.2 * sim.saturation_rate(), n_requests=5000,
                     process="poisson", seed=9)
-    return sim, stats, None
+    return sim, stats
 
 
 CASES = {f.__name__: f for f in (
@@ -180,7 +187,7 @@ def _digest(stats: LatencyStats) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_event_only_stats_are_pinned(name):
-    sim, stats, _ = CASES[name]()
+    sim, stats = CASES[name]()
     assert sim.last_run_engine == "event"
     assert _digest(stats) == DIGESTS[name]
 
@@ -189,16 +196,17 @@ def test_the_cases_exercise_what_they_pin():
     """Stranded followers, live followers, hits, sheds, failures and every
     failure kind actually happen (a pinned digest of a run that never
     strands anyone pins nothing about stranding)."""
-    _, stats, tracer = coalesce_strand_traced()
+    tracer = Tracer()
+    _, stats = coalesce_strand_traced(tracer)
     stranded = [e for e in tracer.events
                 if e.kind == "fail" and (e.data or {}).get("stranded")]
     assert stranded and stats.n_coalesced and stats.n_cache_hits
     assert stats.n_dropped and stats.n_failed > len(stranded)
-    _, stats, _ = autoscale_fail_degrade_repair()
+    _, stats = autoscale_fail_degrade_repair()
     actions = {e.action for e in stats.scale_events}
     assert {"failure", "degrade", "repair", "scale_out"} <= actions
     for case in (autoscale_two_models_edf, edf_cost_aware_three_models):
-        _, stats, _ = case()
+        _, stats = case()
         assert stats.n_dropped and len(stats.models) >= 2
 
 
@@ -236,5 +244,128 @@ def test_a_missing_completion_is_a_scheduler_bug(engine):
 
 def test_the_array_core_never_runs_them():
     for name in ("coalesce_fixed_fleet", "edf_cost_aware_three_models"):
-        sim, _, _ = CASES[name]()
+        sim, _ = CASES[name]()
         assert fast_core.unsupported_reason(sim) is not None
+
+
+# -- traces are a view of the record -------------------------------------------
+
+def plain_with_sheds(tracer=None):
+    """One model on a fixed fleet, overloaded on a short queue."""
+    sim = ServingSimulator(None, service_model=FakeService(), n_replicas=3,
+                           policy=BatchingPolicy(max_batch=8, max_wait=2e-3),
+                           max_queue=8)
+    stats = sim.run(1.5 * sim.saturation_rate(), n_requests=3000,
+                    process="poisson", seed=1, tracer=tracer)
+    return sim, stats
+
+
+def two_models_cost_aware_edf(tracer=None):
+    """Cost-aware edf on a fixed two-model fleet: every launch carries its
+    lane head's deadline and slack."""
+    sim = ServingSimulator(n_replicas=3, order="edf", cost_aware=True,
+                           max_queue=24,
+                           policy=BatchingPolicy(max_batch=8, max_wait=3e-3),
+                           **_two_models())
+    stats = sim.run(1.3 * sim.saturation_rate(), n_requests=3000,
+                    process="poisson", seed=4, tracer=tracer)
+    return sim, stats
+
+
+def detail_cached(tracer=None):
+    """A cached run whose trace records every cache insert and eviction
+    (the tracer is ``Tracer(detail=True)``)."""
+    sim = ServingSimulator(None, service_model=FakeService(), n_replicas=2,
+                           policy=BatchingPolicy(max_batch=8, max_wait=2e-3),
+                           max_queue=32, cache_size=16)
+    stats = sim.run(1.2 * sim.saturation_rate(), n_requests=2000,
+                    process="poisson", seed=5,
+                    popularity=ZipfPopularity(alpha=1.1, n_keys=128),
+                    tracer=tracer)
+    return sim, stats
+
+
+TRACE_CASES = {f.__name__: f for f in (
+    plain_with_sheds, coalesce_fixed_fleet, two_models_cost_aware_edf,
+    coalesce_strand_traced, autoscale_fail_degrade_repair, detail_cached)}
+
+#: sha256 of :func:`_trace_digest`, recorded on the live-emitting tracer
+#: (events sorted under the canonical key) before traces were expanded
+#: from the record
+TRACE_DIGESTS = {
+    "plain_with_sheds":
+        "32ab9d3e9105e5c62b17b0d5ccb7256e8d390d5345244f01334b3825e355a51e",
+    "coalesce_fixed_fleet":
+        "8536913e13c22f0021a1b537e1d82475bfc263e7ecc6333ee25afff1ac2734c4",
+    "two_models_cost_aware_edf":
+        "e409487417b797dbc876ec072045c238b09932aca0647096e2a5c1e3b81acbe5",
+    "coalesce_strand_traced":
+        "81023f003155d17cac3b3369a5ad78d9ed8e97b381acbabb3a91024901989f96",
+    "autoscale_fail_degrade_repair":
+        "8ead61e8e9776e03acdc1b667400b905eb04db6a60fd0b57af157b924ed39b1b",
+    "detail_cached":
+        "1d697c0f07d542b368ed08377a3e2e9d0d41184d3882f177fd8c72710f0854ea",
+}
+
+
+def _trace_digest(events) -> str:
+    """sha256 over every event: its fields by ``repr`` (a Python float
+    turning into a NumPy scalar changes it), the payload sorted by key."""
+    h = hashlib.sha256()
+    for ev in events:
+        h.update(repr((ev.time, ev.kind, ev.request_id, ev.replica, ev.model,
+                       sorted(ev.data.items()))).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _canonical_key(run, ev):
+    return (run, ev.time, trace._RANK[ev.kind],
+            -1 if ev.request_id is None else ev.request_id,
+            -1 if ev.replica is None else ev.replica)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_traces_are_pinned(name):
+    """Each trace, event for event: the same events the live emits wrote,
+    in the canonical order (by run, time, kind, request id, replica), and
+    it reconciles with the stats."""
+    tracer = Tracer(detail=name == "detail_cached")
+    _, stats = TRACE_CASES[name](tracer)
+    events = tracer.events
+    assert len(events) == len(tracer)
+    keys = [_canonical_key(0, ev) for ev in events]
+    assert keys == sorted(keys)
+    assert _trace_digest(events) == TRACE_DIGESTS[name]
+    reconcile(tracer, stats)
+    kinds = tracer.kind_counts()
+    if name == "plain_with_sheds":
+        assert kinds["shed"]
+    if name == "autoscale_fail_degrade_repair":
+        assert kinds["reroute"] >= 1 and kinds["batch_abort"] >= 1
+    if name == "two_models_cost_aware_edf":
+        assert all("slack" in ev.data for ev in events
+                   if ev.kind == "batch_launch")
+    if name == "detail_cached":
+        assert kinds["cache_insert"] and kinds["cache_evict"]
+
+
+def test_a_request_timeline_reads_the_record():
+    """``timeline(i)`` is the full stream's events about request ``i``
+    (its own, and the launch and abort of a batch it rode), without
+    materializing the rest; a re-routed request's enqueue is at the drain
+    instant."""
+    tracer = Tracer()
+    autoscale_fail_degrade_repair(tracer)
+    moved = next(ev for ev in tracer.events if ev.kind == "reroute")
+    aborted = next(ev for ev in tracer.events if ev.kind == "batch_abort")
+    tracer = Tracer()
+    autoscale_fail_degrade_repair(tracer)   # nothing materialized yet
+    for rid in (moved.request_id, aborted.data["request_ids"][0], 0):
+        got = tracer.timeline(rid)
+        assert got == [ev for ev in tracer.events if ev.request_id == rid
+                       or rid in ev.data.get("request_ids", ())]
+    enq = [ev for ev in tracer.timeline(moved.request_id)
+           if ev.kind == "enqueue"]
+    assert [ev.time for ev in enq] == [moved.time]
+    assert enq[0].replica == moved.data["to"]
