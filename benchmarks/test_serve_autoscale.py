@@ -17,13 +17,18 @@ attainment instead, and the acceptance claims are:
 - **failure contention**: a node death mid-burst (the involuntary
   scale-in) is detected and repaired by the controller, and costs only a
   bounded slice of attainment — capacity adaptation is what made the
-  paper's production story hold at ~9600 nodes.
+  paper's production story hold at ~9600 nodes;
+- **observation cost**: the host time of an autoscaled run per request
+  stays flat as the run grows — each control epoch reads only what is
+  outstanding.
 """
+
+import time
 
 import numpy as np
 import pytest
 
-from bench_report import report
+from bench_report import bench_json, report
 from repro.cluster.failures import FailureEvent
 from repro.serve import (
     MMPP,
@@ -187,3 +192,45 @@ class TestAutoscaleFailureContention:
                 if r.index in h and np.isfinite(r.attainment)
                 and np.isfinite(h[r.index].attainment)]
         assert max(gaps, default=0.0) <= 0.1
+
+
+class TestObservationCost:
+    #: request counts of the scan; 8x the smallest is where a per-epoch
+    #: rescan of the run shows (it cost ~6x per request there)
+    SIZES = (12_000, 24_000, 48_000, 96_000)
+
+    def test_host_time_per_request_is_flat(self, hep_wl):
+        """The ``autoscale`` configuration of ``bench/workloads.py``
+        (quarter-SLO epochs, MMPP bursts at 3x one replica's saturation, a
+        node death at 1 s): wall-clock microseconds per request of the
+        whole run, best of 3 per size. The epoch count grows with the run,
+        so a per-epoch cost that grew with it would show here; the largest
+        run must stay within 1.5x of the smallest per request."""
+        policy = BatchingPolicy(max_batch=32, max_wait=0.010)
+        one = ServingSimulator(hep_wl, n_replicas=1, policy=policy)
+        slo = one.default_slo()
+        sim = AutoscalingSimulator(
+            hep_wl, policy=policy,
+            autoscale=AutoscalePolicy(max_replicas=8, epoch=0.25 * slo,
+                                      cooldown_epochs=0, step_out=2),
+            failure_events=[FailureEvent(1.0, 0, "fail")])
+        rate = 3.0 * one.saturation_rate()
+        us, epochs = {}, {}
+        for n in self.SIZES:
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                stats = sim.run(rate, n_requests=n, process=MMPP(burst=8.0),
+                                seed=0, slo=slo)
+                best = min(best, time.perf_counter() - t0)
+            us[n], epochs[n] = best / n * 1e6, len(stats.epochs)
+        report("autoscaled run host time per request (bench autoscale)", [
+            (f"{n // 1000}k requests, {epochs[n]} epochs",
+             f"<= {1.5 * us[self.SIZES[0]]:.1f} us"
+             if n == self.SIZES[-1] else "--", f"{us[n]:.1f} us")
+            for n in self.SIZES])
+        bench_json("autoscale_observation_cost", {
+            "us_per_request": {str(n): us[n] for n in self.SIZES},
+            "epochs": {str(n): epochs[n] for n in self.SIZES}})
+        assert epochs[self.SIZES[-1]] > 4 * epochs[self.SIZES[0]]
+        assert us[self.SIZES[-1]] <= 1.5 * us[self.SIZES[0]], us

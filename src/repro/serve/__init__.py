@@ -35,7 +35,8 @@ accounting:
   admission, and in-flight request coalescing;
 - :mod:`repro.serve.fast_core` — the flat struct-of-arrays drive loop
   behind ``ServingSimulator(engine="array")``: bit-identical to the event
-  loop on its supported class, 5.1-6.3x faster at 10^6 plain requests;
+  loop on its supported class, about 2.7x faster at 10^6 plain requests
+  on a two-core Xeon VM;
 - :mod:`repro.serve.autoscale` — burst-aware replica autoscaling: a
   discrete-time controller that scales out on broken SLO attainment and in
   on sustained idle occupancy, contending with node failures from

@@ -50,7 +50,7 @@ from repro.serve.metrics import (
     ScaleReason,
 )
 from repro.serve.router import Router
-from repro.serve.slo_sim import ServingSimulator
+from repro.serve.slo_sim import ServingSimulator, _require_slo
 from repro.serve.arrivals import PopularityLike, ProcessLike
 from repro.sim.workload import Workload
 from repro.utils.rng import SeedLike
@@ -298,12 +298,9 @@ class AutoscalingSimulator(ServingSimulator):
         every model with one uniform target. The controller reacts to the
         worst per-model attainment."""
         explicit = slo is not None
-        if slo is None:
-            slo = self.default_slo()
-        elif not slo > 0:
-            raise ValueError(f"slo must be positive, got {slo}")
-        self._run_slo = float(slo)
-        self._run_slos = ([float(slo)] * len(self.services) if explicit
+        self._run_slo = (_require_slo(slo) if explicit
+                         else self.default_slo())
+        self._run_slos = ([self._run_slo] * len(self.services) if explicit
                           else self.model_slos())
         try:
             return super().run(rate, n_requests=n_requests, process=process,
@@ -347,8 +344,9 @@ class AutoscalingSimulator(ServingSimulator):
                         self.autoscale.max_replicas, t_end - t0)]
         return []
 
-    def _observe(self, router: Router, open_reqs: dict, cursors: dict,
-                 t_start: float, t_end: float, index: int, slos: List[float],
+    def _observe(self, router: Router, arrivals: List[float],
+                 cursors: dict, n_arrived: int, t_start: float,
+                 t_end: float, index: int, slos: List[float],
                  rtts: List[float], floors: List[float], n_shed: int,
                  shed_by_model: List[int],
                  n_repaired: int = 0) -> EpochRecord:
@@ -385,32 +383,30 @@ class AutoscalingSimulator(ServingSimulator):
         lower bound on violations (the slowdown then shows up through
         late completions instead).
 
-        Windows are half-open ``(t_start, t_end]`` so consecutive epochs
-        partition the timeline — except epoch 0, whose start is the first
-        arrival itself and therefore closed, so that arrival (and a batch
-        launched at that exact instant) is not invisible to the controller.
+        Consecutive windows partition the timeline: arrivals and launches
+        count in ``[t_start, t_end)`` (one on a control instant happens
+        after that epoch closed; epoch 0 opens at the first arrival),
+        completions in ``(t_start, t_end]`` (one on ``t_start`` that the
+        last epoch could not see yet goes uncounted).
 
         Each admitted request is judged against *its own model's* SLO,
-        transport cost, and doomed floor; the aggregate fields are the
-        per-model sums, and on ``models=`` runs ``model_attainment``
-        carries the per-model signals the controller's worst-case rule
-        consumes.
+        transport cost, and doomed floor — the model of the batch or the
+        lane that holds it; the aggregate fields are the per-model sums,
+        and on ``models=`` runs ``model_attainment`` carries the per-model
+        signals the controller's worst-case rule consumes.
 
-        An epoch costs what is outstanding, not what the run has seen.
-        ``open_reqs`` (request id -> arrival) holds every admission not yet
-        seen answered or lost: a request leaves it in the epoch that finds
-        its completion at or before ``t_end`` or its id among the failed,
-        and no later epoch could count it (a completion never moves; a
-        node death strikes only completions after its own time, which no
-        closed epoch has seen). Those admitted since the last epoch are
-        the only ones arriving at or after ``t_start``. ``cursors``
-        (replica index -> position) resumes each replica's batch list
-        where the last epoch stopped: a replica launches in ``start``
-        order, so all before the first batch starting after ``t_end`` is
-        judged for good (a dead replica's list shrinks to a prefix and
-        stays there, leaving its cursor past the end: nothing to scan).
+        The batch lists and lanes are the only record read, and an epoch
+        costs what is outstanding, not what the run has seen. ``cursors``
+        (replica index -> [launch, completion] positions) resume each
+        batch list where the last epoch stopped: a replica launches and,
+        each launch waiting for ``free_at``, completes in list order, so
+        all past the completion cursor is in service at ``t_end`` (a
+        death cuts a list to a prefix). The rest sits in live lanes (a
+        drain re-routes them, a death loses them: a lost request stops
+        counting), judged by ``arrivals[rid]`` (a re-routed entry's lane
+        time is the drain instant). ``n_arrived`` is the drive loop's
+        count of admissions since the last control instant.
         """
-        on_start = t_start if index == 0 else math.inf
         n_degraded = 0
         slow_min = math.inf
         for r in router.replicas:
@@ -425,54 +421,54 @@ class AutoscalingSimulator(ServingSimulator):
             # preserving their bit-identical floors).
             floors = [(fl - rtt) * slow_min + rtt
                       for fl, rtt in zip(floors, rtts)]
-        completions = router.completions()
-        mids = self._mids
         M = len(slos)
         n_completed = [0] * M
         n_ok = [0] * M
         n_doomed = [0] * M
-        n_arrived = 0
-        closed = []
-        for rid, a in open_reqs.items():
-            if t_start < a <= t_end or a == on_start:
-                n_arrived += 1
-            m = 0 if mids is None else mids[rid]
-            c = completions.get(rid)
-            if c is None:
-                # Queued. Requests lost to a failure are excluded: they
-                # took their attainment hit while queued (doomed) or not at
-                # all, and must not depress the signal forever after.
-                if rid in router.failed_ids:
-                    closed.append(rid)
-                elif a <= t_end and t_end - a + floors[m] > slos[m]:
-                    n_doomed[m] += 1
-            elif c <= t_end:
-                closed.append(rid)
-                if t_start < c:
-                    n_completed[m] += 1
-                    if c - a + rtts[m] <= slos[m]:
-                        n_ok[m] += 1
-            elif t_end >= a and c - a + rtts[m] > slos[m]:
-                n_doomed[m] += 1    # launched; completion known and late
-        for rid in closed:
-            del open_reqs[rid]
-        queue_depth = sum(r.queue.outstanding(t_end)
-                          for r in router.replicas)
-        # This epoch's batches, replica by replica in launch order (the
-        # per-model occupancy below is a float mean: keep the order). A
-        # batch at or before ``t_start`` can still turn up here — a full
-        # one commits the moment it fills, whenever it starts — and was
-        # never counted, so the window test stays on every batch.
+        # This epoch's launches, replica by replica in launch order (the
+        # per-model occupancy below is a float mean: keep the order). The
+        # last epoch committed every launch before ``t_start``, so none
+        # past the launch cursor starts before it.
         epoch_batches = []
         for r in router.replicas + router.retired:
             batches = r.queue.batches
-            i = cursors.get(r.index, 0)
-            while i < len(batches) and batches[i].start <= t_end:
-                b = batches[i]
-                if t_start < b.start or b.start == on_start:
-                    epoch_batches.append(b)
+            nb = len(batches)
+            cur = cursors.setdefault(r.index, [0, 0])
+            i = cur[0]
+            while i < nb and batches[i].start < t_end:
+                epoch_batches.append(batches[i])
                 i += 1
-            cursors[r.index] = i
+            cur[0] = i
+            i = cur[1]
+            while i < nb:
+                b = batches[i]
+                c = b.completion
+                if c > t_end:
+                    break
+                if t_start < c:
+                    m = b.model
+                    slo, rtt = slos[m], rtts[m]
+                    n_completed[m] += len(b.request_ids)
+                    for rid in b.request_ids:
+                        if c - arrivals[rid] + rtt <= slo:
+                            n_ok[m] += 1
+                i += 1
+            cur[1] = i
+            # launched, still in service at t_end: completion known
+            for b in batches[i:]:
+                c, m = b.completion, b.model
+                slo, rtt = slos[m], rtts[m]
+                for rid in b.request_ids:
+                    if c - arrivals[rid] + rtt > slo:
+                        n_doomed[m] += 1
+            # queued, no batch yet: a lower bound on the latency
+            for m, lane in r.queue.lanes.items():
+                slo, floor = slos[m], floors[m]
+                for _, rid in lane:
+                    if t_end - arrivals[rid] + floor > slo:
+                        n_doomed[m] += 1
+        queue_depth = sum(r.queue.outstanding(t_end)
+                          for r in router.replicas)
         sizes = [b.size for b in epoch_batches]
         mean_batch = float(np.mean(sizes)) if sizes else float("nan")
         pols = self.model_policies()
@@ -524,8 +520,7 @@ class AutoscalingSimulator(ServingSimulator):
         # The control loop is object-event only: fleets change size, so
         # the flat array core (fixed-fleet by construction) never applies.
         self.last_run_engine = "event"
-        slo = getattr(self, "_run_slo", None) or self.default_slo()
-        slos = getattr(self, "_run_slos", None) or self.model_slos()
+        slo, slos = self._run_slo, self._run_slos
         cfg = self.autoscale
         epoch_s = cfg.epoch if cfg.epoch is not None else 2.0 * slo
         tracer = self._tracer
@@ -552,13 +547,12 @@ class AutoscalingSimulator(ServingSimulator):
         epoch_idx, fi = 0, 0
         next_epoch = t0 + epoch_s
         prev_epoch_t = t0
-        dropped_mark = router.n_dropped
-        dropped_marks = [router.dropped_by_model.get(m, 0)
-                         for m in range(n_models)]
+        shed_mark = 0
+        mids = self._mids
         repaired_in_epoch = 0
         # what _observe carries from one epoch to the next (see there)
-        open_reqs: dict = {}
         cursors: dict = {}
+        n_admitted = 0
 
         def record(t: float, action: str, delta: int, reason: ScaleReason,
                    **data) -> None:
@@ -575,23 +569,21 @@ class AutoscalingSimulator(ServingSimulator):
                           **data, **reason.signals()})
 
         def close_epoch(t: float) -> None:
-            nonlocal epoch_idx, prev_epoch_t, dropped_mark, \
-                repaired_in_epoch
+            nonlocal epoch_idx, prev_epoch_t, shed_mark, \
+                repaired_in_epoch, n_admitted
             advance_area(t)
             for r in router.replicas:
                 r.queue.advance(t)
-            n_shed = router.n_dropped - dropped_mark
-            dropped_mark = router.n_dropped
-            shed_by_model = []
-            for m in range(n_models):
-                now = router.dropped_by_model.get(m, 0)
-                shed_by_model.append(now - dropped_marks[m])
-                dropped_marks[m] = now
-            rec = self._observe(router, open_reqs, cursors, prev_epoch_t,
-                                t, epoch_idx, slos, rtts, floors, n_shed,
-                                shed_by_model,
+            shed = router.shed_ids[shed_mark:]
+            shed_mark += len(shed)
+            shed_by_model = [0] * n_models
+            for rid in shed:
+                shed_by_model[0 if mids is None else mids[rid]] += 1
+            rec = self._observe(router, ts, cursors, n_admitted,
+                                prev_epoch_t, t, epoch_idx, slos, rtts,
+                                floors, len(shed), shed_by_model,
                                 n_repaired=repaired_in_epoch)
-            repaired_in_epoch = 0
+            repaired_in_epoch = n_admitted = 0
             if tracer is not None:
                 tracer.emit(
                     "epoch", t,
@@ -665,7 +657,7 @@ class AutoscalingSimulator(ServingSimulator):
             apply_failure = self._prof.wrap("autoscale.apply_failure",
                                             apply_failure)
 
-        stream, serve = self._feed(router, arrivals)
+        ts, stream, serve = self._feed(router, arrivals)
         t_fail = failures[0].time if failures else math.inf
         next_control = min(t_fail, next_epoch)
         for t, i, model in stream:
@@ -683,7 +675,7 @@ class AutoscalingSimulator(ServingSimulator):
                     next_epoch += epoch_s
                 next_control = min(t_fail, next_epoch)
             if serve(t, i, model):
-                open_reqs[i] = t
+                n_admitted += 1
         advance_area(t_end)
         span = t_end - t0
         # run()/collect handoff: ServingSimulator.run calls _drive then

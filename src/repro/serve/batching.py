@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,8 +110,8 @@ class ReplicaBatchQueue:
     """Per-model FIFO lanes + batching policy for one replica, virtual time.
 
     Drive it with nondecreasing ``push(t, request_id, model)`` calls and a
-    final :meth:`drain`; it records every launched :class:`Batch` and each
-    request's completion time. ``service_times`` (``batch_size ->
+    final :meth:`drain`; every launched :class:`Batch` is the one record
+    of its requests' completion. ``service_times`` (``batch_size ->
     seconds``) and ``policies`` hold one entry per model index and default
     to ``[service_time]`` and ``[policy] * M``: a single-model queue is
     the one-lane case. Each model batches on its own service curve and
@@ -185,11 +184,6 @@ class ReplicaBatchQueue:
         #: the batches :meth:`abort_after` struck (in flight or committed
         #: past the node death): out of :attr:`batches`, kept for the record
         self.aborted: List[Batch] = []
-        #: request_id -> completion; a :class:`~repro.serve.router.Router`
-        #: swaps in the one ledger its whole fleet writes to
-        self.completions: Dict[int, float] = {}
-        #: launched but not yet completed batches: (completion, size), FIFO
-        self._in_flight: Deque[Tuple[float, int]] = deque()
         # Tracks the last push time only — arrivals may well precede
         # free_at (requests queuing while the replica is still busy).
         # The lowest finite float, so push's one range check also rejects
@@ -232,14 +226,25 @@ class ReplicaBatchQueue:
         """Requests admitted but not yet launched (all lanes)."""
         return sum(len(lane) for lane in self.lanes.values())
 
+    @property
+    def completions(self) -> Dict[int, float]:
+        """request_id -> completion, built from :attr:`batches` when read."""
+        return {rid: b.completion for b in self.batches
+                for rid in b.request_ids}
+
     def outstanding(self, t: float) -> int:
         """Requests admitted but not yet *completed* at time ``t``: the
         unlaunched queue plus every launched batch still in service. This is
         the load signal for both routing and admission — committed batches
-        are still work the replica owes."""
-        while self._in_flight and self._in_flight[0][0] <= t:
-            self._in_flight.popleft()
-        return self.queue_depth + sum(size for _, size in self._in_flight)
+        are still work the replica owes. Each launch waits for ``free_at``,
+        so the batches in service are the suffix of :attr:`batches` that
+        completes after ``t``."""
+        n = self.queue_depth
+        for b in reversed(self.batches):
+            if b.completion <= t:
+                break
+            n += len(b.request_ids)
+        return n
 
     def backlog(self, t: float) -> int:
         """Routing load signal; alias of :meth:`outstanding` (one unit —
@@ -377,12 +382,10 @@ class ReplicaBatchQueue:
         completion = launch + self._svc(model, take)
         self.free_at = completion
         self._keys.clear()
-        self._in_flight.append((completion, take))
         ids = tuple([rid for _, rid in members])
         batch = Batch(start=launch, completion=completion, request_ids=ids,
                       model=model)
         self.batches.append(batch)
-        self.completions.update(dict.fromkeys(ids, completion))
         if self.on_commit is not None:
             self.on_commit(batch)
 
@@ -421,12 +424,11 @@ class ReplicaBatchQueue:
         """Fail-stop the replica at time ``t``; returns the lost request ids.
 
         Models a node death: every batch still in service at ``t`` (or
-        committed to launch after it) is aborted — moved to
-        :attr:`aborted` — and its requests are struck from
-        :attr:`completions`, along with everything queued but unlaunched.
-        Batches that completed at or before ``t`` stand — those responses
-        already left the node. The queue is unusable afterwards
-        (``free_at`` pinned to infinity).
+        committed to launch after it) is aborted — moved from
+        :attr:`batches` to :attr:`aborted` — and its requests are lost,
+        along with everything queued but unlaunched. Batches that completed
+        at or before ``t`` stand — those responses already left the node.
+        The queue is unusable afterwards (``free_at`` pinned to infinity).
         """
         self.advance(t)
         lost = [rid for _, rid, _ in self._queued()]
@@ -435,13 +437,10 @@ class ReplicaBatchQueue:
         for b in self.batches:
             if b.completion > t:
                 lost.extend(b.request_ids)
-                for rid in b.request_ids:
-                    del self.completions[rid]
                 self.aborted.append(b)
             else:
                 survived.append(b)
         self.batches = survived
-        self._in_flight.clear()
         self.free_at = math.inf
         return lost
 

@@ -61,7 +61,7 @@ class LinearRouter(Router):
         # pre-multi-model single-model runs this oracle is kept for).
         self.n_offered += 1
         if not self.replicas:
-            return self._shed(request_id, model)
+            return self._shed(request_id)
         for r in self.replicas:
             r.queue.advance(t)
         replica = self._least_loaded_scan(self.replicas, t)
@@ -69,7 +69,7 @@ class LinearRouter(Router):
             open_replicas = [r for r in self.replicas
                              if not self._full_scan(r, t)]
             if not open_replicas:
-                return self._shed(request_id, model)
+                return self._shed(request_id)
             replica = self._least_loaded_scan(open_replicas, t)
         replica.queue.push(t, request_id, model)
         return True

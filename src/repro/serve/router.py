@@ -26,9 +26,9 @@ rescanned. Three lazy heaps carry the whole discrete-event state —
   after every fired event (firing an event early is a no-op that
   reschedules itself) — the rule of :mod:`repro.serve.fast_core`.
 
-Completions land in one ``request_id -> completion`` ledger per fleet: the
-router hands it to every replica queue it creates and :meth:`Router.
-completions` returns it as is, so reading it costs nothing per replica.
+A request's completion is recorded once, in the batch it launched with:
+each replica queue's batch list is the record, and :meth:`Router.
+completions` is a view built from the live and retired replicas' lists.
 
 ``submit`` first syncs the heaps to the arrival time (when a launch or
 completion event is due by then — otherwise a sync plays nothing), then
@@ -42,7 +42,7 @@ replica on the next free machine node mid-stream, :meth:`remove_replica`
 gracefully drains one (unlaunched requests re-route to the survivors,
 in-flight batches finish where they started, nothing is dropped), and
 :meth:`fail_replica` models a node death (in-flight and queued requests
-are lost and counted in :attr:`Router.n_failed`), and
+are lost and their ids kept in :attr:`Router.failed_ids`), and
 :meth:`degrade_replica` a slow node (still answering, every batch a
 constant factor slower). The autoscaler in :mod:`repro.serve.autoscale`
 drives all four; a fixed-fleet simulation simply never calls them.
@@ -163,8 +163,6 @@ class Router:
         #: fleet changes; request and batch events are read off the run
         #: record after the run, not emitted here
         self.tracer = tracer
-        #: per-model drop tallies (key: model index)
-        self.dropped_by_model: Dict[int, int] = {}
         # Incremental event state (see module docstring).
         self._backlog: Dict[int, int] = {}
         #: cost-aware ledger: replica index -> per-model outstanding
@@ -174,8 +172,6 @@ class Router:
         self._counts: Dict[int, List[int]] = {}
         #: live replica index -> last published load (a heap entry's check)
         self._load: Dict[int, float] = {}
-        #: request_id -> completion time: the fleet's one ledger
-        self._completions: Dict[int, float] = {}
         self._live: Dict[int, ReplicaHandle] = {}
         self._load_heap: List[Tuple[float, int]] = []
         #: (completion, replica, model, size) — one decrement per batch
@@ -199,9 +195,8 @@ class Router:
         self.shed_ids: List[int] = []
         #: re-routed request id -> its last enqueue instant (a drain's)
         self.requeued: Dict[int, float] = {}
-        #: requests lost to replica failures (admitted, never answered)
-        self.n_failed = 0
-        #: their ids — so observers can tell dead from still-pending
+        #: ids of the requests lost to replica failures (admitted, never
+        #: answered) — so observers can tell dead from still-pending
         self.failed_ids: set = set()
 
     @property
@@ -211,6 +206,10 @@ class Router:
     @property
     def n_dropped(self) -> int:
         return len(self.shed_ids)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failed_ids)
 
     def node_ids(self) -> List[int]:
         return [r.node_id for r in self.replicas]
@@ -224,7 +223,6 @@ class Router:
             service_times=self.service_times,
             policies=self.policies, order=self.order,
             slos=self.model_slos)
-        queue.completions = self._completions
         handle = ReplicaHandle(index, node_id, queue)
         self._live[index] = handle
         self._backlog[index] = 0
@@ -311,10 +309,8 @@ class Router:
         self._sync(t)
         return float(sum(self._load[r.index] for r in self.replicas))
 
-    def _shed(self, request_id: int, model: int) -> bool:
+    def _shed(self, request_id: int) -> bool:
         self.shed_ids.append(request_id)
-        self.dropped_by_model[model] = \
-            self.dropped_by_model.get(model, 0) + 1
         return False
 
     def submit(self, t: float, request_id: int, model: int = 0) -> bool:
@@ -341,7 +337,7 @@ class Router:
         self.n_offered += 1
         if not self.replicas:
             # Every replica has failed and no repair has landed yet: shed.
-            return self._shed(request_id, m)
+            return self._shed(request_id)
         le, ce = self._launch_events, self._completion_events
         if le and le[0][0] <= t or ce and ce[0][0] <= t:
             self._sync(t)
@@ -361,7 +357,7 @@ class Router:
             heapq.heappop(heap)
             value, idx = heap[0]
         if value >= limit:
-            return self._shed(request_id, model)
+            return self._shed(request_id)
         if source is not None:
             self.requeued[request_id] = t
             if self.tracer is not None:
@@ -441,8 +437,8 @@ class Router:
         """Node death at ``t``: the replica at ``pos`` dies mid-service.
 
         Unlike :meth:`remove_replica` nothing is saved: queued requests and
-        every batch still in flight at ``t`` are lost (counted in
-        :attr:`n_failed`); work that completed before ``t`` stands. Returns
+        every batch still in flight at ``t`` are lost (their ids join
+        :attr:`failed_ids`); work that completed before ``t`` stands. Returns
         the dead handle and the number of requests lost with it.
         """
         if not self.replicas:
@@ -450,7 +446,6 @@ class Router:
         replica = self.replicas.pop(pos % len(self.replicas))
         del self._live[replica.index], self._load[replica.index]
         lost = replica.queue.abort_after(t)
-        self.n_failed += len(lost)
         self.failed_ids.update(lost)
         if self.tracer is not None:
             for b in replica.queue.aborted:
@@ -522,10 +517,11 @@ class Router:
         for r in self.replicas:
             r.queue.drain()
 
-    def completions(self) -> dict:
-        """request_id -> completion time across live and retired replicas:
-        the fleet's live ledger, not a copy — read it, do not mutate it."""
-        return self._completions
+    def completions(self) -> Dict[int, float]:
+        """request_id -> completion time across live and retired replicas,
+        built from their batch lists when called."""
+        return {rid: b.completion for r in self.replicas + self.retired
+                for b in r.queue.batches for rid in b.request_ids}
 
     def batches(self) -> List[Batch]:
         """Every launched micro-batch across replicas, in launch order.

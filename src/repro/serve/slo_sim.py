@@ -610,15 +610,16 @@ class ServingSimulator:
         return admitted
 
     def _feed(self, router: Router, arrivals: np.ndarray):
-        """The event loops' ``(t, request_id, model)`` stream (native
-        floats and ints) and what serves one: the router's ``submit``, or
-        :meth:`_offer` with a cache — bound after :meth:`run` hooks the
-        profiler, so a profiled run times the ``submit`` it calls."""
+        """The arrival times as native floats, the event loops' ``(t,
+        request_id, model)`` stream over them and what serves one: the
+        router's ``submit``, or :meth:`_offer` with a cache — bound after
+        :meth:`run` hooks the profiler, so a profiled run times the
+        ``submit`` it calls."""
         ts = arrivals.astype(np.float64).tolist()
         models = self._mids if self._mids is not None else repeat(0)
         serve = (router.submit if self._cstate is None
                  else partial(self._offer, router))
-        return zip(ts, range(len(ts)), models), serve
+        return ts, zip(ts, range(len(ts)), models), serve
 
     def _drive(self, arrivals: np.ndarray, router: Router) -> None:
         """Feed the arrival stream through the router (overridable).
@@ -643,7 +644,7 @@ class ServingSimulator:
             self._fast = fast_core.drive(self, arrivals)
             return
         self.last_run_engine = "event"
-        stream, serve = self._feed(router, arrivals)
+        _, stream, serve = self._feed(router, arrivals)
         for t, i, model in stream:
             serve(t, i, model)
 
@@ -674,19 +675,29 @@ class ServingSimulator:
     def _record(self, router: Router,
                 arrivals: np.ndarray) -> fast_core.FastRun:
         """The event engine's finished run as the array core's record,
-        read off the state the run already keeps: the router's completion
-        ledger, shed, failed and re-routed ids, and batch lists (live
-        replicas, then retired; the aborted ones last), and the cache
-        run's hit and follower ledgers.
+        read off the state the run already keeps: the batch lists (live
+        replicas, then retired; the aborted ones last), whose kept batches
+        give each member its completion, the router's shed, failed and
+        re-routed ids, and the cache run's hit and follower ledgers.
 
         A follower completes with its leader; one whose leader died is
         stranded, a failure."""
         n = arrivals.size
+        handles = router.replicas + router.retired
+        batches = [(h.index, b) for h in handles for b in h.queue.batches]
+        n_kept = len(batches)
+        batches += [(h.index, b) for h in handles for b in h.queue.aborted]
+        nb = len(batches)
+        bsize = np.fromiter((b.size for _, b in batches), np.int64, nb)
+        bcomp = np.fromiter((b.completion for _, b in batches), np.float64,
+                            nb)
+        members = np.fromiter(
+            chain.from_iterable(b.request_ids for _, b in batches),
+            np.int64, int(bsize.sum()))
         complete_t = np.full(n, np.nan)
-        done = router.completions()
-        if done:
-            complete_t[np.fromiter(done, np.intp, len(done))] = np.fromiter(
-                done.values(), np.float64, len(done))
+        kept = bsize[:n_kept]
+        complete_t[members[:int(kept.sum())]] = np.repeat(bcomp[:n_kept],
+                                                          kept)
         shed = np.zeros(n, dtype=bool)
         shed[router.shed_ids] = True
         failed = np.zeros(n, dtype=bool)
@@ -716,24 +727,13 @@ class ServingSimulator:
             enqueue_t = arrivals.astype(np.float64)
             enqueue_t[np.fromiter(moved, np.intp, len(moved))] = np.fromiter(
                 moved.values(), np.float64, len(moved))
-        handles = router.replicas + router.retired
-        batches = [(h.index, b) for h in handles for b in h.queue.batches]
-        n_kept = len(batches)
-        batches += [(h.index, b) for h in handles for b in h.queue.aborted]
-        nb = len(batches)
-        bsize = np.fromiter((b.size for _, b in batches), np.int64, nb)
         return fast_core.FastRun(
             complete_t=complete_t, shed=shed,
             bstart=np.fromiter((b.start for _, b in batches), np.float64,
                                nb),
-            bcomp=np.fromiter((b.completion for _, b in batches),
-                              np.float64, nb),
-            bsize=bsize,
+            bcomp=bcomp, bsize=bsize,
             brep=np.fromiter((r for r, _ in batches), np.int64, nb),
-            bfirst=np.cumsum(bsize) - bsize,
-            members=np.fromiter(
-                chain.from_iterable(b.request_ids for _, b in batches),
-                np.int64, int(bsize.sum())),
+            bfirst=np.cumsum(bsize) - bsize, members=members,
             hit=hit, failed=failed, leader=leader, enqueue_t=enqueue_t,
             aborted=np.arange(nb) >= n_kept if nb > n_kept else None)
 

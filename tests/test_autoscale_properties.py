@@ -39,6 +39,7 @@ from repro.serve import (
     EpochRecord,
     ModelMix,
     ModelProfile,
+    ReplicaBatchQueue,
     Router,
     ScaleEvent,
     ServingSimulator,
@@ -614,11 +615,11 @@ class TestControlDirection:
         assert out_epochs[0] <= 3
 
     def test_first_arrival_is_visible_to_epoch_zero(self):
-        """Epoch windows are half-open (t_start, t_end] — but epoch 0
-        starts exactly at the first arrival, so a closed start keeps that
-        request (and a batch launched at that same instant, as continuous
-        mode does at low load) from being invisible to the controller and
-        misclassifying the opening epoch as idle."""
+        """Arrivals and launches count in ``[t_start, t_end)`` and epoch 0
+        starts exactly at the first arrival, so that request (and a batch
+        launched at that same instant, as continuous mode does at low load)
+        is not invisible to the controller, which would misclassify the
+        opening epoch as idle."""
         policy = BatchingPolicy(max_batch=8, max_wait=0.004,
                                 mode="continuous")
         svc = FakeService()
@@ -657,11 +658,11 @@ class TestControlDirection:
 
 def _full_rescan(sim, router, admitted, t_start, t_end, index, slos, rtts,
                  floors, n_shed, shed_by_model=None, n_repaired=0):
-    """``AutoscalingSimulator._observe`` as it was before the open set and
-    the batch cursors: every admitted request and every launched batch,
-    rescanned at every epoch. Quadratic and obviously right — the oracle
-    the incremental form is held to, field for field."""
-    on_start = t_start if index == 0 else math.inf
+    """``AutoscalingSimulator._observe`` as it was before the batch cursors:
+    every admitted request and every launched batch, rescanned at every
+    epoch. Quadratic and obviously right — the oracle the incremental form
+    is held to, field for field. Arrivals and launches count in ``[t_start,
+    t_end)``, completions in ``(t_start, t_end]``."""
     n_degraded = 0
     slow_min = math.inf
     for r in router.replicas:
@@ -694,12 +695,11 @@ def _full_rescan(sim, router, admitted, t_start, t_end, index, slos, rtts,
                 n_ok[m] += 1
         elif c > t_end >= a and c - a + rtts[m] > slos[m]:
             n_doomed[m] += 1
-    n_arrived = sum(1 for a in admitted.values()
-                    if t_start < a <= t_end or a == on_start)
+    n_arrived = sum(1 for a in admitted.values() if t_start <= a < t_end)
     queue_depth = sum(r.queue.outstanding(t_end) for r in router.replicas)
     epoch_batches = [b for r in router.replicas + router.retired
                      for b in r.queue.batches
-                     if t_start < b.start <= t_end or b.start == on_start]
+                     if t_start <= b.start < t_end]
     sizes = [b.size for b in epoch_batches]
     mean_batch = float(np.mean(sizes)) if sizes else float("nan")
     pols = sim.model_policies()
@@ -768,8 +768,9 @@ class _RescanChecked(AutoscalingSimulator):
         return {i: self._arrival_times[i] for i in range(offered)
                 if i not in skip}
 
-    def _observe(self, router, open_reqs, cursors, *window, **kw):
-        rec = super()._observe(router, open_reqs, cursors, *window, **kw)
+    def _observe(self, router, arrivals, cursors, n_arrived, *window, **kw):
+        rec = super()._observe(router, arrivals, cursors, n_arrived, *window,
+                               **kw)
         ref = _full_rescan(self, router, self._admitted(router), *window,
                            **kw)
         for f in dataclasses.fields(EpochRecord):
@@ -861,8 +862,9 @@ class TestIncrementalObservation:
     def test_completion_on_an_epoch_boundary_is_dropped_uncounted(self):
         """Zero service time on an exact 0.25 s grid with 0.5 s epochs:
         every other request arrives, launches and completes *on* a
-        boundary, just after that epoch closed. No window of the rescan
-        holds such a completion; the open set must let it go uncounted."""
+        boundary, just after that epoch closed. Its arrival counts in the
+        epoch that boundary opens, its completion in no window: the
+        completion cursor must pass it uncounted."""
         sim = _RescanChecked(
             None, service_model=FakeService(base=0.0, per=0.0),
             policy=BatchingPolicy(max_batch=1, max_wait=0.0),
@@ -872,38 +874,95 @@ class TestIncrementalObservation:
                         slo=1.0)
         assert sim.n_checked == len(stats.epochs) == 5
         assert [(e.n_arrived, e.n_completed) for e in stats.epochs[1:]] \
-            == [(1, 1)] * 4
+            == [(2, 1)] * 4
+
+    @pytest.mark.parametrize("mode", ["windowed", "continuous"])
+    @pytest.mark.parametrize("rate", [2.0, 4.0])
+    def test_consecutive_epochs_partition_arrivals_and_launches(self, mode,
+                                                                rate):
+        """A pinned 2-replica fleet, uniform arrivals on an exact grid and
+        0.5 s epochs: every arrival at 2 req/s (every other one at 4 req/s)
+        lands *on* a control instant, and so does each launch a 0.5 s hold
+        or a free replica puts there. Each one counts in exactly one epoch,
+        the one its control instant opens: ``n_arrived`` and the mean batch
+        size of every epoch are those of the run's arrivals and launches
+        in ``[t_start, t_end)``."""
+        sim = _KeepsBatches(
+            None, service_model=FakeService(),
+            policy=BatchingPolicy(max_batch=4, max_wait=0.5, mode=mode),
+            autoscale=AutoscalePolicy(min_replicas=2, max_replicas=2,
+                                      epoch=0.5))
+        stats = sim.run(rate, n_requests=40, process="uniform", slo=1.0)
+        arrivals, starts, sizes = (sim.kept[k] for k in
+                                   ("arrivals", "starts", "sizes"))
+        assert stats.n_dropped == stats.n_failed == 0
+        edge = stats.epochs[-1].t_end
+        assert sum(e.n_arrived for e in stats.epochs) \
+            == np.count_nonzero(arrivals < edge)
+        for e in stats.epochs:
+            assert e.n_arrived == np.count_nonzero(
+                (e.t_start <= arrivals) & (arrivals < e.t_end)), e
+            held = sizes[(e.t_start <= starts) & (starts < e.t_end)]
+            assert _same(e.mean_batch_size,
+                         float(np.mean(held)) if held.size else math.nan), e
+        launched = sum(not math.isnan(e.mean_batch_size)
+                       for e in stats.epochs)
+        assert launched >= len(stats.epochs) - 1
 
 
-class _CountingLedger(dict):
-    """A completion ledger that counts how often it is asked for an id."""
+class _KeepsBatches(AutoscalingSimulator):
+    """Keeps the run's arrival times and every batch's start and size."""
 
-    lookups = 0
+    def _collect(self, arrivals, router):
+        batches = router.batches()
+        self.kept = dict(arrivals=arrivals,
+                         starts=np.array([b.start for b in batches]),
+                         sizes=np.array([b.size for b in batches]))
+        return super()._collect(arrivals, router)
 
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
+
+class _Touches(list):
+    """A list that counts the entries read through ``[]`` while
+    ``counting`` is on: the replicas' batch lists and the arrival times an
+    observation judges each batch member and each lane entry by."""
+
+    counting = False
+    reads = 0
 
     def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
+        got = super().__getitem__(key)
+        if _Touches.counting:
+            _Touches.reads += len(got) if isinstance(key, slice) else 1
+        return got
 
 
-class _LedgerCounted(AutoscalingSimulator):
-    def _make_router(self, on_commit=None):
-        router = super()._make_router(on_commit)
-        self.ledger = router._completions = _CountingLedger()
-        for r in router.replicas:
-            r.queue.completions = self.ledger
-        return router
+class _TouchCounted(AutoscalingSimulator):
+    def _feed(self, router, arrivals):
+        ts, stream, serve = super()._feed(router, arrivals)
+        return _Touches(ts), stream, serve
+
+    def _observe(self, *args, **kw):
+        _Touches.counting = True
+        try:
+            return super()._observe(*args, **kw)
+        finally:
+            _Touches.counting = False
 
 
-def test_observation_work_per_request_does_not_grow_with_the_run():
+def test_observation_work_per_request_does_not_grow_with_the_run(
+        monkeypatch):
     """Pins the work, not the wall clock: on the ``autoscale`` configuration
     of ``bench/workloads.py`` (quarter-SLO epochs, MMPP bursts at 3x one
-    replica's saturation, a node death) the completion-ledger lookups per
-    request stay flat from ``n`` to ``4n`` requests. Rescanning every
-    admitted request at every epoch made them grow ~4x."""
+    replica's saturation, a node death) the batch and lane entries the
+    observation touches per request stay flat from ``n`` to ``4n``
+    requests. Rescanning every admitted request or every launched batch at
+    every epoch made them grow ~4x."""
+    init = ReplicaBatchQueue.__init__
+
+    def counted(queue, *args, **kw):
+        init(queue, *args, **kw)
+        queue.batches = _Touches()
+    monkeypatch.setattr(ReplicaBatchQueue, "__init__", counted)
     from repro.sim import hep_workload
     hep = hep_workload()
     policy = BatchingPolicy(max_batch=32, max_wait=0.010)
@@ -911,7 +970,8 @@ def test_observation_work_per_request_does_not_grow_with_the_run():
     slo = one.default_slo()
     per_request = []
     for n in (3000, 12000):
-        sim = _LedgerCounted(
+        _Touches.reads = 0
+        sim = _TouchCounted(
             hep, policy=policy,
             autoscale=AutoscalePolicy(max_replicas=8, epoch=0.25 * slo,
                                       cooldown_epochs=0, step_out=2),
@@ -919,5 +979,5 @@ def test_observation_work_per_request_does_not_grow_with_the_run():
         stats = sim.run(3.0 * one.saturation_rate(), n_requests=n,
                         process=MMPP(burst=8.0), seed=11, slo=slo)
         assert len(stats.epochs) > n / 100 and stats.n_failed > 0
-        per_request.append(sim.ledger.lookups / n)
+        per_request.append(_Touches.reads / n)
     assert per_request[1] <= 1.3 * per_request[0], per_request

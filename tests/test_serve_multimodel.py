@@ -228,7 +228,7 @@ class TestWeightedAdmission:
         alpha_admitted = sum(ok for m, ok in outcomes if m == 0)
         assert beta_admitted == 1
         assert alpha_admitted == 7
-        assert r.dropped_by_model[1] == 7
+        assert sum(outcomes[i][0] == 1 for i in r.shed_ids) == 7
         # the shed column holds exactly the refused ids, in order
         assert r.shed_ids == [i for i, (_, ok) in enumerate(outcomes)
                               if not ok]
@@ -237,7 +237,7 @@ class TestWeightedAdmission:
         r = self._router([1.0, 1.0], max_queue=8)
         ok = [r.submit(0.0, i, i % 2) for i in range(16)]
         assert sum(ok) == 8            # both models share the one limit
-        assert r.dropped_by_model[0] + r.dropped_by_model[1] == 8
+        assert sorted(i % 2 for i in r.shed_ids) == [0] * 4 + [1] * 4
 
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="admission limits"):

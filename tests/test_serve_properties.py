@@ -457,7 +457,7 @@ class _EveryAdmitRouter(Router):
         value, idx = min((self._load[r.index], r.index)
                          for r in self.replicas)
         if value >= limit:
-            return self._shed(request_id, model)
+            return self._shed(request_id)
         handle = self._live[idx]
         handle.queue.push(t, request_id, model)
         self._backlog[idx] += 1

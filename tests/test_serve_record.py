@@ -212,14 +212,20 @@ def test_the_cases_exercise_what_they_pin():
 
 class _ForgetsAnAnswer(ServingSimulator):
     """Loses one answered request's completion just before collecting —
-    from the event engine's ledger, or from the array core's record."""
+    a member dropped from its launched batch in the event engine, or the
+    array core's record."""
 
     def _collect(self, arrivals, router):
         run = self._fast
         if run is None:
-            done = router.completions()
-            self.lost = sorted(done)[len(done) // 2]
-            del done[self.lost]
+            launched = sorted(router.completions())
+            self.lost = launched[len(launched) // 2]
+            for h in router.replicas + router.retired:
+                batches = h.queue.batches
+                for k, b in enumerate(batches):
+                    if self.lost in b.request_ids:
+                        batches[k] = dataclasses.replace(b, request_ids=tuple(
+                            r for r in b.request_ids if r != self.lost))
         else:
             self.lost = int(np.flatnonzero(~run.shed)[-1])
             run.complete_t[self.lost] = np.nan
