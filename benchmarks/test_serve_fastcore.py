@@ -1,7 +1,7 @@
 """Fast simulator core: the million- and ten-million-request benchmarks.
 
-The acceptance bar for the array engine (``ServingSimulator(
-engine="array")``, :mod:`repro.serve.fast_core`): at 10^6 requests on a
+The acceptance bar for the array engine (:mod:`repro.serve.fast_core`,
+where every supported ``ServingSimulator`` runs): at 10^6 requests on a
 64-replica fleet it must produce *bit-identical* :class:`LatencyStats`
 to the object event loop while running at least a floor's multiple
 faster wall-clock: >= 1.8x on the plain and the cached (Zipf,
@@ -60,7 +60,7 @@ from repro.serve import (
     ServingSimulator,
     ZipfPopularity,
 )
-from repro.serve.reference import LinearServingSimulator
+from repro.serve.reference import EventLoopSimulator, LinearServingSimulator
 
 N_REQUESTS = 1_000_000
 N_REPLICAS = 64
@@ -75,13 +75,16 @@ LOAD = 1.05        # just past saturation: shedding + full-batch pressure
 SPEEDUP_FLOOR = 1.8
 CACHED_SPEEDUP_FLOOR = 1.8
 MULTI_SPEEDUP_FLOOR = 1.6
+#: the simulator each engine name builds: the event loop pinned, or the
+#: engine the configuration implies (the array core, asserted per run)
+SIM = {"event": EventLoopSimulator, "array": ServingSimulator}
 
 
 class TestFastCoreMillionRequests:
     def _sim(self, wl, engine):
-        return ServingSimulator(wl, n_replicas=N_REPLICAS,
-                                policy=BatchingPolicy(max_batch=32),
-                                max_queue=128, engine=engine)
+        return SIM[engine](wl, n_replicas=N_REPLICAS,
+                           policy=BatchingPolicy(max_batch=32),
+                           max_queue=128)
 
     def test_million_request_speedup_and_bit_identity(self, hep_wl):
         event = self._sim(hep_wl, "event")
@@ -172,10 +175,9 @@ class TestFastCoreCachedMillion:
     """
 
     def _sim(self, wl, engine):
-        return ServingSimulator(wl, n_replicas=N_REPLICAS,
-                                policy=BatchingPolicy(max_batch=32),
-                                max_queue=128, cache_size=128,
-                                engine=engine)
+        return SIM[engine](wl, n_replicas=N_REPLICAS,
+                           policy=BatchingPolicy(max_batch=32),
+                           max_queue=128, cache_size=128)
 
     def test_cached_million_speedup_and_bit_identity(self, hep_wl):
         pop = ZipfPopularity(alpha=1.1, n_keys=4096)
@@ -234,10 +236,10 @@ class TestFastCoreMultiModelMillion:
     """
 
     def _sim(self, profiles, mix, engine):
-        return ServingSimulator(models=profiles, model_mix=mix,
-                                n_replicas=N_REPLICAS,
-                                policy=BatchingPolicy(max_batch=32),
-                                max_queue=128, engine=engine)
+        return SIM[engine](models=profiles, model_mix=mix,
+                           n_replicas=N_REPLICAS,
+                           policy=BatchingPolicy(max_batch=32),
+                           max_queue=128)
 
     def test_multi_model_million_speedup_and_bit_identity(self, hep_wl,
                                                           climate_wl):
@@ -301,7 +303,7 @@ class TestTenMillionPoint:
     def test_ten_million_requests_complete(self, hep_wl):
         sim = ServingSimulator(hep_wl, n_replicas=N_REPLICAS,
                                policy=BatchingPolicy(max_batch=32),
-                               max_queue=128, engine="array")
+                               max_queue=128)
         rate = LOAD * sim.saturation_rate()
         t0 = perf_counter()
         stats = sim.run(rate, TEN_MILLION, "poisson", seed=SEED)

@@ -142,7 +142,7 @@ class TestTracingOverhead:
         def make():
             return ServingSimulator(hep_wl, n_replicas=self.N_REPLICAS,
                                     policy=BatchingPolicy(max_batch=32),
-                                    max_queue=128, engine="array")
+                                    max_queue=128)
 
         rate = 1.05 * make().saturation_rate()
         kw = dict(n_requests=n, process="poisson", seed=0)
@@ -207,8 +207,8 @@ class TestTracingOverhead:
 
     def test_profiler_spans_cover_the_run(self, hep_wl):
         """The profiled hot path accounts for most of the wall-clock: the
-        run.* spans tile the run, and the report names routing, cache,
-        and drive costs."""
+        run.* spans tile the run (on the array core the drive is one
+        span: the router and cache spans time the event loop only)."""
         prof = Profiler()
         sim = ServingSimulator(hep_wl, n_replicas=8, cache_size=64)
         t0 = time.perf_counter()
@@ -260,7 +260,7 @@ class TestSampleTraceArtifact:
             policy=BatchingPolicy(max_batch=8, max_wait=0.02),
             max_queue=16, cache_size=64, coalesce=True,
             failures=FailureModel(mtbf_node_hours=0.002, seed=5))
-        tracer = Tracer(detail=True)   # include cache internals
+        tracer = Tracer()
         stats = sim.run(120.0, n_requests=10_000, process="mmpp", seed=11,
                         popularity=ZipfPopularity(alpha=1.1, n_keys=256),
                         tracer=tracer)

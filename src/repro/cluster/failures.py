@@ -117,7 +117,8 @@ class FailureModel:
     ``mtbf_node_hours`` is the per-node mean time between failures; at Cori
     scale (~10^4 nodes) even a 50k-hour node MTBF yields a failure every ~5
     hours somewhere in the machine — "the probability of one of the thousands
-    of nodes failing or degrading during the run is non-zero".
+    of nodes failing or degrading during the run is non-zero". An infinite
+    MTBF is a node that never fails.
     """
 
     mtbf_node_hours: float = 5.0e4
@@ -126,10 +127,18 @@ class FailureModel:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        if self.mtbf_node_hours <= 0:
-            raise ValueError("mtbf must be positive")
+        # NaN fails every comparison: "not > 0" refuses it, where "<= 0"
+        # would let a run through with no failures at all
+        if not self.mtbf_node_hours > 0:
+            raise ValueError(f"mtbf_node_hours must be positive (inf: "
+                             f"never fails), got {self.mtbf_node_hours}")
         if not 0.0 <= self.degrade_fraction <= 1.0:
             raise ValueError("degrade_fraction must be in [0,1]")
+        # refused here, not at run start when the first degrade event
+        # is drawn
+        if not 1.0 <= self.degrade_slow_factor < math.inf:
+            raise ValueError(f"degrade_slow_factor must be finite and "
+                             f">= 1, got {self.degrade_slow_factor}")
         self._rng = as_rng(self.seed)
 
     def rate_per_second(self, n_nodes: int) -> float:

@@ -34,9 +34,9 @@ accounting:
   (``models=[ModelProfile(...), ...]``) with per-model SLOs, weighted
   admission, and in-flight request coalescing;
 - :mod:`repro.serve.fast_core` — the flat struct-of-arrays drive loop
-  behind ``ServingSimulator(engine="array")``: bit-identical to the event
-  loop on its supported class, about 2.7x faster at 10^6 plain requests
-  on a two-core Xeon VM;
+  every ``ServingSimulator`` run takes when its configuration is in the
+  supported class: bit-identical to the event loop there, about 2.7x
+  faster at 10^6 plain requests on a two-core Xeon VM;
 - :mod:`repro.serve.autoscale` — burst-aware replica autoscaling: a
   discrete-time controller that scales out on broken SLO attainment and in
   on sustained idle occupancy, contending with node failures from
@@ -134,7 +134,6 @@ from repro.serve.registry import (  # noqa: F401
 from repro.serve.fast_core import FastRun  # noqa: F401
 from repro.serve.router import ReplicaHandle, Router  # noqa: F401
 from repro.serve.slo_sim import (  # noqa: F401
-    ENGINES,
     ServingSimulator,
     compare_batching_modes,
     sweep_cache_sizes,

@@ -79,22 +79,14 @@ class ResultCache:
     The *decision* semantics here — hit answers, touch ordering (a ``put``
     refresh counts as a use), eviction victims — are a contract:
     ``repro.serve.fast_core._drive`` replicates them inline (one plain
-    dict, no counters, no tracer) so cached runs on the array engine make
+    dict, no counters) so cached runs on the array engine make
     bit-identical hit/miss choices, and the engine differential suite
     pins the two against each other. Behavior changes here must land
     there too.
     """
 
-    def __init__(self, capacity: int, tracer=None) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = require_count("capacity", capacity, least=0)
-        #: opt-in :class:`repro.serve.obs.Tracer` (duck-typed): with
-        #: ``detail=True`` it records every insert and eviction; ``None``
-        #: keeps every operation on the exact pre-trace path
-        self.tracer = tracer
-        #: virtual time stamped on trace events — the cache has no clock
-        #: of its own, so the simulator sets this before traced mutations
-        #: (NaN outside a simulation, e.g. the real ``BatchExecutor`` path)
-        self.now = float("nan")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -123,17 +115,11 @@ class ResultCache:
             self._data[key] = value
             self._data.move_to_end(key)
             return
-        tracer = self.tracer
         if len(self._data) >= self.capacity:
-            victim, _ = self._data.popitem(last=False)
+            self._data.popitem(last=False)
             self.evictions += 1
-            if tracer is not None and tracer.detail:
-                # raw key, not repr(): exporters stringify it
-                tracer.emit("cache_evict", self.now, data={"key": victim})
         self._data[key] = value
         self.insertions += 1
-        if tracer is not None and tracer.detail:
-            tracer.emit("cache_insert", self.now, data={"key": key})
 
     def invalidate_scope(self, scope) -> int:
         """Evict every entry whose key is prefixed with ``scope``.

@@ -76,15 +76,13 @@ training is the one-group case of the paper's hybrid scheme):
   without ever touching the load heap.
 
 The control-heavy features keep the object loop: request coalescing,
-cost-aware routing/admission, edf launch ordering, and a ``detail=True``
-trace (it records the event engine's cache mutations). A plain trace
-does not: it is a view of the :class:`FastRun` both engines end in,
-expanded after the run by :mod:`repro.serve.obs`, so a traced run stays
-on this core.
-``ServingSimulator(engine="array")`` consults :func:`unsupported_reason`
-and falls back transparently, so callers opt into the fast core per
-simulator, not per config; the support-lattice test asserts every
-combination lands on the engine the predicate claims.
+cost-aware routing/admission and edf launch ordering. A trace does not:
+it is a view of the :class:`FastRun` both engines end in, expanded after
+the run by :mod:`repro.serve.obs`, so a traced run stays on this core.
+No caller picks the engine: every ``ServingSimulator`` run consults
+:func:`unsupported_reason` and runs here unless it names a reason; the
+support-lattice test asserts every combination lands on the engine the
+predicate claims.
 """
 
 from __future__ import annotations
@@ -110,18 +108,18 @@ _COMPACT = 1 << 13
 
 def unsupported_reason(sim) -> Optional[str]:
     """Why ``sim``'s current configuration cannot run on the array core
-    (``None``: it can). The predicate is explicit and exhaustive — the
-    ``engine="array"`` support-lattice test asserts it against every
-    config combination, so a config silently landing on the wrong path
-    fails loudly there.
+    (``None``: it can), and so which engine runs it. The predicate is
+    explicit and exhaustive — the support-lattice test asserts it against
+    every config combination, so a config silently landing on the wrong
+    path fails loudly there.
 
     Supported natively: fixed-fleet single- or multi-model serving with
     count-based (optionally weighted) admission, fifo launch order,
     windowed or continuous batching, per-model batching policies, and a
     result cache in front. Event-loop only: everything that reorders the
-    control path, and a ``detail=True`` trace. A plain tracer reads the
-    run record after the run and a profiler times the ``run.*`` phases;
-    neither changes a result, so both stay on their engine.
+    control path. A tracer reads the run record after the run and a
+    profiler times the ``run.*`` phases; neither changes a result, so
+    both stay on their engine.
     """
     if sim.cost_aware:
         return "cost-aware routing/admission is event-loop only"
@@ -129,8 +127,6 @@ def unsupported_reason(sim) -> Optional[str]:
         return f"launch order {sim.order!r} is event-loop only"
     if sim.coalesce:
         return "request coalescing is event-loop only"
-    if sim._tracer is not None and sim._tracer.detail:
-        return "a detail trace records the event engine's cache mutations"
     return None
 
 

@@ -205,10 +205,10 @@ class _LatencySample:
     that one latency, never an interpolation artifact.
 
     The contract is engine-independent: stats assembled by the flat
-    array core (``ServingSimulator(engine="array")``, see
-    :mod:`repro.serve.fast_core`) hit the same degenerate cases —
-    all-shed runs, empty streams — and must satisfy the same table bit
-    for bit, which the engine differential suite pins."""
+    array core (:mod:`repro.serve.fast_core`) and by the event loop hit
+    the same degenerate cases — all-shed runs, empty streams — and must
+    satisfy the same table bit for bit, which the engine differential
+    suite pins."""
 
     @property
     def n_completed(self) -> int:
@@ -447,18 +447,10 @@ class LatencyStats(_LatencySample):
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One point of a request-rate sweep.
-
-    ``engine`` records which drive loop produced the point ("event" or
-    "array", ``None`` for sweeps built before the run or by hand): with
-    ``engine="array"`` simulators the fast core covers the whole
-    supported class, so benchmarks assert per point that no run silently
-    fell back to the event loop.
-    """
+    """One point of a request-rate sweep."""
 
     rate: float                    # offered requests/second
     stats: LatencyStats
-    engine: Optional[str] = None   # drive loop that produced this point
 
 
 @dataclass
@@ -468,14 +460,8 @@ class SweepReport:
     slo: float                     # latency target (s)
     points: List[RatePoint] = field(default_factory=list)
 
-    def add(self, rate: float, stats: LatencyStats,
-            engine: Optional[str] = None) -> None:
-        self.points.append(RatePoint(rate, stats, engine))
-
-    @property
-    def engines(self) -> List[Optional[str]]:
-        """Per-point drive loop ("event"/"array"; None when unrecorded)."""
-        return [p.engine for p in self.points]
+    def add(self, rate: float, stats: LatencyStats) -> None:
+        self.points.append(RatePoint(rate, stats))
 
     @property
     def rates(self) -> np.ndarray:
@@ -573,16 +559,11 @@ class CacheSizeSweep:
     rate: float                    # fixed offered rate (req/s)
     sizes: List[int] = field(default_factory=list)
     points: List[LatencyStats] = field(default_factory=list)
-    #: per-point drive loop ("event"/"array"); empty when unrecorded
-    engines: List[Optional[str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.sizes) != len(self.points):
             raise ValueError(
                 f"{len(self.sizes)} sizes but {len(self.points)} runs")
-        if self.engines and len(self.engines) != len(self.points):
-            raise ValueError(
-                f"{len(self.engines)} engines but {len(self.points)} runs")
         for size, point in zip(self.sizes, self.points):
             if point.horizon <= 0:
                 raise ValueError(

@@ -52,8 +52,8 @@ def to_jsonl(tracer, path) -> int:
             if ev.data:
                 rec["data"] = {k: (list(v) if isinstance(v, tuple) else v)
                                for k, v in ev.data.items()}
-            # default=str: hot-path payloads keep raw objects (cache
-            # keys, numpy scalars) — stringified here, off the hot path
+            # default=str: hot-path payloads keep raw objects (numpy
+            # scalars) — stringified here, off the hot path
             fh.write(json.dumps(rec, default=str) + "\n")
             n += 1
     return n

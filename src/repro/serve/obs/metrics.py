@@ -237,8 +237,6 @@ def registry_from_trace(tracer) -> MetricsRegistry:
             att = ev.data.get("attainment")
             if att is not None and not math.isnan(att):
                 reg.histogram("serve_epoch_attainment").observe(att)
-        elif ev.kind == "cache_evict":
-            reg.counter("serve_cache_evictions_total").inc()
     return reg
 
 

@@ -16,8 +16,8 @@ and stays on the array core when its configuration is supported. Only
 fleet changes are emitted live (:meth:`Tracer.emit`): the router's
 ``drain``, ``reroute``, ``replica_fail`` with its per-request ``fail``,
 ``batch_abort``, ``replica_degrade`` and ``replica_repair``; the
-autoscaler's ``epoch``, ``decision`` and ``scale``; ``run_start`` /
-``run_end``; and with ``detail=True`` the cache's inserts and evictions.
+autoscaler's ``epoch``, ``decision`` and ``scale``; and ``run_start``
+/ ``run_end``.
 
 :attr:`Tracer.events` puts both in one canonical order — by run, time,
 kind (:data:`_RANK`), request id and replica, ties in emission order. A
@@ -63,12 +63,10 @@ FLEET_EVENT_KINDS = (
     "replica_repair",  # a degraded node restored to full speed
     "drain",        # a graceful replica removal (queued work re-routed)
 )
-#: run bracketing and cache internals
+#: run bracketing
 RUN_EVENT_KINDS = (
     "run_start",    # run configuration (rate, models, SLOs, transport)
     "run_end",      # run bracket close (event count; use counts() for totals)
-    "cache_insert",  # a batch completion filled the cache (detail=True only)
-    "cache_evict",   # capacity pressure evicted an entry (detail=True only)
 )
 
 #: every valid :attr:`TraceEvent.kind`
@@ -77,12 +75,12 @@ EVENT_KINDS = (REQUEST_EVENT_KINDS + BATCH_EVENT_KINDS
 
 #: each kind's place among the events of one instant: the run opens, the
 #: fleet changes (a control instant precedes the arrival it ties with),
-#: then a request's lifecycle, then the cache fills of a completion
+#: then a request's lifecycle
 _RANK = {kind: i for i, kind in enumerate((
     "run_start", "epoch", "decision", "drain", "reroute", "replica_fail",
     "batch_abort", "replica_degrade", "replica_repair", "scale",
     "arrival", "cache_hit", "coalesce", "shed", "enqueue", "batch_launch",
-    "complete", "fail", "cache_evict", "cache_insert", "run_end"))}
+    "complete", "fail", "run_end"))}
 
 #: terminal outcomes by precedence: a request's is the last of these its
 #: events reach (a node death's ``fail`` beats its batch's ``complete``)
@@ -266,19 +264,12 @@ class Tracer:
     one more entry (:meth:`add_record`): its events are never stored, only
     expanded on demand — :meth:`counts` and :meth:`timeline` read the
     record's columns without materializing the rest.
-
-    ``detail=True`` also records the cache's internals (``cache_insert`` /
-    ``cache_evict``, one event per mutation): useful for replacement-policy
-    forensics, but those happen on the event engine only, so such a run
-    does not use the array core.
     """
 
-    __slots__ = ("_raw", "meta", "detail", "_n_record", "_events",
-                 "_outcomes")
+    __slots__ = ("_raw", "meta", "_n_record", "_events", "_outcomes")
 
-    def __init__(self, detail: bool = False) -> None:
+    def __init__(self) -> None:
         self._raw: List[tuple] = []
-        self.detail = detail
         #: run configuration published by the last ``run_start`` event
         self.meta: Dict[str, Any] = {}
         # events the run records expand into, beyond their one raw entry

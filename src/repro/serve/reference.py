@@ -15,6 +15,11 @@ implementations verbatim in semantics:
   the simulators wired to the above, with the original per-arrival
   ``float(numpy_scalar)`` drive loop.
 
+It also holds :class:`EventLoopSimulator`, the current simulator pinned to
+its object event loop: no caller picks an engine, so the engine
+differential tests and the router benchmarks reach the event loop through
+this subclass alone.
+
 ``tests/test_serve_cache_properties.py`` pins the optimized path
 bit-identical to this one across random traces (including live scaling and
 failures), and ``benchmarks/test_serve_cache.py`` times the two on a
@@ -157,3 +162,10 @@ class LinearAutoscalingSimulator(AutoscalingSimulator):
                             self.service.batch_time,
                             limits=self.admission_limits(),
                             on_commit=on_commit)
+
+
+class EventLoopSimulator(ServingSimulator):
+    """:class:`ServingSimulator` that always runs the object event loop,
+    even on a configuration the array core supports."""
+
+    _drive = ServingSimulator._drive_events

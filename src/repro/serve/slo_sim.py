@@ -75,10 +75,6 @@ from repro.utils.rng import SeedLike, spawn_rngs
 #: default sweep points as fractions of the saturation rate
 DEFAULT_LOAD_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
-#: drive-loop implementations: the object event loop and the flat
-#: struct-of-arrays core (bit-identical; see repro.serve.fast_core)
-ENGINES = ("event", "array")
-
 #: shared no-op context for unprofiled runs (contextlib.nullcontext is
 #: reusable and reentrant, so one instance serves every span site)
 _NULL_SPAN = nullcontext()
@@ -164,22 +160,23 @@ class ServingSimulator:
     and (cost-aware) the mix into each model's limit in the router's load
     unit, once; both engines read that value.
 
-    ``engine`` selects the drive loop: ``"event"`` (default) is the
-    object event loop above; ``"array"`` swaps in the flat
-    struct-of-arrays core (:mod:`repro.serve.fast_core`) when the config
-    is in its supported class — fixed fleet, count admission, fifo launch
-    order. That class is *one* loop over ``M`` per-model lanes per replica
-    with an optional result cache in front: a single-model run is its
+    The configuration alone decides the drive loop: every configuration
+    the flat struct-of-arrays core (:mod:`repro.serve.fast_core`)
+    supports — fixed fleet, count admission, fifo launch order — runs on
+    it, and :func:`~repro.serve.fast_core.unsupported_reason` sends the
+    rest (coalescing, cost-aware, edf) to the object event loop above.
+    That class is *one* loop over ``M`` per-model lanes per replica with
+    an optional result cache in front: a single-model run is its
     one-lane case, per-model policies and the cache are parameters of
-    it. The genuinely event-only features (coalescing, cost-aware, edf,
-    a ``detail=True`` trace) transparently fall back to the event loop.
-    A plain tracer and a profiler keep a run on its engine: both engines
+    it. A tracer and a profiler keep a run on its engine: both engines
     end in the same record, and the trace's request and batch events are
-    expanded from it after the run.
-    ``last_run_engine`` records which one ran. The two engines are
-    bit-identical, pinned by the engine differential suite (hand-picked
-    families and generated configurations) and the full-lattice support
-    test.
+    expanded from it after the run. ``last_run_engine`` records which one
+    ran. The two engines are bit-identical, pinned by the engine
+    differential suite (hand-picked families and generated
+    configurations) and the full-lattice support test.
+
+    ``engine`` is deprecated and does nothing: ``"array"`` is its only
+    accepted value, and any other raises ``ValueError``.
 
     A profile's ``policy`` gives that model its own per-model
     ``max_batch``/``max_wait`` on the shared replicas (capacity,
@@ -199,13 +196,14 @@ class ServingSimulator:
                  coalesce: bool = False,
                  order: str = "fifo",
                  cost_aware: bool = False,
-                 engine: str = "event") -> None:
+                 engine: str = "array") -> None:
         cache_size = require_count("cache_size", cache_size, least=0)
         if order not in LAUNCH_ORDERS:
             raise ValueError(f"unknown launch order {order!r}; "
                              f"have {LAUNCH_ORDERS}")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
+        if engine != "array":
+            raise ValueError(f"engine is deprecated and only accepts "
+                             f"'array', got {engine!r}")
         n_replicas = require_count("n_replicas", n_replicas)
         max_queue = require_count("max_queue", max_queue, none_ok=True)
         self.machine = machine or cori(seed=0, jitter=False)
@@ -213,7 +211,6 @@ class ServingSimulator:
         self.policy = policy or BatchingPolicy()
         self.order = order
         self.cost_aware = bool(cost_aware)
-        self.engine = engine
         self.max_queue = max_queue
         #: the registered profiles; ``None`` on a single-model simulator,
         #: which is what keeps its stats free of per-model slices
@@ -420,8 +417,7 @@ class ServingSimulator:
         contents = make_contents(popularity, n_requests, seed=rng)
         # cache_size=0 with coalesce=True: an inert (never-storing) cache
         # still carries the in-flight ledger — pure request deduplication.
-        return _CacheRun(ResultCache(self.cache_size, tracer=self._tracer),
-                         contents)
+        return _CacheRun(ResultCache(self.cache_size), contents)
 
     def _make_model_ids(self, n_requests: int,
                         seed: SeedLike) -> Optional[np.ndarray]:
@@ -580,11 +576,7 @@ class ServingSimulator:
             router.sync(t)
         fills, cache = cstate.fills, cstate.cache
         while fills and fills[0][0] <= t:
-            t_fill, rids = heapq.heappop(fills)
-            if cache.tracer is not None:
-                # The cache has no clock; stamp its insert/evict events
-                # at the fill's (batch completion) time.
-                cache.now = t_fill
+            _, rids = heapq.heappop(fills)
             for rid in rids:
                 key = self._content_key(rid)
                 if rid not in router.failed_ids:
@@ -622,27 +614,31 @@ class ServingSimulator:
         return ts, zip(ts, range(len(ts)), models), serve
 
     def _drive(self, arrivals: np.ndarray, router: Router) -> None:
-        """Feed the arrival stream through the router (overridable).
+        """Serve the arrival stream (overridable).
 
+        A configuration the flat struct-of-arrays core supports runs
+        there (the router never sees a request; ``_collect`` reads the
+        :class:`~repro.serve.fast_core.FastRun` it parks); any other runs
+        on :meth:`_drive_events`, bit-identically.
         :class:`~repro.serve.autoscale.AutoscalingSimulator` overrides this
         to interleave control epochs and failure events with the same
-        submissions — the control path is a superset of this one, not a
-        fork, which is what makes the pinned-fleet differential test
-        meaningful. Each arrival is one call (see :meth:`_feed`): the
-        router's ``submit``, or :meth:`_offer` when a cache sits in front.
-
-        ``engine="array"`` hands supported configs to the flat
-        struct-of-arrays core instead (the router never sees a request;
-        ``_collect`` reads the :class:`~repro.serve.fast_core.FastRun` it
-        parks), falling back to this loop — bit-identically — otherwise.
-        The event loop keeps no per-arrival ledger of its own: after the
-        drain :meth:`_record` reads the router's and the cache run's.
+        submissions — the control path is a superset of the event loop,
+        not a fork, which is what makes the pinned-fleet differential test
+        meaningful.
         """
-        if self.engine == "array" \
-                and fast_core.unsupported_reason(self) is None:
-            self.last_run_engine = "array"
-            self._fast = fast_core.drive(self, arrivals)
+        if fast_core.unsupported_reason(self) is not None:
+            self._drive_events(arrivals, router)
             return
+        self.last_run_engine = "array"
+        self._fast = fast_core.drive(self, arrivals)
+
+    def _drive_events(self, arrivals: np.ndarray, router: Router) -> None:
+        """The object event loop: each arrival is one call (see
+        :meth:`_feed`), the router's ``submit`` or :meth:`_offer` when a
+        cache sits in front. It keeps no per-arrival ledger of its own:
+        after the drain :meth:`_record` reads the router's and the cache
+        run's. The differential tests pin a simulator to it by binding
+        ``_drive`` to this method in a subclass."""
         self.last_run_engine = "event"
         _, stream, serve = self._feed(router, arrivals)
         for t, i, model in stream:
@@ -766,10 +762,7 @@ class ServingSimulator:
         for rate in rates:
             stats = self._run_point(rate, n_requests, process, seed,
                                     slo, popularity)
-            # Surface which drive loop produced each point: with
-            # engine="array" every supported point runs on the array core
-            # and benchmarks can assert no silent fallback occurred.
-            report.add(rate, stats, engine=self.last_run_engine)
+            report.add(rate, stats)
         return report
 
     def _run_point(self, rate: float, n_requests: int, process: ProcessLike,
@@ -837,8 +830,7 @@ def sweep_cache_sizes(workload: Workload,
                       process: ProcessLike = "uniform",
                       popularity: PopularityLike = "zipf",
                       seed: SeedLike = None,
-                      max_queue: Optional[int] = 256,
-                      engine: str = "event") -> CacheSizeSweep:
+                      max_queue: Optional[int] = 256) -> CacheSizeSweep:
     """The hit-rate vs p99/attainment trade across cache capacities.
 
     Runs the identical trace — same arrivals, same content-id stream, same
@@ -848,11 +840,6 @@ def sweep_cache_sizes(workload: Workload,
     difference between meeting the SLO and shedding). The returned
     :class:`~repro.serve.metrics.CacheSizeSweep` holds the hit-rate, p99,
     attainment, and deflected-load curves against capacity.
-
-    ``engine="array"`` routes every point through the flat array core
-    (cached runs are natively supported there); the per-point engines that
-    actually ran are surfaced on the returned sweep so callers can assert
-    nothing silently fell back.
     """
     machine = machine or cori(seed=0, jitter=False)
     policy = policy or BatchingPolicy()
@@ -869,14 +856,12 @@ def sweep_cache_sizes(workload: Workload,
     if slo is None:
         slo = base.default_slo()
     points: List[LatencyStats] = []
-    engines: List[str] = []
     for size in sizes:
         sim = ServingSimulator(workload, machine=machine,
                                n_replicas=n_replicas, policy=policy,
                                max_queue=max_queue, service_model=service,
-                               cache_size=size, engine=engine)
+                               cache_size=size)
         points.append(sim.run(rate, n_requests=n_requests, process=process,
                               seed=seed, popularity=popularity))
-        engines.append(sim.last_run_engine)
     return CacheSizeSweep(slo=float(slo), rate=float(rate), sizes=sizes,
-                          points=points, engines=engines)
+                          points=points)

@@ -211,6 +211,26 @@ class TestFailures:
         with pytest.raises(ValueError, match=what):
             FailureEvent(*args)
 
+    @pytest.mark.parametrize("kw, what", [
+        ({"mtbf_node_hours": float("nan")}, "mtbf_node_hours"),
+        ({"mtbf_node_hours": -float("inf")}, "mtbf_node_hours"),
+        ({"mtbf_node_hours": 0.0}, "mtbf_node_hours"),
+        ({"degrade_slow_factor": 0.5}, "degrade_slow_factor"),
+        ({"degrade_slow_factor": float("nan")}, "degrade_slow_factor"),
+        ({"degrade_slow_factor": float("inf")}, "degrade_slow_factor"),
+    ])
+    def test_failure_model_rejects_nonsense(self, kw, what):
+        """A NaN MTBF used to construct and then draw no failures at all;
+        a sub-1 or NaN slow factor crashed only when the run drew its first
+        degrade event."""
+        with pytest.raises(ValueError, match=what):
+            FailureModel(seed=0, **kw)
+
+    def test_infinite_mtbf_never_fails(self):
+        f = FailureModel(mtbf_node_hours=float("inf"), seed=0)
+        assert f.rate_per_second(9600) == 0.0
+        assert f.sample_events(9600, 3600.0) == []
+
     def test_autoscaling_simulator_surfaces_a_bad_failure_event(self):
         from repro.serve import AutoscalingSimulator
         from repro.sim import hep_workload

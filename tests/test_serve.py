@@ -37,6 +37,7 @@ from repro.serve import (
 )
 from repro.serve.metrics import LatencyStats
 from repro.serve.obs import Profiler
+from repro.serve.reference import EventLoopSimulator
 from repro.sim.workload import custom_workload
 
 
@@ -689,7 +690,7 @@ class TestServingSimulator:
         of runs before it. A profiled run hooks the router's and the
         cache's methods with wrappers on the instances; those go when the
         run ends, so it leaves no cycle either."""
-        sim = ServingSimulator(tiny_wl, n_replicas=2, cache_size=8)
+        sim = EventLoopSimulator(tiny_wl, n_replicas=2, cache_size=8)
         auto = AutoscalingSimulator(tiny_wl)
         gc.collect()
         gc.disable()
@@ -701,6 +702,7 @@ class TestServingSimulator:
                 auto.run(2.0 * sim.saturation_rate(), n_requests=200,
                          process="poisson", seed=1, profiler=profiler)
                 assert gc.collect() == 0
+                assert sim.last_run_engine == "event"
             # unhooked at the end, the spans were still recorded
             assert {"router.sync", "router.submit", "cache.get",
                     "cache.put"} <= set(profiler.totals())
@@ -805,13 +807,14 @@ class TestRetiredKnobs:
             Router(None, 1, BatchingPolicy(), lambda b: 0.01, max_queue=4)
 
     def test_the_autoscaler_takes_no_engine(self):
-        """Its control loop always runs the event loop: ``engine="array"``
-        was forwarded, never read, and silently ran on ``"event"``."""
+        """Its control loop always runs the event loop: an ``engine`` of
+        ``"array"`` was forwarded, never read, and silently ran on
+        ``"event"``."""
         params = self._params(AutoscalingSimulator) - {"self"}
         assert "engine" not in params and len(params) == 16
         with pytest.raises(TypeError, match="engine"):
             AutoscalingSimulator(None, service_model=lambda b: 0.01,
-                                 engine="array")
+                                 **{"engine": "array"})
 
     @pytest.mark.parametrize("sim", [ServingSimulator,
                                      AutoscalingSimulator])

@@ -40,6 +40,7 @@ from repro.serve import (
 )
 from repro.serve.latency import ServiceTimeModel
 from repro.serve.reference import (
+    EventLoopSimulator,
     LinearAutoscalingSimulator,
     LinearRouter,
     LinearServiceTimeModel,
@@ -349,8 +350,8 @@ class TestSimulatorDifferential:
         for process in ("uniform", "poisson", "mmpp"):
             n_replicas = int(rng.integers(1, 5))
             policy = BatchingPolicy(max_batch=8, max_wait=1e-3)
-            new = ServingSimulator(tiny_wl, n_replicas=n_replicas,
-                                   policy=policy)
+            new = EventLoopSimulator(tiny_wl, n_replicas=n_replicas,
+                                     policy=policy)
             old = LinearServingSimulator(tiny_wl, n_replicas=n_replicas,
                                          policy=policy)
             rate = float(rng.uniform(0.3, 1.8)) * old.saturation_rate()

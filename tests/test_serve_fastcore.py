@@ -1,26 +1,29 @@
 """Engine differential suite: the flat array core vs the event loop.
 
-``ServingSimulator(engine="array")`` must be a pure implementation swap —
-never a behavior change. Five layers pin that:
+A ``ServingSimulator`` runs on the array core whenever its configuration
+allows it, and that must be a pure implementation swap — never a behavior
+change. :class:`repro.serve.reference.EventLoopSimulator` pins a run to the
+event loop, so each comparison below is the same configuration on both.
+Five layers pin that:
 
 1. **Differential families** — the config families of the fast-core
    issues (plain; plain and cached under an indefinite ``max_wait``;
    cached Zipf; cached hot-key; cached+coalesce;
    multi-model; multi-model+cache; autoscaled+failures+degrades;
-   edf+cost_aware) each run under ``engine="event"`` and
-   ``engine="array"`` across 3 seeds and must produce *bit-identical*
-   :class:`LatencyStats` — latencies, batch sizes, drops, hits, horizon,
-   every counter, every per-model slice. The array core natively drives
-   the plain, cached, and multi-model families; the genuinely event-only
-   ones (coalescing, autoscaling, edf/cost-aware) must fall back
-   transparently (also asserted — a config silently landing on the wrong
-   path is itself a failure).
+   edf+cost_aware) each run pinned to the event loop and on the engine
+   the configuration implies, across 3 seeds, and must produce
+   *bit-identical* :class:`LatencyStats` — latencies, batch sizes, drops,
+   hits, horizon, every counter, every per-model slice. The array core
+   natively drives the plain, cached, and multi-model families; the
+   genuinely event-only ones (coalescing, autoscaling, edf/cost-aware)
+   must land on the event loop (also asserted — a config silently
+   landing on the wrong path is itself a failure).
 2. **Support lattice** — every combination of the config axes the
-   predicate reads (models x cache x coalesce x order x cost_aware x
-   tracing) actually *runs*, and each lands on
-   exactly the engine this test's own support matrix claims, so
-   ``unsupported_reason()`` can never silently drift from the dispatch.
-   A profiler keeps a supported run on the array core.
+   predicate reads (models x cache x coalesce x order x cost_aware) and
+   tracing, built with no engine keyword, actually *runs*, and each lands
+   on exactly the engine ``unsupported_reason()`` and this test's own
+   support matrix claim, so the predicate can never silently drift from
+   the dispatch. A profiler keeps a supported run on the array core.
 3. **Oracle differential** — the array core vs the PR 4 frozen reference
    (:class:`repro.serve.reference.LinearServingSimulator`), so the chain
    oracle -> event loop -> array core is pinned end to end, including at
@@ -68,7 +71,7 @@ from repro.serve import (
 )
 from repro.serve import fast_core
 from repro.serve.obs import Profiler
-from repro.serve.reference import LinearServingSimulator
+from repro.serve.reference import EventLoopSimulator, LinearServingSimulator
 from repro.sim.workload import hep_workload
 from repro.utils.rng import as_rng
 
@@ -77,6 +80,9 @@ SEEDS = [11, 2024, 20260808]
 N_CASES = 12
 #: drawn configurations per seed in the generated cross-engine differential
 N_DIFF_CASES = 100
+#: the simulator each engine name builds: the engine the configuration
+#: implies (the array core where it is supported), or the event loop pinned
+SIM = {"array": ServingSimulator, "event": EventLoopSimulator}
 
 
 class FakeService:
@@ -122,25 +128,25 @@ def _assert_same_models(a, b):
 # -- the differential families --------------------------------------------------
 
 def _plain(engine):
-    return ServingSimulator(hep_workload(), n_replicas=5,
-                            policy=BatchingPolicy(max_batch=16),
-                            max_queue=64, engine=engine)
+    return SIM[engine](hep_workload(), n_replicas=5,
+                       policy=BatchingPolicy(max_batch=16),
+                       max_queue=64)
 
 
 def _cached_zipf(engine):
     # Native on the array core since PR 9: inline LRU fed from the same
     # (completion, request_ids) fill ordering the commit hook uses.
-    return ServingSimulator(hep_workload(), n_replicas=4,
-                            policy=BatchingPolicy(max_batch=8),
-                            cache_size=64, engine=engine)
+    return SIM[engine](hep_workload(), n_replicas=4,
+                       policy=BatchingPolicy(max_batch=8),
+                       cache_size=64)
 
 
 def _cached_hot(engine):
     # The other popularity law, with a tight queue so shedding
     # interleaves with hits.
-    return ServingSimulator(hep_workload(), n_replicas=3,
-                            policy=BatchingPolicy(max_batch=8),
-                            cache_size=32, max_queue=16, engine=engine)
+    return SIM[engine](hep_workload(), n_replicas=3,
+                       policy=BatchingPolicy(max_batch=8),
+                       cache_size=32, max_queue=16)
 
 
 def _plain_inf_wait(engine):
@@ -148,52 +154,52 @@ def _plain_inf_wait(engine):
     # the end-of-stream drain must fire what is left at max(free_at, last
     # member arrival), not at head + inf (the PR 2 drain bug, which two of
     # the three pre-merge array loops had re-introduced).
-    return ServingSimulator(hep_workload(), n_replicas=3,
-                            policy=BatchingPolicy(max_batch=8,
-                                                  max_wait=math.inf),
-                            max_queue=None, engine=engine)
+    return SIM[engine](hep_workload(), n_replicas=3,
+                       policy=BatchingPolicy(max_batch=8,
+                                             max_wait=math.inf),
+                       max_queue=None)
 
 
 def _cached_inf_wait(engine):
     # The same indefinite hold with the result cache in front.
-    return ServingSimulator(hep_workload(), n_replicas=3,
-                            policy=BatchingPolicy(max_batch=8,
-                                                  max_wait=math.inf),
-                            max_queue=None, cache_size=64, engine=engine)
+    return SIM[engine](hep_workload(), n_replicas=3,
+                       policy=BatchingPolicy(max_batch=8,
+                                             max_wait=math.inf),
+                       max_queue=None, cache_size=64)
 
 
 def _coalesced(engine):
     # Request coalescing stays event-only: the in-flight ledger rides the
     # object router's failure bookkeeping.
-    return ServingSimulator(hep_workload(), n_replicas=4,
-                            policy=BatchingPolicy(max_batch=8),
-                            cache_size=64, coalesce=True, engine=engine)
+    return SIM[engine](hep_workload(), n_replicas=4,
+                       policy=BatchingPolicy(max_batch=8),
+                       cache_size=64, coalesce=True)
 
 
 def _multi_model(engine):
     # FakeService pair (one ~20x the other) instead of the real Fig 5
     # curves: the differential exercises lanes/weights/mix, not the perf
     # model, and the climate model's one-time evaluation is ~20s.
-    return ServingSimulator(
+    return SIM[engine](
         models=[ModelProfile("cheap", None, weight=4.0),
                 ModelProfile("dear", None, weight=1.0)],
         service_models=[FakeService(0.004, 0.001),
                         FakeService(0.08, 0.02)],
         model_mix=ModelMix((0.9, 0.1)), n_replicas=4,
-        policy=BatchingPolicy(max_batch=8), engine=engine)
+        policy=BatchingPolicy(max_batch=8))
 
 
 def _multi_model_cached(engine):
     # Both native extensions stacked: (model, content) cache keys over
     # per-model lanes, plus a per-model policy for the expensive model.
-    return ServingSimulator(
+    return SIM[engine](
         models=[ModelProfile("cheap", None, weight=4.0),
                 ModelProfile("dear", None, weight=1.0,
-                             policy=BatchingPolicy(max_batch=4))],
+                        policy=BatchingPolicy(max_batch=4))],
         service_models=[FakeService(0.004, 0.001),
                         FakeService(0.08, 0.02)],
         model_mix=ModelMix((0.8, 0.2)), n_replicas=4, max_queue=32,
-        policy=BatchingPolicy(max_batch=8), cache_size=48, engine=engine)
+        policy=BatchingPolicy(max_batch=8), cache_size=48)
 
 
 def _autoscaled(engine):
@@ -202,24 +208,24 @@ def _autoscaled(engine):
     return AutoscalingSimulator(
         None, service_model=FakeService(),
         autoscale=AutoscalePolicy(min_replicas=2, max_replicas=4,
-                                  epoch=0.05),
+                             epoch=0.05),
         policy=BatchingPolicy(max_batch=8, max_wait=0.004),
         failure_events=[FailureEvent(0.3, 0, "fail"),
                         FailureEvent(0.5, 1, "degrade", 2.0)])
 
 
 def _edf_cost_aware(engine):
-    return ServingSimulator(
+    return SIM[engine](
         models=[ModelProfile("cheap", None),
                 ModelProfile("dear", None)],
         service_models=[FakeService(0.004, 0.001),
                         FakeService(0.08, 0.02)],
         model_mix=ModelMix((0.7, 0.3)), n_replicas=4,
         policy=BatchingPolicy(max_batch=8), order="edf",
-        cost_aware=True, engine=engine)
+        cost_aware=True)
 
 
-#: family -> (builder, the engine the array request must actually run on)
+#: family -> (builder, the engine its configuration must actually run on)
 FAMILIES = {
     "plain": (_plain, "array"),
     "plain-inf-wait": (_plain_inf_wait, "array"),
@@ -308,10 +314,8 @@ def test_superseded_launch_events_still_fire(seed):
     kw = dict(n_replicas=2, policy=BatchingPolicy(max_batch=1,
                                                   max_wait=2e-3),
               max_queue=4, cache_size=16)
-    event = ServingSimulator(None, service_model=FakeService(),
-                             engine="event", **kw)
-    fast = ServingSimulator(None, service_model=FakeService(),
-                            engine="array", **kw)
+    event = EventLoopSimulator(None, service_model=FakeService(), **kw)
+    fast = ServingSimulator(None, service_model=FakeService(), **kw)
     rate = 1.5 * event.saturation_rate()
     pop = ZipfPopularity(alpha=1.1, n_keys=64)
     ev = event.run(rate, 700, "mmpp", seed=seed, popularity=pop)
@@ -323,8 +327,9 @@ def test_superseded_launch_events_still_fire(seed):
 # -- the support lattice: dispatch can never drift from the predicate ----------
 
 class TestSupportLattice:
-    """Every combination of the config axes ``unsupported_reason`` reads
-    must *run* on exactly the engine this test's own matrix claims."""
+    """Every combination of the config axes ``unsupported_reason`` reads,
+    built with no engine keyword, must *run* on exactly the engine the
+    predicate names and this test's own matrix claims."""
 
     AXES = [(models, cache, coalesce, order, cost_aware, traced)
             for models in (False, True)
@@ -332,53 +337,49 @@ class TestSupportLattice:
             for coalesce in (False, True)
             for order in LAUNCH_ORDERS
             for cost_aware in (False, True)
-            for traced in (None, "plain", "detail")]
+            for traced in (False, True)]
 
     @staticmethod
-    def _expected(models, cache, coalesce, order, cost_aware, traced):
+    def _expected(models, cache, coalesce, order, cost_aware):
         # The test's independent support matrix: multi-model, cached and
-        # plainly traced runs are native; only these force the event loop.
-        if coalesce or order != "fifo" or cost_aware or traced == "detail":
+        # traced runs are native; only these force the event loop.
+        if coalesce or order != "fifo" or cost_aware:
             return "event"
         return "array"
 
     @staticmethod
-    def _build(models, cache, coalesce, order, cost_aware, engine="array"):
+    def _build(models, cache, coalesce, order, cost_aware,
+               cls=ServingSimulator):
         kw = dict(policy=BatchingPolicy(max_batch=4), n_replicas=2,
                   max_queue=8, cache_size=cache, coalesce=coalesce,
-                  order=order, cost_aware=cost_aware, engine=engine)
+                  order=order, cost_aware=cost_aware)
         if models:
-            return ServingSimulator(
+            return cls(
                 models=[ModelProfile("a", None, weight=2.0),
                         ModelProfile("b", None)],
                 service_models=[FakeService(), FakeService(0.02, 0.004)],
                 model_mix=ModelMix((0.7, 0.3)), **kw)
-        return ServingSimulator(None, service_model=FakeService(), **kw)
+        return cls(None, service_model=FakeService(), **kw)
 
     def test_every_combination_lands_where_claimed(self):
-        """... and a plainly traced run on the array core records the
-        event engine's trace, event for event."""
-        assert len(self.AXES) == 96   # the lattice is genuinely full
+        """... and a traced run on the array core records the event
+        engine's trace, event for event."""
+        assert len(self.AXES) == 64   # the lattice is genuinely full
         for axes in self.AXES:
-            models, cache, coalesce, order, cost_aware, traced = axes
+            cache, traced = axes[1], axes[-1]
             sim = self._build(*axes[:-1])
-            # Pre-run, the predicate must agree with the matrix for every
-            # run-independent axis (tracing is run-scoped, checked below).
             reason = fast_core.unsupported_reason(sim)
-            if self._expected(*axes[:-1], traced=None) == "array":
-                assert reason is None, axes
-            else:
-                assert reason is not None, axes
+            expected = self._expected(*axes[:-1])
+            assert (reason is None) == (expected == "array"), axes
             run = dict(rate=0.8 * sim.saturation_rate(), n_requests=60,
                        process="poisson", seed=3,
                        popularity="zipf" if cache else None)
-            tracer = (None if traced is None
-                      else Tracer(detail=traced == "detail"))
+            tracer = Tracer() if traced else None
             sim.run(tracer=tracer, **run)
-            assert sim.last_run_engine == self._expected(*axes), axes
-            if traced == "plain" and sim.last_run_engine == "array":
+            assert sim.last_run_engine == expected, axes
+            if traced and expected == "array":
                 oracle = Tracer()
-                self._build(*axes[:-1], engine="event").run(
+                self._build(*axes[:-1], cls=EventLoopSimulator).run(
                     tracer=oracle, **run)
                 assert tracer.events == oracle.events, axes
                 assert len(tracer) == len(oracle)
@@ -411,41 +412,69 @@ class TestSupportLattice:
                 assert {"run.arrivals", "run.drive",
                         "run.collect"} <= set(prof.totals())
 
-    def test_event_engine_request_is_honored(self):
-        # engine="event" never opts in, even for a fully supported config
-        sim = ServingSimulator(None, service_model=FakeService(),
-                               n_replicas=2, engine="event")
+    def test_the_event_loop_pin_runs_a_supported_config(self):
+        sim = EventLoopSimulator(None, service_model=FakeService(),
+                                 n_replicas=2)
         sim.run(100.0, n_requests=50, seed=0)
         assert sim.last_run_engine == "event"
         assert fast_core.unsupported_reason(sim) is None
 
 
-# -- sweeps surface which engine drove each point ------------------------------
+class TestDeprecatedEngineKeyword:
+    """``engine`` is a no-op kept for old callers: ``"array"`` runs what
+    the configuration implies, and no value can ask for the event loop.
+    (The keyword is spelled as a dict here: no caller may write it.)"""
 
-class TestSweepEngineRouting:
-    def test_rate_sweep_surfaces_per_point_engine(self):
-        for engine in ("event", "array"):
-            sim = ServingSimulator(None, service_model=FakeService(),
-                                   n_replicas=2, cache_size=8,
-                                   engine=engine)
-            rep = sim.sweep(n_requests=80, seed=1, popularity="zipf")
-            assert len(rep.engines) == len(rep.points)
-            assert rep.engines == [engine] * len(rep.points)
-            for p in rep.points:
-                assert p.engine == engine
+    @pytest.mark.parametrize("value", ["event", "fast", None])
+    def test_anything_but_array_is_refused(self, value):
+        with pytest.raises(ValueError, match="engine"):
+            ServingSimulator(None, service_model=FakeService(),
+                             **{"engine": value})
 
-    def test_cache_size_sweep_routes_through_array_engine(self):
+    @pytest.mark.parametrize("order, expected", [("fifo", "array"),
+                                                 ("edf", "event")])
+    def test_array_runs_what_the_configuration_implies(self, order,
+                                                       expected):
+        sim = ServingSimulator(None, service_model=FakeService(),
+                               n_replicas=2, order=order,
+                               **{"engine": "array"})
+        sim.run(100.0, n_requests=50, seed=0)
+        assert sim.last_run_engine == expected
+
+
+# -- sweeps run every point on the engine its configuration implies ----------
+
+class TestSweeps:
+    def test_rate_sweep_matches_the_event_loop(self):
+        sims = [cls(None, service_model=FakeService(), n_replicas=2,
+                    cache_size=8) for cls in SIM.values()]
+        reports = [sim.sweep(n_requests=80, seed=1, popularity="zipf")
+                   for sim in sims]
+        assert [sim.last_run_engine for sim in sims] == list(SIM)
+        a, b = (r.points for r in reports)
+        assert len(a) == len(b) > 1
+        for x, y in zip(a, b):
+            assert x.rate == y.rate
+            _assert_same(x.stats, y.stats)
+
+    def test_cache_size_sweep_runs_on_the_array_core(self, monkeypatch):
         from repro.serve import sweep_cache_sizes
-        for engine in ("event", "array"):
-            sweep = sweep_cache_sizes(hep_workload(), sizes=[0, 8, 32],
-                                      n_replicas=2, n_requests=300,
-                                      process="poisson", seed=2,
-                                      engine=engine)
-            # size 0 is in the supported class too (it's just the plain
-            # path); every point must run where asked, none silently fall
-            # back to the event loop.
-            assert sweep.engines == [engine] * 3
-            assert len(sweep.hit_rate_curve) == 3
+        drives = []
+        drive = fast_core.drive
+        monkeypatch.setattr(fast_core, "drive",
+                            lambda sim, arrivals: drives.append(sim)
+                            or drive(sim, arrivals))
+        run = dict(n_requests=300, process="poisson", seed=2)
+        sweep = sweep_cache_sizes(hep_workload(), sizes=[0, 8, 32],
+                                  n_replicas=2, **run)
+        # size 0 is in the supported class too (it is just the plain
+        # path): every point runs on the array core
+        assert [sim.cache_size for sim in drives] == [0, 8, 32]
+        for size, point in zip(sweep.sizes, sweep.points):
+            event = EventLoopSimulator(hep_workload(), n_replicas=2,
+                                       cache_size=size)
+            _assert_same(point, event.run(sweep.rate, popularity="zipf",
+                                          **run))
 
 
 # -- loud boundary: a non-finite rate never reaches either engine ---------------
@@ -458,15 +487,13 @@ class TestNonFiniteRateIsRejected:
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0])
     def test_run_rejects_on_both_engines(self, engine, rate):
-        sim = ServingSimulator(None, service_model=FakeService(),
-                               n_replicas=2, engine=engine)
+        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
         for process in ("uniform", "poisson", "mmpp", MMPP(burst=4.0)):
             with pytest.raises(ValueError, match="positive and finite"):
                 sim.run(rate=rate, n_requests=16, process=process)
 
     def test_sweep_rejects(self, engine):
-        sim = ServingSimulator(None, service_model=FakeService(),
-                               n_replicas=2, engine=engine)
+        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
         with pytest.raises(ValueError, match="positive and finite"):
             sim.sweep(rates=[math.nan], n_requests=16)
 
@@ -480,15 +507,13 @@ class TestRequestCountIsChecked:
 
     @pytest.mark.parametrize("n_requests", [2.5, "4", 0, -3, math.nan])
     def test_run_rejects_on_both_engines(self, engine, n_requests):
-        sim = ServingSimulator(None, service_model=FakeService(),
-                               n_replicas=2, engine=engine)
+        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
         for process in ("uniform", "poisson", "mmpp"):
             with pytest.raises(ValueError, match="n_requests"):
                 sim.run(rate=10.0, n_requests=n_requests, process=process)
 
     def test_numpy_integer_count_runs(self, engine):
-        sim = ServingSimulator(None, service_model=FakeService(),
-                               n_replicas=2, engine=engine)
+        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
         for process in ("uniform", "poisson", "mmpp"):
             stats = sim.run(rate=10.0, n_requests=np.int64(3),
                             process=process)
@@ -512,42 +537,35 @@ class TestConstructionRejectsWhatTheEnginesDisagreeOn:
         ("max_queue", 2.5), ("max_queue", math.nan), ("max_queue", 8.0),
         ("cache_size", -1), ("cache_size", 2.5), ("cache_size", math.nan)])
     def test_counts(self, engine, field, value):
-        for cls in (ServingSimulator, AutoscalingSimulator):
+        for cls in (SIM[engine], AutoscalingSimulator):
             if cls is AutoscalingSimulator and field == "n_replicas":
                 continue        # bounded by the autoscale policy instead
-            kw = {field: value}
-            if cls is ServingSimulator:   # the autoscaler has no engine
-                kw["engine"] = engine
             with pytest.raises(ValueError,
                                match=f"{field} .*{re.escape(repr(value))}"):
-                cls(None, service_model=FakeService(), **kw)
+                cls(None, service_model=FakeService(), **{field: value})
 
     @pytest.mark.parametrize("max_batch", [0, 2.5, math.nan])
     def test_max_batch(self, engine, max_batch):
         with pytest.raises(ValueError, match="max_batch"):
-            ServingSimulator(None, service_model=FakeService(),
-                             policy=BatchingPolicy(max_batch=max_batch),
-                             engine=engine)
+            SIM[engine](None, service_model=FakeService(),
+                        policy=BatchingPolicy(max_batch=max_batch))
 
     @pytest.mark.parametrize("weight", [0.0, math.inf, math.nan])
     def test_weights(self, engine, weight):
         with pytest.raises(ValueError, match="weight"):
-            ServingSimulator(models=[ModelProfile("a", None, weight=weight),
-                                     ModelProfile("b", None)],
-                             service_models=[FakeService(), FakeService()],
-                             engine=engine)
+            SIM[engine](models=[ModelProfile("a", None, weight=weight),
+                                ModelProfile("b", None)],
+                        service_models=[FakeService(), FakeService()])
         with pytest.raises(ValueError, match="weights"):
-            ServingSimulator(models=[ModelProfile("a", None),
-                                     ModelProfile("b", None)],
-                             service_models=[FakeService(), FakeService()],
-                             model_mix=ModelMix((1.0, weight)),
-                             engine=engine)
+            SIM[engine](models=[ModelProfile("a", None),
+                                ModelProfile("b", None)],
+                        service_models=[FakeService(), FakeService()],
+                        model_mix=ModelMix((1.0, weight)))
 
     def test_numpy_integer_counts_are_counts(self):
         kw = dict(n_replicas=np.int64(2), max_queue=np.int64(3),
                   policy=BatchingPolicy(max_batch=np.int64(4)))
-        ev, ar = (ServingSimulator(None, service_model=FakeService(),
-                                   engine=e, **kw).run(
+        ev, ar = (SIM[e](None, service_model=FakeService(), **kw).run(
                       900.0, n_requests=200, process="poisson", seed=1)
                   for e in ("event", "array"))
         assert ev.n_dropped > 0
@@ -559,7 +577,7 @@ class TestConstructionRejectsWhatTheEnginesDisagreeOn:
 class TestOracleDifferential:
     def _pair(self, **kw):
         ref = LinearServingSimulator(hep_workload(), **kw)
-        fast = ServingSimulator(hep_workload(), engine="array", **kw)
+        fast = ServingSimulator(hep_workload(), **kw)
         return ref, fast
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -581,8 +599,8 @@ class TestOracleDifferential:
         # runs, enough for thousands of evictions.
         kw = dict(n_replicas=8, policy=BatchingPolicy(max_batch=16),
                   max_queue=64, cache_size=32)
-        event = ServingSimulator(hep_workload(), engine="event", **kw)
-        fast = ServingSimulator(hep_workload(), engine="array", **kw)
+        event = EventLoopSimulator(hep_workload(), **kw)
+        fast = ServingSimulator(hep_workload(), **kw)
         # well past saturation, with a cache much smaller than the
         # catalog: the head still deflects roughly half the load, so 4x
         # is what it takes for shedding to coexist with hits (and the
@@ -651,7 +669,7 @@ class _RandomCase:
         self.process = str(rng.choice(["uniform", "poisson", "mmpp"]))
 
     def build(self, engine):
-        return ServingSimulator(engine=engine, **self.kw)
+        return SIM[engine](**self.kw)
 
     def run(self, sim, seed):
         return sim.run(self.load * sim.saturation_rate(), self.n,
@@ -742,8 +760,7 @@ class FakeService:
         return self.batch_time(max_batch) / max_batch
 
 sim = ServingSimulator(None, service_model=FakeService(), n_replicas=64,
-                       policy=BatchingPolicy(max_batch=32), max_queue=128,
-                       engine="array")
+                       policy=BatchingPolicy(max_batch=32), max_queue=128)
 stats = sim.run(1.05 * sim.saturation_rate(), n_requests=10_000_000,
                 process="poisson", seed=7)
 assert sim.last_run_engine == "array"

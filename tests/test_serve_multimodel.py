@@ -43,6 +43,7 @@ from repro.serve import (
 )
 from repro.serve.metrics import CacheSizeSweep, LatencyStats, PerModelStats
 from repro.serve.obs import Tracer
+from repro.serve.reference import EventLoopSimulator
 from repro.utils.rng import as_rng
 
 SEEDS = [11, 4242, 20260729]
@@ -306,19 +307,19 @@ class TestSingleModelDifferential:
     bit-identical to the classic single-model simulator — on the event
     loop, and on the array core, where the two forms are literally the
     same drive loop with ``M == 1`` (autoscaled runs never leave the
-    event loop, whichever engine is asked for). The simulator holds a
+    event loop, whichever engine is parametrized). The simulator holds a
     single model as a one-entry model list, so the two spellings run the
     same code; no scheduling knob, nor a trace, may tell them apart."""
 
     def _pair(self, engine, policy, n_replicas, **kw):
-        classic = ServingSimulator(
-            None, service_model=FakeService(), n_replicas=n_replicas,
-            policy=policy, engine=engine, **kw)
-        multi = ServingSimulator(
-            models=[ModelProfile("only", None)],
-            service_models=[FakeService()],
-            model_mix=ModelMix((1.0,)), n_replicas=n_replicas,
-            policy=policy, engine=engine, **kw)
+        # the event loop pinned, or the engine the configuration implies
+        cls = EventLoopSimulator if engine == "event" else ServingSimulator
+        classic = cls(None, service_model=FakeService(),
+                      n_replicas=n_replicas, policy=policy, **kw)
+        multi = cls(models=[ModelProfile("only", None)],
+                    service_models=[FakeService()],
+                    model_mix=ModelMix((1.0,)), n_replicas=n_replicas,
+                    policy=policy, **kw)
         assert classic.saturation_rate() == multi.saturation_rate()
         return classic, multi
 

@@ -48,6 +48,7 @@ from repro.serve import (
 )
 from repro.serve.fast_core import FastRun
 from repro.serve.obs import EVENT_KINDS, trace
+from repro.serve.reference import EventLoopSimulator
 from repro.utils.rng import as_rng
 
 SEEDS = [11, 4242, 20260729]
@@ -484,13 +485,15 @@ class TestProfiler:
         assert rows["slow"]["per_call_us"] == pytest.approx(500_000.0)
 
     def test_profiled_run_records_hot_path(self):
+        """The router and cache spans time the event loop's hot path."""
         prof = Profiler()
-        sim = ServingSimulator(None, n_replicas=2,
-                               service_model=FakeService(),
-                               policy=BatchingPolicy(max_batch=8),
-                               cache_size=16)
+        sim = EventLoopSimulator(None, n_replicas=2,
+                                 service_model=FakeService(),
+                                 policy=BatchingPolicy(max_batch=8),
+                                 cache_size=16)
         sim.run(200.0, n_requests=500, seed=3, popularity="zipf",
                 profiler=prof)
+        assert sim.last_run_engine == "event"
         t = prof.totals()
         for name in ("run.drive", "router.submit", "router.sync",
                      "cache.get"):

@@ -68,6 +68,7 @@ from repro.serve.batching import (
     LAUNCH_ORDERS,
     ReplicaBatchQueue,
 )
+from repro.serve.reference import EventLoopSimulator
 from repro.utils.rng import as_rng
 
 #: every property must hold under each of these seeds (exercised in CI)
@@ -558,7 +559,9 @@ def _whole_runs(draw):
     run = dict(rate=rate, n_requests=n, seed=draw(st.integers(0, 2**16)),
                process=draw(st.sampled_from(["poisson", "mmpp"])),
                popularity="zipf" if "cache_size" in kw else None)
-    return (AutoscalingSimulator if autoscaled else ServingSimulator), kw, run
+    # the router is the subject: a fixed fleet is pinned to the event loop
+    cls = AutoscalingSimulator if autoscaled else EventLoopSimulator
+    return cls, kw, run
 
 
 #: two runs that a rule pushing only *earlier* instants gets wrong: it
@@ -574,7 +577,7 @@ _LATE_COMMITS = [
           failure_events=[FailureEvent(0.11, 0, "degrade", 2.0)]),
      dict(rate=300.0, n_requests=33, seed=0, process="poisson",
           popularity=None)),
-    (ServingSimulator,
+    (EventLoopSimulator,
      dict(policy=BatchingPolicy(max_batch=1, max_wait=2e-3), max_queue=4,
           workload=None, service_model=_SVC, n_replicas=2, cache_size=16),
      dict(rate=600.0, n_requests=700, seed=4, process="mmpp",
@@ -640,7 +643,7 @@ def test_both_engines_read_one_admission_rule(data):
               service_models=services, model_mix=mix, max_queue=max_queue,
               policy=BatchingPolicy(max_batch=4, max_wait=2e-3),
               n_replicas=data.draw(st.integers(1, 3)))
-    sim = ServingSimulator(cost_aware=cost_aware, **kw)
+    sim = EventLoopSimulator(cost_aware=cost_aware, **kw)
     limits = sim.admission_limits()
     assert sim._make_router()._limits == limits
     if max_queue is None:
@@ -660,7 +663,7 @@ def test_both_engines_read_one_admission_rule(data):
     run = dict(rate=4.0 * sim.saturation_rate(), n_requests=120,
                process="poisson", seed=data.draw(st.integers(0, 2**16)))
     event = sim.run(**run)
-    array = ServingSimulator(engine="array", **kw)
+    array = ServingSimulator(**kw)
     arr = array.run(**run)
     assert array.last_run_engine == "array"
     assert np.array_equal(arr.latencies, event.latencies)
@@ -713,8 +716,9 @@ def test_a_traced_array_run_records_the_event_engines_trace(case):
     for event, reconciled with the stats."""
     kw, load, run = case
     traces = []
-    for engine in ("event", "array"):
-        sim = ServingSimulator(engine=engine, **kw)
+    for engine, cls in (("event", EventLoopSimulator),
+                        ("array", ServingSimulator)):
+        sim = cls(**kw)
         tracer = Tracer()
         stats = sim.run(load * sim.saturation_rate(), tracer=tracer, **run)
         assert sim.last_run_engine == engine
@@ -827,8 +831,8 @@ def test_an_arrival_is_one_router_call(case):
             failure_events=[FailureEvent(0.5, 0, "fail")])
         run = dict(rate=3.0 * _SVC.peak_throughput(4), process="mmpp")
     else:
-        sim = ServingSimulator(workload=None, service_model=_SVC,
-                               policy=policy, n_replicas=2, cache_size=16)
+        sim = EventLoopSimulator(workload=None, service_model=_SVC,
+                                 policy=policy, n_replicas=2, cache_size=16)
         run = dict(rate=_SVC.peak_throughput(4), process="poisson",
                    popularity=ZipfPopularity(alpha=1.1, n_keys=64))
     stats, n_offers, submits = _router_calls(sim, n_requests=n, seed=0,

@@ -12,7 +12,7 @@ before the event engine wrote the record.
 
 A trace is a view of the same record: six traced runs (a plain fleet with
 sheds, coalescing, cost-aware edf, stranded followers, an autoscaled run
-with a re-route, a detail trace) are pinned by digests of their events,
+with a re-route, a cached fleet) are pinned by digests of their events,
 recorded on the tracer that emitted them live from the drive loops.
 """
 
@@ -240,7 +240,7 @@ def test_a_missing_completion_is_a_scheduler_bug(engine):
     sim = _ForgetsAnAnswer(
         n_replicas=2, policy=BatchingPolicy(max_batch=8, max_wait=3e-3),
         max_queue=16, cache_size=8, coalesce=engine == "event",
-        engine=engine, **_two_models())
+        **_two_models())
     with pytest.raises(KeyError) as err:
         sim.run(1500.0, n_requests=1500, process="poisson", seed=2,
                 popularity=ZipfPopularity(alpha=1.0, n_keys=128))
@@ -278,9 +278,9 @@ def two_models_cost_aware_edf(tracer=None):
     return sim, stats
 
 
-def detail_cached(tracer=None):
-    """A cached run whose trace records every cache insert and eviction
-    (the tracer is ``Tracer(detail=True)``)."""
+def cached_with_evictions(tracer=None):
+    """A cached fixed fleet whose 16 entries are far fewer than its 128
+    keys, so hits and evictions interleave."""
     sim = ServingSimulator(None, service_model=FakeService(), n_replicas=2,
                            policy=BatchingPolicy(max_batch=8, max_wait=2e-3),
                            max_queue=32, cache_size=16)
@@ -293,11 +293,13 @@ def detail_cached(tracer=None):
 
 TRACE_CASES = {f.__name__: f for f in (
     plain_with_sheds, coalesce_fixed_fleet, two_models_cost_aware_edf,
-    coalesce_strand_traced, autoscale_fail_degrade_repair, detail_cached)}
+    coalesce_strand_traced, autoscale_fail_degrade_repair,
+    cached_with_evictions)}
 
 #: sha256 of :func:`_trace_digest`, recorded on the live-emitting tracer
 #: (events sorted under the canonical key) before traces were expanded
-#: from the record
+#: from the record; ``cached_with_evictions`` later, on the event engine,
+#: once traces had no cache insert / evict events
 TRACE_DIGESTS = {
     "plain_with_sheds":
         "32ab9d3e9105e5c62b17b0d5ccb7256e8d390d5345244f01334b3825e355a51e",
@@ -309,8 +311,8 @@ TRACE_DIGESTS = {
         "81023f003155d17cac3b3369a5ad78d9ed8e97b381acbabb3a91024901989f96",
     "autoscale_fail_degrade_repair":
         "8ead61e8e9776e03acdc1b667400b905eb04db6a60fd0b57af157b924ed39b1b",
-    "detail_cached":
-        "1d697c0f07d542b368ed08377a3e2e9d0d41184d3882f177fd8c72710f0854ea",
+    "cached_with_evictions":
+        "9af632da9dded81503d0c8a459320f09795d43619069abd024345f191cb6544e",
 }
 
 
@@ -336,7 +338,7 @@ def test_traces_are_pinned(name):
     """Each trace, event for event: the same events the live emits wrote,
     in the canonical order (by run, time, kind, request id, replica), and
     it reconciles with the stats."""
-    tracer = Tracer(detail=name == "detail_cached")
+    tracer = Tracer()
     _, stats = TRACE_CASES[name](tracer)
     events = tracer.events
     assert len(events) == len(tracer)
@@ -352,8 +354,9 @@ def test_traces_are_pinned(name):
     if name == "two_models_cost_aware_edf":
         assert all("slack" in ev.data for ev in events
                    if ev.kind == "batch_launch")
-    if name == "detail_cached":
-        assert kinds["cache_insert"] and kinds["cache_evict"]
+    if name == "cached_with_evictions":
+        assert kinds["cache_hit"] and kinds["run_end"] == 1
+        assert events[-1].data == {"n_events": 5289}
 
 
 def test_a_request_timeline_reads_the_record():
