@@ -135,8 +135,10 @@ class TestTracingOverhead:
         """A plain tracer keeps a supported run on the array core: the
         1M-request / 64-replica plain run, traced, within 10% of the
         untraced array run's wall clock, with the same stats, a trace
-        whose counts account for every request, and one request's
-        timeline read off the record without materializing the rest."""
+        whose counts account for every request, ``reconcile()`` under a
+        second (it reads the record's columns, not ~3M events), and one
+        request's timeline read off the record without materializing the
+        rest."""
         n = 1_000_000
 
         def make():
@@ -180,6 +182,9 @@ class TestTracingOverhead:
         assert (c["offered"], c["shed"], c["completed"], c["failed"]) \
             == (n, traced.n_dropped, traced.n_completed, 0)
         t0 = time.perf_counter()
+        reconcile(tracer, traced)
+        t_reconcile = time.perf_counter() - t0
+        t0 = time.perf_counter()
         text = tracer.explain(n // 2)
         t_explain = time.perf_counter() - t0
         assert "outcome:" in text
@@ -191,11 +196,15 @@ class TestTracingOverhead:
                    ("traced wall-clock (s)", "--", f"{t_traced:.2f}"),
                    ("overhead", "<= 10%", f"{overhead * 100:.1f}%"),
                    ("trace events", "--", f"{len(tracer)}"),
+                   ("reconcile() (s)", "< 1", f"{t_reconcile:.3f}"),
                    ("explain(one request) (s)", "--", f"{t_explain:.3f}"),
                ])
         assert overhead <= 0.10, (
             f"a traced array run cost {overhead * 100:.1f}% wall-clock, "
             f"budget is 10%")
+        assert t_reconcile < 1.0, (
+            f"reconcile() of a traced 1M-request run took "
+            f"{t_reconcile:.2f} s, budget is 1 s")
         bench_json("trace_overhead", {
             "array_n_requests": n,
             "array_wall_clock_untraced_s": t_plain,
@@ -203,6 +212,7 @@ class TestTracingOverhead:
             "array_overhead_fraction": overhead,
             "array_trace_events": len(tracer),
             "array_explain_s": t_explain,
+            "reconcile_s": t_reconcile,
         })
 
     def test_profiler_spans_cover_the_run(self, hep_wl):

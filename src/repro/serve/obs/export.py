@@ -19,6 +19,7 @@ microseconds, so everything is scaled by 1e6 on export.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any, Dict, List, Optional
 
 from repro.serve.obs.trace import _CODE, _outcome_of
@@ -86,6 +87,10 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
     request ids (arrival order) — batch and fleet tracks are always
     complete — keeping big traces loadable.
     """
+    if max_requests is not None and not (
+            isinstance(max_requests, numbers.Integral) and max_requests >= 0):
+        raise ValueError(f"max_requests must be a non-negative integer, "
+                         f"got {max_requests!r}")
     meta = tracer.meta
     events: List[Dict[str, Any]] = [
         {"ph": "M", "pid": _PID_FLEET, "name": "process_name",
@@ -98,10 +103,8 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
 
     # Batches struck by node death: (replica, scheduled completion) is
     # unique per in-flight batch, so it keys the truncation.
-    aborts: Dict[tuple, float] = {}
-    for ev in tracer.events:
-        if ev.kind == "batch_abort":
-            aborts[(ev.replica, ev.data["completion"])] = ev.time
+    aborts = {(ev.replica, ev.data["completion"]): ev.time
+              for ev in tracer.events if ev.kind == "batch_abort"}
 
     replicas_seen = set()
     # request track state: rid -> (arrival_t, model); terminal by

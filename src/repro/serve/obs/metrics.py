@@ -1,29 +1,26 @@
 """Metrics registry: labeled counters/gauges/histograms for serving runs.
 
 The serving stats (:class:`~repro.serve.metrics.LatencyStats`,
-:class:`~repro.serve.metrics.PerModelStats`) are *post-hoc aggregates* —
-computed once, at collection, from the router's final state. The registry
-here is the *streaming* view: named series with labels (per model, per
-replica) built from the trace-event stream, in the shape a real metrics
-pipeline (Prometheus-style) would scrape.
+:class:`~repro.serve.metrics.PerModelStats`) are *post-hoc aggregates*,
+computed once, at collection. The registry here is the *streaming* view:
+named series with labels (per model, per replica), in the shape a real
+metrics pipeline (Prometheus-style) would scrape.
 
-The two views must agree. :func:`registry_from_trace` derives every
-counter purely from :class:`~repro.serve.obs.trace.Tracer` events, and
-:func:`reconcile` asserts the trace-derived totals against a run's stats —
-the same conservation identity the serving tests already pin
-(``hits + completions + shed + failed == offered``, per model and in
-aggregate). A trace that disagrees with the stats means an emission site
-is missing or double-firing, and :exc:`ReconciliationError` says which
-series diverged.
+The two views must agree. :func:`registry_from_trace` builds the series
+from a :class:`~repro.serve.obs.trace.Tracer`'s run-record columns and
+live fleet events, never from its event stream, and :func:`reconcile`
+asserts the trace-derived totals against a run's stats: the conservation
+identity ``hits + completions + shed + failed == offered``, per model and
+in aggregate. :exc:`ReconciliationError` names every diverging series.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+import numbers
+from typing import Any, Dict, List, Tuple
 
-#: metric families the registry knows how to build
-METRIC_KINDS = ("counter", "gauge", "histogram")
+import numpy as np
 
 
 def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -41,9 +38,9 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(
-                f"counters only go up; inc({amount}) on {self.name}")
+        if not isinstance(amount, numbers.Integral) or amount < 0:
+            raise ValueError(f"counters only go up, by whole events; "
+                             f"inc({amount!r}) on {self.name}")
         self.value += amount
 
 
@@ -79,7 +76,10 @@ class Histogram:
         self.values: List[float] = []
 
     def observe(self, value: float) -> None:
-        self.values.append(float(value))
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError(f"observe(nan) on {self.name}")
+        self.values.append(value)
 
     @property
     def count(self) -> int:
@@ -209,26 +209,36 @@ TRACE_COUNTERS = (
 
 
 def registry_from_trace(tracer) -> MetricsRegistry:
-    """Build a :class:`MetricsRegistry` purely from trace events.
+    """Build a :class:`MetricsRegistry` from a trace's columns, without
+    building its event stream.
 
     Per-model lifecycle counters (:data:`TRACE_COUNTERS`, labeled
-    ``model=<index>``), per-replica batch counters and batch-size
-    histograms, fleet scale-event counters by action, and a fleet-size
-    gauge (last observed). The lifecycle counters are exactly what
-    :func:`reconcile` checks against the run's stats.
+    ``model=<index>``: :meth:`Tracer.counts`, what :func:`reconcile`
+    checks); per-replica batch counters and batch-size histograms from the
+    records' batch columns (a batch's model is its first member's; struck
+    batches count); and, from the live events in canonical order,
+    scale-event counters by action, a fleet-size gauge (last observed) and
+    the epoch attainment histogram.
     """
     reg = MetricsRegistry()
     for model in (tracer.models() or [0]):
         counts = tracer.counts(model)
         for metric, key in TRACE_COUNTERS:
             reg.counter(metric, model=model).inc(counts[key])
-    for ev in tracer.events:
-        if ev.kind == "batch_launch":
-            reg.counter("serve_batches_total",
-                        replica=ev.replica, model=ev.model).inc()
-            reg.histogram("serve_batch_size",
-                          replica=ev.replica).observe(ev.data["size"])
-        elif ev.kind == "scale":
+    for rec in tracer._records():
+        run = rec.run
+        bmodel = rec.models[run.members[run.bfirst]]
+        for rep in np.unique(run.brep).tolist():
+            on = run.brep == rep
+            for m, n in zip(*(c.tolist() for c in np.unique(
+                    bmodel[on], return_counts=True))):
+                reg.counter("serve_batches_total",
+                            replica=rep, model=m).inc(n)
+            sizes = reg.histogram("serve_batch_size", replica=rep)
+            for size in run.bsize[on].tolist():
+                sizes.observe(size)
+    for _, ev in tracer._keyed(records=False):
+        if ev.kind == "scale":
             reg.counter("serve_scale_events_total",
                         action=ev.data["action"]).inc()
             reg.gauge("serve_fleet_size").set(ev.data["n_replicas"])
@@ -244,6 +254,12 @@ class ReconciliationError(AssertionError):
     """A trace-derived total disagrees with the run's stats."""
 
 
+#: (:meth:`Tracer.counts` key, the stats field it must equal) pairs
+_STATS_FIELDS = (("offered", "n_offered"), ("shed", "n_dropped"),
+                 ("cache_hits", "n_cache_hits"), ("coalesced", "n_coalesced"),
+                 ("completed", "n_completed"), ("failed", "n_failed"))
+
+
 def _check(errors: List[str], what: str, trace_val, stats_val) -> None:
     if trace_val != stats_val:
         errors.append(f"{what}: trace says {trace_val}, "
@@ -253,32 +269,18 @@ def _check(errors: List[str], what: str, trace_val, stats_val) -> None:
 def reconcile(tracer, stats) -> MetricsRegistry:
     """Assert trace-derived totals equal the run's stats, exactly.
 
-    Checks, per model (when ``stats.models`` is present) and in aggregate:
-
-    - ``offered``, ``shed`` (``n_dropped``), ``cache_hits``,
-      ``coalesced``, ``completed``, ``failed`` — each trace counter must
-      equal the corresponding stats field;
-    - the conservation identity ``completed + shed + failed == offered``
-      holds on the trace side (it already holds on the stats side by the
-      serving tests).
-
-    Returns the populated :class:`MetricsRegistry` on success; raises
+    Per model (when ``stats.models`` is present) and in aggregate, each
+    :data:`_STATS_FIELDS` count must equal its stats field, and ``completed
+    + shed + failed == offered`` must hold on the trace side. Returns
+    :func:`registry_from_trace`'s registry; raises
     :exc:`ReconciliationError` naming every diverging series otherwise.
     """
     errors: List[str] = []
 
     def check_sample(label: str, counts: Dict[str, int], sample) -> None:
-        _check(errors, f"{label} offered", counts["offered"],
-               sample.n_offered)
-        _check(errors, f"{label} shed", counts["shed"], sample.n_dropped)
-        _check(errors, f"{label} cache_hits", counts["cache_hits"],
-               sample.n_cache_hits)
-        _check(errors, f"{label} coalesced", counts["coalesced"],
-               sample.n_coalesced)
-        _check(errors, f"{label} completed", counts["completed"],
-               sample.n_completed)
-        _check(errors, f"{label} failed", counts["failed"],
-               sample.n_failed)
+        for key, field in _STATS_FIELDS:
+            _check(errors, f"{label} {key}", counts[key],
+                   getattr(sample, field))
         conserved = (counts["completed"] + counts["shed"]
                      + counts["failed"])
         _check(errors, f"{label} conservation (completed+shed+failed)",

@@ -23,14 +23,18 @@ autoscaler's ``epoch``, ``decision`` and ``scale``; and ``run_start``
 kind (:data:`_RANK`), request id and replica, ties in emission order. A
 request's terminal state comes from precedence, not order: a node death's
 ``fail`` beats the ``complete`` its aborted batch recorded.
-:meth:`Tracer.counts` re-derives the serving conservation identity
-(``hits + completions + shed + failed == offered``, per model and in
-aggregate) from the events; :func:`repro.serve.obs.metrics.reconcile`
-asserts those totals against the run's stats.
+
+Totals never build that stream. :meth:`Tracer.counts` (the conservation
+identity ``hits + completions + shed + failed == offered``, per model and
+in aggregate), :meth:`Tracer.kind_counts`, ``len()``,
+:func:`repro.serve.obs.metrics.registry_from_trace` and ``reconcile``
+read the records' columns and the live events. Only :attr:`Tracer.events`,
+``timeline`` / ``explain`` and the exporters build events.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -147,13 +151,16 @@ class _Record:
         self.models = (np.zeros(n, dtype=np.int8) if models is None
                        else np.asarray(models))
         self.slos = slos
-        n_followers = (0 if run.leader is None
-                       else int(np.count_nonzero(run.leader >= 0)))
-        # arrival, shed / hit, a follower's coalesce + terminal, a
-        # batch's launch, a member's enqueue + complete
-        self.n_events = (n + _count(run.shed) + _count(run.hit)
-                         + 2 * n_followers + run.bsize.size
-                         + 2 * run.members.size)
+        lead = (np.zeros(0, dtype=np.int64) if run.leader is None
+                else run.leader[run.leader >= 0])
+        stranded = _count(run.failed[lead]) if lead.size else 0
+        # the events of each kind :meth:`events` expands the columns into
+        tally = {"arrival": n, "shed": _count(run.shed),
+                 "cache_hit": _count(run.hit), "coalesce": lead.size,
+                 "fail": stranded, "batch_launch": run.bsize.size,
+                 "enqueue": run.members.size,
+                 "complete": run.members.size + lead.size - stranded}
+        self.n_events = {k: int(v) for k, v in tally.items() if v}
 
     def events(self, run_ix: int, rid: Optional[int] = None
                ) -> List[Tuple[tuple, TraceEvent]]:
@@ -245,16 +252,12 @@ def _count(mask: Optional[np.ndarray]) -> int:
 class Tracer:
     """Collects :class:`TraceEvent` streams from one (or more) serving runs.
 
-    Pass one to ``ServingSimulator.run(..., tracer=Tracer())``. Afterwards:
-
-    - :attr:`events` — the typed event stream, in canonical order
-      (materialized lazily);
-    - :meth:`timeline` — one request's events;
-    - :meth:`counts` — per-model lifecycle totals, reconciled against the
-      run's stats by :func:`repro.serve.obs.metrics.reconcile`;
-    - :meth:`explain` — a human-readable one-request timeline;
-    - :meth:`to_jsonl` / :meth:`to_chrome` — exporters
-      (:mod:`repro.serve.obs.export`).
+    Pass one to ``ServingSimulator.run(..., tracer=Tracer())``. Afterwards
+    :attr:`events` is the typed stream in canonical order (built lazily),
+    :meth:`timeline` / :meth:`explain` one request's story,
+    :meth:`counts` / :meth:`kind_counts` the totals, read off the records'
+    columns, and :meth:`to_jsonl` / :meth:`to_chrome` the exporters
+    (:mod:`repro.serve.obs.export`).
 
     ``meta`` is filled by the simulator's ``run_start`` event (offered
     rate, model names, per-model SLOs and transport times) so exporters
@@ -262,19 +265,15 @@ class Tracer:
     simulator. Internally live events are plain tuples ``(time, kind,
     request_id, replica, model, data-or-None)``, and each run's record is
     one more entry (:meth:`add_record`): its events are never stored, only
-    expanded on demand — :meth:`counts` and :meth:`timeline` read the
-    record's columns without materializing the rest.
+    expanded on demand.
     """
 
-    __slots__ = ("_raw", "meta", "_n_record", "_events", "_outcomes")
+    __slots__ = ("_raw", "meta", "_events", "_outcomes")
 
     def __init__(self) -> None:
         self._raw: List[tuple] = []
         #: run configuration published by the last ``run_start`` event
         self.meta: Dict[str, Any] = {}
-        # events the run records expand into, beyond their one raw entry
-        # each, so __len__ stays O(1)
-        self._n_record = 0
         # materialization caches, keyed by the raw length they were
         # built at (emission is append-only between clears)
         self._events: Optional[Tuple[int, Tuple[TraceEvent, ...]]] = None
@@ -298,30 +297,28 @@ class Tracer:
         references — callers must not mutate them afterwards."""
         if len(arrivals) == 0:
             return
-        record = _Record(run, arrivals, models, slos)
         self._raw.append((float(arrivals[0]), "_record", None, None, None,
-                          record))
-        self._n_record += record.n_events - 1
+                          _Record(run, arrivals, models, slos)))
 
     # -- access ---------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._raw) + self._n_record
+        return sum(self.kind_counts().values())
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def _keyed(self, rid: Optional[int] = None
+    def _keyed(self, rid: Optional[int] = None, records: bool = True
                ) -> List[Tuple[tuple, TraceEvent]]:
         """Every event (or every one concerning request ``rid``), keyed
-        for the canonical sort: live events, plus the records' expansions
-        in the runs they belong to."""
+        and in the canonical order: live events, plus, with ``records``,
+        the records' expansions in the runs they belong to."""
         out: List[Tuple[tuple, TraceEvent]] = []
         run = -1
         for t, kind, r, rep, m, d in self._raw:
             if kind == "run_start":
                 run += 1
             if kind == "_record":
-                out += d.events(run, rid)
+                out += d.events(run, rid) if records else ()
                 continue
             if rid is not None and r != rid and rid not in (
                     d or {}).get("request_ids", ()):
@@ -344,16 +341,21 @@ class Tracer:
         """Drop all events and metadata (reuse the tracer for a new run)."""
         self._raw.clear()
         self.meta.clear()
-        self._n_record = 0
         self._events = None
         self._outcomes = None
 
+    def _records(self) -> List[_Record]:
+        """Every run record handed over, in order."""
+        return [d for t, kind, r, rep, m, d in self._raw if kind == "_record"]
+
     def kind_counts(self) -> Dict[str, int]:
-        """How many events of each kind were emitted."""
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
+        """How many events of each kind the stream holds: the records'
+        tallies (:attr:`_Record.n_events`) plus the live events' kinds.
+        No event is built."""
+        out: Dict[str, int] = collections.Counter()
+        for t, kind, r, rep, m, d in self._raw:
+            out.update(d.n_events if kind == "_record" else (kind,))
+        return dict(out)
 
     def timeline(self, request_id: int) -> List[TraceEvent]:
         """Every event concerning one request, in canonical order,
@@ -399,7 +401,8 @@ class Tracer:
         return self._outcomes[1]
 
     def counts(self, model: Optional[int] = None) -> Dict[str, int]:
-        """Lifecycle totals derived purely from events.
+        """Lifecycle totals, read off the records' columns and the live
+        events (no event is built).
 
         Keys: ``offered``, ``shed``, ``cache_hits``, ``coalesced``,
         ``replica_completions``, ``completed`` (hits + coalesced +

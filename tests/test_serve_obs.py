@@ -281,6 +281,21 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="only go up"):
             reg.counter("reqs").inc(-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 0.5, 1.0, -1])
+    def test_counter_counts_whole_events(self, bad):
+        c = MetricsRegistry().counter("reqs")
+        c.inc(np.int64(2))
+        with pytest.raises(ValueError, match="whole events"):
+            c.inc(bad)
+        assert c.value == 2
+
+    def test_histogram_refuses_nan(self):
+        h = MetricsRegistry().histogram("lat")
+        h.observe(1.0)
+        with pytest.raises(ValueError, match="nan"):
+            h.observe(float("nan"))
+        assert h.count == 1 and h.sum == 1.0 and h.percentile(50) == 1.0
+
     def test_name_bound_to_one_kind(self):
         reg = MetricsRegistry()
         reg.counter("reqs")
@@ -545,6 +560,20 @@ class TestExporters:
         n_all = to_chrome(tr, tmp_path / "all.json")
         n_cap = to_chrome(tr, tmp_path / "cap.json", max_requests=10)
         assert n_cap < n_all
+
+    @pytest.mark.parametrize("bad", [-1, 2.0, "10"])
+    def test_chrome_refuses_a_bad_request_cap(self, bad, tmp_path):
+        """A negative cap would slice from the end (``-1`` dropped the
+        last request) and a non-integer one would not slice at all."""
+        tr = Tracer()
+        tr.add_record(_record(np.zeros(3), [(0, 0.1, 0.2, (0, 1, 2))]),
+                      np.zeros(3))
+        with pytest.raises(ValueError, match="non-negative integer"):
+            to_chrome(tr, tmp_path / "bad.json", max_requests=bad)
+        assert not (tmp_path / "bad.json").exists()
+        to_chrome(tr, tmp_path / "all.json", max_requests=3)
+        doc = json.loads((tmp_path / "all.json").read_text())
+        assert sum(e["ph"] == "b" for e in doc["traceEvents"]) == 3
 
     def test_explain_shed_and_completed(self, traced_run):
         tr, _ = traced_run

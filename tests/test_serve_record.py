@@ -13,11 +13,15 @@ before the event engine wrote the record.
 A trace is a view of the same record: six traced runs (a plain fleet with
 sheds, coalescing, cost-aware edf, stranded followers, an autoscaled run
 with a re-route, a cached fleet) are pinned by digests of their events,
-recorded on the tracer that emitted them live from the drive loops.
+recorded on the tracer that emitted them live from the drive loops. Its
+totals (the metrics registry, kind counts, length) are read off the
+record's columns, and equal what walking those events gives.
 """
 
+import collections
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -35,8 +39,10 @@ from repro.serve import (
     ZipfPopularity,
     fast_core,
     reconcile,
+    registry_from_trace,
 )
-from repro.serve.obs import trace
+from repro.serve.obs import MetricsRegistry, trace
+from repro.serve.obs.metrics import TRACE_COUNTERS
 from repro.serve.metrics import LatencyStats, PerModelStats
 
 
@@ -378,3 +384,99 @@ def test_a_request_timeline_reads_the_record():
            if ev.kind == "enqueue"]
     assert [ev.time for ev in enq] == [moved.time]
     assert enq[0].replica == moved.data["to"]
+
+
+# -- trace totals are read off the record --------------------------------------
+
+def _event_walk_registry(tracer):
+    """The registry as it was built by walking every event: the oracle
+    for the one built off the record's columns."""
+    reg = MetricsRegistry()
+    for model in (tracer.models() or [0]):
+        counts = tracer.counts(model)
+        for metric, key in TRACE_COUNTERS:
+            reg.counter(metric, model=model).inc(counts[key])
+    for ev in tracer.events:
+        if ev.kind == "batch_launch":
+            reg.counter("serve_batches_total",
+                        replica=ev.replica, model=ev.model).inc()
+            reg.histogram("serve_batch_size",
+                          replica=ev.replica).observe(ev.data["size"])
+        elif ev.kind == "scale":
+            reg.counter("serve_scale_events_total",
+                        action=ev.data["action"]).inc()
+            reg.gauge("serve_fleet_size").set(ev.data["n_replicas"])
+        elif ev.kind == "epoch":
+            reg.gauge("serve_fleet_size").set(ev.data["n_replicas"])
+            att = ev.data.get("attainment")
+            if att is not None and not math.isnan(att):
+                reg.histogram("serve_epoch_attainment").observe(att)
+    return reg
+
+
+def light_two_models(tracer=None):
+    """Two models, autoscaled, light enough to stay at two replicas."""
+    sim = AutoscalingSimulator(
+        autoscale=AutoscalePolicy(min_replicas=2, max_replicas=5,
+                                  epoch=0.05),
+        policy=BatchingPolicy(max_batch=8, max_wait=4e-3), max_queue=24,
+        **_two_models())
+    stats = sim.run(300.0, n_requests=1000, process="poisson", seed=2,
+                    tracer=tracer)
+    return sim, stats
+
+
+def two_runs(tracer=None):
+    """One tracer across two autoscaled runs: one model ending on five
+    replicas, then two models on two."""
+    autoscale_fail_degrade_repair(tracer)
+    return light_two_models(tracer)
+
+
+def _comparable(snapshot):
+    """``snapshot`` with every NaN replaced by one comparable token."""
+    return {k: _comparable(v) if isinstance(v, dict)
+            else "nan" if v != v else v for k, v in snapshot.items()}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES) + ["two_runs"])
+def test_trace_totals_equal_the_event_walk(name):
+    tracer = Tracer()
+    dict(TRACE_CASES, two_runs=two_runs)[name](tracer)
+    got = registry_from_trace(tracer).collect()
+    assert _comparable(got) == _comparable(
+        _event_walk_registry(tracer).collect())
+    kinds = tracer.kind_counts()
+    assert kinds == collections.Counter(ev.kind for ev in tracer.events)
+    assert len(tracer) == sum(kinds.values())
+
+
+def test_two_runs_add_up_and_the_gauge_reads_the_last():
+    both, first, second = Tracer(), Tracer(), Tracer()
+    two_runs(both)
+    autoscale_fail_degrade_repair(first)
+    light_two_models(second)
+    regs = [registry_from_trace(t) for t in (both, first, second)]
+    for name in [metric for metric, _ in TRACE_COUNTERS] + [
+            "serve_batches_total", "serve_scale_events_total"]:
+        assert regs[0].total(name) == regs[1].total(name) \
+            + regs[2].total(name), name
+    fleet = [r.value("serve_fleet_size") for r in regs]
+    assert fleet[0] == fleet[2] != fleet[1]
+
+
+def test_totals_build_no_events(monkeypatch):
+    """reconcile(), the registry, kind_counts(), counts() and len() read
+    the record's columns: expanding a record into events is an error."""
+    tracer = Tracer()
+    _, stats = autoscale_fail_degrade_repair(tracer)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace total built the event stream")
+
+    monkeypatch.setattr(trace._Record, "events", refuse)
+    reconcile(tracer, stats)
+    assert registry_from_trace(tracer).total(
+        "serve_requests_offered_total") == stats.n_offered
+    assert tracer.counts()["offered"] == stats.n_offered
+    assert len(tracer) == sum(tracer.kind_counts().values())
