@@ -80,10 +80,10 @@ class TestAutoscaleRestoresBurstySLO:
         # Static worst-case provisioning rides out the burst peaks.
         mmpp_wc = ServingSimulator(
             hep_wl, n_replicas=WORST_CASE_REPLICAS, policy=policy,
-            service_model=service).run(rate, n_requests=N_REQUESTS,
+            service_models=[service]).run(rate, n_requests=N_REQUESTS,
                                        process=SHAPE, seed=SEED)
         auto = AutoscalingSimulator(hep_wl, autoscale=cfg, policy=policy,
-                                    service_model=service)
+                                    service_models=[service])
         scaled = auto.run(rate, n_requests=N_REQUESTS, process=SHAPE,
                           seed=SEED, slo=slo)
 
@@ -125,7 +125,7 @@ class TestAutoscaleRestoresBurstySLO:
         add up: completions across epochs equal the run's completions."""
         policy, static1, sat1, slo, cfg = _setup(hep_wl)
         auto = AutoscalingSimulator(hep_wl, autoscale=cfg, policy=policy,
-                                    service_model=static1.service)
+                                    service_models=[static1.service])
         scaled = auto.run(MEAN_LOAD * sat1, n_requests=N_REQUESTS,
                           process=SHAPE, seed=SEED, slo=slo)
         assert scaled.n_failed == 0
@@ -147,12 +147,12 @@ class TestAutoscaleFailureContention:
         service = static1.service
         healthy = AutoscalingSimulator(
             hep_wl, autoscale=cfg, policy=policy,
-            service_model=service).run(rate, n_requests=N_REQUESTS,
+            service_models=[service]).run(rate, n_requests=N_REQUESTS,
                                        process=SHAPE, seed=SEED, slo=slo)
         # t=6.0 s sits inside the second burst of the seed-0 trace, when
         # the fleet is at max — the worst moment to lose a node.
         wounded = AutoscalingSimulator(
-            hep_wl, autoscale=cfg, policy=policy, service_model=service,
+            hep_wl, autoscale=cfg, policy=policy, service_models=[service],
             failure_events=[FailureEvent(6.0, 0, "fail")],
         ).run(rate, n_requests=N_REQUESTS, process=SHAPE, seed=SEED,
               slo=slo)

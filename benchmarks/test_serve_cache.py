@@ -183,7 +183,7 @@ class TestHotPathSpeedup:
         times = np.cumsum(rng.exponential(2e-5, size=20_000)).tolist()
 
         def drive(router_cls):
-            router = router_cls(None, 64, policy, lambda b: 1e-3,
+            router = router_cls(None, 64, [policy], [lambda b: 1e-3],
                                 limits=[64])
             t0 = time.perf_counter()
             for rid, t in enumerate(times):

@@ -12,7 +12,10 @@ accounting:
 - :mod:`repro.serve.batching` — dynamic micro-batching (windowed
   max-batch/max-wait and vLLM-style continuous modes) for both simulated
   queues and real coalesced forwards; per-model batch lanes on shared
-  replicas (batches never mix models);
+  replicas (batches never mix models): :class:`ReplicaBatchQueue` takes
+  per-model ``policies`` and ``service_times`` lists (one model is the
+  one-entry case) and launches earliest deadline first exactly when it
+  is given per-model ``slos``;
 - :mod:`repro.serve.arrivals` — open-loop arrival processes: uniform,
   Poisson, and bursty :class:`MMPP` streams with analytic moments; plus
   request-content popularity samplers (uniform / Zipf / bursty hot-key)
@@ -24,7 +27,8 @@ accounting:
   in real batched inference;
 - :mod:`repro.serve.router` — replica placement on
   :class:`repro.cluster.machine.CoriMachine` nodes, least-loaded routing,
-  admission control;
+  admission control; :class:`Router` takes the same per-model lists plus
+  per-model ``limits``, ``model_slos`` and ``model_costs``;
 - :mod:`repro.serve.latency` — per-batch service times from the Fig 5
   single-node model (forward-only) + alpha-beta request transport;
 - :mod:`repro.serve.metrics` — latency percentiles, throughput, SLO

@@ -42,7 +42,6 @@ from repro.cluster.failures import FailureEvent, FailureModel
 from repro.cluster.machine import CoriMachine
 from repro.serve.batching import BatchingPolicy
 from repro.serve.cache import require_count
-from repro.serve.latency import ServiceTimeModel
 from repro.serve.metrics import (
     EpochRecord,
     LatencyStats,
@@ -98,8 +97,9 @@ class AutoscalePolicy:
             raise ValueError(
                 f"scale_in_occupancy must be in [0, 1), "
                 f"got {self.scale_in_occupancy}")
-        if self.epoch is not None and not self.epoch > 0:
-            raise ValueError(f"epoch must be positive, got {self.epoch}")
+        if self.epoch is not None and not 0 < self.epoch < math.inf:
+            raise ValueError(
+                f"epoch must be positive and finite, got {self.epoch}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,6 @@ class AutoscalingSimulator(ServingSimulator):
                  n_replicas: Optional[int] = None,
                  policy: Optional[BatchingPolicy] = None,
                  max_queue: Optional[int] = 256,
-                 service_model: Optional[ServiceTimeModel] = None,
                  failures: Optional[FailureModel] = None,
                  failure_events: Optional[Sequence[FailureEvent]] = None,
                  cache_size: int = 0,
@@ -266,7 +265,7 @@ class AutoscalingSimulator(ServingSimulator):
                 f"{self.autoscale.max_replicas}]")
         super().__init__(workload, machine=machine, n_replicas=initial,
                          policy=policy, max_queue=max_queue,
-                         service_model=service_model, cache_size=cache_size,
+                         cache_size=cache_size,
                          models=models, model_mix=model_mix,
                          service_models=service_models, coalesce=coalesce,
                          order=order, cost_aware=cost_aware)

@@ -43,13 +43,15 @@ from repro.serve.cache import ResultCache, content_key, require_count
 
 BATCHING_MODES = ("windowed", "continuous")
 
-#: how a multi-lane replica orders launch-ready batches across lanes:
+#: how the simulators' replicas order launch-ready batches across lanes
+#: (their ``order=``):
 #:
 #: - ``"fifo"`` — strictly by launch instant, ties broken full batch
-#:   first then lowest model index (the pre-deadline scheduler);
+#:   first then lowest model index;
 #: - ``"edf"`` — earliest deadline first: ties at one launch instant go
 #:   to the lane whose *oldest queued request* has the earliest deadline
-#:   (its arrival plus its model's SLO).
+#:   (its arrival plus its model's SLO). A :class:`ReplicaBatchQueue`
+#:   launches this way exactly when it is given ``slos``.
 LAUNCH_ORDERS = ("fifo", "edf")
 
 
@@ -111,54 +113,40 @@ class ReplicaBatchQueue:
 
     Drive it with nondecreasing ``push(t, request_id, model)`` calls and a
     final :meth:`drain`; every launched :class:`Batch` is the one record
-    of its requests' completion. ``service_times`` (``batch_size ->
-    seconds``) and ``policies`` hold one entry per model index and default
-    to ``[service_time]`` and ``[policy] * M``: a single-model queue is
-    the one-lane case. Each model batches on its own service curve and
+    of its requests' completion. ``policies`` and ``service_times``
+    (``batch_size -> seconds``) hold one entry per model index: a
+    single-model queue is the one-lane case, ``([policy],
+    [service_time])``. Each model batches on its own service curve and
     ``max_batch``/``max_wait`` (a slow scan model can run short batches
     while a fast one fills deep ones); batches never mix models.
 
     The replica is one shared execution resource: every lane's batches
     serialize on the same ``free_at`` timeline. Launch order across lanes
     is by launch instant — each :meth:`advance` step commits the lane
-    with the globally earliest launch key. How ties (and near-ties) break
-    is the ``order`` knob (:data:`LAUNCH_ORDERS`): ``"fifo"`` (default)
-    breaks full batch first then lowest model index; ``"edf"`` breaks by
-    each lane head's *deadline* (its arrival plus its model's SLO, from
-    ``slos``), so a tight-SLO model's batch launches ahead of a loose-SLO
-    one that became ready at the same instant. With a single lane every
-    order reduces exactly to the classic max-batch/max-wait schedule.
+    with the globally earliest launch key. Ties (and near-ties) break
+    full batch first then lowest model index; a queue given per-model
+    ``slos`` breaks them by each lane head's *deadline* instead (its
+    arrival plus its model's SLO — the ``"edf"`` order of
+    :data:`LAUNCH_ORDERS`), so a tight-SLO model's batch launches ahead of
+    a loose-SLO one that became ready at the same instant. With a single
+    lane both reduce exactly to the classic max-batch/max-wait schedule.
     """
 
-    def __init__(self, policy: BatchingPolicy,
-                 service_time: Callable[[int], float],
+    def __init__(self, policies: Sequence[BatchingPolicy],
+                 service_times: Sequence[Callable[[int], float]],
                  free_at: float = 0.0,
                  on_commit: Optional[Callable[[Batch], None]] = None,
-                 service_times: Optional[
-                     Sequence[Callable[[int], float]]] = None,
-                 policies: Optional[Sequence[BatchingPolicy]] = None,
-                 order: str = "fifo",
                  slos: Optional[Sequence[float]] = None) -> None:
-        self.policy = policy
-        #: per-model service-time callables, one per model index
-        self.service_times = list(service_times or [service_time])
-        n_models = len(self.service_times)
-        if order not in LAUNCH_ORDERS:
-            raise ValueError(f"unknown launch order {order!r}; "
-                             f"have {LAUNCH_ORDERS}")
-        if order != "fifo" and slos is None:
-            raise ValueError(
-                f"order={order!r} needs per-model slos (each lane head's "
-                f"deadline is its arrival + its model's SLO)")
-        #: cross-lane launch ordering (see :data:`LAUNCH_ORDERS`)
-        self.order = order
-        #: per-model SLOs — the deadline source for edf ordering
-        self.slos = None if slos is None else [float(s) for s in slos]
-        if self.slos is not None and any(
-                not s > 0 for s in self.slos):
-            raise ValueError(f"slos must be positive, got {self.slos}")
         #: per-model batching policies, one per model index
-        self.policies = list(policies or [policy] * n_models)
+        self.policies = list(policies)
+        #: per-model service-time callables, one per model index
+        self.service_times = list(service_times)
+        n_models = len(self.service_times)
+        #: per-model SLOs, the lane heads' deadline source; set, lanes
+        #: launch earliest deadline first
+        self.slos = None if slos is None else [float(s) for s in slos]
+        if self.slos is not None and any(not s > 0 for s in self.slos):
+            raise ValueError(f"slos must be positive, got {self.slos}")
         for seq, what in ((self.policies, "policies"), (self.slos, "slos")):
             if seq is not None and len(seq) != n_models:
                 raise ValueError(
@@ -246,23 +234,17 @@ class ReplicaBatchQueue:
             n += len(b.request_ids)
         return n
 
-    def backlog(self, t: float) -> int:
-        """Routing load signal; alias of :meth:`outstanding` (one unit —
-        requests — so replicas with early-committed batches don't look
-        idle)."""
-        return self.outstanding(t)
-
     def _lane_key(self, model: int,
                   lane: List[Tuple[float, int]]
                   ) -> Tuple[float, float, int, int]:
         """Launch-order key of one nonempty lane:
         ``(launch instant, urgency, partial?, model)``.
 
-        ``urgency`` is the deadline-scheduling axis: ``0.0`` under
-        ``"fifo"`` (a constant — ordering falls through to the classic
-        full-before-partial, then model-index tie-breaks, exactly the
-        pre-deadline key) and the lane head's deadline under ``"edf"``
-        (arrival of the oldest queued request plus its model's SLO)."""
+        ``urgency`` is the deadline-scheduling axis: ``0.0`` without
+        ``slos`` (a constant — ordering falls through to the classic
+        full-before-partial, then model-index tie-breaks) and the lane
+        head's deadline with them (arrival of the oldest queued request
+        plus its model's SLO)."""
         pol = self.policies[model]
         B = pol.max_batch
         if len(lane) >= B:
@@ -270,7 +252,7 @@ class ReplicaBatchQueue:
         else:
             launch, partial = max(self.free_at,
                                   lane[0][0] + pol.launch_wait), 1
-        if self.order == "fifo":
+        if self.slos is None:
             return (launch, 0.0, partial, model)
         return (launch, lane[0][0] + self.slos[model], partial, model)
 
@@ -453,12 +435,12 @@ class ReplicaBatchQueue:
         silently vanish from :attr:`completions`. Once the stream has ended
         no future arrival can top the batch up, so fire the remainder as
         soon as the replica frees — held lanes in head-arrival order (ties
-        to the lowest model index), or by head deadline under ``"edf"``
-        ordering.
+        to the lowest model index), or by head deadline when the queue
+        holds ``slos``.
         """
         self.advance(math.inf)
         while True:
-            if self.order == "fifo":
+            if self.slos is None:
                 held = [(lane[0][0], model)
                         for model, lane in self.lanes.items() if lane]
             else:
@@ -481,7 +463,7 @@ def plan_batches(arrivals: Sequence[float], policy: BatchingPolicy,
     closed-form of the simulator's event loop, mainly useful for reasoning
     about and testing the policy itself.
     """
-    q = ReplicaBatchQueue(policy, service_time, free_at=free_at)
+    q = ReplicaBatchQueue([policy], [service_time], free_at=free_at)
     for i, t in enumerate(arrivals):
         q.push(float(t), i)
     q.drain()

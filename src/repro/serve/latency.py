@@ -10,10 +10,12 @@ alpha-beta interconnect model (:mod:`repro.comm.cost_model`).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.cluster.knl import KNLNodeModel
 from repro.comm.cost_model import AlphaBetaModel, point_to_point_time
+from repro.serve.cache import require_count
 from repro.sim.perf_model import SingleNodePerf
 from repro.sim.workload import Workload
 
@@ -31,20 +33,20 @@ class ServiceTimeModel:
                  cost: Optional[AlphaBetaModel] = None,
                  dispatch_overhead: float = 5e-4,
                  response_bytes: int = 4096) -> None:
-        if dispatch_overhead < 0:
+        # a NaN or infinite overhead would make every batch time NaN or
+        # infinite: runs that "complete" with NaN latencies, or crash
+        if not 0 <= dispatch_overhead < math.inf:
             raise ValueError(
-                f"dispatch_overhead must be non-negative, "
+                f"dispatch_overhead must be finite and non-negative, "
                 f"got {dispatch_overhead}")
-        if response_bytes < 0:
-            raise ValueError(
-                f"response_bytes must be non-negative, got {response_bytes}")
         self.workload = workload
         self.node = node or KNLNodeModel()
         self.cost = cost or AlphaBetaModel()
         #: fixed per-batch overhead: kernel launch, de/serialization, framing
         self.dispatch_overhead = dispatch_overhead
         #: prediction payload (class scores / decoded boxes, not the recon)
-        self.response_bytes = response_bytes
+        self.response_bytes = require_count("response_bytes", response_bytes,
+                                            least=0)
         self._cache: Dict[int, float] = {}      # raw compute per batch size
         self._clamped: Dict[int, float] = {}    # monotone batch_time memo
         self._max_size = 0                      # largest size folded in

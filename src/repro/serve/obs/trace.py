@@ -394,8 +394,13 @@ class Tracer:
                 e[1], e[2] = max(e[1], code), e[2] or kind == "arrival"
             cols = [(r.models, c, np.ones(c.size, dtype=bool))
                     for r, c in records.values()]
-            cols += [tuple(map(np.array, zip(*loose.values())))] if loose \
-                else [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, bool),)]
+            # no empty placeholder beside the records: an int64 one would
+            # upcast their int8 columns on concatenation
+            if loose:
+                cols.append(tuple(map(np.array, zip(*loose.values()))))
+            if not cols:
+                cols.append((np.zeros(0, np.int8),) * 2
+                            + (np.zeros(0, bool),))
             self._outcomes = (len(self._raw), tuple(
                 np.concatenate(c) for c in zip(*cols)))
         return self._outcomes[1]

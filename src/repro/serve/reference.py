@@ -56,7 +56,7 @@ class LinearRouter(Router):
     def _least_loaded_scan(replicas: List[ReplicaHandle],
                            t: float) -> ReplicaHandle:
         # Ties broken by replica index for determinism.
-        return min(replicas, key=lambda r: (r.queue.backlog(t), r.index))
+        return min(replicas, key=lambda r: (r.queue.outstanding(t), r.index))
 
     def _full_scan(self, replica: ReplicaHandle, t: float) -> bool:
         return replica.queue.outstanding(t) >= self._limits[0]
@@ -135,8 +135,8 @@ class LinearServingSimulator(ServingSimulator):
                 response_bytes=self.service.response_bytes)
 
     def _make_router(self, on_commit=None) -> Router:
-        return LinearRouter(self.machine, self.n_replicas, self.policy,
-                            self.service.batch_time,
+        return LinearRouter(self.machine, self.n_replicas, [self.policy],
+                            [self.service.batch_time],
                             limits=self.admission_limits(),
                             on_commit=on_commit)
 
@@ -158,8 +158,8 @@ class LinearAutoscalingSimulator(AutoscalingSimulator):
                 "and request coalescing; run it single-model")
 
     def _make_router(self, on_commit=None) -> Router:
-        return LinearRouter(self.machine, self.n_replicas, self.policy,
-                            self.service.batch_time,
+        return LinearRouter(self.machine, self.n_replicas, [self.policy],
+                            [self.service.batch_time],
                             limits=self.admission_limits(),
                             on_commit=on_commit)
 

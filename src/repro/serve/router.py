@@ -77,11 +77,11 @@ class Router:
     any replica commits a batch — the serving simulator uses it to schedule
     result-cache fills at batch completion times.
 
-    Per-model inputs are lists indexed by model — ``service_times``,
-    ``policies``, ``limits`` — which default to the one-entry
-    ``[service_time]``, ``[policy] * M`` and no limit: one model is the
-    one-entry case, not a second path. Route with ``submit(t, rid,
-    model)``; each replica keeps per-model batch lanes.
+    Per-model inputs are lists indexed by model — ``policies``,
+    ``service_times``, ``limits`` (default: no limit): one model is the
+    one-entry case, ``([policy], [service_time])``, not a second path.
+    Route with ``submit(t, rid, model)``; each replica keeps per-model
+    batch lanes.
 
     **Admission**: model ``m`` is shed when the least-loaded replica's
     published load has reached ``limits[m]`` (``None``: never shed). The
@@ -97,22 +97,19 @@ class Router:
     counts per replica; every published load value is recomputed as the
     dot product of counts and costs (never accumulated in floats), so
     load values are exact and replica ordering is deterministic.
-    ``policies`` / ``order`` / ``model_slos`` are handed down to every
-    replica queue for per-model batching and EDF launch ordering
-    (:class:`~repro.serve.batching.ReplicaBatchQueue`). Cost-aware mode
-    and EDF default off: the count-based, fifo scheduler.
+    ``policies`` / ``service_times`` / ``model_slos`` are handed down to
+    every replica queue (:class:`~repro.serve.batching.ReplicaBatchQueue`),
+    which checks their lengths; given ``model_slos``, every queue launches
+    earliest deadline first. Without ``model_costs`` / ``model_slos``: the
+    count-based, fifo scheduler.
     """
 
     def __init__(self, machine: Optional[CoriMachine], n_replicas: int,
-                 policy: BatchingPolicy,
-                 service_time: Callable[[int], float],
+                 policies: List[BatchingPolicy],
+                 service_times: List[Callable[[int], float]],
                  limits: Optional[List[float]] = None,
                  on_commit: Optional[Callable[[int, Batch], None]] = None,
-                 service_times: Optional[
-                     List[Callable[[int], float]]] = None,
                  tracer=None,
-                 policies: Optional[List[BatchingPolicy]] = None,
-                 order: str = "fifo",
                  model_slos: Optional[List[float]] = None,
                  model_costs: Optional[List[float]] = None) -> None:
         n_replicas = require_count("n_replicas", n_replicas)
@@ -121,26 +118,19 @@ class Router:
             raise ValueError(
                 f"{n_replicas} replicas > machine size "
                 f"{self.machine.n_nodes}")
-        self.policy = policy
-        self.service_time = service_time
-        #: per-model service-time callables, one per model index
-        self.service_times = list(service_times or [service_time])
+        #: per-model batching policies and service-time callables, one
+        #: per model index, handed to every replica queue
+        self.policies = list(policies)
+        self.service_times = list(service_times)
         n_models = len(self.service_times)
         self._n_models = n_models
-        #: per-model batching policies handed to every replica queue
-        self.policies = list(policies or [policy] * n_models)
-        for seq, what in ((self.policies, "batching policies"),
-                          (model_slos, "model SLOs"),
-                          (model_costs, "model costs"),
+        for seq, what in ((model_costs, "model costs"),
                           (limits, "admission limits")):
             if seq is not None and len(seq) != n_models:
                 raise ValueError(
                     f"{len(seq)} {what} for {n_models} model(s)")
-        #: cross-lane launch ordering on every replica queue
-        self.order = order
-        #: per-model SLOs — deadline source for edf queue ordering
-        self.model_slos = (None if model_slos is None
-                           else [float(s) for s in model_slos])
+        #: per-model SLOs — set, every replica queue launches by deadline
+        self.model_slos = model_slos
         if model_costs is not None and any(not c > 0 for c in model_costs):
             raise ValueError(
                 f"model costs must be positive seconds, got {model_costs}")
@@ -218,11 +208,8 @@ class Router:
     def _new_handle(self, index: int, node_id: int,
                     free_at: float) -> ReplicaHandle:
         queue = ReplicaBatchQueue(
-            self.policy, self.service_time, free_at=free_at,
-            on_commit=self._commit_feed(index),
-            service_times=self.service_times,
-            policies=self.policies, order=self.order,
-            slos=self.model_slos)
+            self.policies, self.service_times, free_at=free_at,
+            on_commit=self._commit_feed(index), slos=self.model_slos)
         handle = ReplicaHandle(index, node_id, queue)
         self._live[index] = handle
         self._backlog[index] = 0

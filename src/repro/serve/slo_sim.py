@@ -129,13 +129,14 @@ class ServingSimulator:
     :class:`~repro.serve.metrics.PerModelStats` per profile judged
     against that model's own SLO.
 
-    **One model is a one-entry model list.** ``workload=`` /
-    ``service_model=`` become the one entry of the per-model lists
-    ``models=`` fills (``services``, profiles, mix shares, policies), and
-    every method reads only those: a single-model simulator runs the code
-    of ``models=[one profile]``, bit for bit. ``models is None`` decides
-    only the output's shape (no per-model slices); ``service`` is a
-    read-only view of the one entry.
+    **One model is a one-entry model list.** ``workload=`` becomes the
+    one entry of the per-model lists ``models=`` fills (``services``,
+    profiles, mix shares, policies), and every method reads only those: a
+    single-model simulator runs the code of ``models=[one profile]``, bit
+    for bit. Its service model, when not derived from the workload, is
+    ``service_models=[one model]`` (also without a workload). ``models is
+    None`` decides only the output's shape (no per-model slices);
+    ``service`` is a read-only view of the one entry.
 
     ``coalesce=True`` additionally deduplicates in-flight misses: a
     request whose content key is already being forwarded waits for that
@@ -188,7 +189,6 @@ class ServingSimulator:
                  n_replicas: int = 1,
                  policy: Optional[BatchingPolicy] = None,
                  max_queue: Optional[int] = 256,
-                 service_model: Optional[ServiceTimeModel] = None,
                  cache_size: int = 0,
                  models: Optional[Sequence[ModelProfile]] = None,
                  model_mix: MixLike = None,
@@ -222,10 +222,6 @@ class ServingSimulator:
                 raise ValueError(
                     "pass either workload (single-model) or models "
                     "(multi-model), not both")
-            if service_model is not None:
-                raise ValueError(
-                    "service_model is single-model; pass service_models "
-                    "(one per profile) with models")
             self.models = list(models)
             if not self.models:
                 raise ValueError("models must name at least one profile")
@@ -249,19 +245,20 @@ class ServingSimulator:
             self.workload = None
             profiles, shares = self.models, model_mix.shares
         else:
-            if model_mix is not None or service_models is not None:
+            if model_mix is not None:
+                raise ValueError("model_mix requires models=...")
+            if service_models is not None and len(service_models) != 1:
                 raise ValueError(
-                    "model_mix/service_models require models=...")
-            if workload is None and service_model is None:
+                    f"{len(service_models)} service models for one model; "
+                    f"pass models=[...] to serve several")
+            if workload is None and service_models is None:
                 raise ValueError(
                     "pass a workload (single-model), models=[...] "
-                    "(multi-model), or an explicit service_model")
+                    "(multi-model), or service_models=[one service model]")
             self.workload = workload
             profiles = [ModelProfile(
                 getattr(workload, "name", None) or "model0", workload)]
             shares = (1.0,)
-            if service_model is not None:
-                service_models = [service_model]
         # Everything below reads these per-model lists: a single-model
         # simulator is their one-entry case, not a second code path.
         self._profiles: List[ModelProfile] = profiles
@@ -394,11 +391,10 @@ class ServingSimulator:
         to route with the O(R) linear scans for the differential tests.
         Knobs that are off stay at the router's own defaults: a fifo,
         count-based simulator constructs the plain router."""
-        fns = self.services.batch_time_fns()
-        return Router(self.machine, self.n_replicas, self.policy, fns[0],
+        return Router(self.machine, self.n_replicas, self._policies,
+                      self.services.batch_time_fns(),
                       limits=self.admission_limits(), on_commit=on_commit,
-                      service_times=fns, tracer=self._tracer,
-                      policies=self._policies, order=self.order,
+                      tracer=self._tracer,
                       model_slos=(None if self.order == "fifo"
                                   else self.model_slos()),
                       model_costs=(self.model_costs() if self.cost_aware
@@ -805,7 +801,7 @@ def compare_batching_modes(workload: Workload,
         mode: ServingSimulator(workload, machine=machine,
                                n_replicas=n_replicas,
                                policy=policy.with_mode(mode),
-                               max_queue=max_queue, service_model=service)
+                               max_queue=max_queue, service_models=[service])
         for mode in ("windowed", "continuous")}
     if rates is None:
         sat = sims["windowed"].saturation_rate()
@@ -850,7 +846,7 @@ def sweep_cache_sizes(workload: Workload,
         slo = _require_slo(slo)
     base = ServingSimulator(workload, machine=machine,
                             n_replicas=n_replicas, policy=policy,
-                            max_queue=max_queue, service_model=service)
+                            max_queue=max_queue, service_models=[service])
     if rate is None:
         rate = 1.25 * base.saturation_rate()
     if slo is None:
@@ -859,7 +855,7 @@ def sweep_cache_sizes(workload: Workload,
     for size in sizes:
         sim = ServingSimulator(workload, machine=machine,
                                n_replicas=n_replicas, policy=policy,
-                               max_queue=max_queue, service_model=service,
+                               max_queue=max_queue, service_models=[service],
                                cache_size=size)
         points.append(sim.run(rate, n_requests=n_requests, process=process,
                               seed=seed, popularity=popularity))

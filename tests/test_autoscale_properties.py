@@ -110,7 +110,7 @@ def random_case(rng):
 def run_case(case):
     cfg, policy, svc, process, rate, n_requests, seed = case
     sim = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                               service_model=svc)
+                               service_models=[svc])
     return sim.run(rate, n_requests=n_requests, process=process, seed=seed)
 
 
@@ -189,10 +189,10 @@ class TestPinnedDifferential:
         svc = FakeService()
         rate = 0.8 * k * svc.peak_throughput(policy.max_batch)
         static = ServingSimulator(None, n_replicas=k, policy=policy,
-                                  service_model=svc)
+                                  service_models=[svc])
         pinned = AutoscalingSimulator(
             None, autoscale=AutoscalePolicy(min_replicas=k, max_replicas=k),
-            policy=policy, service_model=svc)
+            policy=policy, service_models=[svc])
         s = static.run(rate, n_requests=400, process=process, seed=seed)
         a = pinned.run(rate, n_requests=400, process=process, seed=seed)
         assert a.scale_events == []       # nothing to decide, ever
@@ -206,10 +206,10 @@ class TestPinnedDifferential:
         policy = BatchingPolicy(max_batch=8, max_wait=0.004)
         svc = FakeService()
         static = ServingSimulator(None, n_replicas=2, policy=policy,
-                                  service_model=svc)
+                                  service_models=[svc])
         pinned = AutoscalingSimulator(
             None, autoscale=AutoscalePolicy(min_replicas=2, max_replicas=2),
-            policy=policy, service_model=svc)
+            policy=policy, service_models=[svc])
         rates = [f * static.saturation_rate() for f in (0.25, 0.75, 1.25)]
         s = static.sweep(rates=rates, n_requests=300, process="mmpp", seed=2)
         a = pinned.sweep(rates=rates, n_requests=300, process="mmpp", seed=2)
@@ -221,7 +221,7 @@ class TestPinnedDifferential:
 
 def _router(policy=None, n_replicas=2, limit=None):
     policy = policy or BatchingPolicy(max_batch=4, max_wait=math.inf)
-    return Router(None, n_replicas, policy, FakeService().batch_time,
+    return Router(None, n_replicas, [policy], [FakeService().batch_time],
                   limits=None if limit is None else [limit])
 
 
@@ -278,7 +278,7 @@ class TestLiveFleetPrimitives:
     def test_failed_replica_loses_in_flight_and_queued(self):
         svc = FakeService(base=0.1, per=0.0)       # 100 ms per batch
         policy = BatchingPolicy(max_batch=2, max_wait=0.0)
-        router = Router(None, 1, policy, svc.batch_time)
+        router = Router(None, 1, [policy], [svc.batch_time])
         router.submit(0.0, 0)       # launches at t=0, completes at 0.1
         router.submit(0.01, 1)      # queued behind the busy replica
         dead, lost = router.fail_replica(0.05, 0)
@@ -292,7 +292,7 @@ class TestLiveFleetPrimitives:
     def test_failure_preserves_completed_work(self):
         svc = FakeService(base=0.1, per=0.0)
         policy = BatchingPolicy(max_batch=2, max_wait=0.0)
-        router = Router(None, 1, policy, svc.batch_time)
+        router = Router(None, 1, [policy], [svc.batch_time])
         router.submit(0.0, 0)                      # completes at 0.1
         dead, lost = router.fail_replica(0.2, 0)   # dies after finishing
         assert lost == 0 and router.completions() == {0: pytest.approx(0.1)}
@@ -319,7 +319,7 @@ class TestFailureRecovery:
         svc = FakeService()
         cfg = AutoscalePolicy(min_replicas=2, max_replicas=2, epoch=0.05)
         sim = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                                   service_model=svc,
+                                   service_models=[svc],
                                    failure_events=failure_events)
         rate = 1.2 * svc.peak_throughput(policy.max_batch)  # needs both
         return sim.run(rate, n_requests=2048, process="uniform", seed=None)
@@ -338,7 +338,7 @@ class TestFailureRecovery:
         slo_probe = AutoscalingSimulator(
             None, autoscale=AutoscalePolicy(min_replicas=2, max_replicas=2),
             policy=BatchingPolicy(max_batch=8, max_wait=0.004),
-            service_model=FakeService())
+            service_models=[FakeService()])
         slo = slo_probe.default_slo()
         healthy = self._run([])
         wounded = self._run([FailureEvent(0.5, 0, "fail")])
@@ -402,7 +402,7 @@ class TestFailureRecovery:
 
         def run(events):
             sim = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                                       service_model=svc,
+                                       service_models=[svc],
                                        failure_events=events)
             rate = 0.6 * svc.peak_throughput(policy.max_batch)
             return sim.run(rate, n_requests=4096, process="uniform",
@@ -422,7 +422,7 @@ class TestFailureRecovery:
 def _auto(events=None, max_replicas=2, n_requests=1600, rate=1600.0,
           seed=5):
     sim = AutoscalingSimulator(
-        service_model=FakeService(),
+        service_models=[FakeService()],
         autoscale=AutoscalePolicy(min_replicas=2, max_replicas=max_replicas,
                                   target_attainment=0.95, epoch=0.1),
         policy=BatchingPolicy(max_batch=8, max_wait=1e-3),
@@ -495,8 +495,8 @@ class TestRepair:
         from repro.serve.router import Router
         from repro.cluster.machine import cori
         tr = Tracer()
-        router = Router(cori(seed=0, jitter=False), 2, BatchingPolicy(),
-                        lambda b: 0.01, tracer=tr)
+        router = Router(cori(seed=0, jitter=False), 2, [BatchingPolicy()],
+                        [lambda b: 0.01], tracer=tr)
         router.degrade_replica(0.0, 0, 3.0)
         rep = router.repair_replica(1.0, 0)
         assert rep.queue.slow_factor == 1.0
@@ -519,6 +519,8 @@ class TestValidation:
             AutoscalePolicy(scale_in_occupancy=1.0)
         with pytest.raises(ValueError, match="epoch"):
             AutoscalePolicy(epoch=0.0)
+        with pytest.raises(ValueError, match="epoch"):
+            AutoscalePolicy(epoch=math.inf)     # the controller, off
         with pytest.raises(ValueError, match="cooldown"):
             AutoscalePolicy(cooldown_epochs=-1)
         with pytest.raises(ValueError, match="idle_epochs"):
@@ -552,13 +554,13 @@ class TestValidation:
         from repro.cluster.failures import FailureModel
         with pytest.raises(ValueError, match="not both"):
             AutoscalingSimulator(
-                None, policy=BatchingPolicy(), service_model=FakeService(),
+                None, policy=BatchingPolicy(), service_models=[FakeService()],
                 failures=FailureModel(),
                 failure_events=[FailureEvent(1.0, 0, "fail")])
 
     def test_simulator_rejects_bad_slo(self):
         sim = AutoscalingSimulator(None, policy=BatchingPolicy(),
-                                   service_model=FakeService())
+                                   service_models=[FakeService()])
         for slo in (-1.0, math.nan):
             with pytest.raises(ValueError, match="slo"):
                 sim.run(10.0, n_requests=10, slo=slo)
@@ -591,7 +593,7 @@ class TestControlDirection:
         cfg = AutoscalePolicy(min_replicas=1, max_replicas=4, epoch=0.05,
                               idle_epochs=2, cooldown_epochs=0)
         sim = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                                   service_model=svc, n_replicas=4)
+                                   service_models=[svc], n_replicas=4)
         rate = 0.05 * svc.peak_throughput(policy.max_batch)
         stats = sim.run(rate, n_requests=600, process="uniform")
         assert all(ev.action == "scale_in" for ev in stats.scale_events)
@@ -604,7 +606,7 @@ class TestControlDirection:
         cfg = AutoscalePolicy(min_replicas=1, max_replicas=4, epoch=0.05,
                               cooldown_epochs=0)
         sim = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                                   service_model=svc)
+                                   service_models=[svc])
         rate = 2.5 * svc.peak_throughput(policy.max_batch)  # 1 can't keep up
         stats = sim.run(rate, n_requests=1500, process="uniform")
         assert any(ev.action == "scale_out" for ev in stats.scale_events)
@@ -625,7 +627,7 @@ class TestControlDirection:
         svc = FakeService()
         cfg = AutoscalePolicy(min_replicas=1, max_replicas=2, epoch=1.0)
         sim = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                                   service_model=svc)
+                                   service_models=[svc])
         stats = sim.run(2.0, n_requests=10, process="uniform")
         first = stats.epochs[0]
         assert first.n_arrived >= 1
@@ -642,7 +644,7 @@ class TestControlDirection:
         cfg = AutoscalePolicy(min_replicas=1, max_replicas=3, epoch=0.05,
                               cooldown_epochs=0)
         sim = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                                   service_model=svc, max_queue=16)
+                                   service_models=[svc], max_queue=16)
         rate = 2.5 * svc.peak_throughput(policy.max_batch)
         stats = sim.run(rate, n_requests=2000, process="uniform")
         shed_epochs = [r for r in stats.epochs if r.n_shed > 0]
@@ -813,7 +815,7 @@ def _observed_runs(draw):
     else:
         svc = FakeService(base=draw(st.sampled_from([0.0, 2e-3, 6e-3])),
                           per=draw(st.sampled_from([2e-4, 1e-3])))
-        kw.update(workload=None, service_model=svc)
+        kw.update(workload=None, service_models=[svc])
     if draw(st.booleans()):
         kw.update(cache_size=draw(st.sampled_from([0, 8])), coalesce=True)
     epoch = draw(st.sampled_from([0.4, 1.0, 2.5])) * svc.batch_time(max_batch)
@@ -866,7 +868,7 @@ class TestIncrementalObservation:
         epoch that boundary opens, its completion in no window: the
         completion cursor must pass it uncounted."""
         sim = _RescanChecked(
-            None, service_model=FakeService(base=0.0, per=0.0),
+            None, service_models=[FakeService(base=0.0, per=0.0)],
             policy=BatchingPolicy(max_batch=1, max_wait=0.0),
             autoscale=AutoscalePolicy(min_replicas=1, max_replicas=1,
                                       epoch=0.5))
@@ -888,7 +890,7 @@ class TestIncrementalObservation:
         size of every epoch are those of the run's arrivals and launches
         in ``[t_start, t_end)``."""
         sim = _KeepsBatches(
-            None, service_model=FakeService(),
+            None, service_models=[FakeService()],
             policy=BatchingPolicy(max_batch=4, max_wait=0.5, mode=mode),
             autoscale=AutoscalePolicy(min_replicas=2, max_replicas=2,
                                       epoch=0.5))

@@ -160,7 +160,7 @@ class TestPlanBatches:
 
 class TestReplicaBatchQueue:
     def test_push_must_be_nondecreasing(self):
-        q = ReplicaBatchQueue(BatchingPolicy(), const_service())
+        q = ReplicaBatchQueue([BatchingPolicy()], [const_service()])
         q.push(1.0, 0)
         with pytest.raises(ValueError, match="nondecreasing"):
             q.push(0.5, 1)
@@ -169,7 +169,7 @@ class TestReplicaBatchQueue:
     def test_push_must_be_finite(self, t):
         # NaN compares False against the clock, so a bare ``t < clock``
         # admitted it; a later finite push then had to follow it
-        q = ReplicaBatchQueue(BatchingPolicy(), const_service())
+        q = ReplicaBatchQueue([BatchingPolicy()], [const_service()])
         with pytest.raises(ValueError, match="finite"):
             q.push(t, 0)
         q.push(1.0, 0)
@@ -178,8 +178,8 @@ class TestReplicaBatchQueue:
         assert q.queue_depth == 1
 
     def test_push_and_advance_return_the_next_launch(self):
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=2, max_wait=0.5),
-                              const_service(1.0))
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=2, max_wait=0.5)],
+                              [const_service(1.0)])
         assert q.advance(0.0) == math.inf        # nothing queued
         assert q.push(0.0, 0) == 0.5             # head's hold deadline
         assert q.push(0.2, 1) == 0.2             # now full: launch at once
@@ -187,8 +187,8 @@ class TestReplicaBatchQueue:
         assert q.push(0.4, 2) == 1.2             # behind the busy replica
 
     def test_queue_depth_and_completions(self):
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=2, max_wait=10.0),
-                              const_service(1.0))
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=2, max_wait=10.0)],
+                              [const_service(1.0)])
         q.push(0.0, 7)
         assert q.queue_depth == 1
         q.push(0.0, 8)          # fills the batch
@@ -199,19 +199,19 @@ class TestReplicaBatchQueue:
                                  8: pytest.approx(1.0)}
 
     def test_backlog_counts_in_flight_requests(self):
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=1, max_wait=0.0),
-                              const_service(1.0))
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=1, max_wait=0.0)],
+                              [const_service(1.0)])
         q.push(0.0, 0)
         q.advance(0.5)          # launched at t=0, busy until t=1.0
-        assert q.backlog(0.5) == 1       # in service counts as outstanding
-        assert q.backlog(2.0) == 0       # completed -> gone
+        assert q.outstanding(0.5) == 1       # in service counts as outstanding
+        assert q.outstanding(2.0) == 0       # completed -> gone
 
     def test_drain_flushes_partial_batch_with_infinite_wait(self):
         """Regression: a 'full batches only' policy (max_wait=inf) used to
         leave the final partial batch queued forever — drain() returned
         with its requests missing from completions, silently dropped."""
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=4, max_wait=math.inf),
-                              const_service(0.1))
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=4, max_wait=math.inf)],
+                              [const_service(0.1)])
         for i in range(6):
             q.push(0.01 * i, i)
         q.advance(1.0)
@@ -227,8 +227,8 @@ class TestReplicaBatchQueue:
     def test_drain_mid_window_keeps_the_deadline(self):
         """Arrivals ending mid-window must not change a finite-deadline
         launch: the final partial batch still fires at head + max_wait."""
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=4, max_wait=0.5),
-                              const_service(0.1))
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=4, max_wait=0.5)],
+                              [const_service(0.1)])
         q.push(0.0, 0)
         q.push(0.2, 1)          # stream ends inside [0, 0.5) hold window
         q.drain()
@@ -429,12 +429,22 @@ class TestServiceTimeModel:
         with pytest.raises(ValueError, match="batch"):
             ServiceTimeModel(tiny_wl).batch_time(0)
 
+    @pytest.mark.parametrize("kw", [
+        {"dispatch_overhead": math.nan}, {"dispatch_overhead": math.inf},
+        {"response_bytes": math.nan}, {"response_bytes": math.inf},
+        {"response_bytes": 10.5}])
+    def test_invalid_overhead_or_payload_refused(self, tiny_wl, kw):
+        # NaN / inf passed ``< 0``: a run then crashed in the collector or
+        # "completed" every request with NaN latencies
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            ServiceTimeModel(tiny_wl, **kw)
+
 
 class TestRouter:
     def _router(self, n_replicas=3, limit=None, service=None):
-        return Router(None, n_replicas, BatchingPolicy(max_batch=4,
-                                                       max_wait=0.01),
-                      service or const_service(1.0),
+        return Router(None, n_replicas,
+                      [BatchingPolicy(max_batch=4, max_wait=0.01)],
+                      [service or const_service(1.0)],
                       limits=None if limit is None else [limit])
 
     def test_placement_on_machine_nodes(self):
@@ -478,16 +488,16 @@ class TestRouter:
         owes), so a burst cannot push per-request latency past
         limit/throughput, and the outcome is identical however the burst
         is timestamped."""
-        r = Router(None, 1, BatchingPolicy(max_batch=32, max_wait=0.01),
-                   const_service(1.0), limits=[64])
+        r = Router(None, 1, [BatchingPolicy(max_batch=32, max_wait=0.01)],
+                   [const_service(1.0)], limits=[64])
         admitted = sum(r.submit(0.0, i) for i in range(100))
         assert admitted == 64 and r.n_dropped == 36
         r.drain()
         sizes = [b.size for b in r.replicas[0].queue.batches]
         assert sizes == [32, 32]
         # Same offered burst, microsecond-spaced: same admission outcome.
-        r2 = Router(None, 1, BatchingPolicy(max_batch=32, max_wait=0.01),
-                    const_service(1.0), limits=[64])
+        r2 = Router(None, 1, [BatchingPolicy(max_batch=32, max_wait=0.01)],
+                    [const_service(1.0)], limits=[64])
         admitted2 = sum(r2.submit(i * 1e-6, i) for i in range(100))
         assert admitted2 == 64
 
@@ -495,8 +505,8 @@ class TestRouter:
         """With a limit above max_batch, sustained overload must still
         shed — outstanding work, not just the unlaunched queue,
         hits the limit."""
-        r = Router(None, 1, BatchingPolicy(max_batch=32, max_wait=0.01),
-                   const_service(1.0), limits=[64])
+        r = Router(None, 1, [BatchingPolicy(max_batch=32, max_wait=0.01)],
+                   [const_service(1.0)], limits=[64])
         # Offered far above the 32 req/s capacity for a long stretch.
         admitted = sum(r.submit(i * 0.005, i) for i in range(2000))
         assert r.n_dropped > 0
@@ -541,7 +551,7 @@ class TestRouter:
             with pytest.raises(ValueError, match="admission limits"):
                 self._router(limit=bad)
         with pytest.raises(ValueError, match="2 admission limits"):
-            Router(None, 1, BatchingPolicy(), const_service(1.0),
+            Router(None, 1, [BatchingPolicy()], [const_service(1.0)],
                    limits=[4, 4])
 
 
@@ -804,16 +814,16 @@ class TestRetiredKnobs:
                     "admission_floor_seconds"} & self._params(Router)
         assert "limits" in self._params(Router)
         with pytest.raises(TypeError, match="max_queue"):
-            Router(None, 1, BatchingPolicy(), lambda b: 0.01, max_queue=4)
+            Router(None, 1, [BatchingPolicy()], [lambda b: 0.01], max_queue=4)
 
     def test_the_autoscaler_takes_no_engine(self):
         """Its control loop always runs the event loop: an ``engine`` of
         ``"array"`` was forwarded, never read, and silently ran on
         ``"event"``."""
         params = self._params(AutoscalingSimulator) - {"self"}
-        assert "engine" not in params and len(params) == 16
+        assert "engine" not in params and len(params) == 15
         with pytest.raises(TypeError, match="engine"):
-            AutoscalingSimulator(None, service_model=lambda b: 0.01,
+            AutoscalingSimulator(None, service_models=[lambda b: 0.01],
                                  **{"engine": "array"})
 
     @pytest.mark.parametrize("sim", [ServingSimulator,
@@ -821,6 +831,31 @@ class TestRetiredKnobs:
     def test_slack_order_is_refused(self, sim):
         assert LAUNCH_ORDERS == ("fifo", "edf")
         with pytest.raises(ValueError, match="launch order"):
-            sim(None, service_model=lambda b: 0.01, order="slack")
+            sim(None, service_models=[lambda b: 0.01], order="slack")
         with pytest.raises(TypeError, match="strategy"):
-            sim(None, service_model=lambda b: 0.01, strategy="round_robin")
+            sim(None, service_models=[lambda b: 0.01],
+                strategy="round_robin")
+
+    def test_one_model_is_a_one_entry_list(self):
+        """The single-model twins are gone: a simulator takes one service
+        model as ``service_models=[svc]``, and a router or replica queue
+        takes only per-model lists, launching by deadline exactly when it
+        holds SLOs (no ``order``)."""
+        for obj, n in ((ServingSimulator, 13), (AutoscalingSimulator, 15),
+                       (Router, 9), (ReplicaBatchQueue, 5)):
+            params = self._params(obj) - {"self"}
+            assert len(params) == n and "service_model" not in params, obj
+        for obj in (Router, ReplicaBatchQueue):
+            assert not {"policy", "service_time", "order"} & self._params(
+                obj)
+        assert not hasattr(ReplicaBatchQueue, "backlog")
+        svc = const_service()
+        with pytest.raises(TypeError, match="service_model"):
+            ServingSimulator(None, **{"service_model": svc})
+        with pytest.raises(ValueError, match="2 service models"):
+            ServingSimulator(None, service_models=[svc, svc])
+        with pytest.raises(ValueError, match="service_models"):
+            ServingSimulator(None)
+        with pytest.raises(ValueError, match="model_mix"):
+            ServingSimulator(None, service_models=[svc], model_mix=[1.0])
+        assert ServingSimulator(None, service_models=[svc]).service is svc

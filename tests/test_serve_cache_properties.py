@@ -272,7 +272,7 @@ class TestIncrementalBatchTime:
 # -- the heap router vs the linear oracle --------------------------------------
 
 def _routers(n_replicas, policy, svc, limit):
-    args = (None, n_replicas, policy, svc.batch_time)
+    args = (None, n_replicas, [policy], [svc.batch_time])
     return (Router(*args, limits=[limit]), LinearRouter(*args, limits=[limit]))
 
 
@@ -375,7 +375,7 @@ class TestSimulatorDifferential:
                               epoch=20 * svc.batch_time(8))
         events = [FailureEvent(time=0.3, node_id=0, kind="fail")]
         rate = float(rng.uniform(0.5, 1.2)) * svc.peak_throughput(8)
-        kw = dict(autoscale=cfg, policy=policy, service_model=svc,
+        kw = dict(autoscale=cfg, policy=policy, service_models=[svc],
                   failure_events=events)
         a = AutoscalingSimulator(None, **kw).run(
             rate, n_requests=800, process="mmpp", seed=seed)
@@ -402,7 +402,7 @@ class TestCacheInSimulator:
         sim = ServingSimulator(None, n_replicas=1,
                                policy=BatchingPolicy(max_batch=4,
                                                      max_wait=0.0),
-                               service_model=svc, cache_size=8)
+                               service_models=[svc], cache_size=8)
         # Arrivals every 40 ms: t=0 launches [0] (completes at 0.1);
         # t=.04/.08 queue behind it (miss: no result yet); t>=0.12 hit.
         stats = sim.run(25.0, n_requests=12,
@@ -428,7 +428,7 @@ class TestCacheInSimulator:
                               epoch=30 * svc.batch_time(8))
         sim = AutoscalingSimulator(
             None, autoscale=cfg, policy=BatchingPolicy(max_batch=8),
-            service_model=svc, cache_size=16, max_queue=32,
+            service_models=[svc], cache_size=16, max_queue=32,
             failure_events=[FailureEvent(time=0.2, node_id=1, kind="fail")])
         stats = sim.run(1.3 * svc.peak_throughput(8), n_requests=1500,
                         process="mmpp", seed=seed, popularity="zipf")
@@ -450,7 +450,7 @@ class TestCacheInSimulator:
                               epoch=0.15)
         kw = dict(autoscale=cfg, policy=BatchingPolicy(max_batch=4,
                                                        max_wait=0.0),
-                  service_model=svc, cache_size=8)
+                  service_models=[svc], cache_size=8)
         pop = UniformPopularity(n_keys=1)
         healthy = AutoscalingSimulator(None, **kw).run(
             25.0, n_requests=12, popularity=pop)
@@ -468,10 +468,10 @@ class TestCacheInSimulator:
         svc = FakeService()
         policy = BatchingPolicy(max_batch=8)
         static = ServingSimulator(None, n_replicas=2, policy=policy,
-                                  service_model=svc, cache_size=32)
+                                  service_models=[svc], cache_size=32)
         cfg = AutoscalePolicy(min_replicas=2, max_replicas=2)
         pinned = AutoscalingSimulator(None, autoscale=cfg, policy=policy,
-                                      service_model=svc, cache_size=32)
+                                      service_models=[svc], cache_size=32)
         rate = 1.1 * svc.peak_throughput(8)
         a = static.run(rate, n_requests=600, process="poisson", seed=5,
                        popularity="zipf")

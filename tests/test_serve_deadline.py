@@ -97,51 +97,49 @@ def _assert_same(a, b):
 
 class TestValidation:
     def test_unknown_order_rejected_everywhere(self):
+        # a queue and a router take no order: SLOs given, they launch
+        # by deadline
         svc = FakeService()
         with pytest.raises(ValueError, match="launch order"):
-            ReplicaBatchQueue(BatchingPolicy(), svc.batch_time,
-                              order="lifo")
-        with pytest.raises(ValueError, match="launch order"):
-            Router(None, 1, BatchingPolicy(), svc.batch_time, order="lifo")
-        with pytest.raises(ValueError, match="launch order"):
-            ServingSimulator(None, service_model=svc, order="lifo")
-
-    def test_edf_needs_slos(self):
-        svc = FakeService()
-        with pytest.raises(ValueError, match="slos"):
-            ReplicaBatchQueue(BatchingPolicy(), svc.batch_time, order="edf")
+            ServingSimulator(None, service_models=[svc], order="lifo")
 
     def test_slos_must_be_positive(self):
         svc = FakeService()
         with pytest.raises(ValueError, match="positive"):
-            ReplicaBatchQueue(BatchingPolicy(), svc.batch_time,
-                              order="edf", slos=[0.0])
+            ReplicaBatchQueue([BatchingPolicy()], [svc.batch_time],
+                              slos=[0.0])
 
     def test_costs_must_be_positive(self):
         svc = FakeService()
         with pytest.raises(ValueError, match="positive"):
-            Router(None, 1, BatchingPolicy(), svc.batch_time,
+            Router(None, 1, [BatchingPolicy()], [svc.batch_time],
                    model_costs=[0.0])
 
     def test_seconds_limits_must_be_positive(self):
         svc = FakeService()
         for bad in (0.0, -0.5, math.nan):
             with pytest.raises(ValueError, match="positive"):
-                Router(None, 1, BatchingPolicy(), svc.batch_time,
+                Router(None, 1, [BatchingPolicy()], [svc.batch_time],
                        model_costs=[0.1], limits=[bad])
         with pytest.raises(ValueError, match="2 admission limits"):
-            Router(None, 1, BatchingPolicy(), svc.batch_time,
+            Router(None, 1, [BatchingPolicy()], [svc.batch_time],
                    model_costs=[0.1], limits=[1.0, 1.0])
 
     def test_per_model_sequence_lengths_checked(self):
         svc = FakeService()
         with pytest.raises(ValueError, match="model"):
-            Router(None, 1, BatchingPolicy(), svc.batch_time,
+            Router(None, 1, [BatchingPolicy()], [svc.batch_time],
                    model_costs=[0.1, 0.2])
         with pytest.raises(ValueError, match="model"):
-            ReplicaBatchQueue(BatchingPolicy(), svc.batch_time,
-                              service_times=_svc_fns(svc, svc),
-                              policies=[BatchingPolicy()])
+            ReplicaBatchQueue([BatchingPolicy()], _svc_fns(svc, svc))
+        # the router's per-model lists are checked by the queues it builds
+        pol, fns = BatchingPolicy(), _svc_fns(svc, svc)
+        for kw, match in (({"model_slos": [0.1] * 3}, "3 slos for 2"),
+                          ({"policies": [pol]}, "1 policies for 2"),
+                          ({"service_times": fns[:1]}, "2 policies for 1")):
+            args = {"policies": [pol] * 2, "service_times": fns, **kw}
+            with pytest.raises(ValueError, match=match):
+                Router(None, 2, **args)
 
 
 # -- homogeneous single-model differential -------------------------------------
@@ -152,7 +150,7 @@ class TestHomogeneousDifferential:
     must reproduce the count-based FIFO scheduler bit for bit."""
 
     def _sim(self, policy, n_replicas, **kw):
-        return ServingSimulator(None, service_model=FakeService(),
+        return ServingSimulator(None, service_models=[FakeService()],
                                 policy=policy, n_replicas=n_replicas,
                                 max_queue=16, **kw)
 
@@ -199,7 +197,7 @@ class TestHomogeneousDifferential:
                               target_attainment=0.95, epoch=0.15)
         events = [FailureEvent(time=0.4, node_id=0, kind="fail")]
         kw = dict(autoscale=cfg, policy=policy, failure_events=events,
-                  service_model=FakeService(), max_queue=16)
+                  service_models=[FakeService()], max_queue=16)
         base = AutoscalingSimulator(None, **kw)
         aware = AutoscalingSimulator(None, order="edf", cost_aware=True,
                                      **kw)
@@ -221,20 +219,18 @@ class TestHomogeneousDifferential:
 # -- deadline ordering semantics -----------------------------------------------
 
 class TestLaunchOrderSemantics:
-    def _busy_queue(self, order, slos, policies=None):
+    def _busy_queue(self, slos):
         s0, s1 = FakeService(0.004, 0.001), FakeService(0.05, 0.01)
         return ReplicaBatchQueue(
-            BatchingPolicy(max_batch=4, max_wait=1e-3),
-            s0.batch_time, free_at=1.0,
-            service_times=_svc_fns(s0, s1), order=order, slos=slos,
-            policies=policies)
+            [BatchingPolicy(max_batch=4, max_wait=1e-3)] * 2,
+            _svc_fns(s0, s1), free_at=1.0, slos=slos)
 
     def test_edf_launches_tight_slo_lane_first(self):
         # Both lanes become launch-ready at free_at (the busy replica is
-        # the regime where ordering matters). FIFO ties break to the
-        # lower model index; EDF to the earlier deadline.
-        for order, first in (("fifo", 0), ("edf", 1)):
-            q = self._busy_queue(order, slos=[10.0, 0.05])
+        # the regime where ordering matters). FIFO (no SLOs) ties break
+        # to the lower model index; EDF to the earlier deadline.
+        for slos, first in ((None, 0), ([10.0, 0.05], 1)):
+            q = self._busy_queue(slos)
             q.push(0.0, 0, model=0)     # deadline 10.0
             q.push(0.01, 1, model=1)    # deadline 0.06  <- urgent
             q.drain()
@@ -243,7 +239,7 @@ class TestLaunchOrderSemantics:
     def test_edf_breaks_deadline_ties_by_model_index(self):
         # Equal deadlines (1.0 both): EDF falls through to the model
         # index (model 0 first), though model 1's batch costs ~10x more.
-        q = self._busy_queue("edf", slos=[1.0, 0.5])
+        q = self._busy_queue([1.0, 0.5])
         q.push(0.0, 0, model=0)     # deadline 0.0 + 1.0 = 1.0
         q.push(0.5, 1, model=1)     # deadline 0.5 + 0.5 = 1.0
         q.drain()
@@ -253,10 +249,7 @@ class TestLaunchOrderSemantics:
         s0, s1 = FakeService(), FakeService(0.05, 0.01)
         pols = [BatchingPolicy(max_batch=8, max_wait=1e-3),
                 BatchingPolicy(max_batch=2, max_wait=1e-3)]
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=8, max_wait=1e-3),
-                              s0.batch_time,
-                              service_times=_svc_fns(s0, s1),
-                              policies=pols)
+        q = ReplicaBatchQueue(pols, _svc_fns(s0, s1))
         for i in range(6):
             q.push(0.0, i, model=1)
         q.drain()
@@ -268,10 +261,9 @@ class TestLaunchOrderSemantics:
         the loose-SLO lane, it never forgets it. All completions exist
         after syncing past the last hold deadline — no ``drain()``."""
         svc = FakeService()
-        router = Router(None, 1, BatchingPolicy(max_batch=4, max_wait=0.01),
-                        svc.batch_time,
-                        service_times=_svc_fns(svc, svc),
-                        order="edf", model_slos=[0.05, 100.0])
+        router = Router(None, 1,
+                        [BatchingPolicy(max_batch=4, max_wait=0.01)] * 2,
+                        _svc_fns(svc, svc), model_slos=[0.05, 100.0])
         rids = []
         t = 0.0
         for i in range(200):
@@ -297,9 +289,8 @@ class TestCostAwareRouting:
         svc = FakeService()
         fns = _svc_fns(*([svc] * len(costs)))
         return Router(None, n_replicas,
-                      BatchingPolicy(max_batch=64, max_wait=10.0),
-                      svc.batch_time, service_times=fns,
-                      model_costs=costs, **kw)
+                      [BatchingPolicy(max_batch=64, max_wait=10.0)] * len(fns),
+                      fns, model_costs=costs, **kw)
 
     def test_shortest_expected_work_routing(self):
         # One queued expensive request (cost 10) outweighs many cheap
@@ -314,8 +305,8 @@ class TestCostAwareRouting:
 
     def test_count_mode_alternates_on_same_stream(self):
         svc = FakeService()
-        r = Router(None, 2, BatchingPolicy(max_batch=64, max_wait=10.0),
-                   svc.batch_time, service_times=_svc_fns(svc, svc))
+        r = Router(None, 2, [BatchingPolicy(max_batch=64, max_wait=10.0)] * 2,
+                   _svc_fns(svc, svc))
         assert r.submit(0.0, 0, 1)
         for i in range(1, 9):
             assert r.submit(0.0, i, 0)
@@ -449,7 +440,7 @@ class TestSkewedMixStarvation:
         # The floor applies only where starvation can: cross-model
         # backlog. Single-model cost_aware derivation stays floor-free,
         # keeping the homogeneous cost_aware <-> count differential exact.
-        sim = ServingSimulator(service_model=FakeService(),
+        sim = ServingSimulator(service_models=[FakeService()],
                                policy=BatchingPolicy(max_batch=8),
                                max_queue=4, cost_aware=True)
         c = sim.model_costs()[0]
@@ -463,8 +454,7 @@ class TestAdmissionLimitRegressions:
     def _router(self, weights, max_queue=64):
         svc = FakeService()
         fns = _svc_fns(*([svc] * len(weights)))
-        return Router(None, 1, BatchingPolicy(), svc.batch_time,
-                      service_times=fns,
+        return Router(None, 1, [BatchingPolicy()] * len(fns), fns,
                       limits=_weighted_sim(weights,
                                            max_queue).admission_limits())
 

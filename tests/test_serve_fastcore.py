@@ -206,7 +206,7 @@ def _autoscaled(engine):
     # No engine keyword: the control loop always runs the event loop, so
     # both "engines" of this family are the same run.
     return AutoscalingSimulator(
-        None, service_model=FakeService(),
+        None, service_models=[FakeService()],
         autoscale=AutoscalePolicy(min_replicas=2, max_replicas=4,
                              epoch=0.05),
         policy=BatchingPolicy(max_batch=8, max_wait=0.004),
@@ -314,8 +314,8 @@ def test_superseded_launch_events_still_fire(seed):
     kw = dict(n_replicas=2, policy=BatchingPolicy(max_batch=1,
                                                   max_wait=2e-3),
               max_queue=4, cache_size=16)
-    event = EventLoopSimulator(None, service_model=FakeService(), **kw)
-    fast = ServingSimulator(None, service_model=FakeService(), **kw)
+    event = EventLoopSimulator(None, service_models=[FakeService()], **kw)
+    fast = ServingSimulator(None, service_models=[FakeService()], **kw)
     rate = 1.5 * event.saturation_rate()
     pop = ZipfPopularity(alpha=1.1, n_keys=64)
     ev = event.run(rate, 700, "mmpp", seed=seed, popularity=pop)
@@ -359,7 +359,7 @@ class TestSupportLattice:
                         ModelProfile("b", None)],
                 service_models=[FakeService(), FakeService(0.02, 0.004)],
                 model_mix=ModelMix((0.7, 0.3)), **kw)
-        return cls(None, service_model=FakeService(), **kw)
+        return cls(None, service_models=[FakeService()], **kw)
 
     def test_every_combination_lands_where_claimed(self):
         """... and a traced run on the array core records the event
@@ -413,7 +413,7 @@ class TestSupportLattice:
                         "run.collect"} <= set(prof.totals())
 
     def test_the_event_loop_pin_runs_a_supported_config(self):
-        sim = EventLoopSimulator(None, service_model=FakeService(),
+        sim = EventLoopSimulator(None, service_models=[FakeService()],
                                  n_replicas=2)
         sim.run(100.0, n_requests=50, seed=0)
         assert sim.last_run_engine == "event"
@@ -428,14 +428,14 @@ class TestDeprecatedEngineKeyword:
     @pytest.mark.parametrize("value", ["event", "fast", None])
     def test_anything_but_array_is_refused(self, value):
         with pytest.raises(ValueError, match="engine"):
-            ServingSimulator(None, service_model=FakeService(),
+            ServingSimulator(None, service_models=[FakeService()],
                              **{"engine": value})
 
     @pytest.mark.parametrize("order, expected", [("fifo", "array"),
                                                  ("edf", "event")])
     def test_array_runs_what_the_configuration_implies(self, order,
                                                        expected):
-        sim = ServingSimulator(None, service_model=FakeService(),
+        sim = ServingSimulator(None, service_models=[FakeService()],
                                n_replicas=2, order=order,
                                **{"engine": "array"})
         sim.run(100.0, n_requests=50, seed=0)
@@ -446,7 +446,7 @@ class TestDeprecatedEngineKeyword:
 
 class TestSweeps:
     def test_rate_sweep_matches_the_event_loop(self):
-        sims = [cls(None, service_model=FakeService(), n_replicas=2,
+        sims = [cls(None, service_models=[FakeService()], n_replicas=2,
                     cache_size=8) for cls in SIM.values()]
         reports = [sim.sweep(n_requests=80, seed=1, popularity="zipf")
                    for sim in sims]
@@ -487,13 +487,13 @@ class TestNonFiniteRateIsRejected:
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0])
     def test_run_rejects_on_both_engines(self, engine, rate):
-        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
+        sim = SIM[engine](None, service_models=[FakeService()], n_replicas=2)
         for process in ("uniform", "poisson", "mmpp", MMPP(burst=4.0)):
             with pytest.raises(ValueError, match="positive and finite"):
                 sim.run(rate=rate, n_requests=16, process=process)
 
     def test_sweep_rejects(self, engine):
-        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
+        sim = SIM[engine](None, service_models=[FakeService()], n_replicas=2)
         with pytest.raises(ValueError, match="positive and finite"):
             sim.sweep(rates=[math.nan], n_requests=16)
 
@@ -507,13 +507,13 @@ class TestRequestCountIsChecked:
 
     @pytest.mark.parametrize("n_requests", [2.5, "4", 0, -3, math.nan])
     def test_run_rejects_on_both_engines(self, engine, n_requests):
-        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
+        sim = SIM[engine](None, service_models=[FakeService()], n_replicas=2)
         for process in ("uniform", "poisson", "mmpp"):
             with pytest.raises(ValueError, match="n_requests"):
                 sim.run(rate=10.0, n_requests=n_requests, process=process)
 
     def test_numpy_integer_count_runs(self, engine):
-        sim = SIM[engine](None, service_model=FakeService(), n_replicas=2)
+        sim = SIM[engine](None, service_models=[FakeService()], n_replicas=2)
         for process in ("uniform", "poisson", "mmpp"):
             stats = sim.run(rate=10.0, n_requests=np.int64(3),
                             process=process)
@@ -542,12 +542,12 @@ class TestConstructionRejectsWhatTheEnginesDisagreeOn:
                 continue        # bounded by the autoscale policy instead
             with pytest.raises(ValueError,
                                match=f"{field} .*{re.escape(repr(value))}"):
-                cls(None, service_model=FakeService(), **{field: value})
+                cls(None, service_models=[FakeService()], **{field: value})
 
     @pytest.mark.parametrize("max_batch", [0, 2.5, math.nan])
     def test_max_batch(self, engine, max_batch):
         with pytest.raises(ValueError, match="max_batch"):
-            SIM[engine](None, service_model=FakeService(),
+            SIM[engine](None, service_models=[FakeService()],
                         policy=BatchingPolicy(max_batch=max_batch))
 
     @pytest.mark.parametrize("weight", [0.0, math.inf, math.nan])
@@ -565,7 +565,7 @@ class TestConstructionRejectsWhatTheEnginesDisagreeOn:
     def test_numpy_integer_counts_are_counts(self):
         kw = dict(n_replicas=np.int64(2), max_queue=np.int64(3),
                   policy=BatchingPolicy(max_batch=np.int64(4)))
-        ev, ar = (SIM[e](None, service_model=FakeService(), **kw).run(
+        ev, ar = (SIM[e](None, service_models=[FakeService()], **kw).run(
                       900.0, n_requests=200, process="poisson", seed=1)
                   for e in ("event", "array"))
         assert ev.n_dropped > 0
@@ -663,7 +663,7 @@ class _RandomCase:
                 model_mix=ModelMix(tuple(
                     rng.uniform(0.1, 1.0, n_models).tolist())))
         else:
-            self.kw.update(workload=None, service_model=self.services[0])
+            self.kw.update(workload=None, service_models=[self.services[0]])
         self.load = float(rng.uniform(0.3, 1.6))
         self.n = int(rng.integers(50, 800))
         self.process = str(rng.choice(["uniform", "poisson", "mmpp"]))
@@ -759,7 +759,7 @@ class FakeService:
     def est_request_cost(self, max_batch):
         return self.batch_time(max_batch) / max_batch
 
-sim = ServingSimulator(None, service_model=FakeService(), n_replicas=64,
+sim = ServingSimulator(None, service_models=[FakeService()], n_replicas=64,
                        policy=BatchingPolicy(max_batch=32), max_queue=128)
 stats = sim.run(1.05 * sim.saturation_rate(), n_requests=10_000_000,
                 process="poisson", seed=7)

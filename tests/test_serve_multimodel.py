@@ -129,9 +129,8 @@ class TestModelMix:
 
 class TestModelLanes:
     def test_batches_never_mix_models(self):
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=4, max_wait=1e-3),
-                              None, service_times=[lambda b: 0.01,
-                                                   lambda b: 0.02])
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=4, max_wait=1e-3)] * 2,
+                              [lambda b: 0.01, lambda b: 0.02])
         for i in range(12):
             q.push(i * 1e-4, i, i % 2)
         q.drain()
@@ -141,9 +140,8 @@ class TestModelLanes:
             assert models == {b.model}
 
     def test_per_model_service_curves_apply(self):
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=2, max_wait=0.0),
-                              None, service_times=[lambda b: 0.01,
-                                                   lambda b: 0.07])
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=2, max_wait=0.0)] * 2,
+                              [lambda b: 0.01, lambda b: 0.07])
         q.push(0.0, 0, 0)
         q.push(0.0, 1, 0)     # full model-0 batch: 0.01 s
         q.push(0.0, 2, 1)
@@ -157,9 +155,8 @@ class TestModelLanes:
         """Launch order across lanes is by launch instant: the shared
         free_at timeline means one replica never runs two models at
         once."""
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=8, max_wait=0.0),
-                              None, service_times=[lambda b: 0.05,
-                                                   lambda b: 0.05])
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=8, max_wait=0.0)] * 2,
+                              [lambda b: 0.05, lambda b: 0.05])
         t = 0.0
         for i in range(40):
             q.push(t, i, i % 2)
@@ -169,8 +166,8 @@ class TestModelLanes:
             assert b.start >= a.completion - 1e-12
 
     def test_evict_queued_reports_models(self):
-        q = ReplicaBatchQueue(BatchingPolicy(max_batch=8, max_wait=10.0),
-                              None, service_times=[lambda b: 0.01] * 2)
+        q = ReplicaBatchQueue([BatchingPolicy(max_batch=8, max_wait=10.0)] * 2,
+                              [lambda b: 0.01] * 2)
         q.push(0.0, 0, 0)
         q.push(0.001, 1, 1)
         q.push(0.002, 2, 0)
@@ -179,21 +176,19 @@ class TestModelLanes:
                                                        (2, 0)]
 
     def test_unknown_model_index_refused(self):
-        q = ReplicaBatchQueue(BatchingPolicy(), None,
-                              service_times=[lambda b: 0.01])
+        q = ReplicaBatchQueue([BatchingPolicy()], [lambda b: 0.01])
         with pytest.raises(ValueError, match="model index"):
             q.push(0.0, 0, 1)
 
     def test_model_outside_the_fleet_refused_before_counting(self):
         # a single-model queue has one lane too: "model 3" is not served
         # on its one service curve
-        q = ReplicaBatchQueue(BatchingPolicy(), lambda b: 0.01)
+        q = ReplicaBatchQueue([BatchingPolicy()], [lambda b: 0.01])
         with pytest.raises(ValueError, match="model index"):
             q.push(0.0, 0, 3)
         assert not q.lanes
-        one = Router(None, 1, BatchingPolicy(), lambda b: 0.01)
-        two = Router(None, 2, BatchingPolicy(), None,
-                     service_times=[lambda b: 0.01] * 2)
+        one = Router(None, 1, [BatchingPolicy()], [lambda b: 0.01])
+        two = Router(None, 2, [BatchingPolicy()] * 2, [lambda b: 0.01] * 2)
         for router, bad in ((one, 1), (one, -1), (two, 2), (two, -1)):
             with pytest.raises(ValueError, match="model index"):
                 router.submit(0.0, 0, bad)
@@ -214,9 +209,9 @@ class TestWeightedAdmission:
             models=[ModelProfile(f"m{i}", None, weight=w)
                     for i, w in enumerate(weights)],
             service_models=[svc] * len(weights), max_queue=max_queue)
-        return Router(None, 1, BatchingPolicy(max_batch=4, max_wait=1e-3),
-                      svc.batch_time, limits=sim.admission_limits(),
-                      service_times=[svc.batch_time, svc.batch_time])
+        return Router(None, 1,
+                      [BatchingPolicy(max_batch=4, max_wait=1e-3)] * 2,
+                      [svc.batch_time] * 2, limits=sim.admission_limits())
 
     def test_low_weight_model_shed_first(self):
         r = self._router([1.0, 0.25], max_queue=8)
@@ -254,9 +249,8 @@ class TestMultiModelFleetChanges:
     def _router(self, n_replicas=2):
         s0, s1 = FakeService(), FakeService(0.009, 0.002)
         return Router(None, n_replicas,
-                      BatchingPolicy(max_batch=4, max_wait=1e-3),
-                      s0.batch_time,
-                      service_times=[s0.batch_time, s1.batch_time])
+                      [BatchingPolicy(max_batch=4, max_wait=1e-3)] * 2,
+                      [s0.batch_time, s1.batch_time])
 
     @staticmethod
     def _served(r):
@@ -314,7 +308,7 @@ class TestSingleModelDifferential:
     def _pair(self, engine, policy, n_replicas, **kw):
         # the event loop pinned, or the engine the configuration implies
         cls = EventLoopSimulator if engine == "event" else ServingSimulator
-        classic = cls(None, service_model=FakeService(),
+        classic = cls(None, service_models=[FakeService()],
                       n_replicas=n_replicas, policy=policy, **kw)
         multi = cls(models=[ModelProfile("only", None)],
                     service_models=[FakeService()],
@@ -423,7 +417,7 @@ class TestSingleModelDifferential:
         events = [FailureEvent(time=0.4, node_id=0, kind="fail")]
         # the autoscaler has no engine keyword: it runs the event loop
         kw = dict(autoscale=cfg, policy=policy, failure_events=events)
-        classic = AutoscalingSimulator(None, service_model=FakeService(),
+        classic = AutoscalingSimulator(None, service_models=[FakeService()],
                                        **kw)
         multi = AutoscalingSimulator(models=[ModelProfile("only", None)],
                                      service_models=[FakeService()], **kw)
@@ -500,7 +494,7 @@ class TestPerModelConservation:
 class TestCoalescing:
     def _sim(self, coalesce, cache_size=8, n_replicas=1):
         return ServingSimulator(
-            None, service_model=FakeService(base=0.02),
+            None, service_models=[FakeService(base=0.02)],
             n_replicas=n_replicas, cache_size=cache_size,
             policy=BatchingPolicy(max_batch=4, max_wait=1e-3),
             coalesce=coalesce)
@@ -524,7 +518,7 @@ class TestCoalescing:
 
     def test_follower_completes_at_leader_finish_plus_rtt(self):
         svc = FakeService(base=0.05, per=0.0, rtt=1e-3)
-        sim = ServingSimulator(None, service_model=svc, n_replicas=1,
+        sim = ServingSimulator(None, service_models=[svc], n_replicas=1,
                                cache_size=4,
                                policy=BatchingPolicy(max_batch=1,
                                                      max_wait=0.0),
@@ -543,7 +537,7 @@ class TestCoalescing:
     def test_coalesce_off_is_default_and_identical(self):
         a = self._sim(False).run(1500.0, n_requests=800, seed=3,
                                  popularity="zipf")
-        b = ServingSimulator(None, service_model=FakeService(base=0.02),
+        b = ServingSimulator(None, service_models=[FakeService(base=0.02)],
                              n_replicas=1, cache_size=8,
                              policy=BatchingPolicy(max_batch=4,
                                                    max_wait=1e-3)).run(
@@ -556,7 +550,7 @@ class TestCoalescing:
         cfg = AutoscalePolicy(min_replicas=1, max_replicas=1, epoch=10.0)
         from repro.serve import UniformPopularity
         sim = AutoscalingSimulator(
-            None, service_model=svc, autoscale=cfg, cache_size=4,
+            None, service_models=[svc], autoscale=cfg, cache_size=4,
             policy=BatchingPolicy(max_batch=1, max_wait=0.0),
             coalesce=True,
             failure_events=[FailureEvent(time=0.3, node_id=0,
@@ -591,7 +585,7 @@ class TestCoalescing:
         negative (completion far in the past of the arrival)."""
         from repro.serve import UniformPopularity
         svc = FakeService(base=0.01, per=0.0, rtt=1e-4)
-        sim = ServingSimulator(None, service_model=svc, n_replicas=1,
+        sim = ServingSimulator(None, service_models=[svc], n_replicas=1,
                                cache_size=4,
                                policy=BatchingPolicy(max_batch=1,
                                                      max_wait=0.0),
@@ -612,7 +606,7 @@ class TestCoalescing:
         svc = FakeService(base=0.45, per=0.0, rtt=1e-3)
         cfg = AutoscalePolicy(min_replicas=2, max_replicas=2, epoch=50.0)
         sim = AutoscalingSimulator(
-            None, service_model=svc, autoscale=cfg, n_replicas=2,
+            None, service_models=[svc], autoscale=cfg, n_replicas=2,
             cache_size=0, coalesce=True,
             policy=BatchingPolicy(max_batch=1, max_wait=0.0),
             failure_events=[FailureEvent(time=0.15, node_id=0,

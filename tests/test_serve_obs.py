@@ -245,6 +245,19 @@ class TestTracer:
         assert tl == [e for e in tr.events if e.request_id == 5
                       or 5 in e.data.get("request_ids", ())]
 
+    def test_outcome_columns_keep_the_records_dtypes(self):
+        """A record-only tracer keeps three bytes per request (int8 model
+        and outcome, bool arrived): an empty int64 placeholder for loose
+        requests used to upcast both int8 columns."""
+        arrivals = np.arange(4) * 0.1
+        run = _record(arrivals, [(0, 0.1, 0.2, (0, 1, 2, 3))])
+        tr = Tracer()
+        tr.add_record(run, arrivals)
+        assert tr.counts()["replica_completions"] == 4
+        assert tr.models() == [0]
+        assert [c.dtype for c in tr._requests()] == [np.int8, np.int8,
+                                                     bool]
+
     def test_clear_resets(self):
         tr = Tracer()
         tr.emit("arrival", 0.0, request_id=0, model=0)
@@ -331,7 +344,8 @@ class TestReconcile:
         assert reg.total("serve_requests_shed_total") == stats.n_dropped
 
     def test_reconcile_raises_on_divergence(self):
-        sim = ServingSimulator(None, n_replicas=2, service_model=FakeService(),
+        sim = ServingSimulator(None, n_replicas=2,
+                               service_models=[FakeService()],
                                policy=BatchingPolicy(max_batch=4))
         tr = Tracer()
         stats = sim.run(100.0, n_requests=200, seed=0, tracer=tr)
@@ -503,7 +517,7 @@ class TestProfiler:
         """The router and cache spans time the event loop's hot path."""
         prof = Profiler()
         sim = EventLoopSimulator(None, n_replicas=2,
-                                 service_model=FakeService(),
+                                 service_models=[FakeService()],
                                  policy=BatchingPolicy(max_batch=8),
                                  cache_size=16)
         sim.run(200.0, n_requests=500, seed=3, popularity="zipf",

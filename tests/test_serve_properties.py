@@ -265,13 +265,13 @@ def _queues(case, order, n):
     scale = [1.0]
     policies = [BatchingPolicy(max_batch=m + 1, max_wait=2e-3 * m,
                                mode="continuous" if m == 1 else "windowed")
-                for m in range(n_lanes)] if per_model else None
+                for m in range(n_lanes)] if per_model else [
+        BatchingPolicy(max_batch=max_batch, max_wait=max_wait)] * n_lanes
     return [ReplicaBatchQueue(
-        BatchingPolicy(max_batch=max_batch, max_wait=max_wait), None,
-        service_times=[(lambda b, m=m:
-                        scale[0] * (2e-3 * (m + 1) + 1e-3 * b))
-                       for m in range(n_lanes)],
-        policies=policies, order=order, slos=[0.05, 0.02, 0.09][:n_lanes])
+        policies,
+        [(lambda b, m=m: scale[0] * (2e-3 * (m + 1) + 1e-3 * b))
+         for m in range(n_lanes)],
+        slos=None if order == "fifo" else [0.05, 0.02, 0.09][:n_lanes])
         for _ in range(n)], scale
 
 
@@ -380,17 +380,16 @@ def test_published_load_is_never_stale(data):
     costs = [1e-3, 7e-3]
     router = Router(
         None, data.draw(st.integers(1, 3)),
-        BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
-                       max_wait=data.draw(st.sampled_from(
-                           [0.0, 2e-3, math.inf]))),
-        None,
-        service_times=[(lambda b, c=c: 1e-3 + c * b) for c in costs],
+        [BatchingPolicy(max_batch=data.draw(st.integers(1, 4)),
+                        max_wait=data.draw(st.sampled_from(
+                            [0.0, 2e-3, math.inf])))] * 2,
+        [(lambda b, c=c: 1e-3 + c * b) for c in costs],
         model_costs=costs,
         limits=data.draw(st.one_of(st.none(), st.lists(
             st.sampled_from([1e-3, 0.008, 0.02]), min_size=2,
             max_size=2))),
-        order=data.draw(st.sampled_from(LAUNCH_ORDERS)),
-        model_slos=[0.01, 0.05])
+        # fifo, or edf on these SLOs
+        model_slos=data.draw(st.sampled_from([None, [0.01, 0.05]])))
     t = 0.0
     steps = data.draw(st.lists(st.tuples(
         st.sampled_from(["submit"] * 8 + ["sync", "add", "remove", "fail",
@@ -537,7 +536,7 @@ def _whole_runs(draw):
             order=draw(st.sampled_from(LAUNCH_ORDERS)),
             cost_aware=draw(st.booleans()))
     else:
-        kw.update(workload=None, service_model=_SVC)
+        kw.update(workload=None, service_models=[_SVC])
     if draw(st.booleans()):
         kw.update(cache_size=draw(st.sampled_from([0, 8])),
                   coalesce=draw(st.booleans()))
@@ -571,7 +570,7 @@ def _whole_runs(draw):
 _LATE_COMMITS = [
     (AutoscalingSimulator,
      dict(policy=BatchingPolicy(max_batch=1, max_wait=0.0), max_queue=None,
-          workload=None, service_model=_SVC,
+          workload=None, service_models=[_SVC],
           autoscale=AutoscalePolicy(min_replicas=1, max_replicas=1,
                                     epoch=0.05, cooldown_epochs=0),
           failure_events=[FailureEvent(0.11, 0, "degrade", 2.0)]),
@@ -579,7 +578,7 @@ _LATE_COMMITS = [
           popularity=None)),
     (EventLoopSimulator,
      dict(policy=BatchingPolicy(max_batch=1, max_wait=2e-3), max_queue=4,
-          workload=None, service_model=_SVC, n_replicas=2, cache_size=16),
+          workload=None, service_models=[_SVC], n_replicas=2, cache_size=16),
      dict(rate=600.0, n_requests=700, seed=4, process="mmpp",
           popularity=ZipfPopularity(alpha=1.1, n_keys=64))),
 ]
@@ -700,7 +699,7 @@ def _array_runs(draw):
             model_mix=ModelMix(tuple(draw(st.floats(0.1, 1.0))
                                      for _ in range(n_models))))
     else:
-        kw.update(workload=None, service_model=_SVC)
+        kw.update(workload=None, service_models=[_SVC])
     run = dict(n_requests=draw(st.integers(1, 120)),
                seed=draw(st.integers(0, 2**16)),
                process=draw(st.sampled_from(["uniform", "poisson", "mmpp"])),
@@ -825,13 +824,13 @@ def test_an_arrival_is_one_router_call(case):
         run = dict(rate=0.9 * sim.saturation_rate(), process="poisson")
     elif case == "autoscale":
         sim = AutoscalingSimulator(
-            workload=None, service_model=_SVC, policy=policy, max_queue=16,
+            workload=None, service_models=[_SVC], policy=policy, max_queue=16,
             autoscale=AutoscalePolicy(min_replicas=1, max_replicas=3,
                                       epoch=0.01, cooldown_epochs=0),
             failure_events=[FailureEvent(0.5, 0, "fail")])
         run = dict(rate=3.0 * _SVC.peak_throughput(4), process="mmpp")
     else:
-        sim = EventLoopSimulator(workload=None, service_model=_SVC,
+        sim = EventLoopSimulator(workload=None, service_models=[_SVC],
                                  policy=policy, n_replicas=2, cache_size=16)
         run = dict(rate=_SVC.peak_throughput(4), process="poisson",
                    popularity=ZipfPopularity(alpha=1.1, n_keys=64))

@@ -104,7 +104,7 @@ def coalesce_fixed_fleet(tracer=None):
 def autoscale_fail_degrade_repair(tracer=None):
     """One model, bursty traffic, a death, a slowdown and its repair."""
     sim = AutoscalingSimulator(
-        None, service_model=FakeService(0.003, 5e-4),
+        None, service_models=[FakeService(0.003, 5e-4)],
         autoscale=AutoscalePolicy(min_replicas=1, max_replicas=6,
                                   epoch=0.04, step_out=2,
                                   cooldown_epochs=0),
@@ -264,7 +264,7 @@ def test_the_array_core_never_runs_them():
 
 def plain_with_sheds(tracer=None):
     """One model on a fixed fleet, overloaded on a short queue."""
-    sim = ServingSimulator(None, service_model=FakeService(), n_replicas=3,
+    sim = ServingSimulator(None, service_models=[FakeService()], n_replicas=3,
                            policy=BatchingPolicy(max_batch=8, max_wait=2e-3),
                            max_queue=8)
     stats = sim.run(1.5 * sim.saturation_rate(), n_requests=3000,
@@ -287,7 +287,7 @@ def two_models_cost_aware_edf(tracer=None):
 def cached_with_evictions(tracer=None):
     """A cached fixed fleet whose 16 entries are far fewer than its 128
     keys, so hits and evictions interleave."""
-    sim = ServingSimulator(None, service_model=FakeService(), n_replicas=2,
+    sim = ServingSimulator(None, service_models=[FakeService()], n_replicas=2,
                            policy=BatchingPolicy(max_batch=8, max_wait=2e-3),
                            max_queue=32, cache_size=16)
     stats = sim.run(1.2 * sim.saturation_rate(), n_requests=2000,
