@@ -33,7 +33,7 @@ differential test in ``tests/test_autoscale_properties.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -49,10 +49,10 @@ from repro.serve.metrics import (
     ScaleReason,
 )
 from repro.serve.router import Router
-from repro.serve.slo_sim import ServingSimulator, _require_slo
+from repro.serve.slo_sim import ServingSimulator, _require_slo, _Run
 from repro.serve.arrivals import PopularityLike, ProcessLike
 from repro.sim.workload import Workload
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,13 @@ class AutoscalingSimulator(ServingSimulator):
     ``scale_events``, and ``mean_replicas`` (time-averaged fleet over the
     arrival span — the controlled window), so every latency is attributable
     to the fleet that produced it.
+
+    Like the base simulator's, a run's state is its run value
+    (``slo_sim._Run``): :meth:`run` puts the SLOs the epochs judge by on
+    it, ``_drive`` the doomed floors, the batch cursors ``_observe``
+    resumes from and the results ``_collect`` reads. A
+    :class:`FailureModel` draws each run's events from the model's seed
+    and the run's, so the same seeded run replays the same failures.
     """
 
     def __init__(self, workload: Optional[Workload] = None,
@@ -296,18 +303,10 @@ class AutoscalingSimulator(ServingSimulator):
         ``slo`` or per-model default); an explicit ``slo`` here overrides
         every model with one uniform target. The controller reacts to the
         worst per-model attainment."""
-        explicit = slo is not None
-        self._run_slo = (_require_slo(slo) if explicit
-                         else self.default_slo())
-        self._run_slos = ([self._run_slo] * len(self.services) if explicit
-                          else self.model_slos())
-        try:
-            return super().run(rate, n_requests=n_requests, process=process,
-                               seed=seed, popularity=popularity,
-                               tracer=tracer, profiler=profiler)
-        finally:
-            del self._run_slo
-            del self._run_slos
+        slos = ([_require_slo(slo)] * len(self.services) if slo is not None
+                else self.model_slos())
+        return self._serve(_Run(tracer, profiler, slos), rate, n_requests,
+                           process, seed, popularity)
 
     def _run_point(self, rate: float, n_requests: int, process: ProcessLike,
                    seed: SeedLike, slo: float,
@@ -322,8 +321,8 @@ class AutoscalingSimulator(ServingSimulator):
                         popularity=popularity)
 
     # -- the control loop -----------------------------------------------------
-    def _failure_schedule(self, t0: float,
-                          t_end: float) -> List[FailureEvent]:
+    def _failure_schedule(self, t0: float, t_end: float,
+                          seed: SeedLike) -> List[FailureEvent]:
         """Failure events inside the controlled window, time-ordered —
         all kinds: ``"fail"`` (fail-stop node death), ``"degrade"`` (the
         node slows by ``slow_factor`` but keeps serving), and ``"repair"``
@@ -332,24 +331,33 @@ class AutoscalingSimulator(ServingSimulator):
         Only the arrival span is exposed to failures: once the stream ends
         there is no controller awake to repair, so a post-stream death
         would just punch an unattributable hole in the drain.
+
+        A :class:`FailureModel` draws each run's events afresh from the
+        model's seed and the run's ``seed`` (its child stream 3: arrivals
+        use the seed itself, content ids child 1, model ids child 2), so
+        the same ``run(seed=s)`` replays its failures and two model seeds
+        still differ; an unseeded model stays unseeded.
         """
         if self.failure_events is not None:
             return [e for e in self.failure_events
                     if t0 < e.time <= t_end]
         if self.failures is not None:
+            streams = (spawn_rngs(self.failures.seed, 1)[0],
+                       spawn_rngs(seed if seed is not None else 0, 4)[3])
+            model = replace(self.failures, seed=np.random.default_rng(
+                [int(g.integers(2**63)) for g in streams]))
             return [FailureEvent(e.time + t0, e.node_id, e.kind,
                                  e.slow_factor)
-                    for e in self.failures.sample_events(
+                    for e in model.sample_events(
                         self.autoscale.max_replicas, t_end - t0)]
         return []
 
-    def _observe(self, router: Router, arrivals: List[float],
-                 cursors: dict, n_arrived: int, t_start: float,
-                 t_end: float, index: int, slos: List[float],
-                 rtts: List[float], floors: List[float], n_shed: int,
+    def _observe(self, router: Router, run: _Run, n_arrived: int,
+                 t_start: float, t_end: float, index: int, n_shed: int,
                  shed_by_model: List[int],
                  n_repaired: int = 0) -> EpochRecord:
-        """One causal epoch observation.
+        """One causal epoch observation of the run ``run``, judged by its
+        ``slos``, ``rtts`` and doomed ``floors``.
 
         Completions whose (virtual) completion time falls inside the window
         are judged against the SLO directly. On top of those, two kinds of
@@ -395,17 +403,20 @@ class AutoscalingSimulator(ServingSimulator):
         signals the controller's worst-case rule consumes.
 
         The batch lists and lanes are the only record read, and an epoch
-        costs what is outstanding, not what the run has seen. ``cursors``
-        (replica index -> [launch, completion] positions) resume each
-        batch list where the last epoch stopped: a replica launches and,
-        each launch waiting for ``free_at``, completes in list order, so
-        all past the completion cursor is in service at ``t_end`` (a
-        death cuts a list to a prefix). The rest sits in live lanes (a
-        drain re-routes them, a death loses them: a lost request stops
-        counting), judged by ``arrivals[rid]`` (a re-routed entry's lane
-        time is the drain instant). ``n_arrived`` is the drive loop's
-        count of admissions since the last control instant.
+        costs what is outstanding, not what the run has seen. The run's
+        ``cursors`` (replica index -> [launch, completion] positions)
+        resume each batch list where the last epoch stopped: a replica
+        launches and, each launch waiting for ``free_at``, completes in
+        list order, so all past the completion cursor is in service at
+        ``t_end`` (a death cuts a list to a prefix). The rest sits in live
+        lanes (a drain re-routes them, a death loses them: a lost request
+        stops counting), judged by its arrival time ``run.ts[rid]`` (a
+        re-routed entry's lane time is the drain instant). ``n_arrived``
+        is the drive loop's count of admissions since the last control
+        instant.
         """
+        arrivals, cursors = run.ts, run.cursors
+        slos, rtts, floors = run.slos, run.rtts, run.floors
         n_degraded = 0
         slow_min = math.inf
         for r in router.replicas:
@@ -515,26 +526,28 @@ class AutoscalingSimulator(ServingSimulator):
                            n_degraded=n_degraded,
                            n_repaired=n_repaired)
 
-    def _drive(self, arrivals: np.ndarray, router: Router) -> None:
+    def _drive(self, run: _Run, router: Router) -> None:
         # The control loop is object-event only: fleets change size, so
         # the flat array core (fixed-fleet by construction) never applies.
+        # Its results go on the run, for _collect.
         self.last_run_engine = "event"
-        slo, slos = self._run_slo, self._run_slos
         cfg = self.autoscale
-        epoch_s = cfg.epoch if cfg.epoch is not None else 2.0 * slo
-        tracer = self._tracer
+        # two windows of the run's aggregate SLO, the loosest model's
+        epoch_s = cfg.epoch if cfg.epoch is not None else 2.0 * max(run.slos)
+        tracer = run.tracer
         controller = Autoscaler(cfg, initial=router.n_replicas,
                                 tracer=tracer)
-        rtts = self._request_rtts()
         # Doomed-request floors come from the service-cost API: no
         # scheduler can answer below a batch-of-one service time plus
         # transport, whatever the launch order or admission unit.
-        floors = self.services.min_request_seconds(rtts)
-        n_models = len(slos)
+        run.floors = self.services.min_request_seconds(run.rtts)
+        n_models = len(run.slos)
+        arrivals = run.arrivals
         t0, t_end = float(arrivals[0]), float(arrivals[-1])
-        failures = self._failure_schedule(t0, t_end)
+        failures = self._failure_schedule(t0, t_end, run.seed)
         epochs: List[EpochRecord] = []
         events: List[ScaleEvent] = []
+        run.epochs, run.scale_events = epochs, events
         # Time-integral of the fleet size, for mean_replicas.
         area, mark = 0.0, t0
 
@@ -547,10 +560,8 @@ class AutoscalingSimulator(ServingSimulator):
         next_epoch = t0 + epoch_s
         prev_epoch_t = t0
         shed_mark = 0
-        mids = self._mids
+        mids = run.mids
         repaired_in_epoch = 0
-        # what _observe carries from one epoch to the next (see there)
-        cursors: dict = {}
         n_admitted = 0
 
         def record(t: float, action: str, delta: int, reason: ScaleReason,
@@ -578,9 +589,8 @@ class AutoscalingSimulator(ServingSimulator):
             shed_by_model = [0] * n_models
             for rid in shed:
                 shed_by_model[0 if mids is None else mids[rid]] += 1
-            rec = self._observe(router, ts, cursors, n_admitted,
-                                prev_epoch_t, t, epoch_idx, slos, rtts,
-                                floors, len(shed), shed_by_model,
+            rec = self._observe(router, run, n_admitted, prev_epoch_t, t,
+                                epoch_idx, len(shed), shed_by_model,
                                 n_repaired=repaired_in_epoch)
             repaired_in_epoch = n_admitted = 0
             if tracer is not None:
@@ -650,13 +660,13 @@ class AutoscalingSimulator(ServingSimulator):
                 detail=f"node {dead.node_id} died, {lost} requests lost"),
                 node_id=dead.node_id, lost=lost)
 
-        if self._prof is not None:
-            close_epoch = self._prof.wrap("autoscale.close_epoch",
-                                          close_epoch)
-            apply_failure = self._prof.wrap("autoscale.apply_failure",
-                                            apply_failure)
+        if run.prof is not None:
+            close_epoch = run.prof.wrap("autoscale.close_epoch",
+                                        close_epoch)
+            apply_failure = run.prof.wrap("autoscale.apply_failure",
+                                          apply_failure)
 
-        ts, stream, serve = self._feed(router, arrivals)
+        run.ts, stream, serve = self._feed(run, router)
         t_fail = failures[0].time if failures else math.inf
         next_control = min(t_fail, next_epoch)
         for t, i, model in stream:
@@ -677,24 +687,12 @@ class AutoscalingSimulator(ServingSimulator):
                 n_admitted += 1
         advance_area(t_end)
         span = t_end - t0
-        # run()/collect handoff: ServingSimulator.run calls _drive then
-        # _collect on the same router; the epoch records, scale events,
-        # and fleet-size time average accumulated here have nowhere to go
-        # through _drive's (None) return, so they ride this attribute for
-        # exactly the window between the two calls. _collect consumes and
-        # deletes it, so a stale accumulation can never leak into a later
-        # run. (Named _epoch_accum — NOT _trace — to keep it unconfusable
-        # with the per-request obs tracer threaded through the same runs.)
-        self._epoch_accum = (
-            epochs, events,
-            area / span if span > 0 else float(router.n_replicas))
+        run.mean_replicas = (area / span if span > 0
+                             else float(router.n_replicas))
 
-    def _collect(self, arrivals: np.ndarray,
-                 router: Router) -> LatencyStats:
-        stats = super()._collect(arrivals, router)
-        epochs, events, mean_replicas = self._epoch_accum
-        del self._epoch_accum
-        stats.epochs = epochs
-        stats.scale_events = events
-        stats.mean_replicas = mean_replicas
+    def _collect(self, run: _Run, record) -> LatencyStats:
+        stats = super()._collect(run, record)
+        stats.epochs = run.epochs
+        stats.scale_events = run.scale_events
+        stats.mean_replicas = run.mean_replicas
         return stats

@@ -36,7 +36,10 @@ The event engine ends in the same record (``ServingSimulator._record``
 fills it after the drain from the router's ledgers), so :func:`collect`
 is the only code that turns a run into
 :class:`~repro.serve.metrics.LatencyStats` — about fifteen vectorized
-calls, no per-request Python loop on either engine.
+calls, no per-request Python loop on either engine. :func:`drive` and
+:func:`collect` read the simulator's per-run value (arrival times, model
+and content ids, transport times) and its public configuration, nothing
+the simulator keeps privately.
 
 **Equivalence, not approximation.** Every float produced here is computed
 by the same IEEE-754 operations in the same order as the event loop:
@@ -171,28 +174,28 @@ class FastRun:
     aborted: Optional[np.ndarray] = None
 
 
-def drive(sim, arrivals: np.ndarray) -> FastRun:
+def drive(sim, run) -> FastRun:
     """Run one supported-class arrival stream through the array core.
 
-    Builds the per-model tables :func:`_drive` reads — batch sizes,
-    launch waits, service times — from the simulator's per-model lists,
-    one entry per model (a single-model run is the one-lane case, not a
-    different code path), and takes the admission limits the router gets,
-    :meth:`~repro.serve.slo_sim.ServingSimulator.admission_limits`.
+    ``run`` (``slo_sim._Run``) gives the arrival times and each request's
+    model and content ids. The simulator's public configuration gives the
+    per-model tables :func:`_drive` reads — batch sizes, launch waits,
+    service times, one entry per model (a single-model run is the
+    one-lane case) — and the router's admission limits
+    (:meth:`~repro.serve.slo_sim.ServingSimulator.admission_limits`).
     Service tables come from the same memoized ``batch_time`` calls the
     replica queues use, so every float matches the event loop's.
     """
-    pols = sim._policies
+    M = len(sim.services)
+    pols = sim.model_policies() or [sim.policy] * M
     Bs = [p.max_batch for p in pols]
     waits = [p.launch_wait for p in pols]
     svcs = [[0.0] + [fn(b) for b in range(1, B + 1)]
             for fn, B in zip(sim.services.batch_time_fns(), Bs)]
-    cstate = sim._cstate
+    arrivals = run.arrivals
     return _drive(np.asarray(arrivals, dtype=np.float64), sim.n_replicas,
-                  len(pols), Bs, waits, svcs, sim.admission_limits(),
-                  sim._mids, int(arrivals.size),
-                  None if cstate is None else cstate.contents,
-                  sim.cache_size)
+                  M, Bs, waits, svcs, sim.admission_limits(), run.mids,
+                  int(arrivals.size), run.contents, sim.cache_size)
 
 
 def _np_of(buf: array, dtype) -> np.ndarray:
@@ -206,33 +209,36 @@ def _count(mask: Optional[np.ndarray]) -> int:
     return 0 if mask is None else int(np.count_nonzero(mask))
 
 
-def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
+def collect(sim, run, record: FastRun) -> LatencyStats:
     """Assemble :class:`LatencyStats` from either engine's
-    :class:`FastRun`: latencies in request-id order as ``(completion -
-    arrival) + rtt`` (the rtt of each request's own model on multi-model
-    runs; a cache hit's completion is its arrival, so its latency is
-    exactly the transport rtt), horizon from the last completion plus the
-    largest rtt, batch sizes stable-sorted by ``(start, completion)`` like
-    ``sorted()`` over the replicas' batch lists, and per-model slices
-    judged with each model's own rtt and SLO.
+    :class:`FastRun`, ``record``, of the run ``run`` (its arrival times,
+    model ids and per-model transport times): latencies in request-id
+    order as ``(completion - arrival) + rtt`` (the rtt of each request's
+    own model on multi-model runs; a cache hit's completion is its
+    arrival, so its latency is exactly the transport rtt), horizon from
+    the last completion plus the largest rtt, batch sizes stable-sorted by
+    ``(start, completion)`` like ``sorted()`` over the replicas' batch
+    lists, and per-model slices judged with each model's own rtt and SLO.
+    A request lost to a node death (a stranded follower too) has no
+    completion: it counts in ``n_failed`` and ``n_offered``, not in the
+    latency sample.
 
     A request that was neither answered, shed nor lost to a failure is a
     scheduler bug: ``KeyError`` names the first such id rather than
     silently shrinking the sample."""
-    ct = run.complete_t
+    ct = record.complete_t
     done = ~np.isnan(ct)
     n_done = int(np.count_nonzero(done))
-    n_dropped, n_failed = _count(run.shed), _count(run.failed)
+    n_dropped, n_failed = _count(record.shed), _count(record.failed)
     # live followers: a stranded one is in ``failed``
-    coalesced = (None if run.leader is None
-                 else (run.leader >= 0) & ~run.failed)
+    coalesced = (None if record.leader is None
+                 else (record.leader >= 0) & ~record.failed)
     if n_done + n_dropped + n_failed != ct.size:
-        stray = ~(done | run.shed)
-        if run.failed is not None:
-            stray &= ~run.failed
+        stray = ~(done | record.shed)
+        if record.failed is not None:
+            stray &= ~record.failed
         raise KeyError(int(np.flatnonzero(stray)[0]))
-    rtts = sim._request_rtts()
-    mids = sim._mids_np
+    arrivals, rtts, mids = run.arrivals, run.rtts, run.mids_np
     # (completion - arrival) + rtt, in place: the record is still held
     latencies = ct[done]
     horizon = 0.0
@@ -243,9 +249,9 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
         latencies += rtts[0]
     else:
         latencies += np.asarray(rtts, dtype=np.float64)[mids[done]]
-    bstart, bcomp, bsize = run.bstart, run.bcomp, run.bsize
-    if run.aborted is not None:
-        kept = ~run.aborted
+    bstart, bcomp, bsize = record.bstart, record.bcomp, record.bsize
+    if record.aborted is not None:
+        kept = ~record.aborted
         bstart, bcomp, bsize = bstart[kept], bcomp[kept], bsize[kept]
     # np.lexsort is stable per key, so ties on (start, completion) keep
     # replica order — the order sorted() leaves a batch list in.
@@ -253,7 +259,7 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
     stats = LatencyStats(latencies=latencies, n_offered=int(ct.size),
                          n_dropped=n_dropped, horizon=horizon,
                          batch_sizes=bsize[order], n_failed=n_failed,
-                         n_cache_hits=_count(run.hit),
+                         n_cache_hits=_count(record.hit),
                          n_coalesced=_count(coalesced))
     if sim.models is not None:
         M = len(sim.models)
@@ -267,7 +273,7 @@ def collect(sim, run: FastRun, arrivals: np.ndarray) -> LatencyStats:
 
         offered = np.bincount(mids, minlength=M).tolist()
         dropped, failed, hits, coalesced = map(
-            per_model, (run.shed, run.failed, run.hit, coalesced))
+            per_model, (record.shed, record.failed, record.hit, coalesced))
         md = mids[done]
         slos = sim.model_slos()
         stats.models = [PerModelStats(

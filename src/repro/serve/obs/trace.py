@@ -361,7 +361,24 @@ class Tracer:
         """Every event concerning one request, in canonical order,
         including the launch (and abort) of any batch the request rode.
         Read off the record's columns: no other request's events are
-        materialized."""
+        materialized.
+
+        Every run numbers its requests from 0, so on a tracer of several
+        runs an id may name a different request in each: such an id is
+        refused (``ValueError`` naming the runs, counted from 0 in the
+        order this tracer saw them) rather than interleaving them."""
+        runs, run = [], -1
+        for t, kind, r, rep, m, d in self._raw:
+            run += kind == "run_start"
+            held = (0 <= request_id < d.arrivals.size if kind == "_record"
+                    else r == request_id)
+            if held and run not in runs:
+                runs.append(run)
+        if len(runs) > 1:
+            raise ValueError(
+                f"request id {request_id} is held by runs "
+                f"{', '.join(map(str, runs))} of this tracer: give each "
+                f"run its own Tracer to follow one request")
         return [ev for _, ev in self._keyed(request_id)]
 
     # -- lifecycle accounting -------------------------------------------------

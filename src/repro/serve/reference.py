@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.serve.latency import ServiceTimeModel
 from repro.serve.router import ReplicaHandle, Router
 from repro.serve.slo_sim import ServingSimulator
@@ -134,14 +132,15 @@ class LinearServingSimulator(ServingSimulator):
                 dispatch_overhead=self.service.dispatch_overhead,
                 response_bytes=self.service.response_bytes)
 
-    def _make_router(self, on_commit=None) -> Router:
+    def _make_router(self, on_commit=None, tracer=None) -> Router:
         return LinearRouter(self.machine, self.n_replicas, [self.policy],
                             [self.service.batch_time],
                             limits=self.admission_limits(),
                             on_commit=on_commit)
 
-    def _drive(self, arrivals: np.ndarray, router: Router) -> None:
-        for i, t in enumerate(arrivals):   # pre-PR: np scalars, float() each
+    def _drive(self, run, router: Router) -> None:
+        # pre-PR: np scalars, float() each
+        for i, t in enumerate(run.arrivals):
             router.submit(float(t), i)
 
 
@@ -157,11 +156,7 @@ class LinearAutoscalingSimulator(AutoscalingSimulator):
                 "the reference simulator predates multi-model serving "
                 "and request coalescing; run it single-model")
 
-    def _make_router(self, on_commit=None) -> Router:
-        return LinearRouter(self.machine, self.n_replicas, [self.policy],
-                            [self.service.batch_time],
-                            limits=self.admission_limits(),
-                            on_commit=on_commit)
+    _make_router = LinearServingSimulator._make_router
 
 
 class EventLoopSimulator(ServingSimulator):

@@ -88,23 +88,38 @@ def _require_slo(slo) -> float:
     return float(slo)
 
 
-class _CacheRun:
-    """Per-run cache state: the cache itself, each request's content id,
-    the fill events (batch completions waiting to become cache entries),
-    which requests were served from cache (id -> arrival time), plus the
-    request-coalescing ledger — in-flight leaders by key and the
-    followers riding each one (id -> leader id)."""
+class _Run:
+    """One run's state. :meth:`ServingSimulator.run` builds it and hands it
+    to every hook the run calls, so the simulators hold only their
+    configuration: nothing of a run outlives it, and one simulator serves
+    concurrent runs. It never holds the router (with a cache, the router's
+    commit hook holds it).
 
-    __slots__ = ("cache", "contents", "fills", "hits", "inflight",
-                 "coalesced")
+    Every run: the ``seed``, ``arrivals``, each request's model id as a
+    list (``mids``, for the drive loops) and as an array of the smallest
+    integer type (``mids_np``, for the collector; both ``None`` with one
+    model), each model's transport time (``rtts``), the opt-in ``tracer``
+    and ``prof`` (profiler). With a cache or coalescing (else ``cache`` is
+    ``None``): each request's content id, the fill events (batch
+    completions waiting to become cache entries), the hits (id -> arrival
+    time) and the coalescing ledger (key -> in-flight leader, follower ->
+    leader). An autoscaled run adds the SLOs its epochs judge by, the
+    doomed floors, the arrival times as native floats (``ts``), each
+    replica's [launch, completion] batch cursor, and its results."""
 
-    def __init__(self, cache: ResultCache, contents: np.ndarray) -> None:
-        self.cache = cache
-        self.contents = contents.tolist()   # plain ints: hot-path lookups
+    __slots__ = ("seed", "arrivals", "mids", "mids_np", "rtts", "tracer",
+                 "prof", "cache", "contents", "fills", "hits", "inflight",
+                 "coalesced", "slos", "floors", "ts", "cursors", "epochs",
+                 "scale_events", "mean_replicas")
+
+    def __init__(self, tracer=None, prof=None, slos=None) -> None:
+        self.tracer, self.prof, self.slos = tracer, prof, slos
+        self.seed = self.arrivals = self.mids = self.mids_np = None
+        self.rtts = self.cache = self.contents = self.floors = self.ts = None
         self.fills: list = []               # heap of (completion, ids)
-        self.hits: dict = {}                # request_id -> arrival time
-        self.inflight: dict = {}            # content key -> leader id
-        self.coalesced: dict = {}           # follower id -> leader id
+        self.hits, self.inflight, self.coalesced = {}, {}, {}
+        self.cursors: dict = {}
+        self.epochs = self.scale_events = self.mean_replicas = None
 
     def on_commit(self, index: int, batch: Batch) -> None:
         heapq.heappush(self.fills, (batch.completion, batch.request_ids))
@@ -175,6 +190,14 @@ class ServingSimulator:
     ran. The two engines are bit-identical, pinned by the engine
     differential suite (hand-picked families and generated
     configurations) and the full-lattice support test.
+
+    **A run is one value.** :meth:`run` builds a :class:`_Run` — the
+    arrivals, model and content ids, cache ledgers, tracer and profiler —
+    and passes it to every hook it calls; the array core's ``_drive``
+    returns its record, the event engine's ``_record`` builds it after
+    the drain. The simulator holds only its configuration:
+    ``last_run_engine`` is the one attribute a run writes, so nothing of
+    a run outlives it and threads may share a simulator.
 
     ``engine`` is deprecated and does nothing: ``"array"`` is its only
     accepted value, and any other raises ``ValueError``.
@@ -270,23 +293,9 @@ class ServingSimulator:
                 cost=self.machine.network.cost))
         self._policies = [p.policy or self.policy for p in profiles]
         self.cache_size = cache_size
-        self._cstate: Optional[_CacheRun] = None
-        # Per-run model ids: the drive loops read the list, the collector
-        # the array (both None with one model).
-        self._mids: Optional[list] = None
-        self._mids_np: Optional[np.ndarray] = None
-        # Per-run observability handles (set by run(), cleared after): the
-        # structured event tracer and the wall-clock profiler. Both are
-        # None by default — the untraced path is the exact pre-obs
-        # instruction stream, pinned bit-identical by the obs tests.
-        self._tracer = None
-        self._prof = None
-        # The run record: the array core's _drive parks its FastRun here,
-        # the event engine's _collect the one _record builds after the
-        # drain; run() hands it to the tracer. Which loop actually drove
-        # the last run() is recorded for callers (and the differential
-        # tests).
-        self._fast: Optional[fast_core.FastRun] = None
+        #: which loop drove the last run(): "array" or "event" — the one
+        #: thing a run writes on the simulator (a run's state is its
+        #: :class:`_Run`)
         self.last_run_engine: Optional[str] = None
 
     @property
@@ -382,11 +391,7 @@ class ServingSimulator:
         return max(self.model_slos())
 
     # -- one run -------------------------------------------------------------
-    def _arrivals(self, rate: float, n_requests: int, process: ProcessLike,
-                  seed: SeedLike) -> np.ndarray:
-        return make_arrivals(process, rate, n_requests, seed=seed)
-
-    def _make_router(self, on_commit=None) -> Router:
+    def _make_router(self, on_commit=None, tracer=None) -> Router:
         """Router factory — the reference (pre-PR) simulator overrides this
         to route with the O(R) linear scans for the differential tests.
         Knobs that are off stay at the router's own defaults: a fifo,
@@ -394,26 +399,23 @@ class ServingSimulator:
         return Router(self.machine, self.n_replicas, self._policies,
                       self.services.batch_time_fns(),
                       limits=self.admission_limits(), on_commit=on_commit,
-                      tracer=self._tracer,
+                      tracer=tracer,
                       model_slos=(None if self.order == "fifo"
                                   else self.model_slos()),
                       model_costs=(self.model_costs() if self.cost_aware
                                    else None))
 
-    def _make_cache_run(self, n_requests: int, popularity: PopularityLike,
-                        seed: SeedLike) -> Optional[_CacheRun]:
-        if self.cache_size == 0 and not self.coalesce:
-            return None
-        # Content ids draw from an independent child stream of the run
-        # seed: the seed itself feeds make_arrivals, and sharing one
-        # generator state would couple *when* requests arrive with *what*
-        # they ask for (burst phases and hot-key streaks consuming the
-        # same uniforms), biasing every hit-rate-vs-tail curve.
+    def _make_contents(self, n_requests: int, popularity: PopularityLike,
+                       seed: SeedLike) -> np.ndarray:
+        """Each request's content id, for a run with a cache or coalescing.
+
+        Content ids draw from an independent child stream of the run
+        seed: the seed itself feeds make_arrivals, and sharing one
+        generator state would couple *when* requests arrive with *what*
+        they ask for (burst phases and hot-key streaks consuming the
+        same uniforms), biasing every hit-rate-vs-tail curve."""
         rng = spawn_rngs(seed if seed is not None else 0, 2)[1]
-        contents = make_contents(popularity, n_requests, seed=rng)
-        # cache_size=0 with coalesce=True: an inert (never-storing) cache
-        # still carries the in-flight ledger — pure request deduplication.
-        return _CacheRun(ResultCache(self.cache_size), contents)
+        return make_contents(popularity, n_requests, seed=rng)
 
     def _make_model_ids(self, n_requests: int,
                         seed: SeedLike) -> Optional[np.ndarray]:
@@ -432,24 +434,24 @@ class ServingSimulator:
         return make_model_ids(self.model_mix, n_requests, seed=rng).astype(
             np.min_scalar_type(len(self._profiles) - 1))
 
-    def _content_key(self, request_id: int):
+    def _content_key(self, run: _Run, request_id: int):
         """Cache key of one request: the content id, scoped by the model
         index on multi-model runs (two models' id spaces are distinct
         request populations — model 0's content 7 is not model 1's)."""
-        content = self._cstate.contents[request_id]
-        if self._mids is None:
+        content = run.contents[request_id]
+        if run.mids is None:
             return content
-        return (self._mids[request_id], content)
+        return (run.mids[request_id], content)
 
-    def _run_meta(self, rate: float, n_requests: int,
-                  process: ProcessLike, seed: SeedLike) -> dict:
+    def _run_meta(self, run: _Run, rate: float, n_requests: int,
+                  process: ProcessLike) -> dict:
         """Run configuration published to the tracer (`run_start` payload
         and ``Tracer.meta``): what exporters need to label tracks and
         judge latencies without a backref to the simulator."""
         return {"rate": float(rate), "n_requests": int(n_requests),
                 "process": (process if isinstance(process, str)
                             else type(process).__name__),
-                "seed": repr(seed),
+                "seed": repr(run.seed),
                 "n_replicas": self.n_replicas,
                 "max_batch": self.policy.max_batch,
                 "batching_mode": self.policy.mode,
@@ -460,7 +462,7 @@ class ServingSimulator:
                 "coalesce": self.coalesce,
                 "models": [p.name for p in self._profiles],
                 "slos": self.model_slos(),
-                "rtts": self._request_rtts()}
+                "rtts": run.rtts}
 
     def run(self, rate: float, n_requests: int = 512,
             process: ProcessLike = "uniform",
@@ -483,25 +485,39 @@ class ServingSimulator:
         accumulates wall-clock span times of the hot path. Both are
         opt-in, and neither ever changes virtual-time results.
         """
-        self._tracer = tracer
-        self._prof = prof = profiler
+        return self._serve(_Run(tracer, profiler), rate, n_requests,
+                           process, seed, popularity)
+
+    def _serve(self, run: _Run, rate: float, n_requests: int,
+               process: ProcessLike, seed: SeedLike,
+               popularity: PopularityLike) -> LatencyStats:
+        """:meth:`run` on the run value ``run`` (filled in here)."""
+        tracer, prof = run.tracer, run.prof
         span = (prof.span if prof is not None
                 else (lambda name: _NULL_SPAN))
         hooked: list = []   # (object, method name) the profiler wrapped
         try:
             with span("run.arrivals"):
-                arrivals = self._arrivals(rate, n_requests, process, seed)
-            self._cstate = self._make_cache_run(n_requests, popularity,
-                                                seed)
-            mids = self._mids_np = self._make_model_ids(n_requests, seed)
-            self._mids = None if mids is None else mids.tolist()
+                arrivals = run.arrivals = make_arrivals(
+                    process, rate, n_requests, seed=seed)
+            run.seed = seed
+            run.rtts = [svc.request_rtt() for svc in self.services]
+            if self.cache_size or self.coalesce:
+                # cache_size=0 with coalesce=True: an inert (never-storing)
+                # cache still carries the in-flight ledger — pure request
+                # deduplication.
+                run.cache = ResultCache(self.cache_size)
+                run.contents = self._make_contents(
+                    n_requests, popularity, seed).tolist()
+            mids = run.mids_np = self._make_model_ids(n_requests, seed)
+            run.mids = None if mids is None else mids.tolist()
             if tracer is not None:
-                meta = self._run_meta(rate, n_requests, process, seed)
+                meta = self._run_meta(run, rate, n_requests, process)
                 tracer.meta.update(meta)
                 tracer.emit("run_start", float(arrivals[0]), data=meta)
             router = self._make_router(
-                on_commit=None if self._cstate is None
-                else self._cstate.on_commit)
+                on_commit=None if run.cache is None else run.on_commit,
+                tracer=tracer)
             if prof is not None:
                 # Hook the hot-path bound methods per instance: an
                 # unprofiled run never even pays for the check. Spans are
@@ -509,22 +525,23 @@ class ServingSimulator:
                 # batch planning and launch commits) which it calls.
                 hooked = [(router, "_sync", "router.sync"),
                           (router, "submit", "router.submit")]
-                if self._cstate is not None:
-                    cache = self._cstate.cache
-                    hooked += [(cache, "get", "cache.get"),
-                               (cache, "put", "cache.put")]
+                if run.cache is not None:
+                    hooked += [(run.cache, "get", "cache.get"),
+                               (run.cache, "put", "cache.put")]
                 for obj, name, label in hooked:
                     setattr(obj, name, prof.wrap(label, getattr(obj, name)))
             with span("run.drive"):
-                self._drive(arrivals, router)
+                record = self._drive(run, router)
             with span("run.drain"):
                 router.drain()
             with span("run.collect"):
-                stats = self._collect(arrivals, router)
+                if record is None:
+                    record = self._record(run, router)
+                stats = self._collect(run, record)
             if tracer is not None:
                 # one columnar block; the tracer expands it lazily
                 tracer.add_record(
-                    self._fast, arrivals, mids,
+                    record, arrivals, mids,
                     None if self.order == "fifo" else self.model_slos())
                 tracer.emit("run_end", float(arrivals[0]) + stats.horizon,
                             data={"n_events": len(tracer) + 1})
@@ -535,13 +552,8 @@ class ServingSimulator:
             # cycle that outlives the run.
             for obj, name, _ in hooked:
                 delattr(obj, name)
-            self._cstate = None
-            self._mids = self._mids_np = None
-            self._tracer = None
-            self._prof = None
-            self._fast = None
 
-    def _offer(self, router: Router, t: float, request_id: int,
+    def _offer(self, run: _Run, router: Router, t: float, request_id: int,
                model: int) -> bool:
         """Serve one arrival of a run with a result cache: the cache
         first, then the router. Returns whether the router admitted it
@@ -562,7 +574,6 @@ class ServingSimulator:
         death (which is causally known by then) re-leads with a fresh
         forward instead of following a corpse.
         """
-        cstate = self._cstate
         if self.coalesce:
             # Commits normally fire inside submit's event catch-up, but a
             # coalesced (or hit) arrival never submits — sync explicitly,
@@ -570,52 +581,54 @@ class ServingSimulator:
             # since completed (stale ledger, fills never draining,
             # negative "latencies").
             router.sync(t)
-        fills, cache = cstate.fills, cstate.cache
+        fills, cache = run.fills, run.cache
         while fills and fills[0][0] <= t:
             _, rids = heapq.heappop(fills)
             for rid in rids:
-                key = self._content_key(rid)
+                key = self._content_key(run, rid)
                 if rid not in router.failed_ids:
                     cache.put(key, rid)
-                if cstate.inflight.get(key) == rid:
+                if run.inflight.get(key) == rid:
                     # Only the entry's own leader clears it: a dead
                     # leader's stale fill must not evict the ledger entry
                     # of a duplicate that re-led the key.
-                    del cstate.inflight[key]
-        key = self._content_key(request_id)
+                    del run.inflight[key]
+        key = self._content_key(run, request_id)
         hit, _ = cache.get(key)
         if hit:
-            cstate.hits[request_id] = t
+            run.hits[request_id] = t
             return False
         if self.coalesce:
-            leader = cstate.inflight.get(key)
+            leader = run.inflight.get(key)
             if leader is not None and leader not in router.failed_ids:
-                cstate.coalesced[request_id] = leader
+                run.coalesced[request_id] = leader
                 return False
         admitted = router.submit(t, request_id, model)
         if admitted and self.coalesce:
-            cstate.inflight[key] = request_id
+            run.inflight[key] = request_id
         return admitted
 
-    def _feed(self, router: Router, arrivals: np.ndarray):
+    def _feed(self, run: _Run, router: Router):
         """The arrival times as native floats, the event loops' ``(t,
         request_id, model)`` stream over them and what serves one: the
         router's ``submit``, or :meth:`_offer` with a cache — bound after
         :meth:`run` hooks the profiler, so a profiled run times the
         ``submit`` it calls."""
-        ts = arrivals.astype(np.float64).tolist()
-        models = self._mids if self._mids is not None else repeat(0)
-        serve = (router.submit if self._cstate is None
-                 else partial(self._offer, router))
+        ts = run.arrivals.astype(np.float64).tolist()
+        models = run.mids if run.mids is not None else repeat(0)
+        serve = (router.submit if run.cache is None
+                 else partial(self._offer, run, router))
         return ts, zip(ts, range(len(ts)), models), serve
 
-    def _drive(self, arrivals: np.ndarray, router: Router) -> None:
-        """Serve the arrival stream (overridable).
+    def _drive(self, run: _Run,
+               router: Router) -> Optional[fast_core.FastRun]:
+        """Serve the arrival stream (overridable); returns the array
+        core's record, or ``None`` when the event loop ran (the run then
+        ends in :meth:`_record`).
 
         A configuration the flat struct-of-arrays core supports runs
-        there (the router never sees a request; ``_collect`` reads the
-        :class:`~repro.serve.fast_core.FastRun` it parks); any other runs
-        on :meth:`_drive_events`, bit-identically.
+        there (the router never sees a request); any other runs on
+        :meth:`_drive_events`, bit-identically.
         :class:`~repro.serve.autoscale.AutoscalingSimulator` overrides this
         to interleave control epochs and failure events with the same
         submissions — the control path is a superset of the event loop,
@@ -623,57 +636,38 @@ class ServingSimulator:
         meaningful.
         """
         if fast_core.unsupported_reason(self) is not None:
-            self._drive_events(arrivals, router)
-            return
+            return self._drive_events(run, router)
         self.last_run_engine = "array"
-        self._fast = fast_core.drive(self, arrivals)
+        return fast_core.drive(self, run)
 
-    def _drive_events(self, arrivals: np.ndarray, router: Router) -> None:
+    def _drive_events(self, run: _Run, router: Router) -> None:
         """The object event loop: each arrival is one call (see
         :meth:`_feed`), the router's ``submit`` or :meth:`_offer` when a
         cache sits in front. It keeps no per-arrival ledger of its own:
-        after the drain :meth:`_record` reads the router's and the cache
-        run's. The differential tests pin a simulator to it by binding
-        ``_drive`` to this method in a subclass."""
+        after the drain :meth:`_record` reads the router's and the run's.
+        The differential tests pin a simulator to it by binding ``_drive``
+        to this method in a subclass."""
         self.last_run_engine = "event"
-        _, stream, serve = self._feed(router, arrivals)
+        _, stream, serve = self._feed(run, router)
         for t, i, model in stream:
             serve(t, i, model)
 
-    def _request_rtts(self) -> List[float]:
-        """Per-model request transport times."""
-        return [svc.request_rtt() for svc in self.services]
+    def _collect(self, run: _Run,
+                 record: fast_core.FastRun) -> LatencyStats:
+        """Either engine's record as :class:`LatencyStats`, through the
+        one collector, :func:`~repro.serve.fast_core.collect`."""
+        return fast_core.collect(self, run, record)
 
-    def _collect(self, arrivals: np.ndarray,
-                 router: Router) -> LatencyStats:
-        """Turn a finished run into :class:`LatencyStats`: the array
-        core's parked record or the event engine's (:meth:`_record`),
-        through the one collector, :func:`~repro.serve.fast_core.collect`.
-
-        Requests lost to a replica failure have no completion and are
-        excluded from the latency sample (tallied in ``n_failed``, and
-        counted against attainment via ``n_offered``). Cache hits complete
-        at ``request_rtt()`` — pure transport, no queueing, no service —
-        and coalesced followers at their leader's completion plus
-        transport (a follower whose leader died is a failure: no result
-        was ever produced for it). Multi-model runs additionally slice
-        everything per model (:class:`~repro.serve.metrics.PerModelStats`),
-        each judged with its own transport cost and against its own SLO.
-        """
-        if self._fast is None:
-            self._fast = self._record(router, arrivals)
-        return fast_core.collect(self, self._fast, arrivals)
-
-    def _record(self, router: Router,
-                arrivals: np.ndarray) -> fast_core.FastRun:
+    def _record(self, run: _Run, router: Router) -> fast_core.FastRun:
         """The event engine's finished run as the array core's record,
         read off the state the run already keeps: the batch lists (live
         replicas, then retired; the aborted ones last), whose kept batches
         give each member its completion, the router's shed, failed and
-        re-routed ids, and the cache run's hit and follower ledgers.
+        re-routed ids, and the run's hit and follower ledgers.
 
         A follower completes with its leader; one whose leader died is
         stranded, a failure."""
+        arrivals = run.arrivals
         n = arrivals.size
         handles = router.replicas + router.retired
         batches = [(h.index, b) for h in handles for b in h.queue.batches]
@@ -695,16 +689,15 @@ class ServingSimulator:
         failed = np.zeros(n, dtype=bool)
         failed[list(router.failed_ids)] = True
         hit = leader = enqueue_t = None
-        cstate = self._cstate
-        if cstate is not None:
+        if run.cache is not None:
             hit = np.zeros(n, dtype=bool)
-            hits = cstate.hits
+            hits = run.hits
             if hits:
                 ids = np.fromiter(hits, np.intp, len(hits))
                 complete_t[ids] = np.fromiter(hits.values(), np.float64,
                                               len(hits))
                 hit[ids] = True
-            riding = cstate.coalesced
+            riding = run.coalesced
             if riding:
                 ids = np.fromiter(riding, np.intp, len(riding))
                 leaders = np.fromiter(riding.values(), np.intp, len(riding))

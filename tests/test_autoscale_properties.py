@@ -437,6 +437,36 @@ def _same_run(a, b):
                (b.n_offered, b.n_dropped, b.n_failed)
 
 
+def _fleet_changes(stats):
+    return [(e.time, e.action, e.delta, e.n_replicas)
+            for e in stats.scale_events]
+
+
+def test_a_seeded_failure_model_replays_with_the_run():
+    """A :class:`FailureModel` draws each run's events from the model's
+    seed and the run's: the same ``run(seed=s)`` of one simulator meets
+    the same failures (equal stats and scale events), and another model
+    seed or run seed draws another schedule. The model's one generator
+    used to advance from run to run, so a replay lost other requests."""
+    def sim(model_seed):
+        return AutoscalingSimulator(
+            service_models=[FakeService()],
+            autoscale=AutoscalePolicy(min_replicas=2, max_replicas=4,
+                                      target_attainment=0.95, epoch=0.1),
+            policy=BatchingPolicy(max_batch=8, max_wait=1e-3), max_queue=64,
+            failures=FailureModel(mtbf_node_hours=2e-4, seed=model_seed))
+    one = sim(3)
+    first = one.run(1600.0, n_requests=3000, seed=0)
+    again = one.run(1600.0, n_requests=3000, seed=0)
+    _same_run(first, again)
+    assert _fleet_changes(first) == _fleet_changes(again)
+    assert first.n_failed > 0
+    assert {"failure", "degrade"} <= {e.action for e in first.scale_events}
+    for other in (sim(4).run(1600.0, n_requests=3000, seed=0),
+                  one.run(1600.0, n_requests=3000, seed=1)):
+        assert _fleet_changes(other) != _fleet_changes(first)
+
+
 class TestRepair:
     def test_failure_event_validation(self):
         ev = FailureEvent(time=1.0, node_id=0, kind="repair")
@@ -658,13 +688,15 @@ class TestControlDirection:
 
 # -- incremental observation == full rescan ------------------------------------
 
-def _full_rescan(sim, router, admitted, t_start, t_end, index, slos, rtts,
-                 floors, n_shed, shed_by_model=None, n_repaired=0):
+def _full_rescan(sim, router, run, admitted, t_start, t_end, index, n_shed,
+                 shed_by_model=None, n_repaired=0):
     """``AutoscalingSimulator._observe`` as it was before the batch cursors:
     every admitted request and every launched batch, rescanned at every
-    epoch. Quadratic and obviously right — the oracle the incremental form
-    is held to, field for field. Arrivals and launches count in ``[t_start,
-    t_end)``, completions in ``(t_start, t_end]``."""
+    epoch, judged by the run's SLOs, rtts and floors. Quadratic and
+    obviously right — the oracle the incremental form is held to, field
+    for field. Arrivals and launches count in ``[t_start, t_end)``,
+    completions in ``(t_start, t_end]``."""
+    slos, rtts, floors = run.slos, run.rtts, run.floors
     n_degraded = 0
     slow_min = math.inf
     for r in router.replicas:
@@ -679,7 +711,7 @@ def _full_rescan(sim, router, admitted, t_start, t_end, index, slos, rtts,
     completions = {}
     for r in router.replicas + router.retired:
         completions.update(r.queue.completions)
-    mids = sim._mids
+    mids = run.mids
     M = len(slos)
     n_completed = [0] * M
     n_ok = [0] * M
@@ -753,28 +785,23 @@ class _RescanChecked(AutoscalingSimulator):
     """Runs the oracle next to every incremental observation, on the same
     live router state, and fails the run at the first differing field."""
 
-    def _drive(self, arrivals, router):
-        self._arrival_times = arrivals.tolist()
+    def _drive(self, run, router):
         self.n_checked = 0
-        super()._drive(arrivals, router)
+        super()._drive(run, router)
 
-    def _admitted(self, router):
+    @staticmethod
+    def _admitted(router, run):
         """Every request admitted so far (id -> arrival), read off the
         run's columns: the offered ids minus the router's shed ones and
-        the cache run's hits and coalesced followers."""
-        offered, skip = router.n_offered, set(router.shed_ids)
-        cstate = self._cstate
-        if cstate is not None:
-            offered += len(cstate.hits) + len(cstate.coalesced)
-            skip.update(cstate.hits, cstate.coalesced)
-        return {i: self._arrival_times[i] for i in range(offered)
-                if i not in skip}
+        the run's cache hits and coalesced followers."""
+        offered = router.n_offered + len(run.hits) + len(run.coalesced)
+        skip = set(router.shed_ids).union(run.hits, run.coalesced)
+        return {i: run.ts[i] for i in range(offered) if i not in skip}
 
-    def _observe(self, router, arrivals, cursors, n_arrived, *window, **kw):
-        rec = super()._observe(router, arrivals, cursors, n_arrived, *window,
-                               **kw)
-        ref = _full_rescan(self, router, self._admitted(router), *window,
-                           **kw)
+    def _observe(self, router, run, n_arrived, *window, **kw):
+        rec = super()._observe(router, run, n_arrived, *window, **kw)
+        ref = _full_rescan(self, router, run, self._admitted(router, run),
+                           *window, **kw)
         for f in dataclasses.fields(EpochRecord):
             got, want = getattr(rec, f.name), getattr(ref, f.name)
             assert _same(got, want), \
@@ -915,12 +942,12 @@ class TestIncrementalObservation:
 class _KeepsBatches(AutoscalingSimulator):
     """Keeps the run's arrival times and every batch's start and size."""
 
-    def _collect(self, arrivals, router):
+    def _record(self, run, router):
         batches = router.batches()
-        self.kept = dict(arrivals=arrivals,
+        self.kept = dict(arrivals=run.arrivals,
                          starts=np.array([b.start for b in batches]),
                          sizes=np.array([b.size for b in batches]))
-        return super()._collect(arrivals, router)
+        return super()._record(run, router)
 
 
 class _Touches(list):
@@ -939,8 +966,8 @@ class _Touches(list):
 
 
 class _TouchCounted(AutoscalingSimulator):
-    def _feed(self, router, arrivals):
-        ts, stream, serve = super()._feed(router, arrivals)
+    def _feed(self, run, router):
+        ts, stream, serve = super()._feed(run, router)
         return _Touches(ts), stream, serve
 
     def _observe(self, *args, **kw):

@@ -3,6 +3,8 @@
 import gc
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -718,6 +720,73 @@ class TestServingSimulator:
                     "cache.put"} <= set(profiler.totals())
         finally:
             gc.enable()
+
+    def test_one_simulator_serves_concurrent_runs(self, tiny_wl):
+        """A run's state is the value ``run()`` builds, not the
+        simulator's: two threads running one ``ServingSimulator`` and one
+        ``AutoscalingSimulator`` at different seeds each get their serial
+        result, bit for bit. With the run parked on the simulator, one
+        thread's run read the other's model ids and cache, and one
+        thread's ``finally`` deleted the other's SLOs."""
+        policy = BatchingPolicy(max_batch=8, max_wait=2e-4)
+        serving = ServingSimulator(tiny_wl, n_replicas=2, cache_size=8,
+                                   max_queue=16, policy=policy)
+        auto = AutoscalingSimulator(tiny_wl, max_queue=16, cache_size=8,
+                                    coalesce=True, policy=policy)
+        rate = 1.5 * serving.saturation_rate()
+        auto.saturation_rate()   # both fill the memoized service tables
+        config = [dict(vars(sim)) for sim in (serving, auto)]
+
+        def runs(seed):
+            return [sim.run(rate, n_requests=3000, process="poisson",
+                            seed=seed, popularity="zipf")
+                    for sim in (serving, auto)]
+
+        serial = {seed: runs(seed) for seed in (1, 2)}
+        threaded, errors = {}, []
+
+        def work(seed):
+            try:
+                threaded[seed] = runs(seed)
+            except Exception as exc:    # re-raised below, on this thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the runs finely
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in serial]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        for seed, results in serial.items():
+            for a, b in zip(results, threaded[seed]):
+                assert np.array_equal(a.latencies, b.latencies)
+                assert np.array_equal(a.batch_sizes, b.batch_sizes)
+                assert (a.n_dropped, a.n_failed, a.n_cache_hits,
+                        a.n_coalesced, a.horizon) == \
+                    (b.n_dropped, b.n_failed, b.n_cache_hits,
+                     b.n_coalesced, b.horizon)
+                assert [(e.time, e.action, e.delta)
+                        for e in a.scale_events or ()] == \
+                    [(e.time, e.action, e.delta)
+                     for e in b.scale_events or ()]
+        assert all(auto_stats.scale_events and auto_stats.n_coalesced
+                   for _, auto_stats in serial.values())
+        # a run writes nothing on the simulator but which engine ran it
+        for sim, before in zip((serving, auto), config):
+            after = dict(vars(sim))
+            assert after.pop("last_run_engine") == (
+                "event" if sim is auto else "array")
+            before.pop("last_run_engine")
+            assert after.keys() == before.keys()
+            assert all(after[k] is before[k] for k in before)
 
     def test_invalid_inputs(self, tiny_wl):
         sim = ServingSimulator(tiny_wl)

@@ -462,8 +462,8 @@ class TestSweeps:
         drives = []
         drive = fast_core.drive
         monkeypatch.setattr(fast_core, "drive",
-                            lambda sim, arrivals: drives.append(sim)
-                            or drive(sim, arrivals))
+                            lambda sim, run: drives.append(sim)
+                            or drive(sim, run))
         run = dict(n_requests=300, process="poisson", seed=2)
         sweep = sweep_cache_sizes(hep_workload(), sizes=[0, 8, 32],
                                   n_replicas=2, **run)

@@ -406,19 +406,18 @@ class TestTraceConservation:
 class TestTracedStochasticFailures:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_conservation_with_failure_model(self, seed):
-        # FailureModel draws are seeded per-construction, so traced and
-        # untraced runs get fresh, identical simulators.
-        def make():
-            return _obs_sim(seed, failures=FailureModel(
-                mtbf_node_hours=0.002, seed=seed))
+        # A FailureModel draws each run's events from the model's seed and
+        # the run's, so the traced and untraced runs of one simulator
+        # meet the same failures.
+        sim = _obs_sim(seed, failures=FailureModel(mtbf_node_hours=0.002,
+                                                   seed=seed))
         tr = Tracer()
         kw = dict(n_requests=1500, process="mmpp", seed=seed,
                   popularity="zipf")
-        sim = make()
         rate = 1.2 * sim.saturation_rate()
         stats = sim.run(rate, tracer=tr, **kw)
         reconcile(tr, stats)
-        _assert_same(stats, make().run(rate, **kw))
+        _assert_same(stats, sim.run(rate, **kw))
 
 
 # -- ScaleReason ---------------------------------------------------------------
@@ -602,6 +601,58 @@ class TestExporters:
     def test_explain_unknown_request(self, traced_run):
         tr, _ = traced_run
         assert "no trace events" in explain(tr, 10 ** 9)
+
+
+@pytest.fixture(scope="module")
+def two_runs():
+    """One tracer over two runs of one simulator that number their
+    requests alike: 50 at half load, then 60 at three times saturation
+    (sheds, cache hits, followers and a node death)."""
+    sim = _obs_sim(11, failure_events=_failure_events(11))
+    tr = Tracer()
+    sat = sim.saturation_rate()
+    for rate, n in ((0.5 * sat, 50), (3.0 * sat, 60)):
+        sim.run(rate, n_requests=n, process="mmpp", seed=11,
+                popularity="zipf", tracer=tr)
+    return tr
+
+
+class TestSeveralRuns:
+    def test_chrome_draws_one_span_per_offered_request(self, two_runs,
+                                                       tmp_path):
+        """Each run's requests keep their own span: 110 spans with 110
+        distinct ids, and the outcomes they are named by tally to
+        ``counts()``. Keyed by request id alone, the second run's
+        requests merged into the first run's 50 spans, and a request
+        shed in the second run drew as the first run's ``complete``."""
+        to_chrome(two_runs, tmp_path / "two.json")
+        evs = json.loads((tmp_path / "two.json").read_text())["traceEvents"]
+        ends = [e for e in evs if e["ph"] == "e"]
+        assert sum(e["ph"] == "b" for e in evs) == len(ends) == 110
+        assert len({e["id"] for e in ends}) == 110
+        tally = {}
+        for e in ends:
+            outcome = e["args"]["outcome"]
+            tally[outcome] = tally.get(outcome, 0) + 1
+        counts = two_runs.counts()
+        assert counts["offered"] == 110 and counts["shed"] > 0
+        assert tally == {k: v for k, v in (
+            ("shed", counts["shed"]), ("cache_hit", counts["cache_hits"]),
+            ("coalesced", counts["coalesced"]),
+            ("complete", counts["replica_completions"]),
+            ("fail", counts["failed"])) if v}
+
+    def test_an_id_held_by_two_runs_has_no_timeline(self, two_runs):
+        """Request 16 of the first run is not request 16 of the second:
+        ``timeline`` and ``explain`` refuse the id, naming both runs,
+        instead of interleaving two requests' events. An id only the
+        second run holds still has its timeline."""
+        for read in (two_runs.timeline, two_runs.explain):
+            with pytest.raises(ValueError, match=r"held by runs 0, 1"):
+                read(16)
+        tl = two_runs.timeline(55)
+        assert tl[0].kind == "arrival" and tl[0].request_id == 55
+        assert "request 55" in two_runs.explain(55)
 
 
 # -- run metadata --------------------------------------------------------------

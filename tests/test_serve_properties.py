@@ -779,7 +779,7 @@ def _router_calls(sim, **run):
     def spied(name, method):
         def counted(*args, **kwargs):
             if name == "_offer":
-                offers.append(args[2])
+                offers.append(args[3])   # (self, run, router, t, ...)
                 return method(*args, **kwargs)
             if name == "submit" and not stack:
                 submits.append([None, []])

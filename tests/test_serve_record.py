@@ -217,25 +217,28 @@ def test_the_cases_exercise_what_they_pin():
 
 
 class _ForgetsAnAnswer(ServingSimulator):
-    """Loses one answered request's completion just before collecting —
-    a member dropped from its launched batch in the event engine, or the
-    array core's record."""
+    """Loses one answered request's completion before collecting — a
+    member dropped from its launched batch before the event engine's
+    ``_record`` reads the batch lists, or from the record the array core's
+    ``_drive`` returns."""
 
-    def _collect(self, arrivals, router):
-        run = self._fast
-        if run is None:
-            launched = sorted(router.completions())
-            self.lost = launched[len(launched) // 2]
-            for h in router.replicas + router.retired:
-                batches = h.queue.batches
-                for k, b in enumerate(batches):
-                    if self.lost in b.request_ids:
-                        batches[k] = dataclasses.replace(b, request_ids=tuple(
-                            r for r in b.request_ids if r != self.lost))
-        else:
-            self.lost = int(np.flatnonzero(~run.shed)[-1])
-            run.complete_t[self.lost] = np.nan
-        return super()._collect(arrivals, router)
+    def _drive(self, run, router):
+        record = super()._drive(run, router)
+        if record is not None:
+            self.lost = int(np.flatnonzero(~record.shed)[-1])
+            record.complete_t[self.lost] = np.nan
+        return record
+
+    def _record(self, run, router):
+        launched = sorted(router.completions())
+        self.lost = launched[len(launched) // 2]
+        for h in router.replicas + router.retired:
+            batches = h.queue.batches
+            for k, b in enumerate(batches):
+                if self.lost in b.request_ids:
+                    batches[k] = dataclasses.replace(b, request_ids=tuple(
+                        r for r in b.request_ids if r != self.lost))
+        return super()._record(run, router)
 
 
 @pytest.mark.parametrize("engine", ["event", "array"])
