@@ -13,7 +13,8 @@ before the event engine wrote the record.
 A trace is a view of the same record: six traced runs (a plain fleet with
 sheds, coalescing, cost-aware edf, stranded followers, an autoscaled run
 with a re-route, a cached fleet) are pinned by digests of their events,
-recorded on the tracer that emitted them live from the drive loops. Its
+recorded on the tracer that emitted them live from the drive loops, and
+by digests of the files their exporters write. Its
 totals (the metrics registry, kind counts, length) are read off the
 record's columns, and equal what walking those events gives.
 """
@@ -366,6 +367,56 @@ def test_traces_are_pinned(name):
     if name == "cached_with_evictions":
         assert kinds["cache_hit"] and kinds["run_end"] == 1
         assert events[-1].data == {"n_events": 5289}
+
+
+#: sha256 of each trace's exported files: ``to_jsonl``, ``to_chrome`` and
+#: ``to_chrome(max_requests=100)``, recorded at ``bdabdf5``
+EXPORT_DIGESTS = {
+    "autoscale_fail_degrade_repair": (
+        "c1304597c02cbf0649fcb1646b0bca82713e33f71c9959cd3345eb2402c61bcb",
+        "9ee4a84ead483986caaab1d61571fffde25d11a48f28a3c6085753f015afedaa",
+        "ab1dd995d36fe4d9eaa3aa1fe64a2da69bc64805297b03b9e1f6dba669dcb100"),
+    "cached_with_evictions": (
+        "3db2639197621ee91324295898e72466819097987835da63655e92fd2b8ccbd7",
+        "8f31fdc9b59790653ef91ea54a5f37c3c556c2397ddf04b30b44027b273020f3",
+        "e1c1309781565963df73c7b55cd06fb84fe3c19e6938d6d902b6bb38ac20bd9c"),
+    "coalesce_fixed_fleet": (
+        "f91ebd3c5c52c5fde8486546dd35e67518f14254c7be915b718024e62036e83c",
+        "f7b9e52f3ec7d739ab4de7cda7727f5e1bf7ca73fe2028882cf8e4d0ca4a1d41",
+        "6414d85955ac90b9acdb608e1e89bd53092b5c58183e3a95e6855a7b6ac20ee5"),
+    "coalesce_strand_traced": (
+        "4d0c7642e746d3a187f800eda875a5422bf74bd1c1d9629c93bf7f3de58ce713",
+        "cf6b02a1f4fb55f39b8a9cca6046fcbc0b8bd98c90469a398c396248f4d03449",
+        "1b61323d019fc991ceaf51ec052ddeab9be35a9aed8dc12463e6977b2cf42884"),
+    "plain_with_sheds": (
+        "3bc93ebdcaf592459a3f01b310a9004e9c67195224891c83c62798e1d78cce85",
+        "8f9a03000da1c7aecad6fd3d2300a3dcceaefff53b1f8f281baadecd2a022f8a",
+        "ee467d4d35cd090a81e9cfee5525cb30b8b9d2543e79f0812536b91c5264bd17"),
+    "two_models_cost_aware_edf": (
+        "939e6b7799ad16b0a51f3695e35139cb7f49c1dc80c1b56c803c2fa5942e5ed9",
+        "98f7c7bbfdc14dfea42a14b2df2cffb0bea65269dd351342663b12abbb535839",
+        "d2544b7ff24f31ef3e3fbcf617ea2a3a67d0e0b0b0dadf763f7bf2a3f2d86de0"),
+}
+
+
+def _export_digests(tracer, tmp_path):
+    """sha256 of the bytes each exporter writes for ``tracer``."""
+    exports = (tracer.to_jsonl, tracer.to_chrome,
+               lambda path: tracer.to_chrome(path, max_requests=100))
+    out = []
+    for i, export in enumerate(exports):
+        export(tmp_path / f"export{i}")
+        out.append(hashlib.sha256(
+            (tmp_path / f"export{i}").read_bytes()).hexdigest())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_exports_are_pinned(name, tmp_path):
+    """Each trace's JSON-lines and Chrome files, byte for byte."""
+    tracer = Tracer()
+    TRACE_CASES[name](tracer)
+    assert _export_digests(tracer, tmp_path) == EXPORT_DIGESTS[name]
 
 
 def test_a_request_timeline_reads_the_record():
