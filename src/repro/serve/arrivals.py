@@ -87,17 +87,19 @@ class MMPP:
     cycle_requests: float = 64.0
 
     def __post_init__(self) -> None:
-        if not self.burst >= 1.0:
+        # an infinite burst leaves the quiet state no rate and the burst
+        # state a NaN one; an infinite cycle never switches state
+        if not 1.0 <= self.burst < math.inf:
             raise ValueError(
-                f"burst must be >= 1 (burst state at least as hot as "
-                f"quiet), got {self.burst}")
+                f"burst must be finite and >= 1 (burst state at least as "
+                f"hot as quiet), got {self.burst}")
         if not 0.0 < self.burst_fraction < 1.0:
             raise ValueError(
                 f"burst_fraction must be in (0, 1), "
                 f"got {self.burst_fraction}")
-        if not self.cycle_requests > 0:
-            raise ValueError(
-                f"cycle_requests must be positive, got {self.cycle_requests}")
+        if not 0.0 < self.cycle_requests < math.inf:
+            raise ValueError(f"cycle_requests must be finite and positive, "
+                             f"got {self.cycle_requests}")
 
     # -- derived parameters ---------------------------------------------------
     def state_rates(self, rate: float) -> Tuple[float, float]:
@@ -229,8 +231,8 @@ class UniformPopularity:
     n_keys: int = 256
 
     def __post_init__(self) -> None:
-        if self.n_keys < 1:
-            raise ValueError(f"n_keys must be >= 1, got {self.n_keys}")
+        object.__setattr__(self, "n_keys",
+                           require_count("n_keys", self.n_keys))
 
     def sample(self, n_requests: int,
                rng: np.random.Generator) -> np.ndarray:
@@ -255,8 +257,8 @@ class ZipfPopularity:
     def __post_init__(self) -> None:
         if not 0 <= self.alpha < math.inf:      # NaN lands here too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.n_keys < 1:
-            raise ValueError(f"n_keys must be >= 1, got {self.n_keys}")
+        object.__setattr__(self, "n_keys",
+                           require_count("n_keys", self.n_keys))
 
     def _weights(self) -> np.ndarray:
         w = np.arange(1, self.n_keys + 1, dtype=np.float64) ** -self.alpha
@@ -295,7 +297,10 @@ class HotKeyPopularity:
     mean_streak: float = 32.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.hot_keys < self.n_keys:
+        for name in ("n_keys", "hot_keys"):
+            object.__setattr__(self, name,
+                               require_count(name, getattr(self, name)))
+        if not self.hot_keys < self.n_keys:
             raise ValueError(
                 f"hot_keys must be in (0, n_keys={self.n_keys}), "
                 f"got {self.hot_keys}")

@@ -18,9 +18,10 @@ microseconds, so everything is scaled by 1e6 on export.
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.serve.obs.trace import _CODE, _outcome_of
 
@@ -41,7 +42,7 @@ def to_jsonl(tracer, path) -> int:
     n = 0
     with open(path, "w") as fh:
         if tracer.meta:
-            fh.write(json.dumps({"meta": tracer.meta}) + "\n")
+            fh.write(json.dumps({"meta": dict(tracer.meta)}) + "\n")
         for ev in tracer.events:
             rec: Dict[str, Any] = {"t": ev.time, "kind": ev.kind}
             if ev.request_id is not None:
@@ -60,7 +61,7 @@ def to_jsonl(tracer, path) -> int:
     return n
 
 
-def _model_name(meta: Dict[str, Any], model) -> str:
+def _model_name(meta: Mapping[str, Any], model) -> str:
     names = meta.get("models") or []
     if model is not None and 0 <= model < len(names):
         return names[model]
@@ -82,10 +83,7 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
     - pid 2 **requests** — one async ("b"/"e") span per request from
       arrival to its terminal event, named by outcome; shed requests and
       failures also get instant markers so they stand out at fleet zoom.
-      A request is a (run, request id) pair: every run numbers its
-      requests from 0, so each run after the first has its span ids
-      start past the largest id before it (a one-run trace keeps the
-      request ids).
+      A span's id is its request id.
 
     ``max_requests`` caps the request track to the first N requests
     (arrival order) — batch and fleet tracks are always complete —
@@ -105,26 +103,26 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
          "args": {"name": "requests"}},
     ]
 
-    # each event with its run, the first field of its canonical key
-    keyed = [(key[0], ev) for key, ev in tracer._keyed()]
-    # Batches struck by node death: (run, replica, scheduled completion)
-    # is unique per in-flight batch, so it keys the truncation.
-    aborts = {(run, ev.replica, ev.data["completion"]): ev.time
-              for run, ev in keyed if ev.kind == "batch_abort"}
+    # built here, not cached on the tracer as ``tracer.events`` would be
+    trace = [ev for _, ev in tracer._keyed()]
+    # Batches struck by node death: (replica, scheduled completion) is
+    # unique per in-flight batch, so it keys the truncation.
+    aborts = {(ev.replica, ev.data["completion"]): ev.time
+              for ev in trace if ev.kind == "batch_abort"}
 
     replicas_seen = set()
-    # request track state: (run, rid) -> (arrival_t, model); terminal by
-    # precedence (a node death's fail beats its batch's complete).
-    arrival: Dict[tuple, tuple] = {}
-    terminal: Dict[tuple, tuple] = {}
-    order: List[tuple] = []
+    # request track state: rid -> (arrival_t, model), in arrival order;
+    # terminal by precedence (a node death's fail beats its batch's
+    # complete).
+    arrival: Dict[int, tuple] = {}
+    terminal: Dict[int, tuple] = {}
 
-    for run, ev in keyed:
+    for ev in trace:
         k = ev.kind
         if k == "batch_launch":
             replicas_seen.add(ev.replica)
             t_end = ev.data["completion"]
-            t_abort = aborts.get((run, ev.replica, t_end))
+            t_abort = aborts.get((ev.replica, t_end))
             name = f"batch x{ev.data['size']}"
             if t_abort is not None:
                 t_end, name = t_abort, f"aborted batch x{ev.data['size']}"
@@ -152,37 +150,24 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
                 "s": "p", "name": k, "cat": "fleet",
                 "args": {"replica": ev.replica}})
         elif k == "arrival":
-            req = (run, ev.request_id)
-            if req not in arrival:
-                order.append(req)
-            arrival[req] = (ev.time, ev.model)
+            arrival[ev.request_id] = (ev.time, ev.model)
         else:
-            req = (run, ev.request_id)
             outcome = _outcome_of(k, ev.data)
-            held = terminal.get(req, (0.0, None))[1]
+            held = terminal.get(ev.request_id, (0.0, None))[1]
             if outcome is not None and \
                     _CODE[outcome] >= _CODE.get(held, 0):
-                terminal[req] = (ev.time, outcome)
+                terminal[ev.request_id] = (ev.time, outcome)
 
     for tid in sorted(replicas_seen):
         events.append({"ph": "M", "pid": _PID_REPLICAS, "tid": tid,
                        "name": "thread_name",
                        "args": {"name": f"replica {tid}"}})
 
-    # span ids: the canonical order is run-major, so a run's first
-    # request comes after every request of the runs before it
-    first_id: Dict[int, int] = {}
-    top = 0
-    for run, rid in order:
-        base = first_id.setdefault(run, top)
-        top = max(top, base + rid + 1)
-    reqs = order if max_requests is None else order[:max_requests]
-    for req in reqs:
-        run, rid = req
-        t0, model = arrival[req]
-        t1, outcome = terminal.get(req, (t0, "lost"))
+    for rid in itertools.islice(arrival, max_requests):
+        t0, model = arrival[rid]
+        t1, outcome = terminal.get(rid, (t0, "lost"))
         name = f"{_model_name(meta, model)} {outcome}"
-        common = {"pid": _PID_REQUESTS, "id": first_id[run] + rid,
+        common = {"pid": _PID_REQUESTS, "id": rid,
                   "cat": "request", "name": name}
         events.append({"ph": "b", "ts": t0 * _US, **common})
         events.append({"ph": "e", "ts": max(t1, t0) * _US, **common,

@@ -215,7 +215,7 @@ def registry_from_trace(tracer) -> MetricsRegistry:
     Per-model lifecycle counters (:data:`TRACE_COUNTERS`, labeled
     ``model=<index>``: :meth:`Tracer.counts`, what :func:`reconcile`
     checks); per-replica batch counters and batch-size histograms from the
-    records' batch columns (a batch's model is its first member's; struck
+    record's batch columns (a batch's model is its first member's; struck
     batches count); and, from the live events in canonical order,
     scale-event counters by action, a fleet-size gauge (last observed) and
     the epoch attainment histogram.
@@ -225,7 +225,8 @@ def registry_from_trace(tracer) -> MetricsRegistry:
         counts = tracer.counts(model)
         for metric, key in TRACE_COUNTERS:
             reg.counter(metric, model=model).inc(counts[key])
-    for rec in tracer._records():
+    rec = tracer._record
+    if rec is not None:
         run = rec.run
         bmodel = rec.models[run.members[run.bfirst]]
         for rep in np.unique(run.brep).tolist():
@@ -237,7 +238,7 @@ def registry_from_trace(tracer) -> MetricsRegistry:
             sizes = reg.histogram("serve_batch_size", replica=rep)
             for size in run.bsize[on].tolist():
                 sizes.observe(size)
-    for _, ev in tracer._keyed(records=False):
+    for _, ev in tracer._keyed(record=False):
         if ev.kind == "scale":
             reg.counter("serve_scale_events_total",
                         action=ev.data["action"]).inc()

@@ -7,9 +7,10 @@ events (scale out/in, node death, degrade, repair, drain) carrying the
 controller's observed signals, so a trace answers *why* the fleet
 changed, not just *that* it did. Event times are virtual seconds.
 
-Request and batch events are a view of the run record: both engines end a
-run in one :class:`repro.serve.fast_core.FastRun`, ``run()`` hands it over
-once, after the run (:meth:`Tracer.add_record`), and :class:`_Record`
+A tracer records one run. Request and batch events are a view of its
+record: both engines end a run in one
+:class:`repro.serve.fast_core.FastRun`, ``run()`` hands it over once,
+after the run (:meth:`Tracer.add_record`), and :class:`_Record`
 expands the events from it lazily — nothing else emits them. The drive
 loops never see a tracer, so a traced run costs what an untraced one does
 and stays on the array core when its configuration is supported. Only
@@ -19,8 +20,8 @@ fleet changes are emitted live (:meth:`Tracer.emit`): the router's
 autoscaler's ``epoch``, ``decision`` and ``scale``; and ``run_start``
 / ``run_end``.
 
-:attr:`Tracer.events` puts both in one canonical order — by run, time,
-kind (:data:`_RANK`), request id and replica, ties in emission order. A
+:attr:`Tracer.events` puts both in one canonical order — by time, kind
+(:data:`_RANK`), request id and replica, ties in emission order. A
 request's terminal state comes from precedence, not order: a node death's
 ``fail`` beats the ``complete`` its aborted batch recorded.
 
@@ -28,7 +29,7 @@ Totals never build that stream. :meth:`Tracer.counts` (the conservation
 identity ``hits + completions + shed + failed == offered``, per model and
 in aggregate), :meth:`Tracer.kind_counts`, ``len()``,
 :func:`repro.serve.obs.metrics.registry_from_trace` and ``reconcile``
-read the records' columns and the live events. Only :attr:`Tracer.events`,
+read the record's columns and the live events. Only :attr:`Tracer.events`,
 ``timeline`` / ``explain`` and the exporters build events.
 """
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -128,9 +130,9 @@ class TraceEvent:
                              f"have {EVENT_KINDS}")
 
 
-def _with_key(run: int, ev: TraceEvent):
+def _with_key(ev: TraceEvent):
     """``ev`` with its canonical sort key."""
-    return ((run, ev.time, _RANK[ev.kind],
+    return ((ev.time, _RANK[ev.kind],
              -1 if ev.request_id is None else ev.request_id,
              -1 if ev.replica is None else ev.replica), ev)
 
@@ -162,7 +164,7 @@ class _Record:
                  "complete": run.members.size + lead.size - stranded}
         self.n_events = {k: int(v) for k, v in tally.items() if v}
 
-    def events(self, run_ix: int, rid: Optional[int] = None
+    def events(self, rid: Optional[int] = None
                ) -> List[Tuple[tuple, TraceEvent]]:
         """Every request and batch event, keyed (:func:`_with_key`); with
         ``rid``, only that request's and the launch of the batch it rode."""
@@ -176,7 +178,7 @@ class _Record:
             ids = np.flatnonzero(mask & want)
             for i, t, m in zip(ids.tolist(), arr[ids].tolist(),
                                models[ids].tolist()):
-                out.append(_with_key(run_ix, TraceEvent(t, kind, i, None, m)))
+                out.append(_with_key(TraceEvent(t, kind, i, None, m)))
 
         requests("arrival", True)
         requests("shed", rec.shed)
@@ -189,14 +191,14 @@ class _Record:
                     ids.tolist(), arr[ids].tolist(), models[ids].tolist(),
                     leaders.tolist(), rec.failed[leaders].tolist(),
                     rec.complete_t[leaders].tolist()):
-                out.append(_with_key(run_ix, TraceEvent(
+                out.append(_with_key(TraceEvent(
                     t, "coalesce", i, None, m, {"leader": lead})))
                 if dead:
-                    out.append(_with_key(run_ix, TraceEvent(
+                    out.append(_with_key(TraceEvent(
                         t, "fail", i, None, m,
                         {"leader": lead, "stranded": True})))
                 else:
-                    out.append(_with_key(run_ix, TraceEvent(
+                    out.append(_with_key(TraceEvent(
                         t_done, "complete", i, None, m,
                         {"via": "coalesced", "leader": lead})))
         first, size = rec.bfirst, rec.bsize
@@ -217,13 +219,13 @@ class _Record:
                 # the margin left at commit — why the batch won the launch
                 deadline = te[0] + self.slos[m]
                 data["deadline"], data["slack"] = deadline, deadline - comp
-            out.append(_with_key(run_ix, TraceEvent(
+            out.append(_with_key(TraceEvent(
                 t, "batch_launch", None, rep, m, data)))
             for i, tq in zip(ids, te):
                 if rid is None or i == rid:
-                    out.append(_with_key(run_ix, TraceEvent(
+                    out.append(_with_key(TraceEvent(
                         tq, "enqueue", i, rep, m)))
-                    out.append(_with_key(run_ix, TraceEvent(
+                    out.append(_with_key(TraceEvent(
                         comp, "complete", i, rep, m, _VIA_REPLICA)))
         return out
 
@@ -249,181 +251,168 @@ def _count(mask: Optional[np.ndarray]) -> int:
     return 0 if mask is None else int(np.count_nonzero(mask))
 
 
+def _second_run(what: str) -> ValueError:
+    return ValueError(f"{what}: this Tracer already holds a run; clear() "
+                      f"it, or give each run its own Tracer")
+
+
 class Tracer:
-    """Collects :class:`TraceEvent` streams from one (or more) serving runs.
+    """Collects the :class:`TraceEvent` stream of one serving run.
 
     Pass one to ``ServingSimulator.run(..., tracer=Tracer())``. Afterwards
     :attr:`events` is the typed stream in canonical order (built lazily),
     :meth:`timeline` / :meth:`explain` one request's story,
-    :meth:`counts` / :meth:`kind_counts` the totals, read off the records'
+    :meth:`counts` / :meth:`kind_counts` the totals, read off the record's
     columns, and :meth:`to_jsonl` / :meth:`to_chrome` the exporters
     (:mod:`repro.serve.obs.export`).
 
-    ``meta`` is filled by the simulator's ``run_start`` event (offered
-    rate, model names, per-model SLOs and transport times) so exporters
-    can label tracks and judge latencies without a backref to the
-    simulator. Internally live events are plain tuples ``(time, kind,
-    request_id, replica, model, data-or-None)``, and each run's record is
-    one more entry (:meth:`add_record`): its events are never stored, only
+    A tracer holds one run: a second ``run_start`` or a second
+    :meth:`add_record` raises ``ValueError`` (a refused ``run()`` drives
+    nothing and leaves the tracer as it was); :meth:`clear` empties it
+    for the next run. :attr:`meta` is the run's ``run_start`` payload
+    (offered rate, model names, per-model SLOs and transport times), so
+    exporters can label tracks and judge latencies without a backref to
+    the simulator. Internally live events are plain tuples ``(time, kind,
+    request_id, replica, model, data-or-None)`` and the run's record is
+    one slot (:meth:`add_record`): its events are never stored, only
     expanded on demand.
     """
 
-    __slots__ = ("_raw", "meta", "_events", "_outcomes")
+    __slots__ = ("_raw", "_start", "_record", "_events", "_outcomes")
 
     def __init__(self) -> None:
         self._raw: List[tuple] = []
-        #: run configuration published by the last ``run_start`` event
-        self.meta: Dict[str, Any] = {}
-        # materialization caches, keyed by the raw length they were
-        # built at (emission is append-only between clears)
-        self._events: Optional[Tuple[int, Tuple[TraceEvent, ...]]] = None
-        self._outcomes: Optional[Tuple[int, tuple]] = None
+        #: the ``run_start`` payload, once the run has opened
+        self._start: Optional[Mapping[str, Any]] = None
+        self._record: Optional[_Record] = None
+        # materialization caches, dropped by every emission
+        self._events: Optional[Tuple[TraceEvent, ...]] = None
+        self._outcomes: Optional[tuple] = None
 
     # -- recording ------------------------------------------------------------
     def emit(self, kind: str, time: float, request_id: Optional[int] = None,
              replica: Optional[int] = None, model: Optional[int] = None,
              data: Optional[Mapping[str, Any]] = None) -> None:
         """Record one live event. ``kind`` is validated lazily (when events
-        are materialized)."""
+        are materialized); a ``run_start`` on a tracer that holds a run is
+        refused."""
+        if kind == "run_start":
+            if self._start is not None or self._record is not None:
+                raise _second_run("run_start")
+            self._start = {} if data is None else data
         self._raw.append((time, kind, request_id, replica, model, data))
+        self._events = self._outcomes = None
 
     def add_record(self, run, arrivals, models=None, slos=None) -> None:
-        """Hand over one finished run's record (a
+        """Hand over the finished run's record (a
         :class:`~repro.serve.fast_core.FastRun`) as a single columnar
         block — an O(1) reference store. ``arrivals`` are the request
         times (request ids are the positions), ``models`` each request's
         model index (``None``: all 0), ``slos`` the per-model SLOs when the
         run launched by deadline (``None`` under fifo). The tracer keeps
-        references — callers must not mutate them afterwards."""
-        if len(arrivals) == 0:
-            return
-        self._raw.append((float(arrivals[0]), "_record", None, None, None,
-                          _Record(run, arrivals, models, slos)))
+        references — callers must not mutate them afterwards. A second
+        record is refused."""
+        if self._record is not None:
+            raise _second_run("add_record")
+        self._record = _Record(run, arrivals, models, slos)
+        self._events = self._outcomes = None
 
     # -- access ---------------------------------------------------------------
+    @property
+    def meta(self) -> Mapping[str, Any]:
+        """The run configuration the ``run_start`` event carries, read-only
+        (empty before the run opens)."""
+        return MappingProxyType(self._start or {})
+
     def __len__(self) -> int:
         return sum(self.kind_counts().values())
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def _keyed(self, rid: Optional[int] = None, records: bool = True
+    def _keyed(self, rid: Optional[int] = None, record: bool = True
                ) -> List[Tuple[tuple, TraceEvent]]:
         """Every event (or every one concerning request ``rid``), keyed
-        and in the canonical order: live events, plus, with ``records``,
-        the records' expansions in the runs they belong to."""
-        out: List[Tuple[tuple, TraceEvent]] = []
-        run = -1
+        and in the canonical order: live events, plus, with ``record``,
+        the record's expansion."""
+        out = (self._record.events(rid)
+               if record and self._record is not None else [])
         for t, kind, r, rep, m, d in self._raw:
-            if kind == "run_start":
-                run += 1
-            if kind == "_record":
-                out += d.events(run, rid) if records else ()
-                continue
             if rid is not None and r != rid and rid not in (
                     d or {}).get("request_ids", ()):
                 continue
-            out.append(_with_key(run, TraceEvent(
+            out.append(_with_key(TraceEvent(
                 t, kind, r, rep, m, d if d is not None else {})))
-        out.sort(key=itemgetter(0))   # stable: ties keep emission order
+        # stable: ties keep the record's events first, then the live ones
+        # in emission order
+        out.sort(key=itemgetter(0))
         return out
 
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
-        """The typed event stream, in canonical order: by run, time, kind,
-        request id and replica; ties keep emission order."""
-        n = len(self._raw)
-        if self._events is None or self._events[0] != n:
-            self._events = (n, tuple(ev for _, ev in self._keyed()))
-        return self._events[1]
+        """The typed event stream, in canonical order: by time, kind,
+        request id and replica."""
+        if self._events is None:
+            self._events = tuple(ev for _, ev in self._keyed())
+        return self._events
 
     def clear(self) -> None:
-        """Drop all events and metadata (reuse the tracer for a new run)."""
+        """Drop the run: every event, the record and the metadata (reuse
+        the tracer for a new run)."""
         self._raw.clear()
-        self.meta.clear()
-        self._events = None
-        self._outcomes = None
-
-    def _records(self) -> List[_Record]:
-        """Every run record handed over, in order."""
-        return [d for t, kind, r, rep, m, d in self._raw if kind == "_record"]
+        self._start = self._record = None
+        self._events = self._outcomes = None
 
     def kind_counts(self) -> Dict[str, int]:
-        """How many events of each kind the stream holds: the records'
-        tallies (:attr:`_Record.n_events`) plus the live events' kinds.
+        """How many events of each kind the stream holds: the record's
+        tally (:attr:`_Record.n_events`) plus the live events' kinds.
         No event is built."""
-        out: Dict[str, int] = collections.Counter()
-        for t, kind, r, rep, m, d in self._raw:
-            out.update(d.n_events if kind == "_record" else (kind,))
+        out: Dict[str, int] = collections.Counter(
+            entry[1] for entry in self._raw)
+        if self._record is not None:
+            out.update(self._record.n_events)
         return dict(out)
 
     def timeline(self, request_id: int) -> List[TraceEvent]:
         """Every event concerning one request, in canonical order,
         including the launch (and abort) of any batch the request rode.
         Read off the record's columns: no other request's events are
-        materialized.
-
-        Every run numbers its requests from 0, so on a tracer of several
-        runs an id may name a different request in each: such an id is
-        refused (``ValueError`` naming the runs, counted from 0 in the
-        order this tracer saw them) rather than interleaving them."""
-        runs, run = [], -1
-        for t, kind, r, rep, m, d in self._raw:
-            run += kind == "run_start"
-            held = (0 <= request_id < d.arrivals.size if kind == "_record"
-                    else r == request_id)
-            if held and run not in runs:
-                runs.append(run)
-        if len(runs) > 1:
-            raise ValueError(
-                f"request id {request_id} is held by runs "
-                f"{', '.join(map(str, runs))} of this tracer: give each "
-                f"run its own Tracer to follow one request")
+        materialized."""
         return [ev for _, ev in self._keyed(request_id)]
 
     # -- lifecycle accounting -------------------------------------------------
     def _requests(self) -> tuple:
         """``(models, codes, arrived)``: every request's model (-1 when no
-        event named one), terminal outcome code and whether it arrived. A
+        event named one), terminal outcome code and whether it arrived. The
         record's requests come from its columns — a live event for one can
         only raise its outcome (a node death's ``fail``) — and any other
         request's from its events."""
-        if self._outcomes is None or self._outcomes[0] != len(self._raw):
-            records, run = {}, -1
-            for entry in self._raw:
-                run += entry[1] == "run_start"
-                if entry[1] == "_record":
-                    records[run] = (entry[5], entry[5].outcomes())
-            # (run, rid) -> [model, code, arrived]
-            loose: Dict[tuple, list] = {}
-            run = -1
+        if self._outcomes is None:
+            rec = self._record
+            empty = np.zeros(0, dtype=np.int8)
+            codes = empty if rec is None else rec.outcomes()
+            models = empty if rec is None else rec.models
+            # rid -> [model, code, arrived]
+            loose: Dict[int, list] = {}
             for t, kind, rid, rep, m, d in self._raw:
-                run += kind == "run_start"
                 if rid is None:
                     continue
                 code = _CODE.get(_outcome_of(kind, d), 0)
-                codes = records[run][1] if run in records else ()
-                if 0 <= rid < len(codes):
+                if 0 <= rid < codes.size:
                     codes[rid] = max(codes[rid], code)
                     continue
-                e = loose.setdefault((run, rid), [-1, 0, False])
+                e = loose.setdefault(rid, [-1, 0, False])
                 e[0] = m if e[0] < 0 and m is not None else e[0]
                 e[1], e[2] = max(e[1], code), e[2] or kind == "arrival"
-            cols = [(r.models, c, np.ones(c.size, dtype=bool))
-                    for r, c in records.values()]
-            # no empty placeholder beside the records: an int64 one would
-            # upcast their int8 columns on concatenation
+            cols = (models, codes, np.ones(codes.size, dtype=bool))
             if loose:
-                cols.append(tuple(map(np.array, zip(*loose.values()))))
-            if not cols:
-                cols.append((np.zeros(0, np.int8),) * 2
-                            + (np.zeros(0, bool),))
-            self._outcomes = (len(self._raw), tuple(
-                np.concatenate(c) for c in zip(*cols)))
-        return self._outcomes[1]
+                cols = tuple(np.concatenate(c) for c in zip(
+                    cols, map(np.array, zip(*loose.values()))))
+            self._outcomes = cols
+        return self._outcomes
 
     def counts(self, model: Optional[int] = None) -> Dict[str, int]:
-        """Lifecycle totals, read off the records' columns and the live
+        """Lifecycle totals, read off the record's columns and the live
         events (no event is built).
 
         Keys: ``offered``, ``shed``, ``cache_hits``, ``coalesced``,

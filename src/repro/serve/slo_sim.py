@@ -445,9 +445,10 @@ class ServingSimulator:
 
     def _run_meta(self, run: _Run, rate: float, n_requests: int,
                   process: ProcessLike) -> dict:
-        """Run configuration published to the tracer (`run_start` payload
-        and ``Tracer.meta``): what exporters need to label tracks and
-        judge latencies without a backref to the simulator."""
+        """Run configuration published to the tracer (the ``run_start``
+        payload, which ``Tracer.meta`` reads): what exporters need to
+        label tracks and judge latencies without a backref to the
+        simulator."""
         return {"rate": float(rate), "n_requests": int(n_requests),
                 "process": (process if isinstance(process, str)
                             else type(process).__name__),
@@ -512,9 +513,9 @@ class ServingSimulator:
             mids = run.mids_np = self._make_model_ids(n_requests, seed)
             run.mids = None if mids is None else mids.tolist()
             if tracer is not None:
-                meta = self._run_meta(run, rate, n_requests, process)
-                tracer.meta.update(meta)
-                tracer.emit("run_start", float(arrivals[0]), data=meta)
+                tracer.emit("run_start", float(arrivals[0]),
+                            data=self._run_meta(run, rate, n_requests,
+                                                process))
             router = self._make_router(
                 on_commit=None if run.cache is None else run.on_commit,
                 tracer=tracer)

@@ -239,6 +239,25 @@ class TestPopularity:
         with pytest.raises(ValueError, match="unreachable"):
             HotKeyPopularity(hot_fraction=0.99, mean_streak=1.0)
 
+    @pytest.mark.parametrize("cls, kwargs, name", [
+        (UniformPopularity, dict(n_keys=math.nan), "n_keys"),
+        (UniformPopularity, dict(n_keys=math.inf), "n_keys"),
+        (UniformPopularity, dict(n_keys=0), "n_keys"),
+        (ZipfPopularity, dict(n_keys=2.5), "n_keys"),
+        (HotKeyPopularity, dict(hot_keys=2.5, n_keys=10), "hot_keys"),
+        (HotKeyPopularity, dict(hot_keys=2, n_keys=10.5), "n_keys"),
+    ], ids=["uniform-nan", "uniform-inf", "uniform-0", "zipf-2.5",
+            "hot-2.5", "hotkey-10.5"])
+    def test_catalog_sizes_are_counts(self, cls, kwargs, name):
+        """A catalog size is a whole number of keys: a fractional, NaN or
+        infinite one is refused when built, not met inside a draw."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cls(**kwargs)
+
+    def test_a_numpy_catalog_size_is_stored_as_int(self):
+        pop = HotKeyPopularity(n_keys=np.int64(10), hot_keys=np.int32(2))
+        assert type(pop.n_keys) is int and type(pop.hot_keys) is int
+
 
 # -- the incremental batch-time clamp ------------------------------------------
 

@@ -49,6 +49,7 @@ from repro.serve import (
 from repro.serve.fast_core import FastRun
 from repro.serve.obs import EVENT_KINDS, trace
 from repro.serve.reference import EventLoopSimulator
+from repro.sim.workload import hep_workload
 from repro.utils.rng import as_rng
 
 SEEDS = [11, 4242, 20260729]
@@ -260,10 +261,42 @@ class TestTracer:
 
     def test_clear_resets(self):
         tr = Tracer()
+        tr.emit("run_start", 0.0, data={"rate": 10.0})
         tr.emit("arrival", 0.0, request_id=0, model=0)
-        tr.meta["rate"] = 10.0
+        tr.add_record(_record(np.zeros(1), [(0, 0.1, 0.2, (0,))]),
+                      np.zeros(1))
+        assert tr.meta == {"rate": 10.0}
         tr.clear()
         assert len(tr) == 0 and tr.meta == {} and tr.counts()["offered"] == 0
+        tr.emit("run_start", 0.0, data={"rate": 20.0})   # reusable
+        assert tr.meta == {"rate": 20.0}
+
+    def test_meta_is_the_run_start_payload_read_only(self):
+        tr = Tracer()
+        tr.emit("run_start", 0.0, data={"rate": 10.0})
+        with pytest.raises(TypeError):
+            tr.meta["rate"] = 20.0
+        assert tr.meta == tr.events[0].data
+
+    def test_one_run_per_tracer(self):
+        """A second ``run_start`` or a second record is refused, naming
+        ``clear()``, and changes nothing; a record may follow the run's
+        own ``run_start``, and a ``run_start`` may not follow a record."""
+        arrivals = np.zeros(2)
+        record = _record(arrivals, [(0, 0.1, 0.2, (0, 1))])
+        tr = Tracer()
+        tr.emit("run_start", 0.0, data={"rate": 1.0})
+        tr.add_record(record, arrivals)
+        before = (len(tr), tr.counts(), tr.events, dict(tr.meta))
+        with pytest.raises(ValueError, match=r"clear\(\)"):
+            tr.emit("run_start", 1.0, data={"rate": 2.0})
+        with pytest.raises(ValueError, match=r"clear\(\)"):
+            tr.add_record(record, arrivals)
+        assert (len(tr), tr.counts(), tr.events, dict(tr.meta)) == before
+        tr = Tracer()
+        tr.add_record(record, arrivals)
+        with pytest.raises(ValueError, match="holds a run"):
+            tr.emit("run_start", 1.0)
 
     def test_models_listing(self):
         tr = Tracer()
@@ -603,56 +636,73 @@ class TestExporters:
         assert "no trace events" in explain(tr, 10 ** 9)
 
 
-@pytest.fixture(scope="module")
-def two_runs():
-    """One tracer over two runs of one simulator that number their
-    requests alike: 50 at half load, then 60 at three times saturation
-    (sheds, cache hits, followers and a node death)."""
-    sim = _obs_sim(11, failure_events=_failure_events(11))
-    tr = Tracer()
-    sat = sim.saturation_rate()
-    for rate, n in ((0.5 * sat, 50), (3.0 * sat, 60)):
-        sim.run(rate, n_requests=n, process="mmpp", seed=11,
-                popularity="zipf", tracer=tr)
-    return tr
+class TestOneRun:
+    def test_a_second_run_is_refused_before_it_drives(self, monkeypatch):
+        """``run()`` on a tracer that holds a run raises ``ValueError``
+        naming ``clear()`` before the second simulator drives anything,
+        and the tracer still holds the first run, unchanged."""
+        sim = _obs_sim(11, failure_events=_failure_events(11))
+        tr = Tracer()
+        sim.run(0.5 * sim.saturation_rate(), n_requests=50, process="mmpp",
+                seed=11, popularity="zipf", tracer=tr)
+        before = (len(tr), tr.counts(), tr.events, dict(tr.meta))
+        other = _obs_sim(12)
 
+        def refuse(*args):
+            raise AssertionError("a refused run drove its simulator")
 
-class TestSeveralRuns:
-    def test_chrome_draws_one_span_per_offered_request(self, two_runs,
-                                                       tmp_path):
-        """Each run's requests keep their own span: 110 spans with 110
-        distinct ids, and the outcomes they are named by tally to
-        ``counts()``. Keyed by request id alone, the second run's
-        requests merged into the first run's 50 spans, and a request
-        shed in the second run drew as the first run's ``complete``."""
-        to_chrome(two_runs, tmp_path / "two.json")
-        evs = json.loads((tmp_path / "two.json").read_text())["traceEvents"]
-        ends = [e for e in evs if e["ph"] == "e"]
-        assert sum(e["ph"] == "b" for e in evs) == len(ends) == 110
-        assert len({e["id"] for e in ends}) == 110
-        tally = {}
-        for e in ends:
-            outcome = e["args"]["outcome"]
-            tally[outcome] = tally.get(outcome, 0) + 1
-        counts = two_runs.counts()
-        assert counts["offered"] == 110 and counts["shed"] > 0
-        assert tally == {k: v for k, v in (
-            ("shed", counts["shed"]), ("cache_hit", counts["cache_hits"]),
-            ("coalesced", counts["coalesced"]),
-            ("complete", counts["replica_completions"]),
-            ("fail", counts["failed"])) if v}
+        monkeypatch.setattr(other, "_drive", refuse)
+        with pytest.raises(ValueError, match=r"clear\(\)"):
+            other.run(3.0 * other.saturation_rate(), n_requests=60,
+                      process="mmpp", seed=11, popularity="zipf",
+                      tracer=tr)
+        assert (len(tr), tr.counts(), tr.events, dict(tr.meta)) == before
 
-    def test_an_id_held_by_two_runs_has_no_timeline(self, two_runs):
-        """Request 16 of the first run is not request 16 of the second:
-        ``timeline`` and ``explain`` refuse the id, naming both runs,
-        instead of interleaving two requests' events. An id only the
-        second run holds still has its timeline."""
-        for read in (two_runs.timeline, two_runs.explain):
-            with pytest.raises(ValueError, match=r"held by runs 0, 1"):
-                read(16)
-        tl = two_runs.timeline(55)
-        assert tl[0].kind == "arrival" and tl[0].request_id == 55
-        assert "request 55" in two_runs.explain(55)
+    def test_a_cleared_tracer_records_like_a_fresh_one(self, tmp_path):
+        """After ``clear()`` a reused tracer's events and both exports
+        are a fresh tracer's, byte for byte."""
+        sim = _obs_sim(11, failure_events=_failure_events(11))
+        kw = dict(process="mmpp", seed=11, popularity="zipf")
+        reused, fresh = Tracer(), Tracer()
+        sim.run(0.5 * sim.saturation_rate(), n_requests=50, tracer=reused,
+                **kw)
+        reused.clear()
+        for tr in (reused, fresh):
+            sim.run(3.0 * sim.saturation_rate(), n_requests=60, tracer=tr,
+                    **kw)
+        assert reused.events == fresh.events
+        assert reused.meta == fresh.meta
+        for export in (to_jsonl, to_chrome):
+            export(reused, tmp_path / "reused")
+            export(fresh, tmp_path / "fresh")
+            assert (tmp_path / "reused").read_bytes() == \
+                (tmp_path / "fresh").read_bytes()
+
+    def test_a_second_model_set_cannot_relabel_a_run(self, tmp_path):
+        """A HEP run and then a two-model run ("x", "y") on one tracer
+        used to name every request span "x" or "y" (the second run's
+        metadata labelled both) and overlap the runs' batches on one
+        replica track. The second run is refused; the export is the HEP
+        run's alone."""
+        hep = ServingSimulator(hep_workload(), n_replicas=2)
+        tr = Tracer()
+        hep.run(0.9 * hep.saturation_rate(), n_requests=200,
+                process="poisson", seed=0, tracer=tr)
+        two = ServingSimulator(
+            models=[ModelProfile("x", hep_workload()),
+                    ModelProfile("y", hep_workload())], n_replicas=2)
+        with pytest.raises(ValueError, match=r"clear\(\)"):
+            two.run(0.9 * two.saturation_rate(), n_requests=200,
+                    process="poisson", seed=0, tracer=tr)
+        to_chrome(tr, tmp_path / "hep.json")
+        evs = json.loads((tmp_path / "hep.json").read_text())["traceEvents"]
+        assert {e["name"].split()[0] for e in evs if e["ph"] == "b"} == {
+            "hep"}
+        for rep in (0, 1):
+            spans = sorted((e["ts"], e["ts"] + e["dur"]) for e in evs
+                           if e["ph"] == "X" and e["tid"] == rep)
+            assert spans and all(b[0] >= a[1] - 1e-6
+                                 for a, b in zip(spans, spans[1:]))
 
 
 # -- run metadata --------------------------------------------------------------

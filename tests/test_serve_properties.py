@@ -229,6 +229,15 @@ class TestArrivalProcessStatistics:
         with pytest.raises(ValueError, match="cycle_requests"):
             MMPP(cycle_requests=0.0)
 
+    @pytest.mark.parametrize("field", ["burst", "cycle_requests"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_mmpp_refuses_a_non_finite_shape(self, field, value):
+        """An infinite burst gives the states rates ``(0, nan)`` and the
+        arrival loop never ends; an infinite cycle never leaves the
+        starting state, so the offered rate is not the one asked for."""
+        with pytest.raises(ValueError, match=field):
+            MMPP(**{field: value})
+
 
 # -- kept state is never stale --------------------------------------------------
 

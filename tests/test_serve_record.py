@@ -337,8 +337,8 @@ def _trace_digest(events) -> str:
     return h.hexdigest()
 
 
-def _canonical_key(run, ev):
-    return (run, ev.time, trace._RANK[ev.kind],
+def _canonical_key(ev):
+    return (ev.time, trace._RANK[ev.kind],
             -1 if ev.request_id is None else ev.request_id,
             -1 if ev.replica is None else ev.replica)
 
@@ -346,13 +346,13 @@ def _canonical_key(run, ev):
 @pytest.mark.parametrize("name", sorted(TRACE_CASES))
 def test_traces_are_pinned(name):
     """Each trace, event for event: the same events the live emits wrote,
-    in the canonical order (by run, time, kind, request id, replica), and
+    in the canonical order (by time, kind, request id, replica), and
     it reconciles with the stats."""
     tracer = Tracer()
     _, stats = TRACE_CASES[name](tracer)
     events = tracer.events
     assert len(events) == len(tracer)
-    keys = [_canonical_key(0, ev) for ev in events]
+    keys = [_canonical_key(ev) for ev in events]
     assert keys == sorted(keys)
     assert _trace_digest(events) == TRACE_DIGESTS[name]
     reconcile(tracer, stats)
@@ -468,55 +468,22 @@ def _event_walk_registry(tracer):
     return reg
 
 
-def light_two_models(tracer=None):
-    """Two models, autoscaled, light enough to stay at two replicas."""
-    sim = AutoscalingSimulator(
-        autoscale=AutoscalePolicy(min_replicas=2, max_replicas=5,
-                                  epoch=0.05),
-        policy=BatchingPolicy(max_batch=8, max_wait=4e-3), max_queue=24,
-        **_two_models())
-    stats = sim.run(300.0, n_requests=1000, process="poisson", seed=2,
-                    tracer=tracer)
-    return sim, stats
-
-
-def two_runs(tracer=None):
-    """One tracer across two autoscaled runs: one model ending on five
-    replicas, then two models on two."""
-    autoscale_fail_degrade_repair(tracer)
-    return light_two_models(tracer)
-
-
 def _comparable(snapshot):
     """``snapshot`` with every NaN replaced by one comparable token."""
     return {k: _comparable(v) if isinstance(v, dict)
             else "nan" if v != v else v for k, v in snapshot.items()}
 
 
-@pytest.mark.parametrize("name", sorted(TRACE_CASES) + ["two_runs"])
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
 def test_trace_totals_equal_the_event_walk(name):
     tracer = Tracer()
-    dict(TRACE_CASES, two_runs=two_runs)[name](tracer)
+    TRACE_CASES[name](tracer)
     got = registry_from_trace(tracer).collect()
     assert _comparable(got) == _comparable(
         _event_walk_registry(tracer).collect())
     kinds = tracer.kind_counts()
     assert kinds == collections.Counter(ev.kind for ev in tracer.events)
     assert len(tracer) == sum(kinds.values())
-
-
-def test_two_runs_add_up_and_the_gauge_reads_the_last():
-    both, first, second = Tracer(), Tracer(), Tracer()
-    two_runs(both)
-    autoscale_fail_degrade_repair(first)
-    light_two_models(second)
-    regs = [registry_from_trace(t) for t in (both, first, second)]
-    for name in [metric for metric, _ in TRACE_COUNTERS] + [
-            "serve_batches_total", "serve_scale_events_total"]:
-        assert regs[0].total(name) == regs[1].total(name) \
-            + regs[2].total(name), name
-    fleet = [r.value("serve_fleet_size") for r in regs]
-    assert fleet[0] == fleet[2] != fleet[1]
 
 
 def test_totals_build_no_events(monkeypatch):
