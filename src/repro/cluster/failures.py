@@ -16,13 +16,12 @@ Two models:
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -40,19 +39,12 @@ class FailureEvent:
     def __post_init__(self) -> None:
         if self.kind not in ("fail", "degrade", "repair"):
             raise ValueError(f"unknown failure kind {self.kind!r}")
-        if not 0 <= self.time < math.inf:
-            raise ValueError(
-                f"time must be finite and non-negative, got {self.time}")
-        # a node index: an integer >= 0 (NumPy ones included), stored as
-        # int — a fractional or NaN one would crash the run that indexes
-        # replicas with it
-        if not isinstance(self.node_id, numbers.Integral) or self.node_id < 0:
-            raise ValueError(
-                f"node_id must be an integer >= 0, got {self.node_id!r}")
-        object.__setattr__(self, "node_id", int(self.node_id))
-        if not math.isfinite(self.slow_factor):
-            raise ValueError(
-                f"slow_factor must be finite, got {self.slow_factor}")
+        require_real("time", self.time, "[0, inf)")
+        # a node index, stored as int: a fractional or NaN one would crash
+        # the run that indexes replicas with it
+        object.__setattr__(self, "node_id",
+                           require_count("node_id", self.node_id, least=0))
+        require_real("slow_factor", self.slow_factor, "(-inf, inf)")
         if self.kind == "degrade" and self.slow_factor < 1.0:
             raise ValueError("degrade events must slow the node down")
         if self.kind == "repair" and self.slow_factor != 1.0:
@@ -76,22 +68,20 @@ class StragglerModel:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        if self.sigma_node < 0 or self.sigma_iter < 0:
-            raise ValueError("sigmas must be non-negative")
+        require_real("sigma_node", self.sigma_node, "[0, inf]")
+        require_real("sigma_iter", self.sigma_iter, "[0, inf]")
         self._rng = as_rng(self.seed)
 
     def node_factors(self, n_nodes: int) -> np.ndarray:
         """Persistent speed factors (>= ~1) for ``n_nodes`` nodes."""
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+        n_nodes = require_count("n_nodes", n_nodes)
         if self.sigma_node == 0:
             return np.ones(n_nodes)
         return np.exp(self._rng.normal(0.0, self.sigma_node, size=n_nodes))
 
     def iteration_factors(self, n_nodes: int) -> np.ndarray:
         """Fresh per-iteration jitter factors."""
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+        n_nodes = require_count("n_nodes", n_nodes)
         if self.sigma_iter == 0:
             return np.ones(n_nodes)
         return np.exp(self._rng.normal(0.0, self.sigma_iter, size=n_nodes))
@@ -127,31 +117,24 @@ class FailureModel:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison: "not > 0" refuses it, where "<= 0"
-        # would let a run through with no failures at all
-        if not self.mtbf_node_hours > 0:
-            raise ValueError(f"mtbf_node_hours must be positive (inf: "
-                             f"never fails), got {self.mtbf_node_hours}")
-        if not 0.0 <= self.degrade_fraction <= 1.0:
-            raise ValueError("degrade_fraction must be in [0,1]")
+        # inf: a node that never fails
+        require_real("mtbf_node_hours", self.mtbf_node_hours, "(0, inf]")
+        require_real("degrade_fraction", self.degrade_fraction, "[0, 1]")
         # refused here, not at run start when the first degrade event
         # is drawn
-        if not 1.0 <= self.degrade_slow_factor < math.inf:
-            raise ValueError(f"degrade_slow_factor must be finite and "
-                             f">= 1, got {self.degrade_slow_factor}")
+        require_real("degrade_slow_factor", self.degrade_slow_factor,
+                     "[1, inf)")
         self._rng = as_rng(self.seed)
 
     def rate_per_second(self, n_nodes: int) -> float:
         """Aggregate event rate of an ``n_nodes`` allocation."""
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+        n_nodes = require_count("n_nodes", n_nodes)
         return n_nodes / (self.mtbf_node_hours * 3600.0)
 
     def sample_events(self, n_nodes: int, duration_s: float
                       ) -> List[FailureEvent]:
         """Draw the failure/degrade events of one run."""
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
+        require_real("duration_s", duration_s, "[0, inf)")
         rate = self.rate_per_second(n_nodes)
         events: List[FailureEvent] = []
         t = 0.0
@@ -170,7 +153,6 @@ class FailureModel:
 
     def survival_probability(self, n_nodes: int, duration_s: float) -> float:
         """P(no fail-stop event in the run) — the sync run's survival odds."""
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
+        require_real("duration_s", duration_s, "[0, inf]")
         lam = self.rate_per_second(n_nodes) * duration_s
         return float(np.exp(-lam * (1.0 - self.degrade_fraction)))

@@ -8,10 +8,11 @@ accounting (Fig 5) and the per-layer parameter-server mapping straightforward.
 
 from __future__ import annotations
 
-import numbers
 from typing import List, Mapping, Optional
 
 import numpy as np
+
+from repro.utils.checks import require_count
 
 
 class Module:
@@ -197,12 +198,9 @@ def check_grad_out(name: str, grad_out: np.ndarray, expected) -> None:
 def check_sizes(name: str, **sizes) -> List[int]:
     """``sizes`` as Python ``int``s, refused by layer name and field unless
     each is an integer >= 1 (a ``pad``: >= 0), not at the first forward."""
-    for field, value in sizes.items():
-        least = 0 if field == "pad" else 1
-        if not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name}: {field} must be an integer >= "
-                             f"{least}, got {value!r}")
-    return [int(value) for value in sizes.values()]
+    return [require_count(f"{name}: {field}", value,
+                          least=0 if field == "pad" else 1)
+            for field, value in sizes.items()]
 
 
 from repro.core.parameter import Parameter  # noqa: E402  (cycle-free re-export)

@@ -22,8 +22,6 @@ so it prices accuracy, not speed.
 from __future__ import annotations
 
 import copy
-import math
-import numbers
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -32,23 +30,14 @@ import numpy as np
 from repro.core.module import run_layers
 from repro.core.parameter import Parameter
 from repro.optim.base import Optimizer
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
-
-
-def _check_bits(bits) -> int:
-    """``bits`` as an int >= 2 (NumPy integers accepted)."""
-    if not isinstance(bits, numbers.Integral):
-        raise ValueError(f"bits must be an integer, got {bits!r}")
-    if bits < 2:
-        raise ValueError(f"need at least 2 bits, got {bits}")
-    return int(bits)
 
 
 def quantization_step(scale: float, bits: int) -> float:
     """Lattice spacing of a symmetric fixed-point grid on [-scale, scale]."""
-    bits = _check_bits(bits)
-    if not 0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    bits = require_count("bits", bits, least=2)
+    require_real("scale", scale, "(0, inf)")
     return 2.0 * scale / (2**bits - 2)
 
 
@@ -89,13 +78,10 @@ class QuantizedGradSGD(Optimizer):
         super().__init__(params, lr)
         if mode not in ("stochastic", "nearest"):
             raise ValueError(f"unknown mode {mode!r}")
-        bits = _check_bits(bits)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.bits = bits
+        self.bits = require_count("bits", bits, least=2)
         self.mode = mode
         self.scale = scale
-        self.momentum = momentum
+        self.momentum = require_real("momentum", momentum, "[0, 1)")
         self._rng = as_rng(seed)
         self._velocity: dict = {}
 
@@ -196,7 +182,7 @@ def compile_quantized(net, bits: int = 8, calibration=None):
     The copy records ``quant_bits`` and per-leaf ``activation_scales``;
     :func:`output_drift` prices it against the base net.
     """
-    bits = _check_bits(bits)
+    bits = require_count("bits", bits, least=2)
     diverged = [p.name for p in net.params()
                 if not np.isfinite(p.data).all()]
     if diverged:

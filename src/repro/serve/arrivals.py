@@ -42,7 +42,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.serve.cache import require_count
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
 
 #: string-selectable processes for ``ServingSimulator.run(process=...)``
@@ -87,19 +87,12 @@ class MMPP:
     cycle_requests: float = 64.0
 
     def __post_init__(self) -> None:
-        # an infinite burst leaves the quiet state no rate and the burst
-        # state a NaN one; an infinite cycle never switches state
-        if not 1.0 <= self.burst < math.inf:
-            raise ValueError(
-                f"burst must be finite and >= 1 (burst state at least as "
-                f"hot as quiet), got {self.burst}")
-        if not 0.0 < self.burst_fraction < 1.0:
-            raise ValueError(
-                f"burst_fraction must be in (0, 1), "
-                f"got {self.burst_fraction}")
-        if not 0.0 < self.cycle_requests < math.inf:
-            raise ValueError(f"cycle_requests must be finite and positive, "
-                             f"got {self.cycle_requests}")
+        # the burst state is at least as hot as quiet; an infinite burst
+        # leaves the quiet state no rate and the burst state a NaN one; an
+        # infinite cycle never switches state
+        require_real("burst", self.burst, "[1, inf)")
+        require_real("burst_fraction", self.burst_fraction, "(0, 1)")
+        require_real("cycle_requests", self.cycle_requests, "(0, inf)")
 
     # -- derived parameters ---------------------------------------------------
     def state_rates(self, rate: float) -> Tuple[float, float]:
@@ -197,11 +190,9 @@ def make_arrivals(process: ProcessLike, rate: float, n_requests: int,
     instance (custom burst shape). Stochastic processes default to seed 0
     so unseeded runs stay reproducible.
     """
-    # not (0 < rate < inf): NaN fails every comparison, so it lands here
-    # too instead of yielding NaN arrival times (and rate=inf a stream
-    # with every arrival at t0)
-    if not 0 < rate < math.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    # a NaN rate would yield NaN arrival times, and rate=inf a stream with
+    # every arrival at t0
+    require_real("rate", rate, "(0, inf)")
     n_requests = require_count("n_requests", n_requests)
     if isinstance(process, MMPP):
         return process.sample(rate, n_requests,
@@ -255,8 +246,7 @@ class ZipfPopularity:
     n_keys: int = 1024
 
     def __post_init__(self) -> None:
-        if not 0 <= self.alpha < math.inf:      # NaN lands here too
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        require_real("alpha", self.alpha, "[0, inf)")
         object.__setattr__(self, "n_keys",
                            require_count("n_keys", self.n_keys))
 
@@ -304,12 +294,9 @@ class HotKeyPopularity:
             raise ValueError(
                 f"hot_keys must be in (0, n_keys={self.n_keys}), "
                 f"got {self.hot_keys}")
-        if not 0.0 < self.hot_fraction < 1.0:
-            raise ValueError(
-                f"hot_fraction must be in (0, 1), got {self.hot_fraction}")
-        if self.mean_streak < 1.0:
-            raise ValueError(
-                f"mean_streak must be >= 1, got {self.mean_streak}")
+        require_real("hot_fraction", self.hot_fraction, "(0, 1)")
+        # an infinite streak never leaves the hot state it starts in
+        require_real("mean_streak", self.mean_streak, "[1, inf)")
         # Stationarity pins the cold->hot switch rate at
         # f/(1-f) * (1/mean_streak); it must stay a probability.
         f, leave_hot = self.hot_fraction, 1.0 / self.mean_streak
@@ -402,12 +389,10 @@ class ModelMix:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("ModelMix needs at least one model weight")
-        if any(not 0 < w < math.inf for w in self.weights):
-            raise ValueError(f"model weights must be positive and finite, "
-                             f"got {self.weights}")
-        if not self.mean_run >= 1.0:
-            raise ValueError(
-                f"mean_run must be >= 1, got {self.mean_run}")
+        for w in self.weights:
+            require_real("weights", w, "(0, inf)")
+        # an infinite run never resamples the model it starts on
+        require_real("mean_run", self.mean_run, "[1, inf)")
 
     @property
     def n_models(self) -> int:
@@ -453,8 +438,9 @@ def make_model_ids(mix: MixLike, n_requests: int,
     (i.i.d. mix), or a :class:`ModelMix` instance. Stochastic draws
     default to seed 0, matching :func:`make_arrivals`.
     """
-    if n_requests <= 0:
-        raise ValueError(f"n_requests must be positive, got {n_requests}")
+    if n_requests == 0:
+        raise ValueError(f"n_requests must be positive, got {n_requests!r}")
+    n_requests = require_count("n_requests", n_requests)
     if mix is None:
         return np.zeros(n_requests, dtype=np.int64)
     if not isinstance(mix, ModelMix):
@@ -471,8 +457,9 @@ def make_contents(popularity: PopularityLike, n_requests: int,
     a popularity instance. Stochastic samplers default to seed 0, matching
     :func:`make_arrivals`.
     """
-    if n_requests <= 0:
-        raise ValueError(f"n_requests must be positive, got {n_requests}")
+    if n_requests == 0:
+        raise ValueError(f"n_requests must be positive, got {n_requests!r}")
+    n_requests = require_count("n_requests", n_requests)
     if popularity is None or popularity == "unique":
         return np.arange(n_requests, dtype=np.int64)
     if popularity == "uniform":

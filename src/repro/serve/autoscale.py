@@ -41,7 +41,6 @@ import numpy as np
 from repro.cluster.failures import FailureEvent, FailureModel
 from repro.cluster.machine import CoriMachine
 from repro.serve.batching import BatchingPolicy
-from repro.serve.cache import require_count
 from repro.serve.metrics import (
     EpochRecord,
     LatencyStats,
@@ -49,9 +48,10 @@ from repro.serve.metrics import (
     ScaleReason,
 )
 from repro.serve.router import Router
-from repro.serve.slo_sim import ServingSimulator, _require_slo, _Run
+from repro.serve.slo_sim import ServingSimulator, _Run
 from repro.serve.arrivals import PopularityLike, ProcessLike
 from repro.sim.workload import Workload
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -89,17 +89,10 @@ class AutoscalePolicy:
             raise ValueError(
                 f"max_replicas ({self.max_replicas}) < min_replicas "
                 f"({self.min_replicas})")
-        if not 0.0 < self.target_attainment <= 1.0:
-            raise ValueError(
-                f"target_attainment must be in (0, 1], "
-                f"got {self.target_attainment}")
-        if not 0.0 <= self.scale_in_occupancy < 1.0:
-            raise ValueError(
-                f"scale_in_occupancy must be in [0, 1), "
-                f"got {self.scale_in_occupancy}")
-        if self.epoch is not None and not 0 < self.epoch < math.inf:
-            raise ValueError(
-                f"epoch must be positive and finite, got {self.epoch}")
+        require_real("target_attainment", self.target_attainment, "(0, 1]")
+        require_real("scale_in_occupancy", self.scale_in_occupancy,
+                     "[0, 1)")
+        require_real("epoch", self.epoch, "(0, inf)", none_ok=True)
 
 
 @dataclass(frozen=True)
@@ -303,7 +296,8 @@ class AutoscalingSimulator(ServingSimulator):
         ``slo`` or per-model default); an explicit ``slo`` here overrides
         every model with one uniform target. The controller reacts to the
         worst per-model attainment."""
-        slos = ([_require_slo(slo)] * len(self.services) if slo is not None
+        slos = ([float(require_real("slo", slo, "(0, inf]"))]
+                * len(self.services) if slo is not None
                 else self.model_slos())
         return self._serve(_Run(tracer, profiler, slos), rate, n_requests,
                            process, seed, popularity)

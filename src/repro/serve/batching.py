@@ -39,7 +39,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serve.cache import ResultCache, content_key, require_count
+from repro.serve.cache import ResultCache, content_key
+from repro.utils.checks import require_count, require_real
 
 BATCHING_MODES = ("windowed", "continuous")
 
@@ -72,9 +73,8 @@ class BatchingPolicy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_batch",
                            require_count("max_batch", self.max_batch))
-        if math.isnan(self.max_wait) or self.max_wait < 0:
-            raise ValueError(
-                f"max_wait must be non-negative, got {self.max_wait}")
+        # inf: never launch a partial batch on a timer
+        require_real("max_wait", self.max_wait, "[0, inf]")
         if self.mode not in BATCHING_MODES:
             raise ValueError(f"unknown batching mode {self.mode!r}; "
                              f"have {BATCHING_MODES}")
@@ -144,9 +144,8 @@ class ReplicaBatchQueue:
         n_models = len(self.service_times)
         #: per-model SLOs, the lane heads' deadline source; set, lanes
         #: launch earliest deadline first
-        self.slos = None if slos is None else [float(s) for s in slos]
-        if self.slos is not None and any(not s > 0 for s in self.slos):
-            raise ValueError(f"slos must be positive, got {self.slos}")
+        self.slos = None if slos is None else [
+            float(require_real("slos", s, "(0, inf]")) for s in slos]
         for seq, what in ((self.policies, "policies"), (self.slos, "slos")):
             if seq is not None and len(seq) != n_models:
                 raise ValueError(
@@ -187,9 +186,7 @@ class ReplicaBatchQueue:
         (a throttled or half-broken node, not a dead one). Repeat degrades
         compound multiplicatively; :meth:`repair` is the undo — until one
         arrives the node stays slow (or the autoscaler retires it)."""
-        if not slow_factor >= 1.0:
-            raise ValueError(
-                f"slow_factor must be >= 1.0, got {slow_factor}")
+        require_real("slow_factor", slow_factor, "[1, inf)")
         self.slow_factor = self.slow_factor * float(slow_factor)
 
     def repair(self) -> float:

@@ -27,26 +27,12 @@ exactly that.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from collections import OrderedDict
 from typing import Any, Hashable, Tuple
 
 import numpy as np
 
-
-def require_count(name: str, value, none_ok: bool = False, least: int = 1):
-    """``value`` as a Python ``int``, rejected unless it is an integer
-    >= ``least`` (or ``None`` with ``none_ok``). A fractional or NaN count
-    is not a count: the event engine compares with it as a float while the
-    array engine truncates or indexes with it, so the two would disagree or
-    one would crash (as it would on a NumPy integer's missing int
-    methods)."""
-    if value is None and none_ok:
-        return None
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}"
-                         f"{' or None' if none_ok else ''}, got {value!r}")
-    return int(value)
+from repro.utils.checks import require_count
 
 
 def content_key(x) -> str:

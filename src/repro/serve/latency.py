@@ -10,14 +10,13 @@ alpha-beta interconnect model (:mod:`repro.comm.cost_model`).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 from repro.cluster.knl import KNLNodeModel
 from repro.comm.cost_model import AlphaBetaModel, point_to_point_time
-from repro.serve.cache import require_count
 from repro.sim.perf_model import SingleNodePerf
 from repro.sim.workload import Workload
+from repro.utils.checks import require_count, require_real
 
 
 class ServiceTimeModel:
@@ -35,10 +34,7 @@ class ServiceTimeModel:
                  response_bytes: int = 4096) -> None:
         # a NaN or infinite overhead would make every batch time NaN or
         # infinite: runs that "complete" with NaN latencies, or crash
-        if not 0 <= dispatch_overhead < math.inf:
-            raise ValueError(
-                f"dispatch_overhead must be finite and non-negative, "
-                f"got {dispatch_overhead}")
+        require_real("dispatch_overhead", dispatch_overhead, "[0, inf)")
         self.workload = workload
         self.node = node or KNLNodeModel()
         self.cost = cost or AlphaBetaModel()

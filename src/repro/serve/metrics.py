@@ -24,6 +24,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_real
+
 #: every way the serving fleet can change mid-run (``"degrade"`` is the
 #: one action that changes *capacity* without changing the replica count:
 #: a slow node stays in rotation, so its event carries ``delta == 0``)
@@ -268,8 +270,7 @@ class PerModelStats(_LatencySample):
 
     def __post_init__(self) -> None:
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
-        if self.slo <= 0:
-            raise ValueError(f"slo must be positive, got {self.slo}")
+        require_real("slo", self.slo, "(0, inf]")
         if min(self.n_offered, self.n_dropped, self.n_failed,
                self.n_cache_hits, self.n_coalesced) < 0:
             raise ValueError("counts must be non-negative")
@@ -401,8 +402,7 @@ class LatencyStats(_LatencySample):
         cares about the requests users sent, not the ones the system
         deigned (or survived) to serve.
         """
-        if not slo > 0:
-            raise ValueError(f"slo must be positive, got {slo}")
+        require_real("slo", slo, "(0, inf]")
         if self.n_offered == 0:
             return 1.0
         ok = int((self.latencies <= slo).sum())
@@ -476,22 +476,8 @@ class SweepReport:
         return np.array([p.stats.p99 for p in self.points])
 
     @property
-    def throughput_curve(self) -> np.ndarray:
-        return np.array([p.stats.throughput for p in self.points])
-
-    @property
     def mean_batch_curve(self) -> np.ndarray:
         return np.array([p.stats.mean_batch_size for p in self.points])
-
-    @property
-    def mean_replica_curve(self) -> np.ndarray:
-        """Time-averaged fleet size per rate (NaN for fixed-fleet sweeps).
-
-        This is the autoscaler's cost axis: attainment restored at a lower
-        mean fleet than static worst-case provisioning is the whole win.
-        """
-        return np.array([np.nan if p.stats.mean_replicas is None
-                         else p.stats.mean_replicas for p in self.points])
 
     @property
     def hit_rate_curve(self) -> np.ndarray:
@@ -501,12 +487,6 @@ class SweepReport:
     @property
     def attainment_curve(self) -> np.ndarray:
         return np.array([p.stats.attainment(self.slo) for p in self.points])
-
-    def model_attainment_curve(self, name: str) -> np.ndarray:
-        """One model's attainment (against its own SLO) per offered rate —
-        multi-model sweeps only."""
-        return np.array([p.stats.model(name).attainment
-                         for p in self.points])
 
     def p99_is_monotone(self, rel_tol: float = 5e-3) -> bool:
         """Check that p99 latency never decreases as offered load rises.
@@ -582,10 +562,6 @@ class CacheSizeSweep:
     @property
     def attainment_curve(self) -> np.ndarray:
         return np.array([s.attainment(self.slo) for s in self.points])
-
-    @property
-    def deflected_curve(self) -> np.ndarray:
-        return np.array([s.deflected_load for s in self.points])
 
     def table(self) -> str:
         rows = [f"{'cache size':>10s} {'hit rate':>9s} {'deflect/s':>10s} "

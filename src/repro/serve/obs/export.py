@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.serve.obs.trace import _CODE, _outcome_of
+from repro.utils.checks import require_count
 
 #: virtual seconds -> Chrome trace microseconds
 _US = 1e6
@@ -43,7 +43,8 @@ def to_jsonl(tracer, path) -> int:
     with open(path, "w") as fh:
         if tracer.meta:
             fh.write(json.dumps({"meta": dict(tracer.meta)}) + "\n")
-        for ev in tracer.events:
+        # built here, not cached on the tracer as ``tracer.events`` would be
+        for _, ev in tracer._keyed():
             rec: Dict[str, Any] = {"t": ev.time, "kind": ev.kind}
             if ev.request_id is not None:
                 rec["rid"] = ev.request_id
@@ -89,10 +90,9 @@ def to_chrome(tracer, path, max_requests: Optional[int] = None) -> int:
     (arrival order) — batch and fleet tracks are always complete —
     keeping big traces loadable.
     """
-    if max_requests is not None and not (
-            isinstance(max_requests, numbers.Integral) and max_requests >= 0):
-        raise ValueError(f"max_requests must be a non-negative integer, "
-                         f"got {max_requests!r}")
+    max_requests = require_count(
+        "to_chrome caps its request track at a non-negative integer: "
+        "max_requests", max_requests, none_ok=True, least=0)
     meta = tracer.meta
     events: List[Dict[str, Any]] = [
         {"ph": "M", "pid": _PID_FLEET, "name": "process_name",

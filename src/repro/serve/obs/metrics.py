@@ -17,10 +17,11 @@ in aggregate. :exc:`ReconciliationError` names every diverging series.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
+
+from repro.utils.checks import require_count, require_real
 
 
 def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -38,10 +39,9 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        if not isinstance(amount, numbers.Integral) or amount < 0:
-            raise ValueError(f"counters only go up, by whole events; "
-                             f"inc({amount!r}) on {self.name}")
-        self.value += amount
+        self.value += require_count(
+            f"{self.name}: counters only go up, by whole events, so the "
+            f"amount", amount, least=0)
 
 
 class Gauge:
@@ -76,10 +76,7 @@ class Histogram:
         self.values: List[float] = []
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError(f"observe(nan) on {self.name}")
-        self.values.append(value)
+        self.values.append(float(require_real(self.name, value)))
 
     @property
     def count(self) -> int:

@@ -13,7 +13,6 @@ raises instead of silently skewing production traffic.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ import numpy as np
 
 from repro.core.initializers import undrawn
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
+from repro.utils.checks import require_real
 
 _VERSION_RE = re.compile(r"^v(\d+)\.npz$")
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")  # fullmatch: one path component
@@ -60,11 +60,9 @@ class ModelProfile:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a model profile needs a name")
-        if self.slo is not None and not self.slo > 0:
-            raise ValueError(f"slo must be positive, got {self.slo}")
-        if not 0 < self.weight < math.inf:
-            raise ValueError(
-                f"weight must be positive and finite, got {self.weight}")
+        require_real("slo", self.slo, "(0, inf]", none_ok=True)
+        object.__setattr__(self, "weight", float(
+            require_real("weight", self.weight, "(0, inf)")))
         if self.policy is not None and not hasattr(self.policy, "max_batch"):
             raise ValueError(
                 f"policy must be a BatchingPolicy, got {self.policy!r}")
@@ -150,10 +148,8 @@ class ModelRegistry:
         self.root = Path(root)
         self._builders: Dict[str, Callable[[], object]] = {}
         self._input_shapes: Dict[str, Tuple[int, ...]] = {}
-        self._workloads: Dict[str, object] = {}
-        self._weights: Dict[str, float] = {}
-        self._slos: Dict[str, Optional[float]] = {}
-        self._policies: Dict[str, Optional[object]] = {}
+        #: name -> the validated simulator face of the model
+        self._profiles: Dict[str, ModelProfile] = {}
         #: called with (name, new_version) after every successful publish —
         #: rollout machinery (e.g. result-cache invalidation) hangs off it
         self._publish_hooks: List[Callable[[str, int], None]] = []
@@ -187,15 +183,12 @@ class ModelRegistry:
         # Validate everything (eagerly, even without a workload) BEFORE
         # touching any dict — a failed register must leave no trace, or
         # the corrected retry hits "already registered" forever.
-        ModelProfile(name, workload, slo=slo, weight=weight, policy=policy)
+        profile = ModelProfile(name, workload, slo=slo, weight=weight,
+                               policy=policy)
         shape = tuple(input_shape)
         self._builders[name] = builder
         self._input_shapes[name] = shape
-        if workload is not None:
-            self._workloads[name] = workload
-        self._slos[name] = slo
-        self._weights[name] = float(weight)
-        self._policies[name] = policy
+        self._profiles[name] = profile
 
     def names(self) -> List[str]:
         return sorted(self._builders)
@@ -205,13 +198,11 @@ class ModelRegistry:
         """The :class:`ModelProfile` of one registered model (requires a
         ``workload`` to have been registered for it)."""
         self._require(name)
-        if name not in self._workloads:
+        if self._profiles[name].workload is None:
             raise ValueError(
                 f"model {name!r} was registered without a workload; the "
                 f"simulator needs one for its service-time curve")
-        return ModelProfile(name, self._workloads[name],
-                            slo=self._slos[name], weight=self._weights[name],
-                            policy=self._policies.get(name))
+        return self._profiles[name]
 
     def profiles(self,
                  names: Optional[List[str]] = None) -> List[ModelProfile]:
@@ -221,7 +212,8 @@ class ModelRegistry:
         is None — the registry may also hold real-path-only models.
         """
         if names is None:
-            names = [n for n in self._builders if n in self._workloads]
+            names = [n for n, p in self._profiles.items()
+                     if p.workload is not None]
         return [self.profile(n) for n in names]
 
     def _require(self, name: str) -> None:

@@ -58,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.machine import CoriMachine, cori
 from repro.serve.batching import Batch, BatchingPolicy, ReplicaBatchQueue
-from repro.serve.cache import require_count
+from repro.utils.checks import require_count, require_real
 
 
 @dataclass
@@ -131,18 +131,15 @@ class Router:
                     f"{len(seq)} {what} for {n_models} model(s)")
         #: per-model SLOs — set, every replica queue launches by deadline
         self.model_slos = model_slos
-        if model_costs is not None and any(not c > 0 for c in model_costs):
-            raise ValueError(
-                f"model costs must be positive seconds, got {model_costs}")
         #: per-model estimated seconds per request; set => cost-aware mode
-        self.model_costs = (None if model_costs is None
-                            else [float(c) for c in model_costs])
-        if limits is not None and any(not L > 0 for L in limits):
-            raise ValueError(
-                f"admission limits must be positive, got {limits}")
+        #: (an infinite cost would publish NaN loads: ``0 * inf``)
+        self.model_costs = (None if model_costs is None else [
+            float(require_real("model_costs", c, "(0, inf)"))
+            for c in model_costs])
         #: per-model admission limit on a replica's published load (see
-        #: :meth:`_route`); unbounded when not given
-        self._limits = (list(limits) if limits is not None
+        #: :meth:`_route`); unbounded (``inf``) when not given
+        self._limits = ([require_real("admission limits", L, "(0, inf]")
+                         for L in limits] if limits is not None
                         else [math.inf] * n_models)
         #: what :meth:`submit` accepts as a model index -> that index
         self._model_ids = {m: m for m in range(n_models)}

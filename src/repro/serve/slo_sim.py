@@ -58,7 +58,7 @@ from repro.serve.arrivals import (
     make_model_ids,
 )
 from repro.serve.batching import LAUNCH_ORDERS, Batch, BatchingPolicy
-from repro.serve.cache import ResultCache, require_count
+from repro.serve.cache import ResultCache
 from repro.serve.latency import PerModelServiceTime, ServiceTimeModel
 from repro.serve.metrics import (
     CacheSizeSweep,
@@ -70,6 +70,7 @@ from repro.serve.registry import ModelProfile
 from repro.serve.router import Router
 from repro.serve import fast_core
 from repro.sim.workload import Workload
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, spawn_rngs
 
 #: default sweep points as fractions of the saturation rate
@@ -78,14 +79,6 @@ DEFAULT_LOAD_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 #: shared no-op context for unprofiled runs (contextlib.nullcontext is
 #: reusable and reentrant, so one instance serves every span site)
 _NULL_SPAN = nullcontext()
-
-
-def _require_slo(slo) -> float:
-    """A sweep's ``slo`` as a float, refused unless positive (NaN is not)
-    before any run."""
-    if not slo > 0:
-        raise ValueError(f"slo must be positive, got {slo}")
-    return float(slo)
 
 
 class _Run:
@@ -747,7 +740,8 @@ class ServingSimulator:
             sat = self.saturation_rate()
             rates = [f * sat for f in DEFAULT_LOAD_FRACTIONS]
         rates = sorted(float(r) for r in rates)
-        slo = self.default_slo() if slo is None else _require_slo(slo)
+        slo = (self.default_slo() if slo is None
+               else float(require_real("slo", slo, "(0, inf]")))
         report = SweepReport(slo=slo)
         for rate in rates:
             stats = self._run_point(rate, n_requests, process, seed,
@@ -836,8 +830,7 @@ def sweep_cache_sizes(workload: Workload,
     service = ServiceTimeModel(workload, node=machine.node,
                                cost=machine.network.cost)
     sizes = [require_count("cache_size", s, least=0) for s in sizes]
-    if slo is not None:
-        slo = _require_slo(slo)
+    require_real("slo", slo, "(0, inf]", none_ok=True)
     base = ServingSimulator(workload, machine=machine,
                             n_replicas=n_replicas, policy=policy,
                             max_queue=max_queue, service_models=[service])

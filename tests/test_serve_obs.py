@@ -621,6 +621,17 @@ class TestExporters:
         doc = json.loads((tmp_path / "all.json").read_text())
         assert sum(e["ph"] == "b" for e in doc["traceEvents"]) == 3
 
+    def test_jsonl_leaves_no_event_stream_on_the_tracer(self, tmp_path):
+        """Like ``to_chrome``, ``to_jsonl`` builds the stream it writes and
+        drops it: iterating ``tracer.events`` kept every ``TraceEvent`` of
+        the run cached on the tracer after the export."""
+        tr = Tracer()
+        tr.add_record(_record(np.zeros(3), [(0, 0.1, 0.2, (0, 1, 2))]),
+                      np.zeros(3))
+        n = to_jsonl(tr, tmp_path / "run.jsonl")
+        assert tr._events is None
+        assert n == len(tr) > 0
+
     def test_explain_shed_and_completed(self, traced_run):
         tr, _ = traced_run
         shed = next(e.request_id for e in tr.events if e.kind == "shed")
