@@ -1,11 +1,15 @@
 #!/usr/bin/env python
 """Hybrid vs synchronous time-to-solution (the paper's Fig 8).
 
-Runs *real* training (per-group replicas + per-layer parameter servers) of
-the HEP classifier at several group counts with the same total batch, maps each
+Runs *real* training (the groups take turns on one compute net, each with
+its own replica state, over per-layer parameter servers) of the HEP
+classifier at several group counts with the same total batch, maps each
 configuration's iteration duration through the calibrated 1024-node machine
 model, and reports the wall-clock speedup of the best hybrid configuration
-to a target loss — the paper found 1.66x for 8 groups over sync.
+to a target loss — the paper found 1.66x for 8 groups over sync. Each row
+also prints the run's traced peak (tracemalloc, MiB): the groups share one
+compute net's activations, so it follows the group batch, not the group
+count.
 
 Momentum is tuned per group count following the asynchrony-begets-momentum
 rule (paper SVI-B4).
@@ -13,7 +17,7 @@ rule (paper SVI-B4).
 Run:  python examples/hybrid_time_to_train.py
 """
 
-import numpy as np
+import tracemalloc
 
 from repro.cluster.machine import cori
 from repro.data.hep import make_hep_dataset
@@ -57,17 +61,20 @@ def main() -> None:
             lambda params: Adam(params, lr=1e-3, beta1=momentum),
             hep_loss_fn, n_groups=n_groups,
             iteration_time_fn=lambda g, t=t_iter: t, seed=0)
+        tracemalloc.start()
         res = trainer.run(ds.images, ds.labels,
                           group_batch=max(8, 128 // n_groups),
                           n_iterations=120 // n_groups)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
         t_hit = res.time_to_loss(TARGET_LOSS, smooth=7)
         stats = staleness_stats(res.staleness)
         label = "sync" if n_groups == 1 else f"hybrid-{n_groups}"
         results[n_groups] = t_hit
         hit = f"{t_hit:8.2f} s" if t_hit is not None else "   (not reached)"
-        print(f"{label:10s} iter {t_iter * 1e3:7.1f} ms  momentum "
-              f"{momentum:.1f}  time-to-loss<{TARGET_LOSS}: {hit}  "
-              f"[{stats}]")
+        print(f"{label:10s} iter {t_iter * 1e3:7.1f} ms  peak "
+              f"{peak_mib:5.1f} MiB  momentum {momentum:.1f}  "
+              f"time-to-loss<{TARGET_LOSS}: {hit}  [{stats}]")
 
     if results.get(1) and any(results.get(g) for g in (2, 4, 8)):
         best_g = min((g for g in (2, 4, 8) if results.get(g)),

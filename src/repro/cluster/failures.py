@@ -68,8 +68,8 @@ class StragglerModel:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        require_real("sigma_node", self.sigma_node, "[0, inf]")
-        require_real("sigma_iter", self.sigma_iter, "[0, inf]")
+        require_real("sigma_node", self.sigma_node, "[0, inf)")
+        require_real("sigma_iter", self.sigma_iter, "[0, inf)")
         self._rng = as_rng(self.seed)
 
     def node_factors(self, n_nodes: int) -> np.ndarray:
@@ -154,5 +154,8 @@ class FailureModel:
     def survival_probability(self, n_nodes: int, duration_s: float) -> float:
         """P(no fail-stop event in the run) — the sync run's survival odds."""
         require_real("duration_s", duration_s, "[0, inf]")
-        lam = self.rate_per_second(n_nodes) * duration_s
+        rate = self.rate_per_second(n_nodes)
+        if rate == 0 or self.degrade_fraction == 1:
+            return 1.0  # no fail-stop event ever comes (not 0 * inf = NaN)
+        lam = rate * duration_s
         return float(np.exp(-lam * (1.0 - self.degrade_fraction)))

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.sequential import Sequential
 from repro.distributed.hybrid import HybridTrainer, HybridTrainResult, _Run
 from repro.train.loop import step
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -61,15 +62,14 @@ class ElasticHybridTrainer(HybridTrainer):
                  failures: Optional[Dict[int, float]] = None,
                  iteration_time_fn: Optional[Callable[[int], float]] = None,
                  seed: SeedLike = 0) -> None:
-        failures = dict(failures or {})
-        for g, t in failures.items():
-            if not 0 <= g < n_groups:
-                raise ValueError(f"failure group {g} out of range")
-            if t < 0:
-                raise ValueError(f"failure time must be >= 0, got {t}")
         super().__init__(net_factory, opt_factory, loss_fn, n_groups,
                          iteration_time_fn, seed)
-        self.failures = failures
+        self.failures = dict(failures or {})
+        for g, t in self.failures.items():
+            if require_count("failure group", g, least=0) >= self.n_groups:
+                raise ValueError(f"failure group {g} out of range")
+            # inf: a group that never fails
+            require_real("failure time", t, "[0, inf]")
 
     def _next(self, run: _Run) -> Optional[int]:
         # The failure takes effect before the group can *start* another
@@ -98,9 +98,11 @@ def sync_run_with_failure(net_factory: Callable[[], Sequential],
     synchronous job has lost a rank inside a barrier and dies. Returns
     ``(times, losses, completed)``.
     """
-    if batch <= 0 or n_iterations <= 0 or iteration_time <= 0:
-        raise ValueError("batch, n_iterations, iteration_time must be "
-                         "positive")
+    batch = require_count("batch", batch)
+    n_iterations = require_count("n_iterations", n_iterations)
+    require_real("iteration_time", iteration_time, "(0, inf)")
+    # inf: the run never fails
+    require_real("failure_time", failure_time, "[0, inf]")
     net = net_factory()
     opt = opt_factory(net.params())
     rng = as_rng(seed)

@@ -31,6 +31,7 @@ from repro.distributed.flatten import (
 )
 from repro.distributed.sync import SyncDataParallel
 from repro.optim.base import Optimizer
+from repro.utils.checks import require_count, require_real
 
 
 def shard_bounds(total: int, p: int, rank: int) -> Tuple[int, int]:
@@ -111,8 +112,6 @@ class ShardedSolverDataParallel(SyncDataParallel):
 
 def solver_time_saving(solver_time: float, p: int) -> float:
     """Per-iteration solver time saved by sharding across ``p`` ranks."""
-    if solver_time < 0:
-        raise ValueError(f"solver_time must be >= 0, got {solver_time}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    require_real("solver_time", solver_time, "[0, inf)")
+    p = require_count("p", p)
     return solver_time * (1.0 - 1.0 / p)

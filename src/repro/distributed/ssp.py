@@ -22,6 +22,7 @@ from typing import Callable, List, Optional
 
 from repro.core.sequential import Sequential
 from repro.distributed.hybrid import HybridTrainer, HybridTrainResult, _Run
+from repro.utils.checks import require_real
 from repro.utils.rng import SeedLike
 
 
@@ -40,9 +41,10 @@ class SSPTrainer(HybridTrainer):
     """Compute groups under a stale-synchronous staleness bound.
 
     Interface mirrors :class:`HybridTrainer`: ``net_factory``/
-    ``opt_factory`` build per-group replicas and the per-layer PS solvers;
-    ``loss_fn(net, x, y) -> (loss, grad_out)``. ``bound`` is the maximum
-    number of iterations any group may lead the slowest group by.
+    ``opt_factory`` build the groups' replicas (run in turn on one compute
+    net) and the per-layer PS solvers; ``loss_fn(net, x, y) -> (loss,
+    grad_out)``. ``bound`` is the maximum number of iterations any group
+    may lead the slowest group by (``inf``: no bound).
     ``run(..., drift=...)`` scales per-group iteration durations: a
     straggling group forces the others to block once they hit the bound —
     the mechanism the protocol is about.
@@ -52,11 +54,9 @@ class SSPTrainer(HybridTrainer):
                  opt_factory, loss_fn, n_groups: int, bound: int,
                  iteration_time_fn: Optional[Callable[[int], float]] = None,
                  seed: SeedLike = 0) -> None:
-        if bound < 0:
-            raise ValueError(f"staleness bound must be >= 0, got {bound}")
+        self.bound = require_real("staleness bound", bound, "[0, inf]")
         super().__init__(net_factory, opt_factory, loss_fn, n_groups,
                          iteration_time_fn, seed)
-        self.bound = bound
 
     def _next(self, run: _Run) -> Optional[int]:
         active = [g for g in range(self.n_groups)

@@ -20,6 +20,7 @@ from repro.core.sequential import Sequential
 from repro.distributed.flatten import flatten_grads, unflatten_into
 from repro.optim.base import Optimizer
 from repro.train.loop import step
+from repro.utils.checks import require_count
 
 
 @dataclass
@@ -99,8 +100,7 @@ class SyncDataParallel:
         n = x.shape[0]
         if n < p:
             raise ValueError(f"batch of {n} cannot be split over {p} ranks")
-        if n_iterations <= 0:
-            raise ValueError("n_iterations must be positive")
+        n_iterations = require_count("n_iterations", n_iterations)
         losses: List[List[float]] = [[] for _ in range(p)]
         errors: List = []
         threads = [

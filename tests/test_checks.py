@@ -17,8 +17,19 @@ import numpy as np
 import pytest
 
 from repro.cluster.failures import FailureEvent, FailureModel, StragglerModel
+from repro.comm import ThreadWorld
 from repro.core.parameter import Parameter
-from repro.nn import Conv2D, Deconv2D, MaxPool2D
+from repro.core.sequential import Sequential
+from repro.distributed import (
+    ElasticHybridTrainer,
+    HybridTrainer,
+    SSPTrainer,
+    SyncDataParallel,
+    sync_run_with_failure,
+)
+from repro.distributed.sharded_solver import solver_time_saving
+from repro.nn import Conv2D, Deconv2D, Dense, MaxPool2D
+from repro.optim import SGD
 from repro.optim.quantize import (
     QuantizedGradSGD,
     compile_quantized,
@@ -52,6 +63,7 @@ from repro.serve import (
 from repro.serve.fast_core import FastRun
 from repro.serve.metrics import PerModelStats
 from repro.sim.workload import hep_workload
+from repro.train.loop import hep_loss_fn
 from repro.utils.checks import require_count, require_real
 
 INF = math.inf
@@ -92,9 +104,36 @@ def _chrome(v, tmp_path):
     return to_chrome(tr, tmp_path / "t.json", max_requests=v)
 
 
+def _tiny_net():
+    return Sequential([Dense(4, 2, name="fc", rng=0)])
+
+
+def _sgd(params):
+    return SGD(params, lr=0.1)
+
+
+_X, _Y = np.ones((4, 4), dtype=np.float32), np.array([0, 1, 0, 1])
+
+
+def _trainer(cls=HybridTrainer, **kw):
+    return cls(_tiny_net, _sgd, hep_loss_fn, **{"n_groups": 2, **kw})
+
+
+def _train(trainer=None, **kw):
+    return (trainer or _trainer()).run(
+        _X, _Y, **{"group_batch": 2, "n_iterations": 1, **kw})
+
+
+def _sync_failure(**kw):
+    kw = {"batch": 2, "n_iterations": 2, "iteration_time": 1.0,
+          "failure_time": 5.0, **kw}
+    return sync_run_with_failure(_tiny_net, _sgd, hep_loss_fn, _X, _Y, **kw)
+
+
 #: ("where: the parameter as the message names it", a valid value, the
-#: infinity outside its interval (None when both are in it), whether it is
-#: a count, the hole it closes or "", build(value, tmp_path))
+#: infinity outside its interval (None when both are in it; a tuple adds
+#: finite values outside it), whether it is a count, the hole it closes or
+#: "", build(value, tmp_path))
 ROWS = [
     # core.module.check_sizes
     ("Conv2D: in_channels", 3, INF, True, "", lambda v, _: Conv2D(v, 2, 3)),
@@ -260,10 +299,10 @@ ROWS = [
      lambda v, _: FailureEvent(1.0, v, "fail")),
     ("FailureEvent: slow_factor", 2.0, INF, False, "",
      lambda v, _: FailureEvent(1.0, 0, "degrade", v)),
-    ("StragglerModel: sigma_node", 0.03, -INF, False,
-     "3: node_factors() returned all NaN",
+    ("StragglerModel: sigma_node", 0.03, (-INF, INF), False,
+     "3: node_factors() returned all NaN; inf: [inf, inf, inf, 0.]",
      lambda v, _: StragglerModel(sigma_node=v)),
-    ("StragglerModel: sigma_iter", 0.05, -INF, False, "",
+    ("StragglerModel: sigma_iter", 0.05, (-INF, INF), False, "",
      lambda v, _: StragglerModel(sigma_iter=v)),
     ("StragglerModel.node_factors: n_nodes", 4, INF, True, "",
      lambda v, _: StragglerModel(seed=0).node_factors(v)),
@@ -288,12 +327,54 @@ ROWS = [
     ("FailureModel.survival_probability: duration_s", 60.0, -INF, False,
      "5: NaN survival odds",
      lambda v, _: FailureModel().survival_probability(4, v)),
+    # distributed
+    ("HybridTrainer: n_groups", 2, INF, True, "9: range() raised TypeError",
+     lambda v, _: _trainer(n_groups=v)),
+    ("HybridTrainer.run: group_batch", 2, INF, True, "",
+     lambda v, _: _train(group_batch=v)),
+    ("HybridTrainer.run: n_iterations", 1, INF, True,
+     "15: an infinite count never ended; NaN ran no iteration",
+     lambda v, _: _train(n_iterations=v)),
+    ("HybridTrainer.run: drift", 1.0, (INF, -1.0), False,
+     "10: the group's virtual clock went NaN, negative or infinite",
+     lambda v, _: _train(drift=[v, 1.0])),
+    ("HybridTrainer.run: iteration_time_fn", 1.0, INF, False,
+     "11: every group's clock went NaN",
+     lambda v, _: _train(_trainer(iteration_time_fn=lambda g: v))),
+    ("SSPTrainer: staleness bound", 1, -INF, False,
+     "12: a NaN bound passed the < 0 check",
+     lambda v, _: _trainer(SSPTrainer, bound=v)),
+    ("ElasticHybridTrainer: failure group", 1, INF, True,
+     "13: a fractional group was accepted and never failed",
+     lambda v, _: _trainer(ElasticHybridTrainer, n_groups=3,
+                           failures={v: 1.0})),
+    ("ElasticHybridTrainer: failure time", 1.0, -INF, False,
+     "14: a NaN time passed the < 0 check",
+     lambda v, _: _trainer(ElasticHybridTrainer, failures={0: v})),
+    ("sync_run_with_failure: batch", 2, INF, True, "",
+     lambda v, _: _sync_failure(batch=v)),
+    ("sync_run_with_failure: n_iterations", 2, INF, True, "",
+     lambda v, _: _sync_failure(n_iterations=v)),
+    ("sync_run_with_failure: iteration_time", 1.0, INF, False, "",
+     lambda v, _: _sync_failure(iteration_time=v)),
+    ("sync_run_with_failure: failure_time", 5.0, -INF, False, "",
+     lambda v, _: _sync_failure(failure_time=v)),
+    ("SyncDataParallel.run: n_iterations", 1, INF, True, "",
+     lambda v, _: SyncDataParallel(
+         ThreadWorld(2), _tiny_net, lambda net: _sgd(net.params()),
+         hep_loss_fn).run(_X, _Y, n_iterations=v)),
+    ("solver_time_saving: solver_time", 1.0, INF, False, "",
+     lambda v, _: solver_time_saving(v, 4)),
+    ("solver_time_saving: p", 4, INF, True, "",
+     lambda v, _: solver_time_saving(1.0, v)),
 ]
 
 
 def _cases():
-    for row, valid, bad_inf, count, hole, build in ROWS:
-        bads = [math.nan, "1"] + ([bad_inf] if bad_inf is not None else [])
+    for row, valid, outside, count, hole, build in ROWS:
+        if not isinstance(outside, tuple):
+            outside = () if outside is None else (outside,)
+        bads = [math.nan, "1", *outside]
         if count:
             bads.append(2.5)
         for bad in bads:
@@ -310,7 +391,7 @@ def test_a_bad_number_is_refused_by_name(name, build, valid, bad, tmp_path):
 
 def test_every_hole_has_a_row():
     holes = {row[4].split(":")[0] for row in ROWS if row[4]}
-    assert holes == {str(i) for i in range(1, 9)}
+    assert holes == {str(i) for i in range(1, 16)}
 
 
 @pytest.mark.parametrize("build", [
@@ -324,6 +405,13 @@ def test_every_hole_has_a_row():
 ])
 def test_an_infinity_that_means_none_is_kept(build):
     build()
+
+
+def test_a_model_that_never_fails_survives_any_run():
+    assert FailureModel(mtbf_node_hours=INF).survival_probability(
+        4, INF) == 1.0
+    assert FailureModel(degrade_fraction=1.0).survival_probability(
+        4, INF) == 1.0
 
 
 class TestHelpers:
