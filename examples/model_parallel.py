@@ -5,8 +5,9 @@ Paper SIII-D: MLSL "enables different forms of parallelism — both data and
 model parallelism"; the paper uses only data parallelism because its
 networks are "fully convolutional ... or those with very small fully
 connected layers". This example runs real model-parallel layers over the
-thread communicator, verifies they match their unsharded counterparts, and
-reproduces the byte-traffic argument behind the paper's choice.
+thread communicator, checks that they match their unsharded counterparts
+(it exits with an error if not), and reproduces the byte-traffic argument
+behind the paper's choice.
 
 Run:  python examples/model_parallel.py
 """
@@ -18,6 +19,7 @@ import numpy as np
 from repro.comm import ThreadWorld
 from repro.comm.model_parallel import (
     ColumnParallelDense,
+    RowParallelDense,
     SpatialParallelConv2D,
     data_parallel_grad_bytes,
     model_parallel_activation_bytes,
@@ -41,18 +43,22 @@ def main() -> None:
     print("=== model parallelism over the thread communicator ===\n")
     rng = np.random.default_rng(0)
 
-    print("[1/3] column-parallel dense layer (output features sharded)")
+    print("[1/3] column- and row-parallel dense layers (output / input "
+          "features sharded)")
     p = 4
-    world = ThreadWorld(p)
     x = rng.normal(size=(8, 32)).astype(np.float32)
     ref = Dense(32, 16, rng=np.random.default_rng(3))
     expected = ref.forward(x)
-
-    outs = run_ranks(world, lambda r, comm: ColumnParallelDense(
-        comm, 32, 16, rng=np.random.default_rng(3)).forward(x))
-    err = max(float(np.abs(o - expected).max()) for o in outs)
-    print(f"      {p} ranks, each holding {16 // p}/16 output features")
-    print(f"      max |sharded - unsharded| = {err:.2e}\n")
+    for cls, features in ((ColumnParallelDense, "16 output"),
+                          (RowParallelDense, "32 input")):
+        outs = run_ranks(ThreadWorld(p), lambda r, comm: cls(
+            comm, 32, 16, rng=np.random.default_rng(3)).forward(x))
+        err = max(float(np.abs(o - expected).max()) for o in outs)
+        print(f"      {cls.__name__}: {p} ranks, each holding 1/{p} of the "
+              f"{features} features")
+        print(f"      max |sharded - unsharded| = {err:.2e}")
+        assert err < 1e-5, f"{cls.__name__} does not match Dense"
+    print()
 
     print("[2/3] spatial-parallel convolution (image rows sharded)")
     height = 16
@@ -72,6 +78,7 @@ def main() -> None:
     print(f"      {p} ranks x {height // p}-row strips, halo exchange of "
           "1 row per neighbour")
     print(f"      max |strips - full conv| = {err:.2e}\n")
+    assert err < 1e-5, "the strips do not match the full convolution"
 
     print("[3/3] why the paper chose data parallelism (bytes/rank/iter, "
           "64 nodes, batch 8)")

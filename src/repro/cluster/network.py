@@ -27,6 +27,7 @@ from repro.comm.cost_model import (
     point_to_point_time,
     reduce_time,
 )
+from repro.utils.checks import require_real
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -40,8 +41,8 @@ class AriesNetwork:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        if self.jitter_sigma0 < 0 or self.jitter_scale < 0:
-            raise ValueError("jitter parameters must be non-negative")
+        require_real("jitter_sigma0", self.jitter_sigma0, "[0, inf)")
+        require_real("jitter_scale", self.jitter_scale, "[0, inf)")
         self._rng = as_rng(self.seed)
 
     # -- jitter --------------------------------------------------------------

@@ -3,14 +3,24 @@
 Two halves:
 
 - **execution** (:mod:`repro.comm.communicator`): mpi4py-idiom communicators
-  (``Allreduce``/``Bcast``/``Send``/``Recv``/``Split``) backed by threads and
-  shared memory, used by the *real* distributed trainers;
+  (``Allreduce``/``Reduce``/``Reduce_scatter``/``Allgather``/``Bcast``/
+  ``Send``/``Recv``/``Split``) backed by threads and shared memory, used by
+  the *real* distributed trainers and :mod:`repro.comm.model_parallel`;
+  :func:`shard_bounds` is the one rule that splits a buffer over ranks;
 - **modeling** (:mod:`repro.comm.collectives`, :mod:`repro.comm.cost_model`):
   reference collective algorithms with step/byte accounting and alpha-beta
   time models, used by the *simulated* at-scale runs (Figs 6-7).
 """
 
-from repro.comm.communicator import MAX, MIN, PROD, SUM, Communicator, ThreadWorld
+from repro.comm.communicator import (
+    MAX,
+    MIN,
+    PROD,
+    SUM,
+    Communicator,
+    ThreadWorld,
+    shard_bounds,
+)
 from repro.comm.collectives import (
     allgather_ring,
     allreduce_rabenseifner,
@@ -27,7 +37,6 @@ from repro.comm.model_parallel import (
     data_parallel_grad_bytes,
     halo_exchange,
     model_parallel_activation_bytes,
-    strip_bounds,
 )
 from repro.comm.cost_model import (
     AlphaBetaModel,
@@ -44,6 +53,7 @@ __all__ = [
     "MAX",
     "MIN",
     "PROD",
+    "shard_bounds",
     "allreduce_ring",
     "allreduce_rabenseifner",
     "allgather_ring",
@@ -55,7 +65,6 @@ __all__ = [
     "RowParallelDense",
     "SpatialParallelConv2D",
     "halo_exchange",
-    "strip_bounds",
     "data_parallel_grad_bytes",
     "model_parallel_activation_bytes",
     "AlphaBetaModel",

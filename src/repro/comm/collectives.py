@@ -21,6 +21,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.comm.communicator import shard_bounds
+
 
 @dataclass
 class CollectiveTrace:
@@ -54,7 +56,7 @@ def allreduce_ring(buffers: List[np.ndarray]
         return [buffers[0].copy()], CollectiveTrace("ring", 1, 0, 0, 0)
     flats = [b.reshape(-1).astype(np.float64) for b in buffers]
     n = flats[0].size
-    chunks = np.array_split(np.arange(n), p)
+    chunks = [slice(*shard_bounds(n, p, r)) for r in range(p)]
     work = [f.copy() for f in flats]
     # Phase 1: reduce-scatter. After p-1 steps, rank r owns the full sum of
     # chunk (r+1) mod p.
@@ -205,17 +207,17 @@ def reduce_scatter_ring(buffers: List[np.ndarray]
 
     This is phase 1 of the ring all-reduce on its own — the building block
     MLSL exposes for fused gradient-reduction + sharded-solver schemes.
-    Chunks partition the flattened buffer with ``np.array_split`` semantics.
+    Chunks partition the flattened buffer as :func:`shard_bounds` cuts it,
+    the chunks the thread communicator's ``Reduce_scatter`` hands out.
     """
     _check_same_shape(buffers)
-    p = len(buffers)
-    flat_sum = np.zeros(buffers[0].size, dtype=np.float64)
+    p, n = len(buffers), buffers[0].size
+    flat_sum = np.zeros(n, dtype=np.float64)
     for b in buffers:
         flat_sum += b.reshape(-1)
-    chunks = np.array_split(np.arange(buffers[0].size), p)
-    out = [flat_sum[chunks[r]].astype(buffers[0].dtype) for r in range(p)]
+    out = [flat_sum[slice(*shard_bounds(n, p, r))].astype(buffers[0].dtype)
+           for r in range(p)]
     itemsize = buffers[0].itemsize
-    n = buffers[0].size
     bytes_per_rank = int((p - 1) / p * n * itemsize) if p > 1 else 0
     trace = CollectiveTrace("reduce_scatter_ring", p, max(0, p - 1),
                             bytes_per_rank, max(0, p - 1))

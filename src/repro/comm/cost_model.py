@@ -13,7 +13,10 @@ Defaults are calibrated to Cray Aries (paper SIV): ~1.3 us MPI latency and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
+from repro.utils.checks import require_real
 
 
 @dataclass(frozen=True)
@@ -26,11 +29,10 @@ class AlphaBetaModel:
     endpoint_factor: float = 1.0   # MLSL endpoint proxies: >1 = better B/W
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.bandwidth <= 0 or self.gamma < 0:
-            raise ValueError("invalid cost-model parameters")
-        if self.endpoint_factor <= 0:
-            raise ValueError(
-                f"endpoint_factor must be positive, got {self.endpoint_factor}")
+        require_real("alpha", self.alpha, "[0, inf)")
+        require_real("bandwidth", self.bandwidth, "(0, inf)")
+        require_real("gamma", self.gamma, "[0, inf)")
+        require_real("endpoint_factor", self.endpoint_factor, "(0, inf)")
 
     @property
     def effective_bandwidth(self) -> float:
@@ -40,10 +42,16 @@ class AlphaBetaModel:
         return replace(self, endpoint_factor=factor)
 
 
-def point_to_point_time(nbytes: int, model: AlphaBetaModel) -> float:
-    """One message of ``nbytes`` between two nodes."""
+def _check(nbytes: int, p: int = 1) -> None:
     if nbytes < 0:
         raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+
+
+def point_to_point_time(nbytes: int, model: AlphaBetaModel) -> float:
+    """One message of ``nbytes`` between two nodes."""
+    _check(nbytes)
     return model.alpha + nbytes / model.effective_bandwidth
 
 
@@ -55,14 +63,9 @@ def allreduce_time(nbytes: int, p: int, model: AlphaBetaModel,
     ``"tree"``: 2 ceil(log2 p) (alpha + M/B) + M gamma    (latency-optimal)
     ``"auto"`` picks the faster of the two, as MLSL does by payload size.
     """
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check(nbytes, p)
     if p == 1:
         return 0.0
-    import math
-
     bw = model.effective_bandwidth
     ring = (2 * (p - 1) * model.alpha
             + 2 * nbytes * (p - 1) / (p * bw)
@@ -86,14 +89,9 @@ def bcast_time(nbytes: int, p: int, model: AlphaBetaModel) -> float:
     approaches one bandwidth pass of the payload. We take the min, as MPI
     implementations do by message size.
     """
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check(nbytes, p)
     if p == 1:
         return 0.0
-    import math
-
     steps = math.ceil(math.log2(p))
     bw = model.effective_bandwidth
     binomial = steps * (model.alpha + nbytes / bw)
@@ -103,14 +101,9 @@ def bcast_time(nbytes: int, p: int, model: AlphaBetaModel) -> float:
 
 def reduce_time(nbytes: int, p: int, model: AlphaBetaModel) -> float:
     """Binomial-tree reduce of ``nbytes`` from ``p`` nodes."""
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check(nbytes, p)
     if p == 1:
         return 0.0
-    import math
-
     steps = math.ceil(math.log2(p))
     return (steps * (model.alpha + nbytes / model.effective_bandwidth)
             + nbytes * model.gamma * steps)

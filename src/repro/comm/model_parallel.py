@@ -31,15 +31,57 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.communicator import Communicator
+from repro.comm.communicator import Communicator, shard_bounds
 from repro.core.initializers import xavier_uniform, zeros
 from repro.core.module import Module
 from repro.core.parameter import Parameter
 from repro.nn.conv import Conv2D
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike, as_rng
 
 
-class ColumnParallelDense(Module):
+class _ShardedDense(Module):
+    """What the two sharded dense layers share. Every rank draws the FULL
+    weight matrix from the shared seed and keeps its ``shard`` of the
+    features along ``axis`` (0: output, 1: input), so the shards stay
+    consistent with the unsharded layer."""
+
+    kind = "dense"
+
+    def __init__(self, comm: Communicator, in_features: int,
+                 out_features: int, axis: int, name: str,
+                 rng: SeedLike) -> None:
+        super().__init__(name=name)
+        self.comm = comm
+        self.in_features = require_count("in_features", in_features)
+        self.out_features = require_count("out_features", out_features)
+        split = (self.out_features, self.in_features)[axis]
+        if split % comm.size:
+            raise ValueError(f"{('out', 'in')[axis]}_features {split} not "
+                             f"divisible by {comm.size} ranks")
+        self.shard = split // comm.size
+        full = xavier_uniform((self.out_features, self.in_features),
+                              self.in_features, self.out_features,
+                              as_rng(rng))
+        lo = comm.rank * self.shard
+        self.weight = Parameter(full.take(range(lo, lo + self.shard), axis),
+                                name=f"weight_shard{comm.rank}")
+        self._cache: Optional[np.ndarray] = None
+
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[1] != self.in_features:
+            raise ValueError(
+                f"{self.name}: expected (N, {self.in_features}), "
+                f"got {x.shape}")
+
+    def params(self) -> List[Parameter]:
+        return [self.weight, self.bias]
+
+    def output_shape(self, input_shape):
+        return (self.out_features,)
+
+
+class ColumnParallelDense(_ShardedDense):
     """Dense layer with the *output* dimension sharded across ranks.
 
     Every rank sees the full input ``(N, in_features)`` and computes its
@@ -48,38 +90,16 @@ class ColumnParallelDense(Module):
     contributions, hence an all-reduce.
     """
 
-    kind = "dense"
-
     def __init__(self, comm: Communicator, in_features: int,
                  out_features: int, name: Optional[str] = None,
                  rng: SeedLike = None) -> None:
-        super().__init__(name=name or "colparallel_fc")
-        p = comm.size
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("feature sizes must be positive")
-        if out_features % p:
-            raise ValueError(
-                f"out_features {out_features} not divisible by {p} ranks")
-        self.comm = comm
-        self.in_features = in_features
-        self.out_features = out_features
-        self.shard = out_features // p
-        # Every rank draws the FULL weight matrix from the shared seed and
-        # keeps its slice — shards stay consistent with the unsharded layer.
-        full = xavier_uniform((out_features, in_features), in_features,
-                              out_features, as_rng(rng))
-        lo = comm.rank * self.shard
-        self.weight = Parameter(full[lo:lo + self.shard].copy(),
-                                name=f"weight_shard{comm.rank}")
+        super().__init__(comm, in_features, out_features, 0,
+                         name or "colparallel_fc", rng)
         self.bias = Parameter(zeros(self.shard),
                               name=f"bias_shard{comm.rank}")
-        self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"{self.name}: expected (N, {self.in_features}), "
-                f"got {x.shape}")
+        self._check_input(x)
         self._cache = x
         local = x @ self.weight.data.T + self.bias.data     # (N, shard)
         gathered = np.empty((self.comm.size,) + local.shape,
@@ -99,29 +119,16 @@ class ColumnParallelDense(Module):
         self.weight.grad += g_local.T @ x
         self.bias.grad += g_local.sum(axis=0)
         partial = (g_local @ self.weight.data).astype(np.float32)
-        total = np.empty_like(partial)
-        self.comm.Allreduce(partial, total)
-        return total
-
-    def params(self) -> List[Parameter]:
-        return [self.weight, self.bias]
-
-    def output_shape(self, input_shape):
-        return (self.out_features,)
+        self.comm.Allreduce(partial, partial)
+        return partial
 
     def comm_bytes_per_iteration(self, batch: int) -> int:
-        """Activation bytes each rank moves per iteration (fwd + bwd).
-
-        Forward all-gather: (p-1)/p of the (N, out) activations received;
-        backward all-reduce (ring): 2 (p-1)/p of the (N, in) gradient sent.
-        """
-        p = self.comm.size
-        fwd = (p - 1) / p * batch * self.out_features * 4
-        bwd = 2 * (p - 1) / p * batch * self.in_features * 4
-        return int(fwd + bwd)
+        """Activation bytes each rank moves per iteration (fwd + bwd)."""
+        return int(model_parallel_activation_bytes(
+            batch, self.in_features, self.out_features, self.comm.size))
 
 
-class RowParallelDense(Module):
+class RowParallelDense(_ShardedDense):
     """Dense layer with the *input* dimension sharded across ranks.
 
     Every rank multiplies its slice of the input features by its weight
@@ -131,50 +138,27 @@ class RowParallelDense(Module):
     slice.
     """
 
-    kind = "dense"
-
     def __init__(self, comm: Communicator, in_features: int,
                  out_features: int, name: Optional[str] = None,
                  rng: SeedLike = None) -> None:
-        super().__init__(name=name or "rowparallel_fc")
-        p = comm.size
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("feature sizes must be positive")
-        if in_features % p:
-            raise ValueError(
-                f"in_features {in_features} not divisible by {p} ranks")
-        self.comm = comm
-        self.in_features = in_features
-        self.out_features = out_features
-        self.shard = in_features // p
-        full = xavier_uniform((out_features, in_features), in_features,
-                              out_features, as_rng(rng))
-        lo = comm.rank * self.shard
-        self.weight = Parameter(full[:, lo:lo + self.shard].copy(),
-                                name=f"weight_shard{comm.rank}")
+        super().__init__(comm, in_features, out_features, 1,
+                         name or "rowparallel_fc", rng)
         # Bias lives on rank 0 only (added once, post-reduction).
         self.bias = Parameter(zeros(out_features),
                               name=f"bias_shard{comm.rank}")
-        self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"{self.name}: expected (N, {self.in_features}), "
-                f"got {x.shape}")
+        self._check_input(x)
         lo = self.comm.rank * self.shard
         x_shard = x[:, lo:lo + self.shard]
         self._cache = x_shard
-        partial = (x_shard @ self.weight.data.T).astype(np.float32)
-        total = np.empty_like(partial)
-        self.comm.Allreduce(partial, total)
+        total = (x_shard @ self.weight.data.T).astype(np.float32)
+        self.comm.Allreduce(total, total)
         if self.comm.rank == 0:
             total += self.bias.data
-        out = np.empty_like(total)
         # Broadcast rank 0's biased copy so replicas agree bit-for-bit.
-        out[...] = total
-        self.comm.Bcast(out, root=0)
-        return out
+        self.comm.Bcast(total, root=0)
+        return total
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -191,22 +175,28 @@ class RowParallelDense(Module):
         return np.ascontiguousarray(
             gathered.transpose(1, 0, 2).reshape(n, self.in_features))
 
-    def params(self) -> List[Parameter]:
-        return [self.weight, self.bias]
 
-    def output_shape(self, input_shape):
-        return (self.out_features,)
-
-
-def strip_bounds(height: int, p: int, rank: int) -> Tuple[int, int]:
-    """Row range [lo, hi) of ``rank``'s horizontal strip of an image."""
-    if height < p:
-        raise ValueError(f"cannot split {height} rows over {p} ranks")
-    base = height // p
-    extra = height % p
-    lo = rank * base + min(rank, extra)
-    hi = lo + base + (1 if rank < extra else 0)
-    return lo, hi
+def _swap_with_neighbours(comm: Communicator, up: np.ndarray,
+                          down: np.ndarray, tag: int
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Send ``up`` to rank r-1 and ``down`` to rank r+1 (tags ``tag`` and
+    ``tag + 1``); return ``(rank r-1's down, rank r+1's up)``, zeros past
+    the first and last rank. Even ranks send first and odd ranks receive
+    first, so the exchange cannot deadlock."""
+    r, p = comm.rank, comm.size
+    from_above, from_below = np.zeros_like(down), np.zeros_like(up)
+    for phase in (0, 1):
+        if r % 2 == phase:
+            if r > 0:
+                comm.Send(up, dest=r - 1, tag=tag)
+            if r < p - 1:
+                comm.Send(down, dest=r + 1, tag=tag + 1)
+        else:
+            if r < p - 1:
+                comm.Recv(from_below, source=r + 1, tag=tag)
+            if r > 0:
+                comm.Recv(from_above, source=r - 1, tag=tag + 1)
+    return from_above, from_below
 
 
 def halo_exchange(comm: Communicator, strip: np.ndarray,
@@ -214,33 +204,18 @@ def halo_exchange(comm: Communicator, strip: np.ndarray,
     """Extend a ``(N, C, rows, W)`` strip with ``halo`` rows per neighbour.
 
     Boundary ranks get zero rows on their outer side (the global zero pad).
-    Uses Send/Recv with even/odd ordering so the exchange cannot deadlock.
     """
     if halo < 0:
         raise ValueError(f"halo must be non-negative, got {halo}")
-    n, c, rows, w = strip.shape
+    rows = strip.shape[2]
     if halo == 0:
         return strip.copy()
     if rows < halo:
         raise ValueError(f"strip of {rows} rows cannot donate {halo} halo "
                          "rows")
-    r, p = comm.rank, comm.size
-    top = np.zeros((n, c, halo, w), dtype=strip.dtype)
-    bottom = np.zeros((n, c, halo, w), dtype=strip.dtype)
-    send_up = np.ascontiguousarray(strip[:, :, :halo])
-    send_down = np.ascontiguousarray(strip[:, :, -halo:])
-    # Phase A: even ranks send first; odd ranks receive first.
-    for phase in (0, 1):
-        if r % 2 == phase:
-            if r > 0:
-                comm.Send(send_up, dest=r - 1, tag=1)
-            if r < p - 1:
-                comm.Send(send_down, dest=r + 1, tag=2)
-        else:
-            if r < p - 1:
-                comm.Recv(bottom, source=r + 1, tag=1)
-            if r > 0:
-                comm.Recv(top, source=r - 1, tag=2)
+    top, bottom = _swap_with_neighbours(
+        comm, np.ascontiguousarray(strip[:, :, :halo]),
+        np.ascontiguousarray(strip[:, :, -halo:]), tag=1)
     return np.concatenate([top, strip, bottom], axis=2)
 
 
@@ -264,8 +239,11 @@ class SpatialParallelConv2D:
             raise ValueError("spatial parallelism needs odd kernels")
         self.comm = comm
         self.halo = (kernel_size - 1) // 2
-        self.image_height = image_height
-        self.lo, self.hi = strip_bounds(image_height, comm.size, comm.rank)
+        self.image_height = require_count("image_height", image_height)
+        if self.image_height < comm.size:
+            raise ValueError(f"cannot split {image_height} rows over "
+                             f"{comm.size} ranks")
+        self.lo, self.hi = shard_bounds(image_height, comm.size, comm.rank)
         # pad=0: the halo exchange plus manual edge padding supplies context.
         self.conv = Conv2D(in_channels, out_channels, kernel_size, stride=1,
                            pad=0, rng=as_rng(rng))
@@ -296,22 +274,10 @@ class SpatialParallelConv2D:
         own = own.copy()
         if h == 0:
             return own
-        r, p = self.comm.rank, self.comm.size
-        up = np.ascontiguousarray(g_ext[:, :, :h])      # belongs to rank r-1
-        down = np.ascontiguousarray(g_ext[:, :, -h:])   # belongs to rank r+1
-        recv_top = np.zeros_like(up)
-        recv_bottom = np.zeros_like(down)
-        for phase in (0, 1):
-            if r % 2 == phase:
-                if r > 0:
-                    self.comm.Send(up, dest=r - 1, tag=3)
-                if r < p - 1:
-                    self.comm.Send(down, dest=r + 1, tag=4)
-            else:
-                if r < p - 1:
-                    self.comm.Recv(recv_bottom, source=r + 1, tag=3)
-                if r > 0:
-                    self.comm.Recv(recv_top, source=r - 1, tag=4)
+        # The halo rows' gradients belong to the neighbours' strips.
+        recv_top, recv_bottom = _swap_with_neighbours(
+            self.comm, np.ascontiguousarray(g_ext[:, :, :h]),
+            np.ascontiguousarray(g_ext[:, :, -h:]), tag=3)
         own[:, :, :h] += recv_top
         own[:, :, -h:] += recv_bottom
         return own
@@ -319,9 +285,7 @@ class SpatialParallelConv2D:
     def allreduce_weight_grads(self) -> None:
         """Sum weight gradients across ranks (each saw only its strip)."""
         for p in self.conv.params():
-            total = np.empty_like(p.grad)
-            self.comm.Allreduce(p.grad, total)
-            p.grad[...] = total
+            self.comm.Allreduce(p.grad, p.grad)
 
     def halo_bytes_per_iteration(self, batch: int, width: int,
                                  channels: int) -> int:
@@ -341,7 +305,9 @@ def data_parallel_grad_bytes(param_bytes: int, p: int) -> float:
 
 def model_parallel_activation_bytes(batch: int, in_features: int,
                                     out_features: int, p: int) -> float:
-    """Per-rank activation bytes a column-parallel dense layer moves."""
+    """Per-rank activation bytes a column-parallel dense layer moves: the
+    forward all-gather receives (p-1)/p of the (N, out) activations, the
+    backward ring all-reduce sends 2 (p-1)/p of the (N, in) gradient."""
     if p <= 1:
         return 0.0
     return ((p - 1) / p * batch * out_features * 4

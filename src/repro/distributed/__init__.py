@@ -32,7 +32,6 @@ from repro.distributed.elastic import (
 )
 from repro.distributed.sharded_solver import (
     ShardedSolverDataParallel,
-    shard_bounds,
     solver_time_saving,
 )
 from repro.distributed.staleness import StalenessStats, staleness_stats
@@ -54,7 +53,6 @@ __all__ = [
     "ElasticTrainResult",
     "sync_run_with_failure",
     "ShardedSolverDataParallel",
-    "shard_bounds",
     "solver_time_saving",
     "GroupTrace",
     "StalenessStats",

@@ -9,19 +9,21 @@ only, then all-gather the updated weights. Solver time and solver state
 shrink by p; the byte traffic is identical to a ring all-reduce (which IS
 reduce-scatter + all-gather).
 
-:class:`ShardedSolverDataParallel` executes this for real over the thread
-communicator and is step-for-step equivalent to
-:class:`~repro.distributed.sync.SyncDataParallel` (tested); the
-:func:`solver_time_saving` helper quantifies the Fig 5 implication.
+:class:`ShardedSolverDataParallel` runs exactly those two collectives over
+the thread communicator (``Reduce_scatter`` into its shard's gradient,
+``Allgather`` of the updated shards, 4 barriers a step) and is
+step-for-step equivalent to :class:`~repro.distributed.sync.SyncDataParallel`
+(tested); the :func:`solver_time_saving` helper quantifies the Fig 5
+implication.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
-from repro.comm.communicator import Communicator, ThreadWorld
+from repro.comm.communicator import Communicator, ThreadWorld, shard_bounds
 from repro.core.parameter import Parameter
 from repro.core.sequential import Sequential
 from repro.distributed.flatten import (
@@ -32,16 +34,6 @@ from repro.distributed.flatten import (
 from repro.distributed.sync import SyncDataParallel
 from repro.optim.base import Optimizer
 from repro.utils.checks import require_count, require_real
-
-
-def shard_bounds(total: int, p: int, rank: int) -> Tuple[int, int]:
-    """[lo, hi) of ``rank``'s contiguous shard of a ``total``-element vector
-    (``np.array_split`` semantics: first shards absorb the remainder)."""
-    base = total // p
-    extra = total % p
-    lo = rank * base + min(rank, extra)
-    hi = lo + base + (1 if rank < extra else 0)
-    return lo, hi
 
 
 class ShardedSolverDataParallel(SyncDataParallel):
@@ -73,40 +65,16 @@ class ShardedSolverDataParallel(SyncDataParallel):
         """Per-rank solver-state size relative to the unsharded solver."""
         return 1.0 / self.world.size
 
-    def _allgather_shards(self, comm: Communicator, rank: int,
-                          out: np.ndarray) -> None:
-        """Fill ``out`` with every rank's updated shard.
-
-        Shards are uneven when p does not divide the parameter count, so
-        this runs as p rooted broadcasts (the collective-time models cost
-        the true all-gather schedule; data movement here just has to be
-        correct)."""
-        p = comm.size
-        for root in range(p):
-            lo, hi = shard_bounds(self._total, p, root)
-            if root == rank:
-                buf = self._shards[rank].data.copy()
-            else:
-                buf = np.empty(hi - lo, dtype=np.float32)
-            comm.Bcast(buf, root=root)
-            out[lo:hi] = buf
-
     def _update(self, comm: Communicator, rank: int) -> None:
-        """Reduce-scatter the gradient, step this rank's shard of the
-        solver, then all-gather the updated weights into the replica."""
+        """Reduce-scatter the gradient into this rank's shard, step the
+        shard's solver, then all-gather every rank's updated shard into
+        the replica (2 + 2 barriers)."""
         net, shard = self.nets[rank], self._shards[rank]
-        lo, hi = shard_bounds(self._total, comm.size, rank)
-        flat = flatten_grads(net.params())
-        # Reduce-scatter: rank r keeps only its summed-gradient shard.
-        # (Executed as all-reduce + slice over the thread communicator —
-        # same result, and the cost models charge the true reduce-scatter
-        # schedule.)
-        reduced = np.empty_like(flat)
-        comm.Allreduce(flat, reduced)
-        shard.grad[...] = reduced[lo:hi] / comm.size
+        comm.Reduce_scatter(flatten_grads(net.params()), shard.grad)
+        shard.grad /= comm.size  # average of shard-mean gradients
         self.opts[rank].step()
         updated = np.empty(self._total, dtype=np.float32)
-        self._allgather_shards(comm, rank, updated)
+        comm.Allgather(shard.data, updated)
         unflatten_into(updated, net.params(), target="data")
 
 

@@ -67,10 +67,9 @@ class SyncDataParallel:
         replica: all-reduce, then the solver step."""
         params = self.nets[rank].params()
         flat = flatten_grads(params)
-        reduced = np.empty_like(flat)
-        comm.Allreduce(flat, reduced)
-        reduced /= comm.size  # average of shard-mean gradients
-        unflatten_into(reduced, params, target="grad")
+        comm.Allreduce(flat, flat)
+        flat /= comm.size  # average of shard-mean gradients
+        unflatten_into(flat, params, target="grad")
         self.opts[rank].step()
 
     def _worker(self, rank: int, x: np.ndarray, y: np.ndarray,

@@ -27,6 +27,7 @@ from repro.cluster.events import EventQueue
 from repro.cluster.machine import CoriMachine
 from repro.sim.sync_sim import SyncIterationModel
 from repro.sim.workload import Workload
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 
 #: software overhead of one PS transaction (request handling, endpoint proxy)
@@ -48,14 +49,13 @@ class HybridSimConfig:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        if self.n_groups <= 0:
-            raise ValueError(f"n_groups must be positive, got {self.n_groups}")
+        self.n_workers = require_count("n_workers", self.n_workers)
+        self.n_groups = require_count("n_groups", self.n_groups)
+        self.n_ps = require_count("n_ps", self.n_ps, least=0)
+        self.local_batch = require_count("local_batch", self.local_batch)
+        self.n_iterations = require_count("n_iterations", self.n_iterations)
         if self.n_workers < self.n_groups:
             raise ValueError("need at least one worker per group")
-        if self.n_ps < 0:
-            raise ValueError(f"n_ps must be non-negative, got {self.n_ps}")
-        if self.local_batch <= 0 or self.n_iterations <= 0:
-            raise ValueError("local_batch and n_iterations must be positive")
 
     def group_sizes(self) -> List[int]:
         base = self.n_workers // self.n_groups

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from repro.cluster.failures import FailureEvent, FailureModel, StragglerModel
-from repro.comm import ThreadWorld
+from repro.cluster.machine import cori
+from repro.cluster.network import AriesNetwork
+from repro.comm import (
+    AlphaBetaModel,
+    ColumnParallelDense,
+    RowParallelDense,
+    SpatialParallelConv2D,
+    ThreadWorld,
+)
 from repro.core.parameter import Parameter
 from repro.core.sequential import Sequential
 from repro.distributed import (
@@ -62,6 +70,7 @@ from repro.serve import (
 )
 from repro.serve.fast_core import FastRun
 from repro.serve.metrics import PerModelStats
+from repro.sim.hybrid_sim import HybridSimConfig
 from repro.sim.workload import hep_workload
 from repro.train.loop import hep_loss_fn
 from repro.utils.checks import require_count, require_real
@@ -128,6 +137,17 @@ def _sync_failure(**kw):
     kw = {"batch": 2, "n_iterations": 2, "iteration_time": 1.0,
           "failure_time": 5.0, **kw}
     return sync_run_with_failure(_tiny_net, _sgd, hep_loss_fn, _X, _Y, **kw)
+
+
+def _hybrid_sim(**kw):
+    kw = {"n_workers": 4, "n_groups": 2, "n_ps": 1, "local_batch": 8,
+          "n_iterations": 8, **kw}
+    return HybridSimConfig(workload=hep_workload(), machine=cori(seed=0),
+                           **kw)
+
+
+def _rank0():
+    return ThreadWorld(1).comm(0)
 
 
 #: ("where: the parameter as the message names it", a valid value, the
@@ -367,6 +387,52 @@ ROWS = [
      lambda v, _: solver_time_saving(v, 4)),
     ("solver_time_saving: p", 4, INF, True, "",
      lambda v, _: solver_time_saving(1.0, v)),
+    # comm
+    ("AlphaBetaModel: alpha", 1.3e-6, (INF, -1.0), False,
+     "16: every collective time came out NaN",
+     lambda v, _: AlphaBetaModel(alpha=v)),
+    ("AlphaBetaModel: bandwidth", 8e9, (INF, 0.0), False,
+     "17: an infinite bandwidth made every byte free",
+     lambda v, _: AlphaBetaModel(bandwidth=v)),
+    ("AlphaBetaModel: gamma", 2.5e-11, (INF, -1.0), False, "16: via gamma",
+     lambda v, _: AlphaBetaModel(gamma=v)),
+    ("AlphaBetaModel: endpoint_factor", 1.0, (INF, 0.0), False,
+     "16: via the endpoint factor",
+     lambda v, _: AlphaBetaModel(endpoint_factor=v)),
+    ("ThreadWorld: size", 2, INF, True,
+     "18: list multiplication's TypeError", lambda v, _: ThreadWorld(v)),
+    ("ColumnParallelDense: in_features", 4, INF, True,
+     "19: xavier_uniform's TypeError or OverflowError",
+     lambda v, _: ColumnParallelDense(_rank0(), v, 4)),
+    ("ColumnParallelDense: out_features", 4, INF, True, "",
+     lambda v, _: ColumnParallelDense(_rank0(), 4, v)),
+    ("RowParallelDense: in_features", 4, INF, True, "",
+     lambda v, _: RowParallelDense(_rank0(), v, 4)),
+    ("RowParallelDense: out_features", 4, INF, True,
+     "19: xavier_uniform's TypeError or OverflowError",
+     lambda v, _: RowParallelDense(_rank0(), 4, v)),
+    ("SpatialParallelConv2D: image_height", 4, INF, True,
+     "20: the rank's strip was rows 0.0 to 3.0, or NaN to NaN",
+     lambda v, _: SpatialParallelConv2D(_rank0(), 1, 1, 3, image_height=v)),
+    # cluster.network
+    ("AriesNetwork: jitter_sigma0", 0.04, (INF, -1.0), False,
+     "21: every collective's jitter was NaN",
+     lambda v, _: AriesNetwork(jitter_sigma0=v)),
+    ("AriesNetwork: jitter_scale", 0.018, (INF, -1.0), False, "",
+     lambda v, _: AriesNetwork(jitter_scale=v)),
+    # sim.hybrid_sim
+    ("HybridSimConfig: n_workers", 4, INF, True,
+     "22: simulate_hybrid raised a TypeError or ValueError far from here",
+     lambda v, _: _hybrid_sim(n_workers=v)),
+    ("HybridSimConfig: n_groups", 2, INF, True, "22: via n_groups",
+     lambda v, _: _hybrid_sim(n_groups=v)),
+    ("HybridSimConfig: n_ps", 1, INF, True, "22: via n_ps",
+     lambda v, _: _hybrid_sim(n_ps=v)),
+    ("HybridSimConfig: local_batch", 8, INF, True, "22: via local_batch",
+     lambda v, _: _hybrid_sim(local_batch=v)),
+    ("HybridSimConfig: n_iterations", 8, INF, True,
+     "23: 2.5 or NaN iterations ran and reported a makespan",
+     lambda v, _: _hybrid_sim(n_iterations=v)),
 ]
 
 
@@ -391,7 +457,7 @@ def test_a_bad_number_is_refused_by_name(name, build, valid, bad, tmp_path):
 
 def test_every_hole_has_a_row():
     holes = {row[4].split(":")[0] for row in ROWS if row[4]}
-    assert holes == {str(i) for i in range(1, 16)}
+    assert holes == {str(i) for i in range(1, 24)}
 
 
 @pytest.mark.parametrize("build", [

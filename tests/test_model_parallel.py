@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import ThreadWorld
+from repro.comm import ThreadWorld, shard_bounds
 from repro.comm.model_parallel import (
     ColumnParallelDense,
     RowParallelDense,
@@ -13,7 +13,6 @@ from repro.comm.model_parallel import (
     data_parallel_grad_bytes,
     halo_exchange,
     model_parallel_activation_bytes,
-    strip_bounds,
 )
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
@@ -164,13 +163,14 @@ class TestStripBounds:
             for p in (1, 2, 3, 4):
                 rows = []
                 for r in range(p):
-                    lo, hi = strip_bounds(height, p, r)
+                    lo, hi = shard_bounds(height, p, r)
                     rows.extend(range(lo, hi))
                 assert rows == list(range(height))
 
     def test_too_many_ranks_raises(self):
         with pytest.raises(ValueError, match="cannot split"):
-            strip_bounds(2, 3, 0)
+            SpatialParallelConv2D(ThreadWorld(3).comm(0), 1, 1, 3,
+                                  image_height=2)
 
 
 class TestHaloExchange:
@@ -180,12 +180,12 @@ class TestHaloExchange:
         full = rng.normal(size=(2, 1, 9, 4)).astype(np.float32)
 
         def fn(r, comm):
-            lo, hi = strip_bounds(9, p, r)
+            lo, hi = shard_bounds(9, p, r)
             return halo_exchange(comm, full[:, :, lo:hi].copy(), halo=1)
 
         results = _run_ranks(world, fn)
         # Middle rank's extended strip equals the global rows lo-1 .. hi.
-        lo, hi = strip_bounds(9, p, 1)
+        lo, hi = shard_bounds(9, p, 1)
         np.testing.assert_array_equal(results[1],
                                       full[:, :, lo - 1:hi + 1])
         # Boundary ranks get zero rows on the outside.
@@ -197,7 +197,7 @@ class TestHaloExchange:
         full = rng.normal(size=(1, 1, 4, 4)).astype(np.float32)
 
         def fn(r, comm):
-            lo, hi = strip_bounds(4, 2, r)
+            lo, hi = shard_bounds(4, 2, r)
             return halo_exchange(comm, full[:, :, lo:hi].copy(), halo=0)
 
         results = _run_ranks(world, fn)

@@ -1,14 +1,15 @@
 """Sharded-solver (ZeRO-1-style) data parallelism."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.comm import ThreadWorld
+from repro.comm import ThreadWorld, shard_bounds
 from repro.data.hep import make_hep_dataset
 from repro.distributed import (
     ShardedSolverDataParallel,
     SyncDataParallel,
-    shard_bounds,
     solver_time_saving,
 )
 from repro.models import build_hep_net
@@ -111,6 +112,32 @@ class TestAccounting:
             solver_time_saving(-1.0, 4)
         with pytest.raises(ValueError):
             solver_time_saving(1.0, 0)
+
+    @pytest.mark.parametrize("cls, opt_factory, per_step", [
+        (SyncDataParallel, lambda net: SGD(net.params(), lr=0.05), 2),
+        (ShardedSolverDataParallel, lambda params: SGD(params, lr=0.05), 4)])
+    def test_barriers_per_step(self, cls, opt_factory, per_step, tiny_ds):
+        """A sync step is one all-reduce; a sharded step one reduce-scatter
+        and one all-gather: 2 barriers each, not 3 + 2p for an all-reduce
+        plus p broadcasts."""
+        p, waits, lock = 3, [], threading.Lock()
+        world = ThreadWorld(p)
+        barrier = world._group.barrier
+
+        class Counting:
+            def wait(self):
+                with lock:
+                    waits.append(1)
+                return barrier.wait()
+
+            def abort(self):
+                barrier.abort()
+
+        world._group.barrier = Counting()
+        trainer = cls(world, lambda: build_hep_net(filters=4, rng=3),
+                      opt_factory, hep_loss_fn)
+        trainer.run(tiny_ds.images[:12], tiny_ds.labels[:12], n_iterations=2)
+        assert len(waits) == p * per_step * 2
 
     def test_invalid_run_args(self, tiny_ds):
         trainer = ShardedSolverDataParallel(
