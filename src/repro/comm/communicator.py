@@ -60,8 +60,8 @@ def _disagreement(posted: List[tuple], shapes) -> Optional[str]:
     in words built from the posted values alone (so every rank's are the
     same), or None. Every rank must pass rank 0's op and root, and the
     dtype of the reference rank's (root's, else rank 0's) ``sendbuf``;
-    ``shapes(its sendbuf, its recvbuf)`` lists each rank's ``(sendbuf,
-    recvbuf)`` shape (an int: a size; None: not read)."""
+    ``shapes(reference sendbuf, reference recvbuf)`` lists each rank's
+    ``(sendbuf, recvbuf)`` shape (an int: a size; None: not read)."""
     _, _, op, root = posted[0]
     for r, (_, _, r_op, r_root) in enumerate(posted):
         if (r_op, r_root) != (op, root):
@@ -261,7 +261,7 @@ class Communicator:
         g = self._group
         g.slots[self._rank] = (color, self._rank if key is None else key)
         g.barrier.wait()
-        if self._rank == 0:  # every rank reads g.split before it is rebound
+        if self._rank == 0:  # every rank has read the last split by now
             by_color: Dict[int, List[Tuple[int, int]]] = {}
             for rank, (c, k) in enumerate(g.slots):
                 by_color.setdefault(c, []).append((k, rank))
