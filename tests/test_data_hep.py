@@ -1,5 +1,7 @@
 """HEP synthetic data: generator statistics, detector, imaging, selections."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,122 @@ class TestDataset:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             make_hep_dataset(0)
+
+
+def _digest(a):
+    """sha256 over an array's dtype, shape and bytes."""
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype}{a.shape}".encode()
+                          + a.tobytes()).hexdigest()
+
+
+#: (n_events, image_size, signal_fraction, preselect, seed) -> the sha256 of
+#: images, labels and high_level_features(events, 30.0), recorded on the
+#: per-deposit rasteriser at 9677e28: a faster pipeline must give the bytes.
+#: The first four are the datasets behind bench/golden's hep_train and
+#: hybrid_train records (smoke and full, seed 0).
+DATASET_PINS = {
+    (96, 32, 0.5, True, 0): (
+        "19a02970dc722ac19a0f2d149be30271a1014623b9878b0d2e39596d8c1f7dc3",
+        "1edb5aec1818b7c4374f56fbf1510144441c7442c7452ed27151996f629b3630",
+        "0dc0294585dc3a4022764dc8356f9a63cb4015d010185d8849d3380258956afb"),
+    (96, 64, 0.5, True, 0): (
+        "8d12891183d651535eda8d0243d30a1752141315c39f77d210bd0746b53d7338",
+        "1edb5aec1818b7c4374f56fbf1510144441c7442c7452ed27151996f629b3630",
+        "0dc0294585dc3a4022764dc8356f9a63cb4015d010185d8849d3380258956afb"),
+    (256, 16, 0.5, True, 0): (
+        "743d3abbaaa79ea1675a4bf72016cd0b51be9fdb2f1f44730f1e2c40d8e7d588",
+        "4ca495d8b9a08908e2f62abbd6b061710f4befeee76094b79ba50685e548c744",
+        "660c19714ab32c4e0b94eb128abc95ea196b5d822742e7ff81fd1edbe89e51e1"),
+    (256, 32, 0.5, True, 0): (
+        "03385b87f565be6a7853c194730c14a9b4981dc5204ebaf524a20532568f2ae3",
+        "4ca495d8b9a08908e2f62abbd6b061710f4befeee76094b79ba50685e548c744",
+        "660c19714ab32c4e0b94eb128abc95ea196b5d822742e7ff81fd1edbe89e51e1"),
+    (200, 16, 0.5, True, 1): (
+        "61af5425faa89be6db648e054d0608d3c8eb9c9747ccd89c5ddc95cafc7f4d71",
+        "e7345e55175681b103ef0bb791d62ccafdf6996cd986cd6b2e342b48d7f24635",
+        "1b8ef357dd71a2e36fb6aac4956fcaed45df21fb8fadf98ae7c10d4b6a197f9d"),
+    (150, 32, 0.0, False, 2): (
+        "717c3c9e37f620a688581c518a76694aed6b9e9891b160fb44744e9bdfa5f402",
+        "b21f5ba1173d1cde76b34beccc8619227f9be61ca685d2ebedc421d179ae2c81",
+        "c38d27e6ece27df95456db14714ade742d493b6f4ad4d1bd46de9667fe37008e"),
+    (150, 32, 1.0, True, 3): (
+        "0ae11030792b045d6e7a2024c0a56f07b7fd4bfb09ac2275719025d40821c6c5",
+        "237c4ad8f17f98a78ce897fc25b5e518169e2957147d079f58d289a021f3379c",
+        "105386c06589f2c0e11f9dc986cb9bda9c13df43973baf99a24910008f93ca91"),
+    (60, 64, 0.35, True, 4): (
+        "4c8208af6c3e43d999b16f466fbd63bacfb29cd3e83c3d4ae0699095db2fa701",
+        "ac8bedab3a5494a81430d7939cebbe1384d3e538ec7102343f1fb1d376537319",
+        "0be9173e42fa21709227ad6aa28efe3983c4095556c46f9e2fb997a44678406b"),
+    (8, 224, 0.5, True, 5): (
+        "a4ed2b6f72ea76ff0c040e6a034aef52a5b12a87c60036962619da004ecc81c7",
+        "1478bbfc79b6242809f447ebbc10e74e8ac170dafeb7a01ce53979d4059eb3a2",
+        "aac2c43d1f4f880014b408e16f9fad14d9091534b4bf4db41d3c42da933ed92f"),
+    (300, 24, 0.5, True, 6): (
+        "525086acfc0555d39f1a514d72df53a04192fa17f8022026d6b1a99dbf2e9a15",
+        "26cc13417bac06faa2428d5fffb2846695e92d4547f2e35b7b35db44de6e9a35",
+        "83a2009811041055e018abbdefef726cf4581c85baa9568ddb6c910cf1987799"),
+}
+
+
+def _edge_events():
+    """Deposits at both eta edges (cropped at the image border), prongs
+    pushing phi past +pi and -pi, a zero-jet event, em_frac 1.0 and 0.0 and
+    a jet with no tracks."""
+    return [
+        Event(jets=[Jet(pt=80.0, eta=2.5, phi=0.0, em_frac=0.5,
+                        n_tracks=3)], is_signal=False),
+        Event(jets=[Jet(pt=120.0, eta=-2.5, phi=3.1, em_frac=0.3,
+                        n_tracks=7,
+                        prongs=((0.6, 0.0, 0.0), (0.4, -0.3, 0.4)))],
+              is_signal=True),
+        Event(jets=[], is_signal=False),
+        Event(jets=[Jet(pt=60.0, eta=0.4, phi=-3.1, em_frac=1.0,
+                        n_tracks=0,
+                        prongs=((0.7, 0.1, 0.0), (0.3, 0.2, -0.5))),
+                    Jet(pt=45.0, eta=-1.0, phi=np.pi, em_frac=0.0,
+                        n_tracks=12)], is_signal=True),
+    ]
+
+
+#: (size, noise_level, seed) -> sha256 of images(_edge_events()), recorded
+#: at 9677e28
+EDGE_PINS = {
+    (16, 0.0, 0):
+        "e1044e2d447883f134e555bb02b842f576ecac0815f7319e49947e2540f6e524",
+    (33, 0.3, 7):
+        "180e8185117bc18b044c1f4d8813b1c6456961381d79655dc1e4fc2100095e72",
+    (8, 0.5, 1):
+        "0edaf80fc0c7b99b5caba00ea20b20188b8a09c27e63c457cbd82bdfc09f7039",
+}
+
+
+class TestPinnedBytes:
+    """The datasets every trainer test and benchmark golden reads, held
+    byte for byte: a change to the pipeline's speed must not move them."""
+
+    @pytest.mark.parametrize("config", sorted(DATASET_PINS),
+                             ids=lambda c: "n{}-s{}-f{}-pre{}-seed{}".format(
+                                 *c))
+    def test_a_dataset_is_pinned(self, config):
+        n, size, fraction, preselect, seed = config
+        ds = make_hep_dataset(n, image_size=size, signal_fraction=fraction,
+                              preselect=preselect, seed=seed)
+        assert (_digest(ds.images), _digest(ds.labels),
+                _digest(high_level_features(ds.events, 30.0))) \
+            == DATASET_PINS[config]
+
+    @pytest.mark.parametrize("config", sorted(EDGE_PINS),
+                             ids=lambda c: "s{}-noise{}-seed{}".format(*c))
+    def test_the_edge_batch_is_pinned(self, config):
+        size, noise, seed = config
+        imager = EventImager(size=size, noise_level=noise, seed=seed)
+        assert _digest(imager.images(_edge_events())) == EDGE_PINS[config]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_a_batch_is_its_events_one_at_a_time(self, noise):
+        events = _edge_events() + EventGenerator(seed=8).generate(12)
+        batch = EventImager(size=24, noise_level=noise, seed=3).images(events)
+        one = EventImager(size=24, noise_level=noise, seed=3)
+        assert np.array_equal(batch, np.stack([one.image(e)
+                                               for e in events]))
