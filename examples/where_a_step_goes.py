@@ -5,6 +5,11 @@ lowering form each conv / deconv took, as tabled in the README's "Where a ...
 goes" sections. Run
 ``PYTHONPATH=src python examples/where_a_step_goes.py --net hybrid``.
 
+``--net hep_data`` times ``make_hep_dataset`` instead, stage by stage
+(generate / detect / select / image, median seconds), at the dataset shapes
+of ``hybrid_train`` (256 events at 32²), ``hep_train`` (96 at 64²) and the
+tier-1 integration fixture (1100 at 64²).
+
 The forms are the plans ``repro.nn.im2col.plan`` made, a pass each. In an
 eval forward a conv's followers run inside its row, on bands. A max-pool the
 Winograd form took in place (its 4x4 blocks pooled before they are woven)
@@ -18,6 +23,8 @@ import time
 
 import numpy as np
 
+import repro.data.hep.dataset as hep_dataset
+from repro.data.hep import DetectorModel, EventGenerator, EventImager
 from repro.models.climate import PAPER_DECODER, PAPER_ENCODER, ClimateNet
 from repro.models.hep import build_hep_net
 from repro.optim import SGD, Adam
@@ -28,6 +35,8 @@ SHAPES = {"hep_train": (8, 64, 128, lambda p: Adam(p, lr=1e-3)),
           "hybrid": (32, 32, 16, lambda p: SGD(p, lr=0.01, momentum=0.9)),
           "hep_infer": (2, 224, 128, None),
           "climate_infer": (2, 256, None, None)}
+#: (events, image side) of the datasets ``--net hep_data`` builds
+DATASETS = ((256, 32), (96, 64), (1100, 64))
 
 
 def climate_net(width=1 / 4):
@@ -84,12 +93,38 @@ def noting(plan, made):
     return call
 
 
+def hep_data(repeats):
+    """Median seconds of each ``make_hep_dataset`` stage, per dataset."""
+    spent = {}
+    for key, owner, name in (("generate", EventGenerator, "generate"),
+                             ("detect", DetectorModel, "simulate_all"),
+                             ("select", hep_dataset, "high_level_features"),
+                             ("image", EventImager, "images")):
+        setattr(owner, name, timed(getattr(owner, name), key, spent))
+    build = timed(hep_dataset.make_hep_dataset, "rest", spent)
+    keys = ("generate", "detect", "select", "image", "rest", "total")
+    print(f"make_hep_dataset: median s over {repeats} builds")
+    print(f"{'events @ side':14s}" + "".join(f"{k:>10s}" for k in keys))
+    for n, side in DATASETS:
+        builds = []
+        for seed in range(repeats + 1):         # the first one warms up
+            spent.clear()
+            build(n, image_size=side, seed=seed)
+            builds.append(dict(spent, total=sum(spent.values())))
+        print(f"{f'{n} @ {side}²':14s}" + "".join(
+            f"{np.median([b[k] for b in builds[1:]]):10.4f}" for k in keys))
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--net", choices=sorted(SHAPES), default="hybrid")
+    ap.add_argument("--net", choices=sorted(SHAPES) + ["hep_data"],
+                    default="hybrid")
     ap.add_argument("--filters", type=int)
     ap.add_argument("--steps", type=int, default=11)
     args = ap.parse_args()
+    if args.net == "hep_data":
+        hep_data(args.steps)
+        sys.exit()
     batch, side, filters, make_optimizer = SHAPES[args.net]
     if args.net == "climate_infer":
         net = climate_net()

@@ -226,16 +226,23 @@ class Communicator:
         self._group.barrier.wait()
 
     # -- point to point -----------------------------------------------------
+    def _peer(self, rank: int, role: str) -> int:
+        """``rank`` if it names a rank of the group (``1.5`` and ``"1"`` do
+        not): a message to any other would sit in a mailbox no rank reads,
+        and a receive from one would wait out its timeout."""
+        if rank not in range(self._group.size):
+            raise ValueError(f"{role} {rank!r} out of range "
+                             f"[0, {self._group.size})")
+        return rank
+
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self._group.size:
-            raise ValueError(f"dest {dest} out of range")
-        self._group.mailbox(self._rank, dest, tag).put(buf.copy())
+        self._group.mailbox(self._rank, self._peer(dest, "dest"),
+                            tag).put(buf.copy())
 
     def Recv(self, buf: np.ndarray, source: int, tag: int = 0,
              timeout: Optional[float] = None) -> None:
-        if not 0 <= source < self._group.size:
-            raise ValueError(f"source {source} out of range")
-        msg = self._group.mailbox(source, self._rank, tag).get(timeout=timeout)
+        msg = self._group.mailbox(self._peer(source, "source"), self._rank,
+                                  tag).get(timeout=timeout)
         if msg.shape != buf.shape:
             raise ValueError(
                 f"received shape {msg.shape}, buffer is {buf.shape}")
@@ -243,12 +250,13 @@ class Communicator:
 
     # -- object (pickle-free, any python value) variants --------------------
     def send(self, obj, dest: int, tag: int = 0) -> None:
-        self._group.mailbox(self._rank, dest, tag).put(obj)
+        self._group.mailbox(self._rank, self._peer(dest, "dest"),
+                            tag).put(obj)
 
     def recv(self, source: int, tag: int = 0,
              timeout: Optional[float] = None):
-        return self._group.mailbox(source, self._rank, tag).get(
-            timeout=timeout)
+        return self._group.mailbox(self._peer(source, "source"), self._rank,
+                                   tag).get(timeout=timeout)
 
     # -- splitting ----------------------------------------------------------
     def Split(self, color: int, key: Optional[int] = None) -> "Communicator":

@@ -17,6 +17,7 @@ from repro.data.hep.detector import DetectorModel
 from repro.data.hep.generator import Event, EventGenerator
 from repro.data.hep.images import EventImager
 from repro.data.hep.selections import high_level_features
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -69,8 +70,10 @@ def make_hep_dataset(n_events: int, image_size: int = 64,
     H_T > 200), concentrating the sample in the discrimination region as the
     paper does before training.
     """
-    if n_events <= 0:
-        raise ValueError(f"n_events must be positive, got {n_events}")
+    n_events = require_count("n_events", n_events)
+    image_size = require_count("image_size", image_size, least=8)
+    signal_fraction = require_real("signal_fraction", signal_fraction,
+                                   "[0, 1]")
     rngs = spawn_rngs(seed, 3)
     gen = EventGenerator(seed=rngs[0])
     det = DetectorModel(seed=rngs[1])

@@ -11,12 +11,14 @@ jets, in the spirit of Delphes' parameterized detector response:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from repro.data.hep.generator import ETA_MAX, Event, Jet, _wrap_phi
+from repro.utils.checks import require_real
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -31,15 +33,16 @@ class DetectorModel:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        if self.stochastic_term < 0 or self.constant_term < 0:
-            raise ValueError("resolution terms must be non-negative")
-        if self.pt_threshold <= 0:
-            raise ValueError("pt_threshold must be positive")
+        require_real("stochastic_term", self.stochastic_term, "[0, inf)")
+        require_real("constant_term", self.constant_term, "[0, inf)")
+        require_real("angular_sigma", self.angular_sigma, "[0, inf)")
+        require_real("pt_threshold", self.pt_threshold, "(0, inf)")
         self._rng = as_rng(self.seed)
 
     def _smear_jet(self, jet: Jet) -> Jet | None:
         rng = self._rng
-        rel_sigma = (self.stochastic_term / np.sqrt(jet.pt)
+        # sqrt is correctly rounded either way; np.exp below may not be
+        rel_sigma = (self.stochastic_term / math.sqrt(jet.pt)
                      + self.constant_term)
         pt = jet.pt * float(rng.normal(1.0, rel_sigma))
         if pt < self.pt_threshold:
@@ -48,11 +51,10 @@ class DetectorModel:
         eff = 0.99 / (1.0 + np.exp(-(pt - self.pt_threshold) / 5.0))
         if rng.random() > eff:
             return None
-        eta = float(np.clip(jet.eta + rng.normal(0, self.angular_sigma),
-                            -ETA_MAX, ETA_MAX))
-        phi = float(_wrap_phi(np.array(
-            [jet.phi + rng.normal(0, self.angular_sigma)]))[0])
-        em = float(np.clip(jet.em_frac + rng.normal(0, 0.05), 0.0, 1.0))
+        eta = min(ETA_MAX, max(-ETA_MAX,
+                               jet.eta + rng.normal(0, self.angular_sigma)))
+        phi = _wrap_phi(jet.phi + rng.normal(0, self.angular_sigma))
+        em = min(1.0, max(0.0, jet.em_frac + rng.normal(0, 0.05)))
         n_tracks = max(0, int(rng.binomial(jet.n_tracks, 0.92)))
         return Jet(pt=float(pt), eta=eta, phi=phi, em_frac=em,
                    n_tracks=n_tracks, prongs=jet.prongs)

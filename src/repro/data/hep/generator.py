@@ -17,11 +17,13 @@ information leaves headroom for the CNN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_real
 from repro.utils.rng import SeedLike, as_rng
 
 #: detector acceptance in pseudorapidity
@@ -43,8 +45,14 @@ class Jet:
     prongs: Tuple[Tuple[float, float, float], ...] = ((1.0, 0.0, 0.0),)
 
     def __post_init__(self) -> None:
-        if self.pt <= 0:
-            raise ValueError(f"jet pt must be positive, got {self.pt}")
+        # built per jet, so checked inline rather than by repro.utils.checks
+        if not 0 < self.pt < math.inf:
+            raise ValueError(
+                f"jet pt must be positive and finite, got {self.pt}")
+        if not (-math.inf < self.eta < math.inf
+                and -math.inf < self.phi < math.inf):
+            raise ValueError(f"jet eta and phi must be finite, got "
+                             f"{self.eta}, {self.phi}")
         if not 0.0 <= self.em_frac <= 1.0:
             raise ValueError(f"em_frac must be in [0,1], got {self.em_frac}")
 
@@ -69,8 +77,9 @@ class Event:
         return max(j.pt for j in self.jets) if self.jets else 0.0
 
 
-def _wrap_phi(phi: np.ndarray) -> np.ndarray:
-    return (phi + np.pi) % (2 * np.pi) - np.pi
+def _wrap_phi(phi: float) -> float:
+    """``phi`` in [-pi, pi), bit for bit as NumPy's ``%`` would wrap it."""
+    return (phi + math.pi) % (2 * math.pi) - math.pi
 
 
 class EventGenerator:
@@ -85,19 +94,20 @@ class EventGenerator:
                  sig_mass_sigma: float = 0.25,
                  sig_prong_dr: float = 0.35,
                  seed: SeedLike = None) -> None:
-        if bkg_pt_scale <= 0:
-            raise ValueError("bkg_pt_scale must be positive")
-        if pt_min <= 0 or sig_resonance_mass <= 0:
-            raise ValueError("pt_min and resonance mass must be positive")
-        if sig_mass_sigma <= 0:
-            raise ValueError("sig_mass_sigma must be positive")
-        self.bkg_njet_mean = bkg_njet_mean
-        self.sig_njet_mean = sig_njet_mean
-        self.bkg_pt_scale = bkg_pt_scale
-        self.pt_min = pt_min
-        self.sig_resonance_mass = sig_resonance_mass
-        self.sig_mass_sigma = sig_mass_sigma
-        self.sig_prong_dr = sig_prong_dr
+        self.bkg_njet_mean = require_real("bkg_njet_mean", bkg_njet_mean,
+                                          "[0, inf)")
+        # the cascade draws poisson(sig_njet_mean - 3) extra jets
+        self.sig_njet_mean = require_real("sig_njet_mean", sig_njet_mean,
+                                          "[3, inf)")
+        self.bkg_pt_scale = require_real("bkg_pt_scale", bkg_pt_scale,
+                                         "(0, inf)")
+        self.pt_min = require_real("pt_min", pt_min, "(0, inf)")
+        self.sig_resonance_mass = require_real(
+            "sig_resonance_mass", sig_resonance_mass, "(0, inf)")
+        self.sig_mass_sigma = require_real("sig_mass_sigma", sig_mass_sigma,
+                                           "(0, inf)")
+        self.sig_prong_dr = require_real("sig_prong_dr", sig_prong_dr,
+                                         "[0, inf)")
         self._rng = as_rng(seed)
 
     # -- background ----------------------------------------------------------
@@ -114,8 +124,7 @@ class EventGenerator:
         phis = np.empty(n)
         phis[0] = phi0
         if n > 1:
-            phis[1] = _wrap_phi(np.array([phi0 + np.pi
-                                          + rng.normal(0, 0.4)]))[0]
+            phis[1] = _wrap_phi(phi0 + math.pi + rng.normal(0, 0.4))
         if n > 2:
             phis[2:] = rng.uniform(-np.pi, np.pi, n - 2)
         etas = rng.normal(0.0, 1.2, n).clip(-ETA_MAX, ETA_MAX)
@@ -146,7 +155,8 @@ class EventGenerator:
         jets = []
         for i in range(n):
             # Two-prong substructure: each cascade jet splits its energy.
-            frac = float(np.clip(rng.beta(5.0, 3.0), 0.55, 0.9))
+            # np.clip's min(max(...)), in its argument order: the same float
+            frac = min(0.9, max(0.55, rng.beta(5.0, 3.0)))
             dr = self.sig_prong_dr * float(rng.lognormal(0.0, 0.2))
             angle = float(rng.uniform(0, 2 * np.pi))
             prongs = (

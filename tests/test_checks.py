@@ -27,6 +27,12 @@ from repro.comm import (
     ThreadWorld,
 )
 from repro.core.parameter import Parameter
+from repro.data.hep import (
+    DetectorModel,
+    EventGenerator,
+    EventImager,
+    make_hep_dataset,
+)
 from repro.core.sequential import Sequential
 from repro.distributed import (
     ElasticHybridTrainer,
@@ -433,6 +439,52 @@ ROWS = [
     ("HybridSimConfig: n_iterations", 8, INF, True,
      "23: 2.5 or NaN iterations ran and reported a makespan",
      lambda v, _: _hybrid_sim(n_iterations=v)),
+    # data.hep
+    ("make_hep_dataset: n_events", 40, INF, True,
+     "31: a fractional count raised a TypeError deep inside",
+     lambda v, _: make_hep_dataset(v, image_size=8)),
+    ("make_hep_dataset: image_size", 8, INF, True, "31: via image_size",
+     lambda v, _: make_hep_dataset(40, image_size=v)),
+    ("make_hep_dataset: signal_fraction", 0.5, (INF, 1.5), False, "",
+     lambda v, _: make_hep_dataset(40, image_size=8, signal_fraction=v)),
+    ("EventGenerator: bkg_njet_mean", 1.8, (INF, -1.0), False, "",
+     lambda v, _: EventGenerator(bkg_njet_mean=v)),
+    ("EventGenerator: sig_njet_mean", 11.0, (INF, 2.0), False, "",
+     lambda v, _: EventGenerator(sig_njet_mean=v)),
+    ("EventGenerator: bkg_pt_scale", 55.0, INF, False, "",
+     lambda v, _: EventGenerator(bkg_pt_scale=v)),
+    ("EventGenerator: pt_min", 40.0, INF, False,
+     "28: a NaN pt_min failed inside rng.poisson",
+     lambda v, _: EventGenerator(pt_min=v)),
+    ("EventGenerator: sig_resonance_mass", 850.0, INF, False, "",
+     lambda v, _: EventGenerator(sig_resonance_mass=v)),
+    ("EventGenerator: sig_mass_sigma", 0.25, INF, False, "",
+     lambda v, _: EventGenerator(sig_mass_sigma=v)),
+    ("EventGenerator: sig_prong_dr", 0.35, (INF, -1.0), False,
+     "27: every second prong's offsets were NaN",
+     lambda v, _: EventGenerator(sig_prong_dr=v)),
+    ("DetectorModel: stochastic_term", 0.8, (INF, -1.0), False,
+     "29: a 50 GeV jet was kept with pt = nan",
+     lambda v, _: DetectorModel(stochastic_term=v)),
+    ("DetectorModel: constant_term", 0.03, (INF, -1.0), False,
+     "29: via the constant term",
+     lambda v, _: DetectorModel(constant_term=v)),
+    ("DetectorModel: angular_sigma", 0.02, (INF, -1.0), False, "",
+     lambda v, _: DetectorModel(angular_sigma=v)),
+    ("DetectorModel: pt_threshold", 25.0, INF, False,
+     "30: a NaN threshold was accepted",
+     lambda v, _: DetectorModel(pt_threshold=v)),
+    ("EventImager: size", 16, INF, True, "",
+     lambda v, _: EventImager(size=v)),
+    ("EventImager: jet_radius", 0.12, INF, False,
+     "26: the stamp size raised 'cannot convert float NaN to integer'",
+     lambda v, _: EventImager(size=16, jet_radius=v)),
+    ("EventImager: noise_level", 0.3, (INF, -1.0), False,
+     "25: a NaN or negative noise level silently drew no noise",
+     lambda v, _: EventImager(size=16, noise_level=v)),
+    ("EventImager: pt_scale", 100.0, INF, False,
+     "24: a one-jet 16x16 image had 512 NaN pixels",
+     lambda v, _: EventImager(size=16, pt_scale=v)),
 ]
 
 
@@ -457,7 +509,7 @@ def test_a_bad_number_is_refused_by_name(name, build, valid, bad, tmp_path):
 
 def test_every_hole_has_a_row():
     holes = {row[4].split(":")[0] for row in ROWS if row[4]}
-    assert holes == {str(i) for i in range(1, 24)}
+    assert holes == {str(i) for i in range(1, 32)}
 
 
 @pytest.mark.parametrize("build", [

@@ -184,6 +184,20 @@ class TestThreadWorld:
         with pytest.raises(ValueError):
             comm.Allreduce(np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("peer", [5, 2, -1, 1.5, "1"])
+    @pytest.mark.parametrize("call", [
+        lambda comm, p: comm.send({"a": 1}, dest=p),
+        lambda comm, p: comm.recv(source=p, timeout=0.2),
+        lambda comm, p: comm.Send(np.zeros(1), dest=p),
+        lambda comm, p: comm.Recv(np.zeros(1), source=p, timeout=0.2),
+    ], ids=["send", "recv", "Send", "Recv"])
+    def test_a_point_to_point_call_refuses_a_peer_outside_the_group(
+            self, call, peer):
+        comm = ThreadWorld(2).comm(0)
+        with pytest.raises(ValueError, match="out of range"):
+            call(comm, peer)
+        assert not comm._group.mailboxes   # nothing was posted or awaited
+
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             ThreadWorld(2).comm(5)

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.hep import (
     CutBaseline,
@@ -346,3 +348,95 @@ class TestPinnedBytes:
         one = EventImager(size=24, noise_level=noise, seed=3)
         assert np.array_equal(batch, np.stack([one.image(e)
                                                for e in events]))
+
+
+def _deposit_loop(imager, events):
+    """The oracle: the rasteriser the slot scatter replaced, one event, one
+    splat and one channel at a time, drawing each event's noise after its
+    deposits from ``imager``'s generator."""
+    size, k, stamp = imager.size, imager._half, imager._stamp
+
+    def deposit(img, channel, eta, phi, amount):
+        x = int(round((eta + ETA_MAX) / (2 * ETA_MAX) * (size - 1)))
+        y = int(round((phi + np.pi) / (2 * np.pi) * (size - 1)))
+        x0, x1 = x - k, x + k + 1
+        sx0 = max(0, -x0)
+        sx1 = stamp.shape[1] - max(0, x1 - size)
+        x0, x1 = max(0, x0), min(size, x1)
+        if x0 >= x1:
+            return
+        rows = np.arange(y - k, y + k + 1) % size  # phi wraps
+        img[channel][rows[:, None], np.arange(x0, x1)[None, :]] += \
+            amount * stamp[:, sx0:sx1]
+
+    out = np.zeros((len(events), 3, size, size), dtype=np.float32)
+    for img, event in zip(out, events):
+        for jet in event.jets:
+            for frac, d_eta, d_phi in jet.prongs:
+                eta = float(np.clip(jet.eta + d_eta, -ETA_MAX, ETA_MAX))
+                phi = jet.phi + d_phi
+                pt = jet.pt * frac / imager.pt_scale
+                deposit(img, 0, eta, phi, pt * jet.em_frac)
+                deposit(img, 1, eta, phi, pt * (1.0 - jet.em_frac))
+                deposit(img, 2, eta, phi, frac * jet.n_tracks / 10.0)
+        if imager.noise_level > 0:
+            noise = imager._rng.normal(
+                0.0, imager.noise_level / imager.pt_scale,
+                size=(2, size, size)).astype(np.float32)
+            img[:2] += np.abs(noise)
+    return out
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_prong = st.tuples(_reals(0.0, 1.0), _reals(-1.0, 1.0), _reals(-1.0, 1.0))
+_jet = st.builds(
+    Jet, pt=_reals(1e-3, 2000.0), eta=_reals(-4.0, 4.0),
+    phi=_reals(-7.0, 7.0), em_frac=_reals(0.0, 1.0),
+    n_tracks=st.integers(0, 60),
+    prongs=st.lists(_prong, min_size=1, max_size=2).map(tuple))
+_event = st.builds(Event, jets=st.lists(_jet, max_size=20),
+                   is_signal=st.booleans())
+
+
+class TestSlotRasteriser:
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(_event, max_size=6), size=st.integers(8, 64),
+           noise=st.sampled_from([0.0, 0.3]) | _reals(0.0, 2.0),
+           radius=_reals(0.02, 1.0), seed=st.integers(0, 2 ** 63))
+    def test_images_are_the_deposit_loops(self, events, size, noise, radius,
+                                          seed):
+        """Bit for bit, radii whose stamp is taller than the image
+        included (a deposit's wrapped rows then overwrite, not add)."""
+        def imager():
+            return EventImager(size=size, jet_radius=radius,
+                               noise_level=noise, seed=seed)
+        assert np.array_equal(imager().images(events),
+                              _deposit_loop(imager(), events))
+
+    def test_a_chunked_batch_is_the_deposit_loops(self):
+        """More events than one chunk holds, at 224x224 (one per chunk)
+        and at 16x16 (256 per chunk)."""
+        events = EventGenerator(seed=4).generate(300)
+        for size, n in ((224, 3), (16, 300)):
+            assert np.array_equal(
+                EventImager(size=size, seed=2).images(events[:n]),
+                _deposit_loop(EventImager(size=size, seed=2), events[:n]))
+
+    @pytest.mark.parametrize("field", ["pt", "eta", "phi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_jet_refuses_a_non_finite_kinematic(self, field, bad):
+        kw = dict(pt=50.0, eta=0.0, phi=0.0, em_frac=0.5, n_tracks=2)
+        with pytest.raises(ValueError, match=field):
+            Jet(**{**kw, field: bad})
+
+    @pytest.mark.parametrize("prong", [(1.0, np.nan, 0.0), (1.0, 0.0, np.inf),
+                                       (np.nan, 0.0, 0.0)])
+    def test_a_non_finite_prong_is_refused_not_drawn(self, prong):
+        event = Event(jets=[Jet(pt=50.0, eta=0.0, phi=0.0, em_frac=0.5,
+                                n_tracks=2, prongs=(prong,))],
+                      is_signal=False)
+        with pytest.raises(ValueError, match="not finite"):
+            EventImager(size=16, seed=0).image(event)
