@@ -11,6 +11,7 @@ moves no float of a training step.
 import contextlib
 import copy
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import Sequential
 from repro.models.hep import build_hep_net
+import repro.nn.conv as conv_module
 from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
@@ -588,6 +590,49 @@ class TestTheFirstPoolGradientIsNeverWhole:
         assert ("outer", x.shape) not in calls
         for a, b in zip(*grads):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape, filters, band_bytes", [
+        ((8, 3, 64, 64), 128, _BAND_BYTES),         # hep_train's conv1
+        ((2, 4, 32, 32), 8, 1 << 12),               # bands split an image
+    ], ids=["hep_train", "split"])
+    def test_the_made_gradient_is_the_pools_own(self, shape, filters,
+                                                 band_bytes):
+        """``net.backward(g, input_grad=False)`` (the pool's gradient made
+        band by band inside the conv's) leaves every parameter gradient
+        byte of ``pool.backward`` then the conv's ``backward``."""
+        rng = np.random.default_rng(5)
+        conv = Conv2D(shape[1], filters, 3, rng=0)
+        conv.weight.data[...] = rng.integers(-2, 3, conv.weight.data.shape)
+        conv.bias.data[...] = rng.integers(-2, 3, filters)
+        net = Sequential([conv, ReLU(), MaxPool2D(2)]).train()
+        x = rng.integers(-2, 3, size=shape).astype(np.float32)  # ties
+        x[0, 0, :8] = np.nan
+        g = rng.normal(size=(shape[0], filters, shape[2] // 2,
+                             shape[3] // 2)).astype(np.float32)
+        seen, read = [], conv_module._Bands.__getitem__
+
+        def getitem(bands, index):
+            seen.append(index)
+            return read(bands, index)
+
+        grads = []
+        with budget(band_bytes, fold_below=1), \
+                mock.patch.object(conv_module._Bands, "__getitem__",
+                                  getitem):
+            for made in (True, False):
+                net.zero_grad()
+                net.forward(x)
+                if made:
+                    assert net.backward(g, input_grad=False) is None
+                else:
+                    grad = g
+                    for layer in reversed(net.schedule()[1:]):
+                        grad = layer.backward(grad)
+                    assert conv.backward(grad, input_grad=False) is None
+                grads.append([p.grad.tobytes() for p in net.params()])
+        assert grads[0] == grads[1]
+        rows = {index[2].stop - index[2].start for index in seen}
+        assert (min(rows) < shape[2]) == (band_bytes < _BAND_BYTES)
 
     def test_a_ragged_pool_runs_its_own_backward(self, rng):
         net = build("crp", 2, 4, 3, 1, 1, 2).train()

@@ -229,21 +229,69 @@ class TestFastPathIsTheStridedReduce:
                         out[:, :, i, j], window.max(axis=(2, 3)))
 
 
-def tap_loop_grad(x, out, g, k):
-    """The fast path's input gradient as it was computed tap by tap, kept
-    as the oracle: ``k*k`` strided compares of ``x[:, :, i::k, j::k]`` with
-    ``out``, counts in ``g``'s dtype, one division, one strided multiply a
-    tap."""
-    taps = [(i, j) for i in range(k) for j in range(k)]
-    wins = [x[:, :, i::k, j::k] == out for i, j in taps]
+def tap_loop_grad(x, out, g, k, s=None):
+    """A max-pool's input gradient computed tap by tap, kept as the oracle:
+    ``k*k`` strided compares of tap ``(i, j)`` of every window with ``out``,
+    counts in ``g``'s dtype, one division, then one strided product a tap,
+    written where windows tile the input (stride ``s == k``, the default)
+    and added where they overlap (``s < k``). Cells no window covers get
+    0."""
+    s = k if s is None else s
+    oh, ow = out.shape[2:]
+    taps = [(slice(i, i + s * oh, s), slice(j, j + s * ow, s))
+            for i in range(k) for j in range(k)]
+    wins = [x[:, :, ti, tj] == out for ti, tj in taps]
     counts = np.zeros(out.shape, g.dtype)
     for win in wins:
         counts += win
     q = g / np.maximum(counts, 1)
-    grad = np.empty(x.shape, g.dtype)
-    for (i, j), win in zip(taps, wins):
-        np.multiply(win, q, out=grad[:, :, i::k, j::k])
+    grad = np.zeros(x.shape, g.dtype)
+    for (ti, tj), win in zip(taps, wins):
+        if s < k:
+            grad[:, :, ti, tj] += win * q
+        else:
+            np.multiply(win, q, out=grad[:, :, ti, tj])
     return grad
+
+
+class TestTrainingPoolIsTheTapLoop:
+    """A training ``MaxPool2D``'s forward then backward is the tap loop bit
+    for bit, on the fast path (``k`` in 2, 3, 4, 16), the ragged one and
+    overlapping ``(3, 2)`` windows: ties share, NaN never wins, an all-NaN
+    window gets nothing and a losing cell under a negative gradient keeps
+    its ``-0.0`` where windows tile."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.sampled_from([(2, 2), (3, 3), (4, 4), (16, 16), (3, 2)]),
+           n=st.integers(1, 3), c=st.integers(1, 3), oh=st.integers(1, 4),
+           ow=st.integers(1, 4), ragged=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           levels=st.integers(0, 3), nan_share=st.sampled_from([0, 0.3, 1]),
+           seed=st.integers(0, 2**16))
+    def test_forward_then_backward_is_the_tap_loop(
+            self, ks, n, c, oh, ow, ragged, dtype, levels, nan_share, seed):
+        k, s = ks
+        if k == 16:
+            oh, ow = min(oh, 2), min(ow, 2)
+        rng = np.random.default_rng(seed)
+        extra = (s - 1) if ragged else 0        # rows no window reaches
+        h, w = (oh - 1) * s + k + extra, (ow - 1) * s + k + extra
+        # few levels: many ties; levels == 0: every window one tie
+        x = rng.integers(-levels, levels + 1, size=(n, c, h, w)).astype(dtype)
+        x[rng.random(x.shape) < nan_share] = np.nan
+        x[0, 0, :k, :k] = np.nan                    # an all-NaN window
+        pool = MaxPool2D(k, s).train()
+        assert pool._is_fast_path(h, w) == (k == s and not extra)
+        out = pool.forward(x)
+        assert out.shape == (n, c, oh, ow)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g[0, 0, 0, 0] = -1.0                        # -0.0 in that window
+        got = pool.backward(g)
+        want = tap_loop_grad(x, out, g, k, s)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        if k == s:
+            corner = got[0, 0, :k, :k]
+            assert np.signbit(corner).all() and not corner.any()
 
 
 class TestMaxPoolGrad:
