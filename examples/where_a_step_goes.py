@@ -16,10 +16,18 @@ Winograd form took in place (its 4x4 blocks pooled before they are woven)
 never has its ``forward`` called, so it has no row: its conv reads
 ``winograd, pooled``. In a training step the first conv makes the gradient
 of the max-pool behind it band by band inside its weight gradient, so that
-pool has no backward row: the conv's reads ``w: direct, pooled  d: none``."""
+pool has no backward row: the conv's reads ``w: direct, pooled  d: none``.
+
+Memory is traced with ``tracemalloc`` in untimed passes after the timed
+steps. A forward row's ``held`` is the MiB its layer keeps for ``backward``
+once the forward ends: what ``tracemalloc`` sees freed when that layer's
+state is dropped, in execution order. The last lines are what one step holds
+when its forward ends and the step's traced peak (parameters, gradients and
+solver state allocated before the step are not counted)."""
 import argparse
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -93,6 +101,44 @@ def noting(plan, made):
     return call
 
 
+def held_mib(net, layers, x):
+    """MiB each of ``layers`` keeps after a forward of ``x``: the traced
+    memory freed when its state is dropped."""
+    held = {}
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        for mod in layers:
+            before = tracemalloc.get_traced_memory()[0]
+            for state in ("_cache", "_mask"):
+                if hasattr(mod, state):
+                    setattr(mod, state, None)
+            held[mod.name] = (before - tracemalloc.get_traced_memory()[0]) \
+                / 2**20
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def step_mib(net, one_step):
+    """MiB one step holds when its forward ends, and its traced peak."""
+    forward, ends = net.forward, []
+
+    def traced(*args):
+        out = forward(*args)
+        ends.append(tracemalloc.get_traced_memory()[0])
+        return out
+    net.forward = traced
+    tracemalloc.start()
+    try:
+        one_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del net.forward
+    return ends[0] / 2**20, peak / 2**20
+
+
 def hep_data(repeats):
     """Median seconds of each ``make_hep_dataset`` stage, per dataset."""
     spent = {}
@@ -155,7 +201,16 @@ if __name__ == "__main__":
         spent.clear()
         one_step()
         steps.append(dict(spent, total=sum(spent.values())))
-    print(f"{args.net} {x.shape}: median ms over {args.steps} steps")
+    for mod in layers:                          # untimed from here on
+        del mod.forward, mod.backward
+    ends, peak = step_mib(net, one_step)
+    held = held_mib(net, layers, x)
+    print(f"{args.net} {x.shape}: median ms over {args.steps} steps, "
+          "MiB held after the forward")
     for key in steps[-1]:                       # in the order calls returned
+        name, _, phase = key.rpartition(".")
+        mib = f"{held[name]:7.2f}" if phase == "forward" else " " * 7
         print(f"{key:22s} {1e3 * np.median([s[key] for s in steps[1:]]):8.3f}"
-              f"  {forms.get(key, '')}")
+              f" {mib}  {forms.get(key, '')}")
+    print(f"{'held when the forward ends':30s} {ends:7.2f} MiB")
+    print(f"{'traced step peak':30s} {peak:7.2f} MiB")

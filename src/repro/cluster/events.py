@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.utils.checks import require_real
+
 
 @dataclass(order=True)
 class Event:
@@ -40,18 +42,20 @@ class EventQueue:
 
     def schedule(self, delay: float, action: Callable[[], None],
                  label: str = "") -> None:
-        """Schedule ``action`` at ``now + delay``."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
+        """Schedule ``action`` at ``now + delay``. A NaN delay is refused:
+        it would compare false with every time and stop ``run`` early."""
+        require_real("delay", delay, "[0, inf]")
         heapq.heappush(self._heap,
                        Event(self._now + delay, next(self._counter),
                              action, label))
 
     def schedule_at(self, time: float, action: Callable[[], None],
                     label: str = "") -> None:
+        require_real("time", time)
         if time < self._now:
             raise ValueError(
-                f"cannot schedule in the past: {time} < {self._now}")
+                f"time must be >= now, got {time} < {self._now}; cannot "
+                "schedule in the past")
         heapq.heappush(self._heap,
                        Event(time, next(self._counter), action, label))
 

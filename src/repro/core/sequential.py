@@ -34,7 +34,9 @@ class Sequential(Module):
     a conv's Winograd form runs a leading max-pool's ``fmax`` itself), so
     only the group's last activation is ever written. The result is the
     layer-by-layer one. A training forward is never grouped: its followers
-    keep whole-tensor state for ``backward``.
+    keep state over the whole tensor for ``backward`` (a ReLU its mask, a
+    max-pool the taps that won each window, a byte a 2x2 window, found band
+    by band in its own forward; neither keeps its input or output).
     """
 
     kind = "sequential"

@@ -70,6 +70,12 @@ class EventImager:
         self._stamp = np.exp(-0.5 * ((xs / self._sigma_px_eta) ** 2
                                      + (ys / self._sigma_px_phi) ** 2))
         self._stamp /= self._stamp.sum()
+        if 2 * k + 1 > self.size:
+            # A stamp taller than the image covers a phi row twice: fold its
+            # rows mod size once, so each pixel gets every hit in one add.
+            folded = np.zeros((self.size, 2 * k + 1))
+            np.add.at(folded, np.arange(2 * k + 1) % self.size, self._stamp)
+            self._stamp = folded
         self._chunk = max(1, _CHUNK_PIXELS // self.size ** 2)
 
     def _splat(self, canvas: np.ndarray, events: Sequence[Event]) -> None:
@@ -95,12 +101,12 @@ class EventImager:
                           axis=1)
         # a stamp row of a deposit is one run of (2k+1) * 3 floats in the
         # flat canvas: its first column's three channels, then the next's
-        run = 3 * (2 * k + 1)
-        rows = (y.astype(np.intp)[:, None] + np.arange(-k, k + 1)) % size
+        run, tall = 3 * (2 * k + 1), len(self._stamp)
+        rows = (y.astype(np.intp)[:, None] + np.arange(-k, tall - k)) % size
         at = ((ev[:, None] * size + rows) * canvas.shape[2]
               + x.astype(np.intp)[:, None]) * 3
         add = (amount[:, None, None, :] * self._stamp[:, :, None]).reshape(
-            len(d), 2 * k + 1, run)
+            len(d), tall, run)
         runs = as_strided(canvas.reshape(-1), (canvas.size - run + 1, run),
                           (canvas.itemsize,) * 2, writeable=True)
         # slot n of every event at once: deposit starts[e] + n of each event

@@ -130,7 +130,8 @@ class Conv2D(Module):
 
         With a ``pool`` (the max-pool behind a first conv), ``grad_out`` is
         its output gradient; with ``input_grad=False`` on the pool's fast
-        path the pool's gradient is made a band at a time, never whole.
+        path the pool's gradient is made a band at a time from the winners
+        its forward kept, never whole.
         """
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
@@ -187,14 +188,16 @@ class _Bands:
     """``Conv2D.backward``'s output gradient as ``lowered_outer`` reads it,
     a band ``[i0:i1, :, r0:r1]`` at a time, its sums per image and channel
     added to ``sums``. Given a fast-path ``pool``, ``g`` is the pool's output
-    gradient and a band is made from it (whole windows) in one scratch."""
+    gradient and a band is made from it and the pool's winners, sliced to
+    the band's images and window rows, in one scratch (whole windows)."""
 
     def __init__(self, g: np.ndarray, pool: Optional[Module], name: str,
                  shape: Tuple[int, ...]) -> None:
         self.g, self.pool, self.shape, self.dtype = g, pool, shape, g.dtype
         if pool is not None:
-            (self.x, self.out), pool._cache = pool._cache, None
-            name, shape, self.buf = pool.name, self.out.shape, np.empty(0)
+            (self.wins, _), pool._cache = pool._cache, None
+            name, shape, self.buf = pool.name, self.wins.shape[:4], \
+                np.empty(0)
         check_grad_out(name, g, shape)      # by the layer whose output it is
         self.sums = np.zeros(self.shape[:2], g.dtype)
 
@@ -211,7 +214,6 @@ class _Bands:
         if self.buf.size < size:
             self.buf = np.empty(size, self.dtype)
         band = self.buf[:size].reshape(-1, m, (b - a) * k, ow)
-        max_pool_grad(self.x[images, :, a * k:b * k],
-                      self.out[images, :, a:b], self.g[images, :, a:b], k,
-                      band)
+        max_pool_grad(self.wins[images, :, a:b], self.g[images, :, a:b],
+                      k, k, band)
         return band[:, :, rows.start - a * k:rows.stop - a * k]

@@ -17,17 +17,26 @@ from repro.core.module import Module, check_grad_out, check_sizes
 from repro.nn.im2col import conv_output_size
 
 
+#: input bytes per band of a training forward: a band's winners are found
+#: while it is in cache
+_BAND_BYTES = 1 << 20
+
+
 class MaxPool2D(Module):
     """Max pooling. Fast path for the ubiquitous non-overlapping case.
 
-    A training forward is the eval forward plus a *reference* to its input
-    (not a copy: nothing may write to it before ``backward``); the winners
-    are found at backward (on the fast path by :func:`max_pool_grad`). NaN
-    never wins (``np.fmax``, as in ``ReLU``), so pooling before or after a
-    ReLU gives the same output and gradients (``core.Sequential`` runs it
-    first). Every window's maxima share its gradient, on the fast path and
-    on overlapping or ragged windows alike, so a window's gradient is the
-    same whatever the image's size.
+    A training forward is the eval forward plus its *winners*, the one
+    state ``backward`` reads: bit ``i*k + j`` of a window is set where its
+    tap ``(i, j)`` equals its maximum, ``np.packbits``-little-endian in
+    ``ceil(k*k / 8)`` bytes a window (one byte for 2x2), shaped ``out.shape
+    + (bytes,)`` on every path, so it slices by image and by window row.
+    On the fast path they are found a band of input planes at a time, while
+    the band is in cache; the forward keeps no reference to its input or
+    output. NaN never wins (``np.fmax``, as in ``ReLU``), so pooling before
+    or after a ReLU gives the same output and gradients (``core.Sequential``
+    runs it first). Every window's maxima share its gradient, on the fast
+    path and on overlapping or ragged windows alike, so a window's gradient
+    is the same whatever the image's size.
     """
 
     kind = "pool"
@@ -52,66 +61,57 @@ class MaxPool2D(Module):
         k = self.band_rows
         return k > 0 and h % k == 0 and w % k == 0
 
-    def _taps(self, x: np.ndarray, oh: int, ow: int) -> List[np.ndarray]:
-        """Tap ``(i, j)`` of every window, one strided ``(oh, ow)`` image
-        each, at index ``i*k + j``."""
-        k, s = self.kernel_size, self.stride
-        return [x[:, :, i:i + s * oh:s, j:j + s * ow:s]
-                for i in range(k) for j in range(k)]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = None      # last step's, gone before this one's is made
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
-        if self._is_fast_path(h, w):
-            # Non-overlapping: reshape into (N, C, oh, k, ow, k) blocks and
-            # take the max over block rows (contiguous runs of w floats),
-            # then block columns: 2(k-1) elementwise passes, not a 6-D
-            # strided reduce.
-            blocks = x.reshape(n, c, h // k, k, w // k, k)
-            rows = reduce(np.fmax, [blocks[:, :, :, i] for i in range(k)])
-            out = reduce(np.fmax, [rows[..., j] for j in range(k)])
-        else:
+        oh, ow = conv_output_size(h, k, s, 0), conv_output_size(w, k, s, 0)
+        if not self._is_fast_path(h, w):
             # Overlapping or ragged windows: the same fmax passes, rows of a
             # window first, then its columns, tap image by tap image.
-            taps = self._taps(x, conv_output_size(h, k, s, 0),
-                              conv_output_size(w, k, s, 0))
+            taps = _taps(x, k, s, oh, ow)
             out = reduce(np.fmax, [reduce(np.fmax, taps[j::k])
                                    for j in range(k)])
             if k == 1:                  # the identity: a copy, not a view
                 out = out.copy()
-        # Eval forwards (serving) pin nothing.
-        self._cache = (x, out) if self.training else None
-        return out
+            if self.training:
+                self._cache = (_pack([tap == out for tap in taps]), x.shape)
+            return out
+        # Non-overlapping: (planes, oh, k, ow, k) blocks, the max over block
+        # rows (contiguous runs of w floats), then block columns: 2(k-1)
+        # elementwise passes, not a 6-D strided reduce. Eval forwards
+        # (serving) pool the whole tensor and keep nothing.
+        blocks = x.reshape(n * c, oh, k, ow, k)
+        out = np.empty((n * c, oh, ow), x.dtype)
+        step, wins = n * c, None
+        if self.training:
+            step = max(1, _BAND_BYTES // (h * w * x.itemsize))
+            wins = np.empty(out.shape + (-(-k * k // 8),), np.uint8)
+        rows = np.empty((min(step, n * c), oh, ow, k), x.dtype)    # scratch
+        for p in range(0, n * c, step):
+            band, o = blocks[p:p + step], out[p:p + step]
+            r = rows[:len(band)]
+            reduce(lambda a, b: np.fmax(a, b, out=r),
+                   [band[:, :, i] for i in range(k)])
+            reduce(lambda a, b: np.fmax(a, b, out=o),
+                   [r[..., j] for j in range(k)])
+            if wins is not None:
+                _winners(band, o, wins[p:p + step], r)
+        if wins is not None:
+            self._cache = (wins.reshape(n, c, oh, ow, -1), x.shape)
+        return out.reshape(n, c, oh, ow)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        x, out = self._cache
-        check_grad_out(self.name, grad_out, out.shape)
-        if self._is_fast_path(*x.shape[2:]):
-            return max_pool_grad(x, out, grad_out, self.kernel_size,
-                                 np.empty(x.shape, grad_out.dtype))
-        # Tap (i, j) of every window is one strided image the size of the
-        # output. All maxima win, scaled by multiplicity (a correct adjoint;
-        # Caffe routes to the first). A window with no winner (all NaN) gets
-        # no gradient, not 0/0. Counting in grad_out's dtype keeps float32
-        # gradients, and every layer below, float32.
-        taps = self._taps(x, *out.shape[2:])
-        wins = [tap == out for tap in taps]
-        counts = np.zeros(out.shape, dtype=grad_out.dtype)
-        for win in wins:
-            counts += win
-        g = grad_out / np.maximum(counts, 1, out=counts)
-        # A tap's cells are distinct: overlapping windows add up tap by tap.
-        k, s = self.kernel_size, self.stride
-        grad_in = np.zeros(x.shape, grad_out.dtype)
-        for tap, win in zip(self._taps(grad_in, *out.shape[2:]), wins):
-            if s < k:
-                tap += win * g
-            else:
-                np.multiply(win, g, out=tap)
-        return grad_in
+        wins, shape = self._cache
+        check_grad_out(self.name, grad_out, wins.shape[:4])
+        # Cells no window reaches get 0; on the fast path every cell is one
+        # window's.
+        grad_in = (np.empty if self._is_fast_path(*shape[2:]) else np.zeros)(
+            shape, grad_out.dtype)
+        return max_pool_grad(wins, grad_out, self.kernel_size, self.stride,
+                             grad_in)
 
     def output_shape(self, input_shape):
         c, h, w = input_shape
@@ -129,24 +129,73 @@ class MaxPool2D(Module):
         return batch * c * oh * ow * (k * k - 1)
 
 
-def max_pool_grad(x: np.ndarray, out: np.ndarray, grad_out: np.ndarray,
-                  k: int, grad_in: np.ndarray) -> np.ndarray:
-    """``grad_in`` (``x``'s shape) := dL/dx of the non-overlapping ``k x k``
-    max-pool ``out`` of ``x``: ``MaxPool2D``'s rule, along whole rows. ``x``
-    is compared with ``out`` repeated ``k`` times along the width, winners
-    are counted in ``uint8`` (below 16x16), one division, one multiply."""
-    n, c, oh, ow = out.shape
+def _taps(a: np.ndarray, k: int, s: int, oh: int, ow: int
+          ) -> List[np.ndarray]:
+    """Tap ``(i, j)`` of every ``k x k`` / stride ``s`` window of ``a``, one
+    strided ``(oh, ow)`` image each, at index ``i*k + j``."""
+    return [a[:, :, i:i + s * oh:s, j:j + s * ow:s]
+            for i in range(k) for j in range(k)]
 
-    def wide(a: np.ndarray) -> np.ndarray:      # each column k times over
-        return np.stack([a] * k, axis=-1).reshape(n, c, oh, 1, ow * k)
 
-    wins = x.reshape(n, c, oh, k, ow * k) == wide(out)
-    rows = np.zeros((n, c, oh, ow * k), np.min_scalar_type(k * k))
-    for i in range(k):
-        rows += wins[:, :, :, i]
-    counts = reduce(np.add, [rows[..., j::k] for j in range(k)])
-    np.multiply(wins, wide(grad_out / np.maximum(counts, 1)),
-                out=grad_in.reshape(n, c, oh, k, ow * k))
+def _pack(wins: List[np.ndarray]) -> np.ndarray:
+    """The winners format of tap-order bool images."""
+    return np.packbits(np.stack(wins, axis=-1), axis=-1, bitorder="little")
+
+
+def _winners(blocks: np.ndarray, out: np.ndarray, wins: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """``wins`` := the winners of ``(planes, oh, k, ow, k)`` ``blocks``
+    whose maxima are ``out``. A 2x2 window's rows are compared whole with
+    ``out`` repeated along the width (in ``scratch``, ``out.shape + (2,)``);
+    each row's two bools, read as one ``uint16``, are folded into the
+    window's byte by shifts."""
+    p, oh, k, ow, _ = blocks.shape
+    if k != 2:
+        wins[...] = _pack([blocks[:, :, i, :, j] == out
+                           for i in range(k) for j in range(k)])
+        return
+    wide = np.stack([out, out], axis=-1, out=scratch).reshape(p, oh, 1, -1)
+    row = (blocks.reshape(p, oh, 2, 2 * ow) == wide).view(np.uint16)
+    both = row[:, :, 1] << 2            # taps (1, 0), (1, 1): bits 2, 10
+    both |= row[:, :, 0]                # taps (0, 0), (0, 1): bits 0, 8
+    np.bitwise_or(both, both >> 7, out=wins[..., 0], casting="unsafe")
+
+
+def max_pool_grad(wins: np.ndarray, grad_out: np.ndarray, k: int, s: int,
+                  grad_in: np.ndarray) -> np.ndarray:
+    """``grad_in`` := dL/dx of a ``k x k`` / stride ``s`` max-pool from its
+    winners (``MaxPool2D``'s format): a window's winners count, ``grad_out``
+    is divided by the count once (an all-NaN window has none and gets 0) and
+    each tap is the product of its bit and that quotient, written where
+    windows tile and added where they overlap (``grad_in`` holds zeros
+    where no window reaches). A 2x2 tiling decodes each window row's two
+    bits into two bytes by shifts and multiplies whole rows."""
+    n, c, oh, ow = grad_out.shape
+    if k == s == 2 and grad_in.shape[2:] == (2 * oh, 2 * ow):
+        byte = wins[..., 0].astype(np.uint16)
+        # row i's bits 2i, 2i + 1 -> bytes 0, 1 of a uint16: its two taps
+        rows = [(byte >> 2 * i) * np.uint16(0x81) & np.uint16(0x101)
+                for i in range(2)]
+        counts = rows[0] + rows[1]      # bytes: each column's winners
+        counts *= np.uint16(0x101)      # high byte: both columns'
+        counts >>= 8
+        q = grad_out / np.maximum(counts, 1, out=counts)
+        wide = np.stack([q, q], axis=-1).reshape(n, c, oh, 2 * ow)
+        cells = grad_in.reshape(n, c, oh, 2, 2 * ow)
+        for i in range(2):
+            np.multiply(rows[i].view(np.uint8).reshape(n, c, oh, 2 * ow),
+                        wide, out=cells[:, :, :, i])
+        return grad_in
+    bits = np.unpackbits(wins, axis=-1, count=k * k, bitorder="little")
+    counts = np.zeros(grad_out.shape, grad_out.dtype)
+    for t in range(k * k):
+        counts += bits[..., t]
+    q = grad_out / np.maximum(counts, 1, out=counts)
+    for t, tap in enumerate(_taps(grad_in, k, s, oh, ow)):
+        if s < k:
+            tap += bits[..., t] * q
+        else:
+            np.multiply(bits[..., t], q, out=tap)
     return grad_in
 
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from repro.utils.checks import require_count, require_real
+
 
 class ConstantLR:
     def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        self.lr = lr
+        self.lr = require_real("lr", lr, "(0, inf)")
 
     def __call__(self, iteration: int) -> float:
         return self.lr
@@ -17,15 +17,9 @@ class StepLR:
     """Multiply the LR by ``gamma`` every ``step_size`` iterations."""
 
     def __init__(self, lr: float, step_size: int, gamma: float = 0.1) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        if not 0 < gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.lr = lr
-        self.step_size = step_size
-        self.gamma = gamma
+        self.lr = require_real("lr", lr, "(0, inf)")
+        self.step_size = require_count("step_size", step_size)
+        self.gamma = require_real("gamma", gamma, "(0, 1]")
 
     def __call__(self, iteration: int) -> float:
         if iteration < 0:

@@ -16,6 +16,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.cluster.events import EventQueue
 from repro.cluster.failures import FailureEvent, FailureModel, StragglerModel
 from repro.cluster.machine import cori
 from repro.cluster.network import AriesNetwork
@@ -43,7 +44,7 @@ from repro.distributed import (
 )
 from repro.distributed.sharded_solver import solver_time_saving
 from repro.nn import Conv2D, Deconv2D, Dense, MaxPool2D
-from repro.optim import SGD
+from repro.optim import SGD, ConstantLR, StepLR
 from repro.optim.quantize import (
     QuantizedGradSGD,
     compile_quantized,
@@ -485,6 +486,22 @@ ROWS = [
     ("EventImager: pt_scale", 100.0, INF, False,
      "24: a one-jet 16x16 image had 512 NaN pixels",
      lambda v, _: EventImager(size=16, pt_scale=v)),
+    # cluster.events
+    ("EventQueue.schedule: delay", 1.0, -INF, False,
+     "32: events at 1.0, NaN, 2.0: run() returned 1.0, two left unrun",
+     lambda v, _: EventQueue().schedule(v, lambda: None)),
+    ("EventQueue.schedule_at: time", 1.0, -INF, False,
+     "33: a NaN event scheduled first: nothing ran",
+     lambda v, _: EventQueue().schedule_at(v, lambda: None)),
+    # optim.schedules
+    ("ConstantLR: lr", 0.1, INF, False, "34: ConstantLR(nan)(3) was NaN",
+     lambda v, _: ConstantLR(v)),
+    ("StepLR: lr", 0.1, INF, False, "34: via StepLR",
+     lambda v, _: StepLR(v, 2)),
+    ("StepLR: step_size", 2, INF, True,
+     "35: step_size=nan gave a NaN rate; 2.5 was taken",
+     lambda v, _: StepLR(0.1, v)),
+    ("StepLR: gamma", 0.5, INF, False, "", lambda v, _: StepLR(0.1, 2, v)),
 ]
 
 
@@ -509,7 +526,7 @@ def test_a_bad_number_is_refused_by_name(name, build, valid, bad, tmp_path):
 
 def test_every_hole_has_a_row():
     holes = {row[4].split(":")[0] for row in ROWS if row[4]}
-    assert holes == {str(i) for i in range(1, 32)}
+    assert holes == {str(i) for i in range(1, 36)}
 
 
 @pytest.mark.parametrize("build", [

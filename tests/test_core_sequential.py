@@ -4,7 +4,7 @@ Pinned here: an eval forward equals the layer-by-layer loop on every topology
 and band budget; fusion is invisible to training and to instance-level
 ``forward`` hooks; the HEP ``conv1`` group never holds its 51 MB
 intermediate activations; and the schedule (a max-pool ahead of the ReLUs it
-follows, winners found at backward, no input gradient for the first layer)
+follows, winners kept by the forward, no input gradient for the first layer)
 moves no float of a training step.
 """
 
@@ -29,6 +29,8 @@ from repro.nn.fft_conv import FFTConv2D
 from repro.nn.im2col import _BAND_BYTES, _bands
 from repro.nn.pooling import MaxPool2D
 from repro.nn.winograd import WinogradConv2D
+from repro.optim import Adam
+from repro.train.loop import hep_loss_fn, step
 from test_nn_im2col import (budget, lowering, separable_everywhere,
                             winograd_everywhere)
 from test_nn_pooling import parent_pool
@@ -364,8 +366,10 @@ class TestFusionIsInvisible:
         for p, q in zip(used.params(), fresh.params()):
             np.testing.assert_array_equal(p.grad, q.grad)
         # A training forward fills the followers' whole-tensor state: the
-        # pool holds its input, the ReLU behind it a mask of the pooled size.
-        assert pool._cache[0].shape == (2, 4, 16, 16)
+        # pool holds a byte of winners a window, the ReLU behind it a mask of
+        # the pooled size.
+        assert pool._cache[0].shape == (2, 4, 8, 8, 1)
+        assert pool._cache[1] == (2, 4, 16, 16)
         assert relu._mask.shape == (2, 4, 8, 8)
 
     def test_to_forward_hooks(self, rng):
@@ -669,6 +673,30 @@ class TestTheFirstPoolGradientIsNeverWhole:
                 tracemalloc.stop()
         assert peaks[0] < conv_out < peaks[1], \
             f"peaked at {peaks[0] >> 20} / {peaks[1] >> 20} MiB"
+
+
+class TestWhatAStepHolds:
+    def test_a_hep_train_step_peaks_under_40_mib(self):
+        """One step at ``hep_train``'s shapes (batch 8, 3 x 64^2, 128
+        filters), after a warm-up that made the solver's state: a max-pool
+        keeps its winners, not conv1's 16.8 MB output, so the traced peak
+        is 34 MiB. It was 59 MiB when every pool kept its input and
+        output."""
+        net = build_hep_net(filters=128, rng=0)
+        optimizer = Adam(net.params(), lr=1e-3)
+        rng = np.random.default_rng(0)
+        x = rng.random((8, 3, 64, 64), np.float32)
+        y = np.arange(8) % 2
+        for traced in (False, True):
+            if traced:
+                tracemalloc.start()
+            try:
+                step(net, hep_loss_fn, x, y)
+                optimizer.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 0 < peak < 40 << 20, f"peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestFusedMemory:

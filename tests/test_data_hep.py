@@ -365,7 +365,7 @@ def _deposit_loop(imager, events):
         x0, x1 = max(0, x0), min(size, x1)
         if x0 >= x1:
             return
-        rows = np.arange(y - k, y + k + 1) % size  # phi wraps
+        rows = np.arange(y - k, y - k + len(stamp)) % size    # phi wraps
         img[channel][rows[:, None], np.arange(x0, x1)[None, :]] += \
             amount * stamp[:, sx0:sx1]
 
@@ -409,12 +409,35 @@ class TestSlotRasteriser:
     def test_images_are_the_deposit_loops(self, events, size, noise, radius,
                                           seed):
         """Bit for bit, radii whose stamp is taller than the image
-        included (a deposit's wrapped rows then overwrite, not add)."""
+        included (both add its rows folded mod the image's size)."""
         def imager():
             return EventImager(size=size, jet_radius=radius,
                                noise_level=noise, seed=seed)
         assert np.array_equal(imager().images(events),
                               _deposit_loop(imager(), events))
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(8, 64), radius=_reals(0.02, 1.0),
+           eta=_reals(-ETA_MAX, ETA_MAX), phi=_reals(-np.pi, np.pi))
+    def test_a_jet_keeps_its_energy(self, size, radius, eta, phi):
+        """A noiseless, all-EM jet's image sums to ``pt / pt_scale`` times
+        the share of its splat whose columns land in the image (eta does not
+        wrap; phi does). A stamp taller than the image used to lose the
+        hits its wrapped rows made on one pixel (0.964 at ``size=8,
+        jet_radius=1.0``)."""
+        imager = EventImager(size=size, jet_radius=radius, noise_level=0.0)
+        k = imager._half
+        ys, xs = np.mgrid[-k:k + 1, -k:k + 1]
+        stamp = np.exp(-0.5 * ((xs / imager._sigma_px_eta) ** 2
+                               + (ys / imager._sigma_px_phi) ** 2))
+        x = round((eta + ETA_MAX) / (2 * ETA_MAX) * (size - 1))
+        inside = (xs[0] + x >= 0) & (xs[0] + x < size)
+        share = stamp[:, inside].sum() / stamp.sum()
+        jet = Jet(pt=50.0, eta=eta, phi=phi, em_frac=1.0, n_tracks=0)
+        img = imager.image(Event(jets=[jet], is_signal=False))
+        assert not img[1:].any()
+        np.testing.assert_allclose(img[0].sum(dtype=np.float64),
+                                   0.5 * share, rtol=1e-5)
 
     def test_a_chunked_batch_is_the_deposit_loops(self):
         """More events than one chunk holds, at 224x224 (one per chunk)

@@ -151,13 +151,20 @@ class TestFastPathIsTheStridedReduce:
         x = rng.integers(0, 3, size=(2, 3, 6 * k, 2 * k)).astype(np.float32)
         pool = MaxPool2D(k).train()
         out = pool.forward(x)
-        # The forward kept its operands, not a mask: the input itself.
-        assert pool._cache[0] is x and pool._cache[1] is out
+        # The forward kept its winners, not its operands: bit i*k + j of a
+        # window is the broadcast mask's tap (i, j).
+        wins, shape = pool._cache
+        assert shape == x.shape and wins.dtype == np.uint8
+        assert not np.shares_memory(wins, x) and not np.shares_memory(wins,
+                                                                      out)
         g = rng.normal(size=out.shape).astype(np.float32)
         ref_out, ref_backward = parent_pool(x, k)
         np.testing.assert_array_equal(out, ref_out)
-        assert (_blocks(x, k) == out[:, :, :, None, :, None]) \
-            .sum(axis=(3, 5)).max() > 1              # ties present
+        mask = _blocks(x, k) == out[:, :, :, None, :, None]
+        np.testing.assert_array_equal(
+            np.unpackbits(wins, axis=-1, count=k * k, bitorder="little"),
+            mask.transpose(0, 1, 2, 4, 3, 5).reshape(out.shape + (k * k,)))
+        assert mask.sum(axis=(3, 5)).max() > 1      # ties present
         got = pool.backward(g)
         np.testing.assert_array_equal(got, ref_backward(g))
         assert got.dtype == g.dtype and got.flags.c_contiguous
@@ -295,10 +302,10 @@ class TestTrainingPoolIsTheTapLoop:
 
 
 class TestMaxPoolGrad:
-    """``max_pool_grad`` runs along whole rows and counts winners in
-    ``uint8``; its gradient is the tap loop's bit for bit: ties share, an
-    all-NaN window gets nothing, and a losing cell under a negative
-    gradient keeps its ``-0.0``."""
+    """``max_pool_grad`` reads the winners a training forward kept (a 2x2
+    tiling decoded by shifts, every other pool bit by bit); its gradient is
+    the tap loop's bit for bit: ties share, an all-NaN window gets nothing,
+    and a losing cell under a negative gradient keeps its ``-0.0``."""
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.sampled_from([2, 3, 4]), n=st.integers(1, 3),
@@ -314,12 +321,12 @@ class TestMaxPoolGrad:
                          size=(n, c, oh * k, ow * k)).astype(dtype)
         x[rng.random(x.shape) < nan_share] = np.nan
         x[0, 0, :k, :k] = np.nan                    # an all-NaN window
-        pool = MaxPool2D(k)
+        pool = MaxPool2D(k).train()
         out = pool.forward(x)
         g = rng.normal(size=out.shape).astype(dtype)
         g[0, 0, 0, 0] = -1.0                        # -0.0 in that window
         got = np.full(x.shape, 7.0, dtype)          # nothing of it may show
-        max_pool_grad(x, out, g, k, got)
+        max_pool_grad(pool._cache[0], g, k, k, got)
         want = tap_loop_grad(x, out, g, k)
         assert got.tobytes() == want.tobytes()
         corner = got[0, 0, :k, :k]
@@ -329,10 +336,32 @@ class TestMaxPoolGrad:
     def test_more_winners_than_a_byte_counts(self):
         """A 16x16 window of one value has 256 winners: counted wider."""
         x = np.ones((1, 1, 16, 16), np.float32)
+        pool = MaxPool2D(16).train()
+        pool.forward(x)
         got = np.empty_like(x)
-        max_pool_grad(x, np.ones((1, 1, 1, 1), np.float32),
-                      np.full((1, 1, 1, 1), 256.0, np.float32), 16, got)
+        max_pool_grad(pool._cache[0], np.full((1, 1, 1, 1), 256.0,
+                                              np.float32), 16, 16, got)
         np.testing.assert_array_equal(got, np.ones_like(x))
+
+
+class TestATrainingPoolKeepsItsWinners:
+    """A training ``MaxPool2D`` holds its winners, not its input or its
+    output: no array of its state shares memory with either, and a 2x2
+    pool's state is at most one byte a window."""
+
+    @pytest.mark.parametrize("k, stride, hw", [(2, 2, 16), (2, 2, 64),
+                                               (3, 3, 12), (2, 2, 9),
+                                               (3, 2, 9)])
+    def test_its_state_is_its_winners(self, rng, k, stride, hw):
+        x = rng.normal(size=(2, 4, hw, hw)).astype(np.float32)
+        pool = MaxPool2D(k, stride).train()
+        out = pool.forward(x)
+        held = [a for a in vars(pool).values() if isinstance(a, np.ndarray)]
+        held += [a for a in pool._cache if isinstance(a, np.ndarray)]
+        assert held and not any(np.shares_memory(a, b)
+                                for a in held for b in (x, out))
+        assert sum(a.nbytes for a in held) <= out.size * -(-k * k // 8)
+        assert pool.backward(np.ones_like(out)).shape == x.shape
 
 
 class TestOneGradientRuleForEveryWindow:
