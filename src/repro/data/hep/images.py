@@ -35,7 +35,8 @@ class EventImager:
 
     The n-th (jet, prong) splat of an event is its deposit *slot* n. Slot n
     of every event in a chunk is one scatter-add of the whole ``(2k+1)²``
-    stamp into all three channels, on a canvas padded by ``k`` columns at
+    stamp (its rows folded mod ``size`` where it is taller than the image)
+    into all three channels, on a canvas padded by ``k`` columns at
     each eta edge (no splat is cropped while it is added) whose phi rows
     wrap mod ``size``. Chunks are copied, unpadded, into the one output;
     then each image draws its noise, one ``rng.normal`` call as before (a

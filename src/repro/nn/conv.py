@@ -196,8 +196,8 @@ class _Bands:
         self.g, self.pool, self.shape, self.dtype = g, pool, shape, g.dtype
         if pool is not None:
             (self.wins, _), pool._cache = pool._cache, None
-            name, shape, self.buf = pool.name, self.wins.shape[:4], \
-                np.empty(0)
+            name, shape = pool.name, self.wins.shape[:4]
+            self.buf = np.empty(0)
         check_grad_out(name, g, shape)      # by the layer whose output it is
         self.sums = np.zeros(self.shape[:2], g.dtype)
 

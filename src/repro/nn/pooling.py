@@ -30,9 +30,9 @@ class MaxPool2D(Module):
     tap ``(i, j)`` equals its maximum, ``np.packbits``-little-endian in
     ``ceil(k*k / 8)`` bytes a window (one byte for 2x2), shaped ``out.shape
     + (bytes,)`` on every path, so it slices by image and by window row.
-    On the fast path they are found a band of input planes at a time, while
-    the band is in cache; the forward keeps no reference to its input or
-    output. NaN never wins (``np.fmax``, as in ``ReLU``), so pooling before
+    A non-overlapping 2x2 pool finds them a band of input planes at a time,
+    while the band is in cache. The forward keeps no reference to its input
+    or output. NaN never wins (``np.fmax``, as in ``ReLU``), so pooling before
     or after a ReLU gives the same output and gradients (``core.Sequential``
     runs it first). Every window's maxima share its gradient, on the fast
     path and on overlapping or ragged windows alike, so a window's gradient
@@ -66,9 +66,10 @@ class MaxPool2D(Module):
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         oh, ow = conv_output_size(h, k, s, 0), conv_output_size(w, k, s, 0)
-        if not self._is_fast_path(h, w):
-            # Overlapping or ragged windows: the same fmax passes, rows of a
-            # window first, then its columns, tap image by tap image.
+        if not self._is_fast_path(h, w) or self.training and k != 2:
+            # Overlapping or ragged windows (and a training k x k pool other
+            # than 2x2): the same fmax passes, rows of a window first, then
+            # its columns, tap image by tap image.
             taps = _taps(x, k, s, oh, ow)
             out = reduce(np.fmax, [reduce(np.fmax, taps[j::k])
                                    for j in range(k)])
@@ -77,28 +78,27 @@ class MaxPool2D(Module):
             if self.training:
                 self._cache = (_pack([tap == out for tap in taps]), x.shape)
             return out
-        # Non-overlapping: (planes, oh, k, ow, k) blocks, the max over block
-        # rows (contiguous runs of w floats), then block columns: 2(k-1)
-        # elementwise passes, not a 6-D strided reduce. Eval forwards
-        # (serving) pool the whole tensor and keep nothing.
-        blocks = x.reshape(n * c, oh, k, ow, k)
+        # Non-overlapping: the max over block rows (contiguous runs of w
+        # floats), then block columns: 2(k-1) elementwise passes, not a 6-D
+        # strided reduce. Eval forwards (serving) keep nothing.
+        if not self.training:
+            blocks = x.reshape(n, c, oh, k, ow, k)
+            rows = reduce(np.fmax, [blocks[:, :, :, i] for i in range(k)])
+            return reduce(np.fmax, [rows[..., j] for j in range(k)])
+        # A training 2x2 pool: a band of input planes at a time, its winners
+        # found while it is in cache.
+        blocks = x.reshape(n * c, oh, 2, ow, 2)
         out = np.empty((n * c, oh, ow), x.dtype)
-        step, wins = n * c, None
-        if self.training:
-            step = max(1, _BAND_BYTES // (h * w * x.itemsize))
-            wins = np.empty(out.shape + (-(-k * k // 8),), np.uint8)
-        rows = np.empty((min(step, n * c), oh, ow, k), x.dtype)    # scratch
+        wins = np.empty(out.shape, np.uint8)
+        step = max(1, _BAND_BYTES // (h * w * x.itemsize))
+        rows = np.empty((min(step, n * c), oh, ow, 2), x.dtype)    # scratch
         for p in range(0, n * c, step):
             band, o = blocks[p:p + step], out[p:p + step]
             r = rows[:len(band)]
-            reduce(lambda a, b: np.fmax(a, b, out=r),
-                   [band[:, :, i] for i in range(k)])
-            reduce(lambda a, b: np.fmax(a, b, out=o),
-                   [r[..., j] for j in range(k)])
-            if wins is not None:
-                _winners(band, o, wins[p:p + step], r)
-        if wins is not None:
-            self._cache = (wins.reshape(n, c, oh, ow, -1), x.shape)
+            np.fmax(band[:, :, 0], band[:, :, 1], out=r)
+            np.fmax(r[..., 0], r[..., 1], out=o)
+            _winners(band, o, wins[p:p + step], r)
+        self._cache = (wins.reshape(n, c, oh, ow, 1), x.shape)
         return out.reshape(n, c, oh, ow)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -144,21 +144,17 @@ def _pack(wins: List[np.ndarray]) -> np.ndarray:
 
 def _winners(blocks: np.ndarray, out: np.ndarray, wins: np.ndarray,
              scratch: np.ndarray) -> None:
-    """``wins`` := the winners of ``(planes, oh, k, ow, k)`` ``blocks``
-    whose maxima are ``out``. A 2x2 window's rows are compared whole with
-    ``out`` repeated along the width (in ``scratch``, ``out.shape + (2,)``);
-    each row's two bools, read as one ``uint16``, are folded into the
-    window's byte by shifts."""
-    p, oh, k, ow, _ = blocks.shape
-    if k != 2:
-        wins[...] = _pack([blocks[:, :, i, :, j] == out
-                           for i in range(k) for j in range(k)])
-        return
+    """``wins`` := the winners' bytes of ``(planes, oh, 2, ow, 2)``
+    ``blocks`` whose maxima are ``out``. A window row is compared whole
+    with ``out`` repeated along the width (in ``scratch``, ``out.shape +
+    (2,)``); each row's two bools, read as one ``uint16``, are folded into
+    the window's byte by shifts."""
+    p, oh, _, ow, _ = blocks.shape
     wide = np.stack([out, out], axis=-1, out=scratch).reshape(p, oh, 1, -1)
     row = (blocks.reshape(p, oh, 2, 2 * ow) == wide).view(np.uint16)
     both = row[:, :, 1] << 2            # taps (1, 0), (1, 1): bits 2, 10
     both |= row[:, :, 0]                # taps (0, 0), (0, 1): bits 0, 8
-    np.bitwise_or(both, both >> 7, out=wins[..., 0], casting="unsafe")
+    np.bitwise_or(both, both >> 7, out=wins, casting="unsafe")
 
 
 def max_pool_grad(wins: np.ndarray, grad_out: np.ndarray, k: int, s: int,
