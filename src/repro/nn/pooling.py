@@ -174,7 +174,7 @@ def max_pool_grad(wins: np.ndarray, grad_out: np.ndarray, k: int, s: int,
                 for i in range(2)]
         counts = rows[0] + rows[1]      # bytes: each column's winners
         counts *= np.uint16(0x101)      # high byte: both columns'
-        counts >>= 8
+        counts >>= 8                    # uint16: float32 / it is float32
         q = grad_out / np.maximum(counts, 1, out=counts)
         wide = np.stack([q, q], axis=-1).reshape(n, c, oh, 2 * ow)
         cells = grad_in.reshape(n, c, oh, 2, 2 * ow)
@@ -183,10 +183,12 @@ def max_pool_grad(wins: np.ndarray, grad_out: np.ndarray, k: int, s: int,
                         wide, out=cells[:, :, :, i])
         return grad_in
     bits = np.unpackbits(wins, axis=-1, count=k * k, bitorder="little")
+    # counted in grad_out's dtype, so a float32 gradient stays float32
     counts = np.zeros(grad_out.shape, grad_out.dtype)
     for t in range(k * k):
         counts += bits[..., t]
     q = grad_out / np.maximum(counts, 1, out=counts)
+    # a tap's cells are distinct: overlapping windows add up tap by tap
     for t, tap in enumerate(_taps(grad_in, k, s, oh, ow)):
         if s < k:
             tap += bits[..., t] * q
