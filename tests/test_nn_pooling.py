@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from grad_check import numeric_grad
 from repro.nn.activations import ReLU, Sigmoid, Tanh
+import repro.nn.pooling as pooling
 from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D, max_pool_grad
 
 
@@ -155,8 +156,8 @@ class TestFastPathIsTheStridedReduce:
         # window is the broadcast mask's tap (i, j).
         wins, shape = pool._cache
         assert shape == x.shape and wins.dtype == np.uint8
-        assert not np.shares_memory(wins, x) and not np.shares_memory(wins,
-                                                                      out)
+        assert not np.shares_memory(wins, x)
+        assert not np.shares_memory(wins, out)
         g = rng.normal(size=out.shape).astype(np.float32)
         ref_out, ref_backward = parent_pool(x, k)
         np.testing.assert_array_equal(out, ref_out)
@@ -362,6 +363,25 @@ class TestATrainingPoolKeepsItsWinners:
                                 for a in held for b in (x, out))
         assert sum(a.nbytes for a in held) <= out.size * -(-k * k // 8)
         assert pool.backward(np.ones_like(out)).shape == x.shape
+
+
+    @pytest.mark.parametrize("band_bytes", [64, 1 << 20])
+    @pytest.mark.parametrize("k, stride, hw", [(2, 2, 8), (3, 3, 9),
+                                               (3, 2, 9)])
+    def test_a_training_forward_pools_as_eval_does(self, rng, monkeypatch,
+                                                   band_bytes, k, stride,
+                                                   hw):
+        """Band by band (64 bytes: one 2x2 plane a band) or whole, NaN
+        losing to any number and ties included."""
+        monkeypatch.setattr(pooling, "_BAND_BYTES", band_bytes)
+        x = rng.integers(-1, 2, size=(2, 3, hw, hw)).astype(np.float32)
+        x[rng.random(x.shape) < 0.3] = np.nan
+        pool = MaxPool2D(k, stride)
+        out = pool.train().forward(x)
+        np.testing.assert_array_equal(out, pool.eval().forward(x))
+        if k == stride:
+            np.testing.assert_array_equal(
+                out, np.fmax.reduce(_blocks(x, k), axis=(3, 5)))
 
 
 class TestOneGradientRuleForEveryWindow:
