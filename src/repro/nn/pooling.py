@@ -87,7 +87,7 @@ class MaxPool2D(Module):
             return reduce(np.fmax, [rows[..., j] for j in range(k)])
         # A training 2x2 pool: a band of input planes at a time, its winners
         # found while it is in cache.
-        blocks = x.reshape(n * c, oh, 2, ow, 2)
+        blocks = np.ascontiguousarray(x).reshape(n * c, oh, 2, ow, 2)
         out = np.empty((n * c, oh, ow), x.dtype)
         wins = np.empty(out.shape, np.uint8)
         step = max(1, _BAND_BYTES // (h * w * x.itemsize))

@@ -384,6 +384,21 @@ class TestATrainingPoolKeepsItsWinners:
                 out, np.fmax.reduce(_blocks(x, k), axis=(3, 5)))
 
 
+    @pytest.mark.parametrize("view", ["cropped", "strided", "transposed",
+                                      "fortran"])
+    def test_any_memory_layout(self, rng, view):
+        base = rng.integers(-1, 2, size=(2, 6, 8, 12)).astype(np.float32)
+        x = {"cropped": base[..., :8], "strided": base[:, ::2],
+             "transposed": base.transpose(0, 1, 3, 2)[:, :, :8],
+             "fortran": np.asfortranarray(base)}[view]
+        pool = MaxPool2D(2).train()
+        out = pool.forward(x)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        assert pool.backward(g).tobytes() == \
+            tap_loop_grad(x, out, g, 2).tobytes()
+        np.testing.assert_array_equal(out, MaxPool2D(2).eval().forward(x))
+
+
 class TestOneGradientRuleForEveryWindow:
     """The general path (ragged or overlapping windows) routes a window's
     gradient as the fast path does: every maximum gets an equal share, an
