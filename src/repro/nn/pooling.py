@@ -154,6 +154,7 @@ def _winners(blocks: np.ndarray, out: np.ndarray, wins: np.ndarray,
     row = (blocks.reshape(p, oh, 2, 2 * ow) == wide).view(np.uint16)
     both = row[:, :, 1] << 2            # taps (1, 0), (1, 1): bits 2, 10
     both |= row[:, :, 0]                # taps (0, 0), (0, 1): bits 0, 8
+    # bits 8, 10 -> 1, 3: tap (i, j) is bit 2i + j of the byte
     np.bitwise_or(both, both >> 7, out=wins, casting="unsafe")
 
 
@@ -174,7 +175,7 @@ def max_pool_grad(wins: np.ndarray, grad_out: np.ndarray, k: int, s: int,
                 for i in range(2)]
         counts = rows[0] + rows[1]      # bytes: each column's winners
         counts *= np.uint16(0x101)      # high byte: both columns'
-        counts >>= 8                    # uint16: float32 / it is float32
+        counts >>= 8                    # uint16: float32 gradients stay
         q = grad_out / np.maximum(counts, 1, out=counts)
         wide = np.stack([q, q], axis=-1).reshape(n, c, oh, 2 * ow)
         cells = grad_in.reshape(n, c, oh, 2, 2 * ow)
