@@ -455,7 +455,9 @@ def make_contents(popularity: PopularityLike, n_requests: int,
     ``popularity`` is ``None``/``"unique"`` (every request distinct — the
     deterministic zero-hit baseline), one of :data:`POPULARITY_KINDS`, or
     a popularity instance. Stochastic samplers default to seed 0, matching
-    :func:`make_arrivals`.
+    :func:`make_arrivals`. An instance's ``sample(n_requests, rng)`` must
+    return a 1-D integral array of ``n_requests`` ids (``ValueError``
+    otherwise): the array core reads it in place.
     """
     if n_requests == 0:
         raise ValueError(f"n_requests must be positive, got {n_requests!r}")
@@ -472,4 +474,9 @@ def make_contents(popularity: PopularityLike, n_requests: int,
         raise ValueError(f"unknown popularity {popularity!r}; "
                          f"use one of {POPULARITY_KINDS} or an instance")
     rng = as_rng(seed if seed is not None else 0)
-    return np.asarray(popularity.sample(n_requests, rng), dtype=np.int64)
+    ids = np.asarray(popularity.sample(n_requests, rng))
+    if ids.dtype.kind not in "iu" or ids.shape != (n_requests,):
+        raise ValueError(
+            f"popularity {popularity!r} must sample a 1-D integral array of "
+            f"{n_requests} content ids, got {ids.dtype} of shape {ids.shape}")
+    return np.ascontiguousarray(ids, dtype=np.int64)

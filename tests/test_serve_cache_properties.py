@@ -195,6 +195,16 @@ class TestContentKey:
 
 # -- popularity samplers -------------------------------------------------------
 
+class _Drawn:
+    """A custom popularity law whose sample is ``draw(n_requests)``."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def sample(self, n_requests, rng):
+        return self.draw(n_requests)
+
+
 class TestPopularity:
     def test_unique_is_the_default(self):
         ids = make_contents(None, 16)
@@ -238,6 +248,22 @@ class TestPopularity:
             HotKeyPopularity(n_keys=4, hot_keys=4)
         with pytest.raises(ValueError, match="unreachable"):
             HotKeyPopularity(hot_fraction=0.99, mean_streak=1.0)
+
+    @pytest.mark.parametrize("draw", [
+        lambda n: [0.5] * n,                   # cast to all-zero ids
+        lambda n: np.full(n, np.nan),          # cast to INT64_MIN
+        lambda n: np.arange(n - 1),
+        lambda n: np.arange(n + 1),
+        lambda n: np.arange(n).reshape(n, 1),
+    ], ids=["fractional", "nan", "one-short", "one-over", "column"])
+    def test_a_custom_sample_must_be_the_ids_of_the_run(self, draw):
+        with pytest.raises(ValueError, match="popularity"):
+            make_contents(_Drawn(draw), 8)
+
+    def test_a_custom_integral_sample_is_taken_as_int64(self):
+        ids = make_contents(_Drawn(lambda n: list(range(n))), 8)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, np.arange(8))
 
     @pytest.mark.parametrize("cls, kwargs, name", [
         (UniformPopularity, dict(n_keys=math.nan), "n_keys"),
