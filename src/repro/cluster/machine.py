@@ -9,6 +9,7 @@ from repro.cluster.failures import FailureModel, StragglerModel
 from repro.cluster.knl import IOModel, KNLNodeModel, SolverOverheadModel
 from repro.cluster.network import AriesNetwork
 from repro.cluster.topology import CORI_NODES, DragonflyTopology
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike
 
 
@@ -27,8 +28,7 @@ class CoriMachine:
     io: IOModel = field(default_factory=IOModel)
 
     def __post_init__(self) -> None:
-        if self.n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
+        self.n_nodes = require_count("n_nodes", self.n_nodes)
         if self.topology.n_nodes != self.n_nodes:
             self.topology = DragonflyTopology(
                 self.n_nodes, self.topology.group_size)

@@ -21,6 +21,7 @@ from repro.data.climate.events import (
 )
 from repro.data.climate.fields import FieldGenerator
 from repro.models.bbox import Box
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 
 N_EVENT_CLASSES = 3
@@ -108,11 +109,11 @@ def make_climate_dataset(n_images: int, size: int = 96,
     images still contain events (we simply withhold their boxes), exactly
     like unannotated simulation output.
     """
-    if n_images <= 0:
-        raise ValueError(f"n_images must be positive, got {n_images}")
-    if not 0.0 <= labeled_fraction <= 1.0:
-        raise ValueError(
-            f"labeled_fraction must be in [0,1], got {labeled_fraction}")
+    n_images = require_count("n_images", n_images)
+    size = require_count("size", size)
+    n_channels = require_count("n_channels", n_channels)
+    max_events = require_count("max_events", max_events)
+    require_real("labeled_fraction", labeled_fraction, "[0, 1]")
     rngs = spawn_rngs(seed, 2)
     gen = FieldGenerator(height=size, width=size, n_channels=n_channels,
                          seed=rngs[0])

@@ -15,6 +15,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_real
+
 
 @dataclass(frozen=True)
 class Box:
@@ -31,9 +33,10 @@ class Box:
     class_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box size must be positive, got w={self.w}, "
-                             f"h={self.h}")
+        require_real("x", self.x, "(-inf, inf)")
+        require_real("y", self.y, "(-inf, inf)")
+        require_real("w", self.w, "(0, inf)")
+        require_real("h", self.h, "(0, inf)")
 
     @property
     def cx(self) -> float:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cluster.events import EventQueue
 from repro.cluster.failures import FailureEvent, FailureModel, StragglerModel
-from repro.cluster.machine import cori
+from repro.cluster.machine import CoriMachine, cori
 from repro.cluster.network import AriesNetwork
 from repro.comm import (
     AlphaBetaModel,
@@ -35,6 +35,7 @@ from repro.data.hep import (
     make_hep_dataset,
 )
 from repro.core.sequential import Sequential
+from repro.data.climate import make_climate_dataset
 from repro.distributed import (
     ElasticHybridTrainer,
     HybridTrainer,
@@ -77,6 +78,7 @@ from repro.serve import (
 )
 from repro.serve.fast_core import FastRun
 from repro.serve.metrics import PerModelStats
+from repro.models.bbox import Box
 from repro.sim.hybrid_sim import HybridSimConfig
 from repro.sim.workload import hep_workload
 from repro.train.loop import hep_loss_fn
@@ -502,6 +504,35 @@ ROWS = [
      "35: step_size=nan gave a NaN rate; 2.5 was taken",
      lambda v, _: StepLR(0.1, v)),
     ("StepLR: gamma", 0.5, INF, False, "", lambda v, _: StepLR(0.1, 2, v)),
+    # cluster.machine
+    ("CoriMachine: n_nodes", 4, INF, True,
+     "36: CoriMachine(n_nodes=2.5) built a machine of 2.5 nodes",
+     lambda v, _: CoriMachine(n_nodes=v)),
+    # data.climate
+    ("make_climate_dataset: size", 32, INF, True,
+     "37: size=32.5 raised a TypeError from inside NumPy",
+     lambda v, _: make_climate_dataset(2, size=v, n_channels=2)),
+    ("make_climate_dataset: n_images", 2, INF, True, "37: via n_images",
+     lambda v, _: make_climate_dataset(v, size=32, n_channels=2)),
+    ("make_climate_dataset: n_channels", 2, INF, True,
+     "37: via n_channels",
+     lambda v, _: make_climate_dataset(2, size=32, n_channels=v)),
+    ("make_climate_dataset: max_events", 3, INF, True, "",
+     lambda v, _: make_climate_dataset(2, size=32, n_channels=2,
+                                       max_events=v)),
+    ("make_climate_dataset: labeled_fraction", 0.5, (INF, 1.5), False, "",
+     lambda v, _: make_climate_dataset(2, size=32, n_channels=2,
+                                       labeled_fraction=v)),
+    # models.bbox
+    ("Box: w", 0.5, INF, False,
+     "38: Box(0.5, 0.5, nan, 0.1) was accepted",
+     lambda v, _: Box(0.5, 0.5, v, 0.1)),
+    ("Box: h", 0.5, INF, False, "38: via h",
+     lambda v, _: Box(0.5, 0.5, 0.1, v)),
+    ("Box: x", 0.5, (INF, -INF), False, "",
+     lambda v, _: Box(v, 0.5, 0.1, 0.1)),
+    ("Box: y", 0.5, (INF, -INF), False, "",
+     lambda v, _: Box(0.5, v, 0.1, 0.1)),
 ]
 
 
@@ -526,7 +557,7 @@ def test_a_bad_number_is_refused_by_name(name, build, valid, bad, tmp_path):
 
 def test_every_hole_has_a_row():
     holes = {row[4].split(":")[0] for row in ROWS if row[4]}
-    assert holes == {str(i) for i in range(1, 36)}
+    assert holes == {str(i) for i in range(1, 39)}
 
 
 @pytest.mark.parametrize("build", [
