@@ -554,7 +554,7 @@ class AutoscalingSimulator(ServingSimulator):
         next_epoch = t0 + epoch_s
         prev_epoch_t = t0
         shed_mark = 0
-        mids = run.mids
+        mids = None if run.mids is None else memoryview(run.mids)
         repaired_in_epoch = 0
         n_admitted = 0
 

@@ -13,20 +13,20 @@ This module is the same discrete-event computation restructured as one
 fused loop over preallocated arrays and compact C-typed buffers:
 
 - per-request state is two preallocated arrays (completion time, shed
-  flag) plus append-only per-lane ``array('q')``/``array('d')`` member
-  buffers with head pointers, compacted as they are consumed (a "lane"
-  is a window into an append-only buffer, and a drained prefix is
-  reclaimed once it crosses a threshold — at 10^7 requests Python-list
-  lanes and batch records would otherwise dominate memory);
+  flag) plus append-only per-lane ``array('q')`` buffers of member ids
+  with head pointers, compacted as they are consumed (a "lane" is a
+  window into an append-only buffer, and a drained prefix is reclaimed
+  once it crosses a threshold — at 10^7 requests Python-list lanes and
+  batch records would otherwise dominate memory);
 - the load heap holds *int-encoded* keys ``backlog << shift | replica``
-  (one machine int instead of a tuple; staleness is one int compare
-  against the replica's current key);
+  (one machine int instead of a tuple), replaced in place on admit (one
+  ``heapreplace``); a completion's stale key costs one int compare;
 - launch/completion heaps are consulted through cached "next event time"
   scalars, so the common no-event-due arrival costs two float compares;
-- arrivals stream through the loop in fixed-size chunks (``tolist`` per
-  chunk, not per run), and each lane stores its members' arrival times
-  as C doubles, so launch instants never index a 10M-element Python
-  list;
+- every per-request column (arrival times, model ids, cache keys) is the
+  run's NumPy array, read in place through a ``memoryview``, which yields
+  Python floats and ints without a boxed copy of the column; a lane
+  member's arrival time is read back by its id;
 - per-request completion times are written once at the end with a single
   ``np.repeat`` fancy assignment from the per-batch record.
 
@@ -93,7 +93,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapify
+from heapq import heappop, heappush, heapify, heapreplace
 from typing import List, Optional
 
 import numpy as np
@@ -102,9 +102,6 @@ from repro.serve.metrics import LatencyStats, PerModelStats
 
 _INF = math.inf
 
-#: arrivals are converted to Python floats this many at a time — the
-#: 10M-request drive never holds a full boxed-float copy of the stream
-_CHUNK = 1 << 16
 #: consumed lane/batch-buffer prefixes are reclaimed past this length
 _COMPACT = 1 << 13
 
@@ -192,10 +189,10 @@ def drive(sim, run) -> FastRun:
     waits = [p.launch_wait for p in pols]
     svcs = [[0.0] + [fn(b) for b in range(1, B + 1)]
             for fn, B in zip(sim.services.batch_time_fns(), Bs)]
-    arrivals = run.arrivals
-    return _drive(np.asarray(arrivals, dtype=np.float64), sim.n_replicas,
-                  M, Bs, waits, svcs, sim.admission_limits(), run.mids,
-                  int(arrivals.size), run.contents, sim.cache_size)
+    return _drive(np.ascontiguousarray(run.arrivals, dtype=np.float64),
+                  sim.n_replicas, M, Bs, waits, svcs,
+                  sim.admission_limits(), run.mids, run.contents,
+                  sim.cache_size)
 
 
 def _np_of(buf: array, dtype) -> np.ndarray:
@@ -238,7 +235,7 @@ def collect(sim, run, record: FastRun) -> LatencyStats:
         if record.failed is not None:
             stray &= ~record.failed
         raise KeyError(int(np.flatnonzero(stray)[0]))
-    arrivals, rtts, mids = run.arrivals, run.rtts, run.mids_np
+    arrivals, rtts, mids = run.arrivals, run.rtts, run.mids
     # (completion - arrival) + rtt, in place: the record is still held
     latencies = ct[done]
     horizon = 0.0
@@ -287,8 +284,8 @@ def collect(sim, run, record: FastRun) -> LatencyStats:
 
 def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
            waits: List[float], svcs: List[List[float]],
-           limits: List[float], mids: Optional[List[int]], n: int,
-           contents: Optional[List[int]], cap: int) -> FastRun:
+           limits: List[float], mids: Optional[np.ndarray],
+           contents: Optional[np.ndarray], cap: int) -> FastRun:
     """The drive/drain loop: ``M`` per-model lanes per replica on one
     shared ``free_at`` timeline, an optional result cache in front. The
     plain class is one lane (``mids`` is ``None``) without ``contents``,
@@ -311,7 +308,8 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
        rule: model ``m`` sheds when that replica's *total* backlog has
        reached ``limits[m]``, checked in int-key space;
     5. admit: ``queue.push`` advances first (a determined full lane
-       commits on any touch), then appends to lane ``m``.
+       commits on any touch), then appends to lane ``m`` and replaces
+       the picked key, still on top of the load heap, in place.
 
     Advancing a replica repeats the event queue's rule verbatim: commit
     the lane holding the globally earliest ``(launch instant, partial?,
@@ -323,18 +321,20 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     infinity, then fires whatever is still held (a non-finite
     ``launch_wait``) at ``max(free_at, last member arrival)``.
 
-    Memory: arrivals stream through in ``_CHUNK``-sized boxed-float
-    slices, each lane stores ``(rid, arrival)`` as C ints/doubles with
-    consumed prefixes reclaimed, and the batch record is a set of
-    commit-order ``array`` buffers (members, launch, completion, size,
-    replica) — the 10M-request/64-replica point runs in a few hundred MB
-    instead of multiple GB of boxed floats. Hits and sheds accumulate in
-    C-typed buffers too and write back vectorized at the end —
-    per-request numpy scalar stores were a measurable slice of the loop.
-    The same columns serve the completion write-back (one ``np.repeat``),
-    and, after one stable sort into replica order, the stats and the
-    trace.
+    Memory: the per-request columns are read in place through
+    memoryviews; each lane stores its members' ids as C ints (a member's
+    arrival time is read back by id) with consumed prefixes reclaimed,
+    and the batch record is a set of commit-order ``array`` buffers
+    (members, launch, completion, size, replica) — the 10M-request/
+    64-replica point runs in a few hundred MB instead of multiple GB of
+    boxed floats. Hit and shed ids accumulate in C-typed buffers too and
+    write back vectorized at the end — per-request numpy scalar stores
+    were a measurable slice of the loop. The same columns serve the
+    completion write-back (one ``np.repeat``), and, after one stable sort
+    into replica order, the stats and the trace.
     """
+    n = arrivals.size
+    av = memoryview(arrivals)     # Python floats, read in place
     complete_np = np.full(n, np.nan)
     shed_np = np.zeros(n, dtype=bool)
     cached = contents is not None
@@ -345,15 +345,18 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     cdata: dict = {}
     _MISS = cdata                 # sentinel no key can map to
     if cached:
-        keys = contents if mids is None else [
-            c * M + m for m, c in zip(mids, contents)]
+        lim = (1 << 63) // M      # content * M + model must not wrap;
+        if mids is not None and not (   # dense ranks keep key equality
+                -lim <= contents.min() and contents.max() < lim):
+            contents = np.unique(contents, return_inverse=True)[1]
+        keys = memoryview(contents if mids is None
+                          else contents * M + mids)
     # Fill events carry the member-array slice itself: heap tie-breaks
     # compare arrays lexicographically, the same ordering as the event
     # loop's request-id tuples, without boxing every member id at commit.
     fills: List = []              # (completion, member-rid array slice)
     nfe = _INF                    # cached next fill event time
     h_rid = array("q")            # hit request ids, in arrival order
-    h_t = array("d")              # matching hit (arrival) times
     s_rid = array("q")            # shed request ids
     # The batch record, in commit order: member ids, then one launch,
     # completion, size and replica per batch. Completions are expanded
@@ -375,7 +378,6 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
 
     free_at = [0.0] * R
     lq = [array("q") for _ in range(R * M)]   # lane member rids
-    lw = [array("d") for _ in range(R * M)]   # their arrival times
     lhead = [0] * (R * M)         # first un-launched index into the lane
     lqn = [0] * (R * M)           # queued (un-launched) count per lane
     # Lanes currently holding a full batch (lqn == B_m; appends advance
@@ -415,7 +417,6 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
         h += take
         if h >= _COMPACT:
             del lq[li][:h]
-            del lw[li][:h]
             h = 0
         lhead[li] = h
         lqn[li] -= take
@@ -443,11 +444,11 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
                 B2 = Bs[m2]
                 h2 = lhead[li]
                 if nq2 >= B2:
-                    tb = lw[li][h2 + B2 - 1]
+                    tb = av[lq[li][h2 + B2 - 1]]
                     launch2 = fa if fa > tb else tb
                     partial2 = 0
                 else:
-                    hd = lw[li][h2] + waits[m2]
+                    hd = av[lq[li][h2]] + waits[m2]
                     launch2 = fa if fa > hd else hd
                     partial2 = 1
                 # Ascending scan: at an exact tie the incumbent already
@@ -481,100 +482,97 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
                 nfe = comp
 
     m = 0                         # single-model runs carry no mids
-    for base in range(0, n, _CHUNK):
-        chunk = arrivals[base:base + _CHUNK].tolist()
-        for rid, t in enumerate(chunk, base):
-            # -- cache: drain due fills, then look this arrival up -------
-            if cached:
-                if nfe <= t:
-                    while fills and fills[0][0] <= t:
-                        for rid2 in pop(fills)[1]:
-                            k2 = keys[rid2]   # refresh = touch
-                            if cdata.pop(k2, _MISS) is _MISS \
-                                    and len(cdata) >= cap:
-                                del cdata[next(iter(cdata))]
-                            cdata[k2] = None
-                    nfe = fills[0][0] if fills else _INF
-                key = keys[rid]
-                if cdata.pop(key, _MISS) is not _MISS:
-                    cdata[key] = None    # move-to-end
-                    h_rid.append(rid)    # latency = (t - t) + rtt = rtt
-                    h_t.append(t)
-                    continue             # hits never sync the router
-            if mids is not None:
-                m = mids[rid]
-            # -- sync: launch events due by t (advance all due replicas,
-            #    then reschedule — the event loop's two-phase order) -----
-            if nle <= t:
-                adv: List[int] = []
-                while launch_ev and launch_ev[0][0] <= t:
-                    r = pop(launch_ev)[1]
-                    if not adv or adv[-1] != r:
-                        sched[r] = _advance(r, t)
-                        adv.append(r)
-                for r in adv:
-                    if sched[r] < _INF:
-                        push(launch_ev, (sched[r], r))
-                nle = launch_ev[0][0] if launch_ev else _INF
-            # -- sync: completion events due by t ------------------------
-            if nce <= t:
-                while comp_ev and comp_ev[0][0] <= t:
-                    ev = pop(comp_ev)
-                    r = ev[1]
-                    nk = cur[r] - ev[2] * stride
-                    cur[r] = nk
-                    push(load, nk)
-                nce = comp_ev[0][0] if comp_ev else _INF
-            # -- pick least-loaded (lazy heap: skim stale keys) ----------
+    mv = None if mids is None else memoryview(mids)
+    for rid, t in enumerate(av):
+        # -- cache: drain due fills, then look this arrival up -----------
+        if cached:
+            if nfe <= t:
+                while fills and fills[0][0] <= t:
+                    for rid2 in pop(fills)[1]:
+                        k2 = keys[rid2]   # refresh = touch
+                        if cdata.pop(k2, _MISS) is _MISS \
+                                and len(cdata) >= cap:
+                            del cdata[next(iter(cdata))]
+                        cdata[k2] = None
+                nfe = fills[0][0] if fills else _INF
+            key = keys[rid]
+            if cdata.pop(key, _MISS) is not _MISS:
+                cdata[key] = None    # move-to-end
+                h_rid.append(rid)    # latency = (t - t) + rtt = rtt
+                continue             # hits never sync the router
+        if mv is not None:
+            m = mv[rid]
+        # -- sync: launch events due by t (advance all due replicas, then
+        #    reschedule — the event loop's two-phase order) --------------
+        if nle <= t:
+            adv: List[int] = []
+            while launch_ev and launch_ev[0][0] <= t:
+                r = pop(launch_ev)[1]
+                if not adv or adv[-1] != r:
+                    sched[r] = _advance(r, t)
+                    adv.append(r)
+            for r in adv:
+                if sched[r] < _INF:
+                    push(launch_ev, (sched[r], r))
+            nle = launch_ev[0][0] if launch_ev else _INF
+        # -- sync: completion events due by t ----------------------------
+        if nce <= t:
+            while comp_ev and comp_ev[0][0] <= t:
+                ev = pop(comp_ev)
+                r = ev[1]
+                nk = cur[r] - ev[2] * stride
+                cur[r] = nk
+                push(load, nk)
+            nce = comp_ev[0][0] if comp_ev else _INF
+        # -- pick least-loaded (lazy heap: skim stale keys) --------------
+        k = load[0]
+        r = k & kmask
+        while cur[r] != k:
+            pop(load)
             k = load[0]
             r = k & kmask
-            while cur[r] != k:
-                pop(load)
-                k = load[0]
-                r = k & kmask
-            if k >= qtop[m]:
-                s_rid.append(rid)
-                continue
-            # -- admit: queue.push advances first (commit-on-touch for
-            #    any determined full lane), then appends ------------------
-            advanced = nfull[r]
-            if advanced:
-                left = _advance(r, t)
-            li = r * M + m
-            lq[li].append(rid)
-            lw[li].append(t)
-            nql = lqn[li] + 1
-            lqn[li] = nql
-            nk = k + stride
-            cur[r] = nk
-            push(load, nk)
-            # Reschedule the replica's launch event: the earlier of what
-            # the advance left behind and lane m's own candidate. That
-            # one only moves on the empty->head and (B_m-1)->full
-            # transitions (a filling lane's launch can only move earlier:
-            # its deferred partial key was already >= max(free_at, t)) —
-            # every other append leaves the head element, free_at, and
-            # the other lanes' keys untouched, so the scheduled event is
-            # already at (or before) the true minimum.
-            if nql == Bs[m]:
-                nfull[r] += 1
-                fa = free_at[r]
-                nl = fa if fa > t else t
-            elif nql == 1:
-                fa = free_at[r]
-                hd = t + waits[m]
-                nl = fa if fa > hd else hd
-            elif advanced:
-                nl = left
-            else:
-                continue
-            if advanced and left < nl:
-                nl = left
-            if nl != sched[r] and nl != _INF:
-                push(launch_ev, (nl, r))
-                sched[r] = nl
-                if nl < nle:
-                    nle = nl
+        if k >= qtop[m]:
+            s_rid.append(rid)
+            continue
+        # -- admit: queue.push advances first (commit-on-touch for any
+        #    determined full lane), then appends; k is still on top ------
+        advanced = nfull[r]
+        if advanced:
+            left = _advance(r, t)
+        li = r * M + m
+        lq[li].append(rid)
+        nql = lqn[li] + 1
+        lqn[li] = nql
+        nk = k + stride
+        cur[r] = nk
+        heapreplace(load, nk)
+        # Reschedule the replica's launch event: the earlier of what the
+        # advance left behind and lane m's own candidate. That one only
+        # moves on the empty->head and (B_m-1)->full transitions (a
+        # filling lane's launch can only move earlier: its deferred
+        # partial key was already >= max(free_at, t)) — every other
+        # append leaves the head element, free_at, and the other lanes'
+        # keys untouched, so the scheduled event is already at (or
+        # before) the true minimum.
+        if nql == Bs[m]:
+            nfull[r] += 1
+            fa = free_at[r]
+            nl = fa if fa > t else t
+        elif nql == 1:
+            fa = free_at[r]
+            hd = t + waits[m]
+            nl = fa if fa > hd else hd
+        elif advanced:
+            nl = left
+        else:
+            continue
+        if advanced and left < nl:
+            nl = left
+        if nl != sched[r] and nl != _INF:
+            push(launch_ev, (nl, r))
+            sched[r] = nl
+            if nl < nle:
+                nle = nl
     # -- drain: advance to infinity; what is still held then is partial
     #    lanes with a non-finite launch_wait, fired whole in head-arrival
     #    order (ties to the lowest model index) at max(free_at, last
@@ -582,10 +580,10 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
     for r in range(R):
         _advance(r, _INF)
         bl = r * M
-        for _, li in sorted((lw[li][lhead[li]], li)
+        for _, li in sorted((av[lq[li][lhead[li]]], li)
                             for li in range(bl, bl + M) if lqn[li]):
             fa = free_at[r]
-            tb = lw[li][-1]
+            tb = av[lq[li][-1]]
             _commit(r, li, lqn[li], fa if fa > tb else tb, svcs[li - bl])
     members = _np_of(m_rid, np.int64)
     bcomp = _np_of(b_comp, np.float64)
@@ -597,7 +595,7 @@ def _drive(arrivals: np.ndarray, R: int, M: int, Bs: List[int],
         hit_np = np.zeros(n, dtype=bool)
         if h_rid:
             hidx = np.frombuffer(h_rid, dtype=np.int64)
-            complete_np[hidx] = np.frombuffer(h_t, dtype=np.float64)
+            complete_np[hidx] = arrivals[hidx]
             hit_np[hidx] = True
     if s_rid:
         shed_np[np.frombuffer(s_rid, dtype=np.int64)] = True

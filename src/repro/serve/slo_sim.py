@@ -88,26 +88,26 @@ class _Run:
     concurrent runs. It never holds the router (with a cache, the router's
     commit hook holds it).
 
-    Every run: the ``seed``, ``arrivals``, each request's model id as a
-    list (``mids``, for the drive loops) and as an array of the smallest
-    integer type (``mids_np``, for the collector; both ``None`` with one
+    Every run: the ``seed``, ``arrivals``, each request's model id as an
+    array of the smallest integer type (``mids``, ``None`` with one
     model), each model's transport time (``rtts``), the opt-in ``tracer``
-    and ``prof`` (profiler). With a cache or coalescing (else ``cache`` is
-    ``None``): each request's content id, the fill events (batch
-    completions waiting to become cache entries), the hits (id -> arrival
-    time) and the coalescing ledger (key -> in-flight leader, follower ->
-    leader). An autoscaled run adds the SLOs its epochs judge by, the
+    and ``prof`` (profiler). Each per-request column is one NumPy array;
+    a drive loop reads it through a ``memoryview``. With a cache or
+    coalescing (else ``cache`` is ``None``): each request's content id
+    (int64), the fill events (batch completions waiting to become cache
+    entries), the hits (id -> arrival time) and the coalescing ledger
+    (key -> in-flight leader, follower -> leader). An autoscaled run adds the SLOs its epochs judge by, the
     doomed floors, the arrival times as native floats (``ts``), each
     replica's [launch, completion] batch cursor, and its results."""
 
-    __slots__ = ("seed", "arrivals", "mids", "mids_np", "rtts", "tracer",
-                 "prof", "cache", "contents", "fills", "hits", "inflight",
+    __slots__ = ("seed", "arrivals", "mids", "rtts", "tracer", "prof",
+                 "cache", "contents", "fills", "hits", "inflight",
                  "coalesced", "slos", "floors", "ts", "cursors", "epochs",
                  "scale_events", "mean_replicas")
 
     def __init__(self, tracer=None, prof=None, slos=None) -> None:
         self.tracer, self.prof, self.slos = tracer, prof, slos
-        self.seed = self.arrivals = self.mids = self.mids_np = None
+        self.seed = self.arrivals = self.mids = None
         self.rtts = self.cache = self.contents = self.floors = self.ts = None
         self.fills: list = []               # heap of (completion, ids)
         self.hits, self.inflight, self.coalesced = {}, {}, {}
@@ -423,7 +423,7 @@ class ServingSimulator:
             return None
         rng = spawn_rngs(seed if seed is not None else 0, 3)[2]
         # the smallest integer type that holds every index (one byte up to
-        # 256 models): the run keeps this array beside the drive loops' list
+        # 256 models)
         return make_model_ids(self.model_mix, n_requests, seed=rng).astype(
             np.min_scalar_type(len(self._profiles) - 1))
 
@@ -502,9 +502,8 @@ class ServingSimulator:
                 # deduplication.
                 run.cache = ResultCache(self.cache_size)
                 run.contents = self._make_contents(
-                    n_requests, popularity, seed).tolist()
-            mids = run.mids_np = self._make_model_ids(n_requests, seed)
-            run.mids = None if mids is None else mids.tolist()
+                    n_requests, popularity, seed)
+            run.mids = self._make_model_ids(n_requests, seed)
             if tracer is not None:
                 tracer.emit("run_start", float(arrivals[0]),
                             data=self._run_meta(run, rate, n_requests,
@@ -535,7 +534,7 @@ class ServingSimulator:
             if tracer is not None:
                 # one columnar block; the tracer expands it lazily
                 tracer.add_record(
-                    record, arrivals, mids,
+                    record, arrivals, run.mids,
                     None if self.order == "fifo" else self.model_slos())
                 tracer.emit("run_end", float(arrivals[0]) + stats.horizon,
                             data={"n_events": len(tracer) + 1})
@@ -609,7 +608,7 @@ class ServingSimulator:
         :meth:`run` hooks the profiler, so a profiled run times the
         ``submit`` it calls."""
         ts = run.arrivals.astype(np.float64).tolist()
-        models = run.mids if run.mids is not None else repeat(0)
+        models = repeat(0) if run.mids is None else memoryview(run.mids)
         serve = (router.submit if run.cache is None
                  else partial(self._offer, run, router))
         return ts, zip(ts, range(len(ts)), models), serve

@@ -51,6 +51,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -735,10 +736,65 @@ def test_generated_configs_agree_across_engines(seed):
         assert np.isfinite(ar.latencies).all(), drawn.kw
 
 
+class _WrappingIds:
+    """A popularity law drawing ids near +-2**62: ``content * 2 + model``
+    wraps in int64, and ``2**62 + j`` and ``-2**62 + j`` would share a
+    key if the array core flattened them as they are."""
+
+    def sample(self, n_requests, rng):
+        sign = np.where(rng.random(n_requests) < 0.5, 1, -1)
+        return sign * (1 << 62) + rng.integers(0, 4, n_requests)
+
+
+def test_content_ids_that_wrap_a_flat_key_stay_distinct():
+    ev, ar = (_multi_model_cached(e).run(
+        40.0, n_requests=3000, process="poisson", seed=5,
+        popularity=_WrappingIds()) for e in ("event", "array"))
+    assert ar.n_cache_hits > 0
+    _assert_same(ev, ar)
+    _assert_same_models(ev, ar)
+
+
 # -- memory bound: the 10M-request drive must stay compact ---------------------
 
+def _two_models(**kw):
+    return ServingSimulator(
+        models=[ModelProfile("cheap", None, weight=4.0),
+                ModelProfile("dear", None, weight=1.0)],
+        service_models=[FakeService(0.004, 0.001), FakeService(0.08, 0.02)],
+        model_mix=ModelMix((0.8, 0.2)), n_replicas=64, max_queue=128,
+        policy=BatchingPolicy(max_batch=32), **kw)
+
+
+@pytest.mark.parametrize("build, load, kw, bound", [
+    # traced 93.7 B a request while the drive boxed every model id and
+    # content id into Python lists, 52.9 B reading the arrays in place
+    (lambda: _two_models(cache_size=128), 2.0,
+     dict(popularity=ZipfPopularity(alpha=1.1, n_keys=4096)), 72.0),
+    # 64.7 B with the model-id list, 48.3 B without
+    (_two_models, 1.05, {}, 56.0),
+], ids=["cached-two-model", "multi-model"])
+def test_an_array_run_holds_no_boxed_column(build, load, kw, bound):
+    """The traced peak of one 200k-request array run, per request: the
+    drive reads the run's columns in place, so nothing it allocates grows
+    with a per-request Python object."""
+    sim, n = build(), 200_000
+    rate = load * sim.saturation_rate()
+    sim.run(rate, n_requests=1000, process="poisson", seed=1, **kw)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim.run(rate, n_requests=n, process="poisson", seed=3, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.last_run_engine == "array"
+    per_request = (peak - base) / n
+    assert per_request <= bound, f"{per_request:.1f} B a request"
+
+
 #: peak-RSS budget for a 10M-request / 64-replica array drive, measured
-#: ~480 MB (arrivals + per-request numpy arrays + C-typed lane/batch
+#: 443 MiB (arrivals + per-request numpy arrays + C-typed lane/batch
 #: buffers); a regression to boxed-float lanes or Python-list batch
 #: records blows past 2 GB. Subprocess-isolated so the parent's
 #: allocations don't count toward the peak.
