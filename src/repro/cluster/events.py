@@ -51,11 +51,9 @@ class EventQueue:
 
     def schedule_at(self, time: float, action: Callable[[], None],
                     label: str = "") -> None:
-        require_real("time", time)
-        if time < self._now:
-            raise ValueError(
-                f"time must be >= now, got {time} < {self._now}; cannot "
-                "schedule in the past")
+        if require_real("time", time) < self._now:
+            raise ValueError(f"time must be >= now, got {time} < "
+                             f"{self._now}; cannot schedule in the past")
         heapq.heappush(self._heap,
                        Event(time, next(self._counter), action, label))
 

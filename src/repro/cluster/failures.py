@@ -44,12 +44,10 @@ class FailureEvent:
         # the run that indexes replicas with it
         object.__setattr__(self, "node_id",
                            require_count("node_id", self.node_id, least=0))
-        require_real("slow_factor", self.slow_factor, "(-inf, inf)")
-        if self.kind == "degrade" and self.slow_factor < 1.0:
-            raise ValueError("degrade events must slow the node down")
-        if self.kind == "repair" and self.slow_factor != 1.0:
-            raise ValueError(
-                "a repair restores full speed; slow_factor must stay 1.0")
+        # a degrade slows the node down; a repair restores full speed
+        require_real("slow_factor", self.slow_factor, {
+            "degrade": "[1, inf)", "repair": "[1, 1]"}.get(self.kind,
+                                                          "(-inf, inf)"))
 
 
 @dataclass

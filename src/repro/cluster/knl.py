@@ -26,6 +26,7 @@ from typing import Optional
 from repro.core.module import Module
 from repro.core.sequential import Sequential
 from repro.flops.counter import LayerFlops, NetFlopReport
+from repro.utils.checks import require_count, require_real
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,13 @@ class KNLNodeModel:
     #                                    ReLU, reshape): MCDRAM-resident streams
 
     def __post_init__(self) -> None:
-        if self.cores <= 0 or self.clock_hz <= 0 or self.flops_per_cycle <= 0:
-            raise ValueError("invalid KNL hardware parameters")
-        if not 0 < self.eff_max <= 1:
-            raise ValueError(f"eff_max must be in (0,1], got {self.eff_max}")
+        require_count("cores", self.cores)
+        require_count("flops_per_cycle", self.flops_per_cycle)
+        for name in ("clock_hz", "batch_half", "reduction_half",
+                     "act_bandwidth"):
+            require_real(name, getattr(self, name), "(0, inf)")
+        for name in ("eff_max", "nonconv_efficiency"):
+            require_real(name, getattr(self, name), "(0, 1]")
 
     @property
     def peak_flops(self) -> float:
@@ -56,11 +60,8 @@ class KNLNodeModel:
     # -- efficiency / rates --------------------------------------------------
     def conv_efficiency(self, batch: int, reduction_depth: float) -> float:
         """Achieved/peak ratio for a conv/GEMM kernel."""
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
-        if reduction_depth <= 0:
-            raise ValueError(
-                f"reduction_depth must be positive, got {reduction_depth}")
+        require_count("batch", batch)
+        require_real("reduction_depth", reduction_depth, "(0, inf)")
         # Quadratic roll-off: 66 cores starve abruptly below minibatch ~4
         # (DeepBench: 20-30 % of peak at N in [4,16], worse below).
         batch_term = batch**2 / (batch**2 + self.batch_half**2)
@@ -106,6 +107,8 @@ class KNLNodeModel:
         are the gap between the conv-only rate and the whole-network rate in
         Fig 5) — backward doubles the traffic.
         """
+        if not hasattr(batch, "__index__") or batch < 1:  # NumPy ints too
+            raise ValueError(f"batch must be an integer >= 1, got {batch!r}")
         flops = layer.training_flops if training else layer.forward_flops
         if layer.kind in ("conv", "deconv"):
             return flops / self.layer_rate(layer, batch)
@@ -144,10 +147,16 @@ class SolverOverheadModel:
     adam_bytes_per_param: float = 24.0  # w, g, m, v reads+writes
     sgd_bytes_per_param: float = 16.0   # w, g, velocity
 
+    def __post_init__(self) -> None:
+        require_real("stream_bandwidth", self.stream_bandwidth, "(0, inf)")
+        for name in ("per_layer_overhead", "adam_bytes_per_param",
+                     "sgd_bytes_per_param"):
+            require_real(name, getattr(self, name), "[0, inf)")
+
     def time(self, n_params: int, n_layers: int, solver: str = "adam"
              ) -> float:
-        if n_params < 0 or n_layers < 0:
-            raise ValueError("n_params and n_layers must be non-negative")
+        require_count("n_params", n_params, least=0)
+        require_count("n_layers", n_layers, least=0)
         if solver == "adam":
             bpp = self.adam_bytes_per_param
         elif solver in ("sgd", "momentum"):
@@ -174,9 +183,13 @@ class IOModel:
     streaming_rate: float = 2.0e8     # B/s single-core HDF5-from-Lustre
     cache_threshold: float = 16e6     # bytes: beyond this reads stream
 
+    def __post_init__(self) -> None:
+        require_real("cached_rate", self.cached_rate, "(0, inf)")
+        require_real("streaming_rate", self.streaming_rate, "(0, inf)")
+        require_real("cache_threshold", self.cache_threshold, "[0, inf)")
+
     def rate(self, nbytes: float) -> float:
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+        require_real("nbytes", nbytes, "[0, inf)")
         if nbytes <= self.cache_threshold:
             return self.cached_rate
         # Cache covers the first ``cache_threshold`` bytes; remainder streams.
@@ -193,9 +206,7 @@ class IOModel:
 
 def batch_bytes(input_shape, batch: int, itemsize: int = 4) -> int:
     """Bytes of one input batch (single precision by default)."""
-    if batch <= 0:
-        raise ValueError(f"batch must be positive, got {batch}")
-    n = itemsize * batch
+    n = require_count("itemsize", itemsize) * require_count("batch", batch)
     for d in input_shape:
         n *= d
     return n

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cluster.knl import KNLNodeModel
+from repro.utils.checks import require_count, require_real
 
 #: bytes in one GiB
 GIB = 1 << 30
@@ -34,21 +35,16 @@ class MCDRAMConfig:
     cache_hit_penalty: float = 0.85
 
     def __post_init__(self) -> None:
-        if self.mcdram_bytes <= 0:
-            raise ValueError("mcdram_bytes must be positive")
-        if self.mcdram_bandwidth <= 0 or self.ddr_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        if not 0 < self.cache_hit_penalty <= 1:
-            raise ValueError(
-                f"cache_hit_penalty must be in (0, 1], got "
-                f"{self.cache_hit_penalty}")
+        require_count("mcdram_bytes", self.mcdram_bytes)
+        require_real("mcdram_bandwidth", self.mcdram_bandwidth, "(0, inf)")
+        require_real("ddr_bandwidth", self.ddr_bandwidth, "(0, inf)")
+        require_real("cache_hit_penalty", self.cache_hit_penalty, "(0, 1]")
 
     # -- per-mode effective bandwidth ---------------------------------------
     def cache_mode_bandwidth(self, working_set: int) -> float:
         """Quad-cache: MCDRAM speed while the working set fits; beyond
         16 GiB the miss stream is DDR-limited for the overflow fraction."""
-        if working_set < 0:
-            raise ValueError("working_set must be non-negative")
+        require_real("working_set", working_set, "[0, inf)")
         hit_bw = self.mcdram_bandwidth * self.cache_hit_penalty
         if working_set <= self.mcdram_bytes:
             return hit_bw
@@ -62,11 +58,8 @@ class MCDRAMConfig:
         its accesses in MCDRAM (no tag-check penalty); the rest hits DDR4.
         If the hot set itself exceeds 16 GiB the placement silently spills.
         """
-        if working_set < 0:
-            raise ValueError("working_set must be non-negative")
-        if not 0.0 <= hot_fraction <= 1.0:
-            raise ValueError(
-                f"hot_fraction must be in [0, 1], got {hot_fraction}")
+        require_real("working_set", working_set, "[0, inf)")
+        require_real("hot_fraction", hot_fraction, "[0, 1]")
         hot_bytes = hot_fraction * working_set
         fit = 1.0 if hot_bytes <= self.mcdram_bytes else \
             self.mcdram_bytes / hot_bytes
@@ -100,6 +93,7 @@ def node_with_memory_mode(node: KNLNodeModel, config: MCDRAMConfig,
     quad-cache (the paper's configuration) at HEP-scale working sets; other
     modes scale it by the ratio of effective bandwidths.
     """
+    require_real("hot_fraction", hot_fraction, "[0, 1]")
     baseline = config.cache_mode_bandwidth(min(working_set,
                                                config.mcdram_bytes))
     actual = config.effective_bandwidth(working_set, mode, hot_fraction)

@@ -15,6 +15,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_count
+
 #: Cori Phase II: 9688 nodes (paper SIV); Aries groups hold 384 nodes
 #: (2 cabinets x 192).
 CORI_NODES = 9688
@@ -56,18 +58,16 @@ class DragonflyTopology:
 
     def __init__(self, n_nodes: int = CORI_NODES,
                  group_size: int = NODES_PER_ELECTRICAL_GROUP) -> None:
-        if n_nodes <= 0 or group_size <= 0:
-            raise ValueError("n_nodes and group_size must be positive")
-        self.n_nodes = n_nodes
-        self.group_size = group_size
+        self.n_nodes = require_count("n_nodes", n_nodes)
+        self.group_size = require_count("group_size", group_size)
 
     @property
     def n_electrical_groups(self) -> int:
         return -(-self.n_nodes // self.group_size)
 
     def electrical_group(self, node_id: int) -> int:
-        if not 0 <= node_id < self.n_nodes:
-            raise ValueError(f"node id {node_id} out of range")
+        if require_count("node_id", node_id, least=0) >= self.n_nodes:
+            raise ValueError(f"node_id {node_id} out of range")
         return node_id // self.group_size
 
     # -- placement -----------------------------------------------------------
@@ -81,8 +81,9 @@ class DragonflyTopology:
         (the Fig 3 ideal); ``compact=False`` scatters nodes randomly across
         the machine (what an unlucky batch-queue allocation looks like).
         """
-        if n_groups <= 0:
-            raise ValueError(f"n_groups must be positive, got {n_groups}")
+        require_count("n_groups", n_groups)
+        require_count("n_workers", n_workers)
+        require_count("n_ps", n_ps, least=0)
         if n_workers < n_groups:
             raise ValueError(
                 f"need at least one worker per group: {n_workers} < {n_groups}")

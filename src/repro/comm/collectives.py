@@ -22,6 +22,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.comm.communicator import shard_bounds
+from repro.utils.checks import require_count
 
 
 @dataclass
@@ -163,7 +164,7 @@ def bcast_binomial(buffers: List[np.ndarray], root: int = 0
     """Binomial-tree broadcast: ceil(log2 p) steps."""
     _check_same_shape(buffers)
     p = len(buffers)
-    if not 0 <= root < p:
+    if require_count("root", root, least=0) >= p:
         raise ValueError(f"root {root} out of range")
     steps = 0
     virtual_have = {0}  # virtual rank 0 == root
@@ -189,7 +190,7 @@ def reduce_binomial(buffers: List[np.ndarray], root: int = 0
     """Binomial-tree reduce (sum) to ``root``: ceil(log2 p) steps."""
     _check_same_shape(buffers)
     p = len(buffers)
-    if not 0 <= root < p:
+    if require_count("root", root, least=0) >= p:
         raise ValueError(f"root {root} out of range")
     acc = np.zeros_like(buffers[0], dtype=np.float64)
     for b in buffers:

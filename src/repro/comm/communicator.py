@@ -304,7 +304,7 @@ class ThreadWorld:
         return self._group.size
 
     def comm(self, rank: int) -> Communicator:
-        if not 0 <= rank < self.size:
+        if require_count("rank", rank, least=0) >= self.size:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         return self._comms[rank]
 

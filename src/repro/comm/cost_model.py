@@ -43,10 +43,11 @@ class AlphaBetaModel:
 
 
 def _check(nbytes: int, p: int = 1) -> None:
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    # Inline, not repro.utils.checks: every simulated collective runs this.
+    if not 0 <= nbytes < math.inf:
+        raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes!r}")
+    if not hasattr(p, "__index__") or p < 1:    # an integer, NumPy's too
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
 
 
 def point_to_point_time(nbytes: int, model: AlphaBetaModel) -> float:

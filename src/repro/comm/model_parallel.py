@@ -205,8 +205,7 @@ def halo_exchange(comm: Communicator, strip: np.ndarray,
 
     Boundary ranks get zero rows on their outer side (the global zero pad).
     """
-    if halo < 0:
-        raise ValueError(f"halo must be non-negative, got {halo}")
+    require_count("halo", halo, least=0)
     rows = strip.shape[2]
     if halo == 0:
         return strip.copy()
@@ -235,7 +234,7 @@ class SpatialParallelConv2D:
     def __init__(self, comm: Communicator, in_channels: int,
                  out_channels: int, kernel_size: int,
                  image_height: int, rng: SeedLike = None) -> None:
-        if kernel_size % 2 == 0:
+        if require_count("kernel_size", kernel_size) % 2 == 0:
             raise ValueError("spatial parallelism needs odd kernels")
         self.comm = comm
         self.halo = (kernel_size - 1) // 2

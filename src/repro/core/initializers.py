@@ -12,6 +12,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike, as_rng
 
 _UNDRAWN = ContextVar("undrawn", default=False)
@@ -33,8 +34,7 @@ def undrawn():
 
 def he_normal(shape, fan_in: int, rng: SeedLike = None) -> np.ndarray:
     """He et al. (2015) normal init: std = sqrt(2 / fan_in)."""
-    if fan_in <= 0:
-        raise ValueError(f"fan_in must be positive, got {fan_in}")
+    require_count("fan_in", fan_in)
     if _UNDRAWN.get():
         return zeros(shape)
     rng = as_rng(rng)
@@ -45,8 +45,8 @@ def he_normal(shape, fan_in: int, rng: SeedLike = None) -> np.ndarray:
 def xavier_uniform(shape, fan_in: int, fan_out: int,
                    rng: SeedLike = None) -> np.ndarray:
     """Glorot & Bengio uniform init on [-limit, limit]."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fans must be positive, got {fan_in}, {fan_out}")
+    require_count("fan_in", fan_in)
+    require_count("fan_out", fan_out)
     if _UNDRAWN.get():
         return zeros(shape)
     rng = as_rng(rng)

@@ -14,6 +14,7 @@ reports its ground-truth bounding box:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.data.climate.fields import channel_index
 from repro.models.bbox import Box
+from repro.utils.checks import require_real
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -31,6 +33,14 @@ class WeatherEvent:
     class_id: int = 0
     #: human-readable name
     name: str = "event"
+
+    def __post_init__(self) -> None:
+        # a position or an angle is any finite number; a size or an
+        # intensity is positive
+        for f in dataclasses.fields(self):
+            require_real(f.name, getattr(self, f.name),
+                         "(-inf, inf)" if f.name in ("cy", "cx", "angle")
+                         else "(0, inf)")
 
     def imprint(self, fields: np.ndarray,
                 rng: np.random.Generator) -> Box:
@@ -61,10 +71,6 @@ class TropicalCyclone(WeatherEvent):
 
     class_id = 0
     name = "tropical_cyclone"
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0 or self.intensity <= 0:
-            raise ValueError("radius and intensity must be positive")
 
     def imprint(self, fields: np.ndarray,
                 rng: np.random.Generator) -> Box:
@@ -103,10 +109,6 @@ class ExtraTropicalCyclone(WeatherEvent):
 
     class_id = 1
     name = "extratropical_cyclone"
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0 or self.intensity <= 0:
-            raise ValueError("radius and intensity must be positive")
 
     def imprint(self, fields: np.ndarray,
                 rng: np.random.Generator) -> Box:
@@ -147,10 +149,6 @@ class AtmosphericRiver(WeatherEvent):
 
     class_id = 2
     name = "atmospheric_river"
-
-    def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0 or self.intensity <= 0:
-            raise ValueError("length, width, intensity must be positive")
 
     def imprint(self, fields: np.ndarray,
                 rng: np.random.Generator) -> Box:

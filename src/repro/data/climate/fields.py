@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike, as_rng
 
 #: the 16 channels (CAM5 variable names)
@@ -62,12 +63,11 @@ class FieldGenerator:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        if self.height < 16 or self.width < 16:
-            raise ValueError("fields must be at least 16x16")
-        if not 1 <= self.n_channels <= len(CHANNELS):
-            raise ValueError(
-                f"n_channels must be in [1, {len(CHANNELS)}], "
-                f"got {self.n_channels}")
+        require_count("height", self.height, least=16)
+        require_count("width", self.width, least=16)
+        if require_count("n_channels", self.n_channels) > len(CHANNELS):
+            raise ValueError(f"n_channels must be <= {len(CHANNELS)}, "
+                             f"got {self.n_channels}")
         self._rng = as_rng(self.seed)
 
     def _smooth_noise(self, corr_frac: float,

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.data.climate.fields import channel_index
 from repro.models.bbox import Box
+from repro.utils.checks import require_count, require_real
 
 
 @dataclass
@@ -36,6 +37,12 @@ class HeuristicTCDetector:
     tmq_min: float = 8.0           # kg/m^2 moisture anomaly
     radius: int = 8                # search radius, pixels
     box_scale: float = 2.8         # box half-size = scale * radius
+
+    def __post_init__(self) -> None:
+        for name in ("psl_drop", "wind_min", "warm_core_min", "tmq_min"):
+            require_real(name, getattr(self, name), "(-inf, inf)")
+        require_count("radius", self.radius)
+        require_real("box_scale", self.box_scale, "(0, inf)")
 
     def detect(self, fields: np.ndarray) -> List[Tuple[float, Box]]:
         """Detect TCs in one (C, H, W) raw-unit field."""
@@ -88,6 +95,11 @@ class HeuristicARDetector:
     tmq_anomaly_min: float = 10.0   # kg/m^2 above the zonal background
     min_length_frac: float = 0.3    # of the domain width
     max_aspect: float = 0.5         # region height/width must be elongated
+
+    def __post_init__(self) -> None:
+        require_real("tmq_anomaly_min", self.tmq_anomaly_min, "(-inf, inf)")
+        require_real("min_length_frac", self.min_length_frac, "[0, 1]")
+        require_real("max_aspect", self.max_aspect, "(0, inf)")
 
     def detect(self, fields: np.ndarray) -> List[Tuple[float, Box]]:
         from scipy import ndimage   # at first use: see nn/fft_conv.py

@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
 
 #: axis of the periodic azimuthal coordinate in (N, C, eta, phi) images
@@ -54,13 +55,12 @@ def augment_batch(images: np.ndarray, rng: SeedLike = None,
     if images.ndim != 4:
         raise ValueError(f"expected (N, C, eta, phi) images, got "
                          f"{images.shape}")
-    if not 0.0 <= p_flip <= 1.0:
-        raise ValueError(f"p_flip must be in [0, 1], got {p_flip}")
+    require_real("p_flip", p_flip, "[0, 1]")
     n, _c, _h, w = images.shape
     if max_shift is None:
         max_shift = w
-    if not 1 <= max_shift <= w:
-        raise ValueError(f"max_shift must be in [1, {w}], got {max_shift}")
+    if require_count("max_shift", max_shift) > w:
+        raise ValueError(f"max_shift must be <= {w}, got {max_shift}")
     rng = as_rng(rng)
     out = np.empty_like(images)
     shifts = rng.integers(0, max_shift, size=n)
@@ -75,9 +75,7 @@ def augment_batch(images: np.ndarray, rng: SeedLike = None,
 
 def augmentation_factor(image_width: int, use_flip: bool = True) -> int:
     """Distinct augmented copies per event the symmetry group provides."""
-    if image_width <= 0:
-        raise ValueError(f"image_width must be positive, got {image_width}")
-    return image_width * (2 if use_flip else 1)
+    return require_count("image_width", image_width) * (2 if use_flip else 1)
 
 
 class AugmentedBatcher:
@@ -91,13 +89,13 @@ class AugmentedBatcher:
         if images.shape[0] != labels.shape[0]:
             raise ValueError(
                 f"{images.shape[0]} images vs {labels.shape[0]} labels")
-        if not 1 <= batch <= images.shape[0]:
+        if require_count("batch", batch) > images.shape[0]:
             raise ValueError(
-                f"batch must be in [1, {images.shape[0]}], got {batch}")
+                f"batch must be <= {images.shape[0]}, got {batch}")
         self.images = images
         self.labels = labels
         self.batch = batch
-        self.p_flip = p_flip
+        self.p_flip = require_real("p_flip", p_flip, "[0, 1]")
         self._rng = as_rng(rng)
 
     def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -44,9 +44,7 @@ class HEPDataset:
     def split(self, train_fraction: float = 0.7,
               seed: SeedLike = 0) -> Tuple["HEPDataset", "HEPDataset"]:
         """Deterministic shuffled train/test split."""
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0,1), got {train_fraction}")
+        require_real("train_fraction", train_fraction, "(0, 1)")
         rng = np.random.default_rng(seed) if not hasattr(seed, "shuffle") \
             else seed
         order = rng.permutation(len(self))

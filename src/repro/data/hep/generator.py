@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.checks import require_real
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
 
 #: detector acceptance in pseudorapidity
@@ -45,16 +45,10 @@ class Jet:
     prongs: Tuple[Tuple[float, float, float], ...] = ((1.0, 0.0, 0.0),)
 
     def __post_init__(self) -> None:
-        # built per jet, so checked inline rather than by repro.utils.checks
-        if not 0 < self.pt < math.inf:
-            raise ValueError(
-                f"jet pt must be positive and finite, got {self.pt}")
-        if not (-math.inf < self.eta < math.inf
-                and -math.inf < self.phi < math.inf):
-            raise ValueError(f"jet eta and phi must be finite, got "
-                             f"{self.eta}, {self.phi}")
-        if not 0.0 <= self.em_frac <= 1.0:
-            raise ValueError(f"em_frac must be in [0,1], got {self.em_frac}")
+        require_real("pt", self.pt, "(0, inf)")
+        require_real("eta", self.eta, "(-inf, inf)")
+        require_real("phi", self.phi, "(-inf, inf)")
+        require_real("em_frac", self.em_frac, "[0, 1]")
 
 
 @dataclass
@@ -175,11 +169,8 @@ class EventGenerator:
     def generate(self, n_events: int,
                  signal_fraction: float = 0.5) -> List[Event]:
         """Generate a shuffled mix of signal and background events."""
-        if n_events <= 0:
-            raise ValueError(f"n_events must be positive, got {n_events}")
-        if not 0.0 <= signal_fraction <= 1.0:
-            raise ValueError(
-                f"signal_fraction must be in [0,1], got {signal_fraction}")
+        require_count("n_events", n_events)
+        require_real("signal_fraction", signal_fraction, "[0, 1]")
         n_sig = int(round(n_events * signal_fraction))
         events = [self._signal_event() for _ in range(n_sig)]
         events += [self._background_event()

@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.data.hep.generator import Event
+from repro.utils.checks import require_real
 
 
 def high_level_features(events: Sequence[Event],
@@ -27,6 +28,7 @@ def high_level_features(events: Sequence[Event],
     These are the reconstructed quantities a cut-based analysis works with —
     deliberately blind to substructure and fine angular correlations.
     """
+    require_real("jet_pt_min", jet_pt_min, "[0, inf)")
     feats = np.zeros((len(events), 4), dtype=np.float64)
     for i, ev in enumerate(events):
         jets = [j for j in ev.jets if j.pt >= jet_pt_min]
@@ -56,6 +58,9 @@ class CutBaseline:
 
     jet_pt_min: float = 30.0
     njet_tiers: Tuple[int, ...] = (6, 8, 10, 12)
+
+    def __post_init__(self) -> None:
+        require_real("jet_pt_min", self.jet_pt_min, "[0, inf)")
 
     def score(self, events: Sequence[Event]) -> np.ndarray:
         """Scalar discriminant per event (higher = more signal-like).

@@ -9,6 +9,7 @@ accounting, including the extrapolated paper-scale volumes for Table I.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,23 +17,23 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_count
+
 
 def dataset_volume_bytes(n_images: int, channels: int, height: int,
                          width: int, itemsize: int = 4) -> int:
     """Raw volume of an image dataset (Table I's 'Volume' column)."""
-    if min(n_images, channels, height, width, itemsize) <= 0:
-        raise ValueError("all dataset dimensions must be positive")
-    return n_images * channels * height * width * itemsize
+    dims = dict(n_images=n_images, channels=channels, height=height,
+                width=width, itemsize=itemsize)
+    return math.prod(require_count(k, v) for k, v in dims.items())
 
 
 class ShardedStore:
     """Directory of fixed-size ``.npz`` shards holding image/label arrays."""
 
     def __init__(self, root: os.PathLike, shard_size: int = 1024) -> None:
-        if shard_size <= 0:
-            raise ValueError(f"shard_size must be positive, got {shard_size}")
         self.root = Path(root)
-        self.shard_size = shard_size
+        self.shard_size = require_count("shard_size", shard_size)
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _shard_path(self, index: int) -> Path:
@@ -78,8 +79,7 @@ class ShardedStore:
     def iter_batches(self, batch: int) -> Iterator[Tuple[np.ndarray,
                                                          np.ndarray]]:
         """Stream fixed-size batches across shard boundaries."""
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
+        require_count("batch", batch)
         buf_x: List[np.ndarray] = []
         buf_y: List[np.ndarray] = []
         have = 0

@@ -66,10 +66,10 @@ class ElasticHybridTrainer(HybridTrainer):
                          iteration_time_fn, seed)
         self.failures = dict(failures or {})
         for g, t in self.failures.items():
-            if require_count("failure group", g, least=0) >= self.n_groups:
-                raise ValueError(f"failure group {g} out of range")
+            if require_count("failures: group", g, least=0) >= self.n_groups:
+                raise ValueError(f"failures: group {g} out of range")
             # inf: a group that never fails
-            require_real("failure time", t, "[0, inf]")
+            require_real("failures: time", t, "[0, inf]")
 
     def _next(self, run: _Run) -> Optional[int]:
         # The failure takes effect before the group can *start* another

@@ -54,7 +54,7 @@ class SSPTrainer(HybridTrainer):
                  opt_factory, loss_fn, n_groups: int, bound: int,
                  iteration_time_fn: Optional[Callable[[int], float]] = None,
                  seed: SeedLike = 0) -> None:
-        self.bound = require_real("staleness bound", bound, "[0, inf]")
+        self.bound = require_real("bound", bound, "[0, inf]")
         super().__init__(net_factory, opt_factory, loss_fn, n_groups,
                          iteration_time_fn, seed)
 

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.module import Module
 from repro.core.sequential import Sequential
+from repro.utils.checks import require_count
 
 #: backward/forward FLOP ratio for parameterized layers (dW GEMM + dX GEMM).
 BACKWARD_FACTOR = 2.0
@@ -82,8 +83,7 @@ class NetFlopReport:
 def count_layer(layer: Module, input_shape: Sequence[int],
                 batch: int) -> LayerFlops:
     """FLOPs of a single layer given its (ex-batch) input shape."""
-    if batch <= 0:
-        raise ValueError(f"batch must be positive, got {batch}")
+    require_count("batch", batch)
     input_shape = tuple(input_shape)
     output_shape = layer.output_shape(input_shape)
     if layer.kind in ("conv", "deconv", "pool", "residual", "lstm",

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.checks import require_real
+from repro.utils.checks import require_count, require_real
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class Box:
         require_real("y", self.y, "(-inf, inf)")
         require_real("w", self.w, "(0, inf)")
         require_real("h", self.h, "(0, inf)")
+        require_count("class_id", self.class_id, least=0)
 
     @property
     def cx(self) -> float:
@@ -70,8 +71,7 @@ def nms(boxes: Sequence[Box], scores: Sequence[float],
     """Greedy non-maximum suppression; returns kept indices, best first."""
     if len(boxes) != len(scores):
         raise ValueError("boxes and scores must have the same length")
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0,1], got {iou_threshold}")
+    require_real("iou_threshold", iou_threshold, "[0, 1]")
     order = sorted(range(len(boxes)), key=lambda i: -scores[i])
     kept: List[int] = []
     for i in order:
@@ -94,9 +94,8 @@ def encode_targets(boxes_per_image: Sequence[Sequence[Box]],
         their features overlap the object's, so the confidence loss skips
         them instead of forcing them to zero.
     """
-    gh, gw = grid_hw
-    if gh <= 0 or gw <= 0 or stride <= 0:
-        raise ValueError("grid dims and stride must be positive")
+    gh, gw = (require_count("grid_hw", d) for d in grid_hw)
+    require_real("stride", stride, "(0, inf)")
     n = len(boxes_per_image)
     conf = np.zeros((n, 1, gh, gw), dtype=np.float32)
     cls = np.zeros((n, gh, gw), dtype=np.int64)
@@ -105,7 +104,7 @@ def encode_targets(boxes_per_image: Sequence[Sequence[Box]],
     ignore = np.zeros((n, 1, gh, gw), dtype=np.float32)
     for i, boxes in enumerate(boxes_per_image):
         for b in boxes:
-            if not 0 <= b.class_id < n_classes:
+            if require_count("class_id", b.class_id, least=0) >= n_classes:
                 raise ValueError(
                     f"class_id {b.class_id} out of range [0, {n_classes})")
             gx = int(b.cx // stride)
@@ -140,9 +139,7 @@ def decode_predictions(conf_prob: np.ndarray, class_prob: np.ndarray,
     regression outputs. The paper keeps boxes with confidence > 0.8 at
     inference (SIII-B).
     """
-    if not 0.0 <= conf_threshold <= 1.0:
-        raise ValueError(
-            f"conf_threshold must be in [0,1], got {conf_threshold}")
+    require_real("conf_threshold", conf_threshold, "[0, 1]")
     n, _, gh, gw = conf_prob.shape
     results: List[List[Tuple[float, Box]]] = []
     for i in range(n):
@@ -183,6 +180,7 @@ def detection_metrics(predictions: List[List[Tuple[float, Box]]],
     """
     if len(predictions) != len(ground_truth):
         raise ValueError("predictions and ground_truth length mismatch")
+    require_real("iou_threshold", iou_threshold, "[0, 1]")
     tp = fp = 0
     total_gt = 0
     matched_ious: List[float] = []

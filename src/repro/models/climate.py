@@ -29,6 +29,7 @@ from repro.nn.activations import ReLU, sigmoid, softmax
 from repro.nn.conv import Conv2D
 from repro.nn.deconv import Deconv2D
 from repro.nn.losses import BCEWithLogitsLoss, MSELoss, SmoothL1Loss
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, spawn_rngs
 
 #: (channels, height, width) used in the paper (Table II)
@@ -63,8 +64,8 @@ class ClimateNet(Module):
                  decoder_spec: Sequence[Tuple[int, int, int]],
                  name: str = "climate_net", rng: SeedLike = None) -> None:
         super().__init__(name=name)
-        if in_channels <= 0 or n_classes <= 0:
-            raise ValueError("in_channels and n_classes must be positive")
+        require_count("in_channels", in_channels)
+        require_count("n_classes", n_classes)
         if decoder_spec and decoder_spec[-1][0] != in_channels:
             raise ValueError(
                 f"decoder must end with {in_channels} channels to reconstruct "
@@ -213,8 +214,7 @@ class SemiSupervisedLoss:
                  pos_weight: float = 8.0) -> None:
         for nm, v in (("w_conf", w_conf), ("w_cls", w_cls), ("w_box", w_box),
                       ("w_recon", w_recon), ("pos_weight", pos_weight)):
-            if v < 0:
-                raise ValueError(f"{nm} must be non-negative, got {v}")
+            require_real(nm, v, "[0, inf)")
         self.w_conf = w_conf
         self.w_cls = w_cls
         self.w_box = w_box

@@ -21,6 +21,7 @@ from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
 from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike, spawn_rngs
 
 #: (channels, height, width) used in the paper (Table II)
@@ -37,10 +38,10 @@ def build_hep_net(in_channels: int = 3, filters: int = 128,
     input size is ``2**(n_units - 1)`` pixels per side (four 2x2 poolings
     precede the global pool).
     """
-    if n_units < 2:
-        raise ValueError(f"need at least 2 conv units, got {n_units}")
-    if filters <= 0 or n_classes < 2 or in_channels <= 0:
-        raise ValueError("filters/n_classes/in_channels must be positive")
+    require_count("n_units", n_units, least=2)
+    require_count("filters", filters)
+    require_count("n_classes", n_classes, least=2)
+    require_count("in_channels", in_channels)
     rngs = spawn_rngs(rng, n_units + 1)
     layers = []
     channels = in_channels

@@ -18,8 +18,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.module import Module
+from repro.core.module import Module, check_sizes
 from repro.core.parameter import Parameter
+from repro.utils.checks import require_real
 
 
 class BatchNorm2D(Module):
@@ -35,15 +36,9 @@ class BatchNorm2D(Module):
     def __init__(self, channels: int, momentum: float = 0.9,
                  eps: float = 1e-5, name: Optional[str] = None) -> None:
         super().__init__(name=name or "batchnorm")
-        if channels <= 0:
-            raise ValueError(f"channels must be positive, got {channels}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
+        self.channels, = check_sizes(self.name, channels=channels)
+        self.momentum = require_real("momentum", momentum, "[0, 1)")
+        self.eps = require_real("eps", eps, "(0, inf)")
         self.gamma = Parameter(np.ones(channels, dtype=np.float32),
                                name="gamma")
         self.beta = Parameter(np.zeros(channels, dtype=np.float32),

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.initializers import xavier_uniform, zeros
-from repro.core.module import Module
+from repro.core.module import Module, check_sizes
 from repro.core.parameter import Parameter
 from repro.utils.rng import SeedLike
 
@@ -27,8 +27,8 @@ class Dense(Module):
     def __init__(self, in_features: int, out_features: int,
                  name: Optional[str] = None, rng: SeedLike = None) -> None:
         super().__init__(name=name or "fc")
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("feature sizes must be positive")
+        in_features, out_features = check_sizes(
+            self.name, in_features=in_features, out_features=out_features)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.module import Module
+from repro.utils.checks import require_real
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -30,9 +31,7 @@ class Dropout(Module):
     def __init__(self, p: float = 0.5, name: Optional[str] = None,
                  rng: SeedLike = None) -> None:
         super().__init__(name=name or "dropout")
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"drop probability must be in [0, 1), got {p}")
-        self.p = p
+        self.p = require_real("p", p, "[0, 1)")
         self._rng = as_rng(rng)
         self._mask: Optional[np.ndarray] = None
 

@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.activations import sigmoid, softmax
+from repro.utils.checks import require_real
 
 
 class SoftmaxCrossEntropyLoss:
@@ -87,9 +88,7 @@ class SmoothL1Loss:
     """Huber/smooth-L1 on box regression targets, masked to positive cells."""
 
     def __init__(self, beta: float = 1.0) -> None:
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        self.beta = beta
+        self.beta = require_real("beta", beta, "(0, inf)")
 
     def __call__(self, pred: np.ndarray, target: np.ndarray,
                  mask: Optional[np.ndarray] = None

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.initializers import xavier_uniform, zeros
-from repro.core.module import Module
+from repro.core.module import Module, check_sizes
 from repro.core.parameter import Parameter
 from repro.nn.activations import sigmoid
 from repro.utils.rng import SeedLike
@@ -41,8 +41,8 @@ class LSTM(Module):
                  return_sequences: bool = False,
                  name: Optional[str] = None, rng: SeedLike = None) -> None:
         super().__init__(name=name or "lstm")
-        if input_dim <= 0 or hidden_dim <= 0:
-            raise ValueError("input_dim and hidden_dim must be positive")
+        input_dim, hidden_dim = check_sizes(
+            self.name, input_dim=input_dim, hidden_dim=hidden_dim)
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.return_sequences = return_sequences

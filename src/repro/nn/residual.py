@@ -20,6 +20,7 @@ from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
 from repro.nn.pooling import GlobalAvgPool2D
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -105,6 +106,8 @@ def build_resnet(in_channels: int = 3, n_classes: int = 2,
                  rng: SeedLike = None) -> Sequential:
     """A small residual classifier (one block per width, stride-2 between
     stages), same no-big-dense-layer design rule as the paper's nets."""
+    require_count("in_channels", in_channels)
+    require_count("n_classes", n_classes)
     if not widths:
         raise ValueError("need at least one stage width")
     rngs = spawn_rngs(rng, len(widths) + 2)

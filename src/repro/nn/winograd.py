@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.module import run_layers
 from repro.nn.conv import Conv2D
 from repro.nn.im2col import check_input
+from repro.utils.checks import require_count
 
 # Winograd F(2x2, 3x3) transform matrices (Lavin & Gray 2015, sec. 4.1).
 _BT = np.array([[1, 0, -1, 0],
@@ -136,7 +137,7 @@ def winograd_multiplies(batch: int, out_channels: int, in_channels: int,
     The ratio direct/winograd tends to 36/16 = 2.25 for ``tile=2`` and
     144/36 = 4 for ``tile=4`` when the tile grid divides the output evenly.
     """
-    th = (oh + tile - 1) // tile
+    th = (oh + require_count("tile", tile) - 1) // tile
     tw = (ow + tile - 1) // tile
     return batch * out_channels * in_channels * th * tw * (tile + 2) ** 2
 

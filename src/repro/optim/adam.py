@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.parameter import Parameter
 from repro.optim.base import Optimizer
+from repro.utils.checks import require_real
 
 
 class Adam(Optimizer):
@@ -22,13 +23,9 @@ class Adam(Optimizer):
                  beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8) -> None:
         super().__init__(params, lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1 = require_real("beta1", beta1, "[0, 1)")
+        self.beta2 = require_real("beta2", beta2, "[0, 1)")
+        self.eps = require_real("eps", eps, "(0, inf)")
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
         self._t: Dict[str, int] = {}

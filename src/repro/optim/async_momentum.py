@@ -14,6 +14,8 @@ that rule so the ablation benchmark can sweep it.
 
 from __future__ import annotations
 
+from repro.utils.checks import require_count, require_real
+
 
 def implicit_async_momentum(n_groups: int) -> float:
     """Expected implicit momentum contributed by ``n_groups`` async streams.
@@ -21,9 +23,7 @@ def implicit_async_momentum(n_groups: int) -> float:
     One group is fully synchronous: no implicit momentum. The asymptotic
     model from [31] gives mu_implicit = 1 - 1/G.
     """
-    if n_groups < 1:
-        raise ValueError(f"n_groups must be >= 1, got {n_groups}")
-    return 1.0 - 1.0 / n_groups
+    return 1.0 - 1.0 / require_count("n_groups", n_groups)
 
 
 def effective_momentum(explicit: float, n_groups: int) -> float:
@@ -33,8 +33,7 @@ def effective_momentum(explicit: float, n_groups: int) -> float:
     memory factor is ``1 - (1-mu_e)(1-mu_i)`` (both mechanisms multiply the
     fraction of history retained).
     """
-    if not 0.0 <= explicit < 1.0:
-        raise ValueError(f"explicit momentum must be in [0, 1), got {explicit}")
+    require_real("explicit", explicit, "[0, 1)")
     mu_i = implicit_async_momentum(n_groups)
     return 1.0 - (1.0 - explicit) * (1.0 - mu_i)
 
@@ -48,9 +47,7 @@ def tune_momentum_for_groups(target_effective: float, n_groups: int,
     2 groups -> 0.7..0.8, 4-8 groups -> 0.0-0.4; matching the grid the paper
     reports tuning over.
     """
-    if not 0.0 <= target_effective < 1.0:
-        raise ValueError(
-            f"target momentum must be in [0, 1), got {target_effective}")
+    require_real("target_effective", target_effective, "[0, 1)")
     if not grid:
         raise ValueError("grid must be non-empty")
     best = None

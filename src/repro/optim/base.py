@@ -7,12 +7,12 @@ so the same optimizer state can be applied on a parameter server that owns a
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.core.parameter import Parameter
+from repro.utils.checks import require_real
 
 
 class Optimizer:
@@ -38,6 +38,4 @@ class Optimizer:
             p.zero_grad()
 
     def set_lr(self, lr: float) -> None:
-        if not 0 < lr < math.inf:       # NaN fails every comparison
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
+        self.lr = require_real("lr", lr, "(0, inf)")

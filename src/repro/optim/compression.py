@@ -25,6 +25,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_count, require_real
+
 
 @dataclass(frozen=True)
 class CompressedGrad:
@@ -64,8 +66,8 @@ def topk_compress(grad: np.ndarray, k: int) -> CompressedGrad:
     """Keep the ``k`` largest-magnitude entries of a flat gradient."""
     if grad.ndim != 1:
         raise ValueError(f"expected a flat gradient, got shape {grad.shape}")
-    if not 1 <= k <= grad.size:
-        raise ValueError(f"k must be in [1, {grad.size}], got {k}")
+    if require_count("k", k) > grad.size:
+        raise ValueError(f"k must be <= {grad.size}, got {k}")
     if k == grad.size:
         idx = np.arange(grad.size)
     else:
@@ -121,11 +123,8 @@ class ErrorFeedbackCompressor:
                  ) -> None:
         if scheme not in ("topk", "sign"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        if scheme == "topk" and not 0.0 < k_fraction <= 1.0:
-            raise ValueError(
-                f"k_fraction must be in (0, 1], got {k_fraction}")
         self.scheme = scheme
-        self.k_fraction = k_fraction
+        self.k_fraction = require_real("k_fraction", k_fraction, "(0, 1]")
         self.residual: Optional[np.ndarray] = None
         self.bytes_sent = 0
         self.bytes_dense = 0

@@ -22,8 +22,7 @@ class StepLR:
         self.gamma = require_real("gamma", gamma, "(0, 1]")
 
     def __call__(self, iteration: int) -> float:
-        if iteration < 0:
-            raise ValueError(f"iteration must be non-negative, got {iteration}")
+        require_count("iteration", iteration, least=0)
         return self.lr * self.gamma ** (iteration // self.step_size)
 
 
@@ -31,19 +30,12 @@ class ExponentialDecayLR:
     """lr * decay^(iteration / decay_steps), continuous exponential decay."""
 
     def __init__(self, lr: float, decay: float, decay_steps: int) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0 < decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        if decay_steps <= 0:
-            raise ValueError(f"decay_steps must be positive, got {decay_steps}")
-        self.lr = lr
-        self.decay = decay
-        self.decay_steps = decay_steps
+        self.lr = require_real("lr", lr, "(0, inf)")
+        self.decay = require_real("decay", decay, "(0, 1]")
+        self.decay_steps = require_count("decay_steps", decay_steps)
 
     def __call__(self, iteration: int) -> float:
-        if iteration < 0:
-            raise ValueError(f"iteration must be non-negative, got {iteration}")
+        require_count("iteration", iteration, least=0)
         return self.lr * self.decay ** (iteration / self.decay_steps)
 
 
@@ -60,20 +52,13 @@ class WarmupLR:
 
     def __init__(self, base, warmup_iters: int,
                  start_factor: float = 0.1) -> None:
-        if warmup_iters <= 0:
-            raise ValueError(
-                f"warmup_iters must be positive, got {warmup_iters}")
-        if not 0 <= start_factor < 1:
-            raise ValueError(
-                f"start_factor must be in [0, 1), got {start_factor}")
         self.base = base
-        self.warmup_iters = warmup_iters
-        self.start_factor = start_factor
+        self.warmup_iters = require_count("warmup_iters", warmup_iters)
+        self.start_factor = require_real("start_factor", start_factor,
+                                         "[0, 1)")
 
     def __call__(self, iteration: int) -> float:
-        if iteration < 0:
-            raise ValueError(
-                f"iteration must be non-negative, got {iteration}")
+        require_count("iteration", iteration, least=0)
         target = self.base(iteration)
         if iteration >= self.warmup_iters:
             return target

@@ -14,19 +14,16 @@ import numpy as np
 
 from repro.core.parameter import Parameter
 from repro.optim.base import Optimizer
+from repro.utils.checks import require_real
 
 
 class SGD(Optimizer):
     def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
                  momentum: float = 0.0, weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ValueError(
-                f"weight_decay must be non-negative, got {weight_decay}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+        self.momentum = require_real("momentum", momentum, "[0, 1)")
+        self.weight_decay = require_real("weight_decay", weight_decay,
+                                         "[0, inf)")
         self._velocity: Dict[str, np.ndarray] = {}
 
     def _update(self, p: Parameter) -> None:

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.parameter import Parameter
 from repro.distributed.flatten import flatten_grads
 from repro.optim.base import Optimizer
+from repro.utils.checks import require_count, require_real
 
 
 @dataclass
@@ -56,8 +57,7 @@ def solve_single_step_momentum(p: float) -> float:
     increases from 0, RHS decreases from 1). Solved by bisection — robust
     for the extreme ``p`` values early training produces.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    require_real("p", p, "(0, inf]")
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -82,21 +82,11 @@ class YellowFin(Optimizer):
                  warmup: int = 5, mu_max: float = 0.95,
                  lr_max: Optional[float] = None) -> None:
         super().__init__(params, lr)
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {beta}")
-        if window <= 1:
-            raise ValueError(f"window must be > 1, got {window}")
-        if warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {warmup}")
-        if not 0.0 < mu_max < 1.0:
-            raise ValueError(f"mu_max must be in (0, 1), got {mu_max}")
-        if lr_max is not None and lr_max <= 0:
-            raise ValueError(f"lr_max must be positive, got {lr_max}")
-        self.beta = beta
-        self.window = window
-        self.warmup = warmup
-        self.mu_max = mu_max
-        self.lr_max = lr_max
+        self.beta = require_real("beta", beta, "(0, 1)")
+        self.window = require_count("window", window, least=2)
+        self.warmup = require_count("warmup", warmup)
+        self.mu_max = require_real("mu_max", mu_max, "(0, 1)")
+        self.lr_max = require_real("lr_max", lr_max, "(0, inf)", none_ok=True)
         self.momentum = 0.0
         self._velocity: Dict[str, np.ndarray] = {}
         self._curvatures: Deque[float] = deque(maxlen=window)

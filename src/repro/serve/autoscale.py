@@ -94,6 +94,15 @@ class AutoscalePolicy:
                      "[0, 1)")
         require_real("epoch", self.epoch, "(0, inf)", none_ok=True)
 
+    def initial_fleet(self, name: str, n: Optional[int]) -> int:
+        """``n`` replicas to start with (None: ``min_replicas``), refused
+        by ``name`` unless a count within the policy's bounds."""
+        n = self.min_replicas if n is None else require_count(name, n)
+        if not self.min_replicas <= n <= self.max_replicas:
+            raise ValueError(f"{name}: initial fleet {n} outside "
+                             f"[{self.min_replicas}, {self.max_replicas}]")
+        return n
+
 
 @dataclass(frozen=True)
 class ScaleDecision:
@@ -122,12 +131,7 @@ class Autoscaler:
     def __init__(self, policy: AutoscalePolicy,
                  initial: Optional[int] = None, tracer=None) -> None:
         self.policy = policy
-        n0 = policy.min_replicas if initial is None else initial
-        if not policy.min_replicas <= n0 <= policy.max_replicas:
-            raise ValueError(
-                f"initial fleet {n0} outside "
-                f"[{policy.min_replicas}, {policy.max_replicas}]")
-        self.desired = n0
+        self.desired = policy.initial_fleet("initial", initial)
         #: opt-in :class:`repro.serve.obs.Tracer`: every verdict (holds
         #: included) is emitted as a ``decision`` event with its signals
         self.tracer = tracer
@@ -255,14 +259,7 @@ class AutoscalingSimulator(ServingSimulator):
                  order: str = "fifo",
                  cost_aware: bool = False) -> None:
         self.autoscale = autoscale or AutoscalePolicy()
-        initial = (self.autoscale.min_replicas if n_replicas is None
-                   else n_replicas)
-        if not (self.autoscale.min_replicas <= initial
-                <= self.autoscale.max_replicas):
-            raise ValueError(
-                f"initial fleet {initial} outside "
-                f"[{self.autoscale.min_replicas}, "
-                f"{self.autoscale.max_replicas}]")
+        initial = self.autoscale.initial_fleet("n_replicas", n_replicas)
         super().__init__(workload, machine=machine, n_replicas=initial,
                          policy=policy, max_queue=max_queue,
                          cache_size=cache_size,

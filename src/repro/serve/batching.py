@@ -150,7 +150,7 @@ class ReplicaBatchQueue:
             if seq is not None and len(seq) != n_models:
                 raise ValueError(
                     f"{len(seq)} {what} for {n_models} service models")
-        self.free_at = free_at
+        self.free_at = require_real("free_at", free_at, "(-inf, inf)")
         #: called with each :class:`Batch` the instant it is committed —
         #: the router's event feed (backlog decrements, cache fills)
         self.on_commit = on_commit
@@ -292,9 +292,12 @@ class ReplicaBatchQueue:
         the advance commits nothing), and rebuilds the pushed lane's key
         only for a new lane head or a fill, the only appends that move it."""
         if not self._clock <= t < math.inf:
-            raise ValueError(f"arrivals must be finite and nondecreasing: "
-                             f"{t} after {self._clock}")
-        if not 0 <= model < len(self.service_times):
+            raise ValueError(f"t must be finite and nondecreasing, got "
+                             f"{t!r} after {self._clock}")
+        # a Python int (the router hands over its own index): per arrival,
+        # an exact class test is the cheapest check that refuses 0.5
+        if not (model.__class__ is int
+                and 0 <= model < len(self.service_times)):
             raise ValueError(
                 f"model index {model} outside the {len(self.service_times)} "
                 f"registered service models")

@@ -66,14 +66,14 @@ class ServiceTimeModel:
         real kernel does — clamp to the running max so wall time is
         nondecreasing in batch size.
         """
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
         t = self._clamped.get(batch)
         if t is None:
-            # Memoized: this sits on the router's per-arrival hot path. The
+            # Memoized: this sits on the router's per-arrival hot path, so a
+            # batch size is checked only when it misses the memo. The
             # running max is maintained incrementally — each new batch size
             # folds exactly one raw compute time into the clamp instead of
             # rescanning every smaller size.
+            require_count("batch", batch)
             while self._max_size < batch:
                 self._max_size += 1
                 self._running_max = max(self._running_max,

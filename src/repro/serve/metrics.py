@@ -24,7 +24,25 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.checks import require_real
+from repro.utils.checks import require_count, require_real
+
+
+def _check_counts(stats, who: str = "") -> None:
+    """A stats record's counts: whole numbers >= 0 that conserve requests
+    (a cache hit or a coalesced ride is a completion)."""
+    for name in ("n_offered", "n_dropped", "n_failed", "n_cache_hits",
+                 "n_coalesced"):
+        require_count(name, getattr(stats, name), least=0)
+    if stats.n_completed + stats.n_dropped + stats.n_failed > stats.n_offered:
+        raise ValueError(
+            f"{who}completed ({stats.n_completed}) + dropped "
+            f"({stats.n_dropped}) + failed ({stats.n_failed}) exceed "
+            f"offered ({stats.n_offered})")
+    if stats.n_cache_hits + stats.n_coalesced > stats.n_completed:
+        raise ValueError(
+            f"{who}cache hits ({stats.n_cache_hits}) + coalesced "
+            f"({stats.n_coalesced}) exceed completed ({stats.n_completed})")
+
 
 #: every way the serving fleet can change mid-run (``"degrade"`` is the
 #: one action that changes *capacity* without changing the replica count:
@@ -110,14 +128,12 @@ class ScaleEvent:
                 raise ValueError(
                     "a degrade event keeps the fleet size (delta must be 0)")
         elif self.action == "repair":
-            if self.delta < 0:
-                raise ValueError(
-                    "a repair event cannot shrink the fleet (delta >= 0: "
-                    "0 un-degrades in place, positive replaces a death)")
+            # a repair cannot shrink the fleet: 0 un-degrades in place, a
+            # positive delta replaces a death
+            require_count("delta", self.delta, least=0)
         elif self.delta == 0:
             raise ValueError("a scale event must change the fleet size")
-        if self.n_replicas < 0:
-            raise ValueError("n_replicas cannot go negative")
+        require_count("n_replicas", self.n_replicas, least=0)
 
 
 @dataclass(frozen=True)
@@ -218,8 +234,7 @@ class _LatencySample:
 
     def percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100] over completed requests."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        require_real("q", q, "[0, 100]")
         if self.latencies.size == 0:
             return float("nan")
         return float(np.percentile(self.latencies, q))
@@ -271,20 +286,7 @@ class PerModelStats(_LatencySample):
     def __post_init__(self) -> None:
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
         require_real("slo", self.slo, "(0, inf]")
-        if min(self.n_offered, self.n_dropped, self.n_failed,
-               self.n_cache_hits, self.n_coalesced) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.n_completed + self.n_dropped + self.n_failed \
-                > self.n_offered:
-            raise ValueError(
-                f"model {self.name!r}: completed ({self.n_completed}) + "
-                f"dropped ({self.n_dropped}) + failed ({self.n_failed}) "
-                f"exceed offered ({self.n_offered})")
-        if self.n_cache_hits + self.n_coalesced > self.n_completed:
-            raise ValueError(
-                f"model {self.name!r}: hits ({self.n_cache_hits}) + "
-                f"coalesced ({self.n_coalesced}) exceed completed "
-                f"({self.n_completed})")
+        _check_counts(self, f"model {self.name!r}: ")
 
     @property
     def attainment(self) -> float:
@@ -323,19 +325,8 @@ class LatencyStats(_LatencySample):
 
     def __post_init__(self) -> None:
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
-        if min(self.n_offered, self.n_dropped, self.n_failed,
-               self.n_cache_hits, self.n_coalesced) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.n_cache_hits + self.n_coalesced > self.n_completed:
-            raise ValueError(
-                f"cache hits ({self.n_cache_hits}) + coalesced "
-                f"({self.n_coalesced}) exceed completed "
-                f"({self.n_completed}) — each is a completion")
-        if self.n_completed + self.n_dropped + self.n_failed > self.n_offered:
-            raise ValueError(
-                f"completed ({self.n_completed}) + dropped ({self.n_dropped})"
-                f" + failed ({self.n_failed}) exceed offered "
-                f"({self.n_offered})")
+        _check_counts(self)
+        require_real("horizon", self.horizon, "[0, inf)")
         if self.batch_sizes is not None:
             self.batch_sizes = np.asarray(self.batch_sizes, dtype=np.int64)
             on_replicas = (self.n_completed - self.n_cache_hits

@@ -92,8 +92,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Exact linear-interpolation percentile, ``q`` in [0, 100]."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        require_real("q", q, "[0, 100]")
         if not self.values:
             return float("nan")
         xs = sorted(self.values)

@@ -38,6 +38,7 @@ from repro.serve.latency import ServiceTimeModel
 from repro.serve.router import ReplicaHandle, Router
 from repro.serve.slo_sim import ServingSimulator
 from repro.serve.autoscale import AutoscalingSimulator
+from repro.utils.checks import require_count
 
 
 class LinearRouter(Router):
@@ -100,8 +101,7 @@ class LinearServiceTimeModel(ServiceTimeModel):
     for every new batch size (O(B) per size on the per-arrival hot path)."""
 
     def batch_time(self, batch: int) -> float:
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
+        require_count("batch", batch)
         if batch not in self._clamped:
             t = max(self._raw_compute(b) for b in range(1, batch + 1))
             self._clamped[batch] = self.dispatch_overhead + t

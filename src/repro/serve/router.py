@@ -138,7 +138,7 @@ class Router:
             for c in model_costs])
         #: per-model admission limit on a replica's published load (see
         #: :meth:`_route`); unbounded (``inf``) when not given
-        self._limits = ([require_real("admission limits", L, "(0, inf]")
+        self._limits = ([require_real("limits", L, "(0, inf]")
                          for L in limits] if limits is not None
                         else [math.inf] * n_models)
         #: what :meth:`submit` accepts as a model index -> that index
@@ -315,8 +315,8 @@ class Router:
             raise ValueError(f"model index {model!r} outside the "
                              f"{self._n_models} served model(s)")
         if not self._clock <= t < math.inf:
-            raise ValueError(f"arrivals must be finite and nondecreasing: "
-                             f"{t} after {self._clock}")
+            raise ValueError(f"t must be finite and nondecreasing, got "
+                             f"{t!r} after {self._clock}")
         self._clock = t
         self.n_offered += 1
         if not self.replicas:

@@ -23,7 +23,9 @@ import numpy as np
 
 from repro.cluster.machine import CoriMachine, cori
 from repro.sim.hybrid_sim import HybridSimConfig, HybridSimResult, simulate_hybrid
+from repro.sim.scaling import single_node_ips
 from repro.sim.workload import Workload, climate_workload, hep_workload
+from repro.utils.checks import require_count
 from repro.utils.units import PFLOPS
 
 #: single-threaded HDF5 + Lustre checkpoint write rate (B/s); calibrated so a
@@ -54,9 +56,8 @@ class HeadlineResult:
 
 def checkpoint_time(model_bytes: int) -> float:
     """Seconds to snapshot the model to the filesystem."""
-    if model_bytes < 0:
-        raise ValueError(f"model_bytes must be non-negative, got {model_bytes}")
-    return model_bytes / CHECKPOINT_WRITE_RATE
+    return require_count("model_bytes", model_bytes,
+                         least=0) / CHECKPOINT_WRITE_RATE
 
 
 def headline_run(workload: Workload, machine: Optional[CoriMachine] = None,
@@ -66,13 +67,16 @@ def headline_run(workload: Workload, machine: Optional[CoriMachine] = None,
     """Simulate a full-machine run and account peak/sustained FLOP rates."""
     if machine is None:
         machine = cori(seed=seed)
-    if checkpoint_every <= 0:
-        raise ValueError("checkpoint_every must be positive")
-    cfg = HybridSimConfig(
+    # The sustained window holds one snapshot: a run shorter than the
+    # window has no such window, and would report a sustained rate of 0.
+    if require_count("n_iterations", n_iterations) < require_count(
+            "checkpoint_every", checkpoint_every):
+        raise ValueError(f"n_iterations ({n_iterations}) must be >= "
+                         f"checkpoint_every ({checkpoint_every})")
+    result = simulate_hybrid(HybridSimConfig(
         workload=workload, machine=machine, n_workers=n_workers,
         n_groups=n_groups, n_ps=n_ps, local_batch=local_batch,
-        n_iterations=n_iterations, seed=seed)
-    result = simulate_hybrid(cfg)
+        n_iterations=n_iterations, seed=seed))
 
     per_image = workload.training_flops_per_image()
     iter_flops_machine = per_image * local_batch * n_workers
@@ -80,38 +84,28 @@ def headline_run(workload: Workload, machine: Optional[CoriMachine] = None,
     # Per-group iteration times; inject checkpoint overhead every k-th
     # iteration (the paper's sustained window includes one snapshot).
     ckpt = checkpoint_time(workload.model_bytes)
-    all_times = []
-    for times in result.group_iteration_times:
-        t = times.copy()
+    all_times = [t.copy() for t in result.group_iteration_times]
+    for t in all_times:
         t[checkpoint_every - 1::checkpoint_every] += ckpt
-        all_times.append(t)
     # Machine-level iteration time: average group iteration (groups run
     # concurrently, each contributing its share of the global throughput).
     times = np.concatenate(all_times)
     peak_rate = iter_flops_machine / times.min()
     # Sustained: best contiguous window of `checkpoint_every` iterations in
     # any group, matching the paper's windowed measurement.
-    window = min(checkpoint_every, len(times))
-    best_window = np.inf
-    for t in all_times:
-        if len(t) >= window:
-            sums = np.convolve(t, np.ones(window), mode="valid")
-            best_window = min(best_window, sums.min() / window)
+    best_window = min(
+        np.convolve(t, np.ones(checkpoint_every), mode="valid").min()
+        for t in all_times) / checkpoint_every
     sustained_rate = iter_flops_machine / best_window
 
     # Single-node reference for the speedup claim (6173x / 7205x).
-    from repro.sim.sync_sim import SyncIterationModel
-
-    single = SyncIterationModel(workload, machine, n_nodes=1,
-                                local_batch=local_batch, seed=seed)
-    single_ips = single.images_per_second()
-    machine_ips = result.throughput
+    single_ips = single_node_ips(workload, machine, local_batch, seed)
     return HeadlineResult(
         workload=workload.name, n_workers=n_workers, n_ps=n_ps,
         n_groups=n_groups, local_batch=local_batch,
         peak_flops=float(peak_rate), sustained_flops=float(sustained_rate),
         mean_iteration_time=float(times.mean()),
-        speedup_vs_single_node=machine_ips / single_ips)
+        speedup_vs_single_node=result.throughput / single_ips)
 
 
 def hep_headline(seed: int = 0, n_iterations: int = 30) -> HeadlineResult:

@@ -57,8 +57,6 @@ class SingleNodePerf:
     training: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch <= 0:
-            raise ValueError(f"batch must be positive, got {self.batch}")
         self._report = self.workload.report(self.batch)
         # Large local batches run as accumulated micro-batches (Caffe
         # iter_size). A tuned implementation picks the micro-batch that

@@ -14,8 +14,8 @@ import numpy as np
 
 def expected_max_std_normal(p: int) -> float:
     """E[max of p standard normals], Gumbel approximation (exact-ish, p>=2)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not hasattr(p, "__index__") or p < 1:    # an integer, NumPy's too
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
     if p == 1:
         return 0.0
     a = np.sqrt(2.0 * np.log(p))
@@ -26,8 +26,8 @@ def expected_max_std_normal(p: int) -> float:
 
 def sample_max_std_normal(p: int, rng: np.random.Generator) -> float:
     """One draw of max(p standard normals) via the Gumbel limit."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not hasattr(p, "__index__") or p < 1:    # an integer, NumPy's too
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
     if p == 1:
         return float(rng.normal())
     if p <= 64:

@@ -26,6 +26,7 @@ from repro.cluster.machine import CoriMachine
 from repro.sim.perf_model import SingleNodePerf
 from repro.sim.sampling import expected_max_std_normal, sample_max_std_normal
 from repro.sim.workload import Workload
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
 
 #: scale of additive per-sync-point OS/communication noise (seconds). One
@@ -62,19 +63,12 @@ class SyncIterationModel:
                  n_nodes: int, local_batch: int,
                  placement_penalty: float = 1.0,
                  seed: SeedLike = None) -> None:
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-        if local_batch <= 0:
-            raise ValueError(
-                f"local_batch must be positive, got {local_batch}")
-        if placement_penalty < 1.0:
-            raise ValueError(
-                f"placement_penalty must be >= 1, got {placement_penalty}")
         self.workload = workload
         self.machine = machine
-        self.n_nodes = n_nodes
-        self.local_batch = local_batch
-        self.placement_penalty = placement_penalty
+        self.n_nodes = require_count("n_nodes", n_nodes)
+        self.local_batch = require_count("local_batch", local_batch)
+        self.placement_penalty = require_real(
+            "placement_penalty", placement_penalty, "[1, inf)")
         self._rng = as_rng(seed)
         self._perf = SingleNodePerf(
             workload, local_batch, node=machine.node,
@@ -134,9 +128,7 @@ class SyncIterationModel:
 
     def sample_iterations(self, n: int = 50) -> SyncIterationStats:
         """Sample ``n`` iteration times with stochastic jitter."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        times = np.empty(n)
+        times = np.empty(require_count("n", n))
         for i in range(n):
             times[i] = (self._compute * self.straggler_factor(
                 sample=True)

@@ -24,8 +24,7 @@ from repro.data.hep import HEPDataset, make_hep_dataset
 from repro.distributed.hybrid import HybridTrainer, HybridTrainResult
 from repro.models import build_hep_net
 from repro.optim import Adam, tune_momentum_for_groups
-from repro.sim.hybrid_sim import HybridSimConfig, simulate_hybrid
-from repro.sim.sync_sim import SyncIterationModel
+from repro.sim.scaling import iteration
 from repro.sim.workload import hep_workload
 from repro.train.loop import hep_loss_fn
 
@@ -46,17 +45,10 @@ def dataset() -> HEPDataset:
 
 def iteration_seconds(n_groups: int) -> float:
     """One group's iteration time on the 1024-node machine model."""
-    machine = cori(seed=0)
-    wl = hep_workload()
-    if n_groups == 1:
-        return SyncIterationModel(wl, machine, N_NODES, 1,
-                                  seed=0).expected_iteration_time()
     # Each group gets the complete batch spread over N_NODES/G nodes, so the
     # per-node batch is G: better single-node efficiency (paper SVI-B1).
-    cfg = HybridSimConfig(workload=wl, machine=machine, n_workers=N_NODES,
-                          n_groups=n_groups, n_ps=6, local_batch=n_groups,
-                          n_iterations=8, seed=0)
-    return simulate_hybrid(cfg).mean_iteration_time
+    return iteration(hep_workload(), cori(seed=0), N_NODES, n_groups,
+                     n_groups, n_ps=6, n_iterations=8, seed=0)[0]
 
 
 def run_config(ds: HEPDataset, n_groups: int

@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.flops.counter import LayerFlops, NetFlopReport, count_layer
+from repro.utils.checks import require_count
 
 #: bytes per single-precision scalar
 F32 = 4
@@ -51,9 +52,7 @@ class Workload:
 
     def report(self, batch: int) -> NetFlopReport:
         """Per-layer FLOP report at ``batch`` (records scale linearly)."""
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
-        rep = NetFlopReport(batch=batch)
+        rep = NetFlopReport(batch=require_count("batch", batch))
         for rec in self._base_records:
             rep.layers.append(LayerFlops(
                 name=rec.name, kind=rec.kind, input_shape=rec.input_shape,

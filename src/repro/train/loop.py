@@ -11,6 +11,7 @@ from repro.core.sequential import Sequential
 from repro.nn.activations import softmax
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.optim.base import Optimizer
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike, as_rng
 
 _xent = SoftmaxCrossEntropyLoss()
@@ -62,10 +63,9 @@ def fit_classifier(net: Sequential, optimizer: Optimizer, x: np.ndarray,
     iterations, without within a batch). ``lr_schedule(iteration) -> lr``
     overrides the optimizer's learning rate each step when given."""
     n = x.shape[0]
-    if batch <= 0 or batch > n:
-        raise ValueError(f"batch must be in [1, {n}], got {batch}")
-    if n_iterations <= 0:
-        raise ValueError("n_iterations must be positive")
+    if require_count("batch", batch) > n:
+        raise ValueError(f"batch must be <= {n}, got {batch}")
+    require_count("n_iterations", n_iterations)
     rng = as_rng(seed)
     history = TrainHistory()
     net.train()
@@ -81,8 +81,7 @@ def fit_classifier(net: Sequential, optimizer: Optimizer, x: np.ndarray,
 def predict_proba(net: Sequential, x: np.ndarray,
                   batch: int = 64) -> np.ndarray:
     """Class probabilities, evaluated in batches: (N, K)."""
-    if batch <= 0:
-        raise ValueError(f"batch must be positive, got {batch}")
+    require_count("batch", batch)
     net.eval()
     outputs = []
     for lo in range(0, x.shape[0], batch):

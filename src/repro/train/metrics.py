@@ -12,6 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_real
+
 
 def _validate(scores: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray,
                                                                np.ndarray]:
@@ -22,6 +24,10 @@ def _validate(scores: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray,
             f"scores {scores.shape} and labels {labels.shape} differ")
     if scores.size == 0:
         raise ValueError("need at least one sample")
+    # a NaN sorts last, so a diverged net would read as a ROC; an infinite
+    # score still sorts where it belongs
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     uniq = np.unique(labels)
     if not np.all(np.isin(uniq, [0, 1])):
         raise ValueError(f"labels must be 0/1, got values {uniq}")
@@ -40,8 +46,10 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray
     fp = np.cumsum(1 - sorted_labels)
     n_pos = tp[-1]
     n_neg = fp[-1]
-    # Collapse ties: keep the last point of each distinct score.
-    distinct = np.nonzero(np.diff(np.append(scores[order], -np.inf)))[0]
+    # Collapse ties: keep the last point of each distinct score (compared,
+    # not subtracted: two infinite scores tie too).
+    s = scores[order]
+    distinct = np.append(np.nonzero(s[1:] != s[:-1])[0], s.size - 1)
     tpr = tp[distinct] / n_pos
     fpr = fp[distinct] / n_neg
     # Prepend the (0, 0) point.
@@ -51,8 +59,7 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray
 def tpr_at_fpr(scores: np.ndarray, labels: np.ndarray,
                fpr_target: float) -> float:
     """Highest TPR achievable with FPR <= target (conservative threshold)."""
-    if not 0.0 <= fpr_target <= 1.0:
-        raise ValueError(f"fpr_target must be in [0,1], got {fpr_target}")
+    require_real("fpr_target", fpr_target, "[0, 1]")
     fpr, tpr = roc_curve(scores, labels)
     ok = fpr <= fpr_target
     return float(tpr[ok].max()) if ok.any() else 0.0
@@ -74,7 +81,10 @@ def accuracy(scores: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal shapes")
-    pred = (scores >= threshold).astype(np.int64)
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
+    pred = (scores >= require_real("threshold", threshold,
+                                   "(-inf, inf)")).astype(np.int64)
     return float((pred == labels).mean())
 
 

@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.utils.checks import require_count, require_real
 from repro.utils.rng import SeedLike, as_rng
 
 #: a dimension is either an explicit choice list or a (lo, hi, "linear" |
@@ -49,11 +50,11 @@ def _sample(dim: Dimension, rng: np.random.Generator):
     if isinstance(dim, tuple) and len(dim) == 3 and dim[2] in ("linear",
                                                                "log"):
         lo, hi, scale = dim
-        if lo >= hi:
+        # a log range needs positive bounds
+        require_real("lo", lo, "(0, inf)" if scale == "log" else "(-inf, inf)")
+        if require_real("hi", hi, "(-inf, inf)") <= lo:
             raise ValueError(f"empty range ({lo}, {hi})")
         if scale == "log":
-            if lo <= 0:
-                raise ValueError("log range requires positive bounds")
             return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
         return float(rng.uniform(lo, hi))
     if isinstance(dim, Sequence) and len(dim) > 0:
@@ -69,8 +70,7 @@ def random_search(space: Dict[str, Dimension],
     The objective receives a config dict and returns a scalar to minimize
     (e.g. time-to-loss, final validation loss).
     """
-    if n_trials <= 0:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
+    require_count("n_trials", n_trials)
     if not space:
         raise ValueError("search space is empty")
     rng = as_rng(seed)
@@ -147,12 +147,10 @@ def bayes_search(space: Dict[str, Dimension],
     Returns the same :class:`SearchResult` as :func:`random_search`, so the
     two are drop-in comparable at equal budget.
     """
-    if n_trials <= 0:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
-    if n_candidates < 1:
-        raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
+    require_count("n_trials", n_trials)
+    require_count("n_init", n_init)
+    require_count("n_candidates", n_candidates)
+    require_real("length_scale", length_scale, "(0, inf)")
     if not space:
         raise ValueError("search space is empty")
     rng = as_rng(seed)

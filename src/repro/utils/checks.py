@@ -7,8 +7,12 @@ the interval is closed at it, which is how a caller says that ``inf``
 means "none" (an SLO, an admission limit, a hold time, an MTBF):
 ``"(0, inf]"`` takes it, ``"(0, inf)"`` does not.
 
-Per-call checks on the simulators' hot paths stay inline: these run where
-a value enters, once.
+A check that runs per call on a hot path stays inline, a comparison and
+no call, and still refuses NaN and a fraction by name: ``cost_model._check``
+(every simulated collective), ``KNLNodeModel.layer_time`` (every priced
+layer), ``sim.sampling``'s ``*_max_std_normal`` (every sync point),
+``Router.submit`` and ``ReplicaBatchQueue.push`` (every arrival).
+``ServiceTimeModel.batch_time`` checks a batch size on a memo miss only.
 """
 
 from __future__ import annotations

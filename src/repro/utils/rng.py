@@ -13,6 +13,8 @@ from typing import List, Optional, Union
 
 import numpy as np
 
+from repro.utils.checks import require_count
+
 SeedLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
 
@@ -29,8 +31,7 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     Used to give each simulated node / worker thread its own stream so that
     per-node jitter draws do not depend on scheduling order.
     """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
+    require_count("n", n, least=0)
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
     elif isinstance(seed, np.random.Generator):

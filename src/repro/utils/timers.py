@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
+from repro.utils.checks import require_real
+
 
 class Timer:
     """Accumulating named timer: ``with timer.section("conv1"): ...``.
@@ -21,8 +23,7 @@ class Timer:
         return _Section(self, name)
 
     def add(self, name: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative duration for {name!r}: {seconds}")
+        require_real("seconds", seconds, "[0, inf)")
         self._totals[name] = self._totals.get(name, 0.0) + seconds
         self._counts[name] = self._counts.get(name, 0) + 1
 

@@ -8,6 +8,8 @@ model against the paper's numbers.
 
 from __future__ import annotations
 
+from repro.utils.checks import require_real
+
 # Decimal (SI) units -- used for FLOP rates and dataset volumes, matching the
 # paper's usage ("15 PFLOP/s", "15TB").
 KB = 1e3
@@ -27,8 +29,7 @@ PFLOPS = 1e15
 
 def format_bytes(n: float, binary: bool = True) -> str:
     """Format a byte count, e.g. ``format_bytes(2.4e6)`` -> ``'2.29 MiB'``."""
-    if n < 0:
-        raise ValueError(f"byte count must be non-negative, got {n}")
+    require_real("n", n, "[0, inf)")
     base = 1024.0 if binary else 1000.0
     units = ["B", "KiB", "MiB", "GiB", "TiB", "PiB"] if binary else [
         "B", "KB", "MB", "GB", "TB", "PB"]
@@ -42,8 +43,7 @@ def format_bytes(n: float, binary: bool = True) -> str:
 
 def format_flops(rate: float) -> str:
     """Format a FLOP/s rate, e.g. ``format_flops(1.5e13)`` -> ``'15.00 TFLOP/s'``."""
-    if rate < 0:
-        raise ValueError(f"FLOP rate must be non-negative, got {rate}")
+    require_real("rate", rate, "[0, inf)")
     for unit, scale in (("PFLOP/s", PFLOPS), ("TFLOP/s", TFLOPS),
                         ("GFLOP/s", 1e9), ("MFLOP/s", 1e6)):
         if rate >= scale:
@@ -53,8 +53,7 @@ def format_flops(rate: float) -> str:
 
 def format_time(seconds: float) -> str:
     """Format a duration with an appropriate unit (us/ms/s/min)."""
-    if seconds < 0:
-        raise ValueError(f"duration must be non-negative, got {seconds}")
+    require_real("seconds", seconds, "[0, inf)")
     if seconds < 1e-3:
         return f"{seconds * 1e6:.2f} us"
     if seconds < 1.0:

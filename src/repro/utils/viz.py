@@ -10,6 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.checks import require_count
+
 
 def ascii_plot(series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
                width: int = 72, height: int = 20,
@@ -21,8 +23,8 @@ def ascii_plot(series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
     """
     if not series:
         raise ValueError("need at least one series")
-    if width < 16 or height < 6:
-        raise ValueError("plot too small to render")
+    require_count("width", width, least=16)
+    require_count("height", height, least=6)
     markers = "*+ox#@%&"
 
     def tx(v: np.ndarray) -> np.ndarray:

@@ -88,7 +88,7 @@ class TestFailureInjection:
     def test_invalid_failures(self):
         with pytest.raises(ValueError, match="out of range"):
             _trainer({7: 1.0})
-        with pytest.raises(ValueError, match="failure time"):
+        with pytest.raises(ValueError, match="failures: time"):
             _trainer({0: -1.0})
 
 

@@ -62,6 +62,14 @@ class TestHeadlineAccounting:
         res = climate_headline(seed=0, n_iterations=12)
         assert res.peak_flops / PFLOPS == pytest.approx(15.07, rel=0.35)
 
+    def test_a_run_shorter_than_the_window_is_refused(self):
+        """One group's 5 iterations never filled the 10-wide sustained
+        window, so the sustained rate read 0.0 beside a 1.29e14 peak."""
+        with pytest.raises(ValueError,
+                           match="n_iterations .* checkpoint_every"):
+            headline_run(hep_workload(), n_workers=96, n_ps=2, n_groups=3,
+                         n_iterations=5, checkpoint_every=10)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             headline_run(hep_workload(), n_workers=64, n_ps=2, n_groups=2,

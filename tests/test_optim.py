@@ -80,10 +80,10 @@ class TestSGD:
     @pytest.mark.parametrize("optimizer", [SGD, Adam])
     def test_learning_rate_must_be_positive_and_finite(self, optimizer, lr):
         # NaN used to pass: ``lr <= 0`` is false for it.
-        with pytest.raises(ValueError, match="learning rate must be positive"):
+        with pytest.raises(ValueError, match="lr must be positive"):
             optimizer(quad_params(), lr=lr)
         opt = optimizer(quad_params(), lr=0.1)
-        with pytest.raises(ValueError, match="learning rate must be positive"):
+        with pytest.raises(ValueError, match="lr must be positive"):
             opt.set_lr(lr)
         assert opt.lr == 0.1
 

@@ -550,7 +550,7 @@ class TestRouter:
         with pytest.raises(ValueError, match="n_replicas"):
             self._router(n_replicas=0)
         for bad in (0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="admission limits"):
+            with pytest.raises(ValueError, match="limits must be"):
                 self._router(limit=bad)
         with pytest.raises(ValueError, match="2 admission limits"):
             Router(None, 1, [BatchingPolicy()], [const_service(1.0)],

@@ -553,7 +553,7 @@ class TestDegenerateStatsContract:
 
     def test_percentile_domain_still_checked(self):
         s = LatencyStats(latencies=np.array([]), n_offered=0)
-        with pytest.raises(ValueError, match="percentile"):
+        with pytest.raises(ValueError, match="q must be"):
             s.percentile(101.0)
 
 

@@ -18,6 +18,7 @@ from repro.train import (
     tpr_at_fpr,
 )
 from repro.train.loop import predict_proba
+from repro.train.metrics import average_precision, precision_recall_curve
 from repro.utils.units import format_bytes, format_flops, format_time
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.timers import Timer
@@ -60,6 +61,26 @@ class TestROC:
 
     def test_accuracy(self):
         assert accuracy(np.array([0.9, 0.1]), np.array([1, 0])) == 1.0
+
+    @pytest.mark.parametrize("metric", [
+        roc_curve, auc, precision_recall_curve, average_precision, accuracy,
+        lambda s, y: tpr_at_fpr(s, y, 0.0)],
+        ids=["roc_curve", "auc", "precision_recall_curve",
+             "average_precision", "accuracy", "tpr_at_fpr"])
+    def test_a_nan_score_is_refused(self, metric):
+        """A NaN sorted last, so a diverged net's scores read as a ROC:
+        ``auc``, ``tpr_at_fpr(..., 0.0)`` and ``accuracy`` all gave 0.5."""
+        with pytest.raises(ValueError, match="scores"):
+            metric(np.array([0.9, np.nan, 0.2, 0.8]), np.array([1, 1, 0, 0]))
+
+    def test_infinite_scores_sort_and_tie(self):
+        """inf - inf is NaN, which read as two distinct scores: tied
+        infinities split into extra ROC points."""
+        labels = np.array([1, 0, 1, 0, 1])
+        finite = auc(np.array([9.0, 9.0, 0.5, -9.0, -9.0]), labels)
+        scores = np.array([np.inf, np.inf, 0.5, -np.inf, -np.inf])
+        assert auc(scores, labels) == finite
+        assert accuracy(scores, labels) == 0.6
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 60), seed=st.integers(0, 10**6))

@@ -39,7 +39,7 @@ class TestTimer:
         assert t.count("nope") == 0
 
     def test_negative_duration_raises(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="seconds must be >= 0"):
             Timer().add("x", -1.0)
 
     def test_reset(self):
