@@ -339,28 +339,29 @@ def _walk():
             if case in REQUIRED or (isinstance(p.default, numbers.Real)
                                     and not isinstance(p.default, bool)
                                     and p.name not in NOT_NUMBERS):
-                count = isinstance(_fixture(fn, p), int)
-                yield pytest.param(fn, p.name, count, id=case + (
-                    " (hole)" if case in WALK_HOLES else ""))
+                bads = ((NAN, "1", INF, -INF)
+                        + ((2.5,) if isinstance(_fixture(fn, p), int) else ())
+                        + ((OUTSIDE[case],) if case in OUTSIDE else ()))
+                hole = " (hole)" if case in WALK_HOLES else ""
+                for bad in bads:
+                    yield pytest.param(fn, p.name, bad,
+                                       id=f"{case}={bad!r}{hole}")
 
 
 _BUILT = set()
 
 
-@pytest.mark.parametrize("fn, name, count", _walk())
-def test_the_walk_refuses_a_bad_number_by_name(fn, name, count, tmp_path):
+@pytest.mark.parametrize("fn, name, bad", _walk())
+def test_the_walk_refuses_a_bad_number_by_name(fn, name, bad, tmp_path):
     if fn not in _BUILT:        # it builds from its fixtures and defaults
         fn(**_args(fn, tmp_path))
         _BUILT.add(fn)
-    case = f"{fn.__qualname__}.{name}"
-    for bad in ((NAN, "1", INF, -INF) + ((2.5,) if count else ())
-                + ((OUTSIDE[case],) if case in OUTSIDE else ())):
-        kw = _args(fn, tmp_path, **{name: bad})
-        if f"{case}={bad!r}" in ALLOWED:
-            fn(**kw)
-            continue
-        with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
-            fn(**kw)
+    kw = _args(fn, tmp_path, **{name: bad})
+    if f"{fn.__qualname__}.{name}={bad!r}" in ALLOWED:
+        fn(**kw)
+        return
+    with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
+        fn(**kw)
 
 
 @pytest.mark.parametrize("key", [k for k, (_, build) in ALLOWED.items()
@@ -370,7 +371,7 @@ def test_an_infinity_that_means_none_is_kept(key):
 
 
 def test_the_walk_lists_stay_short():
-    walked = {c.id.split(" ")[0] for c in _walk()}
+    walked = {c.id.split("=")[0] for c in _walk()}
     assert len(ALLOWED) <= 25 and len(NOT_WALKED) <= 20
     assert all(reason for reason, _ in ALLOWED.values())
     assert set(WALK_HOLES) | set(OUTSIDE) | REQUIRED <= walked
