@@ -107,8 +107,7 @@ class KNLNodeModel:
         are the gap between the conv-only rate and the whole-network rate in
         Fig 5) — backward doubles the traffic.
         """
-        if not hasattr(batch, "__index__") or batch < 1:  # NumPy ints too
-            raise ValueError(f"batch must be an integer >= 1, got {batch!r}")
+        require_count("batch", batch)
         flops = layer.training_flops if training else layer.forward_flops
         if layer.kind in ("conv", "deconv"):
             return flops / self.layer_rate(layer, batch)

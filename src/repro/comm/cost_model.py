@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.utils.checks import require_real
+from repro.utils.checks import require_count, require_real
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,8 @@ class AlphaBetaModel:
 
 
 def _check(nbytes: int, p: int = 1) -> None:
-    # Inline, not repro.utils.checks: every simulated collective runs this.
-    if not 0 <= nbytes < math.inf:
-        raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes!r}")
-    if not hasattr(p, "__index__") or p < 1:    # an integer, NumPy's too
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    require_real("nbytes", nbytes, "[0, inf)")
+    require_count("p", p)
 
 
 def point_to_point_time(nbytes: int, model: AlphaBetaModel) -> float:

@@ -80,7 +80,7 @@ class QuantizedGradSGD(Optimizer):
             raise ValueError(f"unknown mode {mode!r}")
         self.bits = require_count("bits", bits, least=2)
         self.mode = mode
-        self.scale = scale
+        self.scale = require_real("scale", scale, "(0, inf)", none_ok=True)
         self.momentum = require_real("momentum", momentum, "[0, 1)")
         self._rng = as_rng(seed)
         self._velocity: dict = {}

@@ -294,13 +294,15 @@ class ReplicaBatchQueue:
         if not self._clock <= t < math.inf:
             raise ValueError(f"t must be finite and nondecreasing, got "
                              f"{t!r} after {self._clock}")
-        # a Python int (the router hands over its own index): per arrival,
-        # an exact class test is the cheapest check that refuses 0.5
+        # per arrival, the router's own Python int takes the cheapest test;
+        # another integer (NumPy's) goes through require_count, as 0.5 does
         if not (model.__class__ is int
                 and 0 <= model < len(self.service_times)):
-            raise ValueError(
-                f"model index {model} outside the {len(self.service_times)} "
-                f"registered service models")
+            model = require_count("model", model, least=0)
+            if model >= len(self.service_times):
+                raise ValueError(
+                    f"model index {model} outside the "
+                    f"{len(self.service_times)} registered service models")
         left = (self.advance(t) if self._nfull > 0 or self._next < t
                 else self._next)
         self._clock = t

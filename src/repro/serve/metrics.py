@@ -327,6 +327,8 @@ class LatencyStats(_LatencySample):
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
         _check_counts(self)
         require_real("horizon", self.horizon, "[0, inf)")
+        require_real("mean_replicas", self.mean_replicas, "[0, inf)",
+                     none_ok=True)
         if self.batch_sizes is not None:
             self.batch_sizes = np.asarray(self.batch_sizes, dtype=np.int64)
             on_replicas = (self.n_completed - self.n_cache_hits

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.checks import require_count
+
 
 def expected_max_std_normal(p: int) -> float:
     """E[max of p standard normals], Gumbel approximation (exact-ish, p>=2)."""
-    if not hasattr(p, "__index__") or p < 1:    # an integer, NumPy's too
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    require_count("p", p)
     if p == 1:
         return 0.0
     a = np.sqrt(2.0 * np.log(p))
@@ -26,8 +27,7 @@ def expected_max_std_normal(p: int) -> float:
 
 def sample_max_std_normal(p: int, rng: np.random.Generator) -> float:
     """One draw of max(p standard normals) via the Gumbel limit."""
-    if not hasattr(p, "__index__") or p < 1:    # an integer, NumPy's too
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    require_count("p", p)
     if p == 1:
         return float(rng.normal())
     if p <= 64:

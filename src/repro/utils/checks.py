@@ -7,11 +7,11 @@ the interval is closed at it, which is how a caller says that ``inf``
 means "none" (an SLO, an admission limit, a hold time, an MTBF):
 ``"(0, inf]"`` takes it, ``"(0, inf)"`` does not.
 
-A check that runs per call on a hot path stays inline, a comparison and
-no call, and still refuses NaN and a fraction by name: ``cost_model._check``
-(every simulated collective), ``KNLNodeModel.layer_time`` (every priced
-layer), ``sim.sampling``'s ``*_max_std_normal`` (every sync point),
-``Router.submit`` and ``ReplicaBatchQueue.push`` (every arrival).
+A Python ``int`` or ``float`` skips the abstract-class test, the costly
+part of a check, so per-call sites (every simulated collective, priced
+layer and straggler draw) call these too. Only the two checks that run per
+arrival of a serving simulation stay inline, a comparison and no call:
+``Router.submit`` and ``ReplicaBatchQueue.push``.
 ``ServiceTimeModel.batch_time`` checks a batch size on a memo miss only.
 """
 
@@ -31,7 +31,8 @@ def require_count(name: str, value, none_ok: bool = False, least: int = 1):
     methods)."""
     if value is None and none_ok:
         return None
-    if not isinstance(value, numbers.Integral) or value < least:
+    if not (type(value) is int
+            or isinstance(value, numbers.Integral)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}"
                          f"{' or None' if none_ok else ''}, got {value!r}")
     return int(value)
@@ -64,7 +65,7 @@ def require_real(name: str, value, interval: str = "[-inf, inf]",
     if value is None and none_ok:
         return None
     lo, hi, lo_open, hi_open, words = _interval(interval)
-    if not (isinstance(value, numbers.Real)
+    if not ((type(value) in (float, int) or isinstance(value, numbers.Real))
             and (lo < value if lo_open else lo <= value)
             and (value < hi if hi_open else value <= hi)):
         raise ValueError(f"{name} must be {words}, got {value!r}; allowed: "

@@ -43,7 +43,7 @@ from repro.serve import (
 )
 from repro.serve.metrics import CacheSizeSweep, LatencyStats, PerModelStats
 from repro.serve.obs import Tracer
-from repro.serve.reference import EventLoopSimulator
+from repro.serve.reference import EventLoopSimulator, LinearRouter
 from repro.utils.rng import as_rng
 
 SEEDS = [11, 4242, 20260729]
@@ -195,6 +195,20 @@ class TestModelLanes:
             assert router.n_offered == 0 and router.shed_ids == []
         assert two.submit(0.0, 0, 1) and two.n_offered == 1
         assert [rid for _, rid in two.replicas[0].queue.lanes[1]] == [0]
+
+    def test_a_numpy_model_index_is_read_as_its_int(self):
+        """The queue, the router and the linear oracle put a NumPy model
+        index in its int's lane; the queue refuses 0.5 by name."""
+        svc = [lambda b: 0.01] * 2
+        q = ReplicaBatchQueue([BatchingPolicy()] * 2, svc)
+        q.push(0.0, 0, np.int64(1))
+        assert [rid for _, rid in q.lanes[1]] == [0]
+        with pytest.raises(ValueError, match="model must be an integer"):
+            q.push(0.0, 1, 0.5)
+        for cls in (Router, LinearRouter):
+            r = cls(None, 1, [BatchingPolicy()] * 2, svc)
+            assert r.submit(0.0, 0, np.int64(1))
+            assert [rid for _, rid in r.replicas[0].queue.lanes[1]] == [0]
 
 
 # -- weighted admission ------------------------------------------------------
