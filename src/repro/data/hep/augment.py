@@ -28,11 +28,13 @@ ETA_AXIS = 2
 
 
 def phi_shift(images: np.ndarray, shift: int) -> np.ndarray:
-    """Cyclic shift along phi — an exact detector symmetry."""
+    """Cyclic shift along phi — an exact detector symmetry. ``shift`` is
+    any signed integer (a NumPy one too)."""
     if images.ndim != 4:
         raise ValueError(f"expected (N, C, eta, phi) images, got "
                          f"{images.shape}")
-    return np.roll(images, shift, axis=PHI_AXIS)
+    return np.roll(images, require_count("shift", shift, least=None),
+                   axis=PHI_AXIS)
 
 
 def eta_flip(images: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from repro.core.parameter import Parameter
 from repro.nn.im2col import (
     check_input, deconv_output_size, lowered_matmul, lowered_outer,
     matmul_col2im)
+from repro.utils.checks import require_count
 from repro.utils.rng import SeedLike
 
 
@@ -61,6 +62,11 @@ class Deconv2D(Module):
          self.stride) = check_sizes(
             self.name, in_channels=in_channels, out_channels=out_channels,
             kernel_size=kernel_size, stride=stride)
+        if pad is None:
+            # the default pad (kernel_size - stride) // 2 needs a kernel at
+            # least as wide as the stride
+            require_count(f"{self.name}: kernel_size - stride (pad=None)",
+                          self.kernel_size - self.stride, least=0)
         self.pad, = check_sizes(
             self.name, pad=(kernel_size - stride) // 2 if pad is None else pad)
 

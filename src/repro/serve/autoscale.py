@@ -471,7 +471,8 @@ class AutoscalingSimulator(ServingSimulator):
         queue_depth = sum(r.queue.outstanding(t_end)
                           for r in router.replicas)
         sizes = [b.size for b in epoch_batches]
-        mean_batch = float(np.mean(sizes)) if sizes else float("nan")
+        # exact integer sum over the count: np.mean's float, bit for bit
+        mean_batch = sum(sizes) / len(sizes) if sizes else float("nan")
         pols = self.model_policies()
         if not sizes:
             occupancy = float("nan")
@@ -585,19 +586,10 @@ class AutoscalingSimulator(ServingSimulator):
                                 n_repaired=repaired_in_epoch)
             repaired_in_epoch = n_admitted = 0
             if tracer is not None:
-                tracer.emit(
-                    "epoch", t,
-                    data={"index": rec.index, "n_replicas": rec.n_replicas,
-                          "n_arrived": rec.n_arrived,
-                          "n_completed": rec.n_completed,
-                          "n_ok": rec.n_ok, "n_doomed": rec.n_doomed,
-                          "n_shed": rec.n_shed,
-                          "attainment": rec.attainment,
-                          "control_attainment": rec.control_attainment,
-                          "occupancy": rec.occupancy,
-                          "queue_depth": rec.queue_depth,
-                          "n_degraded": rec.n_degraded,
-                          "n_repaired": rec.n_repaired})
+                tracer.emit("epoch", t, data={f: getattr(rec, f) for f in (
+                    "index", "n_replicas", "n_arrived", "n_completed", "n_ok",
+                    "n_doomed", "n_shed", "attainment", "control_attainment",
+                    "occupancy", "queue_depth", "n_degraded", "n_repaired")})
             decision = controller.decide(rec)
             if decision.delta > 0:
                 for _ in range(decision.delta):
@@ -657,7 +649,8 @@ class AutoscalingSimulator(ServingSimulator):
             apply_failure = run.prof.wrap("autoscale.apply_failure",
                                           apply_failure)
 
-        run.ts, stream, serve = self._feed(run, router)
+        run.ts = memoryview(arrivals)
+        stream, serve = self._feed(run, router)
         t_fail = failures[0].time if failures else math.inf
         next_control = min(t_fail, next_epoch)
         for t, i, model in stream:

@@ -290,12 +290,13 @@ class ReplicaBatchQueue:
         A push does only work that can change state: it advances only when
         a lane holds a full batch or the kept instant is before ``t`` (else
         the advance commits nothing), and rebuilds the pushed lane's key
-        only for a new lane head or a fill, the only appends that move it."""
+        only for a new lane head or a fill, the only appends that move it.
+        The router pushes through :meth:`_push`, the body unchecked."""
         if not self._clock <= t < math.inf:
             raise ValueError(f"t must be finite and nondecreasing, got "
                              f"{t!r} after {self._clock}")
-        # per arrival, the router's own Python int takes the cheapest test;
-        # another integer (NumPy's) goes through require_count, as 0.5 does
+        # a Python int takes the cheapest test; another integer (NumPy's)
+        # goes through require_count, as 0.5 does
         if not (model.__class__ is int
                 and 0 <= model < len(self.service_times)):
             model = require_count("model", model, least=0)
@@ -303,6 +304,10 @@ class ReplicaBatchQueue:
                 raise ValueError(
                     f"model index {model} outside the "
                     f"{len(self.service_times)} registered service models")
+        return self._push(t, request_id, model)
+
+    def _push(self, t: float, request_id: int, model: int) -> float:
+        """:meth:`push` on a checked arrival (``model`` a Python int)."""
         left = (self.advance(t) if self._nfull > 0 or self._next < t
                 else self._next)
         self._clock = t
@@ -441,13 +446,10 @@ class ReplicaBatchQueue:
         holds ``slos``.
         """
         self.advance(math.inf)
+        slos = self.slos or [0.0] * len(self.service_times)
         while True:
-            if self.slos is None:
-                held = [(lane[0][0], model)
-                        for model, lane in self.lanes.items() if lane]
-            else:
-                held = [(lane[0][0] + self.slos[model], model)
-                        for model, lane in self.lanes.items() if lane]
+            held = [(lane[0][0] + slos[model], model)
+                    for model, lane in self.lanes.items() if lane]
             if not held:
                 return
             _, model = min(held)

@@ -30,7 +30,7 @@ A request's completion is recorded once, in the batch it launched with:
 each replica queue's batch list is the record, and :meth:`Router.
 completions` is a view built from the live and retired replicas' lists.
 
-``submit`` first syncs the heaps to the arrival time (when a launch or
+An admit first syncs the heaps to the arrival time (when a launch or
 completion event is due by then — otherwise a sync plays nothing), then
 reads the heap top — the same decision a linear scan makes (the
 differential tests pin bit-identical completions against
@@ -137,7 +137,7 @@ class Router:
             float(require_real("model_costs", c, "(0, inf)"))
             for c in model_costs])
         #: per-model admission limit on a replica's published load (see
-        #: :meth:`_route`); unbounded (``inf``) when not given
+        #: :meth:`_admit`); unbounded (``inf``) when not given
         self._limits = ([require_real("limits", L, "(0, inf]")
                          for L in limits] if limits is not None
                         else [math.inf] * n_models)
@@ -164,7 +164,7 @@ class Router:
         #: (completion, replica, model, size) — one decrement per batch
         self._completion_events: List[Tuple[float, int, int, int]] = []
         self._launch_events: List[Tuple[float, int]] = []
-        #: replica index -> launch instant last pushed (see :meth:`_route`)
+        #: replica index -> launch instant last pushed (see :meth:`_admit`)
         self._sched: Dict[int, float] = {}
         # One contiguous allocation, one node per replica (Fig 3 ideal).
         placement = self.machine.topology.place(n_replicas, 1)
@@ -252,7 +252,7 @@ class Router:
         """Play every event due by ``t``: commit due launches (which feeds
         the completion heap), then apply due backlog decrements. Amortized
         O(log R) per event; each arrival generates O(1) events. With no
-        event due it changes nothing, so :meth:`submit` calls it only when
+        event due it changes nothing, so :meth:`_admit` calls it only when
         a heap top is due (the array core's ``nle`` / ``nce`` test)."""
         le = self._launch_events
         sched = self._sched
@@ -317,24 +317,28 @@ class Router:
         if not self._clock <= t < math.inf:
             raise ValueError(f"t must be finite and nondecreasing, got "
                              f"{t!r} after {self._clock}")
-        self._clock = t
-        self.n_offered += 1
-        if not self.replicas:
-            # Every replica has failed and no repair has landed yet: shed.
-            return self._shed(request_id)
-        le, ce = self._launch_events, self._completion_events
-        if le and le[0][0] <= t or ce and ce[0][0] <= t:
-            self._sync(t)
-        return self._route(t, request_id, m, self._limits[m])
+        return self._admit(t, request_id, m)
 
-    def _route(self, t: float, request_id: int, model: int, limit: float,
+    def _admit(self, t: float, request_id: int, model: int,
                source: Optional[int] = None) -> bool:
-        """The one admit body, of :meth:`submit` and of a drain's re-routes
-        (``limit`` inf; ``source`` the drained replica): on
-        the least (load, index) — the linear scan's pick — shed at
-        ``limit``, else push, publish the fresh :meth:`_value` and push a
-        *changed* launch instant (an unchanged one is still pending: every
-        fired event re-pushes its replica's in :meth:`_sync`)."""
+        """The one admit body: :meth:`submit` unchecked (the simulators
+        call it on their own streams), and a drain's re-route (``source``
+        the drained replica: no offer bookkeeping, limit inf). On the
+        least (load, index) — the linear scan's pick — shed at the limit,
+        else push, publish the fresh :meth:`_value` and push a *changed*
+        launch instant (an unchanged one is still pending: every fired
+        event re-pushes its replica's in :meth:`_sync`)."""
+        limit = math.inf
+        if source is None:
+            self._clock = t
+            self.n_offered += 1
+            if not self.replicas:
+                # Every replica has failed and no repair has landed: shed.
+                return self._shed(request_id)
+            le, ce = self._launch_events, self._completion_events
+            if le and le[0][0] <= t or ce and ce[0][0] <= t:
+                self._sync(t)
+            limit = self._limits[model]
         heap, load = self._load_heap, self._load
         value, idx = heap[0]
         while load.get(idx) != value:    # stale entry: retired or restated
@@ -348,7 +352,7 @@ class Router:
                 self.tracer.emit("reroute", t, request_id=request_id,
                                  replica=source, model=model,
                                  data={"to": idx})
-        t_launch = self._live[idx].queue.push(t, request_id, model)
+        t_launch = self._live[idx].queue._push(t, request_id, model)
         backlog = self._backlog
         backlog[idx] = value = backlog[idx] + 1
         costs = self.model_costs
@@ -413,7 +417,7 @@ class Router:
         if self.tracer is not None:
             self.tracer.emit("drain", t, replica=replica.index)
         for _, rid, model in replica.queue.evict_queued(t):
-            self._route(t, rid, model, math.inf, replica.index)
+            self._admit(t, rid, model, replica.index)
         self.retired.append(replica)
         return replica
 

@@ -96,9 +96,9 @@ class _Run:
     coalescing (else ``cache`` is ``None``): each request's content id
     (int64), the fill events (batch completions waiting to become cache
     entries), the hits (id -> arrival time) and the coalescing ledger
-    (key -> in-flight leader, follower -> leader). An autoscaled run adds the SLOs its epochs judge by, the
-    doomed floors, the arrival times as native floats (``ts``), each
-    replica's [launch, completion] batch cursor, and its results."""
+    (key -> in-flight leader, follower -> leader). An autoscaled run adds
+    the SLOs its epochs judge by, the doomed floors, a memoryview over
+    ``arrivals`` (``ts``), each replica's batch cursors and its results."""
 
     __slots__ = ("seed", "arrivals", "mids", "rtts", "tracer", "prof",
                  "cache", "contents", "fills", "hits", "inflight",
@@ -514,10 +514,10 @@ class ServingSimulator:
             if prof is not None:
                 # Hook the hot-path bound methods per instance: an
                 # unprofiled run never even pays for the check. Spans are
-                # inclusive — submit contains sync (event catch-up:
+                # inclusive — an admit contains sync (event catch-up:
                 # batch planning and launch commits) which it calls.
                 hooked = [(router, "_sync", "router.sync"),
-                          (router, "submit", "router.submit")]
+                          (router, "_admit", "router.submit")]
                 if run.cache is not None:
                     hooked += [(run.cache, "get", "cache.get"),
                                (run.cache, "put", "cache.put")]
@@ -568,8 +568,8 @@ class ServingSimulator:
         forward instead of following a corpse.
         """
         if self.coalesce:
-            # Commits normally fire inside submit's event catch-up, but a
-            # coalesced (or hit) arrival never submits — sync explicitly,
+            # Commits normally fire inside an admit's event catch-up, but
+            # a coalesced (or hit) arrival is never admitted — sync,
             # or a run of duplicates would ride a leader whose batch long
             # since completed (stale ledger, fills never draining,
             # negative "latencies").
@@ -596,22 +596,21 @@ class ServingSimulator:
             if leader is not None and leader not in router.failed_ids:
                 run.coalesced[request_id] = leader
                 return False
-        admitted = router.submit(t, request_id, model)
+        admitted = router._admit(t, request_id, model)
         if admitted and self.coalesce:
             run.inflight[key] = request_id
         return admitted
 
     def _feed(self, run: _Run, router: Router):
-        """The arrival times as native floats, the event loops' ``(t,
-        request_id, model)`` stream over them and what serves one: the
-        router's ``submit``, or :meth:`_offer` with a cache — bound after
-        :meth:`run` hooks the profiler, so a profiled run times the
-        ``submit`` it calls."""
-        ts = run.arrivals.astype(np.float64).tolist()
+        """The event loops' ``(t, request_id, model)`` stream, read in
+        place off the run's columns (made valid, so unchecked), and what
+        serves one: the router's ``_admit`` or, with a cache,
+        :meth:`_offer` — bound after :meth:`run` hooks the profiler."""
         models = repeat(0) if run.mids is None else memoryview(run.mids)
-        serve = (router.submit if run.cache is None
+        serve = (router._admit if run.cache is None
                  else partial(self._offer, run, router))
-        return ts, zip(ts, range(len(ts)), models), serve
+        return zip(memoryview(run.arrivals), range(run.arrivals.size),
+                   models), serve
 
     def _drive(self, run: _Run,
                router: Router) -> Optional[fast_core.FastRun]:
@@ -635,13 +634,13 @@ class ServingSimulator:
 
     def _drive_events(self, run: _Run, router: Router) -> None:
         """The object event loop: each arrival is one call (see
-        :meth:`_feed`), the router's ``submit`` or :meth:`_offer` when a
+        :meth:`_feed`), the router's admit body or :meth:`_offer` when a
         cache sits in front. It keeps no per-arrival ledger of its own:
         after the drain :meth:`_record` reads the router's and the run's.
         The differential tests pin a simulator to it by binding ``_drive``
         to this method in a subclass."""
         self.last_run_engine = "event"
-        _, stream, serve = self._feed(run, router)
+        stream, serve = self._feed(run, router)
         for t, i, model in stream:
             serve(t, i, model)
 

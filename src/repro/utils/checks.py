@@ -9,9 +9,13 @@ means "none" (an SLO, an admission limit, a hold time, an MTBF):
 
 A Python ``int`` or ``float`` skips the abstract-class test, the costly
 part of a check, so per-call sites (every simulated collective, priced
-layer and straggler draw) call these too. Only the two checks that run per
-arrival of a serving simulation stay inline, a comparison and no call:
-``Router.submit`` and ``ReplicaBatchQueue.push``.
+layer and straggler draw) call these too. Two per-arrival checks stay
+inline, a comparison and no call: ``Router.submit`` and
+``ReplicaBatchQueue.push``, the public API entries a direct caller goes
+through. A simulator run skips both: its stream comes from
+``make_arrivals`` / ``make_model_ids`` (finite, nondecreasing, in range),
+so its drive loops call the trusted bodies, ``Router._admit`` and
+``ReplicaBatchQueue._push``.
 ``ServiceTimeModel.batch_time`` checks a batch size on a memo miss only.
 """
 
@@ -20,20 +24,23 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from typing import Optional
 
 
-def require_count(name: str, value, none_ok: bool = False, least: int = 1):
+def require_count(name: str, value, none_ok: bool = False,
+                  least: Optional[int] = 1):
     """``value`` as a Python ``int``, rejected unless it is an integer
-    >= ``least`` (or ``None`` with ``none_ok``). A fractional or NaN count
-    is not a count: the event engine compares with it as a float while the
-    array engine truncates or indexes with it, so the two would disagree or
-    one would crash (as it would on a NumPy integer's missing int
-    methods)."""
+    >= ``least`` (any integer with ``least=None``; or ``None`` with
+    ``none_ok``). A fractional or NaN count is not a count: the event
+    engine compares with it as a float while the array engine truncates or
+    indexes with it, so the two would disagree or one would crash (as it
+    would on a NumPy integer's missing int methods)."""
     if value is None and none_ok:
         return None
-    if not (type(value) is int
-            or isinstance(value, numbers.Integral)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}"
+    if not (type(value) is int or isinstance(value, numbers.Integral)) or (
+            least is not None and value < least):
+        raise ValueError(f"{name} must be an integer"
+                         f"{'' if least is None else f' >= {least}'}"
                          f"{' or None' if none_ok else ''}, got {value!r}")
     return int(value)
 

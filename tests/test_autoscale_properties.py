@@ -967,8 +967,9 @@ class _Touches(list):
 
 class _TouchCounted(AutoscalingSimulator):
     def _feed(self, run, router):
-        ts, stream, serve = super()._feed(run, router)
-        return _Touches(ts), stream, serve
+        # the drive loop sets the arrival column it observes by, then feeds
+        run.ts = _Touches(run.ts.tolist())
+        return super()._feed(run, router)
 
     def _observe(self, *args, **kw):
         _Touches.counting = True

@@ -42,7 +42,7 @@ from repro.data.hep import EventGenerator
 from repro.distributed import (ElasticHybridTrainer, HybridTrainer,
                                SyncDataParallel)
 from repro.models.bbox import Box
-from repro.nn import Conv2D, Dense
+from repro.nn import Conv2D, Deconv2D, Dense
 from repro.optim import SGD, ConstantLR
 from repro.optim.quantize import quantization_step
 from repro.serve import (
@@ -196,6 +196,7 @@ FIXTURES = {
     "decay": 0.5, "decay_steps": 10, "image_width": 32, "format_bytes.n": 10.0,
     "TropicalCyclone.radius": 3.0, "Autoscaler.policy": AutoscalePolicy,
     "to_chrome.tracer": _traced, "to_chrome.path": os.devnull,
+    "phi_shift.shift": 1,
 }
 
 #: required parameters the walk tries too, from their value in FIXTURES
@@ -219,7 +220,7 @@ REQUIRED = {
     "ExponentialDecayLR.decay_steps", "implicit_async_momentum.n_groups",
     "BatchNorm2D.channels", "Dense.in_features", "make_hep_dataset.n_events",
     "TropicalCyclone.radius", "augmentation_factor.image_width", "StepLR.lr",
-    "format_bytes.n", "make_climate_dataset.n_images",
+    "format_bytes.n", "make_climate_dataset.n_images", "phi_shift.shift",
 }
 
 #: ``"Callable.param=value"`` a call keeps, with why: an infinity that
@@ -322,6 +323,8 @@ WALK_HOLES = {
     "AutoscalingSimulator.n_replicas": "59: NaN was an 'initial fleet'",
     "QuantizedGradSGD.scale": "60: a NaN or infinite clip range was taken",
     "LatencyStats.mean_replicas": "61: a NaN mean fleet was accepted",
+    "phi_shift.shift": "63: NaN raised NumPy's 'cannot convert float NaN to "
+    "integer'; 2.5 shifted by 2",
 }
 
 
@@ -501,6 +504,9 @@ ROWS = [
     ("EventQueue.schedule_at: time", 1.0, R_NONE,
      "33: a NaN event scheduled first: nothing ran",
      lambda v, _: EventQueue().schedule_at(v, lambda: None)),
+    ("Deconv2D: kernel_size - stride", 3, (8, 4),
+     "62: stride=8 was refused for 'pad ... got -3', a pad never passed",
+     lambda v, _: Deconv2D(3, 2, 3, stride=v)),
 ]
 
 
@@ -521,7 +527,11 @@ def test_a_bad_number_is_refused_by_name(name, build, valid, bad, tmp_path):
 def test_every_hole_has_a_row():
     holes = {hole.split(":")[0] for hole in
              [row[3] for row in ROWS] + list(WALK_HOLES.values()) if hole}
-    assert holes == {str(i) for i in range(1, 62)}
+    assert holes == {str(i) for i in range(1, 64)}
+
+
+def test_an_explicit_deconv_pad_takes_any_stride():
+    assert Deconv2D(3, 2, 3, stride=8, pad=0, rng=0).pad == 0
 
 
 def test_a_model_that_never_fails_survives_any_run():

@@ -219,7 +219,8 @@ class TestAccounting:
         (lambda: Conv2D(3, 4, 3, pad=0.5, name="c"), "pad", 0, "0.5"),
         (lambda: Conv2D(3, 4.0, 3, name="c"), "out_channels", 1, "4.0"),
         (lambda: Deconv2D(3, 4, 4, stride=2.0, name="c"), "stride", 1, "2.0"),
-        (lambda: Deconv2D(3, 4, 2, stride=4, name="c"), "pad", 0, "-1"),
+        (lambda: Deconv2D(3, 4, 2, stride=4, name="c"),
+         r"kernel_size - stride \(pad=None\)", 0, "-2"),
         (lambda: MaxPool2D(2.0, name="c"), "kernel_size", 1, "2.0"),
         (lambda: MaxPool2D(2, stride=float("nan"), name="c"), "stride", 1,
          "nan")])

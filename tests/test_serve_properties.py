@@ -455,14 +455,23 @@ class _EveryAdmitRouter(Router):
     """The earlier launch-event rule, kept as the reference: every admit
     pushes the replica's fresh :meth:`next_launch` scan (one event per
     admitted request), and every fired event re-pushes one. Its admit
-    body picks by a linear scan of the published loads."""
+    body syncs on every offer and picks by a linear scan of the published
+    loads."""
 
     def _schedule(self, handle):
         launch = handle.queue.next_launch()
         if launch != math.inf:
             heapq.heappush(self._launch_events, (launch, handle.index))
 
-    def _route(self, t, request_id, model, limit, source=None):
+    def _admit(self, t, request_id, model, source=None):
+        limit = math.inf
+        if source is None:
+            self._clock = t
+            self.n_offered += 1
+            if not self.replicas:
+                return self._shed(request_id)
+            self._sync(t)
+            limit = self._limits[model]
         value, idx = min((self._load[r.index], r.index)
                          for r in self.replicas)
         if value >= limit:
@@ -778,48 +787,57 @@ def test_an_admit_does_only_work_that_can_change_state():
 
 
 def _router_calls(sim, **run):
-    """Run ``sim`` with every :class:`Router` method and
-    ``ServingSimulator._offer`` spied. Returns the stats, the ``_offer``
-    count and, per ``submit``, whether it admitted and the router helpers
-    it entered outside event catch-up (``_sync``, which plays due events
-    and is counted against the batches above)."""
-    offers, submits, stack = [], [], []
+    """Run ``sim`` with every :class:`Router` method, the queue's checked
+    ``push`` and trusted ``_push`` and ``ServingSimulator._offer`` spied.
+    Returns the stats, the ``_offer`` count, the checked entries entered
+    (``submit``, ``push``) and, per top-level ``_admit`` (one that no
+    other spied method called), whether it admitted and the helpers it
+    entered outside event catch-up (``_sync``, which plays due events and
+    is counted against the batches above)."""
+    offers, admits, checked, stack = [], [], [], []
 
     def spied(name, method):
         def counted(*args, **kwargs):
             if name == "_offer":
                 offers.append(args[3])   # (self, run, router, t, ...)
                 return method(*args, **kwargs)
-            if name == "submit" and not stack:
-                submits.append([None, []])
-            elif stack[:1] == ["submit"] and "_sync" not in stack + [name]:
-                submits[-1][1].append(name)
+            if name in ("submit", "push"):
+                checked.append(name)
+            if name == "_admit" and not stack:
+                admits.append([None, []])
+            elif stack[:1] == ["_admit"] and "_sync" not in stack + [name]:
+                admits[-1][1].append(name)
             stack.append(name)
             try:
                 out = method(*args, **kwargs)
             finally:
                 stack.pop()
-            if name == "submit" and not stack:
-                submits[-1][0] = out
+            if name == "_admit" and not stack:
+                admits[-1][0] = out
             return out
         return counted
 
     methods = {name: spied(name, fn) for name, fn in vars(Router).items()
                if inspect.isfunction(fn) and not name.startswith("__")}
     with mock.patch.multiple(Router, **methods), \
+            mock.patch.multiple(ReplicaBatchQueue, **{
+                name: spied(name, getattr(ReplicaBatchQueue, name))
+                for name in ("push", "_push")}), \
             mock.patch.object(ServingSimulator, "_offer", spied(
                 "_offer", ServingSimulator._offer)):
         stats = sim.run(**run)
-    return stats, len(offers), submits
+    return stats, len(offers), checked, admits
 
 
 @pytest.mark.parametrize("case", ["edf", "autoscale", "cached"])
 def test_an_arrival_is_one_router_call(case):
-    """Without a result cache both drive loops hand each arrival to the
-    router's bound ``submit``: ``_offer`` is never entered, ``submit`` once
-    per request, and an admitted arrival enters one router helper (the
-    admit body) besides the queue's ``push``. With a cache every arrival
-    still goes through ``_offer`` (the cache is looked up first)."""
+    """Each arrival that reaches the router is one call of its trusted
+    admit body ``_admit``: without a result cache the drive loops call it
+    bound, once per request (``_offer`` never entered); with one every
+    arrival goes through ``_offer`` and each miss is one ``_admit``. An
+    admitted arrival enters one helper, the queue's trusted ``_push``, and
+    a run never enters the checked ``Router.submit`` or
+    ``ReplicaBatchQueue.push``: the simulator made its own stream."""
     from repro.sim.workload import climate_workload, hep_workload
     n = 2_000
     policy = BatchingPolicy(max_batch=4, max_wait=2e-3)
@@ -843,16 +861,45 @@ def test_an_arrival_is_one_router_call(case):
                                  policy=policy, n_replicas=2, cache_size=16)
         run = dict(rate=_SVC.peak_throughput(4), process="poisson",
                    popularity=ZipfPopularity(alpha=1.1, n_keys=64))
-    stats, n_offers, submits = _router_calls(sim, n_requests=n, seed=0,
-                                             **run)
+    stats, n_offers, checked, admits = _router_calls(sim, n_requests=n,
+                                                     seed=0, **run)
     assert sim.last_run_engine == "event"
+    assert checked == []
     if case == "cached":
-        assert n_offers == n and 0 < len(submits) < n
+        assert n_offers == n and 0 < stats.n_cache_hits < n
+        assert len(admits) == n - stats.n_cache_hits
     else:
-        assert n_offers == 0 and len(submits) == n
-    admitted = [helpers for ok, helpers in submits if ok]
-    assert len(admitted) > len(submits) // 2
-    assert all(helpers == ["_route"] for helpers in admitted)
+        assert n_offers == 0 and len(admits) == n
+    admitted = [helpers for ok, helpers in admits if ok]
+    assert len(admitted) > len(admits) // 2
+    assert all(helpers == ["_push"] for helpers in admitted)
+    assert all(helpers == ["_shed"] for ok, helpers in admits if not ok)
     if case == "autoscale":
         assert "failure" in [e.action for e in stats.scale_events]
         assert stats.n_dropped > 0
+
+
+@pytest.mark.parametrize("entry", ["Router.submit", "ReplicaBatchQueue.push"])
+@pytest.mark.parametrize("t, model, name", [
+    (math.nan, 0, "t"), (0.5, 0, "t"), (math.inf, 1, "t"),
+    (2.0, 2, "model"), (2.0, -1, "model"), (2.0, 0.5, "model"),
+    (2.0, "1", "model")])
+def test_a_direct_call_is_still_checked(entry, t, model, name):
+    """The public entries keep their checks in front of the trusted
+    bodies: a NaN, infinite or decreasing ``t`` and a model that is not a
+    served index are refused by name, and nothing counts."""
+    svc = [lambda b: 1e-3 * b] * 2
+    if entry == "Router.submit":
+        obj = Router(None, 1, [BatchingPolicy()] * 2, svc)
+        call = obj.submit
+    else:
+        obj = ReplicaBatchQueue([BatchingPolicy()] * 2, svc)
+        call = obj.push
+    call(1.0, 0, 0)
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(t, 1, model)
+    if entry == "Router.submit":
+        assert (obj.n_offered, obj.shed_ids) == (1, [])
+    else:
+        assert obj.queue_depth == 1
+    call(1.0, 2, np.int64(1))       # a NumPy index is a served index
